@@ -1,8 +1,8 @@
 """Distributed serving benchmark: partitioned predict() vs the single machine.
 
-:class:`repro.serving.DistributedInferenceServer` answers the same
-``predict(node_ids)`` surface as the local server, but the graph lives as
-per-worker shards and every batch is computed cooperatively: each worker
+:class:`repro.serving.ShardExecutor` sits behind the same
+:class:`repro.serving.Server` ``predict(node_ids)`` surface as the local
+executor, but the graph lives as per-worker shards and every batch is computed cooperatively: each worker
 executes the restricted grid over the destinations it owns, publishes its
 layer rows, and peers fetch only the frontier rows their embedding cache
 missed.  This benchmark prices that cooperation: requests/sec and p50/p99
@@ -11,9 +11,9 @@ identical Zipf workload, cold and warm caches, plus the halo / frontier
 bytes the cluster moved per pass.
 
 ``--backend`` selects the cluster substrate: ``thread``
-(:class:`~repro.serving.DistributedInferenceServer`, shard worker threads —
+(``ServingConfig(backend="distributed")``, shard worker threads —
 rows named ``shards{N}_*``), ``mp``
-(:class:`~repro.serving.MultiprocessInferenceServer`, one forked process
+(``ServingConfig(backend="mp")``, one forked process
 per shard crossing a Manager-backed communicator — rows named ``mp{N}_*``),
 or ``both`` (the default, and what the committed baseline contains).  The
 mp rows are expected to be much slower than the thread rows at these tiny

@@ -3,8 +3,8 @@
 A deployed model answers ``predict(node_ids)`` requests from concurrent
 clients, and per-request sequential execution compiles and runs one
 receptive-field pipeline per request — most of it redundant across the
-overlapping, popularity-skewed requests real traffic produces.  The
-:class:`repro.serving.InferenceServer` attacks the redundancy twice:
+overlapping, popularity-skewed requests real traffic produces.  A
+:class:`repro.serving.Server` over the local executor attacks the redundancy twice:
 **micro-batching** coalesces requests arriving within a short window into
 one deduplicated pipeline execution, and the **historical-embedding cache**
 truncates each batch's receptive field at the deepest layer whose required

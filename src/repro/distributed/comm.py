@@ -38,7 +38,7 @@ import numpy as np
 STREAM_KEY_PREFIX = "__stream/"
 
 #: Byte-accounting tags of the distributed serving path
-#: (:mod:`repro.serving.distributed`): activation rows fetched from a peer
+#: (:class:`repro.serving.ShardWorker`): activation rows fetched from a peer
 #: because the local embedding cache missed them, the per-layer frontier
 #: allgathers of the cooperative receptive-field walk, and the small control
 #: collectives (cache-truncation votes, fast-path votes).

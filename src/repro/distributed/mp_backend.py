@@ -14,24 +14,34 @@ Usage::
     from repro.distributed.mp_backend import run_multiprocess
     results = run_multiprocess(worker_fn, world_size=2)
 
-``worker_fn`` must be a module-level (picklable) function with the usual
-``(rank, comm, *args)`` signature.
+``worker_fn`` takes the usual ``(rank, comm, *args)`` signature and returns a
+picklable result.  Workers are forked (the ``fork`` start method is
+required), so the function and its arguments reach them by address-space
+copy.
+
+There is one process driver, :class:`MultiprocessServiceCluster`: forked
+workers answering ``(kind, payload)`` jobs until stopped.
+:func:`run_multiprocess` is a single-job use of it; the ``"mp"`` serving
+backend keeps one alive for the server's lifetime.
 
 Failure semantics
 -----------------
 
-* A worker that **raises** posts an error result; the parent writes an abort
-  flag into the shared store and breaks the barrier, so survivors blocked in
-  a collective unblock promptly (instead of spinning until their timeout),
-  post their own errors, and exit.  The parent raises
-  :class:`WorkerFailedError` naming the failing rank.
+* A worker whose job **raises** writes an abort flag into the shared store
+  and breaks the barrier before posting its error, so survivors blocked in
+  a collective unblock promptly (instead of spinning until their timeout)
+  and post their own errors.  The parent raises :class:`WorkerFailedError`
+  naming the failing rank.
 * A worker that **dies without posting anything** (killed, segfault,
   ``os._exit``) is detected by polling ``Process.is_alive`` alongside the
-  result queue; the parent aborts the cluster the same way, terminates any
-  survivors that do not exit within a short grace period, and raises naming
-  the dead rank and its exit code.
-* On every path — success, error, crash, timeout — no child process outlives
-  the :func:`run_multiprocess` call.
+  response queue; the parent aborts the cluster the same way and raises
+  naming the dead rank and its exit code.
+* A job that exceeds the cluster's **timeout** aborts the cluster and raises
+  naming the ranks still owed a response.
+* On every path — success, error, crash, timeout — :meth:`~
+  MultiprocessServiceCluster.stop` terminates any worker that does not exit
+  within a short grace period: no child process outlives the
+  :func:`run_multiprocess` call or the stopped cluster.
 """
 
 from __future__ import annotations
@@ -94,8 +104,15 @@ class MultiprocessCommunicator(Communicator):
     abort flag so a peer failure propagates within one slice.
     """
 
-    def __init__(self, rank: int, world_size: int, store, barrier, condition,
-                 timeout_s: float = _DEFAULT_TIMEOUT_S):
+    def __init__(
+        self,
+        rank: int,
+        world_size: int,
+        store,
+        barrier,
+        condition,
+        timeout_s: float = _DEFAULT_TIMEOUT_S,
+    ):
         super().__init__(rank, world_size)
         self._store = store
         self._barrier = barrier
@@ -137,8 +154,9 @@ class MultiprocessCommunicator(Communicator):
                 if self._store.get((owner_rank, key)) is None:
                     self._cond.wait(min(_WAIT_SLICE_S, remaining))
 
-    def fetch(self, owner_rank: int, key: str, rows: Optional[np.ndarray] = None,
-              tag: str = "halo") -> np.ndarray:
+    def fetch(
+        self, owner_rank: int, key: str, rows: Optional[np.ndarray] = None, tag: str = "halo"
+    ) -> np.ndarray:
         array = self._wait_get(owner_rank, key)
         out = array[np.asarray(rows)] if rows is not None else np.array(array, copy=True)
         if owner_rank != self.rank:
@@ -166,8 +184,9 @@ class MultiprocessCommunicator(Communicator):
                 f"or exceeded the {self._timeout_s:.0f}s timeout)"
             ) from exc
 
-    def exchange(self, key: str, outgoing: Dict[int, np.ndarray],
-                 tag: str = "exchange") -> Dict[int, np.ndarray]:
+    def exchange(
+        self, key: str, outgoing: Dict[int, np.ndarray], tag: str = "exchange"
+    ) -> Dict[int, np.ndarray]:
         """All-to-all over the store: one write and one pop-read per peer.
 
         Each rank's payload for a peer is written once under a per-call
@@ -219,148 +238,11 @@ class MultiprocessCommunicator(Communicator):
         self._collective_counter += 1
         key = f"__coll/{self._collective_counter}"
         self._put_and_notify((self.rank, key), array)
-        gathered = [np.array(self._wait_get(r, key), copy=True)
-                    for r in range(self.world_size)]
+        gathered = [np.array(self._wait_get(r, key), copy=True) for r in range(self.world_size)]
         self.barrier()
         self._store.pop((self.rank, key), None)
         return gathered
 
-
-def _mp_worker(rank: int, world_size: int, store, barrier, condition, worker_fn,
-               worker_arg, common_kwargs, result_queue, timeout_s: float) -> None:
-    comm = MultiprocessCommunicator(rank, world_size, store, barrier, condition,
-                                    timeout_s=timeout_s)
-    try:
-        if worker_arg is _NO_ARG:
-            result = worker_fn(rank, comm, **common_kwargs)
-        else:
-            result = worker_fn(rank, comm, worker_arg, **common_kwargs)
-        result_queue.put((rank, "ok", result))
-    except Exception as exc:  # noqa: BLE001 - report to parent, do not hang peers
-        result_queue.put((rank, "error", repr(exc)))
-
-
-class _NoArg:
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<no per-worker argument>"
-
-
-_NO_ARG = _NoArg()
-
-
-def run_multiprocess(worker_fn: Callable[..., Any], world_size: int,
-                     worker_args: Optional[Sequence[Any]] = None,
-                     timeout_s: float = _DEFAULT_TIMEOUT_S,
-                     **common_kwargs: Any) -> List[Any]:
-    """Run ``worker_fn`` on ``world_size`` separate processes and collect results.
-
-    The per-worker results are returned indexed by rank.  Any worker error —
-    an exception, a silent death, or a timeout — is re-raised in the parent
-    as :class:`WorkerFailedError` with the failing rank identified, and no
-    child process is left behind (see the module docstring for the exact
-    failure semantics).
-    """
-    if worker_args is not None and len(worker_args) != world_size:
-        raise ValueError(f"worker_args must have length {world_size}")
-    # Fork (the POSIX default) keeps worker functions picklable-by-reference and
-    # avoids re-importing the caller's module in the children.
-    ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
-    with mp.Manager() as manager:
-        store = manager.dict()
-        barrier = manager.Barrier(world_size)
-        condition = manager.Condition()
-        result_queue = manager.Queue()
-        processes: List[mp.process.BaseProcess] = []
-        for rank in range(world_size):
-            arg = worker_args[rank] if worker_args is not None else _NO_ARG
-            process = ctx.Process(
-                target=_mp_worker,
-                args=(rank, world_size, store, barrier, condition, worker_fn, arg,
-                      common_kwargs, result_queue, timeout_s),
-            )
-            process.start()
-            processes.append(process)
-
-        results: List[Any] = [None] * world_size
-        errors: List[str] = []
-        reported: set = set()
-        deadline = time.monotonic() + timeout_s
-        aborted = False
-
-        def _abort(message: str) -> None:
-            """Unblock every survivor and bound how long we keep waiting."""
-            nonlocal aborted, deadline
-            if aborted:
-                return
-            aborted = True
-            _poison_cluster(store, barrier, condition, message)
-            deadline = min(deadline, time.monotonic() + _ABORT_GRACE_S)
-
-        def _record(rank: int, status: str, payload: Any) -> None:
-            reported.add(rank)
-            if status == "ok":
-                results[rank] = payload
-            elif errors and "cluster aborted" in str(payload):
-                # Follow-on failure of a survivor we unblocked ourselves; the
-                # root cause is already recorded.
-                pass
-            else:
-                errors.append(f"rank {rank}: {payload}")
-                _abort(errors[-1])
-
-        try:
-            while len(reported) < world_size:
-                try:
-                    _record(*result_queue.get(timeout=_POLL_S))
-                    continue
-                except queue_mod.Empty:
-                    pass
-                if time.monotonic() > deadline:
-                    if not errors:
-                        missing = sorted(set(range(world_size)) - reported)
-                        errors.append(
-                            f"timed out after {timeout_s:.0f}s waiting for ranks {missing}"
-                        )
-                        _abort(errors[-1])
-                    break
-                crashed = [r for r in range(world_size)
-                           if r not in reported and not processes[r].is_alive()]
-                if not crashed:
-                    continue
-                # A dead rank's result may still be in flight through the
-                # Manager — drain once more before declaring it crashed.
-                try:
-                    _record(*result_queue.get(timeout=_POLL_S))
-                    continue
-                except queue_mod.Empty:
-                    pass
-                for rank in crashed:
-                    if rank not in reported:
-                        _record(rank, "error",
-                                "worker process died without posting a result "
-                                f"(exitcode {processes[rank].exitcode})")
-        finally:
-            # Leak nothing: give workers a moment to exit on their own, then
-            # escalate terminate → kill.
-            for process in processes:
-                process.join(timeout=2.0)
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-            for process in processes:
-                if process.is_alive():
-                    process.join(timeout=5.0)
-                if process.is_alive():  # pragma: no cover - terminate ignored
-                    process.kill()
-                    process.join(timeout=5.0)
-        if errors:
-            raise WorkerFailedError("multiprocess workers failed: " + "; ".join(errors))
-    return results
-
-
-# --------------------------------------------------------------------------- #
-# long-lived service workers (request/response loop per forked process)
-# --------------------------------------------------------------------------- #
 
 #: request kinds reserved by the worker loop itself.
 _STOP_KIND = "__stop__"
@@ -391,9 +273,18 @@ def portable(payload: Any) -> Any:
     return payload
 
 
-def _service_worker(rank: int, world_size: int, store, barrier, condition,
-                    requests, responses, service_factory, timeout_s: float) -> None:
-    """Long-lived request loop of one forked service worker.
+def _service_worker(
+    rank: int,
+    world_size: int,
+    store,
+    barrier,
+    condition,
+    requests,
+    responses,
+    service_factory,
+    timeout_s: float,
+) -> None:
+    """Request loop of one forked worker.
 
     ``service_factory(rank, comm)`` builds the worker's state (graph handles,
     stores, caches — collective construction is fine: every worker runs it
@@ -403,13 +294,13 @@ def _service_worker(rank: int, world_size: int, store, barrier, condition,
     error response is posted, so peers blocked in the failed job's
     collectives unblock within one wait slice instead of timing out.
     """
-    comm = MultiprocessCommunicator(rank, world_size, store, barrier, condition,
-                                    timeout_s=timeout_s)
+    comm = MultiprocessCommunicator(
+        rank, world_size, store, barrier, condition, timeout_s=timeout_s
+    )
     try:
         handler = service_factory(rank, comm)
     except BaseException as exc:  # noqa: BLE001 - report to parent, unblock peers
-        _poison_cluster(store, barrier, condition,
-                        f"rank {rank} failed to initialize: {exc!r}")
+        _poison_cluster(store, barrier, condition, f"rank {rank} failed to initialize: {exc!r}")
         responses.put((rank, _INIT_JOB, "error", repr(exc)))
         return
     responses.put((rank, _INIT_JOB, "ok", None))
@@ -424,21 +315,21 @@ def _service_worker(rank: int, world_size: int, store, barrier, condition,
         try:
             result = handler(kind, payload)
         except BaseException as exc:  # noqa: BLE001 - keep the loop alive
-            _poison_cluster(store, barrier, condition,
-                            f"rank {rank} failed on job {job_id}: {exc!r}")
+            _poison_cluster(
+                store, barrier, condition, f"rank {rank} failed on job {job_id}: {exc!r}"
+            )
             responses.put((rank, job_id, "error", repr(exc)))
             continue
         responses.put((rank, job_id, "ok", portable(result)))
 
 
 class MultiprocessServiceCluster:
-    """``world_size`` long-lived forked worker processes behind job queues.
+    """``world_size`` forked worker processes behind per-rank job queues.
 
-    :func:`run_multiprocess` forks, runs one function, and reaps — the right
-    shape for training jobs.  Serving needs the opposite lifecycle: workers
-    that build their state once (shard graph handles, feature stores,
-    caches) and then answer an open-ended stream of small requests.  This
-    cluster provides that loop:
+    The one process driver of this backend: :func:`run_multiprocess` uses it
+    for a single job, the ``"mp"`` serving backend for an open-ended stream
+    of small ones.  Workers build their state once (``service_factory``)
+    and then answer requests:
 
     * every worker gets its own request queue; :meth:`request` posts one
       ``(kind, payload)`` job to **all** of them and blocks until every rank
@@ -460,9 +351,17 @@ class MultiprocessServiceCluster:
     dicts).
     """
 
-    def __init__(self, service_factory: Callable[[int, Communicator], Callable],
-                 world_size: int, timeout_s: float = _DEFAULT_TIMEOUT_S,
-                 name: str = "service"):
+    #: workers hold forked snapshots: parent-side mutations (model weights,
+    #: feature stores) must be shipped to them as request payloads.
+    shared_memory = False
+
+    def __init__(
+        self,
+        service_factory: Callable[[int, Communicator], Callable],
+        world_size: int,
+        timeout_s: float = _DEFAULT_TIMEOUT_S,
+        name: str = "service",
+    ):
         if world_size < 1:
             raise ValueError(f"world_size must be >= 1, got {world_size}")
         self.world_size = world_size
@@ -503,9 +402,17 @@ class MultiprocessServiceCluster:
         self._processes = [
             ctx.Process(
                 target=_service_worker,
-                args=(rank, self.world_size, self._store, self._barrier,
-                      self._condition, self._requests[rank], self._responses,
-                      self._service_factory, self._timeout_s),
+                args=(
+                    rank,
+                    self.world_size,
+                    self._store,
+                    self._barrier,
+                    self._condition,
+                    self._requests[rank],
+                    self._responses,
+                    self._service_factory,
+                    self._timeout_s,
+                ),
                 name=f"{self.name}-{rank}",
                 daemon=True,
             )
@@ -554,15 +461,18 @@ class MultiprocessServiceCluster:
         """The worker processes, indexed by rank (for liveness checks)."""
         return list(self._processes)
 
-    @property
-    def running(self) -> bool:
-        return (self._started and not self._stopped
-                and all(p.is_alive() for p in self._processes))
+    def stats(self) -> dict:
+        """The per-rank process table (``stats()["processes"]`` of the mp server).
 
-    @property
-    def failure(self) -> Optional[str]:
-        """The message that poisoned the cluster, or ``None`` while healthy."""
-        return self._failure
+        ``failure`` is the message that poisoned the cluster, ``None`` while healthy.
+        """
+        return {
+            "processes": {
+                "alive": [p.is_alive() for p in self._processes],
+                "exitcodes": [p.exitcode for p in self._processes],
+                "failure": self._failure,
+            }
+        }
 
     # -- job dispatch ------------------------------------------------------ #
     def request(self, kind: str, payload: Any = None) -> List[Any]:
@@ -570,7 +480,8 @@ class MultiprocessServiceCluster:
 
         Thread-safe (jobs from concurrent callers are serialized, so every
         worker sees the same job order).  Raises :class:`WorkerFailedError`
-        if any worker errors or dies before responding.
+        if any worker errors, dies before responding, or exceeds the
+        cluster's timeout.
         """
         with self._lock:
             if not self._started or self._stopped:
@@ -602,6 +513,7 @@ class MultiprocessServiceCluster:
         deadline = time.monotonic() + self._timeout_s
 
         def _record(rank: int, status: str, payload: Any) -> None:
+            nonlocal deadline
             reported.add(rank)
             if status == "ok":
                 results[rank] = payload
@@ -612,6 +524,9 @@ class MultiprocessServiceCluster:
             else:
                 errors.append(f"rank {rank}: {payload}")
                 self._poison(errors[-1])
+                # Survivors were just unblocked: bound how long we keep
+                # waiting for them to report.
+                deadline = min(deadline, time.monotonic() + _ABORT_GRACE_S)
 
         def _drain_one() -> bool:
             try:
@@ -624,20 +539,23 @@ class MultiprocessServiceCluster:
             # dropped: their job already raised in the parent.
             return True
 
-        while len(reported) < self.world_size and not (errors and
-                                                       reported >= self._live_or_reported(reported)):
+        while len(reported) < self.world_size:
             if _drain_one():
                 continue
             if time.monotonic() > deadline:
-                missing = sorted(set(range(self.world_size)) - reported)
-                errors.append(
-                    f"timed out after {self._timeout_s:.0f}s waiting for "
-                    f"ranks {missing}"
-                )
-                self._poison(errors[-1])
+                if not errors:
+                    missing = sorted(set(range(self.world_size)) - reported)
+                    errors.append(
+                        f"timed out after {self._timeout_s:.0f}s waiting for "
+                        f"ranks {missing}"
+                    )
+                    self._poison(errors[-1])
                 break
-            crashed = [r for r in range(self.world_size)
-                       if r not in reported and not self._processes[r].is_alive()]
+            crashed = [
+                r
+                for r in range(self.world_size)
+                if r not in reported and not self._processes[r].is_alive()
+            ]
             if not crashed:
                 continue
             # A dead rank's response may still be in flight through the
@@ -646,20 +564,15 @@ class MultiprocessServiceCluster:
                 continue
             for rank in crashed:
                 if rank not in reported:
-                    _record(rank, "error",
-                            "worker process died without responding "
-                            f"(exitcode {self._processes[rank].exitcode})")
+                    _record(
+                        rank,
+                        "error",
+                        "worker process died without posting a response "
+                        f"(exitcode {self._processes[rank].exitcode})",
+                    )
         if errors:
-            raise WorkerFailedError(
-                f"{self.name} workers failed: " + "; ".join(errors)
-            )
+            raise WorkerFailedError(f"{self.name} workers failed: " + "; ".join(errors))
         return results
-
-    def _live_or_reported(self, reported: set) -> set:
-        """Ranks we can still expect a response from, plus those heard."""
-        return reported | {
-            r for r in range(self.world_size) if self._processes[r].is_alive()
-        }
 
     def _poison(self, message: str) -> None:
         if self._failure is None:
@@ -671,3 +584,33 @@ class MultiprocessServiceCluster:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
+
+
+def run_multiprocess(
+    worker_fn: Callable[..., Any],
+    world_size: int,
+    worker_args: Optional[Sequence[Any]] = None,
+    timeout_s: float = _DEFAULT_TIMEOUT_S,
+    **common_kwargs: Any,
+) -> List[Any]:
+    """Run ``worker_fn`` on ``world_size`` forked processes and collect results.
+
+    A single-job use of :class:`MultiprocessServiceCluster`: fork, run
+    ``worker_fn(rank, comm, [worker_args[rank]], **common_kwargs)`` once per
+    rank, reap.  The per-worker results are returned indexed by rank.  Any
+    worker error — an exception, a silent death, or a timeout — is re-raised
+    in the parent as :class:`WorkerFailedError` with the failing rank
+    identified, and no child process is left behind (see the module
+    docstring for the exact failure semantics).
+    """
+    if worker_args is not None and len(worker_args) != world_size:
+        raise ValueError(f"worker_args must have length {world_size}")
+
+    def single_job(rank: int, comm: Communicator):
+        args = () if worker_args is None else (worker_args[rank],)
+        return lambda kind, payload: worker_fn(rank, comm, *args, **common_kwargs)
+
+    with MultiprocessServiceCluster(
+        single_job, world_size, timeout_s=timeout_s, name="multiprocess"
+    ) as cluster:
+        return cluster.request("run")

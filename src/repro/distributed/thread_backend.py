@@ -11,9 +11,11 @@ independent of host core counts.
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from concurrent.futures import Future
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -258,3 +260,110 @@ def create_thread_communicators(world_size: int,
         for rank in range(world_size)
     ]
     return comms, store
+
+
+class ThreadServiceCluster:
+    """``world_size`` long-lived worker threads behind per-rank job queues.
+
+    The thread twin of :class:`repro.distributed.mp_backend.
+    MultiprocessServiceCluster`, with the same surface — ``start()``,
+    ``request(kind, payload)``, ``stop()``, ``stats()`` — so a caller
+    (the serving shard executor) is written once against either transport.
+    Each worker runs ``handler = service_factory(rank, comm)`` once
+    (collective construction is fine: all workers run it concurrently) and
+    then answers jobs; a handler exception aborts the shared store first, so
+    peers blocked in the failed job's collectives unblock, and every later
+    job fails on the aborted cluster.
+    """
+
+    #: workers see the caller's objects live: a mutation made between jobs
+    #: (model weights, a shared feature store) needs no shipping.
+    shared_memory = True
+
+    def __init__(self, service_factory: Callable[[int, Communicator], Callable],
+                 world_size: int, timeout_s: float = _DEFAULT_TIMEOUT_S,
+                 name: str = "service"):
+        self.world_size = world_size
+        self.name = name
+        self._service_factory = service_factory
+        self._timeout_s = timeout_s
+        self._lock = threading.Lock()
+        self._jobs: List["queue.Queue"] = []
+        self._threads: List[threading.Thread] = []
+
+    def start(self) -> "ThreadServiceCluster":
+        """Spawn the workers and wait for every rank's handler to be built."""
+        # The communicators (and the store of published arrays behind them)
+        # live exactly as long as the worker threads that hold them.
+        comms, store = create_thread_communicators(
+            self.world_size, timeout_s=self._timeout_s
+        )
+        self._jobs = [queue.Queue() for _ in comms]
+        ready: List[Future] = [Future() for _ in comms]
+        self._threads = [
+            threading.Thread(target=self._worker, args=(comm, store, jobs, future),
+                             name=f"{self.name}-{comm.rank}", daemon=True)
+            for comm, jobs, future in zip(comms, self._jobs, ready)
+        ]
+        for thread in self._threads:
+            thread.start()
+        try:
+            for future in ready:
+                future.result(self._timeout_s)
+        except BaseException:
+            self.stop()
+            raise
+        return self
+
+    def _worker(self, comm: ThreadCommunicator, store: SharedStore,
+                jobs: "queue.Queue", ready: Future) -> None:
+        try:
+            handler = self._service_factory(comm.rank, comm)
+        except BaseException as exc:  # noqa: BLE001 - report, unblock peers
+            store.abort(f"{self.name} worker {comm.rank} failed to start: {exc!r}")
+            ready.set_exception(exc)
+            return
+        ready.set_result(None)
+        while True:
+            job = jobs.get()
+            if job is None:
+                break
+            kind, payload, future = job
+            try:
+                future.set_result(handler(kind, payload))
+            except BaseException as exc:  # noqa: BLE001 - keep the loop alive
+                store.abort(f"{self.name} worker {comm.rank} failed: {exc!r}")
+                future.set_exception(exc)
+
+    def stop(self) -> None:
+        """Drain every worker's queued jobs, then join it — idempotent."""
+        with self._lock:
+            threads, self._threads = self._threads, []
+        for jobs in self._jobs:
+            jobs.put(None)
+        for thread in threads:
+            thread.join(self._timeout_s)
+
+    @property
+    def running(self) -> bool:
+        return bool(self._threads) and all(t.is_alive() for t in self._threads)
+
+    def stats(self) -> dict:
+        """Transport-level telemetry (threads have none; the mp twin reports processes)."""
+        return {}
+
+    def request(self, kind: str, payload: Any = None) -> List[Any]:
+        """Run one job on every worker; per-rank results indexed by rank.
+
+        Thread-safe (jobs from concurrent callers are serialized, so every
+        worker sees the same job order).  A worker's exception propagates.
+        """
+        with self._lock:
+            if not self.running:
+                raise RuntimeError("cluster is not running")
+            futures: List[Future] = []
+            for jobs in self._jobs:
+                future: Future = Future()
+                jobs.put((kind, payload, future))
+                futures.append(future)
+            return [future.result(self._timeout_s) for future in futures]

@@ -65,8 +65,8 @@ from repro.utils.validation import check_1d_int_array, check_positive_int
 def check_layered_model(model) -> int:
     """Validate that ``model`` exposes the per-layer hook; return its depth.
 
-    Shared by the inference engines here and by
-    :class:`repro.serving.InferenceServer` — anything driving the model
+    Shared by the inference engines here and by the
+    :mod:`repro.serving` executors — anything driving the model
     through ``forward_layer(index, graph, x)`` one layer at a time.
     """
     num_layers = getattr(model, "num_layers", None)
@@ -481,7 +481,7 @@ def distributed_restricted_logits(
        plan reduces each destination by ascending source id (ties in input
        order), every reduction runs in exactly the single-machine order —
        served logits are **bit-identical** to the single-machine
-       :class:`~repro.serving.InferenceServer`.  Blocks carry privately
+       :class:`~repro.serving.LocalExecutor`.  Blocks carry privately
        built plans (never the shared structural cache), so worker threads
        of a thread-backend cluster can serve concurrently.
     3. **Publish/fetch activations.**  After computing layer ``l+1`` rows

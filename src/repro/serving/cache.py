@@ -10,7 +10,7 @@ any other batch (or the full-graph forward) would compute.  That makes
 activations safely memoizable: :class:`EmbeddingCache` keeps an LRU of rows
 keyed by ``(version, layer, node id)``, and the server truncates a request's
 receptive-field walk at the deepest layer whose entire required node set is
-cached (see :meth:`repro.serving.InferenceServer.predict`), feeding the
+cached (see :meth:`repro.serving.LocalExecutor.compute`), feeding the
 cached rows in as the partial-depth pipeline's input.
 
 Layer indices follow the MFG mask convention: layer ``l`` holds the *input*
@@ -30,12 +30,13 @@ worker thread while ``stats()`` may be read from any client thread.
 
 from __future__ import annotations
 
+import operator
 import threading
-from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.utils.lru import LRUDict
 from repro.utils.validation import check_positive_int
 
 
@@ -81,12 +82,14 @@ class EmbeddingCache:
         self.hits = 0
         self.misses = 0
         self.insertions = 0
-        self.evictions = 0
         self.invalidations = 0
         self.rejected_admissions = 0
-        self.current_bytes = 0
         self._lock = threading.Lock()
-        self._rows: "OrderedDict[Tuple[int, int, int], np.ndarray]" = OrderedDict()
+        # (version, layer, node) -> row; byte accounting and LRU eviction
+        # (and their counters) are the mapping's.
+        self._rows = LRUDict(
+            capacity=None, byte_budget=self.capacity_bytes, sizeof=operator.attrgetter("nbytes")
+        )
         # Version-independent request-frequency sketch (layer, node) -> count;
         # only maintained when the admission gate is on.
         self._freq: Dict[Tuple[int, int], int] = {}
@@ -99,7 +102,7 @@ class EmbeddingCache:
     def __repr__(self) -> str:
         return (
             f"EmbeddingCache(version={self.version}, rows={len(self._rows)}, "
-            f"bytes={self.current_bytes}/{self.capacity_bytes})"
+            f"bytes={self._rows.current_bytes}/{self.capacity_bytes})"
         )
 
     # ------------------------------------------------------------------ #
@@ -117,19 +120,13 @@ class EmbeddingCache:
             if self.admission == "frequency":
                 for node in node_ids:
                     self._record_request(layer, int(node))
-            found = []
-            missing = 0
-            for node in node_ids:
-                row = rows.get((version, layer, int(node)))
-                if row is None:
-                    missing += 1
-                else:
-                    found.append(row)
-            if missing:
-                self.misses += missing
+            keys = [(version, layer, int(node)) for node in node_ids]
+            found = [row for row in map(rows.peek, keys) if row is not None]
+            if len(found) < len(keys):
+                self.misses += len(keys) - len(found)
                 return None
-            for node in node_ids:
-                rows.move_to_end((version, layer, int(node)))
+            for key in keys:
+                rows.touch(key)
             self.hits += len(found)
             if not found:
                 return None
@@ -158,11 +155,11 @@ class EmbeddingCache:
             hit_rows = []
             for i, node in enumerate(node_ids):
                 key = (version, layer, int(node))
-                row = rows.get(key)
+                row = rows.peek(key)
                 if row is None:
                     self.misses += 1
                 else:
-                    rows.move_to_end(key)
+                    rows.touch(key)
                     self.hits += 1
                     found_mask[i] = True
                     hit_rows.append(row)
@@ -187,20 +184,14 @@ class EmbeddingCache:
             rows = self._rows
             for node, value in zip(node_ids, values):
                 key = (version, layer, int(node))
-                if key in rows:
-                    rows.move_to_end(key)
+                if rows.peek(key) is not None:
+                    rows.touch(key)
                     continue
                 if gated and not self._admit(key, value.nbytes):
                     self.rejected_admissions += 1
                     continue
-                row = np.array(value, copy=True)
-                rows[key] = row
-                self.current_bytes += row.nbytes
+                rows[key] = np.array(value, copy=True)
                 self.insertions += 1
-            while self.current_bytes > self.capacity_bytes and rows:
-                _, evicted = rows.popitem(last=False)
-                self.current_bytes -= evicted.nbytes
-                self.evictions += 1
 
     # ------------------------------------------------------------------ #
     def _record_request(self, layer: int, node: int) -> None:
@@ -222,7 +213,7 @@ class EmbeddingCache:
         it would displace — ties keep the incumbent (cheaper, and resists
         one-shot scans whose rows all have count 1).
         """
-        if self.current_bytes + nbytes <= self.capacity_bytes or not self._rows:
+        if self._rows.current_bytes + nbytes <= self.capacity_bytes or not self._rows:
             return True
         _, victim_layer, victim_node = next(iter(self._rows))
         candidate = self._freq.get((key[1], key[2]), 0)
@@ -240,14 +231,12 @@ class EmbeddingCache:
             self.version += 1
             self.invalidations += 1
             self._rows.clear()
-            self.current_bytes = 0
             return self.version
 
     def clear(self) -> None:
         """Drop all rows without advancing the version (e.g. between bench phases)."""
         with self._lock:
             self._rows.clear()
-            self.current_bytes = 0
 
     def stats(self) -> Dict[str, int]:
         """Telemetry snapshot: hit/miss/insert/evict counters and byte usage."""
@@ -258,10 +247,10 @@ class EmbeddingCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "insertions": self.insertions,
-                "evictions": self.evictions,
+                "evictions": self._rows.evictions,
                 "invalidations": self.invalidations,
                 "rejected_admissions": self.rejected_admissions,
                 "rows": len(self._rows),
-                "current_bytes": self.current_bytes,
+                "current_bytes": self._rows.current_bytes,
                 "capacity_bytes": self.capacity_bytes,
             }

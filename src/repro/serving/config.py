@@ -1,21 +1,17 @@
-"""Serving configuration and the server protocol shared by both backends.
+"""Serving configuration.
 
 One :class:`ServingConfig` (mirroring :class:`repro.training.TrainingConfig`)
 carries every serving knob — the micro-batching window, the embedding-cache
 byte budget and admission policy, timeouts, and the ``backend`` selector —
 and :func:`repro.serving.create_server` turns it plus a model, a graph (or
-shard list) and features (or a feature store) into the right server.  Both
-:class:`repro.serving.InferenceServer` and
-:class:`repro.serving.DistributedInferenceServer` implement
-:class:`ServerProtocol`, so callers can hold either behind one type.
+shard list) and features (or a feature store) into a
+:class:`repro.serving.Server` over the matching executor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Protocol, runtime_checkable
-
-import numpy as np
+from typing import Optional
 
 _BACKENDS = ("local", "distributed", "mp")
 _ADMISSIONS = ("none", "frequency")
@@ -126,33 +122,3 @@ class ServingConfig:
                 f"the coalescing window ({self.window_ms}ms) or every "
                 f"synchronous predict times out before its batch can close"
             )
-
-
-@runtime_checkable
-class ServerProtocol(Protocol):
-    """The serving surface both backends implement.
-
-    Lifecycle (``start``/``stop``/``running``, context-manager entry),
-    prediction (synchronous ``predict`` and future-returning
-    ``predict_async``), online weight updates (``update`` — serialized
-    behind in-flight batches, invalidates every cache), and introspection
-    (``stats`` in the documented shared shape, monotonic ``version``).
-    """
-
-    def start(self) -> "ServerProtocol": ...
-
-    def stop(self) -> None: ...
-
-    @property
-    def running(self) -> bool: ...
-
-    def predict(self, node_ids: Any) -> np.ndarray: ...
-
-    def predict_async(self, node_ids: Any) -> Any: ...
-
-    def update(self, apply_fn: Any) -> int: ...
-
-    def stats(self) -> dict: ...
-
-    @property
-    def version(self) -> int: ...

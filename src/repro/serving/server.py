@@ -1,54 +1,36 @@
-"""Long-lived online inference server: micro-batched, cache-truncated predicts.
+"""The serving frontend: one micro-batching ``Server`` over an ``Executor``.
 
-:class:`InferenceServer` is the serving half of the roadmap's north star: a
-process-resident object that loads a trained model plus its graph and feature
-matrix once, then answers ``predict(node_ids)`` requests from any number of
-concurrent client threads.  The request hot path is the paper's core trick
-run per batch: only the requested seeds' receptive fields are compiled
-(:func:`repro.graph.mfg.build_mfg_pipeline`) and executed, never a full-graph
-forward.
+:class:`Server` is the whole client-facing half of the serving subsystem: a
+process-resident object answering ``predict(node_ids)`` from any number of
+concurrent client threads.  It owns everything that is the same for every
+deployment — the bounded request queue, the coalescing window, request and
+update futures, lifecycle, the serving version counter and the shared
+``stats()`` shape — and delegates the one thing that differs, *how a
+deduplicated seed set becomes logit rows*, to an :class:`Executor`:
 
-Three mechanisms shape the latency/throughput profile:
+* :class:`repro.serving.LocalExecutor` — the whole graph in this process;
+* :class:`repro.serving.ShardExecutor` — partition shards, one
+  :class:`repro.serving.ShardWorker` each, on worker threads
+  (``backend="distributed"``) or forked processes (``backend="mp"``).
 
-**Micro-batching.**  Requests land on a bounded queue consumed by one worker
-thread.  The worker takes the first request, then keeps draining the queue
-until ``window_ms`` elapses or ``max_batch_seeds`` requested seeds have
+**Micro-batching.**  Requests land on a bounded queue consumed by one serve
+thread.  It takes the first request, then keeps draining the queue until
+``window_ms`` elapses or ``max_batch_seeds`` requested seeds have
 accumulated; the coalesced requests are deduplicated into one ascending seed
-set, compiled into one pipeline, executed once, and the per-seed logit rows
-are scattered back to each request's future.  ``window_ms=0`` disables
+set, computed once by the executor, and the per-seed logit rows are
+scattered back to each request's future.  ``window_ms=0`` disables
 coalescing (strictly one request per execution — the sequential baseline the
 serving benchmark compares against).
 
-**Plan warmth.**  Pipeline blocks resolve their :class:`~repro.tensor.
-edge_plan.EdgePlan` through the shared structural :class:`~repro.tensor.
-edge_plan.PlanCache`, so a repeated request topology (same coalesced seed
-set) pays **zero** plan builds — asserted in ``tests/test_serving.py`` and
-visible in :meth:`InferenceServer.stats` under ``"plan_cache"``.
+**Updates are barriers.**  :meth:`Server.update` enqueues the mutation
+behind the requests already queued; the serve thread closes the batch it is
+coalescing, runs it on the old weights, then lets the executor apply the
+mutation and invalidate its caches.  Requests enqueued before the update see
+the old weights and cache entries, requests after see the new ones, and no
+batch ever mixes the two.
 
-**Historical-embedding cache.**  With a cache ``byte_budget`` set, every
-computed activation row is inserted into an :class:`~repro.serving.cache.
-EmbeddingCache` keyed by ``(version, layer, node)``.  Each request batch
-probes the cache from the deepest layer down during its receptive-field walk
-and truncates the pipeline at the deepest fully-cached frontier
-(``stop_at`` on :func:`build_mfg_pipeline`); a batch whose seeds all have
-cached logits never builds a pipeline at all.  Cached rows are bit-identical
-to recomputation (eval-mode activations are pure per-row functions), so
-served logits stay **bit-identical** to ``model(graph, features)`` rows with
-the cache on, off, cold, or warm.
-
-Model updates go through :meth:`update`, which runs the mutation *on the
-worker thread* (serialized between batches) and bumps the cache version —
-requests enqueued before the update see the old weights and cache entries,
-requests after see the new ones, and no batch ever mixes the two.
-
-The micro-batching frontend (queue, coalescing loop, request/control
-futures, telemetry) lives in :class:`_MicroBatchServerBase`, shared with the
-distributed backend (:class:`repro.serving.distributed.
-DistributedInferenceServer`); only the per-batch compute and the
-update/version plumbing differ between backends.  Construct servers through
-:class:`~repro.serving.ServingConfig` and
-:func:`repro.serving.create_server`; the loose keyword-argument form of
-``InferenceServer(...)`` remains as a one-release deprecated shim.
+Construct servers through :class:`~repro.serving.ServingConfig` and
+:func:`repro.serving.create_server`.
 """
 
 from __future__ import annotations
@@ -56,25 +38,56 @@ from __future__ import annotations
 import queue
 import threading
 import time
-import warnings
 from concurrent.futures import Future
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 
-from repro.graph.graph import Graph
-from repro.graph.mfg import build_mfg_pipeline
-from repro.sample.inference import check_layered_model
-from repro.serving.cache import EmbeddingCache
 from repro.serving.config import ServingConfig
-from repro.store import DenseStore, as_feature_store
-from repro.tensor import no_grad
 from repro.tensor.edge_plan import shared_plan_cache
-from repro.tensor.tensor import Tensor
 from repro.utils.validation import check_1d_int_array
 
-#: queue sentinel shutting the worker down after all earlier items are served.
+#: queue sentinel shutting the serve thread down after all earlier items.
 _STOP = object()
+
+
+class Executor(Protocol):
+    """What a :class:`Server` needs from the thing that computes logits.
+
+    The seam between the frontend and a deployment: the three library
+    executors implement it, a test drives the frontend with an in-memory
+    fake, and a network transport would plug in here.  Every method is
+    called from the serve thread except :meth:`start` / :meth:`stop` (the
+    caller's thread, before the serve thread exists / after it has exited)
+    and :meth:`stats` (any thread).
+    """
+
+    #: valid request ids are ``[0, num_nodes)``.
+    num_nodes: int
+    #: depth of the model; ``compute`` reports ``input_layer == num_layers``
+    #: for a batch served purely from cached logits.
+    num_layers: int
+    #: dtype of served rows (for empty-request results).
+    output_dtype: np.dtype
+
+    @property
+    def store_version(self) -> int:
+        """Version of the features being served; a change bumps the serving version."""
+
+    def start(self) -> None:
+        """Bring up the executor's resources (workers, caches); model to ``eval()``."""
+
+    def compute(self, seeds: np.ndarray) -> Tuple[np.ndarray, int]:
+        """``(logit rows, input_layer)`` of the ascending unique ``seeds``."""
+
+    def apply_update(self, apply_fn: Optional[Callable]) -> None:
+        """Run ``apply_fn(model)`` (if given) and invalidate every cached activation."""
+
+    def stats(self) -> dict:
+        """The executor section of :meth:`Server.stats` (stores, caches, workers)."""
+
+    def stop(self) -> None:
+        """Release what :meth:`start` brought up; idempotent."""
 
 
 class _Predict:
@@ -87,8 +100,8 @@ class _Predict:
         self.future: "Future[np.ndarray]" = Future()
 
 
-class _Control:
-    """An enqueued model-update: runs on the worker thread, bumps the version."""
+class _Update:
+    """An enqueued model update: applied on the serve thread, bumps the version."""
 
     __slots__ = ("apply_fn", "future")
 
@@ -97,329 +110,19 @@ class _Control:
         self.future: "Future[int]" = Future()
 
 
-class _MicroBatchServerBase:
-    """Micro-batching request frontend shared by both serving backends.
-
-    Owns the bounded request queue, the coalescing serve loop, request /
-    control futures, lifecycle (start / stop / context manager), and the
-    shared ``stats()`` shape.  Backends provide:
-
-    * :meth:`_compute` — logits of one deduplicated ascending seed set;
-    * :meth:`_apply_update` — apply a model mutation and return the new
-      version (runs on the serve-loop thread, serialized between batches);
-    * :attr:`version` — the monotonic serving version;
-    * :meth:`_backend_stats` — the backend section of :meth:`stats`;
-    * :meth:`_on_start` / :meth:`_on_stop` — backend resource lifecycle.
-    """
-
-    #: ``stats()["backend"]`` discriminator; overridden per backend.
-    backend = "local"
-
-    def __init__(self, model, num_nodes: int, config: ServingConfig):
-        self.num_layers = check_layered_model(model)
-        self.model = model
-        self.config = config
-        self._num_nodes = int(num_nodes)
-        self.window_s = float(config.window_ms) / 1e3
-        self.max_batch_seeds = config.max_batch_seeds
-        self._queue: "queue.Queue" = queue.Queue(maxsize=config.max_pending)
-        self._thread: Optional[threading.Thread] = None
-        self._accepting = False
-        self._started = False
-        self._stopped = False
-        self._stats_lock = threading.Lock()
-        self._requests = 0
-        self._served_requests = 0
-        self._batches = 0
-        self._seeds_executed = 0
-        self._max_requests_in_batch = 0
-        self._fast_path_batches = 0
-        self._updates = 0
-        #: how deep request batches truncated: input_layer -> batch count
-        #: (0 = full-depth recompute, ``num_layers`` = all-logits fast path).
-        self._frontier_counts: Dict[int, int] = {}
-
-    # ------------------------------------------------------------------ #
-    # backend hooks
-    # ------------------------------------------------------------------ #
-    def _compute(self, seeds: np.ndarray) -> Tuple[np.ndarray, int]:
-        """``(logit rows, input_layer)`` of the ascending unique ``seeds``."""
-        raise NotImplementedError
-
-    def _apply_update(self, apply_fn: Optional[Callable]) -> int:
-        """Apply ``apply_fn(model)``, invalidate caches, return the version."""
-        raise NotImplementedError
-
-    @property
-    def version(self) -> int:
-        """Current model/cache version (bumped by every :meth:`update`)."""
-        raise NotImplementedError
-
-    def _output_dtype(self):
-        """Dtype of served logit rows (for empty-request results)."""
-        raise NotImplementedError
-
-    def _backend_stats(self) -> dict:
-        """Backend section of :meth:`stats` (stores, caches, workers)."""
-        raise NotImplementedError
-
-    def _on_start(self) -> None:
-        """Bring up backend resources before the serve loop starts."""
-
-    def _on_stop(self) -> None:
-        """Release backend resources after the serve loop has drained."""
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    def start(self):
-        """Spawn the serving worker (idempotent until :meth:`stop`)."""
-        if self._stopped:
-            raise RuntimeError(
-                f"{type(self).__name__} cannot be restarted after stop()"
-            )
-        if self._thread is None:
-            self.model.eval()
-            self._on_start()
-            self._accepting = True
-            self._started = True
-            self._thread = threading.Thread(
-                target=self._serve_loop, name="inference-server", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def stop(self, timeout: Optional[float] = None) -> None:
-        """Drain already-queued requests, then stop the worker."""
-        if self._thread is None or self._stopped:
-            self._stopped = True
-            return
-        if timeout is None:
-            timeout = self.config.stop_timeout_s
-        self._accepting = False
-        self._queue.put(_STOP)
-        self._thread.join(timeout)
-        self._on_stop()
-        self._stopped = True
-
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
-
-    @property
-    def running(self) -> bool:
-        return self._accepting and self._thread is not None and self._thread.is_alive()
-
-    def _check_running(self) -> None:
-        if self.running:
-            return
-        name = type(self).__name__
-        if not self._started:
-            raise RuntimeError(
-                f"{name} is not running — it was never started; call "
-                f"start() (or use the server as a context manager) first"
-            )
-        raise RuntimeError(f"{name} is not running (call start())")
-
-    # ------------------------------------------------------------------ #
-    # client API
-    # ------------------------------------------------------------------ #
-    def predict_async(self, node_ids, timeout: Optional[float] = None) -> "Future[np.ndarray]":
-        """Enqueue a request; the future resolves to its ``(len(ids), C)`` logits.
-
-        Rows follow the request's id order (duplicates included).  Blocks
-        only when the request queue is full (backpressure), up to
-        ``timeout`` seconds.
-        """
-        ids = check_1d_int_array(node_ids, "node_ids", max_value=self._num_nodes)
-        self._check_running()
-        item = _Predict(ids)
-        if ids.size == 0:
-            item.future.set_result(np.empty((0, 0), dtype=self._output_dtype()))
-            return item.future
-        try:
-            self._queue.put(item, timeout=timeout)
-        except queue.Full:
-            raise RuntimeError(
-                f"request queue full ({self._queue.maxsize} pending)"
-            ) from None
-        with self._stats_lock:
-            self._requests += 1
-        return item.future
-
-    def predict(self, node_ids, timeout: Optional[float] = None) -> np.ndarray:
-        """Blocking :meth:`predict_async`; returns the logit rows."""
-        if timeout is None:
-            timeout = self.config.predict_timeout_s
-        return self.predict_async(node_ids, timeout=timeout).result(timeout)
-
-    def update(self, apply_fn: Optional[Callable] = None,
-               timeout: Optional[float] = 30.0) -> int:
-        """Apply a model mutation on the worker thread and invalidate caches.
-
-        ``apply_fn(model)`` (if given) runs serialized between batches:
-        requests enqueued before this call are served by the old model and
-        cache version, requests after by the new ones.  Returns the new
-        version number.  ``update()`` with no function is a pure version
-        bump — e.g. after swapping the feature matrix's contents in place.
-        """
-        self._check_running()
-        item = _Control(apply_fn)
-        self._queue.put(item, timeout=timeout)
-        return item.future.result(timeout)
-
-    def bump_version(self, timeout: Optional[float] = 30.0) -> int:
-        """Invalidate cached activations without touching the model."""
-        return self.update(None, timeout=timeout)
-
-    def stats(self) -> dict:
-        """Telemetry snapshot in the shape shared by both backends.
-
-        See ``docs/serving.md`` ("The stats() shape") for the documented
-        key-by-key reference; the backend section comes from
-        :meth:`_backend_stats` (``workers`` is ``None`` on the local
-        backend, a per-worker list on the distributed one).
-        """
-        with self._stats_lock:
-            snapshot = {
-                "backend": self.backend,
-                "running": self.running,
-                "requests": self._requests,
-                "served_requests": self._served_requests,
-                "batches": self._batches,
-                "seeds_executed": self._seeds_executed,
-                "max_requests_in_batch": self._max_requests_in_batch,
-                "fast_path_batches": self._fast_path_batches,
-                "updates": self._updates,
-                "frontier_layers": dict(sorted(self._frontier_counts.items())),
-                "queue_depth": self._queue.qsize(),
-            }
-        snapshot["version"] = self.version
-        snapshot.update(self._backend_stats())
-        snapshot["plan_cache"] = shared_plan_cache().stats()
-        return snapshot
-
-    # ------------------------------------------------------------------ #
-    # worker
-    # ------------------------------------------------------------------ #
-    def _serve_loop(self) -> None:
-        stop = False
-        carried: Optional[_Control] = None
-        while not stop:
-            if carried is not None:
-                item, carried = carried, None
-            else:
-                item = self._queue.get()
-            if item is _STOP:
-                break
-            if isinstance(item, _Control):
-                self._handle_control(item)
-                continue
-            batch: List[_Predict] = [item]
-            if self.window_s > 0:
-                deadline = time.perf_counter() + self.window_s
-                seeds = len(item.ids)
-                while seeds < self.max_batch_seeds:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    try:
-                        nxt = self._queue.get(timeout=remaining)
-                    except queue.Empty:
-                        break
-                    if nxt is _STOP:
-                        stop = True
-                        break
-                    if isinstance(nxt, _Control):
-                        # Updates are barriers: close the batch, run it on the
-                        # old version, then apply the control next iteration.
-                        carried = nxt
-                        break
-                    batch.append(nxt)
-                    seeds += len(nxt.ids)
-            self._execute(batch)
-
-    def _handle_control(self, item: _Control) -> None:
-        try:
-            version = self._apply_update(item.apply_fn)
-            with self._stats_lock:
-                self._updates += 1
-            item.future.set_result(version)
-        except BaseException as exc:  # propagate to the waiting client
-            item.future.set_exception(exc)
-
-    def _execute(self, batch: List[_Predict]) -> None:
-        try:
-            all_ids = (
-                batch[0].ids if len(batch) == 1
-                else np.concatenate([item.ids for item in batch])
-            )
-            seeds, inverse = np.unique(all_ids, return_inverse=True)
-            logits, input_layer = self._compute(seeds)
-            offset = 0
-            for item in batch:
-                n = len(item.ids)
-                item.future.set_result(logits[inverse[offset:offset + n]])
-                offset += n
-            with self._stats_lock:
-                self._served_requests += len(batch)
-                self._batches += 1
-                self._seeds_executed += len(seeds)
-                self._max_requests_in_batch = max(
-                    self._max_requests_in_batch, len(batch)
-                )
-                if input_layer == self.num_layers:
-                    self._fast_path_batches += 1
-                self._frontier_counts[input_layer] = (
-                    self._frontier_counts.get(input_layer, 0) + 1
-                )
-        except BaseException as exc:
-            for item in batch:
-                if not item.future.done():
-                    item.future.set_exception(exc)
-
-
-#: keyword arguments the deprecated loose-construction shim still accepts.
-_LEGACY_KWARGS = (
-    "window_ms", "max_batch_seeds", "max_pending", "cache_bytes",
-    "cache_admission",
-)
-
-
-class InferenceServer(_MicroBatchServerBase):
-    """Serve ``predict(node_ids)`` over a trained model with micro-batching.
+class Server:
+    """Serve ``predict(node_ids)`` with micro-batching over an :class:`Executor`.
 
     Parameters
     ----------
-    model:
-        A trained module exposing ``num_layers`` and ``forward_layer(index,
-        graph, x)`` (every ``repro.nn`` model).  Switched to ``eval()`` on
-        :meth:`start` and kept there; mutate it only through :meth:`update`.
-    graph:
-        The full homogeneous :class:`~repro.graph.graph.Graph` (hetero
-        serving would need per-relation pipelines — not supported yet).
-    features:
-        ``(num_nodes, in_features)`` input feature matrix (read-only), or
-        any :class:`~repro.store.FeatureStore` covering the graph's nodes —
-        batch input rows are gathered through the store, so serving runs
-        unchanged over partitioned KV features or a trained embedding table.
-        The store's own :attr:`~repro.store.FeatureStore.version` composes
-        with the activation-cache version: when the store reports a new
-        version (features replaced, embedding rows stepped), the next batch
-        bumps the cache version, so stale activations are never served.
+    executor:
+        Computes the logits of one deduplicated seed set; see
+        :class:`Executor`.  The server starts and stops it.
     config:
-        A :class:`~repro.serving.ServingConfig` carrying the micro-batching
-        window, the embedding-cache ``byte_budget`` / ``cache_admission``,
-        queue bound, and timeouts.  ``None`` uses the defaults.  Prefer
-        constructing through :func:`repro.serving.create_server`.
-
-    The pre-redesign loose keyword form (``window_ms=``, ``cache_bytes=``,
-    ``cache_admission=``, ``max_batch_seeds=``, ``max_pending=``) still
-    works for one release behind a :class:`DeprecationWarning` that maps it
-    onto a :class:`~repro.serving.ServingConfig` (``cache_bytes`` becomes
-    ``byte_budget``).
+        The :class:`~repro.serving.ServingConfig` carrying the
+        micro-batching window, queue bound and timeouts (``None`` uses the
+        defaults).  Prefer :func:`repro.serving.create_server`, which builds
+        the executor ``config.backend`` names.
 
     Examples
     --------
@@ -439,152 +142,267 @@ class InferenceServer(_MicroBatchServerBase):
     (4, 3)
     """
 
-    backend = "local"
-
-    def __init__(
-        self,
-        model,
-        graph: Graph,
-        features,
-        config: Optional[ServingConfig] = None,
-        **kwargs,
-    ):
-        if isinstance(config, (int, float)) and not isinstance(config, bool):
-            # Legacy positional call: the fourth argument used to be
-            # window_ms.  Fold it into the deprecated-kwargs path below.
-            kwargs["window_ms"] = config
-            config = None
-        if kwargs:
-            if config is not None:
-                raise TypeError(
-                    "pass either config=ServingConfig(...) or the deprecated "
-                    f"loose keywords, not both (got {sorted(kwargs)})"
-                )
-            unknown = sorted(set(kwargs) - set(_LEGACY_KWARGS))
-            if unknown:
-                raise TypeError(
-                    f"InferenceServer got unexpected keyword arguments "
-                    f"{unknown}; supported legacy keywords are "
-                    f"{sorted(_LEGACY_KWARGS)}"
-                )
-            warnings.warn(
-                "constructing InferenceServer from loose keyword arguments "
-                "is deprecated and will be removed in the next release; "
-                "build a ServingConfig (cache_bytes is now byte_budget) and "
-                "call repro.serving.create_server(model, graph, features, "
-                "config)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            mapped = dict(kwargs)
-            mapped["byte_budget"] = mapped.pop("cache_bytes", None)
-            config = ServingConfig(**mapped)
-        if config is None:
-            config = ServingConfig()
-        if config.backend != "local":
-            raise ValueError(
-                f"InferenceServer is the local backend; "
-                f"config.backend={config.backend!r} (use "
-                f"repro.serving.create_server to dispatch on the backend)"
-            )
-        if not isinstance(graph, Graph):
-            raise ValueError(
-                "InferenceServer serves homogeneous Graph instances only"
-            )
-        store = as_feature_store(features)
-        if store.num_rows != graph.num_nodes:
-            raise ValueError(
-                f"features must cover the graph's {graph.num_nodes} nodes, "
-                f"got {store.num_rows} rows"
-            )
-        super().__init__(model, graph.num_nodes, config)
-        self.graph = graph
-        self.store = store
-        #: the raw matrix when the store is dense (back-compat); ``None``
-        #: for non-materialized backends — read through :attr:`store`.
-        self.features = store.matrix if isinstance(store, DenseStore) else None
-        self._store_version_seen = store.version
-        self.cache: Optional[EmbeddingCache] = (
-            EmbeddingCache(config.byte_budget, admission=config.cache_admission)
-            if config.byte_budget is not None else None
-        )
-        self._version_no_cache = 1
+    def __init__(self, executor: Executor, config: Optional[ServingConfig] = None):
+        self.executor = executor
+        self.config = config if config is not None else ServingConfig()
+        #: ``stats()["backend"]`` discriminator.
+        self.backend = self.config.backend
+        self.window_s = float(self.config.window_ms) / 1e3
+        self.max_batch_seeds = self.config.max_batch_seeds
+        self._num_nodes = int(executor.num_nodes)
+        self._queue: "queue.Queue" = queue.Queue(maxsize=self.config.max_pending)
+        self._thread: Optional[threading.Thread] = None
+        self._accepting = False
+        self._started = False
+        self._stopped = False
+        #: set by the serve thread just before its final queue sweep; an
+        #: enqueue that lands after it sweeps the queue itself.
+        self._loop_exited = False
+        self._version = 1
+        self._store_version_seen = executor.store_version
+        self._stats_lock = threading.Lock()
+        self._requests = 0
+        self._served_requests = 0
+        self._batches = 0
+        self._seeds_executed = 0
+        self._max_requests_in_batch = 0
+        self._fast_path_batches = 0
+        self._updates = 0
+        #: how deep request batches truncated: input_layer -> batch count
+        #: (0 = full-depth recompute, ``num_layers`` = all-logits fast path).
+        self._frontier_counts: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
-    # backend hooks
+    # lifecycle
     # ------------------------------------------------------------------ #
+    def start(self) -> "Server":
+        """Start the executor and the serve thread (idempotent until :meth:`stop`)."""
+        if self._stopped:
+            raise RuntimeError("Server cannot be restarted after stop()")
+        if self._thread is None:
+            self.executor.start()
+            self._accepting = True
+            self._started = True
+            self._thread = threading.Thread(
+                target=self._serve_loop, name="inference-server", daemon=True
+            )
+            self._thread.start()
+        return self
+
+    def stop(self, timeout: Optional[float] = None) -> None:
+        """Serve the already-queued requests, then stop the serve thread and executor."""
+        if self._thread is None or self._stopped:
+            self._stopped = True
+            return
+        if timeout is None:
+            timeout = self.config.stop_timeout_s
+        self._accepting = False
+        self._queue.put(_STOP)
+        self._thread.join(timeout)
+        self.executor.stop()
+        self._stopped = True
+
+    def __enter__(self) -> "Server":
+        return self.start()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.stop()
+
+    @property
+    def running(self) -> bool:
+        return self._accepting and self._thread is not None and self._thread.is_alive()
+
     @property
     def version(self) -> int:
-        """Current model/cache version (bumped by every :meth:`update`)."""
-        return self.cache.version if self.cache is not None else self._version_no_cache
+        """Serving version: bumped by every :meth:`update` and feature-store change."""
+        return self._version
 
-    def _output_dtype(self):
-        return self.store.dtype
+    def _not_running(self) -> RuntimeError:
+        if not self._started:
+            return RuntimeError(
+                "Server is not running — it was never started; call start() "
+                "(or use the server as a context manager) first"
+            )
+        return RuntimeError("Server is not running (call start())")
 
-    def _apply_update(self, apply_fn: Optional[Callable]) -> int:
-        if apply_fn is not None:
-            apply_fn(self.model)
-            self.model.eval()
-        if self.cache is not None:
-            return self.cache.bump_version()
-        self._version_no_cache += 1
-        return self._version_no_cache
+    # ------------------------------------------------------------------ #
+    # client API
+    # ------------------------------------------------------------------ #
+    def _enqueue(self, item, timeout: Optional[float]) -> None:
+        try:
+            self._queue.put(item, timeout=timeout)
+        except queue.Full:
+            raise RuntimeError(f"request queue full ({self._queue.maxsize} pending)") from None
+        if self._loop_exited:
+            # stop() won the race: the serve thread is gone and would never
+            # see this item.
+            self._fail_leftovers()
 
-    def _backend_stats(self) -> dict:
-        return {
-            "store_version": self.store.version,
-            "embedding_cache": (
-                self.cache.stats() if self.cache is not None else None
-            ),
-            "feature_store": self.store.stats() or None,
-            "workers": None,
-        }
+    def predict_async(self, node_ids, timeout: Optional[float] = None) -> "Future[np.ndarray]":
+        """Enqueue a request; the future resolves to its ``(len(ids), C)`` logits.
 
-    def _sync_store_version(self) -> None:
-        # Compose the feature store's version into the serving version: a
-        # store mutation (replace(), sparse-embedding step) invalidates every
-        # cached activation exactly once, at the next batch boundary.  Runs
-        # on the worker thread, so it is serialized with cache reads.
-        current = self.store.version
-        if current != self._store_version_seen:
-            self._store_version_seen = current
-            if self.cache is not None:
-                self.cache.bump_version()
+        Rows follow the request's id order (duplicates included).  Blocks
+        only when the request queue is full (backpressure), up to
+        ``timeout`` seconds, then raises ``RuntimeError``.
+        """
+        ids = check_1d_int_array(node_ids, "node_ids", max_value=self._num_nodes)
+        if not self.running:
+            raise self._not_running()
+        item = _Predict(ids)
+        if ids.size == 0:
+            item.future.set_result(np.empty((0, 0), dtype=self.executor.output_dtype))
+            return item.future
+        self._enqueue(item, timeout)
+        with self._stats_lock:
+            self._requests += 1
+        return item.future
+
+    def predict(self, node_ids, timeout: Optional[float] = None) -> np.ndarray:
+        """Blocking :meth:`predict_async`; returns the logit rows."""
+        if timeout is None:
+            timeout = self.config.predict_timeout_s
+        return self.predict_async(node_ids, timeout=timeout).result(timeout)
+
+    def update(self, apply_fn: Optional[Callable] = None, timeout: Optional[float] = 30.0) -> int:
+        """Apply a model mutation on the serve thread and invalidate caches.
+
+        ``apply_fn(model)`` (if given) runs serialized between batches:
+        requests enqueued before this call are served by the old model and
+        cache version, requests after by the new ones.  Returns the new
+        version number.  ``update()`` with no function is a pure version
+        bump — e.g. after swapping the feature matrix's contents in place.
+        """
+        if not self.running:
+            raise self._not_running()
+        item = _Update(apply_fn)
+        self._enqueue(item, timeout)
+        return item.future.result(timeout)
+
+    def stats(self) -> dict:
+        """Telemetry snapshot in the shape shared by every backend.
+
+        See ``docs/serving.md`` ("The stats() shape") for the documented
+        key-by-key reference; the store / cache / worker keys come from
+        :meth:`Executor.stats`.
+        """
+        with self._stats_lock:
+            snapshot = {
+                "backend": self.backend,
+                "running": self.running,
+                "requests": self._requests,
+                "served_requests": self._served_requests,
+                "batches": self._batches,
+                "seeds_executed": self._seeds_executed,
+                "max_requests_in_batch": self._max_requests_in_batch,
+                "fast_path_batches": self._fast_path_batches,
+                "updates": self._updates,
+                "frontier_layers": dict(sorted(self._frontier_counts.items())),
+                "queue_depth": self._queue.qsize(),
+                "version": self._version,
+            }
+        snapshot.update(self.executor.stats())
+        snapshot["plan_cache"] = shared_plan_cache().stats()
+        return snapshot
+
+    # ------------------------------------------------------------------ #
+    # serve thread
+    # ------------------------------------------------------------------ #
+    def _serve_loop(self) -> None:
+        try:
+            self._serve_until_stopped()
+        finally:
+            self._loop_exited = True
+            self._fail_leftovers()
+
+    def _serve_until_stopped(self) -> None:
+        stop = False
+        carried: Optional[_Update] = None
+        while not stop:
+            if carried is not None:
+                item, carried = carried, None
             else:
-                self._version_no_cache += 1
+                item = self._queue.get()
+            if item is _STOP:
+                break
+            if isinstance(item, _Update):
+                self._apply(item)
+                continue
+            batch: List[_Predict] = [item]
+            if self.window_s > 0:
+                deadline = time.perf_counter() + self.window_s
+                seeds = len(item.ids)
+                while seeds < self.max_batch_seeds:
+                    remaining = deadline - time.perf_counter()
+                    if remaining <= 0:
+                        break
+                    try:
+                        nxt = self._queue.get(timeout=remaining)
+                    except queue.Empty:
+                        break
+                    if nxt is _STOP:
+                        stop = True
+                        break
+                    if isinstance(nxt, _Update):
+                        # Updates are barriers: close the batch, run it on the
+                        # old version, then apply the update next iteration.
+                        carried = nxt
+                        break
+                    batch.append(nxt)
+                    seeds += len(nxt.ids)
+            self._execute(batch)
 
-    def _compute(self, seeds: np.ndarray):
-        """Logits of the ascending unique ``seeds``; returns ``(rows, frontier)``."""
-        self._sync_store_version()
-        cache = self.cache
-        model = self.model
-        num_layers = self.num_layers
-        with no_grad():
-            if cache is not None:
-                rows = cache.lookup(num_layers, seeds)
-                if rows is not None:
-                    return rows, num_layers
-            frontier: dict = {}
+    def _fail_leftovers(self) -> None:
+        """Fail every request still queued once the serve thread is gone.
 
-            def stop_at(layer: int, nodes: np.ndarray) -> bool:
-                if cache is None:
-                    return False
-                rows = cache.lookup(layer, nodes)
-                if rows is None:
-                    return False
-                frontier["rows"] = rows
-                return True
+        ``predict_async`` / ``update`` can pass their running check and then
+        enqueue behind the stop sentinel; nothing would ever resolve those
+        futures, so the client would block for its full timeout.
+        """
+        while True:
+            try:
+                item = self._queue.get_nowait()
+            except queue.Empty:
+                return
+            if item is not _STOP:
+                item.future.set_exception(self._not_running())
 
-            pipeline = build_mfg_pipeline(self.graph, seeds, num_layers,
-                                          stop_at=stop_at)
-            start = pipeline.input_layer
-            if start == 0:
-                x = Tensor(self.store.gather(pipeline.input_nodes))
-            else:
-                x = Tensor(frontier["rows"])
-            for offset, layer in enumerate(range(start, num_layers)):
-                block = pipeline.layer_block(offset)
-                x = model.forward_layer(layer, block, x)
-                if cache is not None:
-                    cache.put(layer + 1, block.dst_nodes, x.data)
-            return x.data, start
+    def _apply(self, item: _Update) -> None:
+        try:
+            self.executor.apply_update(item.apply_fn)
+            with self._stats_lock:
+                self._updates += 1
+                self._version += 1
+            item.future.set_result(self._version)
+        except BaseException as exc:  # propagate to the waiting client
+            item.future.set_exception(exc)
+
+    def _execute(self, batch: List[_Predict]) -> None:
+        try:
+            all_ids = (
+                batch[0].ids if len(batch) == 1 else np.concatenate([item.ids for item in batch])
+            )
+            seeds, inverse = np.unique(all_ids, return_inverse=True)
+            logits, input_layer = self.executor.compute(seeds)
+            offset = 0
+            for item in batch:
+                n = len(item.ids)
+                item.future.set_result(logits[inverse[offset : offset + n]])
+                offset += n
+            store_version = self.executor.store_version
+            with self._stats_lock:
+                if store_version != self._store_version_seen:
+                    # The executor folded a feature-store change into this
+                    # batch (and dropped its cached activations).
+                    self._store_version_seen = store_version
+                    self._version += 1
+                self._served_requests += len(batch)
+                self._batches += 1
+                self._seeds_executed += len(seeds)
+                self._max_requests_in_batch = max(self._max_requests_in_batch, len(batch))
+                if input_layer == self.executor.num_layers:
+                    self._fast_path_batches += 1
+                self._frontier_counts[input_layer] = self._frontier_counts.get(input_layer, 0) + 1
+        except BaseException as exc:
+            for item in batch:
+                if not item.future.done():
+                    item.future.set_exception(exc)

@@ -53,12 +53,13 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
 import numpy as np
 import scipy.sparse as sp
+
+from repro.utils.lru import LRUDict
 
 #: number of EdgePlan constructions since import (or the last
 #: :func:`reset_build_counter`).  A training loop must keep this flat after
@@ -415,9 +416,8 @@ class PlanCache:
         self.capacity = int(capacity)
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self._lock = threading.Lock()
-        self._plans: "OrderedDict[bytes, EdgePlan]" = OrderedDict()
+        self._plans = LRUDict(self.capacity)  # structure digest -> EdgePlan
 
     @staticmethod
     def _digest(src: np.ndarray, dst: np.ndarray, num_dst: int, num_src: int) -> bytes:
@@ -436,7 +436,6 @@ class PlanCache:
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
-                self._plans.move_to_end(key)
                 self.hits += 1
                 return plan
             self.misses += 1
@@ -445,23 +444,19 @@ class PlanCache:
         plan = EdgePlan(src, dst, num_dst, num_src)
         with self._lock:
             self._plans[key] = plan
-            while len(self._plans) > self.capacity:
-                self._plans.popitem(last=False)
-                self.evictions += 1
         return plan
 
     def clear(self) -> None:
         with self._lock:
-            self._plans.clear()
+            self._plans = LRUDict(self.capacity)
             self.hits = 0
             self.misses = 0
-            self.evictions = 0
 
     def stats(self) -> dict:
         """Hit/miss/eviction counters and occupancy, as a plain dict.
 
         Surfaced (alongside the embedding-cache counters) in the serving
-        telemetry — ``InferenceServer.stats()["plan_cache"]`` — so a running
+        telemetry — ``Server.stats()["plan_cache"]`` — so a running
         service can prove its repeated request topologies pay zero plan
         builds.
         """
@@ -469,7 +464,7 @@ class PlanCache:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
-                "evictions": self.evictions,
+                "evictions": self._plans.evictions,
                 "size": len(self._plans),
                 "capacity": self.capacity,
             }

@@ -741,7 +741,15 @@ def distributed_train_worker(rank: int, comm: Communicator, shard, *,
         )
         dist_graph.attach_feature_store(feature_store)
     augmenter = _make_augmenter(config, num_classes)
+    # Rank 0's initial weights are the ones every rank trains from (broadcast
+    # below).  Thread workers draw them from one library-wide generator, so
+    # rank 0 builds before any other rank draws — otherwise its weights
+    # depend on how the worker threads interleave.
+    if rank != 0:
+        comm.barrier()
     model = model_factory(augmenter.augmented_dim(feature_dim))
+    if rank == 0:
+        comm.barrier()
     if hasattr(model, "set_comm"):
         model.set_comm(comm)
     broadcast_parameters(model.parameters(), comm)

@@ -30,6 +30,8 @@ from typing import Any, Callable, Iterator, MutableMapping, Optional
 
 from repro.utils.validation import check_positive_int
 
+_MISSING = object()
+
 
 def _default_sizeof(value: Any) -> int:
     """Best-effort byte size of a cached value (arrays expose ``nbytes``)."""
@@ -71,10 +73,14 @@ class LRUDict(MutableMapping):
     (the worker's evaluation loop, the serving worker thread).
     """
 
-    def __init__(self, capacity: Optional[int] = 8, *,
-                 byte_budget: Optional[int] = None,
-                 sizeof: Optional[Callable[[Any], int]] = None,
-                 on_evict: Optional[Callable[[Any, Any], None]] = None):
+    def __init__(
+        self,
+        capacity: Optional[int] = 8,
+        *,
+        byte_budget: Optional[int] = None,
+        sizeof: Optional[Callable[[Any], int]] = None,
+        on_evict: Optional[Callable[[Any, Any], None]] = None,
+    ):
         if capacity is None and byte_budget is None:
             raise ValueError("LRUDict needs a capacity or a byte_budget (or both)")
         self.capacity = None if capacity is None else check_positive_int(capacity, "capacity")
@@ -87,6 +93,12 @@ class LRUDict(MutableMapping):
         self._on_evict = on_evict
         self._data: "OrderedDict[Any, Any]" = OrderedDict()
         self._sizes: dict = {}
+        #: ``peek(key, default=None)`` reads without refreshing recency and
+        #: ``touch(key)`` refreshes without reading — for callers whose probe
+        #: is all-or-nothing over many keys.  Bound straight to the
+        #: underlying dict: a per-key probe pays no Python frame.
+        self.peek = self._data.get
+        self.touch = self._data.move_to_end
 
     # ------------------------------------------------------------------ #
     def _over_budget(self) -> bool:
@@ -112,15 +124,30 @@ class LRUDict(MutableMapping):
         self._data.move_to_end(key)
         return value
 
+    def get(self, key: Any, default: Any = None) -> Any:
+        """``self[key]`` (refreshing recency) or ``default`` — one dict probe.
+
+        Overrides the inherited ``MutableMapping.get``, whose
+        ``try: self[key] / except KeyError`` pays for a raised exception on
+        every miss; the serving caches probe once per node.
+        """
+        value = self._data.get(key, _MISSING)
+        if value is _MISSING:
+            return default
+        self._data.move_to_end(key)
+        return value
+
     def __setitem__(self, key: Any, value: Any) -> None:
-        if key in self._data:
+        data = self._data
+        if key in data:
             self.current_bytes -= self._sizes.pop(key, 0)
-            self._data.move_to_end(key)
-        self._data[key] = value
-        size = int(self._sizeof(value)) if self.byte_budget is not None else 0
-        self._sizes[key] = size
-        self.current_bytes += size
-        self._evict_until_fits()
+            data.move_to_end(key)
+        data[key] = value
+        if self.byte_budget is not None:
+            size = self._sizes[key] = self._sizeof(value)
+            self.current_bytes += size
+        if self._over_budget():
+            self._evict_until_fits()
 
     def __delitem__(self, key: Any) -> None:
         del self._data[key]
@@ -144,7 +171,4 @@ class LRUDict(MutableMapping):
         bound = f"capacity={self.capacity}"
         if self.byte_budget is not None:
             bound += f", bytes={self.current_bytes}/{self.byte_budget}"
-        return (
-            f"LRUDict({bound}, size={len(self._data)}, "
-            f"evictions={self.evictions})"
-        )
+        return f"LRUDict({bound}, size={len(self._data)}, evictions={self.evictions})"

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import faulthandler
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings as hypothesis_settings
@@ -18,6 +21,34 @@ hypothesis_settings.register_profile(
     deadline=None,
 )
 hypothesis_settings.load_profile("repro")
+
+
+#: seconds any one test may run (the whole suite takes ~20 s); past it, every
+#: thread's stack is dumped and the test fails instead of hanging the run.
+TEST_DEADLINE_S = 120
+
+
+@pytest.fixture(autouse=True)
+def _deadline(request):
+    """Nothing may hang: fail a test that outlives ``TEST_DEADLINE_S``."""
+    if not hasattr(signal, "SIGALRM"):  # no alarm signal off POSIX
+        yield
+        return
+
+    def expired(signum, frame):
+        faulthandler.dump_traceback(all_threads=True)
+        pytest.fail(
+            f"{request.node.nodeid} exceeded the {TEST_DEADLINE_S}s per-test deadline",
+            pytrace=False,
+        )
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(TEST_DEADLINE_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(autouse=True)

@@ -2,22 +2,19 @@
 
 The subsystem contract under test (``repro/serving/``):
 
-* every logit row served by
-  :class:`~repro.serving.DistributedInferenceServer` (per-shard workers,
-  cooperative restricted grids, halo fetches for cache-missed frontier rows)
-  is **bit-identical** to the single-machine
-  :class:`~repro.serving.InferenceServer` on the same graph — for every conv
+* every logit row served over a :class:`~repro.serving.ShardExecutor`
+  (per-shard workers, cooperative restricted grids, halo fetches for
+  cache-missed frontier rows) is **bit-identical** to the single-machine
+  :class:`~repro.serving.LocalExecutor` on the same graph — for every conv
   kind, cold and warm caches, and under concurrent clients;
 * ``update()`` serializes behind in-flight batches and invalidates the
   embedding cache on **every** shard; a feature-store ``replace()`` folds in
   at the next batch on every shard;
 * :func:`~repro.serving.create_server` is the one public entry point:
-  :class:`~repro.serving.ServingConfig` selects the backend, both backends
-  implement :class:`~repro.serving.ServerProtocol` and share one ``stats()``
-  shape (plus per-worker halo/frontier/cache telemetry on the distributed
-  one);
-* the pre-redesign loose-keyword ``InferenceServer(...)`` form still works
-  behind a :class:`DeprecationWarning` naming the migration;
+  :class:`~repro.serving.ServingConfig` selects the executor behind the one
+  :class:`~repro.serving.Server`, and every backend shares one ``stats()``
+  shape (plus per-worker halo/frontier/cache telemetry on the shard-backed
+  ones);
 * calling ``update()``/``predict()`` on a never-started server raises a
   RuntimeError that says so (regression: it used to be indistinguishable
   from a stopped server).
@@ -25,8 +22,11 @@ The subsystem contract under test (``repro/serving/``):
 
 from __future__ import annotations
 
+import gc
+import multiprocessing as mp
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -35,10 +35,10 @@ from repro.datasets import make_sbm_dataset
 from repro.nn.models import GATNet, GraphSageNet
 from repro.partition import PartitionBook, create_shards, partition_graph
 from repro.serving import (
-    DistributedInferenceServer,
-    InferenceServer,
-    ServerProtocol,
+    LocalExecutor,
+    Server,
     ServingConfig,
+    ShardExecutor,
     create_server,
 )
 from repro.store import DenseStore
@@ -111,7 +111,7 @@ def test_distributed_bit_identical_to_local_server(dataset, kind, byte_budget):
         backend="distributed", window_ms=0.0, byte_budget=byte_budget
     )
     with create_server(model, shards, dataset.features, config) as server:
-        assert isinstance(server, DistributedInferenceServer)
+        assert isinstance(server.executor, ShardExecutor)
         for ids, want in zip(streams, expected):  # cold caches
             np.testing.assert_array_equal(server.predict(ids), want)
         for ids, want in zip(streams, expected):  # warm caches
@@ -245,14 +245,14 @@ def test_factory_dispatches_on_backend(dataset):
     model = _make_model(dataset)
     shards = _make_shards(dataset, 2)
     local = create_server(model, dataset.graph, dataset.features)
-    assert isinstance(local, InferenceServer)
-    assert isinstance(local, ServerProtocol)
+    assert isinstance(local, Server)
+    assert isinstance(local.executor, LocalExecutor)
     assert not local.running
     dist = create_server(
         model, shards, dataset.features, ServingConfig(backend="distributed")
     )
-    assert isinstance(dist, DistributedInferenceServer)
-    assert isinstance(dist, ServerProtocol)
+    assert isinstance(dist, Server)
+    assert isinstance(dist.executor, ShardExecutor)
     assert not dist.running
 
 
@@ -268,19 +268,10 @@ def test_factory_rejects_mismatched_topology(dataset):
         )
     with pytest.raises(ValueError, match="ServingConfig"):
         create_server(model, dataset.graph, dataset.features, config={"window_ms": 1})
-    with pytest.raises(ValueError, match="local backend"):
-        InferenceServer(
-            model, dataset.graph, dataset.features,
-            config=ServingConfig(backend="distributed"),
-        )
-    with pytest.raises(ValueError, match="distributed backend"):
-        DistributedInferenceServer(
-            model, shards, dataset.features, config=ServingConfig()
-        )
     with pytest.raises(ValueError, match="rank order"):
-        DistributedInferenceServer(
+        create_server(
             model, shards[::-1], dataset.features,
-            config=ServingConfig(backend="distributed"),
+            ServingConfig(backend="distributed"),
         )
 
 
@@ -315,45 +306,6 @@ def test_serving_config_rejects_invalid_cross_field_combinations():
     ServingConfig(window_ms=500.0, predict_timeout_s=1.0)
 
 
-def test_legacy_kwargs_deprecated_but_equivalent(dataset):
-    model = _make_model(dataset)
-    with pytest.warns(DeprecationWarning, match="cache_bytes is now byte_budget"):
-        server = InferenceServer(
-            model, dataset.graph, dataset.features,
-            window_ms=5.0, cache_bytes=1 << 16, cache_admission="frequency",
-        )
-    assert server.config == ServingConfig(
-        window_ms=5.0, byte_budget=1 << 16, cache_admission="frequency"
-    )
-    # The warning names the replacement entry point.
-    with pytest.warns(DeprecationWarning, match="create_server"):
-        InferenceServer(model, dataset.graph, dataset.features, window_ms=0.0)
-    # Legacy positional window_ms (4th argument) takes the same shim.
-    with pytest.warns(DeprecationWarning):
-        positional = InferenceServer(model, dataset.graph, dataset.features, 7.5)
-    assert positional.config.window_ms == 7.5
-    with pytest.raises(TypeError, match="not both"):
-        InferenceServer(
-            model, dataset.graph, dataset.features,
-            config=ServingConfig(), window_ms=1.0,
-        )
-    with pytest.raises(TypeError, match="unexpected keyword"):
-        InferenceServer(model, dataset.graph, dataset.features, cache_mb=4)
-
-
-def test_legacy_kwargs_still_serve_bit_identical(dataset):
-    model = _make_model(dataset)
-    reference = _reference_logits(model, dataset.graph, dataset.features)
-    with pytest.warns(DeprecationWarning):
-        server = InferenceServer(
-            model, dataset.graph, dataset.features,
-            window_ms=0.0, cache_bytes=1 << 20,
-        )
-    with server:
-        ids = [9, 2, 9, 0, 2]
-        np.testing.assert_array_equal(server.predict(ids), reference[ids])
-
-
 # --------------------------------------------------------------------------- #
 # lifecycle regressions
 # --------------------------------------------------------------------------- #
@@ -362,10 +314,10 @@ def test_update_on_never_started_server_raises_clearly(dataset):
     model = _make_model(dataset)
     shards = _make_shards(dataset, 2)
     for server in (
-        InferenceServer(model, dataset.graph, dataset.features),
-        DistributedInferenceServer(
+        create_server(model, dataset.graph, dataset.features),
+        create_server(
             model, shards, dataset.features,
-            config=ServingConfig(backend="distributed"),
+            ServingConfig(backend="distributed"),
         ),
     ):
         with pytest.raises(RuntimeError, match="never started"):
@@ -379,7 +331,7 @@ def test_update_on_never_started_server_raises_clearly(dataset):
 
 def test_stopped_server_message_differs_from_never_started(dataset):
     model = _make_model(dataset)
-    server = InferenceServer(model, dataset.graph, dataset.features)
+    server = create_server(model, dataset.graph, dataset.features)
     server.start()
     server.stop()
     with pytest.raises(RuntimeError, match="not running") as excinfo:
@@ -451,32 +403,140 @@ def test_stats_shape_is_shared_and_workers_carry_comm_telemetry(dataset):
 
 
 # --------------------------------------------------------------------------- #
-# lifecycle properties: one contract, every backend
+# the executor contract: one matrix, every backend
 # --------------------------------------------------------------------------- #
 _ALL_BACKENDS = ["local", "distributed", "mp"]
 
+#: every ``stats()`` key a backend must report (mp adds ``processes``).
+_STATS_KEYS = {
+    "backend", "running", "requests", "served_requests", "batches",
+    "seeds_executed", "max_requests_in_batch", "fast_path_batches", "updates",
+    "frontier_layers", "queue_depth", "version", "store_version",
+    "embedding_cache", "feature_store", "workers", "plan_cache",
+}
+
 
 @pytest.fixture(params=_ALL_BACKENDS)
-def backend_server(request, dataset):
-    """An unstarted server of each backend over the same model and graph.
+def make_server(request, dataset):
+    """``make_server(model, features=None, **config)``: this backend's server.
 
-    One fixture drives the whole lifecycle matrix so a new backend only has
-    to join ``_ALL_BACKENDS`` to inherit every property test below.
+    One fixture drives the whole matrix — parity, update, store replace,
+    stats shape, lifecycle — so a new executor only has to join
+    ``_ALL_BACKENDS`` to inherit every test below.  Servers are stopped at
+    teardown and no child process may outlive them.
     """
-    if request.param == "mp":
-        import multiprocessing as _mp
+    backend = request.param
+    if backend == "mp" and "fork" not in mp.get_all_start_methods():
+        pytest.skip("mp serving backend requires the fork start method")
+    servers = []
 
-        if "fork" not in _mp.get_all_start_methods():
-            pytest.skip("mp serving backend requires the fork start method")
+    def make(model, features=None, **config):
+        graph = dataset.graph if backend == "local" else _make_shards(dataset, 2)
+        features = dataset.features if features is None else features
+        config = ServingConfig(backend=backend, window_ms=0.0, **config)
+        servers.append(create_server(model, graph, features, config))
+        return servers[-1]
+
+    yield make
+    for server in servers:
+        server.stop()
+    deadline = time.monotonic() + 10.0
+    while mp.active_children() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert mp.active_children() == []
+
+
+@pytest.fixture
+def backend_server(make_server, dataset):
+    """An unstarted server of each backend over the same model and graph."""
+    return make_server(_make_model(dataset))
+
+
+@pytest.mark.parametrize("kind", ["sage", "gat"])
+@pytest.mark.parametrize("byte_budget", [None, 1 << 20])
+def test_backend_rows_bit_identical_to_full_graph_forward(
+    make_server, dataset, kind, byte_budget
+):
+    model = _make_model(dataset, kind)
+    reference = _reference_logits(model, dataset.graph, dataset.features)
+    with make_server(model, byte_budget=byte_budget) as server:
+        for _ in ("cold", "warm"):
+            for ids in ([5], [3, 1, 4, 1, 5], [0, 179], list(range(40))):
+                np.testing.assert_array_equal(server.predict(ids), reference[ids])
+        stats = server.stats()
+    assert stats["served_requests"] == 8
+    if byte_budget is not None:
+        assert stats["fast_path_batches"] >= 1  # warm repeats: cached logits
+
+
+def test_backend_update_serves_the_new_weights(make_server, dataset):
     model = _make_model(dataset)
-    config = ServingConfig(backend=request.param, window_ms=0.0)
-    if request.param == "local":
-        server = create_server(model, dataset.graph, dataset.features, config)
+    ids = [3, 17, 90, 140]
+    with make_server(model, byte_budget=1 << 20) as server:
+        before = server.predict(ids)
+
+        def perturb(m):
+            for param in m.parameters():
+                param.data[...] = param.data + 0.25
+
+        assert server.update(perturb) == 2
+        reference = _reference_logits(model, dataset.graph, dataset.features)
+        assert not np.array_equal(reference[ids], before)
+        np.testing.assert_array_equal(server.predict(ids), reference[ids])
+        stats = server.stats()
+    assert stats["updates"] == 1 and stats["version"] == 2
+    assert stats["embedding_cache"]["invalidations"] >= 1
+
+
+def test_backend_store_replace_is_served_by_the_next_batch(make_server, dataset):
+    model = _make_model(dataset)
+    ids = [3, 17, 90]
+    store = DenseStore(dataset.features.copy())
+    with make_server(model, features=store, byte_budget=1 << 20) as server:
+        before = server.predict(ids)
+        fresh = dataset.features * 1.5
+        store.replace(fresh)
+        reference = _reference_logits(model, dataset.graph, fresh)
+        assert not np.array_equal(reference[ids], before)
+        np.testing.assert_array_equal(server.predict(ids), reference[ids])
+        stats = server.stats()
+    assert stats["store_version"] == 2 and stats["version"] == 2
+    assert stats["embedding_cache"]["invalidations"] >= 1
+
+
+def test_backend_stats_shape_is_shared(make_server, dataset):
+    with make_server(_make_model(dataset), byte_budget=1 << 20) as server:
+        server.predict([3, 17, 90, 140])
+        stats = server.stats()
+    extra = {"processes"} if server.backend == "mp" else set()
+    assert set(stats) == _STATS_KEYS | extra
+    assert stats["backend"] == server.backend
+    if server.backend == "local":
+        assert stats["workers"] is None
     else:
-        shards = _make_shards(dataset, 2)
-        server = create_server(model, shards, dataset.features, config)
-    yield server
-    server.stop()
+        assert [w["rank"] for w in stats["workers"]] == [0, 1]
+        for worker in stats["workers"]:
+            assert {"embedding_cache", "feature_store", "comm"} <= set(worker)
+            assert _COMM_KEYS <= set(worker["comm"])
+    assert server.stats()["workers"] == stats["workers"]  # readable after stop
+
+
+@pytest.mark.parametrize("backend", _ALL_BACKENDS)
+def test_backend_server_is_freed_without_a_gc_pass(dataset, backend):
+    # A reference cycle through the executor keeps a stopped server's graph
+    # (or shards) alive until the cyclic collector runs; a process that builds
+    # servers repeatedly then carries two graphs at its RSS peak.
+    graph = dataset.graph if backend == "local" else _make_shards(dataset, 2)
+    config = ServingConfig(backend=backend, window_ms=0.0)
+    gc.disable()
+    try:
+        with create_server(_make_model(dataset), graph, dataset.features, config) as server:
+            server.predict([0, 1])
+        executor = weakref.ref(server.executor)
+        del server
+        assert executor() is None
+    finally:
+        gc.enable()
 
 
 def test_backend_lifecycle_never_started_raises_clearly(backend_server):
@@ -563,7 +623,7 @@ def test_thread_backend_soak_randomized_clients(dataset):
             # forces cold recomputes mid-flight on every shard.
             try:
                 while not stop_bumping.wait(0.05):
-                    server.bump_version()
+                    server.update()
             except BaseException as exc:
                 errors.append(exc)
 

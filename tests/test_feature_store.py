@@ -17,7 +17,7 @@ from repro.partition import PartitionBook
 from repro.sample.inference import LayerWiseInference
 from repro.sample.loader import MiniBatchDataLoader, NeighborSamplingConfig
 from repro.sample.neighbor import NeighborSampler
-from repro.serving import InferenceServer, ServingConfig
+from repro.serving import ServingConfig, create_server
 from repro.serving.cache import EmbeddingCache
 from repro.store import (
     DenseStore,
@@ -521,14 +521,11 @@ class TestStoreParityMatrix:
         model = _make_model(kind, dataset.feature_dim, dataset.num_classes)
         model.eval()
         seeds = [0, 7, 31, 7]
-        with InferenceServer(model, dataset.graph, dataset.features,
-                             config=ServingConfig(window_ms=0.0)) as plain:
+        with create_server(model, dataset.graph, dataset.features,
+                           ServingConfig(window_ms=0.0)) as plain:
             raw = plain.predict(seeds)
-        with InferenceServer(model, dataset.graph,
-                             DenseStore(dataset.features),
-                             config=ServingConfig(
-                                 window_ms=0.0, byte_budget=1 << 20,
-                             )) as stored:
+        with create_server(model, dataset.graph, DenseStore(dataset.features),
+                           ServingConfig(window_ms=0.0, byte_budget=1 << 20)) as stored:
             via_store = stored.predict(seeds)
         assert np.array_equal(raw, via_store)
 
@@ -594,14 +591,14 @@ class TestServingStoreVersion:
         model.eval()
         store = DenseStore(dataset.features.copy())
         seeds = [1, 2, 3]
-        with InferenceServer(model, dataset.graph, store,
-                             config=ServingConfig(
-                                 window_ms=0.0, byte_budget=1 << 20,
-                             )) as server:
+        with create_server(model, dataset.graph, store,
+                           ServingConfig(window_ms=0.0, byte_budget=1 << 20)) as server:
             first = server.predict(seeds)
             server.predict(seeds)  # warm the activation cache
+            version = server.version
             store.replace(dataset.features * 0.5)
             after = server.predict(seeds)
             stats = server.stats()
         assert stats["store_version"] == store.version
+        assert stats["version"] == version + 1  # the store's version folds in
         assert not np.array_equal(first, after)  # not served from stale cache

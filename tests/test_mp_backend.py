@@ -16,7 +16,11 @@ import pytest
 from repro.core import SARConfig
 from repro.datasets import make_sbm_dataset
 from repro.distributed.comm import STREAM_KEY_PREFIX
-from repro.distributed.mp_backend import WorkerFailedError, run_multiprocess
+from repro.distributed.mp_backend import (
+    MultiprocessServiceCluster,
+    WorkerFailedError,
+    run_multiprocess,
+)
 from repro.graph import stochastic_block_model
 from repro.partition import PartitionBook, create_shards, partition_graph
 from repro.sample import NeighborSamplingConfig, build_sampling_plan
@@ -128,6 +132,21 @@ def _dying_peer_fetch_worker(rank, comm):
     return float(comm.fetch(1, "never-published")[0])
 
 
+def _sleeping_worker(rank, comm):
+    if rank == 1:
+        time.sleep(60)  # far past the test's 2 s cluster timeout
+    return True
+
+
+#: failure mode -> (job body failing on rank 1, what the parent's error names)
+_FAULTS = {
+    "raise": (_failing_worker, "mp boom"),
+    "silent_death": (_dying_worker, r"rank 1: worker process died without posting"),
+    "peer_blocked_in_fetch": (_dying_peer_fetch_worker, "rank 1"),
+    "timeout": (_sleeping_worker, r"timed out after 2s waiting for ranks \[1\]"),
+}
+
+
 def _assert_no_children(timeout_s: float = 10.0) -> None:
     deadline = time.monotonic() + timeout_s
     while mp.active_children() and time.monotonic() < deadline:
@@ -233,6 +252,36 @@ class TestMultiprocessBackend:
     def test_peer_crash_unblocks_pending_fetch(self):
         with pytest.raises(WorkerFailedError, match="rank 1"):
             run_multiprocess(_dying_peer_fetch_worker, world_size=2, timeout_s=120)
+        _assert_no_children()
+
+    def test_job_timeout_raises_naming_the_silent_rank(self):
+        start = time.monotonic()
+        with pytest.raises(WorkerFailedError, match=_FAULTS["timeout"][1]):
+            run_multiprocess(_sleeping_worker, world_size=2, timeout_s=2)
+        assert time.monotonic() - start < 60
+        _assert_no_children()
+
+    @pytest.mark.parametrize("fault", sorted(_FAULTS))
+    def test_long_lived_cluster_fault_matrix(self, fault):
+        # The failure contract of run_multiprocess (the four tests above) is
+        # the cluster's: the same faults on a cluster that stays up between
+        # jobs, as serving uses it.
+        worker, message = _FAULTS[fault]
+
+        def factory(rank, comm):
+            jobs = {"healthy": _collective_worker, "fault": worker}
+            return lambda kind, payload: jobs[kind](rank, comm)
+
+        start = time.monotonic()
+        timeout_s = 2 if fault == "timeout" else 120
+        with MultiprocessServiceCluster(factory, 2, timeout_s=timeout_s) as cluster:
+            assert len(cluster.request("healthy")) == 2
+            with pytest.raises(WorkerFailedError, match=message):
+                cluster.request("fault")
+            # poisoned: later jobs fail at once instead of reaching dead workers
+            with pytest.raises(WorkerFailedError, match="poisoned"):
+                cluster.request("healthy")
+        assert time.monotonic() - start < 60
         _assert_no_children()
 
     def test_worker_args_length_validated(self):

@@ -1,6 +1,6 @@
 """Process-backed serving: bit-parity from forked shards, crash handling.
 
-The subsystem contract under test (``repro/serving/mp_server.py`` +
+The subsystem contract under test (``repro.serving.ShardExecutor`` over
 ``repro/distributed/mp_backend.py``'s service cluster):
 
 * ``create_server(..., ServingConfig(backend="mp"))`` serves logit rows
@@ -28,15 +28,13 @@ import numpy as np
 import pytest
 
 from repro.datasets import make_sbm_dataset
-from repro.distributed.mp_backend import WorkerFailedError
+from repro.distributed.mp_backend import (
+    MultiprocessServiceCluster,
+    WorkerFailedError,
+)
 from repro.nn.models import GATNet, GraphSageNet
 from repro.partition import PartitionBook, create_shards, partition_graph
-from repro.serving import (
-    MultiprocessInferenceServer,
-    ServerProtocol,
-    ServingConfig,
-    create_server,
-)
+from repro.serving import ServingConfig, create_server
 from repro.store import DenseStore
 from repro.tensor import Tensor, no_grad
 from repro.utils.seed import set_seed
@@ -118,10 +116,10 @@ def test_mp_bit_identical_to_local_server(dataset, kind):
     shards = _make_shards(dataset, 2)
     config = ServingConfig(backend="mp", window_ms=0.0, byte_budget=1 << 20)
     with create_server(model, shards, dataset.features, config) as server:
-        assert isinstance(server, MultiprocessInferenceServer)
-        assert isinstance(server, ServerProtocol)
-        assert len(server.processes) == 2
-        assert all(p.is_alive() for p in server.processes)
+        cluster = server.executor.cluster
+        assert isinstance(cluster, MultiprocessServiceCluster)
+        assert len(cluster.processes) == 2
+        assert all(p.is_alive() for p in cluster.processes)
         for ids, want in zip(streams, expected):  # cold per-process caches
             np.testing.assert_array_equal(server.predict(ids), want)
         for ids, want in zip(streams, expected):  # warm per-process caches
@@ -254,7 +252,7 @@ def test_mp_dead_shard_fails_requests_with_rank_no_hang_no_leak(dataset):
     server = create_server(model, shards, dataset.features, config).start()
     try:
         server.predict([1, 2, 3])  # healthy first
-        server._debug_crash_worker(0)
+        server.executor.cluster.inject_crash(0)
         start = time.monotonic()
         with pytest.raises(WorkerFailedError, match="rank 0") as excinfo:
             server.predict([4, 5, 6])
@@ -283,7 +281,7 @@ def test_mp_dead_shard_fails_inflight_futures(dataset):
     server = create_server(model, shards, dataset.features, config).start()
     try:
         server.predict([0])
-        server._debug_crash_worker(1)
+        server.executor.cluster.inject_crash(1)
         futures = [server.predict_async([i, i + 1]) for i in range(4)]
         start = time.monotonic()
         for future in futures:
@@ -300,7 +298,7 @@ def test_mp_stop_reaps_workers_even_when_idle_or_dead(dataset):
     shards = _make_shards(dataset, 2)
     config = ServingConfig(backend="mp", window_ms=0.0)
     server = create_server(model, shards, dataset.features, config).start()
-    processes = server.processes
+    processes = server.executor.cluster.processes
     server.stop()  # graceful: stop sentinels drain the request loops
     assert not server.running
     for process in processes:

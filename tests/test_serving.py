@@ -2,7 +2,7 @@
 
 The subsystem contract under test (``repro/serving/``):
 
-* every logit row served by :class:`~repro.serving.InferenceServer` is
+* every logit row served by :class:`~repro.serving.Server` is
   **bit-identical** to the corresponding row of the full-graph
   ``model(graph, features)`` eval-mode forward — under concurrent clients,
   with the embedding cache on or off, with the micro-batch window on or off,
@@ -24,7 +24,7 @@ import pytest
 
 from repro.datasets import make_sbm_dataset
 from repro.nn.models import GATNet, GraphSageNet
-from repro.serving import EmbeddingCache, InferenceServer, ServingConfig
+from repro.serving import EmbeddingCache, ServingConfig, create_server
 from repro.tensor import Tensor, no_grad
 from repro.tensor import edge_plan as edge_plan_mod
 from repro.utils.seed import set_seed
@@ -71,9 +71,7 @@ def test_served_logits_bit_identical(dataset, kind, window_ms, cache_bytes):
     model = _make_model(dataset, kind)
     reference = _reference_logits(model, dataset.graph, dataset.features)
     config = ServingConfig(window_ms=window_ms, byte_budget=cache_bytes)
-    with InferenceServer(
-        model, dataset.graph, dataset.features, config=config
-    ) as server:
+    with create_server(model, dataset.graph, dataset.features, config) as server:
         for ids in ([5], [3, 1, 4, 1, 5], [0, 199], list(range(40))):
             np.testing.assert_array_equal(server.predict(ids), reference[ids])
 
@@ -96,9 +94,7 @@ def test_concurrent_clients_bit_identical(dataset, window_ms, cache_bytes):
     errors = []
 
     config = ServingConfig(window_ms=window_ms, byte_budget=cache_bytes)
-    with InferenceServer(
-        model, dataset.graph, dataset.features, config=config
-    ) as server:
+    with create_server(model, dataset.graph, dataset.features, config) as server:
 
         def client(stream):
             try:
@@ -122,7 +118,7 @@ def test_concurrent_clients_bit_identical(dataset, window_ms, cache_bytes):
 def test_request_rows_follow_request_order(dataset):
     model = _make_model(dataset)
     reference = _reference_logits(model, dataset.graph, dataset.features)
-    with InferenceServer(model, dataset.graph, dataset.features) as server:
+    with create_server(model, dataset.graph, dataset.features) as server:
         ids = [9, 2, 9, 0, 2]  # duplicates and non-ascending order
         np.testing.assert_array_equal(server.predict(ids), reference[ids])
         assert server.predict(np.array([], dtype=np.int64)).size == 0
@@ -134,9 +130,9 @@ def test_request_rows_follow_request_order(dataset):
 def test_window_coalesces_async_requests(dataset):
     model = _make_model(dataset)
     reference = _reference_logits(model, dataset.graph, dataset.features)
-    with InferenceServer(
+    with create_server(
         model, dataset.graph, dataset.features,
-        config=ServingConfig(window_ms=200.0),
+        ServingConfig(window_ms=200.0),
     ) as server:
         futures = [server.predict_async([i, i + 1]) for i in range(12)]
         for i, future in enumerate(futures):
@@ -150,9 +146,9 @@ def test_window_coalesces_async_requests(dataset):
 
 def test_window_zero_serves_one_request_per_batch(dataset):
     model = _make_model(dataset)
-    with InferenceServer(
+    with create_server(
         model, dataset.graph, dataset.features,
-        config=ServingConfig(window_ms=0.0),
+        ServingConfig(window_ms=0.0),
     ) as server:
         for i in range(5):
             server.predict([i])
@@ -163,9 +159,9 @@ def test_window_zero_serves_one_request_per_batch(dataset):
 
 def test_max_batch_seeds_closes_window_early(dataset):
     model = _make_model(dataset)
-    with InferenceServer(
+    with create_server(
         model, dataset.graph, dataset.features,
-        config=ServingConfig(window_ms=500.0, max_batch_seeds=4),
+        ServingConfig(window_ms=500.0, max_batch_seeds=4),
     ) as server:
         futures = [server.predict_async([i]) for i in range(8)]
         for future in futures:
@@ -184,9 +180,9 @@ def test_repeated_topology_builds_zero_plans(dataset):
     model = _make_model(dataset)
     reference = _reference_logits(model, dataset.graph, dataset.features)
     ids = [7, 11, 42]
-    with InferenceServer(
+    with create_server(
         model, dataset.graph, dataset.features,
-        config=ServingConfig(window_ms=0.0),
+        ServingConfig(window_ms=0.0),
     ) as server:
         server.predict(ids)  # builds (or reuses) this topology's plans
         built = edge_plan_mod.build_counter
@@ -204,9 +200,9 @@ def test_repeat_request_takes_logits_fast_path(dataset):
     model = _make_model(dataset)
     reference = _reference_logits(model, dataset.graph, dataset.features)
     ids = [3, 17, 90]
-    with InferenceServer(
+    with create_server(
         model, dataset.graph, dataset.features,
-        config=ServingConfig(window_ms=0.0, byte_budget=1 << 20),
+        ServingConfig(window_ms=0.0, byte_budget=1 << 20),
     ) as server:
         server.predict(ids)
         np.testing.assert_array_equal(server.predict(ids), reference[ids])
@@ -223,9 +219,9 @@ def test_version_bump_invalidates_and_reserves_fresh_rows(dataset):
     model = _make_model(dataset)
     reference = _reference_logits(model, dataset.graph, dataset.features)
     ids = [3, 17, 90]
-    with InferenceServer(
+    with create_server(
         model, dataset.graph, dataset.features,
-        config=ServingConfig(window_ms=0.0, byte_budget=1 << 20),
+        ServingConfig(window_ms=0.0, byte_budget=1 << 20),
     ) as server:
         np.testing.assert_array_equal(server.predict(ids), reference[ids])
         assert server.version == 1
@@ -246,19 +242,10 @@ def test_version_bump_invalidates_and_reserves_fresh_rows(dataset):
     assert stats["updates"] == 1
 
 
-def test_bump_version_without_cache_still_advances(dataset):
-    model = _make_model(dataset)
-    with InferenceServer(model, dataset.graph, dataset.features) as server:
-        assert server.version == 1
-        assert server.bump_version() == 2
-        assert server.version == 2
-        assert server.stats()["embedding_cache"] is None
-
-
 def test_update_failure_propagates_and_server_survives(dataset):
     model = _make_model(dataset)
     reference = _reference_logits(model, dataset.graph, dataset.features)
-    with InferenceServer(model, dataset.graph, dataset.features) as server:
+    with create_server(model, dataset.graph, dataset.features) as server:
 
         def boom(_model):
             raise RuntimeError("bad checkpoint")
@@ -273,7 +260,7 @@ def test_update_failure_propagates_and_server_survives(dataset):
 # --------------------------------------------------------------------------- #
 def test_lifecycle_and_input_validation(dataset):
     model = _make_model(dataset)
-    server = InferenceServer(model, dataset.graph, dataset.features)
+    server = create_server(model, dataset.graph, dataset.features)
     with pytest.raises(RuntimeError, match="not running"):
         server.predict([0])
     server.start()
@@ -288,20 +275,19 @@ def test_lifecycle_and_input_validation(dataset):
         server.start()
 
     with pytest.raises(ValueError, match="rows"):
-        InferenceServer(model, dataset.graph, dataset.features[:-1])
+        create_server(model, dataset.graph, dataset.features[:-1])
     with pytest.raises(ValueError, match="window_ms"):
-        InferenceServer(model, dataset.graph, dataset.features,
-                        config=ServingConfig(window_ms=-1.0))
+        create_server(model, dataset.graph, dataset.features, ServingConfig(window_ms=-1.0))
     with pytest.raises(ValueError, match="forward_layer"):
-        InferenceServer(object(), dataset.graph, dataset.features)
+        create_server(object(), dataset.graph, dataset.features)
     with pytest.raises(ValueError, match="Graph"):
-        InferenceServer(model, object(), dataset.features)
+        create_server(model, object(), dataset.features)
 
 
 def test_stop_drains_queued_requests(dataset):
     model = _make_model(dataset)
     reference = _reference_logits(model, dataset.graph, dataset.features)
-    server = InferenceServer(model, dataset.graph, dataset.features).start()
+    server = create_server(model, dataset.graph, dataset.features).start()
     futures = [server.predict_async([i]) for i in range(6)]
     server.stop()
     for i, future in enumerate(futures):

@@ -1,5 +1,7 @@
 """Tests for the single-machine and distributed full-batch trainers."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,30 @@ class TestDistributedTrainer:
         run = trainer.run()
         predictions = trainer.assemble_global_predictions(run)
         assert predictions.shape == (dataset.num_nodes, dataset.num_classes)
+
+    def test_same_seed_gives_identical_losses(self, learnable_dataset):
+        # Regression: every rank used to build its model concurrently from the
+        # library-wide generator, so rank 0's (broadcast) initial weights
+        # depended on thread interleaving.  A tiny switch interval makes the
+        # interleaving vary from run to run.
+        dataset = learnable_dataset
+        config = TrainingConfig(num_epochs=3, lr=0.05, eval_every=0)
+
+        def factory(in_f):
+            return nn.GraphSageNet(in_f, 16, dataset.num_classes, dropout=0.0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = []
+            for _ in range(4):
+                set_seed(5)
+                run = DistributedTrainer(dataset, factory, num_workers=2, config=config).run()
+                runs.append(run.training.losses())
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(runs[0]) == 3
+        assert all(losses == runs[0] for losses in runs[1:])
 
     def test_rgcn_on_heterogeneous_dataset(self):
         dataset = ogbn_mag_mini(scale=0.15)
