@@ -23,7 +23,8 @@ Each handle owns:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, MutableMapping, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, MutableMapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +43,10 @@ from repro.partition.shard import (
 )
 from repro.tensor.tensor import Tensor
 from repro.utils.lru import LRUDict
+
+#: what :meth:`DistributedGraph.prepare_restriction` returns: one
+#: ``(restricted shard view, halo)`` pair per conv layer.
+RestrictionLayers = List[Tuple[ShardedGraph, HaloExchange]]
 
 #: distinct restriction keys a handle keeps prepared at once; small because
 #: each entry holds per-batch block grids (O(edges) each) for a whole sweep.
@@ -134,11 +139,11 @@ class DistributedGraph(_DistributedGraphBase):
         super().__init__(comm, config)
         self.shard = shard
         self.halo = HaloExchange(comm, shard.blocks, name="homo")
-        #: per-conv-layer ``(restricted shard view, halo)`` pairs installed by
-        #: :meth:`enable_mfg`; ``None`` means unrestricted execution.
-        self._mfg_layers: Optional[List[Tuple[ShardedGraph, HaloExchange]]] = None
-        self._mfg_active = False
-        self._mfg_cursor = 0
+        #: the per-conv-layer ``(restricted shard view, halo)`` pairs the
+        #: enclosing :meth:`restricted` scope put in force (``None`` =
+        #: unrestricted), and how many of them this step has consumed.
+        self._restriction: Optional[RestrictionLayers] = None
+        self._cursor = 0
         #: prepared-restriction cache keyed by the caller's structural key
         #: (e.g. ``("layerwise", batch_size)`` for the inference batch
         #: grids).  Restrictions are deterministic per graph, so reusing the
@@ -198,26 +203,27 @@ class DistributedGraph(_DistributedGraphBase):
             f"local_nodes={self.num_nodes}, halo={self.shard.halo_size})"
         )
 
-    # -- MFG restriction (paper Appendix B, executed) --------------------- #
+    # -- scoped restriction (paper Appendix B, executed) ------------------- #
     def begin_step(self) -> None:
         super().begin_step()
-        self._mfg_cursor = 0
+        self._cursor = 0
 
-    def install_restricted_layers(self, layer_blocks: Sequence[List[EdgeBlock]],
-                                  name: str = "smp",
-                                  recompute_in_degrees: bool = False) -> None:
-        """Install per-conv-layer substitute block grids (collective call).
+    def prepare_restriction(self, layer_blocks: Sequence[List[EdgeBlock]],
+                            name: str = "smp",
+                            recompute_in_degrees: bool = False) -> RestrictionLayers:
+        """Prepare per-conv-layer substitute block grids (collective call).
 
-        Generalization shared by the persistent MFG restriction
-        (:meth:`enable_mfg`), per-batch sampled mini-batch training
-        (:mod:`repro.sample.distributed` installs a fresh grid every batch),
-        and per-batch layer-wise inference
-        (:func:`repro.sample.inference.distributed_layerwise_logits`): conv
-        layer ``l``'s aggregation runs over ``layer_blocks[l]``, so halo
-        fetches (and the backward error exchange) shrink to the rows those
-        edges actually touch, while local feature matrices keep their full
-        ``(num_local_nodes, F)`` height and the replicated model code is
-        untouched.
+        The one way a restriction comes into being, shared by the persistent
+        MFG restriction (:meth:`mfg_blocks`), per-batch sampled training
+        (:mod:`repro.sample.distributed` samples a fresh grid every batch) and
+        per-batch layer-wise inference (:func:`repro.sample.inference.
+        distributed_layerwise_logits`).  Nothing is installed: the returned
+        ``(restricted shard view, halo)`` pairs take effect only inside
+        ``with self.restricted(layers):``, where conv layer ``l``'s
+        aggregation runs over ``layer_blocks[l]`` — halo fetches (and the
+        backward error exchange) shrink to the rows those edges touch, while
+        local feature matrices keep their full ``(num_local_nodes, F)``
+        height and the replicated model code is untouched.
 
         Parameters
         ----------
@@ -240,16 +246,11 @@ class DistributedGraph(_DistributedGraphBase):
         -----
         Collective: every worker must call this at the same point with grids
         describing the same global edge set — each restricted layer performs
-        its own halo-routing exchange.  The installed grids replace any
-        previous restriction; wrap temporary installs with
-        :meth:`snapshot_restriction` / :meth:`restore_restriction`.
-
-        Returns the prepared ``(restricted shard view, halo)`` pairs so
-        callers whose restriction is deterministic — e.g. the layer-wise
-        inference batch grids — can keep them and reinstall later via
-        :meth:`install_prepared_layers` without re-deriving the routing.
+        its own halo-routing exchange.  Entering the result is local, so a
+        deterministic restriction (the MFG grids, the layer-wise inference
+        batch grids) is prepared once and re-entered for free.
         """
-        layers: List[Tuple[ShardedGraph, HaloExchange]] = []
+        layers: RestrictionLayers = []
         for layer, blocks in enumerate(layer_blocks):
             halo = HaloExchange(self.comm, blocks, name=f"{name}{layer}-homo")
             layers.append((
@@ -257,48 +258,31 @@ class DistributedGraph(_DistributedGraphBase):
                                        recompute_in_degrees=recompute_in_degrees),
                 halo,
             ))
-        self.install_prepared_layers(layers)
         return layers
 
-    def install_prepared_layers(
-        self, layers: Sequence[Tuple[ShardedGraph, HaloExchange]]
-    ) -> None:
-        """Reinstall previously prepared restriction layers (local-only call).
+    @contextmanager
+    def restricted(self, layers: Optional[RestrictionLayers]) -> Iterator[None]:
+        """Run the enclosed aggregations over ``layers`` (local-only call).
 
-        Unlike :meth:`install_restricted_layers`, this performs **no**
-        collective work — the shard views and halo routings were prepared
-        earlier — so a cached restriction costs nothing on the wire to put
-        back.  All workers must still agree on *which* prepared grids are
-        active (the usual replicated-control-flow discipline), since the
-        halos' per-step fetches are collective.
+        ``layers`` comes from :meth:`prepare_restriction`; ``None`` means
+        unrestricted — full-graph rows even inside an outer scope.  The layer
+        cursor is reset on entry and on exit, and whatever was in force
+        before is put back on exit, exceptions included, so scopes nest: a
+        layer-wise inference pass inside an MFG training scope leaves the MFG
+        layers in force.  No collective work happens here, but all workers
+        must agree on *which* layers are in force (the usual replicated-
+        control-flow discipline), since the halos' per-step fetches are
+        collective.
         """
-        self._mfg_layers = list(layers)
-        self._mfg_active = True
-        self._mfg_cursor = 0
+        outer = self._restriction
+        self._restriction, self._cursor = layers, 0
+        try:
+            yield
+        finally:
+            self._restriction, self._cursor = outer, 0
 
-    def clear_restriction(self) -> None:
-        """Drop any installed restriction; aggregations run unrestricted again."""
-        self._mfg_layers = None
-        self._mfg_active = False
-        self._mfg_cursor = 0
-
-    def snapshot_restriction(self):
-        """Capture the currently installed restriction (opaque token).
-
-        Lets a temporary restriction user — e.g. layer-wise inference, which
-        installs a fresh single-layer grid per batch — put back whatever was
-        installed before it ran (a persistent MFG grid, or nothing) via
-        :meth:`restore_restriction`, instead of clobbering it.
-        """
-        return (self._mfg_layers, self._mfg_active)
-
-    def restore_restriction(self, snapshot) -> None:
-        """Reinstall a restriction captured by :meth:`snapshot_restriction`."""
-        self._mfg_layers, self._mfg_active = snapshot
-        self._mfg_cursor = 0
-
-    def enable_mfg(self, layer_masks: Sequence[np.ndarray]) -> None:
-        """Install per-layer MFG-restricted block grids (collective call).
+    def mfg_blocks(self, layer_masks: Sequence[np.ndarray]) -> List[List[EdgeBlock]]:
+        """Per-layer MFG-restricted block grids for :meth:`prepare_restriction`.
 
         Parameters
         ----------
@@ -306,17 +290,15 @@ class DistributedGraph(_DistributedGraphBase):
             The ``num_layers + 1`` global boolean masks — each shaped
             ``(num_total_nodes,)`` — from
             :func:`repro.graph.mfg.message_flow_masks` over the
-            *unpartitioned* graph.  Conv layer ``l``'s aggregation then runs
-            over blocks whose edges all feed a destination required at level
-            ``l + 1``.
+            *unpartitioned* graph.  Conv layer ``l``'s grid keeps only the
+            edges feeding a destination required at level ``l + 1``.
 
         Notes
         -----
-        The restriction persists across steps until :meth:`clear_restriction`
-        (evaluation toggles it off with :meth:`set_mfg_active`).  Because
-        every required destination keeps its complete in-neighbourhood in
-        original edge order, seed-row outputs under the restriction are
-        bit-identical to the unrestricted pass.
+        Pure and local.  Because every required destination keeps its
+        complete in-neighbourhood in original edge order, seed-row outputs
+        under the prepared restriction are bit-identical to the unrestricted
+        pass.
         """
         if len(layer_masks) < 2:
             raise ValueError("layer_masks needs at least 2 entries (input and output level)")
@@ -330,36 +312,25 @@ class DistributedGraph(_DistributedGraphBase):
                 )
             dst_mask = mask[self.shard.global_node_ids]
             layer_blocks.append([restrict_block_to_dst(b, dst_mask) for b in self.shard.blocks])
-        self.install_restricted_layers(layer_blocks, name="mfg")
-
-    @property
-    def mfg_active(self) -> bool:
-        """Whether aggregations currently run over the restricted block grids."""
-        return self._mfg_active and self._mfg_layers is not None
-
-    def set_mfg_active(self, active: bool) -> None:
-        """Toggle the installed restriction (evaluation needs full-graph rows)."""
-        if active and self._mfg_layers is None:
-            raise RuntimeError("enable_mfg() must be called before activating MFG")
-        self._mfg_active = bool(active)
+        return layer_blocks
 
     def _layer_context(self, what: str) -> Tuple[ShardedGraph, HaloExchange]:
         """The (shard, halo) pair the next aggregation runs over.
 
-        Under MFG restriction, aggregations are dispatched to the restricted
-        layers in call order — the models are replicas, so conv layer ``l``
-        issues the step's ``l``-th aggregation on every worker.
+        Inside a :meth:`restricted` scope, aggregations are dispatched to the
+        scope's layers in call order — the models are replicas, so conv layer
+        ``l`` issues the step's ``l``-th aggregation on every worker.
         """
-        if not (self._mfg_active and self._mfg_layers is not None):
+        if self._restriction is None:
             return self.shard, self.halo
-        layer = self._mfg_cursor
-        if layer >= len(self._mfg_layers):
+        layer = self._cursor
+        if layer >= len(self._restriction):
             raise RuntimeError(
-                f"MFG restriction covers {len(self._mfg_layers)} conv layers but the "
+                f"MFG restriction covers {len(self._restriction)} conv layers but the "
                 f"model issued a {layer + 1}th aggregation ({what}) this step"
             )
-        self._mfg_cursor += 1
-        return self._mfg_layers[layer]
+        self._cursor += 1
+        return self._restriction[layer]
 
     # -- aggregation entry points (called by the nn layers) -------------- #
     def aggregate_neighbors(self, z: Tensor, op: str = "mean") -> Tensor:

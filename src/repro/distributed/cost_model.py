@@ -37,7 +37,7 @@ PREFETCH_OVERLAP_TAGS = ("forward_halo", "backward_refetch")
 #: Tags hidden when the distributed sampled-training loop pipelines batch
 #: b+1's cooperative sampling (the per-layer frontier allgathers, tagged
 #: ``sample_frontier``) behind batch b's compute — see
-#: ``FullBatchTrainer._distributed_sampled_epoch`` and
+#: ``repro.training.trainer`` (``_sampled_blocks``) and
 #: ``NeighborSamplingConfig.overlap_sampling``.
 SAMPLING_OVERLAP_TAGS = ("sample_frontier",)
 

@@ -21,13 +21,11 @@ from repro.sample.inference import (
     LayerWiseInference,
     check_layered_model,
     distributed_layerwise_logits,
-    layerwise_logits,
 )
 
 __all__ = [
     "LayerWiseInference",
     "check_layered_model",
-    "layerwise_logits",
     "distributed_layerwise_logits",
     "InEdgeIndex",
     "NeighborSampler",

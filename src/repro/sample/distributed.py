@@ -16,10 +16,10 @@ along ownership exactly like aggregation does:
 * the newly-required source nodes are merged with one ``allgather`` per
   layer, giving every worker the next layer's global required set;
 * the sampled edges become per-layer :class:`~repro.partition.shard.EdgeBlock`
-  grids installed on the worker's
-  :class:`~repro.core.dist_graph.DistributedGraph`, so the existing halo
-  machinery fetches only the sampled sources — mini-batch halo exchanges
-  shrink with the fanout.
+  grids the worker's :class:`~repro.core.dist_graph.DistributedGraph`
+  prepares (``prepare_restriction``) and runs the batch's forward under
+  (``restricted``), so the existing halo machinery fetches only the sampled
+  sources — mini-batch halo exchanges shrink with the fanout.
 
 Because per-edge / per-node draws are pure hashes of global ids under the
 ``(seed, epoch, batch, layer)`` key (see :mod:`repro.sample.neighbor`), the
@@ -181,7 +181,7 @@ class DistributedNeighborSampler:
             ``num_layers`` grids of ``world_size``
             :class:`~repro.partition.shard.EdgeBlock` objects, input → output
             layer order, ready for
-            :meth:`~repro.core.dist_graph.DistributedGraph.install_restricted_layers`.
+            :meth:`~repro.core.dist_graph.DistributedGraph.prepare_restriction`.
             The union over workers of each layer's edges is bit-identical to
             the single-machine sample of the same ``(seed, epoch, batch)``.
 

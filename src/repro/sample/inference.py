@@ -32,9 +32,10 @@ gate).
 The distributed variant (:func:`distributed_layerwise_logits`) runs the same
 layer-by-layer loop on every SAR worker: per batch, each worker restricts its
 ``G_{p,q}`` edge blocks to the batch destinations it owns
-(:func:`~repro.partition.shard.restrict_block_to_dst`) and installs them via
-:meth:`~repro.core.dist_graph.DistributedGraph.install_restricted_layers`, so
-each batch's halo exchange fetches only the sources feeding that batch.
+(:func:`~repro.partition.shard.restrict_block_to_dst`), prepares them once
+(:meth:`~repro.core.dist_graph.DistributedGraph.prepare_restriction`) and
+runs the batch inside ``dist_graph.restricted(...)``, so each batch's halo
+exchange fetches only the sources feeding that batch.
 """
 
 from __future__ import annotations
@@ -285,27 +286,6 @@ class LayerWiseInference:
                 model.train()
 
 
-def layerwise_logits(
-    model,
-    graph: Union[Graph, HeteroGraph],
-    features: np.ndarray,
-    batch_size: int = 1024,
-    num_workers: int = 1,
-    max_resident: int = 2,
-    byte_budget: Optional[int] = None,
-) -> np.ndarray:
-    """One-shot convenience wrapper around :class:`LayerWiseInference`."""
-    engine = LayerWiseInference(
-        model,
-        graph,
-        batch_size=batch_size,
-        num_workers=num_workers,
-        max_resident=max_resident,
-        byte_budget=byte_budget,
-    )
-    return engine.run(features)
-
-
 def distributed_layerwise_logits(
     dist_graph: DistributedGraph,
     model,
@@ -316,16 +296,16 @@ def distributed_layerwise_logits(
 
     Every SAR worker walks the identical global batch sequence (consecutive
     global-id ranges); per batch it restricts each of its ``G_{p,q}`` edge
-    blocks to the batch destinations it owns and installs the single-layer
-    grid via :meth:`~repro.core.dist_graph.DistributedGraph.
-    install_restricted_layers` — so the halo exchange of each batch fetches
-    only the (deduplicated) sources feeding that batch's rows, and no
-    full-graph forward pass (or multi-layer autograd graph) ever exists.
+    blocks to the batch destinations it owns and runs the layer inside a
+    :meth:`~repro.core.dist_graph.DistributedGraph.restricted` scope over
+    the single-layer grid — so the halo exchange of each batch fetches only
+    the (deduplicated) sources feeding that batch's rows, and no full-graph
+    forward pass (or multi-layer autograd graph) ever exists.
 
     The restricted grids are deterministic per ``(graph, batch_size)``, so
     the prepared ``(shard view, halo)`` pairs are cached on
     ``dist_graph.restriction_cache`` — later layers of the same call and
-    every subsequent ``evaluate()`` reinstall them locally, performing zero
+    every subsequent ``evaluate()`` re-enter them locally, performing zero
     block restriction work and zero ``setup``-tagged routing exchanges (the
     distributed analogue of the single-machine structural plan cache).
 
@@ -333,8 +313,9 @@ def distributed_layerwise_logits(
     ----------
     dist_graph:
         The worker's :class:`~repro.core.dist_graph.DistributedGraph`
-        (homogeneous graphs only).  Any restriction installed on the handle
-        (MFG or sampled training) is snapshotted and restored afterwards.
+        (homogeneous graphs only).  Each batch runs in its own
+        ``restricted`` scope, so whatever scope the caller holds (an MFG
+        training restriction, or none) is back in force afterwards.
     model:
         The worker's model replica (``num_layers`` + ``forward_layer``);
         switched to ``eval()`` for the duration.
@@ -374,7 +355,6 @@ def distributed_layerwise_logits(
     local_of_global = np.full(num_total, -1, dtype=np.int64)
     local_of_global[shard.global_node_ids] = np.arange(num_local, dtype=np.int64)
 
-    snapshot = dist_graph.snapshot_restriction()
     was_training = model.training
     model.eval()
     try:
@@ -388,7 +368,7 @@ def distributed_layerwise_logits(
             # The per-batch restricted grids depend only on (graph, batch
             # size) — never on the layer, the features, or the call — so the
             # prepared (shard view, halo) pairs are cached on the handle and
-            # every batch after the first-ever visit reinstalls locally,
+            # every batch after the first-ever visit re-enters them locally,
             # with no block restriction and no halo-routing exchange.  The
             # cache grows deterministically on every worker (same batch
             # sequence), keeping the collective control flow replicated.
@@ -401,26 +381,24 @@ def distributed_layerwise_logits(
                     owned_local = local_of_global[batch_global]
                     owned_local = owned_local[owned_local >= 0]
                     dist_graph.begin_step()
-                    if index < len(prepared):
-                        dist_graph.install_prepared_layers(prepared[index])
-                    else:
+                    if index == len(prepared):
                         dst_mask = np.zeros(num_local, dtype=bool)
                         dst_mask[owned_local] = True
                         blocks = [restrict_block_to_dst(b, dst_mask) for b in shard.blocks]
                         prepared.append(
-                            dist_graph.install_restricted_layers([blocks], name=f"inf{index}")
+                            dist_graph.prepare_restriction([blocks], name=f"inf{index}")
                         )
                     # Local dense maps still cover every local row (replicated
                     # model code is untouched); only the owned batch rows are
                     # kept — their aggregations saw complete neighbourhoods.
-                    y = model.forward_layer(layer, dist_graph, h).data
+                    with dist_graph.restricted(prepared[index]):
+                        y = model.forward_layer(layer, dist_graph, h).data
                     if out is None:
                         out = Tensor(np.zeros((num_local, y.shape[1]), dtype=y.dtype))
                     out.data[owned_local] = y[owned_local]
                 h = out
             return h.data
     finally:
-        dist_graph.restore_restriction(snapshot)
         if was_training:
             model.train()
 

@@ -24,14 +24,16 @@ class Timer:
     elapsed: float = 0.0
     _start: float | None = field(default=None, repr=False)
 
+    clock = staticmethod(time.perf_counter)
+
     def start(self) -> "Timer":
-        self._start = time.perf_counter()
+        self._start = self.clock()
         return self
 
     def stop(self) -> float:
         if self._start is None:
-            raise RuntimeError("Timer.stop() called before start()")
-        delta = time.perf_counter() - self._start
+            raise RuntimeError(f"{type(self).__name__}.stop() called before start()")
+        delta = self.clock() - self._start
         self.elapsed += delta
         self._start = None
         return delta
@@ -47,31 +49,7 @@ class Timer:
         self.stop()
 
 
-@dataclass
-class WorkerTimer:
+class WorkerTimer(Timer):
     """Accumulating per-thread CPU timer (excludes blocking waits)."""
 
-    elapsed: float = 0.0
-    _start: float | None = field(default=None, repr=False)
-
-    def start(self) -> "WorkerTimer":
-        self._start = time.thread_time()
-        return self
-
-    def stop(self) -> float:
-        if self._start is None:
-            raise RuntimeError("WorkerTimer.stop() called before start()")
-        delta = time.thread_time() - self._start
-        self.elapsed += delta
-        self._start = None
-        return delta
-
-    def reset(self) -> None:
-        self.elapsed = 0.0
-        self._start = None
-
-    def __enter__(self) -> "WorkerTimer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+    clock = staticmethod(time.thread_time)

@@ -8,10 +8,10 @@ The subsystem contract under test (``repro/sample/inference.py``):
 * the engine reuses the loader's bounded-residency prefetch and the
   structural plan cache (no per-batch sparsity re-derivation after the first
   layer sweep);
-* ``FullBatchTrainer.evaluate(inference="layerwise")`` is a drop-in for the
-  full pass, including after neighbour-sampled training;
+* ``FullBatchTrainer.evaluate()`` under ``eval_inference="layerwise"`` is a
+  drop-in for the full pass, including after neighbour-sampled training;
 * the distributed variant matches single-machine inference to 1e-6 and
-  leaves any installed restriction (MFG / sampled) untouched.
+  leaves the enclosing restriction scope (MFG / sampled) in force.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.sample import (
     NeighborSampler,
     NeighborSamplingConfig,
     distributed_layerwise_logits,
-    layerwise_logits,
 )
 from repro.tensor import Tensor, no_grad
 from repro.tensor import edge_plan as edge_plan_mod
@@ -91,7 +90,7 @@ def test_layerwise_matches_full_forward_bitwise(dataset, kind):
     set_seed(0)
     model = MODEL_FACTORIES[kind](dataset)
     reference = _full_logits(model, dataset.graph, dataset.features)
-    got = layerwise_logits(model, dataset.graph, dataset.features, batch_size=37)
+    got = LayerWiseInference(model, dataset.graph, batch_size=37).run(dataset.features)
     np.testing.assert_array_equal(got, reference)
 
 
@@ -100,9 +99,7 @@ def test_layerwise_any_batch_size(dataset, batch_size):
     set_seed(0)
     model = MODEL_FACTORIES["sage_mean"](dataset)
     reference = _full_logits(model, dataset.graph, dataset.features)
-    got = layerwise_logits(
-        model, dataset.graph, dataset.features, batch_size=batch_size
-    )
+    got = LayerWiseInference(model, dataset.graph, batch_size=batch_size).run(dataset.features)
     np.testing.assert_array_equal(got, reference)
 
 
@@ -124,7 +121,7 @@ def test_layerwise_hetero_rgcn():
         num_layers=2, dropout=0.0, use_batch_norm=True,
     )
     reference = _full_logits(model, graph, ds.features)
-    got = layerwise_logits(model, graph, ds.features, batch_size=41)
+    got = LayerWiseInference(model, graph, batch_size=41).run(ds.features)
     np.testing.assert_array_equal(got, reference)
 
 
@@ -263,16 +260,6 @@ def test_adaptive_rejects_bad_budget(dataset):
         LayerWiseInference(model, dataset.graph, byte_budget=0)
 
 
-def test_layerwise_logits_byte_budget_passthrough(dataset):
-    set_seed(0)
-    model = MODEL_FACTORIES["sage_mean"](dataset)
-    reference = _full_logits(model, dataset.graph, dataset.features)
-    got = layerwise_logits(
-        model, dataset.graph, dataset.features, byte_budget=48 * 1024
-    )
-    np.testing.assert_array_equal(got, reference)
-
-
 # --------------------------------------------------------------------------- #
 # bounded restriction cache
 # --------------------------------------------------------------------------- #
@@ -304,12 +291,12 @@ def test_evaluate_layerwise_is_dropin(dataset):
         model, dataset, TrainingConfig(num_epochs=2, eval_every=0, seed=0)
     )
     trainer.train()
-    accs_full, logits_full = trainer.evaluate(inference="full")
-    accs_layer, logits_layer = trainer.evaluate(inference="layerwise", batch_size=48)
+    accs_full, logits_full = trainer.evaluate()
+    # evaluate() reads the mode from the config at call time.
+    trainer.config.eval_inference, trainer.config.eval_batch_size = "layerwise", 48
+    accs_layer, logits_layer = trainer.evaluate()
     np.testing.assert_array_equal(logits_layer, logits_full)
     assert accs_layer == accs_full
-    with pytest.raises(ValueError, match="inference"):
-        trainer.evaluate(inference="banana")
 
 
 @pytest.mark.parametrize("fanouts", [(4, 4), (-1, -1)])
@@ -330,8 +317,9 @@ def test_sampled_training_with_layerwise_eval_parity(dataset, fanouts):
     )
     trainer = FullBatchTrainer(model, dataset, config)
     result = trainer.train()  # final evaluation runs layer-wise
-    _, logits_layer = trainer.evaluate()  # config default: layerwise
-    _, logits_full = trainer.evaluate(inference="full")
+    _, logits_layer = trainer.evaluate()
+    config.eval_inference = "full"
+    _, logits_full = trainer.evaluate()
     np.testing.assert_array_equal(logits_layer, logits_full)
     assert np.isfinite(result.final_test_accuracy)
 
@@ -393,8 +381,10 @@ def test_distributed_layerwise_matches_single_machine(dataset, kind, world_size)
     np.testing.assert_allclose(assembled, reference, atol=1e-6)
 
 
-def test_distributed_layerwise_restores_installed_restriction(dataset):
-    """A persistent MFG restriction survives an inference pass untouched."""
+def test_layerwise_pass_inside_mfg_scope_leaves_mfg_in_force(dataset):
+    """Scopes nest: a layer-wise pass inside an MFG scope runs its own
+    per-batch scopes and leaves the MFG layers in force, and ``restricted(None)``
+    inside the scope yields full-graph rows."""
     dataset.attach_to_graph()
     template = _fixed_model(dataset, "sage")
     weights = _weights_of(template)
@@ -407,21 +397,34 @@ def test_distributed_layerwise_restores_installed_restriction(dataset):
         dist_graph = DistributedGraph(shard, comm, SARConfig(mode="sar"))
         model = _install_weights(_fixed_model(dataset, "sage"), weights)
         model.set_comm(comm)
-        dist_graph.enable_mfg(masks)
-        halo_before = [layer[0].halo_size for layer in dist_graph._mfg_layers]
-        local = distributed_layerwise_logits(
-            dist_graph, model, shard.node_data["feat"], batch_size=60
-        )
-        assert dist_graph.mfg_active
-        halo_after = [layer[0].halo_size for layer in dist_graph._mfg_layers]
-        assert halo_before == halo_after
-        # The restored restriction still executes a full training-style step.
-        dist_graph.begin_step()
-        logits = model(dist_graph, Tensor(shard.node_data["feat"]))
-        return local, logits.data.shape
+        features = Tensor(shard.node_data["feat"])
+
+        def step():
+            """One training-style forward; returns (logits, halo bytes fetched)."""
+            before = comm.stats.received_by_tag.get("forward_halo", 0)
+            dist_graph.begin_step()
+            logits = model(dist_graph, features).data
+            return logits, comm.stats.received_by_tag.get("forward_halo", 0) - before
+
+        full_logits, full_bytes = step()
+        mfg = dist_graph.prepare_restriction(dist_graph.mfg_blocks(masks), name="mfg")
+        halo_sizes = [view.halo_size for view, _ in mfg]
+        with dist_graph.restricted(mfg):
+            _, bytes_before = step()
+            local = distributed_layerwise_logits(
+                dist_graph, model, shard.node_data["feat"], batch_size=60
+            )
+            _, bytes_after = step()  # still restricted to the MFG layers
+            with dist_graph.restricted(None):
+                inner_logits, inner_bytes = step()
+        np.testing.assert_array_equal(inner_logits, full_logits)
+        assert [view.halo_size for view, _ in mfg] == halo_sizes
+        return local, bytes_before, bytes_after, inner_bytes, full_bytes
 
     result = run_distributed(worker, 2, worker_args=shards)
-    assert all(shape[1] == dataset.num_classes for _, shape in result.results)
+    for local, bytes_before, bytes_after, inner_bytes, full_bytes in result.results:
+        assert local.shape[1] == dataset.num_classes
+        assert bytes_after == bytes_before < full_bytes == inner_bytes
 
 
 def test_distributed_layerwise_restriction_cache_reused(dataset):

@@ -257,10 +257,12 @@ def _dist_worker(rank, comm, shard, *, model_name, weights, masks, features,
     for param, value in zip(model.parameters(), weights):
         param.data[...] = value
     dist_graph = DistributedGraph(shard, comm, SARConfig("sar"))
+    layers = None  # restricted(None) is the unrestricted forward
     if use_mfg:
-        dist_graph.enable_mfg(masks)
+        layers = dist_graph.prepare_restriction(dist_graph.mfg_blocks(masks), name="mfg")
     dist_graph.begin_step()
-    logits = model(dist_graph, Tensor(features[shard.global_node_ids]))
+    with dist_graph.restricted(layers):
+        logits = model(dist_graph, Tensor(features[shard.global_node_ids]))
     local_seed = np.isin(shard.global_node_ids, seeds)
     if local_seed.any():
         loss = _loss_over(logits[local_seed],
@@ -333,6 +335,9 @@ class TestDistributedSARParity:
         assert restricted_pairs <= original_pairs
 
     def test_mfg_layer_overrun_raises(self, mfg_setup):
+        """One aggregation more than the scope's layers raises — and leaving
+        the scope through that exception puts the outer scope back in force
+        with its cursor reset."""
         graph, features, _, seeds = mfg_setup
         masks = message_flow_masks(graph, seeds, num_layers=1)
         book = PartitionBook(partition_graph(graph, 2, seed=0), 2)
@@ -340,15 +345,31 @@ class TestDistributedSARParity:
 
         def worker(rank, comm, shard):
             dist_graph = DistributedGraph(shard, comm, SARConfig("sar"))
-            dist_graph.enable_mfg(masks)
-            dist_graph.begin_step()
+            blocks = dist_graph.mfg_blocks(masks)
+            outer = dist_graph.prepare_restriction(blocks, name="outer")
+            inner = dist_graph.prepare_restriction(blocks, name="inner")
             z = Tensor(features[shard.global_node_ids])
+            dist_graph.begin_step()
+            with dist_graph.restricted(outer):
+                first = dist_graph.aggregate_neighbors(z, op="sum").data
+                try:
+                    with dist_graph.restricted(inner):
+                        dist_graph.aggregate_neighbors(z, op="sum")
+                        dist_graph.aggregate_neighbors(z, op="sum")
+                except RuntimeError as exc:
+                    outcome = "raised" if "issued a 2th aggregation" in str(exc) else repr(exc)
+                else:
+                    outcome = "no error"
+                # Back in the outer scope at layer 0: its one layer is usable
+                # again, and only that one.
+                again = dist_graph.aggregate_neighbors(z, op="sum").data
+                np.testing.assert_array_equal(again, first)
+                with pytest.raises(RuntimeError, match="covers 1 conv layers"):
+                    dist_graph.aggregate_neighbors(z, op="sum")
+            # Outside every scope nothing is restricted: no layer budget.
             dist_graph.aggregate_neighbors(z, op="sum")
-            try:
-                dist_graph.aggregate_neighbors(z, op="sum")
-            except RuntimeError as exc:
-                return "raised" if "MFG restriction covers" in str(exc) else repr(exc)
-            return "no error"
+            dist_graph.aggregate_neighbors(z, op="sum")
+            return outcome
 
         result = run_distributed(worker, 2, worker_args=shards)
         assert result.results == ["raised", "raised"]

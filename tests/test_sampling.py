@@ -30,7 +30,7 @@ from repro.sample import (
 )
 from repro.tensor import Tensor
 from repro.tensor import edge_plan as edge_plan_mod
-from repro.training.trainer import FullBatchTrainer, TrainingConfig
+from repro.training.trainer import DistributedTrainer, FullBatchTrainer, TrainingConfig
 from repro.utils.seed import mix_seed, set_seed
 
 
@@ -419,30 +419,45 @@ class TestTrainerIntegration:
 
     @pytest.mark.slow
     def test_full_fanout_sampled_single_batch_matches_full_batch(self, small_dataset):
-        """One batch covering every train seed at fanout=-1 == MFG-restricted
-        training over the train seeds (same loss trajectory)."""
+        """One epoch, three expressions: plain full-batch training, MFG-
+        restricted training over the train seeds, and one fanout=-1 batch
+        covering every train seed all average the loss over the train mask,
+        so they follow the same loss trajectory — on one machine, and at 2
+        workers against the single-machine run of the same leg."""
         seeds = small_dataset.train_indices()
         common = dict(num_epochs=3, lr=0.05, seed=0, eval_every=0)
-        model_kwargs = dict(num_layers=2, dropout=0.0, use_batch_norm=False)
+        legs = {
+            "full": {},
+            "mfg": dict(mfg_seeds=seeds),
+            "sampled": dict(sampler=NeighborSamplingConfig(
+                fanouts=(-1, -1), batch_size=len(seeds), shuffle=False
+            )),
+        }
+
+        def make_model(dim):
+            return GraphSageNet(dim, 16, small_dataset.num_classes, num_layers=2,
+                                dropout=0.0, use_batch_norm=False)
 
         set_seed(0)
-        baseline = FullBatchTrainer(
-            GraphSageNet(small_dataset.feature_dim, 16, small_dataset.num_classes,
-                         **model_kwargs),
-            small_dataset, TrainingConfig(mfg_seeds=seeds, **common),
-        ).train()
+        weights = [p.data.copy() for p in make_model(small_dataset.feature_dim).parameters()]
 
-        set_seed(0)
-        sampled = FullBatchTrainer(
-            GraphSageNet(small_dataset.feature_dim, 16, small_dataset.num_classes,
-                         **model_kwargs),
-            small_dataset,
-            TrainingConfig(
-                sampler=NeighborSamplingConfig(
-                    fanouts=(-1, -1), batch_size=len(seeds), shuffle=False
-                ),
-                **common,
-            ),
-        ).train()
-        np.testing.assert_allclose(sampled.losses(), baseline.losses(),
-                                   rtol=1e-5, atol=1e-7)
+        def with_weights(dim):
+            # Worker threads share the global RNG, so the replicas' initial
+            # parameters are shipped instead of re-drawn.
+            model = make_model(dim)
+            for param, value in zip(model.parameters(), weights):
+                param.data[...] = value
+            return model
+
+        single = {
+            name: FullBatchTrainer(with_weights(small_dataset.feature_dim), small_dataset,
+                                   TrainingConfig(**extra, **common)).train().losses()
+            for name, extra in legs.items()
+        }
+        for name in ("mfg", "sampled"):
+            np.testing.assert_allclose(single[name], single["full"], rtol=1e-5, atol=1e-7)
+        for name, extra in legs.items():
+            dist = DistributedTrainer(small_dataset, with_weights, num_workers=2,
+                                      config=TrainingConfig(**extra, **common)).run()
+            np.testing.assert_allclose(dist.training.losses(), single[name],
+                                       rtol=1e-4, atol=1e-6, err_msg=name)

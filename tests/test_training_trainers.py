@@ -8,6 +8,7 @@ import pytest
 from repro import nn
 from repro.core import SARConfig
 from repro.datasets import make_sbm_dataset, ogbn_mag_mini
+from repro.sample import NeighborSamplingConfig
 from repro.training import DistributedTrainer, FullBatchTrainer, TrainingConfig
 from repro.utils.seed import set_seed
 
@@ -65,9 +66,51 @@ class TestFullBatchTrainer:
     def test_invalid_schedule_raises(self, learnable_dataset):
         model = nn.GraphSageNet(learnable_dataset.feature_dim, 8,
                                 learnable_dataset.num_classes)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lr_schedule"):
             FullBatchTrainer(model, learnable_dataset,
-                             TrainingConfig(num_epochs=1, lr_schedule="bogus")).train()
+                             TrainingConfig(num_epochs=1, lr_schedule="bogus"))
+
+
+#: configs no distributed run can execute -> a fragment of the message saying why
+BAD_DISTRIBUTED_CONFIGS = {
+    "eval_inference": (dict(eval_inference="bogus"), "eval_inference"),
+    "lr_schedule": (dict(lr_schedule="bogus"), "lr_schedule"),
+    "sampler_x_mfg": (dict(sampler=NeighborSamplingConfig(fanouts=(2, 2)), mfg_seeds=[0, 1]),
+                      "mutually exclusive"),
+    "fanout_depth": (dict(sampler=NeighborSamplingConfig(fanouts=(2, 2, 2))), "conv layers"),
+    "kv_x_augmentation": (dict(feature_store="kv", label_augmentation=True),
+                          "label_augmentation"),
+    "kv_x_mfg": (dict(feature_store="kv", mfg_seeds=[0, 1]), "mfg_seeds"),
+    "store_mode": (dict(feature_store="dense"), "feature_store='kv'"),
+}
+
+
+class TestConfigValidatedAtConstruction:
+    """A config that cannot run is a plain ``ValueError`` from the constructor:
+    no epoch is trained, nothing is partitioned, no cluster is spawned."""
+
+    def test_full_batch_trainer_rejects_unknown_eval_inference(self, learnable_dataset):
+        model = nn.GraphSageNet(learnable_dataset.feature_dim, 8,
+                                learnable_dataset.num_classes)
+        with pytest.raises(ValueError, match="eval_inference"):
+            FullBatchTrainer(model, learnable_dataset,
+                             TrainingConfig(eval_inference="bogus"))
+
+    @pytest.mark.parametrize("case", sorted(BAD_DISTRIBUTED_CONFIGS))
+    def test_distributed_trainer(self, learnable_dataset, case, monkeypatch):
+        overrides, message = BAD_DISTRIBUTED_CONFIGS[case]
+
+        def no_partitioning(*args, **kwargs):
+            raise AssertionError("partitioned the graph under an invalid config")
+
+        monkeypatch.setattr("repro.training.trainer.partition_graph", no_partitioning)
+        with pytest.raises(ValueError, match=message):
+            DistributedTrainer(
+                learnable_dataset,
+                lambda dim: nn.GraphSageNet(dim, 8, learnable_dataset.num_classes,
+                                            num_layers=2),
+                num_workers=2, config=TrainingConfig(**overrides),
+            )
 
 
 @pytest.mark.slow
