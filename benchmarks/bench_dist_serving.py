@@ -14,13 +14,12 @@ bytes the cluster moved per pass.
 (``ServingConfig(backend="distributed")``, shard worker threads —
 rows named ``shards{N}_*``), ``mp``
 (``ServingConfig(backend="mp")``, one forked process
-per shard crossing a Manager-backed communicator — rows named ``mp{N}_*``),
+per shard over the shared-memory communicator — rows named ``mp{N}_*``),
 or ``both`` (the default, and what the committed baseline contains).  The
-mp rows are expected to be much slower than the thread rows at these tiny
-benchmark sizes: every inter-worker byte is pickled through multiprocessing
-queues and Manager proxies, a constant tax the small graphs never amortize
-— the row exists to keep the process backend's parity and overhead honest,
-not to win.
+mp rows pay a fork per server and a pickled queue hop per request and
+response on top of the thread rows' work, a constant tax these tiny
+benchmark sizes amortize poorly — the row exists to keep the process
+backend's parity and overhead honest, not to win.
 
 Usage::
 
@@ -73,8 +72,8 @@ FULL_SIZES = dict(
     cache_mb=64,
     zipf_a=1.1,
     worlds=(2, 4),
-    # The mp backend pays per-byte Manager/queue costs, so it runs the
-    # small world only; one row is enough to gate parity and overhead.
+    # The mp backend forks a process per shard, so it runs the small
+    # world only; one row is enough to gate parity and overhead.
     mp_worlds=(2,),
 )
 SMOKE_SIZES = dict(

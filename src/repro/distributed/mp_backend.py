@@ -2,12 +2,11 @@
 
 The thread backend in :mod:`repro.distributed.thread_backend` is the default
 because it is fast to spin up and lets the benchmarks simulate up to 32
-workers cheaply.  This module provides a small, slower, but *genuinely*
-multi-process backend built on :mod:`multiprocessing` primitives, matching
-the paper's deployment model of one training process per machine ("repro
-band": multi-process on one big server).  It exists to demonstrate that the
-SAR algorithms only rely on the abstract :class:`Communicator` interface; the
-example/test keep the worker count and graph size small.
+workers cheaply.  This module provides the *genuinely* multi-process
+backend, matching the paper's deployment model of one training process per
+machine ("repro band": multi-process on one big server): the SAR algorithms
+only rely on the abstract :class:`Communicator` interface, and here that
+interface runs over memory the worker processes share.
 
 Usage::
 
@@ -24,34 +23,77 @@ workers answering ``(kind, payload)`` jobs until stopped.
 :func:`run_multiprocess` is a single-job use of it; the ``"mp"`` serving
 backend keeps one alive for the server's lifetime.
 
+The data plane
+--------------
+
+SAR's protocol is "publish ``Z``, peers fetch the *rows* of ``Z`` they need,
+free, repeat".  Before forking, the cluster maps one anonymous shared region
+per rank (:class:`_SharedPlane`): a small *directory* followed by a large
+*arena*.  The mappings have no name — children inherit them through the
+fork, nothing appears under ``/dev/shm``, and there is nothing to unlink, so
+a crash cannot leak one.
+
+* **What is copied when.**  ``publish`` copies the array once into the
+  owner's arena and records ``key -> (offset, shape, dtype)`` in the owner's
+  directory; from then on the publish is a snapshot (the owner mutating its
+  source array is invisible to peers).  ``fetch(rows=...)`` indexes a
+  zero-copy view of the owner's arena and copies out only the requested
+  rows — the bytes :class:`~repro.distributed.comm.CommStats` records are
+  the bytes that moved.  The collectives ride the same two steps.
+* **Who may write what.**  Only the owning rank ever writes its arena or its
+  directory (peers map both, and read the arena through read-only views); a
+  rank mutates nothing it does not own — ``exchange`` slots included, which
+  the *sender* reclaims.  A directory carries a sequence number, so a reader
+  re-reads it only when it changed.
+* **Space.**  The owner allocates first-fit over its live blocks, so freed
+  space is reused and an arena stays at its live-set size however long the
+  run.  The arena's *virtual* size comes from the machine
+  (:func:`_arena_capacity`: a share of physical memory per rank; pages are
+  touched lazily, so an idle arena costs nothing); exhausting it raises a
+  :class:`MemoryError` naming rank, key, live bytes and capacity.
+* **Unpublish discipline.**  A block may be reused as soon as its key is
+  unpublished, so a key must only be unpublished once its readers are done
+  (after a barrier, or by the keyed-stream discipline of
+  :meth:`~repro.distributed.comm.Communicator.allgather_keyed`) — the rule
+  every caller already follows; the thread backend merely forgives a late
+  reader because it still holds the array by reference.
+
 Failure semantics
 -----------------
 
-* A worker whose job **raises** writes an abort flag into the shared store
-  and breaks the barrier before posting its error, so survivors blocked in
-  a collective unblock promptly (instead of spinning until their timeout)
-  and post their own errors.  The parent raises :class:`WorkerFailedError`
+* A worker whose job **raises** sets the shared abort flag and rings every
+  rank's doorbell before posting its error, so survivors blocked in a
+  collective unblock promptly (instead of waiting out their timeout) and
+  post their own errors.  The parent raises :class:`WorkerFailedError`
   naming the failing rank.
 * A worker that **dies without posting anything** (killed, segfault,
   ``os._exit``) is detected by polling ``Process.is_alive`` alongside the
   response queue; the parent aborts the cluster the same way and raises
-  naming the dead rank and its exit code.
+  naming the dead rank and its exit code.  The rank may have died *holding*
+  a cross-process lock or parked on its doorbell: no wait in this module is
+  unbounded — every lock acquire and every sleep is a slice of at most
+  ``_WAIT_SLICE_S`` followed by a look at the abort flag — and aborting
+  takes no lock, so neither the survivors nor the parent can hang on it.
 * A job that exceeds the cluster's **timeout** aborts the cluster and raises
   naming the ranks still owed a response.
 * On every path — success, error, crash, timeout — :meth:`~
   MultiprocessServiceCluster.stop` terminates any worker that does not exit
-  within a short grace period: no child process outlives the
-  :func:`run_multiprocess` call or the stopped cluster.
+  within a short grace period and closes the parent's mappings: no child
+  process outlives the :func:`run_multiprocess` call or the stopped cluster.
 """
 
 from __future__ import annotations
 
+import contextlib
+import mmap
 import multiprocessing as mp
+import multiprocessing.connection
 import os
-import queue as queue_mod
+import pickle
+import struct
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,145 +102,344 @@ from repro.distributed.comm import STREAM_KEY_PREFIX, Communicator, reduce_array
 _DEFAULT_TIMEOUT_S = 300.0
 #: parent-side liveness-check interval while draining the result queue
 _POLL_S = 0.2
-#: bounded wait slice while a worker is parked on the store condition
+#: longest single sleep or lock wait of a worker before it re-reads the abort flag
 _WAIT_SLICE_S = 0.1
 #: how long survivors get to post their errors after the cluster aborts
 _ABORT_GRACE_S = 10.0
-#: store key carrying the abort message (rank ``-1`` collides with no worker)
-_ABORT_KEY = (-1, "__abort__")
+
+#: published blocks start on cache-line boundaries
+_ALIGN = 64
+#: bytes at the head of each rank's mapping reserved for its directory
+_DIRECTORY_BYTES = 1 << 20
+#: directory header: sequence number, length of the pickled directory after it
+_HEADER = struct.Struct("qq")
+#: words of the control region (then one parked-thread count per rank)
+_ABORTED, _ABORT_LENGTH, _ARRIVED, _GENERATION, _PARKED = range(5)
+#: bytes kept of the abort message
+_ABORT_BYTES = 1024
 
 
 class WorkerFailedError(RuntimeError):
     """One or more worker processes raised, died, or timed out."""
 
 
-def _poison_cluster(store, barrier, condition, message: str) -> None:
-    """Flag the cluster as aborted and wake every blocked worker.
+def _arena_capacity(world_size: int) -> int:
+    """Virtual bytes of one rank's arena: half of physical memory, split evenly.
 
-    Writes the abort message into the shared store (every communicator wait
-    loop checks it), breaks the barrier (unblocks collectives), and
-    broadcasts the store condition (unblocks parked ``_wait_get`` readers).
-    Each step tolerates a Manager that is already torn down.
+    Only pages a publish actually touches become resident, so the rule is
+    generous on purpose: it bounds a runaway publisher, not a working set.
     """
-    try:
-        store[_ABORT_KEY] = message
-    except Exception:  # pragma: no cover - manager already gone
-        pass
-    try:
-        barrier.abort()
-    except Exception:  # pragma: no cover - manager already gone
-        pass
-    try:
-        with condition:
-            condition.notify_all()
-    except Exception:  # pragma: no cover - manager already gone
-        pass
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    return physical // (2 * world_size) // mmap.PAGESIZE * mmap.PAGESIZE
+
+
+class _SharedPlane:
+    """What the workers of one cluster share, mapped before the fork.
+
+    * ``arenas[r]`` — rank ``r``'s directory (first ``_DIRECTORY_BYTES``) and
+      arena, written only by rank ``r`` under ``directory_locks[r]``;
+    * ``doorbells[r]`` — a semaphore rank ``r``'s threads sleep on while a
+      key or the barrier is not ready; whoever changes shared state rings it
+      once per thread parked there (``words[_PARKED + r]``);
+    * ``words`` — the control region: abort flag, barrier state (under
+      ``control_lock``) and the parked counts.
+
+    Nothing here is ever *held* across a blocking call, and :meth:`abort`
+    takes no lock at all, so a process dying at any point leaves at worst a
+    lock nobody will release — which every sliced acquire survives.
+    """
+
+    def __init__(self, ctx, world_size: int):
+        self.capacity = _arena_capacity(world_size)
+        self.arenas = [mmap.mmap(-1, _DIRECTORY_BYTES + self.capacity) for _ in range(world_size)]
+        self.directory_locks = [ctx.Lock() for _ in range(world_size)]
+        self.doorbells = [ctx.Semaphore(0) for _ in range(world_size)]
+        self.control_lock = ctx.Lock()
+        self._message_at = 8 * (_PARKED + world_size)
+        self._control = mmap.mmap(-1, self._message_at + _ABORT_BYTES)
+        self.words = memoryview(self._control).cast("q")
+
+    def wake(self) -> None:
+        """Ring every rank's doorbell once per thread it has parked."""
+        for rank, bell in enumerate(self.doorbells):
+            for _ in range(self.words[_PARKED + rank]):
+                bell.release()
+
+    def abort(self, message: str) -> None:
+        """Flag the cluster as aborted (first message wins) and wake every sleeper."""
+        if not self.words[_ABORTED]:
+            data = message.encode("utf-8", "replace")[:_ABORT_BYTES]
+            self._control[self._message_at : self._message_at + len(data)] = data
+            self.words[_ABORT_LENGTH] = len(data)
+            self.words[_ABORTED] = 1
+        self.wake()
+
+    def abort_message(self) -> Optional[str]:
+        """The message the cluster was aborted with, ``None`` while healthy."""
+        if not self.words[_ABORTED]:
+            return None
+        end = self._message_at + self.words[_ABORT_LENGTH]
+        return self._control[self._message_at : end].decode("utf-8", "replace")
+
+    def close(self) -> None:
+        """Unmap everything (parent side, after the workers are reaped)."""
+        self.words.release()
+        self._control.close()
+        for arena in self.arenas:
+            arena.close()
+
+
+#: one directory entry: arena offset, bytes reserved, shape, dtype string
+_Entry = Tuple[int, int, Tuple[int, ...], str]
 
 
 class MultiprocessCommunicator(Communicator):
-    """Communicator backed by a ``multiprocessing.Manager`` dict and barrier.
+    """Communicator over the cluster's :class:`_SharedPlane`.
 
-    Blocking reads park on a shared Manager :class:`~threading.Condition` in
-    bounded slices (every publish notifies it) instead of hammering the
-    Manager proxy with a few-millisecond poll, and every wait loop checks the
-    abort flag so a peer failure propagates within one slice.
+    ``publish`` copies into this rank's arena and rewrites this rank's
+    directory; ``fetch`` reads a peer's directory and copies the requested
+    rows out of the peer's arena; the collectives are a publish, the peers'
+    fetches and a barrier.  Only this rank writes its arena and directory.
+
+    Safe for the worker's own side threads (SAR prefetch, background
+    sampler, loader-stage KV fetches) next to the main thread: this rank's
+    directory lock serializes its publishes, and each parked thread counts
+    itself in so a wake-up reaches all of them.  The barrier collectives
+    (``barrier`` / ``exchange`` / ``allreduce`` / ``allgather``) belong to
+    the one thread that runs them in lockstep with the other ranks.
     """
 
     def __init__(
-        self,
-        rank: int,
-        world_size: int,
-        store,
-        barrier,
-        condition,
-        timeout_s: float = _DEFAULT_TIMEOUT_S,
+        self, rank: int, world_size: int, plane: _SharedPlane, timeout_s: float = _DEFAULT_TIMEOUT_S
     ):
         super().__init__(rank, world_size)
-        self._store = store
-        self._barrier = barrier
-        self._cond = condition
+        self._plane = plane
         self._timeout_s = timeout_s
+        self._arena = plane.arenas[rank]
+        self._entries: Dict[str, _Entry] = {}
+        self._sequence = 0
+        self._high_water = 0
+        #: per peer, the last directory read: (sequence number, entries)
+        self._directories: List[Tuple[int, Dict[str, _Entry]]] = [(0, {})] * world_size
+        #: collective keys whose readers are done once this rank passes its next barrier
+        self._spent: List[str] = []
+        self._parked_mutex = threading.Lock()
         self._collective_counter = 0
         self._exchange_counter = 0
 
-    # -- point-to-point ------------------------------------------------- #
-    def _put_and_notify(self, store_key, array: np.ndarray) -> None:
-        self._store[store_key] = array
-        with self._cond:
-            self._cond.notify_all()
-
+    # -- waiting ---------------------------------------------------------- #
     def _check_abort(self) -> None:
-        message = self._store.get(_ABORT_KEY)
+        message = self._plane.abort_message()
         if message is not None:
             raise WorkerFailedError(f"rank {self.rank}: cluster aborted: {message}")
 
-    def publish(self, key: str, array: np.ndarray) -> None:
-        self._put_and_notify((self.rank, key), np.asarray(array))
+    @contextlib.contextmanager
+    def _held(self, lock) -> Iterator[None]:
+        """Hold a cross-process lock; a peer can die holding it, so the acquire is sliced."""
+        deadline = time.monotonic() + self._timeout_s
+        while not lock.acquire(timeout=_WAIT_SLICE_S):
+            self._check_abort()
+            if time.monotonic() >= deadline:
+                raise TimeoutError(f"rank {self.rank} timed out acquiring a shared lock")
+        try:
+            yield
+        finally:
+            lock.release()
 
-    def _wait_get(self, owner_rank: int, key: str) -> np.ndarray:
+    def _park(self, delta: int) -> None:
+        with self._parked_mutex:
+            self._plane.words[_PARKED + self.rank] += delta
+
+    def _wait(self, lock, probe: Callable[[], Any], what: str) -> Any:
+        """Sleep on this rank's doorbell until ``probe()`` (run under ``lock``) is not ``None``.
+
+        The thread counts itself as parked under the same lock the state it
+        waits for changes under, so a writer either is seen by the probe or
+        sees the count and rings; a missed ring costs one slice, never a hang.
+        """
         deadline = time.monotonic() + self._timeout_s
         while True:
-            value = self._store.get((owner_rank, key))
-            if value is not None:
-                return value
+            with self._held(lock):
+                found = probe()
+                if found is None:
+                    self._park(+1)
+            if found is not None:
+                return found
+            try:
+                self._plane.doorbells[self.rank].acquire(timeout=_WAIT_SLICE_S)
+            finally:
+                self._park(-1)
             self._check_abort()
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(
-                    f"rank {self.rank} timed out waiting for rank {owner_rank} key {key!r}"
+            if time.monotonic() >= deadline:
+                raise TimeoutError(f"rank {self.rank} timed out waiting for {what}")
+
+    # -- this rank's directory and arena ----------------------------------- #
+    def _allocate(self, key: str, nbytes: int) -> Tuple[int, int]:
+        """First-fit ``(offset, reserved)`` for ``nbytes`` among the live blocks."""
+        reserved = max(_ALIGN, -(-nbytes // _ALIGN) * _ALIGN)
+        offset = 0
+        for start, size in sorted(entry[:2] for entry in self._entries.values()):
+            if start - offset >= reserved:
+                break
+            offset = start + size
+        if offset + reserved > self._plane.capacity:
+            raise MemoryError(
+                f"rank {self.rank}: cannot publish {key!r} ({nbytes} bytes): the arena holds "
+                f"{self.arena_stats()['live_bytes']} live bytes of {self._plane.capacity}"
+            )
+        self._high_water = max(self._high_water, offset + reserved)
+        return offset, reserved
+
+    def _rewrite(
+        self, publish: Optional[Dict[str, np.ndarray]] = None, drop: Iterable[str] = ()
+    ) -> None:
+        """Apply one batch of changes to this rank's arena and directory, then wake readers."""
+        with self._held(self._plane.directory_locks[self.rank]):
+            changed = False
+            for key in drop:
+                changed |= self._entries.pop(key, None) is not None
+            for key, array in (publish or {}).items():
+                if array.dtype.hasobject:
+                    raise TypeError(f"cannot publish {key!r}: object arrays have no shared form")
+                self._entries.pop(key, None)
+                offset, reserved = self._allocate(key, array.nbytes)
+                np.ndarray(
+                    array.shape, array.dtype, buffer=self._arena, offset=_DIRECTORY_BYTES + offset
+                )[...] = array
+                self._entries[key] = (offset, reserved, array.shape, array.dtype.str)
+                changed = True
+            if not changed:
+                return
+            payload = pickle.dumps(self._entries, protocol=pickle.HIGHEST_PROTOCOL)
+            if _HEADER.size + len(payload) > _DIRECTORY_BYTES:
+                raise MemoryError(
+                    f"rank {self.rank}: directory of {len(self._entries)} keys exceeds "
+                    f"{_DIRECTORY_BYTES} bytes"
                 )
-            with self._cond:
-                # Re-check under the lock: a publisher cannot notify between
-                # this get and the wait (notify needs the same lock), so a
-                # publish is either seen here or wakes the wait below.
-                if self._store.get((owner_rank, key)) is None:
-                    self._cond.wait(min(_WAIT_SLICE_S, remaining))
+            self._sequence += 1
+            self._arena[_HEADER.size : _HEADER.size + len(payload)] = payload
+            _HEADER.pack_into(self._arena, 0, self._sequence, len(payload))
+        if publish:
+            self._plane.wake()
+
+    def arena_stats(self) -> Dict[str, int]:
+        """Bytes of this rank's arena in use: live, live outside stream keys, peak, capacity."""
+        entries = list(self._entries.items())
+        return {
+            "live_bytes": sum(entry[1] for _, entry in entries),
+            "transient_bytes": sum(
+                entry[1] for key, entry in entries if not key.startswith(STREAM_KEY_PREFIX)
+            ),
+            "high_water_bytes": self._high_water,
+            "capacity_bytes": self._plane.capacity,
+        }
+
+    # -- reading any rank's directory and arena ----------------------------- #
+    def _lookup(self, owner_rank: int, key: str) -> Optional[_Entry]:
+        """``owner_rank``'s entry for ``key`` (call under its directory lock)."""
+        if owner_rank == self.rank:
+            return self._entries.get(key)
+        arena = self._plane.arenas[owner_rank]
+        sequence, length = _HEADER.unpack_from(arena, 0)
+        cached = self._directories[owner_rank]
+        if cached[0] != sequence:
+            entries = pickle.loads(arena[_HEADER.size : _HEADER.size + length])
+            cached = self._directories[owner_rank] = (sequence, entries)
+        return cached[1].get(key)
+
+    def _view(self, owner_rank: int, entry: _Entry) -> np.ndarray:
+        """Read-only zero-copy view of a published array in ``owner_rank``'s arena."""
+        offset, _, shape, dtype = entry
+        view = np.ndarray(
+            shape,
+            np.dtype(dtype),
+            buffer=self._plane.arenas[owner_rank],
+            offset=_DIRECTORY_BYTES + offset,
+        )
+        view.flags.writeable = False
+        return view
+
+    def _wait_view(self, owner_rank: int, key: str) -> np.ndarray:
+        entry = self._wait(
+            self._plane.directory_locks[owner_rank],
+            lambda: self._lookup(owner_rank, key),
+            f"rank {owner_rank} key {key!r}",
+        )
+        return self._view(owner_rank, entry)
+
+    # -- point-to-point ------------------------------------------------- #
+    def publish(self, key: str, array: np.ndarray) -> None:
+        self._rewrite(publish={key: np.asarray(array)})
 
     def fetch(
         self, owner_rank: int, key: str, rows: Optional[np.ndarray] = None, tag: str = "halo"
     ) -> np.ndarray:
-        array = self._wait_get(owner_rank, key)
-        out = array[np.asarray(rows)] if rows is not None else np.array(array, copy=True)
+        view = self._wait_view(owner_rank, key)
+        if rows is None:
+            out = np.array(view, copy=True)
+        else:
+            out = view[np.asarray(rows)]
+            if not out.flags.owndata:  # basic indexing returned a view of the arena
+                out = np.array(out, copy=True)
         if owner_rank != self.rank:
             self.stats.record_recv(out.nbytes, tag=tag)
         return out
 
     def unpublish(self, key: str) -> None:
-        self._store.pop((self.rank, key), None)
+        self._rewrite(drop=[key])
 
     def clear_published(self) -> None:
         # Keyed-stream payloads (background sampling frontiers) survive the
         # iteration-boundary sweep; they are reclaimed via release_keyed.
-        for store_key in list(self._store.keys()):
-            if store_key[0] == self.rank and not store_key[1].startswith(STREAM_KEY_PREFIX):
-                self._store.pop(store_key, None)
+        self._spent = []
+        self._rewrite(drop=[k for k in list(self._entries) if not k.startswith(STREAM_KEY_PREFIX)])
 
     # -- collectives ----------------------------------------------------- #
     def barrier(self) -> None:
-        try:
-            self._barrier.wait(timeout=self._timeout_s)
-        except Exception as exc:  # BrokenBarrierError (proxied) or timeout
-            self._check_abort()
-            raise WorkerFailedError(
-                f"rank {self.rank}: barrier broken or timed out (a worker died "
-                f"or exceeded the {self._timeout_s:.0f}s timeout)"
-            ) from exc
+        spent, self._spent = self._spent, []
+        words = self._plane.words
+        with self._held(self._plane.control_lock):
+            generation = words[_GENERATION]
+            words[_ARRIVED] += 1
+            last = words[_ARRIVED] == self.world_size
+            if last:
+                words[_ARRIVED] = 0
+                words[_GENERATION] = generation + 1
+        if last:
+            self._plane.wake()
+        else:
+            try:
+                self._wait(
+                    self._plane.control_lock,
+                    lambda: True if words[_GENERATION] != generation else None,
+                    "the barrier",
+                )
+            except TimeoutError as exc:
+                raise WorkerFailedError(
+                    f"rank {self.rank}: barrier timed out (a worker is stuck or "
+                    f"exceeded the {self._timeout_s:.0f}s timeout)"
+                ) from exc
+        if spent:  # every rank arrived, so every reader of these keys is done
+            self._rewrite(drop=spent)
 
     def exchange(
         self, key: str, outgoing: Dict[int, np.ndarray], tag: str = "exchange"
     ) -> Dict[int, np.ndarray]:
-        """All-to-all over the store: one write and one pop-read per peer.
+        """All-to-all through the arenas: one publish per call, one read per peer.
 
-        Each rank's payload for a peer is written once under a per-call
-        unique prefix; after a single barrier the receiver *pops* the entries
-        addressed to it, so the read doubles as cleanup and the old
-        second barrier (which only guarded a cleanup sweep) is gone.  The
-        per-call counter advances identically on every rank, so a slow
-        reader can never collide with the next call's entries.
+        Each rank's payloads go into its own arena under a per-call unique
+        prefix (one directory write for all destinations); after a single
+        barrier every receiver copies out the entry addressed to it.  A
+        receiver never touches the sender's directory: the **sender** reclaims
+        its slots, once it has passed its next barrier (by then every peer
+        has finished this call) or at ``clear_published``.  The per-call
+        counter advances identically on every rank, so a slow reader can
+        never collide with the next call's entries.
         """
         self._exchange_counter += 1
         prefix = f"__xchg/{self._exchange_counter}/{key}"
         received: Dict[int, np.ndarray] = {}
+        slots: Dict[str, np.ndarray] = {}
         for dest, array in outgoing.items():
             if not 0 <= dest < self.world_size:
                 raise ValueError(f"exchange destination {dest} out of range")
@@ -206,41 +447,52 @@ class MultiprocessCommunicator(Communicator):
             if dest == self.rank:
                 received[self.rank] = np.array(array, copy=True)
                 continue
-            self._store[(self.rank, f"{prefix}/to{dest}")] = array
+            slots[f"{prefix}/to{dest}"] = array
             self.stats.record_send(array.nbytes, tag=tag)
+        if slots:
+            self._rewrite(publish=slots)
         self.barrier()
+        self._spent.extend(slots)
         for sender in range(self.world_size):
             if sender == self.rank:
                 continue
-            value = self._store.pop((sender, f"{prefix}/to{self.rank}"), None)
-            if value is None:
+            with self._held(self._plane.directory_locks[sender]):
+                entry = self._lookup(sender, f"{prefix}/to{self.rank}")
+            if entry is None:
                 continue
-            received[sender] = np.array(value, copy=True)
+            received[sender] = np.array(self._view(sender, entry), copy=True)
             self.stats.record_recv(received[sender].nbytes, tag=tag)
         return received
 
-    def allreduce(self, array: np.ndarray, op: str = "sum", tag: str = "allreduce") -> np.ndarray:
-        array = np.asarray(array)
+    def _publish_collective(self, array: np.ndarray) -> str:
+        """Publish one collective's contribution; the next barrier reclaims it."""
         self._collective_counter += 1
         key = f"__coll/{self._collective_counter}"
-        self._put_and_notify((self.rank, key), array)
-        contributions = [self._wait_get(r, key) for r in range(self.world_size)]
+        self._rewrite(publish={key: array})
+        self._spent.append(key)
+        return key
+
+    def allreduce(self, array: np.ndarray, op: str = "sum", tag: str = "allreduce") -> np.ndarray:
+        array = np.asarray(array)
+        key = self._publish_collective(array)
+        contributions = [
+            array if r == self.rank else self._wait_view(r, key) for r in range(self.world_size)
+        ]
         result = reduce_arrays(contributions, op).astype(array.dtype, copy=False)
         ring_bytes = int(2 * array.nbytes * (self.world_size - 1) / max(self.world_size, 1))
         self.stats.record_send(ring_bytes, tag=tag)
         self.stats.record_recv(ring_bytes, tag=tag)
         self.barrier()
-        self._store.pop((self.rank, key), None)
         return result
 
     def allgather(self, array: np.ndarray, tag: str = "allgather") -> List[np.ndarray]:
         array = np.asarray(array)
-        self._collective_counter += 1
-        key = f"__coll/{self._collective_counter}"
-        self._put_and_notify((self.rank, key), array)
-        gathered = [np.array(self._wait_get(r, key), copy=True) for r in range(self.world_size)]
+        key = self._publish_collective(array)
+        gathered = [
+            np.array(array if r == self.rank else self._wait_view(r, key), copy=True)
+            for r in range(self.world_size)
+        ]
         self.barrier()
-        self._store.pop((self.rank, key), None)
         return gathered
 
 
@@ -254,16 +506,19 @@ _STOP_GRACE_S = 2.0
 
 
 def portable(payload: Any) -> Any:
-    """Make a response payload cheap and safe to ship through an mp queue.
+    """Make a job or response payload cheap and safe to ship between processes.
 
-    Queue transport pickles every payload; a non-contiguous array (a slice,
-    a transpose) pickles through a private copy anyway, so taking the
-    contiguous copy *here* keeps the feeder thread from doing it and makes
-    the cost explicit at the call site.  Tuples/lists/dicts are walked;
-    everything else is returned untouched (and must be picklable).
+    The request queues and response pipes pickle every payload; a
+    non-contiguous array (a slice, a transpose) pickles through a private
+    copy anyway, so taking the contiguous copy *here* — once, not once per
+    rank, and not on a queue's feeder thread — makes the cost explicit at
+    the call site.  Tuples/lists/dicts are walked; everything else is
+    returned untouched (and must be picklable).
     """
     if isinstance(payload, np.ndarray):
-        return np.ascontiguousarray(payload)
+        # (an already contiguous array is kept as is — ascontiguousarray
+        # would also promote a 0-d array to 1-d)
+        return payload if payload.flags.c_contiguous else np.ascontiguousarray(payload)
     if isinstance(payload, tuple):
         return tuple(portable(item) for item in payload)
     if isinstance(payload, list):
@@ -276,9 +531,7 @@ def portable(payload: Any) -> Any:
 def _service_worker(
     rank: int,
     world_size: int,
-    store,
-    barrier,
-    condition,
+    plane: _SharedPlane,
     requests,
     responses,
     service_factory,
@@ -290,20 +543,18 @@ def _service_worker(
     stores, caches — collective construction is fine: every worker runs it
     concurrently) and returns a ``handler(kind, payload)`` callable.  The
     loop then answers ``(kind, job_id, payload)`` requests until the stop
-    sentinel arrives.  A handler exception poisons the cluster before the
+    sentinel arrives.  A handler exception aborts the cluster before the
     error response is posted, so peers blocked in the failed job's
     collectives unblock within one wait slice instead of timing out.
     """
-    comm = MultiprocessCommunicator(
-        rank, world_size, store, barrier, condition, timeout_s=timeout_s
-    )
+    comm = MultiprocessCommunicator(rank, world_size, plane, timeout_s=timeout_s)
     try:
         handler = service_factory(rank, comm)
     except BaseException as exc:  # noqa: BLE001 - report to parent, unblock peers
-        _poison_cluster(store, barrier, condition, f"rank {rank} failed to initialize: {exc!r}")
-        responses.put((rank, _INIT_JOB, "error", repr(exc)))
+        plane.abort(f"rank {rank} failed to initialize: {exc!r}")
+        responses.send((rank, _INIT_JOB, "error", repr(exc)))
         return
-    responses.put((rank, _INIT_JOB, "ok", None))
+    responses.send((rank, _INIT_JOB, "ok", None))
     while True:
         kind, job_id, payload = requests.get()
         if kind == _STOP_KIND:
@@ -315,12 +566,10 @@ def _service_worker(
         try:
             result = handler(kind, payload)
         except BaseException as exc:  # noqa: BLE001 - keep the loop alive
-            _poison_cluster(
-                store, barrier, condition, f"rank {rank} failed on job {job_id}: {exc!r}"
-            )
-            responses.put((rank, job_id, "error", repr(exc)))
+            plane.abort(f"rank {rank} failed on job {job_id}: {exc!r}")
+            responses.send((rank, job_id, "error", repr(exc)))
             continue
-        responses.put((rank, job_id, "ok", portable(result)))
+        responses.send((rank, job_id, "ok", portable(result)))
 
 
 class MultiprocessServiceCluster:
@@ -328,32 +577,36 @@ class MultiprocessServiceCluster:
 
     The one process driver of this backend: :func:`run_multiprocess` uses it
     for a single job, the ``"mp"`` serving backend for an open-ended stream
-    of small ones.  Workers build their state once (``service_factory``)
-    and then answer requests:
+    of small ones.  :meth:`start` maps the shared data plane
+    (:class:`_SharedPlane`), then forks; workers build their state once
+    (``service_factory``) and then answer requests:
 
     * every worker gets its own request queue; :meth:`request` posts one
       ``(kind, payload)`` job to **all** of them and blocks until every rank
-      responded (responses cross one shared queue, matched by job id);
+      responded (each rank answers on a pipe of its own, written from its
+      main thread and guarded by no lock — a rank cannot die holding up
+      another rank's answer; responses are matched by job id);
     * while waiting, the parent polls ``Process.is_alive`` alongside the
       response queue — a worker that dies without responding fails the job
-      with :class:`WorkerFailedError` naming the dead rank, after poisoning
+      with :class:`WorkerFailedError` naming the dead rank, after aborting
       the cluster so surviving workers blocked in the dead job's collectives
       unblock promptly (no hang);
     * a poisoned cluster fails every later :meth:`request` immediately;
       :meth:`stop` remains the only teardown path and always reaps: stop
       sentinels first, then join, then terminate -> kill stragglers, then
-      the Manager process itself — no child outlives it.
+      the parent's mappings are closed — the workers are the only children,
+      and none outlives it.
 
-    Requires the ``fork`` start method: workers inherit the factory's
-    captured state (model, shards, feature matrices) by address-space copy
-    instead of pickling.  Request/response payloads *do* cross a pickling
-    queue — keep them to the per-job data (seed ids, logit rows, state
-    dicts).
+    Requires the ``fork`` start method: workers inherit the shared mappings
+    and the factory's captured state (model, shards, feature matrices) by
+    address-space copy instead of pickling.  Request/response payloads *do*
+    cross a pickling queue — keep them to the per-job data (seed ids, logit
+    rows, state dicts).
     """
 
     #: workers hold forked snapshots: parent-side mutations (model weights,
     #: feature stores) must be shipped to them as request payloads.
-    shared_memory = False
+    shares_address_space = False
 
     def __init__(
         self,
@@ -369,12 +622,9 @@ class MultiprocessServiceCluster:
         self._service_factory = service_factory
         self._timeout_s = timeout_s
         self._lock = threading.Lock()
-        self._manager = None
-        self._store = None
-        self._barrier = None
-        self._condition = None
+        self._plane: Optional[_SharedPlane] = None
         self._requests: List[Any] = []
-        self._responses = None
+        self._responses: List[Any] = []
         self._processes: List[mp.process.BaseProcess] = []
         self._job_counter = _INIT_JOB
         self._started = False
@@ -383,33 +633,29 @@ class MultiprocessServiceCluster:
 
     # -- lifecycle -------------------------------------------------------- #
     def start(self) -> "MultiprocessServiceCluster":
-        """Fork the workers and wait for every rank's startup ack."""
+        """Map the data plane, fork the workers, wait for every rank's startup ack."""
         if self._started:
             raise RuntimeError("cluster is already started")
         if "fork" not in mp.get_all_start_methods():
             raise RuntimeError(
                 "MultiprocessServiceCluster requires the 'fork' start method "
-                "(workers inherit the service state by address-space copy); "
-                "this platform does not support fork"
+                "(workers inherit the data plane and the service state by "
+                "address-space copy); this platform does not support fork"
             )
         ctx = mp.get_context("fork")
-        self._manager = mp.Manager()
-        self._store = self._manager.dict()
-        self._barrier = self._manager.Barrier(self.world_size)
-        self._condition = self._manager.Condition()
+        self._plane = _SharedPlane(ctx, self.world_size)
         self._requests = [ctx.Queue() for _ in range(self.world_size)]
-        self._responses = ctx.Queue()
+        pipes = [ctx.Pipe(duplex=False) for _ in range(self.world_size)]
+        self._responses = [reader for reader, _ in pipes]
         self._processes = [
             ctx.Process(
                 target=_service_worker,
                 args=(
                     rank,
                     self.world_size,
-                    self._store,
-                    self._barrier,
-                    self._condition,
+                    self._plane,
                     self._requests[rank],
-                    self._responses,
+                    pipes[rank][1],
                     self._service_factory,
                     self._timeout_s,
                 ),
@@ -421,6 +667,8 @@ class MultiprocessServiceCluster:
         self._started = True
         for process in self._processes:
             process.start()
+        for _, writer in pipes:
+            writer.close()  # the workers hold the write ends now
         try:
             self._collect(_INIT_JOB)
         except BaseException:
@@ -451,9 +699,12 @@ class MultiprocessServiceCluster:
             if process.is_alive():  # pragma: no cover - terminate ignored
                 process.kill()
                 process.join(timeout=5.0)
-        if self._manager is not None:
-            self._manager.shutdown()
-            self._manager = None
+        # With the workers gone a request still in flight fails within a
+        # poll; wait it out so the plane is not unmapped under its abort.
+        with self._lock:
+            self._plane.close()
+            for reader in self._responses:
+                reader.close()
 
     # -- introspection ---------------------------------------------------- #
     @property
@@ -492,8 +743,9 @@ class MultiprocessServiceCluster:
                 )
             self._job_counter += 1
             job_id = self._job_counter
+            payload = portable(payload)
             for requests in self._requests:
-                requests.put((kind, job_id, portable(payload)))
+                requests.put((kind, job_id, payload))
             return self._collect(job_id)
 
     def inject_crash(self, rank: int) -> None:
@@ -529,15 +781,18 @@ class MultiprocessServiceCluster:
                 deadline = min(deadline, time.monotonic() + _ABORT_GRACE_S)
 
         def _drain_one() -> bool:
-            try:
-                rank, jid, status, payload = self._responses.get(timeout=_POLL_S)
-            except queue_mod.Empty:
-                return False
-            if jid == job_id:
-                _record(rank, status, payload)
-            # Stale responses (an aborted earlier job's stragglers) are
-            # dropped: their job already raised in the parent.
-            return True
+            drained = False
+            for reader in mp.connection.wait(self._responses, timeout=_POLL_S):
+                try:
+                    rank, jid, status, payload = reader.recv()
+                except EOFError:  # every holder of the write end is dead
+                    continue
+                drained = True
+                if jid == job_id:
+                    _record(rank, status, payload)
+                # Stale responses (an aborted earlier job's stragglers) are
+                # dropped: their job already raised in the parent.
+            return drained
 
         while len(reported) < self.world_size:
             if _drain_one():
@@ -558,8 +813,8 @@ class MultiprocessServiceCluster:
             ]
             if not crashed:
                 continue
-            # A dead rank's response may still be in flight through the
-            # queue feeder — drain once more before declaring it crashed.
+            # The rank may have answered and then exited since the last
+            # drain — look once more before declaring it crashed.
             if _drain_one():
                 continue
             for rank in crashed:
@@ -577,7 +832,7 @@ class MultiprocessServiceCluster:
     def _poison(self, message: str) -> None:
         if self._failure is None:
             self._failure = message
-        _poison_cluster(self._store, self._barrier, self._condition, message)
+        self._plane.abort(message)
 
     def __enter__(self) -> "MultiprocessServiceCluster":
         return self.start()

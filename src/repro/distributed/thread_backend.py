@@ -278,7 +278,7 @@ class ThreadServiceCluster:
 
     #: workers see the caller's objects live: a mutation made between jobs
     #: (model weights, a shared feature store) needs no shipping.
-    shared_memory = True
+    shares_address_space = True
 
     def __init__(self, service_factory: Callable[[int, Communicator], Callable],
                  world_size: int, timeout_s: float = _DEFAULT_TIMEOUT_S,

@@ -13,15 +13,16 @@ same class over different transports:
   worker thread each, exact byte-level ``CommStats`` accounting.
 * :class:`ShardExecutor` over a :class:`~repro.distributed.mp_backend.
   MultiprocessServiceCluster` (``backend="mp"``) — the same shards in forked
-  worker processes: no shared GIL, crash containment, real serialization.
+  worker processes: no shared GIL, crash containment, activations exchanged
+  through shared-memory arenas.
 
 Both shard transports run one :class:`ShardWorker` per shard — the shard's
 :class:`~repro.core.dist_graph.DistributedGraph`, feature store and
 embedding cache behind a ``worker(kind, payload)`` request handler — and
 differ only in what the cluster object is: whether a job crosses a thread
-queue or a pickling process queue, and (``cluster.shared_memory``) whether
-the workers see the parent's model and feature store live or hold forked
-snapshots that mutations must be shipped to.
+queue or a pickling process queue, and (``cluster.shares_address_space``)
+whether the workers see the parent's model and feature store live or hold
+forked snapshots that mutations must be shipped to.
 
 Every served row is **bit-identical** to the eval-mode full-graph forward on
 every executor: compacted and restricted blocks keep each destination's
@@ -444,7 +445,7 @@ class ShardExecutor:
     def compute(self, seeds: np.ndarray):
         spec = self._spec
         if (
-            not self.cluster.shared_memory
+            not self.cluster.shares_address_space
             and isinstance(spec, FeatureStore)
             and spec.version != self._spec_version_shipped
         ):
@@ -472,7 +473,7 @@ class ShardExecutor:
         if apply_fn is not None:
             apply_fn(self.model)
             self.model.eval()
-            if not self.cluster.shared_memory:
+            if not self.cluster.shares_address_space:
                 state_dict = self.model.state_dict()
         self.cluster.request("update", state_dict)
 

@@ -1,0 +1,201 @@
+"""One communicator contract, checked on both backends.
+
+A fixed script of every :class:`~repro.distributed.comm.Communicator`
+primitive runs on the thread backend and on forked processes at world sizes
+1/2/3; the two must return equal values and account equal bytes.  The
+mp-only tests below pin what the shared-memory data plane adds: a publish
+is a snapshot, only the owner can write its arena, and freed arena space is
+reused instead of creeping.
+"""
+
+import multiprocessing as mp
+
+import numpy as np
+import pytest
+
+from repro.distributed.cluster import run_distributed
+from repro.distributed.comm import STREAM_KEY_PREFIX
+from repro.distributed.mp_backend import run_multiprocess
+
+pytestmark = pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(),
+    reason="the mp backend requires the fork start method",
+)
+
+_DTYPES = ("float32", "float64", "int64", "bool")
+
+
+def _matrix(rank, dtype):
+    return (np.arange(24).reshape(6, 4) % 5 + rank).astype(dtype)
+
+
+def _contract_script(rank, comm, *, mutate_sources):
+    """Every primitive once or more; returns ``(values, received_by_tag, sent_by_tag)``."""
+    ws = comm.world_size
+    peer = (rank + 1) % ws
+    values = {}
+
+    # publish / fetch(rows) / fetch() / unpublish, per dtype
+    for dtype in _DTYPES:
+        source = _matrix(rank, dtype)
+        comm.publish(f"m/{dtype}", source)
+        if mutate_sources:  # a publish is a snapshot: peers must still see the original
+            source[...] = 0
+        rows = comm.fetch(peer, f"m/{dtype}", rows=np.array([4, 0, 4]), tag=f"rows/{dtype}")
+        whole = comm.fetch(peer, f"m/{dtype}", tag=f"whole/{dtype}")
+        values[f"rows/{dtype}"], values[f"whole/{dtype}"] = rows.copy(), whole.copy()
+        # a fetched result is the caller's own: scribbling on it changes
+        # nothing a second fetch sees
+        for fetched in (rows, whole):
+            assert fetched.flags.writeable and fetched.flags.owndata
+            fetched[...] = 1
+        values[f"again/{dtype}"] = comm.fetch(peer, f"m/{dtype}", tag=f"again/{dtype}")
+        comm.barrier()  # every reader is done
+        comm.unpublish(f"m/{dtype}")
+
+    # zero-row and 0-d arrays
+    comm.publish("empty", np.zeros((0, 4), dtype=np.float32))
+    comm.publish("scalar", np.asarray(3.5 + rank))
+    comm.publish("block", _matrix(rank, "float64"))
+    values["empty"] = comm.fetch(peer, "empty", tag="empty")
+    values["scalar"] = comm.fetch(peer, "scalar", tag="scalar")
+    values["no_rows"] = comm.fetch(peer, "block", rows=np.zeros(0, dtype=np.int64), tag="no_rows")
+    comm.barrier()
+    comm.clear_published()
+
+    # collectives
+    values["allgather"] = comm.allgather(np.arange(rank + 1, dtype=np.int64), tag="ag")
+    values["allgather_0d"] = comm.allgather(np.asarray(float(rank)), tag="ag")
+    for op in ("sum", "max", "min", "mean"):
+        for dtype in ("float32", "float64", "int64"):
+            values[f"allreduce/{op}/{dtype}"] = comm.allreduce(
+                _matrix(rank, dtype)[:2], op=op, tag=f"ar/{op}"
+            )
+
+    # exchange: self-delivery, an absent destination, an empty payload
+    outgoing = {rank: np.full(2, rank, dtype=np.float32), peer: _matrix(rank, "float64")}
+    if ws == 3:
+        outgoing[(rank + 2) % ws] = np.zeros((0, 3), dtype=np.int64)
+    outgoing.pop(0, None)  # nobody sends to rank 0
+    received = comm.exchange("x", outgoing, tag="xchg")
+    values["exchange"] = [received[sender] for sender in sorted(received)]
+    values["exchange_senders"] = np.asarray(sorted(received), dtype=np.int64)
+
+    # keyed allgathers: barrier-free, payload held until released
+    for step in range(2):
+        values[f"keyed/{step}"] = comm.allgather_keyed(
+            f"k/{step}", np.arange(step + rank + 1, dtype=np.int64), tag="keyed"
+        )
+    comm.barrier()
+    for step in range(2):
+        comm.release_keyed(f"k/{step}")
+    return values, dict(comm.stats.received_by_tag), dict(comm.stats.sent_by_tag)
+
+
+def _assert_same(a, b, where):
+    if isinstance(a, list):
+        assert len(a) == len(b), where
+        for index, (x, y) in enumerate(zip(a, b)):
+            _assert_same(x, y, f"{where}[{index}]")
+        return
+    assert a.dtype == b.dtype and a.shape == b.shape, where
+    np.testing.assert_array_equal(a, b, err_msg=where)
+
+
+@pytest.mark.parametrize("world_size", [1, 2, 3])
+def test_thread_and_mp_backends_agree(world_size):
+    threads = run_distributed(_contract_script, world_size, mutate_sources=False).results
+    processes = run_multiprocess(
+        _contract_script, world_size, timeout_s=120, mutate_sources=True
+    )
+    for rank, (thread, process) in enumerate(zip(threads, processes)):
+        values, received, sent = thread
+        mp_values, mp_received, mp_sent = process
+        assert values.keys() == mp_values.keys()
+        for name in values:
+            _assert_same(values[name], mp_values[name], f"rank {rank} {name}")
+        peer = (rank + 1) % world_size
+        for dtype in _DTYPES:  # snapshots of the peer's *original* matrix, unscribbled
+            np.testing.assert_array_equal(mp_values[f"whole/{dtype}"], _matrix(peer, dtype))
+            np.testing.assert_array_equal(mp_values[f"again/{dtype}"], _matrix(peer, dtype))
+            np.testing.assert_array_equal(mp_values[f"rows/{dtype}"],
+                                          _matrix(peer, dtype)[[4, 0, 4]])
+        # Bytes: the mp backend moves exactly what it accounts (rows, not
+        # the whole published array), so the received side matches the
+        # thread backend tag for tag.  One known gap, older than the shared
+        # arenas and left alone so the benchmark's wire counters do not
+        # move: plain allgather is unaccounted across processes.
+        gathered = received.pop("ag", 0)
+        assert gathered == (world_size > 1) * sum(
+            8 * (q + 1) + 8 for q in range(world_size) if q != rank
+        )
+        assert "ag" not in mp_received
+        assert received == mp_received
+        # A process cannot bump its peer's counters, so fetches are
+        # sender-accounted on threads only; what a rank itself sends agrees.
+        for tag in ["xchg"] + [f"ar/{op}" for op in ("sum", "max", "min", "mean")]:
+            assert sent.get(tag) == mp_sent.get(tag), tag
+
+
+def _readonly_view_worker(rank, comm):
+    comm.publish("mine", np.ones((3, 2)))
+    view = comm._wait_view((rank + 1) % comm.world_size, "mine")
+    try:
+        view[...] = 7.0
+    except ValueError:
+        refused = True
+    else:
+        refused = False
+    comm.barrier()
+    return refused and not view.flags.writeable and float(comm.fetch(rank, "mine").sum()) == 6.0
+
+
+def test_only_the_owner_can_write_its_arena():
+    assert run_multiprocess(_readonly_view_worker, world_size=2, timeout_s=120) == [True, True]
+
+
+_MAX_ROWS = 501
+
+
+def _churn_worker(rank, comm):
+    ws = comm.world_size
+    peers = [q for q in range(ws) if q != rank]
+    persistent = np.full((64, 8), float(rank))
+    comm.publish(STREAM_KEY_PREFIX + "persistent", persistent)
+    for step in range(200):
+        payload = np.full((1 + step * 37 % _MAX_ROWS, 8), float(rank + step))
+        kind = step % 4
+        if kind == 0:
+            gathered = comm.allgather(payload)
+            assert [float(g[0, 0]) for g in gathered] == [float(q + step) for q in range(ws)]
+        elif kind == 1:
+            total = comm.allreduce(payload)
+            assert float(total[0, 0]) == sum(q + step for q in range(ws))
+        elif kind == 2:
+            received = comm.exchange(f"e{step}", {q: payload for q in peers})
+            assert sorted(received) == peers
+            assert all(float(received[q][0, 0]) == q + step for q in peers)
+        else:
+            comm.publish("step", payload)
+            assert float(comm.fetch(peers[0], "step", rows=np.array([0]))[0, 0]) == peers[0] + step
+            comm.barrier()
+            comm.unpublish("step")
+    comm.barrier()  # the last exchange's slots are reclaimed once every reader passed
+    kept = comm.fetch(peers[0], STREAM_KEY_PREFIX + "persistent")
+    return comm.arena_stats(), float(kept[0, 0])
+
+
+def test_arena_space_is_reused_not_leaked():
+    # 200 mixed collectives with payloads from 64 B to 32 KB: nothing
+    # transient stays live, and the arena never grew past a small multiple
+    # of the biggest step (an exchange: one max payload per peer) on top of
+    # the persistent stream publish — first-fit reuse works, nothing creeps.
+    results = run_multiprocess(_churn_worker, world_size=3, timeout_s=120)
+    biggest_step = 2 * _MAX_ROWS * 8 * 8
+    persistent = 64 * 8 * 8
+    for rank, (stats, kept) in enumerate(results):
+        assert kept == (1.0 if rank == 0 else 0.0)  # the first peer's persistent rows
+        assert stats["transient_bytes"] == 0
+        assert stats["live_bytes"] == persistent
+        assert persistent < stats["high_water_bytes"] <= persistent + 3 * biggest_step
+        assert stats["high_water_bytes"] < stats["capacity_bytes"]

@@ -8,6 +8,7 @@ that the parent never hangs or leaks children when a worker fails.
 
 import multiprocessing as mp
 import os
+import threading
 import time
 
 import numpy as np
@@ -15,6 +16,8 @@ import pytest
 
 from repro.core import SARConfig
 from repro.datasets import make_sbm_dataset
+from repro.distributed import mp_backend
+from repro.distributed.cluster import run_distributed
 from repro.distributed.comm import STREAM_KEY_PREFIX
 from repro.distributed.mp_backend import (
     MultiprocessServiceCluster,
@@ -112,6 +115,28 @@ def _sampled_training_worker(rank, comm, shard, *, config, sampling,
     return [r.loss for r in out["records"]]
 
 
+def _gat_model(dim, num_classes=4):
+    from repro.nn.models import GATNet
+
+    with temp_seed(0):
+        return GATNet(dim, 8, num_classes, num_layers=2, num_heads=2,
+                      dropout=0.0, use_batch_norm=True)
+
+
+def _sar_gat_training_worker(rank, comm, shard, *, config, feature_dim, num_classes):
+    from repro.training.trainer import distributed_train_worker
+
+    out = distributed_train_worker(
+        rank, comm, shard,
+        model_factory=_gat_model,
+        feature_dim=feature_dim,
+        num_classes=num_classes,
+        config=config,
+        sar_config=SARConfig("sar"),
+    )
+    return [r.loss for r in out["records"]], dict(comm.stats.received_by_tag)
+
+
 def _failing_worker(rank, comm):
     if rank == 1:
         raise ValueError("mp boom")
@@ -138,12 +163,84 @@ def _sleeping_worker(rank, comm):
     return True
 
 
+def _dies_holding_control_lock_worker(rank, comm):
+    if rank == 1:
+        comm._plane.control_lock.acquire()  # the lock every barrier arrival takes
+        os._exit(6)
+    comm.barrier()
+    return True
+
+
+def _dies_holding_directory_lock_worker(rank, comm):
+    if rank == 1:
+        comm._plane.directory_locks[1].acquire()  # as if killed mid-publish
+        os._exit(7)
+    return float(comm.fetch(1, "half-published")[0])
+
+
+def _dies_inside_barrier_worker(rank, comm):
+    if rank == 1:
+        threading.Timer(0.3, os._exit, (8,)).start()
+        comm.barrier()  # parked here, counted as arrived, when the timer fires
+    time.sleep(1.0)
+    comm.barrier()  # completes on the dead rank's arrival
+    comm.barrier()  # ...and this one never can
+    return True
+
+
+def _dies_between_publish_and_wake_worker(rank, comm):
+    if rank == 1:
+        comm._plane.wake = lambda: os._exit(9)
+        time.sleep(0.3)  # rank 0 is parked on the key by now
+        comm.publish("unannounced", np.ones(2))
+    got = float(comm.fetch(1, "unannounced")[0])  # found on the next wait slice
+    comm.barrier()
+    return got
+
+
+def _raises_after_publishing_worker(rank, comm):
+    comm.publish("last-words", np.full(2, float(rank)))
+    if rank == 1:
+        raise ValueError("mp boom after publish")
+    got = float(comm.fetch(1, "last-words")[0])
+    comm.barrier()
+    return got
+
+
+#: the arena capacity the "publish_exceeds_arena" fault runs under
+_TINY_ARENA_BYTES = 1 << 16
+
+
+def _oversized_publish_worker(rank, comm):
+    if rank == 1:
+        comm.publish("too-big", np.zeros(2 * _TINY_ARENA_BYTES, dtype=np.uint8))
+    comm.barrier()
+    return True
+
+
 #: failure mode -> (job body failing on rank 1, what the parent's error names)
 _FAULTS = {
     "raise": (_failing_worker, "mp boom"),
     "silent_death": (_dying_worker, r"rank 1: worker process died without posting"),
     "peer_blocked_in_fetch": (_dying_peer_fetch_worker, "rank 1"),
     "timeout": (_sleeping_worker, r"timed out after 2s waiting for ranks \[1\]"),
+    # a rank can die holding any of the data plane's cross-process locks or
+    # parked on its doorbell; nothing may wait on it for more than a slice
+    "dies_holding_control_lock": (
+        _dies_holding_control_lock_worker, r"rank 1: worker process died .*exitcode 6"),
+    "dies_holding_directory_lock": (
+        _dies_holding_directory_lock_worker, r"rank 1: worker process died .*exitcode 7"),
+    "dies_inside_barrier": (
+        _dies_inside_barrier_worker, r"rank 1: worker process died .*exitcode 8"),
+    "dies_between_publish_and_wake": (
+        _dies_between_publish_and_wake_worker, r"rank 1: worker process died .*exitcode 9"),
+    "raises_after_publishing": (_raises_after_publishing_worker, "rank 1: .*boom after publish"),
+    "publish_exceeds_arena": (
+        _oversized_publish_worker,
+        rf"rank 1: MemoryError\(\"rank 1: cannot publish 'too-big' "
+        rf"\({2 * _TINY_ARENA_BYTES} bytes\): the arena holds \d+ live bytes "
+        rf"of {_TINY_ARENA_BYTES}",
+    ),
 }
 
 
@@ -190,6 +287,32 @@ class TestMultiprocessBackend:
         stitched = book.scatter_to_global([r[0] for r in results])
         expected = np.asarray(graph.adjacency(normalization="mean") @ z_full)
         np.testing.assert_allclose(stitched, expected, rtol=1e-3, atol=1e-3)
+
+    def test_sar_gat_training_epoch_matches_thread_backend(self):
+        # The paper's path on real processes: one full-batch SAR epoch of a
+        # GAT (a case-2 aggregator: forward halo fetch, backward re-fetch,
+        # error exchange, gradient allreduce) trains to the same loss over
+        # the shared-memory plane as over threads, and moves the same bytes.
+        dataset = make_sbm_dataset(
+            name="mp-sar-gat", num_nodes=120, num_classes=4, feature_dim=8,
+            p_in=0.12, p_out=0.01, noise=1.5,
+            train_frac=0.5, val_frac=0.2, test_frac=0.3, seed=5,
+        )
+        dataset.attach_to_graph()
+        config = TrainingConfig(num_epochs=1, lr=0.05, eval_every=0, seed=0)
+        book = PartitionBook(partition_graph(dataset.graph, 2, seed=0), 2)
+        shards = create_shards(dataset.graph, book)
+        kwargs = dict(config=config, feature_dim=dataset.feature_dim,
+                      num_classes=dataset.num_classes)
+        threads = run_distributed(
+            _sar_gat_training_worker, 2, worker_args=shards, **kwargs).results
+        processes = run_multiprocess(
+            _sar_gat_training_worker, world_size=2, worker_args=shards, timeout_s=120, **kwargs)
+        for (losses, received), (mp_losses, mp_received) in zip(threads, processes):
+            np.testing.assert_allclose(mp_losses[-1], losses[-1], rtol=0, atol=1e-6)
+            for tag in ("forward_halo", "backward_refetch", "backward_error", "grad_sync"):
+                assert received[tag] > 0
+                assert mp_received[tag] == received[tag], tag
 
     def test_stream_keys_survive_clear_published(self):
         results = run_multiprocess(_stream_keys_survive_clear_worker, world_size=2,
@@ -262,27 +385,62 @@ class TestMultiprocessBackend:
         _assert_no_children()
 
     @pytest.mark.parametrize("fault", sorted(_FAULTS))
-    def test_long_lived_cluster_fault_matrix(self, fault):
+    def test_long_lived_cluster_fault_matrix(self, fault, monkeypatch):
         # The failure contract of run_multiprocess (the four tests above) is
         # the cluster's: the same faults on a cluster that stays up between
         # jobs, as serving uses it.
         worker, message = _FAULTS[fault]
+        if fault == "publish_exceeds_arena":
+            # the capacity rule is derived from the machine; shrinking it is
+            # a test seam, not a setting
+            monkeypatch.setattr(mp_backend, "_arena_capacity", lambda world: _TINY_ARENA_BYTES)
 
         def factory(rank, comm):
             jobs = {"healthy": _collective_worker, "fault": worker}
             return lambda kind, payload: jobs[kind](rank, comm)
 
-        start = time.monotonic()
         timeout_s = 2 if fault == "timeout" else 120
         with MultiprocessServiceCluster(factory, 2, timeout_s=timeout_s) as cluster:
             assert len(cluster.request("healthy")) == 2
+            assert len(mp.active_children()) == 2  # the workers and nothing else
+            start = time.monotonic()
             with pytest.raises(WorkerFailedError, match=message):
                 cluster.request("fault")
+            # the survivor reported (unblocked by the abort) long before the
+            # cluster timeout, or the parent would still be waiting for it
+            assert time.monotonic() - start < 10
             # poisoned: later jobs fail at once instead of reaching dead workers
             with pytest.raises(WorkerFailedError, match="poisoned"):
                 cluster.request("healthy")
-        assert time.monotonic() - start < 60
         _assert_no_children()
+
+    def test_start_stop_cycles_leak_nothing(self, monkeypatch):
+        # The arenas are anonymous mappings: no name, no /dev/shm entry, no
+        # descriptor.  Twenty clusters — healthy, crashed holding a lock,
+        # out of arena — leave the parent exactly as they found it.
+        monkeypatch.setattr(mp_backend, "_arena_capacity", lambda world: _TINY_ARENA_BYTES)
+
+        def shm_entries():
+            return sorted(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else []
+
+        def cycle(fault):
+            try:
+                run_multiprocess(_FAULTS[fault][0] if fault else _collective_worker, 2,
+                                 timeout_s=120)
+            except WorkerFailedError:
+                assert fault
+            else:
+                assert not fault
+            _assert_no_children()
+
+        faults = [None, "silent_death", "dies_holding_directory_lock", "publish_exceeds_arena"]
+        for fault in faults:  # first uses settle lazy imports and allocator state
+            cycle(fault)
+        entries, descriptors = shm_entries(), len(os.listdir("/proc/self/fd"))
+        for index in range(20):
+            cycle(faults[index % len(faults)])
+        assert shm_entries() == entries
+        assert len(os.listdir("/proc/self/fd")) == descriptors
 
     def test_worker_args_length_validated(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ The subsystem contract under test (``repro.serving.ShardExecutor`` over
   predict with :class:`~repro.distributed.mp_backend.WorkerFailedError`
   naming the dead rank — promptly (no hang: the frontend polls
   ``Process.is_alive``), and ``stop()`` still reaps everything: no child
-  process (workers or the Manager) outlives the server.
+  process outlives the server.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import make_sbm_dataset
+from repro.distributed import mp_backend
 from repro.distributed.mp_backend import (
     MultiprocessServiceCluster,
     WorkerFailedError,
@@ -51,9 +52,9 @@ _NO_HANG_S = 60.0
 
 @pytest.fixture
 def dataset():
-    # Smaller than the thread-backend fixture: inter-worker traffic crosses
-    # a Manager process here, so the graph stays compact to keep the suite
-    # quick while still spanning 2 partitions with real halo edges.
+    # Smaller than the thread-backend fixture: every server here forks two
+    # processes, so the graph stays compact to keep the suite quick while
+    # still spanning 2 partitions with real halo edges.
     return make_sbm_dataset(
         name="mp-serving-sbm",
         num_nodes=120,
@@ -91,8 +92,9 @@ def _reference_logits(model, graph, features):
 
 
 def _assert_no_leaked_children():
-    # The cluster's workers and its Manager process are all direct children;
-    # give slow reapers a moment, then require the process table clean.
+    # The cluster's workers are its only children (the data plane is shared
+    # memory, not a process); give slow reapers a moment, then require the
+    # process table clean.
     deadline = time.monotonic() + 10.0
     while mp.active_children() and time.monotonic() < deadline:
         time.sleep(0.05)
@@ -120,6 +122,10 @@ def test_mp_bit_identical_to_local_server(dataset, kind):
         assert isinstance(cluster, MultiprocessServiceCluster)
         assert len(cluster.processes) == 2
         assert all(p.is_alive() for p in cluster.processes)
+        # the shard workers are the server's only child processes
+        assert sorted(p.pid for p in mp.active_children()) == sorted(
+            p.pid for p in cluster.processes
+        )
         for ids, want in zip(streams, expected):  # cold per-process caches
             np.testing.assert_array_equal(server.predict(ids), want)
         for ids, want in zip(streams, expected):  # warm per-process caches
@@ -290,6 +296,22 @@ def test_mp_dead_shard_fails_inflight_futures(dataset):
         assert time.monotonic() - start < _NO_HANG_S
     finally:
         server.stop()
+    _assert_no_leaked_children()
+
+
+def test_mp_arena_exhaustion_fails_start_naming_the_rank(dataset, monkeypatch):
+    """A shard that cannot publish its feature rows fails start(), cleanly."""
+    # the capacity rule is derived from the machine; shrinking it is a test
+    # seam, not a setting
+    monkeypatch.setattr(mp_backend, "_arena_capacity", lambda world_size: 1024)
+    model = _make_model(dataset)
+    shards = _make_shards(dataset, 2)
+    config = ServingConfig(backend="mp", window_ms=0.0, feature_store="kv")
+    server = create_server(model, shards, dataset.features, config)
+    start = time.monotonic()
+    with pytest.raises(WorkerFailedError, match=r"rank \d: MemoryError\(.rank \d: cannot publish"):
+        server.start()
+    assert time.monotonic() - start < _NO_HANG_S
     _assert_no_leaked_children()
 
 
