@@ -7,9 +7,9 @@ overlapping, popularity-skewed requests real traffic produces.  A
 :class:`repro.serving.Server` over the local executor attacks the redundancy twice:
 **micro-batching** coalesces requests arriving within a short window into
 one deduplicated pipeline execution, and the **historical-embedding cache**
-truncates each batch's receptive field at the deepest layer whose required
-rows were already computed by earlier traffic (a fully cached seed set skips
-compute entirely).
+prunes each batch's receptive field node by node: a row already computed by
+earlier traffic is a leaf, only the missed rows expand and are computed (a
+fully cached seed set skips compute entirely).
 
 This benchmark drives a closed-loop concurrent workload — ``clients``
 threads, each issuing single-node requests drawn from a Zipf-skewed
@@ -268,10 +268,10 @@ def main(argv=None) -> int:
     # Admission-gate comparison: the same traffic against a cache far too
     # small for the working set, plain-LRU vs the frequency gate.  The cold
     # pass trains the frequency sketch; the warm pass measures the hit rate
-    # the retained rows deliver.  Window 0 keeps batches single-seed: cache
-    # lookups are all-or-nothing per batch, and an undersized cache can
-    # cover a hot seed's receptive field but never a coalesced batch's
-    # union, which would show both policies as uniformly 0%.
+    # the retained rows deliver.  Window 0 keeps batches single-seed, so
+    # the hit rate is per request: cache probes are per node, and a
+    # coalesced batch probes the union of its seeds' miss subtrees once,
+    # which would blur which request's rows the small cache retained.
     small_bytes = sizes["small_cache_kb"] * 1024
     lru = measure("smallcache_lru_cold", 0.0, small_bytes)
     measure("smallcache_lru_warm", 0.0, small_bytes, warm_from=lru).stop()

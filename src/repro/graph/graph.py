@@ -49,6 +49,7 @@ class Graph:
                 self.set_ndata(key, value)
         self._adj_cache: Dict[Tuple[bool, str], sp.csr_matrix] = {}
         self._plan: Optional[EdgePlan] = None
+        self._in_edge_index = None
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -86,6 +87,21 @@ class Graph:
         if self._plan is None:
             self._plan = EdgePlan(self.src, self.dst, self.num_nodes, self.num_nodes)
         return self._plan
+
+    def in_edge_index(self):
+        """Per-destination in-edge buckets in ascending edge order, built lazily.
+
+        A cached :class:`~repro.sample.neighbor.InEdgeIndex` (the
+        single-machine twin of :meth:`ShardedGraph.in_edge_index
+        <repro.partition.shard.ShardedGraph.in_edge_index>`): one stable sort
+        of the edge list, after which a node set's complete in-neighbourhoods
+        are read in O(their in-degrees) instead of an O(num_edges) mask.
+        """
+        if self._in_edge_index is None:
+            from repro.sample.neighbor import InEdgeIndex
+
+            self._in_edge_index = InEdgeIndex.from_graph(self)
+        return self._in_edge_index
 
     # ------------------------------------------------------------------ #
     # degrees and adjacency

@@ -38,16 +38,12 @@ from repro.tensor.edge_plan import EdgePlan
 from repro.utils.validation import check_1d_int_array, check_positive_int
 
 
-def _masks_walk(graph: Graph, seed_nodes, num_layers: int,
-                stop_at=None) -> Tuple[List[np.ndarray], int]:
-    """Backward required-node walk shared by the mask and pipeline builders.
+def message_flow_masks(graph: Graph, seed_nodes, num_layers: int) -> List[np.ndarray]:
+    """Per-layer boolean masks of nodes whose features must be computed.
 
-    Returns ``(masks, input_layer)``: ``masks[l]`` is the required-node mask
-    at layer ``l`` for ``input_layer <= l <= num_layers`` (entries below
-    ``input_layer`` stay ``None``).  Without ``stop_at`` the walk always
-    reaches layer ``0``; with it, the walk stops at the deepest layer ``l >=
-    1`` whose required set the callback accepts (see
-    :func:`build_mfg_pipeline`).
+    Returns a list of ``num_layers + 1`` masks: entry ``l`` marks the nodes
+    whose layer-``l`` activations are required (entry ``0`` is the input
+    layer, entry ``num_layers`` the output layer and equals the seed set).
     """
     num_layers = check_positive_int(num_layers, "num_layers")
     seeds = check_1d_int_array(seed_nodes, "seed_nodes", max_value=graph.num_nodes)
@@ -70,19 +66,6 @@ def _masks_walk(graph: Graph, seed_nodes, num_layers: int,
             reached = (adj_t @ needed) > 0
         current = current | reached
         masks[layer] = current.copy()
-        if layer >= 1 and stop_at is not None and stop_at(layer, np.flatnonzero(current)):
-            return masks, layer
-    return masks, 0
-
-
-def message_flow_masks(graph: Graph, seed_nodes, num_layers: int) -> List[np.ndarray]:
-    """Per-layer boolean masks of nodes whose features must be computed.
-
-    Returns a list of ``num_layers + 1`` masks: entry ``l`` marks the nodes
-    whose layer-``l`` activations are required (entry ``0`` is the input
-    layer, entry ``num_layers`` the output layer and equals the seed set).
-    """
-    masks, _ = _masks_walk(graph, seed_nodes, num_layers)
     return masks
 
 
@@ -310,28 +293,15 @@ class MFGPipeline:
     ``l`` onto :meth:`layer_block` ``(l)``; the input feature matrix holds the
     rows of :attr:`input_nodes` and the output rows are exactly
     :attr:`output_nodes` (the seed set, in ascending id order).
-
-    A *partial-depth* pipeline (``input_layer > 0``, produced by
-    :func:`build_mfg_pipeline` with a ``stop_at`` callback) covers only the
-    model's conv layers ``input_layer .. input_layer + num_layers - 1``: its
-    input feature matrix holds the layer-``input_layer`` **activations** of
-    :attr:`input_nodes` instead of raw features — the contract the serving
-    subsystem's historical-embedding cache builds on.  Block index ``i``
-    corresponds to conv layer ``input_layer + i``.
     """
 
     def __init__(self, blocks: List[_CompactBlockBase],
-                 masks: Optional[List[np.ndarray]] = None,
-                 input_layer: int = 0):
+                 masks: Optional[List[np.ndarray]] = None):
         #: per-layer global required-node masks; ``None`` when the pipeline was
         #: built without materializing O(num_nodes) arrays (the sampler path —
         #: the node lists on the blocks carry the same information compactly).
         self.blocks = blocks
         self.masks = masks
-        #: conv-layer index the pipeline's first block executes; ``0`` for the
-        #: classic full-depth pipeline, ``> 0`` when the receptive-field walk
-        #: was truncated at a cached activation frontier.
-        self.input_layer = int(input_layer)
 
     @property
     def num_layers(self) -> int:
@@ -369,7 +339,6 @@ class MFGPipeline:
     def __repr__(self) -> str:
         return (
             f"MFGPipeline(num_layers={self.num_layers}, "
-            f"input_layer={self.input_layer}, "
             f"counts={self.required_node_counts()})"
         )
 
@@ -388,8 +357,7 @@ def _compact_edges(src: np.ndarray, dst: np.ndarray, dst_mask: np.ndarray,
     return src_ids, dst_ids
 
 
-def build_mfg_pipeline(graph: Graph, seed_nodes, num_layers: int,
-                       stop_at=None) -> MFGPipeline:
+def build_mfg_pipeline(graph: Graph, seed_nodes, num_layers: int) -> MFGPipeline:
     """Derive the compacted per-layer blocks executing the MFG restriction.
 
     Parameters
@@ -400,37 +368,18 @@ def build_mfg_pipeline(graph: Graph, seed_nodes, num_layers: int,
         Node ids whose layer-``num_layers`` outputs are required.
     num_layers:
         Depth of the model the pipeline will drive.
-    stop_at:
-        Optional ``stop_at(layer, node_ids) -> bool`` callback probed during
-        the backward receptive-field walk, once per layer from deepest
-        (``num_layers - 1``) to shallowest (``1``), with the ascending global
-        ids required at that layer.  Returning ``True`` truncates the walk:
-        the pipeline then only contains blocks for conv layers ``layer ..
-        num_layers - 1`` (``MFGPipeline.input_layer == layer``) and its input
-        matrix must hold those nodes' layer-``layer`` *activations* — which
-        is exactly what the serving subsystem's historical-embedding cache
-        supplies (:mod:`repro.serving`).  Truncation never changes any
-        block's edge set: every required destination keeps its complete
-        in-neighbourhood, so outputs stay bit-identical as long as the
-        supplied activations are.
     """
-    masks, input_layer = _masks_walk(graph, seed_nodes, num_layers, stop_at=stop_at)
-    node_lists = [
-        np.flatnonzero(mask) if mask is not None else None for mask in masks
-    ]
-    lookups = [
-        _lookup_table(nodes, graph.num_nodes) if nodes is not None else None
-        for nodes in node_lists
-    ]
+    masks = message_flow_masks(graph, seed_nodes, num_layers)
+    node_lists = [np.flatnonzero(mask) for mask in masks]
+    lookups = [_lookup_table(nodes, graph.num_nodes) for nodes in node_lists]
     blocks: List[_CompactBlockBase] = []
-    for layer in range(input_layer, num_layers):
+    for layer in range(num_layers):
         src_nodes, dst_nodes = node_lists[layer], node_lists[layer + 1]
         src_ids, dst_ids = _compact_edges(graph.src, graph.dst, masks[layer + 1],
                                           lookups[layer], lookups[layer + 1])
         blocks.append(MFGBlock(src_nodes, dst_nodes, src_ids, dst_ids,
                                dst_in_src=lookups[layer][dst_nodes]))
-    return MFGPipeline(blocks, masks if input_layer == 0 else None,
-                       input_layer=input_layer)
+    return MFGPipeline(blocks, masks)
 
 
 def build_hetero_mfg_pipeline(hgraph: HeteroGraph, seed_nodes,

@@ -8,10 +8,11 @@ preserves complete in-neighbourhoods — so the layer-``l`` activation of node
 ``v`` computed inside *any* request batch is **bit-identical** to the value
 any other batch (or the full-graph forward) would compute.  That makes
 activations safely memoizable: :class:`EmbeddingCache` keeps an LRU of rows
-keyed by ``(version, layer, node id)``, and the server truncates a request's
-receptive-field walk at the deepest layer whose entire required node set is
-cached (see :meth:`repro.serving.LocalExecutor.compute`), feeding the
-cached rows in as the partial-depth pipeline's input.
+keyed by ``(version, layer, node id)``, and the server's receptive-field
+walk probes it node by node (see :meth:`repro.serving.LocalExecutor.compute`):
+a cached row is a leaf that is spliced into its layer's input matrix, only a
+missed row expands to its in-neighbourhood one layer down, so the work of a
+request tracks its miss set.
 
 Layer indices follow the MFG mask convention: layer ``l`` holds the *input*
 activations of conv layer ``l``; layer ``num_layers`` holds the logits, so a
@@ -61,10 +62,15 @@ class EmbeddingCache:
 
     Notes
     -----
-    Lookups are all-or-nothing per ``(layer, node set)``: partial coverage
-    returns ``None`` (counted as misses for the absent rows), because a
-    partially cached frontier cannot truncate the receptive-field walk —
-    the missing rows would still need their full subtree.
+    There are two probes.  :meth:`lookup_partial` is the per-node one: every
+    probed ``(layer, node)`` is exactly one hit or one miss, so ``hits +
+    misses`` is the number of rows probed and ``hits / (hits + misses)`` the
+    hit ratio.  The local executor probes only through it, and the sharded
+    walk uses it for remote halo rows.  :meth:`lookup` is the all-or-nothing
+    probe the sharded walk's per-level vote needs (every worker must agree
+    that its whole owned frontier is cached before the walk may stop there);
+    on partial coverage it returns ``None`` and counts only the absent rows,
+    as misses.
     """
 
     #: total sketch mass that triggers the TinyLFU aging halving — keeps the
@@ -137,10 +143,11 @@ class EmbeddingCache:
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Per-row probe: ``(found_mask, hit_rows)`` for ``node_ids``.
 
-        Unlike :meth:`lookup`, partial coverage is useful here: the
-        distributed serving path fetches only the *missed* halo rows from
-        the owning peer, so every hit is wire traffic saved even when the
-        set is not fully covered.  ``found_mask[i]`` says whether row ``i``
+        Unlike :meth:`lookup`, partial coverage is useful here: the local
+        executor expands only the *missed* nodes of a level, and the
+        distributed serving path fetches only the missed halo rows from the
+        owning peer, so every hit is work saved even when the set is not
+        fully covered.  ``found_mask[i]`` says whether row ``i``
         was cached; ``hit_rows`` stacks the hit rows in probe order (``None``
         when nothing hit).  Hits are marked most-recently-used and counted,
         and (under the frequency gate) every probe feeds the sketch.

@@ -5,9 +5,10 @@ A :class:`~repro.serving.Server` delegates each coalesced batch to an
 same class over different transports:
 
 * :class:`LocalExecutor` — the whole :class:`~repro.graph.graph.Graph` in
-  this process.  Per batch it compiles only the seeds' receptive field
-  (:func:`repro.graph.mfg.build_mfg_pipeline`), truncated at the deepest
-  frontier its :class:`~repro.serving.cache.EmbeddingCache` fully covers.
+  this process.  Per batch it walks the seeds' receptive field node by node
+  over the graph's in-edge index: a row its :class:`~repro.serving.cache.
+  EmbeddingCache` holds is a leaf, only a missed row expands one layer down,
+  so the blocks it builds and runs cover the miss set and nothing else.
 * :class:`ShardExecutor` over a :class:`~repro.distributed.thread_backend.
   ThreadServiceCluster` (``backend="distributed"``) — partition shards, one
   worker thread each, exact byte-level ``CommStats`` accounting.
@@ -41,9 +42,10 @@ from repro.core.dist_graph import DistributedGraph
 from repro.distributed.mp_backend import MultiprocessServiceCluster
 from repro.distributed.thread_backend import ThreadServiceCluster
 from repro.graph.graph import Graph
-from repro.graph.mfg import build_mfg_pipeline
+from repro.graph.mfg import MFGBlock
 from repro.partition.shard import ShardedGraph
 from repro.sample.inference import check_layered_model, distributed_restricted_logits
+from repro.sample.kernels import candidate_positions
 from repro.serving.cache import EmbeddingCache
 from repro.serving.config import ServingConfig
 from repro.store import DenseStore, FeatureStore, PartitionedKVStore, as_feature_store
@@ -55,6 +57,29 @@ def _make_cache(config: ServingConfig) -> Optional[EmbeddingCache]:
     if config.byte_budget is None:
         return None
     return EmbeddingCache(config.byte_budget, admission=config.cache_admission)
+
+
+def block_from_in_edges(index, dst_nodes: np.ndarray) -> MFGBlock:
+    """The block over the complete in-neighbourhoods of ascending ``dst_nodes``.
+
+    ``index`` is the graph's :class:`~repro.sample.neighbor.InEdgeIndex`.
+    Edges are enumerated bucket by bucket — per destination in original edge
+    order — and sources relabelled order-preservingly into the ascending
+    union of in-neighbours and destinations, so an ``EdgePlan`` over the
+    block reduces each destination exactly as the full graph does.  Costs
+    O(sum of the destinations' in-degrees).
+    """
+    starts = index.indptr[dst_nodes]
+    positions, dst_ids = candidate_positions(starts, index.indptr[dst_nodes + 1] - starts)
+    edge_src = index.src[positions]
+    src_nodes = np.union1d(edge_src, dst_nodes)
+    return MFGBlock(
+        src_nodes,
+        dst_nodes,
+        np.searchsorted(src_nodes, edge_src),
+        dst_ids,
+        dst_in_src=np.searchsorted(src_nodes, dst_nodes),
+    )
 
 
 class LocalExecutor:
@@ -113,6 +138,7 @@ class LocalExecutor:
 
     def start(self) -> None:
         self.model.eval()
+        self.graph.in_edge_index()  # the one O(|E|) sort, paid here and not by a request
 
     def stop(self) -> None:
         pass
@@ -143,34 +169,41 @@ class LocalExecutor:
             # boundary.  Runs on the serve thread, serialized with cache reads.
             self._store_version_seen = self.store.version
             cache.bump_version()
-        with no_grad():
-            if cache is not None:
-                rows = cache.lookup(num_layers, seeds)
-                if rows is not None:
-                    return rows, num_layers
-            frontier: dict = {}
-
-            def stop_at(layer: int, nodes: np.ndarray) -> bool:
-                if cache is None:
-                    return False
-                rows = cache.lookup(layer, nodes)
-                if rows is None:
-                    return False
-                frontier["rows"] = rows
-                return True
-
-            pipeline = build_mfg_pipeline(self.graph, seeds, num_layers, stop_at=stop_at)
-            start = pipeline.input_layer
+        index = self.graph.in_edge_index()
+        # Backward, from the seeds (level ``num_layers``) down: probe every
+        # required node of the level; a hit is a leaf, the misses expand to
+        # themselves plus their complete in-neighbourhoods one level down.
+        # Stops at the first level with no miss, or at the raw features.
+        nodes, start = seeds, num_layers
+        pending = []  # (block, found, hit_rows) of levels num_layers .. start + 1
+        while True:
             if start == 0:
-                x = Tensor(self.store.gather(pipeline.input_nodes))
+                x = self.store.gather(nodes)
+                break
+            if cache is not None:
+                found, hit_rows = cache.lookup_partial(start, nodes)
             else:
-                x = Tensor(frontier["rows"])
-            for offset, layer in enumerate(range(start, num_layers)):
-                block = pipeline.layer_block(offset)
-                x = model.forward_layer(layer, block, x)
+                found, hit_rows = np.zeros(len(nodes), dtype=bool), None
+            if found.all():
+                x = hit_rows
+                break
+            block = block_from_in_edges(index, nodes[~found])
+            pending.append((block, found, hit_rows))
+            nodes, start = block.src_nodes, start - 1
+        # Forward: conv layer ``l`` computes exactly level ``l + 1``'s misses;
+        # the level's input matrix is spliced from its hits and those rows.
+        with no_grad():
+            for layer, (block, found, hit_rows) in zip(range(start, num_layers), pending[::-1]):
+                computed = model.forward_layer(layer, block, Tensor(x)).data
                 if cache is not None:
-                    cache.put(layer + 1, block.dst_nodes, x.data)
-            return x.data, start
+                    cache.put(layer + 1, block.dst_nodes, computed)
+                if hit_rows is None:
+                    x = computed
+                else:
+                    x = np.empty((len(found), computed.shape[1]), dtype=computed.dtype)
+                    x[found] = hit_rows
+                    x[~found] = computed
+        return x, start
 
 
 # --------------------------------------------------------------------------- #

@@ -168,8 +168,8 @@ class Server:
         self._max_requests_in_batch = 0
         self._fast_path_batches = 0
         self._updates = 0
-        #: how deep request batches truncated: input_layer -> batch count
-        #: (0 = full-depth recompute, ``num_layers`` = all-logits fast path).
+        #: the shallowest layer each batch had to compute from: input_layer ->
+        #: batch count (0 = read raw features, ``num_layers`` = all-logits fast path).
         self._frontier_counts: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
