@@ -14,6 +14,7 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from repro.graph.in_edges import InEdgeIndex
 from repro.tensor import edge_plan as edge_plan_mod
 from repro.tensor.edge_plan import EdgePlan
 from repro.utils.validation import check_1d_int_array, check_positive_int
@@ -49,7 +50,7 @@ class Graph:
                 self.set_ndata(key, value)
         self._adj_cache: Dict[Tuple[bool, str], sp.csr_matrix] = {}
         self._plan: Optional[EdgePlan] = None
-        self._in_edge_index = None
+        self._in_edge_index: Optional[InEdgeIndex] = None
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -88,18 +89,16 @@ class Graph:
             self._plan = EdgePlan(self.src, self.dst, self.num_nodes, self.num_nodes)
         return self._plan
 
-    def in_edge_index(self):
+    def in_edge_index(self) -> InEdgeIndex:
         """Per-destination in-edge buckets in ascending edge order, built lazily.
 
-        A cached :class:`~repro.sample.neighbor.InEdgeIndex` (the
+        A cached :class:`~repro.graph.in_edges.InEdgeIndex` (the
         single-machine twin of :meth:`ShardedGraph.in_edge_index
         <repro.partition.shard.ShardedGraph.in_edge_index>`): one stable sort
         of the edge list, after which a node set's complete in-neighbourhoods
         are read in O(their in-degrees) instead of an O(num_edges) mask.
         """
         if self._in_edge_index is None:
-            from repro.sample.neighbor import InEdgeIndex
-
             self._in_edge_index = InEdgeIndex.from_graph(self)
         return self._in_edge_index
 

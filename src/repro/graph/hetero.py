@@ -14,6 +14,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.graph.graph import Graph
+from repro.graph.in_edges import InEdgeIndex
 from repro.tensor import edge_plan as edge_plan_mod
 from repro.tensor.edge_plan import EdgePlan
 from repro.utils.validation import check_1d_int_array, check_positive_int
@@ -57,6 +58,7 @@ class HeteroGraph:
             if len(self.node_types) != self.num_nodes:
                 raise ValueError("node_types must have length num_nodes")
         self._plan_cache: Dict[str, EdgePlan] = {}
+        self._in_edge_index: Optional[Dict[str, InEdgeIndex]] = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -109,6 +111,20 @@ class HeteroGraph:
             plan = EdgePlan(src, dst, self.num_nodes, self.num_nodes)
             self._plan_cache[relation] = plan
         return plan
+
+    def in_edge_index(self) -> Dict[str, InEdgeIndex]:
+        """Per relation, its cached :class:`~repro.graph.in_edges.InEdgeIndex`.
+
+        The hetero twin of :meth:`Graph.in_edge_index
+        <repro.graph.graph.Graph.in_edge_index>`: one stable sort per
+        relation, built on first use, in :attr:`relation_names` order.
+        """
+        if self._in_edge_index is None:
+            self._in_edge_index = {
+                name: InEdgeIndex(src, dst, self.num_nodes)
+                for name, (src, dst) in self.relations.items()
+            }
+        return self._in_edge_index
 
     # ------------------------------------------------------------------ #
     def relation_adjacency(self, relation: str, transpose: bool = False,

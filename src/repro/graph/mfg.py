@@ -22,17 +22,23 @@ required one layer earlier, every block contains a destination's complete
 in-neighbourhood, in the original edge order.  Kernels over the block
 therefore reduce exactly the same values in exactly the same order as the
 full graph, making seed-node outputs bit-identical — not merely close.
+
+When only *one* layer's block over a known destination set is wanted — a
+serving level's misses, a shard's owned rows, a layer-wise inference batch —
+:func:`block_from_in_edges` builds it from the graph's cached in-edge index
+in O(sum of the destinations' in-degrees), with no whole-graph mask.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.graph.graph import Graph
 from repro.graph.hetero import HeteroGraph
+from repro.graph.in_edges import InEdgeIndex, candidate_positions
 from repro.tensor import edge_plan as edge_plan_mod
 from repro.tensor.edge_plan import EdgePlan
 from repro.utils.validation import check_1d_int_array, check_positive_int
@@ -214,8 +220,8 @@ class MFGBlock(_CompactBlockBase):
 
         Plans are resolved through the shared structural cache
         (:func:`repro.tensor.edge_plan.cached_plan`): two blocks with the same
-        relabelled edge set — e.g. the same deterministic ``fanout=-1`` batch
-        re-sampled next epoch — share one plan instead of re-sorting.
+        relabelled edge set — e.g. the same consecutive-id inference batch
+        rebuilt by a second engine — share one plan instead of re-sorting.
         """
         if not edge_plan_mod.plans_enabled():
             return None
@@ -399,3 +405,46 @@ def build_hetero_mfg_pipeline(hgraph: HeteroGraph, seed_nodes,
         blocks.append(MFGHeteroBlock(src_nodes, dst_nodes, relation_edges,
                                      dst_in_src=lookups[layer][dst_nodes]))
     return MFGPipeline(blocks, masks)
+
+
+# --------------------------------------------------------------------------- #
+# one block over known destinations (serving, the shard walk, layer-wise eval)
+# --------------------------------------------------------------------------- #
+def block_from_in_edges(
+    index: Union[InEdgeIndex, Mapping[str, InEdgeIndex]],
+    dst_rows: np.ndarray,
+    dst_nodes: Optional[np.ndarray] = None,
+) -> Union[MFGBlock, MFGHeteroBlock]:
+    """The block over the complete in-neighbourhoods of ascending destinations.
+
+    ``dst_rows`` address ``index``'s destination space; ``dst_nodes``
+    (default: the same array) are the ids those rows carry in the index's
+    *source* id space — they differ on a shard, whose index
+    (:meth:`ShardedGraph.in_edge_index
+    <repro.partition.shard.ShardedGraph.in_edge_index>`) buckets local
+    destinations over global sources.  A ``{relation: index}`` mapping
+    (:meth:`HeteroGraph.in_edge_index
+    <repro.graph.hetero.HeteroGraph.in_edge_index>`) yields an
+    :class:`MFGHeteroBlock` over the union of the relations' in-neighbours,
+    a single index an :class:`MFGBlock`.
+
+    Edges are enumerated bucket by bucket — per destination in original edge
+    order — and sources relabelled order-preservingly into the ascending
+    union of in-neighbours and destinations, so an ``EdgePlan`` over the
+    block reduces each destination exactly as the full graph does.  Costs
+    O(sum of the destinations' in-degrees).
+    """
+    if dst_nodes is None:
+        dst_nodes = dst_rows
+    hetero = isinstance(index, Mapping)
+    edges = {}
+    for name, relation in (index if hetero else {None: index}).items():
+        starts = relation.indptr[dst_rows]
+        positions, dst_ids = candidate_positions(starts, relation.indptr[dst_rows + 1] - starts)
+        edges[name] = (relation.src[positions], dst_ids)
+    src_nodes = np.unique(np.concatenate([src for src, _ in edges.values()] + [dst_nodes]))
+    edges = {name: (np.searchsorted(src_nodes, src), dst) for name, (src, dst) in edges.items()}
+    dst_in_src = np.searchsorted(src_nodes, dst_nodes)
+    if hetero:
+        return MFGHeteroBlock(src_nodes, dst_nodes, edges, dst_in_src)
+    return MFGBlock(src_nodes, dst_nodes, *edges[None], dst_in_src)

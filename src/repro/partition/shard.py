@@ -22,6 +22,7 @@ import scipy.sparse as sp
 
 from repro.graph.graph import Graph
 from repro.graph.hetero import HeteroGraph
+from repro.graph.in_edges import InEdgeIndex
 from repro.partition.book import PartitionBook
 from repro.tensor import edge_plan as edge_plan_mod
 from repro.tensor.edge_plan import EdgePlan
@@ -196,12 +197,12 @@ class ShardedGraph:
         self.blocks = blocks
         self.local_in_degrees = np.asarray(local_in_degrees, dtype=np.int64)
         self.node_data: Dict[str, np.ndarray] = dict(node_data or {})
-        self._in_edge_index = None
+        self._in_edge_index: Optional[InEdgeIndex] = None
 
-    def in_edge_index(self):
+    def in_edge_index(self) -> InEdgeIndex:
         """Per-local-destination in-edge buckets in ascending *global* edge order.
 
-        Builds (once, cached) a :class:`~repro.sample.neighbor.InEdgeIndex`
+        Builds (once, cached) a :class:`~repro.graph.in_edges.InEdgeIndex`
         over this worker's incoming edges: destinations are local ids, while
         sources and edge ids stay global.  Because every bucket lists a
         destination's complete in-neighbourhood in ascending global edge id —
@@ -214,8 +215,6 @@ class ShardedGraph:
         :func:`create_shards` builds).
         """
         if self._in_edge_index is None:
-            from repro.sample.neighbor import InEdgeIndex
-
             srcs, dsts, eids = [], [], []
             for q, block in enumerate(self.blocks):
                 if block.num_edges == 0:

@@ -1,10 +1,7 @@
 """Mini-batch neighbour sampling: samplers, data loaders, distributed protocol."""
 
-from repro.sample.neighbor import (
-    InEdgeIndex,
-    NeighborSampler,
-    sample_in_edges,
-)
+from repro.graph.in_edges import InEdgeIndex
+from repro.sample.neighbor import NeighborSampler, sample_in_edges
 from repro.sample.loader import (
     MiniBatch,
     MiniBatchDataLoader,

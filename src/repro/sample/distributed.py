@@ -11,7 +11,7 @@ along ownership exactly like aggregation does:
 * at each layer, every worker samples in-edges **only for the required
   destinations it owns** — the in-edges of a worker's own nodes are precisely
   the local metadata its ``G_{p,q}`` blocks are built from, held here as an
-  :class:`~repro.sample.neighbor.InEdgeIndex` over local destination ids with
+  :class:`~repro.graph.in_edges.InEdgeIndex` over local destination ids with
   *global* edge/source ids;
 * the newly-required source nodes are merged with one ``allgather`` per
   layer, giving every worker the next layer's global required set;
@@ -37,10 +37,11 @@ import numpy as np
 
 from repro.distributed.comm import Communicator
 from repro.graph.graph import Graph
+from repro.graph.in_edges import InEdgeIndex
 from repro.partition.book import PartitionBook
 from repro.partition.shard import EdgeBlock
 from repro.sample.loader import NeighborSamplingConfig, num_batches_for
-from repro.sample.neighbor import InEdgeIndex, _layer_key, sample_in_edges
+from repro.sample.neighbor import _layer_key, sample_in_edges
 
 
 @dataclass

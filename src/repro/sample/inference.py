@@ -7,27 +7,24 @@ attention layers, all at once.  Layer-wise inference computes layer ``l``'s
 representations for **all** nodes, batch-by-batch, before moving on to layer
 ``l + 1`` (the standard DGL/GraphSAGE ``inference()`` recipe):
 
-* the node set is split into fixed batches; for each batch a **single-layer,
-  full-neighbourhood** (``fanout=-1``) block is sampled, so each batch row's
-  aggregation sees its complete in-neighbourhood — layer-wise inference is
-  exact, never an approximation;
+* the node set is split into fixed consecutive-id batches; each batch's
+  **single-layer, full-neighbourhood** block comes from the graph's cached
+  in-edge index (:func:`~repro.graph.mfg.block_from_in_edges`), so each
+  batch row's aggregation sees its complete in-neighbourhood — layer-wise
+  inference is exact, never an approximation, and nothing is sampled;
 * only two full-width matrices are ever alive (layer ``l``'s input and layer
   ``l``'s output), and everything else — projected features, per-edge
   attention tensors — is batch-sized;
-* batches are identical across layers (no shuffle, deterministic sampler),
-  so the structural :func:`~repro.tensor.edge_plan.cached_plan` cache resolves
-  every layer after the first to already-built edge plans;
-* sampling runs ahead of compute on the
-  :class:`~repro.sample.loader.MiniBatchDataLoader` thread pool under its
-  bounded-residency discipline (at most ``max_resident`` sampled batches
-  materialized).
+* a batch's block does not depend on the layer, the features or the call,
+  so the block list is built once per batch size and reused by every layer
+  and every later ``run()`` — each block keeps its edge plan with it.
 
 Because the engine runs the model in ``eval()`` mode, every inter-layer
 transform is a per-row map (BatchNorm applies running statistics, Dropout is
-the identity), and each compacted block preserves complete in-neighbourhoods
-in original edge order — the resulting logits are **bit-identical** to the
-full-graph forward pass (the ``benchmarks/bench_inference.py --smoke`` CI
-gate).
+the identity), and each block preserves complete in-neighbourhoods per
+destination in original edge order — the resulting logits are
+**bit-identical** to the full-graph forward pass (the
+``benchmarks/bench_inference.py --smoke`` CI gate).
 
 The distributed variant (:func:`distributed_layerwise_logits`) runs the same
 layer-by-layer loop on every SAR worker: per batch, each worker restricts its
@@ -52,10 +49,10 @@ from repro.distributed.comm import (
 )
 from repro.graph.graph import Graph
 from repro.graph.hetero import HeteroGraph
-from repro.graph.mfg import MFGBlock
+from repro.graph.in_edges import candidate_positions
+from repro.graph.mfg import block_from_in_edges
 from repro.partition.shard import restrict_block_to_dst
-from repro.sample.loader import MiniBatchDataLoader, num_batches_for
-from repro.sample.neighbor import NeighborSampler
+from repro.sample.loader import num_batches_for
 from repro.store import FeatureStore, PartitionedKVStore, as_feature_store
 from repro.tensor import no_grad
 from repro.tensor import edge_plan as edge_plan_mod
@@ -92,9 +89,8 @@ class LayerWiseInference:
 
     Computes ``model``'s output for **every** node of ``graph`` without ever
     running a full-graph forward pass: one layer at a time, batch-by-batch,
-    with the per-batch single-layer blocks drawn by a ``fanout=-1``
-    :class:`~repro.sample.neighbor.NeighborSampler` and prefetched on the
-    :class:`~repro.sample.loader.MiniBatchDataLoader` thread pool.
+    over per-batch single-layer blocks built from ``graph.in_edge_index()``
+    (:func:`~repro.graph.mfg.block_from_in_edges`) once per batch size.
 
     Parameters
     ----------
@@ -110,12 +106,6 @@ class LayerWiseInference:
         two full-width layer matrices plus one batch's intermediates; smaller
         batches trade throughput for memory.  Ignored when ``byte_budget``
         is set.
-    num_workers:
-        Background sampling threads (``0`` samples synchronously).
-    max_resident:
-        Bound on simultaneously materialized sampled batches, enforced by the
-        loader's prefetch discipline (the batch being consumed plus in-flight
-        prefetches).
     byte_budget:
         Adaptive batch sizing: a per-batch live-tensor byte target.  Each
         layer's batch size is derived at sweep start from the layer's actual
@@ -129,10 +119,10 @@ class LayerWiseInference:
 
     Notes
     -----
-    Determinism: batches are consecutive id ranges (no shuffle) and
-    ``fanout=-1`` takes complete in-neighbourhoods, so the engine is fully
-    deterministic — and its logits are bit-identical to
-    ``model(graph, Tensor(features))`` in ``eval()`` mode.
+    Determinism: batches are consecutive id ranges and every block takes
+    complete in-neighbourhoods, so the engine is fully deterministic — and
+    its logits are bit-identical to ``model(graph, Tensor(features))`` in
+    ``eval()`` mode.
     """
 
     def __init__(
@@ -140,8 +130,6 @@ class LayerWiseInference:
         model,
         graph: Union[Graph, HeteroGraph],
         batch_size: int = 1024,
-        num_workers: int = 1,
-        max_resident: int = 2,
         byte_budget: Optional[int] = None,
     ):
         self.model = model
@@ -152,33 +140,13 @@ class LayerWiseInference:
             None if byte_budget is None
             else check_positive_int(byte_budget, "byte_budget")
         )
-        self.num_workers = num_workers
-        self.max_resident = max_resident
-        # The explicit seed keeps construction from consuming the library-wide
-        # RNG stream (fanout=-1 draws nothing, so the value is irrelevant).
-        self._sampler = NeighborSampler(graph, [-1], seed=0)
-        # One loader per distinct batch size, created lazily: adaptive runs
-        # typically share a loader across same-width layers, and identical
-        # batch boundaries are what lets the structural plan cache hit.
-        self._loaders: Dict[int, MiniBatchDataLoader] = {}
+        # Batch size -> that size's consecutive-id blocks.  A batch's block
+        # depends on nothing but (graph, batch size), so each list is built
+        # on first use and serves every layer and every later run; adaptive
+        # runs share a list across same-width layers.
+        self._blocks: Dict[int, list] = {}
         #: per-layer batch sizes chosen by the most recent :meth:`run`.
         self.layer_batch_sizes: List[int] = []
-        self.loader = self._loader_for(self.batch_size)
-
-    def _loader_for(self, batch_size: int) -> MiniBatchDataLoader:
-        loader = self._loaders.get(batch_size)
-        if loader is None:
-            loader = MiniBatchDataLoader(
-                self._sampler,
-                np.arange(self.graph.num_nodes, dtype=np.int64),
-                batch_size=batch_size,
-                shuffle=False,
-                drop_last=False,
-                num_workers=self.num_workers,
-                max_resident=self.max_resident,
-            )
-            self._loaders[batch_size] = loader
-        return loader
 
     def _adaptive_batch_size(self, layer: int, in_width: int, itemsize: int) -> int:
         """Batch size keeping one batch's live tensors near ``byte_budget``.
@@ -203,12 +171,7 @@ class LayerWiseInference:
     def num_batches(self) -> int:
         """Batches per layer at the fixed ``batch_size`` (adaptive runs vary
         per layer — see :attr:`layer_batch_sizes`)."""
-        return len(self.loader)
-
-    @property
-    def peak_resident_batches(self) -> int:
-        """High-water mark of simultaneously materialized sampled batches."""
-        return max(ldr.peak_resident_batches for ldr in self._loaders.values())
+        return num_batches_for(self.graph.num_nodes, self.batch_size, drop_last=False)
 
     def run(self, features) -> np.ndarray:
         """Infer every node's output representation.
@@ -247,38 +210,31 @@ class LayerWiseInference:
                 h: Optional[Tensor] = None
                 self.layer_batch_sizes = []
                 for layer in range(self.num_layers):
-                    source = store if layer == 0 else h.data
-                    in_width = store.dim if layer == 0 else h.shape[1]
-                    itemsize = np.dtype(
-                        store.dtype if layer == 0 else h.data.dtype
-                    ).itemsize
                     if self.byte_budget is None:
-                        loader = self.loader
+                        size = self.batch_size
                     else:
-                        loader = self._loader_for(self._adaptive_batch_size(
-                            layer, in_width, itemsize
-                        ))
-                    self.layer_batch_sizes.append(loader.batch_size)
+                        size = self._adaptive_batch_size(
+                            layer,
+                            store.dim if layer == 0 else h.shape[1],
+                            np.dtype(store.dtype if layer == 0 else h.data.dtype).itemsize,
+                        )
+                    self.layer_batch_sizes.append(size)
+                    blocks = self._blocks.get(size)
+                    if blocks is None:
+                        index = self.graph.in_edge_index()
+                        blocks = self._blocks[size] = [
+                            block_from_in_edges(index, np.arange(lo, min(lo + size, num_nodes)))
+                            for lo in range(0, num_nodes, size)
+                        ]
                     out: Optional[Tensor] = None
-                    # Point the loader's feature-fetch stage at the current
-                    # layer's input: each batch's input rows are then
-                    # gathered on a pipeline stage, overlapping the previous
-                    # batch's layer compute.  The source is stable for the
-                    # whole per-layer sweep, so background gathers read a
-                    # frozen matrix/store version.
-                    loader.set_features(source)
-                    try:
-                        for batch in loader.iter_epoch(layer):
-                            block = batch.pipeline.layer_block(0)
-                            x = Tensor(batch.input_features(source))
-                            y = model.forward_layer(layer, block, x).data
-                            if out is None:
-                                out = Tensor(
-                                    np.empty((num_nodes, y.shape[1]), dtype=y.dtype)
-                                )
-                            out.data[block.dst_nodes] = y
-                    finally:
-                        loader.set_features(None)
+                    for block in blocks:
+                        rows = (
+                            store.gather(block.src_nodes) if layer == 0 else h.data[block.src_nodes]
+                        )
+                        y = model.forward_layer(layer, block, Tensor(rows)).data
+                        if out is None:
+                            out = Tensor(np.empty((num_nodes, y.shape[1]), dtype=y.dtype))
+                        out.data[block.dst_nodes] = y
                     h = out
                 return h.data
         finally:
@@ -401,28 +357,6 @@ def distributed_layerwise_logits(
     finally:
         if was_training:
             model.train()
-
-
-def _bucket_positions(indptr: np.ndarray, buckets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Flat positions of ``buckets``'s entries in a CSR-bucketed array.
-
-    ``(positions, counts)``: iterating ``positions`` visits bucket
-    ``buckets[0]``'s slots first (in stored order), then ``buckets[1]``'s,
-    and so on — the grouped-by-destination edge enumeration the restricted
-    serving blocks are built from.
-    """
-    starts = indptr[buckets]
-    counts = indptr[buckets + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), counts
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    positions = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(offsets, counts)
-        + np.repeat(starts, counts)
-    )
-    return positions, counts
 
 
 def distributed_restricted_logits(
@@ -578,7 +512,7 @@ def distributed_restricted_logits(
         if levels[layer] is None:
             nxt = levels[layer + 1]
             local_dst = book.to_local(owned(nxt))[1]
-            positions, _ = _bucket_positions(iei.indptr, local_dst)
+            positions, _ = candidate_positions(iei.indptr[local_dst], iei.degrees(local_dst))
             contribution = np.unique(iei.src[positions])
             parts = comm.allgather(contribution, tag=SERVE_FRONTIER_TAG)
             levels[layer] = np.unique(np.concatenate(parts + [nxt]))
@@ -598,25 +532,15 @@ def distributed_restricted_logits(
         dst_glob = owned(levels[layer + 1])
         prep = {"dst_glob": dst_glob, "block": None}
         if dst_glob.size:
-            local_dst = book.to_local(dst_glob)[1]
-            positions, counts = _bucket_positions(iei.indptr, local_dst)
-            e_src_glob = iei.src[positions]
-            e_dst = np.repeat(
-                np.arange(len(dst_glob), dtype=np.int64), counts
-            )
-            src_glob = np.unique(np.concatenate([e_src_glob, dst_glob]))
-            src_idx = np.searchsorted(src_glob, e_src_glob)
-            block = MFGBlock(
-                src_glob, dst_glob, src_idx, e_dst,
-                np.searchsorted(src_glob, dst_glob),
-            )
+            block = block_from_in_edges(iei, book.to_local(dst_glob)[1], dst_glob)
+            src_glob = block.src_nodes
             if edge_plan_mod.plans_enabled():
                 # A privately built plan: the shared structural cache would
                 # hand concurrently serving worker threads the same plan
                 # object, whose kernel-side template buffers are not safe
                 # under concurrent calls.
                 block._plan = edge_plan_mod.EdgePlan(
-                    src_idx, e_dst, len(dst_glob), len(src_glob)
+                    block.src, block.dst, len(dst_glob), len(src_glob)
                 )
             prep["block"] = block
             if layer >= 1:

@@ -1,6 +1,6 @@
 """Neighbour-selection kernels over CSC sampling-view slices.
 
-:class:`~repro.sample.neighbor.InEdgeIndex` is the CSC sampling view: per
+:class:`~repro.graph.in_edges.InEdgeIndex` is the CSC sampling view: per
 destination node, a contiguous slice of candidate in-edges in ascending
 edge-id order.  This module holds the selection kernels that pick edges out
 of those slices.  All of them draw from the same counter-based hash streams
@@ -39,10 +39,9 @@ candidate position (= ascending edge id), which is the ordering contract
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
+from repro.graph.in_edges import candidate_positions
 from repro.utils.seed import hash_u64, splitmix64
 
 #: Selection compares the top ``64 - _KEY_SHIFT`` = 40 hash bits.  Dropping
@@ -73,30 +72,6 @@ _BUCKET_SAFETY = 4
 #: ``4 * (2**22 - 1) << 40`` is the last product under 2**64); bucketing buys
 #: nothing at such fanouts, so they route to the sorted kernel instead.
 _BUCKET_FANOUT_LIMIT = 1 << 22
-
-
-def candidate_positions(starts: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """All candidate positions for the given CSC slices.
-
-    Returns ``(pos, seg)``: ``pos[i]`` indexes the view's candidate arrays
-    and ``seg[i]`` names the segment (node) the candidate belongs to.
-
-    This runs on every candidate edge of every sampled layer, and at
-    millions of candidates the cost is memory traffic, not arithmetic.
-    ``pos[i] = starts[seg[i]] + (i - offset of segment seg[i])`` is
-    therefore computed as ``arange + repeat(starts - offsets, counts)``:
-    the per-segment part is folded *before* expansion, replacing two
-    per-candidate gathers (and their temporaries) with one ``np.repeat``
-    and one in-place add — ~1.6x faster than the naive construction.
-    """
-    total = int(counts.sum())
-    seg = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    delta = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=delta[1:])
-    np.subtract(starts, delta, out=delta)
-    pos = np.arange(total, dtype=np.int64)
-    pos += np.repeat(delta, counts)
-    return pos, seg
 
 
 def segmented_key_order(keys: np.ndarray, seg: np.ndarray, num_segments: int) -> np.ndarray:

@@ -12,9 +12,7 @@ sampled batches are materialized at any moment (default 2 — the batch being
 consumed plus one prefetching in flight), counting batches in flight in any
 stage.  The bound is a constructor argument (``max_resident=``), asserted
 inside the pipeline's admission loop and surfaced as the
-:attr:`MiniBatchDataLoader.peak_resident_batches` telemetry; the layer-wise
-inference engine (:class:`repro.sample.inference.LayerWiseInference`) reuses
-the loader — and therefore the same bound — for its per-layer batch sweeps.
+:attr:`MiniBatchDataLoader.peak_resident_batches` telemetry.
 
 Feature fetching is opt-in: :meth:`MiniBatchDataLoader.set_features` hands
 the loader the feature matrix, after which every yielded batch arrives with
@@ -216,8 +214,8 @@ class MiniBatchDataLoader:
         exception: their gathers must record autograd state on the consuming
         thread, so prefetch is skipped and consumers gather at use time.)
         The rows are read, never written; the caller may swap the features
-        between epochs (the trainers do, and layer-wise inference swaps them
-        per layer) but must not mutate them while an epoch is being iterated.
+        between epochs (the trainers do) but must not mutate them while an
+        epoch is being iterated.
         """
         if features is None:
             self._features = None

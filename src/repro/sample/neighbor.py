@@ -46,12 +46,12 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.graph.hetero import HeteroGraph
+from repro.graph.in_edges import InEdgeIndex, candidate_positions
 from repro.graph.mfg import MFGBlock, MFGHeteroBlock, MFGPipeline
 from repro.sample.kernels import (
     _BUCKET_FANOUT_LIMIT,
     bottomk_bucketed,
     bottomk_sorted,
-    candidate_positions as _candidate_positions,
     replacement_draws,
 )
 from repro.utils.seed import get_rng, mix_seed, splitmix64
@@ -59,60 +59,6 @@ from repro.utils.validation import check_1d_int_array
 
 #: per-layer fanout specification: an int, or (hetero) a mapping per relation.
 FanoutSpec = Union[int, Mapping[str, int]]
-
-
-class InEdgeIndex:
-    """Per-destination in-edge candidate lists, in ascending edge-id order.
-
-    The index stores, bucketed by destination node, the identifiers the
-    sampler needs for each candidate in-edge: a stable *edge id* (hashing /
-    ordering identity), the edge's source id, and its destination id.  On a
-    single machine the id spaces are the graph's own; the distributed path
-    builds one index per worker over *local* destination ids with *global*
-    edge/source ids, which keeps the hash draws identical to the
-    single-machine sampler (see :mod:`repro.sample.distributed`).
-    """
-
-    __slots__ = ("num_dst_nodes", "indptr", "eids", "src", "dst")
-
-    def __init__(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        num_dst_nodes: int,
-        eids: Optional[np.ndarray] = None,
-    ):
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        if len(src) != len(dst):
-            raise ValueError(f"src and dst must have equal length, got {len(src)} and {len(dst)}")
-        if eids is None:
-            eids = np.arange(len(src), dtype=np.int64)
-        else:
-            eids = np.asarray(eids, dtype=np.int64)
-            if len(eids) != len(src):
-                raise ValueError("eids must have one entry per edge")
-        # Stable sort by destination keeps each bucket in ascending input
-        # position — i.e. ascending edge id when the input is edge-id ordered.
-        order = np.argsort(dst, kind="stable")
-        self.num_dst_nodes = int(num_dst_nodes)
-        self.eids = eids[order]
-        self.src = src[order]
-        self.dst = dst[order]
-        indptr = np.zeros(self.num_dst_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dst, minlength=self.num_dst_nodes), out=indptr[1:])
-        self.indptr = indptr
-
-    @classmethod
-    def from_graph(cls, graph: Graph) -> "InEdgeIndex":
-        return cls(graph.src, graph.dst, graph.num_nodes)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.eids)
-
-    def degrees(self, nodes: np.ndarray) -> np.ndarray:
-        return self.indptr[nodes + 1] - self.indptr[nodes]
 
 
 def sample_in_edges(
@@ -159,7 +105,7 @@ def sample_in_edges(
 
     take_all = fanout < 0 or (not replace and fanout >= int(counts.max()))
     if take_all:
-        pos, _ = _candidate_positions(starts, counts)
+        pos, _ = candidate_positions(starts, counts)
         selected = pos
     elif not replace:
         # Per-segment bottom-k over per-edge hash keys: order-independent and
@@ -242,15 +188,12 @@ class NeighborSampler:
         self.is_hetero = isinstance(graph, HeteroGraph)
         if self.is_hetero:
             self._relation_names = list(graph.relation_names)
-            self._indexes: Dict[str, InEdgeIndex] = {
-                name: InEdgeIndex(src, dst, graph.num_nodes)
-                for name, (src, dst) in graph.relations.items()
-            }
+            self._indexes: Dict[str, InEdgeIndex] = graph.in_edge_index()
             self.fanouts: List[Dict[str, int]] = [
                 self._normalize_hetero_fanout(spec) for spec in fanouts
             ]
         else:
-            self._index = InEdgeIndex.from_graph(graph)
+            self._index = graph.in_edge_index()
             self.fanouts = [self._normalize_fanout(spec) for spec in fanouts]
 
     # ------------------------------------------------------------------ #

@@ -42,10 +42,9 @@ from repro.core.dist_graph import DistributedGraph
 from repro.distributed.mp_backend import MultiprocessServiceCluster
 from repro.distributed.thread_backend import ThreadServiceCluster
 from repro.graph.graph import Graph
-from repro.graph.mfg import MFGBlock
+from repro.graph.mfg import block_from_in_edges
 from repro.partition.shard import ShardedGraph
 from repro.sample.inference import check_layered_model, distributed_restricted_logits
-from repro.sample.kernels import candidate_positions
 from repro.serving.cache import EmbeddingCache
 from repro.serving.config import ServingConfig
 from repro.store import DenseStore, FeatureStore, PartitionedKVStore, as_feature_store
@@ -57,29 +56,6 @@ def _make_cache(config: ServingConfig) -> Optional[EmbeddingCache]:
     if config.byte_budget is None:
         return None
     return EmbeddingCache(config.byte_budget, admission=config.cache_admission)
-
-
-def block_from_in_edges(index, dst_nodes: np.ndarray) -> MFGBlock:
-    """The block over the complete in-neighbourhoods of ascending ``dst_nodes``.
-
-    ``index`` is the graph's :class:`~repro.sample.neighbor.InEdgeIndex`.
-    Edges are enumerated bucket by bucket — per destination in original edge
-    order — and sources relabelled order-preservingly into the ascending
-    union of in-neighbours and destinations, so an ``EdgePlan`` over the
-    block reduces each destination exactly as the full graph does.  Costs
-    O(sum of the destinations' in-degrees).
-    """
-    starts = index.indptr[dst_nodes]
-    positions, dst_ids = candidate_positions(starts, index.indptr[dst_nodes + 1] - starts)
-    edge_src = index.src[positions]
-    src_nodes = np.union1d(edge_src, dst_nodes)
-    return MFGBlock(
-        src_nodes,
-        dst_nodes,
-        np.searchsorted(src_nodes, edge_src),
-        dst_ids,
-        dst_in_src=np.searchsorted(src_nodes, dst_nodes),
-    )
 
 
 class LocalExecutor:

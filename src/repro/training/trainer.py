@@ -573,9 +573,9 @@ class FullBatchTrainer(_EpochLoop):
     def _infer_layerwise(self, features: np.ndarray) -> np.ndarray:
         """Run the cached layer-wise engine (rebuilt when the batch size changes).
 
-        Caching keeps the sampler, loader, and — through the structural plan
-        cache — the per-batch edge plans alive across evaluation calls, so
-        repeated evaluations never re-derive sparsity.
+        Caching keeps the engine's per-batch blocks — and the edge plan each
+        block holds — alive across evaluation calls, so repeated evaluations
+        build no block and never re-derive sparsity.
         """
         engine = self._inference_engine
         if engine is None or engine.batch_size != self.config.eval_batch_size:

@@ -1,5 +1,8 @@
 """Tests for the Graph data structure and generators."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +15,30 @@ from repro.graph import (
     star_graph,
     stochastic_block_model,
 )
+
+
+def test_graph_and_partition_layers_import_nothing_above_them():
+    """``graph/`` and ``partition/`` sit below ``sample/`` and ``serving/``: no
+    module under them imports either, at top level or inside a function."""
+    package = Path(__file__).resolve().parents[1] / "src" / "repro"
+    paths = sorted((package / "graph").glob("*.py")) + sorted((package / "partition").glob("*.py"))
+    assert len(paths) > 8  # not vacuous: graph.py, hetero.py, mfg.py, in_edges.py, shard.py, ...
+    upward = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            upward += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name.startswith(("repro.sample", "repro.serving"))
+            ]
+    assert not upward, upward
 
 
 class TestGraphBasics:

@@ -5,13 +5,15 @@ The subsystem contract under test (``repro/sample/inference.py``):
 * single-machine layer-wise inference produces logits **bit-identical** to
   the full-graph forward pass in ``eval()`` mode, for every conv layer type
   and any batch size;
-* the engine reuses the loader's bounded-residency prefetch and the
-  structural plan cache (no per-batch sparsity re-derivation after the first
-  layer sweep);
+* the engine builds each batch's block once per batch size — from the
+  graph's in-edge index, through the one shared builder — and reuses it (and
+  its edge plan) for every later layer and every later run;
 * ``FullBatchTrainer.evaluate()`` under ``eval_inference="layerwise"`` is a
   drop-in for the full pass, including after neighbour-sampled training;
 * the distributed variant matches single-machine inference to 1e-6 and
-  leaves the enclosing restriction scope (MFG / sampled) in force.
+  leaves the enclosing restriction scope (MFG / sampled) in force;
+* the sharded serving walk (``distributed_restricted_logits``) runs over
+  blocks from the same builder.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.core.config import SARConfig
 from repro.core.dist_graph import DistributedGraph
 from repro.datasets import make_hetero_sbm_dataset, make_sbm_dataset
 from repro.distributed.cluster import run_distributed
-from repro.graph.mfg import message_flow_masks
+from repro.graph.mfg import block_from_in_edges, message_flow_masks
 from repro.nn.models import GATNet, GraphSageNet, RGCNNet
 from repro.partition import PartitionBook, create_shards, partition_graph
 from repro.sample import (
@@ -36,6 +38,9 @@ from repro.sample import (
     NeighborSamplingConfig,
     distributed_layerwise_logits,
 )
+from repro.sample import inference as inference_mod
+from repro.sample.inference import distributed_restricted_logits
+from repro.store import PartitionedKVStore, SparseEmbeddingStore
 from repro.tensor import Tensor, no_grad
 from repro.tensor import edge_plan as edge_plan_mod
 from repro.training.trainer import FullBatchTrainer, TrainingConfig
@@ -66,6 +71,20 @@ def dataset():
 # --------------------------------------------------------------------------- #
 # single-machine bit parity
 # --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def hetero_dataset():
+    return make_hetero_sbm_dataset(
+        name="inference-hetero",
+        num_nodes=150,
+        num_classes=3,
+        feature_dim=10,
+        relation_specs={
+            "cites": {"p_in": 0.10, "p_out": 0.01},
+            "topic": {"p_in": 0.05, "p_out": 0.02},
+        },
+    )
+
+
 MODEL_FACTORIES = {
     "sage_mean": lambda d: GraphSageNet(
         d.feature_dim, 16, d.num_classes, num_layers=3, dropout=0.5, use_batch_norm=True
@@ -82,47 +101,79 @@ MODEL_FACTORIES = {
         d.feature_dim, 8, d.num_classes, num_layers=2, num_heads=2,
         dropout=0.0, use_batch_norm=False, fused=True,
     ),
+    "rgcn": lambda d: RGCNNet(
+        d.feature_dim, 12, d.num_classes, d.hetero_graph.relation_names,
+        num_layers=2, dropout=0.0, use_batch_norm=True,
+    ),
+}
+
+#: how a run sizes its batches: engine keyword arguments, ``None`` = num_nodes.
+SIZINGS = {
+    "bs1": dict(batch_size=1),
+    "bs7": dict(batch_size=7),
+    "bs=n": dict(batch_size=None),
+    "bs>n": dict(batch_size=100_000),
+    "budget": dict(byte_budget=16 * 1024),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(MODEL_FACTORIES))
-def test_layerwise_matches_full_forward_bitwise(dataset, kind):
+def _run_through_store(engine, features, store_kind):
+    """``engine.run`` with ``features`` served by the named store backend."""
+    num_nodes, dim = features.shape
+    if store_kind == "dense":
+        return engine.run(features)
+    if store_kind == "sparse":
+        return engine.run(SparseEmbeddingStore(num_nodes, dim, weight=features))
+    # kv: two thread workers own alternate rows; rank 0 sweeps the whole graph
+    # (half of every gather crosses the communicator), rank 1 only serves.
+    book = PartitionBook(np.arange(num_nodes) % 2, 2)
+
+    def worker(rank, comm):
+        store = PartitionedKVStore(comm, book, features[book.nodes_of(rank)], cache_bytes=1 << 12)
+        comm.barrier()
+        out = engine.run(store) if rank == 0 else None
+        comm.barrier()
+        store.release()
+        return out
+
+    return run_distributed(worker, 2, timeout_s=120).results[0]
+
+
+def _assert_layerwise_parity(kind, ds, store_kind="dense", **sizing):
+    graph = getattr(ds, "hetero_graph", None) or ds.graph
+    if "batch_size" in sizing and sizing["batch_size"] is None:
+        sizing["batch_size"] = graph.num_nodes
     set_seed(0)
-    model = MODEL_FACTORIES[kind](dataset)
-    reference = _full_logits(model, dataset.graph, dataset.features)
-    got = LayerWiseInference(model, dataset.graph, batch_size=37).run(dataset.features)
+    model = MODEL_FACTORIES[kind](ds)
+    reference = _full_logits(model, graph, ds.features)
+    engine = LayerWiseInference(model, graph, **sizing)
+    got = _run_through_store(engine, ds.features, store_kind)
     np.testing.assert_array_equal(got, reference)
+    return engine
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_FACTORIES))
+def test_layerwise_matches_full_forward_bitwise(dataset, hetero_dataset, kind):
+    _assert_layerwise_parity(kind, hetero_dataset if kind == "rgcn" else dataset, batch_size=37)
 
 
 @pytest.mark.parametrize("batch_size", [1, 23, 220, 1000])
 def test_layerwise_any_batch_size(dataset, batch_size):
-    set_seed(0)
-    model = MODEL_FACTORIES["sage_mean"](dataset)
-    reference = _full_logits(model, dataset.graph, dataset.features)
-    got = LayerWiseInference(model, dataset.graph, batch_size=batch_size).run(dataset.features)
-    np.testing.assert_array_equal(got, reference)
+    _assert_layerwise_parity("sage_mean", dataset, batch_size=batch_size)
 
 
-def test_layerwise_hetero_rgcn():
-    ds = make_hetero_sbm_dataset(
-        name="inference-hetero",
-        num_nodes=150,
-        num_classes=3,
-        feature_dim=10,
-        relation_specs={
-            "cites": {"p_in": 0.10, "p_out": 0.01},
-            "topic": {"p_in": 0.05, "p_out": 0.02},
-        },
-    )
-    graph = ds.hetero_graph
-    set_seed(0)
-    model = RGCNNet(
-        ds.feature_dim, 12, ds.num_classes, graph.relation_names,
-        num_layers=2, dropout=0.0, use_batch_norm=True,
-    )
-    reference = _full_logits(model, graph, ds.features)
-    got = LayerWiseInference(model, graph, batch_size=41).run(ds.features)
-    np.testing.assert_array_equal(got, reference)
+@pytest.mark.parametrize("store_kind", ["dense", "kv", "sparse"])
+@pytest.mark.parametrize("sizing", list(SIZINGS))
+@pytest.mark.parametrize("kind", sorted(MODEL_FACTORIES))
+def test_layerwise_parity_matrix(dataset, hetero_dataset, kind, sizing, store_kind):
+    """Every conv family x batch sizing x feature-store backend, bit for bit."""
+    ds = hetero_dataset if kind == "rgcn" else dataset
+    engine = _assert_layerwise_parity(kind, ds, store_kind, **SIZINGS[sizing])
+    assert len(engine.layer_batch_sizes) == engine.num_layers
+
+
+def test_layerwise_hetero_rgcn(hetero_dataset):
+    _assert_layerwise_parity("rgcn", hetero_dataset, batch_size=41)
 
 
 def test_layerwise_restores_training_mode_and_validates(dataset):
@@ -160,18 +211,49 @@ def test_forward_layer_composes_to_forward(dataset):
 # --------------------------------------------------------------------------- #
 # plan reuse + residency discipline
 # --------------------------------------------------------------------------- #
-def test_layerwise_reuses_plans_across_layers_and_runs(dataset):
+def test_layerwise_reuses_plans_across_layers_and_runs(dataset, monkeypatch):
+    built_blocks = []
+
+    def counting_builder(*args):
+        built_blocks.append(args)
+        return block_from_in_edges(*args)
+
+    monkeypatch.setattr(inference_mod, "block_from_in_edges", counting_builder)
     set_seed(0)
-    model = MODEL_FACTORIES["sage_mean"](dataset)
+    model = MODEL_FACTORIES["sage_mean"](dataset)  # three layers
     engine = LayerWiseInference(model, dataset.graph, batch_size=50)
+    assert engine.num_batches == 5  # ceil(220 / 50)
     edge_plan_mod.shared_plan_cache().clear()
     engine.run(dataset.features)
+    # Built once: layer 0 built the five blocks, layers 1 and 2 built none.
+    assert len(built_blocks) == engine.num_batches
     built = edge_plan_mod.build_counter
-    # Batches are identical across layers and runs (no shuffle, fanout=-1),
-    # so the structural cache must satisfy every later sweep.
+    # Batches are identical across layers and runs (consecutive ids, complete
+    # neighbourhoods), so later sweeps build no block and no plan.
     engine.run(dataset.features)
     engine.run(dataset.features)
+    assert len(built_blocks) == engine.num_batches
     assert edge_plan_mod.build_counter == built
+
+
+def test_adaptive_run_builds_one_block_list_per_distinct_size(dataset, monkeypatch):
+    built_sizes = []
+
+    def counting_builder(index, dst_rows):
+        built_sizes.append(len(dst_rows))
+        return block_from_in_edges(index, dst_rows)
+
+    monkeypatch.setattr(inference_mod, "block_from_in_edges", counting_builder)
+    set_seed(0)
+    model = MODEL_FACTORIES["sage_mean"](dataset)
+    engine = LayerWiseInference(model, dataset.graph, byte_budget=32 * 1024)
+    engine.run(dataset.features)
+    num_nodes = dataset.graph.num_nodes
+    expected = sum(-(-num_nodes // size) for size in set(engine.layer_batch_sizes))
+    assert len(built_sizes) == expected
+    assert sum(built_sizes) == num_nodes * len(set(engine.layer_batch_sizes))
+    engine.run(dataset.features)
+    assert len(built_sizes) == expected
 
 
 @pytest.mark.parametrize("max_resident", [1, 2, 4])
@@ -196,17 +278,6 @@ def test_loader_rejects_nonpositive_max_resident(dataset):
         MiniBatchDataLoader(
             sampler, np.arange(10), batch_size=4, max_resident=0
         )
-
-
-def test_engine_exposes_loader_bound(dataset):
-    set_seed(0)
-    model = MODEL_FACTORIES["sage_mean"](dataset)
-    engine = LayerWiseInference(
-        model, dataset.graph, batch_size=32, num_workers=2, max_resident=2
-    )
-    engine.run(dataset.features)
-    assert engine.num_batches == 7  # ceil(220 / 32)
-    assert 1 <= engine.peak_resident_batches <= 2
 
 
 # --------------------------------------------------------------------------- #
@@ -515,3 +586,44 @@ def test_distributed_layerwise_rejects_wrong_inputs(dataset):
 
     result = run_distributed(worker, 2, worker_args=shards)
     assert all(result.results)
+
+
+# --------------------------------------------------------------------------- #
+# the sharded serving walk runs over the same builder
+# --------------------------------------------------------------------------- #
+def test_restricted_walk_blocks_come_from_the_shared_builder(dataset):
+    """Per layer, a rank's block is ``block_from_in_edges`` over its shard's
+    local-destination / global-source index — array for array what the
+    single-machine index gives for the same global destinations."""
+    dataset.attach_to_graph()
+    graph = dataset.graph
+    template = _fixed_model(dataset, "sage")
+    weights = _weights_of(template)
+    book = PartitionBook(partition_graph(graph, 2, seed=0), 2)
+    shards = create_shards(graph, book)
+    seeds = np.array([3, 50, 51, 120, 219])
+    arrays = ("src_nodes", "dst_nodes", "src", "dst", "dst_in_src")
+
+    def worker(rank, comm, shard):
+        dist_graph = DistributedGraph(shard, comm, SARConfig(mode="sar"))
+        model = _install_weights(_fixed_model(dataset, "sage"), weights)
+        model.eval()
+        distributed_restricted_logits(dist_graph, model, dataset.features, seeds)
+        entry = dist_graph.restriction_cache[("serving", "serve", seeds.tobytes())]
+        checked = 0
+        for prep in entry["layers"]:
+            global_ids = prep["dst_glob"]
+            if not global_ids.size:
+                assert prep["block"] is None
+                continue
+            local_rows = book.to_local(global_ids)[1]
+            from_shard = block_from_in_edges(shard.in_edge_index(), local_rows, global_ids)
+            from_graph = block_from_in_edges(graph.in_edge_index(), global_ids)
+            for name in arrays:
+                np.testing.assert_array_equal(getattr(prep["block"], name), getattr(from_shard, name))
+                np.testing.assert_array_equal(getattr(from_shard, name), getattr(from_graph, name))
+            checked += 1
+        return checked
+
+    result = run_distributed(worker, 2, worker_args=shards)
+    assert sum(result.results) >= 2  # both layers, on at least one rank each

@@ -43,6 +43,26 @@ def star_with_isolated() -> Graph:
 
 
 # --------------------------------------------------------------------------- #
+# the in-edge index is the graph's, sorted once
+# --------------------------------------------------------------------------- #
+def test_samplers_share_the_graphs_cached_in_edge_index(star_with_isolated):
+    graph = star_with_isolated
+    first = NeighborSampler(graph, [2], seed=0)
+    second = NeighborSampler(graph, [-1, 3], seed=1)
+    assert first._index is second._index is graph.in_edge_index()
+
+    hetero = HeteroGraph(7, {"a": (graph.src, graph.dst), "b": (graph.dst, graph.src)})
+    first = NeighborSampler(hetero, [2], seed=0)
+    second = NeighborSampler(hetero, [{"a": -1, "b": 0}], seed=1)
+    assert first._indexes is second._indexes is hetero.in_edge_index()
+    assert list(hetero.in_edge_index()) == hetero.relation_names
+    for name, index in hetero.in_edge_index().items():
+        np.testing.assert_array_equal(
+            index.degrees(np.arange(7)), hetero.in_degrees(relation=name)
+        )
+
+
+# --------------------------------------------------------------------------- #
 # sample_in_edges
 # --------------------------------------------------------------------------- #
 class TestSampleInEdges:

@@ -23,11 +23,11 @@ import numpy as np
 import pytest
 
 from repro.datasets import make_sbm_dataset
-from repro.graph import Graph
-from repro.graph.mfg import build_mfg_pipeline
+from repro.graph import Graph, HeteroGraph
+from repro.graph.mfg import block_from_in_edges, build_mfg_pipeline
 from repro.nn.models import GATNet, GraphSageNet
+from repro.sample import NeighborSampler
 from repro.serving import ServingConfig, create_server
-from repro.serving.executors import block_from_in_edges
 from repro.store import DenseStore
 from repro.tensor import Tensor, no_grad
 from repro.utils.seed import set_seed
@@ -137,19 +137,64 @@ def test_in_edge_index_is_cached_and_built_at_start():
     np.testing.assert_array_equal(index.degrees(np.arange(graph.num_nodes)), graph.in_degrees())
 
 
-def test_block_from_in_edges_matches_the_mask_built_block():
-    graph = _adversarial_graph()
-    dst_nodes = np.array([0, 1, 3, 7, 8, 21, 39])  # hub, isolated, source-only, body
-    block = block_from_in_edges(graph.in_edge_index(), dst_nodes)
-    expected = build_mfg_pipeline(graph, dst_nodes, 1).layer_block(0)
+def _assert_same_block(block, expected):
+    """Same row spaces, and per destination the same sources in the same order."""
     np.testing.assert_array_equal(block.src_nodes, expected.src_nodes)
     np.testing.assert_array_equal(block.dst_nodes, expected.dst_nodes)
     np.testing.assert_array_equal(block.dst_in_src, expected.dst_in_src)
-    assert block.num_edges == expected.num_edges
-    for row in range(len(dst_nodes)):
-        # each destination's sources, in original edge order
-        sources = block.src[block.dst == row]
-        np.testing.assert_array_equal(sources, expected.src[expected.dst == row])
+    if hasattr(block, "relation_edges"):
+        assert block.relation_names == expected.relation_names
+        pairs = [(block.relation_edges[r], expected.relation_edges[r]) for r in block.relation_names]
+    else:
+        pairs = [((block.src, block.dst), (expected.src, expected.dst))]
+    for (src, dst), (exp_src, exp_dst) in pairs:
+        assert len(src) == len(exp_src)
+        for row in range(block.num_dst_nodes):
+            # each destination's sources, in original edge order
+            np.testing.assert_array_equal(src[dst == row], exp_src[exp_dst == row])
+
+
+#: hub + isolated + source-only + body; one in-degree-0 node; only in-degree-0 nodes
+DST_SETS = {
+    "mixed": [0, 1, 3, 7, 8, 21, 39],
+    "single-empty": [2],
+    "all-empty": ISOLATED + [SOURCE_ONLY],
+    "every-node": list(range(40)),
+}
+
+
+def test_block_from_in_edges_matches_the_mask_built_block():
+    graph = _adversarial_graph()
+    dst_nodes = np.array(DST_SETS["mixed"])
+    block = block_from_in_edges(graph.in_edge_index(), dst_nodes)
+    _assert_same_block(block, build_mfg_pipeline(graph, dst_nodes, 1).layer_block(0))
+
+
+@pytest.mark.parametrize("dst_set", list(DST_SETS))
+@pytest.mark.parametrize("hetero", [False, True], ids=["homogeneous", "hetero"])
+def test_block_from_in_edges_matches_full_fanout_sampling(hetero, dst_set):
+    """The one builder equals what ``fanout=-1`` sampling compacts, relation by relation."""
+    graph = _adversarial_graph()
+    if hetero:
+        # Three relations over the shuffled edge list: two interleaved halves
+        # (parallel edges and self-loops land in both) and one with no edge.
+        none = np.empty(0, dtype=np.int64)
+        graph = HeteroGraph(
+            graph.num_nodes,
+            {
+                "even": (graph.src[::2], graph.dst[::2]),
+                "odd": (graph.src[1::2], graph.dst[1::2]),
+                "empty": (none, none),
+            },
+        )
+    dst_nodes = np.array(DST_SETS[dst_set])
+    block = block_from_in_edges(graph.in_edge_index(), dst_nodes)
+    expected = NeighborSampler(graph, [-1], seed=0).sample(dst_nodes).layer_block(0)
+    assert type(block) is type(expected)
+    _assert_same_block(block, expected)
+    if dst_set == "all-empty":
+        assert block.num_src_nodes == len(dst_nodes)  # the destinations themselves, no edge
+        np.testing.assert_array_equal(block.src_nodes, dst_nodes)
 
 
 # --------------------------------------------------------------------------- #
