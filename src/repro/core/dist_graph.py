@@ -408,7 +408,7 @@ class DistributedGraph(_DistributedGraphBase):
             counts = np.bincount(block.src_index,
                                  minlength=block.num_required_src).astype(np.float64)
             if q == self.rank:
-                np.add.at(local_counts, block.required_src_local, counts)
+                local_counts[block.required_src_local] += counts
             else:
                 outgoing[q] = counts
         received = self.comm.exchange("setup/out_degrees", outgoing, tag="setup")

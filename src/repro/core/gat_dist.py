@@ -10,18 +10,25 @@ sequentially with the numerically stable running softmax of §3.4.
 :class:`GATKernel` plugs the attention math into the shared
 :class:`~repro.core.seq_agg.SequentialAggregationEngine`; the engine owns
 block ordering, halo retention, prefetching, the backward re-fetch, and the
-error exchange.  Execution modes (from :class:`~repro.core.config.SARConfig`
-plus the layer's kernel choice):
+error exchange.  There is one per-block kernel: with the block's
+:class:`~repro.tensor.edge_plan.EdgePlan` every per-edge array lives in the
+plan's destination-sorted edge space from the logits to the last segment sum
+(:func:`~repro.tensor.sparse.gat_logits_sorted`,
+:meth:`RunningSoftmaxAccumulator.add_block_sorted`,
+:func:`~repro.tensor.sparse.gat_backward_sorted`), so nothing is permuted between
+steps and the SDDMM's gathered operands are cache-blocked; without a plan
+(``plans_disabled()``) the same math runs in input edge order over the naive
+kernels — the reference the tests compare against.  Execution modes (from
+:class:`~repro.core.config.SARConfig` plus the layer's ``fused`` flag):
 
 * vanilla DP (``mode="dp"``): halo feature blocks *and* per-edge attention
-  logits are wrapped in tensors and saved for the backward pass (the memory
-  profile of the standard DGL implementation), no backward re-fetch;
-* plain SAR (``mode="sar"``, ``fused=False``): nothing edge-sized survives the
-  forward pass; the backward pass re-fetches remote features and recomputes
-  the per-edge quantities with the standard multi-step kernel;
-* SAR+FAK (``mode="sar"``, ``fused=True``): same communication pattern, but
-  the per-block forward/backward math uses the fused kernels that avoid
-  materializing separate logit/weight arrays.
+  tensors are wrapped in tensors and saved for the backward pass (the memory
+  profile of the standard DGL implementation), no backward re-fetch.
+  ``fused`` decides what is saved per edge: raw scores and logits
+  (``False``, the multi-step dataflow) or the logits alone (``True``);
+* SAR (``mode="sar"``): nothing edge-sized survives the forward pass; the
+  backward pass re-fetches remote features and rematerializes the per-edge
+  quantities block by block.  ``fused`` changes nothing here.
 """
 
 from __future__ import annotations
@@ -40,28 +47,21 @@ from repro.core.seq_agg import (
 from repro.core.stable_softmax import RunningSoftmaxAccumulator
 from repro.distributed.comm import Communicator
 from repro.partition.shard import EdgeBlock, ShardedGraph
-from repro.tensor.sparse import segment_sum_np
+from repro.tensor.edge_plan import EdgePlan
+from repro.tensor.sparse import gat_backward_sorted, gat_logits_sorted, segment_sum_np
 from repro.tensor.tensor import Tensor
 
 
 # --------------------------------------------------------------------------- #
-# per-block logit kernels
+# per-block logits
 # --------------------------------------------------------------------------- #
-def _block_logits_standard(score_dst: np.ndarray, score_src_block: np.ndarray,
-                           block: EdgeBlock, negative_slope: float
-                           ) -> Tuple[np.ndarray, np.ndarray]:
-    """Standard multi-step computation: gather, add, LeakyReLU (materializes both)."""
-    gathered_dst = score_dst[block.dst_local]
-    gathered_src = score_src_block[block.src_index]
-    raw = gathered_dst + gathered_src
-    logits = np.where(raw > 0, raw, negative_slope * raw)
-    return raw, logits
-
-
-def _block_logits_fused(score_dst: np.ndarray, score_src_block: np.ndarray,
-                        block: EdgeBlock, negative_slope: float
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-    """Fused computation: a single expression, only the logits array survives."""
+def _block_logits(score_dst: np.ndarray, score_src_block: np.ndarray,
+                  block: EdgeBlock, negative_slope: float,
+                  plan: Optional[EdgePlan]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(raw, LeakyReLU(raw))`` per edge of the block: in the plan's
+    destination-sorted edge space, or in input edge order without a plan."""
+    if plan is not None:
+        return gat_logits_sorted(plan, score_dst, score_src_block, negative_slope)
     raw = score_dst[block.dst_local] + score_src_block[block.src_index]
     return raw, np.where(raw > 0, raw, negative_slope * raw)
 
@@ -96,10 +96,10 @@ class GATKernel(BlockKernel):
         self.negative_slope = negative_slope
         self.fused = fused
         self.num_local, self.heads, self.dim = z_data.shape
-        self._logits_fn = _block_logits_fused if fused else _block_logits_standard
         self._passes = [KernelPass(name="", blocks=shard.blocks, halo=halo)]
-        #: per-edge attention tensors kept alive in vanilla DP mode only
-        self._saved_logits: Dict[int, Tensor] = {}
+        #: per-edge attention tensors kept alive in vanilla DP mode only, with
+        #: the plan whose edge space they are in (``None``: input edge order)
+        self._saved_logits: Dict[int, Tuple[Optional[EdgePlan], Tensor]] = {}
 
     # -- engine interface ------------------------------------------------ #
     def payload(self) -> np.ndarray:
@@ -120,17 +120,19 @@ class GATKernel(BlockKernel):
     def forward_block(self, p: KernelPass, q: int, block: EdgeBlock,
                       feats: np.ndarray) -> None:
         z_q, ss_q = self._unpack(feats)
-        raw, logits = self._logits_fn(self.sd, ss_q, block, self.negative_slope)
+        plan = block.plan()
+        raw, logits = _block_logits(self.sd, ss_q, block, self.negative_slope, plan)
         if self.config.is_domain_parallel:
             # Vanilla DP materializes per-edge attention tensors in the graph.
-            self._saved_logits[q] = Tensor(logits if self.fused else np.stack([raw, logits]))
-        self._accumulator.add_block(
-            logits, z_q, block.dst_local,
-            lambda weights, _block=block, _z=z_q: self._weighted_aggregate(
-                _block, weights, _z
-            ),
-            plan=block.plan(),
-        )
+            saved = Tensor(logits if self.fused else np.stack([raw, logits]))
+            self._saved_logits[q] = (plan, saved)
+        if plan is not None:
+            self._accumulator.add_block_sorted(logits, z_q, plan)
+        else:
+            self._accumulator.add_block(
+                logits, z_q, block.dst_local,
+                lambda weights: self._weighted_aggregate(block, weights, z_q),
+            )
 
     def forward_finalize(self) -> np.ndarray:
         self.out = self._accumulator.finalize()
@@ -153,35 +155,38 @@ class GATKernel(BlockKernel):
     def backward_block(self, p: KernelPass, q: int, block: EdgeBlock,
                        feats: Optional[np.ndarray]) -> np.ndarray:
         z_q, ss_q = self._unpack(feats)
-        plan = block.plan()
         # ---- rematerialize the per-edge attention coefficients ----------- #
-        stored = self._saved_logits.get(q) if self.config.is_domain_parallel else None
-        if stored is not None:
+        saved = self._saved_logits.get(q)  # filled by vanilla DP's forward only
+        if saved is not None:
+            plan, stored = saved
             if self.fused:
                 raw, logits = None, stored.data
             else:
                 raw, logits = stored.data[0], stored.data[1]
         else:
-            raw, logits = self._logits_fn(self.sd, ss_q, block, self.negative_slope)
+            plan = block.plan()
+            raw, logits = _block_logits(self.sd, ss_q, block, self.negative_slope, plan)
+        positive = logits > 0 if raw is None else raw > 0
+        if plan is not None:
+            weights = np.exp(logits - plan.expand_dst(self._safe_max))
+            alpha = weights / plan.expand_dst(self.denominator)
+            grad_z_q, grad_sd, grad_ss_q = gat_backward_sorted(
+                plan, z_q, self._grad_out, alpha, positive, self.negative_slope,
+                weighted_sum=self._weighted_sum,
+            )
+            self._grad_sd += grad_sd
+            return pack_features(grad_z_q, grad_ss_q)
+
+        # ---- reference path: input edge order, naive kernels -------------- #
         weights = np.exp(logits - self._safe_max[block.dst_local])
         alpha = weights / self.denominator[block.dst_local]
-
-        # ---- gradients --------------------------------------------------- #
-        if plan is not None:
-            grad_z_q = plan.u_mul_e_sum_t(self._grad_out, alpha)
-        else:
-            grad_z_q = self._weighted_transpose(block, alpha, self._grad_out)
+        grad_z_q = self._weighted_transpose(block, alpha, self._grad_out)
         grad_alpha = np.einsum("ehd,ehd->eh", z_q[block.src_index],
                                self._grad_out[block.dst_local])
         grad_logits = alpha * (grad_alpha - self._weighted_sum[block.dst_local])
-        positive = logits > 0 if raw is None else raw > 0
         grad_raw = np.where(positive, grad_logits, self.negative_slope * grad_logits)
-        if plan is not None:
-            grad_ss_q = plan.segment_sum_src(grad_raw)
-            self._grad_sd += plan.segment_sum(grad_raw)
-        else:
-            grad_ss_q = segment_sum_np(grad_raw, block.src_index, z_q.shape[0])
-            self._grad_sd += segment_sum_np(grad_raw, block.dst_local, self.num_local)
+        grad_ss_q = segment_sum_np(grad_raw, block.src_index, z_q.shape[0])
+        self._grad_sd += segment_sum_np(grad_raw, block.dst_local, self.num_local)
         return pack_features(grad_z_q, grad_ss_q)
 
     def error_target(self, p: KernelPass) -> np.ndarray:
@@ -197,9 +202,6 @@ class GATKernel(BlockKernel):
     def _weighted_aggregate(self, block: EdgeBlock, weights: np.ndarray,
                             values: np.ndarray) -> np.ndarray:
         """``out[d] += Σ_e w_e · values[src_e]`` for one block (per head)."""
-        plan = block.plan()
-        if plan is not None:
-            return plan.u_mul_e_sum(values, weights)
         out = np.empty((self.num_local, self.heads, self.dim), dtype=values.dtype)
         for h in range(self.heads):
             out[:, h, :] = block.weighted_matrix(weights[:, h]) @ values[:, h, :]

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.distributed.comm import Communicator
 from repro.partition.shard import EdgeBlock
+from repro.utils.validation import check_strictly_increasing
 
 
 class HaloExchange:
@@ -41,8 +42,11 @@ class HaloExchange:
         received = comm.exchange(f"setup/{name}", outgoing, tag="setup")
         #: rows of *this* worker's partition that each peer reads during the
         #: forward pass (and therefore sends errors for during the backward pass)
+        #: — each peer's ``required_src_local``, so strictly increasing: the
+        #: scatter below relies on the rows being unique.
         self.rows_needed_by_peer: Dict[int, np.ndarray] = {
-            peer: rows.astype(np.int64)
+            peer: check_strictly_increasing(rows.astype(np.int64),
+                                            f"rows needed by peer {peer}")
             for peer, rows in received.items()
             if peer != self.rank
         }
@@ -70,7 +74,7 @@ class HaloExchange:
                 raise RuntimeError(
                     f"Peer {peer} sent {error.shape[0]} error rows, expected {len(rows)}"
                 )
-            np.add.at(target, rows, error)
+            target[rows] += error
         return target
 
 

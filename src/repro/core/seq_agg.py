@@ -63,6 +63,15 @@ def block_order(rank: int, world_size: int) -> List[int]:
     return [rank] + [(rank + offset) % world_size for offset in range(1, world_size)]
 
 
+def _local_rows(payload: np.ndarray, block: EdgeBlock) -> np.ndarray:
+    """The local block's payload rows — the payload itself, not a copy, when
+    the block needs every row: ``required_src_local`` is strictly increasing,
+    so as many rows as the payload has means ``arange(len(payload))``.
+    Kernels only read what they are handed."""
+    rows = block.required_src_local
+    return payload if len(rows) == len(payload) else payload[rows]
+
+
 @dataclass
 class KernelPass:
     """One sweep over a grid of edge blocks with its own error exchange.
@@ -306,7 +315,9 @@ class SequentialAggregationEngine:
             for q, blk, feats, _ in blocks:
                 error = kernel.backward_block(p, q, blk, feats)
                 if q == rank:
-                    np.add.at(kernel.error_target(p), blk.required_src_local, error)
+                    # required_src_local is strictly increasing (EdgeBlock
+                    # checks it), so the rows are unique.
+                    kernel.error_target(p)[blk.required_src_local] += error
                 else:
                     outgoing[q] = np.asarray(error, dtype=np.float32)
             kernel.end_pass(p, backward=True)
@@ -362,7 +373,7 @@ class SequentialAggregationEngine:
         for q in order:
             blk = p.blocks[q]
             if q == rank:
-                yield q, blk, payload[blk.required_src_local], None
+                yield q, blk, _local_rows(payload, blk), None
                 continue
             if pipeline is not None:
                 fetched = pipeline.take(q, blk.required_src_local)
@@ -397,7 +408,7 @@ class SequentialAggregationEngine:
             feats: Optional[np.ndarray] = None
             if nonlinear:
                 if q == rank:
-                    feats = kernel._payload[blk.required_src_local]
+                    feats = _local_rows(kernel._payload, blk)
                 else:
                     feats = kernel.saved_halo(p, q)
             yield q, blk, feats, None

@@ -16,7 +16,7 @@ overflows and destabilizes training as soon as attention logits are large.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -57,8 +57,9 @@ class RunningSoftmaxAccumulator:
 
     # ------------------------------------------------------------------ #
     def add_block(self, logits: np.ndarray, values: np.ndarray, dst: np.ndarray,
-                  aggregate_fn, plan: Optional[EdgePlan] = None) -> None:
-        """Fold one edge block into the accumulators.
+                  aggregate_fn) -> None:
+        """Fold one edge block into the accumulators (reference path: per-edge
+        arrays in input edge order, naive segment kernels).
 
         Parameters
         ----------
@@ -73,34 +74,52 @@ class RunningSoftmaxAccumulator:
             weighted sum of ``values`` into destination rows; the caller
             provides it because the sparse structure (and its cached CSR) is
             block-specific.
-        plan:
-            Optional :class:`~repro.tensor.edge_plan.EdgePlan` of the block's
-            edges; the running max/sum statistics then reuse its cached sort
-            instead of re-deriving sparsity per block visit.
         """
+        self._check_heads(logits)
+        if self.stable:
+            safe_max = self._raise_max(segment_max_np(logits, dst, self.num_nodes))
+            weights = np.exp(logits - safe_max[dst])
+        else:
+            weights = np.exp(logits)
+        self.denominator += segment_sum_np(weights, dst, self.num_nodes)
+        self.numerator += aggregate_fn(weights)
+
+    def add_block_sorted(self, logits: np.ndarray, values: np.ndarray,
+                         plan: EdgePlan) -> None:
+        """Fold one edge block whose ``(E_block, H)`` logits are in ``plan``'s
+        destination-sorted edge space; every per-edge step stays there, so
+        the block pays no ``values[order]`` gather."""
+        self._check_heads(logits)
+        if self.stable:
+            safe_max = self._raise_max(plan.segment_max_sorted(logits))
+            weights = np.exp(logits - plan.expand_dst(safe_max))
+        else:
+            weights = np.exp(logits)
+        self.denominator += plan.segment_sum_sorted(weights)
+        self.numerator += plan.u_mul_e_sum_sorted(values, weights)
+
+    def _check_heads(self, logits: np.ndarray) -> None:
         if logits.shape[1] != self.num_heads:
             raise ValueError(
                 f"logits has {logits.shape[1]} heads, accumulator expects {self.num_heads}"
             )
-        if self.stable:
-            block_max = segment_max_np(logits, dst, self.num_nodes, plan=plan)
-            new_max = np.maximum(self.running_max, block_max)
-            # Nodes that still have no incoming edges keep -inf; exp(-inf - -inf)
-            # would be NaN, so rescaling is guarded.
-            safe_new_max = np.where(np.isfinite(new_max), new_max, 0.0)
-            rescale = np.where(
-                np.isfinite(self.running_max),
-                np.exp(self.running_max - safe_new_max),
-                0.0,
-            ).astype(self.dtype)
-            self.numerator *= rescale[:, :, None]
-            self.denominator *= rescale
-            self.running_max = new_max
-            weights = np.exp(logits - safe_new_max[dst])
-        else:
-            weights = np.exp(logits)
-        self.denominator += segment_sum_np(weights, dst, self.num_nodes, plan=plan)
-        self.numerator += aggregate_fn(weights)
+
+    def _raise_max(self, block_max: np.ndarray) -> np.ndarray:
+        """Raise the running maximum to cover ``block_max`` and rescale what
+        is already accumulated; returns the new maximum with ``-inf`` → 0."""
+        new_max = np.maximum(self.running_max, block_max)
+        # Nodes that still have no incoming edges keep -inf; exp(-inf - -inf)
+        # would be NaN, so rescaling is guarded.
+        safe_new_max = np.where(np.isfinite(new_max), new_max, 0.0)
+        rescale = np.where(
+            np.isfinite(self.running_max),
+            np.exp(self.running_max - safe_new_max),
+            0.0,
+        ).astype(self.dtype)
+        self.numerator *= rescale[:, :, None]
+        self.denominator *= rescale
+        self.running_max = new_max
+        return safe_new_max
 
     # ------------------------------------------------------------------ #
     def finalize(self) -> np.ndarray:

@@ -31,10 +31,28 @@ from repro.graph.graph import Graph
 from repro.graph.mfg import MFGBlock
 from repro.nn.gat import GATBase
 from repro.tensor.edge_plan import EdgePlan
-from repro.tensor.sparse import segment_max_np, segment_sum_np
+from repro.tensor.sparse import (
+    gat_backward_sorted,
+    gat_logits_sorted,
+    segment_max_np,
+    segment_sum_np,
+)
 from repro.tensor.tensor import Function, Tensor
 
 _TINY = np.finfo(np.float32).tiny
+
+
+def _softmax_terms_sorted(plan: EdgePlan, score_dst: np.ndarray, score_src: np.ndarray,
+                          negative_slope: float):
+    """``(raw, exp(logits − max), Σ exp)`` of the whole edge set, per-edge
+    arrays in ``plan``'s destination-sorted edge space — the one-block case
+    of the SAR attention kernel (:class:`repro.core.gat_dist.GATKernel`)."""
+    raw, logits = gat_logits_sorted(plan, score_dst, score_src, negative_slope)
+    maxes = plan.segment_max_sorted(logits)
+    maxes = np.where(np.isfinite(maxes), maxes, 0.0)
+    weights = np.exp(logits - plan.expand_dst(maxes))
+    denom = np.maximum(plan.segment_sum_sorted(weights), _TINY)
+    return raw, weights, denom
 
 
 def fused_gat_forward_np(z: np.ndarray, score_dst: np.ndarray, score_src: np.ndarray,
@@ -42,20 +60,21 @@ def fused_gat_forward_np(z: np.ndarray, score_dst: np.ndarray, score_src: np.nda
                          negative_slope: float,
                          plan: Optional[EdgePlan] = None) -> np.ndarray:
     """Single-pass attention aggregation (no per-edge tensor survives the call)."""
+    if plan is not None:
+        _, weights, denom = _softmax_terms_sorted(plan, score_dst, score_src,
+                                                  negative_slope)
+        return plan.u_mul_e_sum_sorted(z, weights) / denom[:, :, None]
     raw = score_dst[dst] + score_src[src]
     logits = np.where(raw > 0, raw, negative_slope * raw)
-    maxes = segment_max_np(logits, dst, num_nodes, plan=plan)
+    maxes = segment_max_np(logits, dst, num_nodes)
     maxes = np.where(np.isfinite(maxes), maxes, 0.0)
     weights = np.exp(logits - maxes[dst])
-    denom = np.maximum(segment_sum_np(weights, dst, num_nodes, plan=plan), _TINY)
+    denom = np.maximum(segment_sum_np(weights, dst, num_nodes), _TINY)
     heads, dim = z.shape[1], z.shape[2]
-    if plan is not None:
-        numer = plan.u_mul_e_sum(z, weights)
-    else:
-        numer = np.empty((num_nodes, heads, dim), dtype=z.dtype)
-        for h in range(heads):
-            adj = sp.csr_matrix((weights[:, h], (dst, src)), shape=(num_nodes, z.shape[0]))
-            numer[:, h, :] = adj @ z[:, h, :]
+    numer = np.empty((num_nodes, heads, dim), dtype=z.dtype)
+    for h in range(heads):
+        adj = sp.csr_matrix((weights[:, h], (dst, src)), shape=(num_nodes, z.shape[0]))
+        numer[:, h, :] = adj @ z[:, h, :]
     return numer / denom[:, :, None]
 
 
@@ -66,36 +85,38 @@ def fused_gat_backward_np(grad_out: np.ndarray, z: np.ndarray, score_dst: np.nda
                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Recompute attention coefficients and backpropagate through the aggregation."""
     # Rematerialize the attention coefficients (the extra compute of the fused kernel).
+    if plan is not None:
+        raw, weights, denom = _softmax_terms_sorted(plan, score_dst, score_src,
+                                                    negative_slope)
+        alpha = weights / plan.expand_dst(denom)
+        grad_z, grad_score_dst, grad_score_src = gat_backward_sorted(
+            plan, z, grad_out, alpha, raw > 0, negative_slope
+        )
+        return (grad_z, grad_score_dst.astype(score_dst.dtype),
+                grad_score_src.astype(score_src.dtype))
     raw = score_dst[dst] + score_src[src]
     logits = np.where(raw > 0, raw, negative_slope * raw)
-    maxes = segment_max_np(logits, dst, num_nodes, plan=plan)
+    maxes = segment_max_np(logits, dst, num_nodes)
     maxes = np.where(np.isfinite(maxes), maxes, 0.0)
     weights = np.exp(logits - maxes[dst])
-    denom = np.maximum(segment_sum_np(weights, dst, num_nodes, plan=plan), _TINY)
+    denom = np.maximum(segment_sum_np(weights, dst, num_nodes), _TINY)
     alpha = weights / denom[dst]
 
     heads = z.shape[1]
     # Gradient w.r.t. z: transpose-aggregate the output gradient with weights alpha.
-    if plan is not None:
-        grad_z = plan.u_mul_e_sum_t(grad_out, alpha)
-    else:
-        grad_z = np.empty_like(z)
-        for h in range(heads):
-            adj_t = sp.csr_matrix((alpha[:, h], (src, dst)), shape=(z.shape[0], num_nodes))
-            grad_z[:, h, :] = adj_t @ grad_out[:, h, :]
+    grad_z = np.empty_like(z)
+    for h in range(heads):
+        adj_t = sp.csr_matrix((alpha[:, h], (src, dst)), shape=(z.shape[0], num_nodes))
+        grad_z[:, h, :] = adj_t @ grad_out[:, h, :]
     # Gradient w.r.t. the normalized coefficients, then through the softmax.
     grad_alpha = np.einsum("ehd,ehd->eh", z[src], grad_out[dst])
-    weighted = segment_sum_np(alpha * grad_alpha, dst, num_nodes, plan=plan)
+    weighted = segment_sum_np(alpha * grad_alpha, dst, num_nodes)
     grad_logits = alpha * (grad_alpha - weighted[dst])
     grad_raw = np.where(raw > 0, grad_logits, negative_slope * grad_logits)
-    if plan is not None:
-        grad_score_dst = plan.segment_sum(grad_raw).astype(score_dst.dtype)
-        grad_score_src = plan.segment_sum_src(grad_raw).astype(score_src.dtype)
-    else:
-        # Source rows are counted separately: on a compacted MFG block the
-        # source row space is larger than the destination row space.
-        grad_score_dst = segment_sum_np(grad_raw, dst, num_nodes).astype(score_dst.dtype)
-        grad_score_src = segment_sum_np(grad_raw, src, z.shape[0]).astype(score_src.dtype)
+    # Source rows are counted separately: on a compacted MFG block the
+    # source row space is larger than the destination row space.
+    grad_score_dst = segment_sum_np(grad_raw, dst, num_nodes).astype(score_dst.dtype)
+    grad_score_src = segment_sum_np(grad_raw, src, z.shape[0]).astype(score_src.dtype)
     return grad_z, grad_score_dst, grad_score_src
 
 

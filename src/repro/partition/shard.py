@@ -26,6 +26,7 @@ from repro.graph.in_edges import InEdgeIndex
 from repro.partition.book import PartitionBook
 from repro.tensor import edge_plan as edge_plan_mod
 from repro.tensor.edge_plan import EdgePlan
+from repro.utils.validation import check_strictly_increasing
 
 
 @dataclass
@@ -54,6 +55,12 @@ class EdgeBlock:
     _structure_cache: Dict[bool, tuple] = field(default_factory=dict, repr=False)
     #: lazily built edge plan this block's kernels execute through
     _plan: Optional[EdgePlan] = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        # The engine scatter-adds error rows with ``target[rows] += error``
+        # and takes ``len(rows) == len(payload)`` to mean "every row, in
+        # order"; both rest on this (it is ``np.unique`` output everywhere).
+        check_strictly_increasing(self.required_src_local, "required_src_local")
 
     @property
     def num_edges(self) -> int:

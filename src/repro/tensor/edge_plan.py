@@ -44,9 +44,15 @@ warm-up, proving the hot path performs no per-call sparsity construction.
 ``EdgeBlock.plan()``, …) to return ``None`` so benchmarks can time the naive
 path with identical call sites.
 
+A second family of methods (``*_sorted``, ``expand_dst``, ``gather_src``,
+``sddmm``) keeps per-edge arrays in the plan's destination-sorted order
+between steps instead of permuting on every call; the attention kernels
+(:func:`repro.tensor.sparse.gat_backward_sorted` and its callers) are built
+on it.  See the section comment in :class:`EdgePlan`.
+
 Plans are not thread-safe across concurrent calls on the *same* plan (the
-weighted template's data buffer is reused); each worker owns its own blocks
-and plans, so this never happens in practice.
+weighted templates' data buffers are reused, by both families); each worker
+owns its own blocks and plans, so this never happens in practice.
 """
 
 from __future__ import annotations
@@ -68,6 +74,12 @@ build_counter: int = 0
 
 _enabled: bool = True
 _counter_lock = threading.Lock()
+
+#: bytes of the two gathered ``(edges, H, D)`` operands of one
+#: :meth:`EdgePlan.sddmm` chunk — what has to stay in a core's L2 between the
+#: gather and the reduction.  Not a knob: docs/architecture.md records how it
+#: was measured.
+SDDMM_BLOCK_BYTES = 2 << 20
 
 
 def plans_enabled() -> bool:
@@ -110,7 +122,7 @@ class _Orientation:
 
     __slots__ = ("num_rows", "num_cols", "order", "indices", "indptr", "counts",
                  "nonempty", "starts", "all_nonempty",
-                 "_agg", "_sel", "_weighted_template")
+                 "_agg", "_sel", "_weighted_template", "_rows")
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray,
                  num_rows: int, num_cols: int):
@@ -138,6 +150,7 @@ class _Orientation:
         self._agg: Optional[sp.csr_matrix] = None
         self._sel: Optional[sp.csr_matrix] = None
         self._weighted_template: Optional[sp.csr_matrix] = None
+        self._rows: Optional[np.ndarray] = None
 
     # -- cached sparse operators ----------------------------------------- #
     def agg_matrix(self) -> sp.csr_matrix:
@@ -167,6 +180,13 @@ class _Orientation:
         overwritten in place — consume it immediately (one matvec) and never
         store it.
         """
+        template = self.template()
+        np.take(weights.astype(np.float32, copy=False), self.order,
+                out=template.data)
+        return template
+
+    def template(self) -> sp.csr_matrix:
+        """The shared weighted-CSR template; callers overwrite ``.data``."""
         template = self._weighted_template
         if template is None:
             template = sp.csr_matrix(
@@ -175,8 +195,6 @@ class _Orientation:
                 shape=(self.num_rows, self.num_cols),
             )
             self._weighted_template = template
-        np.take(weights.astype(np.float32, copy=False), self.order,
-                out=template.data)
         return template
 
     # -- segment reductions over the sorted order ------------------------- #
@@ -190,6 +208,12 @@ class _Orientation:
         out = np.full(out_shape, fill, dtype=sorted_vals.dtype)
         out[self.nonempty] = ufunc.reduceat(sorted_vals, self.starts, axis=0)
         return out
+
+    def rows(self) -> np.ndarray:
+        """Row id of every sorted edge (``repeat(arange(num_rows), counts)``)."""
+        if self._rows is None:
+            self._rows = np.repeat(np.arange(self.num_rows), self.counts)
+        return self._rows
 
     def matvec(self, mat: sp.spmatrix, values: np.ndarray) -> np.ndarray:
         """``mat @ values`` with arbitrary trailing dimensions."""
@@ -242,6 +266,8 @@ class EdgePlan:
         self.num_src = int(num_src)
         self._forward: Optional[_Orientation] = None
         self._transpose: Optional[_Orientation] = None
+        self._t_positions: Optional[np.ndarray] = None
+        self._sorted_sel: dict = {}  # transpose flag -> selection CSR over sorted rows
         global build_counter
         with _counter_lock:  # workers build block plans concurrently
             build_counter += 1
@@ -388,6 +414,135 @@ class EdgePlan:
         alpha_sorted = shifted / np.repeat(denom, o.counts, axis=0)
         out = np.empty_like(alpha_sorted)
         out[o.order] = alpha_sorted
+        return out
+
+    # -- destination-sorted edge space -------------------------------------- #
+    # The methods above take and return per-edge arrays in *input* edge
+    # order, so each of them starts with a ``values[order]`` gather.  A kernel
+    # that chains several per-edge steps (the attention block: logits → max →
+    # exp → sum → SpMM, and the SDDMM → softmax-grad → two segment sums of its
+    # backward) pays that gather per step.  The methods below keep every
+    # per-edge array in the plan's destination-sorted order instead: rows of
+    # one destination are contiguous, per-destination values expand with a
+    # sequential ``np.repeat``, the weighted template is filled by a plain
+    # copy, and only entering or leaving the space (``sort_edges`` /
+    # ``unsort_edges``) permutes.  Per destination the reduction order is the
+    # same stable sorted order as above, so results are bit-identical.
+    def sort_edges(self, values: np.ndarray) -> np.ndarray:
+        """Per-edge rows, input order → destination-sorted order."""
+        values = self._check_edge_rows(values, "values")
+        return values.take(self._o(False).order, axis=0)
+
+    def unsort_edges(self, sorted_values: np.ndarray) -> np.ndarray:
+        """Per-edge rows, destination-sorted order → input order."""
+        sorted_values = self._check_edge_rows(sorted_values, "sorted_values")
+        out = np.empty_like(sorted_values)
+        out[self._o(False).order] = sorted_values
+        return out
+
+    def expand_dst(self, x: np.ndarray) -> np.ndarray:
+        """Sorted per-edge copy of each edge's destination row of ``x``."""
+        return np.repeat(x, self._o(False).counts, axis=0)
+
+    def gather_src(self, x: np.ndarray) -> np.ndarray:
+        """Sorted per-edge copy of each edge's source row of ``x``."""
+        return x.take(self._o(False).indices, axis=0)
+
+    def _sum_sorted(self, sorted_values: np.ndarray, transpose: bool) -> np.ndarray:
+        """Sum sorted per-edge rows into one orientation's segments through a
+        cached ``(rows × E)`` selection CSR whose columns are sorted-space
+        positions: the identity destination-major, :meth:`_transpose_positions`
+        source-major."""
+        sorted_values = self._check_edge_rows(sorted_values, "sorted_values")
+        o = self._o(transpose)
+        sel = self._sorted_sel.get(transpose)
+        if sel is None:
+            columns = (self._transpose_positions() if transpose
+                       else np.arange(self.num_edges))
+            sel = self._sorted_sel[transpose] = sp.csr_matrix(
+                (np.ones(self.num_edges, dtype=np.float32), columns, o.indptr),
+                shape=(o.num_rows, self.num_edges),
+            )
+        return o.matvec(sel, sorted_values)
+
+    def segment_sum_sorted(self, sorted_values: np.ndarray) -> np.ndarray:
+        """:meth:`segment_sum` of rows already in sorted order."""
+        return self._sum_sorted(sorted_values, transpose=False)
+
+    def segment_max_sorted(self, sorted_values: np.ndarray,
+                           initial: float = -np.inf) -> np.ndarray:
+        """:meth:`segment_max` of rows already in sorted order."""
+        sorted_values = self._check_edge_rows(sorted_values, "sorted_values")
+        return self._o(False).reduce_sorted(np.maximum, sorted_values, initial)
+
+    def _transpose_positions(self) -> np.ndarray:
+        """Sorted-space position of each edge of the source-major layout,
+        ``inv(order)[t.order]`` — one precomposed permutation, so transpose
+        kernels read sorted rows directly."""
+        if self._t_positions is None:
+            inverse = np.empty(self.num_edges, dtype=np.int64)
+            inverse[self._o(False).order] = np.arange(self.num_edges)
+            self._t_positions = inverse[self._o(True).order]
+        return self._t_positions
+
+    def segment_sum_src_sorted(self, sorted_values: np.ndarray) -> np.ndarray:
+        """:meth:`segment_sum_src` of rows already in sorted order."""
+        return self._sum_sorted(sorted_values, transpose=True)
+
+    def u_mul_e_sum_sorted(self, x: np.ndarray, sorted_weights: np.ndarray) -> np.ndarray:
+        """:meth:`u_mul_e_sum` with the ``(E, H)`` weights in sorted order."""
+        sorted_weights = self._check_edge_rows(sorted_weights, "sorted_weights")
+        template = self._o(False).template()
+        heads, dim = x.shape[1], x.shape[2]
+        out = np.empty((self.num_dst, heads, dim), dtype=x.dtype)
+        for h in range(heads):
+            template.data[:] = sorted_weights[:, h]
+            out[:, h, :] = template @ x[:, h, :]
+        return out
+
+    def u_mul_e_sum_t_sorted(self, grad: np.ndarray, sorted_weights: np.ndarray) -> np.ndarray:
+        """:meth:`u_mul_e_sum_t` with the ``(E, H)`` weights in sorted order."""
+        sorted_weights = self._check_edge_rows(sorted_weights, "sorted_weights")
+        template = self._o(True).template()
+        positions = self._transpose_positions()
+        heads, dim = grad.shape[1], grad.shape[2]
+        out = np.empty((self.num_src, heads, dim), dtype=grad.dtype)
+        for h in range(heads):
+            np.take(sorted_weights[:, h].astype(np.float32, copy=False), positions,
+                    out=template.data)
+            out[:, h, :] = template @ grad[:, h, :]
+        return out
+
+    def sddmm(self, x_src: np.ndarray, y_dst: np.ndarray) -> np.ndarray:
+        """Sorted per-edge dot products ``out[e, h] = <x_src[s_e, h], y_dst[d_e, h]>``.
+
+        The sampled dense-dense product of the attention backward
+        (``∂L/∂α``).  Unblocked, its two gathered ``(E, H, D)`` operands make
+        a round trip through DRAM before the reduction reads them back; here
+        they are gathered, multiplied and reduced one chunk of sorted edges —
+        :data:`SDDMM_BLOCK_BYTES` of operands — at a time, so they stay in
+        cache.  Each edge's dot product is the same ``einsum`` reduction as
+        the unblocked call, so the result does not depend on the chunking.
+        """
+        o = self._o(False)
+        heads, dim = x_src.shape[1], x_src.shape[2]
+        dtype = np.result_type(x_src, y_dst)
+        out = np.empty((self.num_edges, heads), dtype=dtype)
+        step = max(1, SDDMM_BLOCK_BYTES // (2 * heads * dim * dtype.itemsize))
+        # ``take`` copies a non-contiguous source whole on every call.
+        x_src, y_dst = np.ascontiguousarray(x_src), np.ascontiguousarray(y_dst)
+        # One pair of chunk buffers per call, not one per chunk: a fresh
+        # multi-megabyte temporary is mmap'd and page-faulted every time.
+        x_buf = np.empty((min(step, self.num_edges), heads, dim), dtype=x_src.dtype)
+        y_buf = np.empty((min(step, self.num_edges), heads, dim), dtype=y_dst.dtype)
+        dst = o.rows()
+        for start in range(0, self.num_edges, step):
+            stop = min(start + step, self.num_edges)
+            x_e, y_e = x_buf[:stop - start], y_buf[:stop - start]
+            # mode="clip": with the default "raise", ``out`` is buffered.
+            np.take(x_src, o.indices[start:stop], axis=0, out=x_e, mode="clip")
+            np.take(y_dst, dst[start:stop], axis=0, out=y_e, mode="clip")
+            np.einsum("ehd,ehd->eh", x_e, y_e, out=out[start:stop])
         return out
 
 

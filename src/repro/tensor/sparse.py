@@ -21,7 +21,7 @@ autograd graph and rematerializes it manually in the backward pass.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -132,6 +132,55 @@ def edge_softmax_np(scores: np.ndarray, dst: np.ndarray, num_dst: int,
     denom = segment_sum_np(exp, dst, num_dst)
     denom = np.maximum(denom, np.finfo(exp.dtype).tiny)
     return exp / denom[dst]
+
+
+def leaky_relu_np(raw: np.ndarray, negative_slope: float) -> np.ndarray:
+    """LeakyReLU of a plain array.  For ``0 < slope ≤ 1`` it is
+    ``max(raw, slope·raw)`` — one pass, no mask, same bits as the select
+    (slope 0 is left to the select: ``0·inf`` is NaN, which ``max`` keeps)."""
+    if 0.0 < negative_slope <= 1.0:
+        return np.maximum(raw, negative_slope * raw)
+    return np.where(raw > 0, raw, negative_slope * raw)
+
+
+def leaky_relu_grad_np(grad: np.ndarray, positive: np.ndarray,
+                       negative_slope: float) -> np.ndarray:
+    """``grad`` where ``positive``, ``slope·grad`` elsewhere; for
+    ``0 ≤ slope ≤ 1`` as a product with the factor ``max(positive, slope)``."""
+    if 0.0 <= negative_slope <= 1.0:
+        return grad * np.maximum(positive, grad.dtype.type(negative_slope))
+    return np.where(positive, grad, negative_slope * grad)
+
+
+def gat_logits_sorted(plan: EdgePlan, score_dst: np.ndarray, score_src: np.ndarray,
+                      negative_slope: float) -> Tuple[np.ndarray, np.ndarray]:
+    """``(raw, LeakyReLU(raw))`` attention logits of every edge of ``plan``,
+    in its destination-sorted edge space (``raw[e] = score_dst[d_e] + score_src[s_e]``)."""
+    raw = plan.expand_dst(score_dst) + plan.gather_src(score_src)
+    return raw, leaky_relu_np(raw, negative_slope)
+
+
+def gat_backward_sorted(plan: EdgePlan, x_src: np.ndarray, grad_out: np.ndarray,
+                        alpha: np.ndarray, positive: np.ndarray, negative_slope: float,
+                        weighted_sum: Optional[np.ndarray] = None
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backward of ``out[d] = Σ_e α_e · x_src[s_e]`` through the edge softmax
+    and the LeakyReLU, everything per-edge in ``plan``'s sorted edge space.
+
+    ``alpha`` are the rematerialized attention coefficients, ``positive`` the
+    LeakyReLU mask (``raw > 0``).  ``weighted_sum[d] = Σ_e α_e ∂L/∂α_e`` is
+    summed over this plan's edges unless the caller passes it — a SAR block
+    sees only part of a destination's edges and supplies ``<out_d, grad_d>``.
+    Returns ``(grad_x_src, grad_score_dst, grad_score_src)``.
+    """
+    grad_x_src = plan.u_mul_e_sum_t_sorted(grad_out, alpha)
+    grad_alpha = plan.sddmm(x_src, grad_out)
+    if weighted_sum is None:
+        weighted_sum = plan.segment_sum_sorted(alpha * grad_alpha)
+    grad_logits = alpha * (grad_alpha - plan.expand_dst(weighted_sum))
+    grad_raw = leaky_relu_grad_np(grad_logits, positive, negative_slope)
+    return (grad_x_src, plan.segment_sum_sorted(grad_raw),
+            plan.segment_sum_src_sorted(grad_raw))
 
 
 # --------------------------------------------------------------------------- #
@@ -282,7 +331,10 @@ class UMulESum(Function):
                 adj_t = sp.csr_matrix((w_data[:, h], (src, dst)), shape=(num_src, num_dst))
                 grad_x[:, h, :] = adj_t @ grad[:, h, :]
         # grad_w[e, h] = <x[src_e, h], grad_out[dst_e, h]>  (an SDDMM)
-        grad_w = np.einsum("ehd,ehd->eh", x_data[src], grad[dst])
+        if plan is not None:
+            grad_w = plan.unsort_edges(plan.sddmm(x_data, grad))
+        else:
+            grad_w = np.einsum("ehd,ehd->eh", x_data[src], grad[dst])
         return grad_x.reshape(x_shape), grad_w.reshape(w_shape).astype(w_data.dtype)
 
 

@@ -55,6 +55,22 @@ def check_1d_int_array(arr, name: str, max_value: int | None = None) -> np.ndarr
     return out
 
 
+def check_strictly_increasing(rows: np.ndarray, name: str) -> np.ndarray:
+    """Validate that ``rows`` is a non-negative, strictly increasing 1-D index
+    array (``np.unique`` output) and return it.
+
+    Such a row set has no duplicates, so ``target[rows] += values`` is a
+    correct scatter-add — the check is made once, where the row set is built,
+    so that the per-step scatters need not fall back to ``np.add.at``.
+    """
+    rows = np.asarray(rows)
+    if rows.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {rows.shape}")
+    if len(rows) and (rows[0] < 0 or not (rows[1:] > rows[:-1]).all()):
+        raise ValueError(f"{name} must be non-negative and strictly increasing")
+    return rows
+
+
 def check_2d_array(arr, name: str, num_rows: int | None = None) -> np.ndarray:
     """Validate and convert ``arr`` to a 2-D float array."""
     out = np.asarray(arr)

@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import SAR, DistributedGraph, broadcast_parameters, sync_gradients
+from repro.core import (
+    SAR,
+    DistributedGraph,
+    RunningSoftmaxAccumulator,
+    broadcast_parameters,
+    sync_gradients,
+)
 from repro.distributed import run_distributed
 from repro.graph import Graph
 from repro.graph.hetero import HeteroGraph
@@ -26,6 +32,8 @@ from repro.tensor.optim import Adam
 from repro.tensor.sparse import (
     edge_softmax,
     edge_softmax_np,
+    leaky_relu_grad_np,
+    leaky_relu_np,
     neighbor_aggregate,
     pool_aggregate,
     segment_max_np,
@@ -395,3 +403,155 @@ class TestBuildCounter:
         p3 = hg.relation_plan("b")
         assert p1 is p2 and p1 is not p3
         assert edge_plan.build_counter == before + 2
+
+
+# --------------------------------------------------------------------------- #
+# destination-sorted edge space (the fused attention kernel's primitives)
+# --------------------------------------------------------------------------- #
+def _hub_edges(rng):
+    """Every edge but a handful lands on destination 3."""
+    src = rng.integers(0, 12, 70).astype(np.int64)
+    dst = np.full(70, 3, dtype=np.int64)
+    dst[:6] = rng.integers(0, 9, 6)
+    return src, dst
+
+
+SORTED_SPACE_BLOCKS = [
+    # (num_src, num_dst, builder)
+    pytest.param(30, 20, lambda rng: _random_edges(rng, 30, 20, 150), id="dense"),
+    pytest.param(10, 10, lambda rng: _random_edges(rng, 10, 10, 0), id="empty-block"),
+    pytest.param(30, 50, lambda rng: _random_edges(rng, 30, 50, 40), id="dst-without-in-edge"),
+    pytest.param(25, 25, lambda rng: _random_edges(rng, 25, 25, 90, parallel=True),
+                 id="parallel-edges"),
+    pytest.param(12, 9, _hub_edges, id="one-hub"),
+]
+NEGATIVE_SLOPES = [0.2, 0.0, 1.0, 1.5, -0.1]
+
+
+class TestSortedEdgeSpace:
+    @pytest.mark.parametrize("num_src,num_dst,build", SORTED_SPACE_BLOCKS)
+    @pytest.mark.parametrize("heads,dim", [(3, 4), (1, 5), (2, 1)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_primitives_equal_their_input_order_twins(self, rng, num_src, num_dst, build,
+                                                      heads, dim, dtype):
+        """Same values, same reduction order: the sorted-space kernels must be
+        *bit*-equal to the input-order plan kernels, and close to the naive path."""
+        src, dst = build(rng)
+        plan = EdgePlan(src, dst, num_dst, num_src)
+        per_edge = rng.standard_normal((len(src), heads)).astype(dtype)
+        x_src = rng.standard_normal((num_src, heads, dim)).astype(dtype)
+        y_dst = rng.standard_normal((num_dst, heads, dim)).astype(dtype)
+        sorted_edge = plan.sort_edges(per_edge)
+
+        np.testing.assert_array_equal(plan.unsort_edges(sorted_edge), per_edge)
+        np.testing.assert_array_equal(plan.expand_dst(y_dst), plan.sort_edges(y_dst[dst]))
+        np.testing.assert_array_equal(plan.gather_src(x_src), plan.sort_edges(x_src[src]))
+        np.testing.assert_array_equal(plan.segment_sum_sorted(sorted_edge),
+                                      plan.segment_sum(per_edge))
+        np.testing.assert_array_equal(plan.segment_max_sorted(sorted_edge),
+                                      plan.segment_max(per_edge))
+        np.testing.assert_array_equal(plan.segment_sum_src_sorted(sorted_edge),
+                                      plan.segment_sum_src(per_edge))
+        np.testing.assert_array_equal(plan.u_mul_e_sum_sorted(x_src, sorted_edge),
+                                      plan.u_mul_e_sum(x_src, per_edge))
+        np.testing.assert_array_equal(plan.u_mul_e_sum_t_sorted(y_dst, sorted_edge),
+                                      plan.u_mul_e_sum_t(y_dst, per_edge))
+        np.testing.assert_allclose(plan.segment_sum_sorted(sorted_edge),
+                                   segment_sum_np(per_edge, dst, num_dst),
+                                   rtol=1e-5, atol=1e-5)
+        np.testing.assert_array_equal(plan.segment_max_sorted(sorted_edge),
+                                      segment_max_np(per_edge, dst, num_dst))
+
+    @pytest.mark.parametrize("num_src,num_dst,build", SORTED_SPACE_BLOCKS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sddmm_is_the_unblocked_einsum_bit_for_bit(self, rng, monkeypatch, num_src,
+                                                       num_dst, build, dtype):
+        src, dst = build(rng)
+        plan = EdgePlan(src, dst, num_dst, num_src)
+        heads, dim = 2, 8
+        # A strided view, like the z block unpacked from a fetched payload.
+        packed = rng.standard_normal((num_src, heads * dim + heads)).astype(dtype)
+        x_src = packed[:, :heads * dim].reshape(num_src, heads, dim)
+        y_dst = rng.standard_normal((num_dst, heads, dim)).astype(dtype)
+        expected = plan.sort_edges(np.einsum("ehd,ehd->eh", x_src[src], y_dst[dst]))
+        row_bytes = 2 * heads * dim * np.dtype(dtype).itemsize
+        for edges_per_chunk in (1, 7, 64, 10 ** 6):  # ragged tails, one chunk
+            monkeypatch.setattr(edge_plan, "SDDMM_BLOCK_BYTES", edges_per_chunk * row_bytes)
+            np.testing.assert_array_equal(plan.sddmm(x_src, y_dst), expected)
+
+    @pytest.mark.parametrize("slope", NEGATIVE_SLOPES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaky_relu_helpers_equal_the_select(self, rng, slope, dtype):
+        raw = rng.standard_normal((50, 3)).astype(dtype)
+        raw[0] = [0.0, -0.0, np.inf]
+        raw[1, 0] = -np.inf
+        grad = rng.standard_normal(raw.shape).astype(dtype)
+        with np.errstate(invalid="ignore"):  # 0 · inf at slope 0
+            out = leaky_relu_np(raw, slope)
+            expected = np.where(raw > 0, raw, slope * raw)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, expected)
+        grad_in = leaky_relu_grad_np(grad, raw > 0, slope)
+        assert grad_in.dtype == dtype
+        np.testing.assert_array_equal(grad_in, np.where(raw > 0, grad, slope * grad))
+
+    @pytest.mark.parametrize("num_src,num_dst,build", SORTED_SPACE_BLOCKS)
+    @pytest.mark.parametrize("slope", NEGATIVE_SLOPES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_gat_kernels_match_naive(self, rng, num_src, num_dst, build, slope, dtype):
+        """The whole one-block attention kernel, planned vs the naive reference."""
+        src, dst = build(rng)
+        plan = EdgePlan(src, dst, num_dst, num_src)
+        heads, dim = 2, 3
+        z = rng.standard_normal((num_src, heads, dim)).astype(dtype)
+        sd = rng.standard_normal((num_dst, heads)).astype(dtype)
+        ss = rng.standard_normal((num_src, heads)).astype(dtype)
+        grad = rng.standard_normal((num_dst, heads, dim)).astype(dtype)
+        # float64 too: the weighted-CSR template stores float32 weights.
+        tol = dict(rtol=1e-4, atol=1e-5)
+        planned = fused_gat_forward_np(z, sd, ss, src, dst, num_dst, slope, plan=plan)
+        naive = fused_gat_forward_np(z, sd, ss, src, dst, num_dst, slope)
+        assert planned.dtype == naive.dtype
+        np.testing.assert_allclose(planned, naive, **tol)
+        for a, b in zip(
+                fused_gat_backward_np(grad, z, sd, ss, src, dst, num_dst, slope, plan=plan),
+                fused_gat_backward_np(grad, z, sd, ss, src, dst, num_dst, slope)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            np.testing.assert_allclose(a, b, **tol)
+
+    @pytest.mark.parametrize("num_src,num_dst,build", SORTED_SPACE_BLOCKS)
+    @pytest.mark.parametrize("stable", [True, False])
+    def test_accumulator_sorted_blocks_equal_reference_blocks(self, rng, num_src, num_dst,
+                                                              build, stable):
+        """Three blocks into one accumulator; destinations a block does not
+        reach keep a running max of −inf through its rescale."""
+        heads, dim = 2, 3
+        sorted_acc = RunningSoftmaxAccumulator(num_dst, heads, dim, stable=stable)
+        reference = RunningSoftmaxAccumulator(num_dst, heads, dim, stable=stable)
+        for _ in range(3):
+            src, dst = build(rng)
+            plan = EdgePlan(src, dst, num_dst, num_src)
+            logits = rng.standard_normal((len(src), heads)).astype(np.float32)
+            values = rng.standard_normal((num_src, heads, dim)).astype(np.float32)
+            sorted_acc.add_block_sorted(plan.sort_edges(logits), values, plan)
+            reference.add_block(logits, values, dst,
+                                lambda w, p=plan, v=values: p.u_mul_e_sum(v, w))
+        np.testing.assert_allclose(sorted_acc.finalize(), reference.finalize(),
+                                   rtol=1e-5, atol=1e-6)
+        (got_max, got_denom), (want_max, want_denom) = sorted_acc.state(), reference.state()
+        np.testing.assert_array_equal(got_max, want_max)
+        np.testing.assert_allclose(got_denom, want_denom, rtol=1e-5)
+
+    def test_u_mul_e_sum_backward_uses_the_blocked_sddmm(self, rng, monkeypatch):
+        src, dst = _random_edges(rng, 14, 11, 60, parallel=True)
+        plan = EdgePlan(src, dst, 11, 14)
+        monkeypatch.setattr(edge_plan, "SDDMM_BLOCK_BYTES", 5 * 2 * 2 * 4 * 4)  # 5 edges
+        x_data = rng.standard_normal((14, 2, 4)).astype(np.float32)
+        w_data = rng.random((len(src), 2)).astype(np.float32)
+        grads = []
+        for p in (plan, None):
+            x, w = Tensor(x_data, requires_grad=True), Tensor(w_data, requires_grad=True)
+            u_mul_e_sum(x, w, src, dst, 11, plan=p).backward(np.ones((11, 2, 4), np.float32))
+            grads.append((x.grad, w.grad))
+        np.testing.assert_allclose(grads[0][0], grads[1][0], rtol=1e-5, atol=1e-5)
+        np.testing.assert_array_equal(grads[0][1], grads[1][1])  # input edge order, same bits

@@ -22,6 +22,8 @@ from repro.core import (
     broadcast_parameters,
     sync_gradients,
 )
+from repro.core.gat_dist import GATKernel
+from repro.core.halo import HaloExchange
 from repro.datasets import make_hetero_sbm_dataset
 from repro.distributed import (
     ClusterSpec,
@@ -35,10 +37,13 @@ from repro.partition import (
     create_shards,
     partition_graph,
 )
+from repro.partition.shard import EdgeBlock
 from repro.tensor import Tensor
 from repro.tensor import functional as F
+from repro.tensor.edge_plan import plans_disabled
 from repro.tensor.optim import Adam
 from repro.tensor.sparse import pool_aggregate
+from repro.training import DistributedTrainer, FullBatchTrainer, TrainingConfig
 from repro.utils.seed import set_seed
 
 WORLD = 4
@@ -405,3 +410,169 @@ class TestCommAccounting:
         for w in overlapped.workers:
             assert w.hidden_comm_time_s <= w.compute_time_s + 1e-12
             assert w.hidden_comm_time_s <= w.comm_time_s + 1e-12
+
+
+# --------------------------------------------------------------------------- #
+# the sorted-edge-space attention kernel behind the engine
+# --------------------------------------------------------------------------- #
+def _gat_step(config, fused, slope, z_full, s_full, grad_seed):
+    """Worker: one forward + backward of ``gat_aggregate`` on the local shard."""
+    def worker(rank, comm, shard):
+        dg = DistributedGraph(shard, comm, config)
+        dg.begin_step()
+        ids = shard.global_node_ids
+        z = Tensor(z_full[ids], requires_grad=True)
+        sd = Tensor(s_full[ids], requires_grad=True)
+        ss = Tensor(-s_full[ids], requires_grad=True)
+        out = dg.gat_aggregate(z, sd, ss, negative_slope=slope, fused=fused)
+        out.backward(grad_seed[ids])
+        return (out.data, z.grad, sd.grad, ss.grad), dg.engine.max_resident_remote_blocks
+    return worker
+
+
+class TestSortedSpaceAttentionKernel:
+    @pytest.mark.parametrize("config", ENGINE_CONFIGS, ids=ENGINE_CONFIG_IDS)
+    @pytest.mark.parametrize("fused", [False, True], ids=["standard", "fused"])
+    @pytest.mark.parametrize("slope", [0.2, 0.0, 1.0, 1.5])
+    def test_planned_kernel_matches_the_naive_reference(self, sbm_graph, rng, config,
+                                                        fused, slope):
+        """``plans_disabled()`` runs the input-order reference kernel; outputs,
+        every gradient, the tracked memory peak and the resident-block bound
+        must not depend on which of the two ran."""
+        heads, dim = 3, 4
+        n = sbm_graph.num_nodes
+        z_full = rng.standard_normal((n, heads, dim)).astype(np.float32)
+        s_full = rng.standard_normal((n, heads)).astype(np.float32)
+        grad_seed = rng.standard_normal((n, heads, dim)).astype(np.float32)
+        _, shards = _shards_for(sbm_graph)
+        worker = _gat_step(config, fused, slope, z_full, s_full, grad_seed)
+        planned = run_distributed(worker, WORLD, worker_args=shards)
+        with plans_disabled():
+            naive = run_distributed(worker, WORLD, worker_args=shards)
+        for (got, got_resident), (want, want_resident) in zip(planned.results, naive.results):
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-5)
+            assert got_resident == want_resident
+        if not config.prefetch:  # an in-flight prefetch makes the peak a matter of timing
+            assert planned.peak_memory_bytes == naive.peak_memory_bytes
+
+    def test_negative_slope_below_zero(self, sbm_graph, rng):
+        """Slope −0.1 (mask from ``raw``, which only SAR and standard DP keep)."""
+        n = sbm_graph.num_nodes
+        z_full = rng.standard_normal((n, 2, 3)).astype(np.float32)
+        s_full = rng.standard_normal((n, 2)).astype(np.float32)
+        grad_seed = rng.standard_normal((n, 2, 3)).astype(np.float32)
+        _, shards = _shards_for(sbm_graph)
+        for config, fused in ((SAR, True), (SAR, False), (DOMAIN_PARALLEL, False)):
+            worker = _gat_step(config, fused, -0.1, z_full, s_full, grad_seed)
+            planned = run_distributed(worker, WORLD, worker_args=shards)
+            with plans_disabled():
+                naive = run_distributed(worker, WORLD, worker_args=shards)
+            for (got, _), (want, _) in zip(planned.results, naive.results):
+                for a, b in zip(got, want):
+                    np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-5)
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["gat", "gat_fused"])
+    @pytest.mark.parametrize("world", [2, 3])
+    @pytest.mark.parametrize("prefetch", [False, True], ids=["no-prefetch", "prefetch"])
+    def test_sar_dp_and_single_machine_losses_agree(self, small_dataset, fused, world,
+                                                    prefetch):
+        dataset = small_dataset
+        config = TrainingConfig(num_epochs=3, lr=0.01, eval_every=0, lr_schedule="none")
+        set_seed(21)
+        state = nn.GATNet(dataset.feature_dim, 4, dataset.num_classes, num_heads=2,
+                          dropout=0.0, fused=fused).state_dict()
+
+        def factory(in_features):
+            model = nn.GATNet(in_features, 4, dataset.num_classes, num_heads=2,
+                              dropout=0.0, fused=fused)
+            model.load_state_dict(state)
+            return model
+
+        single = FullBatchTrainer(factory(dataset.feature_dim), dataset, config).train()
+        for sar_config in (SARConfig("sar", prefetch=prefetch), DOMAIN_PARALLEL):
+            run = DistributedTrainer(dataset, factory, num_workers=world,
+                                     sar_config=sar_config, config=config).run()
+            np.testing.assert_allclose(run.training.losses(), single.losses(),
+                                       rtol=1e-4, atol=1e-5)
+
+    def test_local_block_is_the_payload_and_stays_untouched(self, sbm_graph, rng, monkeypatch):
+        """Every node has a self-loop, so the local block needs every local
+        row: the engine hands the kernel the payload itself, and a forward +
+        backward pass over it must not write to it."""
+        n = sbm_graph.num_nodes
+        z_full = rng.standard_normal((n, 2, 3)).astype(np.float32)
+        s_full = rng.standard_normal((n, 2)).astype(np.float32)
+        grad_seed = rng.standard_normal((n, 2, 3)).astype(np.float32)
+        _, shards = _shards_for(sbm_graph)
+        seen = []
+        forward_block, backward_block = GATKernel.forward_block, GATKernel.backward_block
+
+        def spy(original):
+            def block(self, p, q, blk, feats):
+                if q == self.shard.rank:
+                    seen.append(feats is self._payload)
+                return original(self, p, q, blk, feats)
+            return block
+
+        payload = GATKernel.payload
+
+        def payload_with_copy(self):
+            self._pristine = payload(self)
+            return self._pristine.copy()
+
+        def check_untouched(self):
+            np.testing.assert_array_equal(self._payload, self._pristine)
+            return backward_finalize(self)
+
+        backward_finalize = GATKernel.backward_finalize
+        monkeypatch.setattr(GATKernel, "forward_block", spy(forward_block))
+        monkeypatch.setattr(GATKernel, "backward_block", spy(backward_block))
+        monkeypatch.setattr(GATKernel, "payload", payload_with_copy)
+        monkeypatch.setattr(GATKernel, "backward_finalize", check_untouched)
+        for config in (SAR, DOMAIN_PARALLEL):
+            run_distributed(_gat_step(config, False, 0.2, z_full, s_full, grad_seed),
+                            WORLD, worker_args=shards)
+        assert len(seen) == 2 * 2 * WORLD and all(seen)
+
+
+class TestUniqueRowScatters:
+    def test_edge_block_rejects_a_row_set_that_is_not_strictly_increasing(self):
+        for rows in ([0, 2, 2], [3, 1], [-1, 0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                EdgeBlock(src_rank=0, dst_rank=0, num_dst=4,
+                          required_src_local=np.array(rows, dtype=np.int64),
+                          src_index=np.zeros(1, dtype=np.int64),
+                          dst_local=np.zeros(1, dtype=np.int64))
+
+    def test_halo_exchange_rejects_duplicate_peer_rows(self, sbm_graph):
+        _, shards = _shards_for(sbm_graph, num_parts=2)
+
+        def worker(rank, comm, shard):
+            blocks = list(shard.blocks)
+            peer = 1 - rank
+            # Bypass EdgeBlock's own check: a peer could send anything.
+            object.__setattr__(blocks[peer], "required_src_local",
+                               np.array([1, 1], dtype=np.int64))
+            with pytest.raises(ValueError, match="strictly increasing"):
+                HaloExchange(comm, blocks, name="dup")
+            return True
+
+        assert all(run_distributed(worker, 2, worker_args=shards).results)
+
+    def test_error_scatter_accumulates_like_add_at(self, sbm_graph, rng):
+        """Local-block and peer error rows land where ``np.add.at`` put them."""
+        _, shards = _shards_for(sbm_graph, num_parts=2)
+
+        def worker(rank, comm, shard):
+            halo = HaloExchange(comm, shard.blocks, name="scatter")
+            rows = halo.rows_needed_by_peer[1 - rank]
+            errors = rng.standard_normal((len(rows), 3)).astype(np.float32)
+            start = rng.standard_normal((shard.num_local_nodes, 3)).astype(np.float32)
+            expected = start.copy()
+            np.add.at(expected, rows, errors)
+            got = halo.scatter_add_errors(start.copy(), {1 - rank: errors})
+            np.testing.assert_array_equal(got, expected)
+            return True
+
+        assert all(run_distributed(worker, 2, worker_args=shards).results)
