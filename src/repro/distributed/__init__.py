@@ -1,13 +1,16 @@
-"""Simulated distributed runtime: communicators, cluster, and cost model."""
+"""Distributed runtime: the communicator, its thread backend, the job helper, the cost model.
+
+The forked-process backend lives in :mod:`repro.distributed.mp_backend`
+(imported on demand: it needs the ``fork`` start method).
+"""
 
 from repro.distributed.comm import Communicator, CommStats
 from repro.distributed.thread_backend import (
     ThreadCommunicator,
     SharedStore,
     ClusterAborted,
-    create_thread_communicators,
 )
-from repro.distributed.cluster import SimulatedCluster, ClusterRunResult, run_distributed
+from repro.distributed.cluster import ClusterRunResult, run_distributed
 from repro.distributed.cost_model import (
     ClusterSpec,
     EpochCostReport,
@@ -25,8 +28,6 @@ __all__ = [
     "ThreadCommunicator",
     "SharedStore",
     "ClusterAborted",
-    "create_thread_communicators",
-    "SimulatedCluster",
     "ClusterRunResult",
     "run_distributed",
     "ClusterSpec",

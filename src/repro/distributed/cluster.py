@@ -1,34 +1,29 @@
-"""Simulated cluster: launch N workers (threads), collect results and metrics.
+"""Run a worker function once on every rank of a cluster, measured.
 
 A "worker function" has the signature::
 
     def worker_fn(rank: int, comm: Communicator, shard, **kwargs) -> Any
 
-:class:`SimulatedCluster` spawns one thread per worker, installs a
-per-worker :class:`~repro.tensor.memory.MemoryTracker` and a thread-CPU
-timer, runs the function, and gathers everything into a
-:class:`ClusterRunResult`.  Any worker exception aborts the shared store so
-the remaining workers unwind instead of deadlocking at a barrier.
+:func:`run_job` runs it as a single ``request("run")`` on a service cluster:
+``ThreadServiceCluster`` for :func:`run_distributed`, the forked
+``MultiprocessServiceCluster`` for :func:`~repro.distributed.mp_backend.
+run_multiprocess`.  Inside each worker the call runs under its own
+:class:`~repro.tensor.memory.MemoryTracker` and a thread-CPU timer; the
+per-rank ``(result, tracker, comm.stats, elapsed)`` come back through the
+cluster's response path into one :class:`ClusterRunResult`, whichever cluster
+ran the job.  Spawning, unblocking the survivors of a failed rank, the job
+deadline and teardown are the cluster's, not this module's.
 """
 
 from __future__ import annotations
 
-import threading
-import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.distributed.comm import CommStats
-from repro.distributed.thread_backend import (
-    ClusterAborted,
-    create_thread_communicators,
-)
+from repro.distributed.comm import Communicator, CommStats
+from repro.distributed.thread_backend import ClusterAborted, ThreadServiceCluster
 from repro.tensor.memory import MemoryTracker, track_memory
-from repro.utils.logging import get_logger
 from repro.utils.timing import WorkerTimer
-from repro.utils.validation import check_positive_int
-
-logger = get_logger("distributed.cluster")
 
 
 @dataclass
@@ -57,22 +52,18 @@ class ClusterRunResult:
     def max_compute_time(self) -> float:
         return max(self.compute_times) if self.compute_times else 0.0
 
+    # Cluster totals are taken on the receiving side, the one every backend
+    # records: across processes a fetch cannot reach the owner's send
+    # counters.  Where it can (threads), sent and received totals are equal.
     @property
     def total_bytes_communicated(self) -> int:
-        return sum(s.bytes_sent for s in self.comm_stats)
-
-    def total_sent_by_tag(self) -> Dict[str, int]:
-        """Cluster-wide sent bytes per communication tag."""
-        return self._total_by_tag("sent_by_tag")
+        return sum(s.bytes_received for s in self.comm_stats)
 
     def total_received_by_tag(self) -> Dict[str, int]:
         """Cluster-wide received bytes per communication tag."""
-        return self._total_by_tag("received_by_tag")
-
-    def _total_by_tag(self, attribute: str) -> Dict[str, int]:
         totals: Dict[str, int] = {}
         for stats in self.comm_stats:
-            for tag, nbytes in getattr(stats, attribute).items():
+            for tag, nbytes in stats.received_by_tag.items():
                 totals[tag] = totals.get(tag, 0) + nbytes
         return totals
 
@@ -82,113 +73,62 @@ class ClusterRunResult:
             "world_size": self.world_size,
             "max_peak_memory_mb": self.max_peak_memory_mb,
             "max_compute_time_s": self.max_compute_time,
-            "total_comm_mb": self.total_bytes_communicated / 2 ** 20,
+            "total_comm_mb": self.total_bytes_communicated / 2**20,
         }
 
 
-@dataclass
-class _WorkerSlot:
-    rank: int
-    tracker: MemoryTracker
-    timer: WorkerTimer = field(default_factory=WorkerTimer)
-    result: Any = None
-    exception: Optional[BaseException] = None
-    traceback: str = ""
+def run_job(
+    cluster_cls,
+    worker_fn: Callable[..., Any],
+    world_size: int,
+    worker_args: Optional[Sequence[Any]],
+    timeout_s: float,
+    common_kwargs: Dict[str, Any],
+) -> ClusterRunResult:
+    """Start a ``cluster_cls`` cluster, run ``worker_fn`` once per rank on it, stop it.
 
+    ``worker_fn(rank, comm, [worker_args[rank]], **common_kwargs)`` is the
+    cluster's only job.  A rank that raises fails the job with
+    ``RuntimeError("Worker N failed: ...")`` chained from its exception (the
+    cluster has already unblocked the other ranks); whatever the outcome, no
+    worker outlives the call beyond what the cluster's ``stop`` allows.
+    """
+    if worker_args is not None and len(worker_args) != world_size:
+        raise ValueError(f"worker_args must have length {world_size}, got {len(worker_args)}")
 
-class SimulatedCluster:
-    """Runs worker functions on ``world_size`` simulated machines."""
+    def single_job(rank: int, comm: Communicator):
+        args = () if worker_args is None else (worker_args[rank],)
 
-    def __init__(self, world_size: int, timeout_s: float = 120.0):
-        self.world_size = check_positive_int(world_size, "world_size")
-        self.timeout_s = float(timeout_s)
-
-    def run(self, worker_fn: Callable[..., Any],
-            worker_args: Optional[Sequence[Any]] = None,
-            **common_kwargs: Any) -> ClusterRunResult:
-        """Run ``worker_fn`` on every rank and gather the results.
-
-        Parameters
-        ----------
-        worker_fn:
-            Called as ``worker_fn(rank, comm, worker_args[rank], **common_kwargs)``
-            (the positional shard argument is omitted when ``worker_args`` is
-            ``None``).
-        worker_args:
-            Optional per-rank positional argument (typically the worker's
-            graph shard).
-        common_kwargs:
-            Keyword arguments passed to every worker unchanged.
-        """
-        if worker_args is not None and len(worker_args) != self.world_size:
-            raise ValueError(
-                f"worker_args must have length {self.world_size}, got {len(worker_args)}"
-            )
-        comms, store = create_thread_communicators(self.world_size, timeout_s=self.timeout_s)
-        slots = [
-            _WorkerSlot(rank=r, tracker=MemoryTracker(label=f"worker-{r}"))
-            for r in range(self.world_size)
-        ]
-
-        def _runner(rank: int) -> None:
-            slot = slots[rank]
+        def run(kind, payload):
+            tracker, timer = MemoryTracker(label=f"worker-{rank}"), WorkerTimer()
             try:
-                with track_memory(slot.tracker):
-                    slot.timer.start()
-                    try:
-                        if worker_args is None:
-                            slot.result = worker_fn(rank, comms[rank], **common_kwargs)
-                        else:
-                            slot.result = worker_fn(
-                                rank, comms[rank], worker_args[rank], **common_kwargs
-                            )
-                    finally:
-                        slot.timer.stop()
-            except ClusterAborted as exc:
-                slot.exception = exc
-                slot.traceback = traceback.format_exc()
-            except BaseException as exc:  # noqa: BLE001 - must not deadlock peers
-                slot.exception = exc
-                slot.traceback = traceback.format_exc()
-                store.abort(f"worker {rank} failed: {exc!r}")
+                with track_memory(tracker), timer:
+                    result = worker_fn(rank, comm, *args, **common_kwargs)
+            except ClusterAborted:  # a survivor's follow-on, not a cause
+                raise
+            except Exception as exc:
+                raise RuntimeError(f"Worker {rank} failed: {exc!r}") from exc
+            return result, tracker, comm.stats, timer.elapsed
 
-        threads = [
-            threading.Thread(target=_runner, args=(rank,), name=f"repro-worker-{rank}")
-            for rank in range(self.world_size)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        return run
 
-        self._raise_worker_failure(slots)
-        return ClusterRunResult(
-            world_size=self.world_size,
-            results=[slot.result for slot in slots],
-            memory=[slot.tracker for slot in slots],
-            comm_stats=[comm.stats for comm in comms],
-            compute_times=[slot.timer.elapsed for slot in slots],
-        )
-
-    @staticmethod
-    def _raise_worker_failure(slots: Sequence[_WorkerSlot]) -> None:
-        primary = next(
-            (s for s in slots if s.exception is not None and not isinstance(s.exception, ClusterAborted)),
-            None,
-        )
-        if primary is None:
-            primary = next((s for s in slots if s.exception is not None), None)
-        if primary is None:
-            return
-        logger.error("Worker %d failed:\n%s", primary.rank, primary.traceback)
-        raise RuntimeError(
-            f"Worker {primary.rank} failed: {primary.exception!r}\n{primary.traceback}"
-        ) from primary.exception
+    cluster = cluster_cls(single_job, world_size, timeout_s=timeout_s, name="run").start()
+    try:
+        per_rank = cluster.request("run")
+    finally:
+        cluster.stop()
+    results, memory, comm_stats, compute_times = map(list, zip(*per_rank))
+    return ClusterRunResult(world_size, results, memory, comm_stats, compute_times)
 
 
-def run_distributed(worker_fn: Callable[..., Any], world_size: int,
-                    worker_args: Optional[Sequence[Any]] = None,
-                    timeout_s: float = 120.0, **common_kwargs: Any) -> ClusterRunResult:
-    """One-shot helper: build a :class:`SimulatedCluster` and run ``worker_fn``."""
-    cluster = SimulatedCluster(world_size, timeout_s=timeout_s)
-    return cluster.run(worker_fn, worker_args=worker_args, **common_kwargs)
+def run_distributed(
+    worker_fn: Callable[..., Any],
+    world_size: int,
+    worker_args: Optional[Sequence[Any]] = None,
+    timeout_s: float = 120.0,
+    **common_kwargs: Any,
+) -> ClusterRunResult:
+    """Run ``worker_fn`` on ``world_size`` worker threads of this process (see :func:`run_job`)."""
+    return run_job(
+        ThreadServiceCluster, worker_fn, world_size, worker_args, timeout_s, common_kwargs
+    )

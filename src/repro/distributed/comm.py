@@ -1,8 +1,8 @@
-"""Communicator interface and communication-volume accounting.
+"""The communicator: one surface, one copy of every operation, byte accounting.
 
 The paper's system communicates through ``torch.distributed`` backed by
 Intel's oneCCL over InfiniBand.  The algorithms only need a small set of
-primitives, which this interface captures:
+operations, which :class:`Communicator` provides:
 
 * ``publish`` / ``fetch`` — a worker makes one of its tensors remotely
   readable; peers fetch (a row subset of) it.  This models the halo exchange
@@ -15,7 +15,10 @@ primitives, which this interface captures:
 * ``allreduce`` / ``allgather`` / ``barrier`` — parameter-gradient
   synchronization, distributed batch norm statistics, and global metrics.
 
-Every byte moved is recorded in :class:`CommStats`; the epoch-time cost model
+All of them are written here, once, over five primitives a backend supplies
+(see :class:`Communicator`); the thread and the process backend differ in
+where a published array lives, nothing else.  Every byte moved is recorded
+in :class:`CommStats`; the epoch-time cost model
 (:mod:`repro.distributed.cost_model`) converts volumes into modeled transfer
 times.
 """
@@ -25,12 +28,12 @@ from __future__ import annotations
 import abc
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 #: Key prefix of the keyed-stream publishes behind
-#: :meth:`Communicator.allgather_keyed`.  Both backends exempt keys under it
+#: :meth:`Communicator.allgather_keyed`.  Keys under it are exempt
 #: from :meth:`Communicator.clear_published`, so an iteration boundary
 #: (``DistributedGraph.begin_step``) can never delete a stream payload a
 #: background sampler has published but a peer has not consumed yet.  Stream
@@ -51,11 +54,12 @@ SERVE_CONTROL_TAG = "serve_ctl"
 class CommStats:
     """Per-worker communication counters (bytes and message counts).
 
-    Counters may be updated from another worker's thread (the fetching side
-    records the owner's send), so updates are lock-protected.  Byte volumes
-    are broken down per direction by a caller-supplied tag (e.g.
-    "forward_halo", "backward_refetch", "backward_error", "grad_sync") in
-    :attr:`sent_by_tag` / :attr:`received_by_tag`.
+    Counters may be updated from another worker's thread (on the thread
+    backend the fetching side records the owner's send), so updates are
+    lock-protected.  Byte volumes are broken down per direction by a
+    caller-supplied tag (e.g. "forward_halo", "backward_refetch",
+    "backward_error", "grad_sync") in :attr:`sent_by_tag` /
+    :attr:`received_by_tag`.
     """
 
     bytes_sent: int = 0
@@ -72,6 +76,14 @@ class CommStats:
     #: bytes that never crossed the wire because the cache held the rows
     cache_hit_bytes: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        # A lock cannot cross a process boundary; the copy gets its own.
+        with self._lock:
+            return {k: v for k, v in self.__dict__.items() if k != "_lock"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _lock=threading.Lock())
 
     def record_send(self, nbytes: int, tag: str = "other") -> None:
         with self._lock:
@@ -91,18 +103,6 @@ class CommStats:
             self.cache_hit_rows += int(hit_rows)
             self.cache_miss_rows += int(miss_rows)
             self.cache_hit_bytes += int(hit_bytes)
-
-    def reset(self) -> None:
-        with self._lock:
-            self.bytes_sent = 0
-            self.bytes_received = 0
-            self.messages_sent = 0
-            self.messages_received = 0
-            self.sent_by_tag = {}
-            self.received_by_tag = {}
-            self.cache_hit_rows = 0
-            self.cache_miss_rows = 0
-            self.cache_hit_bytes = 0
 
     @property
     def total_bytes(self) -> int:
@@ -157,7 +157,20 @@ class CommStats:
 
 
 class Communicator(abc.ABC):
-    """Abstract communication backend seen by SAR / domain-parallel code."""
+    """The communication surface SAR / domain-parallel code is written against.
+
+    Every public operation is written here, once, on top of five primitives a
+    backend implements (:meth:`_publish`, :meth:`_drop`, :meth:`_keys`,
+    :meth:`_read`, :meth:`_rendezvous`), so how a collective is built and
+    which bytes it books cannot differ between backends.
+
+    The barrier collectives (``barrier`` / ``exchange`` / ``allreduce`` /
+    ``allgather``) belong to the one thread per rank that runs them in
+    lockstep with the other ranks: they name their keys by a per-rank call
+    counter that only advances identically everywhere under that rule.
+    ``publish`` / ``fetch`` / ``unpublish`` and the keyed allgather are safe
+    from a worker's side threads as well.
+    """
 
     def __init__(self, rank: int, world_size: int):
         if not 0 <= rank < world_size:
@@ -165,58 +178,167 @@ class Communicator(abc.ABC):
         self.rank = rank
         self.world_size = world_size
         self.stats = CommStats()
+        #: collectives this rank has started; names a call's keys, so a slow
+        #: reader of one call can never collide with the next call's entries
+        self._calls = 0
+        #: collective keys whose readers are done once this rank passes its next barrier
+        self._spent: List[str] = []
+
+    # -- what a backend implements ---------------------------------------- #
+    @abc.abstractmethod
+    def _publish(self, arrays: Dict[str, np.ndarray]) -> None:
+        """Make every ``arrays[key]`` readable by all ranks under ``key``, as one batch."""
+
+    @abc.abstractmethod
+    def _drop(self, keys: Iterable[str]) -> None:
+        """Withdraw this rank's published ``keys`` (absent keys are ignored)."""
+
+    @abc.abstractmethod
+    def _read(self, owner_rank: int, key: str, block: bool = True) -> Optional[np.ndarray]:
+        """``owner_rank``'s published array itself — no copy, nothing accounted.
+
+        Blocks until the key is published; with ``block=False`` returns
+        ``None`` when it is not.  The result is the backend's own storage:
+        callers copy what they keep and never write to it.
+        """
+
+    @abc.abstractmethod
+    def _keys(self) -> List[str]:
+        """The keys this rank has published at the moment."""
+
+    @abc.abstractmethod
+    def _rendezvous(self) -> None:
+        """Return once every rank has called it."""
 
     # -- point-to-point ------------------------------------------------- #
-    @abc.abstractmethod
     def publish(self, key: str, array: np.ndarray) -> None:
         """Make ``array`` readable by other workers under ``key``.
 
         Publishing is free (the data already lives on this worker); only
         fetches are accounted as communication.
         """
+        self._publish({key: np.asarray(array)})
 
-    @abc.abstractmethod
-    def fetch(self, owner_rank: int, key: str, rows: Optional[np.ndarray] = None,
-              tag: str = "halo") -> np.ndarray:
+    def fetch(
+        self, owner_rank: int, key: str, rows: Optional[np.ndarray] = None, tag: str = "halo"
+    ) -> np.ndarray:
         """Blocking read of (a row subset of) a remote published array.
 
         Returns a fresh copy owned by the calling worker, so the fetched
-        halo counts towards the caller's memory while it stays alive.
+        halo counts towards the caller's memory while it stays alive.  The
+        bytes copied are booked as received by the caller (a read of this
+        rank's own publish is not communication).
         """
+        array = self._read(owner_rank, key)
+        if rows is None:
+            out = np.array(array, copy=True)
+        else:
+            out = array[np.asarray(rows)]
+            if not out.flags.owndata:  # basic indexing returned a view of the publish
+                out = np.array(out, copy=True)
+        if owner_rank != self.rank:
+            self.stats.record_recv(out.nbytes, tag=tag)
+        return out
 
-    @abc.abstractmethod
     def unpublish(self, key: str) -> None:
         """Remove one of this worker's published arrays."""
+        self._drop([key])
 
-    @abc.abstractmethod
     def clear_published(self) -> None:
-        """Remove all of this worker's published arrays (end of iteration)."""
+        """Remove all of this worker's published arrays (end of iteration).
+
+        Keys under :data:`STREAM_KEY_PREFIX` survive; they are reclaimed via
+        :meth:`release_keyed`.
+        """
+        self._drop([key for key in self._keys() if not key.startswith(STREAM_KEY_PREFIX)])
 
     # -- collectives ----------------------------------------------------- #
-    @abc.abstractmethod
-    def exchange(self, key: str, outgoing: Dict[int, np.ndarray],
-                 tag: str = "exchange") -> Dict[int, np.ndarray]:
+    def barrier(self) -> None:
+        """Wait until every worker reaches this point.
+
+        Every rank having arrived means every reader of the collective keys
+        this rank had marked spent is done, so they are reclaimed here — by
+        their owner, the only rank that ever withdraws a key.
+        """
+        spent, self._spent = self._spent, []
+        self._rendezvous()
+        if spent:
+            self._drop(spent)
+
+    def exchange(
+        self, key: str, outgoing: Dict[int, np.ndarray], tag: str = "exchange"
+    ) -> Dict[int, np.ndarray]:
         """All-to-all-v: send ``outgoing[q]`` to rank ``q``; receive from every rank.
 
         Ranks absent from ``outgoing`` receive nothing from this worker; the
-        result only contains ranks that actually sent something.
+        result only contains ranks that actually sent something.  One batch
+        publish of this rank's slots, one barrier, one copy per sender; the
+        slots stay published until this rank's *next* barrier, by when every
+        peer has finished this call.  Self-delivery is a copy and moves no
+        bytes.
         """
+        self._calls += 1
+        prefix = f"__coll/{self._calls}/{key}"
+        slots: Dict[str, np.ndarray] = {}
+        for dest, array in outgoing.items():
+            if not 0 <= dest < self.world_size:
+                raise ValueError(f"exchange destination {dest} out of range")
+            if dest != self.rank:
+                slots[f"{prefix}/to{dest}"] = array = np.asarray(array)
+                self.stats.record_send(array.nbytes, tag=tag)
+        if slots:
+            self._publish(slots)
+        self.barrier()
+        self._spent.extend(slots)
+        received: Dict[int, np.ndarray] = {}
+        for sender in range(self.world_size):
+            if sender == self.rank:
+                array = outgoing.get(sender)
+            else:
+                array = self._read(sender, f"{prefix}/to{self.rank}", block=False)
+                if array is not None:
+                    self.stats.record_recv(array.nbytes, tag=tag)
+            if array is not None:
+                received[sender] = np.array(array, copy=True)
+        return received
 
-    @abc.abstractmethod
+    def _contribute(self, array: np.ndarray) -> List[np.ndarray]:
+        """Publish this rank's part of a collective; every rank's part, uncopied, by rank.
+
+        The caller's closing :meth:`barrier` reclaims the publish.
+        """
+        self._calls += 1
+        key = f"__coll/{self._calls}"
+        self._publish({key: array})
+        self._spent.append(key)
+        return [array if r == self.rank else self._read(r, key) for r in range(self.world_size)]
+
     def allreduce(self, array: np.ndarray, op: str = "sum", tag: str = "allreduce") -> np.ndarray:
         """Elementwise reduction across all workers (op: "sum", "max", "min", "mean")."""
+        array = np.asarray(array)
+        result = reduce_arrays(self._contribute(array), op).astype(array.dtype, copy=False)
+        # Ring-allreduce volume: each worker sends/receives ~2·(N-1)/N of the payload.
+        ring_bytes = int(2 * array.nbytes * (self.world_size - 1) / self.world_size)
+        self.stats.record_send(ring_bytes, tag=tag)
+        self.stats.record_recv(ring_bytes, tag=tag)
+        self.barrier()
+        return result
 
-    @abc.abstractmethod
     def allgather(self, array: np.ndarray, tag: str = "allgather") -> List[np.ndarray]:
         """Gather one array from every worker (indexed by rank)."""
-
-    @abc.abstractmethod
-    def barrier(self) -> None:
-        """Wait until every worker reaches this point."""
+        array = np.asarray(array)
+        gathered = [np.array(part, copy=True) for part in self._contribute(array)]
+        for r, part in enumerate(gathered):
+            if r != self.rank:
+                self.stats.record_recv(part.nbytes, tag=tag)
+                self.stats.record_send(array.nbytes, tag=tag)
+        self.barrier()
+        return gathered
 
     # -- keyed (barrier-free) collectives --------------------------------- #
-    def allgather_keyed(self, key: str, array: np.ndarray,
-                        tag: str = "allgather") -> List[np.ndarray]:
+    def allgather_keyed(
+        self, key: str, array: np.ndarray, tag: str = "allgather"
+    ) -> List[np.ndarray]:
         """Allgather under an explicit caller-chosen key, without a barrier.
 
         The plain :meth:`allgather` orders concurrent calls with a private
@@ -257,7 +379,7 @@ class Communicator(abc.ABC):
 
 
 def reduce_arrays(arrays: List[np.ndarray], op: str) -> np.ndarray:
-    """Reference reduction used by the backends."""
+    """The reduction behind :meth:`Communicator.allreduce`."""
     stacked = np.stack(arrays, axis=0)
     if op == "sum":
         return stacked.sum(axis=0)

@@ -150,9 +150,12 @@ class EpochCostReport:
         }
 
 
-def epoch_cost(result: ClusterRunResult, spec: ClusterSpec = PAPER_LIKE_SPEC,
-               num_epochs: int = 1,
-               overlap_tags: Optional[Sequence[str]] = None) -> EpochCostReport:
+def epoch_cost(
+    result: ClusterRunResult,
+    spec: ClusterSpec = PAPER_LIKE_SPEC,
+    num_epochs: int = 1,
+    overlap_tags: Optional[Sequence[str]] = None,
+) -> EpochCostReport:
     """Convert a :class:`ClusterRunResult` into a modeled per-epoch cost report.
 
     ``num_epochs`` divides measured compute time and communication volume so

@@ -5,13 +5,15 @@ because it is fast to spin up and lets the benchmarks simulate up to 32
 workers cheaply.  This module provides the *genuinely* multi-process
 backend, matching the paper's deployment model of one training process per
 machine ("repro band": multi-process on one big server): the SAR algorithms
-only rely on the abstract :class:`Communicator` interface, and here that
-interface runs over memory the worker processes share.
+only rely on :class:`~repro.distributed.comm.Communicator`, whose operations
+are written once over five primitives, and here those primitives run over
+memory the worker processes share.
 
 Usage::
 
     from repro.distributed.mp_backend import run_multiprocess
-    results = run_multiprocess(worker_fn, world_size=2)
+    run = run_multiprocess(worker_fn, world_size=2)   # a ClusterRunResult
+    run.results, run.peak_memory_mb, run.total_bytes_communicated
 
 ``worker_fn`` takes the usual ``(rank, comm, *args)`` signature and returns a
 picklable result.  Workers are forked (the ``fork`` start method is
@@ -20,8 +22,10 @@ copy.
 
 There is one process driver, :class:`MultiprocessServiceCluster`: forked
 workers answering ``(kind, payload)`` jobs until stopped.
-:func:`run_multiprocess` is a single-job use of it; the ``"mp"`` serving
-backend keeps one alive for the server's lifetime.
+:func:`run_multiprocess` is :func:`~repro.distributed.cluster.run_job` on it
+— the helper :func:`~repro.distributed.cluster.run_distributed` runs on the
+thread cluster — and the ``"mp"`` serving backend keeps one alive for the
+server's lifetime.
 
 The data plane
 --------------
@@ -39,12 +43,13 @@ a crash cannot leak one.
   source array is invisible to peers).  ``fetch(rows=...)`` indexes a
   zero-copy view of the owner's arena and copies out only the requested
   rows — the bytes :class:`~repro.distributed.comm.CommStats` records are
-  the bytes that moved.  The collectives ride the same two steps.
+  the bytes that moved.  The collectives (in ``Communicator``) ride the same
+  two steps.
 * **Who may write what.**  Only the owning rank ever writes its arena or its
   directory (peers map both, and read the arena through read-only views); a
   rank mutates nothing it does not own — ``exchange`` slots included, which
-  the *sender* reclaims.  A directory carries a sequence number, so a reader
-  re-reads it only when it changed.
+  the *sender* reclaims after its next barrier.  A directory carries a
+  sequence number, so a reader re-reads it only when it changed.
 * **Space.**  The owner allocates first-fit over its live blocks, so freed
   space is reused and an arena stays at its live-set size however long the
   run.  The arena's *virtual* size comes from the machine
@@ -97,7 +102,8 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 
 import numpy as np
 
-from repro.distributed.comm import STREAM_KEY_PREFIX, Communicator, reduce_arrays
+from repro.distributed.cluster import ClusterRunResult, run_job
+from repro.distributed.comm import STREAM_KEY_PREFIX, Communicator
 
 _DEFAULT_TIMEOUT_S = 300.0
 #: parent-side liveness-check interval while draining the result queue
@@ -194,19 +200,19 @@ _Entry = Tuple[int, int, Tuple[int, ...], str]
 
 
 class MultiprocessCommunicator(Communicator):
-    """Communicator over the cluster's :class:`_SharedPlane`.
+    """The :class:`Communicator` primitives over the cluster's :class:`_SharedPlane`.
 
-    ``publish`` copies into this rank's arena and rewrites this rank's
-    directory; ``fetch`` reads a peer's directory and copies the requested
-    rows out of the peer's arena; the collectives are a publish, the peers'
-    fetches and a barrier.  Only this rank writes its arena and directory.
+    ``_publish`` copies a batch into this rank's arena and rewrites this
+    rank's directory once; ``_read`` looks a key up in its owner's directory
+    and returns a read-only view of the owner's arena; ``_rendezvous`` is a
+    generation-counting barrier in the control region.  Only this rank writes
+    its arena and directory.  A fetch is booked by the receiver alone: a
+    process cannot reach its peer's counters.
 
     Safe for the worker's own side threads (SAR prefetch, background
     sampler, loader-stage KV fetches) next to the main thread: this rank's
     directory lock serializes its publishes, and each parked thread counts
-    itself in so a wake-up reaches all of them.  The barrier collectives
-    (``barrier`` / ``exchange`` / ``allreduce`` / ``allgather``) belong to
-    the one thread that runs them in lockstep with the other ranks.
+    itself in so a wake-up reaches all of them.
     """
 
     def __init__(
@@ -221,11 +227,7 @@ class MultiprocessCommunicator(Communicator):
         self._high_water = 0
         #: per peer, the last directory read: (sequence number, entries)
         self._directories: List[Tuple[int, Dict[str, _Entry]]] = [(0, {})] * world_size
-        #: collective keys whose readers are done once this rank passes its next barrier
-        self._spent: List[str] = []
         self._parked_mutex = threading.Lock()
-        self._collective_counter = 0
-        self._exchange_counter = 0
 
     # -- waiting ---------------------------------------------------------- #
     def _check_abort(self) -> None:
@@ -290,15 +292,10 @@ class MultiprocessCommunicator(Communicator):
         self._high_water = max(self._high_water, offset + reserved)
         return offset, reserved
 
-    def _rewrite(
-        self, publish: Optional[Dict[str, np.ndarray]] = None, drop: Iterable[str] = ()
-    ) -> None:
-        """Apply one batch of changes to this rank's arena and directory, then wake readers."""
+    def _publish(self, arrays: Dict[str, np.ndarray]) -> None:
+        """Copy one batch into this rank's arena (one directory write), then wake readers."""
         with self._held(self._plane.directory_locks[self.rank]):
-            changed = False
-            for key in drop:
-                changed |= self._entries.pop(key, None) is not None
-            for key, array in (publish or {}).items():
+            for key, array in arrays.items():
                 if array.dtype.hasobject:
                     raise TypeError(f"cannot publish {key!r}: object arrays have no shared form")
                 self._entries.pop(key, None)
@@ -307,20 +304,25 @@ class MultiprocessCommunicator(Communicator):
                     array.shape, array.dtype, buffer=self._arena, offset=_DIRECTORY_BYTES + offset
                 )[...] = array
                 self._entries[key] = (offset, reserved, array.shape, array.dtype.str)
-                changed = True
-            if not changed:
-                return
-            payload = pickle.dumps(self._entries, protocol=pickle.HIGHEST_PROTOCOL)
-            if _HEADER.size + len(payload) > _DIRECTORY_BYTES:
-                raise MemoryError(
-                    f"rank {self.rank}: directory of {len(self._entries)} keys exceeds "
-                    f"{_DIRECTORY_BYTES} bytes"
-                )
-            self._sequence += 1
-            self._arena[_HEADER.size : _HEADER.size + len(payload)] = payload
-            _HEADER.pack_into(self._arena, 0, self._sequence, len(payload))
-        if publish:
-            self._plane.wake()
+            self._commit()
+        self._plane.wake()
+
+    def _drop(self, keys: Iterable[str]) -> None:
+        with self._held(self._plane.directory_locks[self.rank]):
+            if sum(self._entries.pop(key, None) is not None for key in keys):
+                self._commit()
+
+    def _commit(self) -> None:
+        """Write ``_entries`` out as this rank's directory (call under its directory lock)."""
+        payload = pickle.dumps(self._entries, protocol=pickle.HIGHEST_PROTOCOL)
+        if _HEADER.size + len(payload) > _DIRECTORY_BYTES:
+            raise MemoryError(
+                f"rank {self.rank}: directory of {len(self._entries)} keys exceeds "
+                f"{_DIRECTORY_BYTES} bytes"
+            )
+        self._sequence += 1
+        self._arena[_HEADER.size : _HEADER.size + len(payload)] = payload
+        _HEADER.pack_into(self._arena, 0, self._sequence, len(payload))
 
     def arena_stats(self) -> Dict[str, int]:
         """Bytes of this rank's arena in use: live, live outside stream keys, peak, capacity."""
@@ -347,56 +349,28 @@ class MultiprocessCommunicator(Communicator):
             cached = self._directories[owner_rank] = (sequence, entries)
         return cached[1].get(key)
 
-    def _view(self, owner_rank: int, entry: _Entry) -> np.ndarray:
+    def _read(self, owner_rank: int, key: str, block: bool = True) -> Optional[np.ndarray]:
         """Read-only zero-copy view of a published array in ``owner_rank``'s arena."""
+        lock = self._plane.directory_locks[owner_rank]
+        if block:
+            entry = self._wait(
+                lock, lambda: self._lookup(owner_rank, key), f"rank {owner_rank} key {key!r}"
+            )
+        else:
+            with self._held(lock):
+                entry = self._lookup(owner_rank, key)
+            if entry is None:
+                return None
         offset, _, shape, dtype = entry
-        view = np.ndarray(
-            shape,
-            np.dtype(dtype),
-            buffer=self._plane.arenas[owner_rank],
-            offset=_DIRECTORY_BYTES + offset,
-        )
+        arena = self._plane.arenas[owner_rank]
+        view = np.ndarray(shape, np.dtype(dtype), buffer=arena, offset=_DIRECTORY_BYTES + offset)
         view.flags.writeable = False
         return view
 
-    def _wait_view(self, owner_rank: int, key: str) -> np.ndarray:
-        entry = self._wait(
-            self._plane.directory_locks[owner_rank],
-            lambda: self._lookup(owner_rank, key),
-            f"rank {owner_rank} key {key!r}",
-        )
-        return self._view(owner_rank, entry)
+    def _keys(self) -> List[str]:
+        return list(self._entries)
 
-    # -- point-to-point ------------------------------------------------- #
-    def publish(self, key: str, array: np.ndarray) -> None:
-        self._rewrite(publish={key: np.asarray(array)})
-
-    def fetch(
-        self, owner_rank: int, key: str, rows: Optional[np.ndarray] = None, tag: str = "halo"
-    ) -> np.ndarray:
-        view = self._wait_view(owner_rank, key)
-        if rows is None:
-            out = np.array(view, copy=True)
-        else:
-            out = view[np.asarray(rows)]
-            if not out.flags.owndata:  # basic indexing returned a view of the arena
-                out = np.array(out, copy=True)
-        if owner_rank != self.rank:
-            self.stats.record_recv(out.nbytes, tag=tag)
-        return out
-
-    def unpublish(self, key: str) -> None:
-        self._rewrite(drop=[key])
-
-    def clear_published(self) -> None:
-        # Keyed-stream payloads (background sampling frontiers) survive the
-        # iteration-boundary sweep; they are reclaimed via release_keyed.
-        self._spent = []
-        self._rewrite(drop=[k for k in list(self._entries) if not k.startswith(STREAM_KEY_PREFIX)])
-
-    # -- collectives ----------------------------------------------------- #
-    def barrier(self) -> None:
-        spent, self._spent = self._spent, []
+    def _rendezvous(self) -> None:
         words = self._plane.words
         with self._held(self._plane.control_lock):
             generation = words[_GENERATION]
@@ -407,93 +381,18 @@ class MultiprocessCommunicator(Communicator):
                 words[_GENERATION] = generation + 1
         if last:
             self._plane.wake()
-        else:
-            try:
-                self._wait(
-                    self._plane.control_lock,
-                    lambda: True if words[_GENERATION] != generation else None,
-                    "the barrier",
-                )
-            except TimeoutError as exc:
-                raise WorkerFailedError(
-                    f"rank {self.rank}: barrier timed out (a worker is stuck or "
-                    f"exceeded the {self._timeout_s:.0f}s timeout)"
-                ) from exc
-        if spent:  # every rank arrived, so every reader of these keys is done
-            self._rewrite(drop=spent)
-
-    def exchange(
-        self, key: str, outgoing: Dict[int, np.ndarray], tag: str = "exchange"
-    ) -> Dict[int, np.ndarray]:
-        """All-to-all through the arenas: one publish per call, one read per peer.
-
-        Each rank's payloads go into its own arena under a per-call unique
-        prefix (one directory write for all destinations); after a single
-        barrier every receiver copies out the entry addressed to it.  A
-        receiver never touches the sender's directory: the **sender** reclaims
-        its slots, once it has passed its next barrier (by then every peer
-        has finished this call) or at ``clear_published``.  The per-call
-        counter advances identically on every rank, so a slow reader can
-        never collide with the next call's entries.
-        """
-        self._exchange_counter += 1
-        prefix = f"__xchg/{self._exchange_counter}/{key}"
-        received: Dict[int, np.ndarray] = {}
-        slots: Dict[str, np.ndarray] = {}
-        for dest, array in outgoing.items():
-            if not 0 <= dest < self.world_size:
-                raise ValueError(f"exchange destination {dest} out of range")
-            array = np.asarray(array)
-            if dest == self.rank:
-                received[self.rank] = np.array(array, copy=True)
-                continue
-            slots[f"{prefix}/to{dest}"] = array
-            self.stats.record_send(array.nbytes, tag=tag)
-        if slots:
-            self._rewrite(publish=slots)
-        self.barrier()
-        self._spent.extend(slots)
-        for sender in range(self.world_size):
-            if sender == self.rank:
-                continue
-            with self._held(self._plane.directory_locks[sender]):
-                entry = self._lookup(sender, f"{prefix}/to{self.rank}")
-            if entry is None:
-                continue
-            received[sender] = np.array(self._view(sender, entry), copy=True)
-            self.stats.record_recv(received[sender].nbytes, tag=tag)
-        return received
-
-    def _publish_collective(self, array: np.ndarray) -> str:
-        """Publish one collective's contribution; the next barrier reclaims it."""
-        self._collective_counter += 1
-        key = f"__coll/{self._collective_counter}"
-        self._rewrite(publish={key: array})
-        self._spent.append(key)
-        return key
-
-    def allreduce(self, array: np.ndarray, op: str = "sum", tag: str = "allreduce") -> np.ndarray:
-        array = np.asarray(array)
-        key = self._publish_collective(array)
-        contributions = [
-            array if r == self.rank else self._wait_view(r, key) for r in range(self.world_size)
-        ]
-        result = reduce_arrays(contributions, op).astype(array.dtype, copy=False)
-        ring_bytes = int(2 * array.nbytes * (self.world_size - 1) / max(self.world_size, 1))
-        self.stats.record_send(ring_bytes, tag=tag)
-        self.stats.record_recv(ring_bytes, tag=tag)
-        self.barrier()
-        return result
-
-    def allgather(self, array: np.ndarray, tag: str = "allgather") -> List[np.ndarray]:
-        array = np.asarray(array)
-        key = self._publish_collective(array)
-        gathered = [
-            np.array(array if r == self.rank else self._wait_view(r, key), copy=True)
-            for r in range(self.world_size)
-        ]
-        self.barrier()
-        return gathered
+            return
+        try:
+            self._wait(
+                self._plane.control_lock,
+                lambda: True if words[_GENERATION] != generation else None,
+                "the barrier",
+            )
+        except TimeoutError as exc:
+            raise WorkerFailedError(
+                f"rank {self.rank}: barrier timed out (a worker is stuck or "
+                f"exceeded the {self._timeout_s:.0f}s timeout)"
+            ) from exc
 
 
 #: request kinds reserved by the worker loop itself.
@@ -847,25 +746,16 @@ def run_multiprocess(
     worker_args: Optional[Sequence[Any]] = None,
     timeout_s: float = _DEFAULT_TIMEOUT_S,
     **common_kwargs: Any,
-) -> List[Any]:
-    """Run ``worker_fn`` on ``world_size`` forked processes and collect results.
+) -> ClusterRunResult:
+    """Run ``worker_fn`` on ``world_size`` forked processes (the twin of ``run_distributed``).
 
-    A single-job use of :class:`MultiprocessServiceCluster`: fork, run
-    ``worker_fn(rank, comm, [worker_args[rank]], **common_kwargs)`` once per
-    rank, reap.  The per-worker results are returned indexed by rank.  Any
-    worker error — an exception, a silent death, or a timeout — is re-raised
-    in the parent as :class:`WorkerFailedError` with the failing rank
-    identified, and no child process is left behind (see the module
-    docstring for the exact failure semantics).
+    Each rank's result, memory tracker and byte counters are pickled back
+    through its response pipe; the function and its arguments reach the
+    workers by fork, never pickled.  Any worker error — an exception, a
+    silent death, or a timeout — is re-raised in the parent as
+    :class:`WorkerFailedError` naming the failing rank, and no child process
+    is left behind (see the module docstring).
     """
-    if worker_args is not None and len(worker_args) != world_size:
-        raise ValueError(f"worker_args must have length {world_size}")
-
-    def single_job(rank: int, comm: Communicator):
-        args = () if worker_args is None else (worker_args[rank],)
-        return lambda kind, payload: worker_fn(rank, comm, *args, **common_kwargs)
-
-    with MultiprocessServiceCluster(
-        single_job, world_size, timeout_s=timeout_s, name="multiprocess"
-    ) as cluster:
-        return cluster.request("run")
+    return run_job(
+        MultiprocessServiceCluster, worker_fn, world_size, worker_args, timeout_s, common_kwargs
+    )

@@ -11,15 +11,16 @@ independent of host core counts.
 
 from __future__ import annotations
 
+import concurrent.futures
 import queue
 import threading
 import time
 from concurrent.futures import Future
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.distributed.comm import STREAM_KEY_PREFIX, Communicator, CommStats, reduce_arrays
+from repro.distributed.comm import Communicator, CommStats
 
 _DEFAULT_TIMEOUT_S = 120.0
 
@@ -29,7 +30,12 @@ class ClusterAborted(RuntimeError):
 
 
 class SharedStore:
-    """Shared key/value store of published arrays, with blocking reads."""
+    """What the workers of one thread cluster share.
+
+    A key/value store of published arrays with blocking reads, the cluster
+    barrier (here so that :meth:`abort` can break it) and every rank's
+    :class:`CommStats` (here so that a fetch can book the owner's send).
+    """
 
     def __init__(self, world_size: int, timeout_s: float = _DEFAULT_TIMEOUT_S):
         self.world_size = world_size
@@ -37,13 +43,10 @@ class SharedStore:
         self._lock = threading.Lock()
         self._data: Dict[Tuple[int, str], np.ndarray] = {}
         self._events: Dict[Tuple[int, str], threading.Event] = {}
-        self._barrier: Optional[threading.Barrier] = None
+        self.barrier = threading.Barrier(world_size)
+        self.stats = [CommStats() for _ in range(world_size)]
         self.failure = threading.Event()
         self.failure_message: Optional[str] = None
-
-    def attach_barrier(self, barrier: threading.Barrier) -> None:
-        """Register the cluster barrier so :meth:`abort` can break it."""
-        self._barrier = barrier
 
     # -- failure handling ------------------------------------------------ #
     def abort(self, message: str) -> None:
@@ -51,14 +54,13 @@ class SharedStore:
             if self.failure_message is None:
                 self.failure_message = message
         self.failure.set()
-        if self._barrier is not None:
-            self._barrier.abort()
+        self.barrier.abort()
         # Wake up any blocked readers.
         with self._lock:
             for event in self._events.values():
                 event.set()
 
-    def _check_failure(self) -> None:
+    def check_failure(self) -> None:
         if self.failure.is_set():
             raise ClusterAborted(self.failure_message or "another worker failed")
 
@@ -90,7 +92,7 @@ class SharedStore:
         """
         deadline = time.monotonic() + self.timeout_s
         while True:
-            self._check_failure()
+            self.check_failure()
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise TimeoutError(
@@ -100,13 +102,13 @@ class SharedStore:
             event = self._event_for(owner, key)
             if not event.wait(min(remaining, 0.1)):
                 continue
-            self._check_failure()
+            self.check_failure()
             with self._lock:
                 if (owner, key) in self._data:
                     return self._data[(owner, key)]
             # Event set without data: abort() (raises below) or a transient
             # publish/remove race — back off briefly instead of spinning.
-            self._check_failure()
+            self.check_failure()
             time.sleep(0.002)
 
     def try_get(self, owner: int, key: str) -> Optional[np.ndarray]:
@@ -120,146 +122,57 @@ class SharedStore:
         if event is not None:
             event.clear()
 
-    def clear_owner(self, owner: int, keep_prefix: Optional[str] = None) -> None:
-        """Drop all of ``owner``'s entries, except keys under ``keep_prefix``."""
-        with self._lock:
-            keys = [
-                k for k in self._data
-                if k[0] == owner and not (keep_prefix and k[1].startswith(keep_prefix))
-            ]
-            for k in keys:
-                self._data.pop(k, None)
-                self._events.pop(k, None)
-
     def keys_of(self, owner: int) -> List[str]:
         with self._lock:
             return [key for (o, key) in self._data if o == owner]
 
 
 class ThreadCommunicator(Communicator):
-    """Communicator backed by a :class:`SharedStore` and a shared barrier."""
+    """The :class:`Communicator` primitives over a :class:`SharedStore`.
 
-    def __init__(self, rank: int, world_size: int, store: SharedStore,
-                 barrier: threading.Barrier, peer_stats: List[CommStats]):
-        super().__init__(rank, world_size)
+    A publish stores the caller's array by reference, and a read hands that
+    same array out, so a late reader still holds what it read after the key
+    is withdrawn.  Sharing an address space also lets a fetch bump the
+    *owner's* send counters live, which a process backend cannot: here
+    sent and received bytes agree cluster-wide.
+    """
+
+    def __init__(self, rank: int, store: SharedStore):
+        super().__init__(rank, store.world_size)
         self._store = store
-        self._barrier = barrier
-        self._peer_stats = peer_stats
-        self.stats = peer_stats[rank]
-        self._collective_counter = 0
+        self.stats = store.stats[rank]
 
-    # -- point-to-point ------------------------------------------------- #
-    def publish(self, key: str, array: np.ndarray) -> None:
-        self._store.put(self.rank, key, np.asarray(array))
+    def _publish(self, arrays: Dict[str, np.ndarray]) -> None:
+        for key, array in arrays.items():
+            self._store.put(self.rank, key, array)
 
-    def fetch(self, owner_rank: int, key: str, rows: Optional[np.ndarray] = None,
-              tag: str = "halo") -> np.ndarray:
-        if owner_rank == self.rank:
-            array = self._store.wait_get(owner_rank, key)
-            # A row fetch already copies (fancy indexing); the whole-array
-            # case must copy too — returning the published array itself would
-            # let caller mutation silently corrupt what peers fetch.
-            return array[rows] if rows is not None else array.copy()
-        array = self._store.wait_get(owner_rank, key)
-        out = array[np.asarray(rows)].copy() if rows is not None else array.copy()
-        nbytes = out.nbytes
-        self.stats.record_recv(nbytes, tag=tag)
-        self._peer_stats[owner_rank].record_send(nbytes, tag=tag)
-        return out
+    def _drop(self, keys: Iterable[str]) -> None:
+        for key in keys:
+            self._store.remove(self.rank, key)
 
-    def unpublish(self, key: str) -> None:
-        self._store.remove(self.rank, key)
+    def _keys(self) -> List[str]:
+        return self._store.keys_of(self.rank)
 
-    def clear_published(self) -> None:
-        # Keyed-stream payloads (background sampling frontiers) survive the
-        # iteration-boundary sweep; they are reclaimed via release_keyed.
-        self._store.clear_owner(self.rank, keep_prefix=STREAM_KEY_PREFIX)
+    def _read(self, owner_rank: int, key: str, block: bool = True) -> Optional[np.ndarray]:
+        read = self._store.wait_get if block else self._store.try_get
+        return read(owner_rank, key)
 
-    # -- collectives ------------------------------------------------------ #
-    def barrier(self) -> None:
-        if self._store.failure.is_set():
-            raise ClusterAborted(self._store.failure_message or "another worker failed")
+    def _rendezvous(self) -> None:
+        self._store.check_failure()
         try:
-            self._barrier.wait(timeout=self._store.timeout_s)
+            self._store.barrier.wait(timeout=self._store.timeout_s)
         except threading.BrokenBarrierError as exc:
             raise ClusterAborted(
                 self._store.failure_message or "barrier broken (a worker died)"
             ) from exc
 
-    def _next_collective_key(self, name: str) -> str:
-        self._collective_counter += 1
-        return f"__coll/{name}/{self._collective_counter}"
-
-    def exchange(self, key: str, outgoing: Dict[int, np.ndarray],
-                 tag: str = "exchange") -> Dict[int, np.ndarray]:
-        prefix = f"__xchg/{key}"
-        for dest, array in outgoing.items():
-            if not 0 <= dest < self.world_size:
-                raise ValueError(f"exchange destination {dest} out of range")
-            array = np.asarray(array)
-            self._store.put(self.rank, f"{prefix}/to{dest}", array)
-            if dest != self.rank:
-                self.stats.record_send(array.nbytes, tag=tag)
-        self.barrier()
-        received: Dict[int, np.ndarray] = {}
-        for sender in range(self.world_size):
-            array = self._store.try_get(sender, f"{prefix}/to{self.rank}")
-            if array is None:
-                continue
-            if sender == self.rank:
-                received[sender] = array
-            else:
-                received[sender] = array.copy()
-                self.stats.record_recv(array.nbytes, tag=tag)
-        self.barrier()
-        for dest in outgoing:
-            self._store.remove(self.rank, f"{prefix}/to{dest}")
-        return received
-
-    def allreduce(self, array: np.ndarray, op: str = "sum", tag: str = "allreduce") -> np.ndarray:
-        array = np.asarray(array)
-        key = self._next_collective_key("allreduce")
-        self._store.put(self.rank, key, array)
-        contributions = [self._store.wait_get(r, key) for r in range(self.world_size)]
-        result = reduce_arrays(contributions, op).astype(array.dtype, copy=False)
-        # Ring-allreduce volume: each worker sends/receives ~2·(N-1)/N of the payload.
-        ring_bytes = int(2 * array.nbytes * (self.world_size - 1) / max(self.world_size, 1))
-        self.stats.record_send(ring_bytes, tag=tag)
-        self.stats.record_recv(ring_bytes, tag=tag)
-        self.barrier()
-        self._store.remove(self.rank, key)
-        return result
-
-    def allgather(self, array: np.ndarray, tag: str = "allgather") -> List[np.ndarray]:
-        array = np.asarray(array)
-        key = self._next_collective_key("allgather")
-        self._store.put(self.rank, key, array)
-        gathered = []
-        for r in range(self.world_size):
-            remote = self._store.wait_get(r, key)
-            if r != self.rank:
-                remote = remote.copy()
-                self.stats.record_recv(remote.nbytes, tag=tag)
-                self.stats.record_send(array.nbytes, tag=tag)
-            gathered.append(remote)
-        self.barrier()
-        self._store.remove(self.rank, key)
-        return gathered
-
-
-def create_thread_communicators(world_size: int,
-                                timeout_s: float = _DEFAULT_TIMEOUT_S
-                                ) -> Tuple[List[ThreadCommunicator], SharedStore]:
-    """Create one communicator per worker sharing a store and a barrier."""
-    store = SharedStore(world_size, timeout_s=timeout_s)
-    barrier = threading.Barrier(world_size)
-    store.attach_barrier(barrier)
-    peer_stats = [CommStats() for _ in range(world_size)]
-    comms = [
-        ThreadCommunicator(rank, world_size, store, barrier, peer_stats)
-        for rank in range(world_size)
-    ]
-    return comms, store
+    def fetch(
+        self, owner_rank: int, key: str, rows: Optional[np.ndarray] = None, tag: str = "halo"
+    ) -> np.ndarray:
+        out = super().fetch(owner_rank, key, rows, tag)
+        if owner_rank != self.rank:
+            self._store.stats[owner_rank].record_send(out.nbytes, tag=tag)
+        return out
 
 
 class ThreadServiceCluster:
@@ -273,16 +186,21 @@ class ThreadServiceCluster:
     (collective construction is fine: all workers run it concurrently) and
     then answers jobs; a handler exception aborts the shared store first, so
     peers blocked in the failed job's collectives unblock, and every later
-    job fails on the aborted cluster.
+    job fails on the aborted cluster.  The workers are daemon threads: one
+    that never returns costs its job the timeout, never the interpreter.
     """
 
     #: workers see the caller's objects live: a mutation made between jobs
     #: (model weights, a shared feature store) needs no shipping.
     shares_address_space = True
 
-    def __init__(self, service_factory: Callable[[int, Communicator], Callable],
-                 world_size: int, timeout_s: float = _DEFAULT_TIMEOUT_S,
-                 name: str = "service"):
+    def __init__(
+        self,
+        service_factory: Callable[[int, Communicator], Callable],
+        world_size: int,
+        timeout_s: float = _DEFAULT_TIMEOUT_S,
+        name: str = "service",
+    ):
         self.world_size = world_size
         self.name = name
         self._service_factory = service_factory
@@ -293,34 +211,33 @@ class ThreadServiceCluster:
 
     def start(self) -> "ThreadServiceCluster":
         """Spawn the workers and wait for every rank's handler to be built."""
-        # The communicators (and the store of published arrays behind them)
-        # live exactly as long as the worker threads that hold them.
-        comms, store = create_thread_communicators(
-            self.world_size, timeout_s=self._timeout_s
-        )
+        self._store = SharedStore(self.world_size, timeout_s=self._timeout_s)
+        comms = [ThreadCommunicator(rank, self._store) for rank in range(self.world_size)]
         self._jobs = [queue.Queue() for _ in comms]
         ready: List[Future] = [Future() for _ in comms]
         self._threads = [
-            threading.Thread(target=self._worker, args=(comm, store, jobs, future),
-                             name=f"{self.name}-{comm.rank}", daemon=True)
+            threading.Thread(
+                target=self._worker,
+                args=(comm, jobs, future),
+                name=f"{self.name}-{comm.rank}",
+                daemon=True,
+            )
             for comm, jobs, future in zip(comms, self._jobs, ready)
         ]
         for thread in self._threads:
             thread.start()
         try:
-            for future in ready:
-                future.result(self._timeout_s)
+            self._gather(ready)
         except BaseException:
             self.stop()
             raise
         return self
 
-    def _worker(self, comm: ThreadCommunicator, store: SharedStore,
-                jobs: "queue.Queue", ready: Future) -> None:
+    def _worker(self, comm: ThreadCommunicator, jobs: "queue.Queue", ready: Future) -> None:
         try:
             handler = self._service_factory(comm.rank, comm)
         except BaseException as exc:  # noqa: BLE001 - report, unblock peers
-            store.abort(f"{self.name} worker {comm.rank} failed to start: {exc!r}")
+            self._store.abort(f"{self.name} worker {comm.rank} failed to start: {exc!r}")
             ready.set_exception(exc)
             return
         ready.set_result(None)
@@ -332,17 +249,22 @@ class ThreadServiceCluster:
             try:
                 future.set_result(handler(kind, payload))
             except BaseException as exc:  # noqa: BLE001 - keep the loop alive
-                store.abort(f"{self.name} worker {comm.rank} failed: {exc!r}")
+                self._store.abort(f"{self.name} worker {comm.rank} failed: {exc!r}")
                 future.set_exception(exc)
 
     def stop(self) -> None:
-        """Drain every worker's queued jobs, then join it — idempotent."""
+        """Drain every worker's queued jobs, then join it — idempotent.
+
+        The joins share one ``timeout_s``; a worker stuck past it is left
+        behind (a daemon thread: it cannot keep the interpreter alive).
+        """
         with self._lock:
             threads, self._threads = self._threads, []
         for jobs in self._jobs:
             jobs.put(None)
+        deadline = time.monotonic() + self._timeout_s
         for thread in threads:
-            thread.join(self._timeout_s)
+            thread.join(max(0.0, deadline - time.monotonic()))
 
     @property
     def running(self) -> bool:
@@ -356,14 +278,33 @@ class ThreadServiceCluster:
         """Run one job on every worker; per-rank results indexed by rank.
 
         Thread-safe (jobs from concurrent callers are serialized, so every
-        worker sees the same job order).  A worker's exception propagates.
+        worker sees the same job order).  A worker's exception propagates —
+        the root cause, not a survivor's follow-on :class:`ClusterAborted` —
+        and a rank still owed a result after ``timeout_s`` fails the job with
+        a :class:`TimeoutError` naming it.
         """
         with self._lock:
             if not self.running:
                 raise RuntimeError("cluster is not running")
-            futures: List[Future] = []
-            for jobs in self._jobs:
-                future: Future = Future()
+            futures: List[Future] = [Future() for _ in self._jobs]
+            for jobs, future in zip(self._jobs, futures):
                 jobs.put((kind, payload, future))
-                futures.append(future)
-            return [future.result(self._timeout_s) for future in futures]
+            return self._gather(futures)
+
+    def _gather(self, futures: List[Future]) -> List[Any]:
+        """Every rank's result, or the failure that explains why there is none."""
+        pending = concurrent.futures.wait(futures, timeout=self._timeout_s).not_done
+        errors = [f.exception() for f in futures if f not in pending and f.exception()]
+        failure = next((e for e in errors if not isinstance(e, ClusterAborted)), None)
+        if pending:
+            missing = [rank for rank, future in enumerate(futures) if future in pending]
+            overdue = TimeoutError(
+                f"{self.name} workers timed out after {self._timeout_s:.0f}s "
+                f"waiting for ranks {missing}"
+            )
+            # Whoever waits for an overdue rank unblocks; later jobs fail at once.
+            self._store.abort(str(overdue))
+            failure = failure or overdue
+        if failure or errors:
+            raise failure or errors[0]
+        return [future.result() for future in futures]

@@ -59,6 +59,14 @@ class MemoryTracker:
     num_allocations: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
+    def __getstate__(self) -> dict:
+        # A lock cannot cross a process boundary; the copy gets its own.
+        with self._lock:
+            return {k: v for k, v in self.__dict__.items() if k != "_lock"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _lock=threading.Lock())
+
     def allocate(self, nbytes: int) -> None:
         with self._lock:
             self.current_bytes += int(nbytes)

@@ -37,7 +37,7 @@ from repro.datasets.synthetic import (
     HeteroNodeClassificationDataset,
     NodeClassificationDataset,
 )
-from repro.distributed.cluster import ClusterRunResult, SimulatedCluster
+from repro.distributed.cluster import ClusterRunResult, run_distributed
 from repro.distributed.comm import Communicator
 from repro.graph.hetero import HeteroGraph
 from repro.graph.mfg import (
@@ -831,10 +831,9 @@ class DistributedTrainer:
                 dataset.graph, self.book, config.sampler,
                 dataset.train_indices(), config.resolved_sampler_seed(),
             )
-        cluster = SimulatedCluster(self.num_workers, timeout_s=self.timeout_s)
-        result = cluster.run(
-            distributed_train_worker,
-            worker_args=self.shards,
+        result = run_distributed(
+            distributed_train_worker, self.num_workers,
+            worker_args=self.shards, timeout_s=self.timeout_s,
             model_factory=self.model_factory,
             feature_dim=dataset.feature_dim,
             num_classes=dataset.num_classes,

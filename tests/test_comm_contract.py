@@ -1,8 +1,9 @@
 """One communicator contract, checked on both backends.
 
 A fixed script of every :class:`~repro.distributed.comm.Communicator`
-primitive runs on the thread backend and on forked processes at world sizes
-1/2/3; the two must return equal values and account equal bytes.  The
+operation runs on the thread backend and on forked processes at world sizes
+1/2/3; the two must return equal values and account equal bytes, and a
+churn of mixed collectives must leave nothing published on either.  The
 mp-only tests below pin what the shared-memory data plane adds: a publish
 is a snapshot, only the owner can write its arena, and freed arena space is
 reused instead of creeping.
@@ -23,6 +24,8 @@ pytestmark = pytest.mark.skipif(
 )
 
 _DTYPES = ("float32", "float64", "int64", "bool")
+#: first path component of every tag the script passes to ``fetch``
+_FETCH_TAGS = {"rows", "whole", "again", "empty", "scalar", "no_rows", "keyed"}
 
 
 def _matrix(rank, dtype):
@@ -104,11 +107,11 @@ def _assert_same(a, b, where):
 
 @pytest.mark.parametrize("world_size", [1, 2, 3])
 def test_thread_and_mp_backends_agree(world_size):
-    threads = run_distributed(_contract_script, world_size, mutate_sources=False).results
+    threads = run_distributed(_contract_script, world_size, mutate_sources=False)
     processes = run_multiprocess(
         _contract_script, world_size, timeout_s=120, mutate_sources=True
     )
-    for rank, (thread, process) in enumerate(zip(threads, processes)):
+    for rank, (thread, process) in enumerate(zip(threads.results, processes.results)):
         values, received, sent = thread
         mp_values, mp_received, mp_sent = process
         assert values.keys() == mp_values.keys()
@@ -120,26 +123,34 @@ def test_thread_and_mp_backends_agree(world_size):
             np.testing.assert_array_equal(mp_values[f"again/{dtype}"], _matrix(peer, dtype))
             np.testing.assert_array_equal(mp_values[f"rows/{dtype}"],
                                           _matrix(peer, dtype)[[4, 0, 4]])
-        # Bytes: the mp backend moves exactly what it accounts (rows, not
-        # the whole published array), so the received side matches the
-        # thread backend tag for tag.  One known gap, older than the shared
-        # arenas and left alone so the benchmark's wire counters do not
-        # move: plain allgather is unaccounted across processes.
-        gathered = received.pop("ag", 0)
-        assert gathered == (world_size > 1) * sum(
+        # Bytes: the collectives and their accounting are written once, so
+        # the received side agrees for every tag — what moved is what is
+        # booked (rows, not the whole published array; each peer's allgather
+        # part; nothing for self-delivery).
+        assert received == mp_received
+        assert received.get("ag", 0) == (world_size > 1) * sum(
             8 * (q + 1) + 8 for q in range(world_size) if q != rank
         )
-        assert "ag" not in mp_received
-        assert received == mp_received
-        # A process cannot bump its peer's counters, so fetches are
-        # sender-accounted on threads only; what a rank itself sends agrees.
-        for tag in ["xchg"] + [f"ar/{op}" for op in ("sum", "max", "min", "mean")]:
-            assert sent.get(tag) == mp_sent.get(tag), tag
+        # A process cannot bump its peer's counters, so only a fetch is
+        # sender-accounted on threads alone; what a rank itself sends agrees.
+        fetch_tags = {tag for tag in sent if tag not in mp_sent}
+        assert all(tag.split("/")[0] in _FETCH_TAGS for tag in fetch_tags), fetch_tags
+        assert {tag: n for tag, n in sent.items() if tag not in fetch_tags} == mp_sent
+    # Cluster-wide, and on the side both backends record, the runs agree;
+    # with one address space every received byte was also booked as sent.
+    assert processes.total_received_by_tag() == threads.total_received_by_tag()
+    assert processes.total_bytes_communicated == threads.total_bytes_communicated
+    assert sum(s.bytes_sent for s in threads.comm_stats) == threads.total_bytes_communicated
+    sent_by_tag = {}
+    for stats in threads.comm_stats:
+        for tag, nbytes in stats.sent_by_tag.items():
+            sent_by_tag[tag] = sent_by_tag.get(tag, 0) + nbytes
+    assert sent_by_tag == threads.total_received_by_tag()
 
 
 def _readonly_view_worker(rank, comm):
     comm.publish("mine", np.ones((3, 2)))
-    view = comm._wait_view((rank + 1) % comm.world_size, "mine")
+    view = comm._read((rank + 1) % comm.world_size, "mine")
     try:
         view[...] = 7.0
     except ValueError:
@@ -151,13 +162,16 @@ def _readonly_view_worker(rank, comm):
 
 
 def test_only_the_owner_can_write_its_arena():
-    assert run_multiprocess(_readonly_view_worker, world_size=2, timeout_s=120) == [True, True]
+    assert run_multiprocess(_readonly_view_worker, world_size=2, timeout_s=120).results == [
+        True,
+        True,
+    ]
 
 
 _MAX_ROWS = 501
 
 
-def _churn_worker(rank, comm):
+def _churn_worker(rank, comm, *, probe):
     ws = comm.world_size
     peers = [q for q in range(ws) if q != rank]
     persistent = np.full((64, 8), float(rank))
@@ -182,7 +196,7 @@ def _churn_worker(rank, comm):
             comm.unpublish("step")
     comm.barrier()  # the last exchange's slots are reclaimed once every reader passed
     kept = comm.fetch(peers[0], STREAM_KEY_PREFIX + "persistent")
-    return comm.arena_stats(), float(kept[0, 0])
+    return probe(comm), float(kept[0, 0])
 
 
 def test_arena_space_is_reused_not_leaked():
@@ -190,7 +204,9 @@ def test_arena_space_is_reused_not_leaked():
     # transient stays live, and the arena never grew past a small multiple
     # of the biggest step (an exchange: one max payload per peer) on top of
     # the persistent stream publish — first-fit reuse works, nothing creeps.
-    results = run_multiprocess(_churn_worker, world_size=3, timeout_s=120)
+    results = run_multiprocess(
+        _churn_worker, world_size=3, timeout_s=120, probe=lambda comm: comm.arena_stats()
+    ).results
     biggest_step = 2 * _MAX_ROWS * 8 * 8
     persistent = 64 * 8 * 8
     for rank, (stats, kept) in enumerate(results):
@@ -199,3 +215,15 @@ def test_arena_space_is_reused_not_leaked():
         assert stats["live_bytes"] == persistent
         assert persistent < stats["high_water_bytes"] <= persistent + 3 * biggest_step
         assert stats["high_water_bytes"] < stats["capacity_bytes"]
+
+
+def test_thread_store_holds_nothing_transient_after_churn():
+    # The same churn over the thread backend, which shares the deferred
+    # reclaim: every collective key and exchange slot is withdrawn by its
+    # owner's next barrier, so only the stream publish is left in the store.
+    results = run_distributed(
+        _churn_worker, 3, probe=lambda comm: comm._store.keys_of(comm.rank)
+    ).results
+    for rank, (keys, kept) in enumerate(results):
+        assert kept == (1.0 if rank == 0 else 0.0)
+        assert keys == [STREAM_KEY_PREFIX + "persistent"]

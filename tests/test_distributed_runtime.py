@@ -1,17 +1,22 @@
 """Tests for the simulated cluster runtime: communicator, collectives, cost model."""
 
+import pickle
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.distributed import (
     ClusterSpec,
-    SimulatedCluster,
     epoch_cost,
     run_distributed,
     scaling_table,
 )
-from repro.distributed.thread_backend import ClusterAborted
+from repro.distributed.comm import CommStats
+from repro.distributed.thread_backend import ClusterAborted, ThreadServiceCluster
 from repro.tensor import Tensor
+from repro.tensor.memory import MemoryTracker
 
 
 class TestPointToPoint:
@@ -256,13 +261,50 @@ class TestFailureHandling:
             comm.barrier()
             return True
 
-        with pytest.raises(RuntimeError, match="boom"):
+        # The failing rank is named and its own exception (type, traceback)
+        # is the cause — not rank 0's follow-on ClusterAborted.
+        with pytest.raises(RuntimeError, match=r"Worker 1 failed: ValueError\('boom'\)") as excinfo:
             run_distributed(worker, 3, timeout_s=20)
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, ValueError) and cause.__traceback__ is not None
+
+    def test_service_request_raises_the_root_cause(self):
+        """Rank 1 raises while rank 0 waits for it: the caller gets rank 1's
+        exception, whichever future it happens to read first."""
+        def factory(rank, comm):
+            def handler(kind, payload):
+                if rank == 1:
+                    raise KeyError("root cause")
+                comm.barrier()
+            return handler
+
+        cluster = ThreadServiceCluster(factory, 3, timeout_s=20).start()
+        try:
+            with pytest.raises(KeyError, match="root cause"):
+                cluster.request("job")
+        finally:
+            cluster.stop()
+
+    def test_rank_that_never_returns_raises_at_the_timeout(self):
+        """A rank stuck outside any collective cannot hang the caller."""
+        release = threading.Event()
+
+        def worker(rank, comm):
+            if rank == 1:
+                release.wait(60)
+            return rank
+
+        start = time.monotonic()
+        try:
+            with pytest.raises(TimeoutError, match=r"timed out after 1s waiting for ranks \[1\]"):
+                run_distributed(worker, 2, timeout_s=1)
+            assert time.monotonic() - start < 4.0
+        finally:
+            release.set()
 
     def test_bad_worker_args_length(self):
-        cluster = SimulatedCluster(2)
-        with pytest.raises(ValueError):
-            cluster.run(lambda rank, comm, arg: arg, worker_args=[1])
+        with pytest.raises(ValueError, match="worker_args must have length 2"):
+            run_distributed(lambda rank, comm, arg: arg, 2, worker_args=[1])
 
     def test_invalid_exchange_destination(self):
         def worker(rank, comm):
@@ -450,6 +492,23 @@ class TestCommStatsSnapshot:
             stop.set()
             for t in threads:
                 t.join()
+
+    def test_counters_pickle_without_their_lock(self):
+        """What a forked worker ships back: counters intact, a lock of its own."""
+        stats, tracker = CommStats(), MemoryTracker(label="worker-1")
+        stats.record_send(5, tag="a")
+        stats.record_recv(7, tag="b")
+        stats.record_cache(1, 2, 3)
+        tracker.allocate(10)
+        tracker.release(4)
+        stats_copy, tracker_copy = pickle.loads(pickle.dumps((stats, tracker)))
+        assert stats_copy == stats and stats_copy.snapshot() == stats.snapshot()
+        assert tracker_copy.snapshot() == tracker.snapshot()
+        assert stats_copy._lock is not stats._lock and tracker_copy._lock is not tracker._lock
+        stats_copy.record_send(1, tag="a")
+        tracker_copy.allocate(1)
+        assert stats_copy.sent_by_tag == {"a": 6} and stats.sent_by_tag == {"a": 5}
+        assert tracker_copy.peak_bytes == 10 and tracker_copy.current_bytes == 7
 
     def test_abort_wakes_reader_even_after_event_discarded(self):
         import threading

@@ -362,3 +362,23 @@ def test_mp_stats_keep_thread_backend_shape_plus_processes(dataset):
     assert post["workers"] == workers
     assert post["processes"]["alive"] == [False, False]
     _assert_no_leaked_children()
+
+
+def test_mp_and_thread_shards_book_the_same_wire_bytes(dataset):
+    """One request sequence, two transports: each worker's serving counters
+    agree — halo rows fetched, and the frontier allgathers of the cooperative
+    walk, which do move bytes on either backend."""
+    model = _make_model(dataset)
+    shards = _make_shards(dataset, 2)
+    streams = [[5], [3, 1, 4, 1, 5], [0, 119], list(range(30))]
+    comm = {}
+    for backend in ("distributed", "mp"):
+        config = ServingConfig(backend=backend, window_ms=0.0, byte_budget=None)
+        with create_server(model, shards, dataset.features, config) as server:
+            for ids in streams:
+                server.predict(ids)
+            comm[backend] = [worker["comm"] for worker in server.stats()["workers"]]
+    for thread_worker, mp_worker in zip(comm["distributed"], comm["mp"]):
+        assert mp_worker["frontier_bytes_received"] == thread_worker["frontier_bytes_received"] > 0
+        assert mp_worker["halo_bytes_received"] == thread_worker["halo_bytes_received"] > 0
+    _assert_no_leaked_children()

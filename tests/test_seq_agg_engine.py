@@ -381,7 +381,10 @@ class TestCommAccounting:
             return None
 
         result = run_distributed(worker, WORLD, worker_args=shards)
-        sent = result.total_sent_by_tag()
+        sent = {}
+        for stats in result.comm_stats:
+            for tag, nbytes in stats.sent_by_tag.items():
+                sent[tag] = sent.get(tag, 0) + nbytes
         received = result.total_received_by_tag()
         assert set(sent) == set(received)
         for tag in sent:

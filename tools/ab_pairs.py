@@ -3,6 +3,7 @@
 
     python3 tools/ab_pairs.py --workload train_sar_gat_w2 --pairs 10
     python3 tools/ab_pairs.py --workload serve_hot_local --pairs 5 --parent HEAD~1 --first-seed 301
+    python3 tools/ab_pairs.py --workload all --pairs 10          # a simplification PR, judged in reverse
 
 The *change* is this checkout as it stands (committed or not); the *parent*
 is ``--parent`` (default ``HEAD``), checked out into a temporary ``git
@@ -11,6 +12,8 @@ worktree`` that is removed again on exit.  Each pair runs
 with the same seed — a new seed per pair, counted up from ``--first-seed``;
 pass seeds the change was not developed on — and the side that runs first
 alternates from pair to pair, so drift in the machine's load falls on both.
+``--workload`` may be given more than once, or as ``all``; each workload gets
+its own pairs and its own table.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles, the pairs the change won (ties count for neither side)
@@ -23,6 +26,12 @@ and a verdict by the rule of the choosing-metrics guide, section 8:
 * ``unresolved`` — neither, and the parent's own inter-quartile range is
   wider than the bound, so "unchanged" cannot be told from "worse";
 * ``within bound`` — otherwise.
+
+After the pairs of a workload, one ``--seed 0 --trace 1`` run per side lists
+every per-layer *counter* whose value differs — the cells that repeat digit
+for digit between two runs of the same code, so any difference is the
+change's.  Timings (``*_ms``), the harness's own cells (``harness.*``) and
+the cells in :data:`MEASURED` vary run to run and are left out.
 
 The tool reads ``BENCHMARK.json`` and runs ``benchmarks/e2e/run.py``; it never
 edits either.  Exit status 1 when a run fails, an op fails on the change side
@@ -43,6 +52,9 @@ from typing import Dict, Iterator, List, Sequence
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNNER = Path("benchmarks") / "e2e" / "run.py"
+#: per-layer cells that are a ratio of two timings, or memory as the OS reports it
+MEASURED = {"core.sar_over_dp_epoch", "sample.layerwise_over_full", "serving.mp_over_local",
+            "distributed.wait_share", "distributed.child_peak_rss_mb"}
 
 
 @contextmanager
@@ -61,10 +73,10 @@ def parent_checkout(rev: str) -> Iterator[Path]:
                            check=False, capture_output=True)
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """One untraced benchmark run in ``checkout``; its final JSON line."""
+def run_once(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
+    """One benchmark run in ``checkout``; its final JSON line."""
     command = [sys.executable, str(checkout / RUNNER), "--workload", workload,
-               "--seed", str(seed), "--trace", "0"]
+               "--seed", str(seed), "--trace", str(trace)]
     done = subprocess.run(command, capture_output=True, text=True, timeout=1800, cwd=checkout)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(command)} exited {done.returncode}:\n{done.stderr}")
@@ -101,40 +113,37 @@ def verdict(parent: Sequence[float], change: Sequence[float], better: str, bound
             "wins": wins, "losses": losses, "pairs": len(parent), "verdict": name}
 
 
-def main(argv=None) -> int:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True,
-                        choices=[w["name"] for w in spec["workloads"]])
-    parser.add_argument("--pairs", type=int, required=True,
-                        help="parent/change pairs (the guide asks for >= 10 to claim a gain)")
-    parser.add_argument("--parent", default="HEAD", help="revision the change is compared against")
-    parser.add_argument("--first-seed", type=int, default=101,
-                        help="seed of the first pair; pair i uses first-seed + i")
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+def counter_differences(parent: dict, change: dict) -> List[tuple]:
+    """``(name, parent value, change value)`` of every exact per-layer counter that differs."""
+    return [
+        (name, entry["value"], change[name]["value"])
+        for name, entry in parent.items()
+        if not (name.endswith("_ms") or name.startswith("harness.") or name in MEASURED)
+        and entry["value"] != change[name]["value"]
+    ]
 
+
+def compare(workload: str, args, spec: dict, roots: Dict[str, Path]) -> int:
+    """The pairs, the table and the counter diff of one workload; 1 if it fails the change."""
     samples: Dict[str, Dict[str, List[float]]] = {
         side: {m["name"]: [] for m in spec["end_to_end"]} for side in ("parent", "change")}
     failed = {"parent": 0, "change": 0}
-    with parent_checkout(args.parent) as parent_root:
-        roots = {"parent": parent_root, "change": ROOT}
-        for pair in range(args.pairs):
-            seed = args.first_seed + pair
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            row = {}
-            for side in order:
-                result = run_once(roots[side], args.workload, seed)
-                failed[side] += result["failed"]
-                for name, entry in result["metrics"].items():
-                    samples[side][name].append(entry["value"])
-                    row[side, name] = entry["value"]
-            print(f"pair {pair + 1}/{args.pairs} seed {seed} ({order[0]} first): " + "  ".join(
-                f"{m['name']} {row['parent', m['name']]:.4g}/{row['change', m['name']]:.4g}"
-                for m in spec["end_to_end"]), flush=True)
+    for pair in range(args.pairs):
+        seed = args.first_seed + pair
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        row = {}
+        for side in order:
+            result = run_once(roots[side], workload, seed)
+            failed[side] += result["failed"]
+            for name, entry in result["metrics"].items():
+                samples[side][name].append(entry["value"])
+                row[side, name] = entry["value"]
+        print(f"{workload} pair {pair + 1}/{args.pairs} seed {seed} ({order[0]} first): "
+              + "  ".join(
+                  f"{m['name']} {row['parent', m['name']]:.4g}/{row['change', m['name']]:.4g}"
+                  for m in spec["end_to_end"]), flush=True)
 
-    print(f"\n{args.workload}: {args.pairs} alternating pairs, parent {args.parent} vs this "
+    print(f"\n{workload}: {args.pairs} alternating pairs, parent {args.parent} vs this "
           f"checkout, seeds {args.first_seed}..{args.first_seed + args.pairs - 1}; "
           f"failed ops parent {failed['parent']}, change {failed['change']}")
     print(f"{'metric':<13}{'parent med [q1, q3]':>34}{'change med [q1, q3]':>34}"
@@ -150,7 +159,36 @@ def main(argv=None) -> int:
               f" ({metric['better']} is better, bound {metric['bound']:.0%})")
         if v["verdict"] == "regression":
             status = 1
+
+    traced = {side: run_once(roots[side], workload, 0, trace=1) for side in ("parent", "change")}
+    differences = counter_differences(traced["parent"]["metrics"], traced["change"]["metrics"])
+    print(f"exact per-layer counters (--seed 0 --trace 1) that differ: {len(differences)}")
+    for name, before, after in differences:
+        print(f"  {name}: {before:.6g} -> {after:.6g}")
+    print(flush=True)
     return status
+
+
+def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True, action="append", choices=workloads + ["all"],
+                        help="repeatable; 'all' stands for every workload of BENCHMARK.json")
+    parser.add_argument("--pairs", type=int, required=True,
+                        help="parent/change pairs (the guide asks for >= 10 to claim a gain)")
+    parser.add_argument("--parent", default="HEAD", help="revision the change is compared against")
+    parser.add_argument("--first-seed", type=int, default=101,
+                        help="seed of the first pair; pair i uses first-seed + i")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    chosen = workloads if "all" in args.workload else list(dict.fromkeys(args.workload))
+
+    with parent_checkout(args.parent) as parent_root:
+        roots = {"parent": parent_root, "change": ROOT}
+        # every workload runs, so one regression does not hide the next
+        return max([compare(workload, args, spec, roots) for workload in chosen])
 
 
 if __name__ == "__main__":
