@@ -86,17 +86,6 @@ class _DistributedGraphBase:
         self._step += 1
         self._op_counter = 0
 
-    @property
-    def step(self) -> int:
-        """Iterations started so far (advanced by every :meth:`begin_step`).
-
-        Collective callers that publish under their own keys (the serving
-        path) fold this into the key so a fast worker can never pair a fresh
-        fetch with a peer's stale, not-yet-cleared publish from the previous
-        step.
-        """
-        return self._step
-
     def _next_key(self, name: str) -> str:
         self._op_counter += 1
         return f"s{self._step}/{name}{self._op_counter}"
@@ -134,8 +123,7 @@ class DistributedGraph(_DistributedGraphBase):
     """Worker-local handle over a partitioned homogeneous graph."""
 
     def __init__(self, shard: ShardedGraph, comm: Communicator,
-                 config: SARConfig = SAR,
-                 restriction_cache_capacity: Optional[int] = None):
+                 config: SARConfig = SAR):
         super().__init__(comm, config)
         self.shard = shard
         self.halo = HaloExchange(comm, shard.blocks, name="homo")
@@ -156,14 +144,7 @@ class DistributedGraph(_DistributedGraphBase):
         #: been evaluated.  Eviction only costs re-preparation on a later
         #: revisit — never correctness — but every worker must keep the same
         #: capacity so the replicated control flow re-prepares collectively.
-        #: ``restriction_cache_capacity`` overrides the default — the
-        #: distributed serving backend sizes it from
-        #: ``ServingConfig.restriction_slots`` (one slot per hot seed set).
-        self.restriction_cache: MutableMapping[Any, Any] = LRUDict(
-            RESTRICTION_CACHE_CAPACITY
-            if restriction_cache_capacity is None
-            else restriction_cache_capacity
-        )
+        self.restriction_cache: MutableMapping[Any, Any] = LRUDict(RESTRICTION_CACHE_CAPACITY)
 
     def in_edge_index(self):
         """This worker's complete per-local-dst in-edge buckets.

@@ -41,13 +41,11 @@ import numpy as np
 STREAM_KEY_PREFIX = "__stream/"
 
 #: Byte-accounting tags of the distributed serving path
-#: (:class:`repro.serving.ShardWorker`): activation rows fetched from a peer
-#: because the local embedding cache missed them, the per-layer frontier
-#: allgathers of the cooperative receptive-field walk, and the small control
-#: collectives (cache-truncation votes, fast-path votes).
+#: (:class:`repro.serving.ShardWorker`): activation rows fetched from the
+#: peer that owns them, and the per-level frontier allgathers of the
+#: cooperative receptive-field walk.
 SERVE_HALO_TAG = "serve_halo"
 SERVE_FRONTIER_TAG = "serve_frontier"
-SERVE_CONTROL_TAG = "serve_ctl"
 
 
 @dataclass
@@ -138,8 +136,8 @@ class CommStats:
         """Serving-path telemetry: halo/frontier bytes and cache rows.
 
         The fixed-key subset of :meth:`snapshot` the serving ``stats()``
-        surface exposes per worker — halo-fetch volume (activation rows a
-        peer served because the local embedding cache missed them), frontier
+        surface exposes per worker — halo-fetch volume (activation rows
+        fetched from the peers that own them), frontier
         allgather volume from the cooperative receptive-field walk, and the
         feature-store hot-row cache counters.  Keys are always present so
         the shape is stable for dashboards and tests.

@@ -42,14 +42,9 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.dist_graph import DistributedGraph
-from repro.distributed.comm import (
-    SERVE_CONTROL_TAG,
-    SERVE_FRONTIER_TAG,
-    SERVE_HALO_TAG,
-)
+from repro.distributed.comm import SERVE_FRONTIER_TAG, SERVE_HALO_TAG
 from repro.graph.graph import Graph
 from repro.graph.hetero import HeteroGraph
-from repro.graph.in_edges import candidate_positions
 from repro.graph.mfg import block_from_in_edges
 from repro.partition.shard import restrict_block_to_dst
 from repro.sample.loader import num_batches_for
@@ -359,6 +354,27 @@ def distributed_layerwise_logits(
             model.train()
 
 
+def probe_rows(cache, layer: int, nodes: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``(found_mask, hit_rows)`` of ``nodes`` at ``layer``; without a cache every probe misses."""
+    if cache is None:
+        return np.zeros(len(nodes), dtype=bool), None
+    return cache.lookup_partial(layer, nodes)
+
+
+def splice_rows(
+    found: np.ndarray, hit_rows: Optional[np.ndarray], computed: Optional[np.ndarray]
+) -> Optional[np.ndarray]:
+    """A level's row matrix from its cached rows (``found``) and its computed rows (the rest)."""
+    if hit_rows is None:
+        return computed
+    if computed is None:
+        return hit_rows
+    rows = np.empty((len(found), computed.shape[1]), dtype=computed.dtype)
+    rows[found] = hit_rows
+    rows[~found] = computed
+    return rows
+
+
 def distributed_restricted_logits(
     dist_graph: DistributedGraph,
     model,
@@ -371,48 +387,31 @@ def distributed_restricted_logits(
     """Seed logits over a partitioned graph, bit-identical to single-machine.
 
     The distributed serving hot path (collective call — every worker runs it
-    for the **same** ``seed_nodes``).  Instead of the SAR engine's per-block
-    partial-sum accumulation (which matches single-machine results only to
-    float tolerance), each worker executes single-machine-style
-    :class:`~repro.graph.mfg.MFGBlock` grids restricted to the seed set's
-    receptive field:
+    for the **same** ``seed_nodes``): :meth:`repro.serving.LocalExecutor.
+    compute`'s per-node pruned walk, with each level's nodes split by owner.
+    A level is the same ascending id set on every worker; a worker holds the
+    rows of the nodes it owns.
 
-    1. **Cooperative walk.**  Level ``L`` is the seed set; for each layer,
-       every worker expands the level's destinations *it owns* through its
-       complete in-edge buckets (:meth:`~repro.partition.shard.ShardedGraph.
-       in_edge_index`) and an allgather merges the per-worker frontiers.
-       With an :class:`~repro.serving.cache.EmbeddingCache`, each level is
-       probed and an allreduce-min vote truncates the walk at the deepest
-       layer whose owned rows are fully cached on **every** worker (a
-       worker owning no rows of a level votes yes vacuously); a fully
-       cached seed set short-circuits before any walk.
-    2. **Restricted blocks.**  Per layer, this worker's block takes its
-       owned next-level nodes as destinations with their complete
-       in-neighbourhoods grouped per destination in ascending global edge
-       order.  Because source relabelling is order-preserving and the edge
-       plan reduces each destination by ascending source id (ties in input
-       order), every reduction runs in exactly the single-machine order —
-       served logits are **bit-identical** to the single-machine
-       :class:`~repro.serving.LocalExecutor`.  Blocks carry privately
-       built plans (never the shared structural cache), so worker threads
-       of a thread-backend cluster can serve concurrently.
-    3. **Publish/fetch activations.**  After computing layer ``l+1`` rows
-       for its owned destinations, a worker publishes them (ascending owned
-       order) under ``f"{key}/l{l+1}"``; peers needing remote source rows
-       first probe their own cache per row
-       (:meth:`~repro.serving.cache.EmbeddingCache.lookup_partial`) and
-       fetch **only the missed rows** from the owner
+    1. **Probe owned rows.**  From the seeds (level ``num_layers``) down,
+       each worker probes the level's nodes *it owns* in its
+       :class:`~repro.serving.cache.EmbeddingCache` (no cache: every probe
+       misses).  A hit is a leaf; over its misses it builds one
+       :func:`~repro.graph.mfg.block_from_in_edges` block — complete
+       in-neighbourhoods, per destination in global edge order, sources
+       relabelled order-preservingly, so every reduction runs exactly as on
+       a single machine.
+    2. **Allgather the misses' sources.**  The block's ``src_nodes`` are the
+       worker's part of one allgather (:data:`~repro.distributed.comm.
+       SERVE_FRONTIER_TAG`); the union is the next level on every worker,
+       and an empty union — nothing missed anywhere — ends the walk on every
+       worker at once.  Every branch depends on allgathered data only.
+    3. **Owners publish, peers fetch.**  Forward, a worker splices each
+       level's owned matrix from its hit rows and the rows it computed,
+       caches the computed ones (a row is cached once, by its owner),
+       publishes the matrix under ``f"{key}/l{level}"`` and fetches the
+       remote source rows its next block reads
        (:data:`~repro.distributed.comm.SERVE_HALO_TAG`).  Layer-0 rows are
-       gathered through ``store`` (a
-       :class:`~repro.store.PartitionedKVStore` pulls remote rows through
-       its own hot-row cache).
-
-    The walk levels and restricted blocks are cached per seed set on
-    ``dist_graph.restriction_cache`` (key ``("serving", key, seeds)``), so a
-    popular request topology pays zero walk collectives' worth of block
-    building after its first visit — the collective *schedule* stays
-    replicated because every worker serves the same batch sequence against
-    equally sized caches.
+       gathered through ``store``.
 
     Parameters
     ----------
@@ -436,8 +435,9 @@ def distributed_restricted_logits(
     -------
     (owned_seeds, rows, input_layer):
         The ascending seed ids this worker owns, their logit rows (``None``
-        when it owns none), and the layer the computation started from
-        (``num_layers`` = all-cached fast path, ``0`` = full-depth).
+        when it owns none), and the level the walk ended at — the same on
+        every worker (``num_layers`` = every seed cached, ``0`` = some row
+        was computed from the features).
     """
     if not isinstance(dist_graph, DistributedGraph):
         raise ValueError(
@@ -445,8 +445,7 @@ def distributed_restricted_logits(
             "DistributedGraph handles only"
         )
     comm = dist_graph.comm
-    shard = dist_graph.shard
-    book = shard.book
+    book = dist_graph.shard.book
     rank = comm.rank
     assignment = book.assignment
     num_layers = check_layered_model(model)
@@ -471,152 +470,69 @@ def distributed_restricted_logits(
     if seeds.size == 0:
         raise ValueError("seed_nodes must be non-empty")
 
-    def owned(level: np.ndarray) -> np.ndarray:
-        return level[assignment[level] == rank]
+    def owned_by(q: int, level: np.ndarray) -> np.ndarray:
+        return level[assignment[level] == q]
 
-    def vote(ok: bool) -> bool:
-        agreed = comm.allreduce(
-            np.asarray([1.0 if ok else 0.0]), op="min", tag=SERVE_CONTROL_TAG
-        )
-        return bool(agreed[0] >= 1.0)
-
+    # Every request runs at least one allgather before its first fetch, so the
+    # previous request's publishes are cleared on every worker by then.
     dist_graph.begin_step()
-    # Publish keys are namespaced by the step counter: without it, a warm
-    # request with no collectives between begin_step() and the first halo
-    # fetch lets a fast worker read a peer's *stale* publish from the
-    # previous request before that peer runs its clear_published().
-    pub_key = f"s{dist_graph.step}/{key}"
-    owned_seeds = owned(seeds)
+    index = dist_graph.in_edge_index()
 
-    # All-logits fast path: every worker's owned seeds fully cached.
-    if cache is not None:
-        rows = cache.lookup(num_layers, owned_seeds)
-        if vote(owned_seeds.size == 0 or rows is not None):
-            return owned_seeds, rows, num_layers
-
-    entry = dist_graph.restriction_cache.get(("serving", key, seeds.tobytes()))
-    if entry is None:
-        entry = {
-            "levels": [None] * (num_layers + 1),
-            "layers": [None] * num_layers,
-        }
-        entry["levels"][num_layers] = seeds
-        dist_graph.restriction_cache[("serving", key, seeds.tobytes())] = entry
-    levels: List[Optional[np.ndarray]] = entry["levels"]
-    iei = shard.in_edge_index()
-
-    # Cooperative receptive-field walk with per-level cache-truncation votes.
-    input_layer = 0
-    pinned: Optional[np.ndarray] = None
-    for layer in range(num_layers - 1, -1, -1):
-        if levels[layer] is None:
-            nxt = levels[layer + 1]
-            local_dst = book.to_local(owned(nxt))[1]
-            positions, _ = candidate_positions(iei.indptr[local_dst], iei.degrees(local_dst))
-            contribution = np.unique(iei.src[positions])
-            parts = comm.allgather(contribution, tag=SERVE_FRONTIER_TAG)
-            levels[layer] = np.unique(np.concatenate(parts + [nxt]))
-        if layer >= 1 and cache is not None:
-            owned_layer = owned(levels[layer])
-            rows = cache.lookup(layer, owned_layer)
-            if vote(owned_layer.size == 0 or rows is not None):
-                input_layer, pinned = layer, rows
-                break
-
-    # Restricted per-layer blocks (complete in-neighbourhoods of this
-    # worker's owned destinations, per-destination edges in ascending global
-    # edge order), cached per seed set.
-    for layer in range(input_layer, num_layers):
-        if entry["layers"][layer] is not None:
-            continue
-        dst_glob = owned(levels[layer + 1])
-        prep = {"dst_glob": dst_glob, "block": None}
-        if dst_glob.size:
-            block = block_from_in_edges(iei, book.to_local(dst_glob)[1], dst_glob)
-            src_glob = block.src_nodes
+    # Backward, from the seeds (level ``num_layers``) down: one probe, one
+    # block over the owned misses and one allgather per level, until no worker
+    # misses a row or the raw features are reached.
+    nodes, start = seeds, num_layers
+    rows = None  # this worker's rows of the level the walk ends at (level 0 is read from the store)
+    pending = []  # (block, found, hit_rows, sources) of levels num_layers .. start + 1
+    while start > 0:
+        own = owned_by(rank, nodes)
+        found, hit_rows = probe_rows(cache, start, own)
+        block = None
+        if not found.all():
+            block = block_from_in_edges(index, book.to_local(own[~found])[1], own[~found])
             if edge_plan_mod.plans_enabled():
                 # A privately built plan: the shared structural cache would
                 # hand concurrently serving worker threads the same plan
                 # object, whose kernel-side template buffers are not safe
                 # under concurrent calls.
                 block._plan = edge_plan_mod.EdgePlan(
-                    block.src, block.dst, len(dst_glob), len(src_glob)
+                    block.src, block.dst, block.num_dst_nodes, block.num_src_nodes
                 )
-            prep["block"] = block
-            if layer >= 1:
-                src_owner = assignment[src_glob]
-                own_sel = np.where(src_owner == rank)[0]
-                prep["own_sel"] = own_sel
-                prep["own_rows"] = np.searchsorted(
-                    owned(levels[layer]), src_glob[own_sel]
-                )
-                remote = []
-                for q in range(comm.world_size):
-                    if q == rank:
-                        continue
-                    sel_q = np.where(src_owner == q)[0]
-                    if not sel_q.size:
-                        continue
-                    ids_q = src_glob[sel_q]
-                    owned_q = levels[layer][assignment[levels[layer]] == q]
-                    remote.append((q, sel_q, ids_q,
-                                   np.searchsorted(owned_q, ids_q)))
-                prep["remote"] = remote
-        entry["layers"][layer] = prep
+        mine = nodes[:0] if block is None else block.src_nodes
+        sources = np.unique(np.concatenate(comm.allgather(mine, tag=SERVE_FRONTIER_TAG)))
+        if not sources.size:
+            rows = hit_rows
+            break
+        pending.append((block, found, hit_rows, sources))
+        nodes, start = sources, start - 1
 
-    # Forward: compute this worker's owned rows layer by layer, publishing
-    # each layer's owned output for peers and pulling only cache-missed
-    # remote rows.  Publishes happen exactly when the owned set is non-empty
-    # — which is exactly when any peer can reference a row this worker owns.
+    # Forward: conv layer ``l`` reads level ``l`` (``level``; ``rows`` are the
+    # ones this worker owns) and computes this worker's misses of level
+    # ``l + 1``.  A worker owning rows of a level publishes them — only then
+    # can a peer's block name one of them as a source.
     with no_grad():
-        if input_layer >= 1 and pinned is not None:
-            comm.publish(f"{pub_key}/l{input_layer}", pinned)
-        h_own = pinned
-        for layer in range(input_layer, num_layers):
-            prep = entry["layers"][layer]
-            dst_glob = prep["dst_glob"]
-            if not dst_glob.size:
-                h_own = None
-                continue
-            block = prep["block"]
-            if layer == 0:
-                x = store.gather(block.src_nodes)
-            else:
-                x = None
-
-                def place(sel, rows, x=None):
-                    # closure-free placement helper (x threaded explicitly)
-                    if x is None:
-                        x = np.empty(
-                            (block.num_src_nodes, rows.shape[1]),
-                            dtype=rows.dtype,
-                        )
-                    x[sel] = rows
-                    return x
-
-                own_sel = prep["own_sel"]
-                if own_sel.size:
-                    x = place(own_sel, h_own[prep["own_rows"]], x)
-                for q, sel_q, ids_q, fetch_rows in prep["remote"]:
-                    if cache is not None:
-                        found, hit_rows = cache.lookup_partial(layer, ids_q)
-                        if hit_rows is not None:
-                            x = place(sel_q[found], hit_rows, x)
-                        miss = ~found
-                    else:
-                        miss = np.ones(len(ids_q), dtype=bool)
-                    if miss.any():
-                        fetched = comm.fetch(
-                            q, f"{pub_key}/l{layer}", rows=fetch_rows[miss],
-                            tag=SERVE_HALO_TAG,
-                        )
-                        x = place(sel_q[miss], fetched, x)
-                        if cache is not None:
-                            cache.put(layer, ids_q[miss], fetched)
-            y = model.forward_layer(layer, block, Tensor(x)).data
-            if cache is not None:
-                cache.put(layer + 1, dst_glob, y)
-            if layer + 1 < num_layers:
-                comm.publish(f"{pub_key}/l{layer + 1}", y)
-            h_own = y
-    return owned_seeds, h_own, input_layer
+        for layer, (block, found, hit_rows, level) in zip(range(start, num_layers), pending[::-1]):
+            if layer and rows is not None:
+                comm.publish(f"{key}/l{layer}", rows)
+            computed = None
+            if block is not None:
+                if layer == 0:
+                    x = store.gather(block.src_nodes)
+                else:
+                    x = None
+                    owner = assignment[block.src_nodes]
+                    for q in np.unique(owner):
+                        sel = np.flatnonzero(owner == q)
+                        at = np.searchsorted(owned_by(q, level), block.src_nodes[sel])
+                        if q == rank:
+                            part = rows[at]
+                        else:
+                            part = comm.fetch(q, f"{key}/l{layer}", rows=at, tag=SERVE_HALO_TAG)
+                        if x is None:
+                            x = np.empty((block.num_src_nodes, part.shape[1]), dtype=part.dtype)
+                        x[sel] = part
+                computed = model.forward_layer(layer, block, Tensor(x)).data
+                if cache is not None:
+                    cache.put(layer + 1, block.dst_nodes, computed)
+            rows = splice_rows(found, hit_rows, computed)
+    return owned_by(rank, seeds), rows, start

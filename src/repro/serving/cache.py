@@ -62,15 +62,11 @@ class EmbeddingCache:
 
     Notes
     -----
-    There are two probes.  :meth:`lookup_partial` is the per-node one: every
-    probed ``(layer, node)`` is exactly one hit or one miss, so ``hits +
-    misses`` is the number of rows probed and ``hits / (hits + misses)`` the
-    hit ratio.  The local executor probes only through it, and the sharded
-    walk uses it for remote halo rows.  :meth:`lookup` is the all-or-nothing
-    probe the sharded walk's per-level vote needs (every worker must agree
-    that its whole owned frontier is cached before the walk may stop there);
-    on partial coverage it returns ``None`` and counts only the absent rows,
-    as misses.
+    There is one probe, :meth:`lookup_partial`: every probed ``(layer,
+    node)`` is exactly one hit or one miss, so ``hits + misses`` is the
+    number of rows probed and ``hits / (hits + misses)`` the hit ratio.  The
+    local executor probes each level's nodes through it, a shard worker the
+    level's nodes it owns.
     """
 
     #: total sketch mass that triggers the TinyLFU aging halving — keeps the
@@ -112,45 +108,18 @@ class EmbeddingCache:
         )
 
     # ------------------------------------------------------------------ #
-    def lookup(self, layer: int, node_ids: np.ndarray) -> Optional[np.ndarray]:
-        """All current-version layer-``layer`` rows of ``node_ids``, or ``None``.
-
-        On full coverage every touched row is marked most-recently used and
-        the stacked ``(len(node_ids), width)`` matrix is returned (a fresh
-        array — callers may feed it straight into the forward pass).  Any
-        missing row makes the whole lookup a miss.
-        """
-        version = self.version
-        with self._lock:
-            rows = self._rows
-            if self.admission == "frequency":
-                for node in node_ids:
-                    self._record_request(layer, int(node))
-            keys = [(version, layer, int(node)) for node in node_ids]
-            found = [row for row in map(rows.peek, keys) if row is not None]
-            if len(found) < len(keys):
-                self.misses += len(keys) - len(found)
-                return None
-            for key in keys:
-                rows.touch(key)
-            self.hits += len(found)
-            if not found:
-                return None
-            return np.stack(found, axis=0)
-
     def lookup_partial(
         self, layer: int, node_ids: np.ndarray
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Per-row probe: ``(found_mask, hit_rows)`` for ``node_ids``.
 
-        Unlike :meth:`lookup`, partial coverage is useful here: the local
-        executor expands only the *missed* nodes of a level, and the
-        distributed serving path fetches only the missed halo rows from the
-        owning peer, so every hit is work saved even when the set is not
-        fully covered.  ``found_mask[i]`` says whether row ``i``
-        was cached; ``hit_rows`` stacks the hit rows in probe order (``None``
-        when nothing hit).  Hits are marked most-recently-used and counted,
-        and (under the frequency gate) every probe feeds the sketch.
+        Partial coverage is useful: the serving walks expand only the
+        *missed* nodes of a level, so every hit is work saved even when the
+        set is not fully covered.  ``found_mask[i]`` says whether row ``i``
+        was cached; ``hit_rows`` stacks the hit rows in probe order — a
+        fresh array — or is ``None`` when nothing hit.  Hits are marked
+        most-recently-used and counted, and (under the frequency gate) every
+        probe feeds the sketch.
         """
         version = self.version
         found_mask = np.zeros(len(node_ids), dtype=bool)

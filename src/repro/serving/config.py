@@ -22,8 +22,7 @@ _FEATURE_STORES = ("dense", "kv")
 class ServingConfig:
     """Every serving knob in one (frozen, validated) place.
 
-    The defaults reproduce the PR 7 single-machine server: a 2 ms
-    coalescing window, no embedding cache, local backend.
+    The defaults: a 2 ms coalescing window, no embedding cache, local backend.
     """
 
     #: ``"local"`` serves one machine holding the whole graph;
@@ -61,10 +60,6 @@ class ServingConfig:
     #: distributed only — per-worker byte budget of the KV store's hot-row
     #: cache (``feature_store="kv"``).
     feature_cache_bytes: int = 1 << 22
-    #: distributed only — how many served seed-set restrictions each worker
-    #: keeps prepared (walk levels + restricted blocks) for reuse across
-    #: batches.
-    restriction_slots: int = 16
 
     def __post_init__(self):
         if self.backend not in _BACKENDS:
@@ -102,10 +97,6 @@ class ServingConfig:
             raise ValueError(
                 f"feature_cache_bytes must be >= 0, "
                 f"got {self.feature_cache_bytes}"
-            )
-        if self.restriction_slots < 1:
-            raise ValueError(
-                f"restriction_slots must be >= 1, got {self.restriction_slots}"
             )
         # Cross-field combinations that would only fail (or silently do
         # nothing) deep inside a running server are rejected here instead.

@@ -44,7 +44,12 @@ from repro.distributed.thread_backend import ThreadServiceCluster
 from repro.graph.graph import Graph
 from repro.graph.mfg import block_from_in_edges
 from repro.partition.shard import ShardedGraph
-from repro.sample.inference import check_layered_model, distributed_restricted_logits
+from repro.sample.inference import (
+    check_layered_model,
+    distributed_restricted_logits,
+    probe_rows,
+    splice_rows,
+)
 from repro.serving.cache import EmbeddingCache
 from repro.serving.config import ServingConfig
 from repro.store import DenseStore, FeatureStore, PartitionedKVStore, as_feature_store
@@ -56,6 +61,18 @@ def _make_cache(config: ServingConfig) -> Optional[EmbeddingCache]:
     if config.byte_budget is None:
         return None
     return EmbeddingCache(config.byte_budget, admission=config.cache_admission)
+
+
+def _apply_to_model(model, apply_fn: Callable) -> None:
+    """Run ``apply_fn(model)``; if it raises, the weights are what they were before the call."""
+    before = model.state_dict()
+    try:
+        apply_fn(model)
+    except BaseException:
+        model.load_state_dict(before)
+        raise
+    finally:
+        model.eval()
 
 
 class LocalExecutor:
@@ -121,8 +138,7 @@ class LocalExecutor:
 
     def apply_update(self, apply_fn: Optional[Callable]) -> None:
         if apply_fn is not None:
-            apply_fn(self.model)
-            self.model.eval()
+            _apply_to_model(self.model, apply_fn)
         if self.cache is not None:
             self.cache.bump_version()
 
@@ -156,10 +172,7 @@ class LocalExecutor:
             if start == 0:
                 x = self.store.gather(nodes)
                 break
-            if cache is not None:
-                found, hit_rows = cache.lookup_partial(start, nodes)
-            else:
-                found, hit_rows = np.zeros(len(nodes), dtype=bool), None
+            found, hit_rows = probe_rows(cache, start, nodes)
             if found.all():
                 x = hit_rows
                 break
@@ -173,12 +186,7 @@ class LocalExecutor:
                 computed = model.forward_layer(layer, block, Tensor(x)).data
                 if cache is not None:
                     cache.put(layer + 1, block.dst_nodes, computed)
-                if hit_rows is None:
-                    x = computed
-                else:
-                    x = np.empty((len(found), computed.shape[1]), dtype=computed.dtype)
-                    x[found] = hit_rows
-                    x[~found] = computed
+                x = splice_rows(found, hit_rows, computed)
         return x, start
 
 
@@ -231,9 +239,7 @@ class ShardWorker:
         self.comm = comm
         self.model = model
         self.book = shards[rank].book
-        self.dist_graph = DistributedGraph(
-            shards[rank], comm, restriction_cache_capacity=config.restriction_slots
-        )
+        self.dist_graph = DistributedGraph(shards[rank], comm)
         self.store = _build_worker_store(spec, config, self.book, rank, comm)
         self.cache = _make_cache(config)
         self._store_version_seen = self.store.version
@@ -370,11 +376,12 @@ class ShardExecutor:
     """Compute logits cooperatively over partition shards.
 
     A coalesced batch's seed set goes to every shard's :class:`ShardWorker`;
-    each executes the restricted grid over the destinations *it owns*
-    (:func:`repro.sample.inference.distributed_restricted_logits`),
-    publishing each layer's owned rows for peers, which fetch only the
-    frontier rows their own cache missed; the owned logit rows come back and
-    are scattered into the batch's seed order.
+    each walks the seeds' receptive field over the nodes *it owns*
+    (:func:`repro.sample.inference.distributed_restricted_logits`) — a row
+    its cache holds is a leaf, the union of every worker's misses is the
+    next level — publishing each level's owned rows for the peers whose
+    blocks read them; the owned logit rows come back and are scattered into
+    the batch's seed order.
 
     Parameters
     ----------
@@ -480,8 +487,7 @@ class ShardExecutor:
         # shipped, and every worker drops its cached activations.
         state_dict = None
         if apply_fn is not None:
-            apply_fn(self.model)
-            self.model.eval()
+            _apply_to_model(self.model, apply_fn)
             if not self.cluster.shares_address_space:
                 state_dict = self.model.state_dict()
         self.cluster.request("update", state_dict)

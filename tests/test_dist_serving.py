@@ -286,8 +286,6 @@ def test_serving_config_validates():
         ServingConfig(cache_admission="lfu")
     with pytest.raises(ValueError, match="feature_store"):
         ServingConfig(feature_store="mmap")
-    with pytest.raises(ValueError, match="restriction_slots"):
-        ServingConfig(restriction_slots=0)
 
 
 def test_serving_config_rejects_invalid_cross_field_combinations():
@@ -486,6 +484,37 @@ def test_backend_update_serves_the_new_weights(make_server, dataset):
         stats = server.stats()
     assert stats["updates"] == 1 and stats["version"] == 2
     assert stats["embedding_cache"]["invalidations"] >= 1
+
+
+def test_backend_failed_update_changes_nothing(make_server, dataset):
+    """An ``apply_fn`` that raises after overwriting half a weight matrix: the
+    client gets the exception, the server keeps the old weights, version and
+    cached rows, and (``mp``) the forked replicas are not told anything."""
+    model = _make_model(dataset)
+    reference = _reference_logits(model, dataset.graph, dataset.features)
+    warm, cold = list(range(40)), list(range(40, 90))
+    with make_server(model, byte_budget=1 << 20) as server:
+        np.testing.assert_array_equal(server.predict(warm), reference[warm])
+
+        def fail_midway(m):
+            weight = max(m.parameters(), key=lambda p: p.data.size)
+            weight.data[: len(weight.data) // 2] += 1.0
+            m.train()
+            raise RuntimeError("checkpoint truncated")
+
+        with pytest.raises(RuntimeError, match="checkpoint truncated"):
+            server.update(fail_midway)
+        assert not model.training
+        after = server.stats()
+        assert after["updates"] == 0 and after["version"] == 1
+        assert after["embedding_cache"]["invalidations"] == 0
+        # cached rows and rows computed now come from the same, old, weights
+        np.testing.assert_array_equal(server.predict(warm), reference[warm])
+        np.testing.assert_array_equal(server.predict(cold), reference[cold])
+        np.testing.assert_array_equal(
+            _reference_logits(model, dataset.graph, dataset.features), reference
+        )
+        assert server.update(None) == 2  # and the server still takes updates
 
 
 def test_backend_store_replace_is_served_by_the_next_batch(make_server, dataset):

@@ -421,15 +421,15 @@ class TestEmbeddingCacheAdmission:
         cache = EmbeddingCache(capacity_bytes=4 * 32, admission="frequency")
         # Warm the hot set (requests feed the frequency sketch).
         for _ in range(5):
-            if cache.lookup(1, hot) is None:
+            if not cache.lookup_partial(1, hot)[0].all():
                 cache.put(1, hot, np.stack([row() for _ in hot]))
-        assert cache.lookup(1, hot) is not None
+        assert cache.lookup_partial(1, hot)[0].all()
         # A cold scan must bounce off the gate, not evict the hot rows.
         scan = np.arange(100, 120)
-        cache.lookup(1, scan)
+        cache.lookup_partial(1, scan)
         cache.put(1, scan, np.stack([row() for _ in scan]))
         assert cache.stats()["rejected_admissions"] >= len(scan) - 1
-        assert cache.lookup(1, hot) is not None
+        assert cache.lookup_partial(1, hot)[0].all()
 
     def test_plain_lru_admits_everything(self):
         rng = np.random.default_rng(0)
@@ -438,19 +438,19 @@ class TestEmbeddingCacheAdmission:
         cache.put(1, hot, rng.normal(size=(4, 8)).astype(np.float32))
         scan = np.arange(100, 108)
         cache.put(1, scan, rng.normal(size=(8, 8)).astype(np.float32))
-        assert cache.lookup(1, hot) is None  # flushed by the scan
+        assert not cache.lookup_partial(1, hot)[0].any()  # flushed by the scan
         assert cache.stats()["rejected_admissions"] == 0
 
     def test_frequency_sketch_ages(self):
         cache = EmbeddingCache(capacity_bytes=1024, admission="frequency")
         cache.FREQ_AGING_THRESHOLD = 8
         for _ in range(6):
-            cache.lookup(0, np.array([1]))
-        cache.lookup(0, np.array([2, 3]))  # hits the aging threshold
+            cache.lookup_partial(0, np.array([1]))
+        cache.lookup_partial(0, np.array([2, 3]))  # hits the aging threshold
         # Counts were halved, zeros dropped; the sketch keeps working.
         assert cache._freq[(0, 1)] == 3
         assert (0, 2) not in cache._freq
-        cache.lookup(0, np.array([1]))
+        cache.lookup_partial(0, np.array([1]))
         assert cache._freq[(0, 1)] == 4
 
 

@@ -608,22 +608,24 @@ def test_restricted_walk_blocks_come_from_the_shared_builder(dataset):
         dist_graph = DistributedGraph(shard, comm, SARConfig(mode="sar"))
         model = _install_weights(_fixed_model(dataset, "sage"), weights)
         model.eval()
+        blocks, inner = [], model.forward_layer
+
+        def forward_layer(index, block, x):
+            blocks.append(block)
+            return inner(index, block, x)
+
+        model.forward_layer = forward_layer
         distributed_restricted_logits(dist_graph, model, dataset.features, seeds)
-        entry = dist_graph.restriction_cache[("serving", "serve", seeds.tobytes())]
-        checked = 0
-        for prep in entry["layers"]:
-            global_ids = prep["dst_glob"]
-            if not global_ids.size:
-                assert prep["block"] is None
-                continue
+        for block in blocks:
+            global_ids = block.dst_nodes
+            assert (book.assignment[global_ids] == rank).all()  # owned destinations only
             local_rows = book.to_local(global_ids)[1]
             from_shard = block_from_in_edges(shard.in_edge_index(), local_rows, global_ids)
             from_graph = block_from_in_edges(graph.in_edge_index(), global_ids)
             for name in arrays:
-                np.testing.assert_array_equal(getattr(prep["block"], name), getattr(from_shard, name))
+                np.testing.assert_array_equal(getattr(block, name), getattr(from_shard, name))
                 np.testing.assert_array_equal(getattr(from_shard, name), getattr(from_graph, name))
-            checked += 1
-        return checked
+        return len(blocks)
 
     result = run_distributed(worker, 2, worker_args=shards)
     assert sum(result.results) >= 2  # both layers, on at least one rank each

@@ -364,16 +364,17 @@ def test_mp_stats_keep_thread_backend_shape_plus_processes(dataset):
     _assert_no_leaked_children()
 
 
-def test_mp_and_thread_shards_book_the_same_wire_bytes(dataset):
+@pytest.mark.parametrize("byte_budget", [None, 1 << 20])
+def test_mp_and_thread_shards_book_the_same_wire_bytes(dataset, byte_budget):
     """One request sequence, two transports: each worker's serving counters
     agree — halo rows fetched, and the frontier allgathers of the cooperative
-    walk, which do move bytes on either backend."""
+    walk, which do move bytes on either backend — cold, and partly warm."""
     model = _make_model(dataset)
     shards = _make_shards(dataset, 2)
-    streams = [[5], [3, 1, 4, 1, 5], [0, 119], list(range(30))]
+    streams = [[5], [3, 1, 4, 1, 5], [0, 119], list(range(30)), [5, 31], list(range(25, 40))]
     comm = {}
     for backend in ("distributed", "mp"):
-        config = ServingConfig(backend=backend, window_ms=0.0, byte_budget=None)
+        config = ServingConfig(backend=backend, window_ms=0.0, byte_budget=byte_budget)
         with create_server(model, shards, dataset.features, config) as server:
             for ids in streams:
                 server.predict(ids)

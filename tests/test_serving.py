@@ -297,16 +297,25 @@ def test_stop_drains_queued_requests(dataset):
 # --------------------------------------------------------------------------- #
 # EmbeddingCache unit behaviour
 # --------------------------------------------------------------------------- #
-def test_embedding_cache_roundtrip_and_all_or_nothing():
+def _cached(cache, layer, nodes):
+    """Whether every one of ``nodes`` is cached at ``layer`` (one probe)."""
+    return bool(cache.lookup_partial(layer, np.asarray(nodes))[0].all())
+
+
+def test_embedding_cache_roundtrip_per_row():
     cache = EmbeddingCache(1 << 20)
     values = np.arange(12, dtype=np.float32).reshape(3, 4)
     cache.put(1, np.array([5, 9, 2]), values)
-    got = cache.lookup(1, np.array([9, 2]))
+    found, got = cache.lookup_partial(1, np.array([9, 2]))
+    assert found.tolist() == [True, True]
     np.testing.assert_array_equal(got, values[[1, 2]])
-    assert cache.lookup(1, np.array([5, 7])) is None  # 7 missing: whole miss
-    assert cache.lookup(2, np.array([5])) is None  # other layer
+    found, got = cache.lookup_partial(1, np.array([5, 7]))  # 7 missing, 5 still served
+    assert found.tolist() == [True, False]
+    np.testing.assert_array_equal(got, values[[0]])
+    found, got = cache.lookup_partial(2, np.array([5]))  # other layer
+    assert found.tolist() == [False] and got is None
     stats = cache.stats()
-    assert stats["hits"] == 2 and stats["misses"] == 2
+    assert stats["hits"] == 3 and stats["misses"] == 2
     assert stats["rows"] == 3 and stats["insertions"] == 3
 
 
@@ -316,7 +325,7 @@ def test_embedding_cache_rows_are_copies():
     cache.put(1, np.array([0]), values)
     values[...] = -1.0
     np.testing.assert_array_equal(
-        cache.lookup(1, np.array([0])), np.ones((1, 4), dtype=np.float32)
+        cache.lookup_partial(1, np.array([0]))[1], np.ones((1, 4), dtype=np.float32)
     )
 
 
@@ -324,10 +333,10 @@ def test_embedding_cache_evicts_by_bytes_lru():
     row_bytes = 4 * 4  # float32 width 4
     cache = EmbeddingCache(3 * row_bytes)
     cache.put(1, np.array([0, 1, 2]), np.zeros((3, 4), dtype=np.float32))
-    cache.lookup(1, np.array([0]))  # refresh 0: node 1 becomes LRU
+    cache.lookup_partial(1, np.array([0]))  # refresh 0: node 1 becomes LRU
     cache.put(1, np.array([3]), np.ones((1, 4), dtype=np.float32))
-    assert cache.lookup(1, np.array([1])) is None  # evicted
-    assert cache.lookup(1, np.array([0])) is not None
+    assert not _cached(cache, 1, [1])  # evicted
+    assert _cached(cache, 1, [0])
     stats = cache.stats()
     assert stats["evictions"] == 1
     assert stats["current_bytes"] == 3 * row_bytes
@@ -345,7 +354,7 @@ def test_embedding_cache_version_bump_drops_rows():
     cache.put(1, np.array([0]), np.zeros((1, 4), dtype=np.float32))
     assert cache.bump_version() == 2
     assert len(cache) == 0
-    assert cache.lookup(1, np.array([0])) is None
+    assert not _cached(cache, 1, [0])
     cache.put(1, np.array([0]), np.zeros((1, 4), dtype=np.float32))
     assert cache.stats()["rows"] == 1
 

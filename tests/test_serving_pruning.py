@@ -1,8 +1,13 @@
-"""The local executor's per-node pruned walk: exact rows, and work tracks the miss set.
+"""The per-node pruned serving walk: exact rows, and work tracks the miss set.
 
 :meth:`repro.serving.LocalExecutor.compute` probes the embedding cache node
 by node — a hit is a leaf, a miss expands to its complete in-neighbourhood —
-and builds its blocks from the graph's in-edge index.  Under test:
+and builds its blocks from the graph's in-edge index; the shard workers
+(:func:`repro.sample.inference.distributed_restricted_logits`) walk the same
+way, each over the nodes it owns, so the walk contract is tested with the
+backend as one more input.  The ``forward_layer`` / cache hooks need the
+workers in this address space (``local``, ``distributed``); ``mp`` runs the
+black-box half.  Under test:
 
 * served rows stay **bit-identical** to the eval-mode full-graph forward on
   adversarial generated graphs (isolated seeds, self-loops, parallel edges, a
@@ -14,20 +19,29 @@ and builds its blocks from the graph's in-edge index.  Under test:
   twice while it is cached;
 * the counters mean what the docs say: every probe is one hit or one miss,
   ``frontier_layers`` sums to ``batches``, ``fast_path_batches`` counts the
-  all-cached bursts.
+  all-cached bursts;
+* what only a sharded walk has: every seed on one shard, a rank that owns no
+  node of a level (it joins each allgather and publishes nothing), and every
+  rank reporting the same ``input_layer``.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
+
 import numpy as np
 import pytest
 
+from repro.core import DistributedGraph
 from repro.datasets import make_sbm_dataset
+from repro.distributed import run_distributed
 from repro.graph import Graph, HeteroGraph
 from repro.graph.mfg import block_from_in_edges, build_mfg_pipeline
 from repro.nn.models import GATNet, GraphSageNet
+from repro.partition import PartitionBook, create_shards, partition_graph
 from repro.sample import NeighborSampler
-from repro.serving import ServingConfig, create_server
+from repro.sample.inference import distributed_restricted_logits
+from repro.serving import EmbeddingCache, ServingConfig, create_server
 from repro.store import DenseStore
 from repro.tensor import Tensor, no_grad
 from repro.utils.seed import set_seed
@@ -123,6 +137,55 @@ def _zipf_bursts(num_nodes: int, bursts: int, size: int) -> np.ndarray:
     return rng.permutation(num_nodes)[ranks]  # which node holds which popularity rank
 
 
+#: the hooks (a wrapped ``forward_layer``, a patched cache probe) see the
+#: workers of these backends; ``mp`` workers are other processes
+ONE_ADDRESS_SPACE = ("local", "distributed")
+BACKENDS = ONE_ADDRESS_SPACE + ("mp",)
+
+
+def _serve(backend, model, graph, features, *, assignment=None, world=2, **config):
+    """An unstarted server of ``backend``; the sharded ones over ``assignment``
+    (default: ``partition_graph`` into ``world`` parts)."""
+    if backend == "mp" and "fork" not in mp.get_all_start_methods():
+        pytest.skip("mp serving backend requires the fork start method")
+    if backend != "local":
+        if assignment is None:
+            assignment = partition_graph(graph, world, seed=0)
+        assignment = np.asarray(assignment)
+        graph = create_shards(graph, PartitionBook(assignment, int(assignment.max()) + 1))
+    config = ServingConfig(backend=backend, window_ms=0.0, **config)
+    return create_server(model, graph, features, config)
+
+
+def _worker_caches(stats) -> list:
+    """Each worker's ``embedding_cache`` section (the local server is its own one worker)."""
+    if stats["workers"] is None:
+        return [stats["embedding_cache"]]
+    return [worker["embedding_cache"] for worker in stats["workers"]]
+
+
+def _count_probes(monkeypatch):
+    """Record ``(rows probed, rows found)`` of every ``lookup_partial`` call, any cache."""
+    probed = []
+    inner = EmbeddingCache.lookup_partial
+
+    def lookup_partial(self, layer, node_ids):
+        found, rows = inner(self, layer, node_ids)
+        probed.append((len(node_ids), int(found.sum())))
+        return found, rows
+
+    monkeypatch.setattr(EmbeddingCache, "lookup_partial", lookup_partial)
+    return probed
+
+
+def _two_rings() -> Graph:
+    """Two 10-node rings (0..9 and 10..19) with no edge between them, plus isolated node 20."""
+    ring = np.arange(10)
+    src = np.concatenate([ring, (ring + 1) % 10, ring + 10, (ring + 1) % 10 + 10])
+    dst = np.concatenate([(ring + 1) % 10, ring, (ring + 1) % 10 + 10, ring + 10])
+    return Graph(21, src, dst)
+
+
 # --------------------------------------------------------------------------- #
 # the in-edge index and the block built from it
 # --------------------------------------------------------------------------- #
@@ -210,10 +273,20 @@ CACHE_CONFIGS = {
     "frequency": dict(byte_budget=TINY_BUDGET, cache_admission="frequency"),
 }
 
+#: every conv family locally; the sharded walks over 2 and 3 shards for one of each
+PARITY_CELLS = [("local", 1, kind) for kind in ("sage-mean", "sage-max", "gat", "fused-gat")] + [
+    (backend, world, kind)
+    for backend in ("distributed", "mp")
+    for world in (2, 3)
+    for kind in ("sage-mean", "gat")
+]
+
 
 @pytest.mark.parametrize("cache", list(CACHE_CONFIGS))
-@pytest.mark.parametrize("kind", ["sage-mean", "sage-max", "gat", "fused-gat"])
-def test_rows_bit_identical_on_adversarial_graph(kind, cache):
+@pytest.mark.parametrize(
+    "backend,world,kind", PARITY_CELLS, ids=[f"{b}{w}-{k}" for b, w, k in PARITY_CELLS]
+)
+def test_rows_bit_identical_on_adversarial_graph(backend, world, kind, cache):
     graph = _adversarial_graph()
     rng = np.random.default_rng(3)
     features = rng.standard_normal((graph.num_nodes, FEATURE_DIM)).astype(np.float32)
@@ -229,8 +302,11 @@ def test_rows_bit_identical_on_adversarial_graph(kind, cache):
         [7, 12],  # partly warm after the sweep (when anything survived it)
         everything[::-1],
     ]
-    config = ServingConfig(window_ms=0.0, **CACHE_CONFIGS[cache])
-    with create_server(model, graph, store, config) as server:
+    # round-robin ownership: every neighbourhood straddles every shard
+    assignment = np.arange(graph.num_nodes) % world
+    with _serve(
+        backend, model, graph, store, assignment=assignment, **CACHE_CONFIGS[cache]
+    ) as server:
 
         def check():
             reference = _reference(model, graph, store.gather(None))
@@ -249,17 +325,18 @@ def test_rows_bit_identical_on_adversarial_graph(kind, cache):
         check()
         stats = server.stats()
     assert sum(stats["frontier_layers"].values()) == stats["batches"] == 3 * len(requests)
-    cache_stats = stats["embedding_cache"]
     if cache == "no-cache":
-        assert cache_stats is None
+        assert stats["embedding_cache"] is None
         assert stats["frontier_layers"] == {0: stats["batches"]}
-    else:
-        assert cache_stats["invalidations"] == 2  # the update and the replace
-        assert cache_stats["hits"] > 0
+        return
+    caches = _worker_caches(stats)
+    assert len(caches) == world
+    assert [c["invalidations"] for c in caches] == [2] * world  # the update and the replace
+    assert stats["embedding_cache"]["hits"] > 0
     if cache in ("few-rows", "frequency"):
-        # the all-nodes sweep overflows the budget inside a single burst
-        assert cache_stats["current_bytes"] <= TINY_BUDGET
-        assert cache_stats["evictions"] + cache_stats["rejected_admissions"] > graph.num_nodes
+        # the all-nodes sweep overflows every worker's budget inside a single burst
+        assert all(c["current_bytes"] <= TINY_BUDGET for c in caches)
+        assert sum(c["evictions"] + c["rejected_admissions"] for c in caches) > graph.num_nodes
 
 
 @pytest.mark.parametrize("cache", list(CACHE_CONFIGS))
@@ -282,13 +359,13 @@ def test_coalesced_overlapping_requests_bit_identical(cache):
     assert sum(stats["frontier_layers"].values()) == stats["batches"]
 
 
-def test_three_layer_walk_stops_at_a_middle_level():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_three_layer_walk_stops_at_a_middle_level(backend):
     """Depth 3: a burst can bottom out at level 1 or 2, not only at 0 or the logits."""
     dataset = _sbm_dataset(150, p_in=0.08)
     model = _make_model("sage-mean", num_layers=3)
     reference = _reference(model, dataset.graph, dataset.features)
-    config = ServingConfig(window_ms=0.0, byte_budget=64 << 20)
-    with create_server(model, dataset.graph, dataset.features, config) as server:
+    with _serve(backend, model, dataset.graph, dataset.features, byte_budget=64 << 20) as server:
         for ids in _zipf_bursts(dataset.num_nodes, 60, 4):
             np.testing.assert_array_equal(server.predict(ids), reference[ids])
         frontier = server.stats()["frontier_layers"]
@@ -299,55 +376,54 @@ def test_three_layer_walk_stops_at_a_middle_level():
 # --------------------------------------------------------------------------- #
 # (b) the splice: a warm node is a leaf even beside a cold one
 # --------------------------------------------------------------------------- #
-def test_cold_seed_does_not_drag_a_warm_seed_back_to_features():
-    # two rings of 10 nodes, no edge between them: A = 0 lives in the first,
-    # B = 15 in the second, so B's subtree and A's are disjoint
-    ring = np.arange(10)
-    src = np.concatenate([ring, (ring + 1) % 10, ring + 10, (ring + 1) % 10 + 10])
-    dst = np.concatenate([(ring + 1) % 10, ring, (ring + 1) % 10 + 10, ring + 10])
-    graph = Graph(20, src, dst)
-    features = np.random.default_rng(2).standard_normal((20, FEATURE_DIM)).astype(np.float32)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_cold_seed_does_not_drag_a_warm_seed_back_to_features(backend):
+    # A = 0 lives in the first ring, B = 15 in the second, so B's subtree and
+    # A's are disjoint; odd and even nodes live on different shards, so B's
+    # level-1 rows (14, 15, 16) are computed on both
+    graph = _two_rings()
+    features = np.random.default_rng(2).standard_normal((21, FEATURE_DIM)).astype(np.float32)
     model = _make_model("sage-mean")
     reference = _reference(model, graph, features)
     a, b = 0, 15
-    config = ServingConfig(window_ms=0.0, byte_budget=64 << 20)
-    with create_server(model, graph, features, config) as server:
+    with _serve(
+        backend, model, graph, features, assignment=np.arange(21) % 2, byte_budget=64 << 20
+    ) as server:
         np.testing.assert_array_equal(server.predict([a]), reference[[a]])
         before = server.stats()["embedding_cache"]
         seen = _count_blocks(model)
         np.testing.assert_array_equal(server.predict([a, b]), reference[[a, b]])
         stats = server.stats()
-    assert [layer for layer, _ in seen] == [0, 1]
-    for _, block in seen:
-        assert block.src_nodes.min() >= 10  # nothing of A's ring
-    assert seen[-1][1].dst_nodes.tolist() == [b]
     assert stats["frontier_layers"] == {0: 2}  # B reached the raw features
     assert stats["fast_path_batches"] == 0
-    after = stats["embedding_cache"]
+    after = stats["embedding_cache"]  # summed over the workers: a node is probed by its owner only
     assert after["hits"] - before["hits"] == 1  # A's logits row: a leaf, nothing below it probed
     assert after["misses"] - before["misses"] == 1 + 3  # B, then B and its two ring neighbours
+    if backend not in ONE_ADDRESS_SPACE:
+        return
+    for _, block in seen:
+        assert block.src_nodes.min() >= 10  # nothing of A's ring, on any rank
+    # conv layer -> the rows computed, over all ranks: B's level-1 rows, then B
+    computed = {0: [], 1: []}
+    for layer, block in seen:
+        computed[layer] += block.dst_nodes.tolist()
+    assert {layer: sorted(rows) for layer, rows in computed.items()} == {0: [14, 15, 16], 1: [b]}
 
 
 # --------------------------------------------------------------------------- #
 # (c) never twice, (d) the counters add up
 # --------------------------------------------------------------------------- #
-def test_no_activation_is_computed_twice_and_counters_add_up():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_no_activation_is_computed_twice_and_counters_add_up(backend, monkeypatch):
     dataset = _sbm_dataset(300, p_in=0.06)
     model = _make_model("sage-mean")
     reference = _reference(model, dataset.graph, dataset.features)
     bursts = _zipf_bursts(dataset.num_nodes, 200, 8)
-    config = ServingConfig(window_ms=0.0, byte_budget=1 << 30)
-    with create_server(model, dataset.graph, dataset.features, config) as server:
-        cache = server.executor.cache
-        probed = []  # (rows probed, rows found) per lookup_partial call
-        inner = cache.lookup_partial
-
-        def lookup_partial(layer, node_ids):
-            found, rows = inner(layer, node_ids)
-            probed.append((len(node_ids), int(found.sum())))
-            return found, rows
-
-        cache.lookup_partial = lookup_partial
+    assignment = partition_graph(dataset.graph, 2, seed=0)
+    with _serve(
+        backend, model, dataset.graph, dataset.features, assignment=assignment, byte_budget=1 << 30
+    ) as server:
+        probed = _count_probes(monkeypatch)
         seen = _count_blocks(model)
         served, expected_fast = set(), 0
         for ids in bursts:
@@ -355,31 +431,106 @@ def test_no_activation_is_computed_twice_and_counters_add_up():
             np.testing.assert_array_equal(server.predict(ids), reference[ids])
             served.update(ids.tolist())
         stats = server.stats()
-    cache_stats = stats["embedding_cache"]
-    assert cache_stats["evictions"] == 0
-    # (c) every destination row the model computed was new to the cache
-    assert sum(block.num_dst_nodes for _, block in seen) == cache_stats["insertions"]
-    assert cache_stats["insertions"] == cache_stats["rows"]
-    # every probed (layer, node) is exactly one hit or one miss, partial coverage included
-    assert cache_stats["hits"] + cache_stats["misses"] == sum(n for n, _ in probed)
-    assert cache_stats["hits"] == sum(f for _, f in probed)
-    assert any(0 < f < n for n, f in probed)
+    caches = _worker_caches(stats)
+    for cache_stats in caches:
+        assert cache_stats["evictions"] == 0
+        assert cache_stats["insertions"] == cache_stats["rows"] > 0  # nothing cached twice
     # (d)
     assert stats["batches"] == len(bursts)
     assert sum(stats["frontier_layers"].values()) == stats["batches"]
     assert 0 < expected_fast < len(bursts)
     assert stats["fast_path_batches"] == expected_fast
     assert stats["frontier_layers"][model.num_layers] == expected_fast
+    if backend not in ONE_ADDRESS_SPACE:
+        return
+    # (c) per worker, every destination row the model computed was new to its cache
+    owner = np.zeros(dataset.num_nodes, dtype=np.int64) if backend == "local" else assignment
+    rows_computed = np.zeros(len(caches), dtype=np.int64)
+    for _, block in seen:
+        assert len(set(owner[block.dst_nodes])) == 1  # a worker computes rows it owns
+        rows_computed[owner[block.dst_nodes[0]]] += block.num_dst_nodes
+    assert rows_computed.tolist() == [c["insertions"] for c in caches]
+    # every probed (layer, node) is exactly one hit or one miss, partial coverage included
+    total = stats["embedding_cache"]
+    assert total["hits"] + total["misses"] == sum(n for n, _ in probed)
+    assert total["hits"] == sum(f for _, f in probed)
+    assert any(0 < f < n for n, f in probed)
 
 
-def test_cacheless_server_always_computes_from_the_features():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_cacheless_server_always_computes_from_the_features(backend):
     dataset = _sbm_dataset(120, p_in=0.1)
     model = _make_model("sage-mean")
     reference = _reference(model, dataset.graph, dataset.features)
-    config = ServingConfig(window_ms=0.0)
-    with create_server(model, dataset.graph, dataset.features, config) as server:
+    with _serve(backend, model, dataset.graph, dataset.features) as server:
         for ids in _zipf_bursts(dataset.num_nodes, 10, 4):
             np.testing.assert_array_equal(server.predict(ids), reference[ids])
         stats = server.stats()
     assert stats["frontier_layers"] == {0: 10}
     assert stats["fast_path_batches"] == 0
+
+
+# --------------------------------------------------------------------------- #
+# (e) what only a sharded walk has
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("backend", ["distributed", "mp"])
+def test_every_seed_on_one_shard(backend):
+    """The other shard owns no seed: it returns no row but computes the halo rows it owns."""
+    graph = _adversarial_graph()
+    features = np.random.default_rng(6).standard_normal((graph.num_nodes, FEATURE_DIM))
+    features = features.astype(np.float32)
+    model = _make_model("gat")
+    reference = _reference(model, graph, features)
+    assignment = np.arange(graph.num_nodes) % 2
+    evens = [0, 4, 8, 22]
+    with _serve(
+        backend, model, graph, features, assignment=assignment, byte_budget=64 << 20
+    ) as server:
+        for _ in ("cold", "warm"):
+            np.testing.assert_array_equal(server.predict(evens), reference[evens])
+        stats = server.stats()
+    assert stats["frontier_layers"] == {0: 1, model.num_layers: 1}
+    odd_shard = stats["workers"][1]
+    assert odd_shard["embedding_cache"]["insertions"] > 0  # level-1 rows of odd neighbours
+    assert odd_shard["comm"]["halo_bytes_received"] == 0  # and it read no activation row
+
+
+def test_a_rank_owning_nothing_of_a_level_joins_the_walk_and_every_rank_agrees():
+    """Ring A on rank 0, ring B on rank 1, the isolated node on rank 2: most
+    requests leave some rank without a single node of some level.  It still
+    runs every allgather (or the others would hang), publishes nothing, and
+    returns the same ``input_layer`` as everyone else."""
+    graph = _two_rings()
+    features = np.random.default_rng(8).standard_normal((21, FEATURE_DIM)).astype(np.float32)
+    reference = _reference(_make_model("sage-mean"), graph, features)
+    assignment = np.repeat([0, 1, 2], [10, 10, 1])
+    shards = create_shards(graph, PartitionBook(assignment, 3))
+    # (seeds, the level every rank must report)
+    script = [([0], 0), ([0], 2), ([2], 0), ([1], 1), ([0, 15], 0), ([20, 15], 0), ([20], 2)]
+
+    def worker(rank, comm, shard):
+        dist_graph = DistributedGraph(shard, comm)
+        model = _make_model("sage-mean")
+        cache = EmbeddingCache(1 << 20)
+        out = []
+        for seeds, _ in script:
+            owned, rows, input_layer = distributed_restricted_logits(
+                dist_graph, model, features, np.array(seeds), cache=cache
+            )
+            published = [key for key in comm._keys() if key.startswith("serve/")]
+            out.append((owned, rows, input_layer, published))
+        return out
+
+    per_rank = run_distributed(worker, 3, worker_args=shards, timeout_s=30.0).results
+    for step, (seeds, expected_layer) in enumerate(script):
+        answers = [per_rank[rank][step] for rank in range(3)]
+        assert [layer for _, _, layer, _ in answers] == [expected_layer] * 3
+        for rank, (owned, rows, _, published) in enumerate(answers):
+            mine = sorted(s for s in seeds if assignment[s] == rank)
+            assert owned.tolist() == mine
+            if mine:
+                np.testing.assert_array_equal(rows, reference[mine])
+            else:
+                assert rows is None
+            if not mine:  # the shards are disconnected: no seed here, no node of any level
+                assert published == []
