@@ -7,7 +7,13 @@ Two kernels over the shared :class:`~repro.core.seq_agg.SequentialAggregationEng
   values and SAR needs **no** re-fetch of remote features during the backward
   pass; the error for remote features is computed locally and sent straight
   to its owner.  SAR and vanilla domain-parallel training therefore
-  communicate exactly the same volume for these layers.
+  communicate exactly the same volume for these layers.  The payload ``z``
+  is whatever :class:`~repro.nn.sage.SageConv` aggregates: the layer input
+  ``x`` when the layer does not narrow (it projects the aggregated rows
+  afterwards), ``x @ W`` otherwise — so the halo and the error rows are
+  ``min(in_features, out_features)`` wide.  A first layer that aggregates
+  first publishes the feature matrix itself, which needs no gradient: the
+  engine's backward never runs for it and no error is exchanged.
 * :class:`PoolingKernel` — element-wise max/min pooling (the GraphSage
   pooling aggregators).  Which source attains the extremum is only known
   given the neighbour *values*, so backpropagation needs them: this is a

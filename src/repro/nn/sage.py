@@ -11,6 +11,15 @@ with ``AGG`` one of:
 * ``"max"`` / ``"min"`` — element-wise pooling; which neighbour attains the
   extremum depends on the *values*, so the distributed backward pass must
   re-fetch remote features — SAR's "case 2", just like attention.
+
+Orientation (DGL's ``lin_before_mp`` rule).  A linear aggregator commutes
+with the neighbour projection, ``AGG(x) W == AGG(x W)``, so the layer runs
+whichever side is narrower: when ``in_features <= out_features`` it
+aggregates ``x`` and projects the aggregated *destination* rows; otherwise
+(and always for the pooling aggregators, which do not commute with ``W``) it
+projects every *source* row and aggregates the projection.  The rule depends
+only on the layer's shapes and aggregator, so every execution path — full
+graph, MFG block, layer-wise inference, serving, SAR — takes the same branch.
 """
 
 from __future__ import annotations
@@ -48,6 +57,13 @@ class SageConv(Module):
         self.neighbor_linear = Linear(in_features, out_features, bias=False, name="sage.neigh")
         self.self_linear = Linear(in_features, out_features, bias=bias, name="sage.self")
 
+    @property
+    def aggregate_first(self) -> bool:
+        """True when the layer aggregates ``x`` and projects afterwards, so
+        the neighbour GEMM runs on destination rows and the aggregated
+        payload (SAR's case-1 halo) is ``in_features`` wide."""
+        return self.aggregator in ("mean", "sum") and self.in_features <= self.out_features
+
     def forward(self, graph, x: Tensor) -> Tensor:
         """Apply the layer.
 
@@ -59,13 +75,15 @@ class SageConv(Module):
         only the local partition's rows and the neighbour aggregation runs
         through the sequential-aggregation engine (SAR / domain-parallel
         exchange) — the model code is identical in all settings, as in the
-        paper.
+        paper.  Whether the neighbour projection runs before or after the
+        aggregation is :attr:`aggregate_first`'s rule (module docstring).
         """
         if x.shape[0] != graph.num_nodes:
             raise ValueError(
                 f"Feature matrix has {x.shape[0]} rows but graph has {graph.num_nodes} nodes"
             )
-        z = self.neighbor_linear(x)
+        aggregate_first = self.aggregate_first
+        z = x if aggregate_first else self.neighbor_linear(x)
         if isinstance(graph, (Graph, MFGBlock)):
             num_dst = graph.num_dst_nodes if isinstance(graph, MFGBlock) else graph.num_nodes
             plan = graph.plan()
@@ -82,6 +100,8 @@ class SageConv(Module):
         else:
             aggregated = graph.aggregate_neighbors(z, op=self.aggregator)
             self_rows = x
+        if aggregate_first:
+            aggregated = self.neighbor_linear(aggregated)
         out = self.self_linear(self_rows) + aggregated
         if self.activation is not None:
             out = self.activation(out)

@@ -26,8 +26,12 @@ must not share mutable state.  Because the sampler's draws are counter-based
 what is sampled.
 
 Errors raised inside any stage propagate to the consumer on the item they
-occurred on, and the pipeline shuts its executors down without waiting for
-cancelled work — the same failure semantics the single-queue loader had.
+occurred on, and the pipeline shuts its executors down cancelling queued
+work — the same failure semantics the single-queue loader had.  A consumer
+that abandons :meth:`StagedPipeline.run` mid-stream (an exception, a
+``break``, a closed generator) gets the same shutdown: items still in
+flight resolve as cancelled, and every stage thread is joined before the
+generator finishes closing.
 
 A pipeline whose stages all declare ``num_workers=0`` runs fully
 synchronously on the consumer thread (no executors, no threads), which is
@@ -144,13 +148,25 @@ class StagedPipeline:
                     self._note_finish(stage.name)
 
             def _done(fut: Future, next_index: int = next_index) -> None:
+                if fut.cancelled():
+                    # Cancelled by the shutdown of an abandoned run.
+                    final.cancel()
+                    return
                 exc = fut.exception()
                 if exc is not None:
                     final.set_exception(exc)
                 else:
                     self._chain(executors, next_index, fut.result(), final)
 
-            executor.submit(_submitted).add_done_callback(_done)
+            try:
+                future = executor.submit(_submitted)
+            except RuntimeError:
+                # The consumer abandoned ``run()`` and its ``finally`` shut
+                # this executor down while the previous stage was still
+                # running: nobody will read the item, so drop it.
+                final.cancel()
+                return
+            future.add_done_callback(_done)
             return
         final.set_result(value)
 
@@ -210,6 +226,10 @@ class StagedPipeline:
                 yield value
                 held = 0
         finally:
+            # Queued work is cancelled, running work is waited for; in stage
+            # order, so a running stage can still hand its item to the next
+            # executor (which then cancels or drains it) and no stage thread
+            # outlives the run.
             for executor in executors:
                 if executor is not None:
-                    executor.shutdown(wait=False, cancel_futures=True)
+                    executor.shutdown(wait=True, cancel_futures=True)

@@ -115,6 +115,16 @@ def _sampled_training_worker(rank, comm, shard, *, config, sampling,
     return [r.loss for r in out["records"]]
 
 
+def _parity_dataset():
+    dataset = make_sbm_dataset(
+        name="mp-parity", num_nodes=120, num_classes=4, feature_dim=8,
+        p_in=0.12, p_out=0.01, noise=1.5,
+        train_frac=0.5, val_frac=0.2, test_frac=0.3, seed=5,
+    )
+    dataset.attach_to_graph()
+    return dataset
+
+
 def _gat_model(dim, num_classes=4):
     from repro.nn.models import GATNet
 
@@ -135,6 +145,33 @@ def _sar_gat_training_worker(rank, comm, shard, *, config, feature_dim, num_clas
         sar_config=SARConfig("sar"),
     )
     return [r.loss for r in out["records"]]
+
+
+SAGE_IN, SAGE_HIDDEN, SAGE_CLASSES = 8, 16, 4
+
+
+def _sage_model(dim, num_classes=SAGE_CLASSES):
+    from repro.nn.models import GraphSageNet
+
+    # Layer 0 widens (8 -> 16: aggregates first, an 8-wide halo); layer 1
+    # narrows (16 -> 4: projects first, a 4-wide halo).
+    with temp_seed(0):
+        return GraphSageNet(dim, SAGE_HIDDEN, num_classes, num_layers=2,
+                            dropout=0.0, use_batch_norm=False)
+
+
+def _sage_training_worker(rank, comm, shard, *, config, sar_config, feature_dim, num_classes):
+    from repro.training.trainer import distributed_train_worker
+
+    out = distributed_train_worker(
+        rank, comm, shard,
+        model_factory=_sage_model,
+        feature_dim=feature_dim,
+        num_classes=num_classes,
+        config=config,
+        sar_config=sar_config,
+    )
+    return [r.loss for r in out["records"]], out.get("feature_store_stats")
 
 
 def _failing_worker(rank, comm):
@@ -293,12 +330,7 @@ class TestMultiprocessBackend:
         # GAT (a case-2 aggregator: forward halo fetch, backward re-fetch,
         # error exchange, gradient allreduce) trains to the same loss over
         # the shared-memory plane as over threads, and moves the same bytes.
-        dataset = make_sbm_dataset(
-            name="mp-sar-gat", num_nodes=120, num_classes=4, feature_dim=8,
-            p_in=0.12, p_out=0.01, noise=1.5,
-            train_frac=0.5, val_frac=0.2, test_frac=0.3, seed=5,
-        )
-        dataset.attach_to_graph()
+        dataset = _parity_dataset()
         config = TrainingConfig(num_epochs=1, lr=0.05, eval_every=0, seed=0)
         book = PartitionBook(partition_graph(dataset.graph, 2, seed=0), 2)
         shards = create_shards(dataset.graph, book)
@@ -321,6 +353,66 @@ class TestMultiprocessBackend:
         assert processes.peak_memory_bytes == threads.peak_memory_bytes
         assert min(processes.peak_memory_bytes) > 0
         assert all(t > 0 for t in processes.compute_times)
+
+    @pytest.mark.parametrize("world_size", [2, 3])
+    @pytest.mark.parametrize("mode", ["sar", "dp"])
+    def test_sage_training_epoch_matches_thread_backend(self, mode, world_size):
+        # GraphSAGE (SAR case 1) with a widening and a narrowing layer: the
+        # same loss and the same per-rank bytes on threads and processes.
+        dataset = _parity_dataset()
+        config = TrainingConfig(num_epochs=1, lr=0.05, eval_every=0, seed=0)
+        shards = create_shards(dataset.graph, PartitionBook(
+            partition_graph(dataset.graph, world_size, seed=0), world_size))
+        threads, processes = self._sage_both_backends(config, SARConfig(mode), shards)
+        for (losses, _), (mp_losses, _) in zip(threads.results, processes.results):
+            np.testing.assert_allclose(mp_losses, losses, rtol=0, atol=1e-6)
+        for stats, mp_stats in zip(threads.comm_stats, processes.comm_stats):
+            assert mp_stats.received_by_tag == stats.received_by_tag
+        if mode != "sar":
+            return
+        # One training forward + the final evaluation forward, one backward.
+        forwards, itemsize = 2, 4
+        for rank, stats in enumerate(threads.comm_stats):
+            halo_rows = sum(shards[rank].blocks[q].num_required_src
+                            for q in range(world_size) if q != rank)
+            error_rows = sum(shards[q].blocks[rank].num_required_src
+                             for q in range(world_size) if q != rank)
+            # Each layer's halo is as wide as the narrower of its widths:
+            # the widening layer ships SAGE_IN-wide rows, not SAGE_HIDDEN.
+            assert stats.received_by_tag["forward_halo"] == \
+                forwards * halo_rows * (SAGE_IN + SAGE_CLASSES) * itemsize
+            # Only the narrowing layer exchanges errors: layer 0 aggregates
+            # the input features, which need no gradient.
+            assert stats.received_by_tag["backward_error"] == \
+                error_rows * SAGE_CLASSES * itemsize
+            assert "backward_refetch" not in stats.received_by_tag
+
+    def test_sar_sage_layer0_halo_routes_through_kv_cache(self):
+        # Layer 0 aggregates the feature matrix itself, so an attached
+        # PartitionedKVStore covers the payload and the evaluation forward
+        # is served from its hot-row cache — on both backends.
+        dataset = _parity_dataset()
+        config = TrainingConfig(num_epochs=1, lr=0.05, eval_every=0, seed=0,
+                                feature_store="kv")
+        shards = create_shards(dataset.graph, PartitionBook(
+            partition_graph(dataset.graph, 2, seed=0), 2))
+        threads, processes = self._sage_both_backends(config, SARConfig("sar"), shards)
+        for (losses, store), (mp_losses, mp_store) in zip(threads.results, processes.results):
+            np.testing.assert_allclose(mp_losses, losses, rtol=0, atol=1e-6)
+            assert store["cache_hits"] > 0
+            assert mp_store["cache_hits"] == store["cache_hits"]
+        for stats, mp_stats in zip(threads.comm_stats, processes.comm_stats):
+            assert mp_stats.received_by_tag == stats.received_by_tag
+
+    @staticmethod
+    def _sage_both_backends(config, sar_config, shards):
+        kwargs = dict(config=config, sar_config=sar_config,
+                      feature_dim=SAGE_IN, num_classes=SAGE_CLASSES)
+        threads = run_distributed(_sage_training_worker, len(shards),
+                                  worker_args=shards, **kwargs)
+        processes = run_multiprocess(_sage_training_worker, world_size=len(shards),
+                                     worker_args=shards, timeout_s=120, **kwargs)
+        return threads, processes
 
     def test_stream_keys_survive_clear_published(self):
         results = run_multiprocess(_stream_keys_survive_clear_worker, world_size=2,

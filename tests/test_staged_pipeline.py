@@ -9,6 +9,7 @@ stage errors reach the consumer on the item they occurred on.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 
@@ -133,6 +134,38 @@ class TestStagedPipeline:
         )
         with pytest.raises(ValueError, match="late stage"):
             list(pipeline.run(range(3)))
+
+    def test_abandoned_run_logs_nothing_and_joins_stage_threads(self, caplog):
+        # Regression: abandoning ``run()`` while a stage is mid-item used to
+        # shut the executors down under running work, so the item's
+        # completion callback submitted to a shut-down successor
+        # ("cannot schedule new futures after shutdown") and a cancelled
+        # queued item's callback raised CancelledError — both logged as
+        # tracebacks by ``concurrent.futures``.
+        def slow(x):
+            if x > 0:
+                time.sleep(0.05)
+            return x
+
+        pipeline = StagedPipeline(
+            stages=(Stage("abandon0", slow, num_workers=2),
+                    Stage("abandon1", lambda x: x, num_workers=1),
+                    Stage("abandon2", lambda x: x, num_workers=1)),
+            max_resident=4,
+        )
+
+        def stage_threads():
+            return [t for t in threading.enumerate() if t.name.startswith("stage-abandon")]
+
+        with caplog.at_level(logging.DEBUG, logger="concurrent.futures"):
+            run = pipeline.run(range(10))
+            assert next(run) == 0
+            run.close()  # items 1-2 running in stage 0, item 3 queued
+            alive = stage_threads()
+            for thread in alive:
+                thread.join(timeout=5.0)
+        assert alive == [], f"stage threads outlived the run: {[t.name for t in alive]}"
+        assert [r for r in caplog.records if r.name.startswith("concurrent.futures")] == []
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one"):
