@@ -7,7 +7,8 @@ The package is organized as:
 * :mod:`repro.tensor`       — NumPy-backed autograd engine with per-worker memory tracking
 * :mod:`repro.graph`        — graph data structures, generators, message-flow graphs
 * :mod:`repro.partition`    — balanced k-way partitioning, partition book, per-worker shards
-* :mod:`repro.distributed`  — simulated cluster runtime, communicator, cost model
+* :mod:`repro.distributed`  — thread and multiprocess cluster drivers (``cluster.run_job``),
+                              communicator, cost model
 * :mod:`repro.nn`           — GNN layers (GraphSage, GAT, fused-attention GAT, R-GCN) and models
 * :mod:`repro.core`         — SAR itself: the sequential-aggregation engine with pluggable
                               block kernels, distributed graph handles, rematerialized

@@ -1,9 +1,11 @@
 """Epoch-time and memory cost model.
 
 The paper reports wall-clock epoch times on a cluster of 36-core Xeon
-machines connected by 200 Gb/s InfiniBand.  The simulated cluster runs all
-workers as threads of one small host, so raw wall-clock numbers are not
-comparable.  Instead every benchmark reports a *modeled* epoch time:
+machines connected by 200 Gb/s InfiniBand.  Here ``cluster.run_job`` runs
+the workers on one host, as threads of one process (``ThreadServiceCluster``)
+or as forked processes (``MultiprocessServiceCluster``), so raw wall-clock
+numbers are not comparable.  Instead every benchmark reports a *modeled*
+epoch time:
 
 ``epoch_time = max over workers of (compute_time · compute_scale
                + transferred_bytes / bandwidth + messages · latency)``
@@ -12,8 +14,8 @@ where ``compute_time`` is the worker's thread-CPU time and the transfer
 terms come from the exact per-worker byte counts recorded by the
 communicator.  The defaults below mimic the relative balance of the paper's
 hardware; benchmarks that need the communication-bound regime of
-ogbn-papers100M at 128 machines (Fig. 6) scale ``bandwidth_mbps`` down and
-say so in EXPERIMENTS.md.
+ogbn-papers100M at 128 machines (Fig. 6) scale ``bandwidth_mbps`` down in
+a named :class:`ClusterSpec` of their own (``benchmarks/bench_fig6_papers_gat.py``).
 
 The cost model is also where "out of memory" is decided (Fig. 6's missing
 vanilla-DP bar at 32 machines): a worker whose peak live tensor bytes exceed
@@ -48,7 +50,7 @@ PIPELINE_OVERLAP_TAGS = PREFETCH_OVERLAP_TAGS + SAMPLING_OVERLAP_TAGS
 
 @dataclass(frozen=True)
 class ClusterSpec:
-    """Description of the (simulated) cluster hardware.
+    """Description of the modeled cluster hardware.
 
     Parameters
     ----------

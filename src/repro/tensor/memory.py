@@ -5,9 +5,11 @@ memory per worker scales as ``2/N`` (``3/N`` with prefetching) in the number
 of workers ``N``, while vanilla domain-parallel training keeps the entire
 fetched halo plus every per-edge intermediate alive until the backward pass.
 
-The original system measures process peak RSS on each machine.  Here every
-worker runs inside the same process (as a thread of the simulated cluster),
-so instead we measure **live tensor bytes** exactly:
+The original system measures process peak RSS on each machine.  Here
+``cluster.run_job`` runs the workers as threads of one process
+(``ThreadServiceCluster``), where RSS cannot tell them apart, or as forked
+processes (``MultiprocessServiceCluster``).  So instead we measure **live
+tensor bytes** exactly, the same way on both:
 
 * every :class:`~repro.tensor.tensor.Tensor` that owns its buffer registers
   its ``nbytes`` with the *active* :class:`MemoryTracker` when it is created,

@@ -725,7 +725,7 @@ def distributed_train_worker(rank: int, comm: Communicator, shard, *,
                              mfg_masks: Optional[Sequence[np.ndarray]] = None,
                              sampling: Optional[DistributedSamplingPlan] = None
                              ) -> Dict[str, Any]:
-    """Per-worker training loop (executed by the simulated cluster).
+    """Per-worker training loop (the job ``cluster.run_job`` runs on every rank).
 
     ``mfg_masks`` are the global per-layer required-node masks computed by the
     driver (:class:`DistributedTrainer`) when ``config.mfg_seeds`` is set:
@@ -770,7 +770,12 @@ def distributed_train_worker(rank: int, comm: Communicator, shard, *,
 
 
 class DistributedTrainer:
-    """Partition a dataset, launch a simulated cluster, train a model with SAR/DP."""
+    """Partition a dataset and train a model with SAR/DP, one worker thread per part.
+
+    :meth:`run` runs :func:`distributed_train_worker` as one job on a
+    ``ThreadServiceCluster`` (``run_distributed``); ``run_multiprocess`` runs
+    the same worker function on forked processes.
+    """
 
     def __init__(self, dataset: NodeClassificationDataset, model_factory: ModelFactory,
                  num_workers: int, sar_config: SARConfig = SAR,

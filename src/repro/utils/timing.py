@@ -5,9 +5,11 @@ Two clocks are used throughout the library:
 * :class:`Timer` measures wall-clock time (``time.perf_counter``).  Used for
   end-to-end measurements in benchmarks that run a single worker.
 * :class:`WorkerTimer` measures per-thread CPU time (``time.thread_time``).
-  The simulated cluster runs every worker as a thread on a small host, so
-  wall-clock time of a single worker includes time spent blocked on the
-  publish/fetch store and time stolen by other worker threads.  Thread CPU
+  ``cluster.run_job`` runs every worker under one, on a
+  ``ThreadServiceCluster`` (threads of this process) or a
+  ``MultiprocessServiceCluster`` (forked processes of this host).  A
+  worker's wall-clock time includes time spent blocked on the communicator
+  and time taken by the other workers sharing the host's cores.  Thread CPU
   time excludes both, which is what the epoch-time cost model needs.
 """
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import faulthandler
+import os
 import signal
 
 import numpy as np
@@ -20,7 +21,12 @@ hypothesis_settings.register_profile(
     suppress_health_check=[HealthCheck.function_scoped_fixture],
     deadline=None,
 )
-hypothesis_settings.load_profile("repro")
+# The nightly job sets HYPOTHESIS_PROFILE=nightly for a wide search; it widens
+# every property test that does not pin its own ``max_examples``.
+hypothesis_settings.register_profile(
+    "nightly", parent=hypothesis_settings.get_profile("repro"), max_examples=500
+)
+hypothesis_settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "repro"))
 
 
 #: seconds any one test may run (the whole suite takes ~20 s); past it, every

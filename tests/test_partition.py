@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph import stochastic_block_model, star_graph
+from repro.datasets import ogbn_papers_mini, ogbn_products_mini
+from repro.graph import Graph, star_graph
 from repro.partition import (
     PartitionBook,
     balance_ratio,
@@ -15,6 +16,27 @@ from repro.partition import (
     partition_sizes,
 )
 from repro.graph.hetero import HeteroGraph
+
+
+@st.composite
+def adversarial_graphs(draw):
+    """Small graphs with isolated nodes, several components, self-loops,
+    parallel edges, a hub, or no edges at all."""
+    num_linked = draw(st.integers(1, 30))
+    num_isolated = draw(st.integers(0, 5))
+    node = st.integers(0, num_linked - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=80))
+    edges += [(v, v) for v in draw(st.lists(node, max_size=5))]  # self-loops
+    edges += edges[: draw(st.integers(0, len(edges)))]  # parallel edges
+    if draw(st.booleans()):  # a hub joined both ways to every linked node
+        hub = draw(node)
+        edges += [(hub, v) for v in range(num_linked)] + [(v, hub) for v in range(num_linked)]
+    # Keep only edges inside one of 1-3 contiguous id ranges: several components.
+    component = np.arange(num_linked) * draw(st.integers(1, 3)) // num_linked
+    edges = [(s, d) for s, d in edges if component[s] == component[d]]
+    src = np.array([s for s, _ in edges], dtype=np.int64)
+    dst = np.array([d for _, d in edges], dtype=np.int64)
+    return Graph(max(num_linked + num_isolated, 2), src, dst)
 
 
 class TestPartitioner:
@@ -61,14 +83,48 @@ class TestPartitioner:
         a2 = partition_graph(sbm_graph, 4, seed=3)
         np.testing.assert_array_equal(a1, a2)
 
-    @given(st.integers(2, 6), st.integers(0, 500))
-    @settings(max_examples=10, deadline=None)
-    def test_every_partition_nonempty_property(self, num_parts, seed):
-        graph, _ = stochastic_block_model([30, 30, 30], 0.1, 0.02, seed=seed)
+    # No pinned example count: the loaded hypothesis profile decides
+    # (``HYPOTHESIS_PROFILE=nightly`` widens the search).
+    @given(adversarial_graphs(), st.data())
+    @settings(deadline=None)
+    def test_every_partition_nonempty_property(self, graph, data):
+        num_parts = data.draw(st.one_of(st.just(graph.num_nodes),
+                                        st.integers(2, graph.num_nodes)), label="num_parts")
+        seed = data.draw(st.integers(0, 500), label="seed")
         assignment = partition_graph(graph, num_parts, seed=seed)
         sizes = partition_sizes(assignment, num_parts)
         assert sizes.min() >= 1
         assert sizes.sum() == graph.num_nodes
+        np.testing.assert_array_equal(partition_graph(graph, num_parts, seed=seed), assignment)
+        unseeded = partition_graph(graph, num_parts, seed=None)
+        assert partition_sizes(unseeded, num_parts).min() >= 1
+
+
+#: edge-cut ratios (cut edges / edges) of the region-growing + Kernighan–Lin
+#: partitioner this one replaced, at seed 0; the spectral partitioner must not cut more
+PRIOR_CUT_RATIO = {
+    "products": {2: 0.1194, 3: 0.1831, 4: 0.2822, 8: 0.4248},
+    "papers": {2: 0.1466, 3: 0.1348, 4: 0.2071, 8: 0.3368},
+}
+
+
+@pytest.fixture(scope="module")
+def benchmark_graphs():
+    """The two graphs the benchmark workloads partition."""
+    return {"products": ogbn_products_mini(1.0).graph, "papers": ogbn_papers_mini(2.0).graph}
+
+
+class TestPartitionQuality:
+    @pytest.mark.parametrize("num_parts", [2, 3, 4, 8])
+    @pytest.mark.parametrize("name", ["products", "papers"])
+    def test_cut_and_balance(self, benchmark_graphs, name, num_parts):
+        graph = benchmark_graphs[name]
+        assignment = partition_graph(graph, num_parts, seed=0)
+        assert edge_cut(graph, assignment) / graph.num_edges <= PRIOR_CUT_RATIO[name][num_parts]
+        assert balance_ratio(assignment, num_parts) <= 1.05
+        # A SAR worker's work scales with its in-edges; measured, not constrained.
+        in_edges = np.bincount(assignment[graph.dst], minlength=num_parts)
+        assert in_edges.max() / (graph.num_edges / num_parts) <= 1.07
 
 
 class TestPartitionBook:
