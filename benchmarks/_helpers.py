@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark suite (imported by the bench modules).
 
 Every benchmark module reproduces one table or figure of the paper (see
-DESIGN.md §4 and EXPERIMENTS.md).  The helpers here run a short distributed
+docs/benchmarks.md).  The helpers here run a short distributed
 training job for a given (model, dataset, execution mode, worker count)
 combination, convert the measurements into the quantities the paper plots
 (modeled epoch time, peak per-worker memory, communication volume), and print

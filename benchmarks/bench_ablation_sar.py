@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the design choices described in docs/architecture.md.
 
 Not a paper figure, but each section of the paper motivates a mechanism whose
 effect can be isolated:
@@ -37,20 +37,12 @@ def _stable_softmax_ablation():
     logits = (45.0 * rng.standard_normal((num_edges, heads))).astype(np.float32)
     values = rng.standard_normal((num_nodes, heads, dim)).astype(np.float32)
 
-    def aggregate(chunk):
-        def fn(weights):
-            out = np.zeros((num_nodes, heads, dim), dtype=np.float32)
-            contrib = weights[:, :, None] * values[src[chunk]]
-            np.add.at(out, dst[chunk], contrib)
-            return out
-        return fn
-
     results = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for stable in (True, False):
             acc = RunningSoftmaxAccumulator(num_nodes, heads, dim, stable=stable)
             for chunk in np.array_split(np.arange(num_edges), 8):
-                acc.add_block(logits[chunk], values, dst[chunk], aggregate(chunk))
+                acc.add_block(logits[chunk], values, dst[chunk], src[chunk])
             results[stable] = acc.finalize()
     return results
 

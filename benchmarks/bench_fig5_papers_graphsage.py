@@ -3,7 +3,8 @@
 Paper setup: 3-layer GraphSage on ogbn-papers100M over 32 / 64 / 128 machines,
 SAR vs vanilla domain-parallel.  The simulated cluster cannot host 128 worker
 threads productively, so the worker counts are scaled to 8 / 16 / 32 on the
-papers-mini graph (the mapping is documented in EXPERIMENTS.md); the claims
+papers-mini graph (the suite and its measurement model are documented in
+docs/benchmarks.md); the claims
 being reproduced are identical: equal communication for case-1 aggregation,
 SAR memory at or below DP memory, and per-worker memory halving as the worker
 count doubles ("SAR can cut memory consumption by half when training the

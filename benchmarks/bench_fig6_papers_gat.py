@@ -2,7 +2,7 @@
 
 Paper setup: 3-layer 4-head GAT on ogbn-papers100M over 32 / 64 / 128 machines
 comparing SAR, SAR+FAK and vanilla domain-parallel.  Key observations being
-reproduced (with worker counts scaled to 8 / 16 / 32, see EXPERIMENTS.md):
+reproduced (with worker counts scaled to 8 / 16 / 32, see docs/benchmarks.md):
 
 * vanilla DP runs out of memory at the smallest worker count (the paper's
   missing bar at 32 machines) — detected here against a per-worker memory

@@ -9,8 +9,8 @@ computation with MFGs reduces the epoch time (20.3 s → 10.7 s style numbers).
 Here a scaled-down run on papers-mini reproduces (a) the convergence curves
 (accuracy rises and flattens; label augmentation ends at or above the plain
 curve), and (b) the per-layer MFG node counts together with the modeled
-epoch-time reduction they imply (the analytic substitution is documented in
-DESIGN.md / EXPERIMENTS.md).
+epoch-time reduction they imply (the modeled epoch time is documented in
+docs/benchmarks.md).
 """
 
 from __future__ import annotations

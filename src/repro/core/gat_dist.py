@@ -48,7 +48,12 @@ from repro.core.stable_softmax import RunningSoftmaxAccumulator
 from repro.distributed.comm import Communicator
 from repro.partition.shard import EdgeBlock, ShardedGraph
 from repro.tensor.edge_plan import EdgePlan
-from repro.tensor.sparse import gat_backward_sorted, gat_logits_sorted, segment_sum_np
+from repro.tensor.sparse import (
+    gat_backward_sorted,
+    gat_logits_sorted,
+    segment_sum_np,
+    u_mul_e_sum_np,
+)
 from repro.tensor.tensor import Tensor
 
 
@@ -73,10 +78,11 @@ class GATKernel(BlockKernel):
     """Attention-weighted neighbour aggregation across graph partitions.
 
     The published payload packs ``(z, score_src)`` so peers fetch both in one
-    message — the "message is a 2-tuple" of the paper's Eq. 3.  Per-head
-    weighted aggregation reuses the edge blocks' cached CSR structure
-    (:meth:`~repro.partition.shard.EdgeBlock.weighted_matrix`), so the
-    backward pass no longer re-sorts a scipy matrix per block per head.
+    message — the "message is a 2-tuple" of the paper's Eq. 3.  The
+    weighted aggregation and its transpose run every head at once through
+    the block plan's head-blocked CSR
+    (:meth:`~repro.tensor.edge_plan.EdgePlan.u_mul_e_sum_sorted`), built
+    once per block and head count, so no pass re-sorts a scipy matrix.
     """
 
     grad_class = "nonlinear"
@@ -129,10 +135,7 @@ class GATKernel(BlockKernel):
         if plan is not None:
             self._accumulator.add_block_sorted(logits, z_q, plan)
         else:
-            self._accumulator.add_block(
-                logits, z_q, block.dst_local,
-                lambda weights: self._weighted_aggregate(block, weights, z_q),
-            )
+            self._accumulator.add_block(logits, z_q, block.dst_local, block.src_index)
 
     def forward_finalize(self) -> np.ndarray:
         self.out = self._accumulator.finalize()
@@ -180,7 +183,8 @@ class GATKernel(BlockKernel):
         # ---- reference path: input edge order, naive kernels -------------- #
         weights = np.exp(logits - self._safe_max[block.dst_local])
         alpha = weights / self.denominator[block.dst_local]
-        grad_z_q = self._weighted_transpose(block, alpha, self._grad_out)
+        grad_z_q = u_mul_e_sum_np(self._grad_out, alpha, block.dst_local,
+                                  block.src_index, z_q.shape[0])
         grad_alpha = np.einsum("ehd,ehd->eh", z_q[block.src_index],
                                self._grad_out[block.dst_local])
         grad_logits = alpha * (grad_alpha - self._weighted_sum[block.dst_local])
@@ -197,25 +201,6 @@ class GATKernel(BlockKernel):
         grad_z = self._grad_packed[:, :split].reshape(self.num_local, self.heads, self.dim)
         grad_ss = self._grad_packed[:, split:]
         return grad_z, self._grad_sd, grad_ss
-
-    # -- per-head weighted SpMM over the block's cached CSR structure ----- #
-    def _weighted_aggregate(self, block: EdgeBlock, weights: np.ndarray,
-                            values: np.ndarray) -> np.ndarray:
-        """``out[d] += Σ_e w_e · values[src_e]`` for one block (per head)."""
-        out = np.empty((self.num_local, self.heads, self.dim), dtype=values.dtype)
-        for h in range(self.heads):
-            out[:, h, :] = block.weighted_matrix(weights[:, h]) @ values[:, h, :]
-        return out
-
-    def _weighted_transpose(self, block: EdgeBlock, weights: np.ndarray,
-                            grad_out: np.ndarray) -> np.ndarray:
-        """``grad_src[s] += Σ_e w_e · grad_out[dst_e]`` for one block (per head)."""
-        out = np.empty((block.num_required_src, self.heads, self.dim),
-                       dtype=grad_out.dtype)
-        for h in range(self.heads):
-            out[:, h, :] = block.weighted_matrix(weights[:, h], transpose=True) \
-                @ grad_out[:, h, :]
-        return out
 
 
 def distributed_gat_aggregate(z: Tensor, score_dst: Tensor, score_src: Tensor,

@@ -21,7 +21,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.tensor.edge_plan import EdgePlan
-from repro.tensor.sparse import segment_max_np, segment_sum_np
+from repro.tensor.sparse import segment_max_np, segment_sum_np, u_mul_e_sum_np
 
 _TINY = np.float64(np.finfo(np.float32).tiny)
 
@@ -57,7 +57,7 @@ class RunningSoftmaxAccumulator:
 
     # ------------------------------------------------------------------ #
     def add_block(self, logits: np.ndarray, values: np.ndarray, dst: np.ndarray,
-                  aggregate_fn) -> None:
+                  src: np.ndarray) -> None:
         """Fold one edge block into the accumulators (reference path: per-edge
         arrays in input edge order, naive segment kernels).
 
@@ -69,11 +69,8 @@ class RunningSoftmaxAccumulator:
             Per-source-node values of shape ``(S_block, H, D)``.
         dst:
             Per-edge destination index (into the ``num_nodes`` rows).
-        aggregate_fn:
-            Callable ``(weights) -> (num_nodes, H, D)`` computing the
-            weighted sum of ``values`` into destination rows; the caller
-            provides it because the sparse structure (and its cached CSR) is
-            block-specific.
+        src:
+            Per-edge source index (into the rows of ``values``).
         """
         self._check_heads(logits)
         if self.stable:
@@ -82,7 +79,7 @@ class RunningSoftmaxAccumulator:
         else:
             weights = np.exp(logits)
         self.denominator += segment_sum_np(weights, dst, self.num_nodes)
-        self.numerator += aggregate_fn(weights)
+        self.numerator += u_mul_e_sum_np(values, weights, src, dst, self.num_nodes)
 
     def add_block_sorted(self, logits: np.ndarray, values: np.ndarray,
                          plan: EdgePlan) -> None:

@@ -3,7 +3,7 @@
 This is the substrate for the R-GCN experiments of Appendix A.  The paper's
 ogbn-mag graph has typed nodes as well; the R-GCN layer equation (Eq. 4 in
 the paper) only requires relation-typed edges, so — as documented in
-DESIGN.md — we keep a single node-id space and attach an optional node-type
+docs/architecture.md (graph/) — we keep a single node-id space and attach an optional node-type
 array for bookkeeping.
 """
 

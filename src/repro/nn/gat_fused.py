@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.graph.graph import Graph
 from repro.graph.mfg import MFGBlock
@@ -36,6 +35,7 @@ from repro.tensor.sparse import (
     gat_logits_sorted,
     segment_max_np,
     segment_sum_np,
+    u_mul_e_sum_np,
 )
 from repro.tensor.tensor import Function, Tensor
 
@@ -70,12 +70,7 @@ def fused_gat_forward_np(z: np.ndarray, score_dst: np.ndarray, score_src: np.nda
     maxes = np.where(np.isfinite(maxes), maxes, 0.0)
     weights = np.exp(logits - maxes[dst])
     denom = np.maximum(segment_sum_np(weights, dst, num_nodes), _TINY)
-    heads, dim = z.shape[1], z.shape[2]
-    numer = np.empty((num_nodes, heads, dim), dtype=z.dtype)
-    for h in range(heads):
-        adj = sp.csr_matrix((weights[:, h], (dst, src)), shape=(num_nodes, z.shape[0]))
-        numer[:, h, :] = adj @ z[:, h, :]
-    return numer / denom[:, :, None]
+    return u_mul_e_sum_np(z, weights, src, dst, num_nodes) / denom[:, :, None]
 
 
 def fused_gat_backward_np(grad_out: np.ndarray, z: np.ndarray, score_dst: np.ndarray,
@@ -102,12 +97,8 @@ def fused_gat_backward_np(grad_out: np.ndarray, z: np.ndarray, score_dst: np.nda
     denom = np.maximum(segment_sum_np(weights, dst, num_nodes), _TINY)
     alpha = weights / denom[dst]
 
-    heads = z.shape[1]
     # Gradient w.r.t. z: transpose-aggregate the output gradient with weights alpha.
-    grad_z = np.empty_like(z)
-    for h in range(heads):
-        adj_t = sp.csr_matrix((alpha[:, h], (src, dst)), shape=(z.shape[0], num_nodes))
-        grad_z[:, h, :] = adj_t @ grad_out[:, h, :]
+    grad_z = u_mul_e_sum_np(grad_out, alpha, dst, src, z.shape[0])
     # Gradient w.r.t. the normalized coefficients, then through the softmax.
     grad_alpha = np.einsum("ehd,ehd->eh", z[src], grad_out[dst])
     weighted = segment_sum_np(alpha * grad_alpha, dst, num_nodes)

@@ -50,9 +50,6 @@ class EdgeBlock:
     edge_pos: Optional[np.ndarray] = None
     #: lazily built unweighted CSR matrices, keyed by orientation
     _csr_cache: Dict[bool, sp.csr_matrix] = field(default_factory=dict, repr=False)
-    #: lazily built ``(edge_order, indices, indptr)`` CSR sparsity structure,
-    #: keyed by orientation — shared by every weighted matrix of this block
-    _structure_cache: Dict[bool, tuple] = field(default_factory=dict, repr=False)
     #: lazily built edge plan this block's kernels execute through
     _plan: Optional[EdgePlan] = field(default=None, repr=False)
 
@@ -77,8 +74,9 @@ class EdgeBlock:
         indices into :attr:`required_src_local` and local destination ids —
         so the SAR kernels aggregate fetched feature rows through it without
         any per-call sparsity construction.  ``None`` while plans are
-        globally disabled (the kernels then fall back to the cached scipy
-        matrices / ``ufunc.at`` reference path).
+        globally disabled (the kernels then fall back to the naive
+        per-call scipy / ``ufunc.at`` reference path of
+        :mod:`repro.tensor.sparse`; :meth:`aggregation_matrix` still caches).
         """
         if not edge_plan_mod.plans_enabled():
             return None
@@ -92,70 +90,35 @@ class EdgeBlock:
             return (self.num_required_src, self.num_dst)
         return (self.num_dst, self.num_required_src)
 
-    def _structure(self, transpose: bool) -> tuple:
-        """``(edge_order, indices, indptr)`` of the CSR layout for one orientation.
+    def aggregation_matrix(self, transpose: bool = False) -> sp.csr_matrix:
+        """Unweighted (num_dst × num_required_src) sum-aggregation matrix.
 
-        Sorting the edges happens once; after that any edge-weighted matrix
-        is assembled by permuting its weights into the cached layout (parallel
-        edges stay as separate stored entries, which scipy's matvec sums).
+        Each orientation is built lazily on first use and cached.  Parallel
+        edges stay as separate stored entries, which scipy's matvec sums.
         When the block's edge plan is available its orientation *is* this
         layout, so the sort is shared rather than derived twice.
         """
-        cached = self._structure_cache.get(transpose)
-        if cached is None:
+        mat = self._csr_cache.get(transpose)
+        if mat is None:
             plan = self.plan()
             if plan is not None:
                 orientation = plan._o(transpose)
-                cached = (orientation.order, orientation.indices, orientation.indptr)
+                indices, indptr = orientation.indices, orientation.indptr
             else:
                 if transpose:
                     rows, cols = self.src_index, self.dst_local
                 else:
                     rows, cols = self.dst_local, self.src_index
                 num_rows = self._shape(transpose)[0]
-                order = np.lexsort((cols, rows))
-                indices = cols[order]
+                indices = cols[np.lexsort((cols, rows))]
                 indptr = np.zeros(num_rows + 1, dtype=np.int64)
                 np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
-                cached = (order, indices, indptr)
-            self._structure_cache[transpose] = cached
-        return cached
-
-    def aggregation_matrix(self, transpose: bool = False) -> sp.csr_matrix:
-        """Unweighted (num_dst × num_required_src) sum-aggregation matrix.
-
-        Each orientation is built lazily on first use and cached; requesting
-        the forward matrix no longer materializes the transpose as well.
-        """
-        mat = self._csr_cache.get(transpose)
-        if mat is None:
-            order, indices, indptr = self._structure(transpose)
             mat = sp.csr_matrix(
                 (np.ones(self.num_edges, dtype=np.float32), indices, indptr),
                 shape=self._shape(transpose),
             )
             self._csr_cache[transpose] = mat
         return mat
-
-    def weighted_matrix(self, weights: np.ndarray, transpose: bool = False) -> sp.csr_matrix:
-        """Edge-weighted aggregation matrix over the cached sparsity structure.
-
-        The COO→CSR sort is paid once per block and orientation
-        (:meth:`_structure`); after that every call — the GAT backward hot
-        path builds one per head per block — only permutes ``weights`` into
-        the cached layout.  The returned matrix itself is *not* retained:
-        edge-sized weight data must not outlive the aggregation that created
-        it, or SAR's "nothing edge-sized survives" memory behaviour would be
-        silently broken.
-        """
-        weights = np.asarray(weights, dtype=np.float32)
-        if weights.shape != (self.num_edges,):
-            raise ValueError(
-                f"weights must have shape ({self.num_edges},), got {weights.shape}"
-            )
-        order, indices, indptr = self._structure(transpose)
-        return sp.csr_matrix((weights[order], indices, indptr),
-                             shape=self._shape(transpose))
 
 
 def restrict_block_to_dst(block: EdgeBlock, dst_mask: np.ndarray) -> EdgeBlock:

@@ -491,10 +491,9 @@ def distributed_restricted_logits(
         if not found.all():
             block = block_from_in_edges(index, book.to_local(own[~found])[1], own[~found])
             if edge_plan_mod.plans_enabled():
-                # A privately built plan: the shared structural cache would
-                # hand concurrently serving worker threads the same plan
-                # object, whose kernel-side template buffers are not safe
-                # under concurrent calls.
+                # A privately built plan: the block serves one miss set, so
+                # entering it in the shared structural cache would only
+                # evict plans that are reused.
                 block._plan = edge_plan_mod.EdgePlan(
                     block.src, block.dst, block.num_dst_nodes, block.num_src_nodes
                 )

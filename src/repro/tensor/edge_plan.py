@@ -15,9 +15,10 @@ edge set and caches, per orientation (destination-major and source-major):
   sparsity structure),
 * the unweighted aggregation matrix (``out[d] = Σ_{e:(s→d)} x[s]``),
 * a selection matrix summing per-*edge* values into segments,
-* a weighted-CSR *template* whose data buffer is re-filled in place, so
-  edge-weighted aggregation (the attention hot path) performs **zero** sparse
-  constructions per call, and
+* per head count ``H``, a *head-blocked* CSR (row ``d·H + h``, column
+  ``s·H + h``) plus the map that fills its data from ``(E, H)`` edge
+  weights, so edge-weighted aggregation (the attention hot path) runs every
+  head in one SpMM with one ``take`` and no sort, and
 * the ``reduceat`` bookkeeping (non-empty segment starts) for max/min.
 
 The per-op kernel strategy is chosen from measurements, not aesthetics
@@ -26,7 +27,7 @@ The per-op kernel strategy is chosen from measurements, not aesthetics
 =====================  ======================  =====================  ========
 op                     naive                   plan                   speedup
 =====================  ======================  =====================  ========
-``u_mul_e_sum`` fwd    fresh CSR per head      template matvec/head   ~3.5×
+``u_mul_e_sum`` fwd    fresh CSR per head      head-blocked SpMM      ~4.5×
 ``segment_sum (E,H)``  fresh CSR               cached selection CSR   ~3×
 ``segment_max (E,H)``  ``np.maximum.at``       ``maximum.reduceat``   ~3.5×
 ``aggregate_sum``      fresh CSR               cached CSR matvec      »
@@ -34,7 +35,7 @@ op                     naive                   plan                   speedup
 
 (``np.add.reduceat`` over a wide ``(E, H·D)`` message block was also
 measured and is ~7× *slower* than a CSR matvec — reduceat does not vectorize
-across the row — which is why weighted aggregation uses the template matvec
+across the row — which is why weighted aggregation uses a CSR SpMM
 rather than a literal gather→multiply→reduceat pipeline.)
 
 The module-level :data:`build_counter` increments once per constructed plan;
@@ -47,12 +48,15 @@ path with identical call sites.
 A second family of methods (``*_sorted``, ``expand_dst``, ``gather_src``,
 ``sddmm``) keeps per-edge arrays in the plan's destination-sorted order
 between steps instead of permuting on every call; the attention kernels
-(:func:`repro.tensor.sparse.gat_backward_sorted` and its callers) are built
-on it.  See the section comment in :class:`EdgePlan`.
+(:func:`repro.tensor.sparse.gat_backward_sorted` and its callers) and the
+weighted multi-head SpMM (``u_mul_e_sum_sorted`` and its transpose) are
+built on it.  See the section comment in :class:`EdgePlan`.
 
-Plans are not thread-safe across concurrent calls on the *same* plan (the
-weighted templates' data buffers are reused, by both families); each worker
-owns its own blocks and plans, so this never happens in practice.
+Kernel calls share no per-call buffer: the weighted SpMM fills a fresh data
+array over the cached head-blocked structure on every call.  The lazy caches
+are filled without a lock, so two threads racing on a fresh plan may build
+the same cache twice; each worker owns its own blocks and plans, so even
+that does not happen in practice.
 """
 
 from __future__ import annotations
@@ -122,7 +126,7 @@ class _Orientation:
 
     __slots__ = ("num_rows", "num_cols", "order", "indices", "indptr", "counts",
                  "nonempty", "starts", "all_nonempty",
-                 "_agg", "_sel", "_weighted_template", "_rows")
+                 "_agg", "_sel", "_rows")
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray,
                  num_rows: int, num_cols: int):
@@ -149,7 +153,6 @@ class _Orientation:
         self.all_nonempty = bool(self.nonempty.all()) if self.num_rows else True
         self._agg: Optional[sp.csr_matrix] = None
         self._sel: Optional[sp.csr_matrix] = None
-        self._weighted_template: Optional[sp.csr_matrix] = None
         self._rows: Optional[np.ndarray] = None
 
     # -- cached sparse operators ----------------------------------------- #
@@ -172,30 +175,6 @@ class _Orientation:
                 shape=(self.num_rows, len(self.order)),
             )
         return self._sel
-
-    def weighted_matrix(self, weights: np.ndarray) -> sp.csr_matrix:
-        """Edge-weighted aggregation matrix over the cached structure.
-
-        The returned matrix is a shared template whose data buffer is
-        overwritten in place — consume it immediately (one matvec) and never
-        store it.
-        """
-        template = self.template()
-        np.take(weights.astype(np.float32, copy=False), self.order,
-                out=template.data)
-        return template
-
-    def template(self) -> sp.csr_matrix:
-        """The shared weighted-CSR template; callers overwrite ``.data``."""
-        template = self._weighted_template
-        if template is None:
-            template = sp.csr_matrix(
-                (np.empty(len(self.order), dtype=np.float32), self.indices,
-                 self.indptr),
-                shape=(self.num_rows, self.num_cols),
-            )
-            self._weighted_template = template
-        return template
 
     # -- segment reductions over the sorted order ------------------------- #
     def reduce_sorted(self, ufunc, sorted_vals: np.ndarray, fill: float) -> np.ndarray:
@@ -247,9 +226,7 @@ class EdgePlan:
     destination, reductions run over edges in the stable destination-sorted
     order derived from the input edge order.  Two plans built from identical
     arguments are interchangeable, which is what makes the structural
-    :class:`PlanCache` safe.  Plans are **not** safe under concurrent kernel
-    calls on the same plan (the weighted-CSR template's data buffer is reused
-    in place).
+    :class:`PlanCache` safe.
     """
 
     def __init__(self, src, dst, num_dst: int, num_src: int):
@@ -268,6 +245,7 @@ class EdgePlan:
         self._transpose: Optional[_Orientation] = None
         self._t_positions: Optional[np.ndarray] = None
         self._sorted_sel: dict = {}  # transpose flag -> selection CSR over sorted rows
+        self._blocked: dict = {}  # (transpose flag, heads) -> head-blocked CSR
         global build_counter
         with _counter_lock:  # workers build block plans concurrently
             build_counter += 1
@@ -366,33 +344,6 @@ class EdgePlan:
         o = self._o(False)
         return o.reduce_sorted(np.minimum, x[o.indices], initial)
 
-    # -- weighted multi-head aggregation (the attention hot path) ---------- #
-    def u_mul_e_sum(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """``out[d, h] = Σ_{e:(s→d)} w[e, h] · x[s, h]`` for all heads at once.
-
-        ``x`` has shape ``(num_src, H, D)``, ``weights`` ``(E, H)``; each head
-        is one matvec over the shared weighted-CSR template (no sparse
-        construction, no sort).
-        """
-        weights = self._check_edge_rows(weights, "weights")
-        o = self._o(False)
-        heads, dim = x.shape[1], x.shape[2]
-        out = np.empty((self.num_dst, heads, dim), dtype=x.dtype)
-        for h in range(heads):
-            out[:, h, :] = o.weighted_matrix(weights[:, h]) @ x[:, h, :]
-        return out
-
-    def u_mul_e_sum_t(self, grad: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """``out[s, h] = Σ_{e:(s→d)} w[e, h] · grad[d, h]`` (transpose of
-        :meth:`u_mul_e_sum`, used by its backward pass)."""
-        weights = self._check_edge_rows(weights, "weights")
-        o = self._o(True)
-        heads, dim = grad.shape[1], grad.shape[2]
-        out = np.empty((self.num_src, heads, dim), dtype=grad.dtype)
-        for h in range(heads):
-            out[:, h, :] = o.weighted_matrix(weights[:, h]) @ grad[:, h, :]
-        return out
-
     # -- fused edge softmax ------------------------------------------------ #
     def edge_softmax(self, scores: np.ndarray) -> np.ndarray:
         """Numerically-stable per-destination softmax of per-edge scores.
@@ -424,8 +375,8 @@ class EdgePlan:
     # backward) pays that gather per step.  The methods below keep every
     # per-edge array in the plan's destination-sorted order instead: rows of
     # one destination are contiguous, per-destination values expand with a
-    # sequential ``np.repeat``, the weighted template is filled by a plain
-    # copy, and only entering or leaving the space (``sort_edges`` /
+    # sequential ``np.repeat``, the head-blocked weighted CSR is filled by one
+    # ``take``, and only entering or leaving the space (``sort_edges`` /
     # ``unsort_edges``) permutes.  Per destination the reduction order is the
     # same stable sorted order as above, so results are bit-identical.
     def sort_edges(self, values: np.ndarray) -> np.ndarray:
@@ -489,29 +440,69 @@ class EdgePlan:
         """:meth:`segment_sum_src` of rows already in sorted order."""
         return self._sum_sorted(sorted_values, transpose=True)
 
-    def u_mul_e_sum_sorted(self, x: np.ndarray, sorted_weights: np.ndarray) -> np.ndarray:
-        """:meth:`u_mul_e_sum` with the ``(E, H)`` weights in sorted order."""
+    def _head_blocked(self, transpose: bool, heads: int) -> tuple:
+        """``(indices, indptr, gather, shape)`` of one orientation's
+        head-blocked CSR for ``heads`` heads, built once.
+
+        Row ``r·H + h`` holds column ``c·H + h`` for every edge of segment
+        ``r``, in the plan's stable sorted order, so the matrix multiplies
+        ``x.reshape(num_cols·H, D)`` with every head at once.  ``gather``
+        maps each stored entry to its weight in the flattened sorted
+        ``(E, H)`` weights (through :meth:`_transpose_positions`
+        source-major).  Per row the entries are one segment in plan order,
+        so the products equal a per-head matvec over the same segment bit
+        for bit.
+        """
+        key = (transpose, heads)
+        blocked = self._blocked.get(key)
+        if blocked is None:
+            o = self._o(transpose)
+            positions = (self._transpose_positions() if transpose
+                         else np.arange(self.num_edges))
+            head = np.arange(heads)
+            rows = o.rows()
+            first = o.indptr[:-1]
+            # Data slot of (sorted edge p, head h): row (r_p, h) starts at
+            # indptr[r]·H + h·count[r]; p is entry p − indptr[r] of it.
+            slots = ((first[rows] * (heads - 1) + np.arange(self.num_edges))[:, None]
+                     + o.counts[rows][:, None] * head).ravel()
+            gather = np.empty(self.num_edges * heads, dtype=np.int64)
+            gather[slots] = (positions[:, None] * heads + head).ravel()
+            indices = np.empty(self.num_edges * heads, dtype=np.int64)
+            indices[slots] = (o.indices[:, None] * heads + head).ravel()
+            indptr = np.append((first[:, None] * heads + o.counts[:, None] * head).ravel(),
+                               self.num_edges * heads)
+            shape = (o.num_rows * heads, o.num_cols * heads)
+            # Let scipy pick the index dtype once, not on every call.
+            structure = sp.csr_matrix((np.empty(len(indices), dtype=np.float32),
+                                       indices, indptr), shape=shape)
+            blocked = self._blocked[key] = (structure.indices, structure.indptr,
+                                            gather, shape)
+        return blocked
+
+    def _weighted_spmm(self, values: np.ndarray, sorted_weights: np.ndarray,
+                       transpose: bool) -> np.ndarray:
+        """``out[r, h] = Σ_e w[e, h] · values[c_e, h]`` over one orientation:
+        one ``take`` fills the head-blocked CSR with the weights in their own
+        dtype, one SpMM reduces all heads; the result has ``values``' dtype."""
         sorted_weights = self._check_edge_rows(sorted_weights, "sorted_weights")
-        template = self._o(False).template()
-        heads, dim = x.shape[1], x.shape[2]
-        out = np.empty((self.num_dst, heads, dim), dtype=x.dtype)
-        for h in range(heads):
-            template.data[:] = sorted_weights[:, h]
-            out[:, h, :] = template @ x[:, h, :]
-        return out
+        num_cols, heads, dim = values.shape
+        indices, indptr, gather, shape = self._head_blocked(transpose, heads)
+        data = sorted_weights.reshape(-1).take(gather)
+        out = sp.csr_matrix((data, indices, indptr), shape=shape) \
+            @ values.reshape(num_cols * heads, dim)
+        out = out.astype(values.dtype, copy=False)
+        return out.reshape(self.num_src if transpose else self.num_dst, heads, dim)
+
+    def u_mul_e_sum_sorted(self, x: np.ndarray, sorted_weights: np.ndarray) -> np.ndarray:
+        """``out[d, h] = Σ_{e:(s→d)} w[e, h] · x[s, h]`` with ``x`` of shape
+        ``(num_src, H, D)`` and the ``(E, H)`` weights in sorted order."""
+        return self._weighted_spmm(x, sorted_weights, transpose=False)
 
     def u_mul_e_sum_t_sorted(self, grad: np.ndarray, sorted_weights: np.ndarray) -> np.ndarray:
-        """:meth:`u_mul_e_sum_t` with the ``(E, H)`` weights in sorted order."""
-        sorted_weights = self._check_edge_rows(sorted_weights, "sorted_weights")
-        template = self._o(True).template()
-        positions = self._transpose_positions()
-        heads, dim = grad.shape[1], grad.shape[2]
-        out = np.empty((self.num_src, heads, dim), dtype=grad.dtype)
-        for h in range(heads):
-            np.take(sorted_weights[:, h].astype(np.float32, copy=False), positions,
-                    out=template.data)
-            out[:, h, :] = template @ grad[:, h, :]
-        return out
+        """``out[s, h] = Σ_{e:(s→d)} w[e, h] · grad[d, h]``, the transpose of
+        :meth:`u_mul_e_sum_sorted` (its backward)."""
+        return self._weighted_spmm(grad, sorted_weights, transpose=True)
 
     def sddmm(self, x_src: np.ndarray, y_dst: np.ndarray) -> np.ndarray:
         """Sorted per-edge dot products ``out[e, h] = <x_src[s_e, h], y_dst[d_e, h]>``.
@@ -560,11 +551,8 @@ class PlanCache:
     num_dst, num_src)`` tuple (a linear pass) is far cheaper than the sorts a
     plan performs, so identical structures share one plan.
 
-    The cache must only be consulted for plans used *sequentially* on one
-    thread: plans reuse an internal weighted-template buffer and are not safe
-    under concurrent kernel calls.  Block chains satisfy this — batches are
-    consumed one at a time — while worker-owned shard blocks keep building
-    their plans directly.
+    Block chains consult it (batches are consumed one at a time), while
+    worker-owned shard blocks keep building their plans directly.
     """
 
     def __init__(self, capacity: int = 32):
@@ -656,7 +644,6 @@ def cached_plan(src, dst, num_dst: int, num_src: int) -> EdgePlan:
         same heights) share one plan, so re-sampled deterministic batches
         (``fanout=-1``, unshuffled loaders, the layer-wise inference sweep)
         never re-pay the construction sorts.  Lookup hashes the arguments in
-        one linear pass; see :class:`PlanCache` for the (single-consumer)
-        thread-safety contract.
+        one linear pass.
     """
     return _shared_cache.get(src, dst, num_dst, num_src)

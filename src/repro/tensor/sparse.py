@@ -134,6 +134,19 @@ def edge_softmax_np(scores: np.ndarray, dst: np.ndarray, num_dst: int,
     return exp / denom[dst]
 
 
+def u_mul_e_sum_np(x: np.ndarray, w: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                   num_dst: int) -> np.ndarray:
+    """``out[d, h] = Σ_{e:(s→d)} w[e, h] · x[s, h]`` through a fresh scipy CSR
+    per head — the ``plan=None`` reference of
+    :meth:`~repro.tensor.edge_plan.EdgePlan.u_mul_e_sum_sorted`.  Swapping
+    ``src`` and ``dst`` (and ``num_dst`` for the source count) gives the
+    transpose.  The result has ``x``'s dtype."""
+    num_src = x.shape[0]
+    out = np.stack([sp.csr_matrix((w_h, (dst, src)), shape=(num_dst, num_src)) @ x_h
+                    for w_h, x_h in zip(w.T, x.transpose(1, 0, 2))], axis=1)
+    return out.astype(x.dtype, copy=False)
+
+
 def leaky_relu_np(raw: np.ndarray, negative_slope: float) -> np.ndarray:
     """LeakyReLU of a plain array.  For ``0 < slope ≤ 1`` it is
     ``max(raw, slope·raw)`` — one pass, no mask, same bits as the select
@@ -292,10 +305,11 @@ class UMulESum(Function):
 
     ``x`` has shape ``(num_src, H, D)`` (or ``(num_src, D)``) and ``w`` has
     shape ``(E, H)`` (or ``(E,)``); gradients flow to both.  This is the core
-    kernel of attention-based aggregation.  With a ``plan`` the forward and
-    backward passes run all heads through the plan's weighted-CSR template
-    (one cached structure, zero per-call sparse builds) instead of
-    constructing one fresh CSR matrix per head per pass.
+    kernel of attention-based aggregation.  With a ``plan`` the forward sorts
+    the weights into the plan's edge space once and both passes run every
+    head through one head-blocked SpMM (one cached structure, zero per-call
+    sparse builds); without one, :func:`u_mul_e_sum_np` builds a fresh CSR
+    per head per pass.
     """
 
     def forward(self, x: Tensor, w: Tensor, src: np.ndarray, dst: np.ndarray,
@@ -307,33 +321,24 @@ class UMulESum(Function):
             squeeze = True
         if w_data.ndim == 1:
             w_data = w_data[:, None]
-        num_src, heads, dim = x_data.shape
         if plan is not None:
-            out = plan.u_mul_e_sum(x_data, w_data)
+            # Saved for backward in the plan's sorted edge space.
+            w_data = plan.sort_edges(w_data)
+            out = plan.u_mul_e_sum_sorted(x_data, w_data)
         else:
-            out = np.empty((num_dst, heads, dim), dtype=x_data.dtype)
-            for h in range(heads):
-                adj = sp.csr_matrix((w_data[:, h], (dst, src)), shape=(num_dst, num_src))
-                out[:, h, :] = adj @ x_data[:, h, :]
-        self.save_for_backward(x_data, w_data, src, dst, num_dst, squeeze,
-                               x.shape, w.shape, plan)
+            out = u_mul_e_sum_np(x_data, w_data, src, dst, num_dst)
+        self.save_for_backward(x_data, w_data, src, dst, squeeze, x.shape, w.shape, plan)
         return out[:, 0, :] if squeeze else out
 
     def backward(self, grad_out):
-        x_data, w_data, src, dst, num_dst, squeeze, x_shape, w_shape, plan = self.saved
+        x_data, w_data, src, dst, squeeze, x_shape, w_shape, plan = self.saved
         grad = grad_out[:, None, :] if squeeze else grad_out
-        num_src, heads, dim = x_data.shape
-        if plan is not None:
-            grad_x = plan.u_mul_e_sum_t(grad, w_data)
-        else:
-            grad_x = np.empty_like(x_data)
-            for h in range(heads):
-                adj_t = sp.csr_matrix((w_data[:, h], (src, dst)), shape=(num_src, num_dst))
-                grad_x[:, h, :] = adj_t @ grad[:, h, :]
         # grad_w[e, h] = <x[src_e, h], grad_out[dst_e, h]>  (an SDDMM)
         if plan is not None:
+            grad_x = plan.u_mul_e_sum_t_sorted(grad, w_data)
             grad_w = plan.unsort_edges(plan.sddmm(x_data, grad))
         else:
+            grad_x = u_mul_e_sum_np(grad, w_data, dst, src, x_data.shape[0])
             grad_w = np.einsum("ehd,ehd->eh", x_data[src], grad[dst])
         return grad_x.reshape(x_shape), grad_w.reshape(w_shape).astype(w_data.dtype)
 

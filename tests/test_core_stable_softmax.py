@@ -18,16 +18,6 @@ def _reference(logits, values, src, dst, num_nodes):
     return out
 
 
-def _block_aggregate(values, src, dst, num_nodes):
-    def fn(weights):
-        heads, dim = values.shape[1], values.shape[2]
-        out = np.zeros((num_nodes, heads, dim), dtype=values.dtype)
-        for e in range(len(src)):
-            out[dst[e]] += weights[e][:, None] * values[src[e]]
-        return out
-    return fn
-
-
 def _random_problem(rng, num_nodes=6, num_edges=25, heads=2, dim=3, scale=1.0):
     src = rng.integers(0, num_nodes, size=num_edges)
     dst = rng.integers(0, num_nodes, size=num_edges)
@@ -40,7 +30,7 @@ class TestRunningSoftmax:
     def test_single_block_matches_reference(self, rng):
         src, dst, logits, values = _random_problem(rng)
         acc = RunningSoftmaxAccumulator(6, 2, 3)
-        acc.add_block(logits, values, dst, _block_aggregate(values, src, dst, 6))
+        acc.add_block(logits, values, dst, src)
         np.testing.assert_allclose(acc.finalize(), _reference(logits, values, src, dst, 6),
                                    rtol=1e-4, atol=1e-5)
 
@@ -48,8 +38,7 @@ class TestRunningSoftmax:
         src, dst, logits, values = _random_problem(rng, num_edges=30)
         acc = RunningSoftmaxAccumulator(6, 2, 3)
         for chunk in np.array_split(np.arange(30), 4):
-            acc.add_block(logits[chunk], values, dst[chunk],
-                          _block_aggregate(values, src[chunk], dst[chunk], 6))
+            acc.add_block(logits[chunk], values, dst[chunk], src[chunk])
         np.testing.assert_allclose(acc.finalize(), _reference(logits, values, src, dst, 6),
                                    rtol=1e-4, atol=1e-5)
 
@@ -61,8 +50,7 @@ class TestRunningSoftmax:
         for order in (order_a, order_b):
             acc = RunningSoftmaxAccumulator(6, 2, 3)
             for chunk in order:
-                acc.add_block(logits[chunk], values, dst[chunk],
-                              _block_aggregate(values, src[chunk], dst[chunk], 6))
+                acc.add_block(logits[chunk], values, dst[chunk], src[chunk])
             results.append(acc.finalize())
         np.testing.assert_allclose(results[0], results[1], rtol=1e-4, atol=1e-5)
 
@@ -75,8 +63,7 @@ class TestRunningSoftmax:
         with np.errstate(over="ignore", invalid="ignore"):
             for chunk in np.array_split(np.arange(len(src)), 3):
                 for acc in (stable, naive):
-                    acc.add_block(logits[chunk], values, dst[chunk],
-                                  _block_aggregate(values, src[chunk], dst[chunk], 6))
+                    acc.add_block(logits[chunk], values, dst[chunk], src[chunk])
             stable_out = stable.finalize()
             naive_out = naive.finalize()
         assert np.all(np.isfinite(stable_out))
@@ -88,7 +75,7 @@ class TestRunningSoftmax:
         src = np.array([0, 1])
         dst = np.array([0, 0])
         acc = RunningSoftmaxAccumulator(3, 1, 2)
-        acc.add_block(logits, values, dst, _block_aggregate(values, src, dst, 3))
+        acc.add_block(logits, values, dst, src)
         out = acc.finalize()
         np.testing.assert_allclose(out[1], 0.0)
         np.testing.assert_allclose(out[2], 0.0)
@@ -96,7 +83,7 @@ class TestRunningSoftmax:
     def test_state_returns_final_max_and_denominator(self, rng):
         src, dst, logits, values = _random_problem(rng)
         acc = RunningSoftmaxAccumulator(6, 2, 3)
-        acc.add_block(logits, values, dst, _block_aggregate(values, src, dst, 6))
+        acc.add_block(logits, values, dst, src)
         running_max, denom = acc.state()
         safe_max = np.where(np.isfinite(running_max), running_max, 0.0)
         weights = np.exp(logits - safe_max[dst])
@@ -108,7 +95,7 @@ class TestRunningSoftmax:
         with pytest.raises(ValueError):
             acc.add_block(np.zeros((3, 5), dtype=np.float32),
                           np.zeros((4, 2, 3), dtype=np.float32),
-                          np.array([0, 1, 2]), lambda w: np.zeros((4, 2, 3)))
+                          np.array([0, 1, 2]), np.array([0, 1, 2]))
 
     @given(st.integers(1, 5), st.integers(1, 40), st.integers(0, 5000))
     @settings(max_examples=20, deadline=None)
@@ -123,8 +110,7 @@ class TestRunningSoftmax:
         for chunk in np.array_split(np.arange(num_edges), min(num_blocks, max(num_edges, 1))):
             if len(chunk) == 0:
                 continue
-            acc.add_block(logits[chunk], values, dst[chunk],
-                          _block_aggregate(values, src[chunk], dst[chunk], num_nodes))
+            acc.add_block(logits[chunk], values, dst[chunk], src[chunk])
         np.testing.assert_allclose(
             acc.finalize(), _reference(logits, values, src, dst, num_nodes),
             rtol=1e-3, atol=1e-4,

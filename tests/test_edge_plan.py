@@ -10,6 +10,7 @@ per-call sparsity derivation after warm-up.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro import nn
 from repro.core import (
@@ -140,12 +141,13 @@ class TestPlanKernelsMatchNaive:
         expected = np.zeros((num_dst, heads, 6), dtype=np.float32)
         for e in range(len(src)):
             expected[dst[e]] += w[e][:, None] * x[src[e]]
-        np.testing.assert_allclose(plan.u_mul_e_sum(x, w), expected,
+        w_sorted = plan.sort_edges(w)
+        np.testing.assert_allclose(plan.u_mul_e_sum_sorted(x, w_sorted), expected,
                                    rtol=1e-4, atol=1e-4)
         expected_t = np.zeros((num_src, heads, 6), dtype=np.float32)
         for e in range(len(src)):
             expected_t[src[e]] += w[e][:, None] * g[dst[e]]
-        np.testing.assert_allclose(plan.u_mul_e_sum_t(g, w), expected_t,
+        np.testing.assert_allclose(plan.u_mul_e_sum_t_sorted(g, w_sorted), expected_t,
                                    rtol=1e-4, atol=1e-4)
 
     @pytest.mark.parametrize("num_src,num_dst,num_edges,parallel", EDGE_CASES)
@@ -428,6 +430,20 @@ SORTED_SPACE_BLOCKS = [
 NEGATIVE_SLOPES = [0.2, 0.0, 1.0, 1.5, -0.1]
 
 
+def _per_head_spmm(rows, cols, num_rows, num_cols, weights, x):
+    """``out[r, h] = Σ_e w[e, h] · x[c_e, h]`` the way it was computed before
+    the head-blocked SpMM: per head, one CSR over the stable (row, col)-sorted
+    edges, parallel edges stored separately."""
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=num_rows))])
+    out = np.empty((num_rows,) + x.shape[1:], dtype=x.dtype)
+    for h in range(x.shape[1]):
+        adj = sp.csr_matrix((weights[order, h], cols[order], indptr),
+                            shape=(num_rows, num_cols))
+        out[:, h, :] = adj @ x[:, h, :]
+    return out
+
+
 class TestSortedEdgeSpace:
     @pytest.mark.parametrize("num_src,num_dst,build", SORTED_SPACE_BLOCKS)
     @pytest.mark.parametrize("heads,dim", [(3, 4), (1, 5), (2, 1)])
@@ -452,15 +468,73 @@ class TestSortedEdgeSpace:
                                       plan.segment_max(per_edge))
         np.testing.assert_array_equal(plan.segment_sum_src_sorted(sorted_edge),
                                       plan.segment_sum_src(per_edge))
-        np.testing.assert_array_equal(plan.u_mul_e_sum_sorted(x_src, sorted_edge),
-                                      plan.u_mul_e_sum(x_src, per_edge))
-        np.testing.assert_array_equal(plan.u_mul_e_sum_t_sorted(y_dst, sorted_edge),
-                                      plan.u_mul_e_sum_t(y_dst, per_edge))
         np.testing.assert_allclose(plan.segment_sum_sorted(sorted_edge),
                                    segment_sum_np(per_edge, dst, num_dst),
                                    rtol=1e-5, atol=1e-5)
         np.testing.assert_array_equal(plan.segment_max_sorted(sorted_edge),
                                       segment_max_np(per_edge, dst, num_dst))
+
+    @pytest.mark.parametrize("num_src,num_dst,build", SORTED_SPACE_BLOCKS + [
+        pytest.param(7, 4, lambda rng: _random_edges(rng, 7, 4, 0), id="no-edges-rectangular"),
+    ])
+    @pytest.mark.parametrize("heads", [1, 2, 3, 8])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_head_blocked_spmm_equals_the_per_head_loop(self, rng, num_src, num_dst, build,
+                                                        heads, dtype):
+        src, dst = build(rng)
+        plan = EdgePlan(src, dst, num_dst, num_src)
+        per_edge = rng.standard_normal((len(src), heads)).astype(dtype)
+        x_src = rng.standard_normal((num_src, heads, 5)).astype(dtype)
+        y_dst = rng.standard_normal((num_dst, heads, 5)).astype(dtype)
+        sorted_edge = plan.sort_edges(per_edge)
+        forward = plan.u_mul_e_sum_sorted(x_src, sorted_edge)
+        transpose = plan.u_mul_e_sum_t_sorted(y_dst, sorted_edge)
+        assert forward.dtype == transpose.dtype == dtype
+        np.testing.assert_array_equal(
+            forward, _per_head_spmm(dst, src, num_dst, num_src, per_edge, x_src))
+        np.testing.assert_array_equal(
+            transpose, _per_head_spmm(src, dst, num_src, num_dst, per_edge, y_dst))
+
+    def test_head_blocked_structure_is_built_once_per_orientation_and_heads(self, rng):
+        src, dst = _random_edges(rng, 25, 25, 90, parallel=True)
+        plan = EdgePlan(src, dst, 25, 25)
+        first = {(t, h): plan._head_blocked(t, h) for t in (False, True) for h in (1, 4)}
+        assert len({id(b) for b in first.values()}) == 4
+        for key, blocked in first.items():
+            assert plan._head_blocked(*key) is blocked
+        with pytest.raises(ValueError, match="one per edge"):
+            plan.u_mul_e_sum_sorted(np.zeros((25, 4, 2)), np.zeros((len(src) + 1, 4)))
+
+    def test_sar_gat_net_builds_no_structure_after_warmup(self, small_dataset):
+        """A two-layer GAT (4 heads, then 1) over two SAR workers: after the
+        first epoch neither a plan nor a head-blocked structure is built."""
+        graph = small_dataset.graph
+        shards = create_shards(graph, PartitionBook(partition_graph(graph, 2, seed=0), 2))
+        seen = {}
+
+        def worker(rank, comm, shard):
+            dist = DistributedGraph(shard, comm, SAR)
+            model = nn.GATNet(small_dataset.features.shape[1], 4, 3, num_layers=2,
+                              num_heads=4, dropout=0.0)
+            broadcast_parameters(model.parameters(), comm)
+            feats = Tensor(small_dataset.features[shard.global_node_ids])
+            snapshots = []
+            for _ in range(3):
+                dist.begin_step()
+                model.zero_grad()
+                out = model(dist, feats)
+                (out * out).sum().backward()
+                comm.barrier()
+                snapshots.append((edge_plan.build_counter, {
+                    (q, key): id(blocked) for q, block in enumerate(shard.blocks)
+                    for key, blocked in block.plan()._blocked.items()}))
+            seen[rank] = snapshots
+
+        run_distributed(worker, 2, worker_args=shards)
+        for rank, (warm, *epochs) in seen.items():
+            assert {key for _, key in warm[1]} == {(t, h) for t in (False, True)
+                                                   for h in (1, 4)}
+            assert all(epoch == warm for epoch in epochs), f"rank {rank} rebuilt"
 
     @pytest.mark.parametrize("num_src,num_dst,build", SORTED_SPACE_BLOCKS)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -507,8 +581,8 @@ class TestSortedEdgeSpace:
         sd = rng.standard_normal((num_dst, heads)).astype(dtype)
         ss = rng.standard_normal((num_src, heads)).astype(dtype)
         grad = rng.standard_normal((num_dst, heads, dim)).astype(dtype)
-        # float64 too: the weighted-CSR template stores float32 weights.
-        tol = dict(rtol=1e-4, atol=1e-5)
+        tol = (dict(rtol=1e-4, atol=1e-5) if dtype == np.float32
+               else dict(rtol=1e-10, atol=1e-12))
         planned = fused_gat_forward_np(z, sd, ss, src, dst, num_dst, slope, plan=plan)
         naive = fused_gat_forward_np(z, sd, ss, src, dst, num_dst, slope)
         assert planned.dtype == naive.dtype
@@ -534,8 +608,7 @@ class TestSortedEdgeSpace:
             logits = rng.standard_normal((len(src), heads)).astype(np.float32)
             values = rng.standard_normal((num_src, heads, dim)).astype(np.float32)
             sorted_acc.add_block_sorted(plan.sort_edges(logits), values, plan)
-            reference.add_block(logits, values, dst,
-                                lambda w, p=plan, v=values: p.u_mul_e_sum(v, w))
+            reference.add_block(logits, values, dst, src)
         np.testing.assert_allclose(sorted_acc.finalize(), reference.finalize(),
                                    rtol=1e-5, atol=1e-6)
         (got_max, got_denom), (want_max, want_denom) = sorted_acc.state(), reference.state()

@@ -228,11 +228,12 @@ class TestShards:
                 shard.node_data["feat"], sbm_graph.ndata["feat"][shard.global_node_ids]
             )
 
-    def test_weighted_matrix_validation(self, sbm_graph):
+    def test_weighted_aggregation_validation(self, sbm_graph):
         _, shards = self._shards(sbm_graph)
         block = shards[0].local_block
+        values = np.ones((block.num_required_src, 1, 2))
         with pytest.raises(ValueError):
-            block.weighted_matrix(np.ones(block.num_edges + 1))
+            block.plan().u_mul_e_sum_sorted(values, np.ones((block.num_edges + 1, 1)))
 
     def test_hetero_shards_preserve_relation_edges(self):
         relations = {
