@@ -24,7 +24,7 @@ Each handle owns:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, MutableMapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,15 +42,10 @@ from repro.partition.shard import (
     restrict_block_to_dst,
 )
 from repro.tensor.tensor import Tensor
-from repro.utils.lru import LRUDict
 
 #: what :meth:`DistributedGraph.prepare_restriction` returns: one
 #: ``(restricted shard view, halo)`` pair per conv layer.
 RestrictionLayers = List[Tuple[ShardedGraph, HaloExchange]]
-
-#: distinct restriction keys a handle keeps prepared at once; small because
-#: each entry holds per-batch block grids (O(edges) each) for a whole sweep.
-RESTRICTION_CACHE_CAPACITY = 4
 
 
 class _DistributedGraphBase:
@@ -132,19 +127,6 @@ class DistributedGraph(_DistributedGraphBase):
         #: unrestricted), and how many of them this step has consumed.
         self._restriction: Optional[RestrictionLayers] = None
         self._cursor = 0
-        #: prepared-restriction cache keyed by the caller's structural key
-        #: (e.g. ``("layerwise", batch_size)`` for the inference batch
-        #: grids).  Restrictions are deterministic per graph, so reusing the
-        #: prepared layers skips both the block restriction and the halo
-        #: routing exchange on every call after the first — the distributed
-        #: analogue of the single-machine structural plan cache.  Bounded:
-        #: each entry pins a full list of ``(shard view, halo)`` pairs, so
-        #: the LRU drops the least recently used key (and thereby frees its
-        #: grids) once :data:`RESTRICTION_CACHE_CAPACITY` distinct keys have
-        #: been evaluated.  Eviction only costs re-preparation on a later
-        #: revisit — never correctness — but every worker must keep the same
-        #: capacity so the replicated control flow re-prepares collectively.
-        self.restriction_cache: MutableMapping[Any, Any] = LRUDict(RESTRICTION_CACHE_CAPACITY)
 
     def in_edge_index(self):
         """This worker's complete per-local-dst in-edge buckets.
@@ -195,10 +177,10 @@ class DistributedGraph(_DistributedGraphBase):
         """Prepare per-conv-layer substitute block grids (collective call).
 
         The one way a restriction comes into being, shared by the persistent
-        MFG restriction (:meth:`mfg_blocks`), per-batch sampled training
-        (:mod:`repro.sample.distributed` samples a fresh grid every batch) and
-        per-batch layer-wise inference (:func:`repro.sample.inference.
-        distributed_layerwise_logits`).  Nothing is installed: the returned
+        MFG restriction (:meth:`mfg_blocks`) and per-batch sampled training
+        (:mod:`repro.sample.distributed` samples a fresh grid every batch).
+        Evaluation needs none: the unrestricted SAR forward already keeps one
+        remote block resident at a time.  Nothing is installed: the returned
         ``(restricted shard view, halo)`` pairs take effect only inside
         ``with self.restricted(layers):``, where conv layer ``l``'s
         aggregation runs over ``layer_blocks[l]`` — halo fetches (and the
@@ -220,16 +202,16 @@ class DistributedGraph(_DistributedGraphBase):
         recompute_in_degrees:
             Must be ``True`` for *sampled* grids so mean aggregation
             normalizes by the sampled degree; leave ``False`` when every
-            destination keeps its complete in-neighbourhood (MFG restriction,
-            layer-wise inference) so the full-graph degrees are reused.
+            destination keeps its complete in-neighbourhood (MFG restriction)
+            so the full-graph degrees are reused.
 
         Notes
         -----
         Collective: every worker must call this at the same point with grids
         describing the same global edge set — each restricted layer performs
         its own halo-routing exchange.  Entering the result is local, so a
-        deterministic restriction (the MFG grids, the layer-wise inference
-        batch grids) is prepared once and re-entered for free.
+        deterministic restriction (the MFG grids) is prepared once and
+        re-entered for free.
         """
         layers: RestrictionLayers = []
         for layer, blocks in enumerate(layer_blocks):
@@ -248,12 +230,12 @@ class DistributedGraph(_DistributedGraphBase):
         ``layers`` comes from :meth:`prepare_restriction`; ``None`` means
         unrestricted — full-graph rows even inside an outer scope.  The layer
         cursor is reset on entry and on exit, and whatever was in force
-        before is put back on exit, exceptions included, so scopes nest: a
-        layer-wise inference pass inside an MFG training scope leaves the MFG
-        layers in force.  No collective work happens here, but all workers
-        must agree on *which* layers are in force (the usual replicated-
-        control-flow discipline), since the halos' per-step fetches are
-        collective.
+        before is put back on exit, exceptions included, so scopes nest: an
+        evaluation forward inside an MFG training scope scores every row and
+        leaves the MFG layers in force.  No collective work happens here, but
+        all workers must agree on *which* layers are in force (the usual
+        replicated-control-flow discipline), since the halos' per-step
+        fetches are collective.
         """
         outer = self._restriction
         self._restriction, self._cursor = layers, 0

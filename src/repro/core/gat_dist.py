@@ -23,7 +23,8 @@ kernels — the reference the tests compare against.  Execution modes (from
 
 * vanilla DP (``mode="dp"``): halo feature blocks *and* per-edge attention
   tensors are wrapped in tensors and saved for the backward pass (the memory
-  profile of the standard DGL implementation), no backward re-fetch.
+  profile of the standard DGL implementation), no backward re-fetch; a
+  ``no_grad`` forward saves neither.
   ``fused`` decides what is saved per edge: raw scores and logits
   (``False``, the multi-step dataflow) or the logits alone (``True``);
 * SAR (``mode="sar"``): nothing edge-sized survives the forward pass; the
@@ -54,7 +55,7 @@ from repro.tensor.sparse import (
     segment_sum_np,
     u_mul_e_sum_np,
 )
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, grad_enabled
 
 
 # --------------------------------------------------------------------------- #
@@ -128,8 +129,9 @@ class GATKernel(BlockKernel):
         z_q, ss_q = self._unpack(feats)
         plan = block.plan()
         raw, logits = _block_logits(self.sd, ss_q, block, self.negative_slope, plan)
-        if self.config.is_domain_parallel:
-            # Vanilla DP materializes per-edge attention tensors in the graph.
+        if self.config.is_domain_parallel and grad_enabled():
+            # Vanilla DP materializes per-edge attention tensors in the graph
+            # (a no-grad forward records no graph to keep them in).
             saved = Tensor(logits if self.fused else np.stack([raw, logits]))
             self._saved_logits[q] = (plan, saved)
         if plan is not None:

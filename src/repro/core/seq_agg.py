@@ -50,7 +50,7 @@ from repro.core.halo import HaloExchange
 from repro.distributed.comm import Communicator
 from repro.partition.shard import EdgeBlock
 from repro.tensor.memory import active_tracker, track_memory
-from repro.tensor.tensor import Function, Tensor
+from repro.tensor.tensor import Function, Tensor, grad_enabled
 
 
 def block_order(rank: int, world_size: int) -> List[int]:
@@ -285,12 +285,14 @@ class SequentialAggregationEngine:
             # attached store) — re-publishing would copy the full feature
             # matrix into the shared store every step on the mp backend.
             self.comm.publish(f"{key}/h", payload)
-        save_halos = self.config.is_domain_parallel
+        # Vanilla DP keeps every halo for its backward; a no-grad forward
+        # (evaluation) has no backward, so it holds one block at a time like SAR.
+        save_halos = self.config.is_domain_parallel and grad_enabled()
         kernel.forward_init()
         for p in kernel.passes():
             kernel.begin_pass(p, backward=False)
-            for q, blk, feats, fetched in self._iter_fetch(p, key, payload,
-                                                          tag="forward_halo"):
+            for q, blk, feats, fetched in self._iter_fetch(p, key, payload, tag="forward_halo",
+                                                          keep_all=save_halos):
                 if fetched is not None and save_halos:
                     kernel.save_halo(p, q, fetched)
                 kernel.forward_block(p, q, blk, feats)
@@ -331,15 +333,16 @@ class SequentialAggregationEngine:
         store = self.feature_store
         return store is not None and store.covers(payload)
 
-    def _iter_fetch(self, p: KernelPass, key: str, payload: np.ndarray,
-                    tag: str) -> Iterator[Tuple[int, EdgeBlock, np.ndarray, Optional[Tensor]]]:
+    def _iter_fetch(self, p: KernelPass, key: str, payload: np.ndarray, tag: str,
+                    keep_all: bool = False
+                    ) -> Iterator[Tuple[int, EdgeBlock, np.ndarray, Optional[Tensor]]]:
         """Yield ``(q, block, feats, fetched)`` with fetching, retention, and
         (optionally) the prefetch pipeline applied.
 
         ``fetched`` is the remote block wrapped in a tracked :class:`Tensor`
-        (``None`` for the local block).  Under SAR the block is dropped as
-        soon as its compute finishes; under vanilla DP the caller keeps it
-        via ``kernel.save_halo``.
+        (``None`` for the local block).  The block is dropped as soon as its
+        compute finishes unless ``keep_all`` (a vanilla DP forward that
+        records a backward), where the caller keeps it via ``kernel.save_halo``.
 
         When the attached feature store covers the payload, remote rows come
         from the store's deduplicating hot-row cache (same values, fewer
@@ -369,7 +372,6 @@ class SequentialAggregationEngine:
             next_prefetch = 1
 
         resident: List[Tensor] = []
-        keep_all = config.is_domain_parallel
         for q in order:
             blk = p.blocks[q]
             if q == rank:

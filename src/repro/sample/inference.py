@@ -26,27 +26,24 @@ destination in original edge order — the resulting logits are
 **bit-identical** to the full-graph forward pass (the
 ``benchmarks/bench_inference.py --smoke`` CI gate).
 
-The distributed variant (:func:`distributed_layerwise_logits`) runs the same
-layer-by-layer loop on every SAR worker: per batch, each worker restricts its
-``G_{p,q}`` edge blocks to the batch destinations it owns
-(:func:`~repro.partition.shard.restrict_block_to_dst`), prepares them once
-(:meth:`~repro.core.dist_graph.DistributedGraph.prepare_restriction`) and
-runs the batch inside ``dist_graph.restricted(...)``, so each batch's halo
-exchange fetches only the sources feeding that batch.
+A partitioned graph needs no batching (:func:`distributed_layerwise_logits`):
+the SAR forward already computes one layer for every owned row before the
+next, and holds one remote ``G_{p,q}`` halo block at a time (paper §3), so a
+``no_grad`` SAR forward *is* the memory-bounded layer-by-layer evaluation.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.dist_graph import DistributedGraph
+from repro.core.dist_graph import DistributedGraph, DistributedHeteroGraph
 from repro.distributed.comm import SERVE_FRONTIER_TAG, SERVE_HALO_TAG
 from repro.graph.graph import Graph
 from repro.graph.hetero import HeteroGraph
 from repro.graph.mfg import block_from_in_edges
-from repro.partition.shard import restrict_block_to_dst
 from repro.sample.loader import num_batches_for
 from repro.store import FeatureStore, PartitionedKVStore, as_feature_store
 from repro.tensor import no_grad
@@ -238,38 +235,34 @@ class LayerWiseInference:
 
 
 def distributed_layerwise_logits(
-    dist_graph: DistributedGraph,
+    dist_graph: Union[DistributedGraph, DistributedHeteroGraph],
     model,
     features: np.ndarray,
     batch_size: int = 1024,
 ) -> np.ndarray:
-    """Layer-wise inference over a partitioned graph (collective call).
+    """Evaluation logits over a partitioned graph: one no-grad SAR forward (collective call).
 
-    Every SAR worker walks the identical global batch sequence (consecutive
-    global-id ranges); per batch it restricts each of its ``G_{p,q}`` edge
-    blocks to the batch destinations it owns and runs the layer inside a
-    :meth:`~repro.core.dist_graph.DistributedGraph.restricted` scope over
-    the single-layer grid — so the halo exchange of each batch fetches only
-    the (deduplicated) sources feeding that batch's rows, and no full-graph
-    forward pass (or multi-layer autograd graph) ever exists.
-
-    The restricted grids are deterministic per ``(graph, batch_size)``, so
-    the prepared ``(shard view, halo)`` pairs are cached on
-    ``dist_graph.restriction_cache`` — later layers of the same call and
-    every subsequent ``evaluate()`` re-enter them locally, performing zero
-    block restriction work and zero ``setup``-tagged routing exchanges (the
-    distributed analogue of the single-machine structural plan cache).
+    ``begin_step()``, then the model's forward over ``dist_graph`` in
+    ``eval()`` mode under ``no_grad``, outside any restriction scope.  The
+    forward is already layer-by-layer — layer ``l`` finishes on every owned
+    row before layer ``l + 1`` starts — and the SAR engine holds one remote
+    ``G_{p,q}`` halo block at a time and, with no backward to record, keeps
+    nothing edge-sized; even vanilla DP drops its halos under ``no_grad``.
+    So each layer fetches its halo once, and the worker's live tensors are
+    its owned input and output rows plus one remote block.  This is what the
+    distributed trainer's ``evaluate()`` runs, whatever ``eval_inference``
+    says.
 
     Parameters
     ----------
     dist_graph:
-        The worker's :class:`~repro.core.dist_graph.DistributedGraph`
-        (homogeneous graphs only).  Each batch runs in its own
-        ``restricted`` scope, so whatever scope the caller holds (an MFG
-        training restriction, or none) is back in force afterwards.
+        The worker's :class:`~repro.core.dist_graph.DistributedGraph` or
+        :class:`~repro.core.dist_graph.DistributedHeteroGraph`.  The forward
+        runs under ``restricted(None)``, so whatever scope the caller holds
+        (an MFG training restriction, or none) is back in force afterwards
+        and every row's logits are computed.
     model:
-        The worker's model replica (``num_layers`` + ``forward_layer``);
-        switched to ``eval()`` for the duration.
+        The worker's model replica; switched to ``eval()`` for the duration.
     features:
         ``(num_local_nodes, in_features)`` — this worker's feature rows, or
         a :class:`~repro.store.PartitionedKVStore` (its resident partition
@@ -277,7 +270,8 @@ def distributed_layerwise_logits(
         cache when it is attached to ``dist_graph``) or another
         :class:`~repro.store.FeatureStore` covering the local rows.
     batch_size:
-        Global batch size; must be identical on every worker.
+        Ignored; kept only for existing callers and due for removal with
+        this function's name.
 
     Returns
     -------
@@ -287,68 +281,31 @@ def distributed_layerwise_logits(
         floating-point reduction order (the per-partition partial sums
         accumulate block-sequentially).
     """
-    if not isinstance(dist_graph, DistributedGraph):
+    if not isinstance(dist_graph, (DistributedGraph, DistributedHeteroGraph)):
         raise ValueError(
-            "distributed layer-wise inference supports homogeneous "
-            "DistributedGraph handles only"
+            "distributed evaluation needs a DistributedGraph or "
+            "DistributedHeteroGraph handle"
         )
     if isinstance(features, PartitionedKVStore):
         features = features.local_matrix
     elif isinstance(features, FeatureStore):
         features = features.gather(None)
-    num_layers = check_layered_model(model)
-    batch_size = check_positive_int(batch_size, "batch_size")
-    shard = dist_graph.shard
-    num_total = dist_graph.num_total_nodes
-    num_local = shard.num_local_nodes
-    num_batches = num_batches_for(num_total, batch_size, drop_last=False)
-    # Local row of each global id on this worker (-1 when owned elsewhere).
-    local_of_global = np.full(num_total, -1, dtype=np.int64)
-    local_of_global[shard.global_node_ids] = np.arange(num_local, dtype=np.int64)
-
+    if features.shape[0] != dist_graph.num_nodes:
+        raise ValueError(
+            f"features has {features.shape[0]} rows but this worker owns "
+            f"{dist_graph.num_nodes} nodes"
+        )
+    # Only the homogeneous handle has restriction scopes.
+    unrestricted = (
+        dist_graph.restricted(None) if isinstance(dist_graph, DistributedGraph)
+        else nullcontext()
+    )
     was_training = model.training
     model.eval()
     try:
-        with no_grad():
-            h = Tensor(features)
-            if h.shape[0] != num_local:
-                raise ValueError(
-                    f"features has {h.shape[0]} rows but this worker owns "
-                    f"{num_local} nodes"
-                )
-            # The per-batch restricted grids depend only on (graph, batch
-            # size) — never on the layer, the features, or the call — so the
-            # prepared (shard view, halo) pairs are cached on the handle and
-            # every batch after the first-ever visit re-enters them locally,
-            # with no block restriction and no halo-routing exchange.  The
-            # cache grows deterministically on every worker (same batch
-            # sequence), keeping the collective control flow replicated.
-            prepared = dist_graph.restriction_cache.setdefault(("layerwise", batch_size), [])
-            for layer in range(num_layers):
-                out: Optional[Tensor] = None
-                for index in range(num_batches):
-                    lo = index * batch_size
-                    batch_global = np.arange(lo, min(lo + batch_size, num_total))
-                    owned_local = local_of_global[batch_global]
-                    owned_local = owned_local[owned_local >= 0]
-                    dist_graph.begin_step()
-                    if index == len(prepared):
-                        dst_mask = np.zeros(num_local, dtype=bool)
-                        dst_mask[owned_local] = True
-                        blocks = [restrict_block_to_dst(b, dst_mask) for b in shard.blocks]
-                        prepared.append(
-                            dist_graph.prepare_restriction([blocks], name=f"inf{index}")
-                        )
-                    # Local dense maps still cover every local row (replicated
-                    # model code is untouched); only the owned batch rows are
-                    # kept — their aggregations saw complete neighbourhoods.
-                    with dist_graph.restricted(prepared[index]):
-                        y = model.forward_layer(layer, dist_graph, h).data
-                    if out is None:
-                        out = Tensor(np.zeros((num_local, y.shape[1]), dtype=y.dtype))
-                    out.data[owned_local] = y[owned_local]
-                h = out
-            return h.data
+        with no_grad(), unrestricted:
+            dist_graph.begin_step()
+            return model(dist_graph, Tensor(features)).data
     finally:
         if was_training:
             model.train()

@@ -136,14 +136,16 @@ class TrainingConfig:
     #: sampler seed defaults to :attr:`seed`, so single-machine and
     #: distributed runs with the same config train the same batch sequence.
     sampler: Optional[NeighborSamplingConfig] = None
-    #: How evaluation computes its logits: ``"full"`` runs one full-graph
-    #: forward pass; ``"layerwise"`` runs the layer-wise full-neighbourhood
-    #: inference engine (:mod:`repro.sample.inference`) — bit-identical
-    #: logits on a single machine, with peak memory bounded by two full-width
-    #: layer matrices plus one batch instead of the whole multi-layer forward.
+    #: How single-machine evaluation computes its logits: ``"full"`` runs one
+    #: full-graph forward pass; ``"layerwise"`` runs the layer-wise
+    #: full-neighbourhood inference engine (:mod:`repro.sample.inference`) —
+    #: bit-identical logits, with peak memory bounded by two full-width layer
+    #: matrices plus one batch instead of the whole multi-layer forward.
+    #: Distributed workers ignore it: their evaluation is one no-grad SAR
+    #: forward, which already holds one remote halo block at a time.
     eval_inference: str = "full"
-    #: Destination nodes per layer-wise inference batch (``eval_inference=
-    #: "layerwise"``); identical on every worker in distributed runs.
+    #: Destination nodes per single-machine layer-wise inference batch
+    #: (``eval_inference="layerwise"``); distributed workers ignore it.
     eval_batch_size: int = 1024
     #: Feature backend.  Single-machine: a :class:`~repro.store.FeatureStore`
     #: instance (or a plain matrix) replacing ``dataset.features`` — a
@@ -356,8 +358,11 @@ class _EpochLoop:
         """
         raise NotImplementedError
 
-    def _infer_layerwise(self, features: np.ndarray) -> np.ndarray:
-        """Layer-wise inference logits for every (local) row."""
+    def _eval_logits(self, features: np.ndarray) -> np.ndarray:
+        """Evaluation logits for every (local) row of the unrestricted graph.
+
+        Called in eval mode under ``no_grad``; collective in distributed runs.
+        """
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
@@ -434,14 +439,15 @@ class _EpochLoop:
     def evaluate(self) -> Tuple[Dict[str, float], np.ndarray]:
         """Accuracies on train/val/test plus the raw logits of every (local) row.
 
-        ``config.eval_inference`` picks the route: ``"full"`` is one full-graph
-        forward pass; ``"layerwise"`` computes each layer for all nodes,
-        ``config.eval_batch_size`` rows at a time, before the next
-        (:mod:`repro.sample.inference`) — no full-graph forward is ever
-        materialized, and on a single machine the logits are bit-identical.
-        Evaluation always scores the unrestricted graph.  Collective in
-        distributed runs, where heterogeneous handles always take the full
-        pass (restriction is homogeneous-only).
+        On a single machine ``config.eval_inference`` picks the route:
+        ``"full"`` is one full-graph forward pass; ``"layerwise"`` computes
+        each layer for all nodes, ``config.eval_batch_size`` rows at a time,
+        before the next (:mod:`repro.sample.inference`) — no full-graph
+        forward is ever materialized, and the logits are bit-identical.  A
+        distributed worker runs one no-grad SAR forward for either value
+        (:func:`~repro.sample.inference.distributed_layerwise_logits`): it
+        already holds one remote halo block at a time.  Evaluation always
+        scores the unrestricted graph, and is collective in distributed runs.
         """
         self.model.eval()
         with no_grad():
@@ -453,13 +459,7 @@ class _EpochLoop:
                 # read-only store's is the backing matrix — either way the
                 # store *is* the feature source at evaluation time too.
                 features = features.gather(None)
-            if self.config.eval_inference == "layerwise" \
-                    and not isinstance(self.graph, DistributedHeteroGraph):
-                logits = self._infer_layerwise(features)
-            else:
-                if self.comm is not None:
-                    self.graph.begin_step()
-                logits = self.model(self.graph, Tensor(features)).data
+            logits = self._eval_logits(features)
         report = evaluation_report(logits, self.labels, self.masks, self.comm)
         self.model.train()
         return report, logits
@@ -570,13 +570,16 @@ class FullBatchTrainer(_EpochLoop):
             x = Tensor(features) if store is None else store.gather_tensor(None)
             yield self.graph, x, labels, predict_mask
 
-    def _infer_layerwise(self, features: np.ndarray) -> np.ndarray:
-        """Run the cached layer-wise engine (rebuilt when the batch size changes).
+    def _eval_logits(self, features: np.ndarray) -> np.ndarray:
+        """One full-graph forward, or the cached layer-wise engine.
 
-        Caching keeps the engine's per-batch blocks — and the edge plan each
-        block holds — alive across evaluation calls, so repeated evaluations
-        build no block and never re-derive sparsity.
+        The engine is rebuilt when the batch size changes.  Caching keeps its
+        per-batch blocks — and the edge plan each block holds — alive across
+        evaluation calls, so repeated evaluations build no block and never
+        re-derive sparsity.
         """
+        if self.config.eval_inference != "layerwise":
+            return self.model(self.graph, Tensor(features)).data
         engine = self._inference_engine
         if engine is None or engine.batch_size != self.config.eval_batch_size:
             engine = LayerWiseInference(self.model, self.graph,
@@ -713,9 +716,10 @@ class _DistributedWorker(_EpochLoop):
             # rather than blocking on a possibly-stuck collective.
             executor.shutdown(wait=False, cancel_futures=True)
 
-    def _infer_layerwise(self, features: np.ndarray) -> np.ndarray:
-        return distributed_layerwise_logits(self.graph, self.model, features,
-                                            batch_size=self.config.eval_batch_size)
+    def _eval_logits(self, features: np.ndarray) -> np.ndarray:
+        """One no-grad SAR forward, whatever ``eval_inference`` says: it
+        already holds one remote halo block at a time."""
+        return distributed_layerwise_logits(self.graph, self.model, features)
 
 
 def distributed_train_worker(rank: int, comm: Communicator, shard, *,

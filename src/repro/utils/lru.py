@@ -1,15 +1,13 @@
 """A small bounded mapping with least-recently-used eviction.
 
-Several subsystems memoize expensive prepared state under a structural key —
-the distributed restriction grids of
-:func:`repro.sample.inference.distributed_layerwise_logits` being the
-motivating case: each ``("layerwise", batch_size)`` key pins a full list of
-``(shard view, halo)`` pairs, so an unbounded ``dict`` accrues one graph-sized
-entry per batch size ever evaluated.  :class:`LRUDict` is a drop-in
-replacement: plain mapping semantics (``[]``, ``get``, ``setdefault``, ``in``,
-``len``), with reads refreshing recency and inserts evicting the
-least-recently-used entry once ``capacity`` is exceeded — dropping the last
-reference so the evicted value's memory is actually reclaimable.
+Several subsystems memoize expensive prepared state under a key — the
+structural edge-plan cache (:mod:`repro.tensor.edge_plan`) keeps one plan per
+graph structure, and an unbounded ``dict`` would accrue one edge-sized entry
+per structure ever seen.  :class:`LRUDict` is a drop-in replacement: plain
+mapping semantics (``[]``, ``get``, ``setdefault``, ``in``, ``len``), with
+reads refreshing recency and inserts evicting the least-recently-used entry
+once ``capacity`` is exceeded — dropping the last reference so the evicted
+value's memory is actually reclaimable.
 
 The mapping can additionally (or instead) be bounded by **bytes**: with
 ``byte_budget`` set, each value's size is measured on insert (``sizeof``, by

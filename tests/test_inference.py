@@ -10,16 +10,14 @@ The subsystem contract under test (``repro/sample/inference.py``):
   its edge plan) for every later layer and every later run;
 * ``FullBatchTrainer.evaluate()`` under ``eval_inference="layerwise"`` is a
   drop-in for the full pass, including after neighbour-sampled training;
-* the distributed variant matches single-machine inference to 1e-6 and
-  leaves the enclosing restriction scope (MFG / sampled) in force;
+* distributed evaluation is the unrestricted no-grad SAR forward bit for bit
+  (DP included), matches single-machine inference to 1e-6, and leaves the
+  enclosing restriction scope (MFG / sampled) in force;
 * the sharded serving walk (``distributed_restricted_logits``) runs over
   blocks from the same builder.
 """
 
 from __future__ import annotations
-
-import gc
-import weakref
 
 import numpy as np
 import pytest
@@ -43,9 +41,9 @@ from repro.sample.inference import distributed_restricted_logits
 from repro.store import PartitionedKVStore, SparseEmbeddingStore
 from repro.tensor import Tensor, no_grad
 from repro.tensor import edge_plan as edge_plan_mod
-from repro.training.trainer import FullBatchTrainer, TrainingConfig
+from repro.training.trainer import DistributedTrainer, FullBatchTrainer, TrainingConfig
 from repro.utils.lru import LRUDict
-from repro.utils.seed import set_seed
+from repro.utils.seed import set_seed, temp_seed
 
 
 def _full_logits(model, graph, features) -> np.ndarray:
@@ -332,7 +330,7 @@ def test_adaptive_rejects_bad_budget(dataset):
 
 
 # --------------------------------------------------------------------------- #
-# bounded restriction cache
+# the bounded LRU mapping
 # --------------------------------------------------------------------------- #
 def test_lru_dict_semantics():
     lru = LRUDict(capacity=2)
@@ -396,7 +394,7 @@ def test_sampled_training_with_layerwise_eval_parity(dataset, fanouts):
 
 
 # --------------------------------------------------------------------------- #
-# distributed layer-wise inference
+# distributed evaluation
 # --------------------------------------------------------------------------- #
 def _fixed_model(dataset, kind: str):
     set_seed(0)
@@ -423,9 +421,20 @@ def _install_weights(model, weights):
     return model
 
 
+def _sar_forward(dist_graph, model, features) -> np.ndarray:
+    """One unrestricted eval-mode no-grad forward, written out by hand."""
+    model.eval()
+    with no_grad(), dist_graph.restricted(None):
+        dist_graph.begin_step()
+        logits = model(dist_graph, Tensor(features)).data
+    model.train()
+    return logits
+
+
 @pytest.mark.parametrize("kind", ["sage", "gat"])
 @pytest.mark.parametrize("world_size", [2, 3])
 def test_distributed_layerwise_matches_single_machine(dataset, kind, world_size):
+    """The evaluation is the SAR forward bit for bit, and single-machine to 1e-6."""
     dataset.attach_to_graph()
     template = _fixed_model(dataset, kind)
     weights = _weights_of(template)
@@ -443,6 +452,10 @@ def test_distributed_layerwise_matches_single_machine(dataset, kind, world_size)
         local = distributed_layerwise_logits(
             dist_graph, model, shard.node_data["feat"], batch_size=60
         )
+        assert model.training  # eval() was temporary
+        np.testing.assert_array_equal(
+            local, _sar_forward(dist_graph, model, shard.node_data["feat"])
+        )
         return local, dist_graph.global_node_ids
 
     result = run_distributed(worker, world_size, worker_args=shards)
@@ -452,10 +465,39 @@ def test_distributed_layerwise_matches_single_machine(dataset, kind, world_size)
     np.testing.assert_allclose(assembled, reference, atol=1e-6)
 
 
+def test_dp_evaluation_drops_its_halos_under_no_grad(dataset):
+    """With no backward to record, vanilla DP keeps one remote block and no
+    per-edge attention tensor: the same logits and tracked peak as SAR."""
+    dataset.attach_to_graph()
+    weights = _weights_of(_fixed_model(dataset, "gat"))
+    world_size = 3
+    book = PartitionBook(partition_graph(dataset.graph, world_size, seed=0), world_size)
+    shards = create_shards(dataset.graph, book)
+
+    def run(mode):
+        def worker(rank, comm, shard):
+            dist_graph = DistributedGraph(shard, comm, SARConfig(mode=mode))
+            model = _install_weights(_fixed_model(dataset, "gat"), weights)
+            logits = distributed_layerwise_logits(dist_graph, model, shard.node_data["feat"])
+            remote_blocks = sum(
+                1 for q, block in enumerate(shard.blocks) if q != rank and block.num_edges
+            )
+            return logits, dist_graph.engine.max_resident_remote_blocks, remote_blocks
+
+        return run_distributed(worker, world_size, worker_args=shards)
+
+    sar, dp = run("sar"), run("dp")
+    for (sar_logits, _, _), (dp_logits, resident, remote_blocks) in zip(sar.results, dp.results):
+        assert remote_blocks == 2  # otherwise the bound is vacuous
+        assert resident == 1
+        np.testing.assert_array_equal(dp_logits, sar_logits)
+    assert dp.peak_memory_bytes == sar.peak_memory_bytes
+
+
 def test_layerwise_pass_inside_mfg_scope_leaves_mfg_in_force(dataset):
-    """Scopes nest: a layer-wise pass inside an MFG scope runs its own
-    per-batch scopes and leaves the MFG layers in force, and ``restricted(None)``
-    inside the scope yields full-graph rows."""
+    """Scopes nest: an evaluation inside an MFG scope scores every row, bit
+    for bit as an unrestricted step, and leaves the MFG layers in force, as
+    ``restricted(None)`` inside the scope does."""
     dataset.attach_to_graph()
     template = _fixed_model(dataset, "sage")
     weights = _weights_of(template)
@@ -488,84 +530,37 @@ def test_layerwise_pass_inside_mfg_scope_leaves_mfg_in_force(dataset):
             _, bytes_after = step()  # still restricted to the MFG layers
             with dist_graph.restricted(None):
                 inner_logits, inner_bytes = step()
+        np.testing.assert_array_equal(local, full_logits)
         np.testing.assert_array_equal(inner_logits, full_logits)
         assert [view.halo_size for view, _ in mfg] == halo_sizes
-        return local, bytes_before, bytes_after, inner_bytes, full_bytes
+        return bytes_before, bytes_after, inner_bytes, full_bytes
 
     result = run_distributed(worker, 2, worker_args=shards)
-    for local, bytes_before, bytes_after, inner_bytes, full_bytes in result.results:
-        assert local.shape[1] == dataset.num_classes
+    for bytes_before, bytes_after, inner_bytes, full_bytes in result.results:
         assert bytes_after == bytes_before < full_bytes == inner_bytes
 
 
-def test_distributed_layerwise_restriction_cache_reused(dataset):
-    """Repeat evaluations reinstall cached restriction grids: zero additional
-    setup-tagged routing traffic, identical logits."""
-    dataset.attach_to_graph()
-    template = _fixed_model(dataset, "sage")
-    weights = _weights_of(template)
-    book = PartitionBook(partition_graph(dataset.graph, 2, seed=0), 2)
-    shards = create_shards(dataset.graph, book)
-    batch_size = 60
-    num_batches = -(-dataset.graph.num_nodes // batch_size)
+@pytest.mark.parametrize("kind", ["sage", "gat"])
+def test_distributed_trainer_eval_modes_agree(dataset, kind):
+    """A distributed worker evaluates by one SAR forward whichever mode is set."""
 
-    def worker(rank, comm, shard):
-        dist_graph = DistributedGraph(shard, comm, SARConfig(mode="sar"))
-        model = _install_weights(_fixed_model(dataset, "sage"), weights)
-        model.set_comm(comm)
-        first = distributed_layerwise_logits(
-            dist_graph, model, shard.node_data["feat"], batch_size=batch_size
+    def factory(in_features):
+        with temp_seed(0):
+            if kind == "sage":
+                return GraphSageNet(in_features, 16, dataset.num_classes, num_layers=2,
+                                    dropout=0.0, use_batch_norm=True)
+            return GATNet(in_features, 8, dataset.num_classes, num_layers=2, num_heads=2,
+                          dropout=0.0, use_batch_norm=True)
+
+    logits = {}
+    for mode in ("full", "layerwise"):
+        trainer = DistributedTrainer(
+            dataset, factory, num_workers=2, sar_config=SARConfig("sar"),
+            config=TrainingConfig(num_epochs=2, lr=0.05, seed=0, eval_inference=mode,
+                                  eval_batch_size=32),
         )
-        setup_after_first = comm.stats.received_by_tag.get("setup", 0)
-        second = distributed_layerwise_logits(
-            dist_graph, model, shard.node_data["feat"], batch_size=batch_size
-        )
-        setup_after_second = comm.stats.received_by_tag.get("setup", 0)
-        np.testing.assert_array_equal(first, second)
-        cached = dist_graph.restriction_cache[("layerwise", batch_size)]
-        return setup_after_second - setup_after_first, len(cached)
-
-    result = run_distributed(worker, 2, worker_args=shards)
-    for extra_setup_bytes, cached_grids in result.results:
-        assert extra_setup_bytes == 0
-        assert cached_grids == num_batches
-
-
-def test_restriction_cache_lru_eviction_frees_grids(dataset):
-    """Beyond capacity, the bounded restriction cache drops the oldest
-    prepared grids — and dropping them actually releases the memory (no
-    stray strong references keep the shard views alive)."""
-    dataset.attach_to_graph()
-    template = _fixed_model(dataset, "sage")
-    weights = _weights_of(template)
-    book = PartitionBook(partition_graph(dataset.graph, 2, seed=0), 2)
-    shards = create_shards(dataset.graph, book)
-
-    def worker(rank, comm, shard):
-        dist_graph = DistributedGraph(shard, comm, SARConfig(mode="sar"))
-        assert isinstance(dist_graph.restriction_cache, LRUDict)
-        # Shrink to one entry so the second batch size must evict the first.
-        dist_graph.restriction_cache = LRUDict(capacity=1)
-        model = _install_weights(_fixed_model(dataset, "sage"), weights)
-        model.set_comm(comm)
-        distributed_layerwise_logits(
-            dist_graph, model, shard.node_data["feat"], batch_size=60
-        )
-        # cache value: per-batch list of per-layer (shard view, halo) pairs.
-        first_view = weakref.ref(
-            dist_graph.restriction_cache[("layerwise", 60)][0][0][0]
-        )
-        distributed_layerwise_logits(
-            dist_graph, model, shard.node_data["feat"], batch_size=80
-        )
-        assert ("layerwise", 60) not in dist_graph.restriction_cache
-        assert ("layerwise", 80) in dist_graph.restriction_cache
-        assert dist_graph.restriction_cache.evictions == 1
-        gc.collect()
-        return first_view() is None
-
-    result = run_distributed(worker, 2, worker_args=shards)
-    assert all(result.results)
+        logits[mode] = trainer.assemble_global_predictions(trainer.run())
+    np.testing.assert_array_equal(logits["layerwise"], logits["full"])
 
 
 def test_distributed_layerwise_rejects_wrong_inputs(dataset):
@@ -582,6 +577,8 @@ def test_distributed_layerwise_rejects_wrong_inputs(dataset):
             distributed_layerwise_logits(
                 dist_graph, model, np.zeros((3, dataset.feature_dim), dtype=np.float32)
             )
+        with pytest.raises(ValueError, match="DistributedGraph"):
+            distributed_layerwise_logits(shard, model, shard.node_data["feat"])
         return True
 
     result = run_distributed(worker, 2, worker_args=shards)

@@ -354,13 +354,22 @@ class TestMultiprocessBackend:
         assert min(processes.peak_memory_bytes) > 0
         assert all(t > 0 for t in processes.compute_times)
 
-    @pytest.mark.parametrize("world_size", [2, 3])
-    @pytest.mark.parametrize("mode", ["sar", "dp"])
-    def test_sage_training_epoch_matches_thread_backend(self, mode, world_size):
+    @pytest.mark.parametrize(
+        "mode, world_size, eval_inference",
+        [("sar", 2, "full"), ("sar", 3, "full"), ("dp", 2, "full"), ("dp", 3, "full"),
+         ("sar", 2, "layerwise")],
+        ids=["sar-2", "sar-3", "dp-2", "dp-3", "sar-2-layerwise"],
+    )
+    def test_sage_training_epoch_matches_thread_backend(self, mode, world_size,
+                                                        eval_inference):
         # GraphSAGE (SAR case 1) with a widening and a narrowing layer: the
-        # same loss and the same per-rank bytes on threads and processes.
+        # same loss and the same per-rank bytes on threads and processes.  A
+        # worker evaluates with one SAR forward whatever eval_inference says:
+        # at 32 rows per batch over 120 nodes a batched walk would move other
+        # halo bytes, the forward moves exactly one more halo.
         dataset = _parity_dataset()
-        config = TrainingConfig(num_epochs=1, lr=0.05, eval_every=0, seed=0)
+        config = TrainingConfig(num_epochs=1, lr=0.05, eval_every=0, seed=0,
+                                eval_inference=eval_inference, eval_batch_size=32)
         shards = create_shards(dataset.graph, PartitionBook(
             partition_graph(dataset.graph, world_size, seed=0), world_size))
         threads, processes = self._sage_both_backends(config, SARConfig(mode), shards)

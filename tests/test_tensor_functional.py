@@ -51,6 +51,34 @@ class TestActivations:
         x = _t((8,), rng)
         check_gradients(lambda: (F.elu(x) ** 2).sum(), [x])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 2.0])
+    def test_elu_matches_the_select_reference_bit_for_bit(self, rng, dtype, alpha):
+        """Forward and backward equal ``np.where(x > 0, ...)`` exactly,
+        signed zeros, infinities and subnormals included."""
+        info = np.finfo(dtype)
+        special = [0.0, -0.0, np.inf, -np.inf, info.smallest_subnormal,
+                   -info.smallest_subnormal, info.tiny / 4, -info.tiny / 4, info.max, -info.max]
+        x = np.concatenate([special, rng.standard_normal(500)]).astype(dtype)
+        grad = np.concatenate([[1.0, -1.0, -0.0, 0.0, np.inf, -1.0, 2.0, -2.0, 1.0, -0.0],
+                               rng.standard_normal(500)]).astype(dtype)
+        fn = F.ELU()
+        fn.needs_grad = True
+        out = fn.forward(Tensor(x, dtype=dtype), alpha)
+        (got_grad,) = fn.backward(grad)
+        mask = x > 0
+        neg = alpha * (np.exp(np.minimum(x, 0.0)) - 1.0)
+        for got, want in ((out, np.where(mask, x, neg)),
+                          (got_grad, np.where(mask, grad, grad * (neg + alpha)))):
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_elu_gradients_any_alpha(self, rng, alpha):
+        x = _t((8,), rng)
+        check_gradients(lambda: (F.elu(x, alpha) ** 2).sum(), [x])
+
 
 class TestSoftmax:
     def test_rows_sum_to_one(self, rng):
