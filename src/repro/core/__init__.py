@@ -5,7 +5,7 @@ abstraction:
 
 * :class:`~repro.core.seq_agg.SequentialAggregationEngine` — owns the SAR /
   domain-parallel block loop shared by *every* aggregator: block scheduling,
-  halo fetch/retention, the double-buffered prefetch pipeline (§3.4), the
+  halo fetch/retention, the double-buffered halo prefetch (§3.4), the
   backward re-fetch for case-2 aggregators, and the all-to-all error
   exchange.
 * :class:`~repro.core.seq_agg.BlockKernel` — the per-aggregator plug-in

@@ -16,11 +16,11 @@ aggregator:
   partitions round-robin starting at ``rank + 1``),
 * publish/fetch key management and the halo-retention policy (SAR keeps one
   remote block resident, vanilla DP keeps them all),
-* a real double-buffered **prefetch pipeline**: with
-  ``SARConfig(prefetch=True)`` the next block's fetch is issued on a
-  background thread while the current block computes, bounding resident
-  remote blocks at two (the paper's 3/N memory point) while overlapping
-  communication with compute,
+* the halo **prefetch**: with ``SARConfig(prefetch=True)`` the next block's
+  fetch runs on a background :class:`~repro.utils.prefetch.Prefetcher`
+  thread while the current block computes, bounding resident remote blocks
+  at two (the paper's 3/N memory point) while overlapping communication
+  with compute,
 * the backward re-fetch for nonlinear ("case 2") kernels, and
 * the per-pass all-to-all error exchange and scatter-add.
 
@@ -39,7 +39,6 @@ concrete kernels live next to their models:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -51,6 +50,7 @@ from repro.distributed.comm import Communicator
 from repro.partition.shard import EdgeBlock
 from repro.tensor.memory import active_tracker, track_memory
 from repro.tensor.tensor import Function, Tensor, grad_enabled
+from repro.utils.prefetch import Prefetcher
 
 
 def block_order(rank: int, world_size: int) -> List[int]:
@@ -169,63 +169,6 @@ class BlockKernel:
         return self._saved_halos[(p.index, q)].data
 
 
-class _PrefetchPipeline:
-    """Double-buffered background fetcher (one fetch in flight at a time).
-
-    The fetch itself is a caller-supplied ``fetch_fn(q, rows)`` — a raw
-    ``comm.fetch`` of the published payload, or the attached feature store's
-    cached :meth:`~repro.store.PartitionedKVStore.fetch_rows` — so prefetch
-    overlap composes with hot-row caching unchanged.
-
-    The fetched block is wrapped in a :class:`Tensor` *on the fetcher thread*
-    under the consumer's memory tracker, so the in-flight buffer counts
-    towards the worker's peak exactly like a resident halo block — the
-    3/N-instead-of-2/N accounting of §3.4.
-    """
-
-    def __init__(self, fetch_fn):
-        self._fetch = fetch_fn
-        self._tracker = active_tracker()
-        self._thread: Optional[threading.Thread] = None
-        self._q: Optional[int] = None
-        self._result: Optional[Tensor] = None
-        self._error: Optional[BaseException] = None
-
-    @property
-    def busy(self) -> bool:
-        return self._thread is not None
-
-    def issue(self, q: int, rows: np.ndarray) -> None:
-        def _run() -> None:
-            try:
-                if self._tracker is not None:
-                    with track_memory(self._tracker):
-                        self._result = Tensor(self._fetch(q, rows))
-                else:
-                    self._result = Tensor(self._fetch(q, rows))
-            except BaseException as exc:  # noqa: BLE001 - re-raised in take()
-                self._error = exc
-
-        self._q = q
-        self._result = None
-        self._error = None
-        self._thread = threading.Thread(target=_run, name="sar-prefetch", daemon=True)
-        self._thread.start()
-
-    def take(self, q: int, rows: np.ndarray) -> Tensor:
-        thread, expected = self._thread, self._q
-        self._thread = None
-        if thread is None or expected != q:
-            # Defensive fallback; the engine always consumes in issue order.
-            return Tensor(self._fetch(q, rows))
-        thread.join()
-        if self._error is not None:
-            raise self._error
-        result = self._result
-        self._result = None
-        return result
-
-
 class SequentialAggregation(Function):
     """Autograd wrapper: ``forward`` runs the engine's sequential sweep,
     ``backward`` the rematerializing sweep plus the error exchange."""
@@ -337,7 +280,7 @@ class SequentialAggregationEngine:
                     keep_all: bool = False
                     ) -> Iterator[Tuple[int, EdgeBlock, np.ndarray, Optional[Tensor]]]:
         """Yield ``(q, block, feats, fetched)`` with fetching, retention, and
-        (optionally) the prefetch pipeline applied.
+        (optionally) the halo prefetch applied.
 
         ``fetched`` is the remote block wrapped in a tracked :class:`Tensor`
         (``None`` for the local block).  The block is dropped as soon as its
@@ -363,30 +306,36 @@ class SequentialAggregationEngine:
 
         order = [q for q in block_order(rank, comm.world_size)
                  if p.blocks[q].num_edges > 0]
-        remotes = [q for q in order if q != rank]
-        pipeline: Optional[_PrefetchPipeline] = None
-        next_prefetch = 0
-        if config.prefetch and remotes:
-            pipeline = _PrefetchPipeline(fetch_fn)
-            pipeline.issue(remotes[0], p.blocks[remotes[0]].required_src_local)
-            next_prefetch = 1
+
+        def fetch(q: int) -> Optional[Tensor]:
+            if q == rank:
+                return None
+            return Tensor(fetch_fn(q, p.blocks[q].required_src_local))
+
+        fetched_blocks = map(fetch, order)
+        if config.prefetch:
+            tracker = active_tracker()
+
+            def fetch_ahead(q: int) -> Optional[Tensor]:
+                # Wrapped on the fetcher thread under the consumer's tracker,
+                # so the in-flight block counts towards the worker's peak like
+                # a resident one — the 3/N-instead-of-2/N accounting of §3.4.
+                with track_memory(tracker):
+                    return fetch(q)
+
+            # The local block is an item too: its (empty) job lets the first
+            # remote fetch overlap the local block's compute.
+            fetched_blocks = Prefetcher(max_resident=2, name="halo").run(fetch_ahead, order)
 
         resident: List[Tensor] = []
-        for q in order:
+        for position, fetched in enumerate(fetched_blocks):
+            q = order[position]
             blk = p.blocks[q]
-            if q == rank:
+            if fetched is None:
                 yield q, blk, _local_rows(payload, blk), None
                 continue
-            if pipeline is not None:
-                fetched = pipeline.take(q, blk.required_src_local)
-                if next_prefetch < len(remotes):
-                    nq = remotes[next_prefetch]
-                    pipeline.issue(nq, p.blocks[nq].required_src_local)
-                    next_prefetch += 1
-            else:
-                fetched = Tensor(fetch_fn(q, blk.required_src_local))
             resident.append(fetched)
-            in_flight = 1 if (pipeline is not None and pipeline.busy) else 0
+            in_flight = int(config.prefetch and position + 1 < len(order))
             self.max_resident_remote_blocks = max(
                 self.max_resident_remote_blocks, len(resident) + in_flight
             )

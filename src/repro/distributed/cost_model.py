@@ -36,11 +36,11 @@ from repro.distributed.cluster import ClusterRunResult
 #: synchronization points and stay serial.
 PREFETCH_OVERLAP_TAGS = ("forward_halo", "backward_refetch")
 
-#: Tags hidden when the distributed sampled-training loop pipelines batch
-#: b+1's cooperative sampling (the per-layer frontier allgathers, tagged
+#: Tags hidden when the distributed sampled-training loop samples batch b+1
+#: cooperatively (the per-layer frontier allgathers, tagged
 #: ``sample_frontier``) behind batch b's compute — see
-#: ``repro.training.trainer`` (``_sampled_blocks``) and
-#: ``NeighborSamplingConfig.overlap_sampling``.
+#: ``repro.training.trainer`` (``_sampled_blocks``); it does whenever
+#: ``NeighborSamplingConfig.num_workers >= 1`` and ``max_resident_batches >= 2``.
 SAMPLING_OVERLAP_TAGS = ("sample_frontier",)
 
 #: Everything the sampled data path can hide at once: halo prefetch plus the

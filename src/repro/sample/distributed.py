@@ -64,9 +64,6 @@ class DistributedSamplingPlan:
     #: global node id -> owning partition
     assignment: np.ndarray
     worker_indexes: List[InEdgeIndex]
-    #: pipeline batch b+1's sampling behind batch b's compute (see
-    #: ``NeighborSamplingConfig.overlap_sampling``)
-    overlap: bool = True
 
     @property
     def num_layers(self) -> int:
@@ -112,7 +109,6 @@ def build_sampling_plan(
         train_seed_ids=np.asarray(train_seed_ids, dtype=np.int64),
         assignment=assignment,
         worker_indexes=worker_indexes,
-        overlap=config.overlap_sampling,
     )
 
 
@@ -136,7 +132,8 @@ class DistributedNeighborSampler:
         by ``(epoch, batch, layer)``, barrier-free — instead of the plain
         counter-ordered ``allgather``, so the whole protocol may run on a
         background thread while the main thread executes batch b's barrier
-        collectives (see ``NeighborSamplingConfig.overlap_sampling``).
+        collectives (the trainer's sample-ahead, bounded by
+        ``NeighborSamplingConfig.max_resident_batches``).
 
         Reclamation needs no acknowledgement round-trip: this allgather
         completing means every rank *published* under ``stream_key``, and a

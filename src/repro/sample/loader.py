@@ -1,22 +1,18 @@
-"""Mini-batch data loader: shuffled seed batches over staged prefetch.
+"""Mini-batch data loader: shuffled seed batches over bounded prefetch.
 
 The loader owns the epoch structure of sampled training: a deterministic
-per-epoch shuffle of the seed nodes, fixed-size batches, and a staged
-background pipeline (:class:`~repro.sample.pipeline.StagedPipeline`) that
-runs item-slicing, neighbour sampling, block compaction, and (optionally)
-feature fetching as separate prefetch stages — so compaction and feature
-gathering of batch b overlap the sampling of batch b+1 while batch b-1
-trains.  The residency discipline is unchanged from the original
-single-queue design: at most :attr:`MiniBatchDataLoader.max_resident`
-sampled batches are materialized at any moment (default 2 — the batch being
-consumed plus one prefetching in flight), counting batches in flight in any
-stage.  The bound is a constructor argument (``max_resident=``), asserted
-inside the pipeline's admission loop and surfaced as the
-:attr:`MiniBatchDataLoader.peak_resident_batches` telemetry.
+per-epoch shuffle of the seed nodes, fixed-size batches, and a background
+:class:`~repro.utils.prefetch.Prefetcher` that builds each batch — neighbour
+sampling, block compaction and (optionally) the feature fetch — as one job on
+``num_workers`` threads while earlier batches train.  At most
+:attr:`MiniBatchDataLoader.max_resident` sampled batches are materialized at
+any moment (default 2 — the batch being consumed plus one in flight); the
+high-water mark is surfaced as
+:attr:`MiniBatchDataLoader.peak_resident_batches`.
 
 Feature fetching is opt-in: :meth:`MiniBatchDataLoader.set_features` hands
 the loader the feature matrix, after which every yielded batch arrives with
-:attr:`MiniBatch.inputs` already gathered on a pipeline stage instead of on
+:attr:`MiniBatch.inputs` already gathered by the prefetch job instead of on
 the training thread.
 
 Determinism is inherited from the sampler (see
@@ -30,15 +26,15 @@ reproduce the exact global batch sequence without communicating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.graph.mfg import MFGPipeline
 from repro.sample.neighbor import NeighborSampler
-from repro.sample.pipeline import Stage, StagedPipeline
 from repro.store import FeatureStore, as_feature_store
+from repro.utils.prefetch import Prefetcher
 from repro.utils.seed import derive_rng
 from repro.utils.validation import check_1d_int_array, check_positive_int
 
@@ -83,10 +79,15 @@ class NeighborSamplingConfig:
         :class:`~repro.sample.neighbor.NeighborSampler` and
         :class:`MiniBatchDataLoader`).
     num_workers:
-        Background sampling threads (``0`` = synchronous).
+        Background sampling threads (``0`` = synchronous).  A distributed
+        worker samples on at most one thread (its cooperative frontier
+        exchanges must run in batch order), so there any value ``>= 1``
+        means one.
     max_resident_batches:
-        Bound on sampled-but-unconsumed batches (the prefetch window),
-        forwarded to :attr:`MiniBatchDataLoader.max_resident`.
+        Bound on materialized sampled batches, the one being trained
+        included (the prefetch window) — on one machine
+        (:attr:`MiniBatchDataLoader.max_resident`) and on every distributed
+        worker alike.
     seed:
         Base sampler seed; ``None`` falls back to the training config's seed
         so one seed pins the whole run.  Identical configs train identical
@@ -102,14 +103,8 @@ class NeighborSamplingConfig:
     drop_last: bool = False
     #: background sampling threads (0 = sample synchronously on the consumer)
     num_workers: int = 1
-    #: bound on sampled-but-unconsumed batches (the prefetch window)
+    #: bound on materialized sampled batches, the one being trained included
     max_resident_batches: int = 2
-    #: distributed runs only: sample batch b+1's blocks (cooperative
-    #: frontier allgathers included) on a background thread while batch b
-    #: computes.  Never changes what is sampled — only when the wire time
-    #: is paid.  Ignored by the single-machine loader path, which always
-    #: prefetches via its staged pipeline.
-    overlap_sampling: bool = True
     seed: Optional[int] = None
 
 
@@ -122,8 +117,8 @@ class MiniBatch:
     #: seed node ids, deduplicated ascending — identical to ``pipeline.output_nodes``
     seeds: np.ndarray
     pipeline: MFGPipeline
-    #: layer-0 input features, pre-gathered by the loader's feature-fetch
-    #: stage when :meth:`MiniBatchDataLoader.set_features` was called;
+    #: layer-0 input features, pre-gathered by the loader's prefetch job
+    #: when :meth:`MiniBatchDataLoader.set_features` was called;
     #: ``None`` otherwise.
     inputs: Optional[np.ndarray] = None
 
@@ -141,7 +136,7 @@ class MiniBatch:
     def input_features(self, features) -> np.ndarray:
         """The batch's layer-0 input rows — prefetched if available.
 
-        Returns :attr:`inputs` when the feature-fetch stage already gathered
+        Returns :attr:`inputs` when the loader's prefetch job already gathered
         them (overlapping the previous batch's compute), else gathers from
         ``features`` (a matrix or a :class:`FeatureStore`) on the calling
         thread.
@@ -180,16 +175,13 @@ class MiniBatchDataLoader:
     drop_last: bool = False
     num_workers: int = 1
     max_resident: int = 2
-    #: high-water mark of simultaneously resident sampled batches (telemetry)
-    peak_resident_batches: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         self.seeds = check_1d_int_array(self.seeds, "seeds", max_value=self.sampler.num_nodes)
         if self.seeds.size == 0:
             raise ValueError("MiniBatchDataLoader needs at least one seed node")
         self.batch_size = check_positive_int(self.batch_size, "batch_size")
-        if self.max_resident < 1:
-            raise ValueError(f"max_resident must be >= 1, got {self.max_resident}")
+        self._prefetcher = Prefetcher(self.max_resident, self.num_workers, name="loader")
         if len(self) == 0:
             raise ValueError(
                 f"drop_last with batch_size={self.batch_size} leaves no batches "
@@ -199,17 +191,17 @@ class MiniBatchDataLoader:
         self._features: Optional[FeatureStore] = None
 
     def set_features(self, features) -> None:
-        """Enable (or with ``None`` disable) the feature-fetch stage.
+        """Enable (or with ``None`` disable) the prefetched feature fetch.
 
         ``features`` may be a full-graph ``(num_nodes, F)`` matrix (wrapped
         in a zero-copy :class:`~repro.store.DenseStore`) or any
         :class:`~repro.store.FeatureStore`.  Shape and dtype are validated
         **here**, eagerly — a wrong-sized matrix used to surface batches
-        later as an opaque fancy-indexing ``IndexError`` on a pipeline
+        later as an opaque fancy-indexing ``IndexError`` on a prefetch
         thread.
 
         Once set, every yielded :class:`MiniBatch` carries its layer-0 input
-        rows in :attr:`MiniBatch.inputs`, gathered on a pipeline stage so the
+        rows in :attr:`MiniBatch.inputs`, gathered by the prefetch job so the
         copy overlaps the consumer's compute.  (Trainable stores are the
         exception: their gathers must record autograd state on the consuming
         thread, so prefetch is skipped and consumers gather at use time.)
@@ -243,59 +235,31 @@ class MiniBatchDataLoader:
         order = epoch_seed_order(self.sampler.seed, self.seeds, epoch, self.shuffle)
         return order[index * self.batch_size : (index + 1) * self.batch_size]
 
+    @property
+    def peak_resident_batches(self) -> int:
+        """High-water mark of simultaneously resident sampled batches (telemetry)."""
+        return self._prefetcher.peak_resident
+
     def _make_batch(self, order: np.ndarray, epoch: int, index: int) -> MiniBatch:
         ids = order[index * self.batch_size : (index + 1) * self.batch_size]
         pipeline = self.sampler.sample(ids, epoch=epoch, batch_index=index)
-        return MiniBatch(epoch=epoch, index=index, seeds=pipeline.output_nodes, pipeline=pipeline)
-
-    # -- pipeline stages ------------------------------------------------- #
-    # Item-sampler → neighbour-sampler → block-compaction → feature-fetch.
-    # The item stage is pure slicing (inline); sampling gets the worker
-    # budget (it dominates); compaction and fetching get one thread each so
-    # they overlap the next batch's sampling.  All stage work is counter-
-    # based and item-local, so stage threading never changes batch content.
-    def _stage_sample(self, task: tuple) -> tuple:
-        order, epoch, index = task
-        ids = order[index * self.batch_size : (index + 1) * self.batch_size]
-        return epoch, index, self.sampler.sample_structure(ids, epoch=epoch, batch_index=index)
-
-    def _stage_compact(self, task: tuple) -> MiniBatch:
-        epoch, index, structure = task
-        pipeline = self.sampler.compact(structure)
-        return MiniBatch(epoch=epoch, index=index, seeds=pipeline.output_nodes, pipeline=pipeline)
-
-    def _stage_fetch(self, batch: MiniBatch) -> MiniBatch:
+        batch = MiniBatch(epoch=epoch, index=index, seeds=pipeline.output_nodes, pipeline=pipeline)
         store = self._features
         if store is not None and not store.trainable:
             batch.inputs = store.gather(batch.input_nodes)
         return batch
 
-    def _build_pipeline(self) -> StagedPipeline:
-        workers = max(0, self.num_workers)
-        downstream = min(1, workers)
-        return StagedPipeline(
-            stages=(
-                Stage("sample", self._stage_sample, num_workers=workers),
-                Stage("compact", self._stage_compact, num_workers=downstream),
-                Stage("fetch", self._stage_fetch, num_workers=downstream),
-            ),
-            max_resident=self.max_resident,
-        )
-
     def iter_epoch(self, epoch: int) -> Iterator[MiniBatch]:
-        """Yield the epoch's batches in order, staging work ahead of the
-        consumer (sampling, compaction, and feature fetch each prefetch
-        independently; ``num_workers=0`` runs everything synchronously).
+        """Yield the epoch's batches in order, building up to
+        ``max_resident - 1`` of them ahead of the consumer on
+        ``num_workers`` threads (``num_workers=0`` builds each on the
+        consuming thread).
 
         Re-iterating the same ``epoch`` yields identical batches.
         """
         order = epoch_seed_order(self.sampler.seed, self.seeds, epoch, self.shuffle)
-        pipeline = self._build_pipeline()
-        tasks = ((order, epoch, index) for index in range(len(self)))
-        for batch in pipeline.run(tasks):
-            self.peak_resident_batches = max(self.peak_resident_batches, pipeline.peak_resident)
-            yield batch
-        self.peak_resident_batches = max(self.peak_resident_batches, pipeline.peak_resident)
+        return self._prefetcher.run(lambda index: self._make_batch(order, epoch, index),
+                                    range(len(self)))
 
     def __iter__(self) -> Iterator[MiniBatch]:
         """Iterate one epoch, auto-advancing the epoch counter per pass."""

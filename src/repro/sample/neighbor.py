@@ -131,16 +131,15 @@ def _layer_key(seed: int, epoch: int, batch_index: int, layer: int) -> int:
 
 @dataclass
 class SampledStructure:
-    """The raw output of the neighbour-sampler stage, before compaction.
+    """The raw output of neighbour sampling, before compaction.
 
     ``node_lists`` holds one sorted-unique global-id array per node layer
     (``num_layers + 1`` entries, input layer first); ``edge_sets`` holds the
     sampled ``(src, dst)`` global-id pairs per conv layer — for
     heterogeneous graphs a ``relation name -> (src, dst)`` mapping instead.
     Produced by :meth:`NeighborSampler.sample_structure` and consumed by
-    :meth:`NeighborSampler.compact`; the split is what lets the staged
-    pipeline run neighbour sampling and block compaction of different
-    batches concurrently.
+    :meth:`NeighborSampler.compact`; :meth:`NeighborSampler.sample` is the
+    two in sequence.
     """
 
     node_lists: List[np.ndarray]
@@ -258,12 +257,12 @@ class NeighborSampler:
         return self.compact(self.sample_structure(seeds, epoch, batch_index))
 
     def sample_structure(self, seeds, epoch: int = 0, batch_index: int = 0) -> SampledStructure:
-        """The neighbour-sampler stage: walk the layered neighbourhood.
+        """The neighbour-sampling half of :meth:`sample`: walk the layered neighbourhood.
 
         Draws the per-layer edge sets and node lists for one mini-batch
         without building blocks — the (cheaper) relabelling happens in
-        :meth:`compact`.  ``sample`` is exactly the composition of the two,
-        and the staged pipeline runs them as separate prefetch stages.
+        :meth:`compact`.  ``sample`` is exactly the composition of the two;
+        apart, each can be timed on its own.
         """
         seeds = check_1d_int_array(seeds, "seeds", max_value=self.num_nodes)
         if seeds.size == 0:
@@ -273,7 +272,7 @@ class NeighborSampler:
         return self._structure_homogeneous(np.unique(seeds), epoch, batch_index)
 
     def compact(self, structure: SampledStructure) -> MFGPipeline:
-        """The block-compaction stage: relabel a structure into MFG blocks."""
+        """The block-compaction half of :meth:`sample`: relabel a structure into MFG blocks."""
         if structure.hetero:
             return self._compact_hetero(structure)
         return self._compact_homogeneous(structure)

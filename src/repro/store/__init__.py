@@ -1,7 +1,7 @@
 """Pluggable feature storage: one gather interface, three backends.
 
 * :class:`~repro.store.base.FeatureStore` — the protocol every feature
-  consumer (loader fetch stage, layer-wise inference, serving, trainers,
+  consumer (loader feature prefetch, layer-wise inference, serving, trainers,
   distributed halo path) reads through,
 * :class:`~repro.store.dense.DenseStore` — zero-copy wrapper of the resident
   dense matrix (the identity backend; today's behavior),

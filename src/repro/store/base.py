@@ -1,6 +1,6 @@
 """The :class:`FeatureStore` protocol: one interface between compute and bytes.
 
-Every feature consumer in the stack — the mini-batch loader's fetch stage,
+Every feature consumer in the stack — the mini-batch loader's feature prefetch,
 layer-wise inference, the serving server, the trainers, and the distributed
 halo path — historically reached into a materialized dense ``(N, F)`` matrix
 with its own ad-hoc indexing.  :class:`FeatureStore` replaces those five

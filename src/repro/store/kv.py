@@ -96,7 +96,7 @@ class PartitionedKVStore(FeatureStore):
             else LRUDict(capacity=None, byte_budget=int(cache_bytes))
         )
         # Guards cache probes/inserts: the engine's prefetch thread and the
-        # consuming thread (loader fetch stage, trainer) may fetch
+        # consuming thread (loader feature prefetch, trainer) may fetch
         # concurrently.  comm.fetch runs outside the lock; a concurrent
         # double-fetch of the same row is benign (idempotent insert).
         self._cache_lock = threading.Lock()

@@ -24,7 +24,7 @@ the baseline of the single-host benchmarks.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -80,6 +80,7 @@ from repro.training.correct_and_smooth import CorrectAndSmooth
 from repro.training.label_augmentation import LabelAugmenter, NoLabelAugmenter
 from repro.training.metrics import distributed_mean_loss, evaluation_report
 from repro.utils.logging import get_logger
+from repro.utils.prefetch import Prefetcher
 from repro.utils.seed import temp_seed
 from repro.utils.timing import Timer, WorkerTimer
 
@@ -217,11 +218,21 @@ class TrainingConfig:
                 raise ValueError(
                     f"distributed {name} training supports homogeneous graphs only"
                 )
-        if self.sampler is not None and len(self.sampler.fanouts) != model_num_layers:
-            raise ValueError(
-                f"sampler.fanouts names {len(self.sampler.fanouts)} layers but the "
-                f"model has {model_num_layers} conv layers"
-            )
+        if self.sampler is not None:
+            if len(self.sampler.fanouts) != model_num_layers:
+                raise ValueError(
+                    f"sampler.fanouts names {len(self.sampler.fanouts)} layers but the "
+                    f"model has {model_num_layers} conv layers"
+                )
+            if self.sampler.num_workers < 0:
+                raise ValueError(
+                    f"sampler.num_workers must be >= 0, got {self.sampler.num_workers}"
+                )
+            if self.sampler.max_resident_batches < 1:
+                raise ValueError(
+                    "sampler.max_resident_batches must be >= 1, got "
+                    f"{self.sampler.max_resident_batches}"
+                )
         store = self.feature_store
         if store is None:
             return
@@ -376,7 +387,10 @@ class _EpochLoop:
             features, predict_mask = self.augmenter.training_batch(
                 self.features, self.labels, self.masks["train"], self._rng
             )
-            loss = self._run_epoch(self._batches(epoch, features, predict_mask))
+            # Closed even when a step raises, so a sampling thread working
+            # ahead is let go at once rather than whenever the frame is freed.
+            with closing(self._batches(epoch, features, predict_mask)) as batches:
+                loss = self._run_epoch(batches)
             lr = self.scheduler.step() if self.scheduler else self.optimizer.lr
             if self.sparse_scheduler is not None:
                 self.sparse_scheduler.step()
@@ -546,7 +560,7 @@ class FullBatchTrainer(_EpochLoop):
         labels, store = self.labels, self.feature_store
         if self.sample_loader is not None:
             # Hand the epoch's features (matrix or store) to the loader so its
-            # feature-fetch stage pre-gathers each batch's input rows off the
+            # prefetch jobs pre-gather each batch's input rows off the
             # training thread.  Trainable stores are exempt from prefetch (the
             # loader skips them): their gather must record autograd state on
             # the training thread, right here.
@@ -681,16 +695,18 @@ class _DistributedWorker(_EpochLoop):
     def _sampled_blocks(self, epoch: int) -> Iterator[Tuple[np.ndarray, list]]:
         """``(global batch ids, this worker's sampled block grids)`` per batch.
 
-        With ``plan.overlap`` (the default), batch b+1's cooperative sampling —
-        the per-layer ``sample_frontier`` allgathers included — runs on a
-        background thread while batch b computes, so its wire time hides
-        behind the forward/backward pass (the cost model accounts this under
-        ``SAMPLING_OVERLAP_TAGS``).  The keyed, barrier-free frontier
-        collectives (:meth:`Communicator.allgather_keyed`) make this safe: the
-        sampling thread never touches the barrier or the collective counters
-        the main thread's halo exchanges and allreduces rely on.  Preparing
-        the restriction (which builds barrier-based halo exchanges) stays on
-        the main thread.  Overlap never changes what is sampled — only when.
+        Batch b+1's cooperative sampling — the per-layer ``sample_frontier``
+        allgathers included — runs on a background thread while batch b
+        computes, up to ``max_resident_batches`` batches resident, so its wire
+        time hides behind the forward/backward pass (the cost model accounts
+        this under ``SAMPLING_OVERLAP_TAGS``).  The keyed, barrier-free
+        frontier collectives (:meth:`Communicator.allgather_keyed`) make this
+        safe: the sampling thread never touches the barrier or the collective
+        counters the main thread's halo exchanges and allreduces rely on.
+        Releasing each frontier payload relies on a rank sampling its batches
+        in order, hence one sampling thread at most.  Preparing the
+        restriction (which builds barrier-based halo exchanges) stays on the
+        main thread.  Prefetching never changes what is sampled — only when.
         """
         plan = self.sampler.plan
         order = epoch_seed_order(plan.seed, plan.train_seed_ids, epoch, plan.shuffle)
@@ -699,22 +715,10 @@ class _DistributedWorker(_EpochLoop):
             batch_ids = order[index * plan.batch_size:(index + 1) * plan.batch_size]
             return batch_ids, self.sampler.sample_blocks(batch_ids, epoch, index)
 
-        if not (plan.overlap and plan.num_batches > 1):
-            yield from map(sample, range(plan.num_batches))
-            return
-        executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="sample-ahead")
-        try:
-            ahead = executor.submit(sample, 0)
-            for index in range(plan.num_batches):
-                current = ahead.result()
-                if index + 1 < plan.num_batches:
-                    ahead = executor.submit(sample, index + 1)
-                yield current
-        finally:
-            # Every submitted future was consumed on the success path, so this
-            # never waits there; on failure it abandons the in-flight sample
-            # rather than blocking on a possibly-stuck collective.
-            executor.shutdown(wait=False, cancel_futures=True)
+        scfg = self.config.sampler or NeighborSamplingConfig()
+        prefetcher = Prefetcher(scfg.max_resident_batches, min(scfg.num_workers, 1),
+                                name="sample-ahead")
+        return prefetcher.run(sample, range(plan.num_batches))
 
     def _eval_logits(self, features: np.ndarray) -> np.ndarray:
         """One no-grad SAR forward, whatever ``eval_inference`` says: it

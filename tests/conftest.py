@@ -5,6 +5,7 @@ from __future__ import annotations
 import faulthandler
 import os
 import signal
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, settings as hypothesis_settings
 
 from repro.datasets import make_sbm_dataset
 from repro.graph import Graph, stochastic_block_model
+from repro.utils.prefetch import THREAD_PREFIX as PREFETCH_THREAD_PREFIX
 from repro.utils.seed import set_seed
 
 # The autouse seed fixture below is function-scoped; it only resets the global
@@ -32,6 +34,9 @@ hypothesis_settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "repro"))
 #: seconds any one test may run (the whole suite takes ~20 s); past it, every
 #: thread's stack is dumped and the test fails instead of hanging the run.
 TEST_DEADLINE_S = 120
+
+#: seconds a prefetch thread still alive after its test may take to exit
+PREFETCH_JOIN_S = 5.0
 
 
 @pytest.fixture(autouse=True)
@@ -55,6 +60,24 @@ def _deadline(request):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_prefetch_threads(request):
+    """Fail the test that leaks a prefetch thread, not a later one.
+
+    Each surviving thread gets ``PREFETCH_JOIN_S`` to finish (an abandoned
+    run's running item completes on its own) before the test is failed.
+    """
+    yield
+    leaked = []
+    for thread in threading.enumerate():
+        if thread.name.startswith(PREFETCH_THREAD_PREFIX):
+            thread.join(PREFETCH_JOIN_S)
+            if thread.is_alive():
+                leaked.append(thread.name)
+    if leaked:
+        pytest.fail(f"{request.node.nodeid} leaked prefetch threads: {leaked}", pytrace=False)
 
 
 @pytest.fixture(autouse=True)

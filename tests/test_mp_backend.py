@@ -25,10 +25,12 @@ from repro.distributed.mp_backend import (
     run_multiprocess,
 )
 from repro.graph import stochastic_block_model
+from repro.nn.models import GraphSageNet
 from repro.partition import PartitionBook, create_shards, partition_graph
 from repro.sample import NeighborSamplingConfig, build_sampling_plan
 from repro.tensor import Tensor
 from repro.training.trainer import FullBatchTrainer, TrainingConfig
+from repro.utils.prefetch import THREAD_PREFIX
 from repro.utils.seed import temp_seed
 
 
@@ -99,13 +101,35 @@ def _sampled_model(dim, num_classes=4):
                             dropout=0.0, use_batch_norm=False)
 
 
+class _BoomSage(GraphSageNet):
+    """Rank 1 raises on its second training forward, reporting whether a
+    sample-ahead thread is alive at that moment."""
+
+    def set_comm(self, comm):
+        super().set_comm(comm)
+        self.rank, self.training_forwards = comm.rank, 0
+
+    def forward(self, graph, x):
+        if self.training and self.rank == 1:
+            self.training_forwards += 1
+            if self.training_forwards == 2:
+                in_flight = any(t.name.startswith(f"{THREAD_PREFIX}-sample-ahead")
+                                for t in threading.enumerate())
+                raise RuntimeError(f"model boom (sample-ahead in flight: {in_flight})")
+        return super().forward(graph, x)
+
+
+def _boom_model(dim, num_classes=4):
+    return _BoomSage(dim, 8, num_classes, num_layers=2, dropout=0.0, use_batch_norm=False)
+
+
 def _sampled_training_worker(rank, comm, shard, *, config, sampling,
-                             feature_dim, num_classes):
+                             feature_dim, num_classes, model_factory=_sampled_model):
     from repro.training.trainer import distributed_train_worker
 
     out = distributed_train_worker(
         rank, comm, shard,
-        model_factory=_sampled_model,
+        model_factory=model_factory,
         feature_dim=feature_dim,
         num_classes=num_classes,
         config=config,
@@ -463,6 +487,28 @@ class TestMultiprocessBackend:
         ).results
         for losses in results:
             np.testing.assert_allclose(losses, single.losses(), rtol=1e-4, atol=1e-6)
+
+    def test_sampled_training_fault_fails_the_run_promptly(self):
+        # A rank failing mid-epoch abandons its in-flight sample-ahead item
+        # (possibly parked in a frontier collective) instead of waiting on it.
+        dataset = _parity_dataset()
+        config = TrainingConfig(
+            num_epochs=2, lr=0.05, eval_every=0, seed=0,
+            sampler=NeighborSamplingConfig(fanouts=(3, 3), batch_size=16),
+        )
+        book = PartitionBook(partition_graph(dataset.graph, 2, seed=0), 2)
+        plan = build_sampling_plan(dataset.graph, book, config.sampler,
+                                   dataset.train_indices(), config.resolved_sampler_seed())
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"model boom \(sample-ahead in flight: True\)"):
+            run_multiprocess(
+                _sampled_training_worker, world_size=2,
+                worker_args=create_shards(dataset.graph, book), timeout_s=60,
+                config=config, sampling=plan, feature_dim=dataset.feature_dim,
+                num_classes=dataset.num_classes, model_factory=_boom_model,
+            )
+        assert time.monotonic() - start < 10
+        _assert_no_children()
 
     def test_worker_error_is_reported_and_survivors_unblock(self):
         start = time.monotonic()

@@ -364,6 +364,37 @@ class TestMiniBatchDataLoader:
         assert not all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
+class TestLoaderFeatureFetch:
+    def _loader(self, graph, **kwargs):
+        sampler = NeighborSampler(graph, [3, 3], seed=9)
+        return MiniBatchDataLoader(sampler, np.arange(40), batch_size=16, **kwargs)
+
+    @pytest.mark.parametrize("num_workers", [0, 2])
+    def test_prefetched_inputs_match_gather(self, sbm_graph, rng, num_workers):
+        features = rng.standard_normal((sbm_graph.num_nodes, 6)).astype(np.float32)
+        loader = self._loader(sbm_graph, num_workers=num_workers)
+        loader.set_features(features)
+        count = 0
+        for batch in loader.iter_epoch(1):
+            assert batch.inputs is not None
+            np.testing.assert_array_equal(batch.inputs, batch.gather_inputs(features))
+            assert batch.input_features(features) is batch.inputs
+            count += 1
+        assert count == len(loader)
+
+    def test_fetch_stage_disabled_by_default_and_by_none(self, sbm_graph, rng):
+        features = rng.standard_normal((sbm_graph.num_nodes, 6)).astype(np.float32)
+        loader = self._loader(sbm_graph, num_workers=1)
+        for batch in loader.iter_epoch(1):
+            assert batch.inputs is None
+            np.testing.assert_array_equal(batch.input_features(features),
+                                          batch.gather_inputs(features))
+        loader.set_features(features)
+        assert all(b.inputs is not None for b in loader.iter_epoch(1))
+        loader.set_features(None)
+        assert all(b.inputs is None for b in loader.iter_epoch(1))
+
+
 # --------------------------------------------------------------------------- #
 # plan reuse across batches
 # --------------------------------------------------------------------------- #
@@ -420,6 +451,26 @@ class TestTrainerIntegration:
         config = TrainingConfig(sampler=NeighborSamplingConfig(fanouts=(3, 3)))
         with pytest.raises(ValueError, match="conv layers"):
             FullBatchTrainer(model, small_dataset, config)
+
+    @pytest.mark.parametrize("field, value", [("num_workers", -1),
+                                              ("max_resident_batches", 0)])
+    def test_bad_prefetch_settings_rejected_before_any_work(self, small_dataset,
+                                                            monkeypatch, field, value):
+        from repro.training import trainer as trainer_mod
+
+        def make_model(dim):
+            return GraphSageNet(dim, 8, small_dataset.num_classes, num_layers=2,
+                                dropout=0.0, use_batch_norm=False)
+
+        def no_partitioning(*args, **kwargs):
+            raise AssertionError("partitioned under an invalid config")
+
+        monkeypatch.setattr(trainer_mod, "partition_graph", no_partitioning)
+        config = TrainingConfig(sampler=NeighborSamplingConfig(fanouts=(3, 3), **{field: value}))
+        with pytest.raises(ValueError, match=field):
+            FullBatchTrainer(make_model(small_dataset.feature_dim), small_dataset, config)
+        with pytest.raises(ValueError, match=field):
+            DistributedTrainer(small_dataset, make_model, num_workers=2, config=config)
 
     @pytest.mark.slow
     def test_sampled_training_learns(self, small_dataset):

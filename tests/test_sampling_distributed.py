@@ -8,6 +8,9 @@ shrunken per-batch halo exchanges.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from repro.sample import (
 from repro.sample.distributed import DistributedNeighborSampler
 from repro.distributed.cluster import run_distributed
 from repro.training.trainer import DistributedTrainer, FullBatchTrainer, TrainingConfig
+from repro.utils.prefetch import THREAD_PREFIX
 from repro.utils.seed import set_seed
 
 
@@ -164,10 +168,12 @@ def test_sampled_halo_traffic_shrinks_vs_full_batch(small_dataset):
 
 
 @pytest.mark.slow
-def test_overlap_never_changes_training(small_dataset):
-    """Pipelining batch b+1's sampling behind batch b's compute must be a
-    pure scheduling change: identical losses, and the frontier traffic
-    tagged so the cost model can hide it behind compute."""
+@pytest.mark.parametrize("num_workers, max_resident", [(0, 2), (1, 2), (1, 3)],
+                         ids=["inline", "one-ahead", "two-ahead"])
+def test_overlap_never_changes_training(small_dataset, num_workers, max_resident):
+    """Sampling batches ahead of the compute (or not) must be a pure
+    scheduling change: bit-identical losses and equal frontier bytes, the
+    frontier traffic tagged so the cost model can hide it behind compute."""
     from repro.distributed.cost_model import (
         PAPER_LIKE_SPEC,
         PIPELINE_OVERLAP_TAGS,
@@ -182,28 +188,67 @@ def test_overlap_never_changes_training(small_dataset):
             _make_model(dim, small_dataset.num_classes, "sage"), weights
         )
 
-    def run(overlap):
+    def train(num_workers, max_resident):
         return DistributedTrainer(
             small_dataset, factory, num_workers=2,
             config=TrainingConfig(
                 sampler=NeighborSamplingConfig(fanouts=(3, 3), batch_size=48,
-                                               overlap_sampling=overlap),
+                                               num_workers=num_workers,
+                                               max_resident_batches=max_resident),
                 **common,
             ),
         ).run()
 
-    on, off = run(True), run(False)
-    np.testing.assert_array_equal(on.training.losses(), off.training.losses())
+    # The reference samples every batch on the training thread.
+    run, reference = train(num_workers, max_resident), train(0, 2)
+    np.testing.assert_array_equal(run.training.losses(), reference.training.losses())
     # The cooperative frontier merges travel under their own tag...
-    frontier = on.cluster.total_received_by_tag().get("sample_frontier", 0)
+    frontier = run.cluster.total_received_by_tag().get("sample_frontier", 0)
     assert frontier > 0
-    assert frontier == off.cluster.total_received_by_tag().get("sample_frontier", 0)
+    assert frontier == reference.cluster.total_received_by_tag().get("sample_frontier", 0)
     # ...so the cost model can prove their wire time hides behind compute.
-    report = epoch_cost(on.cluster, PAPER_LIKE_SPEC, num_epochs=2,
+    report = epoch_cost(run.cluster, PAPER_LIKE_SPEC, num_epochs=2,
                         overlap_tags=PIPELINE_OVERLAP_TAGS)
-    serial = epoch_cost(on.cluster, PAPER_LIKE_SPEC, num_epochs=2)
+    serial = epoch_cost(run.cluster, PAPER_LIKE_SPEC, num_epochs=2)
     assert report.hidden_comm_time_s > 0
     assert report.epoch_time_s < serial.epoch_time_s
+
+
+class _BoomSage(GraphSageNet):
+    """Rank 1 raises on its second training forward, reporting whether a
+    sample-ahead thread is alive at that moment."""
+
+    def set_comm(self, comm):
+        super().set_comm(comm)
+        self.rank, self.training_forwards = comm.rank, 0
+
+    def forward(self, graph, x):
+        if self.training and self.rank == 1:
+            self.training_forwards += 1
+            if self.training_forwards == 2:
+                in_flight = any(t.name.startswith(f"{THREAD_PREFIX}-sample-ahead")
+                                for t in threading.enumerate())
+                raise RuntimeError(f"model boom (sample-ahead in flight: {in_flight})")
+        return super().forward(graph, x)
+
+
+def test_sampled_worker_fault_fails_the_run_promptly(small_dataset):
+    """A rank failing mid-epoch abandons its in-flight sample-ahead item (which
+    may be parked in a frontier collective) instead of waiting on it."""
+    config = TrainingConfig(
+        num_epochs=2, lr=0.05, eval_every=0, seed=0,
+        sampler=NeighborSamplingConfig(fanouts=(3, 3), batch_size=32),
+    )
+    trainer = DistributedTrainer(
+        small_dataset,
+        lambda dim: _BoomSage(dim, 8, small_dataset.num_classes, num_layers=2,
+                              dropout=0.0, use_batch_norm=False),
+        num_workers=2, config=config, timeout_s=60,
+    )
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match=r"model boom \(sample-ahead in flight: True\)"):
+        trainer.run()
+    assert time.monotonic() - start < 10
 
 
 @pytest.mark.slow

@@ -9,6 +9,8 @@ split sent/received per-tag communication accounting consumed by the cost
 model's overlap term.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,30 @@ class TestPrefetchPipeline:
                 assert 1 <= peak <= 2
             else:
                 assert peak == remote_blocks
+
+    def test_prefetched_fetch_error_fails_the_run(self, sbm_graph, rng):
+        """A halo fetch failing on the prefetch thread reaches the caller,
+        and the peers blocked on the failed rank are released at once."""
+        z_full = rng.standard_normal((sbm_graph.num_nodes, 4)).astype(np.float32)
+        _, shards = _shards_for(sbm_graph, num_parts=3)
+
+        def worker(rank, comm, shard):
+            if rank == 1:
+                def broken_fetch(*args, **kwargs):
+                    raise ConnectionError("halo fetch failed")
+
+                comm.fetch = broken_fetch
+            dg = DistributedGraph(shard, comm, SAR_PREFETCH)
+            dg.begin_step()
+            z = Tensor(z_full[shard.global_node_ids], requires_grad=True)
+            (dg.aggregate_neighbors(z, op="max") ** 2).sum().backward()
+            return True
+
+        assert any(b.num_edges for q, b in enumerate(shards[1].blocks) if q != 1)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="halo fetch failed"):
+            run_distributed(worker, 3, worker_args=shards, timeout_s=60)
+        assert time.monotonic() - start < 10
 
     def test_prefetch_parity_mean_and_rgcn(self, sbm_graph, rng):
         """Case-1 (mean) and the multi-pass R-GCN kernel are prefetch-safe."""
