@@ -35,14 +35,9 @@ from repro.core.seq_agg import (
 )
 from repro.core.stable_softmax import RunningSoftmaxAccumulator
 from repro.core.grad_sync import sync_gradients, broadcast_parameters, parameters_in_sync
-from repro.core.sage_dist import (
-    PoolingKernel,
-    SumMeanKernel,
-    distributed_neighbor_aggregate,
-    make_neighbor_kernel,
-)
-from repro.core.gat_dist import GATKernel, distributed_gat_aggregate
-from repro.core.rgcn_dist import RGCNKernel, distributed_rgcn_aggregate
+from repro.core.sage_dist import PoolingKernel, SumMeanKernel, make_neighbor_kernel
+from repro.core.gat_dist import GATKernel
+from repro.core.rgcn_dist import RGCNKernel
 
 __all__ = [
     "SARConfig",
@@ -62,12 +57,9 @@ __all__ = [
     "sync_gradients",
     "broadcast_parameters",
     "parameters_in_sync",
-    "distributed_neighbor_aggregate",
     "make_neighbor_kernel",
     "SumMeanKernel",
     "PoolingKernel",
-    "distributed_gat_aggregate",
     "GATKernel",
-    "distributed_rgcn_aggregate",
     "RGCNKernel",
 ]

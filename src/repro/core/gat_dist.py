@@ -40,13 +40,8 @@ import numpy as np
 
 from repro.core.config import SARConfig
 from repro.core.halo import HaloExchange, pack_features, unpack_features
-from repro.core.seq_agg import (
-    BlockKernel,
-    KernelPass,
-    SequentialAggregationEngine,
-)
+from repro.core.seq_agg import BlockKernel, KernelPass
 from repro.core.stable_softmax import RunningSoftmaxAccumulator
-from repro.distributed.comm import Communicator
 from repro.partition.shard import EdgeBlock, ShardedGraph
 from repro.tensor.edge_plan import EdgePlan
 from repro.tensor.sparse import (
@@ -203,16 +198,3 @@ class GATKernel(BlockKernel):
         grad_z = self._grad_packed[:, :split].reshape(self.num_local, self.heads, self.dim)
         grad_ss = self._grad_packed[:, split:]
         return grad_z, self._grad_sd, grad_ss
-
-
-def distributed_gat_aggregate(z: Tensor, score_dst: Tensor, score_src: Tensor,
-                              shard: ShardedGraph, comm: Communicator, halo: HaloExchange,
-                              config: SARConfig, key: str, negative_slope: float = 0.2,
-                              fused: bool = False,
-                              engine: Optional[SequentialAggregationEngine] = None
-                              ) -> Tensor:
-    """Functional wrapper used by :class:`repro.core.dist_graph.DistributedGraph`."""
-    engine = engine or SequentialAggregationEngine(comm, config)
-    kernel = GATKernel(z, score_dst, score_src, shard, halo, config,
-                       negative_slope, fused)
-    return engine.aggregate(kernel, key, z, score_dst, score_src)

@@ -19,14 +19,8 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import SARConfig
 from repro.core.halo import HaloExchange
-from repro.core.seq_agg import (
-    BlockKernel,
-    KernelPass,
-    SequentialAggregationEngine,
-)
-from repro.distributed.comm import Communicator
+from repro.core.seq_agg import BlockKernel, KernelPass
 from repro.partition.shard import EdgeBlock, ShardedHeteroGraph
 from repro.tensor.tensor import Tensor
 
@@ -120,17 +114,3 @@ class RGCNKernel(BlockKernel):
 
     def backward_finalize(self):
         return self._grad_x, self._grad_weights
-
-
-def distributed_rgcn_aggregate(x: Tensor, relation_weights: Tensor,
-                               shard: ShardedHeteroGraph, comm: Communicator,
-                               halos: Dict[str, HaloExchange], config: SARConfig, key: str,
-                               relation_names: Sequence[str], in_features: int,
-                               out_features: int,
-                               engine: Optional[SequentialAggregationEngine] = None
-                               ) -> Tensor:
-    """Functional wrapper used by :class:`repro.core.dist_graph.DistributedHeteroGraph`."""
-    engine = engine or SequentialAggregationEngine(comm, config)
-    kernel = RGCNKernel(x, relation_weights, shard, halos, relation_names,
-                        in_features, out_features)
-    return engine.aggregate(kernel, key, x, relation_weights)

@@ -27,14 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.config import SARConfig
 from repro.core.halo import HaloExchange
-from repro.core.seq_agg import (
-    BlockKernel,
-    KernelPass,
-    SequentialAggregationEngine,
-)
-from repro.distributed.comm import Communicator
+from repro.core.seq_agg import BlockKernel, KernelPass
 from repro.partition.shard import EdgeBlock, ShardedGraph
 from repro.tensor.sparse import segment_max_np, segment_min_np
 from repro.tensor.tensor import Tensor
@@ -198,13 +192,3 @@ def make_neighbor_kernel(z: Tensor, shard: ShardedGraph, halo: HaloExchange,
     if op in SUM_OPS:
         return SumMeanKernel(z, shard, halo, op)
     raise ValueError(f"op must be one of {SUM_OPS + POOL_OPS}, got {op!r}")
-
-
-def distributed_neighbor_aggregate(z: Tensor, shard: ShardedGraph, comm: Communicator,
-                                   halo: HaloExchange, config: SARConfig, key: str,
-                                   op: str = "mean",
-                                   engine: Optional[SequentialAggregationEngine] = None
-                                   ) -> Tensor:
-    """Functional wrapper used by :class:`repro.core.dist_graph.DistributedGraph`."""
-    engine = engine or SequentialAggregationEngine(comm, config)
-    return engine.aggregate(make_neighbor_kernel(z, shard, halo, op), key, z)

@@ -604,6 +604,11 @@ class MultiprocessServiceCluster:
             self._plane.close()
             for reader in self._responses:
                 reader.close()
+            # Close the request queues now rather than at garbage collection:
+            # their pipes and feeder threads sit in reference cycles.
+            for requests in self._requests:
+                requests.close()
+                requests.join_thread()
 
     # -- introspection ---------------------------------------------------- #
     @property

@@ -23,8 +23,8 @@ Because the engine runs the model in ``eval()`` mode, every inter-layer
 transform is a per-row map (BatchNorm applies running statistics, Dropout is
 the identity), and each block preserves complete in-neighbourhoods per
 destination in original edge order — the resulting logits are
-**bit-identical** to the full-graph forward pass (the
-``benchmarks/bench_inference.py --smoke`` CI gate).
+**bit-identical** to the full-graph forward pass, at a strictly lower peak of
+live tensor bytes (``tests/test_inference.py`` asserts both).
 
 A partitioned graph needs no batching (:func:`distributed_layerwise_logits`):
 the SAR forward already computes one layer for every owned row before the

@@ -116,7 +116,7 @@ def bottomk_sorted(
     """Reference without-replacement kernel: sort *every* candidate.
 
     Hashes and sorts all candidates of all segments; kept as the parity
-    reference and benchmark baseline for :func:`bottomk_bucketed`.
+    reference for :func:`bottomk_bucketed`.
     """
     pos, seg = candidate_positions(starts, counts)
     keys = hash_u64(eids[pos], key)

@@ -33,8 +33,8 @@ Structural parity
 at ``fanout=-1``, :meth:`NeighborSampler.sample` reproduces
 :func:`repro.graph.mfg.build_mfg_pipeline` exactly — same node orderings,
 same edge order (ascending original edge id) — so the sampled forward pass is
-bit-identical to the full-neighbourhood MFG pipeline, which is the parity
-gate ``benchmarks/bench_sampling.py --smoke`` (and the tests) assert.
+bit-identical to the full-neighbourhood MFG pipeline, which
+``tests/test_sampling.py`` asserts.
 """
 
 from __future__ import annotations
@@ -89,8 +89,7 @@ def sample_in_edges(
     ``method`` picks the without-replacement kernel from
     :mod:`repro.sample.kernels`: ``"bucketed"`` (the default — sorts only
     probable survivors) or ``"sorted"`` (the all-candidates reference).
-    Both select identical edges; the switch exists for parity tests and the
-    kernel micro-benchmark.
+    Both select identical edges; the switch exists for the parity tests.
     """
     if method not in ("bucketed", "sorted"):
         raise ValueError(f"method must be 'bucketed' or 'sorted', got {method!r}")

@@ -50,15 +50,6 @@ class EmbeddingCache:
         Bound on the summed ``nbytes`` of cached rows.  Inserting beyond it
         evicts least-recently-used rows until the cache fits again (a single
         batch larger than the whole capacity simply does not stick).
-    admission:
-        ``"none"`` (default) admits every inserted row, evicting LRU rows to
-        make room — one large scan can flush the whole working set.
-        ``"frequency"`` adds a TinyLFU-style gate: each *requested*
-        ``(layer, node)`` feeds a frequency sketch, and once the cache is
-        full a new row is admitted only if it has been requested more often
-        than the LRU victim it would displace.  Cold one-off rows bounce off
-        the gate (counted in ``rejected_admissions``) instead of evicting
-        hot ones, which lifts the hit rate under skewed request mixes.
 
     Notes
     -----
@@ -69,33 +60,19 @@ class EmbeddingCache:
     level's nodes it owns.
     """
 
-    #: total sketch mass that triggers the TinyLFU aging halving — keeps the
-    #: sketch a sliding estimate of *recent* frequency and bounds its size.
-    FREQ_AGING_THRESHOLD = 100_000
-
-    def __init__(self, capacity_bytes: int, admission: str = "none"):
+    def __init__(self, capacity_bytes: int):
         self.capacity_bytes = check_positive_int(capacity_bytes, "capacity_bytes")
-        if admission not in ("none", "frequency"):
-            raise ValueError(
-                f"admission must be 'none' or 'frequency', got {admission!r}"
-            )
-        self.admission = admission
         self.version = 1
         self.hits = 0
         self.misses = 0
         self.insertions = 0
         self.invalidations = 0
-        self.rejected_admissions = 0
         self._lock = threading.Lock()
         # (version, layer, node) -> row; byte accounting and LRU eviction
         # (and their counters) are the mapping's.
         self._rows = LRUDict(
             capacity=None, byte_budget=self.capacity_bytes, sizeof=operator.attrgetter("nbytes")
         )
-        # Version-independent request-frequency sketch (layer, node) -> count;
-        # only maintained when the admission gate is on.
-        self._freq: Dict[Tuple[int, int], int] = {}
-        self._freq_mass = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -118,16 +95,12 @@ class EmbeddingCache:
         set is not fully covered.  ``found_mask[i]`` says whether row ``i``
         was cached; ``hit_rows`` stacks the hit rows in probe order — a
         fresh array — or is ``None`` when nothing hit.  Hits are marked
-        most-recently-used and counted, and (under the frequency gate) every
-        probe feeds the sketch.
+        most-recently-used and counted.
         """
         version = self.version
         found_mask = np.zeros(len(node_ids), dtype=bool)
         with self._lock:
             rows = self._rows
-            if self.admission == "frequency":
-                for node in node_ids:
-                    self._record_request(layer, int(node))
             hit_rows = []
             for i, node in enumerate(node_ids):
                 key = (version, layer, int(node))
@@ -155,7 +128,6 @@ class EmbeddingCache:
                 f"{len(values)} rows"
             )
         version = self.version
-        gated = self.admission == "frequency"
         with self._lock:
             rows = self._rows
             for node, value in zip(node_ids, values):
@@ -163,38 +135,8 @@ class EmbeddingCache:
                 if rows.peek(key) is not None:
                     rows.touch(key)
                     continue
-                if gated and not self._admit(key, value.nbytes):
-                    self.rejected_admissions += 1
-                    continue
                 rows[key] = np.array(value, copy=True)
                 self.insertions += 1
-
-    # ------------------------------------------------------------------ #
-    def _record_request(self, layer: int, node: int) -> None:
-        """Count one request against the frequency sketch (lock held)."""
-        self._freq[(layer, node)] = self._freq.get((layer, node), 0) + 1
-        self._freq_mass += 1
-        if self._freq_mass >= self.FREQ_AGING_THRESHOLD:
-            # TinyLFU aging: halve every count and drop the zeros, so the
-            # sketch tracks recent popularity and stays bounded.
-            aged = {k: c >> 1 for k, c in self._freq.items() if c >> 1}
-            self._freq = aged
-            self._freq_mass = sum(aged.values())
-
-    def _admit(self, key: Tuple[int, int, int], nbytes: int) -> bool:
-        """Whether a new row may enter a full cache (lock held).
-
-        While there is spare capacity everything is admitted.  At capacity
-        the candidate must be *strictly* more requested than the LRU victim
-        it would displace — ties keep the incumbent (cheaper, and resists
-        one-shot scans whose rows all have count 1).
-        """
-        if self._rows.current_bytes + nbytes <= self.capacity_bytes or not self._rows:
-            return True
-        _, victim_layer, victim_node = next(iter(self._rows))
-        candidate = self._freq.get((key[1], key[2]), 0)
-        victim = self._freq.get((victim_layer, victim_node), 0)
-        return candidate > victim
 
     def bump_version(self) -> int:
         """Invalidate everything: advance the version stamp, drop all rows.
@@ -219,13 +161,11 @@ class EmbeddingCache:
         with self._lock:
             return {
                 "version": self.version,
-                "admission": self.admission,
                 "hits": self.hits,
                 "misses": self.misses,
                 "insertions": self.insertions,
                 "evictions": self._rows.evictions,
                 "invalidations": self.invalidations,
-                "rejected_admissions": self.rejected_admissions,
                 "rows": len(self._rows),
                 "current_bytes": self._rows.current_bytes,
                 "capacity_bytes": self.capacity_bytes,

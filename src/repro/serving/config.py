@@ -2,7 +2,7 @@
 
 One :class:`ServingConfig` (mirroring :class:`repro.training.TrainingConfig`)
 carries every serving knob — the micro-batching window, the embedding-cache
-byte budget and admission policy, timeouts, and the ``backend`` selector —
+byte budget, timeouts, and the ``backend`` selector —
 and :func:`repro.serving.create_server` turns it plus a model, a graph (or
 shard list) and features (or a feature store) into a
 :class:`repro.serving.Server` over the matching executor.
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 _BACKENDS = ("local", "distributed", "mp")
-_ADMISSIONS = ("none", "frequency")
 _FEATURE_STORES = ("dense", "kv")
 
 
@@ -42,9 +41,6 @@ class ServingConfig:
     #: embedding-cache capacity in bytes (``None`` disables the cache).
     #: Distributed servers give *each* worker a cache of this size.
     byte_budget: Optional[int] = None
-    #: embedding-cache admission policy: ``"none"`` (plain LRU) or
-    #: ``"frequency"`` (TinyLFU-style gate).
-    cache_admission: str = "none"
     #: seconds a synchronous ``predict`` waits before raising.
     predict_timeout_s: float = 30.0
     #: seconds ``stop`` waits for the worker thread(s) to drain and join.
@@ -78,11 +74,6 @@ class ServingConfig:
             raise ValueError(
                 f"byte_budget must be None or >= 1, got {self.byte_budget}"
             )
-        if self.cache_admission not in _ADMISSIONS:
-            raise ValueError(
-                f"cache_admission must be one of {_ADMISSIONS}, "
-                f"got {self.cache_admission!r}"
-            )
         for name in ("predict_timeout_s", "stop_timeout_s", "comm_timeout_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(
@@ -98,15 +89,8 @@ class ServingConfig:
                 f"feature_cache_bytes must be >= 0, "
                 f"got {self.feature_cache_bytes}"
             )
-        # Cross-field combinations that would only fail (or silently do
-        # nothing) deep inside a running server are rejected here instead.
-        if self.cache_admission != "none" and self.byte_budget is None:
-            raise ValueError(
-                f"cache_admission={self.cache_admission!r} configures the "
-                f"embedding cache's admission gate, but byte_budget=None "
-                f"disables the cache entirely; set a byte_budget or leave "
-                f"cache_admission='none'"
-            )
+        # A cross-field combination that would only fail deep inside a
+        # running server is rejected here instead.
         if self.predict_timeout_s * 1e3 <= self.window_ms:
             raise ValueError(
                 f"predict_timeout_s ({self.predict_timeout_s}s) must exceed "

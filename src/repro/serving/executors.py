@@ -60,7 +60,7 @@ from repro.tensor.tensor import Tensor
 def _make_cache(config: ServingConfig) -> Optional[EmbeddingCache]:
     if config.byte_budget is None:
         return None
-    return EmbeddingCache(config.byte_budget, admission=config.cache_admission)
+    return EmbeddingCache(config.byte_budget)
 
 
 def _apply_to_model(model, apply_fn: Callable) -> None:
@@ -97,7 +97,7 @@ class LocalExecutor:
         version` (features replaced, embedding rows stepped), the next batch
         drops every cached activation, so stale rows are never served.
     config:
-        ``byte_budget`` / ``cache_admission`` size the embedding cache.
+        ``byte_budget`` sizes the embedding cache.
     """
 
     def __init__(self, model, graph: Graph, features, config: ServingConfig):

@@ -19,8 +19,7 @@ thread.  It takes the first request, then keeps draining the queue until
 accumulated; the coalesced requests are deduplicated into one ascending seed
 set, computed once by the executor, and the per-seed logit rows are
 scattered back to each request's future.  ``window_ms=0`` disables
-coalescing (strictly one request per execution — the sequential baseline the
-serving benchmark compares against).
+coalescing (strictly one request per execution).
 
 **Updates are barriers.**  :meth:`Server.update` enqueues the mutation
 behind the requests already queued; the serve thread closes the batch it is

@@ -69,7 +69,7 @@ class PartitionedKVStore(FeatureStore):
     cache_bytes:
         Byte budget of the hot remote-row cache.  ``None`` disables caching
         (every gather fetches its remote rows); ``0`` keeps the cache code
-        path but retains nothing — the "cache off" baseline benchmarks use.
+        path but retains nothing (a "cache off" baseline).
     """
 
     def __init__(self, comm: Communicator, book: PartitionBook,

@@ -39,11 +39,11 @@ across the row — which is why weighted aggregation uses a CSR SpMM
 rather than a literal gather→multiply→reduceat pipeline.)
 
 The module-level :data:`build_counter` increments once per constructed plan;
-tests and benchmarks assert it stays flat across training iterations after
+tests assert it stays flat across training iterations after
 warm-up, proving the hot path performs no per-call sparsity construction.
 :func:`plans_disabled` switches every plan provider (``Graph.plan()``,
-``EdgeBlock.plan()``, …) to return ``None`` so benchmarks can time the naive
-path with identical call sites.
+``EdgeBlock.plan()``, …) to return ``None`` so tests can run the naive path
+with identical call sites.
 
 A second family of methods (``*_sorted``, ``expand_dst``, ``gather_src``,
 ``sddmm``) keeps per-edge arrays in the plan's destination-sorted order

@@ -282,25 +282,19 @@ def test_serving_config_validates():
         ServingConfig(window_ms=-1.0)
     with pytest.raises(ValueError, match="byte_budget"):
         ServingConfig(byte_budget=0)
-    with pytest.raises(ValueError, match="cache_admission"):
-        ServingConfig(cache_admission="lfu")
     with pytest.raises(ValueError, match="feature_store"):
         ServingConfig(feature_store="mmap")
 
 
 def test_serving_config_rejects_invalid_cross_field_combinations():
     """Combinations that would only misbehave mid-serve raise at construction."""
-    # An admission gate on a disabled cache silently configures nothing.
-    with pytest.raises(ValueError, match="byte_budget"):
-        ServingConfig(cache_admission="frequency", byte_budget=None)
     # A predict timeout inside the coalescing window can never be met.
     with pytest.raises(ValueError, match="predict_timeout_s"):
         ServingConfig(window_ms=500.0, predict_timeout_s=0.25)
     # The boundary itself is rejected (timeout must strictly exceed).
     with pytest.raises(ValueError, match="predict_timeout_s"):
         ServingConfig(window_ms=1000.0, predict_timeout_s=1.0)
-    # Valid neighbours of both combinations still construct.
-    ServingConfig(cache_admission="frequency", byte_budget=1 << 16)
+    # A valid neighbour still constructs.
     ServingConfig(window_ms=500.0, predict_timeout_s=1.0)
 
 

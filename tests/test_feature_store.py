@@ -1,8 +1,8 @@
 """Tests for the pluggable feature-store layer (:mod:`repro.store`).
 
 Covers the LRUDict byte-budget edge cases, the store backends (dense,
-partitioned KV, learnable sparse embeddings), the sparse optimizers, the
-EmbeddingCache admission gate, and the store-vs-dense bit-parity matrix
+partitioned KV, learnable sparse embeddings), the sparse optimizers, and
+the store-vs-dense bit-parity matrix
 across models (sage/gat), placements (single machine / 2-worker cluster),
 and execution paths (sampled training / layer-wise inference / serving).
 """
@@ -18,7 +18,6 @@ from repro.sample.inference import LayerWiseInference
 from repro.sample.loader import MiniBatchDataLoader, NeighborSamplingConfig
 from repro.sample.neighbor import NeighborSampler
 from repro.serving import ServingConfig, create_server
-from repro.serving.cache import EmbeddingCache
 from repro.store import (
     DenseStore,
     PartitionedKVStore,
@@ -404,54 +403,6 @@ class TestLoaderSetFeaturesValidation:
             (dataset.graph.num_nodes, 4), dtype=np.float32))
         loader.set_features(store)
         loader.set_features(None)
-
-
-# --------------------------------------------------------------------------- #
-# EmbeddingCache admission gate
-# --------------------------------------------------------------------------- #
-class TestEmbeddingCacheAdmission:
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError):
-            EmbeddingCache(1024, admission="tinylfu")
-
-    def test_gate_keeps_hot_rows_against_scan(self):
-        rng = np.random.default_rng(0)
-        row = lambda: rng.normal(size=8).astype(np.float32)  # 32 bytes
-        hot = np.arange(4)
-        cache = EmbeddingCache(capacity_bytes=4 * 32, admission="frequency")
-        # Warm the hot set (requests feed the frequency sketch).
-        for _ in range(5):
-            if not cache.lookup_partial(1, hot)[0].all():
-                cache.put(1, hot, np.stack([row() for _ in hot]))
-        assert cache.lookup_partial(1, hot)[0].all()
-        # A cold scan must bounce off the gate, not evict the hot rows.
-        scan = np.arange(100, 120)
-        cache.lookup_partial(1, scan)
-        cache.put(1, scan, np.stack([row() for _ in scan]))
-        assert cache.stats()["rejected_admissions"] >= len(scan) - 1
-        assert cache.lookup_partial(1, hot)[0].all()
-
-    def test_plain_lru_admits_everything(self):
-        rng = np.random.default_rng(0)
-        cache = EmbeddingCache(capacity_bytes=4 * 32)
-        hot = np.arange(4)
-        cache.put(1, hot, rng.normal(size=(4, 8)).astype(np.float32))
-        scan = np.arange(100, 108)
-        cache.put(1, scan, rng.normal(size=(8, 8)).astype(np.float32))
-        assert not cache.lookup_partial(1, hot)[0].any()  # flushed by the scan
-        assert cache.stats()["rejected_admissions"] == 0
-
-    def test_frequency_sketch_ages(self):
-        cache = EmbeddingCache(capacity_bytes=1024, admission="frequency")
-        cache.FREQ_AGING_THRESHOLD = 8
-        for _ in range(6):
-            cache.lookup_partial(0, np.array([1]))
-        cache.lookup_partial(0, np.array([2, 3]))  # hits the aging threshold
-        # Counts were halved, zeros dropped; the sketch keeps working.
-        assert cache._freq[(0, 1)] == 3
-        assert (0, 2) not in cache._freq
-        cache.lookup_partial(0, np.array([1]))
-        assert cache._freq[(0, 1)] == 4
 
 
 # --------------------------------------------------------------------------- #

@@ -11,9 +11,10 @@ black-box half.  Under test:
 
 * served rows stay **bit-identical** to the eval-mode full-graph forward on
   adversarial generated graphs (isolated seeds, self-loops, parallel edges, a
-  hub), for every conv family, with no cache, a roomy cache, a cache of a few
-  rows (evictions between and inside bursts) and the frequency gate, across a
-  model update and a feature-store replacement;
+  hub), for every conv family, with no cache, a roomy cache, a cache of a
+  few rows (evictions between and inside bursts) and a cache of one row
+  (every hidden insert evicts), across a model update and a feature-store
+  replacement;
 * a warm node's subtree is never rebuilt because a cold node shares its
   burst (the splice), and no ``(layer, node)`` activation is ever computed
   twice while it is cached;
@@ -265,12 +266,14 @@ def test_block_from_in_edges_matches_full_fanout_sampling(hetero, dst_set):
 # --------------------------------------------------------------------------- #
 #: a hidden-layer row of the widest model is 32 bytes: room for about five rows
 TINY_BUDGET = 160
+#: exactly one hidden-layer row: every hidden insert evicts the row before it
+ONE_ROW_BUDGET = 32
 
 CACHE_CONFIGS = {
     "no-cache": dict(byte_budget=None),
     "64MiB": dict(byte_budget=64 << 20),
     "few-rows": dict(byte_budget=TINY_BUDGET),
-    "frequency": dict(byte_budget=TINY_BUDGET, cache_admission="frequency"),
+    "one-row": dict(byte_budget=ONE_ROW_BUDGET),
 }
 
 #: every conv family locally; the sharded walks over 2 and 3 shards for one of each
@@ -333,10 +336,14 @@ def test_rows_bit_identical_on_adversarial_graph(backend, world, kind, cache):
     assert len(caches) == world
     assert [c["invalidations"] for c in caches] == [2] * world  # the update and the replace
     assert stats["embedding_cache"]["hits"] > 0
-    if cache in ("few-rows", "frequency"):
+    if cache in ("few-rows", "one-row"):
         # the all-nodes sweep overflows every worker's budget inside a single burst
-        assert all(c["current_bytes"] <= TINY_BUDGET for c in caches)
-        assert sum(c["evictions"] + c["rejected_admissions"] for c in caches) > graph.num_nodes
+        budget = CACHE_CONFIGS[cache]["byte_budget"]
+        assert all(c["current_bytes"] <= budget for c in caches)
+        assert sum(c["evictions"] for c in caches) > graph.num_nodes
+    if cache == "one-row":
+        # at most one hidden row (or two 12-byte logits rows) survives a burst
+        assert all(c["rows"] <= 2 for c in caches)
 
 
 @pytest.mark.parametrize("cache", list(CACHE_CONFIGS))
