@@ -25,7 +25,7 @@ from repro.partition import (
     edge_cut,
     partition_graph,
 )
-from repro.tensor import Tensor
+from repro.tensor import EdgePlan, Tensor
 from repro.utils.seed import set_seed
 
 
@@ -42,7 +42,8 @@ def _stable_softmax_ablation():
         for stable in (True, False):
             acc = RunningSoftmaxAccumulator(num_nodes, heads, dim, stable=stable)
             for chunk in np.array_split(np.arange(num_edges), 8):
-                acc.add_block(logits[chunk], values, dst[chunk], src[chunk])
+                plan = EdgePlan(src[chunk], dst[chunk], num_nodes, num_nodes)
+                acc.add_block_sorted(plan.sort_edges(logits[chunk]), values, plan)
             results[stable] = acc.finalize()
     return results
 

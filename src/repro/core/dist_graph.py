@@ -2,10 +2,11 @@
 
 A :class:`DistributedGraph` (or :class:`DistributedHeteroGraph`) is the
 object a worker passes to unmodified model code in place of a regular
-:class:`~repro.graph.graph.Graph`: the GNN layers detect it and route their
-neighbour aggregation through the SAR / domain-parallel machinery.  This
-mirrors how the SAR library swaps DGL's graph for a ``GraphShardManager``
-while the model definition stays untouched.
+:class:`~repro.graph.graph.Graph`: it speaks the same aggregation protocol
+(:mod:`repro.graph.aggregation`), and runs each aggregation through the SAR /
+domain-parallel machinery.  This mirrors how the SAR library swaps DGL's
+graph for a ``GraphShardManager`` while the model definition stays
+untouched.
 
 Each handle owns:
 
@@ -84,6 +85,10 @@ class _DistributedGraphBase:
     def _next_key(self, name: str) -> str:
         self._op_counter += 1
         return f"s{self._step}/{name}{self._op_counter}"
+
+    def gather_dst(self, x):
+        """The protocol's self-row map: every local row is an output row."""
+        return x
 
     # ------------------------------------------------------------------ #
     @property
@@ -346,7 +351,7 @@ class DistributedGraph(_DistributedGraphBase):
             else:
                 feats = self.comm.fetch(q, f"{key}/v", rows=block.required_src_local,
                                         tag="propagate")
-            acc += block.aggregation_matrix() @ feats
+            acc += block.plan().aggregate_sum(feats)
         degrees = np.maximum(self.shard.local_in_degrees, 1).astype(np.float32)
         if normalization == "mean":
             acc /= degrees[:, None]

@@ -10,15 +10,13 @@ sequentially with the numerically stable running softmax of §3.4.
 :class:`GATKernel` plugs the attention math into the shared
 :class:`~repro.core.seq_agg.SequentialAggregationEngine`; the engine owns
 block ordering, halo retention, prefetching, the backward re-fetch, and the
-error exchange.  There is one per-block kernel: with the block's
+error exchange.  There is one per-block kernel: through the block's
 :class:`~repro.tensor.edge_plan.EdgePlan` every per-edge array lives in the
 plan's destination-sorted edge space from the logits to the last segment sum
 (:func:`~repro.tensor.sparse.gat_logits_sorted`,
 :meth:`RunningSoftmaxAccumulator.add_block_sorted`,
 :func:`~repro.tensor.sparse.gat_backward_sorted`), so nothing is permuted between
-steps and the SDDMM's gathered operands are cache-blocked; without a plan
-(``plans_disabled()``) the same math runs in input edge order over the naive
-kernels — the reference the tests compare against.  Execution modes (from
+steps and the SDDMM's gathered operands are cache-blocked.  Execution modes (from
 :class:`~repro.core.config.SARConfig` plus the layer's ``fused`` flag):
 
 * vanilla DP (``mode="dp"``): halo feature blocks *and* per-edge attention
@@ -43,28 +41,8 @@ from repro.core.halo import HaloExchange, pack_features, unpack_features
 from repro.core.seq_agg import BlockKernel, KernelPass
 from repro.core.stable_softmax import RunningSoftmaxAccumulator
 from repro.partition.shard import EdgeBlock, ShardedGraph
-from repro.tensor.edge_plan import EdgePlan
-from repro.tensor.sparse import (
-    gat_backward_sorted,
-    gat_logits_sorted,
-    segment_sum_np,
-    u_mul_e_sum_np,
-)
+from repro.tensor.sparse import gat_backward_sorted, gat_logits_sorted
 from repro.tensor.tensor import Tensor, grad_enabled
-
-
-# --------------------------------------------------------------------------- #
-# per-block logits
-# --------------------------------------------------------------------------- #
-def _block_logits(score_dst: np.ndarray, score_src_block: np.ndarray,
-                  block: EdgeBlock, negative_slope: float,
-                  plan: Optional[EdgePlan]) -> Tuple[np.ndarray, np.ndarray]:
-    """``(raw, LeakyReLU(raw))`` per edge of the block: in the plan's
-    destination-sorted edge space, or in input edge order without a plan."""
-    if plan is not None:
-        return gat_logits_sorted(plan, score_dst, score_src_block, negative_slope)
-    raw = score_dst[block.dst_local] + score_src_block[block.src_index]
-    return raw, np.where(raw > 0, raw, negative_slope * raw)
 
 
 # --------------------------------------------------------------------------- #
@@ -99,9 +77,9 @@ class GATKernel(BlockKernel):
         self.fused = fused
         self.num_local, self.heads, self.dim = z_data.shape
         self._passes = [KernelPass(name="", blocks=shard.blocks, halo=halo)]
-        #: per-edge attention tensors kept alive in vanilla DP mode only, with
-        #: the plan whose edge space they are in (``None``: input edge order)
-        self._saved_logits: Dict[int, Tuple[Optional[EdgePlan], Tensor]] = {}
+        #: per-edge attention tensors (in the block plan's sorted edge space)
+        #: kept alive in vanilla DP mode only
+        self._saved_logits: Dict[int, Tensor] = {}
 
     # -- engine interface ------------------------------------------------ #
     def payload(self) -> np.ndarray:
@@ -123,16 +101,12 @@ class GATKernel(BlockKernel):
                       feats: np.ndarray) -> None:
         z_q, ss_q = self._unpack(feats)
         plan = block.plan()
-        raw, logits = _block_logits(self.sd, ss_q, block, self.negative_slope, plan)
+        raw, logits = gat_logits_sorted(plan, self.sd, ss_q, self.negative_slope)
         if self.config.is_domain_parallel and grad_enabled():
             # Vanilla DP materializes per-edge attention tensors in the graph
             # (a no-grad forward records no graph to keep them in).
-            saved = Tensor(logits if self.fused else np.stack([raw, logits]))
-            self._saved_logits[q] = (plan, saved)
-        if plan is not None:
-            self._accumulator.add_block_sorted(logits, z_q, plan)
-        else:
-            self._accumulator.add_block(logits, z_q, block.dst_local, block.src_index)
+            self._saved_logits[q] = Tensor(logits if self.fused else np.stack([raw, logits]))
+        self._accumulator.add_block_sorted(logits, z_q, plan)
 
     def forward_finalize(self) -> np.ndarray:
         self.out = self._accumulator.finalize()
@@ -155,39 +129,23 @@ class GATKernel(BlockKernel):
     def backward_block(self, p: KernelPass, q: int, block: EdgeBlock,
                        feats: Optional[np.ndarray]) -> np.ndarray:
         z_q, ss_q = self._unpack(feats)
+        plan = block.plan()
         # ---- rematerialize the per-edge attention coefficients ----------- #
         saved = self._saved_logits.get(q)  # filled by vanilla DP's forward only
-        if saved is not None:
-            plan, stored = saved
-            if self.fused:
-                raw, logits = None, stored.data
-            else:
-                raw, logits = stored.data[0], stored.data[1]
+        if saved is None:
+            raw, logits = gat_logits_sorted(plan, self.sd, ss_q, self.negative_slope)
+        elif self.fused:
+            raw, logits = None, saved.data
         else:
-            plan = block.plan()
-            raw, logits = _block_logits(self.sd, ss_q, block, self.negative_slope, plan)
+            raw, logits = saved.data[0], saved.data[1]
         positive = logits > 0 if raw is None else raw > 0
-        if plan is not None:
-            weights = np.exp(logits - plan.expand_dst(self._safe_max))
-            alpha = weights / plan.expand_dst(self.denominator)
-            grad_z_q, grad_sd, grad_ss_q = gat_backward_sorted(
-                plan, z_q, self._grad_out, alpha, positive, self.negative_slope,
-                weighted_sum=self._weighted_sum,
-            )
-            self._grad_sd += grad_sd
-            return pack_features(grad_z_q, grad_ss_q)
-
-        # ---- reference path: input edge order, naive kernels -------------- #
-        weights = np.exp(logits - self._safe_max[block.dst_local])
-        alpha = weights / self.denominator[block.dst_local]
-        grad_z_q = u_mul_e_sum_np(self._grad_out, alpha, block.dst_local,
-                                  block.src_index, z_q.shape[0])
-        grad_alpha = np.einsum("ehd,ehd->eh", z_q[block.src_index],
-                               self._grad_out[block.dst_local])
-        grad_logits = alpha * (grad_alpha - self._weighted_sum[block.dst_local])
-        grad_raw = np.where(positive, grad_logits, self.negative_slope * grad_logits)
-        grad_ss_q = segment_sum_np(grad_raw, block.src_index, z_q.shape[0])
-        self._grad_sd += segment_sum_np(grad_raw, block.dst_local, self.num_local)
+        weights = np.exp(logits - plan.expand_dst(self._safe_max))
+        alpha = weights / plan.expand_dst(self.denominator)
+        grad_z_q, grad_sd, grad_ss_q = gat_backward_sorted(
+            plan, z_q, self._grad_out, alpha, positive, self.negative_slope,
+            weighted_sum=self._weighted_sum,
+        )
+        self._grad_sd += grad_sd
         return pack_features(grad_z_q, grad_ss_q)
 
     def error_target(self, p: KernelPass) -> np.ndarray:

@@ -78,11 +78,7 @@ class RGCNKernel(BlockKernel):
 
     def forward_block(self, p: KernelPass, q: int, block: EdgeBlock,
                       feats: np.ndarray) -> None:
-        plan = block.plan()
-        if plan is not None:
-            self._relation_acc += plan.aggregate_sum(feats @ self._w_r)
-        else:
-            self._relation_acc += block.aggregation_matrix() @ (feats @ self._w_r)
+        self._relation_acc += block.plan().aggregate_sum(feats @ self._w_r)
 
     def end_pass(self, p: KernelPass, backward: bool) -> None:
         if not backward:
@@ -100,11 +96,7 @@ class RGCNKernel(BlockKernel):
 
     def backward_block(self, p: KernelPass, q: int, block: EdgeBlock,
                        feats: Optional[np.ndarray]) -> np.ndarray:
-        plan = block.plan()
-        if plan is not None:
-            grad_z = plan.aggregate_sum_t(self._grad_scaled)
-        else:
-            grad_z = block.aggregation_matrix(transpose=True) @ self._grad_scaled
+        grad_z = block.plan().aggregate_sum_t(self._grad_scaled)
         # dW_r needs the (possibly re-fetched) neighbour feature values.
         self._grad_weights[p.index] += (feats.T @ grad_z).reshape(-1)
         return grad_z @ self._w_r.T

@@ -30,7 +30,6 @@ import numpy as np
 from repro.core.halo import HaloExchange
 from repro.core.seq_agg import BlockKernel, KernelPass
 from repro.partition.shard import EdgeBlock, ShardedGraph
-from repro.tensor.sparse import segment_max_np, segment_min_np
 from repro.tensor.tensor import Tensor
 
 SUM_OPS = ("sum", "mean")
@@ -67,11 +66,7 @@ class SumMeanKernel(BlockKernel):
 
     def forward_block(self, p: KernelPass, q: int, block: EdgeBlock,
                       feats: np.ndarray) -> None:
-        plan = block.plan()
-        if plan is not None:
-            self._acc += plan.aggregate_sum(feats)
-        else:
-            self._acc += block.aggregation_matrix() @ feats
+        self._acc += block.plan().aggregate_sum(feats)
 
     def forward_finalize(self) -> np.ndarray:
         self.degrees = np.maximum(self.shard.local_in_degrees, 1).astype(self.data.dtype)
@@ -89,10 +84,7 @@ class SumMeanKernel(BlockKernel):
 
     def backward_block(self, p: KernelPass, q: int, block: EdgeBlock,
                        feats: Optional[np.ndarray]) -> np.ndarray:
-        plan = block.plan()
-        if plan is not None:
-            return plan.aggregate_sum_t(self._grad)
-        return block.aggregation_matrix(transpose=True) @ self._grad
+        return block.plan().aggregate_sum_t(self._grad)
 
     def error_target(self, p: KernelPass) -> np.ndarray:
         return self._grad_z
@@ -140,19 +132,10 @@ class PoolingKernel(BlockKernel):
     def forward_block(self, p: KernelPass, q: int, block: EdgeBlock,
                       feats: np.ndarray) -> None:
         plan = block.plan()
-        if plan is not None:
-            if self.op == "max":
-                np.maximum(self._acc, plan.aggregate_max(feats), out=self._acc)
-            else:
-                np.minimum(self._acc, plan.aggregate_min(feats), out=self._acc)
-            return
-        gathered = feats[block.src_index]
         if self.op == "max":
-            reduced = segment_max_np(gathered, block.dst_local, self.shard.num_local_nodes)
-            np.maximum(self._acc, reduced, out=self._acc)
+            np.maximum(self._acc, plan.aggregate_max(feats), out=self._acc)
         else:
-            reduced = segment_min_np(gathered, block.dst_local, self.shard.num_local_nodes)
-            np.minimum(self._acc, reduced, out=self._acc)
+            np.minimum(self._acc, plan.aggregate_min(feats), out=self._acc)
 
     def forward_finalize(self) -> np.ndarray:
         acc = self._acc
@@ -169,13 +152,7 @@ class PoolingKernel(BlockKernel):
         gathered = feats[block.src_index]
         mask = gathered == self.out[block.dst_local]
         contrib = np.where(mask, self._grad_out[block.dst_local], 0.0)
-        plan = block.plan()
-        if plan is not None:
-            return plan.segment_sum_src(contrib).astype(self._grad_out.dtype, copy=False)
-        error = np.zeros((block.num_required_src, self.data.shape[1]),
-                         dtype=self._grad_out.dtype)
-        np.add.at(error, block.src_index, contrib)
-        return error
+        return block.plan().segment_sum_src(contrib).astype(self._grad_out.dtype, copy=False)
 
     def error_target(self, p: KernelPass) -> np.ndarray:
         return self._grad_z

@@ -21,7 +21,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.tensor.edge_plan import EdgePlan
-from repro.tensor.sparse import segment_max_np, segment_sum_np, u_mul_e_sum_np
 
 _TINY = np.float64(np.finfo(np.float32).tiny)
 
@@ -56,31 +55,6 @@ class RunningSoftmaxAccumulator:
         self.denominator = np.zeros((num_nodes, num_heads), dtype=dtype)
 
     # ------------------------------------------------------------------ #
-    def add_block(self, logits: np.ndarray, values: np.ndarray, dst: np.ndarray,
-                  src: np.ndarray) -> None:
-        """Fold one edge block into the accumulators (reference path: per-edge
-        arrays in input edge order, naive segment kernels).
-
-        Parameters
-        ----------
-        logits:
-            Per-edge attention logits of shape ``(E_block, H)``.
-        values:
-            Per-source-node values of shape ``(S_block, H, D)``.
-        dst:
-            Per-edge destination index (into the ``num_nodes`` rows).
-        src:
-            Per-edge source index (into the rows of ``values``).
-        """
-        self._check_heads(logits)
-        if self.stable:
-            safe_max = self._raise_max(segment_max_np(logits, dst, self.num_nodes))
-            weights = np.exp(logits - safe_max[dst])
-        else:
-            weights = np.exp(logits)
-        self.denominator += segment_sum_np(weights, dst, self.num_nodes)
-        self.numerator += u_mul_e_sum_np(values, weights, src, dst, self.num_nodes)
-
     def add_block_sorted(self, logits: np.ndarray, values: np.ndarray,
                          plan: EdgePlan) -> None:
         """Fold one edge block whose ``(E_block, H)`` logits are in ``plan``'s

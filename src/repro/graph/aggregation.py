@@ -1,0 +1,79 @@
+"""The aggregation protocol every graph type speaks.
+
+A GNN layer never asks what kind of graph it was given.  It calls
+``aggregate_neighbors`` / ``gat_aggregate`` (homogeneous graphs) or
+``rgcn_aggregate`` (relational graphs) for the neighbour aggregation and
+``gather_dst`` for its self/residual term, and the graph runs them its own
+way: single-machine graphs and compacted MFG blocks through their
+:class:`~repro.tensor.edge_plan.EdgePlan` (the two mixins below), distributed
+handles (:mod:`repro.core.dist_graph`) through the SAR / domain-parallel
+engine.  That is the paper's "the model code is identical in all settings".
+
+``gather_dst(x)`` maps a per-source-row tensor to the output rows: an MFG
+block gathers its destination rows, every other graph returns ``x`` itself.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from repro.tensor import functional as F
+from repro.tensor import ops
+from repro.tensor.sparse import (
+    FusedGATAggregation,
+    edge_softmax,
+    neighbor_aggregate,
+    pool_aggregate,
+    u_add_v,
+    u_mul_e_sum,
+)
+from repro.tensor.tensor import Tensor
+
+
+class NeighborAggregation:
+    """``aggregate_neighbors`` and ``gat_aggregate`` over ``self.plan()``
+    (mixed into :class:`~repro.graph.graph.Graph` and
+    :class:`~repro.graph.mfg.MFGBlock`)."""
+
+    def gather_dst(self, x):
+        return x
+
+    def aggregate_neighbors(self, z: Tensor, op: str = "mean") -> Tensor:
+        """Sum/mean (SpMM) or max/min (pooling) of ``z`` over in-neighbours."""
+        if op in ("max", "min"):
+            return pool_aggregate(z, self.plan(), op)
+        return neighbor_aggregate(z, self.plan(), op)
+
+    def gat_aggregate(self, z: Tensor, score_dst: Tensor, score_src: Tensor,
+                      negative_slope: float = 0.2, fused: bool = False) -> Tensor:
+        """Attention aggregation; ``fused`` recomputes the per-edge
+        coefficients in the backward pass instead of keeping them."""
+        plan = self.plan()
+        # Destination scores live in the destination row space.
+        score_dst = self.gather_dst(score_dst)
+        if fused:
+            return FusedGATAggregation.apply(z, score_dst, score_src, plan, negative_slope)
+        # Per-edge logits and coefficients (E, H): materialized, saved by autograd.
+        logits = F.leaky_relu(u_add_v(score_dst, score_src, plan), negative_slope)
+        return u_mul_e_sum(z, edge_softmax(logits, plan), plan)
+
+
+class RelationalAggregation:
+    """``rgcn_aggregate`` over ``self.relation_plan(name)`` (mixed into
+    :class:`~repro.graph.hetero.HeteroGraph` and
+    :class:`~repro.graph.mfg.MFGHeteroBlock`)."""
+
+    def gather_dst(self, x):
+        return x
+
+    def rgcn_aggregate(self, x: Tensor, relation_weights: Tensor,
+                       relation_names: Sequence[str], in_features: int,
+                       out_features: int) -> Tensor:
+        """``Σ_r mean_{j ∈ N_r(i)} x_j W_r`` with ``W_r`` row ``r`` of the
+        flattened ``(R, in·out)`` ``relation_weights``."""
+        out = None
+        for index, relation in enumerate(relation_names):
+            w_r = ops.slice_(relation_weights, index).reshape(in_features, out_features)
+            contribution = neighbor_aggregate(x @ w_r, self.relation_plan(relation), op="mean")
+            out = contribution if out is None else out + contribution
+        return out

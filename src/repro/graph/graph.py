@@ -1,8 +1,8 @@
 """Graph data structure.
 
 A :class:`Graph` stores a directed edge list in COO form (``src``/``dst``
-arrays) together with named node-data arrays, and lazily caches the CSR
-aggregation matrices used by the message-passing kernels.  Messages flow
+arrays) together with named node-data arrays, and lazily builds the edge
+plan the message-passing kernels run through.  Messages flow
 from ``src`` to ``dst`` — i.e. node ``i`` aggregates over its *in*-edges,
 matching the paper's formulation ``h_i = f(Agg({m_{j→i} : j ∈ N(i)}))``.
 """
@@ -14,14 +14,17 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from repro.graph.aggregation import NeighborAggregation
 from repro.graph.in_edges import InEdgeIndex
-from repro.tensor import edge_plan as edge_plan_mod
 from repro.tensor.edge_plan import EdgePlan
 from repro.utils.validation import check_1d_int_array, check_positive_int
 
 
-class Graph:
+class Graph(NeighborAggregation):
     """A directed graph with node data.
+
+    The nn layers aggregate over it through the protocol of
+    :mod:`repro.graph.aggregation`, executed on the graph's edge plan.
 
     Parameters
     ----------
@@ -73,20 +76,15 @@ class Graph:
     # ------------------------------------------------------------------ #
     # the edge plan (sort-once/reduce-many kernel layer)
     # ------------------------------------------------------------------ #
-    def plan(self) -> Optional[EdgePlan]:
+    def plan(self) -> EdgePlan:
         """The graph's :class:`~repro.tensor.edge_plan.EdgePlan`, built lazily.
 
         The plan caches the destination-sorted edge order and CSR structures
         that every message-passing kernel executes through; after the first
-        call no training iteration derives sparsity again.  Returns ``None``
-        while plans are globally disabled
-        (:func:`repro.tensor.edge_plan.plans_disabled`), which switches the
-        layers to their naive reference kernels.
+        call no training iteration derives sparsity again.
         """
-        if not edge_plan_mod.plans_enabled():
-            return None
-        if self._plan is None:
-            self._plan = EdgePlan(self.src, self.dst, self.num_nodes, self.num_nodes)
+        self._plan = self._plan or EdgePlan(self.src, self.dst, self.num_nodes,
+                                            self.num_nodes)
         return self._plan
 
     def in_edge_index(self) -> InEdgeIndex:
@@ -122,7 +120,7 @@ class Graph:
         Parameters
         ----------
         transpose:
-            Return :math:`A^T` (used for the backward pass of SpMM).
+            Return :math:`A^T`.
         normalization:
             ``"none"`` (sum), ``"mean"`` (rows divided by in-degree) or
             ``"sym"`` (:math:`D^{-1/2} A D^{-1/2}`, used by C&S propagation).

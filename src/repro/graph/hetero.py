@@ -13,15 +13,18 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.graph.aggregation import RelationalAggregation
 from repro.graph.graph import Graph
 from repro.graph.in_edges import InEdgeIndex
-from repro.tensor import edge_plan as edge_plan_mod
 from repro.tensor.edge_plan import EdgePlan
 from repro.utils.validation import check_1d_int_array, check_positive_int
 
 
-class HeteroGraph:
+class HeteroGraph(RelationalAggregation):
     """A graph whose edges are grouped into named relations.
+
+    The R-GCN layer aggregates over it through ``rgcn_aggregate``
+    (:mod:`repro.graph.aggregation`), one edge plan per relation.
 
     Parameters
     ----------
@@ -96,21 +99,13 @@ class HeteroGraph:
             )
 
     # ------------------------------------------------------------------ #
-    def relation_plan(self, relation: str) -> Optional[EdgePlan]:
-        """One relation's :class:`~repro.tensor.edge_plan.EdgePlan` (lazy, cached).
-
-        ``None`` while plans are globally disabled, in which case the R-GCN
-        layer falls back to the cached-adjacency SpMM path.
-        """
+    def relation_plan(self, relation: str) -> EdgePlan:
+        """One relation's :class:`~repro.tensor.edge_plan.EdgePlan` (lazy, cached)."""
         self._check_relation(relation)
-        if not edge_plan_mod.plans_enabled():
-            return None
-        plan = self._plan_cache.get(relation)
-        if plan is None:
+        if relation not in self._plan_cache:
             src, dst = self.relations[relation]
-            plan = EdgePlan(src, dst, self.num_nodes, self.num_nodes)
-            self._plan_cache[relation] = plan
-        return plan
+            self._plan_cache[relation] = EdgePlan(src, dst, self.num_nodes, self.num_nodes)
+        return self._plan_cache[relation]
 
     def in_edge_index(self) -> Dict[str, InEdgeIndex]:
         """Per relation, its cached :class:`~repro.graph.in_edges.InEdgeIndex`.
@@ -127,29 +122,6 @@ class HeteroGraph:
         return self._in_edge_index
 
     # ------------------------------------------------------------------ #
-    def relation_adjacency(self, relation: str, transpose: bool = False,
-                           normalization: str = "none"):
-        """Sparse aggregation matrix of one relation (cached).
-
-        Same semantics as :meth:`repro.graph.graph.Graph.adjacency`, restricted
-        to the edges of ``relation``; the ``"mean"`` normalization divides by
-        the per-relation in-degree ``|N_r(i)|`` as in the R-GCN equation.
-        """
-        cache = getattr(self, "_adj_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_adj_cache", cache)
-        key = (relation, transpose, normalization)
-        if key not in cache:
-            graph = self.relation_graph(relation)
-            cache[(relation, False, normalization)] = graph.adjacency(
-                transpose=False, normalization=normalization
-            )
-            cache[(relation, True, normalization)] = graph.adjacency(
-                transpose=True, normalization=normalization
-            )
-        return cache[key]
-
     def relation_graph(self, relation: str) -> Graph:
         """Return a homogeneous :class:`Graph` containing only one relation's edges."""
         self._check_relation(relation)

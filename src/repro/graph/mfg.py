@@ -34,13 +34,13 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 
+from repro.graph.aggregation import NeighborAggregation, RelationalAggregation
 from repro.graph.graph import Graph
 from repro.graph.hetero import HeteroGraph
 from repro.graph.in_edges import InEdgeIndex, candidate_positions
-from repro.tensor import edge_plan as edge_plan_mod
-from repro.tensor.edge_plan import EdgePlan
+from repro.tensor import ops
+from repro.tensor.edge_plan import EdgePlan, cached_plan
 from repro.utils.validation import check_1d_int_array, check_positive_int
 
 
@@ -61,15 +61,10 @@ def message_flow_masks(graph: Graph, seed_nodes, num_layers: int) -> List[np.nda
     # a destination needs all of its in-neighbours, i.e. a source is reached
     # when any of its out-edges points at a needed destination.  The graph's
     # edge plan provides exactly that transpose reduction from its cached
-    # source-major structure; without a plan we fall back to A^T @ mask.
+    # source-major structure.
     plan = graph.plan()
-    adj_t = graph.adjacency(transpose=True) if plan is None else None
     for layer in range(num_layers - 1, -1, -1):
-        needed = current.astype(np.float32)
-        if plan is not None:
-            reached = plan.aggregate_sum_t(needed) > 0
-        else:
-            reached = (adj_t @ needed) > 0
+        reached = plan.aggregate_sum_t(current.astype(np.float32)) > 0
         current = current | reached
         masks[layer] = current.copy()
     return masks
@@ -133,7 +128,8 @@ class _CompactBlockBase:
     required source and destination nodes, in ascending order.  The masks the
     blocks are derived from are cumulative, so ``dst_nodes ⊆ src_nodes`` and
     :attr:`dst_in_src` maps each destination row to its row in the source
-    space — the row gather every layer's self/residual term runs through.
+    space — the row gather every layer's self/residual term runs through
+    (:meth:`gather_dst`, which overrides the protocol's identity).
     """
 
     def __init__(self, src_nodes: np.ndarray, dst_nodes: np.ndarray,
@@ -157,44 +153,18 @@ class _CompactBlockBase:
 
     def gather_dst(self, x):
         """Destination rows of a source-space per-node tensor (differentiable)."""
-        from repro.tensor import ops
-
         return ops.gather(x, self.dst_in_src)
 
 
-def _rectangular_adjacency(src: np.ndarray, dst: np.ndarray, num_dst: int,
-                           num_src: int, transpose: bool,
-                           normalization: str,
-                           cache: Dict[Tuple[bool, str], sp.csr_matrix]) -> sp.csr_matrix:
-    """(num_dst × num_src) aggregation matrix with the same semantics as
-    :meth:`Graph.adjacency`, restricted to the block's edges (``"sym"`` is not
-    meaningful on a bipartite block)."""
-    if normalization not in ("none", "mean"):
-        raise ValueError(
-            f"MFG blocks support 'none' or 'mean' normalization, got {normalization!r}"
-        )
-    key = (transpose, normalization)
-    if key not in cache:
-        data = np.ones(len(src), dtype=np.float32)
-        adj = sp.csr_matrix((data, (dst, src)), shape=(num_dst, num_src))
-        if normalization == "mean":
-            deg = np.maximum(np.bincount(dst, minlength=num_dst).astype(np.float32), 1.0)
-            adj = sp.diags(1.0 / deg) @ adj
-        adj = adj.tocsr()
-        cache[(False, normalization)] = adj
-        cache[(True, normalization)] = adj.T.tocsr()
-    return cache[key]
-
-
-class MFGBlock(_CompactBlockBase):
+class MFGBlock(_CompactBlockBase, NeighborAggregation):
     """One conv layer's compacted bipartite edge set.
 
     ``src``/``dst`` are the graph edges feeding a required destination,
     relabelled into the compact source/destination row spaces; the original
-    edge order is preserved.  The nn layers accept an ``MFGBlock`` wherever
-    they accept a :class:`~repro.graph.graph.Graph`: the aggregation output
-    then has :attr:`num_dst_nodes` rows and the self/residual term reads its
-    input rows through :meth:`gather_dst`.
+    edge order is preserved.  The block speaks the same aggregation protocol
+    as a :class:`~repro.graph.graph.Graph`: the aggregation output has
+    :attr:`num_dst_nodes` rows and the self/residual term reads its input
+    rows through :meth:`gather_dst`.
     """
 
     def __init__(self, src_nodes: np.ndarray, dst_nodes: np.ndarray,
@@ -203,7 +173,6 @@ class MFGBlock(_CompactBlockBase):
         self.src = src
         self.dst = dst
         self._plan: Optional[EdgePlan] = None
-        self._adj_cache: Dict[Tuple[bool, str], sp.csr_matrix] = {}
 
     @property
     def num_edges(self) -> int:
@@ -215,34 +184,24 @@ class MFGBlock(_CompactBlockBase):
             f"num_edges={self.num_edges})"
         )
 
-    def plan(self) -> Optional[EdgePlan]:
-        """The block's lazily built edge plan (``None`` while plans are disabled).
+    def plan(self) -> EdgePlan:
+        """The block's lazily built edge plan.
 
         Plans are resolved through the shared structural cache
         (:func:`repro.tensor.edge_plan.cached_plan`): two blocks with the same
         relabelled edge set — e.g. the same consecutive-id inference batch
         rebuilt by a second engine — share one plan instead of re-sorting.
         """
-        if not edge_plan_mod.plans_enabled():
-            return None
-        if self._plan is None:
-            self._plan = edge_plan_mod.cached_plan(
-                self.src, self.dst, self.num_dst_nodes, self.num_src_nodes
-            )
+        self._plan = self._plan or cached_plan(self.src, self.dst, self.num_dst_nodes,
+                                               self.num_src_nodes)
         return self._plan
 
     def in_degrees(self) -> np.ndarray:
         """In-degrees of the destination rows (equal to their full-graph in-degrees)."""
         return np.bincount(self.dst, minlength=self.num_dst_nodes).astype(np.int64)
 
-    def adjacency(self, transpose: bool = False,
-                  normalization: str = "none") -> sp.csr_matrix:
-        return _rectangular_adjacency(self.src, self.dst, self.num_dst_nodes,
-                                      self.num_src_nodes, transpose, normalization,
-                                      self._adj_cache)
 
-
-class MFGHeteroBlock(_CompactBlockBase):
+class MFGHeteroBlock(_CompactBlockBase, RelationalAggregation):
     """One R-GCN layer's compacted per-relation edge sets (hetero counterpart)."""
 
     def __init__(self, src_nodes: np.ndarray, dst_nodes: np.ndarray,
@@ -251,7 +210,6 @@ class MFGHeteroBlock(_CompactBlockBase):
         super().__init__(src_nodes, dst_nodes, dst_in_src)
         self.relation_edges = relation_edges
         self._plans: Dict[str, EdgePlan] = {}
-        self._adj_caches: Dict[str, Dict[Tuple[bool, str], sp.csr_matrix]] = {}
 
     @property
     def relation_names(self) -> List[str]:
@@ -269,27 +227,13 @@ class MFGHeteroBlock(_CompactBlockBase):
                 f"Unknown relation {relation!r}; available: {self.relation_names}"
             )
 
-    def relation_plan(self, relation: str) -> Optional[EdgePlan]:
+    def relation_plan(self, relation: str) -> EdgePlan:
         self._check_relation(relation)
-        if not edge_plan_mod.plans_enabled():
-            return None
-        plan = self._plans.get(relation)
-        if plan is None:
+        if relation not in self._plans:
             src, dst = self.relation_edges[relation]
-            plan = edge_plan_mod.cached_plan(
-                src, dst, self.num_dst_nodes, self.num_src_nodes
-            )
-            self._plans[relation] = plan
-        return plan
-
-    def relation_adjacency(self, relation: str, transpose: bool = False,
-                           normalization: str = "none") -> sp.csr_matrix:
-        self._check_relation(relation)
-        src, dst = self.relation_edges[relation]
-        cache = self._adj_caches.setdefault(relation, {})
-        return _rectangular_adjacency(src, dst, self.num_dst_nodes,
-                                      self.num_src_nodes, transpose, normalization,
-                                      cache)
+            self._plans[relation] = cached_plan(src, dst, self.num_dst_nodes,
+                                                self.num_src_nodes)
+        return self._plans[relation]
 
 
 class MFGPipeline:

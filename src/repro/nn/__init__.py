@@ -6,8 +6,8 @@ from repro.nn.activation import ReLU, LeakyReLU, ELU, Sigmoid, Tanh
 from repro.nn.dropout import Dropout
 from repro.nn.norm import BatchNorm1d, DistributedBatchNorm
 from repro.nn.sage import SageConv
-from repro.nn.gat import GATConv, GATBase
-from repro.nn.gat_fused import FusedGATConv, FusedGATAggregation
+from repro.nn.gat import GATConv
+from repro.nn.gat_fused import FusedGATConv
 from repro.nn.rgcn import RelGraphConv
 from repro.nn.models import GraphSageNet, GATNet, RGCNNet
 
@@ -27,9 +27,7 @@ __all__ = [
     "DistributedBatchNorm",
     "SageConv",
     "GATConv",
-    "GATBase",
     "FusedGATConv",
-    "FusedGATAggregation",
     "RelGraphConv",
     "GraphSageNet",
     "GATNet",

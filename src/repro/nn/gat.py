@@ -18,19 +18,19 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Tuple
 
-from repro.graph.graph import Graph
-from repro.graph.mfg import MFGBlock
 from repro.nn.linear import Linear
 from repro.nn.module import Module, Parameter
-from repro.tensor import functional as F
-from repro.tensor import init, ops
-from repro.tensor.sparse import edge_softmax, u_add_v, u_mul_e_sum
+from repro.tensor import init
 from repro.tensor.tensor import Tensor
 from repro.utils.validation import check_positive_int
 
 
-class GATBase(Module):
-    """Shared parameters and projection step of the standard and fused GAT layers."""
+class GATConv(Module):
+    """Standard ("DGL-style") GAT layer that materializes per-edge attention tensors."""
+
+    #: Set by :class:`~repro.nn.gat_fused.FusedGATConv`; the graph's
+    #: ``gat_aggregate`` reads it to pick the fused or the materializing kernel.
+    uses_fused_kernel = False
 
     def __init__(self, in_features: int, out_features: int, num_heads: int = 1,
                  negative_slope: float = 0.2,
@@ -66,64 +66,29 @@ class GATBase(Module):
         score_src = (z * self.attn_r).sum(axis=-1)
         return z, score_dst, score_src
 
-    def finalize(self, aggregated: Tensor) -> Tensor:
-        """Flatten heads, add bias, apply the output activation."""
-        num_nodes = aggregated.shape[0]
-        out = aggregated.reshape(num_nodes, self.num_heads * self.out_features)
+    def forward(self, graph, x: Tensor) -> Tensor:
+        """Apply the layer on any graph that speaks the aggregation protocol
+        (:mod:`repro.graph.aggregation`)."""
+        if x.shape[0] != graph.num_nodes:
+            raise ValueError(
+                f"Feature matrix has {x.shape[0]} rows but graph has {graph.num_nodes} nodes"
+            )
+        z, score_dst, score_src = self.project(x)
+        aggregated = graph.gat_aggregate(
+            z, score_dst, score_src,
+            negative_slope=self.negative_slope,
+            fused=self.uses_fused_kernel,
+        )
+        # Flatten heads, add bias, apply the output activation.
+        out = aggregated.reshape(aggregated.shape[0], self.num_heads * self.out_features)
         if self.bias is not None:
             out = out + self.bias
         if self.activation is not None:
             out = self.activation(out)
         return out
 
-
-class GATConv(GATBase):
-    """Standard ("DGL-style") GAT layer that materializes per-edge attention tensors."""
-
-    #: Set by :class:`~repro.nn.gat_fused.FusedGATConv`; distributed graph
-    #: handles use it to pick the fused or the materializing kernel.
-    uses_fused_kernel = False
-
-    def forward(self, graph, x: Tensor) -> Tensor:
-        """Apply the layer on a :class:`Graph` or a distributed graph handle."""
-        if x.shape[0] != graph.num_nodes:
-            raise ValueError(
-                f"Feature matrix has {x.shape[0]} rows but graph has {graph.num_nodes} nodes"
-            )
-        z, score_dst, score_src = self.project(x)
-        if isinstance(graph, (Graph, MFGBlock)):
-            aggregated = self._aggregate_local(graph, z, score_dst, score_src)
-        else:
-            aggregated = graph.gat_aggregate(
-                z, score_dst, score_src,
-                negative_slope=self.negative_slope,
-                fused=self.uses_fused_kernel,
-            )
-        return self.finalize(aggregated)
-
-    def _aggregate_local(self, graph, z: Tensor, score_dst: Tensor,
-                         score_src: Tensor) -> Tensor:
-        src, dst = graph.src, graph.dst
-        plan = graph.plan()
-        if isinstance(graph, MFGBlock):
-            # Compacted block: destination scores live in the (smaller)
-            # destination row space; sources keep the input row space.
-            num_dst = graph.num_dst_nodes
-            score_dst = graph.gather_dst(score_dst)
-        else:
-            num_dst = graph.num_nodes
-        # Per-edge attention logits (E, H): materialized and saved by autograd.
-        if plan is not None:
-            raw = u_add_v(score_dst, score_src, plan)
-        else:
-            raw = ops.gather(score_dst, dst) + ops.gather(score_src, src)
-        logits = F.leaky_relu(raw, self.negative_slope)
-        # Normalized attention coefficients (E, H): another materialized tensor.
-        alpha = edge_softmax(logits, dst, num_dst, plan=plan)
-        return u_mul_e_sum(z, alpha, src, dst, num_dst, plan=plan)
-
     def __repr__(self) -> str:
         return (
-            f"GATConv(in={self.in_features}, out={self.out_features}, "
+            f"{type(self).__name__}(in={self.in_features}, out={self.out_features}, "
             f"heads={self.num_heads})"
         )

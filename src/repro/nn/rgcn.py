@@ -13,12 +13,9 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-from repro.graph.hetero import HeteroGraph
-from repro.graph.mfg import MFGHeteroBlock
 from repro.nn.linear import Linear
 from repro.nn.module import Module, Parameter
-from repro.tensor import init, ops
-from repro.tensor.sparse import neighbor_aggregate, spmm
+from repro.tensor import init
 from repro.tensor.tensor import Tensor
 from repro.utils.validation import check_positive_int
 
@@ -78,46 +75,27 @@ class RelGraphConv(Module):
             return self.weight
         return self.coefficients @ self.basis
 
-    def relation_weight(self, index: int) -> Tensor:
-        """Weight matrix ``W_r`` of relation ``index``, shaped ``(in, out)``."""
-        flat = ops.slice_(self.relation_weights(), index)
-        return flat.reshape(self.in_features, self.out_features)
-
     # ------------------------------------------------------------------ #
     def forward(self, graph, x: Tensor) -> Tensor:
-        """Apply the layer on a :class:`HeteroGraph` or a distributed hetero handle.
+        """Apply the layer on any relational graph that speaks the
+        aggregation protocol (:mod:`repro.graph.aggregation`).
 
-        On a distributed handle the whole relational aggregation — including
-        applying ``W_r`` to (remotely fetched) neighbour features — is
-        delegated to the handle, because the aggregation's gradient w.r.t.
-        ``W_r`` needs those neighbour features: SAR must re-fetch them in the
-        backward pass (case 2).
+        The whole relational aggregation — including applying ``W_r`` to
+        neighbour features — is the graph's ``rgcn_aggregate``, because on a
+        distributed handle the aggregation's gradient w.r.t. ``W_r`` needs
+        those (remotely fetched) neighbour features: SAR must re-fetch them
+        in the backward pass (case 2).
         """
         if x.shape[0] != graph.num_nodes:
             raise ValueError(
                 f"Feature matrix has {x.shape[0]} rows but graph has {graph.num_nodes} nodes"
             )
-        if isinstance(graph, (HeteroGraph, MFGHeteroBlock)):
-            out: Optional[Tensor] = None
-            for index, relation in enumerate(self.relation_names):
-                z_r = x @ self.relation_weight(index)
-                plan = graph.relation_plan(relation)
-                if plan is not None:
-                    contribution = neighbor_aggregate(z_r, plan, op="mean")
-                else:
-                    adj = graph.relation_adjacency(relation, normalization="mean")
-                    adj_t = graph.relation_adjacency(relation, transpose=True,
-                                                     normalization="mean")
-                    contribution = spmm(z_r, adj, adj_t)
-                out = contribution if out is None else out + contribution
-        else:
-            out = graph.rgcn_aggregate(
-                x, self.relation_weights(), self.relation_names,
-                self.in_features, self.out_features,
-            )
+        out = graph.rgcn_aggregate(
+            x, self.relation_weights(), self.relation_names,
+            self.in_features, self.out_features,
+        )
         if self.self_linear is not None:
-            self_rows = graph.gather_dst(x) if isinstance(graph, MFGHeteroBlock) else x
-            out = out + self.self_linear(self_rows)
+            out = out + self.self_linear(graph.gather_dst(x))
         if self.bias is not None:
             out = out + self.bias
         if self.activation is not None:

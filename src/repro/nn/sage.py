@@ -26,12 +26,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.graph.graph import Graph
-from repro.graph.mfg import MFGBlock
 from repro.nn.linear import Linear
 from repro.nn.module import Module
 from repro.tensor import functional as F
-from repro.tensor.sparse import neighbor_aggregate, pool_aggregate, spmm
 from repro.tensor.tensor import Tensor
 from repro.utils.validation import check_positive_int
 
@@ -67,16 +64,17 @@ class SageConv(Module):
     def forward(self, graph, x: Tensor) -> Tensor:
         """Apply the layer.
 
-        ``graph`` is a single-machine :class:`~repro.graph.graph.Graph`, a
-        compacted per-layer :class:`~repro.graph.mfg.MFGBlock` (the MFG
-        execution pipeline: ``x`` holds the block's required source rows and
-        the output the required destination rows), or a distributed graph
-        handle (``repro.core.DistributedGraph``), in which case ``x`` holds
-        only the local partition's rows and the neighbour aggregation runs
-        through the sequential-aggregation engine (SAR / domain-parallel
-        exchange) — the model code is identical in all settings, as in the
-        paper.  Whether the neighbour projection runs before or after the
-        aggregation is :attr:`aggregate_first`'s rule (module docstring).
+        ``graph`` is anything that speaks the aggregation protocol
+        (:mod:`repro.graph.aggregation`): a single-machine
+        :class:`~repro.graph.graph.Graph`, a compacted per-layer
+        :class:`~repro.graph.mfg.MFGBlock` (``x`` holds the block's required
+        source rows and the output the required destination rows), or a
+        distributed graph handle (``repro.core.DistributedGraph``, ``x`` the
+        local partition's rows, the aggregation run by the SAR /
+        domain-parallel engine) — the model code is identical in all
+        settings, as in the paper.  Whether the neighbour projection runs
+        before or after the aggregation is :attr:`aggregate_first`'s rule
+        (module docstring).
         """
         if x.shape[0] != graph.num_nodes:
             raise ValueError(
@@ -84,22 +82,8 @@ class SageConv(Module):
             )
         aggregate_first = self.aggregate_first
         z = x if aggregate_first else self.neighbor_linear(x)
-        if isinstance(graph, (Graph, MFGBlock)):
-            num_dst = graph.num_dst_nodes if isinstance(graph, MFGBlock) else graph.num_nodes
-            plan = graph.plan()
-            if self.aggregator in ("max", "min"):
-                aggregated = pool_aggregate(z, graph.src, graph.dst, num_dst,
-                                            op=self.aggregator, plan=plan)
-            elif plan is not None:
-                aggregated = neighbor_aggregate(z, plan, op=self.aggregator)
-            else:
-                norm = self.aggregator if self.aggregator == "mean" else "none"
-                aggregated = spmm(z, graph.adjacency(normalization=norm),
-                                  graph.adjacency(transpose=True, normalization=norm))
-            self_rows = graph.gather_dst(x) if isinstance(graph, MFGBlock) else x
-        else:
-            aggregated = graph.aggregate_neighbors(z, op=self.aggregator)
-            self_rows = x
+        aggregated = graph.aggregate_neighbors(z, op=self.aggregator)
+        self_rows = graph.gather_dst(x)
         if aggregate_first:
             aggregated = self.neighbor_linear(aggregated)
         out = self.self_linear(self_rows) + aggregated
@@ -112,31 +96,6 @@ class SageConv(Module):
             f"SageConv(in={self.in_features}, out={self.out_features}, "
             f"aggregator={self.aggregator!r})"
         )
-
-
-def sage_reference_forward(graph: Graph, x, w_neigh, w_self, bias=None,
-                           aggregator: str = "mean"):
-    """Plain-NumPy reference implementation used by the unit tests."""
-    import numpy as np
-
-    from repro.tensor.sparse import segment_max_np, segment_min_np
-
-    x = x.data if isinstance(x, Tensor) else x
-    z = x @ (w_neigh.data if isinstance(w_neigh, Tensor) else w_neigh)
-    if aggregator in ("max", "min"):
-        reduce = segment_max_np if aggregator == "max" else segment_min_np
-        agg = reduce(z[graph.src], graph.dst, graph.num_nodes)
-        agg = np.where(np.isfinite(agg), agg, 0.0).astype(z.dtype, copy=False)
-    else:
-        agg = np.zeros_like(z)
-        np.add.at(agg, graph.dst, z[graph.src])
-        if aggregator == "mean":
-            deg = np.maximum(graph.in_degrees(), 1).astype(z.dtype)
-            agg = agg / deg[:, None]
-    out = x @ (w_self.data if isinstance(w_self, Tensor) else w_self) + agg
-    if bias is not None:
-        out = out + (bias.data if isinstance(bias, Tensor) else bias)
-    return out
 
 
 # Re-export the functional activation most GraphSage stacks use.

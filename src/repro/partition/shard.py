@@ -18,13 +18,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.graph.graph import Graph
 from repro.graph.hetero import HeteroGraph
 from repro.graph.in_edges import InEdgeIndex
 from repro.partition.book import PartitionBook
-from repro.tensor import edge_plan as edge_plan_mod
 from repro.tensor.edge_plan import EdgePlan
 from repro.utils.validation import check_strictly_increasing
 
@@ -48,8 +46,6 @@ class EdgeBlock:
     #: reduction order that makes restricted outputs bit-identical to the
     #: single-machine pipeline (see :meth:`ShardedGraph.in_edge_index`).
     edge_pos: Optional[np.ndarray] = None
-    #: lazily built unweighted CSR matrices, keyed by orientation
-    _csr_cache: Dict[bool, sp.csr_matrix] = field(default_factory=dict, repr=False)
     #: lazily built edge plan this block's kernels execute through
     _plan: Optional[EdgePlan] = field(default=None, repr=False)
 
@@ -67,58 +63,17 @@ class EdgeBlock:
     def num_required_src(self) -> int:
         return len(self.required_src_local)
 
-    def plan(self) -> Optional[EdgePlan]:
+    def plan(self) -> EdgePlan:
         """This block's :class:`~repro.tensor.edge_plan.EdgePlan` (lazy, cached).
 
         The plan is built over the block's *compact* edge list — per-edge
         indices into :attr:`required_src_local` and local destination ids —
         so the SAR kernels aggregate fetched feature rows through it without
-        any per-call sparsity construction.  ``None`` while plans are
-        globally disabled (the kernels then fall back to the naive
-        per-call scipy / ``ufunc.at`` reference path of
-        :mod:`repro.tensor.sparse`; :meth:`aggregation_matrix` still caches).
+        any per-call sparsity construction.
         """
-        if not edge_plan_mod.plans_enabled():
-            return None
-        if self._plan is None:
-            self._plan = EdgePlan(self.src_index, self.dst_local,
-                                  self.num_dst, self.num_required_src)
+        self._plan = self._plan or EdgePlan(self.src_index, self.dst_local,
+                                            self.num_dst, self.num_required_src)
         return self._plan
-
-    def _shape(self, transpose: bool) -> tuple:
-        if transpose:
-            return (self.num_required_src, self.num_dst)
-        return (self.num_dst, self.num_required_src)
-
-    def aggregation_matrix(self, transpose: bool = False) -> sp.csr_matrix:
-        """Unweighted (num_dst × num_required_src) sum-aggregation matrix.
-
-        Each orientation is built lazily on first use and cached.  Parallel
-        edges stay as separate stored entries, which scipy's matvec sums.
-        When the block's edge plan is available its orientation *is* this
-        layout, so the sort is shared rather than derived twice.
-        """
-        mat = self._csr_cache.get(transpose)
-        if mat is None:
-            plan = self.plan()
-            if plan is not None:
-                orientation = plan._o(transpose)
-                indices, indptr = orientation.indices, orientation.indptr
-            else:
-                if transpose:
-                    rows, cols = self.src_index, self.dst_local
-                else:
-                    rows, cols = self.dst_local, self.src_index
-                num_rows = self._shape(transpose)[0]
-                indices = cols[np.lexsort((cols, rows))]
-                indptr = np.zeros(num_rows + 1, dtype=np.int64)
-                np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
-            mat = sp.csr_matrix(
-                (np.ones(self.num_edges, dtype=np.float32), indices, indptr),
-                shape=self._shape(transpose),
-            )
-            self._csr_cache[transpose] = mat
-        return mat
 
 
 def restrict_block_to_dst(block: EdgeBlock, dst_mask: np.ndarray) -> EdgeBlock:

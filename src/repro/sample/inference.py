@@ -47,7 +47,7 @@ from repro.graph.mfg import block_from_in_edges
 from repro.sample.loader import num_batches_for
 from repro.store import FeatureStore, PartitionedKVStore, as_feature_store
 from repro.tensor import no_grad
-from repro.tensor import edge_plan as edge_plan_mod
+from repro.tensor.edge_plan import EdgePlan
 from repro.tensor.tensor import Tensor
 from repro.utils.validation import check_1d_int_array, check_positive_int
 
@@ -447,13 +447,11 @@ def distributed_restricted_logits(
         block = None
         if not found.all():
             block = block_from_in_edges(index, book.to_local(own[~found])[1], own[~found])
-            if edge_plan_mod.plans_enabled():
-                # A privately built plan: the block serves one miss set, so
-                # entering it in the shared structural cache would only
-                # evict plans that are reused.
-                block._plan = edge_plan_mod.EdgePlan(
-                    block.src, block.dst, block.num_dst_nodes, block.num_src_nodes
-                )
+            # A privately built plan: the block serves one miss set, so
+            # entering it in the shared structural cache would only evict
+            # plans that are reused.
+            block._plan = EdgePlan(block.src, block.dst, block.num_dst_nodes,
+                                   block.num_src_nodes)
         mine = nodes[:0] if block is None else block.src_nodes
         sources = np.unique(np.concatenate(comm.allgather(mine, tag=SERVE_FRONTIER_TAG)))
         if not sources.size:

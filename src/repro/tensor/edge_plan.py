@@ -41,9 +41,10 @@ rather than a literal gather→multiply→reduceat pipeline.)
 The module-level :data:`build_counter` increments once per constructed plan;
 tests assert it stays flat across training iterations after
 warm-up, proving the hot path performs no per-call sparsity construction.
-:func:`plans_disabled` switches every plan provider (``Graph.plan()``,
-``EdgeBlock.plan()``, …) to return ``None`` so tests can run the naive path
-with identical call sites.
+Every plan provider (``Graph.plan()``, ``MFGBlock.plan()``,
+``EdgeBlock.plan()``, the ``relation_plan()``s) always hands out a plan; the
+naive per-call kernels the plans replace survive only as the tests'
+reference (``tests/reference_kernels.py``).
 
 A second family of methods (``*_sorted``, ``expand_dst``, ``gather_src``,
 ``sddmm``) keeps per-edge arrays in the plan's destination-sorted order
@@ -63,8 +64,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,7 +76,6 @@ from repro.utils.lru import LRUDict
 #: its first iteration.
 build_counter: int = 0
 
-_enabled: bool = True
 _counter_lock = threading.Lock()
 
 #: bytes of the two gathered ``(edges, H, D)`` operands of one
@@ -84,29 +83,6 @@ _counter_lock = threading.Lock()
 #: gather and the reduction.  Not a knob: docs/architecture.md records how it
 #: was measured.
 SDDMM_BLOCK_BYTES = 2 << 20
-
-
-def plans_enabled() -> bool:
-    """Whether plan providers (``Graph.plan()`` etc.) hand out plans."""
-    return _enabled
-
-
-def set_plans_enabled(flag: bool) -> bool:
-    """Globally enable/disable plan usage; returns the previous setting."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(flag)
-    return previous
-
-
-@contextmanager
-def plans_disabled() -> Iterator[None]:
-    """Run a block with every plan provider returning ``None`` (naive path)."""
-    previous = set_plans_enabled(False)
-    try:
-        yield
-    finally:
-        set_plans_enabled(previous)
 
 
 def reset_build_counter() -> None:

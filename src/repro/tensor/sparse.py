@@ -1,22 +1,19 @@
 """Differentiable sparse / segment operations used for message passing.
 
 These are the library's equivalents of DGL's SpMM / SDDMM / edge-softmax
-kernels.  Graph structure (edge endpoints, sparse adjacency) is always
-treated as non-differentiable; gradients only flow through dense feature and
+kernels.  Graph structure (edge endpoints) is always treated as
+non-differentiable; gradients only flow through dense feature and
 edge-weight tensors.
 
-Every op accepts an optional ``plan`` — an
-:class:`~repro.tensor.edge_plan.EdgePlan` built once for the edge set — and
-then runs on the plan's cached sort/CSR structures instead of re-deriving
-sparsity per call.  The contract is that ``plan`` was constructed from the
-*same* ``(src, dst, num_dst, num_src)`` the op is called with; callers obtain
-it from the owning graph (``Graph.plan()``, ``EdgeBlock.plan()``, …).  With
-``plan=None`` the ops fall back to the naive scipy/``ufunc.at`` reference
-path, which the tests gradcheck the plan path against.
+Every op takes the :class:`~repro.tensor.edge_plan.EdgePlan` of its edge set
+— built once, obtained from the owning graph (``Graph.plan()``,
+``MFGBlock.plan()``, ``EdgeBlock.plan()``, …) — and runs on the plan's cached
+sort/CSR structures, so no call re-derives sparsity.
 
-Plain NumPy helpers (suffixed ``_np``) are exposed as well because SAR's
-sequential aggregation (Algorithm 1) runs the same math *outside* the
-autograd graph and rematerializes it manually in the backward pass.
+Plain NumPy helpers (suffixed ``_np`` or ``_sorted``) are exposed as well
+because SAR's sequential aggregation (Algorithm 1) runs the same math
+*outside* the autograd graph and rematerializes it manually in the backward
+pass.
 """
 
 from __future__ import annotations
@@ -24,127 +21,15 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.tensor.edge_plan import EdgePlan
 from repro.tensor.tensor import Function, Tensor
-from repro.utils.validation import check_1d_int_array
+
+_TINY = np.finfo(np.float32).tiny
 
 # --------------------------------------------------------------------------- #
 # non-differentiable NumPy helpers
 # --------------------------------------------------------------------------- #
-
-
-def build_csr(src: np.ndarray, dst: np.ndarray, num_dst: int, num_src: int,
-              weights: Optional[np.ndarray] = None) -> sp.csr_matrix:
-    """Build the (num_dst × num_src) aggregation matrix ``A[d, s] = w_e``.
-
-    Multiplying ``A @ X`` aggregates source-node features into destination
-    nodes (sum aggregation).  Parallel edges accumulate.
-    """
-    if weights is None:
-        weights = np.ones(len(src), dtype=np.float32)
-    mat = sp.csr_matrix(
-        (weights.astype(np.float32, copy=False), (dst, src)),
-        shape=(num_dst, num_src),
-    )
-    return mat
-
-
-def segment_sum_np(values: np.ndarray, segment_ids: np.ndarray, num_segments: int,
-                   plan: Optional[EdgePlan] = None) -> np.ndarray:
-    """Sum ``values`` rows into ``num_segments`` buckets given by ``segment_ids``.
-
-    With a ``plan`` (whose ``dst`` must equal ``segment_ids``) the reduction
-    runs over the cached selection matrix — no per-call CSR build.
-    """
-    values = np.asarray(values)
-    if plan is not None:
-        return plan.segment_sum(values)
-    if values.ndim > 1:
-        flat = values.reshape(len(values), int(np.prod(values.shape[1:], dtype=np.int64)))
-    else:
-        flat = values[:, None]
-    mat = sp.csr_matrix(
-        (np.ones(len(segment_ids), dtype=flat.dtype),
-         (segment_ids, np.arange(len(segment_ids)))),
-        shape=(num_segments, len(segment_ids)),
-    )
-    out = mat @ flat
-    return out.reshape((num_segments,) + values.shape[1:])
-
-
-def segment_mean_np(values: np.ndarray, segment_ids: np.ndarray, num_segments: int,
-                    plan: Optional[EdgePlan] = None) -> np.ndarray:
-    """Mean-reduce ``values`` per segment (empty segments yield zeros)."""
-    if plan is not None:
-        return plan.segment_mean(np.asarray(values))
-    sums = segment_sum_np(values, segment_ids, num_segments)
-    counts = np.bincount(segment_ids, minlength=num_segments).astype(sums.dtype)
-    counts = np.maximum(counts, 1.0)
-    return sums / counts.reshape((num_segments,) + (1,) * (values.ndim - 1))
-
-
-def segment_max_np(values: np.ndarray, segment_ids: np.ndarray, num_segments: int,
-                   initial: float = -np.inf,
-                   plan: Optional[EdgePlan] = None) -> np.ndarray:
-    """Max-reduce ``values`` per segment (``initial`` fills empty segments and
-    clamps every result from below, matching the ``np.maximum.at`` path)."""
-    values = np.asarray(values)
-    if plan is not None:
-        out = plan.segment_max(values, initial=initial)
-        # The plan kernel applies ``initial`` to empty segments only; the
-        # reference path also clamps non-empty segments at ``initial``.
-        return np.maximum(out, initial) if np.isfinite(initial) else out
-    out = np.full((num_segments,) + values.shape[1:], initial, dtype=values.dtype)
-    np.maximum.at(out, segment_ids, values)
-    return out
-
-
-def segment_min_np(values: np.ndarray, segment_ids: np.ndarray, num_segments: int,
-                   initial: float = np.inf,
-                   plan: Optional[EdgePlan] = None) -> np.ndarray:
-    """Min-reduce ``values`` per segment (``initial`` fills empty segments and
-    clamps every result from above, matching the ``np.minimum.at`` path)."""
-    values = np.asarray(values)
-    if plan is not None:
-        out = plan.segment_min(values, initial=initial)
-        return np.minimum(out, initial) if np.isfinite(initial) else out
-    out = np.full((num_segments,) + values.shape[1:], initial, dtype=values.dtype)
-    np.minimum.at(out, segment_ids, values)
-    return out
-
-
-def segment_count_np(segment_ids: np.ndarray, num_segments: int) -> np.ndarray:
-    """Number of entries per segment."""
-    return np.bincount(segment_ids, minlength=num_segments).astype(np.int64)
-
-
-def edge_softmax_np(scores: np.ndarray, dst: np.ndarray, num_dst: int,
-                    plan: Optional[EdgePlan] = None) -> np.ndarray:
-    """Numerically-stable softmax of per-edge scores grouped by destination."""
-    if plan is not None:
-        return plan.edge_softmax(np.asarray(scores))
-    maxes = segment_max_np(scores, dst, num_dst, initial=-np.inf)
-    maxes = np.where(np.isfinite(maxes), maxes, 0.0)
-    shifted = scores - maxes[dst]
-    exp = np.exp(shifted)
-    denom = segment_sum_np(exp, dst, num_dst)
-    denom = np.maximum(denom, np.finfo(exp.dtype).tiny)
-    return exp / denom[dst]
-
-
-def u_mul_e_sum_np(x: np.ndarray, w: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                   num_dst: int) -> np.ndarray:
-    """``out[d, h] = Σ_{e:(s→d)} w[e, h] · x[s, h]`` through a fresh scipy CSR
-    per head — the ``plan=None`` reference of
-    :meth:`~repro.tensor.edge_plan.EdgePlan.u_mul_e_sum_sorted`.  Swapping
-    ``src`` and ``dst`` (and ``num_dst`` for the source count) gives the
-    transpose.  The result has ``x``'s dtype."""
-    num_src = x.shape[0]
-    out = np.stack([sp.csr_matrix((w_h, (dst, src)), shape=(num_dst, num_src)) @ x_h
-                    for w_h, x_h in zip(w.T, x.transpose(1, 0, 2))], axis=1)
-    return out.astype(x.dtype, copy=False)
 
 
 def leaky_relu_np(raw: np.ndarray, negative_slope: float) -> np.ndarray:
@@ -196,35 +81,28 @@ def gat_backward_sorted(plan: EdgePlan, x_src: np.ndarray, grad_out: np.ndarray,
             plan.segment_sum_src_sorted(grad_raw))
 
 
+def _softmax_terms_sorted(plan: EdgePlan, score_dst: np.ndarray, score_src: np.ndarray,
+                          negative_slope: float):
+    """``(raw, exp(logits − max), Σ exp)`` of the whole edge set, per-edge
+    arrays in ``plan``'s destination-sorted edge space — the one-block case
+    of the SAR attention kernel (:class:`repro.core.gat_dist.GATKernel`)."""
+    raw, logits = gat_logits_sorted(plan, score_dst, score_src, negative_slope)
+    maxes = plan.segment_max_sorted(logits)
+    maxes = np.where(np.isfinite(maxes), maxes, 0.0)
+    weights = np.exp(logits - plan.expand_dst(maxes))
+    denom = np.maximum(plan.segment_sum_sorted(weights), _TINY)
+    return raw, weights, denom
+
+
 # --------------------------------------------------------------------------- #
 # differentiable ops
 # --------------------------------------------------------------------------- #
-class SpMM(Function):
-    """``adj @ x`` with a fixed sparse adjacency (gradient only w.r.t. ``x``)."""
-
-    def forward(self, x: Tensor, adj: sp.spmatrix, adj_t: Optional[sp.spmatrix] = None) -> np.ndarray:
-        if adj.shape[1] != x.shape[0]:
-            raise ValueError(
-                f"adjacency has {adj.shape[1]} columns but x has {x.shape[0]} rows"
-            )
-        x2d = x.data.reshape(x.shape[0], -1)
-        out = adj @ x2d
-        self.save_for_backward(adj_t if adj_t is not None else adj.T.tocsr(), x.shape)
-        return np.asarray(out).reshape((adj.shape[0],) + x.shape[1:])
-
-    def backward(self, grad_out):
-        adj_t, x_shape = self.saved
-        g2d = grad_out.reshape(grad_out.shape[0], -1)
-        grad_x = adj_t @ g2d
-        return (np.asarray(grad_x).reshape(x_shape),)
-
-
 class NeighborAggregate(Function):
     """Plan-backed sum/mean aggregation of source features into destinations.
 
-    The plan-native equivalent of :class:`SpMM` with the (cached) ``"none"``
-    or ``"mean"``-normalized adjacency: forward aggregates over the plan's
-    cached CSR, backward scatters through the cached transpose — zero sparse
+    The SpMM with the unweighted (``"sum"``) or in-degree-normalized
+    (``"mean"``) adjacency: forward aggregates over the plan's cached CSR,
+    backward scatters through the cached transpose — zero sparse
     constructions either way.
     """
 
@@ -266,54 +144,18 @@ class EdgeScoreSum(Function):
         return plan.segment_sum(grad_out), plan.segment_sum_src(grad_out)
 
 
-class SegmentSum(Function):
-    """Differentiable :func:`segment_sum_np`."""
-
-    def forward(self, values: Tensor, segment_ids: np.ndarray, num_segments: int,
-                plan: Optional[EdgePlan] = None) -> np.ndarray:
-        segment_ids = check_1d_int_array(segment_ids, "segment_ids", max_value=None)
-        self.save_for_backward(segment_ids)
-        return segment_sum_np(values.data, segment_ids, num_segments, plan=plan)
-
-    def backward(self, grad_out):
-        (segment_ids,) = self.saved
-        return (grad_out[segment_ids],)
-
-
-class SegmentMean(Function):
-    """Differentiable per-segment mean (empty segments produce zeros)."""
-
-    def forward(self, values: Tensor, segment_ids: np.ndarray, num_segments: int,
-                plan: Optional[EdgePlan] = None) -> np.ndarray:
-        segment_ids = check_1d_int_array(segment_ids, "segment_ids", max_value=None)
-        counts = np.maximum(
-            np.bincount(segment_ids, minlength=num_segments), 1
-        ).astype(values.data.dtype)
-        self.save_for_backward(segment_ids, counts, values.data.ndim)
-        return segment_sum_np(values.data, segment_ids, num_segments, plan=plan) / counts.reshape(
-            (num_segments,) + (1,) * (values.data.ndim - 1)
-        )
-
-    def backward(self, grad_out):
-        segment_ids, counts, ndim = self.saved
-        scaled = grad_out / counts.reshape((len(counts),) + (1,) * (ndim - 1))
-        return (scaled[segment_ids],)
-
-
 class UMulESum(Function):
     """Weighted aggregation: ``out[d] = Σ_{e:(s→d)} w_e * x[s]``.
 
     ``x`` has shape ``(num_src, H, D)`` (or ``(num_src, D)``) and ``w`` has
     shape ``(E, H)`` (or ``(E,)``); gradients flow to both.  This is the core
-    kernel of attention-based aggregation.  With a ``plan`` the forward sorts
-    the weights into the plan's edge space once and both passes run every
-    head through one head-blocked SpMM (one cached structure, zero per-call
-    sparse builds); without one, :func:`u_mul_e_sum_np` builds a fresh CSR
-    per head per pass.
+    kernel of attention-based aggregation.  The forward sorts the weights
+    into the plan's edge space once and both passes run every head through
+    one head-blocked SpMM (one cached structure, zero per-call sparse
+    builds).
     """
 
-    def forward(self, x: Tensor, w: Tensor, src: np.ndarray, dst: np.ndarray,
-                num_dst: int, plan: Optional[EdgePlan] = None) -> np.ndarray:
+    def forward(self, x: Tensor, w: Tensor, plan: EdgePlan) -> np.ndarray:
         x_data, w_data = x.data, w.data
         squeeze = False
         if x_data.ndim == 2:
@@ -321,25 +163,18 @@ class UMulESum(Function):
             squeeze = True
         if w_data.ndim == 1:
             w_data = w_data[:, None]
-        if plan is not None:
-            # Saved for backward in the plan's sorted edge space.
-            w_data = plan.sort_edges(w_data)
-            out = plan.u_mul_e_sum_sorted(x_data, w_data)
-        else:
-            out = u_mul_e_sum_np(x_data, w_data, src, dst, num_dst)
-        self.save_for_backward(x_data, w_data, src, dst, squeeze, x.shape, w.shape, plan)
+        # Saved for backward in the plan's sorted edge space.
+        w_data = plan.sort_edges(w_data)
+        out = plan.u_mul_e_sum_sorted(x_data, w_data)
+        self.save_for_backward(x_data, w_data, squeeze, x.shape, w.shape, plan)
         return out[:, 0, :] if squeeze else out
 
     def backward(self, grad_out):
-        x_data, w_data, src, dst, squeeze, x_shape, w_shape, plan = self.saved
+        x_data, w_data, squeeze, x_shape, w_shape, plan = self.saved
         grad = grad_out[:, None, :] if squeeze else grad_out
         # grad_w[e, h] = <x[src_e, h], grad_out[dst_e, h]>  (an SDDMM)
-        if plan is not None:
-            grad_x = plan.u_mul_e_sum_t_sorted(grad, w_data)
-            grad_w = plan.unsort_edges(plan.sddmm(x_data, grad))
-        else:
-            grad_x = u_mul_e_sum_np(grad, w_data, dst, src, x_data.shape[0])
-            grad_w = np.einsum("ehd,ehd->eh", x_data[src], grad[dst])
+        grad_x = plan.u_mul_e_sum_t_sorted(grad, w_data)
+        grad_w = plan.unsort_edges(plan.sddmm(x_data, grad))
         return grad_x.reshape(x_shape), grad_w.reshape(w_shape).astype(w_data.dtype)
 
 
@@ -354,56 +189,68 @@ class PoolAggregation(Function):
     training stay bit-for-bit comparable).
     """
 
-    def forward(self, x: Tensor, src: np.ndarray, dst: np.ndarray, num_dst: int,
-                op: str, plan: Optional[EdgePlan] = None) -> np.ndarray:
+    def forward(self, x: Tensor, plan: EdgePlan, op: str) -> np.ndarray:
         if op not in ("max", "min"):
             raise ValueError(f"op must be 'max' or 'min', got {op!r}")
         data = x.data
-        if plan is not None:
-            reduced = plan.aggregate_max(data) if op == "max" else plan.aggregate_min(data)
-        else:
-            gathered = data[src]
-            if op == "max":
-                reduced = segment_max_np(gathered, dst, num_dst)
-            else:
-                reduced = segment_min_np(gathered, dst, num_dst)
+        reduced = plan.aggregate_max(data) if op == "max" else plan.aggregate_min(data)
         out = np.where(np.isfinite(reduced), reduced, 0.0).astype(data.dtype, copy=False)
-        self.save_for_backward(data, src, dst, out, x.shape, plan)
+        self.save_for_backward(data, out, plan)
         return out
 
     def backward(self, grad_out):
-        data, src, dst, out, x_shape, plan = self.saved
-        mask = data[src] == out[dst]
-        contrib = np.where(mask, grad_out[dst], 0.0)
-        if plan is not None:
-            return (plan.segment_sum_src(contrib).astype(grad_out.dtype, copy=False),)
-        grad_x = np.zeros(x_shape, dtype=grad_out.dtype)
-        np.add.at(grad_x, src, contrib)
-        return (grad_x,)
+        data, out, plan = self.saved
+        mask = data[plan.src] == out[plan.dst]
+        contrib = np.where(mask, grad_out[plan.dst], 0.0)
+        return (plan.segment_sum_src(contrib).astype(grad_out.dtype, copy=False),)
 
 
 class EdgeSoftmax(Function):
     """Softmax over incoming edges of each destination node (DGL ``edge_softmax``)."""
 
-    def forward(self, scores: Tensor, dst: np.ndarray, num_dst: int,
-                plan: Optional[EdgePlan] = None) -> np.ndarray:
-        alpha = edge_softmax_np(scores.data, dst, num_dst, plan=plan)
-        self.save_for_backward(alpha, dst, num_dst, plan)
+    def forward(self, scores: Tensor, plan: EdgePlan) -> np.ndarray:
+        alpha = plan.edge_softmax(scores.data)
+        self.save_for_backward(alpha, plan)
         return alpha
 
     def backward(self, grad_out):
-        alpha, dst, num_dst, plan = self.saved
-        weighted = segment_sum_np(alpha * grad_out, dst, num_dst, plan=plan)
-        return (alpha * (grad_out - weighted[dst]),)
+        alpha, plan = self.saved
+        weighted = plan.segment_sum(alpha * grad_out)
+        return (alpha * (grad_out - weighted[plan.dst]),)
+
+
+class FusedGATAggregation(Function):
+    """Attention aggregation that keeps nothing edge-sized for backward (paper §3.3).
+
+    The forward computes the stable softmax statistics and the weighted
+    feature sums in one pass over the plan's sorted edge space; only the
+    node-level inputs (which autograd keeps alive anyway) are saved.  The
+    backward *recomputes* the attention coefficients from them — extra
+    compute growing with the number of heads in exchange for a much smaller
+    forward-pass footprint, the trade of the paper's Figure 2.
+    """
+
+    def forward(self, z: Tensor, score_dst: Tensor, score_src: Tensor, plan: EdgePlan,
+                negative_slope: float) -> np.ndarray:
+        _, weights, denom = _softmax_terms_sorted(plan, score_dst.data, score_src.data,
+                                                  negative_slope)
+        self.save_for_backward(z.data, score_dst.data, score_src.data, plan, negative_slope)
+        return plan.u_mul_e_sum_sorted(z.data, weights) / denom[:, :, None]
+
+    def backward(self, grad_out):
+        z, score_dst, score_src, plan, negative_slope = self.saved
+        raw, weights, denom = _softmax_terms_sorted(plan, score_dst, score_src, negative_slope)
+        alpha = weights / plan.expand_dst(denom)
+        grad_z, grad_score_dst, grad_score_src = gat_backward_sorted(
+            plan, z, grad_out, alpha, raw > 0, negative_slope
+        )
+        return (grad_z, grad_score_dst.astype(score_dst.dtype),
+                grad_score_src.astype(score_src.dtype))
 
 
 # --------------------------------------------------------------------------- #
 # functional wrappers
 # --------------------------------------------------------------------------- #
-def spmm(x: Tensor, adj: sp.spmatrix, adj_t: Optional[sp.spmatrix] = None) -> Tensor:
-    return SpMM.apply(x, adj, adj_t)
-
-
 def neighbor_aggregate(x: Tensor, plan: EdgePlan, op: str = "sum") -> Tensor:
     """Plan-backed sum/mean aggregation of source features into destinations."""
     return NeighborAggregate.apply(x, plan, op)
@@ -414,27 +261,14 @@ def u_add_v(score_dst: Tensor, score_src: Tensor, plan: EdgePlan) -> Tensor:
     return EdgeScoreSum.apply(score_dst, score_src, plan)
 
 
-def segment_sum(values: Tensor, segment_ids, num_segments: int,
-                plan: Optional[EdgePlan] = None) -> Tensor:
-    return SegmentSum.apply(values, np.asarray(segment_ids), num_segments, plan)
+def u_mul_e_sum(x: Tensor, w: Tensor, plan: EdgePlan) -> Tensor:
+    return UMulESum.apply(x, w, plan)
 
 
-def segment_mean(values: Tensor, segment_ids, num_segments: int,
-                 plan: Optional[EdgePlan] = None) -> Tensor:
-    return SegmentMean.apply(values, np.asarray(segment_ids), num_segments, plan)
-
-
-def u_mul_e_sum(x: Tensor, w: Tensor, src, dst, num_dst: int,
-                plan: Optional[EdgePlan] = None) -> Tensor:
-    return UMulESum.apply(x, w, np.asarray(src), np.asarray(dst), num_dst, plan)
-
-
-def pool_aggregate(x: Tensor, src, dst, num_dst: int, op: str = "max",
-                   plan: Optional[EdgePlan] = None) -> Tensor:
+def pool_aggregate(x: Tensor, plan: EdgePlan, op: str = "max") -> Tensor:
     """Max/min pooling of source features into destination nodes."""
-    return PoolAggregation.apply(x, np.asarray(src), np.asarray(dst), num_dst, op, plan)
+    return PoolAggregation.apply(x, plan, op)
 
 
-def edge_softmax(scores: Tensor, dst, num_dst: int,
-                 plan: Optional[EdgePlan] = None) -> Tensor:
-    return EdgeSoftmax.apply(scores, np.asarray(dst), num_dst, plan)
+def edge_softmax(scores: Tensor, plan: EdgePlan) -> Tensor:
+    return EdgeSoftmax.apply(scores, plan)

@@ -25,8 +25,8 @@ from repro.partition import (
     partition_graph,
 )
 from repro.tensor import Tensor
-from repro.tensor.sparse import edge_softmax_np
 from repro.utils.seed import set_seed
+from reference_kernels import edge_softmax_np
 
 WORLD = 4
 
@@ -152,9 +152,7 @@ class TestDistributedGATAggregation:
         z_t = Tensor(z_full, requires_grad=True)
         sd_t = Tensor(sd_full, requires_grad=True)
         ss_t = Tensor(ss_full, requires_grad=True)
-        from repro.nn.gat_fused import FusedGATAggregation
-        ref_out = FusedGATAggregation.apply(z_t, sd_t, ss_t, sbm_graph.src, sbm_graph.dst,
-                                            n, 0.2)
+        ref_out = sbm_graph.gat_aggregate(z_t, sd_t, ss_t, negative_slope=0.2, fused=True)
         ref_out.backward(grad_seed)
         np.testing.assert_allclose(
             book.scatter_to_global([r[1] for r in result.results]), z_t.grad,

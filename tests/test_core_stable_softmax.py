@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import RunningSoftmaxAccumulator
-from repro.tensor.sparse import edge_softmax_np, segment_sum_np
+from repro.tensor.edge_plan import EdgePlan
+from reference_kernels import edge_softmax_np, segment_sum_np
+
+
+def _fold(acc, logits, values, dst, src):
+    """Fold one edge block in through the accumulator's sorted-space entry."""
+    plan = EdgePlan(src, dst, acc.num_nodes, len(values))
+    acc.add_block_sorted(plan.sort_edges(logits), values, plan)
 
 
 def _reference(logits, values, src, dst, num_nodes):
@@ -30,7 +37,7 @@ class TestRunningSoftmax:
     def test_single_block_matches_reference(self, rng):
         src, dst, logits, values = _random_problem(rng)
         acc = RunningSoftmaxAccumulator(6, 2, 3)
-        acc.add_block(logits, values, dst, src)
+        _fold(acc, logits, values, dst, src)
         np.testing.assert_allclose(acc.finalize(), _reference(logits, values, src, dst, 6),
                                    rtol=1e-4, atol=1e-5)
 
@@ -38,7 +45,7 @@ class TestRunningSoftmax:
         src, dst, logits, values = _random_problem(rng, num_edges=30)
         acc = RunningSoftmaxAccumulator(6, 2, 3)
         for chunk in np.array_split(np.arange(30), 4):
-            acc.add_block(logits[chunk], values, dst[chunk], src[chunk])
+            _fold(acc, logits[chunk], values, dst[chunk], src[chunk])
         np.testing.assert_allclose(acc.finalize(), _reference(logits, values, src, dst, 6),
                                    rtol=1e-4, atol=1e-5)
 
@@ -50,7 +57,7 @@ class TestRunningSoftmax:
         for order in (order_a, order_b):
             acc = RunningSoftmaxAccumulator(6, 2, 3)
             for chunk in order:
-                acc.add_block(logits[chunk], values, dst[chunk], src[chunk])
+                _fold(acc, logits[chunk], values, dst[chunk], src[chunk])
             results.append(acc.finalize())
         np.testing.assert_allclose(results[0], results[1], rtol=1e-4, atol=1e-5)
 
@@ -63,7 +70,7 @@ class TestRunningSoftmax:
         with np.errstate(over="ignore", invalid="ignore"):
             for chunk in np.array_split(np.arange(len(src)), 3):
                 for acc in (stable, naive):
-                    acc.add_block(logits[chunk], values, dst[chunk], src[chunk])
+                    _fold(acc, logits[chunk], values, dst[chunk], src[chunk])
             stable_out = stable.finalize()
             naive_out = naive.finalize()
         assert np.all(np.isfinite(stable_out))
@@ -75,7 +82,7 @@ class TestRunningSoftmax:
         src = np.array([0, 1])
         dst = np.array([0, 0])
         acc = RunningSoftmaxAccumulator(3, 1, 2)
-        acc.add_block(logits, values, dst, src)
+        _fold(acc, logits, values, dst, src)
         out = acc.finalize()
         np.testing.assert_allclose(out[1], 0.0)
         np.testing.assert_allclose(out[2], 0.0)
@@ -83,7 +90,7 @@ class TestRunningSoftmax:
     def test_state_returns_final_max_and_denominator(self, rng):
         src, dst, logits, values = _random_problem(rng)
         acc = RunningSoftmaxAccumulator(6, 2, 3)
-        acc.add_block(logits, values, dst, src)
+        _fold(acc, logits, values, dst, src)
         running_max, denom = acc.state()
         safe_max = np.where(np.isfinite(running_max), running_max, 0.0)
         weights = np.exp(logits - safe_max[dst])
@@ -93,7 +100,7 @@ class TestRunningSoftmax:
     def test_head_count_mismatch_raises(self, rng):
         acc = RunningSoftmaxAccumulator(4, 2, 3)
         with pytest.raises(ValueError):
-            acc.add_block(np.zeros((3, 5), dtype=np.float32),
+            _fold(acc, np.zeros((3, 5), dtype=np.float32),
                           np.zeros((4, 2, 3), dtype=np.float32),
                           np.array([0, 1, 2]), np.array([0, 1, 2]))
 
@@ -110,7 +117,7 @@ class TestRunningSoftmax:
         for chunk in np.array_split(np.arange(num_edges), min(num_blocks, max(num_edges, 1))):
             if len(chunk) == 0:
                 continue
-            acc.add_block(logits[chunk], values, dst[chunk], src[chunk])
+            _fold(acc, logits[chunk], values, dst[chunk], src[chunk])
         np.testing.assert_allclose(
             acc.finalize(), _reference(logits, values, src, dst, num_nodes),
             rtol=1e-3, atol=1e-4,

@@ -1,11 +1,11 @@
 """Tests for the EdgePlan kernel layer (sort-once/reduce-many message passing).
 
 Every plan-backed kernel is checked against the naive scipy / ``ufunc.at``
-reference implementation on adversarial edge sets (empty segments, parallel
-edges, isolated sources, multiple heads), the differentiable ops are
-gradchecked with plans attached, and the ``build_counter`` tests prove that a
-training loop constructs each plan exactly once — the hot path performs zero
-per-call sparsity derivation after warm-up.
+reference implementation (``tests/reference_kernels.py``) on adversarial
+edge sets (empty segments, parallel edges, isolated sources, multiple
+heads), the differentiable ops are gradchecked, and the ``build_counter``
+tests prove that a training loop constructs each plan exactly once — the hot
+path performs zero per-call sparsity derivation after warm-up.
 """
 
 import numpy as np
@@ -21,27 +21,33 @@ from repro.core import (
     sync_gradients,
 )
 from repro.distributed import run_distributed
-from repro.graph import Graph
 from repro.graph.hetero import HeteroGraph
 from repro.graph.mfg import message_flow_masks
-from repro.nn.gat_fused import fused_gat_backward_np, fused_gat_forward_np
 from repro.partition import PartitionBook, create_shards, partition_graph
 from repro.tensor import Tensor, edge_plan
-from repro.tensor.edge_plan import EdgePlan, plans_disabled
+from repro.tensor.edge_plan import EdgePlan
 from repro.tensor.gradcheck import check_gradients
 from repro.tensor.optim import Adam
 from repro.tensor.sparse import (
+    FusedGATAggregation,
     edge_softmax,
-    edge_softmax_np,
     leaky_relu_grad_np,
     leaky_relu_np,
     neighbor_aggregate,
     pool_aggregate,
+    u_add_v,
+    u_mul_e_sum,
+)
+from reference_kernels import (
+    ReferenceGraph,
+    add_block,
+    edge_softmax_np,
+    fused_gat_backward_np,
+    fused_gat_forward_np,
     segment_max_np,
     segment_min_np,
     segment_sum_np,
-    u_add_v,
-    u_mul_e_sum,
+    u_mul_e_sum_np,
 )
 
 
@@ -54,6 +60,15 @@ def _random_edges(rng, num_src, num_dst, num_edges, parallel=False):
         src = np.concatenate([src, src[take]])
         dst = np.concatenate([dst, dst[take]])
     return src, dst
+
+
+def _planned_fused_gat(plan, z, sd, ss, slope, grad):
+    """Output and ``(z, score_dst, score_src)`` gradients of
+    :class:`FusedGATAggregation`'s kernels, in the inputs' own dtype."""
+    kernel = FusedGATAggregation()
+    kernel.needs_grad = True
+    out = kernel.forward(*(Tensor(a, dtype=a.dtype) for a in (z, sd, ss)), plan, slope)
+    return out, kernel.backward(grad)
 
 
 EDGE_CASES = [
@@ -160,20 +175,18 @@ class TestPlanKernelsMatchNaive:
                                    edge_softmax_np(scores, dst, num_dst),
                                    rtol=1e-5, atol=1e-6)
 
-    def test_finite_initial_clamps_like_reference(self, rng):
-        """segment_max/min_np with a finite ``initial`` must clamp non-empty
-        segments exactly like the ``ufunc.at`` reference path."""
-        src, dst = _random_edges(rng, 20, 15, 60)
-        plan = EdgePlan(src, dst, 15, 20)
+    def test_finite_initial_fills_only_empty_segments(self, rng):
+        """A finite ``initial`` fills the empty segments and leaves every
+        non-empty one at its true extremum."""
+        src, dst = _random_edges(rng, 20, 10, 60)
+        plan = EdgePlan(src, dst, 15, 20)  # destinations 10..14 have no in-edge
         vals = -np.abs(rng.standard_normal((len(src), 3))).astype(np.float32)
-        np.testing.assert_allclose(
-            segment_max_np(vals, dst, 15, initial=0.0, plan=plan),
-            segment_max_np(vals, dst, 15, initial=0.0),
-        )
-        np.testing.assert_allclose(
-            segment_min_np(-vals, dst, 15, initial=0.0, plan=plan),
-            segment_min_np(-vals, dst, 15, initial=0.0),
-        )
+        empty = np.bincount(dst, minlength=15) == 0
+        for kernel, reference, signed in ((plan.segment_max, segment_max_np, vals),
+                                          (plan.segment_min, segment_min_np, -vals)):
+            expected = reference(signed, dst, 15)
+            expected[empty] = 0.0
+            np.testing.assert_array_equal(kernel(signed, initial=0.0), expected)
 
     def test_shape_validation(self, rng):
         src, dst = _random_edges(rng, 10, 10, 30)
@@ -196,7 +209,7 @@ class TestPlanBackedAutogradOps:
         x = Tensor(rng.standard_normal((12, 2, 3)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.standard_normal((len(src), 2)).astype(np.float32), requires_grad=True)
         check_gradients(
-            lambda: u_mul_e_sum(x, w, src, dst, 12, plan=plan).sum(), [x, w]
+            lambda: u_mul_e_sum(x, w, plan).sum(), [x, w]
         )
 
     def test_edge_softmax_gradcheck(self, rng):
@@ -205,7 +218,7 @@ class TestPlanBackedAutogradOps:
                         requires_grad=True)
         weights = Tensor(rng.standard_normal((len(src), 2)).astype(np.float32))
         check_gradients(
-            lambda: (edge_softmax(scores, dst, 12, plan=plan) * weights).sum(),
+            lambda: (edge_softmax(scores, plan) * weights).sum(),
             [scores],
         )
 
@@ -236,19 +249,19 @@ class TestPlanBackedAutogradOps:
         src, dst, plan = self._graph(rng)
         data = rng.standard_normal((12, 4)).astype(np.float32)
         grad_seed = rng.standard_normal((12, 4)).astype(np.float32)
-        outputs = {}
-        for use_plan in (True, False):
-            x = Tensor(data.copy(), requires_grad=True)
-            out = pool_aggregate(x, src, dst, 12, op="max",
-                                 plan=plan if use_plan else None)
-            out.backward(grad_seed)
-            outputs[use_plan] = (out.data, x.grad)
-        np.testing.assert_allclose(outputs[True][0], outputs[False][0])
-        np.testing.assert_allclose(outputs[True][1], outputs[False][1],
-                                   rtol=1e-5, atol=1e-5)
+        x = Tensor(data.copy(), requires_grad=True)
+        out = pool_aggregate(x, plan, op="max")
+        out.backward(grad_seed)
+        expected = segment_max_np(data[src], dst, 12)
+        expected = np.where(np.isfinite(expected), expected, 0.0)
+        expected_grad = np.zeros_like(data)
+        np.add.at(expected_grad, src, np.where(data[src] == expected[dst], grad_seed[dst], 0.0))
+        np.testing.assert_allclose(out.data, expected)
+        np.testing.assert_allclose(x.grad, expected_grad, rtol=1e-5, atol=1e-5)
 
     def test_plan_and_naive_layer_outputs_match(self, rng, sbm_graph):
-        """Full GAT/SAGE layers produce identical results with plans on or off."""
+        """Full GAT/SAGE layers produce the same results on the planned
+        kernels and, through :class:`ReferenceGraph`, on the naive ones."""
         x_data = rng.standard_normal((sbm_graph.num_nodes, 8)).astype(np.float32)
         for layer_cls, kwargs in [
             (nn.GATConv, dict(num_heads=2)),
@@ -261,11 +274,9 @@ class TestPlanBackedAutogradOps:
             out_plan = layer(sbm_graph, x)
             out_plan.backward(np.ones_like(out_plan.data))
             grad_plan = x.grad.copy()
-            with plans_disabled():
-                naive_graph = Graph(sbm_graph.num_nodes, sbm_graph.src, sbm_graph.dst)
-                x.grad = None
-                out_naive = layer(naive_graph, x)
-                out_naive.backward(np.ones_like(out_naive.data))
+            x.grad = None
+            out_naive = layer(ReferenceGraph(sbm_graph), x)
+            out_naive.backward(np.ones_like(out_naive.data))
             np.testing.assert_allclose(out_plan.data, out_naive.data,
                                        rtol=1e-4, atol=1e-4)
             np.testing.assert_allclose(grad_plan, x.grad, rtol=1e-4, atol=1e-4)
@@ -276,11 +287,10 @@ class TestPlanBackedAutogradOps:
         sd = rng.standard_normal((15, 2)).astype(np.float32)
         ss = rng.standard_normal((15, 2)).astype(np.float32)
         grad = rng.standard_normal((15, 2, 4)).astype(np.float32)
-        fwd_plan = fused_gat_forward_np(z, sd, ss, src, dst, 15, 0.2, plan=plan)
-        fwd_naive = fused_gat_forward_np(z, sd, ss, src, dst, 15, 0.2, plan=None)
+        fwd_plan, bwd_plan = _planned_fused_gat(plan, z, sd, ss, 0.2, grad)
+        fwd_naive = fused_gat_forward_np(z, sd, ss, src, dst, 15, 0.2)
         np.testing.assert_allclose(fwd_plan, fwd_naive, rtol=1e-5, atol=1e-5)
-        bwd_plan = fused_gat_backward_np(grad, z, sd, ss, src, dst, 15, 0.2, plan=plan)
-        bwd_naive = fused_gat_backward_np(grad, z, sd, ss, src, dst, 15, 0.2, plan=None)
+        bwd_naive = fused_gat_backward_np(grad, z, sd, ss, src, dst, 15, 0.2)
         for a, b in zip(bwd_plan, bwd_naive):
             np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-4)
 
@@ -289,9 +299,13 @@ class TestMessageFlowMasksWithPlan:
     def test_plan_and_adjacency_masks_agree(self, sbm_graph):
         seeds = np.array([0, 5, 77])
         with_plan = message_flow_masks(sbm_graph, seeds, 3)
-        with plans_disabled():
-            naive_graph = Graph(sbm_graph.num_nodes, sbm_graph.src, sbm_graph.dst)
-            without = message_flow_masks(naive_graph, seeds, 3)
+        adj_t = sbm_graph.adjacency(transpose=True)
+        current = np.zeros(sbm_graph.num_nodes, dtype=bool)
+        current[seeds] = True
+        without = [current]
+        for _ in range(3):
+            current = current | ((adj_t @ current.astype(np.float32)) > 0)
+            without.insert(0, current)
         for a, b in zip(with_plan, without):
             np.testing.assert_array_equal(a, b)
 
@@ -331,13 +345,6 @@ class TestBuildCounter:
         assert p1 is p2
         assert after_first == before + 1
         assert edge_plan.build_counter == after_first
-
-    def test_plans_disabled_returns_none_and_builds_nothing(self, sbm_graph):
-        graph = Graph(sbm_graph.num_nodes, sbm_graph.src, sbm_graph.dst)
-        before = edge_plan.build_counter
-        with plans_disabled():
-            assert graph.plan() is None
-        assert edge_plan.build_counter == before
 
     def test_training_loop_builds_each_plan_exactly_once(self, rng, sbm_graph):
         """3 GAT iterations: warm-up builds the plan, later iterations build none."""
@@ -583,13 +590,12 @@ class TestSortedEdgeSpace:
         grad = rng.standard_normal((num_dst, heads, dim)).astype(dtype)
         tol = (dict(rtol=1e-4, atol=1e-5) if dtype == np.float32
                else dict(rtol=1e-10, atol=1e-12))
-        planned = fused_gat_forward_np(z, sd, ss, src, dst, num_dst, slope, plan=plan)
+        planned, planned_grads = _planned_fused_gat(plan, z, sd, ss, slope, grad)
         naive = fused_gat_forward_np(z, sd, ss, src, dst, num_dst, slope)
         assert planned.dtype == naive.dtype
         np.testing.assert_allclose(planned, naive, **tol)
-        for a, b in zip(
-                fused_gat_backward_np(grad, z, sd, ss, src, dst, num_dst, slope, plan=plan),
-                fused_gat_backward_np(grad, z, sd, ss, src, dst, num_dst, slope)):
+        for a, b in zip(planned_grads,
+                        fused_gat_backward_np(grad, z, sd, ss, src, dst, num_dst, slope)):
             assert a.dtype == b.dtype and a.shape == b.shape
             np.testing.assert_allclose(a, b, **tol)
 
@@ -608,7 +614,7 @@ class TestSortedEdgeSpace:
             logits = rng.standard_normal((len(src), heads)).astype(np.float32)
             values = rng.standard_normal((num_src, heads, dim)).astype(np.float32)
             sorted_acc.add_block_sorted(plan.sort_edges(logits), values, plan)
-            reference.add_block(logits, values, dst, src)
+            add_block(reference, logits, values, dst, src)
         np.testing.assert_allclose(sorted_acc.finalize(), reference.finalize(),
                                    rtol=1e-5, atol=1e-6)
         (got_max, got_denom), (want_max, want_denom) = sorted_acc.state(), reference.state()
@@ -621,10 +627,10 @@ class TestSortedEdgeSpace:
         monkeypatch.setattr(edge_plan, "SDDMM_BLOCK_BYTES", 5 * 2 * 2 * 4 * 4)  # 5 edges
         x_data = rng.standard_normal((14, 2, 4)).astype(np.float32)
         w_data = rng.random((len(src), 2)).astype(np.float32)
-        grads = []
-        for p in (plan, None):
-            x, w = Tensor(x_data, requires_grad=True), Tensor(w_data, requires_grad=True)
-            u_mul_e_sum(x, w, src, dst, 11, plan=p).backward(np.ones((11, 2, 4), np.float32))
-            grads.append((x.grad, w.grad))
-        np.testing.assert_allclose(grads[0][0], grads[1][0], rtol=1e-5, atol=1e-5)
-        np.testing.assert_array_equal(grads[0][1], grads[1][1])  # input edge order, same bits
+        grad = np.ones((11, 2, 4), np.float32)
+        x, w = Tensor(x_data, requires_grad=True), Tensor(w_data, requires_grad=True)
+        u_mul_e_sum(x, w, plan).backward(grad)
+        np.testing.assert_allclose(x.grad, u_mul_e_sum_np(grad, w_data, dst, src, 14),
+                                   rtol=1e-5, atol=1e-5)
+        # input edge order, same bits as the unblocked einsum
+        np.testing.assert_array_equal(w.grad, np.einsum("ehd,ehd->eh", x_data[src], grad[dst]))

@@ -17,6 +17,7 @@ from repro.core.dist_graph import DistributedGraph
 from repro.distributed.cluster import run_distributed
 from repro.graph import (
     HeteroGraph,
+    MFGPipeline,
     build_hetero_mfg_pipeline,
     build_mfg_pipeline,
     hetero_message_flow_masks,
@@ -28,13 +29,13 @@ from repro.partition import PartitionBook, create_shards, partition_graph
 from repro.partition.shard import restrict_block_to_dst
 from repro.tensor import Tensor
 from repro.tensor import functional as F
-from repro.tensor.edge_plan import plans_disabled
 from repro.training.trainer import (
     DistributedTrainer,
     FullBatchTrainer,
     TrainingConfig,
 )
 from repro.utils.seed import set_seed
+from reference_kernels import ReferenceGraph
 
 
 @pytest.fixture
@@ -146,13 +147,13 @@ class TestSingleMachineParity:
 
     def test_sage_parity_on_naive_kernels(self, mfg_setup):
         graph, features, labels, seeds = mfg_setup
-        with plans_disabled():
-            pipeline = build_mfg_pipeline(graph, seeds, num_layers=2)
-            def factory():
-                return GraphSageNet(12, 16, 4, num_layers=2, dropout=0.0,
-                                    use_batch_norm=False)
-            full, mfg, grad_diffs = _full_vs_mfg(factory, graph, pipeline,
-                                                 features, labels)
+        blocks = build_mfg_pipeline(graph, seeds, num_layers=2).blocks
+        pipeline = MFGPipeline([ReferenceGraph(block) for block in blocks])
+        def factory():
+            return GraphSageNet(12, 16, 4, num_layers=2, dropout=0.0,
+                                use_batch_norm=False)
+        full, mfg, grad_diffs = _full_vs_mfg(factory, ReferenceGraph(graph), pipeline,
+                                             features, labels)
         np.testing.assert_allclose(full, mfg, rtol=1e-5, atol=1e-6)
         assert max(grad_diffs) < 1e-4
 

@@ -209,7 +209,7 @@ class TestShards:
                 if block.num_edges == 0:
                     continue
                 remote = x[book.nodes_of(q)][block.required_src_local]
-                acc += block.aggregation_matrix() @ remote
+                acc += block.plan().aggregate_sum(remote)
             np.testing.assert_allclose(acc, expected[shard.global_node_ids],
                                        rtol=1e-4, atol=1e-4)
 
