@@ -36,12 +36,7 @@ from repro.core.rgcn_dist import RGCNKernel
 from repro.core.sage_dist import make_neighbor_kernel
 from repro.core.seq_agg import SequentialAggregationEngine
 from repro.distributed.comm import Communicator
-from repro.partition.shard import (
-    EdgeBlock,
-    ShardedGraph,
-    ShardedHeteroGraph,
-    restrict_block_to_dst,
-)
+from repro.partition.shard import EdgeBlock, ShardedGraph, ShardedHeteroGraph
 from repro.tensor.tensor import Tensor
 
 #: what :meth:`DistributedGraph.prepare_restriction` returns: one
@@ -177,15 +172,18 @@ class DistributedGraph(_DistributedGraphBase):
         self._cursor = 0
 
     def prepare_restriction(self, layer_blocks: Sequence[List[EdgeBlock]],
-                            name: str = "smp",
-                            recompute_in_degrees: bool = False) -> RestrictionLayers:
+                            name: str = "smp") -> RestrictionLayers:
         """Prepare per-conv-layer substitute block grids (collective call).
 
         The one way a restriction comes into being, shared by the persistent
-        MFG restriction (:meth:`mfg_blocks`) and per-batch sampled training
-        (:mod:`repro.sample.distributed` samples a fresh grid every batch).
-        Evaluation needs none: the unrestricted SAR forward already keeps one
-        remote block resident at a time.  Nothing is installed: the returned
+        MFG restriction and per-batch sampled training: both hand over grids
+        from :meth:`repro.sample.distributed.DistributedNeighborSampler.
+        sample_blocks` — MFG's sampled once, at every fan-out ``-1`` over its
+        seed set, sampled training's afresh every batch.  Each layer's view
+        recounts the in-degrees from its grid, so mean aggregation divides by
+        the sampled degree, which on a full-neighbourhood grid is the global
+        one.  Evaluation needs none: the unrestricted SAR forward already keeps
+        one remote block resident at a time.  Nothing is installed: the returned
         ``(restricted shard view, halo)`` pairs take effect only inside
         ``with self.restricted(layers):``, where conv layer ``l``'s
         aggregation runs over ``layer_blocks[l]`` — halo fetches (and the
@@ -204,11 +202,6 @@ class DistributedGraph(_DistributedGraphBase):
         name:
             Key prefix namespacing the per-layer
             :class:`~repro.core.halo.HaloExchange` routing exchanges.
-        recompute_in_degrees:
-            Must be ``True`` for *sampled* grids so mean aggregation
-            normalizes by the sampled degree; leave ``False`` when every
-            destination keeps its complete in-neighbourhood (MFG restriction)
-            so the full-graph degrees are reused.
 
         Notes
         -----
@@ -221,11 +214,7 @@ class DistributedGraph(_DistributedGraphBase):
         layers: RestrictionLayers = []
         for layer, blocks in enumerate(layer_blocks):
             halo = HaloExchange(self.comm, blocks, name=f"{name}{layer}-homo")
-            layers.append((
-                self.shard.with_blocks(list(blocks),
-                                       recompute_in_degrees=recompute_in_degrees),
-                halo,
-            ))
+            layers.append((self.shard.with_blocks(list(blocks)), halo))
         return layers
 
     @contextmanager
@@ -248,39 +237,6 @@ class DistributedGraph(_DistributedGraphBase):
             yield
         finally:
             self._restriction, self._cursor = outer, 0
-
-    def mfg_blocks(self, layer_masks: Sequence[np.ndarray]) -> List[List[EdgeBlock]]:
-        """Per-layer MFG-restricted block grids for :meth:`prepare_restriction`.
-
-        Parameters
-        ----------
-        layer_masks:
-            The ``num_layers + 1`` global boolean masks — each shaped
-            ``(num_total_nodes,)`` — from
-            :func:`repro.graph.mfg.message_flow_masks` over the
-            *unpartitioned* graph.  Conv layer ``l``'s grid keeps only the
-            edges feeding a destination required at level ``l + 1``.
-
-        Notes
-        -----
-        Pure and local.  Because every required destination keeps its
-        complete in-neighbourhood in original edge order, seed-row outputs
-        under the prepared restriction are bit-identical to the unrestricted
-        pass.
-        """
-        if len(layer_masks) < 2:
-            raise ValueError("layer_masks needs at least 2 entries (input and output level)")
-        layer_blocks: List[List[EdgeBlock]] = []
-        for layer in range(len(layer_masks) - 1):
-            mask = np.asarray(layer_masks[layer + 1], dtype=bool)
-            if mask.shape != (self.num_total_nodes,):
-                raise ValueError(
-                    f"layer_masks[{layer + 1}] must cover all {self.num_total_nodes} "
-                    f"global nodes, got shape {mask.shape}"
-                )
-            dst_mask = mask[self.shard.global_node_ids]
-            layer_blocks.append([restrict_block_to_dst(b, dst_mask) for b in self.shard.blocks])
-        return layer_blocks
 
     def _layer_context(self, what: str) -> Tuple[ShardedGraph, HaloExchange]:
         """The (shard, halo) pair the next aggregation runs over.

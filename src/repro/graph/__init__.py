@@ -13,9 +13,7 @@ from repro.graph.mfg import (
     MFGBlock,
     MFGHeteroBlock,
     MFGPipeline,
-    build_hetero_mfg_pipeline,
     build_mfg_pipeline,
-    hetero_message_flow_masks,
     message_flow_masks,
     mfg_savings,
     required_node_counts,
@@ -30,12 +28,10 @@ __all__ = [
     "ring_graph",
     "star_graph",
     "message_flow_masks",
-    "hetero_message_flow_masks",
     "required_node_counts",
     "mfg_savings",
     "MFGBlock",
     "MFGHeteroBlock",
     "MFGPipeline",
     "build_mfg_pipeline",
-    "build_hetero_mfg_pipeline",
 ]

@@ -4,29 +4,32 @@ In node-classification tasks the loss only touches a (possibly small) set of
 labelled *seed* nodes.  Working backwards from the seeds, layer ``l`` of an
 ``L``-layer GNN only has to produce output features for the nodes that are at
 most ``L - l`` hops away from a seed (following in-edges).  The paper uses
-DGL's MFGs to skip the remaining rows; :func:`message_flow_masks` computes
-the same per-layer "required node" masks.
+DGL's MFGs to skip the remaining rows.
 
-The masks alone only *count* skippable rows.  Executing the restriction is
-the job of :func:`build_mfg_pipeline`: each conv layer becomes a compacted
-bipartite :class:`MFGBlock` — the layer's edges relabelled into the compact
-row spaces of its required source and destination nodes, owning a lazily
-built :class:`~repro.tensor.edge_plan.EdgePlan` — and consecutive blocks
-chain exactly (layer ``l``'s destination nodes are layer ``l+1``'s source
-nodes), so a model forwards layer by layer over shrinking feature matrices.
-This is the same per-layer sampled-block execution model as DGL's MFGs,
-restricted to the deterministic full-neighbourhood case.
+One builder derives that receptive field.  :func:`block_from_in_edges` turns a
+set of destinations into the block over their complete in-neighbourhoods,
+read from the graph's cached in-edge index in O(sum of their in-degrees);
+:func:`build_mfg_pipeline` chains it ``L`` times from the seeds, each block's
+source nodes becoming the next level's destinations — the full-neighbour case
+of DGL's sampler, and of :class:`~repro.sample.neighbor.NeighborSampler` at
+``fanout=-1``.  :func:`message_flow_masks`, :func:`required_node_counts` and
+:func:`mfg_savings` are views of the pipeline's per-level node lists.
 
-Because a destination is only required when *all* of its in-neighbours are
-required one layer earlier, every block contains a destination's complete
-in-neighbourhood, in the original edge order.  Kernels over the block
-therefore reduce exactly the same values in exactly the same order as the
-full graph, making seed-node outputs bit-identical — not merely close.
+Each conv layer becomes a compacted bipartite :class:`MFGBlock` (or
+:class:`MFGHeteroBlock`, one edge set per relation) — the layer's edges
+relabelled into the compact row spaces of its required source and destination
+nodes, owning a lazily built :class:`~repro.tensor.edge_plan.EdgePlan` — and
+consecutive blocks chain exactly (layer ``l``'s destination nodes are layer
+``l+1``'s source nodes), so a model forwards layer by layer over shrinking
+feature matrices.
 
-When only *one* layer's block over a known destination set is wanted — a
-serving level's misses, a shard's owned rows, a layer-wise inference batch —
-:func:`block_from_in_edges` builds it from the graph's cached in-edge index
-in O(sum of the destinations' in-degrees), with no whole-graph mask.
+A block holds every required destination's complete in-neighbourhood, each
+destination's edges in ascending original edge id, relabelled
+order-preservingly.  Edge plans sort every orientation by ``(row, col)``,
+breaking ties by input position, so any edge order that keeps per-destination
+edge-id order reduces identically: kernels over the block reduce exactly the
+same values in exactly the same order as the full graph, making seed-node
+outputs bit-identical — not merely close.
 """
 
 from __future__ import annotations
@@ -44,38 +47,31 @@ from repro.tensor.edge_plan import EdgePlan, cached_plan
 from repro.utils.validation import check_1d_int_array, check_positive_int
 
 
-def message_flow_masks(graph: Graph, seed_nodes, num_layers: int) -> List[np.ndarray]:
+def message_flow_masks(graph: Union[Graph, HeteroGraph], seed_nodes,
+                       num_layers: int) -> List[np.ndarray]:
     """Per-layer boolean masks of nodes whose features must be computed.
 
     Returns a list of ``num_layers + 1`` masks: entry ``l`` marks the nodes
     whose layer-``l`` activations are required (entry ``0`` is the input
     layer, entry ``num_layers`` the output layer and equals the seed set).
+    On a :class:`~repro.graph.hetero.HeteroGraph` the receptive field expands
+    along every relation at once, as R-GCN layers aggregate over all of them.
     """
-    num_layers = check_positive_int(num_layers, "num_layers")
-    seeds = check_1d_int_array(seed_nodes, "seed_nodes", max_value=graph.num_nodes)
-    masks: List[np.ndarray] = [None] * (num_layers + 1)  # type: ignore[list-item]
-    current = np.zeros(graph.num_nodes, dtype=bool)
-    current[seeds] = True
-    masks[num_layers] = current.copy()
-    # To expand "needed outputs" into "needed inputs" we walk edges backwards:
-    # a destination needs all of its in-neighbours, i.e. a source is reached
-    # when any of its out-edges points at a needed destination.  The graph's
-    # edge plan provides exactly that transpose reduction from its cached
-    # source-major structure.
-    plan = graph.plan()
-    for layer in range(num_layers - 1, -1, -1):
-        reached = plan.aggregate_sum_t(current.astype(np.float32)) > 0
-        current = current | reached
-        masks[layer] = current.copy()
+    masks = []
+    for nodes in build_mfg_pipeline(graph, seed_nodes, num_layers).node_lists:
+        mask = np.zeros(graph.num_nodes, dtype=bool)
+        mask[nodes] = True
+        masks.append(mask)
     return masks
 
 
-def required_node_counts(graph: Graph, seed_nodes, num_layers: int) -> List[int]:
+def required_node_counts(graph: Union[Graph, HeteroGraph], seed_nodes,
+                         num_layers: int) -> List[int]:
     """Number of nodes whose features must be computed at each layer."""
-    return [int(mask.sum()) for mask in message_flow_masks(graph, seed_nodes, num_layers)]
+    return build_mfg_pipeline(graph, seed_nodes, num_layers).required_node_counts()
 
 
-def mfg_savings(graph: Graph, seed_nodes, num_layers: int) -> float:
+def mfg_savings(graph: Union[Graph, HeteroGraph], seed_nodes, num_layers: int) -> float:
     """Fraction of node-feature computations avoided thanks to the MFG restriction.
 
     ``0.0`` means no savings (every node needed at every layer), values close
@@ -88,45 +84,15 @@ def mfg_savings(graph: Graph, seed_nodes, num_layers: int) -> float:
     return 1.0 - needed / full if full else 0.0
 
 
-def hetero_message_flow_masks(hgraph: HeteroGraph, seed_nodes,
-                              num_layers: int) -> List[np.ndarray]:
-    """Per-layer required-node masks over the union of a hetero graph's relations.
-
-    A node is required at layer ``l`` when any relation carries one of its
-    out-edges to a node required at layer ``l+1`` (or it is itself required
-    there); R-GCN layers aggregate over every relation, so the receptive
-    field expands along all of them at once.
-    """
-    num_layers = check_positive_int(num_layers, "num_layers")
-    seeds = check_1d_int_array(seed_nodes, "seed_nodes", max_value=hgraph.num_nodes)
-    masks: List[np.ndarray] = [None] * (num_layers + 1)  # type: ignore[list-item]
-    current = np.zeros(hgraph.num_nodes, dtype=bool)
-    current[seeds] = True
-    masks[num_layers] = current.copy()
-    for layer in range(num_layers - 1, -1, -1):
-        reached = np.zeros(hgraph.num_nodes, dtype=bool)
-        for src, dst in hgraph.relations.values():
-            reached[src[current[dst]]] = True
-        current = current | reached
-        masks[layer] = current.copy()
-    return masks
-
-
 # --------------------------------------------------------------------------- #
 # compacted per-layer blocks (the MFG execution pipeline)
 # --------------------------------------------------------------------------- #
-def _lookup_table(nodes: np.ndarray, num_nodes: int) -> np.ndarray:
-    table = np.full(num_nodes, -1, dtype=np.int64)
-    table[nodes] = np.arange(len(nodes), dtype=np.int64)
-    return table
-
-
 class _CompactBlockBase:
     """Row-space bookkeeping shared by the homogeneous and relational blocks.
 
     ``src_nodes``/``dst_nodes`` are the original (global) ids of the block's
-    required source and destination nodes, in ascending order.  The masks the
-    blocks are derived from are cumulative, so ``dst_nodes ⊆ src_nodes`` and
+    required source and destination nodes, in ascending order.  Every
+    destination is also a source (``dst_nodes ⊆ src_nodes``), and
     :attr:`dst_in_src` maps each destination row to its row in the source
     space — the row gather every layer's self/residual term runs through
     (:meth:`gather_dst`, which overrides the protocol's identity).
@@ -160,11 +126,11 @@ class MFGBlock(_CompactBlockBase, NeighborAggregation):
     """One conv layer's compacted bipartite edge set.
 
     ``src``/``dst`` are the graph edges feeding a required destination,
-    relabelled into the compact source/destination row spaces; the original
-    edge order is preserved.  The block speaks the same aggregation protocol
-    as a :class:`~repro.graph.graph.Graph`: the aggregation output has
-    :attr:`num_dst_nodes` rows and the self/residual term reads its input
-    rows through :meth:`gather_dst`.
+    relabelled into the compact source/destination row spaces; each
+    destination's edges keep their original order.  The block speaks the
+    same aggregation protocol as a :class:`~repro.graph.graph.Graph`: the
+    aggregation output has :attr:`num_dst_nodes` rows and the self/residual
+    term reads its input rows through :meth:`gather_dst`.
     """
 
     def __init__(self, src_nodes: np.ndarray, dst_nodes: np.ndarray,
@@ -245,13 +211,8 @@ class MFGPipeline:
     :attr:`output_nodes` (the seed set, in ascending id order).
     """
 
-    def __init__(self, blocks: List[_CompactBlockBase],
-                 masks: Optional[List[np.ndarray]] = None):
-        #: per-layer global required-node masks; ``None`` when the pipeline was
-        #: built without materializing O(num_nodes) arrays (the sampler path —
-        #: the node lists on the blocks carry the same information compactly).
+    def __init__(self, blocks: List[_CompactBlockBase]):
         self.blocks = blocks
-        self.masks = masks
 
     @property
     def num_layers(self) -> int:
@@ -267,6 +228,12 @@ class MFGPipeline:
         """Global ids of the output rows (the seed set, ascending)."""
         return self.blocks[-1].dst_nodes
 
+    @property
+    def node_lists(self) -> List[np.ndarray]:
+        """Per level, the ascending global ids whose activations are computed
+        (``num_layers + 1`` arrays, input level first)."""
+        return [block.src_nodes for block in self.blocks] + [self.output_nodes]
+
     def layer_block(self, index: int) -> _CompactBlockBase:
         if not 0 <= index < len(self.blocks):
             raise IndexError(
@@ -279,12 +246,7 @@ class MFGPipeline:
         return features[self.input_nodes]
 
     def required_node_counts(self) -> List[int]:
-        if self.masks is not None:
-            return [int(mask.sum()) for mask in self.masks]
-        # Each block's src_nodes are the flatnonzero of the matching mask.
-        return [block.num_src_nodes for block in self.blocks] + [
-            self.blocks[-1].num_dst_nodes
-        ]
+        return [len(nodes) for nodes in self.node_lists]
 
     def __repr__(self) -> str:
         return (
@@ -293,66 +255,37 @@ class MFGPipeline:
         )
 
 
-def _compact_edges(src: np.ndarray, dst: np.ndarray, dst_mask: np.ndarray,
-                   src_lookup: np.ndarray, dst_lookup: np.ndarray
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    keep = dst_mask[dst]
-    src_ids = src_lookup[src[keep]]
-    dst_ids = dst_lookup[dst[keep]]
-    if src_ids.size and src_ids.min() < 0:
-        raise AssertionError(
-            "MFG masks are inconsistent: an edge into a required destination "
-            "has a source outside the previous layer's required set"
-        )
-    return src_ids, dst_ids
-
-
-def build_mfg_pipeline(graph: Graph, seed_nodes, num_layers: int) -> MFGPipeline:
+def build_mfg_pipeline(graph: Union[Graph, HeteroGraph], seed_nodes,
+                       num_layers: int) -> MFGPipeline:
     """Derive the compacted per-layer blocks executing the MFG restriction.
 
     Parameters
     ----------
     graph:
-        The full homogeneous graph.
+        The full graph: a :class:`~repro.graph.graph.Graph` yields
+        :class:`MFGBlock` layers, a :class:`~repro.graph.hetero.HeteroGraph`
+        :class:`MFGHeteroBlock` layers over the union of its relations.
     seed_nodes:
         Node ids whose layer-``num_layers`` outputs are required.
     num_layers:
         Depth of the model the pipeline will drive.
+
+    Walks output → input: the output block is :func:`block_from_in_edges`
+    over the ascending unique seeds, and each lower block's destinations are
+    the source nodes of the block above it.
     """
-    masks = message_flow_masks(graph, seed_nodes, num_layers)
-    node_lists = [np.flatnonzero(mask) for mask in masks]
-    lookups = [_lookup_table(nodes, graph.num_nodes) for nodes in node_lists]
+    num_layers = check_positive_int(num_layers, "num_layers")
+    nodes = np.unique(check_1d_int_array(seed_nodes, "seed_nodes", max_value=graph.num_nodes))
+    index = graph.in_edge_index()
     blocks: List[_CompactBlockBase] = []
-    for layer in range(num_layers):
-        src_nodes, dst_nodes = node_lists[layer], node_lists[layer + 1]
-        src_ids, dst_ids = _compact_edges(graph.src, graph.dst, masks[layer + 1],
-                                          lookups[layer], lookups[layer + 1])
-        blocks.append(MFGBlock(src_nodes, dst_nodes, src_ids, dst_ids,
-                               dst_in_src=lookups[layer][dst_nodes]))
-    return MFGPipeline(blocks, masks)
-
-
-def build_hetero_mfg_pipeline(hgraph: HeteroGraph, seed_nodes,
-                              num_layers: int) -> MFGPipeline:
-    """Hetero counterpart of :func:`build_mfg_pipeline` (one edge set per relation)."""
-    masks = hetero_message_flow_masks(hgraph, seed_nodes, num_layers)
-    node_lists = [np.flatnonzero(mask) for mask in masks]
-    lookups = [_lookup_table(nodes, hgraph.num_nodes) for nodes in node_lists]
-    blocks: List[_CompactBlockBase] = []
-    for layer in range(num_layers):
-        src_nodes, dst_nodes = node_lists[layer], node_lists[layer + 1]
-        relation_edges = {
-            name: _compact_edges(src, dst, masks[layer + 1],
-                                 lookups[layer], lookups[layer + 1])
-            for name, (src, dst) in hgraph.relations.items()
-        }
-        blocks.append(MFGHeteroBlock(src_nodes, dst_nodes, relation_edges,
-                                     dst_in_src=lookups[layer][dst_nodes]))
-    return MFGPipeline(blocks, masks)
+    for _ in range(num_layers):
+        blocks.append(block_from_in_edges(index, nodes))
+        nodes = blocks[-1].src_nodes
+    return MFGPipeline(blocks[::-1])
 
 
 # --------------------------------------------------------------------------- #
-# one block over known destinations (serving, the shard walk, layer-wise eval)
+# one block over known destinations (every receptive-field walk)
 # --------------------------------------------------------------------------- #
 def block_from_in_edges(
     index: Union[InEdgeIndex, Mapping[str, InEdgeIndex]],

@@ -41,7 +41,7 @@ class EdgeBlock:
     #: per-edge destination id, local to worker ``dst_rank``
     dst_local: np.ndarray
     #: per-edge *global* edge position in the original graph's edge arrays
-    #: (``None`` for block grids that never need it, e.g. sampled grids).
+    #: (``None`` for block grids that never need it, e.g. sampled and MFG grids).
     #: Carried so per-worker code can recover the original edge order — the
     #: reduction order that makes restricted outputs bit-identical to the
     #: single-machine pipeline (see :meth:`ShardedGraph.in_edge_index`).
@@ -76,37 +76,6 @@ class EdgeBlock:
         return self._plan
 
 
-def restrict_block_to_dst(block: EdgeBlock, dst_mask: np.ndarray) -> EdgeBlock:
-    """Drop the block's edges whose destination is outside ``dst_mask``.
-
-    This is the per-layer MFG restriction of the SAR path: the required
-    source set is recomputed from the surviving edges, so remote blocks
-    fetch (and receive backward errors for) strictly fewer halo rows.  The
-    destination row space keeps its full height — worker feature matrices
-    stay shaped ``(num_local_nodes, F)`` and the model code is unchanged;
-    rows outside the mask simply aggregate nothing.  Surviving edges keep
-    their original order, so per-row reductions stay bit-identical to the
-    unrestricted blocks.
-    """
-    dst_mask = np.asarray(dst_mask, dtype=bool)
-    if dst_mask.shape != (block.num_dst,):
-        raise ValueError(
-            f"dst_mask must have shape ({block.num_dst},), got {dst_mask.shape}"
-        )
-    keep = dst_mask[block.dst_local]
-    kept_src_index = block.src_index[keep]
-    required, src_index = np.unique(kept_src_index, return_inverse=True)
-    return EdgeBlock(
-        src_rank=block.src_rank,
-        dst_rank=block.dst_rank,
-        num_dst=block.num_dst,
-        required_src_local=block.required_src_local[required],
-        src_index=src_index.astype(np.int64),
-        dst_local=block.dst_local[keep],
-        edge_pos=None if block.edge_pos is None else block.edge_pos[keep],
-    )
-
-
 class ShardedGraph:
     """Worker ``rank``'s view of a partitioned homogeneous graph."""
 
@@ -135,9 +104,12 @@ class ShardedGraph:
         per destination in exactly the order the single-machine pipeline
         does, which is what keeps distributed restricted outputs
         bit-identical (the distributed serving path,
-        :func:`repro.sample.inference.distributed_restricted_logits`).
-        Requires block grids carrying :attr:`EdgeBlock.edge_pos` (anything
-        :func:`create_shards` builds).
+        :func:`repro.sample.inference.distributed_restricted_logits`, and the
+        cooperative sampler,
+        :class:`repro.sample.distributed.DistributedNeighborSampler`, whose
+        per-edge draws hash the global edge ids and which builds the MFG
+        grids too).  Requires block grids carrying
+        :attr:`EdgeBlock.edge_pos` (anything :func:`create_shards` builds).
         """
         if self._in_edge_index is None:
             srcs, dsts, eids = [], [], []
@@ -168,28 +140,25 @@ class ShardedGraph:
                                               eids=eid)
         return self._in_edge_index
 
-    def with_blocks(self, blocks: List[EdgeBlock],
-                    recompute_in_degrees: bool = False) -> "ShardedGraph":
+    def with_blocks(self, blocks: List[EdgeBlock]) -> "ShardedGraph":
         """A shallow view of this shard executing over substitute edge blocks.
 
         Node data and the partition book are shared with the original shard —
-        only the block grid differs.  ``recompute_in_degrees`` re-derives the
-        per-node in-degrees from the substitute blocks: the MFG restriction
-        keeps every required destination's complete in-neighbourhood, so it
-        shares the original (global) degrees, while *sampled* block grids
-        must normalize mean aggregation by the sampled degree.
+        only the block grid differs.  The per-node in-degrees are re-derived
+        from the substitute blocks: sampled grids normalize mean aggregation
+        by the sampled degree, and on a full-neighbourhood (MFG) grid the
+        recount equals the global degree on every destination the grid keeps
+        and is 0 on the rest, which aggregate nothing.
         """
         view = ShardedGraph.__new__(ShardedGraph)
         view.__dict__.update(self.__dict__)
         view.blocks = blocks
         view._in_edge_index = None
-        if recompute_in_degrees:
-            degrees = np.zeros(self.num_local_nodes, dtype=np.int64)
-            for block in blocks:
-                if block.num_edges:
-                    degrees += np.bincount(block.dst_local,
-                                           minlength=self.num_local_nodes)
-            view.local_in_degrees = degrees
+        degrees = np.zeros(self.num_local_nodes, dtype=np.int64)
+        for block in blocks:
+            if block.num_edges:
+                degrees += np.bincount(block.dst_local, minlength=self.num_local_nodes)
+        view.local_in_degrees = degrees
         return view
 
     def __repr__(self) -> str:

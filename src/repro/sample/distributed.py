@@ -10,9 +10,9 @@ along ownership exactly like aggregation does:
   coordinator, no broadcast);
 * at each layer, every worker samples in-edges **only for the required
   destinations it owns** — the in-edges of a worker's own nodes are precisely
-  the local metadata its ``G_{p,q}`` blocks are built from, held here as an
-  :class:`~repro.graph.in_edges.InEdgeIndex` over local destination ids with
-  *global* edge/source ids;
+  the local metadata its ``G_{p,q}`` blocks are built from, read through the
+  shard's cached :meth:`~repro.partition.shard.ShardedGraph.in_edge_index`
+  (local destination ids, *global* edge/source ids);
 * the newly-required source nodes are merged with one ``allgather`` per
   layer, giving every worker the next layer's global required set;
 * the sampled edges become per-layer :class:`~repro.partition.shard.EdgeBlock`
@@ -25,7 +25,11 @@ Because per-edge / per-node draws are pure hashes of global ids under the
 ``(seed, epoch, batch, layer)`` key (see :mod:`repro.sample.neighbor`), the
 union of the workers' samples is bit-identical to what a single machine
 samples for the same batch — the distributed run trains the same mini-batch
-sequence as the single-machine run with the same seed.
+sequence as the single-machine run with the same seed.  At every fan-out
+``-1`` the union is the full-neighbourhood MFG of the batch
+(:func:`repro.graph.mfg.build_mfg_pipeline`), which is how distributed MFG
+training gets its grids: one unshuffled batch equal to the seed set, sampled
+once.
 """
 
 from __future__ import annotations
@@ -36,21 +40,16 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.distributed.comm import Communicator
-from repro.graph.graph import Graph
-from repro.graph.in_edges import InEdgeIndex
-from repro.partition.book import PartitionBook
-from repro.partition.shard import EdgeBlock
+from repro.partition.shard import EdgeBlock, ShardedGraph
 from repro.sample.loader import NeighborSamplingConfig, num_batches_for
 from repro.sample.neighbor import _layer_key, sample_in_edges
 
 
 @dataclass
 class DistributedSamplingPlan:
-    """Everything a worker needs to sample its share of every batch.
+    """The sampling settings every worker shares (:func:`build_sampling_plan`).
 
-    Built once by the driver (:func:`build_sampling_plan`) and handed to all
-    workers; ``worker_indexes[p]`` holds the in-edges of partition ``p``'s
-    nodes (local destination ids, global edge and source ids).
+    Graph-free: each worker reads its own in-edges from its shard.
     """
 
     fanouts: Sequence[int]
@@ -61,9 +60,6 @@ class DistributedSamplingPlan:
     drop_last: bool
     #: global ids of the seed universe batches are sliced from (ascending)
     train_seed_ids: np.ndarray
-    #: global node id -> owning partition
-    assignment: np.ndarray
-    worker_indexes: List[InEdgeIndex]
 
     @property
     def num_layers(self) -> int:
@@ -75,13 +71,11 @@ class DistributedSamplingPlan:
 
 
 def build_sampling_plan(
-    graph: Graph,
-    book: PartitionBook,
     config: NeighborSamplingConfig,
     train_seed_ids: np.ndarray,
     seed: int,
 ) -> DistributedSamplingPlan:
-    """Derive the per-worker sampling metadata for a partitioned graph."""
+    """The plan of a sampled-training config over ``train_seed_ids``."""
     fanouts = []
     for spec in config.fanouts:
         if not isinstance(spec, (int, np.integer)):
@@ -90,15 +84,6 @@ def build_sampling_plan(
                 f"(homogeneous graphs), got {spec!r}"
             )
         fanouts.append(int(spec))
-    assignment = book.assignment
-    dst_part = assignment[graph.dst]
-    worker_indexes = []
-    for rank in range(book.num_parts):
-        eids = np.flatnonzero(dst_part == rank)
-        _, dst_local = book.to_local(graph.dst[eids])
-        worker_indexes.append(
-            InEdgeIndex(graph.src[eids], dst_local, len(book.nodes_of(rank)), eids=eids)
-        )
     return DistributedSamplingPlan(
         fanouts=fanouts,
         replace=config.replace,
@@ -107,22 +92,20 @@ def build_sampling_plan(
         shuffle=config.shuffle,
         drop_last=config.drop_last,
         train_seed_ids=np.asarray(train_seed_ids, dtype=np.int64),
-        assignment=assignment,
-        worker_indexes=worker_indexes,
     )
 
 
 class DistributedNeighborSampler:
     """One worker's view of the cooperative sampling protocol."""
 
-    def __init__(self, plan: DistributedSamplingPlan, book: PartitionBook, comm: Communicator):
+    def __init__(self, plan: DistributedSamplingPlan, shard: ShardedGraph, comm: Communicator):
         self.plan = plan
-        self.book = book
+        self.book = shard.book
         self.comm = comm
         self.rank = comm.rank
         self.world_size = comm.world_size
-        self.index = plan.worker_indexes[self.rank]
-        self.num_local_nodes = len(book.nodes_of(self.rank))
+        self.index = shard.in_edge_index()
+        self.num_local_nodes = shard.num_local_nodes
         self._held_key: Optional[str] = None
 
     def _frontier_allgather(self, stream_key: str, src_global: np.ndarray) -> np.ndarray:
@@ -197,7 +180,7 @@ class DistributedNeighborSampler:
         layer_edges: List[Optional[tuple]] = [None] * plan.num_layers
         for layer in range(plan.num_layers - 1, -1, -1):
             key = _layer_key(plan.seed, epoch, batch_index, layer)
-            owned = plan.assignment[current] == self.rank
+            owned = self.book.assignment[current] == self.rank
             local_global = current[owned]
             _, local_ids = self.book.to_local(local_global)
             positions = sample_in_edges(

@@ -31,9 +31,12 @@ Structural parity
 -----------------
 ``fanout=-1`` selects a node's complete in-neighbourhood.  With every layer
 at ``fanout=-1``, :meth:`NeighborSampler.sample` reproduces
-:func:`repro.graph.mfg.build_mfg_pipeline` exactly — same node orderings,
-same edge order (ascending original edge id) — so the sampled forward pass is
-bit-identical to the full-neighbourhood MFG pipeline, which
+:func:`repro.graph.mfg.build_mfg_pipeline` — same node orderings and, per
+destination, the same edges in the same (ascending original edge id) order.
+The two list a block's edges in different global orders (edge id here,
+destination by destination there), which edge plans do not see: they sort by
+``(row, col)``, ties in input order.  So the sampled forward and backward
+passes are bit-identical to the full-neighbourhood MFG pipeline, which
 ``tests/test_sampling.py`` asserts.
 """
 

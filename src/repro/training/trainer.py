@@ -40,11 +40,7 @@ from repro.datasets.synthetic import (
 from repro.distributed.cluster import ClusterRunResult, run_distributed
 from repro.distributed.comm import Communicator
 from repro.graph.hetero import HeteroGraph
-from repro.graph.mfg import (
-    build_hetero_mfg_pipeline,
-    build_mfg_pipeline,
-    message_flow_masks,
-)
+from repro.graph.mfg import build_mfg_pipeline
 from repro.nn.module import Module
 from repro.partition.book import PartitionBook
 from repro.partition.partitioner import partition_graph
@@ -83,6 +79,7 @@ from repro.utils.logging import get_logger
 from repro.utils.prefetch import Prefetcher
 from repro.utils.seed import temp_seed
 from repro.utils.timing import Timer, WorkerTimer
+from repro.utils.validation import check_1d_int_array
 
 logger = get_logger("training")
 
@@ -182,16 +179,17 @@ class TrainingConfig:
         return None
 
     def validate(self, model_num_layers: Optional[int], hetero: bool,
-                 distributed: bool) -> None:
+                 distributed: bool, num_nodes: int) -> None:
         """Raise ``ValueError`` for any setting no trainer can run.
 
         Every cross-field rule lives here and both trainers call it before
         doing any work — nothing is partitioned, no cluster is spawned and no
         epoch runs under a config that would only fail later.
         ``model_num_layers`` is the model's ``num_layers`` (``None`` when it
-        exposes none), ``hetero`` whether the graph is heterogeneous, and
+        exposes none), ``hetero`` whether the graph is heterogeneous,
         ``distributed`` tells :class:`DistributedTrainer` (and its workers)
-        from :class:`FullBatchTrainer`.
+        from :class:`FullBatchTrainer`, and ``num_nodes`` is the (global)
+        graph's node count, which bounds :attr:`mfg_seeds`.
         """
         if self.lr_schedule not in ("cosine", "step", "none"):
             raise ValueError(f"Unknown lr_schedule {self.lr_schedule!r}")
@@ -206,6 +204,10 @@ class TrainingConfig:
             )
         if self.sampler is not None and self.mfg_seeds is not None:
             raise ValueError("sampler and mfg_seeds are mutually exclusive")
+        if self.mfg_seeds is not None:
+            seeds = check_1d_int_array(self.mfg_seeds, "mfg_seeds", max_value=num_nodes)
+            if seeds.size == 0:
+                raise ValueError("mfg_seeds must name at least one node")
         for name, value in (("sampler", self.sampler), ("mfg_seeds", self.mfg_seeds)):
             if value is None:
                 continue
@@ -500,7 +502,8 @@ class FullBatchTrainer(_EpochLoop):
             graph = dataset.graph if hetero_graph is None else hetero_graph
         self.graph = graph
         num_layers = getattr(model, "num_layers", None)
-        config.validate(num_layers, hetero=isinstance(graph, HeteroGraph), distributed=False)
+        config.validate(num_layers, hetero=isinstance(graph, HeteroGraph), distributed=False,
+                        num_nodes=graph.num_nodes)
         self._smoothing_graph = dataset.graph
         self.labels = dataset.labels
         self.masks = {"train": dataset.train_mask, "val": dataset.val_mask,
@@ -548,9 +551,7 @@ class FullBatchTrainer(_EpochLoop):
             )
         self.mfg_pipeline = None
         if config.mfg_seeds is not None:
-            build = build_hetero_mfg_pipeline if isinstance(graph, HeteroGraph) \
-                else build_mfg_pipeline
-            self.mfg_pipeline = build(graph, config.mfg_seeds, num_layers)
+            self.mfg_pipeline = build_mfg_pipeline(graph, config.mfg_seeds, num_layers)
 
     # ------------------------------------------------------------------ #
     def train(self) -> TrainingResult:
@@ -612,10 +613,26 @@ class _DistributedWorker(_EpochLoop):
 
     def __init__(self, rank: int, comm: Communicator, shard, model_factory: ModelFactory,
                  feature_dim: int, num_classes: int, config: TrainingConfig,
-                 sar_config: SARConfig, mfg_masks: Optional[Sequence[np.ndarray]],
-                 sampling: Optional[DistributedSamplingPlan]):
+                 sar_config: SARConfig, sampling: Optional[DistributedSamplingPlan]):
         self.rank, self.comm, self.config = rank, comm, config
-        if hasattr(shard, "relation_blocks"):
+        self.augmenter = _make_augmenter(config, num_classes)
+        # Rank 0's initial weights are the ones every rank trains from (broadcast
+        # below).  Thread workers draw them from one library-wide generator, so
+        # rank 0 builds before any other rank draws — otherwise its weights
+        # depend on how the worker threads interleave.
+        if rank != 0:
+            comm.barrier()
+        self.model = model = model_factory(self.augmenter.augmented_dim(feature_dim))
+        if rank == 0:
+            comm.barrier()
+        # DistributedTrainer validated against a probed replica; a direct
+        # caller's config is checked here, against this one.  Every rank
+        # raises at the same point, so none is left waiting in a setup exchange.
+        num_layers = getattr(model, "num_layers", None)
+        hetero = hasattr(shard, "relation_blocks")
+        config.validate(num_layers, hetero=hetero, distributed=True,
+                        num_nodes=shard.num_total_nodes)
+        if hetero:
             self.graph = DistributedHeteroGraph(shard, comm, sar_config)
         else:
             self.graph = DistributedGraph(shard, comm, sar_config)
@@ -625,14 +642,24 @@ class _DistributedWorker(_EpochLoop):
         #: rows the loss mask is clipped to (only they carry trustworthy logits).
         self.mfg_layers: Optional[RestrictionLayers] = None
         self.seed_mask: Optional[np.ndarray] = None
-        if mfg_masks is not None:
+        if config.mfg_seeds is not None:
+            # The MFG is the full-neighbourhood sample of one unshuffled batch
+            # equal to the seed set.
+            seeds = np.unique(np.asarray(config.mfg_seeds, dtype=np.int64))
+            full = NeighborSamplingConfig(fanouts=[-1] * num_layers, batch_size=len(seeds),
+                                          shuffle=False)
+            mfg = DistributedNeighborSampler(build_sampling_plan(full, seeds, seed=0),
+                                             shard, comm)
             self.mfg_layers = self.graph.prepare_restriction(
-                self.graph.mfg_blocks(mfg_masks), name="mfg"
+                mfg.sample_blocks(seeds, epoch=0, batch_index=0), name="mfg"
             )
-            self.seed_mask = np.asarray(mfg_masks[-1], dtype=bool)[shard.global_node_ids]
+            # prepare_restriction's routing exchanges are barriers: every rank
+            # has consumed the last frontier payload.
+            mfg.release()
+            self.seed_mask = np.isin(shard.global_node_ids, seeds)
         self.sampler: Optional[DistributedNeighborSampler] = None
         if sampling is not None:
-            self.sampler = DistributedNeighborSampler(sampling, shard.book, comm)
+            self.sampler = DistributedNeighborSampler(sampling, shard, comm)
         self.kv_store = None
         if config.feature_store is not None:
             # Every worker constructs (and publishes) its store here — same
@@ -644,16 +671,6 @@ class _DistributedWorker(_EpochLoop):
                 comm, cache_bytes=config.feature_store_cache_bytes
             )
             self.graph.attach_feature_store(self.kv_store)
-        self.augmenter = _make_augmenter(config, num_classes)
-        # Rank 0's initial weights are the ones every rank trains from (broadcast
-        # below).  Thread workers draw them from one library-wide generator, so
-        # rank 0 builds before any other rank draws — otherwise its weights
-        # depend on how the worker threads interleave.
-        if rank != 0:
-            comm.barrier()
-        self.model = model = model_factory(self.augmenter.augmented_dim(feature_dim))
-        if rank == 0:
-            comm.barrier()
         if hasattr(model, "set_comm"):
             model.set_comm(comm)
         broadcast_parameters(model.parameters(), comm)
@@ -686,7 +703,7 @@ class _DistributedWorker(_EpochLoop):
         batch_mask = np.zeros(graph.num_total_nodes, dtype=bool)
         for batch_ids, blocks in self._sampled_blocks(epoch):
             graph.begin_step()
-            layers = graph.prepare_restriction(blocks, name="smp", recompute_in_degrees=True)
+            layers = graph.prepare_restriction(blocks, name="smp")
             batch_mask[:] = False
             batch_mask[batch_ids] = True
             with graph.restricted(layers):
@@ -730,15 +747,14 @@ def distributed_train_worker(rank: int, comm: Communicator, shard, *,
                              model_factory: ModelFactory, feature_dim: int,
                              num_classes: int, config: TrainingConfig,
                              sar_config: SARConfig,
-                             mfg_masks: Optional[Sequence[np.ndarray]] = None,
                              sampling: Optional[DistributedSamplingPlan] = None
                              ) -> Dict[str, Any]:
     """Per-worker training loop (the job ``cluster.run_job`` runs on every rank).
 
-    ``mfg_masks`` are the global per-layer required-node masks computed by the
-    driver (:class:`DistributedTrainer`) when ``config.mfg_seeds`` is set:
-    every training forward runs inside the prepared per-layer restriction
-    (smaller halo fetches).
+    With ``config.mfg_seeds`` set, the workers sample the seed set's
+    full-neighbourhood MFG grids cooperatively once, at setup, and every
+    training forward runs inside that prepared per-layer restriction (smaller
+    halo fetches).
 
     ``sampling`` (from ``config.sampler``) switches the worker to cooperative
     neighbour-sampled mini-batch training: per batch, the workers sample
@@ -747,16 +763,8 @@ def distributed_train_worker(rank: int, comm: Communicator, shard, *,
     covers only sampled sources.  Evaluation runs outside any restriction
     scope, so every row's logits exist.
     """
-    # The driver validated against a probed replica; for a direct caller the
-    # plan / masks stand in for the model's depth.
-    depth = None
-    if sampling is not None:
-        depth = sampling.num_layers
-    elif mfg_masks is not None:
-        depth = len(mfg_masks) - 1
-    config.validate(depth, hetero=hasattr(shard, "relation_blocks"), distributed=True)
     worker = _DistributedWorker(rank, comm, shard, model_factory, feature_dim, num_classes,
-                                config, sar_config, mfg_masks, sampling)
+                                config, sar_config, sampling)
     training, logits = worker._fit()
     result: Dict[str, Any] = {
         "records": training.records,
@@ -799,12 +807,12 @@ class DistributedTrainer:
         self.partition_seed = partition_seed
         self.timeout_s = timeout_s
         #: conv-layer count of the model, probed only when a per-layer
-        #: structure (MFG masks, sampling fan-outs) has to match it.
+        #: structure (MFG restriction, sampling fan-outs) has to match it.
         self._num_layers: Optional[int] = None
         if config.mfg_seeds is not None or config.sampler is not None:
             self._num_layers = self._probe_num_layers()
         config.validate(self._num_layers, hetero=_hetero_graph_of(dataset) is not None,
-                        distributed=True)
+                        distributed=True, num_nodes=dataset.graph.num_nodes)
         dataset.attach_to_graph()
         self.book, self.shards = self._prepare_shards()
 
@@ -834,16 +842,10 @@ class DistributedTrainer:
 
     def run(self) -> DistributedTrainingResult:
         config, dataset = self.config, self.dataset
-        # The driver derives the global per-layer structures the workers
-        # restrict to: required-node masks (MFG) or the sampling plan.
-        mfg_masks = sampling = None
-        if config.mfg_seeds is not None:
-            mfg_masks = message_flow_masks(dataset.graph, config.mfg_seeds, self._num_layers)
+        sampling = None
         if config.sampler is not None:
-            sampling = build_sampling_plan(
-                dataset.graph, self.book, config.sampler,
-                dataset.train_indices(), config.resolved_sampler_seed(),
-            )
+            sampling = build_sampling_plan(config.sampler, dataset.train_indices(),
+                                           config.resolved_sampler_seed())
         result = run_distributed(
             distributed_train_worker, self.num_workers,
             worker_args=self.shards, timeout_s=self.timeout_s,
@@ -852,7 +854,6 @@ class DistributedTrainer:
             num_classes=dataset.num_classes,
             config=config,
             sar_config=self.sar_config,
-            mfg_masks=mfg_masks,
             sampling=sampling,
         )
         rank0 = result.results[0]

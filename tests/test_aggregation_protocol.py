@@ -19,7 +19,6 @@ from repro.core import SAR, DistributedGraph, DistributedHeteroGraph
 from repro.distributed import run_distributed
 from repro.graph import HeteroGraph, MFGBlock, MFGHeteroBlock, build_mfg_pipeline
 from repro.graph.graph import Graph
-from repro.graph.mfg import build_hetero_mfg_pipeline
 from repro.partition import PartitionBook, create_hetero_shards, create_shards
 from repro.tensor import Tensor, ops
 from repro.tensor.sparse import neighbor_aggregate
@@ -50,7 +49,7 @@ def test_gather_dst_is_the_identity_except_on_mfg_blocks(tiny_graph):
     rows = Tensor(np.arange(2.0 * block.num_src_nodes).reshape(-1, 2))
     np.testing.assert_array_equal(block.gather_dst(rows).data,
                                   rows.data[block.dst_in_src])
-    hblock = build_hetero_mfg_pipeline(hetero, [0], num_layers=1).blocks[0]
+    hblock = build_mfg_pipeline(hetero, [0], num_layers=1).blocks[0]
     np.testing.assert_array_equal(hblock.gather_dst(rows).data,
                                   rows.data[hblock.dst_in_src])
 

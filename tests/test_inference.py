@@ -27,7 +27,7 @@ from repro.core.config import SARConfig
 from repro.core.dist_graph import DistributedGraph
 from repro.datasets import make_hetero_sbm_dataset, make_sbm_dataset
 from repro.distributed.cluster import run_distributed
-from repro.graph.mfg import block_from_in_edges, message_flow_masks
+from repro.graph.mfg import block_from_in_edges
 from repro.nn.models import GATNet, GraphSageNet, RGCNNet
 from repro.partition import PartitionBook, create_shards, partition_graph
 from repro.sample import (
@@ -46,6 +46,7 @@ from repro.tensor.memory import MemoryTracker, track_memory
 from repro.training.trainer import DistributedTrainer, FullBatchTrainer, TrainingConfig
 from repro.utils.lru import LRUDict
 from repro.utils.seed import set_seed, temp_seed
+from mfg_helpers import distributed_mfg_grids
 
 
 def _full_logits(model, graph, features) -> np.ndarray:
@@ -555,7 +556,6 @@ def test_layerwise_pass_inside_mfg_scope_leaves_mfg_in_force(dataset):
     template = _fixed_model(dataset, "sage")
     weights = _weights_of(template)
     seeds = dataset.train_indices()[:24]
-    masks = message_flow_masks(dataset.graph, seeds, 2)
     book = PartitionBook(partition_graph(dataset.graph, 2, seed=0), 2)
     shards = create_shards(dataset.graph, book)
 
@@ -573,7 +573,8 @@ def test_layerwise_pass_inside_mfg_scope_leaves_mfg_in_force(dataset):
             return logits, comm.stats.received_by_tag.get("forward_halo", 0) - before
 
         full_logits, full_bytes = step()
-        mfg = dist_graph.prepare_restriction(dist_graph.mfg_blocks(masks), name="mfg")
+        mfg = dist_graph.prepare_restriction(distributed_mfg_grids(shard, comm, seeds, 2),
+                                             name="mfg")
         halo_sizes = [view.halo_size for view, _ in mfg]
         with dist_graph.restricted(mfg):
             _, bytes_before = step()

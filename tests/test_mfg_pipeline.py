@@ -4,7 +4,8 @@ The defining property of the pipeline is *exact* parity: a block contains a
 required destination's complete in-neighbourhood in the original edge order,
 so the restricted forward pass must produce bit-identical seed-node logits —
 single-machine over :class:`~repro.graph.mfg.MFGBlock` chains, and 2-worker
-SAR over per-layer restricted edge blocks.
+SAR over the per-layer grids the cooperative sampler builds at fan-out -1 —
+and distributed MFG training must follow the single-machine MFG trajectory.
 """
 
 from __future__ import annotations
@@ -18,15 +19,12 @@ from repro.distributed.cluster import run_distributed
 from repro.graph import (
     HeteroGraph,
     MFGPipeline,
-    build_hetero_mfg_pipeline,
     build_mfg_pipeline,
-    hetero_message_flow_masks,
     message_flow_masks,
     stochastic_block_model,
 )
 from repro.nn.models import GATNet, GraphSageNet, RGCNNet
 from repro.partition import PartitionBook, create_shards, partition_graph
-from repro.partition.shard import restrict_block_to_dst
 from repro.tensor import Tensor
 from repro.tensor import functional as F
 from repro.training.trainer import (
@@ -35,6 +33,7 @@ from repro.training.trainer import (
     TrainingConfig,
 )
 from repro.utils.seed import set_seed
+from mfg_helpers import distributed_mfg_grids
 from reference_kernels import ReferenceGraph
 
 
@@ -167,7 +166,7 @@ class TestSingleMachineParity:
         features = rng.standard_normal((num_nodes, 10)).astype(np.float32)
         labels = rng.integers(0, 3, num_nodes)
         seeds = np.sort(rng.choice(num_nodes, 12, replace=False))
-        pipeline = build_hetero_mfg_pipeline(hgraph, seeds, num_layers=2)
+        pipeline = build_mfg_pipeline(hgraph, seeds, num_layers=2)
         np.testing.assert_array_equal(pipeline.output_nodes, seeds)
 
         def factory():
@@ -184,7 +183,7 @@ class TestSingleMachineParity:
             "b": (np.array([2]), np.array([1])),
         }
         hgraph = HeteroGraph(3, relations)
-        masks = hetero_message_flow_masks(hgraph, [1], num_layers=1)
+        masks = message_flow_masks(hgraph, [1], num_layers=1)
         np.testing.assert_array_equal(masks[0], [True, True, True])
         np.testing.assert_array_equal(masks[1], [False, True, False])
 
@@ -240,6 +239,42 @@ class TestTrainerIntegration:
         assert len(result.training.records) == 2
         assert np.isfinite(result.training.final_test_accuracy)
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("world_size", [2, 3])
+    @pytest.mark.parametrize("mode", ["sar", "dp"])
+    @pytest.mark.parametrize("kind", ["sage-mean", "gat"])
+    def test_distributed_mfg_trains_the_single_machine_trajectory(self, small_dataset, kind,
+                                                                   mode, world_size):
+        seeds = small_dataset.train_indices()[::3]  # a receptive field short of the graph
+        # At lr 0.05 Adam lifts GAT's float32 summation-order noise (blocks
+        # reduce per owner) to ~1e-3 by the third step; at 0.01 it stays ~1e-6.
+        common = dict(num_epochs=3, lr=0.01, eval_every=0, seed=0, mfg_seeds=seeds)
+
+        def make_model(dim):
+            if kind == "gat":
+                return GATNet(dim, 8, small_dataset.num_classes, num_heads=2,
+                              dropout=0.0, use_batch_norm=False)
+            return GraphSageNet(dim, 16, small_dataset.num_classes, dropout=0.0,
+                                use_batch_norm=False)
+
+        set_seed(0)
+        weights = [p.data.copy() for p in make_model(small_dataset.feature_dim).parameters()]
+
+        def with_weights(dim):
+            # Worker threads share the global RNG, so the replicas' initial
+            # parameters are shipped instead of re-drawn.
+            model = make_model(dim)
+            for param, value in zip(model.parameters(), weights):
+                param.data[...] = value
+            return model
+
+        single = FullBatchTrainer(with_weights(small_dataset.feature_dim), small_dataset,
+                                  TrainingConfig(**common)).train()
+        dist = DistributedTrainer(small_dataset, with_weights, num_workers=world_size,
+                                  sar_config=SARConfig(mode), config=TrainingConfig(**common)).run()
+        np.testing.assert_allclose(dist.training.losses(), single.losses(),
+                                   rtol=1e-4, atol=1e-6)
+
 
 # --------------------------------------------------------------------------- #
 # distributed (2-worker SAR) parity
@@ -250,7 +285,7 @@ def _make_dist_model(model_name):
     return GATNet(12, 8, 4, num_heads=2, dropout=0.0, use_batch_norm=False)
 
 
-def _dist_worker(rank, comm, shard, *, model_name, weights, masks, features,
+def _dist_worker(rank, comm, shard, *, model_name, weights, features,
                  labels, seeds, use_mfg):
     # Worker threads share the global RNG, so replica parameters are shipped
     # from the parent instead of re-drawn per worker.
@@ -260,7 +295,9 @@ def _dist_worker(rank, comm, shard, *, model_name, weights, masks, features,
     dist_graph = DistributedGraph(shard, comm, SARConfig("sar"))
     layers = None  # restricted(None) is the unrestricted forward
     if use_mfg:
-        layers = dist_graph.prepare_restriction(dist_graph.mfg_blocks(masks), name="mfg")
+        layers = dist_graph.prepare_restriction(
+            distributed_mfg_grids(shard, comm, seeds, model.num_layers), name="mfg"
+        )
     dist_graph.begin_step()
     with dist_graph.restricted(layers):
         logits = model(dist_graph, Tensor(features[shard.global_node_ids]))
@@ -283,12 +320,11 @@ class TestDistributedSARParity:
     @pytest.mark.parametrize("model_name", ["sage", "gat"])
     def test_mfg_matches_full_and_shrinks_halo(self, mfg_setup, model_name):
         graph, features, labels, seeds = mfg_setup
-        masks = message_flow_masks(graph, seeds, num_layers=3)
         book = PartitionBook(partition_graph(graph, 2, seed=0), 2)
         shards = create_shards(graph, book)
         set_seed(0)
         weights = [p.data.copy() for p in _make_dist_model(model_name).parameters()]
-        kwargs = dict(model_name=model_name, weights=weights, masks=masks,
+        kwargs = dict(model_name=model_name, weights=weights,
                       features=features, labels=labels, seeds=seeds)
 
         full = run_distributed(_dist_worker, 2, worker_args=shards,
@@ -305,48 +341,17 @@ class TestDistributedSARParity:
         for (_, _, full_bytes), (_, _, mfg_bytes) in zip(full.results, mfg.results):
             assert mfg_bytes < full_bytes
 
-    def test_restrict_block_validates_mask_shape(self, mfg_setup):
-        graph, _, _, _ = mfg_setup
-        book = PartitionBook(partition_graph(graph, 2, seed=0), 2)
-        shards = create_shards(graph, book)
-        with pytest.raises(ValueError, match="dst_mask"):
-            restrict_block_to_dst(shards[0].blocks[0], np.ones(3, dtype=bool))
-
-    def test_restricted_block_preserves_edge_subset(self, mfg_setup):
-        graph, _, _, seeds = mfg_setup
-        book = PartitionBook(partition_graph(graph, 2, seed=0), 2)
-        shards = create_shards(graph, book)
-        block = shards[0].blocks[1]
-        dst_mask = np.zeros(block.num_dst, dtype=bool)
-        dst_mask[block.dst_local[: block.num_edges // 2]] = True
-        restricted = restrict_block_to_dst(block, dst_mask)
-        assert restricted.num_edges == int(dst_mask[block.dst_local].sum())
-        # Restricted sources are a subset of the original required rows.
-        assert np.isin(restricted.required_src_local,
-                       block.required_src_local).all()
-        # Edge endpoints survive unchanged.
-        original_pairs = set(zip(
-            block.required_src_local[block.src_index].tolist(),
-            block.dst_local.tolist(),
-        ))
-        restricted_pairs = set(zip(
-            restricted.required_src_local[restricted.src_index].tolist(),
-            restricted.dst_local.tolist(),
-        ))
-        assert restricted_pairs <= original_pairs
-
     def test_mfg_layer_overrun_raises(self, mfg_setup):
         """One aggregation more than the scope's layers raises — and leaving
         the scope through that exception puts the outer scope back in force
         with its cursor reset."""
         graph, features, _, seeds = mfg_setup
-        masks = message_flow_masks(graph, seeds, num_layers=1)
         book = PartitionBook(partition_graph(graph, 2, seed=0), 2)
         shards = create_shards(graph, book)
 
         def worker(rank, comm, shard):
             dist_graph = DistributedGraph(shard, comm, SARConfig("sar"))
-            blocks = dist_graph.mfg_blocks(masks)
+            blocks = distributed_mfg_grids(shard, comm, seeds, num_layers=1)
             outer = dist_graph.prepare_restriction(blocks, name="outer")
             inner = dist_graph.prepare_restriction(blocks, name="inner")
             z = Tensor(features[shard.global_node_ids])

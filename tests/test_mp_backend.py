@@ -437,6 +437,23 @@ class TestMultiprocessBackend:
         for stats, mp_stats in zip(threads.comm_stats, processes.comm_stats):
             assert mp_stats.received_by_tag == stats.received_by_tag
 
+    @pytest.mark.parametrize("mode", ["sar", "dp"])
+    def test_mfg_training_matches_thread_backend(self, mode):
+        # MFG setup samples the seed set's full-neighbourhood grids inside the
+        # workers, one keyed frontier allgather per layer: the same losses and
+        # the same per-rank bytes, frontier included, on threads and processes.
+        dataset = _parity_dataset()
+        config = TrainingConfig(num_epochs=2, lr=0.05, eval_every=0, seed=0,
+                                mfg_seeds=dataset.train_indices()[:16])
+        shards = create_shards(dataset.graph, PartitionBook(
+            partition_graph(dataset.graph, 2, seed=0), 2))
+        threads, processes = self._sage_both_backends(config, SARConfig(mode), shards)
+        for (losses, _), (mp_losses, _) in zip(threads.results, processes.results):
+            np.testing.assert_allclose(mp_losses, losses, rtol=0, atol=1e-6)
+        for stats, mp_stats in zip(threads.comm_stats, processes.comm_stats):
+            assert mp_stats.received_by_tag == stats.received_by_tag
+        assert threads.total_received_by_tag()["sample_frontier"] > 0
+
     @staticmethod
     def _sage_both_backends(config, sar_config, shards):
         kwargs = dict(config=config, sar_config=sar_config,
@@ -477,8 +494,7 @@ class TestMultiprocessBackend:
 
         book = PartitionBook(partition_graph(dataset.graph, 2, seed=0), 2)
         shards = create_shards(dataset.graph, book)
-        plan = build_sampling_plan(dataset.graph, book, config.sampler,
-                                   dataset.train_indices(),
+        plan = build_sampling_plan(config.sampler, dataset.train_indices(),
                                    config.resolved_sampler_seed())
         results = run_multiprocess(
             _sampled_training_worker, world_size=2, worker_args=shards,
@@ -497,8 +513,8 @@ class TestMultiprocessBackend:
             sampler=NeighborSamplingConfig(fanouts=(3, 3), batch_size=16),
         )
         book = PartitionBook(partition_graph(dataset.graph, 2, seed=0), 2)
-        plan = build_sampling_plan(dataset.graph, book, config.sampler,
-                                   dataset.train_indices(), config.resolved_sampler_seed())
+        plan = build_sampling_plan(config.sampler, dataset.train_indices(),
+                                   config.resolved_sampler_seed())
         start = time.monotonic()
         with pytest.raises(RuntimeError, match=r"model boom \(sample-ahead in flight: True\)"):
             run_multiprocess(

@@ -14,12 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graph import (
-    Graph,
-    HeteroGraph,
-    build_hetero_mfg_pipeline,
-    build_mfg_pipeline,
-)
+from repro.graph import Graph, HeteroGraph, build_mfg_pipeline
 from repro.nn.models import GATNet, GraphSageNet, RGCNNet
 from repro.sample import (
     InEdgeIndex,
@@ -32,6 +27,7 @@ from repro.tensor import Tensor
 from repro.tensor import edge_plan as edge_plan_mod
 from repro.training.trainer import DistributedTrainer, FullBatchTrainer, TrainingConfig
 from repro.utils.seed import mix_seed, set_seed
+from mfg_helpers import adversarial_graph, assert_same_block
 
 
 @pytest.fixture
@@ -142,12 +138,7 @@ class TestNeighborSampler:
         mfg = build_mfg_pipeline(sbm_graph, seeds, 2)
         sampled = NeighborSampler(sbm_graph, [-1, -1], seed=5).sample(seeds, 3, 4)
         for layer in range(2):
-            ref, got = mfg.layer_block(layer), sampled.layer_block(layer)
-            np.testing.assert_array_equal(ref.src_nodes, got.src_nodes)
-            np.testing.assert_array_equal(ref.dst_nodes, got.dst_nodes)
-            np.testing.assert_array_equal(ref.src, got.src)
-            np.testing.assert_array_equal(ref.dst, got.dst)
-            np.testing.assert_array_equal(ref.dst_in_src, got.dst_in_src)
+            assert_same_block(sampled.layer_block(layer), mfg.layer_block(layer))
 
     @pytest.mark.parametrize("model_cls", ["sage", "gat"])
     def test_full_fanout_logits_bit_identical(self, sbm_graph, rng, model_cls):
@@ -164,6 +155,41 @@ class TestNeighborSampler:
         ref = model(mfg, Tensor(mfg.gather_inputs(features))).data
         got = model(sampled, Tensor(sampled.gather_inputs(features))).data
         np.testing.assert_array_equal(ref, got)
+
+    @pytest.mark.parametrize("kind", ["sage-mean", "sage-max", "gat", "gat-fused", "rgcn"])
+    def test_full_fanout_gradients_bit_identical_on_adversarial_graph(self, kind):
+        """Forward and backward, bit for bit: the sampler lists a block's
+        edges in edge-id order, the MFG builder destination by destination,
+        and the edge plans both run through must not tell them apart."""
+        graph = adversarial_graph()
+        if kind == "rgcn":
+            none = np.empty(0, dtype=np.int64)
+            graph = HeteroGraph(graph.num_nodes, {
+                "even": (graph.src[::2], graph.dst[::2]),
+                "odd": (graph.src[1::2], graph.dst[1::2]),
+                "empty": (none, none),
+            })
+        features = np.random.default_rng(3).standard_normal((graph.num_nodes, 6))
+        seeds = np.array([0, 1, 3, 7, 8, 21, 39])  # hub, isolated, source-only, body
+        runs = []
+        for pipeline in (build_mfg_pipeline(graph, seeds, 2),
+                         NeighborSampler(graph, [-1, -1], seed=0).sample(seeds)):
+            set_seed(0)
+            if kind == "rgcn":
+                model = RGCNNet(6, 8, 3, graph.relation_names, num_layers=2,
+                                dropout=0.0, use_batch_norm=False)
+            elif kind.startswith("gat"):
+                model = GATNet(6, 4, 3, num_layers=2, num_heads=2, dropout=0.0,
+                               use_batch_norm=False, fused=kind == "gat-fused")
+            else:
+                model = GraphSageNet(6, 8, 3, num_layers=2, dropout=0.0, use_batch_norm=False,
+                                     aggregator=kind.split("-")[1])
+            x = Tensor(pipeline.gather_inputs(features).astype(np.float32), requires_grad=True)
+            logits = model(pipeline, x)
+            (logits * logits).sum().backward()
+            runs.append([logits.data, x.grad] + [p.grad for p in model.parameters()])
+        for mfg, sampled in zip(*runs):
+            np.testing.assert_array_equal(sampled, mfg)
 
     def test_sampled_pipeline_runs_and_respects_fanout(self, sbm_graph, rng):
         seeds = np.sort(rng.choice(sbm_graph.num_nodes, 20, replace=False))
@@ -251,18 +277,10 @@ def hetero_graph(rng) -> HeteroGraph:
 class TestHeteroSampling:
     def test_full_fanout_matches_hetero_mfg_pipeline(self, hetero_graph, rng):
         seeds = np.sort(rng.choice(hetero_graph.num_nodes, 6, replace=False))
-        mfg = build_hetero_mfg_pipeline(hetero_graph, seeds, 2)
+        mfg = build_mfg_pipeline(hetero_graph, seeds, 2)
         sampled = NeighborSampler(hetero_graph, [-1, -1], seed=0).sample(seeds)
         for layer in range(2):
-            ref, got = mfg.layer_block(layer), sampled.layer_block(layer)
-            np.testing.assert_array_equal(ref.src_nodes, got.src_nodes)
-            np.testing.assert_array_equal(ref.dst_nodes, got.dst_nodes)
-            assert ref.relation_names == got.relation_names
-            for name in ref.relation_names:
-                np.testing.assert_array_equal(ref.relation_edges[name][0],
-                                              got.relation_edges[name][0])
-                np.testing.assert_array_equal(ref.relation_edges[name][1],
-                                              got.relation_edges[name][1])
+            assert_same_block(sampled.layer_block(layer), mfg.layer_block(layer))
 
     def test_per_relation_fanouts_and_empty_relation(self, hetero_graph, rng):
         seeds = np.sort(rng.choice(hetero_graph.num_nodes, 8, replace=False))

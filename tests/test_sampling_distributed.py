@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.graph import build_mfg_pipeline
 from repro.nn.models import GATNet, GraphSageNet
 from repro.partition import PartitionBook, create_shards, partition_graph
 from repro.sample import (
@@ -53,7 +54,7 @@ def _with_weights(model, weights):
 # protocol-level structural parity
 # --------------------------------------------------------------------------- #
 def _sample_worker(rank, comm, shard, *, plan, batch_ids, epoch, batch_index):
-    sampler = DistributedNeighborSampler(plan, shard.book, comm)
+    sampler = DistributedNeighborSampler(plan, shard, comm)
     blocks = sampler.sample_blocks(np.asarray(batch_ids), epoch, batch_index)
     out = []
     for layer_blocks in blocks:
@@ -70,20 +71,23 @@ def _sample_worker(rank, comm, shard, *, plan, batch_ids, epoch, batch_index):
 
 
 @pytest.mark.parametrize("world_size", [2, 3])
-@pytest.mark.parametrize("replace", [False, True])
-def test_distributed_sample_matches_single_machine(sbm_graph, rng, world_size, replace):
-    """Union of the workers' sampled edges == the single-machine sample."""
+# ids: the replace flag of a (3, 4) sample, or "full" for fan-out -1
+@pytest.mark.parametrize("fanouts, replace", [((3, 4), False), ((3, 4), True), ((-1, -1), False)],
+                         ids=["False", "True", "full"])
+def test_distributed_sample_matches_single_machine(sbm_graph, rng, world_size, fanouts, replace):
+    """Union of the workers' sampled edges == the single-machine sample; at
+    fan-out -1 it is the batch's MFG, destination by destination."""
     graph = sbm_graph
     book = PartitionBook(partition_graph(graph, world_size, seed=0), world_size)
     shards = create_shards(graph, book)
-    config = NeighborSamplingConfig(fanouts=(3, 4), replace=replace, batch_size=24)
+    config = NeighborSamplingConfig(fanouts=fanouts, replace=replace, batch_size=24)
     train_ids = np.sort(rng.choice(graph.num_nodes, 24, replace=False))
-    plan = build_sampling_plan(graph, book, config, train_ids, seed=77)
+    plan = build_sampling_plan(config, train_ids, seed=77)
 
     result = run_distributed(_sample_worker, world_size, worker_args=shards,
                              plan=plan, batch_ids=train_ids, epoch=1, batch_index=0)
 
-    reference = NeighborSampler(graph, (3, 4), replace=replace, seed=77)
+    reference = NeighborSampler(graph, fanouts, replace=replace, seed=77)
     pipeline = reference.sample(train_ids, epoch=1, batch_index=0)
     for layer in range(2):
         block = pipeline.layer_block(layer)
@@ -94,6 +98,12 @@ def test_distributed_sample_matches_single_machine(sbm_graph, rng, world_size, r
         got = np.stack([merged_src, merged_dst])
         got = got[:, np.lexsort(got)]
         np.testing.assert_array_equal(ref, got)
+        if fanouts == (-1, -1):
+            # per destination, the same multiset of sources as the MFG block
+            expected = build_mfg_pipeline(graph, train_ids, 2).layer_block(layer)
+            mfg_edges = np.stack([expected.src_nodes[expected.src],
+                                  expected.dst_nodes[expected.dst]])
+            np.testing.assert_array_equal(got, mfg_edges[:, np.lexsort(mfg_edges)])
 
 
 def test_epoch_seed_order_identical_everywhere():

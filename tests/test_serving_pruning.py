@@ -37,7 +37,7 @@ from repro.core import DistributedGraph
 from repro.datasets import make_sbm_dataset
 from repro.distributed import run_distributed
 from repro.graph import Graph, HeteroGraph
-from repro.graph.mfg import block_from_in_edges, build_mfg_pipeline
+from repro.graph.mfg import MFGBlock, block_from_in_edges
 from repro.nn.models import GATNet, GraphSageNet
 from repro.partition import PartitionBook, create_shards, partition_graph
 from repro.sample import NeighborSampler
@@ -46,36 +46,11 @@ from repro.serving import EmbeddingCache, ServingConfig, create_server
 from repro.store import DenseStore
 from repro.tensor import Tensor, no_grad
 from repro.utils.seed import set_seed
+from mfg_helpers import ISOLATED, SOURCE_ONLY, adversarial_graph, assert_same_block
 
 FEATURE_DIM = 6
 NUM_CLASSES = 3
 HIDDEN = 8
-
-#: nodes of :func:`_adversarial_graph` with no edge at all / out-edges only.
-ISOLATED = [1, 2]
-SOURCE_ONLY = 3
-
-
-def _adversarial_graph(num_nodes: int = 40) -> Graph:
-    """Random body + a hub adjacent to it + self-loops + parallel edges + in-degree-0 nodes.
-
-    The edge list is shuffled, so the original edge order is far from
-    destination-sorted — per-destination reduction order is what must survive.
-    """
-    rng = np.random.default_rng(5)
-    body = np.arange(4, num_nodes)
-    src = [rng.choice(body, size=3 * len(body)), np.full(5, SOURCE_ONLY)]
-    dst = [rng.choice(body, size=3 * len(body)), body[:5]]
-    src += [np.zeros(len(body), dtype=np.int64), body]  # hub 0 <-> every body node
-    dst += [body, np.zeros(len(body), dtype=np.int64)]
-    src += [body[::4], np.array([0])]  # self-loops, the hub's included
-    dst += [body[::4], np.array([0])]
-    src, dst = np.concatenate(src), np.concatenate(dst)
-    src = np.concatenate([src, src[:20], src[:20]])  # parallel edges, twice over
-    dst = np.concatenate([dst, dst[:20], dst[:20]])
-    order = rng.permutation(len(src))
-    return Graph(num_nodes, src[order], dst[order])
-
 
 def _sbm_dataset(num_nodes: int, p_in: float):
     return make_sbm_dataset(
@@ -191,7 +166,7 @@ def _two_rings() -> Graph:
 # the in-edge index and the block built from it
 # --------------------------------------------------------------------------- #
 def test_in_edge_index_is_cached_and_built_at_start():
-    graph = _adversarial_graph()
+    graph = adversarial_graph()
     features = np.zeros((graph.num_nodes, FEATURE_DIM), dtype=np.float32)
     assert graph._in_edge_index is None
     with create_server(_make_model("sage-mean"), graph, features):
@@ -199,23 +174,6 @@ def test_in_edge_index_is_cached_and_built_at_start():
         assert index is not None  # paid by start(), not by the first request
     assert graph.in_edge_index() is index
     np.testing.assert_array_equal(index.degrees(np.arange(graph.num_nodes)), graph.in_degrees())
-
-
-def _assert_same_block(block, expected):
-    """Same row spaces, and per destination the same sources in the same order."""
-    np.testing.assert_array_equal(block.src_nodes, expected.src_nodes)
-    np.testing.assert_array_equal(block.dst_nodes, expected.dst_nodes)
-    np.testing.assert_array_equal(block.dst_in_src, expected.dst_in_src)
-    if hasattr(block, "relation_edges"):
-        assert block.relation_names == expected.relation_names
-        pairs = [(block.relation_edges[r], expected.relation_edges[r]) for r in block.relation_names]
-    else:
-        pairs = [((block.src, block.dst), (expected.src, expected.dst))]
-    for (src, dst), (exp_src, exp_dst) in pairs:
-        assert len(src) == len(exp_src)
-        for row in range(block.num_dst_nodes):
-            # each destination's sources, in original edge order
-            np.testing.assert_array_equal(src[dst == row], exp_src[exp_dst == row])
 
 
 #: hub + isolated + source-only + body; one in-degree-0 node; only in-degree-0 nodes
@@ -228,17 +186,24 @@ DST_SETS = {
 
 
 def test_block_from_in_edges_matches_the_mask_built_block():
-    graph = _adversarial_graph()
+    """The bucket walk equals the whole-graph construction: mask the edges
+    into the destinations, keep them in global edge order, relabel."""
+    graph = adversarial_graph()
     dst_nodes = np.array(DST_SETS["mixed"])
     block = block_from_in_edges(graph.in_edge_index(), dst_nodes)
-    _assert_same_block(block, build_mfg_pipeline(graph, dst_nodes, 1).layer_block(0))
+    keep = np.isin(graph.dst, dst_nodes)
+    src_nodes = np.union1d(graph.src[keep], dst_nodes)
+    expected = MFGBlock(src_nodes, dst_nodes, np.searchsorted(src_nodes, graph.src[keep]),
+                        np.searchsorted(dst_nodes, graph.dst[keep]),
+                        np.searchsorted(src_nodes, dst_nodes))
+    assert_same_block(block, expected)
 
 
 @pytest.mark.parametrize("dst_set", list(DST_SETS))
 @pytest.mark.parametrize("hetero", [False, True], ids=["homogeneous", "hetero"])
 def test_block_from_in_edges_matches_full_fanout_sampling(hetero, dst_set):
     """The one builder equals what ``fanout=-1`` sampling compacts, relation by relation."""
-    graph = _adversarial_graph()
+    graph = adversarial_graph()
     if hetero:
         # Three relations over the shuffled edge list: two interleaved halves
         # (parallel edges and self-loops land in both) and one with no edge.
@@ -255,7 +220,7 @@ def test_block_from_in_edges_matches_full_fanout_sampling(hetero, dst_set):
     block = block_from_in_edges(graph.in_edge_index(), dst_nodes)
     expected = NeighborSampler(graph, [-1], seed=0).sample(dst_nodes).layer_block(0)
     assert type(block) is type(expected)
-    _assert_same_block(block, expected)
+    assert_same_block(block, expected)
     if dst_set == "all-empty":
         assert block.num_src_nodes == len(dst_nodes)  # the destinations themselves, no edge
         np.testing.assert_array_equal(block.src_nodes, dst_nodes)
@@ -290,7 +255,7 @@ PARITY_CELLS = [("local", 1, kind) for kind in ("sage-mean", "sage-max", "gat", 
     "backend,world,kind", PARITY_CELLS, ids=[f"{b}{w}-{k}" for b, w, k in PARITY_CELLS]
 )
 def test_rows_bit_identical_on_adversarial_graph(backend, world, kind, cache):
-    graph = _adversarial_graph()
+    graph = adversarial_graph()
     rng = np.random.default_rng(3)
     features = rng.standard_normal((graph.num_nodes, FEATURE_DIM)).astype(np.float32)
     store = DenseStore(features)
@@ -349,7 +314,7 @@ def test_rows_bit_identical_on_adversarial_graph(backend, world, kind, cache):
 @pytest.mark.parametrize("cache", list(CACHE_CONFIGS))
 def test_coalesced_overlapping_requests_bit_identical(cache):
     """Requests that share and repeat ids, merged into one batch by the window."""
-    graph = _adversarial_graph()
+    graph = adversarial_graph()
     features = np.random.default_rng(4).standard_normal((graph.num_nodes, FEATURE_DIM))
     features = features.astype(np.float32)
     model = _make_model("gat")
@@ -483,7 +448,7 @@ def test_cacheless_server_always_computes_from_the_features(backend):
 @pytest.mark.parametrize("backend", ["distributed", "mp"])
 def test_every_seed_on_one_shard(backend):
     """The other shard owns no seed: it returns no row but computes the halo rows it owns."""
-    graph = _adversarial_graph()
+    graph = adversarial_graph()
     features = np.random.default_rng(6).standard_normal((graph.num_nodes, FEATURE_DIM))
     features = features.astype(np.float32)
     model = _make_model("gat")
@@ -509,7 +474,10 @@ def test_a_rank_owning_nothing_of_a_level_joins_the_walk_and_every_rank_agrees()
     returns the same ``input_layer`` as everyone else."""
     graph = _two_rings()
     features = np.random.default_rng(8).standard_normal((21, FEATURE_DIM)).astype(np.float32)
-    reference = _reference(_make_model("sage-mean"), graph, features)
+    # One model for every rank: an eval-mode forward is stateless, and ranks
+    # building their own would interleave draws from the one global generator.
+    model = _make_model("sage-mean")
+    reference = _reference(model, graph, features)
     assignment = np.repeat([0, 1, 2], [10, 10, 1])
     shards = create_shards(graph, PartitionBook(assignment, 3))
     # (seeds, the level every rank must report)
@@ -517,7 +485,6 @@ def test_a_rank_owning_nothing_of_a_level_joins_the_walk_and_every_rank_agrees()
 
     def worker(rank, comm, shard):
         dist_graph = DistributedGraph(shard, comm)
-        model = _make_model("sage-mean")
         cache = EmbeddingCache(1 << 20)
         out = []
         for seeds, _ in script:
