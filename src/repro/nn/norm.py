@@ -25,7 +25,16 @@ from repro.utils.validation import check_positive_int
 
 
 class _BatchNormFunction(Function):
-    """Fused (optionally distributed) batch-norm forward/backward."""
+    """Fused (optionally distributed) batch-norm forward/backward.
+
+    Both directions make two full passes over the ``N × F`` input: the
+    forward reduces ``Σx`` and ``Σx²`` (accumulated in float64 without a
+    float64 copy of ``x``) and writes ``x · scale + shift``; the backward
+    reduces ``Σg`` and ``Σg·x`` and writes ``dx = g · a + x · b + c``, with
+    per-column ``scale, shift, a, b, c``.  The node keeps the input — alive
+    anyway as its producer's output — and ``O(F)`` vectors; the normalized
+    input is never stored.
+    """
 
     def forward(self, x: Tensor, gamma: Tensor, beta: Tensor,
                 comm: Optional[Communicator], eps: float) -> np.ndarray:
@@ -34,41 +43,49 @@ class _BatchNormFunction(Function):
             raise ValueError(f"BatchNorm expects 2-D input, got shape {data.shape}")
         num_features = data.shape[1]
         local_count = np.float64(data.shape[0])
-        local_sum = data.sum(axis=0, dtype=np.float64)
-        local_sumsq = (data.astype(np.float64) ** 2).sum(axis=0)
+        local_sum = np.einsum("ij->j", data, dtype=np.float64)
+        local_sumsq = np.einsum("ij,ij->j", data, data, dtype=np.float64)
         stats = np.concatenate([[local_count], local_sum, local_sumsq])
         if comm is not None:
             stats = comm.allreduce(stats, op="sum", tag="batchnorm")
         total_count = max(stats[0], 1.0)
-        mean = (stats[1:1 + num_features] / total_count).astype(data.dtype)
-        var = (stats[1 + num_features:] / total_count - mean.astype(np.float64) ** 2)
-        var = np.maximum(var, 0.0).astype(data.dtype)
+        mean = stats[1:1 + num_features] / total_count
+        # The variance subtracts the float64 mean: its float32 rounding would
+        # be off by far more than the variance for inputs with a large offset.
+        var = np.maximum(stats[1 + num_features:] / total_count - mean ** 2, 0.0)
         inv_std = 1.0 / np.sqrt(var + eps)
-        x_hat = (data - mean) * inv_std
-        out = gamma.data * x_hat + beta.data
-        self.save_for_backward(x_hat, gamma.data, inv_std, total_count, comm)
+        scale = gamma.data * inv_std
+        out = data * scale.astype(data.dtype)
+        out += (beta.data - mean * scale).astype(data.dtype)
+        self.save_for_backward(data, gamma.data, mean, inv_std, total_count, comm)
         # Stash statistics for the module to update its running buffers.
-        self.batch_mean = mean
-        self.batch_var = var
+        self.batch_mean = mean.astype(data.dtype)
+        self.batch_var = var.astype(data.dtype)
         return out
 
     def backward(self, grad_out):
-        x_hat, gamma, inv_std, total_count, comm = self.saved
-        dgamma = (grad_out * x_hat).sum(axis=0)
-        dbeta = grad_out.sum(axis=0)
-        dx_hat = grad_out * gamma
-        # Global reduction terms of the batch-norm gradient.
-        local_terms = np.concatenate([
-            dx_hat.sum(axis=0, dtype=np.float64),
-            (dx_hat * x_hat).sum(axis=0, dtype=np.float64),
-        ])
+        data, gamma, mean, inv_std, total_count, comm = self.saved
+        num_features = data.shape[1]
+        sum_g = np.einsum("ij->j", grad_out, dtype=np.float64)
+        sum_gx = np.einsum("ij,ij->j", grad_out, data, dtype=np.float64)
+        # Parameter gradients are local sums (the trainer syncs them).
+        dgamma = inv_std * (sum_gx - mean * sum_g)
+        dbeta = sum_g
+        # Global reduction terms of the input gradient.
+        terms = np.concatenate([sum_g, sum_gx])
         if comm is not None:
-            local_terms = comm.allreduce(local_terms, op="sum", tag="batchnorm_grad")
-        num_features = x_hat.shape[1]
-        mean_dx_hat = (local_terms[:num_features] / total_count).astype(x_hat.dtype)
-        mean_dx_hat_x = (local_terms[num_features:] / total_count).astype(x_hat.dtype)
-        dx = inv_std * (dx_hat - mean_dx_hat - x_hat * mean_dx_hat_x)
-        return dx.astype(x_hat.dtype), dgamma.astype(gamma.dtype), dbeta.astype(gamma.dtype)
+            terms = comm.allreduce(terms, op="sum", tag="batchnorm_grad")
+        total_g, total_gx = terms[:num_features], terms[num_features:]
+        # dx = γσ⁻¹ (g − mean(g) − x̂ · mean(g · x̂)), with x̂ = (x − μ)σ⁻¹,
+        # regrouped into per-column coefficients of g, x and 1.
+        a = gamma * inv_std
+        b = -a * inv_std ** 2 * (total_gx - mean * total_g) / total_count
+        c = -a * total_g / total_count - mean * b
+        dx = grad_out * a.astype(data.dtype)
+        dx += c.astype(data.dtype)
+        dx += data * b.astype(data.dtype)
+        return (dx, dgamma.astype(gamma.dtype, copy=False),
+                dbeta.astype(gamma.dtype, copy=False))
 
 
 class DistributedBatchNorm(Module):

@@ -179,12 +179,15 @@ class MatMul(Function):
 
     def backward(self, grad_out):
         a_data, b_data = self.saved
-        grad_a = grad_out @ b_data.T
-        # Collapse any leading batch dimensions of ``a`` for the weight grad.
-        a_2d = a_data.reshape(-1, a_data.shape[-1])
-        g_2d = grad_out.reshape(-1, grad_out.shape[-1])
-        grad_b = a_2d.T @ g_2d
-        return grad_a, grad_b.astype(b_data.dtype)
+        need_a, need_b = self.needs_input_grad
+        grad_a = grad_out @ b_data.T if need_a else None
+        grad_b = None
+        if need_b:
+            # Collapse any leading batch dimensions of ``a`` for the weight grad.
+            a_2d = a_data.reshape(-1, a_data.shape[-1])
+            g_2d = grad_out.reshape(-1, grad_out.shape[-1])
+            grad_b = (a_2d.T @ g_2d).astype(b_data.dtype, copy=False)
+        return grad_a, grad_b
 
 
 # --------------------------------------------------------------------------- #
@@ -314,17 +317,29 @@ class Slice(Function):
 
 
 class Gather(Function):
-    """Row gather along axis 0 with an integer index array (may repeat)."""
+    """Row gather along axis 0 with an integer index array (may repeat).
+
+    The backward scatters by plain assignment when the index is
+    non-negative and strictly increasing (an MFG block's ``dst_in_src``),
+    since no row then receives two gradients; any other index accumulates
+    with ``np.add.at``.
+    """
 
     def forward(self, a: Tensor, index: np.ndarray) -> np.ndarray:
         index = np.asarray(index, dtype=np.int64)
-        self.save_for_backward(a.shape, index)
+        if self.needs_grad:
+            flat = index.ravel()
+            increasing = bool(flat.size == 0 or (flat[0] >= 0 and (flat[1:] > flat[:-1]).all()))
+            self.save_for_backward(a.shape, index, increasing)
         return a.data[index]
 
     def backward(self, grad_out):
-        shape, index = self.saved
+        shape, index, increasing = self.saved
         grad = np.zeros(shape, dtype=grad_out.dtype)
-        np.add.at(grad, index, grad_out)
+        if increasing:
+            grad[index] = grad_out
+        else:
+            np.add.at(grad, index, grad_out)
         return (grad,)
 
 

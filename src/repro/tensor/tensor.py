@@ -369,7 +369,26 @@ class Function:
     Subclasses implement :meth:`forward` (returning a raw ``np.ndarray``) and
     :meth:`backward` (returning one gradient array — or ``None`` — per parent
     tensor, in the order the parents were passed to :meth:`apply`).
+
+    The contract of :meth:`backward`:
+
+    * It may return ``None`` for a parent whose entry in
+      :attr:`needs_input_grad` is false, and should then skip computing that
+      gradient (``MatMul`` skips the GEMM); the engine discards any gradient
+      for such a parent anyway.  SAR's ``SequentialAggregation`` computes
+      them all.
+    * It must never write into ``grad_out``: the same array may be handed to
+      more than one consumer (``Add.backward`` returns it to both parents).
+
+    :attr:`needs_input_grad` holds one bool per tensor parent, set by
+    :meth:`apply` when it records the node (PyTorch's
+    ``ctx.needs_input_grad``).  A node built by hand instead of through
+    :meth:`apply` — :class:`~repro.nn.norm.DistributedBatchNorm` does so to
+    read its batch statistics — keeps the empty default, so its ``backward``
+    must compute every gradient.
     """
+
+    needs_input_grad: Tuple[bool, ...] = ()
 
     def __init__(self):
         self.parents: Tuple[Tensor, ...] = ()
@@ -382,6 +401,8 @@ class Function:
         fn = cls()
         tensor_args = tuple(a for a in args if isinstance(a, Tensor))
         fn.needs_grad = grad_enabled() and any(t.requires_grad for t in tensor_args)
+        if fn.needs_grad:
+            fn.needs_input_grad = tuple(t.requires_grad for t in tensor_args)
         out_data = fn.forward(*args, **kwargs)
         out = Tensor(out_data, requires_grad=fn.needs_grad)
         if fn.needs_grad:

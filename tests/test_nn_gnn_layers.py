@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.graph import HeteroGraph
-from repro.tensor import MemoryTracker, Tensor, check_gradients, track_memory
+from repro.graph import HeteroGraph, build_mfg_pipeline
+from repro.tensor import MemoryTracker, Tensor, check_gradients, ops, track_memory
 from repro.tensor import functional as F
 from repro.utils.seed import set_seed
 from reference_kernels import sage_reference_forward
@@ -140,6 +140,42 @@ class TestGATConv:
     def test_kernel_flags(self):
         assert nn.GATConv(4, 4).uses_fused_kernel is False
         assert nn.FusedGATConv(4, 4).uses_fused_kernel is True
+
+
+class TestFirstLayerInputGradient:
+    """A first layer's input features need no gradient: every ``MatMul`` with
+    such a left operand returns ``None`` for it, without running the GEMM."""
+
+    @pytest.fixture
+    def matmul_calls(self, monkeypatch):
+        calls = []
+        original = ops.MatMul.backward
+
+        def spy(fn, grad_out):
+            grads = original(fn, grad_out)
+            calls.append((fn.needs_input_grad, grads))
+            return grads
+
+        monkeypatch.setattr(ops.MatMul, "backward", spy)
+        return calls
+
+    @pytest.mark.parametrize("make_layer", [
+        lambda: nn.SageConv(8, 16),  # aggregates first: both GEMMs read x-derived rows
+        lambda: nn.SageConv(8, 4),
+        lambda: nn.GATConv(8, 4, num_heads=2),
+        lambda: nn.FusedGATConv(8, 4, num_heads=2),
+    ], ids=["sage_aggregate_first", "sage_project_first", "gat", "gat_fused"])
+    @pytest.mark.parametrize("on_mfg", [False, True], ids=["graph", "mfg"])
+    def test_input_gemm_skipped(self, sbm_graph, rng, matmul_calls, make_layer, on_mfg):
+        layer = make_layer()
+        graph = build_mfg_pipeline(sbm_graph, np.arange(0, 120, 7), 1).blocks[0] \
+            if on_mfg else sbm_graph
+        x = Tensor(rng.standard_normal((graph.num_nodes, 8)).astype(np.float32))
+        (layer(graph, x) ** 2).mean().backward()
+        skipped = [grads for needs, grads in matmul_calls if not needs[0]]
+        assert skipped and len(skipped) == len(matmul_calls)
+        assert all(grad_a is None and grad_b is not None for grad_a, grad_b in skipped)
+        assert all(p.grad is not None for p in layer.parameters())
 
 
 class TestRelGraphConv:

@@ -180,3 +180,99 @@ class TestBatchNorm:
         np.testing.assert_allclose(grads, x_ref.grad, atol=1e-4)
         gamma_grad = result.results[0][1] + result.results[1][1]
         np.testing.assert_allclose(gamma_grad, reference.gamma.grad, atol=1e-3)
+
+    def test_saves_only_the_input_and_column_vectors(self, rng):
+        bn = nn.BatchNorm1d(8)
+        x = Tensor(rng.standard_normal((50, 8)).astype(np.float32), requires_grad=True)
+        out = bn(x)
+        saved = [item for item in out._ctx.saved if isinstance(item, np.ndarray)]
+        assert any(np.shares_memory(item, x.data) for item in saved)
+        others = [item for item in saved if not np.shares_memory(item, x.data)]
+        assert all(item.size <= bn.num_features for item in others)
+
+    def test_shared_grad_out_is_not_overwritten(self, rng):
+        """``Add.backward`` hands one array to both parents: BatchNorm's
+        backward must leave it intact for the other consumer."""
+        data = rng.standard_normal((20, 4)).astype(np.float32)
+        weight = rng.standard_normal(4).astype(np.float32)
+        grad = rng.standard_normal((20, 4)).astype(np.float32)
+        bn = nn.BatchNorm1d(4)
+
+        def x_grad(fn):
+            x = Tensor(data, requires_grad=True)
+            fn(x).backward(grad)
+            return x.grad
+
+        both = x_grad(lambda x: bn(x) + x * Tensor(weight))
+        separately = x_grad(bn) + x_grad(lambda x: x * Tensor(weight))
+        np.testing.assert_allclose(both, separately, rtol=1e-6, atol=1e-6)
+
+
+def _batchnorm_float64(x, gamma, beta, grad, eps=1e-5):
+    """Batch norm and its input / parameter gradients, in float64 throughout."""
+    x, grad = x.astype(np.float64), grad.astype(np.float64)
+    inv_std = 1.0 / np.sqrt(x.var(axis=0) + eps)
+    x_hat = (x - x.mean(axis=0)) * inv_std
+    dx_hat = grad * gamma
+    dx = inv_std * (dx_hat - dx_hat.mean(axis=0) - x_hat * (dx_hat * x_hat).mean(axis=0))
+    return gamma * x_hat + beta, dx, (grad * x_hat).sum(axis=0), grad.sum(axis=0)
+
+
+class TestBatchNormLargeOffset:
+    """Inputs ``offset + 0.1 · noise``: the variance must come from the float64
+    mean, or it is off by far more than the variance itself.  What remains is
+    float32's resolution of ``x`` relative to its spread, ``eps · offset / std``."""
+
+    STD = 0.1
+
+    def _inputs(self, offset, rows=60, features=5):
+        rng = np.random.default_rng(int(offset) + 3)
+        x = (offset + self.STD * rng.standard_normal((rows, features))).astype(np.float32)
+        grad = rng.standard_normal((rows, features)).astype(np.float32)
+        gamma = rng.uniform(0.5, 2.0, features).astype(np.float32)
+        beta = rng.standard_normal(features).astype(np.float32)
+        return x, grad, gamma, beta
+
+    def _check(self, offset, out, dx, dgamma, dbeta, x, grad, gamma, beta):
+        ref_out, ref_dx, ref_dgamma, ref_dbeta = _batchnorm_float64(x, gamma, beta, grad)
+        resolution = np.finfo(np.float32).eps * (offset + 1.0) / self.STD
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=4 * resolution * gamma.max())
+        np.testing.assert_allclose(dx, ref_dx, rtol=0, atol=resolution * np.abs(ref_dx).max())
+        np.testing.assert_allclose(dgamma, ref_dgamma, rtol=0,
+                                   atol=resolution * np.abs(ref_dgamma).max())
+        np.testing.assert_allclose(dbeta, ref_dbeta, rtol=1e-5, atol=1e-4)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e4])
+    def test_single_machine(self, offset):
+        x, grad, gamma, beta = self._inputs(offset)
+        bn = nn.BatchNorm1d(x.shape[1])
+        bn.gamma.data[:], bn.beta.data[:] = gamma, beta
+        xt = Tensor(x, requires_grad=True)
+        out = bn(xt)
+        out.backward(grad)
+        self._check(offset, out.data, xt.grad, bn.gamma.grad, bn.beta.grad, x, grad, gamma, beta)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e4])
+    @pytest.mark.parametrize("bounds", [(0, 30, 60), (0, 25, 25, 60)],
+                             ids=["world2", "world3_empty_shard"])
+    def test_distributed(self, offset, bounds):
+        x, grad, gamma, beta = self._inputs(offset)
+        world = len(bounds) - 1
+
+        def worker(rank, comm):
+            rows = slice(bounds[rank], bounds[rank + 1])
+            bn = nn.DistributedBatchNorm(x.shape[1], comm=comm)
+            bn.gamma.data[:], bn.beta.data[:] = gamma, beta
+            xt = Tensor(x[rows], requires_grad=True)
+            out = bn(xt)
+            out.backward(grad[rows])
+            comm.barrier()
+            return out.data, xt.grad, bn.gamma.grad, bn.beta.grad
+
+        results = run_distributed(worker, world).results
+        out = np.concatenate([r[0] for r in results])
+        dx = np.concatenate([r[1] for r in results])
+        # Parameter gradients are per-worker sums; the trainer syncs them.
+        dgamma = np.sum([r[2] for r in results], axis=0)
+        dbeta = np.sum([r[3] for r in results], axis=0)
+        self._check(offset, out, dx, dgamma, dbeta, x, grad, gamma, beta)

@@ -91,6 +91,18 @@ class TestMatMul:
         a, b = _t((2, 4, 3), rng), _t((3, 2), rng)
         check_gradients(lambda: ((a @ b) ** 2).sum(), [a, b])
 
+    @pytest.mark.parametrize("a_shape", [(4, 3), (2, 4, 3)])
+    @pytest.mark.parametrize("constant", [0, 1], ids=["left", "right"])
+    def test_constant_operand(self, rng, a_shape, constant):
+        a = _t(a_shape, rng, requires_grad=constant != 0)
+        b = _t((3, 2), rng, requires_grad=constant != 1)
+        variable = (a, b)[1 - constant]
+        check_gradients(lambda: ((a @ b) ** 2).sum(), [variable])
+        out = a @ b
+        assert out._ctx.needs_input_grad == (constant != 0, constant != 1)
+        grads = out._ctx.backward(np.ones_like(out.data))
+        assert grads[constant] is None and grads[1 - constant].shape == variable.shape
+
     def test_rejects_1d_right_operand(self, rng):
         a, b = _t((4, 3), rng), _t((3,), rng)
         with pytest.raises(ValueError):
@@ -182,6 +194,26 @@ class TestShapeOps:
         a = _t((5, 3), rng)
         idx = np.array([4, 0, 0, 2, 3, 1])
         check_gradients(lambda: (ops.gather(a, idx) ** 2).sum(), [a])
+
+    @pytest.mark.parametrize("idx, assigns", [
+        ([0, 2, 3, 6], True),           # strictly increasing: scatter by assignment
+        ([], True),
+        ([5, 1, 3, 0], False),          # unique but unsorted
+        ([1, 1, 4, 2, 1], False),       # repeated
+        ([0, 2, 4, 4], False),          # non-decreasing with a repeat
+        ([-3, 4], False),               # increasing, but -3 and 4 name one row
+        ([[0, 1], [1, 2]], False),      # rows increase, but row 1 repeats
+    ])
+    def test_gather_backward_matches_add_at(self, rng, idx, assigns):
+        a = _t((7, 3), rng)
+        index = np.array(idx, dtype=np.int64)
+        out = ops.gather(a, index)
+        assert out._ctx.saved[2] is assigns
+        grad = rng.standard_normal(out.shape).astype(np.float32)
+        out.backward(grad)
+        expected = np.zeros_like(a.data)
+        np.add.at(expected, index, grad)
+        np.testing.assert_array_equal(a.grad, expected)
 
 
 class TestUnbroadcast:
