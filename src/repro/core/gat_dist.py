@@ -24,7 +24,9 @@ steps and the SDDMM's gathered operands are cache-blocked.  Execution modes (fro
   profile of the standard DGL implementation), no backward re-fetch; a
   ``no_grad`` forward saves neither.
   ``fused`` decides what is saved per edge: raw scores and logits
-  (``False``, the multi-step dataflow) or the logits alone (``True``);
+  (``False``) or the raw scores alone (``True``, the backward re-derives
+  the logits and the LeakyReLU mask from them) — the same meaning it has
+  for the single-machine :class:`~repro.tensor.sparse.GATAggregation`;
 * SAR (``mode="sar"``): nothing edge-sized survives the forward pass; the
   backward pass re-fetches remote features and rematerializes the per-edge
   quantities block by block.  ``fused`` changes nothing here.
@@ -41,7 +43,7 @@ from repro.core.halo import HaloExchange, pack_features, unpack_features
 from repro.core.seq_agg import BlockKernel, KernelPass
 from repro.core.stable_softmax import RunningSoftmaxAccumulator
 from repro.partition.shard import EdgeBlock, ShardedGraph
-from repro.tensor.sparse import gat_backward_sorted, gat_logits_sorted
+from repro.tensor.sparse import gat_backward_sorted, gat_logits_sorted, leaky_relu_np
 from repro.tensor.tensor import Tensor, grad_enabled
 
 
@@ -105,7 +107,7 @@ class GATKernel(BlockKernel):
         if self.config.is_domain_parallel and grad_enabled():
             # Vanilla DP materializes per-edge attention tensors in the graph
             # (a no-grad forward records no graph to keep them in).
-            self._saved_logits[q] = Tensor(logits if self.fused else np.stack([raw, logits]))
+            self._saved_logits[q] = Tensor(raw if self.fused else np.stack([raw, logits]))
         self._accumulator.add_block_sorted(logits, z_q, plan)
 
     def forward_finalize(self) -> np.ndarray:
@@ -135,10 +137,11 @@ class GATKernel(BlockKernel):
         if saved is None:
             raw, logits = gat_logits_sorted(plan, self.sd, ss_q, self.negative_slope)
         elif self.fused:
-            raw, logits = None, saved.data
+            raw = saved.data
+            logits = leaky_relu_np(raw, self.negative_slope)
         else:
             raw, logits = saved.data[0], saved.data[1]
-        positive = logits > 0 if raw is None else raw > 0
+        positive = raw > 0
         weights = np.exp(logits - plan.expand_dst(self._safe_max))
         alpha = weights / plan.expand_dst(self.denominator)
         grad_z_q, grad_sd, grad_ss_q = gat_backward_sorted(

@@ -149,10 +149,10 @@ class PoolingKernel(BlockKernel):
 
     def backward_block(self, p: KernelPass, q: int, block: EdgeBlock,
                        feats: Optional[np.ndarray]) -> np.ndarray:
-        gathered = feats[block.src_index]
-        mask = gathered == self.out[block.dst_local]
-        contrib = np.where(mask, self._grad_out[block.dst_local], 0.0)
-        return block.plan().segment_sum_src(contrib).astype(self._grad_out.dtype, copy=False)
+        plan = block.plan()
+        mask = plan.gather_src(feats) == plan.expand_dst(self.out)
+        contrib = np.where(mask, plan.expand_dst(self._grad_out), 0.0)
+        return plan.segment_sum_src_sorted(contrib).astype(self._grad_out.dtype, copy=False)
 
     def error_target(self, p: KernelPass) -> np.ndarray:
         return self._grad_z

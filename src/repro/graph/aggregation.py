@@ -17,16 +17,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.tensor import functional as F
 from repro.tensor import ops
-from repro.tensor.sparse import (
-    FusedGATAggregation,
-    edge_softmax,
-    neighbor_aggregate,
-    pool_aggregate,
-    u_add_v,
-    u_mul_e_sum,
-)
+from repro.tensor.sparse import GATAggregation, neighbor_aggregate, pool_aggregate
 from repro.tensor.tensor import Tensor
 
 
@@ -48,14 +40,9 @@ class NeighborAggregation:
                       negative_slope: float = 0.2, fused: bool = False) -> Tensor:
         """Attention aggregation; ``fused`` recomputes the per-edge
         coefficients in the backward pass instead of keeping them."""
-        plan = self.plan()
         # Destination scores live in the destination row space.
-        score_dst = self.gather_dst(score_dst)
-        if fused:
-            return FusedGATAggregation.apply(z, score_dst, score_src, plan, negative_slope)
-        # Per-edge logits and coefficients (E, H): materialized, saved by autograd.
-        logits = F.leaky_relu(u_add_v(score_dst, score_src, plan), negative_slope)
-        return u_mul_e_sum(z, edge_softmax(logits, plan), plan)
+        return GATAggregation.apply(z, self.gather_dst(score_dst), score_src, self.plan(),
+                                    negative_slope, fused)
 
 
 class RelationalAggregation:

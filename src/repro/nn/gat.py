@@ -1,11 +1,14 @@
-"""Graph attention network (GAT) layer — standard two-step implementation.
+"""Graph attention network (GAT) layer.
 
-This mirrors DGL's ``GATConv`` dataflow (the baseline in the paper's
-Figure 2): per-edge attention logits and normalized attention coefficients
-are materialized as full ``(E, H)`` tensors and kept alive by the autograd
-graph until the backward pass.  The fused variant in
-:mod:`repro.nn.gat_fused` computes the same mathematics without ever storing
-those per-edge tensors.
+One attention op serves both GAT layers: the graph's ``gat_aggregate`` runs
+:class:`~repro.tensor.sparse.GATAggregation` on a single machine and the
+SAR / domain-parallel :class:`~repro.core.gat_dist.GATKernel` on a
+distributed graph.  The layers differ only in :attr:`GATConv.uses_fused_kernel`,
+which decides what the op keeps for the backward pass.  This layer keeps the
+per-edge attention coefficients as an ``(E, H)`` tensor, as DGL's ``GATConv``
+does (the baseline in the paper's Figure 2);
+:class:`~repro.nn.gat_fused.FusedGATConv` keeps nothing edge-sized and
+recomputes them.  Outputs and gradients are the same bits either way.
 
 GAT layer (paper Eq. 3), evaluated per attention head:
 
@@ -26,10 +29,11 @@ from repro.utils.validation import check_positive_int
 
 
 class GATConv(Module):
-    """Standard ("DGL-style") GAT layer that materializes per-edge attention tensors."""
+    """Standard ("DGL-style") GAT layer that keeps per-edge attention coefficients."""
 
-    #: Set by :class:`~repro.nn.gat_fused.FusedGATConv`; the graph's
-    #: ``gat_aggregate`` reads it to pick the fused or the materializing kernel.
+    #: Set by :class:`~repro.nn.gat_fused.FusedGATConv`; passed to the graph's
+    #: ``gat_aggregate`` as ``fused``: recompute the per-edge coefficients in
+    #: the backward pass instead of keeping them.
     uses_fused_kernel = False
 
     def __init__(self, in_features: int, out_features: int, num_heads: int = 1,

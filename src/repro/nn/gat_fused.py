@@ -1,25 +1,24 @@
-"""GAT with the fused attention kernel (paper §3.3).
+"""GAT with attention-matrix rematerialization (paper §3.3).
 
-The standard GAT implementation materializes the per-edge attention logits
-and the normalized attention coefficients as ``(E, H)`` tensors, writes them
-to memory in the forward pass, and reads them back in the backward pass.
-The fused kernel computes attention coefficients *on the fly* while
-aggregating neighbour features:
+The standard layer keeps the per-edge attention coefficients as an
+``(E, H)`` tensor from the forward pass to the backward pass.  This one runs
+the same attention op with ``fused=True``:
 
-* forward: one pass over the edges that simultaneously computes the stable
-  softmax statistics and the weighted feature sums; nothing edge-sized is
-  saved for backward (only the node-level inputs, which autograd keeps alive
-  anyway).
+* forward: the stable softmax statistics and the weighted feature sums are
+  computed exactly as for :class:`~repro.nn.gat.GATConv`, but nothing
+  edge-sized is saved for backward (only the node-level inputs, which
+  autograd keeps alive anyway);
 * backward: the attention coefficients are *recomputed* from the saved
   node-level projections and then used to push gradients to the neighbour
   features and attention scores.
 
 This trades extra backward compute (growing with the number of heads) for a
-much smaller forward-pass memory footprint — exactly the trade-off shown in
-the paper's Figure 2 — and synergizes with SAR, which has to rematerialize
-these intermediates during the backward pass anyway.  The kernel itself is
-:class:`~repro.tensor.sparse.FusedGATAggregation`; the layer only asks for
-it through ``gat_aggregate(..., fused=True)``.
+smaller forward-pass memory footprint — the trade-off of the paper's
+Figure 2 — and synergizes with SAR, which has to rematerialize these
+intermediates during the backward pass anyway.  Outputs and gradients are
+bit-identical to :class:`~repro.nn.gat.GATConv`'s; the op is
+:class:`~repro.tensor.sparse.GATAggregation` on a single machine and
+:class:`~repro.core.gat_dist.GATKernel` under SAR / domain parallelism.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ edge set and caches, per orientation (destination-major and source-major):
 * the destination-sorted edge order and the segment ``indptr`` (the CSR
   sparsity structure),
 * the unweighted aggregation matrix (``out[d] = Σ_{e:(s→d)} x[s]``),
-* a selection matrix summing per-*edge* values into segments,
+* a selection matrix summing sorted per-*edge* values into segments,
 * per head count ``H``, a *head-blocked* CSR (row ``d·H + h``, column
   ``s·H + h``) plus the map that fills its data from ``(E, H)`` edge
   weights, so edge-weighted aggregation (the attention hot path) runs every
@@ -24,14 +24,17 @@ edge set and caches, per orientation (destination-major and source-major):
 The per-op kernel strategy is chosen from measurements, not aesthetics
 (E=200k, N=5k, H=8, D=32, float32, one core):
 
-=====================  ======================  =====================  ========
-op                     naive                   plan                   speedup
-=====================  ======================  =====================  ========
-``u_mul_e_sum`` fwd    fresh CSR per head      head-blocked SpMM      ~4.5×
-``segment_sum (E,H)``  fresh CSR               cached selection CSR   ~3×
-``segment_max (E,H)``  ``np.maximum.at``       ``maximum.reduceat``   ~3.5×
-``aggregate_sum``      fresh CSR               cached CSR matvec      »
-=====================  ======================  =====================  ========
+============================  ===================  =====================  ========
+op                            naive                plan                   speedup
+============================  ===================  =====================  ========
+``u_mul_e_sum_sorted``        fresh CSR per head   head-blocked SpMM      ~4.5×
+``segment_sum_sorted (E,H)``  fresh CSR            cached selection CSR   ~3×
+``segment_max_sorted (E,H)``  ``np.maximum.at``    ``maximum.reduceat``   ~3.5×
+``aggregate_sum``             fresh CSR            cached CSR matvec      »
+============================  ===================  =====================  ========
+
+(The two segment rows were measured on input-order arrays, each with a
+gather through the sort order; the sorted-space kernels skip that gather.)
 
 (``np.add.reduceat`` over a wide ``(E, H·D)`` message block was also
 measured and is ~7× *slower* than a CSR matvec — reduceat does not vectorize
@@ -46,12 +49,15 @@ Every plan provider (``Graph.plan()``, ``MFGBlock.plan()``,
 naive per-call kernels the plans replace survive only as the tests'
 reference (``tests/reference_kernels.py``).
 
-A second family of methods (``*_sorted``, ``expand_dst``, ``gather_src``,
-``sddmm``) keeps per-edge arrays in the plan's destination-sorted order
-between steps instead of permuting on every call; the attention kernels
-(:func:`repro.tensor.sparse.gat_backward_sorted` and its callers) and the
-weighted multi-head SpMM (``u_mul_e_sum_sorted`` and its transpose) are
-built on it.  See the section comment in :class:`EdgePlan`.
+Per-edge arrays have one layout: the plan's destination-sorted edge order.
+The per-edge methods (``*_sorted``, ``expand_dst``, ``gather_src``,
+``sddmm``) take and return arrays in it, so a chain of per-edge steps never
+permutes between them; ``sort_edges`` is the one way in from input edge
+order, and nothing in the library needs the way back.  The attention
+kernels (:func:`repro.tensor.sparse.gat_backward_sorted` and its callers),
+pooling's backward and the weighted multi-head SpMM
+(``u_mul_e_sum_sorted`` and its transpose) are built on it.  See the section
+comment in :class:`EdgePlan`.
 
 Kernel calls share no per-call buffer: the weighted SpMM fills a fresh data
 array over the cached head-blocked structure on every call.  The lazy caches
@@ -96,13 +102,12 @@ class _Orientation:
     ``rows``/``cols`` are the per-edge row and column ids of the aggregation
     matrix for this orientation (destination-major: rows = dst, cols = src;
     source-major: the transpose).  Everything derived from the one-time
-    lexsort is cached here; the three lazily-built sparse matrices never pay
-    a sort.
+    lexsort is cached here; the lazily-built aggregation matrix never pays a
+    sort.
     """
 
     __slots__ = ("num_rows", "num_cols", "order", "indices", "indptr", "counts",
-                 "nonempty", "starts", "all_nonempty",
-                 "_agg", "_sel", "_rows")
+                 "nonempty", "starts", "all_nonempty", "_agg", "_rows")
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray,
                  num_rows: int, num_cols: int):
@@ -128,7 +133,6 @@ class _Orientation:
         self.starts = indptr[:-1][self.nonempty]
         self.all_nonempty = bool(self.nonempty.all()) if self.num_rows else True
         self._agg: Optional[sp.csr_matrix] = None
-        self._sel: Optional[sp.csr_matrix] = None
         self._rows: Optional[np.ndarray] = None
 
     # -- cached sparse operators ----------------------------------------- #
@@ -141,16 +145,6 @@ class _Orientation:
                 shape=(self.num_rows, self.num_cols),
             )
         return self._agg
-
-    def sel_matrix(self) -> sp.csr_matrix:
-        """``(num_rows × E)`` matrix summing per-edge values into segments."""
-        if self._sel is None:
-            self._sel = sp.csr_matrix(
-                (np.ones(len(self.order), dtype=np.float32), self.order,
-                 self.indptr),
-                shape=(self.num_rows, len(self.order)),
-            )
-        return self._sel
 
     # -- segment reductions over the sorted order ------------------------- #
     def reduce_sorted(self, ufunc, sorted_vals: np.ndarray, fill: float) -> np.ndarray:
@@ -262,37 +256,6 @@ class EdgePlan:
         """In-degrees clamped to ≥ 1 (the mean-aggregation denominator)."""
         return np.maximum(self._o(False).counts, 1).astype(dtype)
 
-    # -- per-edge → per-segment reductions -------------------------------- #
-    def segment_sum(self, values: np.ndarray) -> np.ndarray:
-        """Sum per-edge rows into destination buckets."""
-        values = self._check_edge_rows(values, "values")
-        o = self._o(False)
-        return o.matvec(o.sel_matrix(), values)
-
-    def segment_mean(self, values: np.ndarray) -> np.ndarray:
-        """Mean-reduce per-edge rows per destination (empty segments → 0)."""
-        sums = self.segment_sum(values)
-        counts = self.clamped_in_degrees(sums.dtype)
-        return sums / counts.reshape((self.num_dst,) + (1,) * (sums.ndim - 1))
-
-    def segment_max(self, values: np.ndarray, initial: float = -np.inf) -> np.ndarray:
-        """Max-reduce per-edge rows per destination (empty segments → ``initial``)."""
-        values = self._check_edge_rows(values, "values")
-        o = self._o(False)
-        return o.reduce_sorted(np.maximum, values[o.order], initial)
-
-    def segment_min(self, values: np.ndarray, initial: float = np.inf) -> np.ndarray:
-        """Min-reduce per-edge rows per destination (empty segments → ``initial``)."""
-        values = self._check_edge_rows(values, "values")
-        o = self._o(False)
-        return o.reduce_sorted(np.minimum, values[o.order], initial)
-
-    def segment_sum_src(self, values: np.ndarray) -> np.ndarray:
-        """Sum per-edge rows into *source* buckets (the transpose reduction)."""
-        values = self._check_edge_rows(values, "values")
-        o = self._o(True)
-        return o.matvec(o.sel_matrix(), values)
-
     # -- per-source features → per-destination aggregates ------------------ #
     def aggregate_sum(self, x: np.ndarray) -> np.ndarray:
         """``out[d] = Σ_{e:(s→d)} x[s]`` (sum over in-neighbours)."""
@@ -320,52 +283,21 @@ class EdgePlan:
         o = self._o(False)
         return o.reduce_sorted(np.minimum, x[o.indices], initial)
 
-    # -- fused edge softmax ------------------------------------------------ #
-    def edge_softmax(self, scores: np.ndarray) -> np.ndarray:
-        """Numerically-stable per-destination softmax of per-edge scores.
-
-        One sort is shared between the max, sum, and normalize stages: the
-        scores are gathered into destination order once, the running
-        statistics are computed with ``reduceat``/the cached selection
-        matrix, and the result is scattered back to the original edge order.
-        """
-        scores = self._check_edge_rows(scores, "scores")
-        o = self._o(False)
-        s = scores[o.order]
-        maxes = o.reduce_sorted(np.maximum, s, -np.inf)
-        maxes = np.where(np.isfinite(maxes), maxes, 0.0).astype(s.dtype, copy=False)
-        shifted = s - np.repeat(maxes, o.counts, axis=0)
-        np.exp(shifted, out=shifted)
-        denom = o.reduce_sorted(np.add, shifted, 0.0)
-        denom = np.maximum(denom, np.finfo(shifted.dtype).tiny)
-        alpha_sorted = shifted / np.repeat(denom, o.counts, axis=0)
-        out = np.empty_like(alpha_sorted)
-        out[o.order] = alpha_sorted
-        return out
-
     # -- destination-sorted edge space -------------------------------------- #
-    # The methods above take and return per-edge arrays in *input* edge
-    # order, so each of them starts with a ``values[order]`` gather.  A kernel
+    # Every per-edge array lives in the plan's destination-sorted order: rows
+    # of one destination are contiguous, per-destination values expand with a
+    # sequential ``np.repeat``, per-source values arrive with one ``take``,
+    # the head-blocked weighted CSR is filled by one ``take``, and a kernel
     # that chains several per-edge steps (the attention block: logits → max →
     # exp → sum → SpMM, and the SDDMM → softmax-grad → two segment sums of its
-    # backward) pays that gather per step.  The methods below keep every
-    # per-edge array in the plan's destination-sorted order instead: rows of
-    # one destination are contiguous, per-destination values expand with a
-    # sequential ``np.repeat``, the head-blocked weighted CSR is filled by one
-    # ``take``, and only entering or leaving the space (``sort_edges`` /
-    # ``unsort_edges``) permutes.  Per destination the reduction order is the
-    # same stable sorted order as above, so results are bit-identical.
+    # backward) never permutes between them.  Per destination (and per source,
+    # through :meth:`_transpose_positions`) reductions run in the stable
+    # sorted order derived from the input edge order.
     def sort_edges(self, values: np.ndarray) -> np.ndarray:
-        """Per-edge rows, input order → destination-sorted order."""
+        """Per-edge rows, input order → destination-sorted order (the one
+        entry into the space)."""
         values = self._check_edge_rows(values, "values")
         return values.take(self._o(False).order, axis=0)
-
-    def unsort_edges(self, sorted_values: np.ndarray) -> np.ndarray:
-        """Per-edge rows, destination-sorted order → input order."""
-        sorted_values = self._check_edge_rows(sorted_values, "sorted_values")
-        out = np.empty_like(sorted_values)
-        out[self._o(False).order] = sorted_values
-        return out
 
     def expand_dst(self, x: np.ndarray) -> np.ndarray:
         """Sorted per-edge copy of each edge's destination row of ``x``."""
@@ -393,12 +325,13 @@ class EdgePlan:
         return o.matvec(sel, sorted_values)
 
     def segment_sum_sorted(self, sorted_values: np.ndarray) -> np.ndarray:
-        """:meth:`segment_sum` of rows already in sorted order."""
+        """Sum sorted per-edge rows into destination buckets."""
         return self._sum_sorted(sorted_values, transpose=False)
 
     def segment_max_sorted(self, sorted_values: np.ndarray,
                            initial: float = -np.inf) -> np.ndarray:
-        """:meth:`segment_max` of rows already in sorted order."""
+        """Max-reduce sorted per-edge rows per destination (empty segments →
+        ``initial``)."""
         sorted_values = self._check_edge_rows(sorted_values, "sorted_values")
         return self._o(False).reduce_sorted(np.maximum, sorted_values, initial)
 
@@ -413,7 +346,8 @@ class EdgePlan:
         return self._t_positions
 
     def segment_sum_src_sorted(self, sorted_values: np.ndarray) -> np.ndarray:
-        """:meth:`segment_sum_src` of rows already in sorted order."""
+        """Sum sorted per-edge rows into *source* buckets (the transpose
+        reduction)."""
         return self._sum_sorted(sorted_values, transpose=True)
 
     def _head_blocked(self, transpose: bool, heads: int) -> tuple:

@@ -3,17 +3,20 @@
 These are the library's equivalents of DGL's SpMM / SDDMM / edge-softmax
 kernels.  Graph structure (edge endpoints) is always treated as
 non-differentiable; gradients only flow through dense feature and
-edge-weight tensors.
+attention-score tensors.
 
 Every op takes the :class:`~repro.tensor.edge_plan.EdgePlan` of its edge set
 — built once, obtained from the owning graph (``Graph.plan()``,
 ``MFGBlock.plan()``, ``EdgeBlock.plan()``, …) — and runs on the plan's cached
-sort/CSR structures, so no call re-derives sparsity.
+sort/CSR structures, so no call re-derives sparsity.  Every per-edge array
+lives in the plan's destination-sorted edge space.
 
-Plain NumPy helpers (suffixed ``_np`` or ``_sorted``) are exposed as well
-because SAR's sequential aggregation (Algorithm 1) runs the same math
-*outside* the autograd graph and rematerializes it manually in the backward
-pass.
+There is one attention op, :class:`GATAggregation`; its ``fused`` flag means
+what it means for the distributed :class:`~repro.core.gat_dist.GATKernel`:
+what the forward keeps for the backward, never which math runs.  The plain
+NumPy helpers (suffixed ``_np`` or ``_sorted``) are that math; SAR's
+sequential aggregation (Algorithm 1) runs them *outside* the autograd graph
+and rematerializes them block by block in the backward pass.
 """
 
 from __future__ import annotations
@@ -97,6 +100,11 @@ def _softmax_terms_sorted(plan: EdgePlan, score_dst: np.ndarray, score_src: np.n
 # --------------------------------------------------------------------------- #
 # differentiable ops
 # --------------------------------------------------------------------------- #
+def _check_rows(x: Tensor, expected: int, name: str, space: str) -> None:
+    if x.shape[0] != expected:
+        raise ValueError(f"{name} has {x.shape[0]} rows but plan expects {expected} {space}")
+
+
 class NeighborAggregate(Function):
     """Plan-backed sum/mean aggregation of source features into destinations.
 
@@ -126,58 +134,6 @@ class NeighborAggregate(Function):
         return (plan.aggregate_sum_t(grad),)
 
 
-class EdgeScoreSum(Function):
-    """Per-edge sum of destination- and source-node scores (DGL ``u_add_v``).
-
-    ``out[e] = score_dst[dst_e] + score_src[src_e]`` — the first step of
-    GAT's attention logits.  The backward pass segment-sums the per-edge
-    gradient to both endpoints through the plan's cached selection matrices
-    instead of two ``np.add.at`` scatter loops.
-    """
-
-    def forward(self, score_dst: Tensor, score_src: Tensor, plan: EdgePlan) -> np.ndarray:
-        self.save_for_backward(plan)
-        return score_dst.data[plan.dst] + score_src.data[plan.src]
-
-    def backward(self, grad_out):
-        (plan,) = self.saved
-        return plan.segment_sum(grad_out), plan.segment_sum_src(grad_out)
-
-
-class UMulESum(Function):
-    """Weighted aggregation: ``out[d] = Σ_{e:(s→d)} w_e * x[s]``.
-
-    ``x`` has shape ``(num_src, H, D)`` (or ``(num_src, D)``) and ``w`` has
-    shape ``(E, H)`` (or ``(E,)``); gradients flow to both.  This is the core
-    kernel of attention-based aggregation.  The forward sorts the weights
-    into the plan's edge space once and both passes run every head through
-    one head-blocked SpMM (one cached structure, zero per-call sparse
-    builds).
-    """
-
-    def forward(self, x: Tensor, w: Tensor, plan: EdgePlan) -> np.ndarray:
-        x_data, w_data = x.data, w.data
-        squeeze = False
-        if x_data.ndim == 2:
-            x_data = x_data[:, None, :]
-            squeeze = True
-        if w_data.ndim == 1:
-            w_data = w_data[:, None]
-        # Saved for backward in the plan's sorted edge space.
-        w_data = plan.sort_edges(w_data)
-        out = plan.u_mul_e_sum_sorted(x_data, w_data)
-        self.save_for_backward(x_data, w_data, squeeze, x.shape, w.shape, plan)
-        return out[:, 0, :] if squeeze else out
-
-    def backward(self, grad_out):
-        x_data, w_data, squeeze, x_shape, w_shape, plan = self.saved
-        grad = grad_out[:, None, :] if squeeze else grad_out
-        # grad_w[e, h] = <x[src_e, h], grad_out[dst_e, h]>  (an SDDMM)
-        grad_x = plan.u_mul_e_sum_t_sorted(grad, w_data)
-        grad_w = plan.unsort_edges(plan.sddmm(x_data, grad))
-        return grad_x.reshape(x_shape), grad_w.reshape(w_shape).astype(w_data.dtype)
-
-
 class PoolAggregation(Function):
     """Element-wise max/min pooling over incoming edges.
 
@@ -192,6 +148,7 @@ class PoolAggregation(Function):
     def forward(self, x: Tensor, plan: EdgePlan, op: str) -> np.ndarray:
         if op not in ("max", "min"):
             raise ValueError(f"op must be 'max' or 'min', got {op!r}")
+        _check_rows(x, plan.num_src, "x", "sources")
         data = x.data
         reduced = plan.aggregate_max(data) if op == "max" else plan.aggregate_min(data)
         out = np.where(np.isfinite(reduced), reduced, 0.0).astype(data.dtype, copy=False)
@@ -200,49 +157,52 @@ class PoolAggregation(Function):
 
     def backward(self, grad_out):
         data, out, plan = self.saved
-        mask = data[plan.src] == out[plan.dst]
-        contrib = np.where(mask, grad_out[plan.dst], 0.0)
-        return (plan.segment_sum_src(contrib).astype(grad_out.dtype, copy=False),)
+        mask = plan.gather_src(data) == plan.expand_dst(out)
+        contrib = np.where(mask, plan.expand_dst(grad_out), 0.0)
+        return (plan.segment_sum_src_sorted(contrib).astype(grad_out.dtype, copy=False),)
 
 
-class EdgeSoftmax(Function):
-    """Softmax over incoming edges of each destination node (DGL ``edge_softmax``)."""
+class GATAggregation(Function):
+    """Attention aggregation ``out[d] = Σ_e α_e · z[s_e]`` (paper Eq. 3), one
+    op for both sides of the paper's Figure 2 trade (§3.3).
 
-    def forward(self, scores: Tensor, plan: EdgePlan) -> np.ndarray:
-        alpha = plan.edge_softmax(scores.data)
-        self.save_for_backward(alpha, plan)
-        return alpha
-
-    def backward(self, grad_out):
-        alpha, plan = self.saved
-        weighted = plan.segment_sum(alpha * grad_out)
-        return (alpha * (grad_out - weighted[plan.dst]),)
-
-
-class FusedGATAggregation(Function):
-    """Attention aggregation that keeps nothing edge-sized for backward (paper §3.3).
-
-    The forward computes the stable softmax statistics and the weighted
-    feature sums in one pass over the plan's sorted edge space; only the
-    node-level inputs (which autograd keeps alive anyway) are saved.  The
-    backward *recomputes* the attention coefficients from them — extra
-    compute growing with the number of heads in exchange for a much smaller
-    forward-pass footprint, the trade of the paper's Figure 2.
+    The forward computes the stable softmax statistics in the plan's sorted
+    edge space, runs every head through one head-blocked SpMM and divides by
+    the softmax denominators.  ``fused`` decides only what the backward
+    reads: ``False`` keeps the coefficients α as a tracked ``(E, H)`` tensor
+    plus the LeakyReLU sign mask (the standard implementation's forward
+    footprint); ``True`` keeps nothing edge-sized and *recomputes* both from
+    the node-level inputs, which autograd keeps alive anyway — extra backward
+    compute growing with the number of heads for a smaller forward peak.  The
+    backward runs on the same bits either way, so both settings give
+    identical gradients.
     """
 
     def forward(self, z: Tensor, score_dst: Tensor, score_src: Tensor, plan: EdgePlan,
-                negative_slope: float) -> np.ndarray:
-        _, weights, denom = _softmax_terms_sorted(plan, score_dst.data, score_src.data,
-                                                  negative_slope)
-        self.save_for_backward(z.data, score_dst.data, score_src.data, plan, negative_slope)
+                negative_slope: float, fused: bool) -> np.ndarray:
+        _check_rows(z, plan.num_src, "z", "sources")
+        _check_rows(score_src, plan.num_src, "score_src", "sources")
+        _check_rows(score_dst, plan.num_dst, "score_dst", "destinations")
+        raw, weights, denom = _softmax_terms_sorted(plan, score_dst.data, score_src.data,
+                                                    negative_slope)
+        kept = None
+        if self.needs_grad and not fused:
+            alpha = weights / plan.expand_dst(denom)
+            kept = (Tensor(alpha, dtype=alpha.dtype), raw > 0)
+        self.save_for_backward(z.data, score_dst.data, score_src.data, plan, negative_slope,
+                               kept)
         return plan.u_mul_e_sum_sorted(z.data, weights) / denom[:, :, None]
 
     def backward(self, grad_out):
-        z, score_dst, score_src, plan, negative_slope = self.saved
-        raw, weights, denom = _softmax_terms_sorted(plan, score_dst, score_src, negative_slope)
-        alpha = weights / plan.expand_dst(denom)
+        z, score_dst, score_src, plan, negative_slope, kept = self.saved
+        if kept is None:
+            raw, weights, denom = _softmax_terms_sorted(plan, score_dst, score_src,
+                                                        negative_slope)
+            alpha, positive = weights / plan.expand_dst(denom), raw > 0
+        else:
+            alpha, positive = kept[0].data, kept[1]
         grad_z, grad_score_dst, grad_score_src = gat_backward_sorted(
-            plan, z, grad_out, alpha, raw > 0, negative_slope
+            plan, z, grad_out, alpha, positive, negative_slope
         )
         return (grad_z, grad_score_dst.astype(score_dst.dtype),
                 grad_score_src.astype(score_src.dtype))
@@ -256,19 +216,7 @@ def neighbor_aggregate(x: Tensor, plan: EdgePlan, op: str = "sum") -> Tensor:
     return NeighborAggregate.apply(x, plan, op)
 
 
-def u_add_v(score_dst: Tensor, score_src: Tensor, plan: EdgePlan) -> Tensor:
-    """Per-edge ``score_dst[dst_e] + score_src[src_e]`` with plan-backed backward."""
-    return EdgeScoreSum.apply(score_dst, score_src, plan)
-
-
-def u_mul_e_sum(x: Tensor, w: Tensor, plan: EdgePlan) -> Tensor:
-    return UMulESum.apply(x, w, plan)
-
-
 def pool_aggregate(x: Tensor, plan: EdgePlan, op: str = "max") -> Tensor:
     """Max/min pooling of source features into destination nodes."""
     return PoolAggregation.apply(x, plan, op)
 
-
-def edge_softmax(scores: Tensor, plan: EdgePlan) -> Tensor:
-    return EdgeSoftmax.apply(scores, plan)

@@ -29,25 +29,20 @@ from repro.tensor.edge_plan import EdgePlan
 from repro.tensor.gradcheck import check_gradients
 from repro.tensor.optim import Adam
 from repro.tensor.sparse import (
-    FusedGATAggregation,
-    edge_softmax,
+    GATAggregation,
     leaky_relu_grad_np,
     leaky_relu_np,
     neighbor_aggregate,
     pool_aggregate,
-    u_add_v,
-    u_mul_e_sum,
 )
 from reference_kernels import (
     ReferenceGraph,
     add_block,
-    edge_softmax_np,
     fused_gat_backward_np,
     fused_gat_forward_np,
     segment_max_np,
     segment_min_np,
     segment_sum_np,
-    u_mul_e_sum_np,
 )
 
 
@@ -62,12 +57,13 @@ def _random_edges(rng, num_src, num_dst, num_edges, parallel=False):
     return src, dst
 
 
-def _planned_fused_gat(plan, z, sd, ss, slope, grad):
+def _planned_gat(plan, z, sd, ss, slope, grad, fused):
     """Output and ``(z, score_dst, score_src)`` gradients of
-    :class:`FusedGATAggregation`'s kernels, in the inputs' own dtype."""
-    kernel = FusedGATAggregation()
+    :class:`GATAggregation`'s kernels, in the inputs' own dtype."""
+    kernel = GATAggregation()
     kernel.needs_grad = True
-    out = kernel.forward(*(Tensor(a, dtype=a.dtype) for a in (z, sd, ss)), plan, slope)
+    out = kernel.forward(*(Tensor(a, dtype=a.dtype) for a in (z, sd, ss)), plan, slope,
+                         fused)
     return out, kernel.backward(grad)
 
 
@@ -88,23 +84,8 @@ class TestPlanKernelsMatchNaive:
         plan = EdgePlan(src, dst, num_dst, num_src)
         vals = rng.standard_normal((len(src),) + trailing).astype(np.float32)
         naive = segment_sum_np(vals, dst, num_dst)
-        np.testing.assert_allclose(plan.segment_sum(vals), naive, rtol=1e-5, atol=1e-5)
-
-    @pytest.mark.parametrize("num_src,num_dst,num_edges,parallel", EDGE_CASES)
-    def test_segment_mean_max_min(self, rng, num_src, num_dst, num_edges, parallel):
-        src, dst = _random_edges(rng, num_src, num_dst, num_edges, parallel)
-        plan = EdgePlan(src, dst, num_dst, num_src)
-        vals = rng.standard_normal((len(src), 4)).astype(np.float32)
-        np.testing.assert_allclose(
-            plan.segment_mean(vals),
-            segment_sum_np(vals, dst, num_dst)
-            / np.maximum(np.bincount(dst, minlength=num_dst), 1)[:, None],
-            rtol=1e-5, atol=1e-5,
-        )
-        np.testing.assert_allclose(plan.segment_max(vals),
-                                   segment_max_np(vals, dst, num_dst))
-        np.testing.assert_allclose(plan.segment_min(vals),
-                                   segment_min_np(vals, dst, num_dst))
+        np.testing.assert_allclose(plan.segment_sum_sorted(plan.sort_edges(vals)), naive,
+                                   rtol=1e-5, atol=1e-5)
 
     @pytest.mark.parametrize("num_src,num_dst,num_edges,parallel", EDGE_CASES)
     def test_segment_sum_src_is_the_transpose_reduction(self, rng, num_src, num_dst,
@@ -112,7 +93,7 @@ class TestPlanKernelsMatchNaive:
         src, dst = _random_edges(rng, num_src, num_dst, num_edges, parallel)
         plan = EdgePlan(src, dst, num_dst, num_src)
         vals = rng.standard_normal((len(src), 3)).astype(np.float32)
-        np.testing.assert_allclose(plan.segment_sum_src(vals),
+        np.testing.assert_allclose(plan.segment_sum_src_sorted(plan.sort_edges(vals)),
                                    segment_sum_np(vals, src, num_src),
                                    rtol=1e-5, atol=1e-5)
 
@@ -165,34 +146,28 @@ class TestPlanKernelsMatchNaive:
         np.testing.assert_allclose(plan.u_mul_e_sum_t_sorted(g, w_sorted), expected_t,
                                    rtol=1e-4, atol=1e-4)
 
-    @pytest.mark.parametrize("num_src,num_dst,num_edges,parallel", EDGE_CASES)
-    @pytest.mark.parametrize("heads", [1, 3])
-    def test_edge_softmax(self, rng, num_src, num_dst, num_edges, parallel, heads):
-        src, dst = _random_edges(rng, num_src, num_dst, num_edges, parallel)
-        plan = EdgePlan(src, dst, num_dst, num_src)
-        scores = (3.0 * rng.standard_normal((len(src), heads))).astype(np.float32)
-        np.testing.assert_allclose(plan.edge_softmax(scores),
-                                   edge_softmax_np(scores, dst, num_dst),
-                                   rtol=1e-5, atol=1e-6)
-
     def test_finite_initial_fills_only_empty_segments(self, rng):
         """A finite ``initial`` fills the empty segments and leaves every
         non-empty one at its true extremum."""
         src, dst = _random_edges(rng, 20, 10, 60)
         plan = EdgePlan(src, dst, 15, 20)  # destinations 10..14 have no in-edge
-        vals = -np.abs(rng.standard_normal((len(src), 3))).astype(np.float32)
+        x = -np.abs(rng.standard_normal((20, 3))).astype(np.float32)
         empty = np.bincount(dst, minlength=15) == 0
-        for kernel, reference, signed in ((plan.segment_max, segment_max_np, vals),
-                                          (plan.segment_min, segment_min_np, -vals)):
-            expected = reference(signed, dst, 15)
+        for kernel, reference, signed in ((plan.aggregate_max, segment_max_np, x),
+                                          (plan.aggregate_min, segment_min_np, -x)):
+            expected = reference(signed[src], dst, 15)
             expected[empty] = 0.0
             np.testing.assert_array_equal(kernel(signed, initial=0.0), expected)
+        expected = segment_max_np(x[src], dst, 15)
+        expected[empty] = 0.0
+        np.testing.assert_array_equal(
+            plan.segment_max_sorted(plan.gather_src(x), initial=0.0), expected)
 
     def test_shape_validation(self, rng):
         src, dst = _random_edges(rng, 10, 10, 30)
         plan = EdgePlan(src, dst, 10, 10)
         with pytest.raises(ValueError):
-            plan.segment_sum(np.zeros((7, 2), dtype=np.float32))
+            plan.segment_sum_sorted(np.zeros((7, 2), dtype=np.float32))
         with pytest.raises(ValueError):
             EdgePlan(src, dst[:-1], 10, 10)
 
@@ -204,37 +179,17 @@ class TestPlanBackedAutogradOps:
         src, dst = _random_edges(rng, num_nodes, num_nodes, num_edges, parallel=True)
         return src, dst, EdgePlan(src, dst, num_nodes, num_nodes)
 
-    def test_u_mul_e_sum_gradcheck(self, rng):
+    @pytest.mark.parametrize("fused", [False, True], ids=["kept", "recomputed"])
+    def test_gat_aggregation_gradcheck(self, rng, fused):
         src, dst, plan = self._graph(rng)
-        x = Tensor(rng.standard_normal((12, 2, 3)).astype(np.float32), requires_grad=True)
-        w = Tensor(rng.standard_normal((len(src), 2)).astype(np.float32), requires_grad=True)
-        check_gradients(
-            lambda: u_mul_e_sum(x, w, plan).sum(), [x, w]
-        )
-
-    def test_edge_softmax_gradcheck(self, rng):
-        src, dst, plan = self._graph(rng)
-        scores = Tensor(rng.standard_normal((len(src), 2)).astype(np.float32),
-                        requires_grad=True)
-        weights = Tensor(rng.standard_normal((len(src), 2)).astype(np.float32))
-        check_gradients(
-            lambda: (edge_softmax(scores, plan) * weights).sum(),
-            [scores],
-        )
-
-    def test_u_add_v_gradcheck(self, rng):
-        src, dst, plan = self._graph(rng)
+        z = Tensor(rng.standard_normal((12, 2, 3)).astype(np.float32), requires_grad=True)
         sd = Tensor(rng.standard_normal((12, 2)).astype(np.float32), requires_grad=True)
         ss = Tensor(rng.standard_normal((12, 2)).astype(np.float32), requires_grad=True)
-        scale = Tensor(rng.standard_normal((len(src), 2)).astype(np.float32))
-        check_gradients(lambda: (u_add_v(sd, ss, plan) * scale).sum(), [sd, ss])
-
-    def test_u_add_v_matches_gather_sum(self, rng):
-        src, dst, plan = self._graph(rng)
-        sd = rng.standard_normal((12, 3)).astype(np.float32)
-        ss = rng.standard_normal((12, 3)).astype(np.float32)
-        out = u_add_v(Tensor(sd), Tensor(ss), plan)
-        np.testing.assert_allclose(out.data, sd[dst] + ss[src])
+        scale = Tensor(rng.standard_normal((12, 2, 3)).astype(np.float32))
+        check_gradients(
+            lambda: (GATAggregation.apply(z, sd, ss, plan, 0.2, fused) * scale).sum(),
+            [z, sd, ss],
+        )
 
     def test_neighbor_aggregate_gradcheck(self, rng):
         src, dst, plan = self._graph(rng)
@@ -281,13 +236,14 @@ class TestPlanBackedAutogradOps:
                                        rtol=1e-4, atol=1e-4)
             np.testing.assert_allclose(grad_plan, x.grad, rtol=1e-4, atol=1e-4)
 
-    def test_fused_gat_np_kernels_match_naive(self, rng):
+    @pytest.mark.parametrize("fused", [False, True], ids=["kept", "recomputed"])
+    def test_fused_gat_np_kernels_match_naive(self, rng, fused):
         src, dst, plan = self._graph(rng, num_nodes=15, num_edges=60)
         z = rng.standard_normal((15, 2, 4)).astype(np.float32)
         sd = rng.standard_normal((15, 2)).astype(np.float32)
         ss = rng.standard_normal((15, 2)).astype(np.float32)
         grad = rng.standard_normal((15, 2, 4)).astype(np.float32)
-        fwd_plan, bwd_plan = _planned_fused_gat(plan, z, sd, ss, 0.2, grad)
+        fwd_plan, bwd_plan = _planned_gat(plan, z, sd, ss, 0.2, grad, fused)
         fwd_naive = fused_gat_forward_np(z, sd, ss, src, dst, 15, 0.2)
         np.testing.assert_allclose(fwd_plan, fwd_naive, rtol=1e-5, atol=1e-5)
         bwd_naive = fused_gat_backward_np(grad, z, sd, ss, src, dst, 15, 0.2)
@@ -455,10 +411,11 @@ class TestSortedEdgeSpace:
     @pytest.mark.parametrize("num_src,num_dst,build", SORTED_SPACE_BLOCKS)
     @pytest.mark.parametrize("heads,dim", [(3, 4), (1, 5), (2, 1)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_primitives_equal_their_input_order_twins(self, rng, num_src, num_dst, build,
-                                                      heads, dim, dtype):
-        """Same values, same reduction order: the sorted-space kernels must be
-        *bit*-equal to the input-order plan kernels, and close to the naive path."""
+    def test_primitives_match_the_naive_kernels(self, rng, num_src, num_dst, build,
+                                                heads, dim, dtype):
+        """``sort_edges`` is the stable (destination, source) sort of the
+        input order, and every sorted-space kernel computes what the naive
+        input-order kernel does (max bit for bit)."""
         src, dst = build(rng)
         plan = EdgePlan(src, dst, num_dst, num_src)
         per_edge = rng.standard_normal((len(src), heads)).astype(dtype)
@@ -466,17 +423,14 @@ class TestSortedEdgeSpace:
         y_dst = rng.standard_normal((num_dst, heads, dim)).astype(dtype)
         sorted_edge = plan.sort_edges(per_edge)
 
-        np.testing.assert_array_equal(plan.unsort_edges(sorted_edge), per_edge)
+        np.testing.assert_array_equal(sorted_edge, per_edge[np.lexsort((src, dst))])
         np.testing.assert_array_equal(plan.expand_dst(y_dst), plan.sort_edges(y_dst[dst]))
         np.testing.assert_array_equal(plan.gather_src(x_src), plan.sort_edges(x_src[src]))
-        np.testing.assert_array_equal(plan.segment_sum_sorted(sorted_edge),
-                                      plan.segment_sum(per_edge))
-        np.testing.assert_array_equal(plan.segment_max_sorted(sorted_edge),
-                                      plan.segment_max(per_edge))
-        np.testing.assert_array_equal(plan.segment_sum_src_sorted(sorted_edge),
-                                      plan.segment_sum_src(per_edge))
         np.testing.assert_allclose(plan.segment_sum_sorted(sorted_edge),
                                    segment_sum_np(per_edge, dst, num_dst),
+                                   rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(plan.segment_sum_src_sorted(sorted_edge),
+                                   segment_sum_np(per_edge, src, num_src),
                                    rtol=1e-5, atol=1e-5)
         np.testing.assert_array_equal(plan.segment_max_sorted(sorted_edge),
                                       segment_max_np(per_edge, dst, num_dst))
@@ -580,7 +534,8 @@ class TestSortedEdgeSpace:
     @pytest.mark.parametrize("slope", NEGATIVE_SLOPES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_fused_gat_kernels_match_naive(self, rng, num_src, num_dst, build, slope, dtype):
-        """The whole one-block attention kernel, planned vs the naive reference."""
+        """The whole one-block attention kernel, planned vs the naive reference;
+        keeping α and recomputing it give the same bits."""
         src, dst = build(rng)
         plan = EdgePlan(src, dst, num_dst, num_src)
         heads, dim = 2, 3
@@ -590,7 +545,11 @@ class TestSortedEdgeSpace:
         grad = rng.standard_normal((num_dst, heads, dim)).astype(dtype)
         tol = (dict(rtol=1e-4, atol=1e-5) if dtype == np.float32
                else dict(rtol=1e-10, atol=1e-12))
-        planned, planned_grads = _planned_fused_gat(plan, z, sd, ss, slope, grad)
+        planned, planned_grads = _planned_gat(plan, z, sd, ss, slope, grad, True)
+        kept, kept_grads = _planned_gat(plan, z, sd, ss, slope, grad, False)
+        np.testing.assert_array_equal(kept, planned)
+        for a, b in zip(kept_grads, planned_grads):
+            np.testing.assert_array_equal(a, b)
         naive = fused_gat_forward_np(z, sd, ss, src, dst, num_dst, slope)
         assert planned.dtype == naive.dtype
         np.testing.assert_allclose(planned, naive, **tol)
@@ -621,16 +580,16 @@ class TestSortedEdgeSpace:
         np.testing.assert_array_equal(got_max, want_max)
         np.testing.assert_allclose(got_denom, want_denom, rtol=1e-5)
 
-    def test_u_mul_e_sum_backward_uses_the_blocked_sddmm(self, rng, monkeypatch):
+    def test_gat_aggregation_backward_does_not_depend_on_sddmm_chunking(self, rng,
+                                                                         monkeypatch):
         src, dst = _random_edges(rng, 14, 11, 60, parallel=True)
         plan = EdgePlan(src, dst, 11, 14)
+        z = rng.standard_normal((14, 2, 4)).astype(np.float32)
+        sd = rng.standard_normal((11, 2)).astype(np.float32)
+        ss = rng.standard_normal((14, 2)).astype(np.float32)
+        grad = rng.standard_normal((11, 2, 4)).astype(np.float32)
+        _, unblocked = _planned_gat(plan, z, sd, ss, 0.2, grad, True)
         monkeypatch.setattr(edge_plan, "SDDMM_BLOCK_BYTES", 5 * 2 * 2 * 4 * 4)  # 5 edges
-        x_data = rng.standard_normal((14, 2, 4)).astype(np.float32)
-        w_data = rng.random((len(src), 2)).astype(np.float32)
-        grad = np.ones((11, 2, 4), np.float32)
-        x, w = Tensor(x_data, requires_grad=True), Tensor(w_data, requires_grad=True)
-        u_mul_e_sum(x, w, plan).backward(grad)
-        np.testing.assert_allclose(x.grad, u_mul_e_sum_np(grad, w_data, dst, src, 14),
-                                   rtol=1e-5, atol=1e-5)
-        # input edge order, same bits as the unblocked einsum
-        np.testing.assert_array_equal(w.grad, np.einsum("ehd,ehd->eh", x_data[src], grad[dst]))
+        _, blocked = _planned_gat(plan, z, sd, ss, 0.2, grad, True)
+        for a, b in zip(blocked, unblocked):
+            np.testing.assert_array_equal(a, b)

@@ -489,14 +489,17 @@ class TestSortedSpaceAttentionKernel:
                 assert resident <= (2 if config.prefetch else 1)
 
     def test_negative_slope_below_zero(self, sbm_graph, rng):
-        """Slope −0.1 (mask from ``raw``, which only SAR and standard DP keep)."""
+        """Slope −0.1, where ``LeakyReLU(raw) > 0`` also holds for ``raw < 0``:
+        the backward's mask must come from ``raw`` in every mode — fused DP
+        keeps ``raw`` and re-derives the logits from it."""
         n = sbm_graph.num_nodes
         z_full = rng.standard_normal((n, 2, 3)).astype(np.float32)
         s_full = rng.standard_normal((n, 2)).astype(np.float32)
         grad_seed = rng.standard_normal((n, 2, 3)).astype(np.float32)
         _, shards = _shards_for(sbm_graph)
         want = _naive_gat_reference(sbm_graph, -0.1, z_full, s_full, grad_seed)
-        for config, fused in ((SAR, True), (SAR, False), (DOMAIN_PARALLEL, False)):
+        for config, fused in ((SAR, True), (SAR, False), (DOMAIN_PARALLEL, False),
+                              (DOMAIN_PARALLEL, True)):
             worker = _gat_step(config, fused, -0.1, z_full, s_full, grad_seed)
             result = run_distributed(worker, WORLD, worker_args=shards)
             for shard, (got, _) in zip(shards, result.results):

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from repro.tensor import EdgePlan, Tensor, check_gradients
-from repro.tensor.sparse import edge_softmax, neighbor_aggregate, u_mul_e_sum
+from repro.tensor.sparse import GATAggregation, neighbor_aggregate, pool_aggregate
 from reference_kernels import (
     edge_softmax_np,
     segment_max_np,
@@ -110,12 +110,6 @@ class TestSpMM:
         assert out.shape == (4, 2, 3)
         check_gradients(lambda: (neighbor_aggregate(x, plan) ** 2).sum(), [x])
 
-    def test_shape_mismatch_raises(self, rng):
-        adj = sp.eye(4, format="csr", dtype=np.float32)
-        x = Tensor(rng.standard_normal((5, 2)).astype(np.float32))
-        with pytest.raises(ValueError):
-            neighbor_aggregate(x, _csr_plan(adj))
-
 
 class TestDifferentiableSegmentOps:
     """A segment reduction is ``neighbor_aggregate`` over the plan that
@@ -138,50 +132,79 @@ class TestDifferentiableSegmentOps:
         np.testing.assert_allclose(out.data[0], 0.0)
 
 
-class TestUMulESum:
-    def test_forward_matches_loop(self, edge_set, rng):
+class TestGATAggregation:
+    """The attention op: softmax over each destination's in-edges, then the
+    weighted sum of source rows; ``fused`` changes only what is kept."""
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["kept", "recomputed"])
+    def test_forward_matches_loop(self, edge_set, rng, fused):
         src, dst, plan, num_src, num_dst = edge_set
-        x = Tensor(rng.standard_normal((num_src, 2, 3)).astype(np.float32))
-        w = Tensor(rng.standard_normal((len(src), 2)).astype(np.float32))
-        out = u_mul_e_sum(x, w, plan).data
+        z = Tensor(rng.standard_normal((num_src, 2, 3)).astype(np.float32))
+        sd = rng.standard_normal((num_dst, 2)).astype(np.float32)
+        ss = rng.standard_normal((num_src, 2)).astype(np.float32)
+        out = GATAggregation.apply(z, Tensor(sd), Tensor(ss), plan, 0.2, fused).data
+        raw = sd[dst] + ss[src]
+        alpha = edge_softmax_np(np.where(raw > 0, raw, 0.2 * raw), dst, num_dst)
         expected = np.zeros((num_dst, 2, 3), dtype=np.float32)
         for e, (s, d) in enumerate(zip(src, dst)):
-            expected[d] += w.data[e][:, None] * x.data[s]
+            expected[d] += alpha[e][:, None] * z.data[s]
         np.testing.assert_allclose(out, expected, rtol=1e-4, atol=1e-5)
 
-    def test_gradients_multi_head(self, edge_set, rng):
+    @pytest.mark.parametrize("fused", [False, True], ids=["kept", "recomputed"])
+    def test_gradients(self, edge_set, rng, fused):
         src, dst, plan, num_src, num_dst = edge_set
-        x = Tensor(rng.standard_normal((num_src, 2, 3)).astype(np.float32), requires_grad=True)
-        w = Tensor(rng.standard_normal((len(src), 2)).astype(np.float32), requires_grad=True)
-        check_gradients(lambda: (u_mul_e_sum(x, w, plan) ** 2).sum(), [x, w])
+        z = Tensor(rng.standard_normal((num_src, 2, 3)).astype(np.float32), requires_grad=True)
+        sd = Tensor(rng.standard_normal((num_dst, 2)).astype(np.float32), requires_grad=True)
+        ss = Tensor(rng.standard_normal((num_src, 2)).astype(np.float32), requires_grad=True)
+        check_gradients(
+            lambda: (GATAggregation.apply(z, sd, ss, plan, 0.2, fused) ** 2).sum(), [z, sd, ss])
 
-    def test_gradients_single_head_2d(self, edge_set, rng):
+    def test_coefficients_normalize_per_destination(self, edge_set, rng):
+        """Aggregating all-ones rows gives 1 wherever a destination has an in-edge."""
         src, dst, plan, num_src, num_dst = edge_set
-        x = Tensor(rng.standard_normal((num_src, 4)).astype(np.float32), requires_grad=True)
-        w = Tensor(rng.standard_normal((len(src),)).astype(np.float32), requires_grad=True)
-        out = u_mul_e_sum(x, w, plan)
-        assert out.shape == (num_dst, 4)
-        check_gradients(lambda: (u_mul_e_sum(x, w, plan) ** 2).sum(), [x, w])
-
-
-class TestEdgeSoftmax:
-    def test_normalization_per_destination(self, edge_set, rng):
-        src, dst, plan, num_src, num_dst = edge_set
-        scores = Tensor(rng.standard_normal((len(src), 3)).astype(np.float32))
-        alpha = edge_softmax(scores, plan).data
-        sums = segment_sum_np(alpha, dst, num_dst)
+        out = GATAggregation.apply(
+            Tensor(np.ones((num_src, 3, 2), np.float32)),
+            Tensor(rng.standard_normal((num_dst, 3)).astype(np.float32)),
+            Tensor(rng.standard_normal((num_src, 3)).astype(np.float32)), plan, 0.2, True)
         present = np.bincount(dst, minlength=num_dst) > 0
-        np.testing.assert_allclose(sums[present], 1.0, rtol=1e-5)
-
-    def test_gradients(self, edge_set, rng):
-        src, dst, plan, num_src, num_dst = edge_set
-        scores = Tensor(rng.standard_normal((len(src), 2)).astype(np.float32), requires_grad=True)
-        weights = rng.standard_normal((len(src), 2)).astype(np.float32)
-        check_gradients(lambda: ((edge_softmax(scores, plan) * weights) ** 2).sum(),
-                        [scores])
+        np.testing.assert_allclose(out.data[present], 1.0, rtol=1e-5)
+        np.testing.assert_array_equal(out.data[~present], 0.0)
 
     def test_large_scores_stay_finite(self):
-        scores = Tensor(np.array([[500.0], [501.0], [499.0]], dtype=np.float32))
-        alpha = edge_softmax(scores, EdgePlan([0, 1, 2], [0, 0, 0], 1, 3)).data
-        assert np.all(np.isfinite(alpha))
-        assert np.isclose(alpha.sum(), 1.0, rtol=1e-5)
+        plan = EdgePlan([0, 1, 2], [0, 0, 0], 1, 3)
+        out = GATAggregation.apply(
+            Tensor(np.ones((3, 1, 1), np.float32)), Tensor(np.zeros((1, 1), np.float32)),
+            Tensor(np.array([[500.0], [501.0], [499.0]], np.float32)), plan, 0.2, True)
+        assert np.all(np.isfinite(out.data))
+        assert np.isclose(out.data.item(), 1.0, rtol=1e-5)
+
+
+@pytest.mark.parametrize("op,name,space", [
+    ("neighbor_aggregate", "x", "sources"),
+    ("pool_aggregate", "x", "sources"),
+    ("gat_aggregation", "z", "sources"),
+    ("gat_aggregation", "score_src", "sources"),
+    ("gat_aggregation", "score_dst", "destinations"),
+])
+@pytest.mark.parametrize("grad", [False, True], ids=["no-grad", "grad"])
+@pytest.mark.parametrize("rows", [1, 4], ids=["short", "tall"])
+def test_plan_ops_reject_a_wrong_row_count_at_forward(op, name, space, grad, rows):
+    """Every plan-backed op checks each input's height against the plan's
+    source or destination count at forward time, with or without autograd."""
+    plan = EdgePlan([0, 1, 2, 1], [0, 0, 1, 1], 2, 3)  # 2 destinations, 3 sources
+
+    def ones(num_rows, *trailing):
+        return Tensor(np.ones((num_rows,) + trailing, np.float32), requires_grad=grad)
+
+    expected = plan.num_dst if space == "destinations" else plan.num_src
+    message = f"{name} has {rows} rows but plan expects {expected} {space}"
+    if op == "gat_aggregation":
+        inputs = {"z": ones(3, 1, 2), "score_dst": ones(2, 1), "score_src": ones(3, 1)}
+        inputs[name] = ones(rows, *inputs[name].shape[1:])
+        with pytest.raises(ValueError, match=message):
+            GATAggregation.apply(inputs["z"], inputs["score_dst"], inputs["score_src"], plan,
+                                 0.2, False)
+    else:
+        fn = neighbor_aggregate if op == "neighbor_aggregate" else pool_aggregate
+        with pytest.raises(ValueError, match=message):
+            fn(ones(rows, 2), plan)
