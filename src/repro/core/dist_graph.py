@@ -25,7 +25,7 @@ Each handle owns:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,7 +47,9 @@ RestrictionLayers = List[Tuple[ShardedGraph, HaloExchange]]
 class _DistributedGraphBase:
     """Shared bookkeeping for the homogeneous and heterogeneous handles."""
 
-    def __init__(self, comm: Communicator, config: SARConfig):
+    def __init__(self, shard: Union[ShardedGraph, ShardedHeteroGraph], comm: Communicator,
+                 config: SARConfig):
+        self.shard = shard
         self.comm = comm
         self.config = config
         #: the sequential-aggregation engine every layer's aggregation runs
@@ -65,6 +67,23 @@ class _DistributedGraphBase:
     @property
     def world_size(self) -> int:
         return self.comm.world_size
+
+    @property
+    def num_nodes(self) -> int:
+        """Number of *local* nodes (the rows of this worker's feature matrix)."""
+        return self.shard.num_local_nodes
+
+    @property
+    def num_total_nodes(self) -> int:
+        return self.shard.num_total_nodes
+
+    @property
+    def ndata(self) -> Dict[str, np.ndarray]:
+        return self.shard.node_data
+
+    @property
+    def global_node_ids(self) -> np.ndarray:
+        return self.shard.global_node_ids
 
     def begin_step(self) -> None:
         """Start a new training/inference iteration (collective call).
@@ -119,8 +138,7 @@ class DistributedGraph(_DistributedGraphBase):
 
     def __init__(self, shard: ShardedGraph, comm: Communicator,
                  config: SARConfig = SAR):
-        super().__init__(comm, config)
-        self.shard = shard
+        super().__init__(shard, comm, config)
         self.halo = HaloExchange(comm, shard.blocks, name="homo")
         #: the per-conv-layer ``(restricted shard view, halo)`` pairs the
         #: enclosing :meth:`restricted` scope put in force (``None`` =
@@ -139,23 +157,6 @@ class DistributedGraph(_DistributedGraphBase):
         return self.shard.in_edge_index()
 
     # -- graph-like interface ------------------------------------------- #
-    @property
-    def num_nodes(self) -> int:
-        """Number of *local* nodes (the rows of this worker's feature matrix)."""
-        return self.shard.num_local_nodes
-
-    @property
-    def num_total_nodes(self) -> int:
-        return self.shard.num_total_nodes
-
-    @property
-    def ndata(self) -> Dict[str, np.ndarray]:
-        return self.shard.node_data
-
-    @property
-    def global_node_ids(self) -> np.ndarray:
-        return self.shard.global_node_ids
-
     def in_degrees(self) -> np.ndarray:
         """Global in-degree of each local node."""
         return self.shard.local_in_degrees
@@ -347,28 +348,11 @@ class DistributedHeteroGraph(_DistributedGraphBase):
 
     def __init__(self, shard: ShardedHeteroGraph, comm: Communicator,
                  config: SARConfig = SAR):
-        super().__init__(comm, config)
-        self.shard = shard
+        super().__init__(shard, comm, config)
         self.halos: Dict[str, HaloExchange] = {
             relation: HaloExchange(comm, blocks, name=f"rel-{relation}")
             for relation, blocks in shard.relation_blocks.items()
         }
-
-    @property
-    def num_nodes(self) -> int:
-        return self.shard.num_local_nodes
-
-    @property
-    def num_total_nodes(self) -> int:
-        return self.shard.num_total_nodes
-
-    @property
-    def ndata(self) -> Dict[str, np.ndarray]:
-        return self.shard.node_data
-
-    @property
-    def global_node_ids(self) -> np.ndarray:
-        return self.shard.global_node_ids
 
     @property
     def relation_names(self) -> Sequence[str]:

@@ -214,9 +214,6 @@ class SequentialAggregationEngine:
         """
         return SequentialAggregation.apply(kernel, self, key, *tensors)
 
-    def reset_peak_resident(self) -> None:
-        self.max_resident_remote_blocks = 0
-
     # ------------------------------------------------------------------ #
     def run_forward(self, kernel: BlockKernel, key: str) -> np.ndarray:
         payload = kernel.payload()

@@ -24,7 +24,7 @@ vanilla-DP bar at 32 machines): a worker whose peak live tensor bytes exceed
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.distributed.cluster import ClusterRunResult
@@ -76,9 +76,6 @@ class ClusterSpec:
         """Modeled time to move ``nbytes`` in ``messages`` point-to-point sends."""
         bandwidth_bytes_per_s = self.bandwidth_mbps * 1024.0 * 1024.0
         return nbytes / bandwidth_bytes_per_s + messages * self.latency_s
-
-    def with_budget(self, memory_budget_mb: float) -> "ClusterSpec":
-        return replace(self, memory_budget_mb=memory_budget_mb)
 
 
 #: Default spec used by the benchmarks; roughly balances compute and

@@ -21,7 +21,9 @@ relabelled into the compact row spaces of its required source and destination
 nodes, owning a lazily built :class:`~repro.tensor.edge_plan.EdgePlan` — and
 consecutive blocks chain exactly (layer ``l``'s destination nodes are layer
 ``l+1``'s source nodes), so a model forwards layer by layer over shrinking
-feature matrices.
+feature matrices.  :func:`compact_block` does that relabelling for every
+block, built or sampled, over ``{relation: (src, dst)}`` edges — a
+:class:`~repro.graph.graph.Graph` being the one relation ``None``.
 
 A block holds every required destination's complete in-neighbourhood, each
 destination's edges in ascending original edge id, relabelled
@@ -306,22 +308,37 @@ def block_from_in_edges(
     a single index an :class:`MFGBlock`.
 
     Edges are enumerated bucket by bucket — per destination in original edge
-    order — and sources relabelled order-preservingly into the ascending
-    union of in-neighbours and destinations, so an ``EdgePlan`` over the
+    order — and handed to :func:`compact_block`, so an ``EdgePlan`` over the
     block reduces each destination exactly as the full graph does.  Costs
     O(sum of the destinations' in-degrees).
     """
     if dst_nodes is None:
         dst_nodes = dst_rows
-    hetero = isinstance(index, Mapping)
     edges = {}
-    for name, relation in (index if hetero else {None: index}).items():
+    for name, relation in (index if isinstance(index, Mapping) else {None: index}).items():
         starts = relation.indptr[dst_rows]
-        positions, dst_ids = candidate_positions(starts, relation.indptr[dst_rows + 1] - starts)
-        edges[name] = (relation.src[positions], dst_ids)
-    src_nodes = np.unique(np.concatenate([src for src, _ in edges.values()] + [dst_nodes]))
+        positions, dst = candidate_positions(starts, relation.indptr[dst_rows + 1] - starts)
+        edges[name] = (relation.src[positions], dst)
+    return compact_block(edges, dst_nodes)
+
+
+def compact_block(
+    edges: Mapping[Optional[str], Tuple[np.ndarray, np.ndarray]],
+    dst_nodes: np.ndarray,
+    src_nodes: Optional[np.ndarray] = None,
+) -> Union[MFGBlock, MFGHeteroBlock]:
+    """Relabel one layer's ``{relation: (src, dst)}`` in-edges into a block.
+
+    ``src`` are ids in ``dst_nodes``' id space, ``dst`` rows of the ascending
+    ``dst_nodes``.  ``src_nodes`` (default: the union of every source and
+    destination) is the ascending source row space.  Edges keep their input
+    order.  The relation ``None`` gives an :class:`MFGBlock`, named
+    relations an :class:`MFGHeteroBlock`.
+    """
+    if src_nodes is None:
+        src_nodes = np.unique(np.concatenate([src for src, _ in edges.values()] + [dst_nodes]))
     edges = {name: (np.searchsorted(src_nodes, src), dst) for name, (src, dst) in edges.items()}
     dst_in_src = np.searchsorted(src_nodes, dst_nodes)
-    if hetero:
-        return MFGHeteroBlock(src_nodes, dst_nodes, edges, dst_in_src)
-    return MFGBlock(src_nodes, dst_nodes, *edges[None], dst_in_src)
+    if None in edges:
+        return MFGBlock(src_nodes, dst_nodes, *edges[None], dst_in_src)
+    return MFGHeteroBlock(src_nodes, dst_nodes, edges, dst_in_src)

@@ -68,10 +68,6 @@ class PartitionBook:
         """Number of nodes per partition."""
         return np.asarray([len(n) for n in self._partition_nodes], dtype=np.int64)
 
-    def local_ids_of(self, partition: int) -> np.ndarray:
-        """Local ids (0..size-1) of ``partition``; mainly for symmetry in tests."""
-        return np.arange(len(self._partition_nodes[partition]), dtype=np.int64)
-
     def scatter_to_global(self, per_partition_values: Sequence[np.ndarray]) -> np.ndarray:
         """Assemble per-partition row blocks back into global node order.
 

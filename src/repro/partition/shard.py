@@ -10,6 +10,10 @@ local block the source features are already resident, for remote blocks the
 :class:`EdgeBlock` stores a remote block in the compact form the
 communicator needs: the *local-to-q* ids of the required source nodes plus
 per-edge indices into that compact list.
+
+:func:`edge_blocks` cuts every grid: the shards' (one split loop for
+:func:`create_shards` and :func:`create_hetero_shards`) and the sampled and
+MFG grids of :class:`~repro.sample.distributed.DistributedNeighborSampler`.
 """
 
 from __future__ import annotations
@@ -76,21 +80,29 @@ class EdgeBlock:
         return self._plan
 
 
-class ShardedGraph:
-    """Worker ``rank``'s view of a partitioned homogeneous graph."""
+class _ShardBase:
+    """Worker ``rank``'s nodes: the bookkeeping both shard kinds share."""
 
-    def __init__(self, rank: int, book: PartitionBook, blocks: List[EdgeBlock],
-                 local_in_degrees: np.ndarray,
-                 node_data: Optional[Dict[str, np.ndarray]] = None):
+    def __init__(self, rank: int, book: PartitionBook,
+                 node_data: Optional[Dict[str, np.ndarray]]):
         self.rank = rank
         self.num_parts = book.num_parts
         self.book = book
         self.global_node_ids = book.nodes_of(rank)
         self.num_local_nodes = len(self.global_node_ids)
         self.num_total_nodes = book.num_nodes
+        self.node_data: Dict[str, np.ndarray] = dict(node_data or {})
+
+
+class ShardedGraph(_ShardBase):
+    """Worker ``rank``'s view of a partitioned homogeneous graph."""
+
+    def __init__(self, rank: int, book: PartitionBook, blocks: List[EdgeBlock],
+                 local_in_degrees: np.ndarray,
+                 node_data: Optional[Dict[str, np.ndarray]] = None):
+        super().__init__(rank, book, node_data)
         self.blocks = blocks
         self.local_in_degrees = np.asarray(local_in_degrees, dtype=np.int64)
-        self.node_data: Dict[str, np.ndarray] = dict(node_data or {})
         self._in_edge_index: Optional[InEdgeIndex] = None
 
     def in_edge_index(self) -> InEdgeIndex:
@@ -181,11 +193,6 @@ class ShardedGraph:
         """Total number of unique remote source rows this worker must fetch."""
         return sum(b.num_required_src for q, b in enumerate(self.blocks) if q != self.rank)
 
-    @property
-    def num_local_edges(self) -> int:
-        """Total number of edges whose destination is local."""
-        return sum(b.num_edges for b in self.blocks)
-
     def feature_store(self, comm, key: str = "feat", name: str = "feat",
                       cache_bytes: Optional[int] = 1 << 22):
         """This worker's :class:`~repro.store.PartitionedKVStore` over one of
@@ -216,23 +223,17 @@ class ShardedGraph:
                                   name=name, cache_bytes=cache_bytes)
 
 
-class ShardedHeteroGraph:
+class ShardedHeteroGraph(_ShardBase):
     """Worker ``rank``'s view of a partitioned heterogeneous graph."""
 
     def __init__(self, rank: int, book: PartitionBook,
                  relation_blocks: Dict[str, List[EdgeBlock]],
                  relation_in_degrees: Dict[str, np.ndarray],
                  node_data: Optional[Dict[str, np.ndarray]] = None):
-        self.rank = rank
-        self.num_parts = book.num_parts
-        self.book = book
-        self.global_node_ids = book.nodes_of(rank)
-        self.num_local_nodes = len(self.global_node_ids)
-        self.num_total_nodes = book.num_nodes
+        super().__init__(rank, book, node_data)
         self.relation_blocks = relation_blocks
         self.relation_in_degrees = {k: np.asarray(v, dtype=np.int64)
                                     for k, v in relation_in_degrees.items()}
-        self.node_data: Dict[str, np.ndarray] = dict(node_data or {})
 
     @property
     def relation_names(self) -> List[str]:
@@ -256,94 +257,73 @@ class ShardedHeteroGraph:
 # --------------------------------------------------------------------------- #
 # shard construction
 # --------------------------------------------------------------------------- #
-def _build_blocks(src: np.ndarray, dst: np.ndarray, book: PartitionBook) -> List[List[EdgeBlock]]:
-    """Build the full N×N grid of edge blocks for one edge set.
+def _group_by_part(part: np.ndarray, num_parts: int) -> List[np.ndarray]:
+    """Per partition ``p``, the ascending positions where ``part == p``."""
+    order = np.argsort(part, kind="stable")
+    bounds = np.searchsorted(part[order], np.arange(num_parts + 1))
+    return [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    Returns ``blocks[p][q]`` = edges from partition ``q`` into partition ``p``.
+
+def edge_blocks(book: PartitionBook, rank: int, src: np.ndarray, dst_local: np.ndarray,
+                edge_pos: Optional[np.ndarray] = None) -> List[EdgeBlock]:
+    """Cut worker ``rank``'s in-edges into its row of ``G_{rank,q}`` blocks.
+
+    ``src`` are global source ids, ``dst_local`` destination ids local to
+    ``rank``, ``edge_pos`` (optional) global edge positions.  Block ``q``
+    holds the edges whose source ``q`` owns, in input order.
     """
-    num_parts = book.num_parts
-    dst_part, dst_local = book.to_local(dst)
     src_part, src_local = book.to_local(src)
-    sizes = book.partition_sizes()
-
-    # Sort edges by (destination partition, source partition) once.
-    key = dst_part * num_parts + src_part
-    order = np.argsort(key, kind="stable")
-    key_sorted = key[order]
-    src_local_sorted = src_local[order]
-    dst_local_sorted = dst_local[order]
-
-    blocks: List[List[EdgeBlock]] = [[None] * num_parts for _ in range(num_parts)]  # type: ignore
-    for p in range(num_parts):
-        for q in range(num_parts):
-            lo = np.searchsorted(key_sorted, p * num_parts + q, side="left")
-            hi = np.searchsorted(key_sorted, p * num_parts + q, side="right")
-            block_src = src_local_sorted[lo:hi]
-            block_dst = dst_local_sorted[lo:hi]
-            required, src_index = np.unique(block_src, return_inverse=True)
-            blocks[p][q] = EdgeBlock(
+    num_dst = len(book.nodes_of(rank))
+    blocks = []
+    for q, sel in enumerate(_group_by_part(src_part, book.num_parts)):
+        required, src_index = np.unique(src_local[sel], return_inverse=True)
+        blocks.append(
+            EdgeBlock(
                 src_rank=q,
-                dst_rank=p,
-                num_dst=int(sizes[p]),
+                dst_rank=rank,
+                num_dst=num_dst,
                 required_src_local=required.astype(np.int64),
                 src_index=src_index.astype(np.int64),
-                dst_local=block_dst.astype(np.int64),
-                # order[lo:hi] are the edges' positions in the original
-                # (src, dst) arrays — the global edge ids.
-                edge_pos=order[lo:hi].astype(np.int64),
+                dst_local=dst_local[sel],
+                edge_pos=None if edge_pos is None else edge_pos[sel],
             )
+        )
     return blocks
 
 
-def create_shards(graph: Graph, book: PartitionBook) -> List[ShardedGraph]:
-    """Split ``graph`` into one :class:`ShardedGraph` per partition."""
+def _split(graph, book: PartitionBook, relations: Dict[Optional[str], tuple]):
+    """Per worker, ``({relation: block row}, {relation: in-degrees}, node data)``.
+
+    A :class:`~repro.graph.graph.Graph` is the one relation ``None``.  Each
+    worker's in-edges reach :func:`edge_blocks` in global edge order.
+    """
     if book.num_nodes != graph.num_nodes:
         raise ValueError(
             f"PartitionBook covers {book.num_nodes} nodes but graph has {graph.num_nodes}"
         )
-    blocks = _build_blocks(graph.src, graph.dst, book)
-    in_degrees = graph.in_degrees()
-    shards = []
+    rows: Dict[Optional[str], List[List[EdgeBlock]]] = {}
+    degrees: Dict[Optional[str], np.ndarray] = {}
+    for name, (src, dst) in relations.items():
+        dst_part, dst_local = book.to_local(dst)
+        rows[name] = [edge_blocks(book, p, src[sel], dst_local[sel], edge_pos=sel)
+                      for p, sel in enumerate(_group_by_part(dst_part, book.num_parts))]
+        degrees[name] = np.bincount(dst, minlength=graph.num_nodes)
     for p in range(book.num_parts):
         nodes = book.nodes_of(p)
-        node_data = {k: v[nodes] for k, v in graph.ndata.items()}
-        shards.append(
-            ShardedGraph(
-                rank=p,
-                book=book,
-                blocks=blocks[p],
-                local_in_degrees=in_degrees[nodes],
-                node_data=node_data,
-            )
-        )
-    return shards
+        yield ({name: row[p] for name, row in rows.items()},
+               {name: degree[nodes] for name, degree in degrees.items()},
+               {k: v[nodes] for k, v in graph.ndata.items()})
+
+
+def create_shards(graph: Graph, book: PartitionBook) -> List[ShardedGraph]:
+    """Split ``graph`` into one :class:`ShardedGraph` per partition."""
+    return [ShardedGraph(p, book, blocks[None], degrees[None], node_data)
+            for p, (blocks, degrees, node_data)
+            in enumerate(_split(graph, book, {None: (graph.src, graph.dst)}))]
 
 
 def create_hetero_shards(hgraph: HeteroGraph, book: PartitionBook) -> List[ShardedHeteroGraph]:
     """Split a heterogeneous graph into per-worker shards (one block grid per relation)."""
-    if book.num_nodes != hgraph.num_nodes:
-        raise ValueError(
-            f"PartitionBook covers {book.num_nodes} nodes but graph has {hgraph.num_nodes}"
-        )
-    per_relation_blocks: Dict[str, List[List[EdgeBlock]]] = {}
-    per_relation_degrees: Dict[str, np.ndarray] = {}
-    for name, (src, dst) in hgraph.relations.items():
-        per_relation_blocks[name] = _build_blocks(src, dst, book)
-        per_relation_degrees[name] = np.bincount(dst, minlength=hgraph.num_nodes)
-
-    shards = []
-    for p in range(book.num_parts):
-        nodes = book.nodes_of(p)
-        node_data = {k: v[nodes] for k, v in hgraph.ndata.items()}
-        shards.append(
-            ShardedHeteroGraph(
-                rank=p,
-                book=book,
-                relation_blocks={name: per_relation_blocks[name][p]
-                                 for name in hgraph.relation_names},
-                relation_in_degrees={name: per_relation_degrees[name][nodes]
-                                     for name in hgraph.relation_names},
-                node_data=node_data,
-            )
-        )
-    return shards
+    return [ShardedHeteroGraph(p, book, blocks, degrees, node_data)
+            for p, (blocks, degrees, node_data)
+            in enumerate(_split(hgraph, book, hgraph.relations))]

@@ -15,7 +15,8 @@ along ownership exactly like aggregation does:
   (local destination ids, *global* edge/source ids);
 * the newly-required source nodes are merged with one ``allgather`` per
   layer, giving every worker the next layer's global required set;
-* the sampled edges become per-layer :class:`~repro.partition.shard.EdgeBlock`
+* :func:`~repro.partition.shard.edge_blocks`, the shards' own cutter, turns
+  the sampled edges into per-layer :class:`~repro.partition.shard.EdgeBlock`
   grids the worker's :class:`~repro.core.dist_graph.DistributedGraph`
   prepares (``prepare_restriction``) and runs the batch's forward under
   (``restricted``), so the existing halo machinery fetches only the sampled
@@ -29,7 +30,7 @@ sequence as the single-machine run with the same seed.  At every fan-out
 ``-1`` the union is the full-neighbourhood MFG of the batch
 (:func:`repro.graph.mfg.build_mfg_pipeline`), which is how distributed MFG
 training gets its grids: one unshuffled batch equal to the seed set, sampled
-once.
+once — and over every node, the shard's own block row.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.distributed.comm import Communicator
-from repro.partition.shard import EdgeBlock, ShardedGraph
+from repro.partition.shard import EdgeBlock, ShardedGraph, edge_blocks
 from repro.sample.loader import NeighborSamplingConfig, num_batches_for
-from repro.sample.neighbor import _layer_key, sample_in_edges
+from repro.sample.neighbor import _layer_key, check_fanout, sample_in_edges
 
 
 @dataclass
@@ -75,15 +76,12 @@ def build_sampling_plan(
     train_seed_ids: np.ndarray,
     seed: int,
 ) -> DistributedSamplingPlan:
-    """The plan of a sampled-training config over ``train_seed_ids``."""
-    fanouts = []
-    for spec in config.fanouts:
-        if not isinstance(spec, (int, np.integer)):
-            raise ValueError(
-                "distributed sampled training supports integer fanouts only "
-                f"(homogeneous graphs), got {spec!r}"
-            )
-        fanouts.append(int(spec))
+    """The plan of a sampled-training config over ``train_seed_ids``.
+
+    Fanouts pass the single-machine sampler's
+    :func:`~repro.sample.neighbor.check_fanout` (so no per-relation maps).
+    """
+    fanouts = [check_fanout(spec) for spec in config.fanouts]
     return DistributedSamplingPlan(
         fanouts=fanouts,
         replace=config.replace,
@@ -103,9 +101,7 @@ class DistributedNeighborSampler:
         self.book = shard.book
         self.comm = comm
         self.rank = comm.rank
-        self.world_size = comm.world_size
         self.index = shard.in_edge_index()
-        self.num_local_nodes = shard.num_local_nodes
         self._held_key: Optional[str] = None
 
     def _frontier_allgather(self, stream_key: str, src_global: np.ndarray) -> np.ndarray:
@@ -199,28 +195,7 @@ class DistributedNeighborSampler:
             # can never collide even across the overlap boundary.
             stream_key = f"smp/e{epoch}/b{batch_index}/l{layer}"
             current = np.union1d(current, self._frontier_allgather(stream_key, src_global))
-        return [self._build_blocks(src, dst) for src, dst in layer_edges]
-
-    def _build_blocks(self, src_global: np.ndarray, dst_local: np.ndarray) -> List[EdgeBlock]:
-        """Split this worker's sampled edges into the per-owner block grid.
-
-        Edges arrive (and stay) in ascending global edge-id order, so each
-        block's per-destination reduction order matches the single-machine
-        sampled pipeline's blocks.
-        """
-        src_part, src_local = self.book.to_local(src_global)
-        blocks = []
-        for q in range(self.world_size):
-            sel = src_part == q
-            required, src_index = np.unique(src_local[sel], return_inverse=True)
-            blocks.append(
-                EdgeBlock(
-                    src_rank=q,
-                    dst_rank=self.rank,
-                    num_dst=self.num_local_nodes,
-                    required_src_local=required.astype(np.int64),
-                    src_index=src_index.astype(np.int64),
-                    dst_local=dst_local[sel],
-                )
-            )
-        return blocks
+        # Edges arrive (and stay) in ascending global edge-id order, so each
+        # block's per-destination reduction order matches the single-machine
+        # sampled pipeline's blocks.
+        return [edge_blocks(self.book, self.rank, src, dst) for src, dst in layer_edges]

@@ -38,6 +38,12 @@ destination by destination there), which edge plans do not see: they sort by
 ``(row, col)``, ties in input order.  So the sampled forward and backward
 passes are bit-identical to the full-neighbourhood MFG pipeline, which
 ``tests/test_sampling.py`` asserts.
+
+A :class:`~repro.graph.graph.Graph` is sampled as the one relation ``None``
+(DGL's convention): one walk over ``{relation: InEdgeIndex}`` and one
+compaction (:func:`repro.graph.mfg.compact_block`) serve both graph kinds.
+Only named relations xor ``splitmix64(rel_index)`` into the layer key, so a
+Graph draws under the bare key the distributed sampler shares.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ import numpy as np
 from repro.graph.graph import Graph
 from repro.graph.hetero import HeteroGraph
 from repro.graph.in_edges import InEdgeIndex, candidate_positions
-from repro.graph.mfg import MFGBlock, MFGHeteroBlock, MFGPipeline
+from repro.graph.mfg import MFGPipeline, compact_block
 from repro.sample.kernels import (
     _BUCKET_FANOUT_LIMIT,
     bottomk_bucketed,
@@ -131,22 +137,35 @@ def _layer_key(seed: int, epoch: int, batch_index: int, layer: int) -> int:
     return mix_seed(seed, epoch, batch_index, layer)
 
 
+def check_fanout(spec, what: str = "fanout") -> int:
+    """One fanout entry as an ``int`` >= -1 — the check both samplers apply.
+
+    Accepts ``int`` and ``np.integer``; rejects ``bool``, floats (``2.7`` is
+    not silently fanout 2) and strings.
+    """
+    if isinstance(spec, bool) or not isinstance(spec, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer >= -1 (-1 = full neighbourhood), "
+                         f"got {spec!r}")
+    if spec < -1:
+        raise ValueError(f"{what} must be >= -1 (-1 = full neighbourhood), got {spec}")
+    return int(spec)
+
+
 @dataclass
 class SampledStructure:
     """The raw output of neighbour sampling, before compaction.
 
     ``node_lists`` holds one sorted-unique global-id array per node layer
-    (``num_layers + 1`` entries, input layer first); ``edge_sets`` holds the
-    sampled ``(src, dst)`` global-id pairs per conv layer — for
-    heterogeneous graphs a ``relation name -> (src, dst)`` mapping instead.
+    (``num_layers + 1`` entries, input layer first); ``edge_sets`` holds, per
+    conv layer, the sampled ``(src, dst)`` global-id pairs of each relation —
+    ``{None: (src, dst)}`` for a :class:`~repro.graph.graph.Graph`.
     Produced by :meth:`NeighborSampler.sample_structure` and consumed by
     :meth:`NeighborSampler.compact`; :meth:`NeighborSampler.sample` is the
     two in sequence.
     """
 
     node_lists: List[np.ndarray]
-    edge_sets: List[Union[Tuple[np.ndarray, np.ndarray], Dict[str, Tuple[np.ndarray, np.ndarray]]]]
-    hetero: bool
+    edge_sets: List[Dict[Optional[str], Tuple[np.ndarray, np.ndarray]]]
 
 
 class NeighborSampler:
@@ -187,15 +206,15 @@ class NeighborSampler:
         self.replace = bool(replace)
         self.seed = int(seed) if seed is not None else int(get_rng().integers(0, 2**63))
         self.is_hetero = isinstance(graph, HeteroGraph)
-        if self.is_hetero:
-            self._relation_names = list(graph.relation_names)
-            self._indexes: Dict[str, InEdgeIndex] = graph.in_edge_index()
-            self.fanouts: List[Dict[str, int]] = [
-                self._normalize_hetero_fanout(spec) for spec in fanouts
-            ]
-        else:
-            self._index = graph.in_edge_index()
-            self.fanouts = [self._normalize_fanout(spec) for spec in fanouts]
+        index = graph.in_edge_index()
+        self._indexes: Mapping[Optional[str], InEdgeIndex] = (
+            index if self.is_hetero else {None: index}
+        )
+        self._fanouts = [self._normalize_fanout(spec) for spec in fanouts]
+        #: per layer, an ``int`` for a Graph, a ``{relation: int}`` for a HeteroGraph
+        self.fanouts: List[FanoutSpec] = (
+            self._fanouts if self.is_hetero else [f[None] for f in self._fanouts]
+        )
 
     # ------------------------------------------------------------------ #
     @property
@@ -212,38 +231,26 @@ class NeighborSampler:
             f"replace={self.replace}, hetero={self.is_hetero})"
         )
 
-    @staticmethod
-    def _normalize_fanout(spec: FanoutSpec) -> int:
-        if isinstance(spec, Mapping):
+    def _normalize_fanout(self, spec: FanoutSpec) -> Dict[Optional[str], int]:
+        relations = list(self._indexes)
+        if not isinstance(spec, Mapping):
+            fanout = check_fanout(spec)
+            return {name: fanout for name in relations}
+        if not self.is_hetero:
             raise ValueError("per-relation fanouts require a HeteroGraph")
-        fanout = int(spec)
-        if fanout < -1:
-            raise ValueError(f"fanout must be >= -1 (-1 = full neighbourhood), got {fanout}")
-        return fanout
-
-    def _normalize_hetero_fanout(self, spec: FanoutSpec) -> Dict[str, int]:
-        if isinstance(spec, Mapping):
-            unknown = [name for name in spec if name not in self._relation_names]
-            if unknown:
-                raise KeyError(f"Unknown relations {unknown}; available: {self._relation_names}")
-            missing = [name for name in self._relation_names if name not in spec]
-            if missing:
-                # Omission must be explicit (fanout 0), or an entire relation
-                # would silently vanish from training.
-                raise ValueError(
-                    f"Per-relation fanouts must name every relation; missing {missing} "
-                    f"(use 0 to skip a relation, -1 for its full neighbourhood)"
-                )
-            per_relation = {name: int(spec[name]) for name in self._relation_names}
-        else:
-            per_relation = {name: int(spec) for name in self._relation_names}
-        for name, fanout in per_relation.items():
-            if fanout < -1:
-                raise ValueError(
-                    f"fanout must be >= -1 (-1 = full neighbourhood), "
-                    f"got {fanout} for relation {name!r}"
-                )
-        return per_relation
+        unknown = [name for name in spec if name not in relations]
+        if unknown:
+            raise KeyError(f"Unknown relations {unknown}; available: {relations}")
+        missing = [name for name in relations if name not in spec]
+        if missing:
+            # Omission must be explicit (fanout 0), or an entire relation
+            # would silently vanish from training.
+            raise ValueError(
+                f"Per-relation fanouts must name every relation; missing {missing} "
+                f"(use 0 to skip a relation, -1 for its full neighbourhood)"
+            )
+        return {name: check_fanout(spec[name], f"fanout of relation {name!r}")
+                for name in relations}
 
     # ------------------------------------------------------------------ #
     def sample(self, seeds, epoch: int = 0, batch_index: int = 0) -> MFGPipeline:
@@ -269,103 +276,38 @@ class NeighborSampler:
         seeds = check_1d_int_array(seeds, "seeds", max_value=self.num_nodes)
         if seeds.size == 0:
             raise ValueError("seeds must contain at least one node")
-        if self.is_hetero:
-            return self._structure_hetero(np.unique(seeds), epoch, batch_index)
-        return self._structure_homogeneous(np.unique(seeds), epoch, batch_index)
+        current = np.unique(seeds)
+        node_lists, edge_sets = [current], []
+        # Conv layer l consumes layer-(l) inputs and produces layer-(l+1)
+        # rows; sampling walks output → input, fanouts[l] applying to layer l.
+        for layer in reversed(range(self.num_layers)):
+            layer_key = _layer_key(self.seed, epoch, batch_index, layer)
+            sampled = {}
+            reached = [current]
+            for rel_index, (name, index) in enumerate(self._indexes.items()):
+                # Every named relation draws from its own key so relations
+                # sample independently; a Graph's relation None keeps the
+                # layer key the distributed sampler shares.
+                key = layer_key if name is None else layer_key ^ splitmix64(rel_index)
+                positions = sample_in_edges(
+                    index, current, self._fanouts[layer][name], self.replace, key
+                )
+                sampled[name] = (index.src[positions], index.dst[positions])
+                reached.append(sampled[name][0])
+            edge_sets.append(sampled)
+            current = np.unique(np.concatenate(reached))
+            node_lists.append(current)
+        return SampledStructure(node_lists[::-1], edge_sets[::-1])
 
     def compact(self, structure: SampledStructure) -> MFGPipeline:
         """The block-compaction half of :meth:`sample`: relabel a structure into MFG blocks."""
-        if structure.hetero:
-            return self._compact_hetero(structure)
-        return self._compact_homogeneous(structure)
-
-    # -- homogeneous ----------------------------------------------------- #
-    def _structure_homogeneous(
-        self, seeds: np.ndarray, epoch: int, batch_index: int
-    ) -> SampledStructure:
-        num_layers = self.num_layers
-        node_lists: List[np.ndarray] = [None] * (num_layers + 1)  # type: ignore[list-item]
-        edge_sets: List[Tuple[np.ndarray, np.ndarray]]
-        edge_sets = [None] * num_layers  # type: ignore[list-item]
-        current = seeds
-        node_lists[num_layers] = current
-        # Conv layer l consumes layer-(l) inputs and produces layer-(l+1)
-        # rows; sampling walks output → input, fanouts[l] applying to layer l.
-        for layer in range(num_layers - 1, -1, -1):
-            key = _layer_key(self.seed, epoch, batch_index, layer)
-            positions = sample_in_edges(
-                self._index, current, self.fanouts[layer], self.replace, key
-            )
-            src = self._index.src[positions]
-            dst = self._index.dst[positions]
-            edge_sets[layer] = (src, dst)
-            current = np.union1d(current, src)
-            node_lists[layer] = current
-        return SampledStructure(node_lists, edge_sets, hetero=False)
-
-    def _compact_homogeneous(self, structure: SampledStructure) -> MFGPipeline:
-        node_lists, edge_sets = structure.node_lists, structure.edge_sets
-        blocks: List[MFGBlock] = []
-        for layer in range(len(edge_sets)):
+        node_lists = structure.node_lists
+        blocks = []
+        for layer, edges in enumerate(structure.edge_sets):
             # Relabel via searchsorted over the sorted-unique node lists so
             # per-batch work scales with the sample, not with num_nodes.
-            src_nodes, dst_nodes = node_lists[layer], node_lists[layer + 1]
-            src, dst = edge_sets[layer]
-            blocks.append(
-                MFGBlock(
-                    src_nodes,
-                    dst_nodes,
-                    np.searchsorted(src_nodes, src),
-                    np.searchsorted(dst_nodes, dst),
-                    dst_in_src=np.searchsorted(src_nodes, dst_nodes),
-                )
-            )
-        return MFGPipeline(blocks)
-
-    # -- heterogeneous --------------------------------------------------- #
-    def _structure_hetero(
-        self, seeds: np.ndarray, epoch: int, batch_index: int
-    ) -> SampledStructure:
-        num_layers = self.num_layers
-        node_lists: List[np.ndarray] = [None] * (num_layers + 1)  # type: ignore[list-item]
-        edge_sets: List[Dict[str, Tuple[np.ndarray, np.ndarray]]]
-        edge_sets = [None] * num_layers  # type: ignore[list-item]
-        current = seeds
-        node_lists[num_layers] = current
-        for layer in range(num_layers - 1, -1, -1):
-            sampled: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-            reached = [current]
-            for rel_index, name in enumerate(self._relation_names):
-                # Every (layer, relation) pair draws from its own key so
-                # relations sample independently.
-                key = _layer_key(self.seed, epoch, batch_index, layer) ^ splitmix64(rel_index)
-                index = self._indexes[name]
-                positions = sample_in_edges(
-                    index, current, self.fanouts[layer][name], self.replace, key
-                )
-                src = index.src[positions]
-                sampled[name] = (src, index.dst[positions])
-                reached.append(src)
-            edge_sets[layer] = sampled
-            current = np.unique(np.concatenate(reached))
-            node_lists[layer] = current
-        return SampledStructure(node_lists, edge_sets, hetero=True)
-
-    def _compact_hetero(self, structure: SampledStructure) -> MFGPipeline:
-        node_lists, edge_sets = structure.node_lists, structure.edge_sets
-        blocks: List[MFGHeteroBlock] = []
-        for layer in range(len(edge_sets)):
-            src_nodes, dst_nodes = node_lists[layer], node_lists[layer + 1]
-            relation_edges = {
-                name: (np.searchsorted(src_nodes, src), np.searchsorted(dst_nodes, dst))
-                for name, (src, dst) in edge_sets[layer].items()
-            }
-            blocks.append(
-                MFGHeteroBlock(
-                    src_nodes,
-                    dst_nodes,
-                    relation_edges,
-                    dst_in_src=np.searchsorted(src_nodes, dst_nodes),
-                )
-            )
+            dst_nodes = node_lists[layer + 1]
+            rows = {name: (src, np.searchsorted(dst_nodes, dst))
+                    for name, (src, dst) in edges.items()}
+            blocks.append(compact_block(rows, dst_nodes, node_lists[layer]))
         return MFGPipeline(blocks)

@@ -6,8 +6,6 @@ propagate into NumPy broadcasting surprises deep inside the autograd engine.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 
@@ -81,11 +79,3 @@ def check_2d_array(arr, name: str, num_rows: int | None = None) -> np.ndarray:
             f"{name} must have {num_rows} rows, got {out.shape[0]}"
         )
     return out
-
-
-def check_same_length(names: Sequence[str], *arrays) -> None:
-    """Validate that all arrays have the same first-dimension length."""
-    lengths = [len(a) for a in arrays]
-    if len(set(lengths)) > 1:
-        pairs = ", ".join(f"{n}={l}" for n, l in zip(names, lengths))
-        raise ValueError(f"Length mismatch: {pairs}")

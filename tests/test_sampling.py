@@ -11,6 +11,8 @@ The two load-bearing contracts:
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.sample import (
     MiniBatchDataLoader,
     NeighborSampler,
     NeighborSamplingConfig,
+    build_sampling_plan,
     sample_in_edges,
 )
 from repro.tensor import Tensor
@@ -45,7 +48,7 @@ def test_samplers_share_the_graphs_cached_in_edge_index(star_with_isolated):
     graph = star_with_isolated
     first = NeighborSampler(graph, [2], seed=0)
     second = NeighborSampler(graph, [-1, 3], seed=1)
-    assert first._index is second._index is graph.in_edge_index()
+    assert first._indexes[None] is second._indexes[None] is graph.in_edge_index()
 
     hetero = HeteroGraph(7, {"a": (graph.src, graph.dst), "b": (graph.dst, graph.src)})
     first = NeighborSampler(hetero, [2], seed=0)
@@ -258,6 +261,71 @@ class TestNeighborSampler:
         sampler = NeighborSampler(sbm_graph, [3])
         with pytest.raises(ValueError, match="at least one"):
             sampler.sample(np.array([], dtype=np.int64))
+
+
+# --------------------------------------------------------------------------- #
+# one fanout check for both samplers
+# --------------------------------------------------------------------------- #
+def _fanout_entry_points():
+    graph = adversarial_graph()
+    hetero = HeteroGraph(graph.num_nodes, {"a": (graph.src, graph.dst),
+                                           "b": (graph.dst, graph.src)})
+    return {
+        "graph": lambda spec: NeighborSampler(graph, [spec, 2]).fanouts[0],
+        "hetero": lambda spec: NeighborSampler(hetero, [spec, 2]).fanouts[0]["a"],
+        "hetero-mapping": lambda spec: NeighborSampler(hetero, [{"a": spec, "b": 1}]).fanouts[0]["a"],
+        "distributed-plan": lambda spec: build_sampling_plan(
+            NeighborSamplingConfig(fanouts=(spec, 2)), np.arange(4), seed=0).fanouts[0],
+    }
+
+
+@pytest.mark.parametrize("entry", list(_fanout_entry_points()))
+@pytest.mark.parametrize("spec", [2.7, "3", True, np.float64(2.0), -2, None],
+                         ids=["float", "str", "bool", "np-float", "below-minus-one", "none"])
+def test_fanout_check_rejects_non_integers_everywhere(entry, spec):
+    """2.7 is not silently fanout 2 on one machine and an error in a distributed run."""
+    with pytest.raises(ValueError, match="fanout"):
+        _fanout_entry_points()[entry](spec)
+
+
+@pytest.mark.parametrize("entry", list(_fanout_entry_points()))
+@pytest.mark.parametrize("spec", [-1, 0, 3, np.int64(3), np.int32(-1)])
+def test_fanout_check_accepts_integers_everywhere(entry, spec):
+    fanout = _fanout_entry_points()[entry](spec)
+    assert type(fanout) is int and fanout == spec
+
+
+# --------------------------------------------------------------------------- #
+# the draws are pinned: sampled edges at a fixed (seed, epoch, batch)
+# --------------------------------------------------------------------------- #
+def _sampled_edges_digest(pipeline) -> str:
+    sha = hashlib.sha256()
+    for block in pipeline.blocks:
+        edges = getattr(block, "relation_edges", None) or {None: (block.src, block.dst)}
+        for name, (src, dst) in edges.items():
+            sha.update(repr(name).encode())
+            for ids in (block.src_nodes[src], block.dst_nodes[dst]):
+                sha.update(np.asarray(ids, dtype="<i8").tobytes())
+    return sha.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("kind, replace, expected", [
+    ("graph", False, "a51c654d3331887f"),
+    ("graph", True, "23575f76ce4534c1"),
+    ("hetero", False, "5338423097d1798b"),
+    ("hetero", True, "d822ab237b476bb7"),
+])
+def test_sampled_edges_are_pinned(kind, replace, expected):
+    """Global ``(src, dst)`` edges per layer and relation, in block order, are
+    fixed by ``(seed, epoch, batch)``: a Graph draws under the bare layer key,
+    each named relation under the layer key xor ``splitmix64(rel_index)``."""
+    graph = adversarial_graph(60)
+    if kind == "hetero":
+        graph = HeteroGraph(60, {"fwd": (graph.src, graph.dst), "rev": (graph.dst, graph.src),
+                                 "self": (np.arange(0, 60, 3), np.arange(0, 60, 3))})
+    sampler = NeighborSampler(graph, [3, 2], replace=replace, seed=2024)
+    pipeline = sampler.sample(np.arange(0, 60, 7), epoch=3, batch_index=5)
+    assert _sampled_edges_digest(pipeline) == expected
 
 
 # --------------------------------------------------------------------------- #

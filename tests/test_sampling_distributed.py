@@ -106,6 +106,36 @@ def test_distributed_sample_matches_single_machine(sbm_graph, rng, world_size, f
             np.testing.assert_array_equal(got, mfg_edges[:, np.lexsort(mfg_edges)])
 
 
+def _full_grid_worker(rank, comm, shard):
+    every_node = np.arange(shard.num_total_nodes)
+    config = NeighborSamplingConfig(fanouts=[-1], batch_size=len(every_node), shuffle=False)
+    sampler = DistributedNeighborSampler(build_sampling_plan(config, every_node, seed=0),
+                                         shard, comm)
+    (grid,) = sampler.sample_blocks(every_node, epoch=0, batch_index=0)
+    comm.barrier()
+    sampler.release()
+    return grid
+
+
+@pytest.mark.parametrize("world_size", [2, 3])
+def test_full_fanout_grid_over_every_node_is_the_shards_row(sbm_graph, world_size):
+    """Shards and sampled grids share one G_{p,q} cutter: a fan-out -1 sample
+    of every node gives each worker exactly its shard's block row (only
+    ``edge_pos``, which sampled grids do not carry, differs)."""
+    book = PartitionBook(partition_graph(sbm_graph, world_size, seed=0), world_size)
+    shards = create_shards(sbm_graph, book)
+    result = run_distributed(_full_grid_worker, world_size, worker_args=shards)
+    for shard, grid in zip(shards, result.results):
+        assert len(grid) == len(shard.blocks) == world_size
+        for sampled, own in zip(grid, shard.blocks):
+            assert (sampled.src_rank, sampled.dst_rank, sampled.num_dst) == \
+                (own.src_rank, own.dst_rank, own.num_dst)
+            for field in ("required_src_local", "src_index", "dst_local"):
+                np.testing.assert_array_equal(getattr(sampled, field), getattr(own, field))
+                assert getattr(sampled, field).dtype == getattr(own, field).dtype
+            assert sampled.edge_pos is None
+
+
 def test_epoch_seed_order_identical_everywhere():
     seeds = np.arange(100, 150)
     a = epoch_seed_order(9, seeds, epoch=4, shuffle=True)
