@@ -15,17 +15,17 @@ abstraction:
   :class:`~repro.core.rgcn_dist.RGCNKernel` (relational, case 2, one engine
   pass per relation).
 * :class:`~repro.core.config.SARConfig` — selects vanilla domain-parallel
-  ("dp") or Sequential-Aggregation-and-Rematerialization ("sar") execution,
-  communication/compute-overlapping prefetch, and the stable running softmax.
-* :class:`~repro.core.dist_graph.DistributedGraph` /
-  :class:`~repro.core.dist_graph.DistributedHeteroGraph` — the per-worker
-  graph handles that unmodified model code consumes; each owns one engine
-  instance that all of its aggregation ops route through.
+  ("dp") or Sequential-Aggregation-and-Rematerialization ("sar") execution
+  and communication/compute-overlapping prefetch.
+* :class:`~repro.core.dist_graph.DistributedGraph` — the per-worker graph
+  handle that unmodified model code consumes, over a homogeneous or a
+  relational shard alike; it owns one engine instance that all of its
+  aggregation ops route through.
 * The running stable softmax (§3.4) and parameter-gradient synchronization.
 """
 
 from repro.core.config import SARConfig, SAR, SAR_PREFETCH, DOMAIN_PARALLEL
-from repro.core.dist_graph import DistributedGraph, DistributedHeteroGraph
+from repro.core.dist_graph import DistributedGraph
 from repro.core.halo import HaloExchange, pack_features, unpack_features
 from repro.core.seq_agg import (
     BlockKernel,
@@ -45,7 +45,6 @@ __all__ = [
     "SAR_PREFETCH",
     "DOMAIN_PARALLEL",
     "DistributedGraph",
-    "DistributedHeteroGraph",
     "HaloExchange",
     "pack_features",
     "unpack_features",

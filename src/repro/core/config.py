@@ -40,9 +40,6 @@ class SARConfig:
     #: with the current block's compute on a background thread; keeps at most
     #: two remote blocks resident instead of one (§3.4).
     prefetch: bool = False
-    #: Use the numerically stable running softmax (§3.4).  Disabling it is only
-    #: meant for the ablation benchmark that demonstrates why it is needed.
-    stable_softmax: bool = True
 
     def __post_init__(self):
         if self.mode not in _VALID_MODES:

@@ -1,23 +1,25 @@
-"""Distributed graph handles.
+"""The distributed graph handle.
 
-A :class:`DistributedGraph` (or :class:`DistributedHeteroGraph`) is the
-object a worker passes to unmodified model code in place of a regular
-:class:`~repro.graph.graph.Graph`: it speaks the same aggregation protocol
-(:mod:`repro.graph.aggregation`), and runs each aggregation through the SAR /
-domain-parallel machinery.  This mirrors how the SAR library swaps DGL's
-graph for a ``GraphShardManager`` while the model definition stays
+A :class:`DistributedGraph` is the object a worker passes to unmodified model
+code in place of a regular :class:`~repro.graph.graph.Graph` or
+:class:`~repro.graph.hetero.HeteroGraph`: it speaks the same aggregation
+protocol (:mod:`repro.graph.aggregation`), and runs each aggregation through
+the SAR / domain-parallel machinery.  This mirrors how the SAR library swaps
+DGL's graph for a ``GraphShardManager`` while the model definition stays
 untouched.
 
 Each handle owns:
 
 * the worker's :class:`~repro.partition.shard.ShardedGraph` (local vertices,
-  the ``G_{p,q}`` edge blocks, local slices of node data),
+  one ``G_{p,q}`` edge-block grid per relation — the one relation ``None``
+  for a homogeneous graph — and local slices of node data),
 * the communicator,
 * the :class:`~repro.core.config.SARConfig` execution mode,
 * a shared :class:`~repro.core.seq_agg.SequentialAggregationEngine` that all
   of the handle's aggregation ops (SAGE sum/mean/max/min, GAT, R-GCN) run
   through,
-* the one-time halo routing information, and
+* the one-time halo routing information, one
+  :class:`~repro.core.halo.HaloExchange` per relation, and
 * a per-step operation counter that generates identical publish/fetch keys on
   every worker (the models are replicas, so the op sequence is identical).
 """
@@ -25,7 +27,7 @@ Each handle owns:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from repro.core.rgcn_dist import RGCNKernel
 from repro.core.sage_dist import make_neighbor_kernel
 from repro.core.seq_agg import SequentialAggregationEngine
 from repro.distributed.comm import Communicator
-from repro.partition.shard import EdgeBlock, ShardedGraph, ShardedHeteroGraph
+from repro.partition.shard import EdgeBlock, ShardedGraph
 from repro.tensor.tensor import Tensor
 
 #: what :meth:`DistributedGraph.prepare_restriction` returns: one
@@ -44,11 +46,15 @@ from repro.tensor.tensor import Tensor
 RestrictionLayers = List[Tuple[ShardedGraph, HaloExchange]]
 
 
-class _DistributedGraphBase:
-    """Shared bookkeeping for the homogeneous and heterogeneous handles."""
+class DistributedGraph:
+    """Worker-local handle over a partitioned graph.
 
-    def __init__(self, shard: Union[ShardedGraph, ShardedHeteroGraph], comm: Communicator,
-                 config: SARConfig):
+    ``aggregate_neighbors`` and ``gat_aggregate`` run over the shard's
+    relation ``None``, ``rgcn_aggregate`` over its named relations.
+    """
+
+    def __init__(self, shard: ShardedGraph, comm: Communicator,
+                 config: SARConfig = SAR):
         self.shard = shard
         self.comm = comm
         self.config = config
@@ -58,6 +64,16 @@ class _DistributedGraphBase:
         self.engine = SequentialAggregationEngine(comm, config)
         self._step = 0
         self._op_counter = 0
+        self.halos: Dict[Optional[str], HaloExchange] = {
+            relation: HaloExchange(comm, blocks,
+                                   name="homo" if relation is None else f"rel-{relation}")
+            for relation, blocks in shard.relation_blocks.items()
+        }
+        #: the per-conv-layer ``(restricted shard view, halo)`` pairs the
+        #: enclosing :meth:`restricted` scope put in force (``None`` =
+        #: unrestricted), and how many of them this step has consumed.
+        self._restriction: Optional[RestrictionLayers] = None
+        self._cursor = 0
 
     # ------------------------------------------------------------------ #
     @property
@@ -95,6 +111,7 @@ class _DistributedGraphBase:
         self.comm.clear_published()
         self._step += 1
         self._op_counter = 0
+        self._cursor = 0
 
     def _next_key(self, name: str) -> str:
         self._op_counter += 1
@@ -132,20 +149,6 @@ class _DistributedGraphBase:
                     )
         self.engine.feature_store = store
 
-
-class DistributedGraph(_DistributedGraphBase):
-    """Worker-local handle over a partitioned homogeneous graph."""
-
-    def __init__(self, shard: ShardedGraph, comm: Communicator,
-                 config: SARConfig = SAR):
-        super().__init__(shard, comm, config)
-        self.halo = HaloExchange(comm, shard.blocks, name="homo")
-        #: the per-conv-layer ``(restricted shard view, halo)`` pairs the
-        #: enclosing :meth:`restricted` scope put in force (``None`` =
-        #: unrestricted), and how many of them this step has consumed.
-        self._restriction: Optional[RestrictionLayers] = None
-        self._cursor = 0
-
     def in_edge_index(self):
         """This worker's complete per-local-dst in-edge buckets.
 
@@ -164,14 +167,11 @@ class DistributedGraph(_DistributedGraphBase):
     def __repr__(self) -> str:
         return (
             f"DistributedGraph(rank={self.rank}/{self.world_size}, mode={self.config.mode!r}, "
-            f"local_nodes={self.num_nodes}, halo={self.shard.halo_size})"
+            f"local_nodes={self.num_nodes}, halo={self.shard.halo_size}, "
+            f"relations={list(self.halos)})"
         )
 
     # -- scoped restriction (paper Appendix B, executed) ------------------- #
-    def begin_step(self) -> None:
-        super().begin_step()
-        self._cursor = 0
-
     def prepare_restriction(self, layer_blocks: Sequence[List[EdgeBlock]],
                             name: str = "smp") -> RestrictionLayers:
         """Prepare per-conv-layer substitute block grids (collective call).
@@ -247,7 +247,7 @@ class DistributedGraph(_DistributedGraphBase):
         ``l`` issues the step's ``l``-th aggregation on every worker.
         """
         if self._restriction is None:
-            return self.shard, self.halo
+            return self.shard, self.halos[None]
         layer = self._cursor
         if layer >= len(self._restriction):
             raise RuntimeError(
@@ -278,101 +278,73 @@ class DistributedGraph(_DistributedGraphBase):
         return self.engine.aggregate(kernel, self._next_key("gat"),
                                      z, score_dst, score_src)
 
-    # -- non-learnable propagation (Correct & Smooth) --------------------- #
-    def propagate(self, values: np.ndarray, normalization: str = "mean") -> np.ndarray:
-        """One round of non-learnable message propagation (no autograd).
-
-        Used by Correct & Smooth, which the paper implements "within the same
-        framework as SAR" because it is the same kind of neighbourhood
-        aggregation, just without trainable parameters or a backward pass.
-        ``normalization`` is ``"mean"`` (divide by in-degree) or ``"sym"``
-        (symmetric :math:`D^{-1/2} A D^{-1/2}` using global degrees).
-        """
-        if normalization not in ("mean", "sym", "none"):
-            raise ValueError(f"Unknown normalization {normalization!r}")
-        key = self._next_key("prop")
-        values = np.asarray(values, dtype=np.float32)
-        out_degrees = self._global_out_degrees()
-        if normalization == "sym":
-            scaled = values / np.sqrt(np.maximum(out_degrees, 1.0))[:, None]
-        else:
-            scaled = values
-        self.comm.publish(f"{key}/v", scaled)
-        acc = np.zeros((self.num_nodes, values.shape[1]), dtype=np.float32)
-        for q in range(self.world_size):
-            block = self.shard.blocks[q]
-            if block.num_edges == 0:
-                continue
-            if q == self.rank:
-                feats = scaled[block.required_src_local]
-            else:
-                feats = self.comm.fetch(q, f"{key}/v", rows=block.required_src_local,
-                                        tag="propagate")
-            acc += block.plan().aggregate_sum(feats)
-        degrees = np.maximum(self.shard.local_in_degrees, 1).astype(np.float32)
-        if normalization == "mean":
-            acc /= degrees[:, None]
-        elif normalization == "sym":
-            acc /= np.sqrt(degrees)[:, None]
-        self.comm.barrier()
-        return acc
-
-    def _global_out_degrees(self) -> np.ndarray:
-        """Global out-degree of each local node (cached; needs one exchange)."""
-        cached = getattr(self, "_out_degree_cache", None)
-        if cached is not None:
-            return cached
-        # Each edge s→d contributes to s's out-degree; the owner of d knows the
-        # edge, so workers exchange per-source counts for remote sources.
-        local_counts = np.zeros(self.num_nodes, dtype=np.float64)
-        outgoing: Dict[int, np.ndarray] = {}
-        for q in range(self.world_size):
-            block = self.shard.blocks[q]
-            if block.num_edges == 0:
-                continue
-            counts = np.bincount(block.src_index,
-                                 minlength=block.num_required_src).astype(np.float64)
-            if q == self.rank:
-                local_counts[block.required_src_local] += counts
-            else:
-                outgoing[q] = counts
-        received = self.comm.exchange("setup/out_degrees", outgoing, tag="setup")
-        self.halo.scatter_add_errors(local_counts[:, None],
-                                     {p: v[:, None] for p, v in received.items()})
-        self._out_degree_cache = local_counts
-        return local_counts
-
-
-class DistributedHeteroGraph(_DistributedGraphBase):
-    """Worker-local handle over a partitioned heterogeneous (relational) graph."""
-
-    def __init__(self, shard: ShardedHeteroGraph, comm: Communicator,
-                 config: SARConfig = SAR):
-        super().__init__(shard, comm, config)
-        self.halos: Dict[str, HaloExchange] = {
-            relation: HaloExchange(comm, blocks, name=f"rel-{relation}")
-            for relation, blocks in shard.relation_blocks.items()
-        }
-
-    @property
-    def relation_names(self) -> Sequence[str]:
-        return self.shard.relation_names
-
-    def __repr__(self) -> str:
-        return (
-            f"DistributedHeteroGraph(rank={self.rank}/{self.world_size}, "
-            f"mode={self.config.mode!r}, local_nodes={self.num_nodes}, "
-            f"relations={list(self.relation_names)})"
-        )
-
     def rgcn_aggregate(self, x: Tensor, relation_weights: Tensor,
                        relation_names: Sequence[str], in_features: int,
                        out_features: int) -> Tensor:
         """Relational aggregation over the full (distributed) neighbourhood (case 2)."""
-        missing = [r for r in relation_names if r not in self.shard.relation_blocks]
+        missing = [r for r in relation_names if r not in self.halos]
         if missing:
             raise KeyError(f"Relations {missing} are not present in this graph shard")
         kernel = RGCNKernel(x, relation_weights, self.shard, self.halos,
                             relation_names, in_features, out_features)
         return self.engine.aggregate(kernel, self._next_key("rgcn"),
                                      x, relation_weights)
+
+    # -- non-learnable propagation (Correct & Smooth) --------------------- #
+    def propagate(self, values: np.ndarray) -> np.ndarray:
+        """One round of symmetric-normalized propagation (no autograd).
+
+        Used by Correct & Smooth, which the paper implements "within the same
+        framework as SAR" because it is the same kind of neighbourhood
+        aggregation, just without trainable parameters or a backward pass.
+        Computes :math:`D^{-1/2} A D^{-1/2}` ``values`` with global degrees,
+        ``A`` summing every relation's edges — the adjacency of
+        :meth:`HeteroGraph.to_homogeneous
+        <repro.graph.hetero.HeteroGraph.to_homogeneous>`.
+        """
+        key = self._next_key("prop")
+        values = np.asarray(values, dtype=np.float32)
+        scaled = values / np.sqrt(np.maximum(self._global_out_degrees(), 1.0))[:, None]
+        self.comm.publish(f"{key}/v", scaled)
+        acc = np.zeros((self.num_nodes, values.shape[1]), dtype=np.float32)
+        for blocks in self.shard.relation_blocks.values():
+            for q, block in enumerate(blocks):
+                if block.num_edges == 0:
+                    continue
+                if q == self.rank:
+                    feats = scaled[block.required_src_local]
+                else:
+                    feats = self.comm.fetch(q, f"{key}/v", rows=block.required_src_local,
+                                            tag="propagate")
+                acc += block.plan().aggregate_sum(feats)
+        degrees = sum(self.shard.relation_in_degrees.values())
+        acc /= np.sqrt(np.maximum(degrees, 1).astype(np.float32))[:, None]
+        self.comm.barrier()
+        return acc
+
+    def _global_out_degrees(self) -> np.ndarray:
+        """Global out-degree of each local node over every relation (cached;
+        one exchange per relation)."""
+        cached = getattr(self, "_out_degree_cache", None)
+        if cached is not None:
+            return cached
+        # Each edge s→d contributes to s's out-degree; the owner of d knows the
+        # edge, so workers exchange per-source counts for remote sources.
+        local_counts = np.zeros(self.num_nodes, dtype=np.float64)
+        for relation, blocks in self.shard.relation_blocks.items():
+            outgoing: Dict[int, np.ndarray] = {}
+            for q, block in enumerate(blocks):
+                if block.num_edges == 0:
+                    continue
+                counts = np.bincount(block.src_index,
+                                     minlength=block.num_required_src).astype(np.float64)
+                if q == self.rank:
+                    local_counts[block.required_src_local] += counts
+                else:
+                    outgoing[q] = counts
+            received = self.comm.exchange(f"setup/out_degrees/{relation}", outgoing,
+                                          tag="setup")
+            self.halos[relation].scatter_add_errors(
+                local_counts[:, None], {p: v[:, None] for p, v in received.items()})
+        self._out_degree_cache = local_counts
+        return local_counts

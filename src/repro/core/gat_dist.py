@@ -95,9 +95,7 @@ class GATKernel(BlockKernel):
 
     def forward_init(self) -> None:
         self._accumulator = RunningSoftmaxAccumulator(
-            self.num_local, self.heads, self.dim, dtype=self.z_data.dtype,
-            stable=self.config.stable_softmax,
-        )
+            self.num_local, self.heads, self.dim, dtype=self.z_data.dtype)
 
     def forward_block(self, p: KernelPass, q: int, block: EdgeBlock,
                       feats: np.ndarray) -> None:

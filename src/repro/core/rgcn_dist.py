@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.halo import HaloExchange
 from repro.core.seq_agg import BlockKernel, KernelPass
-from repro.partition.shard import EdgeBlock, ShardedHeteroGraph
+from repro.partition.shard import EdgeBlock, ShardedGraph
 from repro.tensor.tensor import Tensor
 
 
@@ -30,7 +30,7 @@ class RGCNKernel(BlockKernel):
 
     grad_class = "nonlinear"
 
-    def __init__(self, x: Tensor, relation_weights: Tensor, shard: ShardedHeteroGraph,
+    def __init__(self, x: Tensor, relation_weights: Tensor, shard: ShardedGraph,
                  halos: Dict[str, HaloExchange], relation_names: Sequence[str],
                  in_features: int, out_features: int):
         super().__init__()

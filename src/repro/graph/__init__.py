@@ -11,7 +11,6 @@ from repro.graph.generators import (
 )
 from repro.graph.mfg import (
     MFGBlock,
-    MFGHeteroBlock,
     MFGPipeline,
     build_mfg_pipeline,
     message_flow_masks,
@@ -31,7 +30,6 @@ __all__ = [
     "required_node_counts",
     "mfg_savings",
     "MFGBlock",
-    "MFGHeteroBlock",
     "MFGPipeline",
     "build_mfg_pipeline",
 ]

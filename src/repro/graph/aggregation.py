@@ -48,7 +48,7 @@ class NeighborAggregation:
 class RelationalAggregation:
     """``rgcn_aggregate`` over ``self.relation_plan(name)`` (mixed into
     :class:`~repro.graph.hetero.HeteroGraph` and
-    :class:`~repro.graph.mfg.MFGHeteroBlock`)."""
+    :class:`~repro.graph.mfg.MFGBlock`)."""
 
     def gather_dst(self, x):
         return x

@@ -15,15 +15,15 @@ of DGL's sampler, and of :class:`~repro.sample.neighbor.NeighborSampler` at
 ``fanout=-1``.  :func:`message_flow_masks`, :func:`required_node_counts` and
 :func:`mfg_savings` are views of the pipeline's per-level node lists.
 
-Each conv layer becomes a compacted bipartite :class:`MFGBlock` (or
-:class:`MFGHeteroBlock`, one edge set per relation) — the layer's edges
-relabelled into the compact row spaces of its required source and destination
-nodes, owning a lazily built :class:`~repro.tensor.edge_plan.EdgePlan` — and
-consecutive blocks chain exactly (layer ``l``'s destination nodes are layer
+Each conv layer becomes one compacted bipartite :class:`MFGBlock` holding
+``{relation: (src, dst)}`` edge sets — a :class:`~repro.graph.graph.Graph`
+being the one relation ``None`` — the layer's edges relabelled into the
+compact row spaces of its required source and destination nodes, each
+relation owning a lazily built :class:`~repro.tensor.edge_plan.EdgePlan`.
+Consecutive blocks chain exactly (layer ``l``'s destination nodes are layer
 ``l+1``'s source nodes), so a model forwards layer by layer over shrinking
 feature matrices.  :func:`compact_block` does that relabelling for every
-block, built or sampled, over ``{relation: (src, dst)}`` edges — a
-:class:`~repro.graph.graph.Graph` being the one relation ``None``.
+block, built or sampled.
 
 A block holds every required destination's complete in-neighbourhood, each
 destination's edges in ascending original edge id, relabelled
@@ -89,8 +89,8 @@ def mfg_savings(graph: Union[Graph, HeteroGraph], seed_nodes, num_layers: int) -
 # --------------------------------------------------------------------------- #
 # compacted per-layer blocks (the MFG execution pipeline)
 # --------------------------------------------------------------------------- #
-class _CompactBlockBase:
-    """Row-space bookkeeping shared by the homogeneous and relational blocks.
+class MFGBlock(NeighborAggregation, RelationalAggregation):
+    """One conv layer's compacted bipartite edge sets, ``{relation: (src, dst)}``.
 
     ``src_nodes``/``dst_nodes`` are the original (global) ids of the block's
     required source and destination nodes, in ascending order.  Every
@@ -98,13 +98,33 @@ class _CompactBlockBase:
     :attr:`dst_in_src` maps each destination row to its row in the source
     space — the row gather every layer's self/residual term runs through
     (:meth:`gather_dst`, which overrides the protocol's identity).
+
+    :attr:`relation_edges` holds, per relation, the graph edges feeding a
+    required destination, relabelled into the compact source/destination row
+    spaces; each destination's edges keep their original order.  A
+    :class:`~repro.graph.graph.Graph`'s block is the one relation ``None``,
+    read by :attr:`src`/:attr:`dst`/:meth:`plan`; a
+    :class:`~repro.graph.hetero.HeteroGraph`'s block names its relations.
+    The block speaks the aggregation protocol of both graph kinds: the
+    aggregation output has :attr:`num_dst_nodes` rows.
     """
 
     def __init__(self, src_nodes: np.ndarray, dst_nodes: np.ndarray,
+                 relation_edges: Dict[Optional[str], Tuple[np.ndarray, np.ndarray]],
                  dst_in_src: np.ndarray):
         self.src_nodes = src_nodes
         self.dst_nodes = dst_nodes
+        self.relation_edges = relation_edges
         self.dst_in_src = dst_in_src
+        self._plans: Dict[Optional[str], EdgePlan] = {}
+
+    @property
+    def src(self) -> np.ndarray:
+        return self.relation_edges[None][0]
+
+    @property
+    def dst(self) -> np.ndarray:
+        return self.relation_edges[None][1]
 
     @property
     def num_src_nodes(self) -> int:
@@ -119,89 +139,42 @@ class _CompactBlockBase:
         """Rows of the block's *input* feature matrix (the nn layers' shape check)."""
         return self.num_src_nodes
 
-    def gather_dst(self, x):
-        """Destination rows of a source-space per-node tensor (differentiable)."""
-        return ops.gather(x, self.dst_in_src)
-
-
-class MFGBlock(_CompactBlockBase, NeighborAggregation):
-    """One conv layer's compacted bipartite edge set.
-
-    ``src``/``dst`` are the graph edges feeding a required destination,
-    relabelled into the compact source/destination row spaces; each
-    destination's edges keep their original order.  The block speaks the
-    same aggregation protocol as a :class:`~repro.graph.graph.Graph`: the
-    aggregation output has :attr:`num_dst_nodes` rows and the self/residual
-    term reads its input rows through :meth:`gather_dst`.
-    """
-
-    def __init__(self, src_nodes: np.ndarray, dst_nodes: np.ndarray,
-                 src: np.ndarray, dst: np.ndarray, dst_in_src: np.ndarray):
-        super().__init__(src_nodes, dst_nodes, dst_in_src)
-        self.src = src
-        self.dst = dst
-        self._plan: Optional[EdgePlan] = None
-
     @property
     def num_edges(self) -> int:
-        return len(self.src)
+        return sum(len(src) for src, _ in self.relation_edges.values())
 
     def __repr__(self) -> str:
         return (
             f"MFGBlock(src_nodes={self.num_src_nodes}, dst_nodes={self.num_dst_nodes}, "
-            f"num_edges={self.num_edges})"
+            f"num_edges={self.num_edges}, relations={list(self.relation_edges)})"
         )
 
+    def gather_dst(self, x):
+        """Destination rows of a source-space per-node tensor (differentiable)."""
+        return ops.gather(x, self.dst_in_src)
+
     def plan(self) -> EdgePlan:
-        """The block's lazily built edge plan.
+        """The edge plan of the relation ``None`` (a :class:`~repro.graph.graph.Graph`'s block)."""
+        return self.relation_plan(None)
+
+    def relation_plan(self, relation: Optional[str]) -> EdgePlan:
+        """One relation's lazily built edge plan.
 
         Plans are resolved through the shared structural cache
         (:func:`repro.tensor.edge_plan.cached_plan`): two blocks with the same
         relabelled edge set — e.g. the same consecutive-id inference batch
         rebuilt by a second engine — share one plan instead of re-sorting.
         """
-        self._plan = self._plan or cached_plan(self.src, self.dst, self.num_dst_nodes,
-                                               self.num_src_nodes)
-        return self._plan
+        plan = self._plans.get(relation)
+        if plan is None:
+            src, dst = self.relation_edges[relation]
+            plan = self._plans[relation] = cached_plan(src, dst, self.num_dst_nodes,
+                                                       self.num_src_nodes)
+        return plan
 
     def in_degrees(self) -> np.ndarray:
         """In-degrees of the destination rows (equal to their full-graph in-degrees)."""
         return np.bincount(self.dst, minlength=self.num_dst_nodes).astype(np.int64)
-
-
-class MFGHeteroBlock(_CompactBlockBase, RelationalAggregation):
-    """One R-GCN layer's compacted per-relation edge sets (hetero counterpart)."""
-
-    def __init__(self, src_nodes: np.ndarray, dst_nodes: np.ndarray,
-                 relation_edges: Dict[str, Tuple[np.ndarray, np.ndarray]],
-                 dst_in_src: np.ndarray):
-        super().__init__(src_nodes, dst_nodes, dst_in_src)
-        self.relation_edges = relation_edges
-        self._plans: Dict[str, EdgePlan] = {}
-
-    @property
-    def relation_names(self) -> List[str]:
-        return list(self.relation_edges.keys())
-
-    def __repr__(self) -> str:
-        return (
-            f"MFGHeteroBlock(src_nodes={self.num_src_nodes}, "
-            f"dst_nodes={self.num_dst_nodes}, relations={self.relation_names})"
-        )
-
-    def _check_relation(self, relation: str) -> None:
-        if relation not in self.relation_edges:
-            raise KeyError(
-                f"Unknown relation {relation!r}; available: {self.relation_names}"
-            )
-
-    def relation_plan(self, relation: str) -> EdgePlan:
-        self._check_relation(relation)
-        if relation not in self._plans:
-            src, dst = self.relation_edges[relation]
-            self._plans[relation] = cached_plan(src, dst, self.num_dst_nodes,
-                                                self.num_src_nodes)
-        return self._plans[relation]
 
 
 class MFGPipeline:
@@ -213,7 +186,7 @@ class MFGPipeline:
     :attr:`output_nodes` (the seed set, in ascending id order).
     """
 
-    def __init__(self, blocks: List[_CompactBlockBase]):
+    def __init__(self, blocks: List[MFGBlock]):
         self.blocks = blocks
 
     @property
@@ -236,7 +209,7 @@ class MFGPipeline:
         (``num_layers + 1`` arrays, input level first)."""
         return [block.src_nodes for block in self.blocks] + [self.output_nodes]
 
-    def layer_block(self, index: int) -> _CompactBlockBase:
+    def layer_block(self, index: int) -> MFGBlock:
         if not 0 <= index < len(self.blocks):
             raise IndexError(
                 f"MFG pipeline has {len(self.blocks)} layer blocks, asked for {index}"
@@ -264,9 +237,9 @@ def build_mfg_pipeline(graph: Union[Graph, HeteroGraph], seed_nodes,
     Parameters
     ----------
     graph:
-        The full graph: a :class:`~repro.graph.graph.Graph` yields
-        :class:`MFGBlock` layers, a :class:`~repro.graph.hetero.HeteroGraph`
-        :class:`MFGHeteroBlock` layers over the union of its relations.
+        The full graph: a :class:`~repro.graph.graph.Graph` yields blocks
+        of the one relation ``None``, a :class:`~repro.graph.hetero.HeteroGraph`
+        blocks of its named relations over the union of their in-neighbours.
     seed_nodes:
         Node ids whose layer-``num_layers`` outputs are required.
     num_layers:
@@ -279,7 +252,7 @@ def build_mfg_pipeline(graph: Union[Graph, HeteroGraph], seed_nodes,
     num_layers = check_positive_int(num_layers, "num_layers")
     nodes = np.unique(check_1d_int_array(seed_nodes, "seed_nodes", max_value=graph.num_nodes))
     index = graph.in_edge_index()
-    blocks: List[_CompactBlockBase] = []
+    blocks: List[MFGBlock] = []
     for _ in range(num_layers):
         blocks.append(block_from_in_edges(index, nodes))
         nodes = blocks[-1].src_nodes
@@ -293,7 +266,7 @@ def block_from_in_edges(
     index: Union[InEdgeIndex, Mapping[str, InEdgeIndex]],
     dst_rows: np.ndarray,
     dst_nodes: Optional[np.ndarray] = None,
-) -> Union[MFGBlock, MFGHeteroBlock]:
+) -> MFGBlock:
     """The block over the complete in-neighbourhoods of ascending destinations.
 
     ``dst_rows`` address ``index``'s destination space; ``dst_nodes``
@@ -303,9 +276,9 @@ def block_from_in_edges(
     <repro.partition.shard.ShardedGraph.in_edge_index>`) buckets local
     destinations over global sources.  A ``{relation: index}`` mapping
     (:meth:`HeteroGraph.in_edge_index
-    <repro.graph.hetero.HeteroGraph.in_edge_index>`) yields an
-    :class:`MFGHeteroBlock` over the union of the relations' in-neighbours,
-    a single index an :class:`MFGBlock`.
+    <repro.graph.hetero.HeteroGraph.in_edge_index>`) yields a block of
+    those relations over the union of their in-neighbours, a single index
+    a block of the relation ``None``.
 
     Edges are enumerated bucket by bucket — per destination in original edge
     order — and handed to :func:`compact_block`, so an ``EdgePlan`` over the
@@ -326,19 +299,16 @@ def compact_block(
     edges: Mapping[Optional[str], Tuple[np.ndarray, np.ndarray]],
     dst_nodes: np.ndarray,
     src_nodes: Optional[np.ndarray] = None,
-) -> Union[MFGBlock, MFGHeteroBlock]:
+) -> MFGBlock:
     """Relabel one layer's ``{relation: (src, dst)}`` in-edges into a block.
 
     ``src`` are ids in ``dst_nodes``' id space, ``dst`` rows of the ascending
     ``dst_nodes``.  ``src_nodes`` (default: the union of every source and
     destination) is the ascending source row space.  Edges keep their input
-    order.  The relation ``None`` gives an :class:`MFGBlock`, named
-    relations an :class:`MFGHeteroBlock`.
+    order.
     """
     if src_nodes is None:
         src_nodes = np.unique(np.concatenate([src for src, _ in edges.values()] + [dst_nodes]))
     edges = {name: (np.searchsorted(src_nodes, src), dst) for name, (src, dst) in edges.items()}
     dst_in_src = np.searchsorted(src_nodes, dst_nodes)
-    if None in edges:
-        return MFGBlock(src_nodes, dst_nodes, *edges[None], dst_in_src)
-    return MFGHeteroBlock(src_nodes, dst_nodes, edges, dst_in_src)
+    return MFGBlock(src_nodes, dst_nodes, edges, dst_in_src)

@@ -64,8 +64,8 @@ class _DeepGNN(Module):
         graph:
             Anything the conv layers accept: a full
             :class:`~repro.graph.graph.Graph` / ``HeteroGraph``, one compacted
-            :class:`~repro.graph.mfg.MFGBlock` / ``MFGHeteroBlock``, or a
-            distributed graph handle.
+            :class:`~repro.graph.mfg.MFGBlock` (of either), or a distributed
+            graph handle.
         x:
             ``(num_src_rows, in_features)`` input features of this layer (for
             a block, the block's source rows; otherwise one row per node).

@@ -10,9 +10,7 @@ from repro.partition.book import PartitionBook
 from repro.partition.shard import (
     EdgeBlock,
     ShardedGraph,
-    ShardedHeteroGraph,
     create_shards,
-    create_hetero_shards,
 )
 
 __all__ = [
@@ -23,7 +21,5 @@ __all__ = [
     "PartitionBook",
     "EdgeBlock",
     "ShardedGraph",
-    "ShardedHeteroGraph",
     "create_shards",
-    "create_hetero_shards",
 ]

@@ -11,15 +11,17 @@ local block the source features are already resident, for remote blocks the
 communicator needs: the *local-to-q* ids of the required source nodes plus
 per-edge indices into that compact list.
 
-:func:`edge_blocks` cuts every grid: the shards' (one split loop for
-:func:`create_shards` and :func:`create_hetero_shards`) and the sampled and
-MFG grids of :class:`~repro.sample.distributed.DistributedNeighborSampler`.
+:class:`ShardedGraph` holds one block grid per relation, a
+:class:`~repro.graph.graph.Graph`'s shard the one relation ``None``.
+:func:`edge_blocks` cuts every grid: the shards' (one split loop per relation
+in :func:`create_shards`) and the sampled and MFG grids of
+:class:`~repro.sample.distributed.DistributedNeighborSampler`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -80,11 +82,21 @@ class EdgeBlock:
         return self._plan
 
 
-class _ShardBase:
-    """Worker ``rank``'s nodes: the bookkeeping both shard kinds share."""
+class ShardedGraph:
+    """Worker ``rank``'s view of a partitioned graph: one ``G_{p,q}`` grid per relation.
+
+    :attr:`relation_blocks` maps each relation to this worker's
+    ``num_parts``-long row of :class:`EdgeBlock` s and
+    :attr:`relation_in_degrees` to its nodes' global in-degrees over that
+    relation.  A :class:`~repro.graph.graph.Graph`'s shard holds the one
+    relation ``None``, which :attr:`blocks` and :attr:`local_in_degrees`
+    read; a :class:`~repro.graph.hetero.HeteroGraph`'s names its relations.
+    """
 
     def __init__(self, rank: int, book: PartitionBook,
-                 node_data: Optional[Dict[str, np.ndarray]]):
+                 relation_blocks: Dict[Optional[str], List[EdgeBlock]],
+                 relation_in_degrees: Dict[Optional[str], np.ndarray],
+                 node_data: Optional[Dict[str, np.ndarray]] = None):
         self.rank = rank
         self.num_parts = book.num_parts
         self.book = book
@@ -92,21 +104,24 @@ class _ShardBase:
         self.num_local_nodes = len(self.global_node_ids)
         self.num_total_nodes = book.num_nodes
         self.node_data: Dict[str, np.ndarray] = dict(node_data or {})
-
-
-class ShardedGraph(_ShardBase):
-    """Worker ``rank``'s view of a partitioned homogeneous graph."""
-
-    def __init__(self, rank: int, book: PartitionBook, blocks: List[EdgeBlock],
-                 local_in_degrees: np.ndarray,
-                 node_data: Optional[Dict[str, np.ndarray]] = None):
-        super().__init__(rank, book, node_data)
-        self.blocks = blocks
-        self.local_in_degrees = np.asarray(local_in_degrees, dtype=np.int64)
+        self.relation_blocks = relation_blocks
+        self.relation_in_degrees = {k: np.asarray(v, dtype=np.int64)
+                                    for k, v in relation_in_degrees.items()}
         self._in_edge_index: Optional[InEdgeIndex] = None
 
+    @property
+    def blocks(self) -> List[EdgeBlock]:
+        """The block row of the relation ``None`` (a :class:`~repro.graph.graph.Graph`'s shard)."""
+        return self.relation_blocks[None]
+
+    @property
+    def local_in_degrees(self) -> np.ndarray:
+        """Global in-degrees of the local nodes over the relation ``None``."""
+        return self.relation_in_degrees[None]
+
     def in_edge_index(self) -> InEdgeIndex:
-        """Per-local-destination in-edge buckets in ascending *global* edge order.
+        """Per-local-destination in-edge buckets of the relation ``None``, in
+        ascending *global* edge order.
 
         Builds (once, cached) a :class:`~repro.graph.in_edges.InEdgeIndex`
         over this worker's incoming edges: destinations are local ids, while
@@ -164,19 +179,20 @@ class ShardedGraph(_ShardBase):
         """
         view = ShardedGraph.__new__(ShardedGraph)
         view.__dict__.update(self.__dict__)
-        view.blocks = blocks
+        view.relation_blocks = {None: blocks}
         view._in_edge_index = None
         degrees = np.zeros(self.num_local_nodes, dtype=np.int64)
         for block in blocks:
             if block.num_edges:
                 degrees += np.bincount(block.dst_local, minlength=self.num_local_nodes)
-        view.local_in_degrees = degrees
+        view.relation_in_degrees = {None: degrees}
         return view
 
     def __repr__(self) -> str:
         return (
             f"ShardedGraph(rank={self.rank}/{self.num_parts}, "
-            f"local_nodes={self.num_local_nodes}, halo={self.halo_size})"
+            f"local_nodes={self.num_local_nodes}, halo={self.halo_size}, "
+            f"relations={list(self.relation_blocks)})"
         )
 
     @property
@@ -190,8 +206,13 @@ class ShardedGraph(_ShardBase):
 
     @property
     def halo_size(self) -> int:
-        """Total number of unique remote source rows this worker must fetch."""
-        return sum(b.num_required_src for q, b in enumerate(self.blocks) if q != self.rank)
+        """Total number of unique remote source rows this worker must fetch
+        (summed over relations)."""
+        return sum(
+            b.num_required_src
+            for blocks in self.relation_blocks.values()
+            for q, b in enumerate(blocks) if q != self.rank
+        )
 
     def feature_store(self, comm, key: str = "feat", name: str = "feat",
                       cache_bytes: Optional[int] = 1 << 22):
@@ -221,37 +242,6 @@ class ShardedGraph(_ShardBase):
             )
         return PartitionedKVStore(comm, self.book, self.node_data[key],
                                   name=name, cache_bytes=cache_bytes)
-
-
-class ShardedHeteroGraph(_ShardBase):
-    """Worker ``rank``'s view of a partitioned heterogeneous graph."""
-
-    def __init__(self, rank: int, book: PartitionBook,
-                 relation_blocks: Dict[str, List[EdgeBlock]],
-                 relation_in_degrees: Dict[str, np.ndarray],
-                 node_data: Optional[Dict[str, np.ndarray]] = None):
-        super().__init__(rank, book, node_data)
-        self.relation_blocks = relation_blocks
-        self.relation_in_degrees = {k: np.asarray(v, dtype=np.int64)
-                                    for k, v in relation_in_degrees.items()}
-
-    @property
-    def relation_names(self) -> List[str]:
-        return list(self.relation_blocks.keys())
-
-    @property
-    def halo_size(self) -> int:
-        return sum(
-            b.num_required_src
-            for blocks in self.relation_blocks.values()
-            for q, b in enumerate(blocks) if q != self.rank
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedHeteroGraph(rank={self.rank}/{self.num_parts}, "
-            f"local_nodes={self.num_local_nodes}, relations={self.relation_names})"
-        )
 
 
 # --------------------------------------------------------------------------- #
@@ -291,16 +281,20 @@ def edge_blocks(book: PartitionBook, rank: int, src: np.ndarray, dst_local: np.n
     return blocks
 
 
-def _split(graph, book: PartitionBook, relations: Dict[Optional[str], tuple]):
-    """Per worker, ``({relation: block row}, {relation: in-degrees}, node data)``.
+def create_shards(graph: Union[Graph, HeteroGraph], book: PartitionBook) -> List[ShardedGraph]:
+    """Split ``graph`` into one :class:`ShardedGraph` per partition.
 
-    A :class:`~repro.graph.graph.Graph` is the one relation ``None``.  Each
-    worker's in-edges reach :func:`edge_blocks` in global edge order.
+    A :class:`~repro.graph.hetero.HeteroGraph` gets one block grid per
+    relation, a :class:`~repro.graph.graph.Graph` one grid for the relation
+    ``None``.  Each worker's in-edges reach :func:`edge_blocks` in global
+    edge order.
     """
     if book.num_nodes != graph.num_nodes:
         raise ValueError(
             f"PartitionBook covers {book.num_nodes} nodes but graph has {graph.num_nodes}"
         )
+    relations = (graph.relations if isinstance(graph, HeteroGraph)
+                 else {None: (graph.src, graph.dst)})
     rows: Dict[Optional[str], List[List[EdgeBlock]]] = {}
     degrees: Dict[Optional[str], np.ndarray] = {}
     for name, (src, dst) in relations.items():
@@ -308,22 +302,10 @@ def _split(graph, book: PartitionBook, relations: Dict[Optional[str], tuple]):
         rows[name] = [edge_blocks(book, p, src[sel], dst_local[sel], edge_pos=sel)
                       for p, sel in enumerate(_group_by_part(dst_part, book.num_parts))]
         degrees[name] = np.bincount(dst, minlength=graph.num_nodes)
+    shards = []
     for p in range(book.num_parts):
         nodes = book.nodes_of(p)
-        yield ({name: row[p] for name, row in rows.items()},
-               {name: degree[nodes] for name, degree in degrees.items()},
-               {k: v[nodes] for k, v in graph.ndata.items()})
-
-
-def create_shards(graph: Graph, book: PartitionBook) -> List[ShardedGraph]:
-    """Split ``graph`` into one :class:`ShardedGraph` per partition."""
-    return [ShardedGraph(p, book, blocks[None], degrees[None], node_data)
-            for p, (blocks, degrees, node_data)
-            in enumerate(_split(graph, book, {None: (graph.src, graph.dst)}))]
-
-
-def create_hetero_shards(hgraph: HeteroGraph, book: PartitionBook) -> List[ShardedHeteroGraph]:
-    """Split a heterogeneous graph into per-worker shards (one block grid per relation)."""
-    return [ShardedHeteroGraph(p, book, blocks, degrees, node_data)
-            for p, (blocks, degrees, node_data)
-            in enumerate(_split(hgraph, book, hgraph.relations))]
+        shards.append(ShardedGraph(p, book, {name: row[p] for name, row in rows.items()},
+                                   {name: degree[nodes] for name, degree in degrees.items()},
+                                   {k: v[nodes] for k, v in graph.ndata.items()}))
+    return shards

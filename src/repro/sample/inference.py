@@ -34,12 +34,11 @@ next, and holds one remote ``G_{p,q}`` halo block at a time (paper §3), so a
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.dist_graph import DistributedGraph, DistributedHeteroGraph
+from repro.core.dist_graph import DistributedGraph
 from repro.distributed.comm import SERVE_FRONTIER_TAG, SERVE_HALO_TAG
 from repro.graph.graph import Graph
 from repro.graph.hetero import HeteroGraph
@@ -235,7 +234,7 @@ class LayerWiseInference:
 
 
 def distributed_layerwise_logits(
-    dist_graph: Union[DistributedGraph, DistributedHeteroGraph],
+    dist_graph: DistributedGraph,
     model,
     features: np.ndarray,
     batch_size: int = 1024,
@@ -256,9 +255,9 @@ def distributed_layerwise_logits(
     Parameters
     ----------
     dist_graph:
-        The worker's :class:`~repro.core.dist_graph.DistributedGraph` or
-        :class:`~repro.core.dist_graph.DistributedHeteroGraph`.  The forward
-        runs under ``restricted(None)``, so whatever scope the caller holds
+        The worker's :class:`~repro.core.dist_graph.DistributedGraph`, over
+        a homogeneous or a relational shard.  The forward runs under
+        ``restricted(None)``, so whatever scope the caller holds
         (an MFG training restriction, or none) is back in force afterwards
         and every row's logits are computed.
     model:
@@ -281,11 +280,8 @@ def distributed_layerwise_logits(
         floating-point reduction order (the per-partition partial sums
         accumulate block-sequentially).
     """
-    if not isinstance(dist_graph, (DistributedGraph, DistributedHeteroGraph)):
-        raise ValueError(
-            "distributed evaluation needs a DistributedGraph or "
-            "DistributedHeteroGraph handle"
-        )
+    if not isinstance(dist_graph, DistributedGraph):
+        raise ValueError("distributed evaluation needs a DistributedGraph handle")
     if isinstance(features, PartitionedKVStore):
         features = features.local_matrix
     elif isinstance(features, FeatureStore):
@@ -295,15 +291,10 @@ def distributed_layerwise_logits(
             f"features has {features.shape[0]} rows but this worker owns "
             f"{dist_graph.num_nodes} nodes"
         )
-    # Only the homogeneous handle has restriction scopes.
-    unrestricted = (
-        dist_graph.restricted(None) if isinstance(dist_graph, DistributedGraph)
-        else nullcontext()
-    )
     was_training = model.training
     model.eval()
     try:
-        with no_grad(), unrestricted:
+        with no_grad(), dist_graph.restricted(None):
             dist_graph.begin_step()
             return model(dist_graph, Tensor(features)).data
     finally:
@@ -397,10 +388,7 @@ def distributed_restricted_logits(
         was computed from the features).
     """
     if not isinstance(dist_graph, DistributedGraph):
-        raise ValueError(
-            "distributed restricted inference supports homogeneous "
-            "DistributedGraph handles only"
-        )
+        raise ValueError("distributed restricted inference needs a DistributedGraph handle")
     comm = dist_graph.comm
     book = dist_graph.shard.book
     rank = comm.rank
@@ -450,8 +438,8 @@ def distributed_restricted_logits(
             # A privately built plan: the block serves one miss set, so
             # entering it in the shared structural cache would only evict
             # plans that are reused.
-            block._plan = EdgePlan(block.src, block.dst, block.num_dst_nodes,
-                                   block.num_src_nodes)
+            block._plans[None] = EdgePlan(block.src, block.dst, block.num_dst_nodes,
+                                          block.num_src_nodes)
         mine = nodes[:0] if block is None else block.src_nodes
         sources = np.unique(np.concatenate(comm.allgather(mine, tag=SERVE_FRONTIER_TAG)))
         if not sources.size:

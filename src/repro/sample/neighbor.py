@@ -2,9 +2,8 @@
 
 A :class:`NeighborSampler` draws, for a set of *seed* nodes, a per-layer
 sampled neighbourhood (DGL/GraphBolt-style "message flow graph" sampling) and
-compacts it into the exact same :class:`~repro.graph.mfg.MFGBlock` /
-:class:`~repro.graph.mfg.MFGHeteroBlock` chains the deterministic MFG
-pipeline uses — so every nn layer, kernel, and edge plan that already runs
+compacts it into the exact same :class:`~repro.graph.mfg.MFGBlock` chains
+the deterministic MFG pipeline uses — so every nn layer, kernel, and edge plan that already runs
 the full-neighbourhood restricted path runs sampled mini-batches unchanged.
 
 Determinism guarantee

@@ -296,11 +296,12 @@ def _check_shards(shards: Sequence[ShardedGraph]) -> List[ShardedGraph]:
     if (
         not isinstance(shards, (list, tuple))
         or not shards
-        or not all(isinstance(s, ShardedGraph) for s in shards)
+        or not all(isinstance(s, ShardedGraph) and None in s.relation_blocks for s in shards)
     ):
         raise ValueError(
-            f"the shard-backed backends serve a non-empty list of ShardedGraph (what "
-            f"repro.partition.shard.create_shards returns), got {type(shards).__name__}"
+            f"the shard-backed backends serve a non-empty list of ShardedGraph of one "
+            f"homogeneous Graph (what repro.partition.shard.create_shards returns), "
+            f"got {type(shards).__name__}"
         )
     shards = list(shards)
     book = shards[0].book

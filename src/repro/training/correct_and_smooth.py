@@ -42,7 +42,7 @@ def _propagate(graph, values: np.ndarray) -> np.ndarray:
     if isinstance(graph, Graph):
         adj = graph.adjacency(normalization="sym")
         return np.asarray(adj @ values)
-    return graph.propagate(values, normalization="sym")
+    return graph.propagate(values)
 
 
 @dataclass

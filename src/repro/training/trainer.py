@@ -26,25 +26,23 @@ from __future__ import annotations
 
 from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.config import SARConfig, SAR
-from repro.core.dist_graph import DistributedGraph, DistributedHeteroGraph, RestrictionLayers
+from repro.core.dist_graph import DistributedGraph, RestrictionLayers
 from repro.core.grad_sync import broadcast_parameters, sync_gradients
-from repro.datasets.synthetic import (
-    HeteroNodeClassificationDataset,
-    NodeClassificationDataset,
-)
+from repro.datasets.synthetic import NodeClassificationDataset
 from repro.distributed.cluster import ClusterRunResult, run_distributed
 from repro.distributed.comm import Communicator
+from repro.graph.graph import Graph
 from repro.graph.hetero import HeteroGraph
 from repro.graph.mfg import build_mfg_pipeline
 from repro.nn.module import Module
 from repro.partition.book import PartitionBook
 from repro.partition.partitioner import partition_graph
-from repro.partition.shard import create_hetero_shards, create_shards
+from repro.partition.shard import create_shards
 from repro.sample.distributed import (
     DistributedNeighborSampler,
     DistributedSamplingPlan,
@@ -327,11 +325,10 @@ def _make_augmenter(config: TrainingConfig, num_classes: int):
     return NoLabelAugmenter(num_classes)
 
 
-def _hetero_graph_of(dataset) -> Optional[HeteroGraph]:
-    """The dataset's relational graph (``None`` for a homogeneous dataset)."""
-    if isinstance(dataset, HeteroNodeClassificationDataset):
-        return dataset.hetero_graph
-    return None
+def _model_graph_of(dataset) -> Union[Graph, HeteroGraph]:
+    """The graph a model trains on: the dataset's relational graph if it has one."""
+    hetero = getattr(dataset, "hetero_graph", None)
+    return dataset.graph if hetero is None else hetero
 
 
 def _local_loss(logits: Tensor, labels: np.ndarray, predict_mask: np.ndarray) -> Tensor:
@@ -497,10 +494,7 @@ class FullBatchTrainer(_EpochLoop):
         self.model = model
         self.dataset = dataset
         self.config = config = config or TrainingConfig()
-        if graph is None:
-            hetero_graph = _hetero_graph_of(dataset)
-            graph = dataset.graph if hetero_graph is None else hetero_graph
-        self.graph = graph
+        self.graph = graph = _model_graph_of(dataset) if graph is None else graph
         num_layers = getattr(model, "num_layers", None)
         config.validate(num_layers, hetero=isinstance(graph, HeteroGraph), distributed=False,
                         num_nodes=graph.num_nodes)
@@ -629,13 +623,9 @@ class _DistributedWorker(_EpochLoop):
         # caller's config is checked here, against this one.  Every rank
         # raises at the same point, so none is left waiting in a setup exchange.
         num_layers = getattr(model, "num_layers", None)
-        hetero = hasattr(shard, "relation_blocks")
-        config.validate(num_layers, hetero=hetero, distributed=True,
+        config.validate(num_layers, hetero=None not in shard.relation_blocks, distributed=True,
                         num_nodes=shard.num_total_nodes)
-        if hetero:
-            self.graph = DistributedHeteroGraph(shard, comm, sar_config)
-        else:
-            self.graph = DistributedGraph(shard, comm, sar_config)
+        self.graph = DistributedGraph(shard, comm, sar_config)
         self._smoothing_graph = self.graph
         #: the persistent MFG restriction — prepared once (its halo routing is
         #: collective), entered for every training step — and the local seed
@@ -811,7 +801,8 @@ class DistributedTrainer:
         self._num_layers: Optional[int] = None
         if config.mfg_seeds is not None or config.sampler is not None:
             self._num_layers = self._probe_num_layers()
-        config.validate(self._num_layers, hetero=_hetero_graph_of(dataset) is not None,
+        config.validate(self._num_layers,
+                        hetero=isinstance(_model_graph_of(dataset), HeteroGraph),
                         distributed=True, num_nodes=dataset.graph.num_nodes)
         dataset.attach_to_graph()
         self.book, self.shards = self._prepare_shards()
@@ -822,12 +813,7 @@ class DistributedTrainer:
         assignment = partition_graph(dataset.graph, self.num_workers,
                                      method=self.partition_method, seed=self.partition_seed)
         book = PartitionBook(assignment, self.num_workers)
-        hetero_graph = _hetero_graph_of(dataset)
-        if hetero_graph is not None:
-            shards = create_hetero_shards(hetero_graph, book)
-        else:
-            shards = create_shards(dataset.graph, book)
-        return book, shards
+        return book, create_shards(_model_graph_of(dataset), book)
 
     def _probe_num_layers(self) -> Optional[int]:
         """Read ``num_layers`` off a throwaway model replica.

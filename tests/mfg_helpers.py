@@ -51,12 +51,9 @@ def assert_same_block(block, expected):
     np.testing.assert_array_equal(block.src_nodes, expected.src_nodes)
     np.testing.assert_array_equal(block.dst_nodes, expected.dst_nodes)
     np.testing.assert_array_equal(block.dst_in_src, expected.dst_in_src)
-    if hasattr(block, "relation_edges"):
-        assert block.relation_names == expected.relation_names
-        pairs = [(block.relation_edges[r], expected.relation_edges[r]) for r in block.relation_names]
-    else:
-        pairs = [((block.src, block.dst), (expected.src, expected.dst))]
-    for (src, dst), (exp_src, exp_dst) in pairs:
+    assert list(block.relation_edges) == list(expected.relation_edges)
+    for relation, (src, dst) in block.relation_edges.items():
+        exp_src, exp_dst = expected.relation_edges[relation]
         assert len(src) == len(exp_src)
         for row in range(block.num_dst_nodes):
             # each destination's sources, in original edge order

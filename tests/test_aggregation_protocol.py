@@ -3,7 +3,7 @@
 A GNN layer calls ``aggregate_neighbors`` / ``gat_aggregate`` /
 ``rgcn_aggregate`` and ``gather_dst`` on whatever graph it is handed
 (:mod:`repro.graph.aggregation`).  These tests pin both halves of that
-contract: the six graph types expose the methods, and the layer modules
+contract: the four graph types expose the methods, and the layer modules
 cannot tell them apart — they import nothing from ``repro.graph`` and call
 no ``isinstance``.
 """
@@ -15,16 +15,16 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import SAR, DistributedGraph, DistributedHeteroGraph
+from repro.core import SAR, DistributedGraph
 from repro.distributed import run_distributed
-from repro.graph import HeteroGraph, MFGBlock, MFGHeteroBlock, build_mfg_pipeline
+from repro.graph import HeteroGraph, MFGBlock, build_mfg_pipeline
 from repro.graph.graph import Graph
-from repro.partition import PartitionBook, create_hetero_shards, create_shards
+from repro.partition import PartitionBook, create_shards
 from repro.tensor import Tensor, ops
 from repro.tensor.sparse import neighbor_aggregate
 
 HOMOGENEOUS = (Graph, MFGBlock, DistributedGraph)
-RELATIONAL = (HeteroGraph, MFGHeteroBlock, DistributedHeteroGraph)
+RELATIONAL = (HeteroGraph, MFGBlock, DistributedGraph)
 LAYER_MODULES = ("sage.py", "gat.py", "gat_fused.py", "rgcn.py")
 
 
@@ -59,9 +59,9 @@ def test_gather_dst_is_the_identity_except_on_mfg_blocks(tiny_graph):
         shard, hshard = shards
         local = Tensor(np.zeros((shard.num_local_nodes, 2)))
         return (DistributedGraph(shard, comm, SAR).gather_dst(local) is local
-                and DistributedHeteroGraph(hshard, comm, SAR).gather_dst(local) is local)
+                and DistributedGraph(hshard, comm, SAR).gather_dst(local) is local)
 
-    shards = list(zip(create_shards(tiny_graph, book), create_hetero_shards(hetero, book)))
+    shards = list(zip(create_shards(tiny_graph, book), create_shards(hetero, book)))
     assert all(run_distributed(worker, 2, worker_args=shards).results)
 
 

@@ -2,6 +2,8 @@
 behaviour (case 1 vs case 2), memory behaviour (SAR vs vanilla DP), and
 gradient synchronization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from repro.core import (
     SAR,
     SARConfig,
     DistributedGraph,
-    DistributedHeteroGraph,
     broadcast_parameters,
     parameters_in_sync,
     sync_gradients,
@@ -20,7 +21,6 @@ from repro.datasets import make_hetero_sbm_dataset
 from repro.distributed import run_distributed
 from repro.partition import (
     PartitionBook,
-    create_hetero_shards,
     create_shards,
     partition_graph,
 )
@@ -252,7 +252,7 @@ class TestDistributedRGCNAggregation:
         hetero = dataset.hetero_graph
         assignment = partition_graph(dataset.graph, WORLD, seed=0)
         book = PartitionBook(assignment, WORLD)
-        shards = create_hetero_shards(hetero, book)
+        shards = create_shards(hetero, book)
         return hetero, book, shards
 
     @pytest.mark.parametrize("mode", ["sar", "dp"])
@@ -267,7 +267,7 @@ class TestDistributedRGCNAggregation:
         def worker(rank, comm, shard):
             replica = nn.RelGraphConv(6, 5, ["a", "b"], num_bases=2)
             replica.load_state_dict(state)
-            dg = DistributedHeteroGraph(shard, comm, SARConfig(mode=mode))
+            dg = DistributedGraph(shard, comm, SARConfig(mode=mode))
             dg.begin_step()
             x = Tensor(x_full[shard.global_node_ids], requires_grad=True)
             out = replica(dg, x)
@@ -290,6 +290,32 @@ class TestDistributedRGCNAggregation:
         # Case 2 communication behaviour.
         refetches = ["backward_refetch" in r[2] for r in result.results]
         assert all(refetches) if mode == "sar" else not any(refetches)
+
+    @pytest.mark.parametrize("mode", ["sar", "dp"])
+    def test_outputs_and_gradients_are_pinned(self, hetero_setup, mode):
+        """Per rank, the layer's output and the input and parameter gradients
+        are fixed bit for bit — the same under SAR and DP, whose block order
+        and reductions agree."""
+        hetero, _, shards = hetero_setup
+        x_full = np.random.default_rng(0).standard_normal((hetero.num_nodes, 6)).astype(np.float32)
+        set_seed(9)
+        state = nn.RelGraphConv(6, 5, ["a", "b"], num_bases=2).state_dict()
+
+        def worker(rank, comm, shard):
+            replica = nn.RelGraphConv(6, 5, ["a", "b"], num_bases=2)
+            replica.load_state_dict(state)
+            dg = DistributedGraph(shard, comm, SARConfig(mode=mode))
+            dg.begin_step()
+            x = Tensor(x_full[shard.global_node_ids], requires_grad=True)
+            out = replica(dg, x)
+            (out ** 2).sum().backward()
+            return [out.data, x.grad] + [p.grad for p in replica.parameters()]
+
+        sha = hashlib.sha256()
+        for arrays in run_distributed(worker, WORLD, worker_args=shards).results:
+            for array in arrays:
+                sha.update(np.ascontiguousarray(array, dtype="<f4").tobytes())
+        assert sha.hexdigest()[:16] == "21364ce6609e7072"
 
 
 # --------------------------------------------------------------------------- #

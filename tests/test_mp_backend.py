@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import SARConfig
-from repro.datasets import make_sbm_dataset
+from repro.datasets import make_hetero_sbm_dataset, make_sbm_dataset
 from repro.distributed import mp_backend
 from repro.distributed.cluster import run_distributed
 from repro.distributed.comm import STREAM_KEY_PREFIX
@@ -163,6 +163,31 @@ def _sar_gat_training_worker(rank, comm, shard, *, config, feature_dim, num_clas
     out = distributed_train_worker(
         rank, comm, shard,
         model_factory=_gat_model,
+        feature_dim=feature_dim,
+        num_classes=num_classes,
+        config=config,
+        sar_config=SARConfig("sar"),
+    )
+    return [r.loss for r in out["records"]]
+
+
+RGCN_RELATIONS = ("cites", "writes")
+
+
+def _rgcn_model(dim, num_classes=4):
+    from repro.nn.models import RGCNNet
+
+    with temp_seed(0):
+        return RGCNNet(dim, 8, num_classes, RGCN_RELATIONS, num_layers=2,
+                       dropout=0.0, use_batch_norm=True)
+
+
+def _sar_rgcn_training_worker(rank, comm, shard, *, config, feature_dim, num_classes):
+    from repro.training.trainer import distributed_train_worker
+
+    out = distributed_train_worker(
+        rank, comm, shard,
+        model_factory=_rgcn_model,
         feature_dim=feature_dim,
         num_classes=num_classes,
         config=config,
@@ -377,6 +402,31 @@ class TestMultiprocessBackend:
         assert processes.peak_memory_bytes == threads.peak_memory_bytes
         assert min(processes.peak_memory_bytes) > 0
         assert all(t > 0 for t in processes.compute_times)
+
+    def test_sar_rgcn_training_epoch_matches_thread_backend(self):
+        # R-GCN on processes: one engine pass per relation, each with its own
+        # halo routing, re-fetch and error exchange, trains to the same loss
+        # and moves the same per-rank bytes as over threads.
+        dataset = make_hetero_sbm_dataset(
+            "mp-rgcn", num_nodes=120, num_classes=4, feature_dim=8,
+            relation_specs={"cites": {"p_in": 0.1, "p_out": 0.01},
+                            "writes": {"p_in": 0.05, "p_out": 0.02}}, seed=5,
+        )
+        dataset.attach_to_graph()
+        config = TrainingConfig(num_epochs=1, lr=0.05, eval_every=0, seed=0)
+        book = PartitionBook(partition_graph(dataset.graph, 2, seed=0), 2)
+        shards = create_shards(dataset.hetero_graph, book)
+        kwargs = dict(config=config, feature_dim=dataset.feature_dim,
+                      num_classes=dataset.num_classes)
+        threads = run_distributed(_sar_rgcn_training_worker, 2, worker_args=shards, **kwargs)
+        processes = run_multiprocess(
+            _sar_rgcn_training_worker, world_size=2, worker_args=shards, timeout_s=120, **kwargs)
+        for losses, mp_losses in zip(threads.results, processes.results):
+            np.testing.assert_allclose(mp_losses, losses, rtol=0, atol=1e-6)
+        received = threads.total_received_by_tag()
+        assert {"forward_halo", "backward_refetch", "backward_error", "grad_sync"} <= set(received)
+        for stats, mp_stats in zip(threads.comm_stats, processes.comm_stats):
+            assert mp_stats.received_by_tag == stats.received_by_tag
 
     @pytest.mark.parametrize(
         "mode, world_size, eval_inference",

@@ -1,16 +1,17 @@
 """Tests for the partitioner, partition book, and shard construction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.datasets import ogbn_papers_mini, ogbn_products_mini
+from repro.datasets import ogbn_mag_mini, ogbn_papers_mini, ogbn_products_mini
 from repro.graph import Graph, star_graph
 from repro.partition import (
     PartitionBook,
     balance_ratio,
     create_shards,
-    create_hetero_shards,
     edge_cut,
     partition_graph,
     partition_sizes,
@@ -243,7 +244,7 @@ class TestShards:
         hg = HeteroGraph(6, relations)
         assignment = np.array([0, 0, 1, 1, 2, 2])
         book = PartitionBook(assignment, 3)
-        shards = create_hetero_shards(hg, book)
+        shards = create_shards(hg, book)
         for relation, (src, _) in relations.items():
             total = sum(
                 blocks.num_edges
@@ -251,3 +252,37 @@ class TestShards:
                 for blocks in shard.relation_blocks[relation]
             )
             assert total == len(src)
+
+
+def _shard_grid_digest(shards) -> str:
+    sha = hashlib.sha256()
+    for shard in shards:
+        for name, blocks in shard.relation_blocks.items():
+            sha.update(repr(name).encode())
+            sha.update(np.asarray(shard.relation_in_degrees[name], dtype="<i8").tobytes())
+            for b in blocks:
+                sha.update(np.asarray([b.src_rank, b.dst_rank, b.num_dst], dtype="<i8").tobytes())
+                for ids in (b.required_src_local, b.src_index, b.dst_local, b.edge_pos):
+                    sha.update(np.asarray(ids, dtype="<i8").tobytes())
+        for key in sorted(shard.node_data):
+            sha.update(key.encode())
+            sha.update(np.ascontiguousarray(shard.node_data[key]).tobytes())
+    return sha.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("kind, num_parts, expected", [
+    ("relational", 2, "51d9f335944312fb"),
+    ("relational", 3, "aab0a5ef557b644b"),
+    ("homogeneous", 2, "53cb38bae3f50ac7"),
+    ("homogeneous", 3, "fffac75cf8f90f25"),
+])
+def test_shard_grids_are_pinned(kind, num_parts, expected):
+    """Every ``G_{p,q}`` block (ids, per-edge indices, global edge positions),
+    the per-relation in-degrees and the node-data slices of ``mag_mini``'s
+    shards are fixed: a relational graph cuts one grid per relation, its
+    homogeneous union the one grid of the relation ``None``."""
+    dataset = ogbn_mag_mini(scale=0.2)
+    dataset.attach_to_graph()
+    graph = dataset.hetero_graph if kind == "relational" else dataset.graph
+    book = PartitionBook(partition_graph(dataset.graph, num_parts, seed=0), num_parts)
+    assert _shard_grid_digest(create_shards(graph, book)) == expected

@@ -301,8 +301,7 @@ def test_fanout_check_accepts_integers_everywhere(entry, spec):
 def _sampled_edges_digest(pipeline) -> str:
     sha = hashlib.sha256()
     for block in pipeline.blocks:
-        edges = getattr(block, "relation_edges", None) or {None: (block.src, block.dst)}
-        for name, (src, dst) in edges.items():
+        for name, (src, dst) in block.relation_edges.items():
             sha.update(repr(name).encode())
             for ids in (block.src_nodes[src], block.dst_nodes[dst]):
                 sha.update(np.asarray(ids, dtype="<i8").tobytes())

@@ -20,7 +20,6 @@ from repro.core import (
     SAR,
     SARConfig,
     DistributedGraph,
-    DistributedHeteroGraph,
     broadcast_parameters,
     sync_gradients,
 )
@@ -35,7 +34,6 @@ from repro.distributed import (
 )
 from repro.partition import (
     PartitionBook,
-    create_hetero_shards,
     create_shards,
     partition_graph,
 )
@@ -307,7 +305,7 @@ class TestPrefetchPipeline:
         hetero = dataset.hetero_graph
         assignment = partition_graph(dataset.graph, WORLD, seed=0)
         hbook = PartitionBook(assignment, WORLD)
-        hshards = create_hetero_shards(hetero, hbook)
+        hshards = create_shards(hetero, hbook)
         set_seed(9)
         layer = nn.RelGraphConv(6, 5, ["a", "b"], num_bases=2)
         x_full = rng.standard_normal((hetero.num_nodes, 6)).astype(np.float32)
@@ -317,7 +315,7 @@ class TestPrefetchPipeline:
         def hetero_worker(rank, comm, shard):
             replica = nn.RelGraphConv(6, 5, ["a", "b"], num_bases=2)
             replica.load_state_dict(state)
-            dg = DistributedHeteroGraph(shard, comm, SAR_PREFETCH)
+            dg = DistributedGraph(shard, comm, SAR_PREFETCH)
             dg.begin_step()
             x = Tensor(x_full[shard.global_node_ids], requires_grad=True)
             out = replica(dg, x)

@@ -193,8 +193,9 @@ def test_block_from_in_edges_matches_the_mask_built_block():
     block = block_from_in_edges(graph.in_edge_index(), dst_nodes)
     keep = np.isin(graph.dst, dst_nodes)
     src_nodes = np.union1d(graph.src[keep], dst_nodes)
-    expected = MFGBlock(src_nodes, dst_nodes, np.searchsorted(src_nodes, graph.src[keep]),
-                        np.searchsorted(dst_nodes, graph.dst[keep]),
+    expected = MFGBlock(src_nodes, dst_nodes,
+                        {None: (np.searchsorted(src_nodes, graph.src[keep]),
+                                np.searchsorted(dst_nodes, graph.dst[keep]))},
                         np.searchsorted(src_nodes, dst_nodes))
     assert_same_block(block, expected)
 

@@ -1,4 +1,4 @@
-"""Check that every relative markdown link in the documentation resolves.
+"""Check that the documentation's links and cross-references resolve.
 
 Walks ``README.md`` and ``docs/*.md``, extracts inline links
 (``[text](target)``), and fails when a relative target — optionally carrying
@@ -6,15 +6,23 @@ a ``#fragment`` — does not exist on disk.  External links (``http://``,
 ``https://``, ``mailto:``) are accepted without network access, and bare
 anchors (``#section``) are checked against the headings of the same file.
 
+It also imports every Sphinx-style cross-reference to the package
+(``:class:`~repro.graph.Graph```, ``:meth:`text <repro.….name>```, and the
+``:func:``, ``:attr:``, ``:data:`` and ``:mod:`` roles) found in the
+docstrings under ``src/`` and in ``docs/*.md``, and fails when the named
+module or attribute does not exist.  A reference may wrap across lines.  The
+package must be importable (``PYTHONPATH=src``).
+
 Usage::
 
-    python tools/check_docs.py            # repo root inferred from this file
-    python tools/check_docs.py --root .   # explicit repo root
+    PYTHONPATH=src python tools/check_docs.py            # repo root inferred
+    PYTHONPATH=src python tools/check_docs.py --root .   # explicit repo root
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -24,6 +32,9 @@ _LINK = re.compile(r"(?<!!)\[[^\]]*\]\(([^)\s]+)\)")
 _CODE_SPAN = re.compile(r"`[^`]*`")
 _FENCE = re.compile(r"^(```|~~~)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$")
+# A role, its backticked target, and an optional ``text <target>`` form.
+_XREF = re.compile(r":(?:class|func|meth|attr|data|mod):`([^`]+)`")
+_XREF_TARGET = re.compile(r"<([^<>]+)>\s*$")
 
 
 def _slugify(heading: str) -> str:
@@ -78,6 +89,40 @@ def check_file(path: Path) -> list[str]:
     return errors
 
 
+def _resolves(target: str) -> bool:
+    """Whether ``repro.a.b.C.name`` imports: the longest importable module
+    prefix, then attribute lookups for the rest."""
+    parts = target.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+def check_xrefs(path: Path) -> tuple[list[str], int]:
+    """Unresolvable ``repro.…`` cross-references in one file, and how many it has."""
+    text = path.read_text()
+    errors, count = [], 0
+    for match in _XREF.finditer(text):
+        body = match.group(1)
+        inner = _XREF_TARGET.search(body)
+        target = re.sub(r"\s+", "", inner.group(1) if inner else body).lstrip("~")
+        if not target.startswith("repro."):
+            continue
+        count += 1
+        if not _resolves(target):
+            line = text.count("\n", 0, match.start()) + 1
+            errors.append(f"{path}:{line}: unresolvable reference {target!r}")
+    return errors, count
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -97,10 +142,19 @@ def main(argv=None) -> int:
     errors = []
     for path in files:
         errors.extend(check_file(path))
-    for error in errors:
-        print(error)
     print(f"checked {len(files)} files: {len(errors)} broken link(s)")
-    return 1 if errors else 0
+
+    xref_files = sorted((root / "src").rglob("*.py")) + files[1:]
+    xref_errors, xrefs = [], 0
+    for path in xref_files:
+        found, count = check_xrefs(path)
+        xref_errors.extend(found)
+        xrefs += count
+    print(f"checked {xrefs} cross-references in {len(xref_files)} files: "
+          f"{len(xref_errors)} unresolvable")
+    for error in errors + xref_errors:
+        print(error)
+    return 1 if errors or xref_errors else 0
 
 
 if __name__ == "__main__":
