@@ -19,7 +19,7 @@ WORKER_COUNTS = (4, 8, 16)
 
 
 def _factory(dataset):
-    relations = dataset.hetero_graph.relation_names
+    relations = dataset.graph.relation_names
     return lambda in_f: nn.RGCNNet(in_f, 32, dataset.num_classes, relations,
                                    num_bases=2, dropout=0.0)
 

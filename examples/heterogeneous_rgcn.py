@@ -22,9 +22,9 @@ from repro.utils.seed import set_seed
 def main() -> None:
     set_seed(0)
     dataset = ogbn_mag_mini(scale=0.5)
-    relations = dataset.hetero_graph.relation_names
+    relations = dataset.graph.relation_names
     print("Dataset:", dataset.summary())
-    print("Relations:", {r: dataset.hetero_graph.num_edges_of(r) for r in relations})
+    print("Relations:", {r: len(src) for r, (src, _) in dataset.graph.relation_edges.items()})
 
     def factory(in_features: int) -> nn.Module:
         return nn.RGCNNet(in_features, hidden_features=32,

@@ -1,8 +1,8 @@
 """The distributed graph handle.
 
 A :class:`DistributedGraph` is the object a worker passes to unmodified model
-code in place of a regular :class:`~repro.graph.graph.Graph` or
-:class:`~repro.graph.hetero.HeteroGraph`: it speaks the same aggregation
+code in place of a regular :class:`~repro.graph.graph.Graph`, homogeneous or
+relational: it speaks the same aggregation
 protocol (:mod:`repro.graph.aggregation`), and runs each aggregation through
 the SAR / domain-parallel machinery.  This mirrors how the SAR library swaps
 DGL's graph for a ``GraphShardManager`` while the model definition stays
@@ -150,7 +150,7 @@ class DistributedGraph:
         self.engine.feature_store = store
 
     def in_edge_index(self):
-        """This worker's complete per-local-dst in-edge buckets.
+        """This worker's complete per-local-dst in-edge buckets, ``{None: …}``.
 
         Delegates to :meth:`repro.partition.shard.ShardedGraph.
         in_edge_index` (cached there): destinations local, sources and edge
@@ -298,9 +298,9 @@ class DistributedGraph:
         framework as SAR" because it is the same kind of neighbourhood
         aggregation, just without trainable parameters or a backward pass.
         Computes :math:`D^{-1/2} A D^{-1/2}` ``values`` with global degrees,
-        ``A`` summing every relation's edges — the adjacency of
-        :meth:`HeteroGraph.to_homogeneous
-        <repro.graph.hetero.HeteroGraph.to_homogeneous>`.
+        ``A`` summing every relation's edges — the single-machine
+        :meth:`Graph.adjacency <repro.graph.graph.Graph.adjacency>` over the
+        graph's ``src``/``dst`` union.
         """
         key = self._next_key("prop")
         values = np.asarray(values, dtype=np.float32)

@@ -2,7 +2,6 @@
 
 from repro.datasets.synthetic import (
     NodeClassificationDataset,
-    HeteroNodeClassificationDataset,
     make_sbm_dataset,
     make_hetero_sbm_dataset,
     class_correlated_features,
@@ -18,7 +17,6 @@ from repro.datasets.ogb_like import (
 
 __all__ = [
     "NodeClassificationDataset",
-    "HeteroNodeClassificationDataset",
     "make_sbm_dataset",
     "make_hetero_sbm_dataset",
     "class_correlated_features",

@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 from repro.datasets.synthetic import (
-    HeteroNodeClassificationDataset,
     NodeClassificationDataset,
     make_hetero_sbm_dataset,
     make_sbm_dataset,
@@ -73,8 +72,8 @@ def ogbn_papers_mini(scale: float = 1.0, seed: int = 1) -> NodeClassificationDat
     )
 
 
-def ogbn_mag_mini(scale: float = 1.0, seed: int = 2) -> HeteroNodeClassificationDataset:
-    """MAG-like heterogeneous graph: 4 relations of varying informativeness."""
+def ogbn_mag_mini(scale: float = 1.0, seed: int = 2) -> NodeClassificationDataset:
+    """MAG-like relational graph: 4 relations of varying informativeness."""
     num_nodes = check_positive_int(int(2000 * scale), "num_nodes")
     relation_specs: Dict[str, Dict[str, float]] = {
         "cites": {"p_in": min(1.0, 0.030 / scale), "p_out": min(1.0, 0.0010 / scale)},

@@ -22,14 +22,18 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.graph.generators import stochastic_block_model
-from repro.graph.hetero import HeteroGraph
 from repro.utils.seed import temp_seed
 from repro.utils.validation import check_positive_int, check_probability
 
 
 @dataclass
 class NodeClassificationDataset:
-    """A graph with features, labels, and train/val/test node splits."""
+    """A graph with features, labels, and train/val/test node splits.
+
+    ``graph`` is the graph the model trains on: homogeneous, or relational
+    (:func:`make_hetero_sbm_dataset`), whose ``src``/``dst`` union the
+    partitioner and Correct & Smooth read.
+    """
 
     name: str
     graph: Graph
@@ -83,21 +87,6 @@ class NodeClassificationDataset:
             "val_nodes": int(self.val_mask.sum()),
             "test_nodes": int(self.test_mask.sum()),
         }
-
-
-@dataclass
-class HeteroNodeClassificationDataset(NodeClassificationDataset):
-    """Heterogeneous variant: ``graph`` is replaced by a :class:`HeteroGraph`."""
-
-    hetero_graph: Optional[HeteroGraph] = None
-
-    def attach_to_graph(self) -> None:
-        target = self.hetero_graph if self.hetero_graph is not None else self.graph
-        target.set_ndata("feat", self.features)
-        target.set_ndata("label", self.labels)
-        target.set_ndata("train_mask", self.train_mask)
-        target.set_ndata("val_mask", self.val_mask)
-        target.set_ndata("test_mask", self.test_mask)
 
 
 # --------------------------------------------------------------------------- #
@@ -176,8 +165,8 @@ def make_hetero_sbm_dataset(name: str, num_nodes: int, num_classes: int, feature
                             signal: float = 1.0, noise: float = 1.5,
                             train_frac: float = 0.5, val_frac: float = 0.2,
                             test_frac: float = 0.3, seed: int = 0
-                            ) -> HeteroNodeClassificationDataset:
-    """Generate a heterogeneous dataset: one SBM edge set per relation.
+                            ) -> NodeClassificationDataset:
+    """Generate a relational dataset: one SBM edge set per relation.
 
     ``relation_specs`` maps relation name → ``{"p_in": …, "p_out": …}``; each
     relation is generated independently over the same node/label assignment,
@@ -194,17 +183,16 @@ def make_hetero_sbm_dataset(name: str, num_nodes: int, num_classes: int, feature
             block_sizes, spec["p_in"], spec["p_out"], seed=seed + index
         )
         relations[rel_name] = (graph_r.src, graph_r.dst)
-    hetero = HeteroGraph(int(sum(block_sizes)), relations)
+    graph = Graph.from_relations(int(sum(block_sizes)), relations)
     with temp_seed(seed + 100) as rng:
         features = class_correlated_features(labels, num_classes, feature_dim,
                                              signal=signal, noise=noise, rng=rng)
         train_mask, val_mask, test_mask = random_split(
-            hetero.num_nodes, train_frac, val_frac, test_frac, rng=rng
+            graph.num_nodes, train_frac, val_frac, test_frac, rng=rng
         )
-    homogeneous, _ = hetero.to_homogeneous()
-    dataset = HeteroNodeClassificationDataset(
+    dataset = NodeClassificationDataset(
         name=name,
-        graph=homogeneous,
+        graph=graph,
         features=features,
         labels=labels.astype(np.int64),
         train_mask=train_mask,
@@ -212,7 +200,6 @@ def make_hetero_sbm_dataset(name: str, num_nodes: int, num_classes: int, feature
         test_mask=test_mask,
         num_classes=num_classes,
         metadata={"seed": seed, "num_relations": len(relation_specs)},
-        hetero_graph=hetero,
     )
     dataset.attach_to_graph()
     return dataset

@@ -1,7 +1,6 @@
 """Graph substrate: data structures, generators, and MFG utilities."""
 
 from repro.graph.graph import Graph
-from repro.graph.hetero import HeteroGraph
 from repro.graph.generators import (
     stochastic_block_model,
     erdos_renyi,
@@ -20,7 +19,6 @@ from repro.graph.mfg import (
 
 __all__ = [
     "Graph",
-    "HeteroGraph",
     "stochastic_block_model",
     "erdos_renyi",
     "barabasi_albert",

@@ -1,13 +1,14 @@
 """The aggregation protocol every graph type speaks.
 
 A GNN layer never asks what kind of graph it was given.  It calls
-``aggregate_neighbors`` / ``gat_aggregate`` (homogeneous graphs) or
-``rgcn_aggregate`` (relational graphs) for the neighbour aggregation and
-``gather_dst`` for its self/residual term, and the graph runs them its own
-way: single-machine graphs and compacted MFG blocks through their
-:class:`~repro.tensor.edge_plan.EdgePlan` (the two mixins below), distributed
-handles (:mod:`repro.core.dist_graph`) through the SAR / domain-parallel
-engine.  That is the paper's "the model code is identical in all settings".
+``aggregate_neighbors`` / ``gat_aggregate`` (over the relation ``None`` of a
+homogeneous graph) or ``rgcn_aggregate`` (over named relations) for the
+neighbour aggregation and ``gather_dst`` for its self/residual term, and the
+graph runs them its own way: single-machine graphs and compacted MFG blocks
+through their per-relation :class:`~repro.tensor.edge_plan.EdgePlan` (the
+mixin below), distributed handles (:mod:`repro.core.dist_graph`) through the
+SAR / domain-parallel engine.  That is the paper's "the model code is
+identical in all settings".
 
 ``gather_dst(x)`` maps a per-source-row tensor to the output rows: an MFG
 block gathers its destination rows, every other graph returns ``x`` itself.
@@ -15,20 +16,40 @@ block gathers its destination rows, every other graph returns ``x`` itself.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.tensor import ops
+from repro.tensor.edge_plan import EdgePlan
 from repro.tensor.sparse import GATAggregation, neighbor_aggregate, pool_aggregate
 from repro.tensor.tensor import Tensor
 
 
 class NeighborAggregation:
-    """``aggregate_neighbors`` and ``gat_aggregate`` over ``self.plan()``
-    (mixed into :class:`~repro.graph.graph.Graph` and
-    :class:`~repro.graph.mfg.MFGBlock`)."""
+    """The protocol over ``self.relation_plan(relation)``, for a class holding
+    ``relation_edges = {relation: (src, dst)}`` (mixed into
+    :class:`~repro.graph.graph.Graph` and :class:`~repro.graph.mfg.MFGBlock`).
+
+    ``aggregate_neighbors`` and ``gat_aggregate`` run over :meth:`plan`, the
+    relation ``None``'s plan, and raise ``KeyError`` naming the relations on
+    a relational graph.
+    """
 
     def gather_dst(self, x):
         return x
+
+    def plan(self) -> EdgePlan:
+        """The edge plan of the relation ``None`` (a homogeneous graph's)."""
+        return self.relation_plan(None)
+
+    def _edges_of(self, relation: Optional[str]) -> Tuple[np.ndarray, np.ndarray]:
+        try:
+            return self.relation_edges[relation]
+        except KeyError:
+            raise KeyError(
+                f"no relation {relation!r}; this graph has relations {list(self.relation_edges)}"
+            ) from None
 
     def aggregate_neighbors(self, z: Tensor, op: str = "mean") -> Tensor:
         """Sum/mean (SpMM) or max/min (pooling) of ``z`` over in-neighbours."""
@@ -43,15 +64,6 @@ class NeighborAggregation:
         # Destination scores live in the destination row space.
         return GATAggregation.apply(z, self.gather_dst(score_dst), score_src, self.plan(),
                                     negative_slope, fused)
-
-
-class RelationalAggregation:
-    """``rgcn_aggregate`` over ``self.relation_plan(name)`` (mixed into
-    :class:`~repro.graph.hetero.HeteroGraph` and
-    :class:`~repro.graph.mfg.MFGBlock`)."""
-
-    def gather_dst(self, x):
-        return x
 
     def rgcn_aggregate(self, x: Tensor, relation_weights: Tensor,
                        relation_names: Sequence[str], in_features: int,

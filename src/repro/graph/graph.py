@@ -1,15 +1,19 @@
 """Graph data structure.
 
-A :class:`Graph` stores a directed edge list in COO form (``src``/``dst``
-arrays) together with named node-data arrays, and lazily builds the edge
-plan the message-passing kernels run through.  Messages flow
-from ``src`` to ``dst`` — i.e. node ``i`` aggregates over its *in*-edges,
-matching the paper's formulation ``h_i = f(Agg({m_{j→i} : j ∈ N(i)}))``.
+A :class:`Graph` stores directed edge lists in COO form, one ``(src, dst)``
+pair per relation in :attr:`Graph.relation_edges`, together with named
+node-data arrays, and lazily builds the per-relation edge plans the
+message-passing kernels run through.  A homogeneous graph is the one
+relation ``None`` (DGL's convention); a relational graph (the R-GCN
+substrate of Appendix A) names its relations over one shared node-id space.
+Messages flow from ``src`` to ``dst`` — i.e. node ``i`` aggregates over its
+*in*-edges, matching the paper's formulation
+``h_i = f(Agg({m_{j→i} : j ∈ N(i)}))``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,10 +25,10 @@ from repro.utils.validation import check_1d_int_array, check_positive_int
 
 
 class Graph(NeighborAggregation):
-    """A directed graph with node data.
+    """A directed graph with node data and one edge list per relation.
 
     The nn layers aggregate over it through the protocol of
-    :mod:`repro.graph.aggregation`, executed on the graph's edge plan.
+    :mod:`repro.graph.aggregation`, executed on the graph's edge plans.
 
     Parameters
     ----------
@@ -32,28 +36,65 @@ class Graph(NeighborAggregation):
         Number of nodes (node ids are ``0 … num_nodes-1``).
     src, dst:
         Edge endpoint arrays of equal length; edge ``e`` carries messages
-        from ``src[e]`` to ``dst[e]``.
+        from ``src[e]`` to ``dst[e]``.  They become the relation ``None``;
+        :meth:`from_relations` builds a graph of named relations instead.
     ndata:
         Optional mapping of named per-node arrays (features, labels, masks);
         every array's first dimension must equal ``num_nodes``.
+
+    Attributes
+    ----------
+    relation_edges:
+        ``{relation: (src, dst)}`` in relation order.
+    src, dst:
+        Every relation's edges concatenated in relation order — the union
+        that degrees, :meth:`adjacency`, the partitioner and Correct & Smooth
+        read.
     """
 
     def __init__(self, num_nodes: int, src, dst,
                  ndata: Optional[Dict[str, np.ndarray]] = None):
+        self._build(num_nodes, {None: (src, dst)}, ndata)
+
+    @classmethod
+    def from_relations(cls, num_nodes: int,
+                       relations: Mapping[str, Tuple[np.ndarray, np.ndarray]],
+                       ndata: Optional[Dict[str, np.ndarray]] = None) -> "Graph":
+        """A graph of named relations, ``relations = {name: (src, dst)}``.
+
+        Relations keep the mapping's order, which fixes :attr:`src` /
+        :attr:`dst` and each relation's sampling key.
+        """
+        if not relations or None in relations:
+            raise ValueError("from_relations needs at least one relation, none named None")
+        graph = cls.__new__(cls)
+        graph._build(num_nodes, relations, ndata)
+        return graph
+
+    def _build(self, num_nodes: int, relations: Mapping, ndata) -> None:
         self.num_nodes = check_positive_int(num_nodes, "num_nodes")
-        self.src = check_1d_int_array(src, "src", max_value=self.num_nodes)
-        self.dst = check_1d_int_array(dst, "dst", max_value=self.num_nodes)
-        if len(self.src) != len(self.dst):
-            raise ValueError(
-                f"src and dst must have equal length, got {len(self.src)} and {len(self.dst)}"
-            )
+        self.relation_edges: Dict[Optional[str], Tuple[np.ndarray, np.ndarray]] = {}
+        for name, (src, dst) in relations.items():
+            label = "" if name is None else f"relations[{name!r}]."
+            src = check_1d_int_array(src, f"{label}src", max_value=self.num_nodes)
+            dst = check_1d_int_array(dst, f"{label}dst", max_value=self.num_nodes)
+            if len(src) != len(dst):
+                raise ValueError(
+                    f"{label}src and dst must have equal length, got {len(src)} and {len(dst)}"
+                )
+            self.relation_edges[name] = (src, dst)
+        if None in self.relation_edges:  # one edge list: the union is it, uncopied
+            self.src, self.dst = self.relation_edges[None]
+        else:
+            self.src = np.concatenate([src for src, _ in self.relation_edges.values()])
+            self.dst = np.concatenate([dst for _, dst in self.relation_edges.values()])
         self.ndata: Dict[str, np.ndarray] = {}
         if ndata:
             for key, value in ndata.items():
                 self.set_ndata(key, value)
         self._adj_cache: Dict[Tuple[bool, str], sp.csr_matrix] = {}
-        self._plan: Optional[EdgePlan] = None
-        self._in_edge_index: Optional[InEdgeIndex] = None
+        self._plans: Dict[Optional[str], EdgePlan] = {}
+        self._in_edge_index: Optional[Dict[Optional[str], InEdgeIndex]] = None
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -62,8 +103,13 @@ class Graph(NeighborAggregation):
     def num_edges(self) -> int:
         return len(self.src)
 
+    @property
+    def relation_names(self) -> List[Optional[str]]:
+        return list(self.relation_edges)
+
     def __repr__(self) -> str:
-        return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
+        relations = "" if None in self.relation_edges else f", relations={self.relation_names}"
+        return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges}{relations})"
 
     def set_ndata(self, key: str, value: np.ndarray) -> None:
         value = np.asarray(value)
@@ -74,34 +120,38 @@ class Graph(NeighborAggregation):
         self.ndata[key] = value
 
     # ------------------------------------------------------------------ #
-    # the edge plan (sort-once/reduce-many kernel layer)
+    # edge plans and in-edge indexes
     # ------------------------------------------------------------------ #
-    def plan(self) -> EdgePlan:
-        """The graph's :class:`~repro.tensor.edge_plan.EdgePlan`, built lazily.
+    def relation_plan(self, relation: Optional[str]) -> EdgePlan:
+        """One relation's :class:`~repro.tensor.edge_plan.EdgePlan`, built lazily.
 
         The plan caches the destination-sorted edge order and CSR structures
         that every message-passing kernel executes through; after the first
         call no training iteration derives sparsity again.
         """
-        self._plan = self._plan or EdgePlan(self.src, self.dst, self.num_nodes,
-                                            self.num_nodes)
-        return self._plan
+        plan = self._plans.get(relation)
+        if plan is None:
+            src, dst = self._edges_of(relation)
+            plan = self._plans[relation] = EdgePlan(src, dst, self.num_nodes, self.num_nodes)
+        return plan
 
-    def in_edge_index(self) -> InEdgeIndex:
-        """Per-destination in-edge buckets in ascending edge order, built lazily.
+    def in_edge_index(self) -> Dict[Optional[str], InEdgeIndex]:
+        """Per relation, its per-destination in-edge buckets in ascending edge order.
 
-        A cached :class:`~repro.graph.in_edges.InEdgeIndex` (the
+        Cached :class:`~repro.graph.in_edges.InEdgeIndex` es (the
         single-machine twin of :meth:`ShardedGraph.in_edge_index
-        <repro.partition.shard.ShardedGraph.in_edge_index>`): one stable sort
-        of the edge list, after which a node set's complete in-neighbourhoods
-        are read in O(their in-degrees) instead of an O(num_edges) mask.
+        <repro.partition.shard.ShardedGraph.in_edge_index>`), built on first
+        use: one stable sort per relation, after which a node set's complete
+        in-neighbourhoods are read in O(their in-degrees) instead of an
+        O(num_edges) mask.
         """
         if self._in_edge_index is None:
-            self._in_edge_index = InEdgeIndex.from_graph(self)
+            self._in_edge_index = {name: InEdgeIndex(src, dst, self.num_nodes)
+                                   for name, (src, dst) in self.relation_edges.items()}
         return self._in_edge_index
 
     # ------------------------------------------------------------------ #
-    # degrees and adjacency
+    # degrees and adjacency (over the union of the relations)
     # ------------------------------------------------------------------ #
     def in_degrees(self) -> np.ndarray:
         """Number of in-edges per node."""
@@ -146,10 +196,18 @@ class Graph(NeighborAggregation):
         return self._adj_cache[key]
 
     # ------------------------------------------------------------------ #
-    # transformations
+    # transformations (homogeneous graphs only: they would drop the split)
     # ------------------------------------------------------------------ #
+    def _require_homogeneous(self, operation: str) -> None:
+        if None not in self.relation_edges:
+            raise ValueError(
+                f"{operation}() rebuilds a homogeneous Graph; this one has "
+                f"relations {self.relation_names}"
+            )
+
     def add_self_loops(self) -> "Graph":
         """Return a new graph with one ``i → i`` edge added for every node."""
+        self._require_homogeneous("add_self_loops")
         loop = np.arange(self.num_nodes, dtype=np.int64)
         return Graph(
             self.num_nodes,
@@ -158,23 +216,16 @@ class Graph(NeighborAggregation):
             ndata=dict(self.ndata),
         )
 
-    def remove_self_loops(self) -> "Graph":
-        """Return a new graph without ``i → i`` edges."""
-        keep = self.src != self.dst
-        return Graph(self.num_nodes, self.src[keep], self.dst[keep], ndata=dict(self.ndata))
-
-    def reverse(self) -> "Graph":
-        """Return the graph with every edge direction flipped."""
-        return Graph(self.num_nodes, self.dst.copy(), self.src.copy(), ndata=dict(self.ndata))
-
     def to_bidirected(self) -> "Graph":
         """Return a graph containing both directions of every edge (deduplicated)."""
+        self._require_homogeneous("to_bidirected")
         src = np.concatenate([self.src, self.dst])
         dst = np.concatenate([self.dst, self.src])
         return Graph(self.num_nodes, src, dst, ndata=dict(self.ndata)).coalesce()
 
     def coalesce(self) -> "Graph":
         """Return a copy with duplicate edges removed."""
+        self._require_homogeneous("coalesce")
         if self.num_edges == 0:
             return Graph(self.num_nodes, self.src, self.dst, ndata=dict(self.ndata))
         keys = self.src.astype(np.int64) * self.num_nodes + self.dst
@@ -183,69 +234,3 @@ class Graph(NeighborAggregation):
         return Graph(
             self.num_nodes, self.src[unique_idx], self.dst[unique_idx], ndata=dict(self.ndata)
         )
-
-    def is_bidirected(self) -> bool:
-        """Check whether every edge has a reverse counterpart."""
-        fwd = set(zip(self.src.tolist(), self.dst.tolist()))
-        return all((d, s) in fwd for s, d in fwd)
-
-    def in_neighbors(self, node: int) -> np.ndarray:
-        """Source endpoints of the in-edges of ``node``."""
-        return self.src[self.dst == node]
-
-    def out_neighbors(self, node: int) -> np.ndarray:
-        """Destination endpoints of the out-edges of ``node``."""
-        return self.dst[self.src == node]
-
-    # ------------------------------------------------------------------ #
-    # subgraphs
-    # ------------------------------------------------------------------ #
-    def subgraph(self, nodes) -> Tuple["Graph", np.ndarray]:
-        """Node-induced subgraph.
-
-        Returns the subgraph (with nodes relabelled ``0 … len(nodes)-1`` in
-        the order given) and the array of original node ids, so callers can
-        map features and results back and forth.
-        """
-        nodes = check_1d_int_array(nodes, "nodes", max_value=self.num_nodes)
-        lookup = np.full(self.num_nodes, -1, dtype=np.int64)
-        lookup[nodes] = np.arange(len(nodes))
-        mask = (lookup[self.src] >= 0) & (lookup[self.dst] >= 0)
-        sub_ndata = {k: v[nodes] for k, v in self.ndata.items()}
-        sub = Graph(
-            max(len(nodes), 1),
-            lookup[self.src[mask]],
-            lookup[self.dst[mask]],
-            ndata=sub_ndata if len(nodes) else None,
-        )
-        return sub, nodes
-
-    def edge_subgraph_arrays(self, edge_mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Return the (src, dst) arrays of the edges selected by ``edge_mask``."""
-        edge_mask = np.asarray(edge_mask, dtype=bool)
-        if edge_mask.shape != (self.num_edges,):
-            raise ValueError(
-                f"edge_mask must have shape ({self.num_edges},), got {edge_mask.shape}"
-            )
-        return self.src[edge_mask], self.dst[edge_mask]
-
-    # ------------------------------------------------------------------ #
-    # constructors
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_scipy(cls, adj: sp.spmatrix, ndata: Optional[Dict[str, np.ndarray]] = None) -> "Graph":
-        """Build a graph from a sparse adjacency where ``adj[d, s] != 0`` is an edge."""
-        coo = adj.tocoo()
-        return cls(adj.shape[0], coo.col.astype(np.int64), coo.row.astype(np.int64), ndata=ndata)
-
-    @classmethod
-    def from_edge_list(cls, num_nodes: int, edges: Iterable[Tuple[int, int]],
-                       ndata: Optional[Dict[str, np.ndarray]] = None) -> "Graph":
-        """Build a graph from an iterable of ``(src, dst)`` pairs."""
-        edges = list(edges)
-        if edges:
-            src, dst = zip(*edges)
-        else:
-            src, dst = [], []
-        return cls(num_nodes, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64),
-                   ndata=ndata)

@@ -5,8 +5,8 @@ ascending edge-id order, and :func:`candidate_positions` enumerates the
 buckets of a node set.  Together they are the graph-layer primitive under
 the samplers (:mod:`repro.sample`), the full-neighbourhood block builder
 (:func:`repro.graph.mfg.block_from_in_edges`) and the cached
-``Graph.in_edge_index()`` / ``HeteroGraph.in_edge_index()`` /
-``ShardedGraph.in_edge_index()`` accessors.
+``Graph.in_edge_index()`` / ``ShardedGraph.in_edge_index()`` accessors,
+which return one index per relation, ``{relation: InEdgeIndex}``.
 """
 
 from __future__ import annotations
@@ -57,11 +57,6 @@ class InEdgeIndex:
         indptr = np.zeros(self.num_dst_nodes + 1, dtype=np.int64)
         np.cumsum(np.bincount(dst, minlength=self.num_dst_nodes), out=indptr[1:])
         self.indptr = indptr
-
-    @classmethod
-    def from_graph(cls, graph) -> "InEdgeIndex":
-        """Index a homogeneous :class:`~repro.graph.graph.Graph`'s edge list."""
-        return cls(graph.src, graph.dst, graph.num_nodes)
 
     @property
     def num_edges(self) -> int:

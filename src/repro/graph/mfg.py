@@ -16,7 +16,7 @@ of DGL's sampler, and of :class:`~repro.sample.neighbor.NeighborSampler` at
 :func:`mfg_savings` are views of the pipeline's per-level node lists.
 
 Each conv layer becomes one compacted bipartite :class:`MFGBlock` holding
-``{relation: (src, dst)}`` edge sets — a :class:`~repro.graph.graph.Graph`
+the graph's ``{relation: (src, dst)}`` edge sets — a homogeneous graph's
 being the one relation ``None`` — the layer's edges relabelled into the
 compact row spaces of its required source and destination nodes, each
 relation owning a lazily built :class:`~repro.tensor.edge_plan.EdgePlan`.
@@ -36,28 +36,27 @@ outputs bit-identical — not merely close.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.aggregation import NeighborAggregation, RelationalAggregation
+from repro.graph.aggregation import NeighborAggregation
 from repro.graph.graph import Graph
-from repro.graph.hetero import HeteroGraph
 from repro.graph.in_edges import InEdgeIndex, candidate_positions
 from repro.tensor import ops
 from repro.tensor.edge_plan import EdgePlan, cached_plan
 from repro.utils.validation import check_1d_int_array, check_positive_int
 
 
-def message_flow_masks(graph: Union[Graph, HeteroGraph], seed_nodes,
+def message_flow_masks(graph: Graph, seed_nodes,
                        num_layers: int) -> List[np.ndarray]:
     """Per-layer boolean masks of nodes whose features must be computed.
 
     Returns a list of ``num_layers + 1`` masks: entry ``l`` marks the nodes
     whose layer-``l`` activations are required (entry ``0`` is the input
     layer, entry ``num_layers`` the output layer and equals the seed set).
-    On a :class:`~repro.graph.hetero.HeteroGraph` the receptive field expands
-    along every relation at once, as R-GCN layers aggregate over all of them.
+    On a relational graph the receptive field expands along every relation
+    at once, as R-GCN layers aggregate over all of them.
     """
     masks = []
     for nodes in build_mfg_pipeline(graph, seed_nodes, num_layers).node_lists:
@@ -67,13 +66,13 @@ def message_flow_masks(graph: Union[Graph, HeteroGraph], seed_nodes,
     return masks
 
 
-def required_node_counts(graph: Union[Graph, HeteroGraph], seed_nodes,
+def required_node_counts(graph: Graph, seed_nodes,
                          num_layers: int) -> List[int]:
     """Number of nodes whose features must be computed at each layer."""
     return build_mfg_pipeline(graph, seed_nodes, num_layers).required_node_counts()
 
 
-def mfg_savings(graph: Union[Graph, HeteroGraph], seed_nodes, num_layers: int) -> float:
+def mfg_savings(graph: Graph, seed_nodes, num_layers: int) -> float:
     """Fraction of node-feature computations avoided thanks to the MFG restriction.
 
     ``0.0`` means no savings (every node needed at every layer), values close
@@ -89,7 +88,7 @@ def mfg_savings(graph: Union[Graph, HeteroGraph], seed_nodes, num_layers: int) -
 # --------------------------------------------------------------------------- #
 # compacted per-layer blocks (the MFG execution pipeline)
 # --------------------------------------------------------------------------- #
-class MFGBlock(NeighborAggregation, RelationalAggregation):
+class MFGBlock(NeighborAggregation):
     """One conv layer's compacted bipartite edge sets, ``{relation: (src, dst)}``.
 
     ``src_nodes``/``dst_nodes`` are the original (global) ids of the block's
@@ -99,14 +98,13 @@ class MFGBlock(NeighborAggregation, RelationalAggregation):
     space — the row gather every layer's self/residual term runs through
     (:meth:`gather_dst`, which overrides the protocol's identity).
 
-    :attr:`relation_edges` holds, per relation, the graph edges feeding a
-    required destination, relabelled into the compact source/destination row
-    spaces; each destination's edges keep their original order.  A
-    :class:`~repro.graph.graph.Graph`'s block is the one relation ``None``,
-    read by :attr:`src`/:attr:`dst`/:meth:`plan`; a
-    :class:`~repro.graph.hetero.HeteroGraph`'s block names its relations.
-    The block speaks the aggregation protocol of both graph kinds: the
-    aggregation output has :attr:`num_dst_nodes` rows.
+    :attr:`relation_edges` holds, per relation of the graph, the edges
+    feeding a required destination, relabelled into the compact
+    source/destination row spaces; each destination's edges keep their
+    original order.  A homogeneous graph's block is the one relation
+    ``None``, read by :attr:`src`/:attr:`dst`/:meth:`plan`.  The block speaks
+    the graph's aggregation protocol; the aggregation output has
+    :attr:`num_dst_nodes` rows.
     """
 
     def __init__(self, src_nodes: np.ndarray, dst_nodes: np.ndarray,
@@ -153,10 +151,6 @@ class MFGBlock(NeighborAggregation, RelationalAggregation):
         """Destination rows of a source-space per-node tensor (differentiable)."""
         return ops.gather(x, self.dst_in_src)
 
-    def plan(self) -> EdgePlan:
-        """The edge plan of the relation ``None`` (a :class:`~repro.graph.graph.Graph`'s block)."""
-        return self.relation_plan(None)
-
     def relation_plan(self, relation: Optional[str]) -> EdgePlan:
         """One relation's lazily built edge plan.
 
@@ -167,7 +161,7 @@ class MFGBlock(NeighborAggregation, RelationalAggregation):
         """
         plan = self._plans.get(relation)
         if plan is None:
-            src, dst = self.relation_edges[relation]
+            src, dst = self._edges_of(relation)
             plan = self._plans[relation] = cached_plan(src, dst, self.num_dst_nodes,
                                                        self.num_src_nodes)
         return plan
@@ -230,16 +224,15 @@ class MFGPipeline:
         )
 
 
-def build_mfg_pipeline(graph: Union[Graph, HeteroGraph], seed_nodes,
+def build_mfg_pipeline(graph: Graph, seed_nodes,
                        num_layers: int) -> MFGPipeline:
     """Derive the compacted per-layer blocks executing the MFG restriction.
 
     Parameters
     ----------
     graph:
-        The full graph: a :class:`~repro.graph.graph.Graph` yields blocks
-        of the one relation ``None``, a :class:`~repro.graph.hetero.HeteroGraph`
-        blocks of its named relations over the union of their in-neighbours.
+        The full :class:`~repro.graph.graph.Graph`; its blocks hold its
+        relations over the union of their in-neighbours.
     seed_nodes:
         Node ids whose layer-``num_layers`` outputs are required.
     num_layers:
@@ -263,7 +256,7 @@ def build_mfg_pipeline(graph: Union[Graph, HeteroGraph], seed_nodes,
 # one block over known destinations (every receptive-field walk)
 # --------------------------------------------------------------------------- #
 def block_from_in_edges(
-    index: Union[InEdgeIndex, Mapping[str, InEdgeIndex]],
+    index: Mapping[Optional[str], InEdgeIndex],
     dst_rows: np.ndarray,
     dst_nodes: Optional[np.ndarray] = None,
 ) -> MFGBlock:
@@ -274,11 +267,10 @@ def block_from_in_edges(
     *source* id space — they differ on a shard, whose index
     (:meth:`ShardedGraph.in_edge_index
     <repro.partition.shard.ShardedGraph.in_edge_index>`) buckets local
-    destinations over global sources.  A ``{relation: index}`` mapping
-    (:meth:`HeteroGraph.in_edge_index
-    <repro.graph.hetero.HeteroGraph.in_edge_index>`) yields a block of
-    those relations over the union of their in-neighbours, a single index
-    a block of the relation ``None``.
+    destinations over global sources.  ``index`` is a ``{relation:
+    InEdgeIndex}`` mapping (:meth:`Graph.in_edge_index
+    <repro.graph.graph.Graph.in_edge_index>`); the block holds those
+    relations over the union of their in-neighbours.
 
     Edges are enumerated bucket by bucket — per destination in original edge
     order — and handed to :func:`compact_block`, so an ``EdgePlan`` over the
@@ -288,7 +280,7 @@ def block_from_in_edges(
     if dst_nodes is None:
         dst_nodes = dst_rows
     edges = {}
-    for name, relation in (index if isinstance(index, Mapping) else {None: index}).items():
+    for name, relation in index.items():
         starts = relation.indptr[dst_rows]
         positions, dst = candidate_positions(starts, relation.indptr[dst_rows + 1] - starts)
         edges[name] = (relation.src[positions], dst)

@@ -3,8 +3,8 @@
 All three networks follow the paper's experimental setup (Section 4.2 and
 Appendix A): three layers, batch normalization and dropout between layers,
 and a plain classification head.  The same model object runs on a
-single-machine :class:`~repro.graph.graph.Graph` / :class:`HeteroGraph` or on
-a distributed graph handle — only the graph argument changes, mirroring how
+single-machine :class:`~repro.graph.graph.Graph` (homogeneous or relational)
+or on a distributed graph handle — only the graph argument changes, mirroring how
 the SAR library reuses unmodified DGL model code.
 """
 
@@ -63,9 +63,9 @@ class _DeepGNN(Module):
             Conv layer to apply, ``0 <= index < num_layers``.
         graph:
             Anything the conv layers accept: a full
-            :class:`~repro.graph.graph.Graph` / ``HeteroGraph``, one compacted
-            :class:`~repro.graph.mfg.MFGBlock` (of either), or a distributed
-            graph handle.
+            :class:`~repro.graph.graph.Graph`, one compacted
+            :class:`~repro.graph.mfg.MFGBlock` of it, or a distributed graph
+            handle.
         x:
             ``(num_src_rows, in_features)`` input features of this layer (for
             a block, the block's source rows; otherwise one row per node).

@@ -11,8 +11,8 @@ local block the source features are already resident, for remote blocks the
 communicator needs: the *local-to-q* ids of the required source nodes plus
 per-edge indices into that compact list.
 
-:class:`ShardedGraph` holds one block grid per relation, a
-:class:`~repro.graph.graph.Graph`'s shard the one relation ``None``.
+:class:`ShardedGraph` holds one block grid per relation of the graph, a
+homogeneous graph's shard the one relation ``None``.
 :func:`edge_blocks` cuts every grid: the shards' (one split loop per relation
 in :func:`create_shards`) and the sampled and MFG grids of
 :class:`~repro.sample.distributed.DistributedNeighborSampler`.
@@ -21,12 +21,11 @@ in :func:`create_shards`) and the sampled and MFG grids of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.graph.hetero import HeteroGraph
 from repro.graph.in_edges import InEdgeIndex
 from repro.partition.book import PartitionBook
 from repro.tensor.edge_plan import EdgePlan
@@ -88,9 +87,9 @@ class ShardedGraph:
     :attr:`relation_blocks` maps each relation to this worker's
     ``num_parts``-long row of :class:`EdgeBlock` s and
     :attr:`relation_in_degrees` to its nodes' global in-degrees over that
-    relation.  A :class:`~repro.graph.graph.Graph`'s shard holds the one
-    relation ``None``, which :attr:`blocks` and :attr:`local_in_degrees`
-    read; a :class:`~repro.graph.hetero.HeteroGraph`'s names its relations.
+    relation.  A homogeneous graph's shard holds the one relation ``None``,
+    which :attr:`blocks`, :attr:`local_in_degrees` and :meth:`in_edge_index`
+    read; a relational graph's names its relations.
     """
 
     def __init__(self, rank: int, book: PartitionBook,
@@ -107,11 +106,11 @@ class ShardedGraph:
         self.relation_blocks = relation_blocks
         self.relation_in_degrees = {k: np.asarray(v, dtype=np.int64)
                                     for k, v in relation_in_degrees.items()}
-        self._in_edge_index: Optional[InEdgeIndex] = None
+        self._in_edge_index: Optional[Dict[Optional[str], InEdgeIndex]] = None
 
     @property
     def blocks(self) -> List[EdgeBlock]:
-        """The block row of the relation ``None`` (a :class:`~repro.graph.graph.Graph`'s shard)."""
+        """The block row of the relation ``None`` (a homogeneous graph's shard)."""
         return self.relation_blocks[None]
 
     @property
@@ -119,9 +118,9 @@ class ShardedGraph:
         """Global in-degrees of the local nodes over the relation ``None``."""
         return self.relation_in_degrees[None]
 
-    def in_edge_index(self) -> InEdgeIndex:
-        """Per-local-destination in-edge buckets of the relation ``None``, in
-        ascending *global* edge order.
+    def in_edge_index(self) -> Dict[Optional[str], InEdgeIndex]:
+        """``{None: …}``: per-local-destination in-edge buckets of the relation
+        ``None``, in ascending *global* edge order.
 
         Builds (once, cached) a :class:`~repro.graph.in_edges.InEdgeIndex`
         over this worker's incoming edges: destinations are local ids, while
@@ -163,8 +162,8 @@ class ShardedGraph:
                 src, dst, eid = src[order], dst[order], eid[order]
             else:
                 src = dst = eid = np.empty(0, dtype=np.int64)
-            self._in_edge_index = InEdgeIndex(src, dst, self.num_local_nodes,
-                                              eids=eid)
+            self._in_edge_index = {None: InEdgeIndex(src, dst, self.num_local_nodes,
+                                                     eids=eid)}
         return self._in_edge_index
 
     def with_blocks(self, blocks: List[EdgeBlock]) -> "ShardedGraph":
@@ -281,23 +280,21 @@ def edge_blocks(book: PartitionBook, rank: int, src: np.ndarray, dst_local: np.n
     return blocks
 
 
-def create_shards(graph: Union[Graph, HeteroGraph], book: PartitionBook) -> List[ShardedGraph]:
+def create_shards(graph: Graph, book: PartitionBook) -> List[ShardedGraph]:
     """Split ``graph`` into one :class:`ShardedGraph` per partition.
 
-    A :class:`~repro.graph.hetero.HeteroGraph` gets one block grid per
-    relation, a :class:`~repro.graph.graph.Graph` one grid for the relation
-    ``None``.  Each worker's in-edges reach :func:`edge_blocks` in global
-    edge order.
+    Every relation of :attr:`Graph.relation_edges
+    <repro.graph.graph.Graph.relation_edges>` gets one block grid (a
+    homogeneous graph the one grid of the relation ``None``).  Each worker's
+    in-edges reach :func:`edge_blocks` in global edge order.
     """
     if book.num_nodes != graph.num_nodes:
         raise ValueError(
             f"PartitionBook covers {book.num_nodes} nodes but graph has {graph.num_nodes}"
         )
-    relations = (graph.relations if isinstance(graph, HeteroGraph)
-                 else {None: (graph.src, graph.dst)})
     rows: Dict[Optional[str], List[List[EdgeBlock]]] = {}
     degrees: Dict[Optional[str], np.ndarray] = {}
-    for name, (src, dst) in relations.items():
+    for name, (src, dst) in graph.relation_edges.items():
         dst_part, dst_local = book.to_local(dst)
         rows[name] = [edge_blocks(book, p, src[sel], dst_local[sel], edge_pos=sel)
                       for p, sel in enumerate(_group_by_part(dst_part, book.num_parts))]

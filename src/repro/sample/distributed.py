@@ -101,7 +101,7 @@ class DistributedNeighborSampler:
         self.book = shard.book
         self.comm = comm
         self.rank = comm.rank
-        self.index = shard.in_edge_index()
+        self.index = shard.in_edge_index()[None]
         self._held_key: Optional[str] = None
 
     def _frontier_allgather(self, stream_key: str, src_global: np.ndarray) -> np.ndarray:

@@ -34,14 +34,13 @@ next, and holds one remote ``G_{p,q}`` halo block at a time (paper §3), so a
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.dist_graph import DistributedGraph
 from repro.distributed.comm import SERVE_FRONTIER_TAG, SERVE_HALO_TAG
 from repro.graph.graph import Graph
-from repro.graph.hetero import HeteroGraph
 from repro.graph.mfg import block_from_in_edges
 from repro.sample.loader import num_batches_for
 from repro.store import FeatureStore, PartitionedKVStore, as_feature_store
@@ -90,8 +89,7 @@ class LayerWiseInference:
         x)`` — every ``repro.nn`` model qualifies.  The engine temporarily
         switches it to ``eval()`` mode for the duration of :meth:`run`.
     graph:
-        The full :class:`~repro.graph.graph.Graph` or
-        :class:`~repro.graph.hetero.HeteroGraph`.
+        The full :class:`~repro.graph.graph.Graph`, homogeneous or relational.
     batch_size:
         Destination nodes per inference batch.  Peak memory scales with the
         two full-width layer matrices plus one batch's intermediates; smaller
@@ -119,7 +117,7 @@ class LayerWiseInference:
     def __init__(
         self,
         model,
-        graph: Union[Graph, HeteroGraph],
+        graph: Graph,
         batch_size: int = 1024,
         byte_budget: Optional[int] = None,
     ):

@@ -38,11 +38,12 @@ destination by destination there), which edge plans do not see: they sort by
 passes are bit-identical to the full-neighbourhood MFG pipeline, which
 ``tests/test_sampling.py`` asserts.
 
-A :class:`~repro.graph.graph.Graph` is sampled as the one relation ``None``
-(DGL's convention): one walk over ``{relation: InEdgeIndex}`` and one
-compaction (:func:`repro.graph.mfg.compact_block`) serve both graph kinds.
-Only named relations xor ``splitmix64(rel_index)`` into the layer key, so a
-Graph draws under the bare key the distributed sampler shares.
+A homogeneous :class:`~repro.graph.graph.Graph` is the one relation ``None``
+(DGL's convention): one walk over ``graph.in_edge_index()``, ``{relation:
+InEdgeIndex}``, and one compaction (:func:`repro.graph.mfg.compact_block`)
+serve homogeneous and relational graphs alike.  Only named relations xor
+``splitmix64(rel_index)`` into the layer key, so a homogeneous graph draws
+under the bare key the distributed sampler shares.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.graph.hetero import HeteroGraph
 from repro.graph.in_edges import InEdgeIndex, candidate_positions
 from repro.graph.mfg import MFGPipeline, compact_block
 from repro.sample.kernels import (
@@ -65,7 +65,7 @@ from repro.sample.kernels import (
 from repro.utils.seed import get_rng, mix_seed, splitmix64
 from repro.utils.validation import check_1d_int_array
 
-#: per-layer fanout specification: an int, or (hetero) a mapping per relation.
+#: per-layer fanout specification: an int, or (relational graph) a mapping per relation.
 FanoutSpec = Union[int, Mapping[str, int]]
 
 
@@ -157,7 +157,7 @@ class SampledStructure:
     ``node_lists`` holds one sorted-unique global-id array per node layer
     (``num_layers + 1`` entries, input layer first); ``edge_sets`` holds, per
     conv layer, the sampled ``(src, dst)`` global-id pairs of each relation —
-    ``{None: (src, dst)}`` for a :class:`~repro.graph.graph.Graph`.
+    ``{None: (src, dst)}`` for a homogeneous graph.
     Produced by :meth:`NeighborSampler.sample_structure` and consumed by
     :meth:`NeighborSampler.compact`; :meth:`NeighborSampler.sample` is the
     two in sequence.
@@ -173,12 +173,11 @@ class NeighborSampler:
     Parameters
     ----------
     graph:
-        A :class:`~repro.graph.graph.Graph` or
-        :class:`~repro.graph.hetero.HeteroGraph`.
+        A homogeneous or relational :class:`~repro.graph.graph.Graph`.
     fanouts:
         One entry per conv layer, ordered input layer → output layer (the
         DGL convention).  Each entry is an ``int`` — ``-1`` meaning the full
-        neighbourhood — or, for heterogeneous graphs, optionally a mapping
+        neighbourhood — or, for relational graphs, optionally a mapping
         ``relation name -> int`` naming **every** relation (``0`` explicitly
         skips one; a bare int is broadcast to every relation).
     replace:
@@ -194,7 +193,7 @@ class NeighborSampler:
 
     def __init__(
         self,
-        graph: Union[Graph, HeteroGraph],
+        graph: Graph,
         fanouts: Sequence[FanoutSpec],
         replace: bool = False,
         seed: Optional[int] = None,
@@ -204,15 +203,12 @@ class NeighborSampler:
         self.graph = graph
         self.replace = bool(replace)
         self.seed = int(seed) if seed is not None else int(get_rng().integers(0, 2**63))
-        self.is_hetero = isinstance(graph, HeteroGraph)
-        index = graph.in_edge_index()
-        self._indexes: Mapping[Optional[str], InEdgeIndex] = (
-            index if self.is_hetero else {None: index}
-        )
+        self._indexes: Mapping[Optional[str], InEdgeIndex] = graph.in_edge_index()
         self._fanouts = [self._normalize_fanout(spec) for spec in fanouts]
-        #: per layer, an ``int`` for a Graph, a ``{relation: int}`` for a HeteroGraph
+        #: per layer, an ``int`` for a homogeneous graph, a ``{relation: int}``
+        #: for a relational one
         self.fanouts: List[FanoutSpec] = (
-            self._fanouts if self.is_hetero else [f[None] for f in self._fanouts]
+            [f[None] for f in self._fanouts] if None in self._indexes else self._fanouts
         )
 
     # ------------------------------------------------------------------ #
@@ -227,7 +223,7 @@ class NeighborSampler:
     def __repr__(self) -> str:
         return (
             f"NeighborSampler(num_layers={self.num_layers}, fanouts={self.fanouts}, "
-            f"replace={self.replace}, hetero={self.is_hetero})"
+            f"replace={self.replace})"
         )
 
     def _normalize_fanout(self, spec: FanoutSpec) -> Dict[Optional[str], int]:
@@ -235,8 +231,8 @@ class NeighborSampler:
         if not isinstance(spec, Mapping):
             fanout = check_fanout(spec)
             return {name: fanout for name in relations}
-        if not self.is_hetero:
-            raise ValueError("per-relation fanouts require a HeteroGraph")
+        if None in self._indexes:
+            raise ValueError("per-relation fanouts require a relational Graph")
         unknown = [name for name in spec if name not in relations]
         if unknown:
             raise KeyError(f"Unknown relations {unknown}; available: {relations}")
@@ -285,7 +281,7 @@ class NeighborSampler:
             reached = [current]
             for rel_index, (name, index) in enumerate(self._indexes.items()):
                 # Every named relation draws from its own key so relations
-                # sample independently; a Graph's relation None keeps the
+                # sample independently; the relation None keeps the
                 # layer key the distributed sampler shares.
                 key = layer_key if name is None else layer_key ^ splitmix64(rel_index)
                 positions = sample_in_edges(

@@ -86,8 +86,9 @@ class LocalExecutor:
         :meth:`start` and kept there; mutate it only through
         :meth:`Server.update <repro.serving.Server.update>`.
     graph:
-        The full homogeneous :class:`~repro.graph.graph.Graph` (hetero
-        serving would need per-relation pipelines — not supported yet).
+        The full homogeneous :class:`~repro.graph.graph.Graph`, the one
+        relation ``None`` (relational serving would need per-relation
+        pipelines — not supported yet).
     features:
         ``(num_nodes, in_features)`` input feature matrix (read-only), or
         any :class:`~repro.store.FeatureStore` covering the graph's nodes —
@@ -101,15 +102,14 @@ class LocalExecutor:
     """
 
     def __init__(self, model, graph: Graph, features, config: ServingConfig):
-        if not isinstance(graph, Graph):
-            hint = (
-                " (a shard list needs backend='distributed' or 'mp')"
-                if isinstance(graph, (list, tuple))
-                else ""
-            )
-            raise ValueError(
-                f"backend='local' serves one homogeneous Graph, got {type(graph).__name__}{hint}"
-            )
+        if not isinstance(graph, Graph) or None not in graph.relation_edges:
+            if isinstance(graph, Graph):
+                got = f"a Graph of relations {graph.relation_names}"
+            elif isinstance(graph, (list, tuple)):
+                got = "a shard list (that needs backend='distributed' or 'mp')"
+            else:
+                got = type(graph).__name__
+            raise ValueError(f"backend='local' serves one homogeneous Graph, got {got}")
         store = as_feature_store(features)
         if store.num_rows != graph.num_nodes:
             raise ValueError(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,8 +36,6 @@ from repro.core.grad_sync import broadcast_parameters, sync_gradients
 from repro.datasets.synthetic import NodeClassificationDataset
 from repro.distributed.cluster import ClusterRunResult, run_distributed
 from repro.distributed.comm import Communicator
-from repro.graph.graph import Graph
-from repro.graph.hetero import HeteroGraph
 from repro.graph.mfg import build_mfg_pipeline
 from repro.nn.module import Module
 from repro.partition.book import PartitionBook
@@ -184,7 +182,7 @@ class TrainingConfig:
         doing any work — nothing is partitioned, no cluster is spawned and no
         epoch runs under a config that would only fail later.
         ``model_num_layers`` is the model's ``num_layers`` (``None`` when it
-        exposes none), ``hetero`` whether the graph is heterogeneous,
+        exposes none), ``hetero`` whether the graph is relational,
         ``distributed`` tells :class:`DistributedTrainer` (and its workers)
         from :class:`FullBatchTrainer`, and ``num_nodes`` is the (global)
         graph's node count, which bounds :attr:`mfg_seeds`.
@@ -323,12 +321,6 @@ def _make_augmenter(config: TrainingConfig, num_classes: int):
     if config.label_augmentation:
         return LabelAugmenter(num_classes, augment_fraction=config.label_augment_fraction)
     return NoLabelAugmenter(num_classes)
-
-
-def _model_graph_of(dataset) -> Union[Graph, HeteroGraph]:
-    """The graph a model trains on: the dataset's relational graph if it has one."""
-    hetero = getattr(dataset, "hetero_graph", None)
-    return dataset.graph if hetero is None else hetero
 
 
 def _local_loss(logits: Tensor, labels: np.ndarray, predict_mask: np.ndarray) -> Tensor:
@@ -494,9 +486,9 @@ class FullBatchTrainer(_EpochLoop):
         self.model = model
         self.dataset = dataset
         self.config = config = config or TrainingConfig()
-        self.graph = graph = _model_graph_of(dataset) if graph is None else graph
+        self.graph = graph = dataset.graph if graph is None else graph
         num_layers = getattr(model, "num_layers", None)
-        config.validate(num_layers, hetero=isinstance(graph, HeteroGraph), distributed=False,
+        config.validate(num_layers, hetero=None not in graph.relation_edges, distributed=False,
                         num_nodes=graph.num_nodes)
         self._smoothing_graph = dataset.graph
         self.labels = dataset.labels
@@ -802,7 +794,7 @@ class DistributedTrainer:
         if config.mfg_seeds is not None or config.sampler is not None:
             self._num_layers = self._probe_num_layers()
         config.validate(self._num_layers,
-                        hetero=isinstance(_model_graph_of(dataset), HeteroGraph),
+                        hetero=None not in dataset.graph.relation_edges,
                         distributed=True, num_nodes=dataset.graph.num_nodes)
         dataset.attach_to_graph()
         self.book, self.shards = self._prepare_shards()
@@ -813,7 +805,7 @@ class DistributedTrainer:
         assignment = partition_graph(dataset.graph, self.num_workers,
                                      method=self.partition_method, seed=self.partition_seed)
         book = PartitionBook(assignment, self.num_workers)
-        return book, create_shards(_model_graph_of(dataset), book)
+        return book, create_shards(dataset.graph, book)
 
     def _probe_num_layers(self) -> Optional[int]:
         """Read ``num_layers`` off a throwaway model replica.

@@ -3,7 +3,7 @@
 A GNN layer calls ``aggregate_neighbors`` / ``gat_aggregate`` /
 ``rgcn_aggregate`` and ``gather_dst`` on whatever graph it is handed
 (:mod:`repro.graph.aggregation`).  These tests pin both halves of that
-contract: the four graph types expose the methods, and the layer modules
+contract: the three graph types expose the methods, and the layer modules
 cannot tell them apart — they import nothing from ``repro.graph`` and call
 no ``isinstance``.
 """
@@ -17,31 +17,24 @@ import pytest
 from repro import nn
 from repro.core import SAR, DistributedGraph
 from repro.distributed import run_distributed
-from repro.graph import HeteroGraph, MFGBlock, build_mfg_pipeline
+from repro.graph import MFGBlock, build_mfg_pipeline
 from repro.graph.graph import Graph
 from repro.partition import PartitionBook, create_shards
 from repro.tensor import Tensor, ops
 from repro.tensor.sparse import neighbor_aggregate
 
-HOMOGENEOUS = (Graph, MFGBlock, DistributedGraph)
-RELATIONAL = (HeteroGraph, MFGBlock, DistributedGraph)
+GRAPH_TYPES = (Graph, MFGBlock, DistributedGraph)
 LAYER_MODULES = ("sage.py", "gat.py", "gat_fused.py", "rgcn.py")
 
 
-@pytest.mark.parametrize("graph_type", HOMOGENEOUS, ids=lambda t: t.__name__)
-def test_homogeneous_graph_types_speak_the_protocol(graph_type):
-    for method in ("aggregate_neighbors", "gat_aggregate", "gather_dst"):
-        assert callable(getattr(graph_type, method, None)), f"{graph_type.__name__}.{method}"
-
-
-@pytest.mark.parametrize("graph_type", RELATIONAL, ids=lambda t: t.__name__)
-def test_relational_graph_types_speak_the_protocol(graph_type):
-    for method in ("rgcn_aggregate", "gather_dst"):
+@pytest.mark.parametrize("graph_type", GRAPH_TYPES, ids=lambda t: t.__name__)
+def test_graph_types_speak_the_protocol(graph_type):
+    for method in ("aggregate_neighbors", "gat_aggregate", "rgcn_aggregate", "gather_dst"):
         assert callable(getattr(graph_type, method, None)), f"{graph_type.__name__}.{method}"
 
 
 def test_gather_dst_is_the_identity_except_on_mfg_blocks(tiny_graph):
-    hetero = HeteroGraph(tiny_graph.num_nodes, {"r": (tiny_graph.src, tiny_graph.dst)})
+    hetero = Graph.from_relations(tiny_graph.num_nodes, {"r": (tiny_graph.src, tiny_graph.dst)})
     x = Tensor(np.arange(2.0 * tiny_graph.num_nodes).reshape(-1, 2))
     assert tiny_graph.gather_dst(x) is x
     assert hetero.gather_dst(x) is x
@@ -86,7 +79,7 @@ def test_rgcn_forms_the_relation_weights_once(sbm_graph, rng):
     the ``basis`` gradient sums its per-relation terms in another order
     (measured ~1e-7 of its largest entry)."""
     half = sbm_graph.num_edges // 2
-    hetero = HeteroGraph(sbm_graph.num_nodes, {
+    hetero = Graph.from_relations(sbm_graph.num_nodes, {
         "a": (sbm_graph.src[:half], sbm_graph.dst[:half]),
         "b": (sbm_graph.src[half:], sbm_graph.dst[half:]),
         "c": (sbm_graph.dst, sbm_graph.src),

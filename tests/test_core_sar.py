@@ -249,7 +249,7 @@ class TestDistributedRGCNAggregation:
                 "b": {"p_in": 0.05, "p_out": 0.02},
             }, seed=4,
         )
-        hetero = dataset.hetero_graph
+        hetero = dataset.graph
         assignment = partition_graph(dataset.graph, WORLD, seed=0)
         book = PartitionBook(assignment, WORLD)
         shards = create_shards(hetero, book)

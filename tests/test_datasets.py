@@ -92,11 +92,10 @@ class TestOgbLikeDatasets:
 
     def test_mag_mini_is_heterogeneous(self):
         ds = ogbn_mag_mini(scale=0.2)
-        assert ds.hetero_graph is not None
-        assert set(ds.hetero_graph.relation_names) == {
+        assert set(ds.graph.relation_names) == {
             "cites", "writes", "affiliated_with", "has_topic"
         }
-        assert ds.graph.num_edges == ds.hetero_graph.num_edges
+        assert ds.graph.num_edges == sum(len(src) for src, _ in ds.graph.relation_edges.values())
 
     def test_registry(self):
         assert set(available_datasets()) == {
@@ -114,7 +113,7 @@ class TestOgbLikeDatasets:
 
     def test_hetero_relations_have_different_densities(self):
         ds = ogbn_mag_mini(scale=0.3)
-        counts = [ds.hetero_graph.num_edges_of(r) for r in ds.hetero_graph.relation_names]
+        counts = [len(src) for src, _ in ds.graph.relation_edges.values()]
         assert len(set(counts)) > 1
 
 
@@ -165,7 +164,7 @@ class TestOgbLikeSplitHandling:
         np.testing.assert_array_equal(ds.graph.ndata["train_mask"], ds.train_mask)
         hetero = ogbn_mag_mini(scale=0.2)
         for key in ("train_mask", "val_mask", "test_mask"):
-            assert key in hetero.hetero_graph.ndata
+            assert key in hetero.graph.ndata
 
     def test_registry_forwards_scale_and_seed(self):
         via_registry = get_dataset("ogbn-papers-mini", scale=0.25, seed=9)
@@ -180,6 +179,6 @@ class TestOgbLikeSplitHandling:
                             "b": {"p_in": 0.05, "p_out": 0.01}},
             train_frac=0.5, val_frac=0.2, test_frac=0.3, seed=2,
         )
-        assert ds.hetero_graph.num_nodes == ds.graph.num_nodes == len(ds.train_mask)
+        assert ds.graph.num_nodes == len(ds.train_mask)
         covered = ds.train_mask | ds.val_mask | ds.test_mask
         assert covered.sum() == ds.num_nodes

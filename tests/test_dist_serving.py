@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import make_sbm_dataset
-from repro.graph import HeteroGraph
+from repro.graph import Graph
 from repro.nn.models import GATNet, GraphSageNet
 from repro.partition import PartitionBook, create_shards, partition_graph
 from repro.serving import (
@@ -274,8 +274,8 @@ def test_factory_rejects_mismatched_topology(dataset):
             model, shards[::-1], dataset.features,
             ServingConfig(backend="distributed"),
         )
-    relational = HeteroGraph(dataset.graph.num_nodes,
-                             {"r": (dataset.graph.src, dataset.graph.dst)})
+    relational = Graph.from_relations(dataset.graph.num_nodes,
+                                      {"r": (dataset.graph.src, dataset.graph.dst)})
     with pytest.raises(ValueError, match="homogeneous Graph"):
         create_server(
             model, create_shards(relational, shards[0].book), dataset.features,

@@ -21,7 +21,7 @@ from repro.core import (
     sync_gradients,
 )
 from repro.distributed import run_distributed
-from repro.graph.hetero import HeteroGraph
+from repro.graph import Graph
 from repro.graph.mfg import message_flow_masks
 from repro.partition import PartitionBook, create_shards, partition_graph
 from repro.tensor import Tensor, edge_plan
@@ -358,7 +358,7 @@ class TestBuildCounter:
             )
 
     def test_hetero_relation_plans_cached(self):
-        hg = HeteroGraph(6, {
+        hg = Graph.from_relations(6, {
             "a": (np.array([0, 1, 2]), np.array([1, 2, 3])),
             "b": (np.array([3, 4]), np.array([4, 5])),
         })

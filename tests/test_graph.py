@@ -17,12 +17,17 @@ from repro.graph import (
 )
 
 
+def _is_bidirected(graph: Graph) -> bool:
+    edges = set(zip(graph.src.tolist(), graph.dst.tolist()))
+    return all((d, s) in edges for s, d in edges)
+
+
 def test_graph_and_partition_layers_import_nothing_above_them():
     """``graph/`` and ``partition/`` sit below ``sample/`` and ``serving/``: no
     module under them imports either, at top level or inside a function."""
     package = Path(__file__).resolve().parents[1] / "src" / "repro"
     paths = sorted((package / "graph").glob("*.py")) + sorted((package / "partition").glob("*.py"))
-    assert len(paths) > 8  # not vacuous: graph.py, hetero.py, mfg.py, in_edges.py, shard.py, ...
+    assert len(paths) > 8  # not vacuous: graph.py, mfg.py, in_edges.py, shard.py, ...
     upward = []
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -66,11 +71,6 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             g.set_ndata("bad", np.zeros((2, 4)))
 
-    def test_neighbors(self):
-        g = Graph(4, [0, 2, 3], [1, 1, 2])
-        np.testing.assert_array_equal(np.sort(g.in_neighbors(1)), [0, 2])
-        np.testing.assert_array_equal(g.out_neighbors(3), [2])
-
 
 class TestAdjacency:
     def test_sum_adjacency_matches_manual_aggregation(self, tiny_graph):
@@ -112,46 +112,13 @@ class TestTransformations:
         assert g.num_edges == 4
         assert np.all(g.in_degrees() >= 1)
 
-    def test_remove_self_loops(self):
-        g = Graph(3, [0, 1, 2], [0, 2, 2]).remove_self_loops()
-        assert g.num_edges == 1
-
-    def test_reverse_swaps_directions(self):
-        g = Graph(3, [0, 1], [1, 2]).reverse()
-        np.testing.assert_array_equal(g.src, [1, 2])
-        np.testing.assert_array_equal(g.dst, [0, 1])
-
     def test_to_bidirected_is_symmetric(self):
         g = Graph(4, [0, 1, 2], [1, 2, 3]).to_bidirected()
-        assert g.is_bidirected()
+        assert _is_bidirected(g)
 
     def test_coalesce_removes_duplicates(self):
         g = Graph(3, [0, 0, 1], [1, 1, 2]).coalesce()
         assert g.num_edges == 2
-
-    def test_subgraph_relabels_and_keeps_internal_edges(self):
-        g = Graph(5, [0, 1, 2, 3], [1, 2, 3, 4])
-        sub, nodes = g.subgraph([1, 2, 3])
-        assert sub.num_nodes == 3
-        assert sub.num_edges == 2  # 1→2 and 2→3 survive
-        np.testing.assert_array_equal(nodes, [1, 2, 3])
-
-    def test_subgraph_carries_ndata(self):
-        g = Graph(4, [0], [1], ndata={"feat": np.arange(8).reshape(4, 2)})
-        sub, nodes = g.subgraph([2, 3])
-        np.testing.assert_array_equal(sub.ndata["feat"], [[4, 5], [6, 7]])
-
-    def test_edge_subgraph_arrays(self):
-        g = Graph(4, [0, 1, 2], [1, 2, 3])
-        src, dst = g.edge_subgraph_arrays(np.array([True, False, True]))
-        np.testing.assert_array_equal(src, [0, 2])
-        with pytest.raises(ValueError):
-            g.edge_subgraph_arrays(np.array([True]))
-
-    def test_from_scipy_and_edge_list(self):
-        g1 = Graph.from_edge_list(3, [(0, 1), (1, 2)])
-        g2 = Graph.from_scipy(g1.adjacency())
-        assert g2.num_edges == g1.num_edges
 
 
 class TestGenerators:
@@ -162,7 +129,7 @@ class TestGenerators:
 
     def test_sbm_is_bidirected(self):
         graph, _ = stochastic_block_model([20, 20], 0.2, 0.05, seed=1)
-        assert graph.is_bidirected()
+        assert _is_bidirected(graph)
 
     def test_sbm_reproducible(self):
         g1, _ = stochastic_block_model([30, 30], 0.1, 0.02, seed=5)

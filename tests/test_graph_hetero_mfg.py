@@ -1,10 +1,26 @@
-"""Tests for heterogeneous graphs and message-flow-graph (MFG) utilities."""
+"""Tests for relational graphs and message-flow-graph (MFG) utilities."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from repro.graph import Graph, HeteroGraph, message_flow_masks, mfg_savings, required_node_counts
+from repro.datasets import ogbn_mag_mini
+from repro.graph import (
+    Graph,
+    build_mfg_pipeline,
+    message_flow_masks,
+    mfg_savings,
+    required_node_counts,
+)
 from repro.graph.generators import ring_graph
+from repro.nn.models import GraphSageNet, RGCNNet
+from repro.partition import partition_graph
+from repro.sample import LayerWiseInference
+from repro.serving import create_server
+from repro.tensor import Tensor
+from repro.training.correct_and_smooth import CorrectAndSmooth
+from repro.utils.seed import set_seed
 
 
 @pytest.fixture
@@ -13,61 +29,119 @@ def small_hetero():
         "cites": (np.array([0, 1, 2]), np.array([1, 2, 3])),
         "writes": (np.array([3, 4]), np.array([0, 1])),
     }
-    return HeteroGraph(5, relations)
+    return Graph.from_relations(5, relations)
 
 
-class TestHeteroGraph:
+class TestRelationalGraph:
     def test_counts(self, small_hetero):
-        assert small_hetero.num_relations == 2
+        assert small_hetero.relation_names == ["cites", "writes"]
         assert small_hetero.num_edges == 5
-        assert small_hetero.num_edges_of("cites") == 3
+        assert len(small_hetero.relation_edges["cites"][0]) == 3
 
     def test_unknown_relation_raises(self, small_hetero):
-        with pytest.raises(KeyError):
-            small_hetero.num_edges_of("bogus")
+        with pytest.raises(KeyError, match="cites"):
+            small_hetero.relation_plan("bogus")
 
     def test_requires_at_least_one_relation(self):
         with pytest.raises(ValueError):
-            HeteroGraph(3, {})
+            Graph.from_relations(3, {})
 
-    def test_relation_graph(self, small_hetero):
-        g = small_hetero.relation_graph("writes")
-        assert isinstance(g, Graph)
-        assert g.num_edges == 2
-        assert g.num_nodes == 5
+    def test_src_dst_are_the_union_in_relation_order(self, small_hetero):
+        np.testing.assert_array_equal(small_hetero.src, [0, 1, 2, 3, 4])
+        np.testing.assert_array_equal(small_hetero.dst, [1, 2, 3, 0, 1])
+        swapped = Graph.from_relations(5, {name: small_hetero.relation_edges[name]
+                                           for name in ("writes", "cites")})
+        np.testing.assert_array_equal(swapped.src, [3, 4, 0, 1, 2])
+        np.testing.assert_array_equal(swapped.dst, [0, 1, 1, 2, 3])
+        homogeneous = Graph(5, small_hetero.src, small_hetero.dst)
+        assert list(homogeneous.relation_edges) == [None]
+        assert homogeneous.relation_edges[None][0] is homogeneous.src
 
-    def test_to_homogeneous_preserves_all_edges(self, small_hetero):
-        merged, etypes = small_hetero.to_homogeneous()
-        assert merged.num_edges == 5
-        assert len(etypes) == 5
-        assert set(np.unique(etypes)) == {0, 1}
-
-    def test_in_degrees_per_relation_and_total(self, small_hetero):
-        total = small_hetero.in_degrees()
-        cites = small_hetero.in_degrees("cites")
-        writes = small_hetero.in_degrees("writes")
-        np.testing.assert_array_equal(total, cites + writes)
+    def test_in_degrees_sum_the_relations(self, small_hetero):
+        per_relation = [np.bincount(dst, minlength=5)
+                        for _, dst in small_hetero.relation_edges.values()]
+        np.testing.assert_array_equal(small_hetero.in_degrees(), sum(per_relation))
 
     def test_relation_plan_mean_normalized(self, small_hetero):
         ones = np.ones((small_hetero.num_nodes, 1), dtype=np.float32)
         rows = small_hetero.relation_plan("cites").aggregate_mean(ones).reshape(-1)
-        present = small_hetero.in_degrees("cites") > 0
+        present = np.bincount(small_hetero.relation_edges["cites"][1], minlength=5) > 0
         np.testing.assert_allclose(rows[present], 1.0)
         np.testing.assert_allclose(rows[~present], 0.0)
-
-    def test_relation_subset(self, small_hetero):
-        sub = small_hetero.relation_subset(["cites"])
-        assert sub.relation_names == ["cites"]
 
     def test_ndata_validation(self, small_hetero):
         small_hetero.set_ndata("feat", np.zeros((5, 2)))
         with pytest.raises(ValueError):
             small_hetero.set_ndata("bad", np.zeros((4, 2)))
 
-    def test_node_types_length_checked(self):
-        relations = {"r": (np.array([0]), np.array([1]))}
-        with pytest.raises(ValueError):
-            HeteroGraph(3, relations, node_types=np.array([0, 1]))
+    def test_homogeneous_only_calls_reject_a_relational_graph(self, small_hetero):
+        """Calls that read or rebuild the relation ``None`` fail loudly instead
+        of treating the union as one homogeneous edge set."""
+        for rebuild in (small_hetero.add_self_loops, small_hetero.to_bidirected,
+                        small_hetero.coalesce):
+            with pytest.raises(ValueError, match="relations"):
+                rebuild()
+        z = Tensor(np.ones((5, 2), dtype=np.float32))
+        for aggregate in (lambda: small_hetero.plan(),
+                          lambda: small_hetero.aggregate_neighbors(z),
+                          lambda: small_hetero.gat_aggregate(z, z[:, :1], z[:, :1])):
+            with pytest.raises(KeyError, match="'cites', 'writes'"):
+                aggregate()
+        with pytest.raises(ValueError, match="homogeneous Graph"):
+            create_server(GraphSageNet(2, 4, 3, num_layers=2), small_hetero,
+                          np.ones((5, 2), dtype=np.float32))
+
+
+def _digest(arrays) -> str:
+    sha = hashlib.sha256()
+    for array in arrays:
+        sha.update(np.ascontiguousarray(array).tobytes())
+    return sha.hexdigest()[:16]
+
+
+def _mag_path_arrays(path: str):
+    """The arrays one single-machine path computes on ``mag_mini``'s relational graph."""
+    dataset = ogbn_mag_mini(scale=0.2)
+    graph = dataset.graph
+    if path.startswith("partition-k"):
+        return [partition_graph(graph, int(path[-1]), seed=0)]
+
+    def model():
+        set_seed(0)
+        return RGCNNet(dataset.feature_dim, 16, dataset.num_classes, graph.relation_names,
+                       num_layers=2, dropout=0.0, use_batch_norm=False)
+
+    def forward_backward(target, rows):
+        net = model()
+        x = Tensor(rows, requires_grad=True)
+        out = net(target, x)
+        (out ** 2).mean().backward()
+        return [out.data, x.grad] + [p.grad for p in net.parameters()]
+
+    if path == "rgcn-full":
+        return forward_backward(graph, dataset.features)
+    if path == "rgcn-mfg":
+        pipeline = build_mfg_pipeline(graph, dataset.train_indices()[::5], 2)
+        return forward_backward(pipeline, pipeline.gather_inputs(dataset.features))
+    logits = LayerWiseInference(model().eval(), graph, batch_size=64).run(dataset.features)
+    if path == "layerwise":
+        return [logits]
+    return [CorrectAndSmooth()(graph, logits, dataset.labels, dataset.train_mask)]
+
+
+@pytest.mark.parametrize("path, expected", [
+    ("partition-k2", "9e8af18f6b9ab70b"),
+    ("partition-k3", "851dc398b48180ab"),
+    ("rgcn-full", "3f6381845f36e327"),
+    ("rgcn-mfg", "f2464ebcbfa7c92e"),
+    ("layerwise", "763b94f61622e7aa"),
+    ("correct-and-smooth", "54d10f27b45c3eee"),
+])
+def test_relational_paths_are_pinned(path, expected):
+    """Partition assignments of the ``src``/``dst`` union, R-GCN logits and
+    gradients (full graph and MFG blocks), layer-wise inference logits and
+    Correct & Smooth output on ``mag_mini`` are fixed bit for bit."""
+    assert _digest(_mag_path_arrays(path)) == expected
 
 
 class TestMessageFlowGraph:

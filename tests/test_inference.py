@@ -103,7 +103,7 @@ MODEL_FACTORIES = {
         dropout=0.0, use_batch_norm=False, fused=True,
     ),
     "rgcn": lambda d: RGCNNet(
-        d.feature_dim, 12, d.num_classes, d.hetero_graph.relation_names,
+        d.feature_dim, 12, d.num_classes, d.graph.relation_names,
         num_layers=2, dropout=0.0, use_batch_norm=True,
     ),
 }
@@ -141,7 +141,7 @@ def _run_through_store(engine, features, store_kind):
 
 
 def _assert_layerwise_parity(kind, ds, store_kind="dense", **sizing):
-    graph = getattr(ds, "hetero_graph", None) or ds.graph
+    graph = ds.graph
     if "batch_size" in sizing and sizing["batch_size"] is None:
         sizing["batch_size"] = graph.num_nodes
     set_seed(0)

@@ -17,7 +17,7 @@ from repro.core import SARConfig
 from repro.core.dist_graph import DistributedGraph
 from repro.distributed.cluster import run_distributed
 from repro.graph import (
-    HeteroGraph,
+    Graph,
     MFGPipeline,
     build_mfg_pipeline,
     message_flow_masks,
@@ -162,7 +162,7 @@ class TestSingleMachineParity:
         for name in ("cites", "writes"):
             edges = rng.integers(0, num_nodes, (2, 1200))
             relations[name] = (edges[0].astype(np.int64), edges[1].astype(np.int64))
-        hgraph = HeteroGraph(num_nodes, relations)
+        hgraph = Graph.from_relations(num_nodes, relations)
         features = rng.standard_normal((num_nodes, 10)).astype(np.float32)
         labels = rng.integers(0, 3, num_nodes)
         seeds = np.sort(rng.choice(num_nodes, 12, replace=False))
@@ -182,7 +182,7 @@ class TestSingleMachineParity:
             "a": (np.array([0]), np.array([1])),
             "b": (np.array([2]), np.array([1])),
         }
-        hgraph = HeteroGraph(3, relations)
+        hgraph = Graph.from_relations(3, relations)
         masks = message_flow_masks(hgraph, [1], num_layers=1)
         np.testing.assert_array_equal(masks[0], [True, True, True])
         np.testing.assert_array_equal(masks[1], [False, True, False])

@@ -415,7 +415,7 @@ class TestMultiprocessBackend:
         dataset.attach_to_graph()
         config = TrainingConfig(num_epochs=1, lr=0.05, eval_every=0, seed=0)
         book = PartitionBook(partition_graph(dataset.graph, 2, seed=0), 2)
-        shards = create_shards(dataset.hetero_graph, book)
+        shards = create_shards(dataset.graph, book)
         kwargs = dict(config=config, feature_dim=dataset.feature_dim,
                       num_classes=dataset.num_classes)
         threads = run_distributed(_sar_rgcn_training_worker, 2, worker_args=shards, **kwargs)

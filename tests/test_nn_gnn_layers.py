@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.graph import HeteroGraph, build_mfg_pipeline
+from repro.graph import Graph, build_mfg_pipeline
 from repro.tensor import MemoryTracker, Tensor, check_gradients, ops, track_memory
 from repro.tensor import functional as F
 from repro.utils.seed import set_seed
@@ -187,7 +187,7 @@ class TestRelGraphConv:
     @pytest.fixture
     def hetero(self, sbm_graph):
         half = sbm_graph.num_edges // 2
-        return HeteroGraph(sbm_graph.num_nodes, {
+        return Graph.from_relations(sbm_graph.num_nodes, {
             "a": (sbm_graph.src[:half], sbm_graph.dst[:half]),
             "b": (sbm_graph.src[half:], sbm_graph.dst[half:]),
         })
@@ -208,7 +208,7 @@ class TestRelGraphConv:
             nn.RelGraphConv(4, 4, [])
 
     def test_gradients_with_bases(self, tiny_graph, rng):
-        hetero = HeteroGraph(tiny_graph.num_nodes, {
+        hetero = Graph.from_relations(tiny_graph.num_nodes, {
             "a": (tiny_graph.src[:10], tiny_graph.dst[:10]),
             "b": (tiny_graph.src[10:], tiny_graph.dst[10:]),
         })
@@ -219,7 +219,7 @@ class TestRelGraphConv:
                         [x] + layer.parameters(), atol=3e-2, rtol=3e-2)
 
     def test_gradients_without_bases(self, tiny_graph, rng):
-        hetero = HeteroGraph(tiny_graph.num_nodes, {
+        hetero = Graph.from_relations(tiny_graph.num_nodes, {
             "a": (tiny_graph.src, tiny_graph.dst),
         })
         x = Tensor(rng.standard_normal((tiny_graph.num_nodes, 4)).astype(np.float32),
@@ -266,7 +266,7 @@ class TestModels:
             np.testing.assert_array_equal(results[1][name], value, err_msg=name)
 
     def test_rgcn_net_forward(self, sbm_graph, rng):
-        hetero = HeteroGraph(sbm_graph.num_nodes, {
+        hetero = Graph.from_relations(sbm_graph.num_nodes, {
             "a": (sbm_graph.src, sbm_graph.dst),
             "b": (sbm_graph.dst, sbm_graph.src),
         })

@@ -16,7 +16,6 @@ from repro.partition import (
     partition_graph,
     partition_sizes,
 )
-from repro.graph.hetero import HeteroGraph
 
 
 @st.composite
@@ -241,7 +240,7 @@ class TestShards:
             "a": (np.array([0, 1, 2, 3]), np.array([1, 2, 3, 0])),
             "b": (np.array([4, 5]), np.array([0, 1])),
         }
-        hg = HeteroGraph(6, relations)
+        hg = Graph.from_relations(6, relations)
         assignment = np.array([0, 0, 1, 1, 2, 2])
         book = PartitionBook(assignment, 3)
         shards = create_shards(hg, book)
@@ -280,9 +279,11 @@ def test_shard_grids_are_pinned(kind, num_parts, expected):
     """Every ``G_{p,q}`` block (ids, per-edge indices, global edge positions),
     the per-relation in-degrees and the node-data slices of ``mag_mini``'s
     shards are fixed: a relational graph cuts one grid per relation, its
-    homogeneous union the one grid of the relation ``None``."""
+    homogeneous union the one grid of the relation ``None`` (rebuilt without
+    node data, as the union graph was pinned)."""
     dataset = ogbn_mag_mini(scale=0.2)
     dataset.attach_to_graph()
-    graph = dataset.hetero_graph if kind == "relational" else dataset.graph
+    union = Graph(dataset.graph.num_nodes, dataset.graph.src, dataset.graph.dst)
+    graph = dataset.graph if kind == "relational" else union
     book = PartitionBook(partition_graph(dataset.graph, num_parts, seed=0), num_parts)
     assert _shard_grid_digest(create_shards(graph, book)) == expected

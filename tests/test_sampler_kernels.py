@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graph import Graph, HeteroGraph
+from repro.graph import Graph
 from repro.sample import InEdgeIndex, sample_in_edges
 from repro.sample import kernels
 from repro.sample.kernels import (
@@ -42,7 +42,7 @@ def skewed_graph(rng) -> Graph:
 class TestBottomKParity:
     @pytest.mark.parametrize("fanout", [1, 2, 3, 5, 10, 37, 299])
     def test_bucketed_matches_sorted_bitwise(self, skewed_graph, fanout):
-        index = InEdgeIndex.from_graph(skewed_graph)
+        index = skewed_graph.in_edge_index()[None]
         nodes = np.arange(skewed_graph.num_nodes)
         starts, counts = _slices(index, nodes)
         key = mix_seed(5, 0, 0, fanout)
@@ -53,7 +53,7 @@ class TestBottomKParity:
     @pytest.mark.parametrize("replace", [False, True])
     @pytest.mark.parametrize("fanout", [1, 3, 7])
     def test_dispatcher_methods_agree(self, sbm_graph, replace, fanout):
-        index = InEdgeIndex.from_graph(sbm_graph)
+        index = sbm_graph.in_edge_index()[None]
         nodes = np.arange(sbm_graph.num_nodes)
         ref = sample_in_edges(index, nodes, fanout, replace, key=31, method="sorted")
         got = sample_in_edges(index, nodes, fanout, replace, key=31, method="bucketed")
@@ -63,7 +63,7 @@ class TestBottomKParity:
         # Nodes 1..4 feed node 0; node 5 is isolated; node 6 has one in-edge.
         src = np.array([1, 2, 3, 4, 2])
         dst = np.array([0, 0, 0, 0, 6])
-        index = InEdgeIndex.from_graph(Graph(7, src, dst))
+        index = Graph(7, src, dst).in_edge_index()[None]
         nodes = np.arange(7)
         for fanout in (1, 2, 3):
             ref = sample_in_edges(index, nodes, fanout, False, key=9, method="sorted")
@@ -77,10 +77,10 @@ class TestBottomKParity:
             "sparse": (rng.integers(0, 40, 25), rng.integers(0, 40, 25)),
             "empty": (np.array([], dtype=np.int64), np.array([], dtype=np.int64)),
         }
-        graph = HeteroGraph(40, relations)
+        graph = Graph.from_relations(40, relations)
         nodes = np.arange(40)
         for rel_index, name in enumerate(graph.relation_names):
-            src, dst = graph.relations[name]
+            src, dst = graph.relation_edges[name]
             index = InEdgeIndex(src, dst, 40)
             key = mix_seed(7, 1, 0, 0) ^ np.uint64(rel_index).item()
             for fanout in (1, 4):
@@ -95,7 +95,7 @@ class TestBottomKParity:
         and escalates to its full candidate list — the result must still be
         the exact bottom-k."""
         monkeypatch.setattr(kernels, "_BUCKET_SAFETY", 0)
-        index = InEdgeIndex.from_graph(skewed_graph)
+        index = skewed_graph.in_edge_index()[None]
         nodes = np.arange(skewed_graph.num_nodes)
         starts, counts = _slices(index, nodes)
         ref = bottomk_sorted(index.eids, starts, counts, 3, 17)
@@ -106,7 +106,7 @@ class TestBottomKParity:
         # Fanouts at/above _BUCKET_FANOUT_LIMIT would overflow the bucketed
         # threshold arithmetic; the dispatcher must route them safely (here
         # they exceed every degree, so they take the full neighbourhood).
-        index = InEdgeIndex.from_graph(sbm_graph)
+        index = sbm_graph.in_edge_index()[None]
         nodes = np.arange(sbm_graph.num_nodes)
         huge = kernels._BUCKET_FANOUT_LIMIT
         ref = sample_in_edges(index, nodes, -1, False, key=3)
@@ -119,7 +119,7 @@ class TestSegmentedOrder:
         """Beyond the composite-key segment limit the kernel falls back to
         np.lexsort; both branches must produce the identical permutation
         (stability included)."""
-        index = InEdgeIndex.from_graph(skewed_graph)
+        index = skewed_graph.in_edge_index()[None]
         nodes = np.arange(skewed_graph.num_nodes)
         starts, counts = _slices(index, nodes)
         pos, seg = candidate_positions(starts, counts)
@@ -132,7 +132,7 @@ class TestSegmentedOrder:
         np.testing.assert_array_equal(composite, fallback)
 
     def test_selection_identical_across_sort_branches(self, sbm_graph, monkeypatch):
-        index = InEdgeIndex.from_graph(sbm_graph)
+        index = sbm_graph.in_edge_index()[None]
         nodes = np.arange(sbm_graph.num_nodes)
         ref = sample_in_edges(index, nodes, 4, False, key=77)
         monkeypatch.setattr(kernels, "_COMPOSITE_SEGMENT_LIMIT", 1)

@@ -16,10 +16,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.graph import Graph, HeteroGraph, build_mfg_pipeline
+from repro.graph import Graph, build_mfg_pipeline
 from repro.nn.models import GATNet, GraphSageNet, RGCNNet
 from repro.sample import (
-    InEdgeIndex,
     MiniBatchDataLoader,
     NeighborSampler,
     NeighborSamplingConfig,
@@ -48,16 +47,17 @@ def test_samplers_share_the_graphs_cached_in_edge_index(star_with_isolated):
     graph = star_with_isolated
     first = NeighborSampler(graph, [2], seed=0)
     second = NeighborSampler(graph, [-1, 3], seed=1)
-    assert first._indexes[None] is second._indexes[None] is graph.in_edge_index()
+    assert first._indexes is second._indexes is graph.in_edge_index()
 
-    hetero = HeteroGraph(7, {"a": (graph.src, graph.dst), "b": (graph.dst, graph.src)})
+    hetero = Graph.from_relations(7, {"a": (graph.src, graph.dst), "b": (graph.dst, graph.src)})
     first = NeighborSampler(hetero, [2], seed=0)
     second = NeighborSampler(hetero, [{"a": -1, "b": 0}], seed=1)
     assert first._indexes is second._indexes is hetero.in_edge_index()
     assert list(hetero.in_edge_index()) == hetero.relation_names
     for name, index in hetero.in_edge_index().items():
         np.testing.assert_array_equal(
-            index.degrees(np.arange(7)), hetero.in_degrees(relation=name)
+            index.degrees(np.arange(7)),
+            np.bincount(hetero.relation_edges[name][1], minlength=7)
         )
 
 
@@ -66,23 +66,23 @@ def test_samplers_share_the_graphs_cached_in_edge_index(star_with_isolated):
 # --------------------------------------------------------------------------- #
 class TestSampleInEdges:
     def test_fanout_minus_one_takes_full_neighbourhood(self, star_with_isolated):
-        index = InEdgeIndex.from_graph(star_with_isolated)
+        index = star_with_isolated.in_edge_index()[None]
         sel = sample_in_edges(index, np.array([0, 5, 6]), -1, False, key=7)
         np.testing.assert_array_equal(np.sort(index.eids[sel]), [0, 1, 2, 3, 4])
 
     def test_fanout_zero_and_isolated_nodes_sample_nothing(self, star_with_isolated):
-        index = InEdgeIndex.from_graph(star_with_isolated)
+        index = star_with_isolated.in_edge_index()[None]
         assert sample_in_edges(index, np.array([0]), 0, False, key=7).size == 0
         assert sample_in_edges(index, np.array([5]), 3, False, key=7).size == 0
         assert sample_in_edges(index, np.array([5]), 3, True, key=7).size == 0
 
     def test_fanout_larger_than_degree_without_replacement(self, star_with_isolated):
-        index = InEdgeIndex.from_graph(star_with_isolated)
+        index = star_with_isolated.in_edge_index()[None]
         sel = sample_in_edges(index, np.array([0, 6]), 100, False, key=7)
         np.testing.assert_array_equal(np.sort(index.eids[sel]), [0, 1, 2, 3, 4])
 
     def test_without_replacement_caps_and_dedupes(self, sbm_graph):
-        index = InEdgeIndex.from_graph(sbm_graph)
+        index = sbm_graph.in_edge_index()[None]
         nodes = np.arange(sbm_graph.num_nodes)
         degrees = index.degrees(nodes)
         sel = sample_in_edges(index, nodes, 3, False, key=11)
@@ -92,7 +92,7 @@ class TestSampleInEdges:
         np.testing.assert_array_equal(per_dst, np.minimum(degrees, 3))
 
     def test_with_replacement_draws_exactly_fanout(self, sbm_graph):
-        index = InEdgeIndex.from_graph(sbm_graph)
+        index = sbm_graph.in_edge_index()[None]
         nodes = np.arange(sbm_graph.num_nodes)
         sel = sample_in_edges(index, nodes, 5, True, key=11)
         per_dst = np.bincount(index.dst[sel], minlength=sbm_graph.num_nodes)
@@ -102,7 +102,7 @@ class TestSampleInEdges:
         assert np.all(index.dst[sel] == sbm_graph.dst[index.eids[sel]])
 
     def test_returns_ascending_edge_ids_per_key(self, sbm_graph):
-        index = InEdgeIndex.from_graph(sbm_graph)
+        index = sbm_graph.in_edge_index()[None]
         sel = sample_in_edges(index, np.arange(60), 4, False, key=3)
         assert np.all(np.diff(index.eids[sel]) >= 0)
 
@@ -113,7 +113,7 @@ class TestSampleInEdges:
         This is the property the cooperative distributed sampler stands on:
         any partition of the destinations over workers draws the same edges.
         """
-        index = InEdgeIndex.from_graph(sbm_graph)
+        index = sbm_graph.in_edge_index()[None]
         nodes = np.arange(sbm_graph.num_nodes)
         together = sample_in_edges(index, nodes, 4, replace, key=99)
         split = np.concatenate([
@@ -125,7 +125,7 @@ class TestSampleInEdges:
         )
 
     def test_keys_decorrelate(self, sbm_graph):
-        index = InEdgeIndex.from_graph(sbm_graph)
+        index = sbm_graph.in_edge_index()[None]
         nodes = np.arange(sbm_graph.num_nodes)
         a = sample_in_edges(index, nodes, 3, False, key=mix_seed(0, 1))
         b = sample_in_edges(index, nodes, 3, False, key=mix_seed(0, 2))
@@ -167,7 +167,7 @@ class TestNeighborSampler:
         graph = adversarial_graph()
         if kind == "rgcn":
             none = np.empty(0, dtype=np.int64)
-            graph = HeteroGraph(graph.num_nodes, {
+            graph = Graph.from_relations(graph.num_nodes, {
                 "even": (graph.src[::2], graph.dst[::2]),
                 "odd": (graph.src[1::2], graph.dst[1::2]),
                 "empty": (none, none),
@@ -256,7 +256,7 @@ class TestNeighborSampler:
             NeighborSampler(sbm_graph, [])
         with pytest.raises(ValueError, match="fanout"):
             NeighborSampler(sbm_graph, [-2])
-        with pytest.raises(ValueError, match="HeteroGraph"):
+        with pytest.raises(ValueError, match="relational Graph"):
             NeighborSampler(sbm_graph, [{"rel": 3}])
         sampler = NeighborSampler(sbm_graph, [3])
         with pytest.raises(ValueError, match="at least one"):
@@ -268,8 +268,8 @@ class TestNeighborSampler:
 # --------------------------------------------------------------------------- #
 def _fanout_entry_points():
     graph = adversarial_graph()
-    hetero = HeteroGraph(graph.num_nodes, {"a": (graph.src, graph.dst),
-                                           "b": (graph.dst, graph.src)})
+    hetero = Graph.from_relations(graph.num_nodes, {"a": (graph.src, graph.dst),
+                                                    "b": (graph.dst, graph.src)})
     return {
         "graph": lambda spec: NeighborSampler(graph, [spec, 2]).fanouts[0],
         "hetero": lambda spec: NeighborSampler(hetero, [spec, 2]).fanouts[0]["a"],
@@ -320,8 +320,10 @@ def test_sampled_edges_are_pinned(kind, replace, expected):
     each named relation under the layer key xor ``splitmix64(rel_index)``."""
     graph = adversarial_graph(60)
     if kind == "hetero":
-        graph = HeteroGraph(60, {"fwd": (graph.src, graph.dst), "rev": (graph.dst, graph.src),
-                                 "self": (np.arange(0, 60, 3), np.arange(0, 60, 3))})
+        graph = Graph.from_relations(60, {
+            "fwd": (graph.src, graph.dst), "rev": (graph.dst, graph.src),
+            "self": (np.arange(0, 60, 3), np.arange(0, 60, 3)),
+        })
     sampler = NeighborSampler(graph, [3, 2], replace=replace, seed=2024)
     pipeline = sampler.sample(np.arange(0, 60, 7), epoch=3, batch_index=5)
     assert _sampled_edges_digest(pipeline) == expected
@@ -331,14 +333,14 @@ def test_sampled_edges_are_pinned(kind, replace, expected):
 # NeighborSampler — heterogeneous
 # --------------------------------------------------------------------------- #
 @pytest.fixture
-def hetero_graph(rng) -> HeteroGraph:
+def hetero_graph(rng) -> Graph:
     num_nodes = 40
     relations = {
         "dense": (rng.integers(0, num_nodes, 160), rng.integers(0, num_nodes, 160)),
         "sparse": (rng.integers(0, num_nodes, 30), rng.integers(0, num_nodes, 30)),
         "empty": (np.array([], dtype=np.int64), np.array([], dtype=np.int64)),
     }
-    return HeteroGraph(num_nodes, relations)
+    return Graph.from_relations(num_nodes, relations)
 
 
 class TestHeteroSampling:

@@ -302,7 +302,7 @@ class TestPrefetchPipeline:
                 "b": {"p_in": 0.05, "p_out": 0.02},
             }, seed=4,
         )
-        hetero = dataset.hetero_graph
+        hetero = dataset.graph
         assignment = partition_graph(dataset.graph, WORLD, seed=0)
         hbook = PartitionBook(assignment, WORLD)
         hshards = create_shards(hetero, hbook)

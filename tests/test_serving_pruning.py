@@ -36,7 +36,7 @@ import pytest
 from repro.core import DistributedGraph
 from repro.datasets import make_sbm_dataset
 from repro.distributed import run_distributed
-from repro.graph import Graph, HeteroGraph
+from repro.graph import Graph
 from repro.graph.mfg import MFGBlock, block_from_in_edges
 from repro.nn.models import GATNet, GraphSageNet
 from repro.partition import PartitionBook, create_shards, partition_graph
@@ -173,7 +173,8 @@ def test_in_edge_index_is_cached_and_built_at_start():
         index = graph._in_edge_index
         assert index is not None  # paid by start(), not by the first request
     assert graph.in_edge_index() is index
-    np.testing.assert_array_equal(index.degrees(np.arange(graph.num_nodes)), graph.in_degrees())
+    np.testing.assert_array_equal(index[None].degrees(np.arange(graph.num_nodes)),
+                                  graph.in_degrees())
 
 
 #: hub + isolated + source-only + body; one in-degree-0 node; only in-degree-0 nodes
@@ -209,7 +210,7 @@ def test_block_from_in_edges_matches_full_fanout_sampling(hetero, dst_set):
         # Three relations over the shuffled edge list: two interleaved halves
         # (parallel edges and self-loops land in both) and one with no edge.
         none = np.empty(0, dtype=np.int64)
-        graph = HeteroGraph(
+        graph = Graph.from_relations(
             graph.num_nodes,
             {
                 "even": (graph.src[::2], graph.dst[::2]),

@@ -204,7 +204,7 @@ class TestCorrectAndSmooth:
         expected = cs(dataset.graph, logits, dataset.labels, dataset.train_mask)
 
         book = PartitionBook(partition_graph(dataset.graph, 3, seed=0), 3)
-        shards = create_shards(dataset.hetero_graph, book)
+        shards = create_shards(dataset.graph, book)
 
         def worker(rank, comm, shard):
             dg = DistributedGraph(shard, comm, SAR)

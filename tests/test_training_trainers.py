@@ -250,7 +250,7 @@ class TestDistributedTrainer:
         def factory(in_f):
             set_seed(3)
             return nn.RGCNNet(in_f, 16, dataset.num_classes,
-                              dataset.hetero_graph.relation_names, num_bases=2,
+                              dataset.graph.relation_names, num_bases=2,
                               dropout=0.0)
 
         set_seed(0)
@@ -263,7 +263,7 @@ class TestDistributedTrainer:
         relation's grid — the graph one machine smooths over is the dataset's
         homogeneous union of the relations — and scores what one machine does."""
         dataset = ogbn_mag_mini(scale=0.2)
-        relations = dataset.hetero_graph.relation_names
+        relations = dataset.graph.relation_names
         config = TrainingConfig(num_epochs=20, eval_every=0, correct_and_smooth=True)
         set_seed(7)
         reference_state = nn.RGCNNet(dataset.feature_dim, 16, dataset.num_classes, relations,

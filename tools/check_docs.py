@@ -10,8 +10,17 @@ It also imports every Sphinx-style cross-reference to the package
 (``:class:`~repro.graph.Graph```, ``:meth:`text <repro.….name>```, and the
 ``:func:``, ``:attr:``, ``:data:`` and ``:mod:`` roles) found in the
 docstrings under ``src/`` and in ``docs/*.md``, and fails when the named
-module or attribute does not exist.  A reference may wrap across lines.  The
-package must be importable (``PYTHONPATH=src``).
+module or attribute does not exist.  A reference may wrap across lines.
+
+An unqualified reference in a ``src/`` module (``:class:`Graph```,
+``:meth:`Graph.plan```, ``:attr:`relation_edges```) is resolved against that
+module, in this order: its globals, the builtins, importable dotted names,
+then the members of the classes it defines — methods, properties, dataclass
+fields and ``self.x = …`` assignments, inherited ones included.  A dotted
+reference resolves its first name that way and the rest as attributes or
+instance attributes.  ``docs/*.md`` has no module context, so only its
+``repro.…`` references are checked.  The package must be importable
+(``PYTHONPATH=src``).
 
 Usage::
 
@@ -22,7 +31,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import ast
+import builtins
+import functools
 import importlib
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -91,7 +104,7 @@ def check_file(path: Path) -> list[str]:
 
 def _resolves(target: str) -> bool:
     """Whether ``repro.a.b.C.name`` imports: the longest importable module
-    prefix, then attribute lookups for the rest."""
+    prefix, then attribute (or instance attribute) lookups for the rest."""
     parts = target.split(".")
     for cut in range(len(parts), 0, -1):
         try:
@@ -99,25 +112,90 @@ def _resolves(target: str) -> bool:
         except ImportError:
             continue
         for name in parts[cut:]:
-            if not hasattr(obj, name):
+            if not _has_member(obj, name):
                 return False
-            obj = getattr(obj, name)
+            obj = getattr(obj, name, None)
         return True
     return False
 
 
+@functools.lru_cache(maxsize=None)
+def _instance_attributes(cls: type) -> frozenset:
+    """Names a class and its bases assign as ``self.x = …`` or annotate in
+    their bodies (dataclass fields without a default are not class attributes)."""
+    names = set()
+    for klass in cls.__mro__:
+        try:
+            tree = ast.parse(inspect.cleandoc("\n" + inspect.getsource(klass)))
+        except (OSError, TypeError, SyntaxError):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names.add(node.target.id)
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if (isinstance(leaf, ast.Attribute) and isinstance(leaf.value, ast.Name)
+                            and leaf.value.id == "self"):
+                        names.add(leaf.attr)
+    return frozenset(names)
+
+
+def _has_member(obj, name: str) -> bool:
+    return hasattr(obj, name) or (inspect.isclass(obj) and name in _instance_attributes(obj))
+
+
+def _resolves_in(module, target: str) -> bool:
+    """Whether an unqualified ``target`` resolves in ``module`` (see the
+    module docstring for the order)."""
+    head, *rest = target.split(".")
+    if hasattr(module, head):
+        obj = getattr(module, head)
+    elif hasattr(builtins, head):
+        obj = getattr(builtins, head)
+    elif _resolves(target):
+        return True
+    else:
+        classes = [value for value in vars(module).values()
+                   if inspect.isclass(value) and value.__module__ == module.__name__]
+        return not rest and any(_has_member(cls, head) for cls in classes)
+    for name in rest:
+        if not _has_member(obj, name):
+            return False
+        obj = getattr(obj, name, None)
+    return True
+
+
+def _module_of(path: Path):
+    """The imported module of a file under ``src/``, or ``None`` elsewhere."""
+    parts = path.with_suffix("").parts
+    if "src" not in parts:
+        return None
+    names = list(parts[len(parts) - parts[::-1].index("src"):])
+    if names[-1] == "__init__":
+        names.pop()
+    return importlib.import_module(".".join(names))
+
+
 def check_xrefs(path: Path) -> tuple[list[str], int]:
-    """Unresolvable ``repro.…`` cross-references in one file, and how many it has."""
+    """Unresolvable cross-references in one file, and how many it has: every
+    ``repro.…`` one, and in a ``src/`` module the unqualified ones too."""
     text = path.read_text()
+    module = _module_of(path) if path.suffix == ".py" else None
     errors, count = [], 0
     for match in _XREF.finditer(text):
         body = match.group(1)
         inner = _XREF_TARGET.search(body)
         target = re.sub(r"\s+", "", inner.group(1) if inner else body).lstrip("~")
-        if not target.startswith("repro."):
+        if target.startswith("repro."):
+            resolves = _resolves(target)
+        elif module is not None:
+            resolves = _resolves_in(module, target)
+        else:
             continue
         count += 1
-        if not _resolves(target):
+        if not resolves:
             line = text.count("\n", 0, match.start()) + 1
             errors.append(f"{path}:{line}: unresolvable reference {target!r}")
     return errors, count
