@@ -46,6 +46,25 @@ class TestRelationalGraph:
         with pytest.raises(ValueError):
             Graph.from_relations(3, {})
 
+    def test_rejects_a_relation_named_none(self):
+        edges = (np.array([0]), np.array([1]))
+        for relations in ({None: edges}, {"a": edges, None: edges}):
+            with pytest.raises(ValueError, match="none named None"):
+                Graph.from_relations(3, relations)
+
+    def test_rejects_out_of_range_edges_naming_the_relation(self):
+        with pytest.raises(ValueError, match=r"relations\['b'\]\.dst"):
+            Graph.from_relations(3, {"a": ([0], [1]), "b": ([1], [3])})
+
+    def test_rejects_mismatched_lengths_naming_the_relation(self):
+        with pytest.raises(ValueError, match=r"relations\['b'\]\.src and dst"):
+            Graph.from_relations(3, {"a": ([0], [1]), "b": ([0, 1], [2])})
+
+    def test_repr_names_the_relations(self, small_hetero):
+        assert repr(small_hetero) == \
+            "Graph(num_nodes=5, num_edges=5, relations=['cites', 'writes'])"
+        assert repr(Graph(2, [0], [1])) == "Graph(num_nodes=2, num_edges=1)"
+
     def test_src_dst_are_the_union_in_relation_order(self, small_hetero):
         np.testing.assert_array_equal(small_hetero.src, [0, 1, 2, 3, 4])
         np.testing.assert_array_equal(small_hetero.dst, [1, 2, 3, 0, 1])
@@ -68,6 +87,36 @@ class TestRelationalGraph:
         present = np.bincount(small_hetero.relation_edges["cites"][1], minlength=5) > 0
         np.testing.assert_allclose(rows[present], 1.0)
         np.testing.assert_allclose(rows[~present], 0.0)
+
+    def test_relation_plan_matches_the_relations_own_graph(self, small_hetero, rng):
+        """Each relation's plan aggregates exactly as a graph of that relation
+        alone; on a homogeneous graph ``plan()`` is the cached plan of ``None``."""
+        x = rng.standard_normal((5, 3)).astype(np.float32)
+        for name, (src, dst) in small_hetero.relation_edges.items():
+            np.testing.assert_array_equal(
+                small_hetero.relation_plan(name).aggregate_mean(x),
+                Graph(5, src, dst).plan().aggregate_mean(x))
+        homogeneous = Graph(5, small_hetero.src, small_hetero.dst)
+        assert homogeneous.plan() is homogeneous.relation_plan(None)
+        assert homogeneous.plan() is homogeneous.plan()
+
+    def test_union_reads_like_the_homogeneous_graph(self, sbm_graph):
+        """Degrees, the normalized adjacency Correct & Smooth propagates over
+        and the partitioner's assignment see the relational graph as the
+        homogeneous graph of its ``src``/``dst`` union."""
+        half = sbm_graph.num_edges // 2
+        relational = Graph.from_relations(sbm_graph.num_nodes, {
+            "a": (sbm_graph.src[:half], sbm_graph.dst[:half]),
+            "b": (sbm_graph.src[half:], sbm_graph.dst[half:]),
+            "c": (sbm_graph.dst[::3], sbm_graph.src[::3]),
+        })
+        union = Graph(relational.num_nodes, relational.src, relational.dst)
+        np.testing.assert_array_equal(relational.in_degrees(), union.in_degrees())
+        np.testing.assert_array_equal(relational.out_degrees(), union.out_degrees())
+        np.testing.assert_array_equal(relational.adjacency(normalization="sym").toarray(),
+                                      union.adjacency(normalization="sym").toarray())
+        np.testing.assert_array_equal(partition_graph(relational, 3, seed=0),
+                                      partition_graph(union, 3, seed=0))
 
     def test_ndata_validation(self, small_hetero):
         small_hetero.set_ndata("feat", np.zeros((5, 2)))

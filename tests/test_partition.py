@@ -213,6 +213,23 @@ class TestShards:
             np.testing.assert_allclose(acc, expected[shard.global_node_ids],
                                        rtol=1e-4, atol=1e-4)
 
+    def test_in_edge_index_is_the_graphs_buckets_keyed_by_none(self, sbm_graph):
+        """A shard's one index, relation ``None``, lists every local
+        destination's complete in-neighbourhood in global edge order: the
+        single-machine index's bucket of that node."""
+        book, shards = self._shards(sbm_graph, num_parts=3)
+        full = sbm_graph.in_edge_index()[None]
+        for shard in shards:
+            indexes = shard.in_edge_index()
+            assert list(indexes) == [None]
+            assert shard.in_edge_index() is indexes
+            index = indexes[None]
+            for local, node in enumerate(shard.global_node_ids):
+                mine = slice(index.indptr[local], index.indptr[local + 1])
+                want = slice(full.indptr[node], full.indptr[node + 1])
+                np.testing.assert_array_equal(index.eids[mine], full.eids[want])
+                np.testing.assert_array_equal(index.src[mine], full.src[want])
+
     def test_halo_size_counts_remote_rows_only(self, sbm_graph):
         book, shards = self._shards(sbm_graph)
         for shard in shards:
