@@ -179,7 +179,7 @@ class DistributedGraph:
         The one way a restriction comes into being, shared by the persistent
         MFG restriction and per-batch sampled training: both hand over grids
         from :meth:`repro.sample.distributed.DistributedNeighborSampler.
-        sample_blocks` — MFG's sampled once, at every fan-out ``-1`` over its
+        sample` — MFG's sampled once, at every fan-out ``-1`` over its
         seed set, sampled training's afresh every batch.  Each layer's view
         recounts the in-degrees from its grid, so mean aggregation divides by
         the sampled degree, which on a full-neighbourhood grid is the global

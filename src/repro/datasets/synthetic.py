@@ -16,7 +16,7 @@ experiments rely on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -124,6 +124,32 @@ def random_split(num_nodes: int, train_frac: float, val_frac: float, test_frac: 
     return train_mask, val_mask, test_mask
 
 
+def _labelled_dataset(name: str, graph: Graph, labels: np.ndarray, num_classes: int,
+                      feature_dim: int, signal: float, noise: float,
+                      fractions: Tuple[float, float, float], seed: int,
+                      metadata: Dict[str, float]) -> NodeClassificationDataset:
+    """The generators' shared tail: class-correlated features and the
+    train/val/test split drawn under ``seed``, then the dataset over
+    ``graph`` with its node data attached."""
+    with temp_seed(seed) as rng:
+        features = class_correlated_features(labels, num_classes, feature_dim,
+                                             signal=signal, noise=noise, rng=rng)
+        train_mask, val_mask, test_mask = random_split(graph.num_nodes, *fractions, rng=rng)
+    dataset = NodeClassificationDataset(
+        name=name,
+        graph=graph,
+        features=features,
+        labels=labels.astype(np.int64),
+        train_mask=train_mask,
+        val_mask=val_mask,
+        test_mask=test_mask,
+        num_classes=num_classes,
+        metadata=metadata,
+    )
+    dataset.attach_to_graph()
+    return dataset
+
+
 def make_sbm_dataset(name: str, num_nodes: int, num_classes: int, feature_dim: int,
                      p_in: float, p_out: float, signal: float = 1.0, noise: float = 1.5,
                      train_frac: float = 0.5, val_frac: float = 0.2, test_frac: float = 0.3,
@@ -139,25 +165,11 @@ def make_sbm_dataset(name: str, num_nodes: int, num_classes: int, feature_dim: i
     graph, labels = stochastic_block_model(block_sizes, p_in, p_out, seed=seed)
     if add_self_loops:
         graph = graph.add_self_loops()
-    with temp_seed(seed + 1) as rng:
-        features = class_correlated_features(labels, num_classes, feature_dim,
-                                             signal=signal, noise=noise, rng=rng)
-        train_mask, val_mask, test_mask = random_split(
-            graph.num_nodes, train_frac, val_frac, test_frac, rng=rng
-        )
-    dataset = NodeClassificationDataset(
-        name=name,
-        graph=graph,
-        features=features,
-        labels=labels.astype(np.int64),
-        train_mask=train_mask,
-        val_mask=val_mask,
-        test_mask=test_mask,
-        num_classes=num_classes,
-        metadata={"p_in": p_in, "p_out": p_out, "signal": signal, "noise": noise, "seed": seed},
+    return _labelled_dataset(
+        name, graph, labels, num_classes, feature_dim, signal, noise,
+        (train_frac, val_frac, test_frac), seed + 1,
+        {"p_in": p_in, "p_out": p_out, "signal": signal, "noise": noise, "seed": seed},
     )
-    dataset.attach_to_graph()
-    return dataset
 
 
 def make_hetero_sbm_dataset(name: str, num_nodes: int, num_classes: int, feature_dim: int,
@@ -184,22 +196,8 @@ def make_hetero_sbm_dataset(name: str, num_nodes: int, num_classes: int, feature
         )
         relations[rel_name] = (graph_r.src, graph_r.dst)
     graph = Graph.from_relations(int(sum(block_sizes)), relations)
-    with temp_seed(seed + 100) as rng:
-        features = class_correlated_features(labels, num_classes, feature_dim,
-                                             signal=signal, noise=noise, rng=rng)
-        train_mask, val_mask, test_mask = random_split(
-            graph.num_nodes, train_frac, val_frac, test_frac, rng=rng
-        )
-    dataset = NodeClassificationDataset(
-        name=name,
-        graph=graph,
-        features=features,
-        labels=labels.astype(np.int64),
-        train_mask=train_mask,
-        val_mask=val_mask,
-        test_mask=test_mask,
-        num_classes=num_classes,
-        metadata={"seed": seed, "num_relations": len(relation_specs)},
+    return _labelled_dataset(
+        name, graph, labels, num_classes, feature_dim, signal, noise,
+        (train_frac, val_frac, test_frac), seed + 100,
+        {"seed": seed, "num_relations": len(relation_specs)},
     )
-    dataset.attach_to_graph()
-    return dataset

@@ -38,8 +38,8 @@ PREFETCH_OVERLAP_TAGS = ("forward_halo", "backward_refetch")
 
 #: Tags hidden when the distributed sampled-training loop samples batch b+1
 #: cooperatively (the per-layer frontier allgathers, tagged
-#: ``sample_frontier``) behind batch b's compute — see
-#: ``repro.training.trainer`` (``_sampled_blocks``); it does whenever
+#: ``sample_frontier``) behind batch b's compute — a worker's
+#: ``MiniBatchDataLoader`` samples ahead on its prefetch thread whenever
 #: ``NeighborSamplingConfig.num_workers >= 1`` and ``max_resident_batches >= 2``.
 SAMPLING_OVERLAP_TAGS = ("sample_frontier",)
 

@@ -9,11 +9,7 @@ from repro.sample.loader import (
     epoch_seed_order,
     num_batches_for,
 )
-from repro.sample.distributed import (
-    DistributedNeighborSampler,
-    DistributedSamplingPlan,
-    build_sampling_plan,
-)
+from repro.sample.distributed import DistributedNeighborSampler
 from repro.sample.inference import (
     LayerWiseInference,
     check_layered_model,
@@ -33,6 +29,4 @@ __all__ = [
     "epoch_seed_order",
     "num_batches_for",
     "DistributedNeighborSampler",
-    "DistributedSamplingPlan",
-    "build_sampling_plan",
 ]

@@ -5,9 +5,10 @@ every worker holds the model replica, the batch's seed set is global, and
 each worker executes its partition's share of the work.  Sampling splits
 along ownership exactly like aggregation does:
 
-* batches are sliced from the *global* shuffled seed order (every worker
-  derives the identical permutation from the shared sampler seed — no
-  coordinator, no broadcast);
+* batches are sliced from the *global* shuffled seed order by the same
+  :class:`~repro.sample.loader.MiniBatchDataLoader` a single machine uses
+  (every worker derives the identical permutation from the shared sampler
+  seed — no coordinator, no broadcast);
 * at each layer, every worker samples in-edges **only for the required
   destinations it owns** — the in-edges of a worker's own nodes are precisely
   the local metadata its ``G_{p,q}`` blocks are built from, read through the
@@ -29,80 +30,62 @@ samples for the same batch — the distributed run trains the same mini-batch
 sequence as the single-machine run with the same seed.  At every fan-out
 ``-1`` the union is the full-neighbourhood MFG of the batch
 (:func:`repro.graph.mfg.build_mfg_pipeline`), which is how distributed MFG
-training gets its grids: one unshuffled batch equal to the seed set, sampled
-once — and over every node, the shard's own block row.
+training gets its grids: ``DistributedNeighborSampler(shard, comm, [-1] *
+L).sample(seeds)``, sampled once — and over every node, the shard's own block
+row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.distributed.comm import Communicator
 from repro.partition.shard import EdgeBlock, ShardedGraph, edge_blocks
-from repro.sample.loader import NeighborSamplingConfig, num_batches_for
 from repro.sample.neighbor import _layer_key, check_fanout, sample_in_edges
 
 
-@dataclass
-class DistributedSamplingPlan:
-    """The sampling settings every worker shares (:func:`build_sampling_plan`).
-
-    Graph-free: each worker reads its own in-edges from its shard.
-    """
-
-    fanouts: Sequence[int]
-    replace: bool
-    seed: int
-    batch_size: int
-    shuffle: bool
-    drop_last: bool
-    #: global ids of the seed universe batches are sliced from (ascending)
-    train_seed_ids: np.ndarray
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.fanouts)
-
-    @property
-    def num_batches(self) -> int:
-        return num_batches_for(len(self.train_seed_ids), self.batch_size, self.drop_last)
-
-
-def build_sampling_plan(
-    config: NeighborSamplingConfig,
-    train_seed_ids: np.ndarray,
-    seed: int,
-) -> DistributedSamplingPlan:
-    """The plan of a sampled-training config over ``train_seed_ids``.
-
-    Fanouts pass the single-machine sampler's
-    :func:`~repro.sample.neighbor.check_fanout` (so no per-relation maps).
-    """
-    fanouts = [check_fanout(spec) for spec in config.fanouts]
-    return DistributedSamplingPlan(
-        fanouts=fanouts,
-        replace=config.replace,
-        seed=int(seed),
-        batch_size=config.batch_size,
-        shuffle=config.shuffle,
-        drop_last=config.drop_last,
-        train_seed_ids=np.asarray(train_seed_ids, dtype=np.int64),
-    )
-
-
 class DistributedNeighborSampler:
-    """One worker's view of the cooperative sampling protocol."""
+    """One worker's view of the cooperative sampling protocol.
 
-    def __init__(self, plan: DistributedSamplingPlan, shard: ShardedGraph, comm: Communicator):
-        self.plan = plan
+    Built and called like :class:`~repro.sample.neighbor.NeighborSampler` —
+    the worker's shard and communicator take the graph's place — so the one
+    :class:`~repro.sample.loader.MiniBatchDataLoader` drives it; what
+    :meth:`sample` returns is this worker's per-layer block grids instead of
+    an MFG pipeline.
+
+    Parameters
+    ----------
+    shard, comm:
+        This worker's :class:`~repro.partition.shard.ShardedGraph` (its
+        in-edges are what it samples) and communicator.
+    fanouts:
+        One ``int`` per conv layer, input → output order (``-1`` = full
+        neighbourhood); each passes
+        :func:`~repro.sample.neighbor.check_fanout`.  Homogeneous graphs
+        only, so no per-relation maps.
+    replace:
+        Sample with replacement (see ``NeighborSampler``).
+    seed:
+        Base seed of every draw; every worker must pass the same one.
+    """
+
+    def __init__(self, shard: ShardedGraph, comm: Communicator, fanouts: Sequence[int],
+                 replace: bool = False, seed: int = 0):
+        self.fanouts: List[int] = [check_fanout(spec) for spec in fanouts]
+        self.replace = bool(replace)
+        self.seed = int(seed)
+        self.num_nodes = shard.num_total_nodes
         self.book = shard.book
         self.comm = comm
         self.rank = comm.rank
         self.index = shard.in_edge_index()[None]
         self._held_key: Optional[str] = None
+
+    @property
+    def num_layers(self) -> int:
+        return len(self.fanouts)
 
     def _frontier_allgather(self, stream_key: str, src_global: np.ndarray) -> np.ndarray:
         """One keyed frontier allgather, releasing the previous payload.
@@ -111,8 +94,8 @@ class DistributedNeighborSampler:
         by ``(epoch, batch, layer)``, barrier-free — instead of the plain
         counter-ordered ``allgather``, so the whole protocol may run on a
         background thread while the main thread executes batch b's barrier
-        collectives (the trainer's sample-ahead, bounded by
-        ``NeighborSamplingConfig.max_resident_batches``).
+        collectives (the worker's loader sampling ahead on its prefetch
+        thread, bounded by ``NeighborSamplingConfig.max_resident_batches``).
 
         Reclamation needs no acknowledgement round-trip: this allgather
         completing means every rank *published* under ``stream_key``, and a
@@ -135,20 +118,19 @@ class DistributedNeighborSampler:
             self.comm.release_keyed(self._held_key)
             self._held_key = None
 
-    def sample_blocks(
+    def sample(
         self,
-        batch_ids: np.ndarray,
-        epoch: int,
-        batch_index: int,
+        seeds: np.ndarray,
+        epoch: int = 0,
+        batch_index: int = 0,
     ) -> List[List[EdgeBlock]]:
         """Sample one batch; returns this worker's per-layer block grids.
 
         Parameters
         ----------
-        batch_ids:
-            ``(batch_size,)`` *global* seed node ids — identical on every
-            worker (each derives the same shuffled order from the shared
-            seed).
+        seeds:
+            The batch's *global* seed node ids — identical on every worker
+            (each derives the same shuffled order from the shared seed).
         epoch, batch_index:
             Select the batch's independent counter-based random stream.
 
@@ -165,25 +147,24 @@ class DistributedNeighborSampler:
         Notes
         -----
         Collective: every worker must call it with the same global
-        ``batch_ids`` (one keyed allgather per layer merges the frontier).
+        ``seeds`` (one keyed allgather per layer merges the frontier).
         Because the per-layer collectives are keyed by ``(epoch, batch,
         layer)`` rather than ordered by a shared counter, the call is safe
         to run on a background thread concurrently with main-thread barrier
         collectives — the overlap the pipelined training loop exploits.
         """
-        plan = self.plan
-        current = np.unique(np.asarray(batch_ids, dtype=np.int64))
-        layer_edges: List[Optional[tuple]] = [None] * plan.num_layers
-        for layer in range(plan.num_layers - 1, -1, -1):
-            key = _layer_key(plan.seed, epoch, batch_index, layer)
+        current = np.unique(np.asarray(seeds, dtype=np.int64))
+        layer_edges: List[Optional[tuple]] = [None] * self.num_layers
+        for layer in range(self.num_layers - 1, -1, -1):
+            key = _layer_key(self.seed, epoch, batch_index, layer)
             owned = self.book.assignment[current] == self.rank
             local_global = current[owned]
             _, local_ids = self.book.to_local(local_global)
             positions = sample_in_edges(
                 self.index,
                 local_ids,
-                plan.fanouts[layer],
-                plan.replace,
+                self.fanouts[layer],
+                self.replace,
                 key,
                 key_ids=local_global,
             )

@@ -22,6 +22,13 @@ an epoch, or changing ``num_workers`` never changes what is sampled.  The
 epoch shuffle uses the same counter-based derivation
 (:func:`repro.utils.seed.derive_rng`), which is how the distributed workers
 reproduce the exact global batch sequence without communicating.
+
+The loader is sampler-agnostic: anything with ``seed``, ``num_nodes`` and
+``sample(seeds, epoch, batch_index)`` drives it.  On one machine that is a
+:class:`~repro.sample.neighbor.NeighborSampler` (each batch an
+:class:`~repro.graph.mfg.MFGPipeline`); on a SAR / DP worker it is the
+cooperative :class:`~repro.sample.distributed.DistributedNeighborSampler`
+(each batch that worker's per-layer block grids).
 """
 
 from __future__ import annotations
@@ -31,8 +38,6 @@ from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.graph.mfg import MFGPipeline
-from repro.sample.neighbor import NeighborSampler
 from repro.store import FeatureStore, as_feature_store
 from repro.utils.prefetch import Prefetcher
 from repro.utils.seed import derive_rng
@@ -45,9 +50,9 @@ _SHUFFLE_SALT = 0x5EED5_0F_5A17
 def epoch_seed_order(seed: int, seeds: np.ndarray, epoch: int, shuffle: bool) -> np.ndarray:
     """The deterministic order seeds are batched in for ``epoch``.
 
-    Shared by :class:`MiniBatchDataLoader` and the distributed workers so a
-    single-machine run and a cooperative distributed run slice identical
-    batches from identical permutations.
+    :class:`MiniBatchDataLoader` slices its batches from it — on one machine
+    and on every distributed worker, which all derive the identical
+    permutation from the shared sampler seed.
     """
     if not shuffle:
         return seeds
@@ -80,7 +85,7 @@ class NeighborSamplingConfig:
         :class:`MiniBatchDataLoader`).
     num_workers:
         Background sampling threads (``0`` = synchronous).  A distributed
-        worker samples on at most one thread (its cooperative frontier
+        worker builds its loader with at most one (its cooperative frontier
         exchanges must run in batch order), so there any value ``>= 1``
         means one.
     max_resident_batches:
@@ -107,16 +112,28 @@ class NeighborSamplingConfig:
     max_resident_batches: int = 2
     seed: Optional[int] = None
 
+    def loader(self, sampler, seeds: np.ndarray) -> "MiniBatchDataLoader":
+        """The :class:`MiniBatchDataLoader` of this epoch structure over ``seeds``."""
+        return MiniBatchDataLoader(
+            sampler, seeds, batch_size=self.batch_size, shuffle=self.shuffle,
+            drop_last=self.drop_last, num_workers=self.num_workers,
+            max_resident=self.max_resident_batches,
+        )
+
 
 @dataclass
 class MiniBatch:
-    """One sampled mini-batch: the block chain plus its bookkeeping ids."""
+    """One sampled mini-batch: the sampler's output plus its bookkeeping ids."""
 
     epoch: int
     index: int
-    #: seed node ids, deduplicated ascending — identical to ``pipeline.output_nodes``
+    #: seed node ids, deduplicated ascending — on one machine identical to
+    #: ``pipeline.output_nodes``
     seeds: np.ndarray
-    pipeline: MFGPipeline
+    #: what the sampler returned: an :class:`~repro.graph.mfg.MFGPipeline` on
+    #: one machine, this worker's per-layer ``EdgeBlock`` grids on a SAR / DP
+    #: worker (where the input-feature helpers below do not apply)
+    pipeline: Any
     #: layer-0 input features, pre-gathered by the loader's prefetch job
     #: when :meth:`MiniBatchDataLoader.set_features` was called;
     #: ``None`` otherwise.
@@ -153,8 +170,10 @@ class MiniBatchDataLoader:
     Parameters
     ----------
     sampler:
-        The :class:`~repro.sample.neighbor.NeighborSampler` batches are drawn
-        from (its seed also keys the epoch shuffle).
+        The sampler batches are drawn from — a
+        :class:`~repro.sample.neighbor.NeighborSampler`, or a worker's
+        :class:`~repro.sample.distributed.DistributedNeighborSampler` (its
+        seed also keys the epoch shuffle).
     seeds:
         Seed node ids batches are formed over (typically the training nodes).
     batch_size:
@@ -168,7 +187,7 @@ class MiniBatchDataLoader:
         and in-flight prefetches included).
     """
 
-    sampler: NeighborSampler
+    sampler: Any
     seeds: np.ndarray
     batch_size: int = 128
     shuffle: bool = True
@@ -243,7 +262,7 @@ class MiniBatchDataLoader:
     def _make_batch(self, order: np.ndarray, epoch: int, index: int) -> MiniBatch:
         ids = order[index * self.batch_size : (index + 1) * self.batch_size]
         pipeline = self.sampler.sample(ids, epoch=epoch, batch_index=index)
-        batch = MiniBatch(epoch=epoch, index=index, seeds=pipeline.output_nodes, pipeline=pipeline)
+        batch = MiniBatch(epoch=epoch, index=index, seeds=np.unique(ids), pipeline=pipeline)
         store = self._features
         if store is not None and not store.trainable:
             batch.inputs = store.gather(batch.input_nodes)

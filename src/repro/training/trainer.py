@@ -24,6 +24,7 @@ the baseline of the single-host benchmarks.
 
 from __future__ import annotations
 
+import dataclasses
 from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -41,20 +42,12 @@ from repro.nn.module import Module
 from repro.partition.book import PartitionBook
 from repro.partition.partitioner import partition_graph
 from repro.partition.shard import create_shards
-from repro.sample.distributed import (
-    DistributedNeighborSampler,
-    DistributedSamplingPlan,
-    build_sampling_plan,
-)
+from repro.sample.distributed import DistributedNeighborSampler
 from repro.sample.inference import (
     LayerWiseInference,
     distributed_layerwise_logits,
 )
-from repro.sample.loader import (
-    MiniBatchDataLoader,
-    NeighborSamplingConfig,
-    epoch_seed_order,
-)
+from repro.sample.loader import MiniBatchDataLoader, NeighborSamplingConfig
 from repro.sample.neighbor import NeighborSampler
 from repro.store import FeatureStore, as_feature_store
 from repro.tensor import functional as F
@@ -72,7 +65,6 @@ from repro.training.correct_and_smooth import CorrectAndSmooth
 from repro.training.label_augmentation import LabelAugmenter, NoLabelAugmenter
 from repro.training.metrics import distributed_mean_loss, evaluation_report
 from repro.utils.logging import get_logger
-from repro.utils.prefetch import Prefetcher
 from repro.utils.seed import temp_seed
 from repro.utils.timing import Timer, WorkerTimer
 from repro.utils.validation import check_1d_int_array
@@ -525,16 +517,9 @@ class FullBatchTrainer(_EpochLoop):
         self.sample_loader: Optional[MiniBatchDataLoader] = None
         if config.sampler is not None:
             scfg = config.sampler
-            sampler = NeighborSampler(
-                graph, scfg.fanouts, replace=scfg.replace,
-                seed=config.resolved_sampler_seed(),
-            )
-            self.sample_loader = MiniBatchDataLoader(
-                sampler, dataset.train_indices(), batch_size=scfg.batch_size,
-                shuffle=scfg.shuffle, drop_last=scfg.drop_last,
-                num_workers=scfg.num_workers,
-                max_resident=scfg.max_resident_batches,
-            )
+            sampler = NeighborSampler(graph, scfg.fanouts, replace=scfg.replace,
+                                      seed=config.resolved_sampler_seed())
+            self.sample_loader = scfg.loader(sampler, dataset.train_indices())
         self.mfg_pipeline = None
         if config.mfg_seeds is not None:
             self.mfg_pipeline = build_mfg_pipeline(graph, config.mfg_seeds, num_layers)
@@ -599,7 +584,7 @@ class _DistributedWorker(_EpochLoop):
 
     def __init__(self, rank: int, comm: Communicator, shard, model_factory: ModelFactory,
                  feature_dim: int, num_classes: int, config: TrainingConfig,
-                 sar_config: SARConfig, sampling: Optional[DistributedSamplingPlan]):
+                 sar_config: SARConfig):
         self.rank, self.comm, self.config = rank, comm, config
         self.augmenter = _make_augmenter(config, num_classes)
         # Rank 0's initial weights are the ones every rank trains from (broadcast
@@ -625,23 +610,28 @@ class _DistributedWorker(_EpochLoop):
         self.mfg_layers: Optional[RestrictionLayers] = None
         self.seed_mask: Optional[np.ndarray] = None
         if config.mfg_seeds is not None:
-            # The MFG is the full-neighbourhood sample of one unshuffled batch
-            # equal to the seed set.
+            # The MFG is the full-neighbourhood sample of the seed set.
             seeds = np.unique(np.asarray(config.mfg_seeds, dtype=np.int64))
-            full = NeighborSamplingConfig(fanouts=[-1] * num_layers, batch_size=len(seeds),
-                                          shuffle=False)
-            mfg = DistributedNeighborSampler(build_sampling_plan(full, seeds, seed=0),
-                                             shard, comm)
-            self.mfg_layers = self.graph.prepare_restriction(
-                mfg.sample_blocks(seeds, epoch=0, batch_index=0), name="mfg"
-            )
+            mfg = DistributedNeighborSampler(shard, comm, [-1] * num_layers)
+            self.mfg_layers = self.graph.prepare_restriction(mfg.sample(seeds), name="mfg")
             # prepare_restriction's routing exchanges are barriers: every rank
             # has consumed the last frontier payload.
             mfg.release()
             self.seed_mask = np.isin(shard.global_node_ids, seeds)
-        self.sampler: Optional[DistributedNeighborSampler] = None
-        if sampling is not None:
-            self.sampler = DistributedNeighborSampler(sampling, shard, comm)
+        #: the sampled epochs' loader — the single machine's, over this
+        #: worker's cooperative sampler and the global train ids.
+        self.loader: Optional[MiniBatchDataLoader] = None
+        if config.sampler is not None:
+            scfg = config.sampler
+            train_ids = comm.allgather(shard.global_node_ids[shard.node_data["train_mask"]],
+                                       tag="setup")
+            sampler = DistributedNeighborSampler(shard, comm, scfg.fanouts,
+                                                 replace=scfg.replace,
+                                                 seed=config.resolved_sampler_seed())
+            # Releasing each frontier payload relies on a rank sampling its
+            # batches in order, hence one sampling thread at most.
+            scfg = dataclasses.replace(scfg, num_workers=min(scfg.num_workers, 1))
+            self.loader = scfg.loader(sampler, np.sort(np.concatenate(train_ids)))
         self.kv_store = None
         if config.feature_store is not None:
             # Every worker constructs (and publishes) its store here — same
@@ -670,7 +660,7 @@ class _DistributedWorker(_EpochLoop):
 
     def _batches(self, epoch: int, features, predict_mask: np.ndarray) -> Iterator[Batch]:
         graph, inputs, labels = self.graph, Tensor(features), self.labels
-        if self.sampler is None:
+        if self.loader is None:
             graph.begin_step()
             if self.mfg_layers is None:
                 yield graph, inputs, labels, predict_mask
@@ -681,43 +671,21 @@ class _DistributedWorker(_EpochLoop):
         # Every sampled batch is a collective: all workers derive the identical
         # global batch (same shuffle stream), sample their owned share of each
         # layer, prepare the sampled per-layer block grids (shrunken halo
-        # exchanges) and take one gradient-synchronized optimizer step.
+        # exchanges) and take one gradient-synchronized optimizer step.  Batch
+        # b+1's sampling — its keyed, barrier-free ``sample_frontier``
+        # allgathers included — runs on the loader's prefetch thread while
+        # batch b computes, so its wire time hides behind the forward/backward
+        # pass (the cost model accounts it under ``SAMPLING_OVERLAP_TAGS``).
+        # Preparing the restriction builds barrier-based halo exchanges, so it
+        # stays on this thread.
         batch_mask = np.zeros(graph.num_total_nodes, dtype=bool)
-        for batch_ids, blocks in self._sampled_blocks(epoch):
+        for batch in self.loader.iter_epoch(epoch):
             graph.begin_step()
-            layers = graph.prepare_restriction(blocks, name="smp")
+            layers = graph.prepare_restriction(batch.pipeline, name="smp")
             batch_mask[:] = False
-            batch_mask[batch_ids] = True
+            batch_mask[batch.seeds] = True
             with graph.restricted(layers):
                 yield graph, inputs, labels, predict_mask & batch_mask[graph.global_node_ids]
-
-    def _sampled_blocks(self, epoch: int) -> Iterator[Tuple[np.ndarray, list]]:
-        """``(global batch ids, this worker's sampled block grids)`` per batch.
-
-        Batch b+1's cooperative sampling — the per-layer ``sample_frontier``
-        allgathers included — runs on a background thread while batch b
-        computes, up to ``max_resident_batches`` batches resident, so its wire
-        time hides behind the forward/backward pass (the cost model accounts
-        this under ``SAMPLING_OVERLAP_TAGS``).  The keyed, barrier-free
-        frontier collectives (:meth:`Communicator.allgather_keyed`) make this
-        safe: the sampling thread never touches the barrier or the collective
-        counters the main thread's halo exchanges and allreduces rely on.
-        Releasing each frontier payload relies on a rank sampling its batches
-        in order, hence one sampling thread at most.  Preparing the
-        restriction (which builds barrier-based halo exchanges) stays on the
-        main thread.  Prefetching never changes what is sampled — only when.
-        """
-        plan = self.sampler.plan
-        order = epoch_seed_order(plan.seed, plan.train_seed_ids, epoch, plan.shuffle)
-
-        def sample(index: int):
-            batch_ids = order[index * plan.batch_size:(index + 1) * plan.batch_size]
-            return batch_ids, self.sampler.sample_blocks(batch_ids, epoch, index)
-
-        scfg = self.config.sampler or NeighborSamplingConfig()
-        prefetcher = Prefetcher(scfg.max_resident_batches, min(scfg.num_workers, 1),
-                                name="sample-ahead")
-        return prefetcher.run(sample, range(plan.num_batches))
 
     def _eval_logits(self, features: np.ndarray) -> np.ndarray:
         """One no-grad SAR forward, whatever ``eval_inference`` says: it
@@ -728,9 +696,7 @@ class _DistributedWorker(_EpochLoop):
 def distributed_train_worker(rank: int, comm: Communicator, shard, *,
                              model_factory: ModelFactory, feature_dim: int,
                              num_classes: int, config: TrainingConfig,
-                             sar_config: SARConfig,
-                             sampling: Optional[DistributedSamplingPlan] = None
-                             ) -> Dict[str, Any]:
+                             sar_config: SARConfig) -> Dict[str, Any]:
     """Per-worker training loop (the job ``cluster.run_job`` runs on every rank).
 
     With ``config.mfg_seeds`` set, the workers sample the seed set's
@@ -738,15 +704,17 @@ def distributed_train_worker(rank: int, comm: Communicator, shard, *,
     training forward runs inside that prepared per-layer restriction (smaller
     halo fetches).
 
-    ``sampling`` (from ``config.sampler``) switches the worker to cooperative
-    neighbour-sampled mini-batch training: per batch, the workers sample
-    their owned share of the per-layer neighbourhoods, prepare the sampled
-    block grids, and step the optimizer once — the halo exchange each batch
-    covers only sampled sources.  Evaluation runs outside any restriction
-    scope, so every row's logits exist.
+    With ``config.sampler`` set, the workers gather the global train ids once
+    and run cooperative neighbour-sampled mini-batch training through the
+    single machine's :class:`~repro.sample.loader.MiniBatchDataLoader`, over a
+    :class:`~repro.sample.distributed.DistributedNeighborSampler`: per batch,
+    the workers sample their owned share of the per-layer neighbourhoods,
+    prepare the sampled block grids, and step the optimizer once — the halo
+    exchange each batch covers only sampled sources.  Evaluation runs outside
+    any restriction scope, so every row's logits exist.
     """
     worker = _DistributedWorker(rank, comm, shard, model_factory, feature_dim, num_classes,
-                                config, sar_config, sampling)
+                                config, sar_config)
     training, logits = worker._fit()
     result: Dict[str, Any] = {
         "records": training.records,
@@ -758,8 +726,8 @@ def distributed_train_worker(rank: int, comm: Communicator, shard, *,
     # The evaluation collectives above are barriers: every peer has finished
     # sampling and fetching, so the last frontier payload and the published
     # store rows are provably consumed everywhere.
-    if worker.sampler is not None:
-        worker.sampler.release()
+    if worker.loader is not None:
+        worker.loader.sampler.release()
     if worker.kv_store is not None:
         result["feature_store_stats"] = worker.kv_store.stats()
         worker.graph.attach_feature_store(None)
@@ -820,10 +788,6 @@ class DistributedTrainer:
 
     def run(self) -> DistributedTrainingResult:
         config, dataset = self.config, self.dataset
-        sampling = None
-        if config.sampler is not None:
-            sampling = build_sampling_plan(config.sampler, dataset.train_indices(),
-                                           config.resolved_sampler_seed())
         result = run_distributed(
             distributed_train_worker, self.num_workers,
             worker_args=self.shards, timeout_s=self.timeout_s,
@@ -832,7 +796,6 @@ class DistributedTrainer:
             num_classes=dataset.num_classes,
             config=config,
             sar_config=self.sar_config,
-            sampling=sampling,
         )
         rank0 = result.results[0]
         training = TrainingResult(

@@ -14,7 +14,6 @@ from repro.utils.lru import LRUDict
 from repro.utils.timing import Timer, WorkerTimer
 from repro.utils.validation import (
     check_1d_int_array,
-    check_2d_array,
     check_positive_int,
     check_probability,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "Timer",
     "WorkerTimer",
     "check_1d_int_array",
-    "check_2d_array",
     "check_positive_int",
     "check_probability",
 ]

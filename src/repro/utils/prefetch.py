@@ -1,8 +1,8 @@
 """Ordered, bounded prefetch: compute item ``i+1`` while the caller uses item ``i``.
 
-Three places need it — the mini-batch loader (sample → compact → fetch per
-batch), the SAR engine's halo prefetch (paper §3.4) and the distributed
-trainer's sample-ahead — and all run through :class:`Prefetcher`:
+Two places need it — the mini-batch loader (sample → compact → fetch per
+batch, on one machine and on every distributed worker) and the SAR engine's
+halo prefetch (paper §3.4) — and both run through :class:`Prefetcher`:
 
 * results are yielded strictly in input order, whichever worker finishes
   first;

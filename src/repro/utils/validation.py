@@ -68,14 +68,3 @@ def check_strictly_increasing(rows: np.ndarray, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be non-negative and strictly increasing")
     return rows
 
-
-def check_2d_array(arr, name: str, num_rows: int | None = None) -> np.ndarray:
-    """Validate and convert ``arr`` to a 2-D float array."""
-    out = np.asarray(arr)
-    if out.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
-    if num_rows is not None and out.shape[0] != num_rows:
-        raise ValueError(
-            f"{name} must have {num_rows} rows, got {out.shape[0]}"
-        )
-    return out

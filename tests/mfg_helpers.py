@@ -9,7 +9,7 @@
   by ``(row, col)``), so it is not compared;
 * :func:`distributed_mfg_grids` — a worker's MFG block grids, built the way
   the distributed trainer builds them: the cooperative sampler at every
-  fan-out ``-1`` over one unshuffled batch equal to the seed set.
+  fan-out ``-1`` over the seed set.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph import Graph
-from repro.sample import NeighborSamplingConfig, build_sampling_plan
 from repro.sample.distributed import DistributedNeighborSampler
 
 #: nodes of :func:`adversarial_graph` with no edge at all / out-edges only.
@@ -62,12 +61,8 @@ def assert_same_block(block, expected):
 
 def distributed_mfg_grids(shard, comm, seeds, num_layers: int):
     """This worker's per-layer MFG block grids over ``seeds`` (collective)."""
-    seeds = np.unique(np.asarray(seeds, dtype=np.int64))
-    config = NeighborSamplingConfig(fanouts=[-1] * num_layers, batch_size=len(seeds),
-                                    shuffle=False)
-    sampler = DistributedNeighborSampler(build_sampling_plan(config, seeds, seed=0),
-                                         shard, comm)
-    grids = sampler.sample_blocks(seeds, epoch=0, batch_index=0)
+    sampler = DistributedNeighborSampler(shard, comm, [-1] * num_layers)
+    grids = sampler.sample(seeds)
     comm.barrier()  # every rank has consumed the last frontier payload
     sampler.release()
     return grids

@@ -1,5 +1,7 @@
 """Tests for the synthetic dataset generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -182,3 +184,26 @@ class TestOgbLikeSplitHandling:
         assert ds.graph.num_nodes == len(ds.train_mask)
         covered = ds.train_mask | ds.val_mask | ds.test_mask
         assert covered.sum() == ds.num_nodes
+
+
+def _dataset_digest(dataset) -> str:
+    sha = hashlib.sha256()
+    for name, (src, dst) in dataset.graph.relation_edges.items():
+        sha.update(repr(name).encode())
+        for ids in (src, dst):
+            sha.update(np.asarray(ids, dtype="<i8").tobytes())
+    sha.update(np.ascontiguousarray(dataset.features, dtype="<f4").tobytes())
+    sha.update(np.asarray(dataset.labels, dtype="<i8").tobytes())
+    for mask in (dataset.train_mask, dataset.val_mask, dataset.test_mask):
+        sha.update(np.asarray(mask, dtype=bool).tobytes())
+    return sha.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("make, expected", [
+    (ogbn_products_mini, "ccb0cb37b60c91f5"),
+    (ogbn_papers_mini, "81a5b506a22c4c00"),
+    (ogbn_mag_mini, "c43b8df260ec5fb8"),
+], ids=["products", "papers", "mag"])
+def test_mini_datasets_are_pinned(make, expected):
+    """Edges per relation, features, labels and split masks, bit for bit."""
+    assert _dataset_digest(make()) == expected

@@ -27,7 +27,7 @@ from repro.distributed.mp_backend import (
 from repro.graph import stochastic_block_model
 from repro.nn.models import GraphSageNet
 from repro.partition import PartitionBook, create_shards, partition_graph
-from repro.sample import NeighborSamplingConfig, build_sampling_plan
+from repro.sample import NeighborSamplingConfig
 from repro.tensor import Tensor
 from repro.training.trainer import FullBatchTrainer, TrainingConfig
 from repro.utils.prefetch import THREAD_PREFIX
@@ -103,7 +103,7 @@ def _sampled_model(dim, num_classes=4):
 
 class _BoomSage(GraphSageNet):
     """Rank 1 raises on its second training forward, reporting whether a
-    sample-ahead thread is alive at that moment."""
+    loader prefetch thread is alive at that moment."""
 
     def set_comm(self, comm):
         super().set_comm(comm)
@@ -113,9 +113,9 @@ class _BoomSage(GraphSageNet):
         if self.training and self.rank == 1:
             self.training_forwards += 1
             if self.training_forwards == 2:
-                in_flight = any(t.name.startswith(f"{THREAD_PREFIX}-sample-ahead")
+                in_flight = any(t.name.startswith(f"{THREAD_PREFIX}-loader")
                                 for t in threading.enumerate())
-                raise RuntimeError(f"model boom (sample-ahead in flight: {in_flight})")
+                raise RuntimeError(f"model boom (loader in flight: {in_flight})")
         return super().forward(graph, x)
 
 
@@ -123,7 +123,7 @@ def _boom_model(dim, num_classes=4):
     return _BoomSage(dim, 8, num_classes, num_layers=2, dropout=0.0, use_batch_norm=False)
 
 
-def _sampled_training_worker(rank, comm, shard, *, config, sampling,
+def _sampled_training_worker(rank, comm, shard, *, config,
                              feature_dim, num_classes, model_factory=_sampled_model):
     from repro.training.trainer import distributed_train_worker
 
@@ -134,7 +134,6 @@ def _sampled_training_worker(rank, comm, shard, *, config, sampling,
         num_classes=num_classes,
         config=config,
         sar_config=SARConfig("sar"),
-        sampling=sampling,
     )
     return [r.loss for r in out["records"]]
 
@@ -544,18 +543,16 @@ class TestMultiprocessBackend:
 
         book = PartitionBook(partition_graph(dataset.graph, 2, seed=0), 2)
         shards = create_shards(dataset.graph, book)
-        plan = build_sampling_plan(config.sampler, dataset.train_indices(),
-                                   config.resolved_sampler_seed())
         results = run_multiprocess(
             _sampled_training_worker, world_size=2, worker_args=shards,
-            timeout_s=180, config=config, sampling=plan,
+            timeout_s=180, config=config,
             feature_dim=dataset.feature_dim, num_classes=dataset.num_classes,
         ).results
         for losses in results:
             np.testing.assert_allclose(losses, single.losses(), rtol=1e-4, atol=1e-6)
 
     def test_sampled_training_fault_fails_the_run_promptly(self):
-        # A rank failing mid-epoch abandons its in-flight sample-ahead item
+        # A rank failing mid-epoch abandons its loader's in-flight batch
         # (possibly parked in a frontier collective) instead of waiting on it.
         dataset = _parity_dataset()
         config = TrainingConfig(
@@ -563,14 +560,12 @@ class TestMultiprocessBackend:
             sampler=NeighborSamplingConfig(fanouts=(3, 3), batch_size=16),
         )
         book = PartitionBook(partition_graph(dataset.graph, 2, seed=0), 2)
-        plan = build_sampling_plan(config.sampler, dataset.train_indices(),
-                                   config.resolved_sampler_seed())
         start = time.monotonic()
-        with pytest.raises(RuntimeError, match=r"model boom \(sample-ahead in flight: True\)"):
+        with pytest.raises(RuntimeError, match=r"model boom \(loader in flight: True\)"):
             run_multiprocess(
                 _sampled_training_worker, world_size=2,
                 worker_args=create_shards(dataset.graph, book), timeout_s=60,
-                config=config, sampling=plan, feature_dim=dataset.feature_dim,
+                config=config, feature_dim=dataset.feature_dim,
                 num_classes=dataset.num_classes, model_factory=_boom_model,
             )
         assert time.monotonic() - start < 10

@@ -16,13 +16,15 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.distributed.thread_backend import SharedStore, ThreadCommunicator
 from repro.graph import Graph, build_mfg_pipeline
 from repro.nn.models import GATNet, GraphSageNet, RGCNNet
+from repro.partition import PartitionBook, create_shards
 from repro.sample import (
+    DistributedNeighborSampler,
     MiniBatchDataLoader,
     NeighborSampler,
     NeighborSamplingConfig,
-    build_sampling_plan,
     sample_in_edges,
 )
 from repro.tensor import Tensor
@@ -270,12 +272,13 @@ def _fanout_entry_points():
     graph = adversarial_graph()
     hetero = Graph.from_relations(graph.num_nodes, {"a": (graph.src, graph.dst),
                                                     "b": (graph.dst, graph.src)})
+    (shard,) = create_shards(graph, PartitionBook(np.zeros(graph.num_nodes, dtype=np.int64), 1))
+    comm = ThreadCommunicator(0, SharedStore(1))
     return {
         "graph": lambda spec: NeighborSampler(graph, [spec, 2]).fanouts[0],
         "hetero": lambda spec: NeighborSampler(hetero, [spec, 2]).fanouts[0]["a"],
         "hetero-mapping": lambda spec: NeighborSampler(hetero, [{"a": spec, "b": 1}]).fanouts[0]["a"],
-        "distributed-plan": lambda spec: build_sampling_plan(
-            NeighborSamplingConfig(fanouts=(spec, 2)), np.arange(4), seed=0).fanouts[0],
+        "distributed": lambda spec: DistributedNeighborSampler(shard, comm, [spec, 2]).fanouts[0],
     }
 
 

@@ -8,19 +8,20 @@ shrunken per-batch halo exchanges.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.core.config import SARConfig
 from repro.graph import build_mfg_pipeline
 from repro.nn.models import GATNet, GraphSageNet
 from repro.partition import PartitionBook, create_shards, partition_graph
 from repro.sample import (
     NeighborSampler,
     NeighborSamplingConfig,
-    build_sampling_plan,
     epoch_seed_order,
 )
 from repro.sample.distributed import DistributedNeighborSampler
@@ -53,9 +54,9 @@ def _with_weights(model, weights):
 # --------------------------------------------------------------------------- #
 # protocol-level structural parity
 # --------------------------------------------------------------------------- #
-def _sample_worker(rank, comm, shard, *, plan, batch_ids, epoch, batch_index):
-    sampler = DistributedNeighborSampler(plan, shard, comm)
-    blocks = sampler.sample_blocks(np.asarray(batch_ids), epoch, batch_index)
+def _sample_worker(rank, comm, shard, *, fanouts, replace, batch_ids, epoch, batch_index):
+    sampler = DistributedNeighborSampler(shard, comm, fanouts, replace=replace, seed=77)
+    blocks = sampler.sample(np.asarray(batch_ids), epoch, batch_index)
     out = []
     for layer_blocks in blocks:
         src_global = []
@@ -80,12 +81,11 @@ def test_distributed_sample_matches_single_machine(sbm_graph, rng, world_size, f
     graph = sbm_graph
     book = PartitionBook(partition_graph(graph, world_size, seed=0), world_size)
     shards = create_shards(graph, book)
-    config = NeighborSamplingConfig(fanouts=fanouts, replace=replace, batch_size=24)
     train_ids = np.sort(rng.choice(graph.num_nodes, 24, replace=False))
-    plan = build_sampling_plan(config, train_ids, seed=77)
 
     result = run_distributed(_sample_worker, world_size, worker_args=shards,
-                             plan=plan, batch_ids=train_ids, epoch=1, batch_index=0)
+                             fanouts=fanouts, replace=replace, batch_ids=train_ids,
+                             epoch=1, batch_index=0)
 
     reference = NeighborSampler(graph, fanouts, replace=replace, seed=77)
     pipeline = reference.sample(train_ids, epoch=1, batch_index=0)
@@ -107,11 +107,8 @@ def test_distributed_sample_matches_single_machine(sbm_graph, rng, world_size, f
 
 
 def _full_grid_worker(rank, comm, shard):
-    every_node = np.arange(shard.num_total_nodes)
-    config = NeighborSamplingConfig(fanouts=[-1], batch_size=len(every_node), shuffle=False)
-    sampler = DistributedNeighborSampler(build_sampling_plan(config, every_node, seed=0),
-                                         shard, comm)
-    (grid,) = sampler.sample_blocks(every_node, epoch=0, batch_index=0)
+    sampler = DistributedNeighborSampler(shard, comm, [-1])
+    (grid,) = sampler.sample(np.arange(shard.num_total_nodes))
     comm.barrier()
     sampler.release()
     return grid
@@ -256,7 +253,7 @@ def test_overlap_never_changes_training(small_dataset, num_workers, max_resident
 
 class _BoomSage(GraphSageNet):
     """Rank 1 raises on its second training forward, reporting whether a
-    sample-ahead thread is alive at that moment."""
+    loader prefetch thread is alive at that moment."""
 
     def set_comm(self, comm):
         super().set_comm(comm)
@@ -266,14 +263,14 @@ class _BoomSage(GraphSageNet):
         if self.training and self.rank == 1:
             self.training_forwards += 1
             if self.training_forwards == 2:
-                in_flight = any(t.name.startswith(f"{THREAD_PREFIX}-sample-ahead")
+                in_flight = any(t.name.startswith(f"{THREAD_PREFIX}-loader")
                                 for t in threading.enumerate())
-                raise RuntimeError(f"model boom (sample-ahead in flight: {in_flight})")
+                raise RuntimeError(f"model boom (loader in flight: {in_flight})")
         return super().forward(graph, x)
 
 
 def test_sampled_worker_fault_fails_the_run_promptly(small_dataset):
-    """A rank failing mid-epoch abandons its in-flight sample-ahead item (which
+    """A rank failing mid-epoch abandons its loader's in-flight batch (which
     may be parked in a frontier collective) instead of waiting on it."""
     config = TrainingConfig(
         num_epochs=2, lr=0.05, eval_every=0, seed=0,
@@ -286,7 +283,28 @@ def test_sampled_worker_fault_fails_the_run_promptly(small_dataset):
         num_workers=2, config=config, timeout_s=60,
     )
     start = time.monotonic()
-    with pytest.raises(RuntimeError, match=r"model boom \(sample-ahead in flight: True\)"):
+    with pytest.raises(RuntimeError, match=r"model boom \(loader in flight: True\)"):
+        trainer.run()
+    assert time.monotonic() - start < 10
+
+
+def test_drop_last_leaving_no_batch_is_rejected_by_both_trainers(small_dataset):
+    """A sampled epoch with no batch is an error on one machine and on every
+    worker alike — not zero-step epochs recording NaN losses."""
+    config = TrainingConfig(
+        num_epochs=2, eval_every=0, seed=0,
+        sampler=NeighborSamplingConfig(fanouts=(3, 3), batch_size=1000, drop_last=True),
+    )
+
+    def factory(dim):
+        return _make_model(dim, small_dataset.num_classes, "sage")
+
+    with pytest.raises(ValueError, match="drop_last"):
+        FullBatchTrainer(factory(small_dataset.feature_dim), small_dataset, config)
+    trainer = DistributedTrainer(small_dataset, factory, num_workers=2, config=config,
+                                 timeout_s=60)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="drop_last"):
         trainer.run()
     assert time.monotonic() - start < 10
 
@@ -322,3 +340,50 @@ def test_hetero_distributed_sampling_rejected():
             num_workers=2,
             config=trainer_config,
         ).run()
+
+
+# --------------------------------------------------------------------------- #
+# the distributed sampled and MFG runs are pinned bit for bit
+# --------------------------------------------------------------------------- #
+#: the per-batch restrictions a worker trains under: cooperative sampling
+#: (without and with replacement, sampled inline) and the MFG of a seed set.
+_PINNED_RUNS = {
+    "sampled": dict(sampler=NeighborSamplingConfig(fanouts=(3, 4), batch_size=24)),
+    "replace": dict(sampler=NeighborSamplingConfig(fanouts=(-1, 2), batch_size=17,
+                                                   replace=True, num_workers=0,
+                                                   drop_last=True)),
+    "mfg": dict(mfg_seeds=np.arange(0, 240, 7)),
+}
+
+
+@pytest.mark.parametrize("case, mode, world_size, expected", [
+    ("sampled", "sar", 2, "12fad79c95699a01"),
+    ("sampled", "sar", 3, "33493d9dc32567a6"),
+    ("sampled", "dp", 2, "12fad79c95699a01"),
+    ("sampled", "dp", 3, "33493d9dc32567a6"),
+    ("replace", "sar", 2, "516c8de184316533"),
+    ("replace", "sar", 3, "fc6f23017831e12b"),
+    ("replace", "dp", 2, "516c8de184316533"),
+    ("replace", "dp", 3, "fc6f23017831e12b"),
+    ("mfg", "sar", 2, "f5b1af1be6436639"),
+    ("mfg", "sar", 3, "9ef3ba708ed20855"),
+    ("mfg", "dp", 2, "f5b1af1be6436639"),
+    ("mfg", "dp", 3, "9ef3ba708ed20855"),
+])
+def test_distributed_runs_are_pinned(small_dataset, case, mode, world_size, expected):
+    """Per-epoch losses and the assembled predictions of a SAR / DP run are
+    fixed bit for bit, whichever way the workers derive their batches."""
+    weights = _fixed_weights(small_dataset.feature_dim, small_dataset.num_classes, "sage")
+    trainer = DistributedTrainer(
+        small_dataset,
+        lambda dim: _with_weights(_make_model(dim, small_dataset.num_classes, "sage"),
+                                  weights),
+        num_workers=world_size, sar_config=SARConfig(mode=mode),
+        config=TrainingConfig(num_epochs=2, lr=0.05, eval_every=0, seed=0,
+                              **_PINNED_RUNS[case]),
+    )
+    result = trainer.run()
+    sha = hashlib.sha256(np.asarray(result.training.losses(), dtype="<f8").tobytes())
+    predictions = trainer.assemble_global_predictions(result)
+    sha.update(np.ascontiguousarray(predictions, dtype="<f4").tobytes())
+    assert sha.hexdigest()[:16] == expected
