@@ -13,7 +13,7 @@ block ordering, halo retention, prefetching, the backward re-fetch, and the
 error exchange.  There is one per-block kernel: through the block's
 :class:`~repro.tensor.edge_plan.EdgePlan` every per-edge array lives in the
 plan's destination-sorted edge space from the logits to the last segment sum
-(:func:`~repro.tensor.sparse.gat_logits_sorted`,
+(:func:`~repro.tensor.sparse.gat_raw_sorted`,
 :meth:`RunningSoftmaxAccumulator.add_block_sorted`,
 :func:`~repro.tensor.sparse.gat_backward_sorted`), so nothing is permuted between
 steps and the SDDMM's gathered operands are cache-blocked.  Execution modes (from
@@ -34,7 +34,7 @@ steps and the SDDMM's gathered operands are cache-blocked.  Execution modes (fro
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -43,7 +43,8 @@ from repro.core.halo import HaloExchange, pack_features, unpack_features
 from repro.core.seq_agg import BlockKernel, KernelPass
 from repro.core.stable_softmax import RunningSoftmaxAccumulator
 from repro.partition.shard import EdgeBlock, ShardedGraph
-from repro.tensor.sparse import gat_backward_sorted, gat_logits_sorted, leaky_relu_np
+from repro.tensor.sparse import (check_scores, gat_backward_sorted, gat_raw_sorted,
+                                 leaky_relu_np)
 from repro.tensor.tensor import Tensor, grad_enabled
 
 
@@ -53,10 +54,11 @@ from repro.tensor.tensor import Tensor, grad_enabled
 class GATKernel(BlockKernel):
     """Attention-weighted neighbour aggregation across graph partitions.
 
-    The published payload packs ``(z, score_src)`` so peers fetch both in one
-    message — the "message is a 2-tuple" of the paper's Eq. 3.  The
-    weighted aggregation and its transpose run every head at once through
-    the block plan's head-blocked CSR
+    The payload is the pair ``(z, score_src)`` — the "message is a 2-tuple"
+    of the paper's Eq. 3 — published as the arrays themselves, not packed
+    into a copy, so the kernels read contiguous ``z`` rows; the errors travel
+    packed, one array per peer.  The weighted aggregation and its transpose
+    run every head at once through the block plan's head-blocked CSR
     (:meth:`~repro.tensor.edge_plan.EdgePlan.u_mul_e_sum_sorted`), built
     once per block and head count, so no pass re-sorts a scipy matrix.
     """
@@ -70,6 +72,9 @@ class GATKernel(BlockKernel):
         z_data = z.data
         if z_data.ndim != 3:
             raise ValueError(f"Expected z of shape (N, heads, dim), got {z_data.shape}")
+        self.num_local, self.heads, self.dim = z_data.shape
+        check_scores("score_dst", score_dst.data, self.num_local, self.heads)
+        check_scores("score_src", score_src.data, self.num_local, self.heads)
         self.z_data = z_data
         self.sd = score_dst.data
         self.ss = score_src.data
@@ -77,34 +82,33 @@ class GATKernel(BlockKernel):
         self.config = config
         self.negative_slope = negative_slope
         self.fused = fused
-        self.num_local, self.heads, self.dim = z_data.shape
         self._passes = [KernelPass(name="", blocks=shard.blocks, halo=halo)]
         #: per-edge attention tensors (in the block plan's sorted edge space)
         #: kept alive in vanilla DP mode only
         self._saved_logits: Dict[int, Tensor] = {}
 
     # -- engine interface ------------------------------------------------ #
-    def payload(self) -> np.ndarray:
-        return pack_features(self.z_data, self.ss)
+    def payload(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self.z_data, self.ss
 
     def passes(self):
         return self._passes
-
-    def _unpack(self, feats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return unpack_features(feats, [(self.heads, self.dim), (self.heads,)])
 
     def forward_init(self) -> None:
         self._accumulator = RunningSoftmaxAccumulator(
             self.num_local, self.heads, self.dim, dtype=self.z_data.dtype)
 
     def forward_block(self, p: KernelPass, q: int, block: EdgeBlock,
-                      feats: np.ndarray) -> None:
-        z_q, ss_q = self._unpack(feats)
+                      feats: Tuple[np.ndarray, np.ndarray]) -> None:
+        z_q, ss_q = feats
         plan = block.plan()
-        raw, logits = gat_logits_sorted(plan, self.sd, ss_q, self.negative_slope)
-        if self.config.is_domain_parallel and grad_enabled():
-            # Vanilla DP materializes per-edge attention tensors in the graph
-            # (a no-grad forward records no graph to keep them in).
+        raw = gat_raw_sorted(plan, self.sd, ss_q)
+        # Vanilla DP materializes per-edge attention tensors in the graph (a
+        # no-grad forward records no graph to keep them in); otherwise the
+        # logits overwrite the raw scores.
+        save = self.config.is_domain_parallel and grad_enabled()
+        logits = leaky_relu_np(raw, self.negative_slope, out=None if save else raw)
+        if save:
             self._saved_logits[q] = Tensor(raw if self.fused else np.stack([raw, logits]))
         self._accumulator.add_block_sorted(logits, z_q, plan)
 
@@ -120,28 +124,33 @@ class GATKernel(BlockKernel):
         # Softmax backward needs Σ_j α_j <z_j, grad_i> per destination node; by
         # linearity that equals <out_i, grad_i>, so no extra pass over edges.
         self._weighted_sum = np.einsum("nhd,nhd->nh", self.out, grad_out)
-        # Errors for (z, score_src) travel packed, exactly like the payload,
-        # so the engine scatters one 2-D target per peer.
+        # Errors for (z, score_src) travel packed, so the engine exchanges
+        # one array per peer and scatters into one 2-D target.
         width = self.heads * self.dim + self.heads
         self._grad_packed = np.zeros((self.num_local, width), dtype=grad_out.dtype)
         self._grad_sd = np.zeros((self.num_local, self.heads), dtype=grad_out.dtype)
 
     def backward_block(self, p: KernelPass, q: int, block: EdgeBlock,
-                       feats: Optional[np.ndarray]) -> np.ndarray:
-        z_q, ss_q = self._unpack(feats)
+                       feats: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        z_q, ss_q = feats
         plan = block.plan()
         # ---- rematerialize the per-edge attention coefficients ----------- #
+        # One (E, H) buffer goes logits → weights → α; the raw scores live
+        # only until their sign mask exists.
         saved = self._saved_logits.get(q)  # filled by vanilla DP's forward only
         if saved is None:
-            raw, logits = gat_logits_sorted(plan, self.sd, ss_q, self.negative_slope)
+            alpha = gat_raw_sorted(plan, self.sd, ss_q)
+            positive = alpha > 0
+            leaky_relu_np(alpha, self.negative_slope, out=alpha)
         elif self.fused:
-            raw = saved.data
-            logits = leaky_relu_np(raw, self.negative_slope)
+            positive = saved.data > 0
+            alpha = leaky_relu_np(saved.data, self.negative_slope)
         else:
-            raw, logits = saved.data[0], saved.data[1]
-        positive = raw > 0
-        weights = np.exp(logits - plan.expand_dst(self._safe_max))
-        alpha = weights / plan.expand_dst(self.denominator)
+            positive = saved.data[0] > 0
+            alpha = saved.data[1].copy()
+        np.subtract(alpha, plan.expand_dst(self._safe_max), out=alpha)
+        np.exp(alpha, out=alpha)
+        np.divide(alpha, plan.expand_dst(self.denominator), out=alpha)
         grad_z_q, grad_sd, grad_ss_q = gat_backward_sorted(
             plan, z_q, self._grad_out, alpha, positive, self.negative_slope,
             weighted_sum=self._weighted_sum,
@@ -153,7 +162,6 @@ class GATKernel(BlockKernel):
         return self._grad_packed
 
     def backward_finalize(self):
-        split = self.heads * self.dim
-        grad_z = self._grad_packed[:, :split].reshape(self.num_local, self.heads, self.dim)
-        grad_ss = self._grad_packed[:, split:]
+        grad_z, grad_ss = unpack_features(self._grad_packed,
+                                          [(self.heads, self.dim), (self.heads,)])
         return grad_z, self._grad_sd, grad_ss

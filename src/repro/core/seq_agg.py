@@ -40,7 +40,7 @@ concrete kernels live next to their models:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,13 +63,41 @@ def block_order(rank: int, world_size: int) -> List[int]:
     return [rank] + [(rank + offset) % world_size for offset in range(1, world_size)]
 
 
-def _local_rows(payload: np.ndarray, block: EdgeBlock) -> np.ndarray:
+#: what a kernel publishes: one array, or a tuple of arrays with equal row
+#: counts, each published and fetched on its own (no packed copy); block
+#: features reach the kernel in the same structure.
+Payload = Union[np.ndarray, Tuple[np.ndarray, ...]]
+
+
+def _parts(payload) -> tuple:
+    """The arrays (or fetched tensors) of a payload, as a tuple."""
+    return payload if isinstance(payload, tuple) else (payload,)
+
+
+def _like(payload, parts: Sequence):
+    """``parts`` in ``payload``'s structure: a tuple, or the one item."""
+    return tuple(parts) if isinstance(payload, tuple) else parts[0]
+
+
+def _data(fetched):
+    """The arrays of fetched tensors, in their structure."""
+    return _like(fetched, [t.data for t in _parts(fetched)])
+
+
+def _part_key(key: str, index: int) -> str:
+    return f"{key}/h{index or ''}"
+
+
+def _local_rows(payload: Payload, block: EdgeBlock) -> Payload:
     """The local block's payload rows — the payload itself, not a copy, when
     the block needs every row: ``required_src_local`` is strictly increasing,
     so as many rows as the payload has means ``arange(len(payload))``.
     Kernels only read what they are handed."""
     rows = block.required_src_local
-    return payload if len(rows) == len(payload) else payload[rows]
+    parts = _parts(payload)
+    if len(rows) == len(parts[0]):
+        return payload
+    return _like(payload, [part[rows] for part in parts])
 
 
 @dataclass
@@ -101,14 +129,17 @@ class BlockKernel:
     grad_class: str = "linear"
 
     def __init__(self) -> None:
-        self._saved_halos: Dict[Tuple[int, int], Tensor] = {}
-        #: set by the engine before the forward sweep; the same array backs
-        #: the published tensor, so holding it adds no memory.
-        self._payload: Optional[np.ndarray] = None
+        #: fetched remote blocks, one tensor per payload part
+        self._saved_halos: Dict[Tuple[int, int], Union[Tensor, Tuple[Tensor, ...]]] = {}
+        #: set by the engine before the forward sweep; the same arrays back
+        #: the publish, so holding them adds no memory.
+        self._payload: Optional[Payload] = None
 
     # -- interface implemented by concrete kernels ----------------------- #
-    def payload(self) -> np.ndarray:
-        """Array published for peers to fetch (forward halo and case-2 re-fetch)."""
+    def payload(self) -> Payload:
+        """What peers fetch (forward halo and case-2 re-fetch): one array,
+        or a tuple of arrays with one row per local node, each published as
+        it is."""
         raise NotImplementedError
 
     def passes(self) -> Sequence[KernelPass]:
@@ -122,11 +153,11 @@ class BlockKernel:
         """Hook called before a pass's blocks are visited."""
 
     def forward_block(self, p: KernelPass, q: int, block: EdgeBlock,
-                      feats: np.ndarray) -> None:
+                      feats: Payload) -> None:
         """Fold one block into the forward accumulator.
 
         ``feats`` holds the payload rows for ``block.required_src_local``
-        (local slice or fetched remote copy).
+        (local slice or fetched remote copy), structured like the payload.
         """
         raise NotImplementedError
 
@@ -142,7 +173,7 @@ class BlockKernel:
         raise NotImplementedError
 
     def backward_block(self, p: KernelPass, q: int, block: EdgeBlock,
-                       feats: Optional[np.ndarray]) -> np.ndarray:
+                       feats: Optional[Payload]) -> np.ndarray:
         """Return the error rows for ``block.required_src_local``.
 
         ``feats`` is ``None`` for linear kernels; nonlinear kernels receive
@@ -162,11 +193,11 @@ class BlockKernel:
         raise NotImplementedError
 
     # -- halo bookkeeping (vanilla DP keeps fetched blocks alive) --------- #
-    def save_halo(self, p: KernelPass, q: int, tensor: Tensor) -> None:
-        self._saved_halos[(p.index, q)] = tensor
+    def save_halo(self, p: KernelPass, q: int, fetched) -> None:
+        self._saved_halos[(p.index, q)] = fetched
 
-    def saved_halo(self, p: KernelPass, q: int) -> np.ndarray:
-        return self._saved_halos[(p.index, q)].data
+    def saved_halo(self, p: KernelPass, q: int) -> Payload:
+        return _data(self._saved_halos[(p.index, q)])
 
 
 class SequentialAggregation(Function):
@@ -224,7 +255,8 @@ class SequentialAggregationEngine:
             # flow over the same covered payload, fetch through their own
             # attached store) — re-publishing would copy the full feature
             # matrix into the shared store every step on the mp backend.
-            self.comm.publish(f"{key}/h", payload)
+            for index, part in enumerate(_parts(payload)):
+                self.comm.publish(_part_key(key, index), part)
         # Vanilla DP keeps every halo for its backward; a no-grad forward
         # (evaluation) has no backward, so it holds one block at a time like SAR.
         save_halos = self.config.is_domain_parallel and grad_enabled()
@@ -262,6 +294,9 @@ class SequentialAggregationEngine:
                     kernel.error_target(p)[blk.required_src_local] += error
                 else:
                     outgoing[q] = np.asarray(error, dtype=np.float32)
+                # A scattered local error is dead; holding the name would keep
+                # it alive through the next block's compute.
+                del error
             kernel.end_pass(p, backward=True)
             err_key = f"{key}/{p.name}/err" if p.name else f"{key}/err"
             received = self.comm.exchange(err_key, outgoing, tag="backward_error")
@@ -269,20 +304,20 @@ class SequentialAggregationEngine:
         return kernel.backward_finalize()
 
     # ------------------------------------------------------------------ #
-    def _store_covers(self, payload: np.ndarray) -> bool:
+    def _store_covers(self, payload: Payload) -> bool:
         store = self.feature_store
         return store is not None and store.covers(payload)
 
-    def _iter_fetch(self, p: KernelPass, key: str, payload: np.ndarray, tag: str,
-                    keep_all: bool = False
-                    ) -> Iterator[Tuple[int, EdgeBlock, np.ndarray, Optional[Tensor]]]:
+    def _iter_fetch(self, p: KernelPass, key: str, payload: Payload, tag: str,
+                    keep_all: bool = False) -> Iterator[tuple]:
         """Yield ``(q, block, feats, fetched)`` with fetching, retention, and
         (optionally) the halo prefetch applied.
 
-        ``fetched`` is the remote block wrapped in a tracked :class:`Tensor`
-        (``None`` for the local block).  The block is dropped as soon as its
-        compute finishes unless ``keep_all`` (a vanilla DP forward that
-        records a backward), where the caller keeps it via ``kernel.save_halo``.
+        ``fetched`` is the remote block wrapped in tracked tensors, one per
+        payload part and structured like the payload (``None`` for the local
+        block).  The block is dropped as soon as its compute finishes unless
+        ``keep_all`` (a vanilla DP forward that records a backward), where
+        the caller keeps it via ``kernel.save_halo``.
 
         When the attached feature store covers the payload, remote rows come
         from the store's deduplicating hot-row cache (same values, fewer
@@ -290,30 +325,32 @@ class SequentialAggregationEngine:
         """
         comm, config = self.comm, self.config
         rank = comm.rank
-        fetch_key = f"{key}/h"
         if self._store_covers(payload):
             store = self.feature_store
 
-            def fetch_fn(q: int, rows: np.ndarray) -> np.ndarray:
+            def fetch_fn(q: int, index: int, rows: np.ndarray) -> np.ndarray:
                 return store.fetch_rows(q, rows)
         else:
 
-            def fetch_fn(q: int, rows: np.ndarray) -> np.ndarray:
-                return comm.fetch(q, fetch_key, rows=rows, tag=tag)
+            def fetch_fn(q: int, index: int, rows: np.ndarray) -> np.ndarray:
+                return comm.fetch(q, _part_key(key, index), rows=rows, tag=tag)
 
         order = [q for q in block_order(rank, comm.world_size)
                  if p.blocks[q].num_edges > 0]
+        num_parts = len(_parts(payload))
 
-        def fetch(q: int) -> Optional[Tensor]:
+        def fetch(q: int):
             if q == rank:
                 return None
-            return Tensor(fetch_fn(q, p.blocks[q].required_src_local))
+            rows = p.blocks[q].required_src_local
+            return _like(payload, [Tensor(fetch_fn(q, index, rows))
+                                   for index in range(num_parts)])
 
         fetched_blocks = map(fetch, order)
         if config.prefetch:
             tracker = active_tracker()
 
-            def fetch_ahead(q: int) -> Optional[Tensor]:
+            def fetch_ahead(q: int):
                 # Wrapped on the fetcher thread under the consumer's tracker,
                 # so the in-flight block counts towards the worker's peak like
                 # a resident one — the 3/N-instead-of-2/N accounting of §3.4.
@@ -324,7 +361,7 @@ class SequentialAggregationEngine:
             # remote fetch overlap the local block's compute.
             fetched_blocks = Prefetcher(max_resident=2, name="halo").run(fetch_ahead, order)
 
-        resident: List[Tensor] = []
+        resident: List = []
         for position, fetched in enumerate(fetched_blocks):
             q = order[position]
             blk = p.blocks[q]
@@ -336,14 +373,14 @@ class SequentialAggregationEngine:
             self.max_resident_remote_blocks = max(
                 self.max_resident_remote_blocks, len(resident) + in_flight
             )
-            yield q, blk, fetched.data, fetched
+            yield q, blk, _data(fetched), fetched
             if not keep_all:
                 # Sequential rematerialization: the block has been folded into
                 # the accumulator; nothing edge- or halo-sized survives.
                 resident.clear()
 
     def _iter_resident(self, p: KernelPass,
-                       kernel: BlockKernel) -> Iterator[Tuple[int, EdgeBlock, Optional[np.ndarray], None]]:
+                       kernel: BlockKernel) -> Iterator[tuple]:
         """Backward sweep without re-fetch: linear kernels need no feature
         values; nonlinear kernels under vanilla DP read the halos saved during
         the forward pass."""

@@ -21,11 +21,46 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Tuple
 
+import numpy as np
+
 from repro.nn.linear import Linear
 from repro.nn.module import Module, Parameter
 from repro.tensor import init
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Function, Tensor
 from repro.utils.validation import check_positive_int
+
+
+class AttentionScores(Function):
+    """Both per-node attention scores of ``z`` (N, H, D) in one op:
+    ``out[0] = (z · a_l).sum(-1)`` and ``out[1] = (z · a_r).sum(-1)``,
+    stacked as ``(2, N, H)``.
+
+    Two ``Mul`` + ``Sum`` pairs compute the same bits, but autograd keeps
+    each ``(N, H, D)`` product alive until the backward pass; this op saves
+    only ``z`` and the two attention vectors.  The backward uses the
+    composition's expressions — ``g[..., None] · a`` for ``z`` and
+    ``(g[..., None] · z).sum(0)`` for ``a`` — so the vectors' gradients are
+    its bits, and ``z``'s is its two terms summed in one order.
+    """
+
+    def forward(self, z: Tensor, attn_l: Tensor, attn_r: Tensor) -> np.ndarray:
+        z, attn_l, attn_r = z.data, attn_l.data, attn_r.data
+        self.save_for_backward(z, attn_l, attn_r)
+        out = np.empty((2,) + z.shape[:2], dtype=np.result_type(z, attn_l, attn_r))
+        (z * attn_l).sum(axis=-1, out=out[0])
+        (z * attn_r).sum(axis=-1, out=out[1])
+        return out
+
+    def backward(self, grad_out):
+        z, attn_l, attn_r = self.saved
+        grad_dst, grad_src = grad_out[0][..., None], grad_out[1][..., None]
+        grad_z = None
+        if self.needs_input_grad[0]:
+            grad_z = grad_dst * attn_l
+            grad_z += grad_src * attn_r
+        grad_l = (grad_dst * z).sum(axis=0) if self.needs_input_grad[1] else None
+        grad_r = (grad_src * z).sum(axis=0) if self.needs_input_grad[2] else None
+        return grad_z, grad_l, grad_r
 
 
 class GATConv(Module):
@@ -66,9 +101,8 @@ class GATConv(Module):
         """
         num_nodes = x.shape[0]
         z = self.fc(x).reshape(num_nodes, self.num_heads, self.out_features)
-        score_dst = (z * self.attn_l).sum(axis=-1)
-        score_src = (z * self.attn_r).sum(axis=-1)
-        return z, score_dst, score_src
+        scores = AttentionScores.apply(z, self.attn_l, self.attn_r)
+        return z, scores[0], scores[1]
 
     def forward(self, graph, x: Tensor) -> Tensor:
         """Apply the layer on any graph that speaks the aggregation protocol

@@ -88,7 +88,7 @@ _counter_lock = threading.Lock()
 #: :meth:`EdgePlan.sddmm` chunk — what has to stay in a core's L2 between the
 #: gather and the reduction.  Not a knob: docs/architecture.md records how it
 #: was measured.
-SDDMM_BLOCK_BYTES = 2 << 20
+SDDMM_BLOCK_BYTES = 512 << 10
 
 
 def reset_build_counter() -> None:

@@ -35,30 +35,43 @@ _TINY = np.finfo(np.float32).tiny
 # --------------------------------------------------------------------------- #
 
 
-def leaky_relu_np(raw: np.ndarray, negative_slope: float) -> np.ndarray:
-    """LeakyReLU of a plain array.  For ``0 < slope ≤ 1`` it is
-    ``max(raw, slope·raw)`` — one pass, no mask, same bits as the select
-    (slope 0 is left to the select: ``0·inf`` is NaN, which ``max`` keeps)."""
+def leaky_relu_np(raw: np.ndarray, negative_slope: float,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """LeakyReLU of a plain array, into ``out`` if given (``out=raw`` runs
+    in place).  For ``0 < slope ≤ 1`` it is ``max(raw, slope·raw)`` — one
+    pass, no mask, same bits as the select (slope 0 is left to the select:
+    ``0·inf`` is NaN, which ``max`` keeps)."""
     if 0.0 < negative_slope <= 1.0:
-        return np.maximum(raw, negative_slope * raw)
-    return np.where(raw > 0, raw, negative_slope * raw)
+        return np.maximum(raw, negative_slope * raw, out=out)
+    selected = np.where(raw > 0, raw, negative_slope * raw)
+    if out is None:
+        return selected
+    out[...] = selected
+    return out
 
 
-def leaky_relu_grad_np(grad: np.ndarray, positive: np.ndarray,
-                       negative_slope: float) -> np.ndarray:
-    """``grad`` where ``positive``, ``slope·grad`` elsewhere; for
-    ``0 ≤ slope ≤ 1`` as a product with the factor ``max(positive, slope)``."""
-    if 0.0 <= negative_slope <= 1.0:
-        return grad * np.maximum(positive, grad.dtype.type(negative_slope))
-    return np.where(positive, grad, negative_slope * grad)
+def leaky_relu_grad_np(grad: np.ndarray, positive: np.ndarray, negative_slope: float,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``grad`` where ``positive``, ``slope·grad`` elsewhere, into ``out`` if
+    given (``out=grad`` runs in place): one masked multiply, the select's
+    bits for every slope."""
+    if out is None:
+        out = grad.copy()
+    elif out is not grad:
+        out[...] = grad
+    np.multiply(out, out.dtype.type(negative_slope), out=out, where=~positive)
+    return out
 
 
-def gat_logits_sorted(plan: EdgePlan, score_dst: np.ndarray, score_src: np.ndarray,
-                      negative_slope: float) -> Tuple[np.ndarray, np.ndarray]:
-    """``(raw, LeakyReLU(raw))`` attention logits of every edge of ``plan``,
-    in its destination-sorted edge space (``raw[e] = score_dst[d_e] + score_src[s_e]``)."""
-    raw = plan.expand_dst(score_dst) + plan.gather_src(score_src)
-    return raw, leaky_relu_np(raw, negative_slope)
+def gat_raw_sorted(plan: EdgePlan, score_dst: np.ndarray,
+                   score_src: np.ndarray) -> np.ndarray:
+    """Raw attention logits ``raw[e] = score_dst[d_e] + score_src[s_e]`` of
+    every edge of ``plan``, a fresh ``(E, H)`` array in its destination-sorted
+    edge space (callers turn it into the logits in place with
+    :func:`leaky_relu_np` once the sign mask is taken)."""
+    raw = plan.expand_dst(score_dst).astype(np.result_type(score_dst, score_src), copy=False)
+    raw += plan.gather_src(score_src)
+    return raw
 
 
 def gat_backward_sorted(plan: EdgePlan, x_src: np.ndarray, grad_out: np.ndarray,
@@ -69,32 +82,39 @@ def gat_backward_sorted(plan: EdgePlan, x_src: np.ndarray, grad_out: np.ndarray,
     and the LeakyReLU, everything per-edge in ``plan``'s sorted edge space.
 
     ``alpha`` are the rematerialized attention coefficients, ``positive`` the
-    LeakyReLU mask (``raw > 0``).  ``weighted_sum[d] = Σ_e α_e ∂L/∂α_e`` is
-    summed over this plan's edges unless the caller passes it — a SAR block
-    sees only part of a destination's edges and supplies ``<out_d, grad_d>``.
+    LeakyReLU mask (``raw > 0``); neither is written.  ``weighted_sum[d] =
+    Σ_e α_e ∂L/∂α_e`` is summed over this plan's edges unless the caller
+    passes it — a SAR block sees only part of a destination's edges and
+    supplies ``<out_d, grad_d>``.  The SDDMM's ``(E, H)`` output is the one
+    per-edge buffer: ``∂L/∂α`` → ``∂L/∂logits`` → ``∂L/∂raw`` in place.
     Returns ``(grad_x_src, grad_score_dst, grad_score_src)``.
     """
     grad_x_src = plan.u_mul_e_sum_t_sorted(grad_out, alpha)
-    grad_alpha = plan.sddmm(x_src, grad_out)
+    grad = plan.sddmm(x_src, grad_out)
     if weighted_sum is None:
-        weighted_sum = plan.segment_sum_sorted(alpha * grad_alpha)
-    grad_logits = alpha * (grad_alpha - plan.expand_dst(weighted_sum))
-    grad_raw = leaky_relu_grad_np(grad_logits, positive, negative_slope)
-    return (grad_x_src, plan.segment_sum_sorted(grad_raw),
-            plan.segment_sum_src_sorted(grad_raw))
+        weighted_sum = plan.segment_sum_sorted(alpha * grad)
+    np.subtract(grad, plan.expand_dst(weighted_sum), out=grad)
+    np.multiply(alpha, grad, out=grad)
+    leaky_relu_grad_np(grad, positive, negative_slope, out=grad)
+    return (grad_x_src, plan.segment_sum_sorted(grad),
+            plan.segment_sum_src_sorted(grad))
 
 
 def _softmax_terms_sorted(plan: EdgePlan, score_dst: np.ndarray, score_src: np.ndarray,
                           negative_slope: float):
-    """``(raw, exp(logits − max), Σ exp)`` of the whole edge set, per-edge
+    """``(raw > 0, exp(logits − max), Σ exp)`` of the whole edge set, per-edge
     arrays in ``plan``'s destination-sorted edge space — the one-block case
-    of the SAR attention kernel (:class:`repro.core.gat_dist.GATKernel`)."""
-    raw, logits = gat_logits_sorted(plan, score_dst, score_src, negative_slope)
-    maxes = plan.segment_max_sorted(logits)
+    of the SAR attention kernel (:class:`repro.core.gat_dist.GATKernel`).
+    The raw logits, the logits and the weights share one buffer."""
+    weights = gat_raw_sorted(plan, score_dst, score_src)
+    positive = weights > 0
+    leaky_relu_np(weights, negative_slope, out=weights)
+    maxes = plan.segment_max_sorted(weights)
     maxes = np.where(np.isfinite(maxes), maxes, 0.0)
-    weights = np.exp(logits - plan.expand_dst(maxes))
+    np.subtract(weights, plan.expand_dst(maxes), out=weights)
+    np.exp(weights, out=weights)
     denom = np.maximum(plan.segment_sum_sorted(weights), _TINY)
-    return raw, weights, denom
+    return positive, weights, denom
 
 
 # --------------------------------------------------------------------------- #
@@ -103,6 +123,14 @@ def _softmax_terms_sorted(plan: EdgePlan, score_dst: np.ndarray, score_src: np.n
 def _check_rows(x: Tensor, expected: int, name: str, space: str) -> None:
     if x.shape[0] != expected:
         raise ValueError(f"{name} has {x.shape[0]} rows but plan expects {expected} {space}")
+
+
+def check_scores(name: str, scores: np.ndarray, rows: int, heads: int) -> None:
+    """Raise unless per-node attention ``scores`` have shape ``(rows, heads)``."""
+    if scores.shape != (rows, heads):
+        raise ValueError(
+            f"{name} has shape {scores.shape}, expected (rows, H) = ({rows}, {heads})"
+        )
 
 
 class NeighborAggregate(Function):
@@ -180,25 +208,30 @@ class GATAggregation(Function):
 
     def forward(self, z: Tensor, score_dst: Tensor, score_src: Tensor, plan: EdgePlan,
                 negative_slope: float, fused: bool) -> np.ndarray:
+        if z.data.ndim != 3:
+            raise ValueError(f"Expected z of shape (N, heads, dim), got {z.shape}")
         _check_rows(z, plan.num_src, "z", "sources")
         _check_rows(score_src, plan.num_src, "score_src", "sources")
         _check_rows(score_dst, plan.num_dst, "score_dst", "destinations")
-        raw, weights, denom = _softmax_terms_sorted(plan, score_dst.data, score_src.data,
-                                                    negative_slope)
+        check_scores("score_src", score_src.data, plan.num_src, z.shape[1])
+        check_scores("score_dst", score_dst.data, plan.num_dst, z.shape[1])
+        positive, weights, denom = _softmax_terms_sorted(plan, score_dst.data, score_src.data,
+                                                         negative_slope)
+        out = plan.u_mul_e_sum_sorted(z.data, weights) / denom[:, :, None]
         kept = None
         if self.needs_grad and not fused:
-            alpha = weights / plan.expand_dst(denom)
-            kept = (Tensor(alpha, dtype=alpha.dtype), raw > 0)
+            alpha = np.divide(weights, plan.expand_dst(denom), out=weights)
+            kept = (Tensor(alpha, dtype=alpha.dtype), positive)
         self.save_for_backward(z.data, score_dst.data, score_src.data, plan, negative_slope,
                                kept)
-        return plan.u_mul_e_sum_sorted(z.data, weights) / denom[:, :, None]
+        return out
 
     def backward(self, grad_out):
         z, score_dst, score_src, plan, negative_slope, kept = self.saved
         if kept is None:
-            raw, weights, denom = _softmax_terms_sorted(plan, score_dst, score_src,
-                                                        negative_slope)
-            alpha, positive = weights / plan.expand_dst(denom), raw > 0
+            positive, alpha, denom = _softmax_terms_sorted(plan, score_dst, score_src,
+                                                           negative_slope)
+            np.divide(alpha, plan.expand_dst(denom), out=alpha)
         else:
             alpha, positive = kept[0].data, kept[1]
         grad_z, grad_score_dst, grad_score_src = gat_backward_sorted(

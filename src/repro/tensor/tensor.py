@@ -218,10 +218,12 @@ class Tensor:
             Gradient of the loss w.r.t. this tensor.  Defaults to ``1`` for
             scalar tensors (the usual ``loss.backward()`` call).
         free_graph:
-            If ``True`` (default), the traversed graph is dismantled after
-            the backward pass so saved activations can be freed immediately —
-            this is what makes the end-of-forward peak the memory high-water
-            mark, as in the paper's measurements.
+            If ``True`` (default), the traversed graph is dismantled as the
+            backward pass goes, so saved activations are freed as soon as
+            their node has run.  That makes the end-of-forward peak the
+            high-water mark of *tracked tensors*; the backward's untracked
+            NumPy temporaries (SAR's per-block rematerialization among them)
+            come on top, and a process's true peak can lie in the backward.
         """
         if not self.requires_grad:
             raise RuntimeError("Called backward() on a tensor that does not require grad")

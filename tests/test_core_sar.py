@@ -3,6 +3,7 @@ behaviour (case 1 vs case 2), memory behaviour (SAR vs vanilla DP), and
 gradient synchronization."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,12 +20,14 @@ from repro.core import (
 )
 from repro.datasets import make_hetero_sbm_dataset
 from repro.distributed import run_distributed
+from repro.distributed.mp_backend import run_multiprocess
 from repro.partition import (
     PartitionBook,
     create_shards,
     partition_graph,
 )
 from repro.tensor import Tensor
+from repro.tensor import functional as F
 from repro.utils.seed import set_seed
 from reference_kernels import edge_softmax_np
 
@@ -234,6 +237,93 @@ class TestDistributedGATAggregation:
             result = run_distributed(worker, WORLD, worker_args=shards)
             peaks[name] = max(result.peak_memory_bytes)
         assert peaks["sar"] <= peaks["prefetch"] <= peaks["dp"]
+
+
+class TestAttentionScoreShapes:
+    """Scores must be ``(rows, H)`` for ``z`` of ``H`` heads; a wrong head
+    count is named at the call, not found deep in the head-blocked gather."""
+
+    BAD_SCORES = [(1,), (), (2,)]  # trailing shapes for a 4-head z
+
+    @pytest.mark.parametrize("trailing", BAD_SCORES, ids=["1-head", "flat", "2-head"])
+    @pytest.mark.parametrize("which", ["score_dst", "score_src"])
+    def test_single_machine(self, sbm_graph, rng, which, trailing):
+        n = sbm_graph.num_nodes
+        inputs = {"z": Tensor(rng.standard_normal((n, 4, 3)).astype(np.float32)),
+                  "score_dst": Tensor(np.zeros((n, 4), np.float32)),
+                  "score_src": Tensor(np.zeros((n, 4), np.float32))}
+        inputs[which] = Tensor(np.zeros((n,) + trailing, np.float32))
+        with pytest.raises(ValueError, match=rf"{which} has shape .*expected \(rows, H\) "
+                                             rf"= \({n}, 4\)"):
+            sbm_graph.gat_aggregate(inputs["z"], inputs["score_dst"], inputs["score_src"])
+
+    @pytest.mark.parametrize("trailing", BAD_SCORES, ids=["1-head", "flat", "2-head"])
+    @pytest.mark.parametrize("which", ["score_dst", "score_src"])
+    @pytest.mark.parametrize("mode", ["sar", "dp"])
+    def test_distributed(self, sbm_graph, rng, mode, which, trailing):
+        z_full = rng.standard_normal((sbm_graph.num_nodes, 4, 3)).astype(np.float32)
+        _, shards = _shards_for(sbm_graph, num_parts=2)
+
+        def worker(rank, comm, shard):
+            dg = DistributedGraph(shard, comm, SARConfig(mode=mode))
+            dg.begin_step()
+            n = shard.num_local_nodes
+            scores = {"score_dst": np.zeros((n, 4), np.float32),
+                      "score_src": np.zeros((n, 4), np.float32)}
+            scores[which] = np.zeros((n,) + trailing, np.float32)
+            try:
+                dg.gat_aggregate(Tensor(z_full[shard.global_node_ids]),
+                                 Tensor(scores["score_dst"]), Tensor(scores["score_src"]))
+            except ValueError as exc:
+                return str(exc), n
+            return None, n
+
+        for message, n in run_distributed(worker, 2, worker_args=shards).results:
+            assert message == (f"{which} has shape {(n,) + trailing}, "
+                               f"expected (rows, H) = ({n}, 4)")
+
+
+class TestGATBackwardPeak:
+    """What a SAR GAT rank holds at its backward peak: one training step of a
+    2-layer, 4 × 32 GAT on ``small_dataset`` at world 2, one forked process
+    per rank, ``tracemalloc`` started at the top of the worker (every byte
+    Python allocates, not only tracked tensors)."""
+
+    #: tracked-tensor peak per rank.  The two ``Mul`` + ``Sum`` score pairs
+    #: kept their ``(N, H, D)`` products alive for the backward; the score op
+    #: keeps none (568 388 / 567 732 bytes before it).
+    TRACKER_PEAKS = [441_668, 441_012]
+    #: the larger rank's ``tracemalloc`` peak before the cut (packed payload,
+    #: out-of-place attention backward, 2 MiB SDDMM chunks), and the saving
+    #: measured after it (its peak read 1 548 463 bytes, to ±0.5 kB)
+    TRACED_PEAK_BEFORE = 3_077_840
+    TRACED_SAVING = 1_529_000
+
+    def test_the_cut_holds(self, small_dataset):
+        dataset = small_dataset
+        _, shards = _shards_for(dataset.graph, num_parts=2)
+        set_seed(3)
+        state = nn.GATNet(dataset.feature_dim, 32, dataset.num_classes, num_layers=2,
+                          num_heads=4, dropout=0.0).state_dict()
+
+        def worker(rank, comm, shard):
+            tracemalloc.start()
+            model = nn.GATNet(dataset.feature_dim, 32, dataset.num_classes, num_layers=2,
+                              num_heads=4, dropout=0.0)
+            model.load_state_dict(state)
+            dg = DistributedGraph(shard, comm, SAR)
+            dg.begin_step()
+            ids = shard.global_node_ids
+            logits = model(dg, Tensor(dataset.features[ids]))
+            train = dataset.train_mask[ids]
+            F.cross_entropy(logits[np.flatnonzero(train)], dataset.labels[ids][train]).backward()
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return peak
+
+        result = run_multiprocess(worker, 2, worker_args=shards)
+        assert result.peak_memory_bytes == self.TRACKER_PEAKS
+        assert max(result.results) < self.TRACED_PEAK_BEFORE - self.TRACED_SAVING // 2
 
 
 # --------------------------------------------------------------------------- #

@@ -5,6 +5,7 @@ import pytest
 
 from repro import nn
 from repro.graph import Graph, build_mfg_pipeline
+from repro.nn.gat import AttentionScores
 from repro.tensor import MemoryTracker, Tensor, check_gradients, ops, track_memory
 from repro.tensor import functional as F
 from repro.utils.seed import set_seed
@@ -145,6 +146,53 @@ class TestGATConv:
     def test_kernel_flags(self):
         assert nn.GATConv(4, 4).uses_fused_kernel is False
         assert nn.FusedGATConv(4, 4).uses_fused_kernel is True
+
+
+class TestAttentionScores:
+    """``GATConv.project``'s score op against the two ``Mul`` + ``Sum`` pairs
+    it replaces."""
+
+    @staticmethod
+    def _inputs(rng, rows=50, heads=4, dim=16):
+        return [Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+                for shape in ((rows, heads, dim), (heads, dim), (heads, dim))]
+
+    def test_forward_is_the_mul_sum_composition(self, rng):
+        z, attn_l, attn_r = self._inputs(rng)
+        scores = AttentionScores.apply(z, attn_l, attn_r)
+        np.testing.assert_array_equal(scores.data[0], (z.data * attn_l.data).sum(-1))
+        np.testing.assert_array_equal(scores.data[1], (z.data * attn_r.data).sum(-1))
+
+    def test_gradients_match_the_mul_sum_composition(self, rng):
+        """The attention vectors' gradients are the composition's bits; ``z``'s
+        sums the same two terms, so it may differ by the order only."""
+        grads = rng.standard_normal((2, 50, 4)).astype(np.float32)
+        z, attn_l, attn_r = self._inputs(rng)
+        rz, rl, rr = (Tensor(t.data.copy(), requires_grad=True) for t in (z, attn_l, attn_r))
+        scores = AttentionScores.apply(z, attn_l, attn_r)
+        ((scores[0] * Tensor(grads[0])).sum() + (scores[1] * Tensor(grads[1])).sum()).backward()
+        ((rz * rl).sum(axis=-1) * Tensor(grads[0]) + (rz * rr).sum(axis=-1)
+         * Tensor(grads[1])).sum().backward()
+        np.testing.assert_array_equal(attn_l.grad, rl.grad)
+        np.testing.assert_array_equal(attn_r.grad, rr.grad)
+        np.testing.assert_array_max_ulp(z.grad, rz.grad, maxulp=1)
+
+    def test_saves_only_its_inputs(self, rng):
+        """Nothing ``(N, H, D)``-sized but ``z`` itself stays alive for the
+        backward pass."""
+        inputs = self._inputs(rng)
+        scores = AttentionScores.apply(*inputs)
+        assert len(scores._ctx.saved) == 3
+        assert all(saved is t.data for saved, t in zip(scores._ctx.saved, inputs))
+
+    def test_row_subset_scores_are_the_full_rows(self, rng):
+        """Layer-wise inference projects one block's rows at a time; its scores
+        must be the full projection's rows bit for bit."""
+        z, attn_l, attn_r = self._inputs(rng, rows=300, dim=32)
+        full = AttentionScores.apply(z, attn_l, attn_r).data
+        rows = np.sort(rng.choice(300, size=97, replace=False))
+        part = AttentionScores.apply(Tensor(z.data[rows]), attn_l, attn_r).data
+        np.testing.assert_array_equal(part, full[:, rows])
 
 
 class TestFirstLayerInputGradient:

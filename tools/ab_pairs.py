@@ -27,6 +27,10 @@ and a verdict by the rule of the choosing-metrics guide, section 8:
   wider than the bound, so "unchanged" cannot be told from "worse";
 * ``within bound`` — otherwise.
 
+When the change failed more ops than the parent, no verdict stands: each
+prints as ``void (change failed N ops)``.  Whenever an op failed, the seeds
+whose ops failed are listed per side.
+
 After the pairs of a workload, one ``--seed 0 --trace 1`` run per side lists
 every per-layer *counter* whose value differs — the cells that repeat digit
 for digit between two runs of the same code, so any difference is the
@@ -128,6 +132,7 @@ def compare(workload: str, args, spec: dict, roots: Dict[str, Path]) -> int:
     samples: Dict[str, Dict[str, List[float]]] = {
         side: {m["name"]: [] for m in spec["end_to_end"]} for side in ("parent", "change")}
     failed = {"parent": 0, "change": 0}
+    failed_seeds: Dict[str, List[str]] = {"parent": [], "change": []}
     for pair in range(args.pairs):
         seed = args.first_seed + pair
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -135,6 +140,8 @@ def compare(workload: str, args, spec: dict, roots: Dict[str, Path]) -> int:
         for side in order:
             result = run_once(roots[side], workload, seed)
             failed[side] += result["failed"]
+            if result["failed"]:
+                failed_seeds[side].append(f"{seed} ({result['failed']})")
             for name, entry in result["metrics"].items():
                 samples[side][name].append(entry["value"])
                 row[side, name] = entry["value"]
@@ -146,16 +153,21 @@ def compare(workload: str, args, spec: dict, roots: Dict[str, Path]) -> int:
     print(f"\n{workload}: {args.pairs} alternating pairs, parent {args.parent} vs this "
           f"checkout, seeds {args.first_seed}..{args.first_seed + args.pairs - 1}; "
           f"failed ops parent {failed['parent']}, change {failed['change']}")
+    if failed["parent"] or failed["change"]:
+        print("seeds with failed ops (count): " + "; ".join(
+            f"{side} {', '.join(failed_seeds[side]) or 'none'}" for side in ("parent", "change")))
+    void = failed["change"] > failed["parent"]
     print(f"{'metric':<13}{'parent med [q1, q3]':>34}{'change med [q1, q3]':>34}"
           f"{'delta':>9}{'wins':>7}  verdict")
-    status = 1 if failed["change"] > failed["parent"] else 0
+    status = 1 if void else 0
     for metric in spec["end_to_end"]:
         name = metric["name"]
         v = verdict(samples["parent"][name], samples["change"][name],
                     metric["better"], metric["bound"])
         cells = ["{1:.4g} [{0:.4g}, {2:.4g}]".format(*v[side]) for side in ("parent", "change")]
+        shown = f"void (change failed {failed['change']} ops)" if void else v["verdict"]
         print(f"{name:<13}{cells[0]:>34}{cells[1]:>34}{v['delta']:>+9.1%}"
-              f"{v['wins']:>4}/{v['pairs']:<2}  {v['verdict']}"
+              f"{v['wins']:>4}/{v['pairs']:<2}  {shown}"
               f" ({metric['better']} is better, bound {metric['bound']:.0%})")
         if v["verdict"] == "regression":
             status = 1
