@@ -192,6 +192,12 @@ class BlockKernel:
         """Return one gradient per input tensor, in input order."""
         raise NotImplementedError
 
+    def held_arrays(self) -> Tuple[np.ndarray, ...]:
+        """The arrays the kernel keeps from its forward for its backward —
+        its inputs' data, the output, softmax state — which are all its
+        array attributes once the forward has finished."""
+        return tuple(v for v in vars(self).values() if isinstance(v, np.ndarray))
+
     # -- halo bookkeeping (vanilla DP keeps fetched blocks alive) --------- #
     def save_halo(self, p: KernelPass, q: int, fetched) -> None:
         self._saved_halos[(p.index, q)] = fetched
@@ -207,11 +213,13 @@ class SequentialAggregation(Function):
     def forward(self, kernel: BlockKernel, engine: "SequentialAggregationEngine",
                 key: str, *tensors: Tensor) -> np.ndarray:
         out = engine.run_forward(kernel, key)
-        self.save_for_backward(kernel, engine, key)
+        # Saved beside the kernel, its arrays count with the memory tracker
+        # for as long as the node holds them.
+        self.save_for_backward(kernel, engine, key, *kernel.held_arrays())
         return out
 
     def backward(self, grad_out: np.ndarray):
-        kernel, engine, key = self.saved
+        kernel, engine, key = self.saved[:3]
         return engine.run_backward(kernel, key, grad_out)
 
 

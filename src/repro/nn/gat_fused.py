@@ -6,8 +6,8 @@ the same attention op with ``fused=True``:
 
 * forward: the stable softmax statistics and the weighted feature sums are
   computed exactly as for :class:`~repro.nn.gat.GATConv`, but nothing
-  edge-sized is saved for backward (only the node-level inputs, which
-  autograd keeps alive anyway);
+  edge-sized is saved for backward (only the node-level inputs, which the
+  standard layer saves too);
 * backward: the attention coefficients are *recomputed* from the saved
   node-level projections and then used to push gradients to the neighbour
   features and attention scores.

@@ -20,7 +20,7 @@ import numpy as np
 from repro.distributed.comm import Communicator
 from repro.nn.module import Module, Parameter
 from repro.tensor import init
-from repro.tensor.tensor import Function, Tensor, grad_enabled
+from repro.tensor.tensor import Function, Tensor
 from repro.utils.validation import check_positive_int
 
 
@@ -31,9 +31,9 @@ class _BatchNormFunction(Function):
     forward reduces ``Σx`` and ``Σx²`` (accumulated in float64 without a
     float64 copy of ``x``) and writes ``x · scale + shift``; the backward
     reduces ``Σg`` and ``Σg·x`` and writes ``dx = g · a + x · b + c``, with
-    per-column ``scale, shift, a, b, c``.  The node keeps the input — alive
-    anyway as its producer's output — and ``O(F)`` vectors; the normalized
-    input is never stored.
+    per-column ``scale, shift, a, b, c``.  The node saves the input's array
+    — the only thing that keeps it alive once the caller moves on — and
+    ``O(F)`` vectors; the normalized input is never stored.
     """
 
     def forward(self, x: Tensor, gamma: Tensor, beta: Tensor,
@@ -129,12 +129,7 @@ class DistributedBatchNorm(Module):
             )
         if self.training:
             fn = _BatchNormFunction()
-            fn.needs_grad = grad_enabled() and (x.requires_grad or self.gamma.requires_grad)
-            out_data = fn.forward(x, self.gamma, self.beta, self.comm, self.eps)
-            out = Tensor(out_data, requires_grad=fn.needs_grad)
-            if fn.needs_grad:
-                fn.parents = (x, self.gamma, self.beta)
-                out._ctx = fn
+            out = fn.run(x, self.gamma, self.beta, self.comm, self.eps)
             self.set_buffer(
                 "running_mean",
                 (1 - self.momentum) * self.running_mean + self.momentum * fn.batch_mean,

@@ -9,16 +9,26 @@ The original system measures process peak RSS on each machine.  Here
 ``cluster.run_job`` runs the workers as threads of one process
 (``ThreadServiceCluster``), where RSS cannot tell them apart, or as forked
 processes (``MultiprocessServiceCluster``).  So instead we measure **live
-tensor bytes** exactly, the same way on both:
+buffer bytes** exactly, the same way on both.  A buffer is counted while
+anything holds it:
 
-* every :class:`~repro.tensor.tensor.Tensor` that owns its buffer registers
-  its ``nbytes`` with the *active* :class:`MemoryTracker` when it is created,
-* and releases the same amount when it is garbage collected.
+* every :class:`~repro.tensor.tensor.Tensor` acquires its array's buffer when
+  it is created and lets it go when it is garbage collected,
+* every array a :class:`~repro.tensor.tensor.Function` saves for its backward
+  acquires its buffer in ``save_for_backward`` and lets it go when the node
+  is released (after its backward) or collected.
+
+The tracker refcounts holders by *buffer base* — the array that owns the
+memory, at the root of a view's ``.base`` chain — so a buffer counts its
+``nbytes`` once, from its first holder until its last one goes: a view, a
+saved copy of an input's data, and a second ``Function`` saving the same
+array add nothing.  A buffer enters the tracker only through a holder of the
+owning array itself; a view of a buffer nobody tracks (a slice of a dataset
+array, a window into shared memory) stays untracked, as before.
 
 Each worker installs its own tracker (the active tracker is thread-local), so
-a worker's peak only reflects tensors allocated by that worker — exactly the
-per-machine quantity the paper reports.  Views (reshape/transpose/slices)
-share their parent's buffer and are not double counted.
+a worker's peak only reflects buffers allocated by that worker — exactly the
+per-machine quantity the paper reports.
 """
 
 from __future__ import annotations
@@ -26,7 +36,9 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, List, Optional
+
+import numpy as np
 
 _local = threading.local()
 
@@ -41,14 +53,14 @@ def _tracker_stack() -> list:
 
 @dataclass
 class MemoryTracker:
-    """Tracks live bytes and peak live bytes of tensors allocated under it.
+    """Tracks live bytes and peak live bytes of buffers held under it.
 
     Attributes
     ----------
     label:
         Human-readable label (e.g. ``"worker-3"``); used in reports.
     current_bytes:
-        Bytes of currently live tracked tensors.
+        Bytes of currently held tracked buffers.
     peak_bytes:
         High-water mark of ``current_bytes`` since the last
         :meth:`reset_peak`.
@@ -60,26 +72,55 @@ class MemoryTracker:
     total_allocated_bytes: int = 0
     num_allocations: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    #: ``id(base) -> [holders, nbytes]`` of every buffer held right now
+    _held: Dict[int, List[int]] = field(default_factory=dict, repr=False)
 
     def __getstate__(self) -> dict:
-        # A lock cannot cross a process boundary; the copy gets its own.
+        # A lock cannot cross a process boundary; the copy gets its own.  The
+        # holder table names objects of this process, so the copy is the
+        # counters only.
         with self._lock:
-            return {k: v for k, v in self.__dict__.items() if k != "_lock"}
+            return {k: v for k, v in self.__dict__.items() if k not in ("_lock", "_held")}
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, _lock=threading.Lock())
+        self.__dict__.update(state, _lock=threading.Lock(), _held={})
 
-    def allocate(self, nbytes: int) -> None:
+    def acquire(self, array: np.ndarray) -> Optional[int]:
+        """Count ``array``'s buffer for as long as the caller holds it.
+
+        Returns the key to hand to :meth:`let_go` when the caller drops the
+        array, or ``None`` when the buffer is not tracked (empty, or a view
+        of a buffer no holder has brought in).
+        """
+        base = array
+        while isinstance(base.base, np.ndarray):
+            base = base.base
+        key = id(base)
         with self._lock:
-            self.current_bytes += int(nbytes)
-            self.total_allocated_bytes += int(nbytes)
+            entry = self._held.get(key)
+            if entry is not None:
+                entry[0] += 1
+                return key
+            if base is not array or base.base is not None or not base.nbytes:
+                return None
+            self._held[key] = [1, int(base.nbytes)]
+            self.current_bytes += int(base.nbytes)
+            self.total_allocated_bytes += int(base.nbytes)
             self.num_allocations += 1
-            if self.current_bytes > self.peak_bytes:
-                self.peak_bytes = self.current_bytes
+            self.peak_bytes = max(self.peak_bytes, self.current_bytes)
+        return key
 
-    def release(self, nbytes: int) -> None:
+    def let_go(self, key: int) -> None:
+        """Drop one holder of the buffer :meth:`acquire` returned ``key`` for."""
         with self._lock:
-            self.current_bytes -= int(nbytes)
+            entry = self._held.get(key)
+            if entry is None:
+                return
+            entry[0] -= 1
+            if entry[0]:
+                return
+            del self._held[key]
+            self.current_bytes -= entry[1]
 
     def reset_peak(self) -> None:
         """Reset the high-water mark to the current live size."""
@@ -87,8 +128,9 @@ class MemoryTracker:
             self.peak_bytes = self.current_bytes
 
     def reset(self) -> None:
-        """Fully reset counters (live tensors are forgotten, use with care)."""
+        """Fully reset counters (live buffers are forgotten, use with care)."""
         with self._lock:
+            self._held.clear()
             self.current_bytes = 0
             self.peak_bytes = 0
             self.total_allocated_bytes = 0
@@ -96,12 +138,12 @@ class MemoryTracker:
 
     @property
     def peak_mb(self) -> float:
-        """Peak live tensor memory in megabytes."""
+        """Peak live buffer memory in megabytes."""
         return self.peak_bytes / (1024.0 * 1024.0)
 
     @property
     def current_mb(self) -> float:
-        """Current live tensor memory in megabytes."""
+        """Current live buffer memory in megabytes."""
         return self.current_bytes / (1024.0 * 1024.0)
 
     def snapshot(self) -> Dict[str, float]:

@@ -200,7 +200,7 @@ class GATAggregation(Function):
     reads: ``False`` keeps the coefficients α as a tracked ``(E, H)`` tensor
     plus the LeakyReLU sign mask (the standard implementation's forward
     footprint); ``True`` keeps nothing edge-sized and *recomputes* both from
-    the node-level inputs, which autograd keeps alive anyway — extra backward
+    the node-level inputs it saves in either setting — extra backward
     compute growing with the number of heads for a smaller forward peak.  The
     backward runs on the same bits either way, so both settings give
     identical gradients.

@@ -20,6 +20,7 @@ in :mod:`repro.core` read very close to the paper's pseudocode.
 from __future__ import annotations
 
 import threading
+import weakref
 from contextlib import contextmanager
 from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -93,7 +94,7 @@ class Tensor:
         Optional label used in error messages and debugging output.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_ctx", "_tracked_bytes",
+    __slots__ = ("data", "grad", "requires_grad", "name", "_ctx", "_buffer_key",
                  "_tracker", "__weakref__")
 
     def __init__(self, data: Any, requires_grad: bool = False, name: Optional[str] = None,
@@ -110,24 +111,23 @@ class Tensor:
         self.requires_grad: bool = bool(requires_grad)
         self.name = name
         self._ctx: Optional["Function"] = None
-
-        # Memory accounting: only count buffers this tensor owns.
-        self._tracked_bytes = 0
-        self._tracker = None
-        tracker = active_tracker()
-        if tracker is not None and arr.base is None and arr.size:
-            self._tracked_bytes = int(arr.nbytes)
-            self._tracker = tracker
-            tracker.allocate(self._tracked_bytes)
+        self._hold_buffer()
 
     # ------------------------------------------------------------------ #
     # lifecycle / memory
     # ------------------------------------------------------------------ #
+    def _hold_buffer(self) -> None:
+        """Count :attr:`data`'s buffer with the active tracker while alive."""
+        self._tracker = active_tracker()
+        self._buffer_key = None
+        if self._tracker is not None:
+            self._buffer_key = self._tracker.acquire(self.data)
+
     def __del__(self):  # pragma: no cover - exercised indirectly
         try:
-            if self._tracker is not None and self._tracked_bytes:
-                self._tracker.release(self._tracked_bytes)
-                self._tracker = None
+            if self._buffer_key is not None:
+                self._tracker.let_go(self._buffer_key)
+                self._buffer_key = None
         except Exception:
             pass
 
@@ -177,8 +177,7 @@ class Tensor:
         out.requires_grad = False
         out.name = self.name
         out._ctx = None
-        out._tracked_bytes = 0
-        out._tracker = None
+        out._hold_buffer()
         return out
 
     def copy(self) -> "Tensor":
@@ -221,9 +220,11 @@ class Tensor:
             If ``True`` (default), the traversed graph is dismantled as the
             backward pass goes, so saved activations are freed as soon as
             their node has run.  That makes the end-of-forward peak the
-            high-water mark of *tracked tensors*; the backward's untracked
+            high-water mark of *tracked buffers*; the backward's untracked
             NumPy temporaries (SAR's per-block rematerialization among them)
             come on top, and a process's true peak can lie in the backward.
+            A later backward that reaches a freed node raises
+            ``RuntimeError``.
         """
         if not self.requires_grad:
             raise RuntimeError("Called backward() on a tensor that does not require grad")
@@ -237,34 +238,40 @@ class Tensor:
         if grad.shape != self.data.shape:
             grad = np.broadcast_to(grad, self.data.shape).astype(self.data.dtype)
 
-        topo = _topological_order(self)
-        grads: dict[int, np.ndarray] = {id(self): grad}
-        tensor_by_id = {id(t): t for t in topo}
-
-        for tensor in topo:
-            ctx = tensor._ctx
-            out_grad = grads.pop(id(tensor), None)
+        root = self._ctx
+        if root is None:
+            self.accumulate_grad(grad)
+            return
+        grads: dict[int, np.ndarray] = {id(root): grad}
+        for node in _topological_order(root):
+            out_grad = grads.pop(id(node), None)
             if out_grad is None:
                 continue
-            if ctx is None or tensor.is_leaf():
-                tensor.accumulate_grad(out_grad)
+            if isinstance(node, Tensor):
+                node.accumulate_grad(out_grad)
                 continue
-            parent_grads = ctx.backward(out_grad)
+            parent_grads = node.backward(out_grad)
             if not isinstance(parent_grads, tuple):
                 parent_grads = (parent_grads,)
-            if len(parent_grads) != len(ctx.parents):
+            if len(parent_grads) != len(node.parents):
                 raise RuntimeError(
-                    f"{type(ctx).__name__}.backward returned {len(parent_grads)} gradients "
-                    f"for {len(ctx.parents)} parents"
+                    f"{type(node).__name__}.backward returned {len(parent_grads)} gradients "
+                    f"for {len(node.parents)} parents"
                 )
-            for parent, pgrad in zip(ctx.parents, parent_grads):
-                if pgrad is None or not parent.requires_grad:
+            for parent, pgrad in zip(node.parents, parent_grads):
+                if pgrad is None or parent is None:
                     continue
-                pgrad = np.asarray(pgrad, dtype=parent.data.dtype)
-                if pgrad.shape != parent.data.shape:
+                if isinstance(parent, Tensor):
+                    if not parent.requires_grad:
+                        continue
+                    shape, dtype = parent.data.shape, parent.data.dtype
+                else:
+                    shape, dtype = parent.out_shape, parent.out_dtype
+                pgrad = np.asarray(pgrad, dtype=dtype)
+                if pgrad.shape != shape:
                     raise RuntimeError(
-                        f"{type(ctx).__name__}.backward produced gradient of shape "
-                        f"{pgrad.shape} for parent of shape {parent.data.shape}"
+                        f"{type(node).__name__}.backward produced gradient of shape "
+                        f"{pgrad.shape} for parent of shape {shape}"
                     )
                 key = id(parent)
                 if key in grads:
@@ -272,14 +279,7 @@ class Tensor:
                 else:
                     grads[key] = pgrad
             if free_graph:
-                ctx.release()
-                tensor._ctx = None
-
-        # Any remaining grads belong to leaves reached multiple times.
-        for key, remaining in grads.items():
-            tensor = tensor_by_id.get(key)
-            if tensor is not None and tensor.requires_grad:
-                tensor.accumulate_grad(remaining)
+                node.release()
 
     def is_leaf(self) -> bool:
         """Return True when this tensor was not produced by a Function."""
@@ -381,52 +381,107 @@ class Function:
       them all.
     * It must never write into ``grad_out``: the same array may be handed to
       more than one consumer (``Add.backward`` returns it to both parents).
+    * It reads nothing of its inputs but what :meth:`forward` saved: the
+      graph does not keep the input tensors (see :meth:`link`).
 
     :attr:`needs_input_grad` holds one bool per tensor parent, set by
-    :meth:`apply` when it records the node (PyTorch's
-    ``ctx.needs_input_grad``).  A node built by hand instead of through
-    :meth:`apply` — :class:`~repro.nn.norm.DistributedBatchNorm` does so to
-    read its batch statistics — keeps the empty default, so its ``backward``
-    must compute every gradient.
+    :meth:`run` before :meth:`forward` (PyTorch's ``ctx.needs_input_grad``).
+    A module that needs the node itself after the forward —
+    :class:`~repro.nn.norm.DistributedBatchNorm` reads its batch statistics —
+    creates it and calls :meth:`run` instead of :meth:`apply`.
     """
 
     needs_input_grad: Tuple[bool, ...] = ()
-
-    def __init__(self):
-        self.parents: Tuple[Tensor, ...] = ()
-        self.saved: Tuple[Any, ...] = ()
-        self.needs_grad: bool = False
+    needs_grad: bool = False
+    #: one edge per tensor input: the producing ``Function`` of a non-leaf
+    #: input, the tensor itself for a leaf that requires grad, ``None``
+    #: otherwise; ``None`` as a whole once :meth:`release` ran
+    parents: Optional[Tuple[Union["Function", Tensor, None], ...]] = ()
+    saved: Tuple[Any, ...] = ()
+    #: the output's shape and dtype: what a gradient flowing into this node
+    #: must match
+    out_shape: Tuple[int, ...] = ()
+    out_dtype = None
+    _output: Optional[weakref.ref] = None
+    _tracker = None
+    _held: Tuple[int, ...] = ()
 
     # -- construction --------------------------------------------------- #
     @classmethod
     def apply(cls, *args, **kwargs) -> Tensor:
-        fn = cls()
-        tensor_args = tuple(a for a in args if isinstance(a, Tensor))
-        fn.needs_grad = grad_enabled() and any(t.requires_grad for t in tensor_args)
-        if fn.needs_grad:
-            fn.needs_input_grad = tuple(t.requires_grad for t in tensor_args)
-        out_data = fn.forward(*args, **kwargs)
-        out = Tensor(out_data, requires_grad=fn.needs_grad)
-        if fn.needs_grad:
-            fn.parents = tensor_args
-            out._ctx = fn
-        else:
-            fn.saved = ()
+        """Create a node and :meth:`run` it."""
+        return cls().run(*args, **kwargs)
+
+    def run(self, *args, **kwargs) -> Tensor:
+        """Compute :meth:`forward` and, when a gradient is needed, record it."""
+        inputs = tuple(a for a in args if isinstance(a, Tensor))
+        self.needs_grad = grad_enabled() and any(t.requires_grad for t in inputs)
+        if self.needs_grad:
+            self.needs_input_grad = tuple(t.requires_grad for t in inputs)
+        out = Tensor(self.forward(*args, **kwargs), requires_grad=self.needs_grad)
+        if self.needs_grad:
+            self.link(inputs, out)
         return out
+
+    def link(self, inputs: Sequence[Tensor], out: Tensor) -> None:
+        """Record this node as ``out``'s producer.
+
+        The edges name what the backward walk needs — the producing node of
+        each non-leaf input, the leaf tensors that take a gradient — and
+        never a non-leaf tensor, so an intermediate is freed as soon as the
+        caller drops it unless :meth:`forward` saved its array.  A weak
+        reference to ``out`` lets :meth:`release` detach a still-alive
+        output from the node.
+        """
+        self.parents = tuple(
+            t._ctx if t._ctx is not None else (t if t.requires_grad else None)
+            for t in inputs
+        )
+        self.out_shape, self.out_dtype = out.data.shape, out.data.dtype
+        self._output = weakref.ref(out)
+        out._ctx = self
 
     def save_for_backward(self, *items: Any) -> None:
         """Store arbitrary objects needed by :meth:`backward`.
 
         Saving is skipped entirely when the output does not require grad, so
         a ``no_grad`` forward (as in SAR's Algorithm 1) holds no references.
+        Every saved array's buffer counts with the active memory tracker
+        until the node is released.
         """
-        if self.needs_grad:
-            self.saved = items
+        if not self.needs_grad:
+            return
+        self._let_go()
+        self.saved = items
+        self._tracker = tracker = active_tracker()
+        if tracker is not None:
+            keys = (tracker.acquire(item) for item in items if isinstance(item, np.ndarray))
+            self._held = tuple(key for key in keys if key is not None)
 
     def release(self) -> None:
-        """Drop saved state and parent references (frees activations)."""
+        """Drop saved state and parent edges (frees activations).
+
+        A later backward that reaches this node raises; an output tensor
+        still alive becomes a leaf.
+        """
+        self._let_go()
         self.saved = ()
-        self.parents = ()
+        self.parents = None
+        out = self._output() if self._output is not None else None
+        if out is not None and out._ctx is self:
+            out._ctx = None
+        self._output = None
+
+    def _let_go(self) -> None:
+        held, self._held = self._held, ()
+        for key in held:
+            self._tracker.let_go(key)
+
+    def __del__(self):  # pragma: no cover - exercised indirectly
+        try:
+            self._let_go()
+        except Exception:
+            pass
 
     # -- to be implemented by subclasses -------------------------------- #
     def forward(self, *args, **kwargs) -> np.ndarray:  # pragma: no cover - abstract
@@ -436,24 +491,36 @@ class Function:
         raise NotImplementedError
 
 
-def _topological_order(root: Tensor) -> List[Tensor]:
-    """Return tensors reachable from ``root`` in reverse-topological order."""
-    order: List[Tensor] = []
+def _topological_order(root: "Function") -> List[Union["Function", Tensor]]:
+    """Return the nodes reachable from ``root`` in reverse-topological order.
+
+    Nodes are ``Function``s and the leaf tensors that take a gradient.  The
+    walk raises when it reaches a node an earlier backward already released
+    (PyTorch's "backward through the graph a second time").
+    """
+    order: List[Union[Function, Tensor]] = []
     visited: set[int] = set()
-    stack: List[Tuple[Tensor, bool]] = [(root, False)]
+    stack: List[Tuple[Union[Function, Tensor], bool]] = [(root, False)]
     while stack:
-        tensor, processed = stack.pop()
+        node, processed = stack.pop()
         if processed:
-            order.append(tensor)
+            order.append(node)
             continue
-        if id(tensor) in visited:
+        if id(node) in visited:
             continue
-        visited.add(id(tensor))
-        stack.append((tensor, True))
-        if tensor._ctx is not None:
-            for parent in tensor._ctx.parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
+        visited.add(id(node))
+        stack.append((node, True))
+        if isinstance(node, Tensor):
+            continue
+        if node.parents is None:
+            raise RuntimeError(
+                f"backward() reached {type(node).__name__}, whose saved state an earlier "
+                "backward() already freed; pass free_graph=False to the first backward() "
+                "to backpropagate through this graph a second time"
+            )
+        for parent in node.parents:
+            if parent is not None and id(parent) not in visited:
+                stack.append((parent, False))
     order.reverse()
     return order
 

@@ -283,16 +283,53 @@ class TestAttentionScoreShapes:
                                f"expected (rows, H) = ({n}, 4)")
 
 
+def _sar_step_peaks(dataset, build, world):
+    """Each rank's tracked peak and ``tracemalloc`` peak over one SAR training
+    step of ``build()`` on ``dataset``, one forked process per rank, tracing
+    from the top of the worker (every byte Python allocates, not only
+    tracked buffers)."""
+    _, shards = _shards_for(dataset.graph, num_parts=world)
+    set_seed(3)
+    state = build().state_dict()
+
+    def worker(rank, comm, shard):
+        tracemalloc.start()
+        model = build()
+        model.load_state_dict(state)
+        dg = DistributedGraph(shard, comm, SAR)
+        dg.begin_step()
+        ids = shard.global_node_ids
+        logits = model(dg, Tensor(dataset.features[ids]))
+        train = dataset.train_mask[ids]
+        F.cross_entropy(logits[np.flatnonzero(train)], dataset.labels[ids][train]).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return peak
+
+    result = run_multiprocess(worker, world, worker_args=shards)
+    return result.peak_memory_bytes, result.results
+
+
+def _gat(dataset):
+    return nn.GATNet(dataset.feature_dim, 32, dataset.num_classes, num_layers=2,
+                     num_heads=4, dropout=0.0)
+
+
+def _sage(dataset):
+    return nn.GraphSageNet(dataset.feature_dim, 64, dataset.num_classes, num_layers=2,
+                           dropout=0.0)
+
+
 class TestGATBackwardPeak:
     """What a SAR GAT rank holds at its backward peak: one training step of a
-    2-layer, 4 × 32 GAT on ``small_dataset`` at world 2, one forked process
-    per rank, ``tracemalloc`` started at the top of the worker (every byte
-    Python allocates, not only tracked tensors)."""
+    2-layer, 4 × 32 GAT on ``small_dataset`` at world 2."""
 
-    #: tracked-tensor peak per rank.  The two ``Mul`` + ``Sum`` score pairs
-    #: kept their ``(N, H, D)`` products alive for the backward; the score op
-    #: keeps none (568 388 / 567 732 bytes before it).
-    TRACKER_PEAKS = [441_668, 441_012]
+    #: tracked peak per rank.  The two ``Mul`` + ``Sum`` score pairs kept
+    #: their ``(N, H, D)`` products alive for the backward; the score op
+    #: keeps none (568 388 / 567 732 bytes before it).  Since parent edges
+    #: stopped holding input tensors and saved arrays count, it reads
+    #: 394 928 on both ranks (441 668 / 441 012 before).
+    TRACKER_PEAKS = [394_928, 394_928]
     #: the larger rank's ``tracemalloc`` peak before the cut (packed payload,
     #: out-of-place attention backward, 2 MiB SDDMM chunks), and the saving
     #: measured after it (its peak read 1 548 463 bytes, to ±0.5 kB)
@@ -300,30 +337,49 @@ class TestGATBackwardPeak:
     TRACED_SAVING = 1_529_000
 
     def test_the_cut_holds(self, small_dataset):
-        dataset = small_dataset
-        _, shards = _shards_for(dataset.graph, num_parts=2)
-        set_seed(3)
-        state = nn.GATNet(dataset.feature_dim, 32, dataset.num_classes, num_layers=2,
-                          num_heads=4, dropout=0.0).state_dict()
+        trackers, traced = _sar_step_peaks(small_dataset, lambda: _gat(small_dataset), 2)
+        assert trackers == self.TRACKER_PEAKS
+        assert max(traced) < self.TRACED_PEAK_BEFORE - self.TRACED_SAVING // 2
 
-        def worker(rank, comm, shard):
-            tracemalloc.start()
-            model = nn.GATNet(dataset.feature_dim, 32, dataset.num_classes, num_layers=2,
-                              num_heads=4, dropout=0.0)
-            model.load_state_dict(state)
-            dg = DistributedGraph(shard, comm, SAR)
-            dg.begin_step()
-            ids = shard.global_node_ids
-            logits = model(dg, Tensor(dataset.features[ids]))
-            train = dataset.train_mask[ids]
-            F.cross_entropy(logits[np.flatnonzero(train)], dataset.labels[ids][train]).backward()
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-            return peak
 
-        result = run_multiprocess(worker, 2, worker_args=shards)
-        assert result.peak_memory_bytes == self.TRACKER_PEAKS
-        assert max(result.results) < self.TRACED_PEAK_BEFORE - self.TRACED_SAVING // 2
+class TestSARStepPeaks:
+    """Per-rank peaks of one SAR training step — a 2-layer GraphSage (hidden
+    64) and a 2-layer, 4 × 32 GAT, dropout 0, on ``small_dataset`` — at world
+    2 and 4, on forked processes.  The autograd graph links nodes through
+    their ``Function``s, so an intermediate no node saved is freed when the
+    forward moves on; the tracker counts the arrays nodes save."""
+
+    #: tracked peak per rank (the partition splits the nodes evenly, and the
+    #: peak falls where no halo block is resident)
+    TRACKER_PEAKS = {
+        ("sage", 2): [121_360] * 2,
+        ("sage", 4): [65_680] * 4,
+        ("gat", 2): [394_928] * 2,
+        ("gat", 4): [203_888] * 4,
+    }
+    #: the larger rank's ``tracemalloc`` peak while parent edges held every
+    #: input tensor, and the saving measured since (to ±1 kB)
+    TRACED_PEAK_BEFORE = {
+        ("sage", 2): 520_214,
+        ("sage", 4): 305_311,
+        ("gat", 2): 1_542_735,
+        ("gat", 4): 1_097_910,
+    }
+    TRACED_SAVING = {
+        ("sage", 2): 160_100,
+        ("sage", 4): 78_800,
+        ("gat", 2): 185_800,
+        ("gat", 4): 89_700,
+    }
+
+    @pytest.mark.parametrize("world", [2, 4])
+    @pytest.mark.parametrize("kind", ["sage", "gat"])
+    def test_step_peaks(self, small_dataset, kind, world):
+        build = {"sage": _sage, "gat": _gat}[kind]
+        trackers, traced = _sar_step_peaks(small_dataset, lambda: build(small_dataset), world)
+        assert trackers == self.TRACKER_PEAKS[kind, world]
+        assert (max(traced) < self.TRACED_PEAK_BEFORE[kind, world]
+                - self.TRACED_SAVING[kind, world] // 2)
 
 
 # --------------------------------------------------------------------------- #

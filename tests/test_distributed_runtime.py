@@ -499,14 +499,16 @@ class TestCommStatsSnapshot:
         stats.record_send(5, tag="a")
         stats.record_recv(7, tag="b")
         stats.record_cache(1, 2, 3)
-        tracker.allocate(10)
-        tracker.release(4)
+        kept = np.zeros(6, np.uint8)
+        tracker.acquire(kept)
+        tracker.let_go(tracker.acquire(np.zeros(4, np.uint8)))
         stats_copy, tracker_copy = pickle.loads(pickle.dumps((stats, tracker)))
         assert stats_copy == stats and stats_copy.snapshot() == stats.snapshot()
         assert tracker_copy.snapshot() == tracker.snapshot()
         assert stats_copy._lock is not stats._lock and tracker_copy._lock is not tracker._lock
+        assert tracker_copy._held == {}  # holder ids name this process's objects
         stats_copy.record_send(1, tag="a")
-        tracker_copy.allocate(1)
+        tracker_copy.acquire(np.zeros(1, np.uint8))
         assert stats_copy.sent_by_tag == {"a": 6} and stats.sent_by_tag == {"a": 5}
         assert tracker_copy.peak_bytes == 10 and tracker_copy.current_bytes == 7
 

@@ -99,6 +99,27 @@ class TestBackward:
         assert loss._ctx is None
         assert y._ctx is None
 
+    def test_backward_through_a_released_node_raises(self):
+        """Two losses on one intermediate: the first backward frees the
+        shared ``Mul``, so the second must not treat ``y`` as a leaf."""
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = x * 2.0
+        first, second = (y * 3.0).sum(), (y * 5.0).sum()
+        first.backward()
+        with pytest.raises(RuntimeError, match="reached Mul.*a second time"):
+            second.backward()
+        np.testing.assert_array_equal(x.grad, np.full(3, 6.0))
+        assert y.grad is None
+
+    def test_shared_intermediate_with_retained_graph(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = x * 2.0
+        first, second = (y * 3.0).sum(), (y * 5.0).sum()
+        first.backward(free_graph=False)
+        second.backward()
+        np.testing.assert_array_equal(x.grad, np.full(3, 16.0))
+        assert y.grad is None
+
     def test_retain_graph_allows_second_backward(self):
         x = Tensor(np.ones(3), requires_grad=True)
         loss = (x * 2.0).sum()

@@ -107,3 +107,35 @@ class TestMemoryTracker:
             after = tracker.current_bytes
         assert peak_forward > x.nbytes + w.nbytes
         assert after < peak_forward
+
+    def test_shared_tracker_counts_each_buffer_once_under_threads(self):
+        """A worker's tracker is shared with its halo prefetch thread: holders
+        acquired and let go concurrently must leave the count exact."""
+        import sys
+
+        tracker = MemoryTracker("shared")
+        buffers = [np.zeros(256, dtype=np.float32) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def hold_and_drop():
+                for _ in range(200):
+                    keys = [tracker.acquire(b[i:]) for i, b in enumerate(buffers)]
+                    keys += [tracker.acquire(b) for b in buffers]
+                    for key in keys:
+                        if key is not None:
+                            tracker.let_go(key)
+
+            with track_memory(tracker):
+                owners = [Tensor(b) for b in buffers]
+            threads = [threading.Thread(target=hold_and_drop) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert tracker.current_bytes == tracker.peak_bytes == 4 * 1024
+            del owners
+            assert tracker.current_bytes == 0
+        finally:
+            sys.setswitchinterval(interval)
