@@ -27,7 +27,7 @@ Each handle owns:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,19 +38,30 @@ from repro.core.rgcn_dist import RGCNKernel
 from repro.core.sage_dist import make_neighbor_kernel
 from repro.core.seq_agg import SequentialAggregationEngine
 from repro.distributed.comm import Communicator
+from repro.graph.aggregation import relation_entry
 from repro.partition.shard import EdgeBlock, ShardedGraph
 from repro.tensor.tensor import Tensor
 
+#: one :class:`~repro.core.halo.HaloExchange` per relation of a block grid.
+Halos = Dict[Optional[str], HaloExchange]
 #: what :meth:`DistributedGraph.prepare_restriction` returns: one
-#: ``(restricted shard view, halo)`` pair per conv layer.
-RestrictionLayers = List[Tuple[ShardedGraph, HaloExchange]]
+#: ``(restricted shard view, halos)`` pair per conv layer.
+RestrictionLayers = List[Tuple[ShardedGraph, Halos]]
+
+
+def _make_halos(comm: Communicator, grids: Mapping[Optional[str], List[EdgeBlock]],
+                prefix: str = "") -> Halos:
+    """One halo routing exchange per relation (collective)."""
+    return {relation: HaloExchange(comm, blocks, prefix + (
+        "homo" if relation is None else f"rel-{relation}")) for relation, blocks in grids.items()}
 
 
 class DistributedGraph:
     """Worker-local handle over a partitioned graph.
 
     ``aggregate_neighbors`` and ``gat_aggregate`` run over the shard's
-    relation ``None``, ``rgcn_aggregate`` over its named relations.
+    relation ``None``, ``rgcn_aggregate`` over its named relations, each
+    looked up by :func:`~repro.graph.aggregation.relation_entry`.
     """
 
     def __init__(self, shard: ShardedGraph, comm: Communicator,
@@ -64,12 +75,8 @@ class DistributedGraph:
         self.engine = SequentialAggregationEngine(comm, config)
         self._step = 0
         self._op_counter = 0
-        self.halos: Dict[Optional[str], HaloExchange] = {
-            relation: HaloExchange(comm, blocks,
-                                   name="homo" if relation is None else f"rel-{relation}")
-            for relation, blocks in shard.relation_blocks.items()
-        }
-        #: the per-conv-layer ``(restricted shard view, halo)`` pairs the
+        self.halos: Halos = _make_halos(comm, shard.relation_blocks)
+        #: the per-conv-layer ``(restricted shard view, halos)`` pairs the
         #: enclosing :meth:`restricted` scope put in force (``None`` =
         #: unrestricted), and how many of them this step has consumed.
         self._restriction: Optional[RestrictionLayers] = None
@@ -149,21 +156,6 @@ class DistributedGraph:
                     )
         self.engine.feature_store = store
 
-    def in_edge_index(self):
-        """This worker's complete per-local-dst in-edge buckets, ``{None: …}``.
-
-        Delegates to :meth:`repro.partition.shard.ShardedGraph.
-        in_edge_index` (cached there): destinations local, sources and edge
-        ids global, buckets in ascending global edge order — the structure
-        the serving receptive-field walk expands through.
-        """
-        return self.shard.in_edge_index()
-
-    # -- graph-like interface ------------------------------------------- #
-    def in_degrees(self) -> np.ndarray:
-        """Global in-degree of each local node."""
-        return self.shard.local_in_degrees
-
     def __repr__(self) -> str:
         return (
             f"DistributedGraph(rank={self.rank}/{self.world_size}, mode={self.config.mode!r}, "
@@ -172,7 +164,7 @@ class DistributedGraph:
         )
 
     # -- scoped restriction (paper Appendix B, executed) ------------------- #
-    def prepare_restriction(self, layer_blocks: Sequence[List[EdgeBlock]],
+    def prepare_restriction(self, layer_grids: Sequence[Mapping[Optional[str], List[EdgeBlock]]],
                             name: str = "smp") -> RestrictionLayers:
         """Prepare per-conv-layer substitute block grids (collective call).
 
@@ -181,42 +173,41 @@ class DistributedGraph:
         from :meth:`repro.sample.distributed.DistributedNeighborSampler.
         sample` — MFG's sampled once, at every fan-out ``-1`` over its
         seed set, sampled training's afresh every batch.  Each layer's view
-        recounts the in-degrees from its grid, so mean aggregation divides by
-        the sampled degree, which on a full-neighbourhood grid is the global
-        one.  Evaluation needs none: the unrestricted SAR forward already keeps
-        one remote block resident at a time.  Nothing is installed: the returned
-        ``(restricted shard view, halo)`` pairs take effect only inside
-        ``with self.restricted(layers):``, where conv layer ``l``'s
-        aggregation runs over ``layer_blocks[l]`` — halo fetches (and the
+        recounts every relation's in-degrees from its grid, so mean
+        aggregation divides by the sampled degree, which on a
+        full-neighbourhood grid is the global one.  Evaluation needs none:
+        the unrestricted SAR forward already keeps one remote block resident
+        at a time.  Nothing is installed: the returned ``(restricted shard
+        view, halos)`` pairs take effect only inside ``with
+        self.restricted(layers):``, where conv layer ``l``'s aggregation,
+        R-GCN's included, runs over ``layer_grids[l]``: halo fetches (and the
         backward error exchange) shrink to the rows those edges touch, while
         local feature matrices keep their full ``(num_local_nodes, F)``
         height and the replicated model code is untouched.
 
         Parameters
         ----------
-        layer_blocks:
-            One ``world_size``-long :class:`~repro.partition.shard.EdgeBlock`
-            grid per conv layer, in input → output layer order; the step's
-            ``l``-th aggregation is dispatched onto ``layer_blocks[l]`` (the
-            replicas issue aggregations in identical order, so no layer ids
-            need to travel with the tensors).
+        layer_grids:
+            Per conv layer, input → output order, one ``world_size``-long
+            :class:`~repro.partition.shard.EdgeBlock` row per relation of the
+            shard, ``{relation: grid}``; the step's ``l``-th aggregation is
+            dispatched onto ``layer_grids[l]`` (the replicas issue
+            aggregations in identical order, so no layer ids need to travel
+            with the tensors).
         name:
-            Key prefix namespacing the per-layer
+            Key prefix namespacing the per-layer, per-relation
             :class:`~repro.core.halo.HaloExchange` routing exchanges.
 
         Notes
         -----
         Collective: every worker must call this at the same point with grids
         describing the same global edge set — each restricted layer performs
-        its own halo-routing exchange.  Entering the result is local, so a
-        deterministic restriction (the MFG grids) is prepared once and
-        re-entered for free.
+        one halo-routing exchange per relation.  Entering the result is
+        local, so a deterministic restriction (the MFG grids) is prepared
+        once and re-entered for free.
         """
-        layers: RestrictionLayers = []
-        for layer, blocks in enumerate(layer_blocks):
-            halo = HaloExchange(self.comm, blocks, name=f"{name}{layer}-homo")
-            layers.append((self.shard.with_blocks(list(blocks)), halo))
-        return layers
+        return [(self.shard.with_blocks(grids), _make_halos(self.comm, grids, f"{name}{layer}-"))
+                for layer, grids in enumerate(layer_grids)]
 
     @contextmanager
     def restricted(self, layers: Optional[RestrictionLayers]) -> Iterator[None]:
@@ -239,15 +230,15 @@ class DistributedGraph:
         finally:
             self._restriction, self._cursor = outer, 0
 
-    def _layer_context(self, what: str) -> Tuple[ShardedGraph, HaloExchange]:
-        """The (shard, halo) pair the next aggregation runs over.
+    def _layer_context(self, what: str) -> Tuple[ShardedGraph, Halos]:
+        """The (shard, halos) pair the next aggregation runs over.
 
         Inside a :meth:`restricted` scope, aggregations are dispatched to the
         scope's layers in call order — the models are replicas, so conv layer
         ``l`` issues the step's ``l``-th aggregation on every worker.
         """
         if self._restriction is None:
-            return self.shard, self.halos[None]
+            return self.shard, self.halos
         layer = self._cursor
         if layer >= len(self._restriction):
             raise RuntimeError(
@@ -265,15 +256,15 @@ class DistributedGraph:
         ``"min"`` (pooling, SAR case 2: the backward pass re-fetches remote
         features to locate the extremal sources).
         """
-        shard, halo = self._layer_context("sage")
-        kernel = make_neighbor_kernel(z, shard, halo, op)
+        shard, halos = self._layer_context("sage")
+        kernel = make_neighbor_kernel(z, shard, relation_entry(halos, None), op)
         return self.engine.aggregate(kernel, self._next_key("sage"), z)
 
     def gat_aggregate(self, z: Tensor, score_dst: Tensor, score_src: Tensor,
                       negative_slope: float = 0.2, fused: bool = False) -> Tensor:
         """Attention aggregation over the full (distributed) neighbourhood (case 2)."""
-        shard, halo = self._layer_context("gat")
-        kernel = GATKernel(z, score_dst, score_src, shard, halo,
+        shard, halos = self._layer_context("gat")
+        kernel = GATKernel(z, score_dst, score_src, shard, relation_entry(halos, None),
                            self.config, negative_slope, fused)
         return self.engine.aggregate(kernel, self._next_key("gat"),
                                      z, score_dst, score_src)
@@ -282,10 +273,9 @@ class DistributedGraph:
                        relation_names: Sequence[str], in_features: int,
                        out_features: int) -> Tensor:
         """Relational aggregation over the full (distributed) neighbourhood (case 2)."""
-        missing = [r for r in relation_names if r not in self.halos]
-        if missing:
-            raise KeyError(f"Relations {missing} are not present in this graph shard")
-        kernel = RGCNKernel(x, relation_weights, self.shard, self.halos,
+        shard, halos = self._layer_context("rgcn")
+        halos = [relation_entry(halos, relation) for relation in relation_names]
+        kernel = RGCNKernel(x, relation_weights, shard, halos,
                             relation_names, in_features, out_features)
         return self.engine.aggregate(kernel, self._next_key("rgcn"),
                                      x, relation_weights)

@@ -15,7 +15,7 @@ passes.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ class RGCNKernel(BlockKernel):
     grad_class = "nonlinear"
 
     def __init__(self, x: Tensor, relation_weights: Tensor, shard: ShardedGraph,
-                 halos: Dict[str, HaloExchange], relation_names: Sequence[str],
+                 halos: Sequence[HaloExchange], relation_names: Sequence[str],
                  in_features: int, out_features: int):
         super().__init__()
         data = x.data
@@ -52,8 +52,8 @@ class RGCNKernel(BlockKernel):
         self.out_features = out_features
         self._passes = [
             KernelPass(name=relation, blocks=shard.relation_blocks[relation],
-                       halo=halos[relation], index=r_index)
-            for r_index, relation in enumerate(relation_names)
+                       halo=halo, index=r_index)
+            for r_index, (relation, halo) in enumerate(zip(relation_names, halos))
         ]
 
     # -- engine interface ------------------------------------------------ #

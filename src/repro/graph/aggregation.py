@@ -16,7 +16,7 @@ block gathers its destination rows, every other graph returns ``x`` itself.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Any, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +24,17 @@ from repro.tensor import ops
 from repro.tensor.edge_plan import EdgePlan
 from repro.tensor.sparse import GATAggregation, neighbor_aggregate, pool_aggregate
 from repro.tensor.tensor import Tensor
+
+
+def relation_entry(per_relation: Mapping[Optional[str], Any], relation: Optional[str]) -> Any:
+    """``per_relation[relation]``, or the ``KeyError`` every graph type raises
+    for a relation it lacks (e.g. a SAGE layer's ``None`` on a relational graph)."""
+    try:
+        return per_relation[relation]
+    except KeyError:
+        raise KeyError(
+            f"no relation {relation!r}; this graph has relations {list(per_relation)}"
+        ) from None
 
 
 class NeighborAggregation:
@@ -44,12 +55,7 @@ class NeighborAggregation:
         return self.relation_plan(None)
 
     def _edges_of(self, relation: Optional[str]) -> Tuple[np.ndarray, np.ndarray]:
-        try:
-            return self.relation_edges[relation]
-        except KeyError:
-            raise KeyError(
-                f"no relation {relation!r}; this graph has relations {list(self.relation_edges)}"
-            ) from None
+        return relation_entry(self.relation_edges, relation)
 
     def aggregate_neighbors(self, z: Tensor, op: str = "mean") -> Tensor:
         """Sum/mean (SpMM) or max/min (pooling) of ``z`` over in-neighbours."""

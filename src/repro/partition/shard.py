@@ -88,8 +88,9 @@ class ShardedGraph:
     ``num_parts``-long row of :class:`EdgeBlock` s and
     :attr:`relation_in_degrees` to its nodes' global in-degrees over that
     relation.  A homogeneous graph's shard holds the one relation ``None``,
-    which :attr:`blocks`, :attr:`local_in_degrees` and :meth:`in_edge_index`
-    read; a relational graph's names its relations.
+    which :attr:`blocks` and :attr:`local_in_degrees` read; a relational
+    graph's names its relations.  :meth:`in_edge_index` and
+    :meth:`with_blocks` are keyed by relation too.
     """
 
     def __init__(self, rank: int, book: PartitionBook,
@@ -119,72 +120,67 @@ class ShardedGraph:
         return self.relation_in_degrees[None]
 
     def in_edge_index(self) -> Dict[Optional[str], InEdgeIndex]:
-        """``{None: …}``: per-local-destination in-edge buckets of the relation
-        ``None``, in ascending *global* edge order.
+        """Per relation, its per-local-destination in-edge buckets in
+        ascending *global* edge order.
 
-        Builds (once, cached) a :class:`~repro.graph.in_edges.InEdgeIndex`
-        over this worker's incoming edges: destinations are local ids, while
-        sources and edge ids stay global.  Because every bucket lists a
-        destination's complete in-neighbourhood in ascending global edge id —
-        the original edge order — blocks rebuilt from these buckets reduce
-        per destination in exactly the order the single-machine pipeline
-        does, which is what keeps distributed restricted outputs
-        bit-identical (the distributed serving path,
-        :func:`repro.sample.inference.distributed_restricted_logits`, and the
-        cooperative sampler,
-        :class:`repro.sample.distributed.DistributedNeighborSampler`, whose
-        per-edge draws hash the global edge ids and which builds the MFG
-        grids too).  Requires block grids carrying
+        Builds (once, cached) one :class:`~repro.graph.in_edges.InEdgeIndex`
+        per relation over this worker's incoming edges: destinations are
+        local ids, while sources and edge ids (a relation's edge positions)
+        stay global.  Because every bucket lists a destination's complete
+        in-neighbourhood in the original edge order, blocks rebuilt from
+        these buckets reduce per destination exactly as the single-machine
+        pipeline does — what keeps the distributed serving path and the
+        cooperative sampler (whose draws hash the global edge ids)
+        bit-identical.  Requires block grids carrying
         :attr:`EdgeBlock.edge_pos` (anything :func:`create_shards` builds).
         """
         if self._in_edge_index is None:
-            srcs, dsts, eids = [], [], []
-            for q, block in enumerate(self.blocks):
-                if block.num_edges == 0:
-                    continue
-                if block.edge_pos is None:
-                    raise ValueError(
-                        "in_edge_index() needs blocks carrying global edge "
-                        "positions (EdgeBlock.edge_pos); rebuild the shard "
-                        "with create_shards()"
-                    )
-                src_global = self.book.to_global(q, block.required_src_local)
-                srcs.append(src_global[block.src_index])
-                dsts.append(block.dst_local)
-                eids.append(block.edge_pos)
-            if srcs:
-                src = np.concatenate(srcs)
-                dst = np.concatenate(dsts)
-                eid = np.concatenate(eids)
-                # Feed edges in ascending global edge id so every bucket's
-                # order is the original (single-machine) reduction order.
-                order = np.argsort(eid, kind="stable")
-                src, dst, eid = src[order], dst[order], eid[order]
-            else:
-                src = dst = eid = np.empty(0, dtype=np.int64)
-            self._in_edge_index = {None: InEdgeIndex(src, dst, self.num_local_nodes,
-                                                     eids=eid)}
+            self._in_edge_index = {name: self._relation_in_edges(blocks)
+                                   for name, blocks in self.relation_blocks.items()}
         return self._in_edge_index
 
-    def with_blocks(self, blocks: List[EdgeBlock]) -> "ShardedGraph":
-        """A shallow view of this shard executing over substitute edge blocks.
+    def _relation_in_edges(self, blocks: List[EdgeBlock]) -> InEdgeIndex:
+        empty = np.empty(0, dtype=np.int64)
+        srcs, dsts, eids = [empty], [empty], [empty]
+        for q, block in enumerate(blocks):
+            if block.num_edges == 0:
+                continue
+            if block.edge_pos is None:
+                raise ValueError(
+                    "in_edge_index() needs blocks carrying global edge "
+                    "positions (EdgeBlock.edge_pos); rebuild the shard "
+                    "with create_shards()"
+                )
+            src_global = self.book.to_global(q, block.required_src_local)
+            srcs.append(src_global[block.src_index])
+            dsts.append(block.dst_local)
+            eids.append(block.edge_pos)
+        src, dst, eid = np.concatenate(srcs), np.concatenate(dsts), np.concatenate(eids)
+        # Feed edges in ascending global edge id so every bucket's order is
+        # the original (single-machine) reduction order.
+        order = np.argsort(eid, kind="stable")
+        return InEdgeIndex(src[order], dst[order], self.num_local_nodes, eids=eid[order])
 
-        Node data and the partition book are shared with the original shard —
-        only the block grid differs.  The per-node in-degrees are re-derived
-        from the substitute blocks: sampled grids normalize mean aggregation
-        by the sampled degree, and on a full-neighbourhood (MFG) grid the
-        recount equals the global degree on every destination the grid keeps
-        and is 0 on the rest, which aggregate nothing.
+    def with_blocks(self, grids: Dict[Optional[str], List[EdgeBlock]]) -> "ShardedGraph":
+        """A shallow view of this shard executing over substitute block grids.
+
+        ``grids`` maps each relation to its substitute block row
+        (``{None: row}`` for a homogeneous graph's).  Node data and the
+        partition book are shared with the original shard — only the grids
+        differ.  Each relation's per-node in-degrees are re-derived from its
+        substitute blocks: sampled grids normalize mean aggregation by the
+        sampled degree, and on a full-neighbourhood (MFG) grid the recount
+        equals the global degree on every destination the grid keeps and is
+        0 on the rest, which aggregate nothing.
         """
         view = ShardedGraph.__new__(ShardedGraph)
         view.__dict__.update(self.__dict__)
-        view.relation_blocks = {None: blocks}
+        view.relation_blocks = {name: list(blocks) for name, blocks in grids.items()}
         view._in_edge_index = None
-        degrees = np.zeros(self.num_local_nodes, dtype=np.int64)
-        for block in blocks:
-            if block.num_edges:
-                degrees += np.bincount(block.dst_local, minlength=self.num_local_nodes)
-        view.relation_in_degrees = {None: degrees}
+        view.relation_in_degrees = {
+            name: np.bincount(np.concatenate([b.dst_local for b in blocks]),
+                              minlength=self.num_local_nodes).astype(np.int64)
+            for name, blocks in grids.items()}
         return view
 
     def __repr__(self) -> str:
@@ -198,10 +194,6 @@ class ShardedGraph:
     def local_block(self) -> EdgeBlock:
         """The block of edges whose source and destination are both local."""
         return self.blocks[self.rank]
-
-    def remote_blocks(self) -> List[EdgeBlock]:
-        """Blocks whose sources live on other workers, in rank order."""
-        return [b for q, b in enumerate(self.blocks) if q != self.rank]
 
     @property
     def halo_size(self) -> int:

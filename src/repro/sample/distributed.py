@@ -9,17 +9,21 @@ along ownership exactly like aggregation does:
   :class:`~repro.sample.loader.MiniBatchDataLoader` a single machine uses
   (every worker derives the identical permutation from the shared sampler
   seed — no coordinator, no broadcast);
-* at each layer, every worker samples in-edges **only for the required
-  destinations it owns** — the in-edges of a worker's own nodes are precisely
-  the local metadata its ``G_{p,q}`` blocks are built from, read through the
-  shard's cached :meth:`~repro.partition.shard.ShardedGraph.in_edge_index`
-  (local destination ids, *global* edge/source ids);
-* the newly-required source nodes are merged with one ``allgather`` per
-  layer, giving every worker the next layer's global required set;
+* at each layer, every worker draws (with the single machine's
+  :func:`~repro.sample.neighbor.draw_layer`) in-edges **only for the
+  required destinations it owns** — the in-edges of a worker's own nodes
+  are precisely the local metadata its ``G_{p,q}`` blocks are built from,
+  read through the shard's cached
+  :meth:`~repro.partition.shard.ShardedGraph.in_edge_index` (per relation:
+  local destination ids, *global* edge/source ids);
+* the newly-required source nodes of every relation are merged with one
+  keyed ``allgather`` per layer, giving every worker the next layer's
+  global required set;
 * :func:`~repro.partition.shard.edge_blocks`, the shards' own cutter, turns
-  the sampled edges into per-layer :class:`~repro.partition.shard.EdgeBlock`
-  grids the worker's :class:`~repro.core.dist_graph.DistributedGraph`
-  prepares (``prepare_restriction``) and runs the batch's forward under
+  the sampled edges into per-layer ``{relation: grid}`` of
+  :class:`~repro.partition.shard.EdgeBlock` rows the worker's
+  :class:`~repro.core.dist_graph.DistributedGraph` prepares
+  (``prepare_restriction``) and runs the batch's forward under
   (``restricted``), so the existing halo machinery fetches only the sampled
   sources — mini-batch halo exchanges shrink with the fanout.
 
@@ -32,18 +36,18 @@ sequence as the single-machine run with the same seed.  At every fan-out
 (:func:`repro.graph.mfg.build_mfg_pipeline`), which is how distributed MFG
 training gets its grids: ``DistributedNeighborSampler(shard, comm, [-1] *
 L).sample(seeds)``, sampled once — and over every node, the shard's own block
-row.
+rows.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.distributed.comm import Communicator
 from repro.partition.shard import EdgeBlock, ShardedGraph, edge_blocks
-from repro.sample.neighbor import _layer_key, check_fanout, sample_in_edges
+from repro.sample.neighbor import FanoutSpec, _layer_key, draw_layer, normalize_fanouts
 
 
 class DistributedNeighborSampler:
@@ -59,28 +63,27 @@ class DistributedNeighborSampler:
     ----------
     shard, comm:
         This worker's :class:`~repro.partition.shard.ShardedGraph` (its
-        in-edges are what it samples) and communicator.
+        in-edges, every relation's, are what it samples) and communicator.
     fanouts:
-        One ``int`` per conv layer, input → output order (``-1`` = full
-        neighbourhood); each passes
-        :func:`~repro.sample.neighbor.check_fanout`.  Homogeneous graphs
-        only, so no per-relation maps.
+        One entry per conv layer, input → output order, checked as
+        ``NeighborSampler`` checks them
+        (:func:`~repro.sample.neighbor.normalize_fanouts`).
     replace:
         Sample with replacement (see ``NeighborSampler``).
     seed:
         Base seed of every draw; every worker must pass the same one.
     """
 
-    def __init__(self, shard: ShardedGraph, comm: Communicator, fanouts: Sequence[int],
-                 replace: bool = False, seed: int = 0):
-        self.fanouts: List[int] = [check_fanout(spec) for spec in fanouts]
+    def __init__(self, shard: ShardedGraph, comm: Communicator,
+                 fanouts: Sequence[FanoutSpec], replace: bool = False, seed: int = 0):
+        self._indexes = shard.in_edge_index()
+        self._fanouts, self.fanouts = normalize_fanouts(fanouts, self._indexes)
         self.replace = bool(replace)
         self.seed = int(seed)
         self.num_nodes = shard.num_total_nodes
         self.book = shard.book
         self.comm = comm
         self.rank = comm.rank
-        self.index = shard.in_edge_index()[None]
         self._held_key: Optional[str] = None
 
     @property
@@ -123,7 +126,7 @@ class DistributedNeighborSampler:
         seeds: np.ndarray,
         epoch: int = 0,
         batch_index: int = 0,
-    ) -> List[List[EdgeBlock]]:
+    ) -> List[Dict[Optional[str], List[EdgeBlock]]]:
         """Sample one batch; returns this worker's per-layer block grids.
 
         Parameters
@@ -136,13 +139,15 @@ class DistributedNeighborSampler:
 
         Returns
         -------
-        list of list of EdgeBlock
-            ``num_layers`` grids of ``world_size``
-            :class:`~repro.partition.shard.EdgeBlock` objects, input → output
-            layer order, ready for
+        list of dict of relation to list of EdgeBlock
+            Per layer, input → output order, ``{relation: grid}`` with one
+            ``world_size``-long :class:`~repro.partition.shard.EdgeBlock` row
+            per relation of the shard (``{None: grid}`` on a homogeneous
+            graph), ready for
             :meth:`~repro.core.dist_graph.DistributedGraph.prepare_restriction`.
-            The union over workers of each layer's edges is bit-identical to
-            the single-machine sample of the same ``(seed, epoch, batch)``.
+            The union over workers of each layer's and relation's edges is
+            bit-identical to the single-machine sample of the same ``(seed,
+            epoch, batch)``.
 
         Notes
         -----
@@ -154,29 +159,21 @@ class DistributedNeighborSampler:
         collectives — the overlap the pipelined training loop exploits.
         """
         current = np.unique(np.asarray(seeds, dtype=np.int64))
-        layer_edges: List[Optional[tuple]] = [None] * self.num_layers
+        layer_edges = [None] * self.num_layers
         for layer in range(self.num_layers - 1, -1, -1):
-            key = _layer_key(self.seed, epoch, batch_index, layer)
-            owned = self.book.assignment[current] == self.rank
-            local_global = current[owned]
-            _, local_ids = self.book.to_local(local_global)
-            positions = sample_in_edges(
-                self.index,
-                local_ids,
-                self.fanouts[layer],
-                self.replace,
-                key,
-                key_ids=local_global,
-            )
-            src_global = self.index.src[positions]
-            dst_local = self.index.dst[positions]
-            layer_edges[layer] = (src_global, dst_local)
+            owned = current[self.book.assignment[current] == self.rank]
+            edges = draw_layer(self._indexes, self.book.to_local(owned)[1],
+                               self._fanouts[layer], self.replace,
+                               _layer_key(self.seed, epoch, batch_index, layer), key_ids=owned)
+            layer_edges[layer] = edges
             # Namespace the collective by (epoch, batch, layer) — the same
             # discipline begin_step uses for step keys — so concurrent batches
             # can never collide even across the overlap boundary.
             stream_key = f"smp/e{epoch}/b{batch_index}/l{layer}"
-            current = np.union1d(current, self._frontier_allgather(stream_key, src_global))
+            reached = np.concatenate([src for src, _ in edges.values()])
+            current = np.union1d(current, self._frontier_allgather(stream_key, reached))
         # Edges arrive (and stay) in ascending global edge-id order, so each
         # block's per-destination reduction order matches the single-machine
         # sampled pipeline's blocks.
-        return [edge_blocks(self.book, self.rank, src, dst) for src, dst in layer_edges]
+        return [{name: edge_blocks(self.book, self.rank, src, dst)
+                 for name, (src, dst) in edges.items()} for edges in layer_edges]

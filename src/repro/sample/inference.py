@@ -419,7 +419,7 @@ def distributed_restricted_logits(
     # Every request runs at least one allgather before its first fetch, so the
     # previous request's publishes are cleared on every worker by then.
     dist_graph.begin_step()
-    index = dist_graph.in_edge_index()
+    index = dist_graph.shard.in_edge_index()
 
     # Backward, from the seeds (level ``num_layers``) down: one probe, one
     # block over the owned misses and one allgather per level, until no worker
@@ -433,11 +433,12 @@ def distributed_restricted_logits(
         block = None
         if not found.all():
             block = block_from_in_edges(index, book.to_local(own[~found])[1], own[~found])
-            # A privately built plan: the block serves one miss set, so
-            # entering it in the shared structural cache would only evict
+            # Privately built plans: the block serves one miss set, so
+            # entering them in the shared structural cache would only evict
             # plans that are reused.
-            block._plans[None] = EdgePlan(block.src, block.dst, block.num_dst_nodes,
-                                          block.num_src_nodes)
+            block._plans.update(
+                (name, EdgePlan(src, dst, block.num_dst_nodes, block.num_src_nodes))
+                for name, (src, dst) in block.relation_edges.items())
         mine = nodes[:0] if block is None else block.src_nodes
         sources = np.unique(np.concatenate(comm.allgather(mine, tag=SERVE_FRONTIER_TAG)))
         if not sources.size:

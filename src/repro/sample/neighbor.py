@@ -41,9 +41,11 @@ passes are bit-identical to the full-neighbourhood MFG pipeline, which
 A homogeneous :class:`~repro.graph.graph.Graph` is the one relation ``None``
 (DGL's convention): one walk over ``graph.in_edge_index()``, ``{relation:
 InEdgeIndex}``, and one compaction (:func:`repro.graph.mfg.compact_block`)
-serve homogeneous and relational graphs alike.  Only named relations xor
-``splitmix64(rel_index)`` into the layer key, so a homogeneous graph draws
-under the bare key the distributed sampler shares.
+serve homogeneous and relational graphs alike.  Both samplers — this
+module's and :class:`~repro.sample.distributed.DistributedNeighborSampler`
+— check their fanouts with :func:`normalize_fanouts` and draw every layer
+with :func:`draw_layer`, so a worker draws exactly the single machine's
+edges.
 """
 
 from __future__ import annotations
@@ -136,6 +138,31 @@ def _layer_key(seed: int, epoch: int, batch_index: int, layer: int) -> int:
     return mix_seed(seed, epoch, batch_index, layer)
 
 
+def draw_layer(
+    indexes: Mapping[Optional[str], InEdgeIndex],
+    rows: np.ndarray,
+    fanouts: Mapping[Optional[str], int],
+    replace: bool,
+    layer_key: int,
+    key_ids: Optional[np.ndarray] = None,
+) -> Dict[Optional[str], Tuple[np.ndarray, np.ndarray]]:
+    """One layer's draw over every relation: ``{relation: (src, dst)}``.
+
+    ``rows``, ``key_ids`` and the returned ids are as in
+    :func:`sample_in_edges`; ``fanouts`` is one :func:`normalize_fanouts`
+    entry.  The relation ``None`` draws under ``layer_key``, a named
+    relation under ``layer_key ^ splitmix64(rel_index)`` (its position in
+    ``indexes``, a graph's and its shards' relation order), so relations
+    sample independently.
+    """
+    edges = {}
+    for rel_index, (name, index) in enumerate(indexes.items()):
+        key = layer_key if name is None else layer_key ^ splitmix64(rel_index)
+        positions = sample_in_edges(index, rows, fanouts[name], replace, key, key_ids)
+        edges[name] = (index.src[positions], index.dst[positions])
+    return edges
+
+
 def check_fanout(spec, what: str = "fanout") -> int:
     """One fanout entry as an ``int`` >= -1 — the check both samplers apply.
 
@@ -148,6 +175,44 @@ def check_fanout(spec, what: str = "fanout") -> int:
     if spec < -1:
         raise ValueError(f"{what} must be >= -1 (-1 = full neighbourhood), got {spec}")
     return int(spec)
+
+
+def _normalize_fanout(spec: FanoutSpec, relations: List[Optional[str]]) -> Dict[Optional[str], int]:
+    if not isinstance(spec, Mapping):
+        fanout = check_fanout(spec)
+        return {name: fanout for name in relations}
+    if None in relations:
+        raise ValueError("per-relation fanouts require a relational Graph")
+    unknown = [name for name in spec if name not in relations]
+    if unknown:
+        raise KeyError(f"Unknown relations {unknown}; available: {relations}")
+    missing = [name for name in relations if name not in spec]
+    if missing:
+        # Omission must be explicit (fanout 0), or an entire relation would
+        # silently vanish from training.
+        raise ValueError(
+            f"Per-relation fanouts must name every relation; missing {missing} "
+            f"(use 0 to skip a relation, -1 for its full neighbourhood)"
+        )
+    return {name: check_fanout(spec[name], f"fanout of relation {name!r}")
+            for name in relations}
+
+
+def normalize_fanouts(
+    fanouts: Sequence[FanoutSpec], relations: Sequence[Optional[str]],
+) -> Tuple[List[Dict[Optional[str], int]], List[FanoutSpec]]:
+    """Both samplers' fanout check: ``(per_relation, public)``.
+
+    ``per_relation`` holds the ``{relation: int}`` per layer that
+    :func:`draw_layer` takes, ``public`` what ``sampler.fanouts`` shows —
+    an ``int`` per layer over the relation ``None``.
+    """
+    if not len(fanouts):
+        raise ValueError("fanouts must name at least one layer")
+    relations = list(relations)
+    per_relation = [_normalize_fanout(spec, relations) for spec in fanouts]
+    return per_relation, ([f[None] for f in per_relation] if None in relations
+                          else per_relation)
 
 
 @dataclass
@@ -198,18 +263,13 @@ class NeighborSampler:
         replace: bool = False,
         seed: Optional[int] = None,
     ):
-        if not len(fanouts):
-            raise ValueError("fanouts must name at least one layer")
         self.graph = graph
         self.replace = bool(replace)
         self.seed = int(seed) if seed is not None else int(get_rng().integers(0, 2**63))
         self._indexes: Mapping[Optional[str], InEdgeIndex] = graph.in_edge_index()
-        self._fanouts = [self._normalize_fanout(spec) for spec in fanouts]
         #: per layer, an ``int`` for a homogeneous graph, a ``{relation: int}``
         #: for a relational one
-        self.fanouts: List[FanoutSpec] = (
-            [f[None] for f in self._fanouts] if None in self._indexes else self._fanouts
-        )
+        self._fanouts, self.fanouts = normalize_fanouts(fanouts, self._indexes)
 
     # ------------------------------------------------------------------ #
     @property
@@ -225,27 +285,6 @@ class NeighborSampler:
             f"NeighborSampler(num_layers={self.num_layers}, fanouts={self.fanouts}, "
             f"replace={self.replace})"
         )
-
-    def _normalize_fanout(self, spec: FanoutSpec) -> Dict[Optional[str], int]:
-        relations = list(self._indexes)
-        if not isinstance(spec, Mapping):
-            fanout = check_fanout(spec)
-            return {name: fanout for name in relations}
-        if None in self._indexes:
-            raise ValueError("per-relation fanouts require a relational Graph")
-        unknown = [name for name in spec if name not in relations]
-        if unknown:
-            raise KeyError(f"Unknown relations {unknown}; available: {relations}")
-        missing = [name for name in relations if name not in spec]
-        if missing:
-            # Omission must be explicit (fanout 0), or an entire relation
-            # would silently vanish from training.
-            raise ValueError(
-                f"Per-relation fanouts must name every relation; missing {missing} "
-                f"(use 0 to skip a relation, -1 for its full neighbourhood)"
-            )
-        return {name: check_fanout(spec[name], f"fanout of relation {name!r}")
-                for name in relations}
 
     # ------------------------------------------------------------------ #
     def sample(self, seeds, epoch: int = 0, batch_index: int = 0) -> MFGPipeline:
@@ -276,21 +315,10 @@ class NeighborSampler:
         # Conv layer l consumes layer-(l) inputs and produces layer-(l+1)
         # rows; sampling walks output → input, fanouts[l] applying to layer l.
         for layer in reversed(range(self.num_layers)):
-            layer_key = _layer_key(self.seed, epoch, batch_index, layer)
-            sampled = {}
-            reached = [current]
-            for rel_index, (name, index) in enumerate(self._indexes.items()):
-                # Every named relation draws from its own key so relations
-                # sample independently; the relation None keeps the
-                # layer key the distributed sampler shares.
-                key = layer_key if name is None else layer_key ^ splitmix64(rel_index)
-                positions = sample_in_edges(
-                    index, current, self._fanouts[layer][name], self.replace, key
-                )
-                sampled[name] = (index.src[positions], index.dst[positions])
-                reached.append(sampled[name][0])
+            sampled = draw_layer(self._indexes, current, self._fanouts[layer], self.replace,
+                                 _layer_key(self.seed, epoch, batch_index, layer))
             edge_sets.append(sampled)
-            current = np.unique(np.concatenate(reached))
+            current = np.unique(np.concatenate([current] + [src for src, _ in sampled.values()]))
             node_lists.append(current)
         return SampledStructure(node_lists[::-1], edge_sets[::-1])
 

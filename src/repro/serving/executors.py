@@ -86,9 +86,9 @@ class LocalExecutor:
         :meth:`start` and kept there; mutate it only through
         :meth:`Server.update <repro.serving.Server.update>`.
     graph:
-        The full homogeneous :class:`~repro.graph.graph.Graph`, the one
-        relation ``None`` (relational serving would need per-relation
-        pipelines — not supported yet).
+        The full :class:`~repro.graph.graph.Graph`, homogeneous or
+        relational: the receptive-field walk expands every relation's
+        in-edges, so an R-GCN model serves like any other.
     features:
         ``(num_nodes, in_features)`` input feature matrix (read-only), or
         any :class:`~repro.store.FeatureStore` covering the graph's nodes —
@@ -102,14 +102,10 @@ class LocalExecutor:
     """
 
     def __init__(self, model, graph: Graph, features, config: ServingConfig):
-        if not isinstance(graph, Graph) or None not in graph.relation_edges:
-            if isinstance(graph, Graph):
-                got = f"a Graph of relations {graph.relation_names}"
-            elif isinstance(graph, (list, tuple)):
-                got = "a shard list (that needs backend='distributed' or 'mp')"
-            else:
-                got = type(graph).__name__
-            raise ValueError(f"backend='local' serves one homogeneous Graph, got {got}")
+        if not isinstance(graph, Graph):
+            got = ("a shard list (that needs backend='distributed' or 'mp')"
+                   if isinstance(graph, (list, tuple)) else type(graph).__name__)
+            raise ValueError(f"backend='local' serves one Graph, got {got}")
         store = as_feature_store(features)
         if store.num_rows != graph.num_nodes:
             raise ValueError(
@@ -296,11 +292,11 @@ def _check_shards(shards: Sequence[ShardedGraph]) -> List[ShardedGraph]:
     if (
         not isinstance(shards, (list, tuple))
         or not shards
-        or not all(isinstance(s, ShardedGraph) and None in s.relation_blocks for s in shards)
+        or not all(isinstance(s, ShardedGraph) for s in shards)
     ):
         raise ValueError(
-            f"the shard-backed backends serve a non-empty list of ShardedGraph of one "
-            f"homogeneous Graph (what repro.partition.shard.create_shards returns), "
+            f"the shard-backed backends serve a non-empty list of ShardedGraph "
+            f"(what repro.partition.shard.create_shards returns), "
             f"got {type(shards).__name__}"
         )
     shards = list(shards)

@@ -166,18 +166,17 @@ class TrainingConfig:
             return StepDecay(optimizer, step_size=self.lr_step_size, gamma=self.lr_gamma)
         return None
 
-    def validate(self, model_num_layers: Optional[int], hetero: bool,
-                 distributed: bool, num_nodes: int) -> None:
+    def validate(self, model_num_layers: Optional[int], distributed: bool,
+                 num_nodes: int) -> None:
         """Raise ``ValueError`` for any setting no trainer can run.
 
         Every cross-field rule lives here and both trainers call it before
         doing any work — nothing is partitioned, no cluster is spawned and no
         epoch runs under a config that would only fail later.
         ``model_num_layers`` is the model's ``num_layers`` (``None`` when it
-        exposes none), ``hetero`` whether the graph is relational,
-        ``distributed`` tells :class:`DistributedTrainer` (and its workers)
-        from :class:`FullBatchTrainer`, and ``num_nodes`` is the (global)
-        graph's node count, which bounds :attr:`mfg_seeds`.
+        exposes none), ``distributed`` tells :class:`DistributedTrainer` (and
+        its workers) from :class:`FullBatchTrainer`, and ``num_nodes`` is the
+        (global) graph's node count, which bounds :attr:`mfg_seeds`.
         """
         if self.lr_schedule not in ("cosine", "step", "none"):
             raise ValueError(f"Unknown lr_schedule {self.lr_schedule!r}")
@@ -197,16 +196,10 @@ class TrainingConfig:
             if seeds.size == 0:
                 raise ValueError("mfg_seeds must name at least one node")
         for name, value in (("sampler", self.sampler), ("mfg_seeds", self.mfg_seeds)):
-            if value is None:
-                continue
-            if model_num_layers is None:
+            if value is not None and model_num_layers is None:
                 raise ValueError(
                     f"{name} requires a model exposing num_layers (one fanout / "
                     "restricted block per conv layer)"
-                )
-            if distributed and hetero:
-                raise ValueError(
-                    f"distributed {name} training supports homogeneous graphs only"
                 )
         if self.sampler is not None:
             if len(self.sampler.fanouts) != model_num_layers:
@@ -244,8 +237,6 @@ class TrainingConfig:
             )
         if self.mfg_seeds is not None:
             raise ValueError("feature_store and mfg_seeds are not supported together")
-        if hetero:
-            raise ValueError("feature_store supports homogeneous graphs only")
 
 
 @dataclass
@@ -480,8 +471,7 @@ class FullBatchTrainer(_EpochLoop):
         self.config = config = config or TrainingConfig()
         self.graph = graph = dataset.graph if graph is None else graph
         num_layers = getattr(model, "num_layers", None)
-        config.validate(num_layers, hetero=None not in graph.relation_edges, distributed=False,
-                        num_nodes=graph.num_nodes)
+        config.validate(num_layers, distributed=False, num_nodes=graph.num_nodes)
         self._smoothing_graph = dataset.graph
         self.labels = dataset.labels
         self.masks = {"train": dataset.train_mask, "val": dataset.val_mask,
@@ -600,8 +590,7 @@ class _DistributedWorker(_EpochLoop):
         # caller's config is checked here, against this one.  Every rank
         # raises at the same point, so none is left waiting in a setup exchange.
         num_layers = getattr(model, "num_layers", None)
-        config.validate(num_layers, hetero=None not in shard.relation_blocks, distributed=True,
-                        num_nodes=shard.num_total_nodes)
+        config.validate(num_layers, distributed=True, num_nodes=shard.num_total_nodes)
         self.graph = DistributedGraph(shard, comm, sar_config)
         self._smoothing_graph = self.graph
         #: the persistent MFG restriction — prepared once (its halo routing is
@@ -761,9 +750,8 @@ class DistributedTrainer:
         self._num_layers: Optional[int] = None
         if config.mfg_seeds is not None or config.sampler is not None:
             self._num_layers = self._probe_num_layers()
-        config.validate(self._num_layers,
-                        hetero=None not in dataset.graph.relation_edges,
-                        distributed=True, num_nodes=dataset.graph.num_nodes)
+        config.validate(self._num_layers, distributed=True,
+                        num_nodes=dataset.graph.num_nodes)
         dataset.attach_to_graph()
         self.book, self.shards = self._prepare_shards()
 

@@ -274,13 +274,17 @@ def test_factory_rejects_mismatched_topology(dataset):
             model, shards[::-1], dataset.features,
             ServingConfig(backend="distributed"),
         )
+
+
+def test_factory_accepts_relational_shards(dataset):
+    """Relational shards are served like any others (rows: tests/test_relational_distributed.py)."""
     relational = Graph.from_relations(dataset.graph.num_nodes,
                                       {"r": (dataset.graph.src, dataset.graph.dst)})
-    with pytest.raises(ValueError, match="homogeneous Graph"):
-        create_server(
-            model, create_shards(relational, shards[0].book), dataset.features,
-            ServingConfig(backend="distributed"),
-        )
+    shards = create_shards(relational, _make_shards(dataset, 2)[0].book)
+    server = create_server(_make_model(dataset), shards, dataset.features,
+                           ServingConfig(backend="distributed"))
+    assert isinstance(server.executor, ShardExecutor)
+    assert not server.running
 
 
 def test_serving_config_validates():

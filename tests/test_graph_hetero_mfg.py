@@ -14,11 +14,11 @@ from repro.graph import (
     required_node_counts,
 )
 from repro.graph.generators import ring_graph
-from repro.nn.models import GraphSageNet, RGCNNet
+from repro.nn.models import RGCNNet
 from repro.partition import partition_graph
 from repro.sample import LayerWiseInference
 from repro.serving import create_server
-from repro.tensor import Tensor
+from repro.tensor import Tensor, no_grad
 from repro.training.correct_and_smooth import CorrectAndSmooth
 from repro.utils.seed import set_seed
 
@@ -136,9 +136,17 @@ class TestRelationalGraph:
                           lambda: small_hetero.gat_aggregate(z, z[:, :1], z[:, :1])):
             with pytest.raises(KeyError, match="'cites', 'writes'"):
                 aggregate()
-        with pytest.raises(ValueError, match="homogeneous Graph"):
-            create_server(GraphSageNet(2, 4, 3, num_layers=2), small_hetero,
-                          np.ones((5, 2), dtype=np.float32))
+
+    def test_create_server_serves_a_relational_graph(self, small_hetero):
+        """The local server walks every relation's in-edges: R-GCN rows are
+        the full-graph forward's."""
+        set_seed(0)
+        model = RGCNNet(2, 4, 3, small_hetero.relation_names, num_layers=2).eval()
+        features = np.arange(10, dtype=np.float32).reshape(5, 2)
+        with no_grad():
+            reference = model(small_hetero, Tensor(features)).data
+        with create_server(model, small_hetero, features) as server:
+            np.testing.assert_array_equal(server.predict([4, 0, 2]), reference[[4, 0, 2]])
 
 
 def _digest(arrays) -> str:

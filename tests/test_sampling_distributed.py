@@ -58,10 +58,10 @@ def _sample_worker(rank, comm, shard, *, fanouts, replace, batch_ids, epoch, bat
     sampler = DistributedNeighborSampler(shard, comm, fanouts, replace=replace, seed=77)
     blocks = sampler.sample(np.asarray(batch_ids), epoch, batch_index)
     out = []
-    for layer_blocks in blocks:
+    for grid in blocks:
         src_global = []
         dst_global = []
-        for block in layer_blocks:
+        for block in grid[None]:
             src_global.append(
                 shard.book.to_global(block.src_rank,
                                      block.required_src_local[block.src_index])
@@ -111,7 +111,7 @@ def _full_grid_worker(rank, comm, shard):
     (grid,) = sampler.sample(np.arange(shard.num_total_nodes))
     comm.barrier()
     sampler.release()
-    return grid
+    return grid[None]
 
 
 @pytest.mark.parametrize("world_size", [2, 3])
@@ -325,21 +325,32 @@ def test_three_worker_sampled_run_completes(small_dataset):
     assert np.isfinite(result.training.final_test_accuracy)
 
 
-def test_hetero_distributed_sampling_rejected():
+def test_hetero_distributed_sampling_matches_single_machine():
+    """A relational graph samples cooperatively like a homogeneous one: the
+    R-GCN run trains the single machine's batches."""
     from repro.datasets import make_hetero_sbm_dataset
+    from repro.nn.models import RGCNNet
 
     dataset = make_hetero_sbm_dataset(
         name="h", num_nodes=60, num_classes=3, feature_dim=6,
         relation_specs={"a": {"p_in": 0.2, "p_out": 0.02}}, seed=0,
     )
-    trainer_config = TrainingConfig(sampler=NeighborSamplingConfig(fanouts=(2, 2)))
-    with pytest.raises(ValueError, match="homogeneous"):
-        DistributedTrainer(
-            dataset,
-            lambda dim: _make_model(dim, dataset.num_classes, "sage"),
-            num_workers=2,
-            config=trainer_config,
-        ).run()
+
+    def model(dim):
+        return RGCNNet(dim, 8, 3, ["a"], num_layers=2, num_bases=None, dropout=0.0,
+                       use_batch_norm=False)
+
+    set_seed(0)
+    weights = [p.data.copy() for p in model(6).parameters()]
+
+    def factory(dim):
+        return _with_weights(model(dim), weights)
+
+    config = TrainingConfig(num_epochs=2, lr=0.05, eval_every=0, seed=0,
+                            sampler=NeighborSamplingConfig(fanouts=(2, 2), batch_size=8))
+    single = FullBatchTrainer(factory(6), dataset, config).train()
+    dist = DistributedTrainer(dataset, factory, num_workers=2, config=config).run()
+    np.testing.assert_allclose(dist.training.losses(), single.losses(), rtol=1e-6)
 
 
 # --------------------------------------------------------------------------- #
