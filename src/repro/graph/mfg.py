@@ -23,7 +23,8 @@ relation owning a lazily built :class:`~repro.tensor.edge_plan.EdgePlan`.
 Consecutive blocks chain exactly (layer ``l``'s destination nodes are layer
 ``l+1``'s source nodes), so a model forwards layer by layer over shrinking
 feature matrices.  :func:`compact_block` does that relabelling for every
-block, built or sampled.
+block, built or sampled, as gathers from a per-thread node-indexed rank
+table (:func:`unique_ranks`) that sorts only the unique ids.
 
 A block holds every required destination's complete in-neighbourhood, each
 destination's edges in ascending original edge id, relabelled
@@ -36,7 +37,8 @@ outputs bit-identical — not merely close.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+import threading
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -166,10 +168,6 @@ class MFGBlock(NeighborAggregation):
                                                        self.num_src_nodes)
         return plan
 
-    def in_degrees(self) -> np.ndarray:
-        """In-degrees of the destination rows (equal to their full-graph in-degrees)."""
-        return np.bincount(self.dst, minlength=self.num_dst_nodes).astype(np.int64)
-
 
 class MFGPipeline:
     """Per-layer compacted blocks for an ``L``-layer model over a seed set.
@@ -296,11 +294,45 @@ def compact_block(
 
     ``src`` are ids in ``dst_nodes``' id space, ``dst`` rows of the ascending
     ``dst_nodes``.  ``src_nodes`` (default: the union of every source and
-    destination) is the ascending source row space.  Edges keep their input
-    order.
+    destination) is the ascending source row space and must hold every
+    source and destination.  Edges keep their input order.  Each relabel is
+    one gather from the thread's rank table (:func:`unique_ranks`), so the
+    cost is O(edges + nodes) plus one sort of the unique ids.
     """
     if src_nodes is None:
-        src_nodes = np.unique(np.concatenate([src for src, _ in edges.values()] + [dst_nodes]))
-    edges = {name: (np.searchsorted(src_nodes, src), dst) for name, (src, dst) in edges.items()}
-    dst_in_src = np.searchsorted(src_nodes, dst_nodes)
-    return MFGBlock(src_nodes, dst_nodes, edges, dst_in_src)
+        src_nodes, ranks = unique_ranks([src for src, _ in edges.values()] + [dst_nodes])
+    else:
+        _, ranks = unique_ranks([src_nodes])
+    edges = {name: (ranks[src], dst) for name, (src, dst) in edges.items()}
+    return MFGBlock(src_nodes, dst_nodes, edges, ranks[dst_nodes])
+
+
+#: each thread's node-indexed rank table (:func:`unique_ranks`)
+_scratch = threading.local()
+
+
+def unique_ranks(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """The ascending unique ids of ``arrays`` and a node-indexed rank table.
+
+    Returns ``(uniq, table)`` with ``table[uniq] == arange(len(uniq))``, so
+    relabelling ids into ``uniq``'s rows is the gather ``table[ids]`` — the
+    values and ``int64`` dtype of ``np.searchsorted(uniq, ids)``.  Only the
+    unique ids are sorted: every position is scattered into ``table[ids]``,
+    and the ids whose entry reads back their own position are kept — exactly
+    one occurrence per id, whichever write won.
+
+    The table belongs to the calling thread and is reused by its next call:
+    grown to the largest id seen (8 B per id) and never cleared, since
+    every entry read here was written in the same call.  Entries of ids not
+    in ``uniq`` are stale.
+    """
+    ids = np.concatenate(arrays)
+    size = int(ids.max()) + 1 if ids.size else 0
+    table = getattr(_scratch, "table", None)
+    if table is None or table.size < size:
+        table = _scratch.table = np.empty(size, dtype=np.int64)
+    positions = np.arange(ids.size, dtype=np.int64)
+    table[ids] = positions
+    uniq = np.sort(ids[table[ids] == positions])
+    table[uniq] = np.arange(uniq.size, dtype=np.int64)
+    return uniq, table

@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.distributed.comm import Communicator
+from repro.graph.mfg import unique_ranks
 from repro.partition.shard import EdgeBlock, ShardedGraph, edge_blocks
 from repro.sample.neighbor import FanoutSpec, _layer_key, draw_layer, normalize_fanouts
 
@@ -90,8 +91,10 @@ class DistributedNeighborSampler:
     def num_layers(self) -> int:
         return len(self.fanouts)
 
-    def _frontier_allgather(self, stream_key: str, src_global: np.ndarray) -> np.ndarray:
-        """One keyed frontier allgather, releasing the previous payload.
+    def _frontier_allgather(self, stream_key: str,
+                            reached: List[np.ndarray]) -> List[np.ndarray]:
+        """One keyed allgather of the unique ids in ``reached``: every rank's
+        array, in rank order, releasing the previous payload.
 
         The frontier merge uses :meth:`Communicator.allgather_keyed` — keyed
         by ``(epoch, batch, layer)``, barrier-free — instead of the plain
@@ -107,12 +110,12 @@ class DistributedNeighborSampler:
         consumed everywhere and can be released.
         """
         frontier = self.comm.allgather_keyed(
-            stream_key, np.unique(src_global), tag="sample_frontier"
+            stream_key, unique_ranks(reached)[0], tag="sample_frontier"
         )
         if self._held_key is not None:
             self.comm.release_keyed(self._held_key)
         self._held_key = stream_key
-        return np.concatenate(frontier)
+        return frontier
 
     def release(self) -> None:
         """Release the final stream payload (call after a barrier, e.g. at
@@ -158,7 +161,7 @@ class DistributedNeighborSampler:
         to run on a background thread concurrently with main-thread barrier
         collectives — the overlap the pipelined training loop exploits.
         """
-        current = np.unique(np.asarray(seeds, dtype=np.int64))
+        current, _ = unique_ranks([np.asarray(seeds, dtype=np.int64)])
         layer_edges = [None] * self.num_layers
         for layer in range(self.num_layers - 1, -1, -1):
             owned = current[self.book.assignment[current] == self.rank]
@@ -170,8 +173,8 @@ class DistributedNeighborSampler:
             # discipline begin_step uses for step keys — so concurrent batches
             # can never collide even across the overlap boundary.
             stream_key = f"smp/e{epoch}/b{batch_index}/l{layer}"
-            reached = np.concatenate([src for src, _ in edges.values()])
-            current = np.union1d(current, self._frontier_allgather(stream_key, reached))
+            frontier = self._frontier_allgather(stream_key, [src for src, _ in edges.values()])
+            current, _ = unique_ranks([current] + frontier)
         # Edges arrive (and stay) in ascending global edge-id order, so each
         # block's per-destination reduction order matches the single-machine
         # sampled pipeline's blocks.

@@ -57,7 +57,7 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.graph.in_edges import InEdgeIndex, candidate_positions
-from repro.graph.mfg import MFGPipeline, compact_block
+from repro.graph.mfg import MFGPipeline, compact_block, unique_ranks
 from repro.sample.kernels import (
     _BUCKET_FANOUT_LIMIT,
     bottomk_bucketed,
@@ -310,7 +310,7 @@ class NeighborSampler:
         seeds = check_1d_int_array(seeds, "seeds", max_value=self.num_nodes)
         if seeds.size == 0:
             raise ValueError("seeds must contain at least one node")
-        current = np.unique(seeds)
+        current, _ = unique_ranks([seeds])
         node_lists, edge_sets = [current], []
         # Conv layer l consumes layer-(l) inputs and produces layer-(l+1)
         # rows; sampling walks output → input, fanouts[l] applying to layer l.
@@ -318,7 +318,7 @@ class NeighborSampler:
             sampled = draw_layer(self._indexes, current, self._fanouts[layer], self.replace,
                                  _layer_key(self.seed, epoch, batch_index, layer))
             edge_sets.append(sampled)
-            current = np.unique(np.concatenate([current] + [src for src, _ in sampled.values()]))
+            current, _ = unique_ranks([current] + [src for src, _ in sampled.values()])
             node_lists.append(current)
         return SampledStructure(node_lists[::-1], edge_sets[::-1])
 
@@ -327,10 +327,11 @@ class NeighborSampler:
         node_lists = structure.node_lists
         blocks = []
         for layer, edges in enumerate(structure.edge_sets):
-            # Relabel via searchsorted over the sorted-unique node lists so
-            # per-batch work scales with the sample, not with num_nodes.
+            # Relabel by a gather from the thread's rank table over the
+            # ascending node list (graph.mfg.unique_ranks): per-batch work
+            # scales with the sample, not with num_nodes.
             dst_nodes = node_lists[layer + 1]
-            rows = {name: (src, np.searchsorted(dst_nodes, dst))
-                    for name, (src, dst) in edges.items()}
+            _, ranks = unique_ranks([dst_nodes])
+            rows = {name: (src, ranks[dst]) for name, (src, dst) in edges.items()}
             blocks.append(compact_block(rows, dst_nodes, node_lists[layer]))
         return MFGPipeline(blocks)

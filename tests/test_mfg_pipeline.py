@@ -94,7 +94,7 @@ class TestPipelineStructure:
         pipeline = build_mfg_pipeline(graph, seeds, num_layers=2)
         block = pipeline.blocks[-1]
         full_in_degrees = graph.in_degrees()
-        np.testing.assert_array_equal(block.in_degrees(),
+        np.testing.assert_array_equal(np.bincount(block.dst, minlength=block.num_dst_nodes),
                                       full_in_degrees[block.dst_nodes])
 
     def test_counts_match_masks(self, mfg_setup):
