@@ -41,7 +41,7 @@ import numpy as np
 from repro.core.dist_graph import DistributedGraph
 from repro.distributed.comm import SERVE_FRONTIER_TAG, SERVE_HALO_TAG
 from repro.graph.graph import Graph
-from repro.graph.mfg import block_from_in_edges
+from repro.graph.mfg import block_from_in_edges, unique_ranks
 from repro.sample.loader import num_batches_for
 from repro.store import FeatureStore, PartitionedKVStore, as_feature_store
 from repro.tensor import no_grad
@@ -426,7 +426,9 @@ def distributed_restricted_logits(
     # misses a row or the raw features are reached.
     nodes, start = seeds, num_layers
     rows = None  # this worker's rows of the level the walk ends at (level 0 is read from the store)
-    pending = []  # (block, found, hit_rows, sources) of levels num_layers .. start + 1
+    # (block, found, hit_rows, sources, where the block's sources sit in them)
+    # of levels num_layers .. start + 1
+    pending = []
     while start > 0:
         own = owned_by(rank, nodes)
         found, hit_rows = probe_rows(cache, start, own)
@@ -440,11 +442,13 @@ def distributed_restricted_logits(
                 (name, EdgePlan(src, dst, block.num_dst_nodes, block.num_src_nodes))
                 for name, (src, dst) in block.relation_edges.items())
         mine = nodes[:0] if block is None else block.src_nodes
-        sources = np.unique(np.concatenate(comm.allgather(mine, tag=SERVE_FRONTIER_TAG)))
+        sources, ranks = unique_ranks(comm.allgather(mine, tag=SERVE_FRONTIER_TAG))
         if not sources.size:
             rows = hit_rows
             break
-        pending.append((block, found, hit_rows, sources))
+        # Where the block's sources sit in the level, read before the next
+        # block build reuses this thread's rank table.
+        pending.append((block, found, hit_rows, sources, ranks[mine]))
         nodes, start = sources, start - 1
 
     # Forward: conv layer ``l`` reads level ``l`` (``level``; ``rows`` are the
@@ -452,7 +456,8 @@ def distributed_restricted_logits(
     # ``l + 1``.  A worker owning rows of a level publishes them — only then
     # can a peer's block name one of them as a source.
     with no_grad():
-        for layer, (block, found, hit_rows, level) in zip(range(start, num_layers), pending[::-1]):
+        for layer, (block, found, hit_rows, level, where) in zip(range(start, num_layers),
+                                                                pending[::-1]):
             if layer and rows is not None:
                 comm.publish(f"{key}/l{layer}", rows)
             computed = None
@@ -461,10 +466,12 @@ def distributed_restricted_logits(
                     x = store.gather(block.src_nodes)
                 else:
                     x = None
-                    owner = assignment[block.src_nodes]
-                    for q in np.unique(owner):
+                    level_owner = assignment[level]
+                    owner = level_owner[where]
+                    for q in np.flatnonzero(np.bincount(owner)):
                         sel = np.flatnonzero(owner == q)
-                        at = np.searchsorted(owned_by(q, level), block.src_nodes[sel])
+                        # A source's row among the level's rows that ``q`` owns.
+                        at = np.cumsum(level_owner == q)[where[sel]] - 1
                         if q == rank:
                             part = rows[at]
                         else:

@@ -129,7 +129,7 @@ def sample_in_edges(
         key_base = nodes if key_ids is None else np.asarray(key_ids, dtype=np.int64)
         selected = replacement_draws(starts, counts, fanout, key, key_base)
 
-    return selected[np.argsort(index.eids[selected], kind="stable")]
+    return selected[np.argsort(index.eids[selected])]
 
 
 def _layer_key(seed: int, epoch: int, batch_index: int, layer: int) -> int:

@@ -8,11 +8,17 @@ preserves complete in-neighbourhoods — so the layer-``l`` activation of node
 ``v`` computed inside *any* request batch is **bit-identical** to the value
 any other batch (or the full-graph forward) would compute.  That makes
 activations safely memoizable: :class:`EmbeddingCache` keeps an LRU of rows
-keyed by ``(version, layer, node id)``, and the server's receptive-field
-walk probes it node by node (see :meth:`repro.serving.LocalExecutor.compute`):
+keyed by ``(layer, node id)``, and the server's receptive-field walk probes
+a level's nodes in one call (see :meth:`repro.serving.LocalExecutor.compute`):
 a cached row is a leaf that is spliced into its layer's input matrix, only a
 missed row expands to its in-neighbourhood one layer down, so the work of a
 request tracks its miss set.
+
+The rows sit in a :class:`~repro.utils.rowcache.RowCache`, one space per
+layer: a probe or an insert is a few array operations over the level, not a
+dict operation per node.  It costs 8 B per node id up to the largest id a
+layer has stored (the ``slot_of`` index), plus at most ``capacity_bytes`` of
+rows and a use log of about 48 B per cached row.
 
 Layer indices follow the MFG mask convention: layer ``l`` holds the *input*
 activations of conv layer ``l``; layer ``num_layers`` holds the logits, so a
@@ -21,9 +27,9 @@ never cached — the server already holds the feature matrix.
 
 Consistency is by **explicit version bump**: mutating the model (or graph)
 without calling :meth:`bump_version` is a contract violation.  A bump drops
-every entry eagerly (their memory is reclaimed immediately) and advances the
-version stamp in the key, so even a racing reader can never mix activations
-across versions.
+every row at once, under the lock (their memory is reclaimed immediately),
+and advances the version, so a reader sees either the old rows or none, and
+a :meth:`~EmbeddingCache.put` that began before the bump stores nothing.
 
 All methods are lock-protected; the server mutates the cache from its single
 worker thread while ``stats()`` may be read from any client thread.
@@ -31,13 +37,12 @@ worker thread while ``stats()`` may be read from any client thread.
 
 from __future__ import annotations
 
-import operator
 import threading
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.utils.lru import LRUDict
+from repro.utils.rowcache import RowCache
 from repro.utils.validation import check_positive_int
 
 
@@ -68,11 +73,9 @@ class EmbeddingCache:
         self.insertions = 0
         self.invalidations = 0
         self._lock = threading.Lock()
-        # (version, layer, node) -> row; byte accounting and LRU eviction
-        # (and their counters) are the mapping's.
-        self._rows = LRUDict(
-            capacity=None, byte_budget=self.capacity_bytes, sizeof=operator.attrgetter("nbytes")
-        )
+        # One space per layer, keyed by node id; byte accounting and LRU
+        # eviction (and the eviction counter) are the table's.
+        self._rows = RowCache(self.capacity_bytes)
 
     def __len__(self) -> int:
         with self._lock:
@@ -97,30 +100,20 @@ class EmbeddingCache:
         fresh array — or is ``None`` when nothing hit.  Hits are marked
         most-recently-used and counted.
         """
-        version = self.version
-        found_mask = np.zeros(len(node_ids), dtype=bool)
         with self._lock:
-            rows = self._rows
-            hit_rows = []
-            for i, node in enumerate(node_ids):
-                key = (version, layer, int(node))
-                row = rows.peek(key)
-                if row is None:
-                    self.misses += 1
-                else:
-                    rows.touch(key)
-                    self.hits += 1
-                    found_mask[i] = True
-                    hit_rows.append(row)
-            if not hit_rows:
-                return found_mask, None
-            return found_mask, np.stack(hit_rows, axis=0)
+            found_mask, hit_rows = self._rows.lookup(layer, node_ids)
+            hits = 0 if hit_rows is None else len(hit_rows)
+            self.hits += hits
+            self.misses += len(found_mask) - hits
+            return found_mask, hit_rows
 
     def put(self, layer: int, node_ids: np.ndarray, values: np.ndarray) -> None:
         """Insert ``values[i]`` as layer-``layer`` activation of ``node_ids[i]``.
 
         Rows are copied (the caller's matrix stays untouched by later
-        evictions); already-present rows are refreshed, not re-stored.
+        evictions); already-present rows are refreshed, not re-stored.  Rows
+        computed before a :meth:`bump_version` that lands while this call
+        waits for the lock are dropped.
         """
         if len(node_ids) != len(values):
             raise ValueError(
@@ -129,14 +122,8 @@ class EmbeddingCache:
             )
         version = self.version
         with self._lock:
-            rows = self._rows
-            for node, value in zip(node_ids, values):
-                key = (version, layer, int(node))
-                if rows.peek(key) is not None:
-                    rows.touch(key)
-                    continue
-                rows[key] = np.array(value, copy=True)
-                self.insertions += 1
+            if version == self.version:
+                self.insertions += self._rows.insert(layer, node_ids, values)
 
     def bump_version(self) -> int:
         """Invalidate everything: advance the version stamp, drop all rows.

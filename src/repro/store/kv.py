@@ -12,10 +12,16 @@ node id from *any* worker:
 * remote ids are **deduplicated and coalesced** into at most one fetch per
   owner per call,
 * and before anything touches the wire, each remote row is probed in a
-  **byte-bounded LRU cache** (:class:`~repro.utils.lru.LRUDict`) of hot
+  **byte-bounded LRU cache** (:class:`~repro.utils.rowcache.RowCache`) of hot
   remote rows — on skewed access patterns (Zipf request mixes, repeated halo
   sources across mini-batches) most remote rows are served locally and the
   fetch shrinks to the cold tail.
+
+The cache holds one table per owner rank, addressed by the owner's local
+row: a probe is one gather through an ``int64`` slot index (8 B per row of
+the owner's partition, grown to the largest row fetched), an insert one
+scatter, and the rows take at most ``cache_bytes``, plus a use log of about
+48 B per cached row that lets eviction read the oldest rows first.
 
 Cache hits, misses, and the bytes they kept off the wire are recorded both in
 the store's own counters (:meth:`stats`) and in the communicator's
@@ -42,7 +48,7 @@ import numpy as np
 from repro.distributed.comm import Communicator, STREAM_KEY_PREFIX
 from repro.partition.book import PartitionBook
 from repro.store.base import FeatureStore
-from repro.utils.lru import LRUDict
+from repro.utils.rowcache import RowCache
 
 #: tag under which coalesced remote feature rows travel (CommStats breakdown)
 FEATURE_FETCH_TAG = "feature_fetch"
@@ -91,14 +97,15 @@ class PartitionedKVStore(FeatureStore):
         self.name = name
         self._local = local_rows
         self._version = 1
-        self._cache: Optional[LRUDict] = (
-            None if cache_bytes is None
-            else LRUDict(capacity=None, byte_budget=int(cache_bytes))
+        # One cache space per owner rank, keyed by the owner's local row.
+        self._cache: Optional[RowCache] = (
+            None if cache_bytes is None else RowCache(int(cache_bytes))
         )
         # Guards cache probes/inserts: the engine's prefetch thread and the
         # consuming thread (loader feature prefetch, trainer) may fetch
         # concurrently.  comm.fetch runs outside the lock; a concurrent
-        # double-fetch of the same row is benign (idempotent insert).
+        # double-fetch of the same row is benign (the second insert only
+        # refreshes it).
         self._cache_lock = threading.Lock()
         self.cache_hits = 0
         self.cache_misses = 0
@@ -156,11 +163,8 @@ class PartitionedKVStore(FeatureStore):
         if not len(ids):
             return out
         owner, local = self.book.to_local(ids)
-        mine = owner == self.comm.rank
-        if mine.any():
-            out[mine] = self._local[local[mine]]
-        for q in np.unique(owner[~mine]):
-            sel = owner == q
+        for q in np.flatnonzero(np.bincount(owner)):
+            sel = np.flatnonzero(owner == q)
             out[sel] = self.fetch_rows(int(q), local[sel])
         return out
 
@@ -174,40 +178,35 @@ class PartitionedKVStore(FeatureStore):
         local_rows = np.asarray(local_rows, dtype=np.int64)
         if owner_rank == self.comm.rank:
             return self._local[local_rows]
-        unique, inverse = np.unique(local_rows, return_inverse=True)
-        rows = np.empty((len(unique), self.dim), dtype=self.dtype)
-        cache = self._cache
-        row_bytes = self.dim * self.dtype.itemsize
-        if cache is None:
-            missing = np.arange(len(unique))
+        if (local_rows[1:] > local_rows[:-1]).all():  # already unique, ascending
+            unique, inverse = local_rows, None
         else:
-            missing_list = []
+            unique, inverse = np.unique(local_rows, return_inverse=True)
+        cache = self._cache
+        found, hits = np.zeros(len(unique), dtype=bool), None
+        if cache is not None:
+            row_bytes = self.dim * self.dtype.itemsize
             with self._cache_lock:
-                for i, row in enumerate(unique):
-                    hit = cache.get((owner_rank, int(row)))
-                    if hit is None:
-                        missing_list.append(i)
-                    else:
-                        rows[i] = hit
-            missing = np.asarray(missing_list, dtype=np.int64)
-            hits = len(unique) - len(missing)
-            self.cache_hits += hits
-            self.cache_misses += len(missing)
-            self.bytes_saved += hits * row_bytes
-            self.comm.stats.record_cache(hits, len(missing), hits * row_bytes)
+                found, hits = cache.lookup(owner_rank, unique)
+                count = 0 if hits is None else len(hits)
+                self.cache_hits += count
+                self.cache_misses += len(unique) - count
+                self.bytes_saved += count * row_bytes
+                self.comm.stats.record_cache(count, len(unique) - count, count * row_bytes)
+        rows = np.empty((len(unique), self.dim), dtype=self.dtype)
+        if hits is not None:
+            rows[np.flatnonzero(found)] = hits
+        missing = np.flatnonzero(~found)
         if len(missing):
             fetched = self.comm.fetch(owner_rank, self._key(),
                                       rows=unique[missing], tag=FEATURE_FETCH_TAG)
+            with self._cache_lock:
+                self.fetch_calls += 1
+                self.bytes_fetched += int(fetched.nbytes)
+                if cache is not None:
+                    cache.insert(owner_rank, unique[missing], fetched)
             rows[missing] = fetched
-            self.fetch_calls += 1
-            self.bytes_fetched += int(fetched.nbytes)
-            if cache is not None:
-                with self._cache_lock:
-                    for i, row in zip(missing, unique[missing]):
-                        # Per-row copies: eviction frees each row
-                        # independently instead of pinning the fetched block.
-                        cache[(owner_rank, int(row))] = rows[i].copy()
-        return rows[inverse]
+        return rows if inverse is None else rows[inverse]
 
     # -- mutation --------------------------------------------------------- #
     def replace(self, local_rows: np.ndarray) -> int:
@@ -248,8 +247,9 @@ class PartitionedKVStore(FeatureStore):
             "bytes_saved": self.bytes_saved,
         }
         if self._cache is not None:
-            out["cache_rows"] = len(self._cache)
-            out["cache_bytes"] = self._cache.current_bytes
-            out["cache_budget_bytes"] = self._cache.byte_budget
-            out["cache_evictions"] = self._cache.evictions
+            with self._cache_lock:
+                out["cache_rows"] = len(self._cache)
+                out["cache_bytes"] = self._cache.current_bytes
+                out["cache_budget_bytes"] = self._cache.byte_budget
+                out["cache_evictions"] = self._cache.evictions
         return out

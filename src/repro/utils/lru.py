@@ -12,13 +12,15 @@ value's memory is actually reclaimable.
 The mapping can additionally (or instead) be bounded by **bytes**: with
 ``byte_budget`` set, each value's size is measured on insert (``sizeof``, by
 default the value's ``nbytes``) and least-recently-used entries are evicted
-until the summed size fits the budget again.  This is what the
-:class:`repro.store.PartitionedKVStore` hot-row cache runs on: node feature
-rows keyed by ``(owner, row)``, bounded by a byte budget rather than a row
-count.  A single value larger than the whole budget never sticks (it is
-inserted and immediately evicted, so ``on_evict`` still observes it), and a
-``byte_budget`` of ``0`` degenerates to a cache that retains nothing —
-useful for "cache off" baselines that keep the code path identical.
+until the summed size fits the budget again.  A single value larger than the
+whole budget never sticks (it is inserted and immediately evicted, so
+``on_evict`` still observes it), and a ``byte_budget`` of ``0`` degenerates
+to a cache that retains nothing.  The serving caches of fixed-width rows
+(the :class:`repro.store.PartitionedKVStore` hot-row cache and the
+:class:`repro.serving.EmbeddingCache`) do not run on this mapping but on
+:class:`repro.utils.rowcache.RowCache`, which keeps the same retained set
+with one array operation per call instead of one dict operation per row;
+the byte-bounded mode here is its row-at-a-time reference in the tests.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ class LRUDict(MutableMapping):
 
     Notes
     -----
-    Not thread-safe; every current user mutates it from a single consumer
-    (the worker's evaluation loop, the serving worker thread).
+    Not thread-safe; its user, the structural plan cache, calls it under
+    its own lock.
     """
 
     def __init__(

@@ -6,7 +6,9 @@ same mathematics the obvious way — a fresh scipy CSR per call, ``ufunc.at``
 scatters, per-edge arrays in input edge order — so a test can compare the
 planned path against an independent oracle.  :class:`ReferenceGraph` puts
 them behind the aggregation protocol, so an unmodified layer or model can
-run on them.
+run on them.  :class:`ReferenceRowCache` is the row-at-a-time twin of
+:class:`~repro.utils.rowcache.RowCache`, on an
+:class:`~repro.utils.lru.LRUDict`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.tensor.tensor import Function, Tensor
+from repro.utils.lru import LRUDict
 
 _TINY = np.finfo(np.float32).tiny
 
@@ -236,3 +239,46 @@ class ReferenceGraph:
                       negative_slope: float = 0.2, fused: bool = False) -> Tensor:
         return _NaiveAttention.apply(z, self.gather_dst(score_dst), score_src,
                                      self.src, self.dst, self.num_dst, negative_slope)
+
+
+class ReferenceRowCache:
+    """:class:`~repro.utils.rowcache.RowCache` one row at a time: an
+    :class:`~repro.utils.lru.LRUDict` keyed ``(space, key)`` with a byte
+    budget.  :attr:`reinsertions` counts rows an insert names that were held
+    when it began, or that it named before, but that an earlier row of the
+    same insert evicted: the dict counts an eviction and an insertion there,
+    ``RowCache`` counts neither."""
+
+    def __init__(self, byte_budget: int):
+        self.rows = LRUDict(capacity=None, byte_budget=byte_budget)
+        self.reinsertions = 0
+
+    def lookup(self, space, keys):
+        found = np.zeros(len(keys), dtype=bool)
+        hits = []
+        for i, key in enumerate(keys):
+            row = self.rows.get((space, int(key)))
+            if row is not None:
+                found[i] = True
+                hits.append(row)
+        return found, (np.stack(hits) if hits else None)
+
+    def insert(self, space, keys, rows) -> int:
+        named = {(space, int(key)) for key in keys if (space, int(key)) in self.rows}
+        added = 0
+        for key, row in zip(keys, rows):
+            key = (space, int(key))
+            if key in self.rows:
+                self.rows.touch(key)
+                continue
+            self.reinsertions += key in named
+            named.add(key)
+            self.rows[key] = np.array(row, copy=True)
+            added += 1
+        return added
+
+    def keys(self, space) -> np.ndarray:
+        return np.array(sorted(key for s, key in self.rows if s == space), dtype=np.int64)
+
+    def clear(self) -> None:
+        self.rows.clear()

@@ -7,6 +7,9 @@ across models (sage/gat), placements (single machine / 2-worker cluster),
 and execution paths (sampled training / layer-wise inference / serving).
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -374,6 +377,61 @@ class TestPartitionedKVStore:
 
         result = run_distributed(worker, 2, timeout_s=120)
         assert all("owns" in msg for msg in result.results)
+
+    def test_concurrent_fetch_rows_share_one_cache(self, matrix_and_book):
+        # The SAR halo prefetch thread and the consuming thread fetch through
+        # one store at once: overlapping rows, a budget of a few rows.  More
+        # threads than cores and a short switch interval make a lost counter
+        # update or an unlocked cache change show.
+        matrix, book = matrix_and_book
+        budget = 3 * 4 * matrix.dtype.itemsize
+        num_threads = 4
+
+        def worker(rank, comm):
+            store = PartitionedKVStore(comm, book, matrix[book.nodes_of(rank)],
+                                       cache_bytes=budget)
+            comm.barrier()
+            out = None
+            if rank == 0:
+                owner_rows = matrix[book.nodes_of(1)]
+                probed, failures = [0] * num_threads, []
+
+                def consume(thread):
+                    rng = np.random.default_rng(thread)
+                    for _ in range(200):
+                        rows = rng.choice(8, size=5)
+                        if thread % 2:  # half the threads send unique ascending rows
+                            rows = np.unique(rows)
+                        got = store.fetch_rows(1, rows)
+                        probed[thread] += len(np.unique(rows))
+                        if not np.array_equal(got, owner_rows[rows]):
+                            failures.append(("rows", rows))
+                        if store.stats()["cache_bytes"] > budget:
+                            failures.append(("bytes", store.stats()["cache_bytes"]))
+
+                threads = [threading.Thread(target=consume, args=(t,))
+                           for t in range(num_threads)]
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-6)
+                try:
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(60)
+                finally:
+                    sys.setswitchinterval(interval)
+                alive = [thread.is_alive() for thread in threads]
+                out = alive, failures, sum(probed), store.stats()
+            comm.barrier()
+            store.release()
+            return out
+
+        alive, failures, probed, stats = run_distributed(worker, 2, timeout_s=120).results[0]
+        assert not any(alive)
+        assert failures == []
+        assert stats["cache_hits"] + stats["cache_misses"] == probed
+        assert stats["cache_hits"] > 0 and stats["cache_evictions"] > 0
+        assert stats["cache_bytes"] <= budget and stats["cache_rows"] <= 3
 
 
 # --------------------------------------------------------------------------- #
