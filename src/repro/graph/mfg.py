@@ -27,12 +27,13 @@ block, built or sampled, as gathers from a per-thread node-indexed rank
 table (:func:`unique_ranks`) that sorts only the unique ids.
 
 A block holds every required destination's complete in-neighbourhood, each
-destination's edges in ascending original edge id, relabelled
-order-preservingly.  Edge plans sort every orientation by ``(row, col)``,
-breaking ties by input position, so any edge order that keeps per-destination
-edge-id order reduces identically: kernels over the block reduce exactly the
-same values in exactly the same order as the full graph, making seed-node
-outputs bit-identical — not merely close.
+relation's edges listed in ``(dst, src)`` order — the order its edge plan
+reduces in, so the plan's own stable sort runs on sorted input.  A plan
+sorts by ``(dst, src)`` with ties in input order, and ties are copies of one
+``(dst, src)`` pair carrying identical messages, so the order a block's
+edges arrive in never changes a bit: kernels over the block reduce exactly
+the same values in exactly the same order as the full graph, making
+seed-node outputs bit-identical — not merely close.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from repro.graph.aggregation import NeighborAggregation
 from repro.graph.graph import Graph
 from repro.graph.in_edges import InEdgeIndex, candidate_positions
 from repro.tensor import ops
-from repro.tensor.edge_plan import EdgePlan, cached_plan
+from repro.tensor.edge_plan import EdgePlan
 from repro.utils.validation import check_1d_int_array, check_positive_int
 
 
@@ -102,8 +103,8 @@ class MFGBlock(NeighborAggregation):
 
     :attr:`relation_edges` holds, per relation of the graph, the edges
     feeding a required destination, relabelled into the compact
-    source/destination row spaces; each destination's edges keep their
-    original order.  A homogeneous graph's block is the one relation
+    source/destination row spaces and listed in ``(dst, src)`` order
+    (:func:`compact_block`).  A homogeneous graph's block is the one relation
     ``None``, read by :attr:`src`/:attr:`dst`/:meth:`plan`.  The block speaks
     the graph's aggregation protocol; the aggregation output has
     :attr:`num_dst_nodes` rows.
@@ -154,18 +155,17 @@ class MFGBlock(NeighborAggregation):
         return ops.gather(x, self.dst_in_src)
 
     def relation_plan(self, relation: Optional[str]) -> EdgePlan:
-        """One relation's lazily built edge plan.
+        """One relation's lazily built edge plan, owned by the block.
 
-        Plans are resolved through the shared structural cache
-        (:func:`repro.tensor.edge_plan.cached_plan`): two blocks with the same
-        relabelled edge set — e.g. the same consecutive-id inference batch
-        rebuilt by a second engine — share one plan instead of re-sorting.
+        The edges are already in ``(dst, src)`` order, so the plan's forward
+        sort is one pass over sorted keys and its ``order`` is the identity.
+        The plan lives and dies with the block: nothing outside keeps it.
         """
         plan = self._plans.get(relation)
         if plan is None:
             src, dst = self._edges_of(relation)
-            plan = self._plans[relation] = cached_plan(src, dst, self.num_dst_nodes,
-                                                       self.num_src_nodes)
+            plan = self._plans[relation] = EdgePlan(src, dst, self.num_dst_nodes,
+                                                    self.num_src_nodes)
         return plan
 
 
@@ -270,10 +270,11 @@ def block_from_in_edges(
     <repro.graph.graph.Graph.in_edge_index>`); the block holds those
     relations over the union of their in-neighbours.
 
-    Edges are enumerated bucket by bucket — per destination in original edge
-    order — and handed to :func:`compact_block`, so an ``EdgePlan`` over the
-    block reduces each destination exactly as the full graph does.  Costs
-    O(sum of the destinations' in-degrees).
+    Edges are enumerated bucket by bucket and handed to
+    :func:`compact_block`, which lists them in ``(dst, src)`` order, so an
+    ``EdgePlan`` over the block reduces each destination exactly as the full
+    graph does.  Costs O(sum of the destinations' in-degrees) plus one sort
+    of the block's edge keys.
     """
     if dst_nodes is None:
         dst_nodes = dst_rows
@@ -295,15 +296,23 @@ def compact_block(
     ``src`` are ids in ``dst_nodes``' id space, ``dst`` rows of the ascending
     ``dst_nodes``.  ``src_nodes`` (default: the union of every source and
     destination) is the ascending source row space and must hold every
-    source and destination.  Edges keep their input order.  Each relabel is
-    one gather from the thread's rank table (:func:`unique_ranks`), so the
-    cost is O(edges + nodes) plus one sort of the unique ids.
+    source and destination.  Each relabel is one gather from the thread's
+    rank table (:func:`unique_ranks`), and each relation's edges are then
+    listed in ``(dst, src)`` order by one sort of the keys ``dst ·
+    num_src + src`` — the plan's own order, whatever order they came in.
+    The cost is O(edges + nodes) plus a sort of the unique ids and one of
+    the edge keys.
     """
     if src_nodes is None:
         src_nodes, ranks = unique_ranks([src for src, _ in edges.values()] + [dst_nodes])
     else:
         _, ranks = unique_ranks([src_nodes])
-    edges = {name: (ranks[src], dst) for name, (src, dst) in edges.items()}
+    # Equal keys are copies of one (dst, src) pair, so any sort gives the
+    # same arrays; the unstable one is the fastest.  divmod(key, num_src)
+    # reads (dst, src) back.
+    num_src = np.int64(len(src_nodes))
+    edges = {name: np.divmod(np.sort(dst * num_src + ranks[src]), num_src)[::-1]
+             for name, (src, dst) in edges.items()}
     return MFGBlock(src_nodes, dst_nodes, edges, ranks[dst_nodes])
 
 

@@ -175,8 +175,8 @@ class DistributedNeighborSampler:
             stream_key = f"smp/e{epoch}/b{batch_index}/l{layer}"
             frontier = self._frontier_allgather(stream_key, [src for src, _ in edges.values()])
             current, _ = unique_ranks([current] + frontier)
-        # Edges arrive (and stay) in ascending global edge-id order, so each
-        # block's per-destination reduction order matches the single-machine
-        # sampled pipeline's blocks.
+        # The grids keep the draw's edge order.  Their plans sort by
+        # (dst, src) and ties are copies of one pair, so they reduce as the
+        # single-machine sampled blocks do.
         return [{name: edge_blocks(self.book, self.rank, src, dst)
                  for name, (src, dst) in edges.items()} for edges in layer_edges]

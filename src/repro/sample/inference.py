@@ -21,8 +21,8 @@ representations for **all** nodes, batch-by-batch, before moving on to layer
 
 Because the engine runs the model in ``eval()`` mode, every inter-layer
 transform is a per-row map (BatchNorm applies running statistics, Dropout is
-the identity), and each block preserves complete in-neighbourhoods per
-destination in original edge order — the resulting logits are
+the identity), and each block holds complete in-neighbourhoods in the order
+its edge plan reduces in — the resulting logits are
 **bit-identical** to the full-graph forward pass, at a strictly lower peak of
 live tensor bytes (``tests/test_inference.py`` asserts both).
 
@@ -45,7 +45,6 @@ from repro.graph.mfg import block_from_in_edges, unique_ranks
 from repro.sample.loader import num_batches_for
 from repro.store import FeatureStore, PartitionedKVStore, as_feature_store
 from repro.tensor import no_grad
-from repro.tensor.edge_plan import EdgePlan
 from repro.tensor.tensor import Tensor
 from repro.utils.validation import check_1d_int_array, check_positive_int
 
@@ -343,9 +342,8 @@ def distributed_restricted_logits(
        :class:`~repro.serving.cache.EmbeddingCache` (no cache: every probe
        misses).  A hit is a leaf; over its misses it builds one
        :func:`~repro.graph.mfg.block_from_in_edges` block — complete
-       in-neighbourhoods, per destination in global edge order, sources
-       relabelled order-preservingly, so every reduction runs exactly as on
-       a single machine.
+       in-neighbourhoods in ``(dst, src)`` order, so every reduction runs
+       exactly as on a single machine.
     2. **Allgather the misses' sources.**  The block's ``src_nodes`` are the
        worker's part of one allgather (:data:`~repro.distributed.comm.
        SERVE_FRONTIER_TAG`); the union is the next level on every worker,
@@ -435,12 +433,6 @@ def distributed_restricted_logits(
         block = None
         if not found.all():
             block = block_from_in_edges(index, book.to_local(own[~found])[1], own[~found])
-            # Privately built plans: the block serves one miss set, so
-            # entering them in the shared structural cache would only evict
-            # plans that are reused.
-            block._plans.update(
-                (name, EdgePlan(src, dst, block.num_dst_nodes, block.num_src_nodes))
-                for name, (src, dst) in block.relation_edges.items())
         mine = nodes[:0] if block is None else block.src_nodes
         sources, ranks = unique_ranks(comm.allgather(mine, tag=SERVE_FRONTIER_TAG))
         if not sources.size:

@@ -33,8 +33,8 @@ of those slices.  All of them draw from the same counter-based hash streams
 
 Both bottom-k kernels rank candidates by the top 40 bits of
 ``hash_u64(edge id, key)`` with truncation ties broken by ascending
-candidate position (= ascending edge id), which is the ordering contract
-``sample_in_edges`` documents and the parity tests assert.
+candidate position (= ascending edge id), which is the selection contract
+the parity tests assert.
 """
 
 from __future__ import annotations
@@ -115,8 +115,9 @@ def bottomk_sorted(
 ) -> np.ndarray:
     """Reference without-replacement kernel: sort *every* candidate.
 
-    Hashes and sorts all candidates of all segments; kept as the parity
-    reference for :func:`bottomk_bucketed`.
+    Hashes and sorts all candidates of all segments: the parity reference
+    for :func:`bottomk_bucketed`, and the kernel ``sample_in_edges`` runs at
+    fanouts too large for bucketing.
     """
     pos, seg = candidate_positions(starts, counts)
     keys = hash_u64(eids[pos], key)

@@ -31,12 +31,11 @@ Structural parity
 ``fanout=-1`` selects a node's complete in-neighbourhood.  With every layer
 at ``fanout=-1``, :meth:`NeighborSampler.sample` reproduces
 :func:`repro.graph.mfg.build_mfg_pipeline` — same node orderings and, per
-destination, the same edges in the same (ascending original edge id) order.
-The two list a block's edges in different global orders (edge id here,
-destination by destination there), which edge plans do not see: they sort by
-``(row, col)``, ties in input order.  So the sampled forward and backward
-passes are bit-identical to the full-neighbourhood MFG pipeline, which
-``tests/test_sampling.py`` asserts.
+destination, the same edges.  Both end in
+:func:`~repro.graph.mfg.compact_block`, which lists every block's edges in
+``(dst, src)`` order — the order its edge plan reduces in — so the sampled
+forward and backward passes are bit-identical to the full-neighbourhood MFG
+pipeline, which ``tests/test_sampling.py`` asserts.
 
 A homogeneous :class:`~repro.graph.graph.Graph` is the one relation ``None``
 (DGL's convention): one walk over ``graph.in_edge_index()``, ``{relation:
@@ -78,31 +77,26 @@ def sample_in_edges(
     replace: bool,
     key: int,
     key_ids: Optional[np.ndarray] = None,
-    method: str = "bucketed",
 ) -> np.ndarray:
     """Deterministically sample in-edges of ``nodes`` from ``index``.
 
     Returns positions into ``index.eids`` / ``index.src`` / ``index.dst``,
-    sorted by ascending edge id (the order every downstream reduction runs
-    in).  ``fanout=-1`` (or any negative value) takes the full neighbourhood;
-    ``fanout=0`` takes nothing.  Without replacement a node with degree below
-    the fanout keeps all of its in-edges; with replacement exactly ``fanout``
-    draws are made per non-isolated node (duplicates accumulate, as in
-    GraphSAGE).  Isolated nodes simply contribute no edges.
+    grouped by destination in the order of ``nodes``.  Within a destination
+    the order is the kernel's and means nothing:
+    :func:`~repro.graph.mfg.compact_block` lists a block's edges in
+    ``(dst, src)`` order whatever order they arrive in.  ``fanout=-1`` (or
+    any negative value) takes the full neighbourhood; ``fanout=0`` takes
+    nothing.  Without replacement a node with degree below the fanout keeps
+    all of its in-edges; with replacement exactly ``fanout`` draws are made
+    per non-isolated node (duplicates accumulate, as in GraphSAGE).
+    Isolated nodes simply contribute no edges.
 
     Draws are pure functions of ``(key, edge id)`` — without replacement —
     or ``(key, key_ids[node], slot)`` — with replacement — so any partition
     of ``nodes`` over workers or threads samples the same edges.
     ``key_ids`` defaults to ``nodes`` and exists so distributed callers can
     pass global node ids while addressing the index with local ids.
-
-    ``method`` picks the without-replacement kernel from
-    :mod:`repro.sample.kernels`: ``"bucketed"`` (the default — sorts only
-    probable survivors) or ``"sorted"`` (the all-candidates reference).
-    Both select identical edges; the switch exists for the parity tests.
     """
-    if method not in ("bucketed", "sorted"):
-        raise ValueError(f"method must be 'bucketed' or 'sorted', got {method!r}")
     nodes = np.asarray(nodes, dtype=np.int64)
     empty = np.empty(0, dtype=np.int64)
     if nodes.size == 0:
@@ -114,22 +108,16 @@ def sample_in_edges(
 
     take_all = fanout < 0 or (not replace and fanout >= int(counts.max()))
     if take_all:
-        pos, _ = candidate_positions(starts, counts)
-        selected = pos
-    elif not replace:
+        return candidate_positions(starts, counts)[0]
+    if not replace:
         # Per-segment bottom-k over per-edge hash keys: order-independent and
         # identical however the segments are split across workers.  At
         # extreme fanouts the bucketed threshold arithmetic would overflow
         # (and bucketing buys nothing), so route those to the sorted kernel.
-        if method == "bucketed" and fanout < _BUCKET_FANOUT_LIMIT:
-            selected = bottomk_bucketed(index.eids, starts, counts, fanout, key)
-        else:
-            selected = bottomk_sorted(index.eids, starts, counts, fanout, key)
-    else:
-        key_base = nodes if key_ids is None else np.asarray(key_ids, dtype=np.int64)
-        selected = replacement_draws(starts, counts, fanout, key, key_base)
-
-    return selected[np.argsort(index.eids[selected])]
+        kernel = bottomk_bucketed if fanout < _BUCKET_FANOUT_LIMIT else bottomk_sorted
+        return kernel(index.eids, starts, counts, fanout, key)
+    key_base = nodes if key_ids is None else np.asarray(key_ids, dtype=np.int64)
+    return replacement_draws(starts, counts, fanout, key, key_base)
 
 
 def _layer_key(seed: int, epoch: int, batch_index: int, layer: int) -> int:
@@ -292,10 +280,10 @@ class NeighborSampler:
 
         Returns an :class:`~repro.graph.mfg.MFGPipeline` whose
         ``output_nodes`` are the (deduplicated, ascending) seeds and whose
-        layer blocks carry the sampled edges in ascending original edge-id
-        order.  ``epoch`` and ``batch_index`` select the batch's independent
-        random stream; calling twice with the same arguments returns
-        identical structures.
+        layer blocks list the sampled edges in ``(dst, src)`` order
+        (:func:`~repro.graph.mfg.compact_block`).  ``epoch`` and
+        ``batch_index`` select the batch's independent random stream;
+        calling twice with the same arguments returns identical structures.
         """
         return self.compact(self.sample_structure(seeds, epoch, batch_index))
 

@@ -195,8 +195,7 @@ class EdgePlan:
     callers — so kernel outputs through a plan are deterministic: per
     destination, reductions run over edges in the stable destination-sorted
     order derived from the input edge order.  Two plans built from identical
-    arguments are interchangeable, which is what makes the structural
-    :class:`PlanCache` safe.
+    arguments are interchangeable.
     """
 
     def __init__(self, src, dst, num_dst: int, num_src: int):
@@ -269,9 +268,15 @@ class EdgePlan:
         return out / counts.reshape((self.num_dst,) + (1,) * (out.ndim - 1))
 
     def aggregate_sum_t(self, grad: np.ndarray) -> np.ndarray:
-        """``out[s] = Σ_{e:(s→d)} grad[d]`` (the backward of :meth:`aggregate_sum`)."""
-        o = self._o(True)
-        return o.matvec(o.agg_matrix(), grad)
+        """``out[s] = Σ_{e:(s→d)} grad[d]`` (the backward of :meth:`aggregate_sum`).
+
+        Runs over the CSC transpose of the destination-major matrix, so it
+        builds no source-major orientation.  Per source it adds in ascending
+        destination order, ties in input order — the source-major CSR's
+        order, so the same bits.
+        """
+        o = self._o(False)
+        return o.matvec(o.agg_matrix().T, grad)
 
     def aggregate_max(self, x: np.ndarray, initial: float = -np.inf) -> np.ndarray:
         """Element-wise max over in-neighbours (empty → ``initial``)."""
@@ -453,16 +458,13 @@ class EdgePlan:
 class PlanCache:
     """LRU cache of :class:`EdgePlan` objects keyed by edge-set *structure*.
 
-    Mini-batch training builds a fresh block chain per batch, and every block
-    would pay its own lexsorts even when its edge set is structurally
-    identical to one seen before — which happens systematically for
-    deterministic samples (``fanout=-1``), repeated batch compositions
-    (``shuffle=False``), and evaluation loops.  Hashing the ``(src, dst,
-    num_dst, num_src)`` tuple (a linear pass) is far cheaper than the sorts a
-    plan performs, so identical structures share one plan.
-
-    Block chains consult it (batches are consumed one at a time), while
-    worker-owned shard blocks keep building their plans directly.
+    ``get`` hashes ``(src, dst, num_dst, num_src)`` and returns a stored
+    plan for an identical edge set.  No library path consults it: every
+    compacted block lists its edges in plan order and builds its own plan
+    (:meth:`repro.graph.mfg.MFGBlock.relation_plan`), which costs less than
+    the digest did and leaves no plan alive after its block.  The cache and
+    its process-wide instance stay only because ``Server.stats()`` and the
+    benchmark harness still report its counters, which read zero lookups.
     """
 
     def __init__(self, capacity: int = 32):
@@ -527,33 +529,10 @@ class PlanCache:
             return len(self._plans)
 
 
-#: process-wide cache used by the compacted block chains (MFG / sampled).
+#: the process-wide instance whose counters ``Server.stats()`` reports.
 _shared_cache = PlanCache()
 
 
 def shared_plan_cache() -> PlanCache:
     """The process-wide structural plan cache."""
     return _shared_cache
-
-
-def cached_plan(src, dst, num_dst: int, num_src: int) -> EdgePlan:
-    """Fetch (or build) a plan for the edge set through the shared cache.
-
-    Parameters
-    ----------
-    src, dst:
-        ``(num_edges,)`` integer endpoint arrays in reduction order.
-    num_dst, num_src:
-        Destination / source row-space heights.
-
-    Returns
-    -------
-    EdgePlan
-        A plan whose kernels behave identically to ``EdgePlan(src, dst,
-        num_dst, num_src)`` — structurally identical edge sets (same arrays,
-        same heights) share one plan, so re-sampled deterministic batches
-        (``fanout=-1``, unshuffled loaders, the layer-wise inference sweep)
-        never re-pay the construction sorts.  Lookup hashes the arguments in
-        one linear pass.
-    """
-    return _shared_cache.get(src, dst, num_dst, num_src)

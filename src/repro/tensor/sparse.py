@@ -53,14 +53,11 @@ def leaky_relu_np(raw: np.ndarray, negative_slope: float,
 def leaky_relu_grad_np(grad: np.ndarray, positive: np.ndarray, negative_slope: float,
                        out: Optional[np.ndarray] = None) -> np.ndarray:
     """``grad`` where ``positive``, ``slope·grad`` elsewhere, into ``out`` if
-    given (``out=grad`` runs in place): one masked multiply, the select's
-    bits for every slope."""
-    if out is None:
-        out = grad.copy()
-    elif out is not grad:
-        out[...] = grad
-    np.multiply(out, out.dtype.type(negative_slope), out=out, where=~positive)
-    return out
+    given (``out=grad`` runs in place): one multiply by a factor taken from
+    ``(slope, 1)`` through the mask, with no per-element branch on its
+    random signs — the select's bits for every slope, as ``x·1 == x``."""
+    factors = np.array([negative_slope, 1], dtype=grad.dtype)
+    return np.multiply(grad, factors.take(positive.view(np.uint8)), out=out)
 
 
 def gat_raw_sorted(plan: EdgePlan, score_dst: np.ndarray,

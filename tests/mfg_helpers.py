@@ -4,9 +4,8 @@
   parallel edges and in-degree-0 nodes, the graph every exactness check
   stresses;
 * :func:`assert_same_block` — two blocks are the same receptive field when
-  their row spaces match and each destination reads the same sources in the
-  same order; the global order of a block's edge list is free (edge plans sort
-  by ``(row, col)``), so it is not compared;
+  their row spaces match and every relation lists the same edges; compacted
+  blocks list them in ``(dst, src)`` order, so the arrays compare whole;
 * :func:`distributed_mfg_grids` — a worker's MFG block grids, built the way
   the distributed trainer builds them: the cooperative sampler at every
   fan-out ``-1`` over the seed set.
@@ -46,17 +45,15 @@ def adversarial_graph(num_nodes: int = 40) -> Graph:
 
 
 def assert_same_block(block, expected):
-    """Same row spaces, and per destination the same sources in the same order."""
+    """Same row spaces, and every relation's edges in the same order."""
     np.testing.assert_array_equal(block.src_nodes, expected.src_nodes)
     np.testing.assert_array_equal(block.dst_nodes, expected.dst_nodes)
     np.testing.assert_array_equal(block.dst_in_src, expected.dst_in_src)
     assert list(block.relation_edges) == list(expected.relation_edges)
     for relation, (src, dst) in block.relation_edges.items():
         exp_src, exp_dst = expected.relation_edges[relation]
-        assert len(src) == len(exp_src)
-        for row in range(block.num_dst_nodes):
-            # each destination's sources, in original edge order
-            np.testing.assert_array_equal(src[dst == row], exp_src[exp_dst == row])
+        np.testing.assert_array_equal(src, exp_src)
+        np.testing.assert_array_equal(dst, exp_dst)
 
 
 def distributed_mfg_grids(shard, comm, seeds, num_layers: int):

@@ -8,7 +8,8 @@ planned path against an independent oracle.  :class:`ReferenceGraph` puts
 them behind the aggregation protocol, so an unmodified layer or model can
 run on them.  :class:`ReferenceRowCache` is the row-at-a-time twin of
 :class:`~repro.utils.rowcache.RowCache`, on an
-:class:`~repro.utils.lru.LRUDict`.
+:class:`~repro.utils.lru.LRUDict`.  :func:`relabel_block_np` is the
+order-preserving relabel :func:`~repro.graph.mfg.compact_block` replaced.
 """
 
 from __future__ import annotations
@@ -282,3 +283,15 @@ class ReferenceRowCache:
 
     def clear(self) -> None:
         self.rows.clear()
+
+
+def relabel_block_np(edges, dst_nodes: np.ndarray, src_nodes=None):
+    """``(src_nodes, {relation: (src rows, dst rows)}, dst_in_src)`` of one
+    block by ``np.unique`` + ``np.searchsorted``, every relation's edges in
+    input order — the block :func:`~repro.graph.mfg.compact_block` builds
+    from the same ``{relation: (src ids, dst rows)}``, before its sort."""
+    if src_nodes is None:
+        src_nodes = np.unique(np.concatenate([src for src, _ in edges.values()] + [dst_nodes]))
+    relabelled = {name: (np.searchsorted(src_nodes, src), np.asarray(dst, dtype=np.int64))
+                  for name, (src, dst) in edges.items()}
+    return src_nodes, relabelled, np.searchsorted(src_nodes, dst_nodes)

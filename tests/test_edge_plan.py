@@ -530,6 +530,27 @@ class TestSortedEdgeSpace:
         assert grad_in.dtype == dtype
         np.testing.assert_array_equal(grad_in, np.where(raw > 0, grad, slope * grad))
 
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0, 1.5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaky_relu_grad_is_bit_equal_to_the_masked_multiply(self, rng, slope, dtype):
+        """The branch-free factor multiply gives the masked multiply's bits,
+        signed zeros, infinities and NaNs included, in place or not."""
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=dtype)
+        grad = rng.standard_normal((40, 4)).astype(dtype)
+        grad[:len(special)] = special[:, None]  # every special under both signs
+        positive = rng.standard_normal(grad.shape) > 0
+        positive[:len(special), :2] = [True, False]
+        with np.errstate(invalid="ignore"):  # 0 · inf at slope 0
+            expected = grad.copy()
+            np.multiply(expected, dtype(slope), out=expected, where=~positive)
+            got = leaky_relu_grad_np(grad, positive, slope)
+            in_place = grad.copy()
+            assert leaky_relu_grad_np(in_place, positive, slope, out=in_place) is in_place
+        bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+        for out in (got, in_place):
+            assert out.dtype == dtype
+            np.testing.assert_array_equal(out.view(bits), expected.view(bits))
+
     @pytest.mark.parametrize("num_src,num_dst,build", SORTED_SPACE_BLOCKS)
     @pytest.mark.parametrize("slope", NEGATIVE_SLOPES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -275,10 +275,12 @@ def test_layerwise_reuses_plans_across_layers_and_runs(dataset, monkeypatch):
     model = MODEL_FACTORIES["sage_mean"](dataset)  # three layers
     engine = LayerWiseInference(model, dataset.graph, batch_size=50)
     assert engine.num_batches == 5  # ceil(220 / 50)
-    edge_plan_mod.shared_plan_cache().clear()
+    built = edge_plan_mod.build_counter
     engine.run(dataset.features)
     # Built once: layer 0 built the five blocks, layers 1 and 2 built none.
     assert len(built_blocks) == engine.num_batches
+    # each block built its own plan, once
+    assert edge_plan_mod.build_counter - built == engine.num_batches
     built = edge_plan_mod.build_counter
     # Batches are identical across layers and runs (consecutive ids, complete
     # neighbourhoods), so later sweeps build no block and no plan.

@@ -4,10 +4,12 @@
 in :func:`~repro.graph.mfg.compact_block`, both samplers' frontier unions and
 ``NeighborSampler.compact``.  Two contracts are checked here:
 
-* a block compacted through the table equals the sort-based relabel computed
-  in the test — values *and* dtype of ``src_nodes``, every relation's
-  relabelled ``src`` and ``dst_in_src`` — on empty, single-id, all-duplicate,
-  widely spread and partly empty relational inputs;
+* a block compacted through the table equals the sort-based relabel
+  (``tests/reference_kernels.py::relabel_block_np``) with each relation's
+  edges listed in ``(dst, src)`` order — values *and* dtype of
+  ``src_nodes``, every relation's ``src`` and ``dst`` and ``dst_in_src`` — on
+  empty, single-id, all-duplicate, widely spread and partly empty
+  relational inputs;
 * the table is per thread: four threads sampling, building MFG pipelines and
   sweeping layer-wise inference over one ``Graph`` at once reproduce the
   serial results bit for bit.
@@ -25,6 +27,7 @@ from repro.datasets import ogbn_products_mini
 from repro.graph.mfg import build_mfg_pipeline, compact_block, unique_ranks
 from repro.nn.models import GraphSageNet
 from repro.sample import LayerWiseInference, NeighborSampler
+from reference_kernels import relabel_block_np
 
 
 def _ids(*values) -> np.ndarray:
@@ -65,14 +68,15 @@ def _assert_same(got: np.ndarray, want: np.ndarray) -> None:
           _ids(2, 4)))                                                     # no destination has any
 def test_compaction_equals_the_sort_based_relabel(case):
     edges, dst_nodes = case
-    src_nodes = np.unique(np.concatenate([src for src, _ in edges.values()] + [dst_nodes]))
+    src_nodes, relabelled, dst_in_src = relabel_block_np(edges, dst_nodes)
     for block in (compact_block(edges, dst_nodes), compact_block(edges, dst_nodes, src_nodes)):
         _assert_same(block.src_nodes, src_nodes)
         assert list(block.relation_edges) == list(edges)
-        for name, (src, dst) in edges.items():
-            _assert_same(block.relation_edges[name][0], np.searchsorted(src_nodes, src))
-            assert block.relation_edges[name][1] is dst
-        _assert_same(block.dst_in_src, np.searchsorted(src_nodes, dst_nodes))
+        for name, (src, dst) in relabelled.items():
+            order = np.lexsort((src, dst))
+            _assert_same(block.relation_edges[name][0], src[order])
+            _assert_same(block.relation_edges[name][1], dst[order])
+        _assert_same(block.dst_in_src, dst_in_src)
 
 
 # --------------------------------------------------------------------------- #

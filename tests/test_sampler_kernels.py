@@ -17,6 +17,7 @@ from repro.sample.kernels import (
     bottomk_bucketed,
     bottomk_sorted,
     candidate_positions,
+    replacement_draws,
     segmented_key_order,
 )
 from repro.utils.seed import hash_u64, mix_seed
@@ -53,11 +54,16 @@ class TestBottomKParity:
     @pytest.mark.parametrize("replace", [False, True])
     @pytest.mark.parametrize("fanout", [1, 3, 7])
     def test_dispatcher_methods_agree(self, sbm_graph, replace, fanout):
+        """The dispatcher selects the reference kernel's edges (in its own order)."""
         index = sbm_graph.in_edge_index()[None]
         nodes = np.arange(sbm_graph.num_nodes)
-        ref = sample_in_edges(index, nodes, fanout, replace, key=31, method="sorted")
-        got = sample_in_edges(index, nodes, fanout, replace, key=31, method="bucketed")
-        np.testing.assert_array_equal(ref, got)
+        starts, counts = _slices(index, nodes)
+        if replace:
+            ref = replacement_draws(starts, counts, fanout, 31, nodes)
+        else:
+            ref = bottomk_sorted(index.eids, starts, counts, fanout, 31)
+        got = sample_in_edges(index, nodes, fanout, replace, key=31)
+        np.testing.assert_array_equal(np.sort(ref), np.sort(got))
 
     def test_isolated_and_low_degree_nodes(self):
         # Nodes 1..4 feed node 0; node 5 is isolated; node 6 has one in-edge.
@@ -65,10 +71,13 @@ class TestBottomKParity:
         dst = np.array([0, 0, 0, 0, 6])
         index = Graph(7, src, dst).in_edge_index()[None]
         nodes = np.arange(7)
+        starts, counts = _slices(index, nodes)
         for fanout in (1, 2, 3):
-            ref = sample_in_edges(index, nodes, fanout, False, key=9, method="sorted")
-            got = sample_in_edges(index, nodes, fanout, False, key=9, method="bucketed")
-            np.testing.assert_array_equal(ref, got)
+            ref = bottomk_sorted(index.eids, starts, counts, fanout, 9)
+            got = bottomk_bucketed(index.eids, starts, counts, fanout, 9)
+            np.testing.assert_array_equal(np.sort(ref), np.sort(got))
+            dispatched = sample_in_edges(index, nodes, fanout, False, key=9)
+            np.testing.assert_array_equal(np.sort(ref), np.sort(dispatched))
         assert sample_in_edges(index, np.array([5]), 2, False, key=9).size == 0
 
     def test_hetero_relations_agree_per_relation(self, rng):
@@ -83,12 +92,11 @@ class TestBottomKParity:
             src, dst = graph.relation_edges[name]
             index = InEdgeIndex(src, dst, 40)
             key = mix_seed(7, 1, 0, 0) ^ np.uint64(rel_index).item()
+            starts, counts = _slices(index, nodes)
             for fanout in (1, 4):
-                ref = sample_in_edges(index, nodes, fanout, False, key=key,
-                                      method="sorted")
-                got = sample_in_edges(index, nodes, fanout, False, key=key,
-                                      method="bucketed")
-                np.testing.assert_array_equal(ref, got)
+                ref = bottomk_sorted(index.eids, starts, counts, fanout, key)
+                got = bottomk_bucketed(index.eids, starts, counts, fanout, key)
+                np.testing.assert_array_equal(np.sort(ref), np.sort(got))
 
     def test_escalation_path_is_exact(self, skewed_graph, monkeypatch):
         """With the threshold forced to 0, every segment underfills its bucket
@@ -110,8 +118,8 @@ class TestBottomKParity:
         nodes = np.arange(sbm_graph.num_nodes)
         huge = kernels._BUCKET_FANOUT_LIMIT
         ref = sample_in_edges(index, nodes, -1, False, key=3)
-        got = sample_in_edges(index, nodes, huge, False, key=3, method="bucketed")
-        np.testing.assert_array_equal(index.eids[ref], index.eids[got])
+        got = sample_in_edges(index, nodes, huge, False, key=3)
+        np.testing.assert_array_equal(np.sort(index.eids[ref]), np.sort(index.eids[got]))
 
 
 class TestSegmentedOrder:
@@ -138,6 +146,7 @@ class TestSegmentedOrder:
         monkeypatch.setattr(kernels, "_COMPOSITE_SEGMENT_LIMIT", 1)
         got = sample_in_edges(index, nodes, 4, False, key=77)
         np.testing.assert_array_equal(ref, got)
-        for method in ("bucketed", "sorted"):
-            again = sample_in_edges(index, nodes, 4, False, key=77, method=method)
-            np.testing.assert_array_equal(ref, again)
+        starts, counts = _slices(index, nodes)
+        for kernel in (bottomk_bucketed, bottomk_sorted):
+            again = kernel(index.eids, starts, counts, 4, 77)
+            np.testing.assert_array_equal(np.sort(ref), np.sort(again))

@@ -103,10 +103,18 @@ class TestSampleInEdges:
         # Draws come from each node's own candidate list.
         assert np.all(index.dst[sel] == sbm_graph.dst[index.eids[sel]])
 
-    def test_returns_ascending_edge_ids_per_key(self, sbm_graph):
+    @pytest.mark.parametrize("fanout, replace", [(4, False), (4, True), (-1, False)])
+    def test_returns_positions_grouped_by_destination_in_node_order(self, sbm_graph,
+                                                                    fanout, replace):
         index = sbm_graph.in_edge_index()[None]
-        sel = sample_in_edges(index, np.arange(60), 4, False, key=3)
-        assert np.all(np.diff(index.eids[sel]) >= 0)
+        nodes = np.random.default_rng(3).permutation(60)
+        sel = sample_in_edges(index, nodes, fanout, replace, key=3)
+        # the destinations' runs follow ``nodes``: each run's node comes later in it
+        runs = index.dst[sel][np.r_[True, np.diff(index.dst[sel]) != 0]]
+        assert len(runs) == len(np.unique(runs))
+        position = np.empty(sbm_graph.num_nodes, dtype=np.int64)
+        position[nodes] = np.arange(len(nodes))
+        assert np.all(np.diff(position[runs]) > 0)
 
     @pytest.mark.parametrize("replace", [False, True])
     def test_split_invariance(self, sbm_graph, replace):
@@ -301,26 +309,33 @@ def test_fanout_check_accepts_integers_everywhere(entry, spec):
 # --------------------------------------------------------------------------- #
 # the draws are pinned: sampled edges at a fixed (seed, epoch, batch)
 # --------------------------------------------------------------------------- #
-def _sampled_edges_digest(pipeline) -> str:
+def _sampled_edges_digest(pipeline, order_free: bool = False) -> str:
     sha = hashlib.sha256()
     for block in pipeline.blocks:
         for name, (src, dst) in block.relation_edges.items():
             sha.update(repr(name).encode())
-            for ids in (block.src_nodes[src], block.dst_nodes[dst]):
+            pairs = np.stack([block.src_nodes[src], block.dst_nodes[dst]])
+            if order_free:
+                pairs = pairs[:, np.lexsort(pairs[::-1])]
+            for ids in pairs:
                 sha.update(np.asarray(ids, dtype="<i8").tobytes())
     return sha.hexdigest()[:16]
 
 
-@pytest.mark.parametrize("kind, replace, expected", [
-    ("graph", False, "a51c654d3331887f"),
-    ("graph", True, "23575f76ce4534c1"),
-    ("hetero", False, "5338423097d1798b"),
-    ("hetero", True, "d822ab237b476bb7"),
+@pytest.mark.parametrize("kind, replace, expected, order_free", [
+    ("graph", False, "41b8b6cae73e46d0", "7f732209c2a2d6e3"),
+    ("graph", True, "94df636e5280c7f8", "f89068b617216e99"),
+    ("hetero", False, "e1d61c1b37ed16c8", "8dac3e79a3ab704d"),
+    ("hetero", True, "3ee8ed112e8d0e3f", "230f8ce624e4091f"),
 ])
-def test_sampled_edges_are_pinned(kind, replace, expected):
+def test_sampled_edges_are_pinned(kind, replace, expected, order_free):
     """Global ``(src, dst)`` edges per layer and relation, in block order, are
     fixed by ``(seed, epoch, batch)``: a Graph draws under the bare layer key,
-    each named relation under the layer key xor ``splitmix64(rel_index)``."""
+    each named relation under the layer key xor ``splitmix64(rel_index)``.
+
+    ``order_free`` digests the same pairs sorted by ``(src, dst)``.  It read
+    the same when blocks listed their edges in edge-id order, so listing
+    them in ``(dst, src)`` order changed no drawn edge."""
     graph = adversarial_graph(60)
     if kind == "hetero":
         graph = Graph.from_relations(60, {
@@ -330,6 +345,7 @@ def test_sampled_edges_are_pinned(kind, replace, expected):
     sampler = NeighborSampler(graph, [3, 2], replace=replace, seed=2024)
     pipeline = sampler.sample(np.arange(0, 60, 7), epoch=3, batch_index=5)
     assert _sampled_edges_digest(pipeline) == expected
+    assert _sampled_edges_digest(pipeline, order_free=True) == order_free
 
 
 # --------------------------------------------------------------------------- #
@@ -486,27 +502,32 @@ class TestLoaderFeatureFetch:
 
 
 # --------------------------------------------------------------------------- #
-# plan reuse across batches
+# plans per block
 # --------------------------------------------------------------------------- #
 class TestPlanReuse:
-    def test_deterministic_batches_reuse_plans_across_epochs(self, sbm_graph):
+    def test_each_block_builds_one_plan_per_relation(self, sbm_graph):
+        """A batch's block builds its own plan once and every kernel reuses it;
+        no plan is shared across batches, so a repeated batch builds anew."""
         sampler = NeighborSampler(sbm_graph, [-1, -1], seed=0)
         loader = MiniBatchDataLoader(sampler, np.arange(40), batch_size=20,
                                      shuffle=False, num_workers=0)
 
         def run_epoch(epoch):
+            edge_plan_mod.reset_build_counter()
+            blocks = 0
             for batch in loader.iter_epoch(epoch):
                 for layer in range(2):
                     block = batch.pipeline.layer_block(layer)
-                    plan = block.plan()
-                    plan.aggregate_sum(np.ones((block.num_src_nodes, 2), np.float32))
-                    plan.aggregate_sum_t(np.ones((block.num_dst_nodes, 2), np.float32))
+                    for _ in range(2):
+                        plan = block.plan()
+                        plan.aggregate_sum(np.ones((block.num_src_nodes, 2), np.float32))
+                        plan.aggregate_sum_t(np.ones((block.num_dst_nodes, 2), np.float32))
+                    assert block.plan() is plan
+                    blocks += 1
+            assert blocks == 4
+            return edge_plan_mod.build_counter
 
-        run_epoch(1)
-        edge_plan_mod.reset_build_counter()
-        run_epoch(2)
-        run_epoch(3)
-        assert edge_plan_mod.build_counter == 0
+        assert [run_epoch(epoch) for epoch in (1, 2, 3)] == [4, 4, 4]
 
     def test_plan_cache_lru_eviction(self):
         cache = edge_plan_mod.PlanCache(capacity=2)

@@ -117,8 +117,10 @@ def _full_grid_worker(rank, comm, shard):
 @pytest.mark.parametrize("world_size", [2, 3])
 def test_full_fanout_grid_over_every_node_is_the_shards_row(sbm_graph, world_size):
     """Shards and sampled grids share one G_{p,q} cutter: a fan-out -1 sample
-    of every node gives each worker exactly its shard's block row (only
-    ``edge_pos``, which sampled grids do not carry, differs)."""
+    of every node gives each worker exactly its shard's block row.  Only
+    ``edge_pos``, which sampled grids do not carry, and the order of the
+    edges differ: shards list them in edge-id order, sampled grids in the
+    draw's order, and plans sort both by ``(dst, src)``."""
     book = PartitionBook(partition_graph(sbm_graph, world_size, seed=0), world_size)
     shards = create_shards(sbm_graph, book)
     result = run_distributed(_full_grid_worker, world_size, worker_args=shards)
@@ -128,8 +130,10 @@ def test_full_fanout_grid_over_every_node_is_the_shards_row(sbm_graph, world_siz
             assert (sampled.src_rank, sampled.dst_rank, sampled.num_dst) == \
                 (own.src_rank, own.dst_rank, own.num_dst)
             for field in ("required_src_local", "src_index", "dst_local"):
-                np.testing.assert_array_equal(getattr(sampled, field), getattr(own, field))
                 assert getattr(sampled, field).dtype == getattr(own, field).dtype
+            np.testing.assert_array_equal(sampled.required_src_local, own.required_src_local)
+            edges = [np.stack([block.dst_local, block.src_index]) for block in (sampled, own)]
+            np.testing.assert_array_equal(*(pairs[:, np.lexsort(pairs[::-1])] for pairs in edges))
             assert sampled.edge_pos is None
 
 

@@ -24,7 +24,9 @@ import pytest
 
 from repro.datasets import make_sbm_dataset
 from repro.nn.models import GATNet, GraphSageNet
+from repro.graph.mfg import block_from_in_edges
 from repro.serving import EmbeddingCache, ServingConfig, create_server
+from repro.serving import executors as executors_mod
 from repro.tensor import Tensor, no_grad
 from repro.tensor import edge_plan as edge_plan_mod
 from repro.utils.seed import set_seed
@@ -174,23 +176,34 @@ def test_max_batch_seeds_closes_window_early(dataset):
 
 
 # --------------------------------------------------------------------------- #
-# plan-cache warmth (zero plan builds on repeated topology)
+# plans per block (each burst's blocks own their plans)
 # --------------------------------------------------------------------------- #
-def test_repeated_topology_builds_zero_plans(dataset):
+def test_repeated_topology_builds_one_plan_per_block(dataset, monkeypatch):
+    """Without an embedding cache every burst walks its blocks again; each
+    block builds its one plan, and the shared structural cache is never asked."""
+    blocks = []
+
+    def counting_builder(*args):
+        blocks.append(block_from_in_edges(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(executors_mod, "block_from_in_edges", counting_builder)
     model = _make_model(dataset)
     reference = _reference_logits(model, dataset.graph, dataset.features)
     ids = [7, 11, 42]
+    lookups = edge_plan_mod.shared_plan_cache().stats()
     with create_server(
         model, dataset.graph, dataset.features,
         ServingConfig(window_ms=0.0),
     ) as server:
-        server.predict(ids)  # builds (or reuses) this topology's plans
-        built = edge_plan_mod.build_counter
-        hits_before = edge_plan_mod.shared_plan_cache().stats()["hits"]
-        np.testing.assert_array_equal(server.predict(ids), reference[ids])
-        assert edge_plan_mod.build_counter == built
+        for _ in range(2):
+            del blocks[:]
+            built = edge_plan_mod.build_counter
+            np.testing.assert_array_equal(server.predict(ids), reference[ids])
+            assert len(blocks) == model.num_layers
+            assert edge_plan_mod.build_counter - built == len(blocks)
         stats = server.stats()
-    assert stats["plan_cache"]["hits"] > hits_before
+    assert stats["plan_cache"] == lookups
 
 
 # --------------------------------------------------------------------------- #

@@ -188,15 +188,16 @@ DST_SETS = {
 
 def test_block_from_in_edges_matches_the_mask_built_block():
     """The bucket walk equals the whole-graph construction: mask the edges
-    into the destinations, keep them in global edge order, relabel."""
+    into the destinations, relabel, list them in ``(dst, src)`` order."""
     graph = adversarial_graph()
     dst_nodes = np.array(DST_SETS["mixed"])
     block = block_from_in_edges(graph.in_edge_index(), dst_nodes)
     keep = np.isin(graph.dst, dst_nodes)
     src_nodes = np.union1d(graph.src[keep], dst_nodes)
-    expected = MFGBlock(src_nodes, dst_nodes,
-                        {None: (np.searchsorted(src_nodes, graph.src[keep]),
-                                np.searchsorted(dst_nodes, graph.dst[keep]))},
+    src = np.searchsorted(src_nodes, graph.src[keep])
+    dst = np.searchsorted(dst_nodes, graph.dst[keep])
+    order = np.lexsort((src, dst))
+    expected = MFGBlock(src_nodes, dst_nodes, {None: (src[order], dst[order])},
                         np.searchsorted(src_nodes, dst_nodes))
     assert_same_block(block, expected)
 
