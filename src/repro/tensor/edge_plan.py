@@ -9,17 +9,24 @@ COO→CSR sort per call (and per attention head), and ``np.ufunc.at`` falls
 back to a slow scalar loop.
 
 An :class:`EdgePlan` is built **once** per ``(src, dst, num_dst, num_src)``
-edge set and caches, per orientation (destination-major and source-major):
+edge set, sorts its edges **once**, destination-major, and caches:
 
 * the destination-sorted edge order and the segment ``indptr`` (the CSR
   sparsity structure),
 * the unweighted aggregation matrix (``out[d] = Σ_{e:(s→d)} x[s]``),
-* a selection matrix summing sorted per-*edge* values into segments,
+* a selection matrix summing sorted per-*edge* values into segments, and a
+  gather matrix picking each sorted edge's source,
 * per head count ``H``, a *head-blocked* CSR (row ``d·H + h``, column
   ``s·H + h``) plus the map that fills its data from ``(E, H)`` edge
   weights, so edge-weighted aggregation (the attention hot path) runs every
   head in one SpMM with one ``take`` and no sort, and
 * the ``reduceat`` bookkeeping (non-empty segment starts) for max/min.
+
+Every transpose kernel (``aggregate_sum_t``, ``u_mul_e_sum_t_sorted``,
+``segment_sum_src_sorted``) multiplies by the CSC transpose of the
+destination-major matrix it mirrors, so no plan builds a source-major
+orientation.  Per source a CSC matvec adds in ascending destination order,
+ties in sorted (input) order: a source-major CSR's order, and its bits.
 
 The per-op kernel strategy is chosen from measurements, not aesthetics
 (E=200k, N=5k, H=8, D=32, float32, one core):
@@ -96,83 +103,23 @@ def reset_build_counter() -> None:
     build_counter = 0
 
 
-class _Orientation:
-    """Cached CSR layout of one direction of an edge set.
+def _matvec(mat: sp.spmatrix, values: np.ndarray) -> np.ndarray:
+    """``mat @ values`` with arbitrary trailing dimensions."""
+    if values.ndim == 2:
+        flat = values
+    else:
+        trailing = int(np.prod(values.shape[1:], dtype=np.int64))
+        flat = values.reshape(len(values), trailing)
+    out = mat @ flat
+    return np.asarray(out).reshape((mat.shape[0],) + values.shape[1:])
 
-    ``rows``/``cols`` are the per-edge row and column ids of the aggregation
-    matrix for this orientation (destination-major: rows = dst, cols = src;
-    source-major: the transpose).  Everything derived from the one-time
-    lexsort is cached here; the lazily-built aggregation matrix never pays a
-    sort.
-    """
 
-    __slots__ = ("num_rows", "num_cols", "order", "indices", "indptr", "counts",
-                 "nonempty", "starts", "all_nonempty", "_agg", "_rows")
-
-    def __init__(self, rows: np.ndarray, cols: np.ndarray,
-                 num_rows: int, num_cols: int):
-        self.num_rows = int(num_rows)
-        self.num_cols = int(num_cols)
-        # Sort by (row, col) with ties in input order.  A single stable
-        # argsort over the composite key `row * num_cols + col` produces the
-        # identical permutation to `np.lexsort((cols, rows))` at about half
-        # the cost; the lexsort remains as the (never hit in practice)
-        # overflow fallback.
-        if self.num_rows * self.num_cols < (1 << 62):
-            composite = rows * np.int64(max(self.num_cols, 1)) + cols
-            order = np.argsort(composite, kind="stable")
-        else:
-            order = np.lexsort((cols, rows))
-        self.order = order
-        self.indices = cols[order]
-        indptr = np.zeros(self.num_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.num_rows), out=indptr[1:])
-        self.indptr = indptr
-        self.counts = np.diff(indptr)
-        self.nonempty = self.counts > 0
-        self.starts = indptr[:-1][self.nonempty]
-        self.all_nonempty = bool(self.nonempty.all()) if self.num_rows else True
-        self._agg: Optional[sp.csr_matrix] = None
-        self._rows: Optional[np.ndarray] = None
-
-    # -- cached sparse operators ----------------------------------------- #
-    def agg_matrix(self) -> sp.csr_matrix:
-        """Unweighted ``(num_rows × num_cols)`` sum-aggregation matrix."""
-        if self._agg is None:
-            self._agg = sp.csr_matrix(
-                (np.ones(len(self.indices), dtype=np.float32), self.indices,
-                 self.indptr),
-                shape=(self.num_rows, self.num_cols),
-            )
-        return self._agg
-
-    # -- segment reductions over the sorted order ------------------------- #
-    def reduce_sorted(self, ufunc, sorted_vals: np.ndarray, fill: float) -> np.ndarray:
-        """``ufunc``-reduce already-sorted per-edge rows into segments."""
-        out_shape = (self.num_rows,) + sorted_vals.shape[1:]
-        if len(sorted_vals) == 0 or not len(self.starts):
-            return np.full(out_shape, fill, dtype=sorted_vals.dtype)
-        if self.all_nonempty:
-            return ufunc.reduceat(sorted_vals, self.indptr[:-1], axis=0)
-        out = np.full(out_shape, fill, dtype=sorted_vals.dtype)
-        out[self.nonempty] = ufunc.reduceat(sorted_vals, self.starts, axis=0)
-        return out
-
-    def rows(self) -> np.ndarray:
-        """Row id of every sorted edge (``repeat(arange(num_rows), counts)``)."""
-        if self._rows is None:
-            self._rows = np.repeat(np.arange(self.num_rows), self.counts)
-        return self._rows
-
-    def matvec(self, mat: sp.spmatrix, values: np.ndarray) -> np.ndarray:
-        """``mat @ values`` with arbitrary trailing dimensions."""
-        if values.ndim == 2:
-            flat = values
-        else:
-            trailing = int(np.prod(values.shape[1:], dtype=np.int64))
-            flat = values.reshape(len(values), trailing)
-        out = mat @ flat
-        return np.asarray(out).reshape((mat.shape[0],) + values.shape[1:])
+def _head_spmm(mat: sp.spmatrix, values: np.ndarray, num_rows: int) -> np.ndarray:
+    """``mat @ values`` for a head-blocked ``mat`` and ``(N, H, D)`` values:
+    every head in one SpMM; the result has ``values``' dtype."""
+    num_cols, heads, dim = values.shape
+    out = mat @ values.reshape(num_cols * heads, dim)
+    return out.astype(values.dtype, copy=False).reshape(num_rows, heads, dim)
 
 
 class EdgePlan:
@@ -194,8 +141,10 @@ class EdgePlan:
     arguments — it draws no randomness and keeps no mutable state visible to
     callers — so kernel outputs through a plan are deterministic: per
     destination, reductions run over edges in the stable destination-sorted
-    order derived from the input edge order.  Two plans built from identical
-    arguments are interchangeable.
+    order derived from the input edge order, and per source in ascending
+    destination order, ties in that same order.  The first kernel call sorts
+    the edges (the plan's one sort); every cache derives from that layout.
+    Two plans built from identical arguments are interchangeable.
     """
 
     def __init__(self, src, dst, num_dst: int, num_src: int):
@@ -210,11 +159,12 @@ class EdgePlan:
         self.num_edges = len(src)
         self.num_dst = int(num_dst)
         self.num_src = int(num_src)
-        self._forward: Optional[_Orientation] = None
-        self._transpose: Optional[_Orientation] = None
-        self._t_positions: Optional[np.ndarray] = None
-        self._sorted_sel: dict = {}  # transpose flag -> selection CSR over sorted rows
-        self._blocked: dict = {}  # (transpose flag, heads) -> head-blocked CSR
+        self._order: Optional[np.ndarray] = None  # set with the rest of _layout()
+        self._agg: Optional[sp.csr_matrix] = None
+        self._dst_rows: Optional[np.ndarray] = None
+        self._sorted_sel: Optional[sp.csr_matrix] = None  # (num_dst × E) selection
+        self._gather_t: Optional[sp.csc_matrix] = None  # (num_src × E) transposed gather
+        self._blocked: dict = {}  # heads -> head-blocked CSR structure
         global build_counter
         with _counter_lock:  # workers build block plans concurrently
             build_counter += 1
@@ -225,17 +175,60 @@ class EdgePlan:
             f"num_src={self.num_src})"
         )
 
-    # -- orientations ----------------------------------------------------- #
-    def _o(self, transpose: bool = False) -> _Orientation:
-        if transpose:
-            if self._transpose is None:
-                self._transpose = _Orientation(self.src, self.dst,
-                                               self.num_src, self.num_dst)
-            return self._transpose
-        if self._forward is None:
-            self._forward = _Orientation(self.dst, self.src,
-                                         self.num_dst, self.num_src)
-        return self._forward
+    # -- the destination-major layout --------------------------------------- #
+    def _layout(self) -> None:
+        """Sort the edges by ``(dst, src)`` on first use and derive the CSR
+        layout every kernel reads: ``_order`` (input → sorted position),
+        ``_indices`` (each sorted edge's source), ``_indptr``/``_counts``
+        (per-destination segments) and the ``reduceat`` starts."""
+        if self._order is not None:
+            return
+        # Ties stay in input order.  A single stable argsort over the
+        # composite key `dst * num_src + src` produces the identical
+        # permutation to `np.lexsort((src, dst))` at about half the cost; the
+        # lexsort remains as the (never hit in practice) overflow fallback.
+        if self.num_dst * self.num_src < (1 << 62):
+            composite = self.dst * np.int64(max(self.num_src, 1)) + self.src
+            order = np.argsort(composite, kind="stable")
+        else:
+            order = np.lexsort((self.src, self.dst))
+        self._indices = self.src[order]
+        indptr = np.zeros(self.num_dst + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.dst, minlength=self.num_dst), out=indptr[1:])
+        self._indptr = indptr
+        self._counts = np.diff(indptr)
+        self._nonempty = self._counts > 0
+        self._starts = indptr[:-1][self._nonempty]
+        self._all_nonempty = bool(self._nonempty.all()) if self.num_dst else True
+        self._order = order  # last: a set order marks a complete layout
+
+    def _agg_matrix(self) -> sp.csr_matrix:
+        """Unweighted ``(num_dst × num_src)`` sum-aggregation matrix."""
+        if self._agg is None:
+            self._layout()
+            self._agg = sp.csr_matrix(
+                (np.ones(self.num_edges, dtype=np.float32), self._indices, self._indptr),
+                shape=(self.num_dst, self.num_src),
+            )
+        return self._agg
+
+    def _reduce(self, ufunc, sorted_vals: np.ndarray, fill: float) -> np.ndarray:
+        """``ufunc``-reduce already-sorted per-edge rows into segments."""
+        self._layout()
+        out_shape = (self.num_dst,) + sorted_vals.shape[1:]
+        if len(sorted_vals) == 0 or not len(self._starts):
+            return np.full(out_shape, fill, dtype=sorted_vals.dtype)
+        if self._all_nonempty:
+            return ufunc.reduceat(sorted_vals, self._indptr[:-1], axis=0)
+        out = np.full(out_shape, fill, dtype=sorted_vals.dtype)
+        out[self._nonempty] = ufunc.reduceat(sorted_vals, self._starts, axis=0)
+        return out
+
+    def _sorted_dst(self) -> np.ndarray:
+        """Destination of every sorted edge (``repeat(arange(num_dst), counts)``)."""
+        if self._dst_rows is None:
+            self._dst_rows = np.repeat(np.arange(self.num_dst), self.in_degrees)
+        return self._dst_rows
 
     def _check_edge_rows(self, values: np.ndarray, what: str) -> np.ndarray:
         values = np.asarray(values)
@@ -249,17 +242,17 @@ class EdgePlan:
     @property
     def in_degrees(self) -> np.ndarray:
         """Number of in-edges per destination node."""
-        return self._o(False).counts
+        self._layout()
+        return self._counts
 
     def clamped_in_degrees(self, dtype) -> np.ndarray:
         """In-degrees clamped to ≥ 1 (the mean-aggregation denominator)."""
-        return np.maximum(self._o(False).counts, 1).astype(dtype)
+        return np.maximum(self.in_degrees, 1).astype(dtype)
 
     # -- per-source features → per-destination aggregates ------------------ #
     def aggregate_sum(self, x: np.ndarray) -> np.ndarray:
         """``out[d] = Σ_{e:(s→d)} x[s]`` (sum over in-neighbours)."""
-        o = self._o(False)
-        return o.matvec(o.agg_matrix(), x)
+        return _matvec(self._agg_matrix(), x)
 
     def aggregate_mean(self, x: np.ndarray) -> np.ndarray:
         """In-neighbour mean (in-degree clamped to ≥ 1)."""
@@ -268,25 +261,17 @@ class EdgePlan:
         return out / counts.reshape((self.num_dst,) + (1,) * (out.ndim - 1))
 
     def aggregate_sum_t(self, grad: np.ndarray) -> np.ndarray:
-        """``out[s] = Σ_{e:(s→d)} grad[d]`` (the backward of :meth:`aggregate_sum`).
-
-        Runs over the CSC transpose of the destination-major matrix, so it
-        builds no source-major orientation.  Per source it adds in ascending
-        destination order, ties in input order — the source-major CSR's
-        order, so the same bits.
-        """
-        o = self._o(False)
-        return o.matvec(o.agg_matrix().T, grad)
+        """``out[s] = Σ_{e:(s→d)} grad[d]`` (the backward of :meth:`aggregate_sum`),
+        through the CSC transpose of the aggregation matrix."""
+        return _matvec(self._agg_matrix().T, grad)
 
     def aggregate_max(self, x: np.ndarray, initial: float = -np.inf) -> np.ndarray:
         """Element-wise max over in-neighbours (empty → ``initial``)."""
-        o = self._o(False)
-        return o.reduce_sorted(np.maximum, x[o.indices], initial)
+        return self._reduce(np.maximum, self.gather_src(x), initial)
 
     def aggregate_min(self, x: np.ndarray, initial: float = np.inf) -> np.ndarray:
         """Element-wise min over in-neighbours (empty → ``initial``)."""
-        o = self._o(False)
-        return o.reduce_sorted(np.minimum, x[o.indices], initial)
+        return self._reduce(np.minimum, self.gather_src(x), initial)
 
     # -- destination-sorted edge space -------------------------------------- #
     # Every per-edge array lives in the plan's destination-sorted order: rows
@@ -295,129 +280,117 @@ class EdgePlan:
     # the head-blocked weighted CSR is filled by one ``take``, and a kernel
     # that chains several per-edge steps (the attention block: logits → max →
     # exp → sum → SpMM, and the SDDMM → softmax-grad → two segment sums of its
-    # backward) never permutes between them.  Per destination (and per source,
-    # through :meth:`_transpose_positions`) reductions run in the stable
-    # sorted order derived from the input edge order.
+    # backward) never permutes between them.  Per destination reductions run
+    # in the stable sorted order derived from the input edge order; per
+    # source, the CSC transposes add in ascending sorted position.
     def sort_edges(self, values: np.ndarray) -> np.ndarray:
         """Per-edge rows, input order → destination-sorted order (the one
         entry into the space)."""
         values = self._check_edge_rows(values, "values")
-        return values.take(self._o(False).order, axis=0)
+        self._layout()
+        return values.take(self._order, axis=0)
 
     def expand_dst(self, x: np.ndarray) -> np.ndarray:
         """Sorted per-edge copy of each edge's destination row of ``x``."""
-        return np.repeat(x, self._o(False).counts, axis=0)
+        return np.repeat(x, self.in_degrees, axis=0)
 
     def gather_src(self, x: np.ndarray) -> np.ndarray:
         """Sorted per-edge copy of each edge's source row of ``x``."""
-        return x.take(self._o(False).indices, axis=0)
-
-    def _sum_sorted(self, sorted_values: np.ndarray, transpose: bool) -> np.ndarray:
-        """Sum sorted per-edge rows into one orientation's segments through a
-        cached ``(rows × E)`` selection CSR whose columns are sorted-space
-        positions: the identity destination-major, :meth:`_transpose_positions`
-        source-major."""
-        sorted_values = self._check_edge_rows(sorted_values, "sorted_values")
-        o = self._o(transpose)
-        sel = self._sorted_sel.get(transpose)
-        if sel is None:
-            columns = (self._transpose_positions() if transpose
-                       else np.arange(self.num_edges))
-            sel = self._sorted_sel[transpose] = sp.csr_matrix(
-                (np.ones(self.num_edges, dtype=np.float32), columns, o.indptr),
-                shape=(o.num_rows, self.num_edges),
-            )
-        return o.matvec(sel, sorted_values)
+        self._layout()
+        return x.take(self._indices, axis=0)
 
     def segment_sum_sorted(self, sorted_values: np.ndarray) -> np.ndarray:
-        """Sum sorted per-edge rows into destination buckets."""
-        return self._sum_sorted(sorted_values, transpose=False)
+        """Sum sorted per-edge rows into destination buckets through a cached
+        ``(num_dst × E)`` selection CSR (identity columns)."""
+        sorted_values = self._check_edge_rows(sorted_values, "sorted_values")
+        if self._sorted_sel is None:
+            self._layout()
+            self._sorted_sel = sp.csr_matrix(
+                (np.ones(self.num_edges, dtype=np.float32), np.arange(self.num_edges),
+                 self._indptr),
+                shape=(self.num_dst, self.num_edges),
+            )
+        return _matvec(self._sorted_sel, sorted_values)
 
     def segment_max_sorted(self, sorted_values: np.ndarray,
                            initial: float = -np.inf) -> np.ndarray:
         """Max-reduce sorted per-edge rows per destination (empty segments →
         ``initial``)."""
         sorted_values = self._check_edge_rows(sorted_values, "sorted_values")
-        return self._o(False).reduce_sorted(np.maximum, sorted_values, initial)
-
-    def _transpose_positions(self) -> np.ndarray:
-        """Sorted-space position of each edge of the source-major layout,
-        ``inv(order)[t.order]`` — one precomposed permutation, so transpose
-        kernels read sorted rows directly."""
-        if self._t_positions is None:
-            inverse = np.empty(self.num_edges, dtype=np.int64)
-            inverse[self._o(False).order] = np.arange(self.num_edges)
-            self._t_positions = inverse[self._o(True).order]
-        return self._t_positions
+        return self._reduce(np.maximum, sorted_values, initial)
 
     def segment_sum_src_sorted(self, sorted_values: np.ndarray) -> np.ndarray:
         """Sum sorted per-edge rows into *source* buckets (the transpose
-        reduction)."""
-        return self._sum_sorted(sorted_values, transpose=True)
+        reduction) through the cached CSC transpose of the ``(E × num_src)``
+        gather CSR, whose row ``p`` picks sorted edge ``p``'s source."""
+        sorted_values = self._check_edge_rows(sorted_values, "sorted_values")
+        if self._gather_t is None:
+            self._layout()
+            self._gather_t = sp.csc_matrix(
+                (np.ones(self.num_edges, dtype=np.float32), self._indices,
+                 np.arange(self.num_edges + 1)),
+                shape=(self.num_src, self.num_edges),
+            )
+        return _matvec(self._gather_t, sorted_values)
 
-    def _head_blocked(self, transpose: bool, heads: int) -> tuple:
-        """``(indices, indptr, gather, shape)`` of one orientation's
-        head-blocked CSR for ``heads`` heads, built once.
+    def _head_blocked(self, heads: int) -> tuple:
+        """``(indices, indptr, gather)`` of the head-blocked CSR for ``heads``
+        heads, built once.
 
-        Row ``r·H + h`` holds column ``c·H + h`` for every edge of segment
-        ``r``, in the plan's stable sorted order, so the matrix multiplies
-        ``x.reshape(num_cols·H, D)`` with every head at once.  ``gather``
+        Row ``d·H + h`` holds column ``s·H + h`` for every edge of segment
+        ``d``, in the plan's stable sorted order, so the matrix multiplies
+        ``x.reshape(num_src·H, D)`` with every head at once.  ``gather``
         maps each stored entry to its weight in the flattened sorted
-        ``(E, H)`` weights (through :meth:`_transpose_positions`
-        source-major).  Per row the entries are one segment in plan order,
-        so the products equal a per-head matvec over the same segment bit
-        for bit.
+        ``(E, H)`` weights.  Per row the entries are one segment in plan
+        order, so the products equal a per-head matvec over the same segment
+        bit for bit.
         """
-        key = (transpose, heads)
-        blocked = self._blocked.get(key)
+        blocked = self._blocked.get(heads)
         if blocked is None:
-            o = self._o(transpose)
-            positions = (self._transpose_positions() if transpose
-                         else np.arange(self.num_edges))
+            self._layout()
             head = np.arange(heads)
-            rows = o.rows()
-            first = o.indptr[:-1]
-            # Data slot of (sorted edge p, head h): row (r_p, h) starts at
-            # indptr[r]·H + h·count[r]; p is entry p − indptr[r] of it.
+            rows = self._sorted_dst()
+            first = self._indptr[:-1]
+            # Data slot of (sorted edge p, head h): row (d_p, h) starts at
+            # indptr[d]·H + h·count[d]; p is entry p − indptr[d] of it.
             slots = ((first[rows] * (heads - 1) + np.arange(self.num_edges))[:, None]
-                     + o.counts[rows][:, None] * head).ravel()
+                     + self._counts[rows][:, None] * head).ravel()
             gather = np.empty(self.num_edges * heads, dtype=np.int64)
-            gather[slots] = (positions[:, None] * heads + head).ravel()
+            gather[slots] = np.arange(self.num_edges * heads)
             indices = np.empty(self.num_edges * heads, dtype=np.int64)
-            indices[slots] = (o.indices[:, None] * heads + head).ravel()
-            indptr = np.append((first[:, None] * heads + o.counts[:, None] * head).ravel(),
+            indices[slots] = (self._indices[:, None] * heads + head).ravel()
+            indptr = np.append((first[:, None] * heads + self._counts[:, None] * head).ravel(),
                                self.num_edges * heads)
-            shape = (o.num_rows * heads, o.num_cols * heads)
             # Let scipy pick the index dtype once, not on every call.
             structure = sp.csr_matrix((np.empty(len(indices), dtype=np.float32),
-                                       indices, indptr), shape=shape)
-            blocked = self._blocked[key] = (structure.indices, structure.indptr,
-                                            gather, shape)
+                                       indices, indptr),
+                                      shape=(self.num_dst * heads, self.num_src * heads))
+            blocked = self._blocked[heads] = (structure.indices, structure.indptr, gather)
         return blocked
 
-    def _weighted_spmm(self, values: np.ndarray, sorted_weights: np.ndarray,
-                       transpose: bool) -> np.ndarray:
-        """``out[r, h] = Σ_e w[e, h] · values[c_e, h]`` over one orientation:
-        one ``take`` fills the head-blocked CSR with the weights in their own
-        dtype, one SpMM reduces all heads; the result has ``values``' dtype."""
+    def _weighted(self, sorted_weights: np.ndarray, heads: int) -> tuple:
+        """``(data, indices, indptr)`` of the head-blocked CSR filled by one
+        ``take`` with the sorted ``(E, H)`` weights, in their own dtype."""
         sorted_weights = self._check_edge_rows(sorted_weights, "sorted_weights")
-        num_cols, heads, dim = values.shape
-        indices, indptr, gather, shape = self._head_blocked(transpose, heads)
-        data = sorted_weights.reshape(-1).take(gather)
-        out = sp.csr_matrix((data, indices, indptr), shape=shape) \
-            @ values.reshape(num_cols * heads, dim)
-        out = out.astype(values.dtype, copy=False)
-        return out.reshape(self.num_src if transpose else self.num_dst, heads, dim)
+        indices, indptr, gather = self._head_blocked(heads)
+        return sorted_weights.reshape(-1).take(gather), indices, indptr
 
     def u_mul_e_sum_sorted(self, x: np.ndarray, sorted_weights: np.ndarray) -> np.ndarray:
         """``out[d, h] = Σ_{e:(s→d)} w[e, h] · x[s, h]`` with ``x`` of shape
         ``(num_src, H, D)`` and the ``(E, H)`` weights in sorted order."""
-        return self._weighted_spmm(x, sorted_weights, transpose=False)
+        heads = x.shape[1]
+        weighted = sp.csr_matrix(self._weighted(sorted_weights, heads),
+                                 shape=(self.num_dst * heads, self.num_src * heads))
+        return _head_spmm(weighted, x, self.num_dst)
 
     def u_mul_e_sum_t_sorted(self, grad: np.ndarray, sorted_weights: np.ndarray) -> np.ndarray:
         """``out[s, h] = Σ_{e:(s→d)} w[e, h] · grad[d, h]``, the transpose of
-        :meth:`u_mul_e_sum_sorted` (its backward)."""
-        return self._weighted_spmm(grad, sorted_weights, transpose=True)
+        :meth:`u_mul_e_sum_sorted` (its backward): the same filled arrays
+        read as a CSC matrix, which is the forward CSR's transpose."""
+        heads = grad.shape[1]
+        weighted_t = sp.csc_matrix(self._weighted(sorted_weights, heads),
+                                   shape=(self.num_src * heads, self.num_dst * heads))
+        return _head_spmm(weighted_t, grad, self.num_src)
 
     def sddmm(self, x_src: np.ndarray, y_dst: np.ndarray) -> np.ndarray:
         """Sorted per-edge dot products ``out[e, h] = <x_src[s_e, h], y_dst[d_e, h]>``.
@@ -429,8 +402,17 @@ class EdgePlan:
         :data:`SDDMM_BLOCK_BYTES` of operands — at a time, so they stay in
         cache.  Each edge's dot product is the same ``einsum`` reduction as
         the unblocked call, so the result does not depend on the chunking.
+        ``x_src`` must be ``(num_src, H, D)`` and ``y_dst`` ``(num_dst, H, D)``:
+        the gathers clip their indices, so a short operand would otherwise
+        be read silently.
         """
-        o = self._o(False)
+        if (x_src.ndim != 3 or x_src.shape[0] != self.num_src
+                or y_dst.shape != (self.num_dst,) + x_src.shape[1:]):
+            raise ValueError(
+                f"sddmm needs x_src of shape ({self.num_src}, H, D) and y_dst of shape "
+                f"({self.num_dst}, H, D), got {x_src.shape} and {y_dst.shape}"
+            )
+        self._layout()
         heads, dim = x_src.shape[1], x_src.shape[2]
         dtype = np.result_type(x_src, y_dst)
         out = np.empty((self.num_edges, heads), dtype=dtype)
@@ -441,12 +423,12 @@ class EdgePlan:
         # multi-megabyte temporary is mmap'd and page-faulted every time.
         x_buf = np.empty((min(step, self.num_edges), heads, dim), dtype=x_src.dtype)
         y_buf = np.empty((min(step, self.num_edges), heads, dim), dtype=y_dst.dtype)
-        dst = o.rows()
+        dst = self._sorted_dst()
         for start in range(0, self.num_edges, step):
             stop = min(start + step, self.num_edges)
             x_e, y_e = x_buf[:stop - start], y_buf[:stop - start]
             # mode="clip": with the default "raise", ``out`` is buffered.
-            np.take(x_src, o.indices[start:stop], axis=0, out=x_e, mode="clip")
+            np.take(x_src, self._indices[start:stop], axis=0, out=x_e, mode="clip")
             np.take(y_dst, dst[start:stop], axis=0, out=y_e, mode="clip")
             np.einsum("ehd,ehd->eh", x_e, y_e, out=out[start:stop])
         return out

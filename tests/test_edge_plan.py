@@ -22,7 +22,7 @@ from repro.core import (
 )
 from repro.distributed import run_distributed
 from repro.graph import Graph
-from repro.graph.mfg import message_flow_masks
+from repro.graph.mfg import build_mfg_pipeline, message_flow_masks
 from repro.partition import PartitionBook, create_shards, partition_graph
 from repro.tensor import Tensor, edge_plan
 from repro.tensor.edge_plan import EdgePlan
@@ -93,9 +93,8 @@ class TestPlanKernelsMatchNaive:
         src, dst = _random_edges(rng, num_src, num_dst, num_edges, parallel)
         plan = EdgePlan(src, dst, num_dst, num_src)
         vals = rng.standard_normal((len(src), 3)).astype(np.float32)
-        np.testing.assert_allclose(plan.segment_sum_src_sorted(plan.sort_edges(vals)),
-                                   segment_sum_np(vals, src, num_src),
-                                   rtol=1e-5, atol=1e-5)
+        np.testing.assert_array_equal(plan.segment_sum_src_sorted(plan.sort_edges(vals)),
+                                      _source_major_sum(src, dst, num_src, num_dst, vals))
 
     @pytest.mark.parametrize("num_src,num_dst,num_edges,parallel", EDGE_CASES)
     def test_aggregate_sum_mean_and_transpose(self, rng, num_src, num_dst,
@@ -111,9 +110,8 @@ class TestPlanKernelsMatchNaive:
         np.testing.assert_allclose(plan.aggregate_mean(x),
                                    segment_sum_np(x[src], dst, num_dst) / counts,
                                    rtol=1e-5, atol=1e-5)
-        np.testing.assert_allclose(plan.aggregate_sum_t(g),
-                                   segment_sum_np(g[dst], src, num_src),
-                                   rtol=1e-5, atol=1e-5)
+        np.testing.assert_array_equal(plan.aggregate_sum_t(g),
+                                      _source_major_aggregate(src, dst, num_src, g))
 
     @pytest.mark.parametrize("num_src,num_dst,num_edges,parallel", EDGE_CASES)
     def test_aggregate_max_min(self, rng, num_src, num_dst, num_edges, parallel):
@@ -407,6 +405,20 @@ def _per_head_spmm(rows, cols, num_rows, num_cols, weights, x):
     return out
 
 
+def _source_major_aggregate(src, dst, num_src, g):
+    """``out[s] = Σ_{e:(s→d)} g[d]`` through a source-major CSR: per source in
+    ascending destination order, ties in input order."""
+    ones = np.ones((len(src), 1), dtype=np.float32)
+    return _per_head_spmm(src, dst, num_src, len(g), ones, g[:, None, :])[:, 0]
+
+
+def _source_major_sum(src, dst, num_src, num_dst, per_edge):
+    """``out[s] = Σ_{e:(s→d)} per_edge[e]`` in the source-major CSR's order:
+    the per-edge ``(E, K)`` values are the weights of a unit-feature SpMM."""
+    unit = np.ones((num_dst, per_edge.shape[1], 1), dtype=per_edge.dtype)
+    return _per_head_spmm(src, dst, num_src, num_dst, per_edge, unit)[..., 0]
+
+
 class TestSortedEdgeSpace:
     @pytest.mark.parametrize("num_src,num_dst,build", SORTED_SPACE_BLOCKS)
     @pytest.mark.parametrize("heads,dim", [(3, 4), (1, 5), (2, 1)])
@@ -429,9 +441,8 @@ class TestSortedEdgeSpace:
         np.testing.assert_allclose(plan.segment_sum_sorted(sorted_edge),
                                    segment_sum_np(per_edge, dst, num_dst),
                                    rtol=1e-5, atol=1e-5)
-        np.testing.assert_allclose(plan.segment_sum_src_sorted(sorted_edge),
-                                   segment_sum_np(per_edge, src, num_src),
-                                   rtol=1e-5, atol=1e-5)
+        np.testing.assert_array_equal(plan.segment_sum_src_sorted(sorted_edge),
+                                      _source_major_sum(src, dst, num_src, num_dst, per_edge))
         np.testing.assert_array_equal(plan.segment_max_sorted(sorted_edge),
                                       segment_max_np(per_edge, dst, num_dst))
 
@@ -456,13 +467,19 @@ class TestSortedEdgeSpace:
         np.testing.assert_array_equal(
             transpose, _per_head_spmm(src, dst, num_src, num_dst, per_edge, y_dst))
 
-    def test_head_blocked_structure_is_built_once_per_orientation_and_heads(self, rng):
+    def test_head_blocked_structure_is_built_once_per_head_count(self, rng):
+        """The forward SpMM and its transpose share one structure per head
+        count."""
         src, dst = _random_edges(rng, 25, 25, 90, parallel=True)
         plan = EdgePlan(src, dst, 25, 25)
-        first = {(t, h): plan._head_blocked(t, h) for t in (False, True) for h in (1, 4)}
-        assert len({id(b) for b in first.values()}) == 4
-        for key, blocked in first.items():
-            assert plan._head_blocked(*key) is blocked
+        w = plan.sort_edges(rng.standard_normal((len(src), 4)))
+        plan.u_mul_e_sum_sorted(np.zeros((25, 4, 2)), w)
+        plan.u_mul_e_sum_t_sorted(np.zeros((25, 4, 2)), w)
+        first = {h: plan._head_blocked(h) for h in (1, 4)}
+        assert len({id(b) for b in first.values()}) == 2
+        for heads, blocked in first.items():
+            assert plan._head_blocked(heads) is blocked
+        assert plan._blocked.keys() == {1, 4}
         with pytest.raises(ValueError, match="one per edge"):
             plan.u_mul_e_sum_sorted(np.zeros((25, 4, 2)), np.zeros((len(src) + 1, 4)))
 
@@ -493,8 +510,7 @@ class TestSortedEdgeSpace:
 
         run_distributed(worker, 2, worker_args=shards)
         for rank, (warm, *epochs) in seen.items():
-            assert {key for _, key in warm[1]} == {(t, h) for t in (False, True)
-                                                   for h in (1, 4)}
+            assert {key for _, key in warm[1]} == {1, 4}
             assert all(epoch == warm for epoch in epochs), f"rank {rank} rebuilt"
 
     @pytest.mark.parametrize("num_src,num_dst,build", SORTED_SPACE_BLOCKS)
@@ -513,6 +529,47 @@ class TestSortedEdgeSpace:
         for edges_per_chunk in (1, 7, 64, 10 ** 6):  # ragged tails, one chunk
             monkeypatch.setattr(edge_plan, "SDDMM_BLOCK_BYTES", edges_per_chunk * row_bytes)
             np.testing.assert_array_equal(plan.sddmm(x_src, y_dst), expected)
+
+    def test_sddmm_rejects_operands_of_the_wrong_shape(self, rng):
+        """The chunked gathers clip their indices, so a short operand must be
+        refused at entry instead of read as its last row repeated."""
+        plan = EdgePlan([0, 1, 2, 3], [0, 0, 1, 1], 2, 4)
+        x_src = rng.standard_normal((4, 2, 3))
+        y_dst = rng.standard_normal((2, 2, 3))
+        assert plan.sddmm(x_src, y_dst).shape == (4, 2)
+        for bad_x, bad_y in ((x_src[:2], y_dst), (x_src, y_dst[:1]),
+                             (x_src, y_dst[:, :1]), (x_src, y_dst[..., :2]),
+                             (x_src[:, 0], y_dst[:, 0])):
+            with pytest.raises(ValueError, match="sddmm needs"):
+                plan.sddmm(bad_x, bad_y)
+
+    def test_one_block_sorts_its_edges_once(self, rng, monkeypatch, sbm_graph):
+        """A GAT and a max-pooling layer, forward and backward, over one fresh
+        block: every kernel, the transposes included, reads the one
+        destination-major sort."""
+        block = build_mfg_pipeline(sbm_graph, np.arange(0, sbm_graph.num_nodes, 7),
+                                   num_layers=1).blocks[0]
+        sorts = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def argsort(self, *args, **kwargs):
+                sorts.append("argsort")
+                return np.argsort(*args, **kwargs)
+
+            def lexsort(self, *args, **kwargs):
+                sorts.append("lexsort")
+                return np.lexsort(*args, **kwargs)
+
+        monkeypatch.setattr(edge_plan, "np", CountingNumpy())
+        x = Tensor(rng.standard_normal((block.num_src_nodes, 8)).astype(np.float32),
+                   requires_grad=True)
+        for layer in (nn.GATConv(8, 4, num_heads=2), nn.SageConv(8, 4, aggregator="max")):
+            layer(block, x).sum().backward()
+        assert x.grad is not None and np.isfinite(x.grad).all()
+        assert sorts == ["argsort"]
 
     @pytest.mark.parametrize("slope", NEGATIVE_SLOPES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
