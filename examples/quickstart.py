@@ -20,12 +20,10 @@ from repro import nn
 from repro.core import SARConfig
 from repro.datasets import ogbn_products_mini
 from repro.training import DistributedTrainer, TrainingConfig
-from repro.utils.logging import enable_console_logging
 from repro.utils.seed import set_seed
 
 
 def main() -> None:
-    enable_console_logging()
     set_seed(0)
 
     dataset = ogbn_products_mini(scale=0.5)

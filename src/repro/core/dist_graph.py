@@ -88,10 +88,6 @@ class DistributedGraph:
         return self.comm.rank
 
     @property
-    def world_size(self) -> int:
-        return self.comm.world_size
-
-    @property
     def num_nodes(self) -> int:
         """Number of *local* nodes (the rows of this worker's feature matrix)."""
         return self.shard.num_local_nodes
@@ -99,10 +95,6 @@ class DistributedGraph:
     @property
     def num_total_nodes(self) -> int:
         return self.shard.num_total_nodes
-
-    @property
-    def ndata(self) -> Dict[str, np.ndarray]:
-        return self.shard.node_data
 
     @property
     def global_node_ids(self) -> np.ndarray:
@@ -129,11 +121,6 @@ class DistributedGraph:
         return x
 
     # ------------------------------------------------------------------ #
-    @property
-    def feature_store(self):
-        """The attached :class:`~repro.store.PartitionedKVStore`, or ``None``."""
-        return self.engine.feature_store
-
     def attach_feature_store(self, store) -> None:
         """Route halo fetches of the store's rows through its hot-row cache.
 
@@ -158,7 +145,7 @@ class DistributedGraph:
 
     def __repr__(self) -> str:
         return (
-            f"DistributedGraph(rank={self.rank}/{self.world_size}, mode={self.config.mode!r}, "
+            f"DistributedGraph(rank={self.rank}/{self.comm.world_size}, mode={self.config.mode!r}, "
             f"local_nodes={self.num_nodes}, halo={self.shard.halo_size}, "
             f"relations={list(self.halos)})"
         )

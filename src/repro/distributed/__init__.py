@@ -16,7 +16,6 @@ from repro.distributed.cost_model import (
     EpochCostReport,
     WorkerCost,
     epoch_cost,
-    scaling_table,
     PAPER_LIKE_SPEC,
     COMM_BOUND_SPEC,
     PREFETCH_OVERLAP_TAGS,
@@ -34,7 +33,6 @@ __all__ = [
     "EpochCostReport",
     "WorkerCost",
     "epoch_cost",
-    "scaling_table",
     "PAPER_LIKE_SPEC",
     "COMM_BOUND_SPEC",
     "PREFETCH_OVERLAP_TAGS",

@@ -25,7 +25,7 @@ vanilla-DP bar at 32 machines): a worker whose peak live tensor bytes exceed
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.distributed.cluster import ClusterRunResult
 
@@ -138,16 +138,6 @@ class EpochCostReport:
         """Comm time hidden behind compute by prefetch (slowest worker)."""
         return max(w.hidden_comm_time_s for w in self.workers) if self.workers else 0.0
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "epoch_time_s": self.epoch_time_s,
-            "compute_time_s": self.compute_time_s,
-            "comm_time_s": self.comm_time_s,
-            "hidden_comm_time_s": self.hidden_comm_time_s,
-            "max_peak_memory_mb": self.max_peak_memory_mb,
-            "any_oom": self.any_oom,
-        }
-
 
 def epoch_cost(
     result: ClusterRunResult,
@@ -196,13 +186,3 @@ def epoch_cost(
         )
     return EpochCostReport(spec=spec, workers=workers)
 
-
-def scaling_table(reports: Dict[int, EpochCostReport]) -> List[Dict[str, float]]:
-    """Flatten ``{num_workers: report}`` into printable benchmark rows."""
-    rows = []
-    for world_size in sorted(reports):
-        report = reports[world_size]
-        row = {"num_workers": world_size}
-        row.update(report.as_dict())
-        rows.append(row)
-    return rows

@@ -12,7 +12,6 @@ from repro.graph.mfg import (
     MFGBlock,
     MFGPipeline,
     build_mfg_pipeline,
-    message_flow_masks,
     mfg_savings,
     required_node_counts,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "barabasi_albert",
     "ring_graph",
     "star_graph",
-    "message_flow_masks",
     "required_node_counts",
     "mfg_savings",
     "MFGBlock",

@@ -58,10 +58,6 @@ class InEdgeIndex:
         np.cumsum(np.bincount(dst, minlength=self.num_dst_nodes), out=indptr[1:])
         self.indptr = indptr
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.eids)
-
     def degrees(self, nodes: np.ndarray) -> np.ndarray:
         return self.indptr[nodes + 1] - self.indptr[nodes]
 

@@ -12,8 +12,8 @@ read from the graph's cached in-edge index in O(sum of their in-degrees);
 :func:`build_mfg_pipeline` chains it ``L`` times from the seeds, each block's
 source nodes becoming the next level's destinations — the full-neighbour case
 of DGL's sampler, and of :class:`~repro.sample.neighbor.NeighborSampler` at
-``fanout=-1``.  :func:`message_flow_masks`, :func:`required_node_counts` and
-:func:`mfg_savings` are views of the pipeline's per-level node lists.
+``fanout=-1``.  :func:`required_node_counts` and :func:`mfg_savings` are
+views of the pipeline's per-level node lists.
 
 Each conv layer becomes one compacted bipartite :class:`MFGBlock` holding
 the graph's ``{relation: (src, dst)}`` edge sets — a homogeneous graph's
@@ -49,24 +49,6 @@ from repro.graph.in_edges import InEdgeIndex, candidate_positions
 from repro.tensor import ops
 from repro.tensor.edge_plan import EdgePlan
 from repro.utils.validation import check_1d_int_array, check_positive_int
-
-
-def message_flow_masks(graph: Graph, seed_nodes,
-                       num_layers: int) -> List[np.ndarray]:
-    """Per-layer boolean masks of nodes whose features must be computed.
-
-    Returns a list of ``num_layers + 1`` masks: entry ``l`` marks the nodes
-    whose layer-``l`` activations are required (entry ``0`` is the input
-    layer, entry ``num_layers`` the output layer and equals the seed set).
-    On a relational graph the receptive field expands along every relation
-    at once, as R-GCN layers aggregate over all of them.
-    """
-    masks = []
-    for nodes in build_mfg_pipeline(graph, seed_nodes, num_layers).node_lists:
-        mask = np.zeros(graph.num_nodes, dtype=bool)
-        mask[nodes] = True
-        masks.append(mask)
-    return masks
 
 
 def required_node_counts(graph: Graph, seed_nodes,

@@ -1,10 +1,9 @@
 """Neural-network layers and models (the DGL-layers substitute)."""
 
-from repro.nn.module import Module, Parameter, ModuleList, Sequential
+from repro.nn.module import Module, Parameter, ModuleList
 from repro.nn.linear import Linear
-from repro.nn.activation import ReLU, LeakyReLU, ELU, Sigmoid, Tanh
 from repro.nn.dropout import Dropout
-from repro.nn.norm import BatchNorm1d, DistributedBatchNorm
+from repro.nn.norm import DistributedBatchNorm
 from repro.nn.sage import SageConv
 from repro.nn.gat import GATConv
 from repro.nn.gat_fused import FusedGATConv
@@ -15,15 +14,8 @@ __all__ = [
     "Module",
     "Parameter",
     "ModuleList",
-    "Sequential",
     "Linear",
-    "ReLU",
-    "LeakyReLU",
-    "ELU",
-    "Sigmoid",
-    "Tanh",
     "Dropout",
-    "BatchNorm1d",
     "DistributedBatchNorm",
     "SageConv",
     "GATConv",

@@ -170,25 +170,3 @@ class ModuleList(Module):
     def forward(self, *args, **kwargs):  # pragma: no cover - container only
         raise RuntimeError("ModuleList is a container and cannot be called directly")
 
-
-class Sequential(Module):
-    """Apply modules one after another: ``Sequential(a, b)(x) == b(a(x))``."""
-
-    def __init__(self, *modules: Module):
-        super().__init__()
-        self._items: List[Module] = []
-        for index, module in enumerate(modules):
-            self._items.append(module)
-            self._modules[str(index)] = module
-            object.__setattr__(self, str(index), module)
-
-    def forward(self, x):
-        for module in self._items:
-            x = module(x)
-        return x
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, index: int) -> Module:
-        return self._items[index]

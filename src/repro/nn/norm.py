@@ -8,7 +8,7 @@ terms of the batch-norm gradient so that the result is numerically identical
 to single-machine batch norm over the full feature matrix — while only ever
 communicating ``O(F)`` numbers per worker.
 
-:class:`BatchNorm1d` is the single-machine special case (``comm=None``).
+With ``comm=None`` the same layer is single-machine batch norm.
 """
 
 from __future__ import annotations
@@ -149,12 +149,3 @@ class DistributedBatchNorm(Module):
         mode = "distributed" if self.comm is not None else "local"
         return f"DistributedBatchNorm(num_features={self.num_features}, mode={mode})"
 
-
-class BatchNorm1d(DistributedBatchNorm):
-    """Single-machine batch normalization (``DistributedBatchNorm`` without a communicator)."""
-
-    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
-        super().__init__(num_features, comm=None, eps=eps, momentum=momentum)
-
-    def __repr__(self) -> str:
-        return f"BatchNorm1d(num_features={self.num_features})"

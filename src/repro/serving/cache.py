@@ -138,11 +138,6 @@ class EmbeddingCache:
             self._rows.clear()
             return self.version
 
-    def clear(self) -> None:
-        """Drop all rows without advancing the version (e.g. between bench phases)."""
-        with self._lock:
-            self._rows.clear()
-
     def stats(self) -> Dict[str, int]:
         """Telemetry snapshot: hit/miss/insert/evict counters and byte usage."""
         with self._lock:

@@ -53,11 +53,6 @@ class DenseStore(FeatureStore):
     def version(self) -> int:
         return self._version
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The backing matrix itself (the zero-copy fast path)."""
-        return self._matrix
-
     def gather(self, node_ids: Optional[np.ndarray]) -> np.ndarray:
         if node_ids is None:
             return self._matrix

@@ -12,7 +12,6 @@ from repro.tensor.tensor import (
     no_grad,
     enable_grad,
     grad_enabled,
-    tensor,
     zeros,
     ones,
     zeros_like,
@@ -35,7 +34,6 @@ __all__ = [
     "no_grad",
     "enable_grad",
     "grad_enabled",
-    "tensor",
     "zeros",
     "ones",
     "zeros_like",

@@ -370,8 +370,16 @@ class EdgePlan:
 
     def _weighted(self, sorted_weights: np.ndarray, heads: int) -> tuple:
         """``(data, indices, indptr)`` of the head-blocked CSR filled by one
-        ``take`` with the sorted ``(E, H)`` weights, in their own dtype."""
-        sorted_weights = self._check_edge_rows(sorted_weights, "sorted_weights")
+        ``take`` with the sorted ``(E, H)`` weights, in their own dtype.
+
+        ``heads`` comes from the dense operand; weights of any other shape
+        would be read flattened, mixing heads, so they are refused."""
+        sorted_weights = np.asarray(sorted_weights)
+        if sorted_weights.shape != (self.num_edges, heads):
+            raise ValueError(
+                f"sorted_weights must have shape ({self.num_edges}, {heads}), one per "
+                f"edge and head, got {sorted_weights.shape}"
+            )
         indices, indptr, gather = self._head_blocked(heads)
         return sorted_weights.reshape(-1).take(gather), indices, indptr
 

@@ -1,9 +1,9 @@
-"""Neural-network functional operations (activations, losses, dropout).
+"""Neural-network functional operations (activations, dropout, the loss).
 
 These complement the primitive ops in :mod:`repro.tensor.ops` with the fused
-operations GNN layers need: numerically stable softmax / log-softmax /
-cross-entropy, dropout with an explicit training flag, and the activation
-functions used by GraphSage, GAT and R-GCN.
+operations the models need: the ReLU and ELU activations of GraphSage, GAT
+and R-GCN, dropout with an explicit training flag, and a numerically stable
+softmax cross-entropy.
 """
 
 from __future__ import annotations
@@ -27,39 +27,6 @@ class ReLU(Function):
     def backward(self, grad_out):
         (mask,) = self.saved
         return (grad_out * mask,)
-
-
-class LeakyReLU(Function):
-    def forward(self, a: Tensor, negative_slope: float = 0.2) -> np.ndarray:
-        mask = a.data > 0
-        self.save_for_backward(mask, negative_slope)
-        return np.where(mask, a.data, negative_slope * a.data)
-
-    def backward(self, grad_out):
-        mask, slope = self.saved
-        return (np.where(mask, grad_out, slope * grad_out),)
-
-
-class Sigmoid(Function):
-    def forward(self, a: Tensor) -> np.ndarray:
-        out = 1.0 / (1.0 + np.exp(-a.data))
-        self.save_for_backward(out)
-        return out
-
-    def backward(self, grad_out):
-        (out,) = self.saved
-        return (grad_out * out * (1.0 - out),)
-
-
-class Tanh(Function):
-    def forward(self, a: Tensor) -> np.ndarray:
-        out = np.tanh(a.data)
-        self.save_for_backward(out)
-        return out
-
-    def backward(self, grad_out):
-        (out,) = self.saved
-        return (grad_out * (1.0 - out * out),)
 
 
 class ELU(Function):
@@ -91,59 +58,8 @@ def relu(a: Tensor) -> Tensor:
     return ReLU.apply(a)
 
 
-def leaky_relu(a: Tensor, negative_slope: float = 0.2) -> Tensor:
-    return LeakyReLU.apply(a, negative_slope)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    return Sigmoid.apply(a)
-
-
-def tanh(a: Tensor) -> Tensor:
-    return Tanh.apply(a)
-
-
 def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
     return ELU.apply(a, alpha)
-
-
-# --------------------------------------------------------------------------- #
-# softmax family
-# --------------------------------------------------------------------------- #
-class Softmax(Function):
-    def forward(self, a: Tensor, axis: int = -1) -> np.ndarray:
-        shifted = a.data - a.data.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        out = exp / exp.sum(axis=axis, keepdims=True)
-        self.save_for_backward(out, axis)
-        return out
-
-    def backward(self, grad_out):
-        out, axis = self.saved
-        dot = (grad_out * out).sum(axis=axis, keepdims=True)
-        return (out * (grad_out - dot),)
-
-
-class LogSoftmax(Function):
-    def forward(self, a: Tensor, axis: int = -1) -> np.ndarray:
-        shifted = a.data - a.data.max(axis=axis, keepdims=True)
-        logsumexp = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        out = shifted - logsumexp
-        self.save_for_backward(out, axis)
-        return out
-
-    def backward(self, grad_out):
-        out, axis = self.saved
-        softmax = np.exp(out)
-        return (grad_out - softmax * grad_out.sum(axis=axis, keepdims=True),)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    return Softmax.apply(a, axis)
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    return LogSoftmax.apply(a, axis)
 
 
 # --------------------------------------------------------------------------- #
@@ -222,30 +138,3 @@ class CrossEntropy(Function):
 
 def cross_entropy(logits: Tensor, labels, reduction: str = "mean") -> Tensor:
     return CrossEntropy.apply(logits, np.asarray(labels), reduction)
-
-
-def nll_loss(log_probs: Tensor, labels, reduction: str = "mean") -> Tensor:
-    """Negative log-likelihood over precomputed log-probabilities.
-
-    Implemented with a one-hot mask so it reuses the primitive ops; prefer
-    :func:`cross_entropy` (a fused op) in performance-sensitive paths.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    n = log_probs.shape[0]
-    onehot = np.zeros(log_probs.shape, dtype=log_probs.dtype)
-    onehot[np.arange(n), labels] = 1.0
-    per_node = -(log_probs * Tensor(onehot)).sum(axis=1)
-    if reduction == "mean":
-        return per_node.mean()
-    if reduction == "sum":
-        return per_node.sum()
-    return per_node
-
-
-def accuracy(logits: Tensor | np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of rows whose argmax matches ``labels`` (not differentiable)."""
-    data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    labels = np.asarray(labels)
-    if data.shape[0] == 0:
-        return float("nan")
-    return float((data.argmax(axis=1) == labels).mean())

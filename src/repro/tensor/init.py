@@ -1,4 +1,4 @@
-"""Parameter initializers (Glorot / Kaiming / constant).
+"""Parameter initializers (Glorot uniform / constant).
 
 Initializers return plain NumPy arrays; :class:`repro.nn.module.Parameter`
 wraps them into gradient-tracking tensors.  All randomness comes from the
@@ -32,33 +32,6 @@ def xavier_uniform(shape: Sequence[int], gain: float = 1.0, dtype=DEFAULT_DTYPE)
     fan_in, fan_out = _fan_in_fan_out(shape)
     limit = gain * math.sqrt(6.0 / (fan_in + fan_out))
     return get_rng().uniform(-limit, limit, size=shape).astype(dtype)
-
-
-def xavier_normal(shape: Sequence[int], gain: float = 1.0, dtype=DEFAULT_DTYPE) -> np.ndarray:
-    """Glorot/Xavier normal initialization."""
-    fan_in, fan_out = _fan_in_fan_out(shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return (get_rng().normal(0.0, std, size=shape)).astype(dtype)
-
-
-def kaiming_uniform(shape: Sequence[int], a: float = math.sqrt(5), dtype=DEFAULT_DTYPE) -> np.ndarray:
-    """He/Kaiming uniform initialization (PyTorch ``Linear`` default)."""
-    fan_in, _ = _fan_in_fan_out(shape)
-    gain = math.sqrt(2.0 / (1 + a * a))
-    bound = gain * math.sqrt(3.0 / fan_in)
-    return get_rng().uniform(-bound, bound, size=shape).astype(dtype)
-
-
-def uniform(shape: Sequence[int], low: float = -0.1, high: float = 0.1,
-            dtype=DEFAULT_DTYPE) -> np.ndarray:
-    """Uniform initialization in ``[low, high)``."""
-    return get_rng().uniform(low, high, size=shape).astype(dtype)
-
-
-def normal(shape: Sequence[int], mean: float = 0.0, std: float = 0.01,
-           dtype=DEFAULT_DTYPE) -> np.ndarray:
-    """Gaussian initialization."""
-    return get_rng().normal(mean, std, size=shape).astype(dtype)
 
 
 def zeros(shape: Sequence[int], dtype=DEFAULT_DTYPE) -> np.ndarray:

@@ -127,15 +127,6 @@ class MemoryTracker:
         with self._lock:
             self.peak_bytes = self.current_bytes
 
-    def reset(self) -> None:
-        """Fully reset counters (live buffers are forgotten, use with care)."""
-        with self._lock:
-            self._held.clear()
-            self.current_bytes = 0
-            self.peak_bytes = 0
-            self.total_allocated_bytes = 0
-            self.num_allocations = 0
-
     @property
     def peak_mb(self) -> float:
         """Peak live buffer memory in megabytes."""

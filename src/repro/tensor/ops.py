@@ -141,16 +141,6 @@ class Sqrt(Function):
         return (grad_out * 0.5 / out,)
 
 
-class Cast(Function):
-    def forward(self, a: Tensor, dtype) -> np.ndarray:
-        self.save_for_backward(a.data.dtype)
-        return a.data.astype(dtype)
-
-    def backward(self, grad_out):
-        (dtype,) = self.saved
-        return (grad_out.astype(dtype),)
-
-
 # --------------------------------------------------------------------------- #
 # matmul
 # --------------------------------------------------------------------------- #
@@ -384,10 +374,6 @@ def log(a: Tensor) -> Tensor:
 
 def sqrt(a: Tensor) -> Tensor:
     return Sqrt.apply(_wrap(a))
-
-
-def cast(a: Tensor, dtype) -> Tensor:
-    return Cast.apply(_wrap(a), dtype)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -1,8 +1,8 @@
-"""Optimizers and learning-rate schedules.
+"""Optimizers and the learning-rate schedule.
 
 The paper trains for 100 epochs with Adam and a decaying learning rate; the
-trainer in :mod:`repro.training.trainer` combines :class:`Adam` with
-:class:`StepDecay` or :class:`CosineDecay`.
+trainer in :mod:`repro.training.trainer` combines :class:`Adam` (and
+:class:`SparseAdam` for a trainable feature store) with :class:`CosineDecay`.
 """
 
 from __future__ import annotations
@@ -15,10 +15,12 @@ import numpy as np
 from repro.tensor.tensor import Tensor
 
 
-class Optimizer:
-    """Base optimizer holding a flat list of parameters."""
+class Adam:
+    """Adam optimizer (Kingma & Ba, 2015) over a flat list of parameters."""
 
-    def __init__(self, params: Iterable[Tensor], lr: float):
+    def __init__(self, params: Iterable[Tensor], lr: float = 1e-3,
+                 betas: Sequence[float] = (0.9, 0.999), eps: float = 1e-8,
+                 weight_decay: float = 0.0):
         self.params: List[Tensor] = list(params)
         if not self.params:
             raise ValueError("Optimizer received an empty parameter list")
@@ -29,57 +31,6 @@ class Optimizer:
             raise ValueError(f"Learning rate must be positive, got {lr}")
         self.lr = float(lr)
         self.initial_lr = float(lr)
-
-    def zero_grad(self) -> None:
-        """Clear all parameter gradients."""
-        for p in self.params:
-            p.grad = None
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def state_dict(self) -> Dict:
-        return {"lr": self.lr}
-
-    def load_state_dict(self, state: Dict) -> None:
-        self.lr = float(state["lr"])
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, params: Iterable[Tensor], lr: float = 0.01, momentum: float = 0.0,
-                 weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        if momentum < 0:
-            raise ValueError(f"momentum must be non-negative, got {momentum}")
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, vel in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                vel *= self.momentum
-                vel += grad
-                update = vel
-            else:
-                update = grad
-            p.data -= self.lr * update
-
-
-class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba, 2015)."""
-
-    def __init__(self, params: Iterable[Tensor], lr: float = 1e-3,
-                 betas: Sequence[float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
-        super().__init__(params, lr)
         beta1, beta2 = betas
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError(f"betas must lie in [0, 1), got {betas}")
@@ -89,6 +40,11 @@ class Adam(Optimizer):
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+
+    def zero_grad(self) -> None:
+        """Clear all parameter gradients."""
+        for p in self.params:
+            p.grad = None
 
     def step(self) -> None:
         self._step_count += 1
@@ -124,10 +80,10 @@ class Adam(Optimizer):
 
 
 # --------------------------------------------------------------------------- #
-# sparse optimizers (trainable feature stores)
+# the sparse optimizer (trainable feature stores)
 # --------------------------------------------------------------------------- #
-class SparseOptimizer:
-    """Base optimizer over a *trainable feature store* instead of Tensors.
+class SparseAdam:
+    """Row-sparse Adam over a *trainable feature store* instead of Tensors.
 
     A trainable store (``repro.store.SparseEmbeddingStore``) accumulates
     per-row gradients during backward; :meth:`step` pulls them **coalesced**
@@ -137,16 +93,24 @@ class SparseOptimizer:
     regardless of table height — the whole point versus putting the table
     into a dense optimizer.
 
+    Each row keeps its own ``t`` (number of times it has been updated), so
+    the bias correction ``1 - beta^t`` is exact for rows that are touched
+    rarely — a global step count would under-correct cold rows' moments and
+    make early updates on them too small.  Moments of untouched rows are
+    left untouched (no decay while absent), matching ``torch.optim.
+    SparseAdam``.
+
     The store is duck-typed (``pending_gradients`` / ``clear_pending`` /
     ``apply_row_update`` / ``trainable``), keeping the tensor layer free of a
-    dependency on :mod:`repro.store`.  The ``lr`` attribute and
-    ``initial_lr`` match :class:`Optimizer`, so the :class:`LRScheduler`
-    family drives sparse optimizers unchanged.
+    dependency on :mod:`repro.store`.  The ``lr`` and ``initial_lr``
+    attributes match :class:`Adam`'s, so :class:`CosineDecay` drives it
+    unchanged.
     """
 
     _REQUIRED = ("pending_gradients", "clear_pending", "apply_row_update")
 
-    def __init__(self, store, lr: float):
+    def __init__(self, store, lr: float = 1e-3,
+                 betas: Sequence[float] = (0.9, 0.999), eps: float = 1e-8):
         if not getattr(store, "trainable", False):
             raise TypeError(
                 f"{type(store).__name__} is not a trainable feature store"
@@ -164,6 +128,14 @@ class SparseOptimizer:
         self.initial_lr = float(lr)
         self.steps_taken = 0
         self.rows_updated = 0
+        beta1, beta2 = betas
+        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
+            raise ValueError(f"betas must lie in [0, 1), got {betas}")
+        self.beta1, self.beta2 = float(beta1), float(beta2)
+        self.eps = float(eps)
+        self._m = np.zeros((store.num_rows, store.dim), dtype=np.float32)
+        self._v = np.zeros((store.num_rows, store.dim), dtype=np.float32)
+        self._t = np.zeros(store.num_rows, dtype=np.int64)
 
     def zero_grad(self) -> None:
         """Drop the store's pending gradients."""
@@ -189,71 +161,6 @@ class SparseOptimizer:
         return len(ids)
 
     def _delta(self, ids: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        raise NotImplementedError  # pragma: no cover - abstract
-
-    def state_dict(self) -> Dict:
-        return {"lr": self.lr, "steps_taken": self.steps_taken}
-
-    def load_state_dict(self, state: Dict) -> None:
-        self.lr = float(state["lr"])
-        self.steps_taken = int(state.get("steps_taken", 0))
-
-
-class SparseSGD(SparseOptimizer):
-    """Row-sparse SGD: only rows with pending gradients move.
-
-    With ``momentum``, velocity is kept per row and decayed *only when the
-    row is touched* — the standard sparse-momentum semantics (a row's
-    velocity is frozen, not decayed, while the row sits out a batch).
-    ``weight_decay`` likewise applies only to touched rows.
-    """
-
-    def __init__(self, store, lr: float = 0.01, momentum: float = 0.0,
-                 weight_decay: float = 0.0):
-        super().__init__(store, lr)
-        if momentum < 0:
-            raise ValueError(f"momentum must be non-negative, got {momentum}")
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self._velocity = (
-            np.zeros((store.num_rows, store.dim), dtype=store.dtype)
-            if momentum else None
-        )
-
-    def _delta(self, ids: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        if self.weight_decay:
-            grads = grads + self.weight_decay * self.store.gather(ids)
-        if self._velocity is not None:
-            vel = self.momentum * self._velocity[ids] + grads
-            self._velocity[ids] = vel
-            grads = vel
-        return (-self.lr * grads).astype(self.store.dtype, copy=False)
-
-
-class SparseAdam(SparseOptimizer):
-    """Row-sparse Adam with **per-row** step counts and bias correction.
-
-    Each row keeps its own ``t`` (number of times it has been updated), so
-    the bias correction ``1 - beta^t`` is exact for rows that are touched
-    rarely — a global step count would under-correct cold rows' moments and
-    make early updates on them too small.  Moments of untouched rows are
-    left untouched (no decay while absent), matching ``torch.optim.
-    SparseAdam``.
-    """
-
-    def __init__(self, store, lr: float = 1e-3,
-                 betas: Sequence[float] = (0.9, 0.999), eps: float = 1e-8):
-        super().__init__(store, lr)
-        beta1, beta2 = betas
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError(f"betas must lie in [0, 1), got {betas}")
-        self.beta1, self.beta2 = float(beta1), float(beta2)
-        self.eps = float(eps)
-        self._m = np.zeros((store.num_rows, store.dim), dtype=np.float32)
-        self._v = np.zeros((store.num_rows, store.dim), dtype=np.float32)
-        self._t = np.zeros(store.num_rows, dtype=np.int64)
-
-    def _delta(self, ids: np.ndarray, grads: np.ndarray) -> np.ndarray:
         grads = grads.astype(np.float32, copy=False)
         self._t[ids] += 1
         t = self._t[ids]
@@ -268,78 +175,33 @@ class SparseAdam(SparseOptimizer):
         delta = -self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
         return delta.astype(self.store.dtype, copy=False)
 
-    def state_dict(self) -> Dict:
-        return {
-            "lr": self.lr,
-            "steps_taken": self.steps_taken,
-            "m": self._m.copy(),
-            "v": self._v.copy(),
-            "t": self._t.copy(),
-        }
-
-    def load_state_dict(self, state: Dict) -> None:
-        super().load_state_dict(state)
-        self._m = np.asarray(state["m"], dtype=np.float32).copy()
-        self._v = np.asarray(state["v"], dtype=np.float32).copy()
-        self._t = np.asarray(state["t"], dtype=np.int64).copy()
-
 
 # --------------------------------------------------------------------------- #
-# learning-rate schedules
+# the learning-rate schedule
 # --------------------------------------------------------------------------- #
-class LRScheduler:
-    """Base class: call :meth:`step` once per epoch *after* ``optimizer.step``."""
+class CosineDecay:
+    """Cosine annealing from the optimizer's initial learning rate to ``min_lr``.
 
-    def __init__(self, optimizer: Optimizer):
+    Call :meth:`step` once per epoch *after* ``optimizer.step``; it drives
+    any optimizer with ``lr`` and ``initial_lr`` attributes (:class:`Adam`,
+    :class:`SparseAdam`).
+    """
+
+    def __init__(self, optimizer, total_epochs: int, min_lr: float = 0.0):
+        if total_epochs <= 0:
+            raise ValueError(f"total_epochs must be positive, got {total_epochs}")
         self.optimizer = optimizer
         self.base_lr = optimizer.initial_lr
         self.epoch = 0
-
-    def get_lr(self, epoch: int) -> float:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def step(self) -> float:
-        self.epoch += 1
-        lr = self.get_lr(self.epoch)
-        self.optimizer.lr = lr
-        return lr
-
-
-class StepDecay(LRScheduler):
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int = 30, gamma: float = 0.5):
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {step_size}")
-        self.step_size = int(step_size)
-        self.gamma = float(gamma)
-
-    def get_lr(self, epoch: int) -> float:
-        return self.base_lr * (self.gamma ** (epoch // self.step_size))
-
-
-class ExponentialDecay(LRScheduler):
-    """Multiply the learning rate by ``gamma`` every epoch."""
-
-    def __init__(self, optimizer: Optimizer, gamma: float = 0.98):
-        super().__init__(optimizer)
-        self.gamma = float(gamma)
-
-    def get_lr(self, epoch: int) -> float:
-        return self.base_lr * (self.gamma ** epoch)
-
-
-class CosineDecay(LRScheduler):
-    """Cosine annealing from the base learning rate to ``min_lr``."""
-
-    def __init__(self, optimizer: Optimizer, total_epochs: int, min_lr: float = 0.0):
-        super().__init__(optimizer)
-        if total_epochs <= 0:
-            raise ValueError(f"total_epochs must be positive, got {total_epochs}")
         self.total_epochs = int(total_epochs)
         self.min_lr = float(min_lr)
 
     def get_lr(self, epoch: int) -> float:
         progress = min(epoch / self.total_epochs, 1.0)
         return self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (1 + math.cos(math.pi * progress))
+
+    def step(self) -> float:
+        self.epoch += 1
+        lr = self.get_lr(self.epoch)
+        self.optimizer.lr = lr
+        return lr

@@ -162,10 +162,6 @@ class Tensor:
         name = f", name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{grad_flag}{name})"
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying NumPy array (no copy)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
@@ -183,11 +179,6 @@ class Tensor:
     def copy(self) -> "Tensor":
         """Return a detached deep copy (registered with the active tracker)."""
         return Tensor(self.data.copy(), requires_grad=False, name=self.name)
-
-    def astype(self, dtype) -> "Tensor":
-        from repro.tensor import ops
-
-        return ops.cast(self, dtype)
 
     # ------------------------------------------------------------------ #
     # gradient handling
@@ -528,12 +519,6 @@ def _topological_order(root: "Function") -> List[Union["Function", Tensor]]:
 # --------------------------------------------------------------------------- #
 # convenience constructors
 # --------------------------------------------------------------------------- #
-def tensor(data: Any, requires_grad: bool = False, name: Optional[str] = None,
-           dtype=None) -> Tensor:
-    """Create a :class:`Tensor` (mirrors ``torch.tensor``)."""
-    return Tensor(data, requires_grad=requires_grad, name=name, dtype=dtype)
-
-
 def zeros(shape: Sequence[int] | int, requires_grad: bool = False, dtype=DEFAULT_DTYPE) -> Tensor:
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
 

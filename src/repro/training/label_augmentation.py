@@ -26,11 +26,6 @@ class LabelAugmenter:
         self.num_classes = check_positive_int(num_classes, "num_classes")
         self.augment_fraction = check_probability(augment_fraction, "augment_fraction")
 
-    @property
-    def extra_features(self) -> int:
-        """Number of feature columns the augmentation adds."""
-        return self.num_classes
-
     def augmented_dim(self, feature_dim: int) -> int:
         return feature_dim + self.num_classes
 
@@ -75,10 +70,6 @@ class NoLabelAugmenter:
 
     def __init__(self, num_classes: int):
         self.num_classes = num_classes
-
-    @property
-    def extra_features(self) -> int:
-        return 0
 
     def augmented_dim(self, feature_dim: int) -> int:
         return feature_dim

@@ -52,24 +52,14 @@ from repro.sample.neighbor import NeighborSampler
 from repro.store import FeatureStore, as_feature_store
 from repro.tensor import functional as F
 from repro.tensor import no_grad
-from repro.tensor.optim import (
-    Adam,
-    CosineDecay,
-    LRScheduler,
-    SparseAdam,
-    SparseSGD,
-    StepDecay,
-)
+from repro.tensor.optim import Adam, CosineDecay, SparseAdam
 from repro.tensor.tensor import Tensor
 from repro.training.correct_and_smooth import CorrectAndSmooth
 from repro.training.label_augmentation import LabelAugmenter, NoLabelAugmenter
 from repro.training.metrics import distributed_mean_loss, evaluation_report
-from repro.utils.logging import get_logger
 from repro.utils.seed import temp_seed
 from repro.utils.timing import Timer, WorkerTimer
 from repro.utils.validation import check_1d_int_array
-
-logger = get_logger("training")
 
 ModelFactory = Callable[[int], Module]
 #: one optimiser step, ``(graph-like, inputs, labels, loss mask)``: the model runs over
@@ -96,16 +86,12 @@ class TrainingConfig:
     num_epochs: int = 100
     lr: float = 0.01
     weight_decay: float = 0.0
-    lr_schedule: str = "cosine"  # "cosine" | "step" | "none"
-    lr_step_size: int = 30
-    lr_gamma: float = 0.5
+    lr_schedule: str = "cosine"  # "cosine" | "none"
     label_augmentation: bool = False
-    label_augment_fraction: float = 0.5
     correct_and_smooth: bool = False
     cs_params: CorrectAndSmooth = field(default_factory=CorrectAndSmooth)
     eval_every: int = 0  # 0 = evaluate only after the final epoch
     seed: int = 0
-    verbose: bool = False
     #: Seed node ids for MFG-restricted training (paper Appendix B).  When
     #: set, each training epoch only computes the rows inside the seed set's
     #: receptive field — the loss is evaluated over these seeds — while
@@ -147,10 +133,8 @@ class TrainingConfig:
     feature_store: Optional[Any] = None
     #: Hot-row cache budget for the distributed ``"kv"`` store.
     feature_store_cache_bytes: Optional[int] = 1 << 22
-    #: Optimizer family for a *trainable* feature store: ``"adam"``
-    #: (:class:`~repro.tensor.optim.SparseAdam`) or ``"sgd"``.
-    feature_store_optimizer: str = "adam"
-    #: Learning rate for the trainable store (``None`` = :attr:`lr`).
+    #: Learning rate for the trainable store's
+    #: :class:`~repro.tensor.optim.SparseAdam` (``None`` = :attr:`lr`).
     feature_store_lr: Optional[float] = None
 
     def resolved_sampler_seed(self) -> int:
@@ -159,11 +143,9 @@ class TrainingConfig:
             return int(self.sampler.seed)
         return int(self.seed)
 
-    def build_scheduler(self, optimizer) -> Optional[LRScheduler]:
+    def build_scheduler(self, optimizer) -> Optional[CosineDecay]:
         if self.lr_schedule == "cosine":
             return CosineDecay(optimizer, total_epochs=self.num_epochs)
-        if self.lr_schedule == "step":
-            return StepDecay(optimizer, step_size=self.lr_step_size, gamma=self.lr_gamma)
         return None
 
     def validate(self, model_num_layers: Optional[int], distributed: bool,
@@ -178,16 +160,17 @@ class TrainingConfig:
         its workers) from :class:`FullBatchTrainer`, and ``num_nodes`` is the
         (global) graph's node count, which bounds :attr:`mfg_seeds`.
         """
-        if self.lr_schedule not in ("cosine", "step", "none"):
+        if self.num_epochs < 1:
+            raise ValueError(f"num_epochs must be >= 1, got {self.num_epochs}")
+        if self.eval_every < 0:
+            raise ValueError(
+                f"eval_every must be >= 0 (0 = only after the final epoch), got {self.eval_every}"
+            )
+        if self.lr_schedule not in ("cosine", "none"):
             raise ValueError(f"Unknown lr_schedule {self.lr_schedule!r}")
         if self.eval_inference not in ("full", "layerwise"):
             raise ValueError(
                 f"eval_inference must be 'full' or 'layerwise', got {self.eval_inference!r}"
-            )
-        if self.feature_store_optimizer not in ("adam", "sgd"):
-            raise ValueError(
-                f"feature_store_optimizer must be 'adam' or 'sgd', got "
-                f"{self.feature_store_optimizer!r}"
             )
         if self.sampler is not None and self.mfg_seeds is not None:
             raise ValueError("sampler and mfg_seeds are mutually exclusive")
@@ -302,7 +285,7 @@ class DistributedTrainingResult:
 # --------------------------------------------------------------------------- #
 def _make_augmenter(config: TrainingConfig, num_classes: int):
     if config.label_augmentation:
-        return LabelAugmenter(num_classes, augment_fraction=config.label_augment_fraction)
+        return LabelAugmenter(num_classes)
     return NoLabelAugmenter(num_classes)
 
 
@@ -328,11 +311,10 @@ class _EpochLoop:
     """
 
     comm: Optional[Communicator] = None  # None = single machine
-    rank = 0
     timer_cls = Timer
     #: a trainable feature store's optimizer / scheduler (single machine only)
     sparse_optimizer = None
-    sparse_scheduler: Optional[LRScheduler] = None
+    sparse_scheduler: Optional[CosineDecay] = None
 
     def _batches(self, epoch: int, features, predict_mask: np.ndarray) -> Iterator[Batch]:
         """The epoch's batches over this epoch's (augmented) features.
@@ -374,9 +356,6 @@ class _EpochLoop:
                 record.train_accuracy = accs["train"]
                 record.val_accuracy = accs["val"]
                 record.test_accuracy = accs["test"]
-                if config.verbose and self.rank == 0:
-                    logger.info("epoch %d loss %.4f val %.4f test %.4f",
-                                epoch, loss, accs["val"], accs["test"])
             records.append(record)
 
         final_accs, logits = self.evaluate()
@@ -496,11 +475,7 @@ class FullBatchTrainer(_EpochLoop):
             if store.trainable:
                 lr = config.feature_store_lr if config.feature_store_lr is not None \
                     else config.lr
-                if config.feature_store_optimizer == "adam":
-                    self.sparse_optimizer = SparseAdam(store, lr=lr)
-                else:
-                    self.sparse_optimizer = SparseSGD(store, lr=lr,
-                                                      weight_decay=config.weight_decay)
+                self.sparse_optimizer = SparseAdam(store, lr=lr)
                 self.sparse_scheduler = config.build_scheduler(self.sparse_optimizer)
         self._rng = np.random.default_rng(config.seed)
         self._inference_engine: Optional[LayerWiseInference] = None
@@ -575,7 +550,7 @@ class _DistributedWorker(_EpochLoop):
     def __init__(self, rank: int, comm: Communicator, shard, model_factory: ModelFactory,
                  feature_dim: int, num_classes: int, config: TrainingConfig,
                  sar_config: SARConfig):
-        self.rank, self.comm, self.config = rank, comm, config
+        self.comm, self.config = comm, config
         self.augmenter = _make_augmenter(config, num_classes)
         # Rank 0's initial weights are the ones every rank trains from (broadcast
         # below).  Thread workers draw them from one library-wide generator, so

@@ -1,4 +1,4 @@
-"""Shared utilities: seeding, logging, validation, and timing helpers."""
+"""Shared utilities: seeding, validation, and timing helpers."""
 
 from repro.utils.seed import (
     set_seed,
@@ -9,7 +9,6 @@ from repro.utils.seed import (
     hash_u64,
     derive_rng,
 )
-from repro.utils.logging import get_logger
 from repro.utils.lru import LRUDict
 from repro.utils.timing import Timer, WorkerTimer
 from repro.utils.validation import (
@@ -26,7 +25,6 @@ __all__ = [
     "mix_seed",
     "hash_u64",
     "derive_rng",
-    "get_logger",
     "LRUDict",
     "Timer",
     "WorkerTimer",

@@ -40,10 +40,6 @@ class Timer:
         self._start = None
         return delta
 
-    def reset(self) -> None:
-        self.elapsed = 0.0
-        self._start = None
-
     def __enter__(self) -> "Timer":
         return self.start()
 

@@ -11,7 +11,6 @@ from repro.distributed import (
     ClusterSpec,
     epoch_cost,
     run_distributed,
-    scaling_table,
 )
 from repro.distributed.comm import CommStats
 from repro.distributed.thread_backend import ClusterAborted, ThreadServiceCluster
@@ -382,10 +381,19 @@ class TestCostModel:
         with pytest.raises(ValueError):
             epoch_cost(self._result(), num_epochs=0)
 
-    def test_scaling_table_sorted(self):
+    def test_transfer_time_is_bandwidth_plus_latency(self):
+        spec = ClusterSpec(bandwidth_mbps=2.0, latency_s=0.01)
+        assert np.isclose(spec.transfer_time(4 * 1024 * 1024), 2.0)
+        assert np.isclose(spec.transfer_time(0, messages=3), 0.03)
+        assert np.isclose(spec.transfer_time(1024 * 1024, messages=1), 0.51)
+
+    def test_compute_scale_scales_compute_only(self):
         result = self._result()
-        table = scaling_table({4: epoch_cost(result), 2: epoch_cost(result)})
-        assert [row["num_workers"] for row in table] == [2, 4]
+        base = epoch_cost(result, ClusterSpec(compute_scale=1.0))
+        fast = epoch_cost(result, ClusterSpec(compute_scale=0.5))
+        for a, b in zip(base.workers, fast.workers):
+            assert np.isclose(b.compute_time_s, 0.5 * a.compute_time_s)
+            assert b.comm_time_s == a.comm_time_s
 
 
 class TestSharedStoreFixes:

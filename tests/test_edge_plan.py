@@ -22,7 +22,7 @@ from repro.core import (
 )
 from repro.distributed import run_distributed
 from repro.graph import Graph
-from repro.graph.mfg import build_mfg_pipeline, message_flow_masks
+from repro.graph.mfg import build_mfg_pipeline
 from repro.partition import PartitionBook, create_shards, partition_graph
 from repro.tensor import Tensor, edge_plan
 from repro.tensor.edge_plan import EdgePlan
@@ -252,7 +252,11 @@ class TestPlanBackedAutogradOps:
 class TestMessageFlowMasksWithPlan:
     def test_plan_and_adjacency_masks_agree(self, sbm_graph):
         seeds = np.array([0, 5, 77])
-        with_plan = message_flow_masks(sbm_graph, seeds, 3)
+        with_plan = []
+        for nodes in build_mfg_pipeline(sbm_graph, seeds, 3).node_lists:
+            mask = np.zeros(sbm_graph.num_nodes, dtype=bool)
+            mask[nodes] = True
+            with_plan.append(mask)
         adj_t = sbm_graph.adjacency(transpose=True)
         current = np.zeros(sbm_graph.num_nodes, dtype=bool)
         current[seeds] = True
@@ -542,6 +546,22 @@ class TestSortedEdgeSpace:
                              (x_src[:, 0], y_dst[:, 0])):
             with pytest.raises(ValueError, match="sddmm needs"):
                 plan.sddmm(bad_x, bad_y)
+
+    def test_weighted_spmm_rejects_weights_of_another_head_count(self, rng):
+        """Both weighted SpMMs read ``H`` from the dense operand: ``(E, H')``
+        weights with ``H' != H`` would fill the blocked matrix from the
+        flattened weights, mixing heads, instead of raising."""
+        plan = EdgePlan([0, 1, 2, 3], [0, 0, 1, 1], 2, 4)
+        x = np.arange(16, dtype=np.float64).reshape(4, 2, 2)
+        grad = np.arange(8, dtype=np.float64).reshape(2, 2, 2)
+        weights = np.arange(8, dtype=np.float64).reshape(4, 2)
+        assert plan.u_mul_e_sum_sorted(x, weights).shape == (2, 2, 2)
+        assert plan.u_mul_e_sum_t_sorted(grad, weights).shape == (4, 2, 2)
+        for bad in (np.arange(16.0).reshape(4, 4), weights[:, :1], weights.ravel()):
+            with pytest.raises(ValueError, match="one per edge and head"):
+                plan.u_mul_e_sum_sorted(x, bad)
+            with pytest.raises(ValueError, match="one per edge and head"):
+                plan.u_mul_e_sum_t_sorted(grad, bad)
 
     def test_one_block_sorts_its_edges_once(self, rng, monkeypatch, sbm_graph):
         """A GAT and a max-pooling layer, forward and backward, over one fresh

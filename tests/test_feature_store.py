@@ -28,7 +28,7 @@ from repro.store import (
     as_feature_store,
 )
 from repro.tensor import Tensor
-from repro.tensor.optim import Adam, SparseAdam, SparseSGD
+from repro.tensor.optim import Adam, SparseAdam
 from repro.training import DistributedTrainer, FullBatchTrainer, TrainingConfig
 from repro.utils.lru import LRUDict
 from repro.utils.seed import set_seed
@@ -159,6 +159,9 @@ class TestSparseEmbeddingStore:
         # Row 7 appears twice in the gather: its gradient accumulates.
         assert np.allclose(summed[unique.tolist().index(7)], 4.0)
         assert np.allclose(summed[unique.tolist().index(3)], 2.0)
+        # One backward is one scatter, still pending; the rows have not moved.
+        assert store.stats() == {"version": store.version, "scatter_calls": 1,
+                                 "pending_scatters": 1}
 
     def test_apply_row_update_bumps_version_and_touches_only_rows(self):
         store = SparseEmbeddingStore(50, 4, seed=1)
@@ -190,7 +193,7 @@ class TestSparseEmbeddingStore:
 
 
 # --------------------------------------------------------------------------- #
-# sparse optimizers
+# the sparse optimizer
 # --------------------------------------------------------------------------- #
 class TestSparseOptimizers:
     def test_only_touched_rows_move(self):
@@ -223,28 +226,59 @@ class TestSparseOptimizers:
         assert sparse._t[6] == 2 and sparse._t[0] == 0
 
     def test_grad_scale_matches_prescaled_gradients(self):
+        # Adam's first update barely depends on the gradient's size, so a
+        # second, unscaled step shows whether the first one was scaled.
         g = np.array([[2.0, -4.0]], dtype=np.float32)
-        a = SparseEmbeddingStore(4, 2, weight=np.zeros((4, 2)))
-        b = SparseEmbeddingStore(4, 2, weight=np.zeros((4, 2)))
-        oa, ob = SparseSGD(a, lr=0.1), SparseSGD(b, lr=0.1)
-        a.scatter_grad(np.array([1]), g)
-        oa.step(grad_scale=0.5)
-        b.scatter_grad(np.array([1]), g * 0.5)
-        ob.step()
-        assert np.array_equal(a.weight, b.weight)
+        h = np.array([[1.0, 1.0]], dtype=np.float32)
+        weights = []
+        for first, scale in ((g, 0.5), (g * 0.5, 1.0), (g, 1.0)):
+            store = SparseEmbeddingStore(4, 2, weight=np.zeros((4, 2)))
+            opt = SparseAdam(store, lr=0.1)
+            store.scatter_grad(np.array([1]), first)
+            opt.step(grad_scale=scale)
+            store.scatter_grad(np.array([1]), h)
+            opt.step()
+            weights.append(store.weight)
+        assert np.array_equal(weights[0], weights[1])
+        assert not np.array_equal(weights[0], weights[2])
 
-    def test_sgd_momentum_frozen_while_row_absent(self):
+    def test_adam_moments_frozen_while_row_absent(self):
+        # Row 2 skips a step; it must then match a dense Adam that never
+        # saw that step at all.
+        g = np.array([[1.0, -2.0]], dtype=np.float32)
         store = SparseEmbeddingStore(5, 2, weight=np.zeros((5, 2)))
-        opt = SparseSGD(store, lr=1.0, momentum=0.5)
-        g = np.ones((1, 2), dtype=np.float32)
+        opt = SparseAdam(store, lr=0.1)
         store.scatter_grad(np.array([2]), g)
-        opt.step()  # velocity[2] = 1, row 2 -= 1
+        opt.step()
+        m, v = opt._m[2].copy(), opt._v[2].copy()
         store.scatter_grad(np.array([4]), g)
-        opt.step()  # row 2 untouched: its velocity must not decay
-        assert np.allclose(opt._velocity[2], 1.0)
+        opt.step()
+        assert np.array_equal(opt._m[2], m) and np.array_equal(opt._v[2], v)
         store.scatter_grad(np.array([2]), g)
-        opt.step()  # velocity[2] = 0.5 * 1 + 1 = 1.5
-        assert np.allclose(opt._velocity[2], 1.5)
+        opt.step()
+        param = Tensor(np.zeros((1, 2), dtype=np.float32), requires_grad=True)
+        dense = Adam([param], lr=0.1)
+        for _ in range(2):
+            param.grad = g.copy()
+            dense.step()
+        assert np.allclose(store.weight[2], param.data[0], atol=1e-7)
+
+    def test_zero_grad_drops_pending_gradients(self):
+        store = SparseEmbeddingStore(6, 2, seed=0)
+        before = store.weight.copy()
+        opt = SparseAdam(store, lr=0.1)
+        store.scatter_grad(np.array([1, 3]), np.ones((2, 2), dtype=np.float32))
+        opt.zero_grad()
+        assert opt.step() == 0
+        assert np.array_equal(store.weight, before)
+        assert opt.steps_taken == 0 and opt.rows_updated == 0
+
+    def test_invalid_hyperparameters_raise(self):
+        store = SparseEmbeddingStore(3, 2, seed=0)
+        with pytest.raises(ValueError):
+            SparseAdam(store, lr=0.0)
+        with pytest.raises(ValueError):
+            SparseAdam(store, betas=(0.9, 1.0))
 
     def test_rejects_non_trainable_store(self):
         dense = DenseStore(np.zeros((3, 2), dtype=np.float32))
@@ -281,11 +315,13 @@ class TestPartitionedKVStore:
             comm.barrier()
             stats = store.stats()
             comm_stats = comm.stats.snapshot()
+            local = store.local_matrix
             store.release()
-            return first, again, stats, comm_stats
+            return first, again, stats, comm_stats, local
 
         result = run_distributed(worker, 2, timeout_s=120)
-        for rank, (first, again, stats, comm_stats) in enumerate(result.results):
+        for rank, (first, again, stats, comm_stats, local) in enumerate(result.results):
+            assert np.array_equal(local, matrix[book.nodes_of(rank)])
             assert np.array_equal(first, matrix[requests[rank]])
             assert np.array_equal(again, first)
             remote = len({i for i in requests[rank]
@@ -470,11 +506,13 @@ class TestStoreParityMatrix:
     """DenseStore / PartitionedKVStore runs must be bit-identical to raw
     matrix runs across models, placements, and execution paths."""
 
+    @pytest.mark.parametrize("sampled", [True, False], ids=["sampled", "full_batch"])
     @pytest.mark.parametrize("kind", ["sage", "gat"])
-    def test_single_machine_sampled_and_layerwise(self, dataset, kind):
+    def test_single_machine_sampled_and_layerwise(self, dataset, kind, sampled):
         cfg = dict(num_epochs=2, lr=0.01, seed=1, eval_every=0,
                    eval_inference="layerwise", eval_batch_size=48,
-                   sampler=NeighborSamplingConfig(fanouts=(3, 3), batch_size=32))
+                   sampler=NeighborSamplingConfig(fanouts=(3, 3), batch_size=32)
+                   if sampled else None)
         set_seed(3)
         model = _make_model(kind, dataset.feature_dim, dataset.num_classes)
         plain = FullBatchTrainer(model, dataset, TrainingConfig(**cfg))
@@ -582,12 +620,6 @@ class TestTrainerFeatureStore:
             FullBatchTrainer(model, dataset, TrainingConfig(
                 feature_store=DenseStore(
                     np.zeros((3, 8), dtype=np.float32))))
-        with pytest.raises(ValueError, match="'adam' or 'sgd'"):
-            trainer_cfg = TrainingConfig(
-                feature_store=SparseEmbeddingStore(
-                    dataset.graph.num_nodes, 8),
-                feature_store_optimizer="rmsprop")
-            FullBatchTrainer(model, dataset, trainer_cfg)
 
 
 # --------------------------------------------------------------------------- #

@@ -9,7 +9,6 @@ from repro.datasets import ogbn_mag_mini
 from repro.graph import (
     Graph,
     build_mfg_pipeline,
-    message_flow_masks,
     mfg_savings,
     required_node_counts,
 )
@@ -205,10 +204,10 @@ class TestMessageFlowGraph:
     def test_masks_grow_backwards_from_seeds(self):
         # Path graph 0→1→2→3→4 (messages flow along edges).
         g = Graph(5, [0, 1, 2, 3], [1, 2, 3, 4])
-        masks = message_flow_masks(g, seed_nodes=[4], num_layers=2)
-        np.testing.assert_array_equal(masks[2], [False, False, False, False, True])
-        np.testing.assert_array_equal(masks[1], [False, False, False, True, True])
-        np.testing.assert_array_equal(masks[0], [False, False, True, True, True])
+        node_lists = build_mfg_pipeline(g, [4], num_layers=2).node_lists
+        np.testing.assert_array_equal(node_lists[2], [4])
+        np.testing.assert_array_equal(node_lists[1], [3, 4])
+        np.testing.assert_array_equal(node_lists[0], [2, 3, 4])
 
     def test_counts_monotonically_decrease_towards_output(self, sbm_graph):
         seeds = np.arange(5)
@@ -227,6 +226,6 @@ class TestMessageFlowGraph:
 
     def test_seed_validation(self, tiny_graph):
         with pytest.raises(ValueError):
-            message_flow_masks(tiny_graph, [99], num_layers=2)
+            build_mfg_pipeline(tiny_graph, [99], num_layers=2)
         with pytest.raises(ValueError):
-            message_flow_masks(tiny_graph, [0], num_layers=0)
+            build_mfg_pipeline(tiny_graph, [0], num_layers=0)

@@ -20,7 +20,6 @@ from repro.graph import (
     Graph,
     MFGPipeline,
     build_mfg_pipeline,
-    message_flow_masks,
     stochastic_block_model,
 )
 from repro.nn.models import GATNet, GraphSageNet, RGCNNet
@@ -183,9 +182,9 @@ class TestSingleMachineParity:
             "b": (np.array([2]), np.array([1])),
         }
         hgraph = Graph.from_relations(3, relations)
-        masks = message_flow_masks(hgraph, [1], num_layers=1)
-        np.testing.assert_array_equal(masks[0], [True, True, True])
-        np.testing.assert_array_equal(masks[1], [False, True, False])
+        node_lists = build_mfg_pipeline(hgraph, [1], num_layers=1).node_lists
+        np.testing.assert_array_equal(node_lists[0], [0, 1, 2])
+        np.testing.assert_array_equal(node_lists[1], [1])
 
 
 class TestTrainerIntegration:

@@ -1,4 +1,4 @@
-"""Unit tests for activations, softmax, dropout and losses."""
+"""Unit tests for activations, dropout and the cross-entropy loss."""
 
 import numpy as np
 import pytest
@@ -20,27 +20,6 @@ class TestActivations:
     def test_relu_gradients(self, rng):
         x = _t((4, 3), rng)
         check_gradients(lambda: (F.relu(x) ** 2).sum(), [x])
-
-    def test_leaky_relu_negative_slope(self):
-        x = Tensor(np.array([-2.0, 3.0], dtype=np.float32))
-        np.testing.assert_allclose(F.leaky_relu(x, 0.1).data, [-0.2, 3.0], rtol=1e-6)
-
-    def test_leaky_relu_gradients(self, rng):
-        x = _t((5,), rng)
-        check_gradients(lambda: (F.leaky_relu(x, 0.2) ** 2).sum(), [x])
-
-    def test_sigmoid_range(self, rng):
-        x = _t((10,), rng, scale=3.0)
-        out = F.sigmoid(x).data
-        assert np.all((out > 0) & (out < 1))
-
-    def test_sigmoid_gradients(self, rng):
-        x = _t((6,), rng)
-        check_gradients(lambda: (F.sigmoid(x) ** 2).sum(), [x])
-
-    def test_tanh_gradients(self, rng):
-        x = _t((6,), rng)
-        check_gradients(lambda: (F.tanh(x) ** 2).sum(), [x])
 
     def test_elu_continuity_at_zero(self):
         x = Tensor(np.array([-1e-4, 1e-4], dtype=np.float32))
@@ -79,33 +58,17 @@ class TestActivations:
         x = _t((8,), rng)
         check_gradients(lambda: (F.elu(x, alpha) ** 2).sum(), [x])
 
+    def test_relu_gradient_is_zero_at_and_below_zero(self):
+        x = Tensor(np.array([-2.0, -0.0, 0.0, 3.0], dtype=np.float32), requires_grad=True)
+        F.relu(x).sum().backward()
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 1.0])
 
-class TestSoftmax:
-    def test_rows_sum_to_one(self, rng):
-        x = _t((5, 7), rng, scale=4.0)
-        out = F.softmax(x, axis=-1).data
-        np.testing.assert_allclose(out.sum(axis=-1), np.ones(5), rtol=1e-5)
-
-    def test_stability_with_large_logits(self):
-        x = Tensor(np.array([[1e4, 1e4 + 1.0]], dtype=np.float32))
-        out = F.softmax(x).data
-        assert np.all(np.isfinite(out))
-
-    def test_softmax_gradients(self, rng):
-        x = _t((3, 4), rng)
-        w = rng.standard_normal((3, 4)).astype(np.float32)
-        check_gradients(lambda: (F.softmax(x, axis=-1) * w).sum(), [x])
-
-    def test_log_softmax_matches_log_of_softmax(self, rng):
-        x = _t((4, 6), rng, scale=2.0)
-        np.testing.assert_allclose(
-            F.log_softmax(x).data, np.log(F.softmax(x).data + 1e-12), atol=1e-4
-        )
-
-    def test_log_softmax_gradients(self, rng):
-        x = _t((3, 5), rng)
-        w = rng.standard_normal((3, 5)).astype(np.float32)
-        check_gradients(lambda: (F.log_softmax(x) * w).sum(), [x])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_elu_saturates_at_minus_alpha(self, alpha):
+        x = Tensor(np.array([-50.0, -1.0], dtype=np.float32))
+        out = F.elu(x, alpha).data
+        assert np.isclose(out[0], -alpha, atol=1e-6)
+        assert np.isclose(out[1], alpha * (np.exp(-1.0) - 1.0), rtol=1e-6)
 
 
 class TestDropout:
@@ -173,6 +136,38 @@ class TestCrossEntropy:
         logits = Tensor(50.0 * np.eye(3, dtype=np.float32))
         assert float(F.cross_entropy(logits, labels).data) < 1e-4
 
+    def test_stable_with_large_logits(self):
+        logits = Tensor(np.array([[1e4, 0.0, -1e4], [0.0, 1e4, 1e4]], dtype=np.float32),
+                        requires_grad=True)
+        loss = F.cross_entropy(logits, np.array([1, 1]))
+        loss.backward()
+        # row 0 misses by 1e4, row 1 splits its mass between two classes
+        assert np.isclose(float(loss.data), (1e4 + np.log(2.0)) / 2, rtol=1e-5)
+        assert np.isfinite(logits.grad).all()
+
+    def test_gradient_is_probabilities_minus_one_hot(self, rng):
+        logits = _t((6, 4), rng, scale=2.0)
+        labels = rng.integers(0, 4, size=6)
+        F.cross_entropy(logits, labels).backward()
+        exp = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
+        expected = exp / exp.sum(axis=1, keepdims=True)
+        expected[np.arange(6), labels] -= 1.0
+        np.testing.assert_allclose(logits.grad, expected / 6, atol=1e-6)
+        np.testing.assert_allclose(logits.grad.sum(axis=1), 0.0, atol=1e-6)
+
+    def test_none_reduction_is_the_per_row_loss(self, rng):
+        logits = _t((5, 3), rng)
+        labels = rng.integers(0, 3, size=5)
+        rows = F.cross_entropy(logits, labels, reduction="none").data
+        for i in range(5):
+            alone = F.cross_entropy(Tensor(logits.data[i:i + 1]), labels[i:i + 1]).data
+            assert np.isclose(rows[i], float(alone), rtol=1e-6)
+
+    def test_sum_reduction_gradients(self, rng):
+        logits = _t((6, 3), rng)
+        labels = rng.integers(0, 3, size=6)
+        check_gradients(lambda: F.cross_entropy(logits, labels, reduction="sum"), [logits])
+
     def test_rejects_bad_shapes(self, rng):
         logits = _t((4, 3), rng)
         with pytest.raises(ValueError):
@@ -180,19 +175,3 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             F.cross_entropy(logits, np.zeros(4, dtype=np.int64), reduction="bogus")
 
-    def test_nll_loss_matches_cross_entropy(self, rng):
-        logits = _t((6, 4), rng)
-        labels = rng.integers(0, 4, size=6)
-        ce = float(F.cross_entropy(logits, labels).data)
-        nll = float(F.nll_loss(F.log_softmax(logits), labels).data)
-        assert np.isclose(ce, nll, rtol=1e-4)
-
-
-class TestAccuracy:
-    def test_accuracy_basic(self):
-        logits = np.array([[0.9, 0.1], [0.2, 0.8], [0.7, 0.3]], dtype=np.float32)
-        labels = np.array([0, 1, 1])
-        assert np.isclose(F.accuracy(logits, labels), 2.0 / 3.0)
-
-    def test_accuracy_empty(self):
-        assert np.isnan(F.accuracy(np.zeros((0, 3)), np.zeros(0, dtype=int)))

@@ -1,10 +1,11 @@
-"""Tests for optimizers, learning-rate schedules, and initializers."""
+"""Tests for the optimizer, the learning-rate schedule, and initializers."""
 
 import numpy as np
 import pytest
 
+from repro.store import SparseEmbeddingStore
 from repro.tensor import Tensor, init
-from repro.tensor.optim import SGD, Adam, CosineDecay, ExponentialDecay, StepDecay
+from repro.tensor.optim import Adam, CosineDecay, SparseAdam
 from repro.utils.seed import set_seed
 
 
@@ -18,44 +19,6 @@ def _quadratic_problem():
         return (diff * diff).sum()
 
     return w, target, loss_fn
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        w, target, loss_fn = _quadratic_problem()
-        opt = SGD([w], lr=0.1)
-        for _ in range(100):
-            loss = loss_fn()
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        np.testing.assert_allclose(w.data, target, atol=1e-3)
-
-    def test_momentum_accelerates(self):
-        w1, target, loss1 = _quadratic_problem()
-        w2, _, loss2 = _quadratic_problem()
-        plain = SGD([w1], lr=0.01)
-        momentum = SGD([w2], lr=0.01, momentum=0.9)
-        for _ in range(30):
-            for opt, fn in ((plain, loss1), (momentum, loss2)):
-                loss = fn()
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
-        assert np.linalg.norm(w2.data - target) < np.linalg.norm(w1.data - target)
-
-    def test_weight_decay_shrinks_parameters(self):
-        w = Tensor(np.ones(4, dtype=np.float32), requires_grad=True)
-        opt = SGD([w], lr=0.1, weight_decay=1.0)
-        w.grad = np.zeros(4, dtype=np.float32)
-        opt.step()
-        assert np.all(np.abs(w.data) < 1.0)
-
-    def test_skips_parameters_without_grad(self):
-        w = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-        opt = SGD([w], lr=0.5)
-        opt.step()
-        np.testing.assert_allclose(w.data, 1.0)
 
 
 class TestAdam:
@@ -93,14 +56,46 @@ class TestAdam:
         opt.step()
         np.testing.assert_allclose(w.data, after_one_more, rtol=1e-6)
 
+    def test_first_step_moves_each_coordinate_by_lr(self):
+        # Bias correction makes the first update lr * sign(grad), whatever
+        # the gradient's size.
+        w = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        opt = Adam([w], lr=0.01, eps=0.0)
+        w.grad = np.array([1e-3, -5.0, 200.0], dtype=np.float32)
+        opt.step()
+        np.testing.assert_allclose(w.data, [-0.01, 0.01, -0.01], rtol=1e-5)
+
+    def test_weight_decay_shrinks_parameters(self):
+        w = Tensor(np.ones(4, dtype=np.float32), requires_grad=True)
+        opt = Adam([w], lr=0.1, weight_decay=1.0)
+        w.grad = np.zeros(4, dtype=np.float32)
+        opt.step()
+        assert np.all(np.abs(w.data) < 1.0)
+
+    def test_skips_parameters_without_grad(self):
+        w = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        u = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        opt = Adam([w, u], lr=0.5)
+        u.grad = np.ones(3, dtype=np.float32)
+        opt.step()
+        np.testing.assert_array_equal(w.data, 1.0)
+        np.testing.assert_array_equal(opt._m[0], 0.0)
+        assert np.all(u.data < 1.0)
+
+    def test_zero_grad_clears_gradients(self):
+        w, _, loss_fn = _quadratic_problem()
+        opt = Adam([w], lr=0.1)
+        loss_fn().backward()
+        assert w.grad is not None
+        opt.zero_grad()
+        assert w.grad is None
+
     def test_invalid_hyperparameters_raise(self):
         w = Tensor(np.ones(2), requires_grad=True)
         with pytest.raises(ValueError):
             Adam([w], lr=-1.0)
         with pytest.raises(ValueError):
             Adam([w], betas=(1.5, 0.9))
-        with pytest.raises(ValueError):
-            SGD([w], lr=0.1, momentum=-0.5)
 
     def test_requires_grad_validation(self):
         with pytest.raises(TypeError):
@@ -111,19 +106,7 @@ class TestAdam:
 
 class TestSchedulers:
     def _optimizer(self):
-        return SGD([Tensor(np.ones(2), requires_grad=True)], lr=1.0)
-
-    def test_step_decay(self):
-        opt = self._optimizer()
-        sched = StepDecay(opt, step_size=2, gamma=0.5)
-        lrs = [sched.step() for _ in range(4)]
-        np.testing.assert_allclose(lrs, [1.0, 0.5, 0.5, 0.25])
-
-    def test_exponential_decay(self):
-        opt = self._optimizer()
-        sched = ExponentialDecay(opt, gamma=0.9)
-        sched.step()
-        assert np.isclose(opt.lr, 0.9)
+        return Adam([Tensor(np.ones(2), requires_grad=True)], lr=1.0)
 
     def test_cosine_decay_endpoints(self):
         opt = self._optimizer()
@@ -133,10 +116,28 @@ class TestSchedulers:
         assert np.isclose(last, 0.1, atol=1e-6)
         assert opt.lr <= 1.0
 
+    def test_cosine_decay_midpoint_is_the_mean_of_the_endpoints(self):
+        opt = self._optimizer()
+        sched = CosineDecay(opt, total_epochs=10, min_lr=0.2)
+        for _ in range(5):
+            sched.step()
+        assert np.isclose(opt.lr, 0.6)
+
+    def test_cosine_decay_holds_min_lr_past_total_epochs(self):
+        opt = self._optimizer()
+        sched = CosineDecay(opt, total_epochs=3, min_lr=0.05)
+        lrs = [sched.step() for _ in range(6)]
+        assert all(a > b for a, b in zip(lrs[:3], lrs[1:3]))
+        np.testing.assert_allclose(lrs[2:], 0.05)
+
+    def test_cosine_decay_drives_sparse_adam(self):
+        opt = SparseAdam(SparseEmbeddingStore(4, 2, seed=0), lr=0.4)
+        sched = CosineDecay(opt, total_epochs=2)
+        assert np.isclose(sched.step(), 0.2)
+        assert np.isclose(opt.lr, 0.2) and opt.initial_lr == 0.4
+
     def test_invalid_scheduler_args(self):
         opt = self._optimizer()
-        with pytest.raises(ValueError):
-            StepDecay(opt, step_size=0)
         with pytest.raises(ValueError):
             CosineDecay(opt, total_epochs=0)
 
@@ -149,28 +150,28 @@ class TestInitializers:
         assert w.shape == (100, 50)
         assert np.all(np.abs(w) <= limit + 1e-6)
 
-    def test_xavier_normal_std(self):
+    def test_xavier_uniform_gain_scales_limit(self):
         set_seed(0)
-        w = init.xavier_normal((200, 100))
-        expected_std = np.sqrt(2.0 / 300)
-        assert abs(w.std() - expected_std) < 0.2 * expected_std
+        w = init.xavier_uniform((100, 50), gain=3.0)
+        limit = 3.0 * np.sqrt(6.0 / 150)
+        assert np.all(np.abs(w) <= limit + 1e-6)
+        assert np.abs(w).max() > np.sqrt(6.0 / 150)
 
-    def test_kaiming_uniform_scales_with_fan_in(self):
+    def test_one_dimensional_shape_uses_its_length_as_both_fans(self):
         set_seed(0)
-        small = init.kaiming_uniform((10, 10))
-        large = init.kaiming_uniform((1000, 10))
-        assert np.abs(large).max() < np.abs(small).max()
+        w = init.xavier_uniform((24,))
+        limit = np.sqrt(6.0 / 48)
+        assert np.all(np.abs(w) <= limit + 1e-6)
+        assert np.abs(w).max() > 0.5 * limit
+
+    def test_dtype_is_respected(self):
+        assert init.xavier_uniform((3, 2), dtype=np.float64).dtype == np.float64
+        assert init.zeros((2,), dtype=np.float64).dtype == np.float64
+        assert init.ones((2,)).dtype == np.float32
 
     def test_zeros_ones(self):
         assert init.zeros((3, 3)).sum() == 0
         assert init.ones((3, 3)).sum() == 9
-
-    def test_uniform_and_normal_ranges(self):
-        set_seed(0)
-        u = init.uniform((1000,), low=-0.2, high=0.2)
-        assert np.all((u >= -0.2) & (u < 0.2))
-        n = init.normal((1000,), std=0.05)
-        assert abs(n.std() - 0.05) < 0.01
 
     def test_seed_reproducibility(self):
         set_seed(42)

@@ -115,7 +115,7 @@ class TestLabelAugmentation:
         out, mask = aug.training_batch(features, labels, train)
         np.testing.assert_array_equal(out, features)
         np.testing.assert_array_equal(mask, train)
-        assert aug.extra_features == 0
+        assert aug.augmented_dim(3) == 3
 
     def test_invalid_fraction_raises(self):
         with pytest.raises(ValueError):

@@ -82,6 +82,8 @@ BAD_MFG_SEEDS = {
 BAD_DISTRIBUTED_CONFIGS = {
     "eval_inference": (dict(eval_inference="bogus"), "eval_inference"),
     "lr_schedule": (dict(lr_schedule="bogus"), "lr_schedule"),
+    "num_epochs": (dict(num_epochs=0), "num_epochs"),
+    "eval_every": (dict(eval_every=-1), "eval_every"),
     "sampler_x_mfg": (dict(sampler=NeighborSamplingConfig(fanouts=(2, 2)), mfg_seeds=[0, 1]),
                       "mutually exclusive"),
     "fanout_depth": (dict(sampler=NeighborSamplingConfig(fanouts=(2, 2, 2))), "conv layers"),

@@ -55,8 +55,13 @@ def install(functions, counts) -> None:
                 setattr(holder, key, wrapped)
 
 
+def workload_names() -> list:
+    """The workloads ``BENCHMARK.json`` declares, in its order."""
+    return [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
 def main(argv=None) -> int:
-    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    names = workload_names()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("functions", nargs="+", metavar="module:function")
     parser.add_argument("--workload", action="append", choices=names,
