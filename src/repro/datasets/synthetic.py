@@ -153,8 +153,8 @@ def _labelled_dataset(name: str, graph: Graph, labels: np.ndarray, num_classes: 
 def make_sbm_dataset(name: str, num_nodes: int, num_classes: int, feature_dim: int,
                      p_in: float, p_out: float, signal: float = 1.0, noise: float = 1.5,
                      train_frac: float = 0.5, val_frac: float = 0.2, test_frac: float = 0.3,
-                     seed: int = 0, add_self_loops: bool = True) -> NodeClassificationDataset:
-    """Generate a homophilous SBM node-classification dataset."""
+                     seed: int = 0) -> NodeClassificationDataset:
+    """Generate a homophilous SBM node-classification dataset (self-loops added)."""
     num_nodes = check_positive_int(num_nodes, "num_nodes")
     num_classes = check_positive_int(num_classes, "num_classes")
     feature_dim = check_positive_int(feature_dim, "feature_dim")
@@ -163,8 +163,7 @@ def make_sbm_dataset(name: str, num_nodes: int, num_classes: int, feature_dim: i
     base = num_nodes // num_classes
     block_sizes = [base + (1 if c < num_nodes % num_classes else 0) for c in range(num_classes)]
     graph, labels = stochastic_block_model(block_sizes, p_in, p_out, seed=seed)
-    if add_self_loops:
-        graph = graph.add_self_loops()
+    graph = graph.add_self_loops()
     return _labelled_dataset(
         name, graph, labels, num_classes, feature_dim, signal, noise,
         (train_frac, val_frac, test_frac), seed + 1,

@@ -36,9 +36,9 @@ def _sample_block_edges(rng: np.random.Generator, rows: np.ndarray, cols: np.nda
 
 
 def stochastic_block_model(block_sizes: Sequence[int], p_in: float, p_out: float,
-                           seed: Optional[int] = None,
-                           bidirected: bool = True) -> tuple[Graph, np.ndarray]:
-    """Generate an SBM graph.
+                           seed: Optional[int] = None) -> tuple[Graph, np.ndarray]:
+    """Generate a bidirected SBM graph: every sampled edge is added in both
+    directions.
 
     Parameters
     ----------
@@ -46,8 +46,6 @@ def stochastic_block_model(block_sizes: Sequence[int], p_in: float, p_out: float
         Number of nodes in each block (community).
     p_in, p_out:
         Within-block and between-block edge probabilities.
-    bidirected:
-        If True (default) every sampled edge is added in both directions.
 
     Returns
     -------
@@ -73,22 +71,18 @@ def stochastic_block_model(block_sizes: Sequence[int], p_in: float, p_out: float
                 dsts.append(d)
     src = np.concatenate(srcs) if srcs else np.array([], dtype=np.int64)
     dst = np.concatenate(dsts) if dsts else np.array([], dtype=np.int64)
-    graph = Graph(num_nodes, src, dst)
-    graph = graph.to_bidirected() if bidirected else graph.coalesce()
-    return graph, blocks
+    return Graph(num_nodes, src, dst).to_bidirected(), blocks
 
 
-def erdos_renyi(num_nodes: int, avg_degree: float, seed: Optional[int] = None,
-                bidirected: bool = True) -> Graph:
-    """Erdős–Rényi style random graph with a target average degree."""
+def erdos_renyi(num_nodes: int, avg_degree: float, seed: Optional[int] = None) -> Graph:
+    """Bidirected Erdős–Rényi style random graph with a target average degree."""
     num_nodes = check_positive_int(num_nodes, "num_nodes")
-    num_edges = int(num_nodes * avg_degree / (2 if bidirected else 1))
+    num_edges = int(num_nodes * avg_degree / 2)
     with temp_seed(seed) as rng:
         src = rng.integers(0, num_nodes, size=num_edges)
         dst = rng.integers(0, num_nodes, size=num_edges)
     keep = src != dst
-    graph = Graph(num_nodes, src[keep], dst[keep])
-    return graph.to_bidirected() if bidirected else graph.coalesce()
+    return Graph(num_nodes, src[keep], dst[keep]).to_bidirected()
 
 
 def barabasi_albert(num_nodes: int, attach: int = 3, seed: Optional[int] = None) -> Graph:

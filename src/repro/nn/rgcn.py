@@ -24,7 +24,7 @@ class RelGraphConv(Module):
     """R-GCN layer over a heterogeneous graph with named relations."""
 
     def __init__(self, in_features: int, out_features: int, relation_names: Sequence[str],
-                 num_bases: Optional[int] = None, self_loop: bool = True, bias: bool = True,
+                 num_bases: Optional[int] = None, bias: bool = True,
                  activation: Optional[Callable[[Tensor], Tensor]] = None):
         super().__init__()
         self.in_features = check_positive_int(in_features, "in_features")
@@ -61,9 +61,7 @@ class RelGraphConv(Module):
             )
             self.weight = None
 
-        self.self_linear: Optional[Linear] = None
-        if self_loop:
-            self.self_linear = Linear(in_features, out_features, bias=False, name="rgcn.self")
+        self.self_linear = Linear(in_features, out_features, bias=False, name="rgcn.self")
         self.bias: Optional[Parameter] = None
         if bias:
             self.bias = Parameter(init.zeros((out_features,)), name="rgcn.bias")
@@ -94,8 +92,7 @@ class RelGraphConv(Module):
             x, self.relation_weights(), self.relation_names,
             self.in_features, self.out_features,
         )
-        if self.self_linear is not None:
-            out = out + self.self_linear(graph.gather_dst(x))
+        out = out + self.self_linear(graph.gather_dst(x))
         if self.bias is not None:
             out = out + self.bias
         if self.activation is not None:

@@ -16,8 +16,8 @@ representations for **all** nodes, batch-by-batch, before moving on to layer
   ``l``'s output), and everything else — projected features, per-edge
   attention tensors — is batch-sized;
 * a batch's block does not depend on the layer, the features or the call,
-  so the block list is built once per batch size and reused by every layer
-  and every later ``run()`` — each block keeps its edge plan with it.
+  so the block list is built once and reused by every layer and every later
+  ``run()`` — each block keeps its edge plan with it.
 
 Because the engine runs the model in ``eval()`` mode, every inter-layer
 transform is a per-row map (BatchNorm applies running statistics, Dropout is
@@ -34,7 +34,7 @@ next, and holds one remote ``G_{p,q}`` halo block at a time (paper §3), so a
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -65,21 +65,13 @@ def check_layered_model(model) -> int:
     return int(num_layers)
 
 
-def _conv_out_width(conv, fallback: int) -> int:
-    """Output width of one conv layer (heads folded in), or ``fallback``."""
-    out = getattr(conv, "out_features", None)
-    if out is None:
-        return fallback
-    return int(out) * int(getattr(conv, "num_heads", 1))
-
-
 class LayerWiseInference:
     """Single-machine layer-wise full-neighbourhood inference engine.
 
     Computes ``model``'s output for **every** node of ``graph`` without ever
     running a full-graph forward pass: one layer at a time, batch-by-batch,
     over per-batch single-layer blocks built from ``graph.in_edge_index()``
-    (:func:`~repro.graph.mfg.block_from_in_edges`) once per batch size.
+    (:func:`~repro.graph.mfg.block_from_in_edges`) once, on first use.
 
     Parameters
     ----------
@@ -90,20 +82,9 @@ class LayerWiseInference:
     graph:
         The full :class:`~repro.graph.graph.Graph`, homogeneous or relational.
     batch_size:
-        Destination nodes per inference batch.  Peak memory scales with the
-        two full-width layer matrices plus one batch's intermediates; smaller
-        batches trade throughput for memory.  Ignored when ``byte_budget``
-        is set.
-    byte_budget:
-        Adaptive batch sizing: a per-batch live-tensor byte target.  Each
-        layer's batch size is derived at sweep start from the layer's actual
-        feature widths — per destination row the batch holds roughly its
-        gathered input rows (``(1 + avg_degree) * in_width``) plus its output
-        row (``out_width``), each ``itemsize`` bytes — clamped to
-        ``[1, num_nodes]``.  Wide early layers get small batches, narrow
-        later layers get large ones, keeping per-batch memory flat instead of
-        letting one fixed ``batch_size`` be sized for the worst layer.  The
-        chosen sizes are recorded in :attr:`layer_batch_sizes`.
+        Destination nodes per inference batch, the same for every layer.
+        Peak memory scales with the two full-width layer matrices plus one
+        batch's intermediates; smaller batches trade throughput for memory.
 
     Notes
     -----
@@ -113,52 +94,19 @@ class LayerWiseInference:
     ``eval()`` mode.
     """
 
-    def __init__(
-        self,
-        model,
-        graph: Graph,
-        batch_size: int = 1024,
-        byte_budget: Optional[int] = None,
-    ):
+    def __init__(self, model, graph: Graph, batch_size: int = 1024):
         self.model = model
         self.graph = graph
         self.num_layers = check_layered_model(model)
         self.batch_size = check_positive_int(batch_size, "batch_size")
-        self.byte_budget = (
-            None if byte_budget is None
-            else check_positive_int(byte_budget, "byte_budget")
-        )
-        # Batch size -> that size's consecutive-id blocks.  A batch's block
-        # depends on nothing but (graph, batch size), so each list is built
-        # on first use and serves every layer and every later run; adaptive
-        # runs share a list across same-width layers.
-        self._blocks: Dict[int, list] = {}
-        #: per-layer batch sizes chosen by the most recent :meth:`run`.
-        self.layer_batch_sizes: List[int] = []
-
-    def _adaptive_batch_size(self, layer: int, in_width: int, itemsize: int) -> int:
-        """Batch size keeping one batch's live tensors near ``byte_budget``.
-
-        Per destination row a batch materializes its gathered full-
-        neighbourhood input rows — ``(1 + avg_degree) * in_width`` values on
-        average — plus its ``out_width`` output row.
-        """
-        convs = getattr(self.model, "convs", None)
-        out_width = (
-            _conv_out_width(convs[layer], in_width)
-            if convs is not None and layer < len(convs)
-            else in_width
-        )
-        num_nodes = self.graph.num_nodes
-        avg_degree = self.graph.num_edges / max(num_nodes, 1)
-        per_row = itemsize * ((1.0 + avg_degree) * in_width + out_width)
-        size = int(self.byte_budget // max(per_row, 1.0))
-        return max(1, min(size, num_nodes))
+        # The consecutive-id blocks.  A batch's block depends on nothing but
+        # the graph and ``batch_size``, so the list is built on first use and
+        # serves every layer and every later run.
+        self._blocks: Optional[list] = None
 
     @property
     def num_batches(self) -> int:
-        """Batches per layer at the fixed ``batch_size`` (adaptive runs vary
-        per layer — see :attr:`layer_batch_sizes`)."""
+        """Batches per layer."""
         return num_batches_for(self.graph.num_nodes, self.batch_size, drop_last=False)
 
     def run(self, features) -> np.ndarray:
@@ -187,6 +135,13 @@ class LayerWiseInference:
             raise ValueError(
                 f"features has {store.num_rows} rows but graph has {num_nodes} nodes"
             )
+        if self._blocks is None:
+            index = self.graph.in_edge_index()
+            size = self.batch_size
+            self._blocks = [
+                block_from_in_edges(index, np.arange(lo, min(lo + size, num_nodes)))
+                for lo in range(0, num_nodes, size)
+            ]
         was_training = model.training
         model.eval()
         try:
@@ -196,26 +151,9 @@ class LayerWiseInference:
                 # full-width matrices are visible to the live-tensor memory
                 # accounting the benchmarks use.
                 h: Optional[Tensor] = None
-                self.layer_batch_sizes = []
                 for layer in range(self.num_layers):
-                    if self.byte_budget is None:
-                        size = self.batch_size
-                    else:
-                        size = self._adaptive_batch_size(
-                            layer,
-                            store.dim if layer == 0 else h.shape[1],
-                            np.dtype(store.dtype if layer == 0 else h.data.dtype).itemsize,
-                        )
-                    self.layer_batch_sizes.append(size)
-                    blocks = self._blocks.get(size)
-                    if blocks is None:
-                        index = self.graph.in_edge_index()
-                        blocks = self._blocks[size] = [
-                            block_from_in_edges(index, np.arange(lo, min(lo + size, num_nodes)))
-                            for lo in range(0, num_nodes, size)
-                        ]
                     out: Optional[Tensor] = None
-                    for block in blocks:
+                    for block in self._blocks:
                         rows = (
                             store.gather(block.src_nodes) if layer == 0 else h.data[block.src_nodes]
                         )

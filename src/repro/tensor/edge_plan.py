@@ -275,14 +275,15 @@ class EdgePlan:
 
     # -- destination-sorted edge space -------------------------------------- #
     # Every per-edge array lives in the plan's destination-sorted order: rows
-    # of one destination are contiguous, per-destination values expand with a
-    # sequential ``np.repeat``, per-source values arrive with one ``take``,
-    # the head-blocked weighted CSR is filled by one ``take``, and a kernel
-    # that chains several per-edge steps (the attention block: logits → max →
-    # exp → sum → SpMM, and the SDDMM → softmax-grad → two segment sums of its
-    # backward) never permutes between them.  Per destination reductions run
-    # in the stable sorted order derived from the input edge order; per
-    # source, the CSC transposes add in ascending sorted position.
+    # of one destination are contiguous, per-destination values expand with
+    # one ``take`` of the sorted destinations, per-source values arrive with
+    # one ``take`` of the sorted sources, the head-blocked weighted CSR is
+    # filled by one ``take``, and a kernel that chains several per-edge steps
+    # (the attention block: logits → max → exp → sum → SpMM, and the SDDMM →
+    # softmax-grad → two segment sums of its backward) never permutes between
+    # them.  Per destination reductions run in the stable sorted order
+    # derived from the input edge order; per source, the CSC transposes add
+    # in ascending sorted position.
     def sort_edges(self, values: np.ndarray) -> np.ndarray:
         """Per-edge rows, input order → destination-sorted order (the one
         entry into the space)."""
@@ -292,7 +293,7 @@ class EdgePlan:
 
     def expand_dst(self, x: np.ndarray) -> np.ndarray:
         """Sorted per-edge copy of each edge's destination row of ``x``."""
-        return np.repeat(x, self.in_degrees, axis=0)
+        return x.take(self._sorted_dst(), axis=0)
 
     def gather_src(self, x: np.ndarray) -> np.ndarray:
         """Sorted per-edge copy of each edge's source row of ``x``."""

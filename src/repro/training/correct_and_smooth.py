@@ -28,7 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.utils.validation import check_positive_int, check_probability
+from repro.utils.validation import check_positive_int
+
+#: Mixing coefficient of both stages' propagation (the original paper's 0.8).
+ALPHA = 0.8
 
 
 def _softmax_rows(values: np.ndarray) -> np.ndarray:
@@ -47,24 +50,19 @@ def _propagate(graph, values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CorrectAndSmooth:
-    """Configurable C&S post-processor.
+    """C&S post-processor.
 
-    Parameters mirror the original paper's: the number of propagation
-    iterations and the mixing coefficient ``alpha`` for each stage, plus
-    ``autoscale`` to scale corrections by the mean training-error magnitude.
+    Each stage's number of propagation iterations is configurable; both mix
+    with :data:`ALPHA`, and corrections are scaled by the mean training-error
+    magnitude (the original paper's "autoscale").
     """
 
     num_correct_iters: int = 20
-    correct_alpha: float = 0.8
     num_smooth_iters: int = 20
-    smooth_alpha: float = 0.8
-    autoscale: bool = True
 
     def __post_init__(self):
         check_positive_int(self.num_correct_iters, "num_correct_iters")
         check_positive_int(self.num_smooth_iters, "num_smooth_iters")
-        check_probability(self.correct_alpha, "correct_alpha")
-        check_probability(self.smooth_alpha, "smooth_alpha")
 
     # ------------------------------------------------------------------ #
     def correct(self, graph, soft_predictions: np.ndarray, labels: np.ndarray,
@@ -78,27 +76,21 @@ class CorrectAndSmooth:
             error[train_mask] = onehot - soft_predictions[train_mask]
         residual = error.copy()
         for _ in range(self.num_correct_iters):
-            residual = (
-                self.correct_alpha * _propagate(graph, residual)
-                + (1.0 - self.correct_alpha) * error
+            residual = ALPHA * _propagate(graph, residual) + (1.0 - ALPHA) * error
+        error_norm = float(np.abs(error[train_mask]).sum()) if train_mask.any() else 0.0
+        train_count = float(train_mask.sum())
+        if not isinstance(graph, Graph) and hasattr(graph, "comm"):
+            # Distributed: the scale must be computed over the *global*
+            # training set so every worker applies the same correction.
+            reduced = graph.comm.allreduce(
+                np.asarray([error_norm, train_count], dtype=np.float64),
+                op="sum", tag="correct_and_smooth",
             )
-        if self.autoscale:
-            error_norm = float(np.abs(error[train_mask]).sum()) if train_mask.any() else 0.0
-            train_count = float(train_mask.sum())
-            if not isinstance(graph, Graph) and hasattr(graph, "comm"):
-                # Distributed: the scale must be computed over the *global*
-                # training set so every worker applies the same correction.
-                reduced = graph.comm.allreduce(
-                    np.asarray([error_norm, train_count], dtype=np.float64),
-                    op="sum", tag="correct_and_smooth",
-                )
-                error_norm, train_count = float(reduced[0]), float(reduced[1])
-            if train_count > 0:
-                scale = error_norm / train_count
-                denom = np.maximum(np.abs(residual).sum(axis=1, keepdims=True), 1e-9)
-                correction = scale * residual / denom * num_classes
-            else:
-                correction = residual
+            error_norm, train_count = float(reduced[0]), float(reduced[1])
+        if train_count > 0:
+            scale = error_norm / train_count
+            denom = np.maximum(np.abs(residual).sum(axis=1, keepdims=True), 1e-9)
+            correction = scale * residual / denom * num_classes
         else:
             correction = residual
         return soft_predictions + correction
@@ -113,10 +105,7 @@ class CorrectAndSmooth:
             base[train_mask] = np.eye(num_classes, dtype=corrected.dtype)[labels[train_mask]]
         smoothed = base.copy()
         for _ in range(self.num_smooth_iters):
-            smoothed = (
-                self.smooth_alpha * _propagate(graph, smoothed)
-                + (1.0 - self.smooth_alpha) * base
-            )
+            smoothed = ALPHA * _propagate(graph, smoothed) + (1.0 - ALPHA) * base
         return smoothed
 
     # ------------------------------------------------------------------ #

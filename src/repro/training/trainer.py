@@ -131,8 +131,6 @@ class TrainingConfig:
     #: Mutually exclusive with :attr:`label_augmentation` (which rewrites the
     #: feature matrix every epoch) and :attr:`mfg_seeds`.
     feature_store: Optional[Any] = None
-    #: Hot-row cache budget for the distributed ``"kv"`` store.
-    feature_store_cache_bytes: Optional[int] = 1 << 22
     #: Learning rate for the trainable store's
     #: :class:`~repro.tensor.optim.SparseAdam` (``None`` = :attr:`lr`).
     feature_store_lr: Optional[float] = None
@@ -162,6 +160,14 @@ class TrainingConfig:
         """
         if self.num_epochs < 1:
             raise ValueError(f"num_epochs must be >= 1, got {self.num_epochs}")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.feature_store_lr is not None and self.feature_store_lr <= 0:
+            raise ValueError(
+                f"feature_store_lr must be > 0 (or None), got {self.feature_store_lr}"
+            )
         if self.eval_every < 0:
             raise ValueError(
                 f"eval_every must be >= 0 (0 = only after the final epoch), got {self.eval_every}"
@@ -603,9 +609,7 @@ class _DistributedWorker(_EpochLoop):
             # store requires.  Attaching it routes layer-0 halo fetches through
             # the hot-row cache (the published payload is the shard's feature
             # matrix, which the store covers()).
-            self.kv_store = shard.feature_store(
-                comm, cache_bytes=config.feature_store_cache_bytes
-            )
+            self.kv_store = shard.feature_store(comm)
             self.graph.attach_feature_store(self.kv_store)
         if hasattr(model, "set_comm"):
             model.set_comm(comm)
@@ -709,15 +713,13 @@ class DistributedTrainer:
 
     def __init__(self, dataset: NodeClassificationDataset, model_factory: ModelFactory,
                  num_workers: int, sar_config: SARConfig = SAR,
-                 config: Optional[TrainingConfig] = None,
-                 partition_method: str = "metis", partition_seed: int = 0,
+                 config: Optional[TrainingConfig] = None, partition_seed: int = 0,
                  timeout_s: float = 600.0):
         self.dataset = dataset
         self.model_factory = model_factory
         self.num_workers = num_workers
         self.sar_config = sar_config
         self.config = config = config or TrainingConfig()
-        self.partition_method = partition_method
         self.partition_seed = partition_seed
         self.timeout_s = timeout_s
         #: conv-layer count of the model, probed only when a per-layer
@@ -733,8 +735,7 @@ class DistributedTrainer:
     # ------------------------------------------------------------------ #
     def _prepare_shards(self):
         dataset = self.dataset
-        assignment = partition_graph(dataset.graph, self.num_workers,
-                                     method=self.partition_method, seed=self.partition_seed)
+        assignment = partition_graph(dataset.graph, self.num_workers, seed=self.partition_seed)
         book = PartitionBook(assignment, self.num_workers)
         return book, create_shards(dataset.graph, book)
 

@@ -453,6 +453,23 @@ class TestSortedEdgeSpace:
     @pytest.mark.parametrize("num_src,num_dst,build", SORTED_SPACE_BLOCKS + [
         pytest.param(7, 4, lambda rng: _random_edges(rng, 7, 4, 0), id="no-edges-rectangular"),
     ])
+    @pytest.mark.parametrize("trailing", [(), (3,), (2, 5)], ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_expand_dst_is_the_repeat_by_in_degree(self, rng, num_src, num_dst, build,
+                                                   trailing, dtype):
+        """``expand_dst`` copies what ``np.repeat(x, in_degrees)`` does, bit for
+        bit, whatever the trailing shape, with empty segments and no edges."""
+        src, dst = build(rng)
+        plan = EdgePlan(src, dst, num_dst, num_src)
+        x = rng.standard_normal((num_dst,) + trailing).astype(dtype)
+        got = plan.expand_dst(x)
+        want = np.repeat(x, plan.in_degrees, axis=0)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("num_src,num_dst,build", SORTED_SPACE_BLOCKS + [
+        pytest.param(7, 4, lambda rng: _random_edges(rng, 7, 4, 0), id="no-edges-rectangular"),
+    ])
     @pytest.mark.parametrize("heads", [1, 2, 3, 8])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_head_blocked_spmm_equals_the_per_head_loop(self, rng, num_src, num_dst, build,

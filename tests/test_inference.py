@@ -5,10 +5,10 @@ The subsystem contract under test (``repro/sample/inference.py``):
 * single-machine layer-wise inference produces logits **bit-identical** to
   the full-graph forward pass in ``eval()`` mode, for every conv layer type
   and any batch size, and on a sparse graph its peak of live tensor bytes is
-  strictly below the full forward's, with fixed or adaptive batches;
-* the engine builds each batch's block once per batch size — from the
-  graph's in-edge index, through the one shared builder — and reuses it (and
-  its edge plan) for every later layer and every later run;
+  strictly below the full forward's;
+* the engine builds each batch's block once — from the graph's in-edge
+  index, through the one shared builder — and reuses it (and its edge plan)
+  for every later layer and every later run;
 * ``FullBatchTrainer.evaluate()`` under ``eval_inference="layerwise"`` is a
   drop-in for the full pass, including after neighbour-sampled training;
 * distributed evaluation is the unrestricted no-grad SAR forward bit for bit
@@ -108,14 +108,8 @@ MODEL_FACTORIES = {
     ),
 }
 
-#: how a run sizes its batches: engine keyword arguments, ``None`` = num_nodes.
-SIZINGS = {
-    "bs1": dict(batch_size=1),
-    "bs7": dict(batch_size=7),
-    "bs=n": dict(batch_size=None),
-    "bs>n": dict(batch_size=100_000),
-    "budget": dict(byte_budget=16 * 1024),
-}
+#: the engine's batch size per matrix cell, ``None`` = num_nodes.
+SIZINGS = {"bs1": 1, "bs7": 7, "bs=n": None, "bs>n": 100_000}
 
 
 def _run_through_store(engine, features, store_kind):
@@ -140,17 +134,14 @@ def _run_through_store(engine, features, store_kind):
     return run_distributed(worker, 2, timeout_s=120).results[0]
 
 
-def _assert_layerwise_parity(kind, ds, store_kind="dense", **sizing):
+def _assert_layerwise_parity(kind, ds, batch_size, store_kind="dense"):
     graph = ds.graph
-    if "batch_size" in sizing and sizing["batch_size"] is None:
-        sizing["batch_size"] = graph.num_nodes
     set_seed(0)
     model = MODEL_FACTORIES[kind](ds)
     reference = _full_logits(model, graph, ds.features)
-    engine = LayerWiseInference(model, graph, **sizing)
+    engine = LayerWiseInference(model, graph, batch_size=batch_size or graph.num_nodes)
     got = _run_through_store(engine, ds.features, store_kind)
     np.testing.assert_array_equal(got, reference)
-    return engine
 
 
 @pytest.mark.parametrize("kind", sorted(MODEL_FACTORIES))
@@ -169,8 +160,7 @@ def test_layerwise_any_batch_size(dataset, batch_size):
 def test_layerwise_parity_matrix(dataset, hetero_dataset, kind, sizing, store_kind):
     """Every conv family x batch sizing x feature-store backend, bit for bit."""
     ds = hetero_dataset if kind == "rgcn" else dataset
-    engine = _assert_layerwise_parity(kind, ds, store_kind, **SIZINGS[sizing])
-    assert len(engine.layer_batch_sizes) == engine.num_layers
+    _assert_layerwise_parity(kind, ds, SIZINGS[sizing], store_kind)
 
 
 def test_layerwise_hetero_rgcn(hetero_dataset):
@@ -216,15 +206,9 @@ def _peak_bytes(fn) -> int:
     return tracker.peak_bytes
 
 
-@pytest.mark.parametrize(
-    "sizing",
-    [dict(batch_size=128), dict(byte_budget=256 * 1024)],
-    ids=["batch_size", "byte_budget"],
-)
 @pytest.mark.parametrize("kind", ["sage", "gat"])
-def test_layerwise_peak_memory_below_full_forward(sparse_dataset, kind, sizing):
-    """A strictly lower peak of live tensor bytes than the full forward, for
-    fixed and adaptive batch sizing alike."""
+def test_layerwise_peak_memory_below_full_forward(sparse_dataset, kind):
+    """A strictly lower peak of live tensor bytes than the full forward."""
     ds, graph = sparse_dataset, sparse_dataset.graph
     set_seed(0)
     if kind == "sage":
@@ -233,12 +217,12 @@ def test_layerwise_peak_memory_below_full_forward(sparse_dataset, kind, sizing):
     else:
         model = GATNet(ds.feature_dim, 16, ds.num_classes, num_layers=2, num_heads=4,
                        dropout=0.0, use_batch_norm=False)
-    engine = LayerWiseInference(model, graph, **sizing)
+    engine = LayerWiseInference(model, graph, batch_size=128)
     reference = _full_logits(model, graph, ds.features)
     # Bit parity is the matrix above's job; here the values only show that
     # the sweep computed every row.
     np.testing.assert_allclose(engine.run(ds.features), reference, rtol=1e-5, atol=1e-5)
-    first_batch = np.arange(max(engine.layer_batch_sizes))
+    first_batch = np.arange(engine.batch_size)
     assert block_from_in_edges(graph.in_edge_index(), first_batch).num_src_nodes < graph.num_nodes // 4
     full_peak = _peak_bytes(lambda: _full_logits(model, graph, ds.features))
     layerwise_peak = _peak_bytes(lambda: engine.run(ds.features))
@@ -290,26 +274,6 @@ def test_layerwise_reuses_plans_across_layers_and_runs(dataset, monkeypatch):
     assert edge_plan_mod.build_counter == built
 
 
-def test_adaptive_run_builds_one_block_list_per_distinct_size(dataset, monkeypatch):
-    built_sizes = []
-
-    def counting_builder(index, dst_rows):
-        built_sizes.append(len(dst_rows))
-        return block_from_in_edges(index, dst_rows)
-
-    monkeypatch.setattr(inference_mod, "block_from_in_edges", counting_builder)
-    set_seed(0)
-    model = MODEL_FACTORIES["sage_mean"](dataset)
-    engine = LayerWiseInference(model, dataset.graph, byte_budget=32 * 1024)
-    engine.run(dataset.features)
-    num_nodes = dataset.graph.num_nodes
-    expected = sum(-(-num_nodes // size) for size in set(engine.layer_batch_sizes))
-    assert len(built_sizes) == expected
-    assert sum(built_sizes) == num_nodes * len(set(engine.layer_batch_sizes))
-    engine.run(dataset.features)
-    assert len(built_sizes) == expected
-
-
 @pytest.mark.parametrize("max_resident", [1, 2, 4])
 def test_loader_residency_bound_is_configurable(dataset, max_resident):
     sampler = NeighborSampler(dataset.graph, [-1], seed=0)
@@ -332,57 +296,6 @@ def test_loader_rejects_nonpositive_max_resident(dataset):
         MiniBatchDataLoader(
             sampler, np.arange(10), batch_size=4, max_resident=0
         )
-
-
-# --------------------------------------------------------------------------- #
-# adaptive batch sizing (byte_budget)
-# --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("kind", ["sage_mean", "gat"])
-def test_adaptive_byte_budget_parity(dataset, kind):
-    set_seed(0)
-    model = MODEL_FACTORIES[kind](dataset)
-    reference = _full_logits(model, dataset.graph, dataset.features)
-    engine = LayerWiseInference(
-        model, dataset.graph, batch_size=64, byte_budget=64 * 1024
-    )
-    got = engine.run(dataset.features)
-    np.testing.assert_array_equal(got, reference)
-    assert len(engine.layer_batch_sizes) == model.num_layers
-    assert all(
-        1 <= bs <= dataset.graph.num_nodes for bs in engine.layer_batch_sizes
-    )
-
-
-def test_adaptive_budget_extremes(dataset):
-    set_seed(0)
-    model = MODEL_FACTORIES["sage_max"](dataset)
-    reference = _full_logits(model, dataset.graph, dataset.features)
-    # A one-byte budget floors every layer at single-node batches…
-    tiny = LayerWiseInference(model, dataset.graph, byte_budget=1)
-    np.testing.assert_array_equal(tiny.run(dataset.features), reference)
-    assert tiny.layer_batch_sizes == [1] * model.num_layers
-    # …and a giant budget ceilings at one whole-graph batch per layer.
-    huge = LayerWiseInference(model, dataset.graph, byte_budget=1 << 30)
-    np.testing.assert_array_equal(huge.run(dataset.features), reference)
-    assert huge.layer_batch_sizes == [dataset.graph.num_nodes] * model.num_layers
-
-
-def test_adaptive_sizes_track_layer_widths(dataset):
-    """Wider layer inputs get smaller batches under the same budget."""
-    set_seed(0)
-    model = MODEL_FACTORIES["sage_mean"](dataset)  # widths 12 -> 16 -> 16
-    engine = LayerWiseInference(model, dataset.graph, byte_budget=32 * 1024)
-    engine.run(dataset.features)
-    sizes = engine.layer_batch_sizes
-    assert sizes[0] > sizes[1]  # layer 0 reads 12-wide rows, layer 1 16-wide
-    assert sizes[2] >= sizes[1]  # same input width, narrower (4-class) output
-
-
-def test_adaptive_rejects_bad_budget(dataset):
-    set_seed(0)
-    model = MODEL_FACTORIES["sage_mean"](dataset)
-    with pytest.raises(ValueError, match="byte_budget"):
-        LayerWiseInference(model, dataset.graph, byte_budget=0)
 
 
 # --------------------------------------------------------------------------- #

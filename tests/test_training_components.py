@@ -156,7 +156,7 @@ class TestCorrectAndSmooth:
         with pytest.raises(ValueError):
             CorrectAndSmooth(num_correct_iters=0)
         with pytest.raises(ValueError):
-            CorrectAndSmooth(correct_alpha=1.5)
+            CorrectAndSmooth(num_smooth_iters=0)
 
     def test_distributed_matches_single_machine(self, small_dataset):
         """C&S through DistributedGraph.propagate equals the single-machine result."""

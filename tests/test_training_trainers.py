@@ -83,6 +83,9 @@ BAD_DISTRIBUTED_CONFIGS = {
     "eval_inference": (dict(eval_inference="bogus"), "eval_inference"),
     "lr_schedule": (dict(lr_schedule="bogus"), "lr_schedule"),
     "num_epochs": (dict(num_epochs=0), "num_epochs"),
+    "lr": (dict(lr=0.0), "lr must be > 0"),
+    "weight_decay": (dict(weight_decay=-1.0), "weight_decay"),
+    "feature_store_lr": (dict(feature_store_lr=-0.1), "feature_store_lr"),
     "eval_every": (dict(eval_every=-1), "eval_every"),
     "sampler_x_mfg": (dict(sampler=NeighborSamplingConfig(fanouts=(2, 2)), mfg_seeds=[0, 1]),
                       "mutually exclusive"),

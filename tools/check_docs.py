@@ -9,8 +9,9 @@ anchors (``#section``) are checked against the headings of the same file.
 It also imports every Sphinx-style cross-reference to the package
 (``:class:`~repro.graph.Graph```, ``:meth:`text <repro.….name>```, and the
 ``:func:``, ``:attr:``, ``:data:`` and ``:mod:`` roles) found in the
-docstrings under ``src/`` and in ``docs/*.md``, and fails when the named
-module or attribute does not exist.  A reference may wrap across lines.
+docstrings under ``src/``, in ``README.md`` and in ``docs/*.md``, and fails
+when the named module or attribute does not exist.  A reference may wrap
+across lines.
 
 An unqualified reference in a ``src/`` module (``:class:`Graph```,
 ``:meth:`Graph.plan```, ``:attr:`relation_edges```) is resolved against that
@@ -18,7 +19,7 @@ module, in this order: its globals, the builtins, importable dotted names,
 then the members of the classes it defines — methods, properties, dataclass
 fields and ``self.x = …`` assignments, inherited ones included.  A dotted
 reference resolves its first name that way and the rest as attributes or
-instance attributes.  ``docs/*.md`` has no module context, so only its
+instance attributes.  A markdown file has no module context, so only its
 ``repro.…`` references are checked.  The package must be importable
 (``PYTHONPATH=src``).
 
@@ -222,7 +223,7 @@ def main(argv=None) -> int:
         errors.extend(check_file(path))
     print(f"checked {len(files)} files: {len(errors)} broken link(s)")
 
-    xref_files = sorted((root / "src").rglob("*.py")) + files[1:]
+    xref_files = sorted((root / "src").rglob("*.py")) + files
     xref_errors, xrefs = [], 0
     for path in xref_files:
         found, count = check_xrefs(path)
