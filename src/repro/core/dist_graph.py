@@ -155,11 +155,10 @@ class DistributedGraph:
                             name: str = "smp") -> RestrictionLayers:
         """Prepare per-conv-layer substitute block grids (collective call).
 
-        The one way a restriction comes into being, shared by the persistent
-        MFG restriction and per-batch sampled training: both hand over grids
-        from :meth:`repro.sample.distributed.DistributedNeighborSampler.
-        sample` — MFG's sampled once, at every fan-out ``-1`` over its
-        seed set, sampled training's afresh every batch.  Each layer's view
+        The one way a restriction comes into being: sampled training hands
+        over each batch's grids from :meth:`repro.sample.distributed.
+        DistributedNeighborSampler.sample`, at every fan-out ``-1`` the
+        batch's full-neighbourhood MFG (paper Appendix B).  Each layer's view
         recounts every relation's in-degrees from its grid, so mean
         aggregation divides by the sampled degree, which on a
         full-neighbourhood grid is the global one.  Evaluation needs none:
@@ -190,8 +189,7 @@ class DistributedGraph:
         Collective: every worker must call this at the same point with grids
         describing the same global edge set — each restricted layer performs
         one halo-routing exchange per relation.  Entering the result is
-        local, so a deterministic restriction (the MFG grids) is prepared
-        once and re-entered for free.
+        local, so a prepared restriction can be re-entered for free.
         """
         return [(self.shard.with_blocks(grids), _make_halos(self.comm, grids, f"{name}{layer}-"))
                 for layer, grids in enumerate(layer_grids)]
@@ -204,8 +202,8 @@ class DistributedGraph:
         unrestricted — full-graph rows even inside an outer scope.  The layer
         cursor is reset on entry and on exit, and whatever was in force
         before is put back on exit, exceptions included, so scopes nest: an
-        evaluation forward inside an MFG training scope scores every row and
-        leaves the MFG layers in force.  No collective work happens here, but
+        unrestricted forward inside a restricted scope scores every row and
+        leaves the outer layers in force.  No collective work happens here, but
         all workers must agree on *which* layers are in force (the usual
         replicated-control-flow discipline), since the halos' per-step
         fetches are collective.
@@ -229,7 +227,7 @@ class DistributedGraph:
         layer = self._cursor
         if layer >= len(self._restriction):
             raise RuntimeError(
-                f"MFG restriction covers {len(self._restriction)} conv layers but the "
+                f"restriction covers {len(self._restriction)} conv layers but the "
                 f"model issued a {layer + 1}th aggregation ({what}) this step"
             )
         self._cursor += 1

@@ -33,10 +33,9 @@ union of the workers' samples is bit-identical to what a single machine
 samples for the same batch — the distributed run trains the same mini-batch
 sequence as the single-machine run with the same seed.  At every fan-out
 ``-1`` the union is the full-neighbourhood MFG of the batch
-(:func:`repro.graph.mfg.build_mfg_pipeline`), which is how distributed MFG
-training gets its grids: ``DistributedNeighborSampler(shard, comm, [-1] *
-L).sample(seeds)``, sampled once — and over every node, the shard's own block
-rows.
+(:func:`repro.graph.mfg.build_mfg_pipeline`) — one such batch over every
+train seed is paper Appendix B's restricted epoch — and over every node, the
+shard's own block rows.
 """
 
 from __future__ import annotations

@@ -193,7 +193,7 @@ def distributed_layerwise_logits(
         The worker's :class:`~repro.core.dist_graph.DistributedGraph`, over
         a homogeneous or a relational shard.  The forward runs under
         ``restricted(None)``, so whatever scope the caller holds
-        (an MFG training restriction, or none) is back in force afterwards
+        (a sampled batch's restriction, or none) is back in force afterwards
         and every row's logits are computed.
     model:
         The worker's model replica; switched to ``eval()`` for the duration.

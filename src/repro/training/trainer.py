@@ -1,14 +1,14 @@
 """Trainers: single-machine reference and distributed (SAR / DP).
 
 One epoch loop serves every way this repo trains.  A *batch* is ``(graph-like,
-inputs, labels, loss mask)`` — one optimiser step — so full-batch training and
-MFG training (``mfg_seeds``) are one-batch epochs and neighbour-sampled
-training (``sampler``) is one batch per mini-batch.  :class:`FullBatchTrainer`
-yields :class:`~repro.graph.graph.Graph` / :class:`~repro.graph.mfg.
-MFGPipeline` / loader batches; a distributed worker yields its
-:class:`~repro.core.dist_graph.DistributedGraph` handle with nothing, the
-persistent MFG layers, or a freshly prepared sampled grid in force for that
-batch's step (``DistributedGraph.restricted``).  Both run the same ``_fit`` (timer,
+inputs, labels, loss mask)`` — one optimiser step — so full-batch training is
+a one-batch epoch, neighbour-sampled training (``sampler``) is one batch per
+mini-batch, and paper Appendix B's restricted epoch is one unshuffled batch
+of every train seed at fan-out ``-1``.  :class:`FullBatchTrainer` yields the
+:class:`~repro.graph.graph.Graph` or loader batches; a distributed worker
+yields its :class:`~repro.core.dist_graph.DistributedGraph` handle, with a
+sampled batch's freshly prepared grids in force for that batch's step
+(``DistributedGraph.restricted``).  Both run the same ``_fit`` (timer,
 schedulers, records, periodic and final evaluation, Correct & Smooth),
 ``_run_epoch``, ``_step`` and ``evaluate``; ``comm is None`` means single
 machine, otherwise the batch count is all-reduced and gradients are
@@ -27,17 +27,16 @@ from __future__ import annotations
 import dataclasses
 from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import SARConfig, SAR
-from repro.core.dist_graph import DistributedGraph, RestrictionLayers
+from repro.core.dist_graph import DistributedGraph
 from repro.core.grad_sync import broadcast_parameters, sync_gradients
 from repro.datasets.synthetic import NodeClassificationDataset
 from repro.distributed.cluster import ClusterRunResult, run_distributed
 from repro.distributed.comm import Communicator
-from repro.graph.mfg import build_mfg_pipeline
 from repro.nn.module import Module
 from repro.partition.book import PartitionBook
 from repro.partition.partitioner import partition_graph
@@ -48,7 +47,7 @@ from repro.sample.inference import (
     distributed_layerwise_logits,
 )
 from repro.sample.loader import MiniBatchDataLoader, NeighborSamplingConfig
-from repro.sample.neighbor import NeighborSampler
+from repro.sample.neighbor import NeighborSampler, check_fanout
 from repro.store import FeatureStore, as_feature_store
 from repro.tensor import functional as F
 from repro.tensor import no_grad
@@ -57,9 +56,8 @@ from repro.tensor.tensor import Tensor
 from repro.training.correct_and_smooth import CorrectAndSmooth
 from repro.training.label_augmentation import LabelAugmenter, NoLabelAugmenter
 from repro.training.metrics import distributed_mean_loss, evaluation_report
-from repro.utils.seed import temp_seed
+from repro.utils.seed import derive_rng, temp_seed, thread_rng
 from repro.utils.timing import Timer, WorkerTimer
-from repro.utils.validation import check_1d_int_array
 
 ModelFactory = Callable[[int], Module]
 #: one optimiser step, ``(graph-like, inputs, labels, loss mask)``: the model runs over
@@ -78,9 +76,9 @@ class TrainingConfig:
     model factory), a single-machine run and an ``N``-worker distributed run
     execute the same epoch structure, and — when :attr:`sampler` is set — the
     identical mini-batch sequence (the sampler's counter-based determinism).
-    Execution-path switches (:attr:`mfg_seeds`, :attr:`sampler`,
-    :attr:`eval_inference`) change *how* numbers are computed, not the model
-    or loss definitions; see each field's note for its exactness guarantee.
+    Execution-path switches (:attr:`sampler`, :attr:`eval_inference`) change
+    *how* numbers are computed, not the model or loss definitions; see each
+    field's note for its exactness guarantee.
     """
 
     num_epochs: int = 100
@@ -92,21 +90,14 @@ class TrainingConfig:
     cs_params: CorrectAndSmooth = field(default_factory=CorrectAndSmooth)
     eval_every: int = 0  # 0 = evaluate only after the final epoch
     seed: int = 0
-    #: Seed node ids for MFG-restricted training (paper Appendix B).  When
-    #: set, each training epoch only computes the rows inside the seed set's
-    #: receptive field — the loss is evaluated over these seeds — while
-    #: evaluation still runs over the full graph.  ``None`` disables the
-    #: restriction.  Note that batch normalization computes its statistics
-    #: over whichever rows a layer produces, so restricted and full training
-    #: only match exactly for models without batch norm.
-    mfg_seeds: Optional[Sequence[int]] = None
     #: Mini-batch neighbour-sampled training
     #: (:class:`~repro.sample.loader.NeighborSamplingConfig`).  When set, each
     #: epoch shuffles the training seeds, samples per-layer neighbourhoods per
     #: batch, and takes one optimizer step per batch; evaluation still scores
-    #: the full graph.  Mutually exclusive with :attr:`mfg_seeds`.  The
-    #: sampler seed defaults to :attr:`seed`, so single-machine and
-    #: distributed runs with the same config train the same batch sequence.
+    #: the full graph.  The sampler seed defaults to :attr:`seed`, so
+    #: single-machine and distributed runs with the same config train the
+    #: same batch sequence.  Paper Appendix B's MFG-restricted training is
+    #: ``fanouts=(-1,) * L, batch_size=<train count>, shuffle=False``.
     sampler: Optional[NeighborSamplingConfig] = None
     #: How single-machine evaluation computes its logits: ``"full"`` runs one
     #: full-graph forward pass; ``"layerwise"`` runs the layer-wise
@@ -129,7 +120,7 @@ class TrainingConfig:
     #: :class:`~repro.store.PartitionedKVStore` and attach it to the graph
     #: handle, so layer-0 halo fetches route through the hot-row cache.
     #: Mutually exclusive with :attr:`label_augmentation` (which rewrites the
-    #: feature matrix every epoch) and :attr:`mfg_seeds`.
+    #: feature matrix every epoch).
     feature_store: Optional[Any] = None
     #: Learning rate for the trainable store's
     #: :class:`~repro.tensor.optim.SparseAdam` (``None`` = :attr:`lr`).
@@ -146,17 +137,15 @@ class TrainingConfig:
             return CosineDecay(optimizer, total_epochs=self.num_epochs)
         return None
 
-    def validate(self, model_num_layers: Optional[int], distributed: bool,
-                 num_nodes: int) -> None:
+    def validate(self, model_num_layers: Optional[int], distributed: bool) -> None:
         """Raise ``ValueError`` for any setting no trainer can run.
 
         Every cross-field rule lives here and both trainers call it before
         doing any work — nothing is partitioned, no cluster is spawned and no
         epoch runs under a config that would only fail later.
         ``model_num_layers`` is the model's ``num_layers`` (``None`` when it
-        exposes none), ``distributed`` tells :class:`DistributedTrainer` (and
-        its workers) from :class:`FullBatchTrainer`, and ``num_nodes`` is the
-        (global) graph's node count, which bounds :attr:`mfg_seeds`.
+        exposes none) and ``distributed`` tells :class:`DistributedTrainer`
+        (and its workers) from :class:`FullBatchTrainer`.
         """
         if self.num_epochs < 1:
             raise ValueError(f"num_epochs must be >= 1, got {self.num_epochs}")
@@ -178,33 +167,24 @@ class TrainingConfig:
             raise ValueError(
                 f"eval_inference must be 'full' or 'layerwise', got {self.eval_inference!r}"
             )
-        if self.sampler is not None and self.mfg_seeds is not None:
-            raise ValueError("sampler and mfg_seeds are mutually exclusive")
-        if self.mfg_seeds is not None:
-            seeds = check_1d_int_array(self.mfg_seeds, "mfg_seeds", max_value=num_nodes)
-            if seeds.size == 0:
-                raise ValueError("mfg_seeds must name at least one node")
-        for name, value in (("sampler", self.sampler), ("mfg_seeds", self.mfg_seeds)):
-            if value is not None and model_num_layers is None:
-                raise ValueError(
-                    f"{name} requires a model exposing num_layers (one fanout / "
-                    "restricted block per conv layer)"
-                )
         if self.sampler is not None:
+            if model_num_layers is None:
+                raise ValueError("sampler needs a model exposing num_layers (one fanout per layer)")
             if len(self.sampler.fanouts) != model_num_layers:
                 raise ValueError(
                     f"sampler.fanouts names {len(self.sampler.fanouts)} layers but the "
                     f"model has {model_num_layers} conv layers"
                 )
-            if self.sampler.num_workers < 0:
-                raise ValueError(
-                    f"sampler.num_workers must be >= 0, got {self.sampler.num_workers}"
-                )
-            if self.sampler.max_resident_batches < 1:
-                raise ValueError(
-                    "sampler.max_resident_batches must be >= 1, got "
-                    f"{self.sampler.max_resident_batches}"
-                )
+            for layer, spec in enumerate(self.sampler.fanouts):
+                for name, fanout in (spec.items() if isinstance(spec, Mapping)
+                                     else [(None, spec)]):
+                    check_fanout(fanout, f"sampler.fanouts[{layer}]"
+                                 + ("" if name is None else f"[{name!r}]"))
+            for name, low in (("batch_size", 1), ("num_workers", 0),
+                              ("max_resident_batches", 1)):
+                value = getattr(self.sampler, name)
+                if value < low:
+                    raise ValueError(f"sampler.{name} must be >= {low}, got {value}")
         store = self.feature_store
         if store is None:
             return
@@ -224,8 +204,6 @@ class TrainingConfig:
                 "feature_store and label_augmentation are mutually exclusive "
                 "(augmentation rewrites the feature matrix every epoch)"
             )
-        if self.mfg_seeds is not None:
-            raise ValueError("feature_store and mfg_seeds are not supported together")
 
 
 @dataclass
@@ -444,8 +422,8 @@ class _EpochLoop:
 class FullBatchTrainer(_EpochLoop):
     """Training of a model on a single (non-partitioned) graph.
 
-    Full-batch by default; ``config.mfg_seeds`` / ``config.sampler`` switch
-    the epoch's batches to a compacted MFG pipeline or sampled mini-batches.
+    Full-batch by default; ``config.sampler`` switches the epoch's batches to
+    sampled mini-batches (compacted MFG pipelines).
     """
 
     def __init__(self, model: Module, dataset: NodeClassificationDataset,
@@ -455,8 +433,7 @@ class FullBatchTrainer(_EpochLoop):
         self.dataset = dataset
         self.config = config = config or TrainingConfig()
         self.graph = graph = dataset.graph if graph is None else graph
-        num_layers = getattr(model, "num_layers", None)
-        config.validate(num_layers, distributed=False, num_nodes=graph.num_nodes)
+        config.validate(getattr(model, "num_layers", None), distributed=False)
         self._smoothing_graph = dataset.graph
         self.labels = dataset.labels
         self.masks = {"train": dataset.train_mask, "val": dataset.val_mask,
@@ -491,9 +468,6 @@ class FullBatchTrainer(_EpochLoop):
             sampler = NeighborSampler(graph, scfg.fanouts, replace=scfg.replace,
                                       seed=config.resolved_sampler_seed())
             self.sample_loader = scfg.loader(sampler, dataset.train_indices())
-        self.mfg_pipeline = None
-        if config.mfg_seeds is not None:
-            self.mfg_pipeline = build_mfg_pipeline(graph, config.mfg_seeds, num_layers)
 
     # ------------------------------------------------------------------ #
     def train(self) -> TrainingResult:
@@ -514,13 +488,6 @@ class FullBatchTrainer(_EpochLoop):
                 else:
                     x = Tensor(batch.input_features(features))
                 yield batch.pipeline, x, labels[batch.seeds], predict_mask[batch.seeds]
-        elif self.mfg_pipeline is not None:
-            # Restricted epoch: only the receptive field of the seed set is
-            # computed; the logits rows are exactly the (sorted) seeds.
-            pipeline = self.mfg_pipeline
-            rows = pipeline.output_nodes
-            yield (pipeline, Tensor(pipeline.gather_inputs(features)),
-                   labels[rows], predict_mask[rows])
         else:
             # A trainable store is gathered through autograd (backward scatters
             # per-row gradients into it); anything else yields a leaf tensor.
@@ -570,24 +537,9 @@ class _DistributedWorker(_EpochLoop):
         # DistributedTrainer validated against a probed replica; a direct
         # caller's config is checked here, against this one.  Every rank
         # raises at the same point, so none is left waiting in a setup exchange.
-        num_layers = getattr(model, "num_layers", None)
-        config.validate(num_layers, distributed=True, num_nodes=shard.num_total_nodes)
+        config.validate(getattr(model, "num_layers", None), distributed=True)
         self.graph = DistributedGraph(shard, comm, sar_config)
         self._smoothing_graph = self.graph
-        #: the persistent MFG restriction — prepared once (its halo routing is
-        #: collective), entered for every training step — and the local seed
-        #: rows the loss mask is clipped to (only they carry trustworthy logits).
-        self.mfg_layers: Optional[RestrictionLayers] = None
-        self.seed_mask: Optional[np.ndarray] = None
-        if config.mfg_seeds is not None:
-            # The MFG is the full-neighbourhood sample of the seed set.
-            seeds = np.unique(np.asarray(config.mfg_seeds, dtype=np.int64))
-            mfg = DistributedNeighborSampler(shard, comm, [-1] * num_layers)
-            self.mfg_layers = self.graph.prepare_restriction(mfg.sample(seeds), name="mfg")
-            # prepare_restriction's routing exchanges are barriers: every rank
-            # has consumed the last frontier payload.
-            mfg.release()
-            self.seed_mask = np.isin(shard.global_node_ids, seeds)
         #: the sampled epochs' loader — the single machine's, over this
         #: worker's cooperative sampler and the global train ids.
         self.loader: Optional[MiniBatchDataLoader] = None
@@ -630,11 +582,7 @@ class _DistributedWorker(_EpochLoop):
         graph, inputs, labels = self.graph, Tensor(features), self.labels
         if self.loader is None:
             graph.begin_step()
-            if self.mfg_layers is None:
-                yield graph, inputs, labels, predict_mask
-            else:
-                with graph.restricted(self.mfg_layers):
-                    yield graph, inputs, labels, predict_mask & self.seed_mask
+            yield graph, inputs, labels, predict_mask
             return
         # Every sampled batch is a collective: all workers derive the identical
         # global batch (same shuffle stream), sample their owned share of each
@@ -667,11 +615,6 @@ def distributed_train_worker(rank: int, comm: Communicator, shard, *,
                              sar_config: SARConfig) -> Dict[str, Any]:
     """Per-worker training loop (the job ``cluster.run_job`` runs on every rank).
 
-    With ``config.mfg_seeds`` set, the workers sample the seed set's
-    full-neighbourhood MFG grids cooperatively once, at setup, and every
-    training forward runs inside that prepared per-layer restriction (smaller
-    halo fetches).
-
     With ``config.sampler`` set, the workers gather the global train ids once
     and run cooperative neighbour-sampled mini-batch training through the
     single machine's :class:`~repro.sample.loader.MiniBatchDataLoader`, over a
@@ -683,7 +626,11 @@ def distributed_train_worker(rank: int, comm: Communicator, shard, *,
     """
     worker = _DistributedWorker(rank, comm, shard, model_factory, feature_dim, num_classes,
                                 config, sar_config)
-    training, logits = worker._fit()
+    # Dropout draws from this rank's own generator, installed after the model
+    # is built: on the shared library-wide one, the rank threads' masks would
+    # depend on how they interleave, and would differ from forked ranks'.
+    with thread_rng(derive_rng(config.seed, rank)):
+        training, logits = worker._fit()
     result: Dict[str, Any] = {
         "records": training.records,
         "final_accuracies": training.final_accuracies,
@@ -722,13 +669,12 @@ class DistributedTrainer:
         self.config = config = config or TrainingConfig()
         self.partition_seed = partition_seed
         self.timeout_s = timeout_s
-        #: conv-layer count of the model, probed only when a per-layer
-        #: structure (MFG restriction, sampling fan-outs) has to match it.
+        #: conv-layer count of the model, probed only when the sampling
+        #: fan-outs have to match it.
         self._num_layers: Optional[int] = None
-        if config.mfg_seeds is not None or config.sampler is not None:
+        if config.sampler is not None:
             self._num_layers = self._probe_num_layers()
-        config.validate(self._num_layers, distributed=True,
-                        num_nodes=dataset.graph.num_nodes)
+        config.validate(self._num_layers, distributed=True)
         dataset.attach_to_graph()
         self.book, self.shards = self._prepare_shards()
 
@@ -743,8 +689,8 @@ class DistributedTrainer:
         """Read ``num_layers`` off a throwaway model replica.
 
         The probe exists only to read the attribute; its parameter draws are
-        isolated so enabling MFG or sampling does not shift the workers'
-        initial weights.
+        isolated so enabling sampling does not shift the workers' initial
+        weights.
         """
         with temp_seed(0):
             probe = self.model_factory(self.dataset.feature_dim)

@@ -7,7 +7,8 @@ from one call to :func:`set_seed`.
 
 Components that run concurrently (the mini-batch sampler's thread-pool
 prefetch path, distributed workers) cannot share the sequential global
-stream without making results depend on scheduling order.  For those, the
+stream without making results depend on scheduling order.  A distributed
+worker draws from its own generator (:func:`thread_rng`).  For the rest, the
 module provides *counter-based* derivation: :func:`mix_seed` folds any tuple
 of integers into a 64-bit key, :func:`derive_rng` turns such a key into an
 independent Philox generator, and :func:`hash_u64` hashes whole integer
@@ -19,12 +20,15 @@ behind the neighbour sampler's reproducibility guarantee.
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Iterator, Optional
 
 import numpy as np
 
 _DEFAULT_SEED = 0
 _rng: np.random.Generator = np.random.default_rng(_DEFAULT_SEED)
+#: per-thread override of ``_rng`` (:func:`thread_rng`)
+_thread = threading.local()
 
 _MASK64 = (1 << 64) - 1
 # splitmix64 constants (Steele et al., "Fast splittable pseudorandom number
@@ -47,8 +51,24 @@ def set_seed(seed: int) -> None:
 
 
 def get_rng() -> np.random.Generator:
-    """Return the library-wide random generator."""
-    return _rng
+    """The calling thread's generator (:func:`thread_rng`), else the library-wide one."""
+    return getattr(_thread, "rng", None) or _rng
+
+
+@contextlib.contextmanager
+def thread_rng(rng: np.random.Generator) -> Iterator[np.random.Generator]:
+    """Make ``rng`` what :func:`get_rng` returns on the calling thread only.
+
+    Whatever the thread had installed before is put back on exit.  While it
+    is installed, the thread does not see :func:`set_seed` or
+    :func:`temp_seed` swap the library-wide generator.
+    """
+    saved = getattr(_thread, "rng", None)
+    _thread.rng = rng
+    try:
+        yield rng
+    finally:
+        _thread.rng = saved
 
 
 # --------------------------------------------------------------------------- #

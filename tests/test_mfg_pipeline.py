@@ -5,7 +5,8 @@ required destination's complete in-neighbourhood in the original edge order,
 so the restricted forward pass must produce bit-identical seed-node logits —
 single-machine over :class:`~repro.graph.mfg.MFGBlock` chains, and 2-worker
 SAR over the per-layer grids the cooperative sampler builds at fan-out -1 —
-and distributed MFG training must follow the single-machine MFG trajectory.
+and MFG training (one fan-out -1 batch over every train seed) must follow the
+full-batch trajectory on one machine and the single-machine one distributed.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.graph import (
 )
 from repro.nn.models import GATNet, GraphSageNet, RGCNNet
 from repro.partition import PartitionBook, create_shards, partition_graph
+from repro.sample import NeighborSamplingConfig
 from repro.tensor import Tensor
 from repro.tensor import functional as F
 from repro.training.trainer import (
@@ -187,9 +189,15 @@ class TestSingleMachineParity:
         np.testing.assert_array_equal(node_lists[1], [1])
 
 
+def _full_fanout(dataset, num_layers):
+    """Paper Appendix B's restricted epoch: one unshuffled batch holding every
+    train seed at fan-out -1, i.e. the train seeds' whole receptive field."""
+    return NeighborSamplingConfig(fanouts=(-1,) * num_layers,
+                                  batch_size=len(dataset.train_indices()), shuffle=False)
+
+
 class TestTrainerIntegration:
-    def test_full_batch_trainer_with_mfg_seeds(self, small_dataset):
-        seeds = small_dataset.train_indices()
+    def test_full_batch_trainer_with_full_fanout_batch(self, small_dataset):
         config = dict(num_epochs=3, lr=0.05, eval_every=0, seed=0)
         model_kwargs = dict(dropout=0.0, use_batch_norm=False)
 
@@ -204,7 +212,7 @@ class TestTrainerIntegration:
         restricted = FullBatchTrainer(
             GraphSageNet(small_dataset.feature_dim, 16, small_dataset.num_classes,
                          **model_kwargs),
-            small_dataset, TrainingConfig(mfg_seeds=seeds, **config),
+            small_dataset, TrainingConfig(sampler=_full_fanout(small_dataset, 3), **config),
         ).train()
 
         # Same loss trajectory (losses are means over the same seed set) and
@@ -213,20 +221,10 @@ class TestTrainerIntegration:
                                    rtol=1e-4, atol=1e-6)
         assert set(restricted.final_accuracies) == {"train", "val", "test"}
 
-    def test_mfg_seeds_requires_num_layers(self, small_dataset):
-        from repro.nn.sage import SageConv
-
-        with pytest.raises(ValueError, match="num_layers"):
-            FullBatchTrainer(
-                SageConv(small_dataset.feature_dim, small_dataset.num_classes),
-                small_dataset,
-                TrainingConfig(mfg_seeds=small_dataset.train_indices()),
-            )
-
     @pytest.mark.slow
-    def test_distributed_trainer_with_mfg_seeds(self, small_dataset):
+    def test_distributed_trainer_with_full_fanout_batch(self, small_dataset):
         config = TrainingConfig(num_epochs=2, lr=0.05, eval_every=0, seed=0,
-                                mfg_seeds=small_dataset.train_indices())
+                                sampler=_full_fanout(small_dataset, 3))
         trainer = DistributedTrainer(
             small_dataset,
             lambda dim: GraphSageNet(dim, 16, small_dataset.num_classes,
@@ -244,10 +242,10 @@ class TestTrainerIntegration:
     @pytest.mark.parametrize("kind", ["sage-mean", "gat"])
     def test_distributed_mfg_trains_the_single_machine_trajectory(self, small_dataset, kind,
                                                                    mode, world_size):
-        seeds = small_dataset.train_indices()[::3]  # a receptive field short of the graph
         # At lr 0.05 Adam lifts GAT's float32 summation-order noise (blocks
         # reduce per owner) to ~1e-3 by the third step; at 0.01 it stays ~1e-6.
-        common = dict(num_epochs=3, lr=0.01, eval_every=0, seed=0, mfg_seeds=seeds)
+        common = dict(num_epochs=3, lr=0.01, eval_every=0, seed=0,
+                      sampler=_full_fanout(small_dataset, 3))
 
         def make_model(dim):
             if kind == "gat":

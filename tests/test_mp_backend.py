@@ -6,6 +6,7 @@ the abstract Communicator interface and runs unchanged across processes, and
 that the parent never hangs or leaks children when a worker fails.
 """
 
+import functools
 import multiprocessing as mp
 import os
 import threading
@@ -198,22 +199,23 @@ def _sar_rgcn_training_worker(rank, comm, shard, *, config, feature_dim, num_cla
 SAGE_IN, SAGE_HIDDEN, SAGE_CLASSES = 8, 16, 4
 
 
-def _sage_model(dim, num_classes=SAGE_CLASSES):
+def _sage_model(dim, num_classes=SAGE_CLASSES, dropout=0.0):
     from repro.nn.models import GraphSageNet
 
     # Layer 0 widens (8 -> 16: aggregates first, an 8-wide halo); layer 1
     # narrows (16 -> 4: projects first, a 4-wide halo).
     with temp_seed(0):
         return GraphSageNet(dim, SAGE_HIDDEN, num_classes, num_layers=2,
-                            dropout=0.0, use_batch_norm=False)
+                            dropout=dropout, use_batch_norm=False)
 
 
-def _sage_training_worker(rank, comm, shard, *, config, sar_config, feature_dim, num_classes):
+def _sage_training_worker(rank, comm, shard, *, config, sar_config, feature_dim, num_classes,
+                          dropout=0.0):
     from repro.training.trainer import distributed_train_worker
 
     out = distributed_train_worker(
         rank, comm, shard,
-        model_factory=_sage_model,
+        model_factory=functools.partial(_sage_model, dropout=dropout),
         feature_dim=feature_dim,
         num_classes=num_classes,
         config=config,
@@ -487,13 +489,17 @@ class TestMultiprocessBackend:
             assert mp_stats.received_by_tag == stats.received_by_tag
 
     @pytest.mark.parametrize("mode", ["sar", "dp"])
-    def test_mfg_training_matches_thread_backend(self, mode):
-        # MFG setup samples the seed set's full-neighbourhood grids inside the
-        # workers, one keyed frontier allgather per layer: the same losses and
-        # the same per-rank bytes, frontier included, on threads and processes.
+    def test_full_fanout_training_matches_thread_backend(self, mode):
+        # Paper Appendix B's restricted epoch as one unshuffled fan-out -1
+        # batch over every train seed: the workers sample its grids with one
+        # keyed frontier allgather per layer, every epoch — the same losses
+        # and the same per-rank bytes, frontier included, on threads and
+        # processes.
         dataset = _parity_dataset()
         config = TrainingConfig(num_epochs=2, lr=0.05, eval_every=0, seed=0,
-                                mfg_seeds=dataset.train_indices()[:16])
+                                sampler=NeighborSamplingConfig(
+                                    fanouts=(-1, -1), batch_size=len(dataset.train_indices()),
+                                    shuffle=False))
         shards = create_shards(dataset.graph, PartitionBook(
             partition_graph(dataset.graph, 2, seed=0), 2))
         threads, processes = self._sage_both_backends(config, SARConfig(mode), shards)
@@ -503,10 +509,38 @@ class TestMultiprocessBackend:
             assert mp_stats.received_by_tag == stats.received_by_tag
         assert threads.total_received_by_tag()["sample_frontier"] > 0
 
+    def test_dropout_training_is_reproducible_on_threads(self):
+        # Each worker draws its dropout masks from its own generator, keyed
+        # by (config.seed, rank): a run is fixed by its config, not by how the
+        # rank threads interleave or where the library-wide stream stands.
+        dataset = _parity_dataset()
+        config = TrainingConfig(num_epochs=2, lr=0.05, eval_every=0, seed=0)
+        shards = create_shards(dataset.graph, PartitionBook(
+            partition_graph(dataset.graph, 2, seed=0), 2))
+        kwargs = dict(config=config, sar_config=SARConfig("sar"), feature_dim=SAGE_IN,
+                      num_classes=SAGE_CLASSES, dropout=0.5)
+        first, second = (run_distributed(_sage_training_worker, 2, worker_args=shards, **kwargs)
+                         for _ in range(2))
+        assert [losses for losses, _ in second.results] == \
+            [losses for losses, _ in first.results]
+
+    @pytest.mark.parametrize("mode", ["sar", "dp"])
+    def test_dropout_training_matches_thread_backend(self, mode):
+        # A forked rank draws from the same per-rank generator a thread rank
+        # does, so dropout masks — and the losses — agree across backends.
+        dataset = _parity_dataset()
+        config = TrainingConfig(num_epochs=2, lr=0.05, eval_every=0, seed=0)
+        shards = create_shards(dataset.graph, PartitionBook(
+            partition_graph(dataset.graph, 2, seed=0), 2))
+        threads, processes = self._sage_both_backends(config, SARConfig(mode), shards,
+                                                      dropout=0.5)
+        for (losses, _), (mp_losses, _) in zip(threads.results, processes.results):
+            np.testing.assert_allclose(mp_losses, losses, rtol=0, atol=1e-6)
+
     @staticmethod
-    def _sage_both_backends(config, sar_config, shards):
+    def _sage_both_backends(config, sar_config, shards, **extra):
         kwargs = dict(config=config, sar_config=sar_config,
-                      feature_dim=SAGE_IN, num_classes=SAGE_CLASSES)
+                      feature_dim=SAGE_IN, num_classes=SAGE_CLASSES, **extra)
         threads = run_distributed(_sage_training_worker, len(shards),
                                   worker_args=shards, **kwargs)
         processes = run_multiprocess(_sage_training_worker, world_size=len(shards),

@@ -4,8 +4,9 @@ The contract under test: a relation is a key wherever a worker touches
 edges, so nothing that runs on a homogeneous shard is refused on a
 relational one —
 
-* cooperative sampled (with and without replacement) and MFG-restricted
-  R-GCN training under SAR and DP trains what one machine trains, each
+* cooperative sampled (with and without replacement, and at fan-out -1 over
+  every train seed: the MFG restriction of paper Appendix B) R-GCN training
+  under SAR and DP trains what one machine trains, each
   worker's restricted forward running over ``{relation: grid}`` layers;
   the runs are pinned bit for bit and equal on threads and processes;
 * a feature store changes no bit, on one machine and distributed;
@@ -71,12 +72,14 @@ def _rgcn_factory(dim):
     return model
 
 
-#: the per-batch restrictions a worker trains R-GCN under.
+#: the per-batch restrictions a worker trains R-GCN under; "full_fanout" is
+#: the MFG of all 160 train seeds in one batch.
 _RUNS = {
     "sampled": dict(sampler=NeighborSamplingConfig(fanouts=(3, 4), batch_size=24)),
     "replace": dict(sampler=NeighborSamplingConfig(fanouts=(3, 4), batch_size=24,
                                                    replace=True, num_workers=0)),
-    "mfg": dict(mfg_seeds=np.arange(0, 400, 7)),
+    "full_fanout": dict(sampler=NeighborSamplingConfig(fanouts=(-1, -1), batch_size=160,
+                                                       shuffle=False)),
 }
 
 
@@ -98,7 +101,7 @@ def _digest(losses, predictions) -> str:
 
 
 # --------------------------------------------------------------------------- #
-# training: sampled, with replacement, MFG — under SAR and DP, pinned
+# training: sampled, with replacement, full fan-out — under SAR and DP, pinned
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("case, mode, world_size, expected", [
     ("sampled", "sar", 2, "58a3cb67338408af"),
@@ -109,13 +112,13 @@ def _digest(losses, predictions) -> str:
     ("replace", "sar", 3, "c1dea51ac0b29275"),
     ("replace", "dp", 2, "7bb417f1b4a8a46a"),
     ("replace", "dp", 3, "c1dea51ac0b29275"),
-    ("mfg", "sar", 2, "3341cc06fb725d6d"),
-    ("mfg", "sar", 3, "4f72cde5007fc2a8"),
-    ("mfg", "dp", 2, "3341cc06fb725d6d"),
-    ("mfg", "dp", 3, "4f72cde5007fc2a8"),
+    ("full_fanout", "sar", 2, "58bd4767fd19c9e7"),
+    ("full_fanout", "sar", 3, "d20dc7d893d6d223"),
+    ("full_fanout", "dp", 2, "58bd4767fd19c9e7"),
+    ("full_fanout", "dp", 3, "d20dc7d893d6d223"),
 ])
 def test_relational_distributed_runs_are_pinned(case, mode, world_size, expected):
-    """Distributed R-GCN sampled / MFG training trains the single machine's
+    """Distributed R-GCN sampled training trains the single machine's
     batches: per-epoch losses within 1e-6 relative of one machine's (the
     workers sum each relation's halo blocks in another order), and the
     losses and assembled predictions pinned — the same digest under SAR and
@@ -132,8 +135,9 @@ def test_relational_distributed_runs_are_pinned(case, mode, world_size, expected
 
 def test_relational_mfg_restriction_shrinks_the_halo():
     """The restricted R-GCN forward fetches only what its per-relation grids
-    read: an MFG epoch moves fewer halo bytes than a full-batch one (both
-    end in the same unrestricted evaluation forward)."""
+    read: an epoch restricted to the train seeds' receptive field moves fewer
+    halo bytes than a full-batch one (both end in the same unrestricted
+    evaluation forward)."""
     dataset = _mag()
 
     def halo_bytes(**extra):
@@ -141,7 +145,7 @@ def test_relational_mfg_restriction_shrinks_the_halo():
         run = DistributedTrainer(dataset, _rgcn_factory, num_workers=2, config=config).run()
         return run.cluster.total_received_by_tag()["forward_halo"]
 
-    assert halo_bytes(**_RUNS["mfg"]) < halo_bytes()
+    assert halo_bytes(**_RUNS["full_fanout"]) < halo_bytes()
 
 
 def _training_job(rank, comm, shard, *, config):

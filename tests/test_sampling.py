@@ -546,15 +546,15 @@ class TestPlanReuse:
 # trainer integration
 # --------------------------------------------------------------------------- #
 class TestTrainerIntegration:
-    def test_sampler_and_mfg_seeds_are_exclusive(self, small_dataset):
-        model = GraphSageNet(small_dataset.feature_dim, 8, small_dataset.num_classes,
-                             num_layers=2, dropout=0.0, use_batch_norm=False)
-        config = TrainingConfig(
-            sampler=NeighborSamplingConfig(fanouts=(3, 3)),
-            mfg_seeds=small_dataset.train_indices(),
-        )
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            FullBatchTrainer(model, small_dataset, config)
+    def test_sampler_requires_num_layers(self, small_dataset):
+        from repro.nn.sage import SageConv
+
+        with pytest.raises(ValueError, match="num_layers"):
+            FullBatchTrainer(
+                SageConv(small_dataset.feature_dim, small_dataset.num_classes),
+                small_dataset,
+                TrainingConfig(sampler=NeighborSamplingConfig(fanouts=(-1,))),
+            )
 
     def test_fanouts_must_match_model_layers(self, small_dataset):
         model = GraphSageNet(small_dataset.feature_dim, 8, small_dataset.num_classes,
@@ -601,16 +601,15 @@ class TestTrainerIntegration:
 
     @pytest.mark.slow
     def test_full_fanout_sampled_single_batch_matches_full_batch(self, small_dataset):
-        """One epoch, three expressions: plain full-batch training, MFG-
-        restricted training over the train seeds, and one fanout=-1 batch
-        covering every train seed all average the loss over the train mask,
-        so they follow the same loss trajectory — on one machine, and at 2
-        workers against the single-machine run of the same leg."""
+        """One epoch, two expressions: plain full-batch training and one
+        fanout=-1 batch covering every train seed (paper Appendix B's MFG
+        restriction) both average the loss over the train mask, so they
+        follow the same loss trajectory — on one machine, and at 2 workers
+        against the single-machine run of the same leg."""
         seeds = small_dataset.train_indices()
         common = dict(num_epochs=3, lr=0.05, seed=0, eval_every=0)
         legs = {
             "full": {},
-            "mfg": dict(mfg_seeds=seeds),
             "sampled": dict(sampler=NeighborSamplingConfig(
                 fanouts=(-1, -1), batch_size=len(seeds), shuffle=False
             )),
@@ -636,8 +635,7 @@ class TestTrainerIntegration:
                                    TrainingConfig(**extra, **common)).train().losses()
             for name, extra in legs.items()
         }
-        for name in ("mfg", "sampled"):
-            np.testing.assert_allclose(single[name], single["full"], rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(single["sampled"], single["full"], rtol=1e-5, atol=1e-7)
         for name, extra in legs.items():
             dist = DistributedTrainer(small_dataset, with_weights, num_workers=2,
                                       config=TrainingConfig(**extra, **common)).run()

@@ -358,16 +358,18 @@ def test_hetero_distributed_sampling_matches_single_machine():
 
 
 # --------------------------------------------------------------------------- #
-# the distributed sampled and MFG runs are pinned bit for bit
+# the distributed sampled runs are pinned bit for bit
 # --------------------------------------------------------------------------- #
 #: the per-batch restrictions a worker trains under: cooperative sampling
-#: (without and with replacement, sampled inline) and the MFG of a seed set.
+#: (without and with replacement, sampled inline) and the MFG of the train
+#: seeds (all 120 of them in one fan-out -1 batch, paper Appendix B).
 _PINNED_RUNS = {
     "sampled": dict(sampler=NeighborSamplingConfig(fanouts=(3, 4), batch_size=24)),
     "replace": dict(sampler=NeighborSamplingConfig(fanouts=(-1, 2), batch_size=17,
                                                    replace=True, num_workers=0,
                                                    drop_last=True)),
-    "mfg": dict(mfg_seeds=np.arange(0, 240, 7)),
+    "full_fanout": dict(sampler=NeighborSamplingConfig(fanouts=(-1, -1), batch_size=120,
+                                                       shuffle=False)),
 }
 
 
@@ -380,10 +382,10 @@ _PINNED_RUNS = {
     ("replace", "sar", 3, "fc6f23017831e12b"),
     ("replace", "dp", 2, "516c8de184316533"),
     ("replace", "dp", 3, "fc6f23017831e12b"),
-    ("mfg", "sar", 2, "f5b1af1be6436639"),
-    ("mfg", "sar", 3, "9ef3ba708ed20855"),
-    ("mfg", "dp", 2, "f5b1af1be6436639"),
-    ("mfg", "dp", 3, "9ef3ba708ed20855"),
+    ("full_fanout", "sar", 2, "4b286bee921b31d1"),
+    ("full_fanout", "sar", 3, "d34d2cbe233a9746"),
+    ("full_fanout", "dp", 2, "4b286bee921b31d1"),
+    ("full_fanout", "dp", 3, "d34d2cbe233a9746"),
 ])
 def test_distributed_runs_are_pinned(small_dataset, case, mode, world_size, expected):
     """Per-epoch losses and the assembled predictions of a SAR / DP run are

@@ -71,13 +71,6 @@ class TestFullBatchTrainer:
                              TrainingConfig(num_epochs=1, lr_schedule="bogus"))
 
 
-#: MFG seed sets no trainer can restrict to (the learnable dataset has 240 nodes)
-BAD_MFG_SEEDS = {
-    "mfg_out_of_range": (dict(mfg_seeds=[0, 240]), r"mfg_seeds entries must be in \[0, 240\)"),
-    "mfg_negative": (dict(mfg_seeds=[-1, 3]), r"mfg_seeds entries must be in \[0, 240\)"),
-    "mfg_empty": (dict(mfg_seeds=[]), "mfg_seeds must name at least one node"),
-}
-
 #: configs no distributed run can execute -> a fragment of the message saying why
 BAD_DISTRIBUTED_CONFIGS = {
     "eval_inference": (dict(eval_inference="bogus"), "eval_inference"),
@@ -87,14 +80,14 @@ BAD_DISTRIBUTED_CONFIGS = {
     "weight_decay": (dict(weight_decay=-1.0), "weight_decay"),
     "feature_store_lr": (dict(feature_store_lr=-0.1), "feature_store_lr"),
     "eval_every": (dict(eval_every=-1), "eval_every"),
-    "sampler_x_mfg": (dict(sampler=NeighborSamplingConfig(fanouts=(2, 2)), mfg_seeds=[0, 1]),
-                      "mutually exclusive"),
     "fanout_depth": (dict(sampler=NeighborSamplingConfig(fanouts=(2, 2, 2))), "conv layers"),
     "kv_x_augmentation": (dict(feature_store="kv", label_augmentation=True),
                           "label_augmentation"),
-    "kv_x_mfg": (dict(feature_store="kv", mfg_seeds=[0, 1]), "mfg_seeds"),
     "store_mode": (dict(feature_store="dense"), "feature_store='kv'"),
-    **BAD_MFG_SEEDS,
+    "batch_size": (dict(sampler=NeighborSamplingConfig(fanouts=(2, 2), batch_size=0)),
+                   "sampler.batch_size"),
+    "fanout_value": (dict(sampler=NeighborSamplingConfig(fanouts=(2, -2))),
+                     r"sampler.fanouts\[1\]"),
 }
 
 
@@ -108,14 +101,6 @@ class TestConfigValidatedAtConstruction:
         with pytest.raises(ValueError, match="eval_inference"):
             FullBatchTrainer(model, learnable_dataset,
                              TrainingConfig(eval_inference="bogus"))
-
-    @pytest.mark.parametrize("case", sorted(BAD_MFG_SEEDS))
-    def test_full_batch_trainer_rejects_bad_mfg_seeds(self, learnable_dataset, case):
-        overrides, message = BAD_MFG_SEEDS[case]
-        model = nn.GraphSageNet(learnable_dataset.feature_dim, 8,
-                                learnable_dataset.num_classes)
-        with pytest.raises(ValueError, match=message):
-            FullBatchTrainer(model, learnable_dataset, TrainingConfig(**overrides))
 
     @pytest.mark.parametrize("case", sorted(BAD_DISTRIBUTED_CONFIGS))
     def test_distributed_trainer(self, learnable_dataset, case, monkeypatch):
