@@ -71,6 +71,21 @@ class TestFullBatchTrainer:
                              TrainingConfig(num_epochs=1, lr_schedule="bogus"))
 
 
+#: sampler settings no trainer can run on a 2-layer model -> the field the message names
+BAD_SAMPLERS = {
+    "batch_size": (dict(sampler=NeighborSamplingConfig(fanouts=(2, 2), batch_size=0)),
+                   "sampler.batch_size"),
+    "fanout_value": (dict(sampler=NeighborSamplingConfig(fanouts=(2, -2))),
+                     r"sampler.fanouts\[1\]"),
+    "fanout_type": (dict(sampler=NeighborSamplingConfig(fanouts=(2.5, 2))),
+                    r"sampler.fanouts\[0\] must be an integer"),
+    "sampler_num_workers": (dict(sampler=NeighborSamplingConfig(fanouts=(2, 2), num_workers=-1)),
+                            "sampler.num_workers"),
+    "max_resident_batches": (dict(sampler=NeighborSamplingConfig(fanouts=(2, 2),
+                                                                 max_resident_batches=0)),
+                             "sampler.max_resident_batches"),
+}
+
 #: configs no distributed run can execute -> a fragment of the message saying why
 BAD_DISTRIBUTED_CONFIGS = {
     "eval_inference": (dict(eval_inference="bogus"), "eval_inference"),
@@ -84,10 +99,7 @@ BAD_DISTRIBUTED_CONFIGS = {
     "kv_x_augmentation": (dict(feature_store="kv", label_augmentation=True),
                           "label_augmentation"),
     "store_mode": (dict(feature_store="dense"), "feature_store='kv'"),
-    "batch_size": (dict(sampler=NeighborSamplingConfig(fanouts=(2, 2), batch_size=0)),
-                   "sampler.batch_size"),
-    "fanout_value": (dict(sampler=NeighborSamplingConfig(fanouts=(2, -2))),
-                     r"sampler.fanouts\[1\]"),
+    **BAD_SAMPLERS,
 }
 
 
@@ -101,6 +113,14 @@ class TestConfigValidatedAtConstruction:
         with pytest.raises(ValueError, match="eval_inference"):
             FullBatchTrainer(model, learnable_dataset,
                              TrainingConfig(eval_inference="bogus"))
+
+    @pytest.mark.parametrize("case", sorted(BAD_SAMPLERS))
+    def test_full_batch_trainer_rejects_bad_sampler(self, learnable_dataset, case):
+        overrides, message = BAD_SAMPLERS[case]
+        model = nn.GraphSageNet(learnable_dataset.feature_dim, 8,
+                                learnable_dataset.num_classes, num_layers=2)
+        with pytest.raises(ValueError, match=message):
+            FullBatchTrainer(model, learnable_dataset, TrainingConfig(**overrides))
 
     @pytest.mark.parametrize("case", sorted(BAD_DISTRIBUTED_CONFIGS))
     def test_distributed_trainer(self, learnable_dataset, case, monkeypatch):
