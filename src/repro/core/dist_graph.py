@@ -120,29 +120,6 @@ class DistributedGraph:
         """The protocol's self-row map: every local row is an output row."""
         return x
 
-    # ------------------------------------------------------------------ #
-    def attach_feature_store(self, store) -> None:
-        """Route halo fetches of the store's rows through its hot-row cache.
-
-        ``store`` must be this worker's :class:`~repro.store.
-        PartitionedKVStore` (or ``None`` to detach).  Whenever an
-        aggregation's payload *is* the store's resident feature matrix —
-        layer 0 of every step — the engine fetches remote source rows via
-        :meth:`~repro.store.PartitionedKVStore.fetch_rows` instead of a raw
-        ``comm.fetch``, so frontier rows repeated across batches and steps
-        are served from the byte-bounded cache.  Every worker must attach
-        (or detach) at the same point — replicated control flow, like every
-        other collective discipline on this handle.
-        """
-        if store is not None:
-            for attr in ("covers", "fetch_rows"):
-                if not callable(getattr(store, attr, None)):
-                    raise TypeError(
-                        f"attach_feature_store needs a partitioned store with "
-                        f"covers()/fetch_rows(); {type(store).__name__} has no {attr}"
-                    )
-        self.engine.feature_store = store
-
     def __repr__(self) -> str:
         return (
             f"DistributedGraph(rank={self.rank}/{self.comm.world_size}, mode={self.config.mode!r}, "
@@ -227,7 +204,7 @@ class DistributedGraph:
         layer = self._cursor
         if layer >= len(self._restriction):
             raise RuntimeError(
-                f"restriction covers {len(self._restriction)} conv layers but the "
+                f"restriction has {len(self._restriction)} conv layers but the "
                 f"model issued a {layer + 1}th aggregation ({what}) this step"
             )
         self._cursor += 1

@@ -234,14 +234,6 @@ class SequentialAggregationEngine:
         #: aggregation this engine has run.  SAR keeps this at 1 (2 with
         #: prefetching); vanilla DP grows it to the number of remote blocks.
         self.max_resident_remote_blocks = 0
-        #: optional :class:`~repro.store.PartitionedKVStore` (attached via
-        #: ``DistributedGraph.attach_feature_store``).  When an aggregation's
-        #: payload *is* the store's resident feature matrix — layer 0 of
-        #: every step — halo fetches route through the store's deduplicating
-        #: hot-row cache instead of raw ``comm.fetch``, and the payload is
-        #: not re-published (the store's rows are already remotely readable
-        #: under its stream key).
-        self.feature_store = None
 
     # ------------------------------------------------------------------ #
     def aggregate(self, kernel: BlockKernel, key: str, *tensors: Tensor) -> Tensor:
@@ -257,14 +249,8 @@ class SequentialAggregationEngine:
     def run_forward(self, kernel: BlockKernel, key: str) -> np.ndarray:
         payload = kernel.payload()
         kernel._payload = payload
-        if not self._store_covers(payload):
-            # Covered payloads are already published under the store's
-            # stream key (and peers, running the same replicated control
-            # flow over the same covered payload, fetch through their own
-            # attached store) — re-publishing would copy the full feature
-            # matrix into the shared store every step on the mp backend.
-            for index, part in enumerate(_parts(payload)):
-                self.comm.publish(_part_key(key, index), part)
+        for index, part in enumerate(_parts(payload)):
+            self.comm.publish(_part_key(key, index), part)
         # Vanilla DP keeps every halo for its backward; a no-grad forward
         # (evaluation) has no backward, so it holds one block at a time like SAR.
         save_halos = self.config.is_domain_parallel and grad_enabled()
@@ -312,10 +298,6 @@ class SequentialAggregationEngine:
         return kernel.backward_finalize()
 
     # ------------------------------------------------------------------ #
-    def _store_covers(self, payload: Payload) -> bool:
-        store = self.feature_store
-        return store is not None and store.covers(payload)
-
     def _iter_fetch(self, p: KernelPass, key: str, payload: Payload, tag: str,
                     keep_all: bool = False) -> Iterator[tuple]:
         """Yield ``(q, block, feats, fetched)`` with fetching, retention, and
@@ -326,23 +308,9 @@ class SequentialAggregationEngine:
         block).  The block is dropped as soon as its compute finishes unless
         ``keep_all`` (a vanilla DP forward that records a backward), where
         the caller keeps it via ``kernel.save_halo``.
-
-        When the attached feature store covers the payload, remote rows come
-        from the store's deduplicating hot-row cache (same values, fewer
-        bytes on the wire) instead of a raw ``comm.fetch``.
         """
         comm, config = self.comm, self.config
         rank = comm.rank
-        if self._store_covers(payload):
-            store = self.feature_store
-
-            def fetch_fn(q: int, index: int, rows: np.ndarray) -> np.ndarray:
-                return store.fetch_rows(q, rows)
-        else:
-
-            def fetch_fn(q: int, index: int, rows: np.ndarray) -> np.ndarray:
-                return comm.fetch(q, _part_key(key, index), rows=rows, tag=tag)
-
         order = [q for q in block_order(rank, comm.world_size)
                  if p.blocks[q].num_edges > 0]
         num_parts = len(_parts(payload))
@@ -351,7 +319,8 @@ class SequentialAggregationEngine:
             if q == rank:
                 return None
             rows = p.blocks[q].required_src_local
-            return _like(payload, [Tensor(fetch_fn(q, index, rows))
+            return _like(payload, [Tensor(comm.fetch(q, _part_key(key, index), rows=rows,
+                                                     tag=tag))
                                    for index in range(num_parts)])
 
         fetched_blocks = map(fetch, order)

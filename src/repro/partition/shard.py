@@ -205,35 +205,6 @@ class ShardedGraph:
             for q, b in enumerate(blocks) if q != self.rank
         )
 
-    def feature_store(self, comm, key: str = "feat", name: str = "feat",
-                      cache_bytes: Optional[int] = 1 << 22):
-        """This worker's :class:`~repro.store.PartitionedKVStore` over one of
-        its node-data arrays (collective: every worker must build the store
-        for the same ``key``/``name`` before any worker gathers).
-
-        Parameters
-        ----------
-        comm:
-            The worker's communicator (``comm.rank`` must equal this shard's
-            rank).
-        key:
-            Which ``node_data`` array to serve (default the feature matrix).
-        name, cache_bytes:
-            Forwarded to :class:`~repro.store.PartitionedKVStore`.
-        """
-        from repro.store import PartitionedKVStore
-
-        if comm.rank != self.rank:
-            raise ValueError(
-                f"communicator rank {comm.rank} does not match shard rank {self.rank}"
-            )
-        if key not in self.node_data:
-            raise KeyError(
-                f"shard has no node_data[{key!r}]; available: {sorted(self.node_data)}"
-            )
-        return PartitionedKVStore(comm, self.book, self.node_data[key],
-                                  name=name, cache_bytes=cache_bytes)
-
 
 # --------------------------------------------------------------------------- #
 # shard construction

@@ -43,7 +43,7 @@ from repro.distributed.comm import SERVE_FRONTIER_TAG, SERVE_HALO_TAG
 from repro.graph.graph import Graph
 from repro.graph.mfg import block_from_in_edges, unique_ranks
 from repro.sample.loader import num_batches_for
-from repro.store import FeatureStore, PartitionedKVStore, as_feature_store
+from repro.store import as_feature_store
 from repro.tensor import no_grad
 from repro.tensor.tensor import Tensor
 from repro.utils.validation import check_1d_int_array, check_positive_int
@@ -198,11 +198,7 @@ def distributed_layerwise_logits(
     model:
         The worker's model replica; switched to ``eval()`` for the duration.
     features:
-        ``(num_local_nodes, in_features)`` — this worker's feature rows, or
-        a :class:`~repro.store.PartitionedKVStore` (its resident partition
-        rows are used; halo fetches then route through the store's hot-row
-        cache when it is attached to ``dist_graph``) or another
-        :class:`~repro.store.FeatureStore` covering the local rows.
+        ``(num_local_nodes, in_features)`` — this worker's feature rows.
     batch_size:
         Ignored; kept only for existing callers and due for removal with
         this function's name.
@@ -217,10 +213,6 @@ def distributed_layerwise_logits(
     """
     if not isinstance(dist_graph, DistributedGraph):
         raise ValueError("distributed evaluation needs a DistributedGraph handle")
-    if isinstance(features, PartitionedKVStore):
-        features = features.local_matrix
-    elif isinstance(features, FeatureStore):
-        features = features.gather(None)
     if features.shape[0] != dist_graph.num_nodes:
         raise ValueError(
             f"features has {features.shape[0]} rows but this worker owns "

@@ -4,7 +4,7 @@ One :class:`ServingConfig` (mirroring :class:`repro.training.TrainingConfig`)
 carries every serving knob — the micro-batching window, the embedding-cache
 byte budget, timeouts, and the ``backend`` selector —
 and :func:`repro.serving.create_server` turns it plus a model, a graph (or
-shard list) and features (or a feature store) into a
+shard list) and features (a matrix or one feature store) into a
 :class:`repro.serving.Server` over the matching executor.
 """
 
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 _BACKENDS = ("local", "distributed", "mp")
-_FEATURE_STORES = ("dense", "kv")
 
 
 @dataclass(frozen=True)
@@ -47,14 +46,11 @@ class ServingConfig:
     stop_timeout_s: float = 30.0
     #: distributed only — communicator timeout for collectives and fetches.
     comm_timeout_s: float = 120.0
-    #: distributed only — how each worker holds its shard's features:
-    #: ``"kv"`` wraps them in a :class:`repro.store.PartitionedKVStore`
-    #: (owned rows local, remote rows pulled and hot-cached), ``"dense"``
-    #: shares one dense matrix.  Ignored when a ready-made store (or one
-    #: per worker) is passed to :func:`repro.serving.create_server`.
-    feature_store: str = "kv"
-    #: distributed only — per-worker byte budget of the KV store's hot-row
-    #: cache (``feature_store="kv"``).
+    #: distributed only — per-worker byte budget of the hot-row cache of the
+    #: :class:`repro.store.PartitionedKVStore` each worker wraps its owned
+    #: rows in when :func:`repro.serving.create_server` gets the global
+    #: feature matrix (a passed :class:`repro.store.FeatureStore` is used
+    #: as-is and has no such cache).
     feature_cache_bytes: int = 1 << 22
 
     def __post_init__(self):
@@ -79,11 +75,6 @@ class ServingConfig:
                 raise ValueError(
                     f"{name} must be > 0, got {getattr(self, name)}"
                 )
-        if self.feature_store not in _FEATURE_STORES:
-            raise ValueError(
-                f"feature_store must be one of {_FEATURE_STORES}, "
-                f"got {self.feature_store!r}"
-            )
         if self.feature_cache_bytes < 0:
             raise ValueError(
                 f"feature_cache_bytes must be >= 0, "

@@ -52,7 +52,7 @@ from repro.sample.inference import (
 )
 from repro.serving.cache import EmbeddingCache
 from repro.serving.config import ServingConfig
-from repro.store import DenseStore, FeatureStore, PartitionedKVStore, as_feature_store
+from repro.store import FeatureStore, PartitionedKVStore, as_feature_store
 from repro.tensor import no_grad
 from repro.tensor.tensor import Tensor
 
@@ -189,34 +189,17 @@ class LocalExecutor:
 # --------------------------------------------------------------------------- #
 # shard-backed serving
 # --------------------------------------------------------------------------- #
-def _build_worker_store(spec, config: ServingConfig, book, rank: int, comm) -> FeatureStore:
-    """Materialize rank ``rank``'s :class:`FeatureStore` from a checked spec.
+def _build_worker_store(features, config: ServingConfig, book, rank: int, comm) -> FeatureStore:
+    """Rank ``rank``'s :class:`FeatureStore` over the checked ``features``.
 
-    ``spec`` is whatever :func:`_check_features` returned — a shared global
-    store, a per-worker store list, the global matrix, or a per-worker
-    owned-row matrix list.  Called once per worker; with
-    ``config.feature_store="kv"`` the returned
-    :class:`~repro.store.PartitionedKVStore` publishes this rank's owned
-    rows through ``comm`` at construction (peers fetch them on demand).
+    A :class:`FeatureStore` is shared as-is.  The global matrix becomes a
+    :class:`~repro.store.PartitionedKVStore` over this rank's owned rows,
+    published through ``comm`` at construction (peers fetch them on demand).
     """
-    if isinstance(spec, FeatureStore):
-        return spec
-    if isinstance(spec, list) and isinstance(spec[0], FeatureStore):
-        return spec[rank]
-    if isinstance(spec, np.ndarray):
-        own = spec[book.nodes_of(rank)]
-    else:  # per-worker owned-row matrices
-        own = spec[rank]
-    if config.feature_store == "kv":
-        return PartitionedKVStore(
-            comm, book, own, name="serving", cache_bytes=config.feature_cache_bytes
-        )
-    if isinstance(spec, np.ndarray):
-        return DenseStore(spec)
-    matrix = np.empty((book.num_nodes, spec[0].shape[1]), dtype=spec[0].dtype)
-    for p in range(book.num_parts):
-        matrix[book.nodes_of(p)] = spec[p]
-    return DenseStore(matrix)
+    if isinstance(features, FeatureStore):
+        return features
+    return PartitionedKVStore(comm, book, features[book.nodes_of(rank)], name="serving",
+                              cache_bytes=config.feature_cache_bytes)
 
 
 class ShardWorker:
@@ -234,9 +217,8 @@ class ShardWorker:
         self.rank = rank
         self.comm = comm
         self.model = model
-        self.book = shards[rank].book
         self.dist_graph = DistributedGraph(shards[rank], comm)
-        self.store = _build_worker_store(spec, config, self.book, rank, comm)
+        self.store = _build_worker_store(spec, config, shards[rank].book, rank, comm)
         self.cache = _make_cache(config)
         self._store_version_seen = self.store.version
 
@@ -272,10 +254,11 @@ class ShardWorker:
             self.cache.bump_version()
 
     def replace(self, matrix: np.ndarray) -> None:
-        """Swap in the full ``(num_nodes, dim)`` replacement feature matrix."""
-        if isinstance(self.store, PartitionedKVStore):
-            # the KV store holds only this rank's owned slice resident
-            matrix = matrix[self.book.nodes_of(self.rank)]
+        """Swap in the full ``(num_nodes, dim)`` replacement feature matrix.
+
+        Sent only to a forked snapshot of a passed :class:`FeatureStore`; a
+        worker's own :class:`PartitionedKVStore` is never replaced.
+        """
         self.store.replace(matrix)
 
     def stats(self) -> dict:
@@ -311,7 +294,7 @@ def _check_shards(shards: Sequence[ShardedGraph]) -> List[ShardedGraph]:
 
 
 def _check_features(features, book):
-    """Early shape/type validation of the features spec (before any worker exists)."""
+    """Early shape/type validation of the features (before any worker exists)."""
     if isinstance(features, FeatureStore):
         if features.num_rows != book.num_nodes:
             raise ValueError(
@@ -319,33 +302,17 @@ def _check_features(features, book):
                 f"rows, got {features.num_rows}"
             )
         return features
-    if isinstance(features, np.ndarray):
-        if features.ndim != 2 or features.shape[0] != book.num_nodes:
-            raise ValueError(
-                f"features must be (num_nodes={book.num_nodes}, dim), got shape {features.shape}"
-            )
-        return features
-    items = list(features)
-    if len(items) != book.num_parts:
+    if not isinstance(features, np.ndarray):
         raise ValueError(
-            f"per-worker features need one entry per shard ({book.num_parts}), got {len(items)}"
+            "the shard-backed backends take the global (num_nodes, dim) feature "
+            "matrix or one FeatureStore covering every global row (DenseStore(matrix) "
+            f"shares one dense matrix), got {type(features).__name__}"
         )
-    if all(isinstance(item, FeatureStore) for item in items):
-        for item in items:
-            if item.num_rows != book.num_nodes:
-                raise ValueError(
-                    f"per-worker stores must each cover all {book.num_nodes} "
-                    f"global rows, got {item.num_rows}"
-                )
-        return items
-    arrays = [np.asarray(item) for item in items]
-    for p, rows in enumerate(arrays):
-        expected = len(book.nodes_of(p))
-        if rows.ndim != 2 or rows.shape[0] != expected:
-            raise ValueError(
-                f"worker {p} owns {expected} nodes but its feature entry has shape {rows.shape}"
-            )
-    return arrays
+    if features.ndim != 2 or features.shape[0] != book.num_nodes:
+        raise ValueError(
+            f"features must be (num_nodes={book.num_nodes}, dim), got shape {features.shape}"
+        )
+    return features
 
 
 def _aggregate_counters(dicts: List[Optional[dict]]) -> Optional[dict]:
@@ -392,14 +359,13 @@ class ShardExecutor:
         order, all sharing one partition book (what
         :func:`repro.partition.shard.create_shards` returns).
     features:
-        Any of: the global ``(num_nodes, dim)`` feature matrix; one
-        :class:`~repro.store.FeatureStore` covering the global rows (used
-        as-is by every worker); a per-worker list of owned-row matrices
-        (``shards[p]``'s rows in local order); or a per-worker list of
-        global-coverage stores.  With ``config.feature_store="kv"`` matrices
-        become per-worker :class:`~repro.store.PartitionedKVStore`\\ s (owned
-        rows resident, remote rows pulled through a hot-row cache);
-        ``"dense"`` wraps one dense matrix.
+        The global ``(num_nodes, dim)`` feature matrix, which becomes one
+        :class:`~repro.store.PartitionedKVStore` per worker (owned rows
+        resident, remote rows pulled through a hot-row cache of
+        ``config.feature_cache_bytes``); or one
+        :class:`~repro.store.FeatureStore` covering the global rows, used
+        as-is by every worker (``DenseStore(matrix)`` shares one dense
+        matrix).
     config:
         ``backend`` picks the transport (``"distributed"``: worker threads,
         ``"mp"``: forked processes — requires the ``fork`` start method).
@@ -418,8 +384,7 @@ class ShardExecutor:
         self._spec = _check_features(features, self.book)
         self.num_layers = check_layered_model(model)
         self.num_nodes = self.book.num_nodes
-        head = self._spec if isinstance(self._spec, (FeatureStore, np.ndarray)) else self._spec[0]
-        self.output_dtype = head.dtype
+        self.output_dtype = self._spec.dtype
         self.model = model
         # The factory holds what a worker needs and nothing else: a bound
         # method here would tie executor and cluster into a reference cycle
@@ -438,11 +403,7 @@ class ShardExecutor:
     @property
     def store_version(self) -> int:
         spec = self._spec
-        if isinstance(spec, FeatureStore):
-            return spec.version
-        if isinstance(spec[0], FeatureStore):
-            return max(store.version for store in spec)
-        return 0
+        return spec.version if isinstance(spec, FeatureStore) else 0
 
     def start(self) -> None:
         # Before the serve thread exists and after ``model.eval()`` — a fork

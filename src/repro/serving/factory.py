@@ -19,8 +19,9 @@ def create_server(
     through a :class:`~repro.serving.LocalExecutor`.  ``backend=
     "distributed"`` and ``backend="mp"`` take the per-worker
     :class:`~repro.partition.shard.ShardedGraph` list (what
-    :func:`repro.partition.shard.create_shards` returns) plus global or
-    per-worker features and serve them through a
+    :func:`repro.partition.shard.create_shards` returns) plus the global
+    feature matrix or one global :class:`~repro.store.FeatureStore` and
+    serve them through a
     :class:`~repro.serving.ShardExecutor` over shard worker threads or one
     forked shard process each.  The server is not started — call ``start()``
     or use it as a context manager.

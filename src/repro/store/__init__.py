@@ -1,8 +1,8 @@
 """Pluggable feature storage: one gather interface, three backends.
 
 * :class:`~repro.store.base.FeatureStore` — the protocol every feature
-  consumer (loader feature prefetch, layer-wise inference, serving, trainers,
-  distributed halo path) reads through,
+  consumer (loader feature prefetch, layer-wise inference, serving,
+  single-machine trainers) reads through,
 * :class:`~repro.store.dense.DenseStore` — zero-copy wrapper of the resident
   dense matrix (the identity backend; today's behavior),
 * :class:`~repro.store.kv.PartitionedKVStore` — rows partitioned across

@@ -1,10 +1,10 @@
 """The :class:`FeatureStore` protocol: one interface between compute and bytes.
 
 Every feature consumer in the stack — the mini-batch loader's feature prefetch,
-layer-wise inference, the serving server, the trainers, and the distributed
-halo path — historically reached into a materialized dense ``(N, F)`` matrix
-with its own ad-hoc indexing.  :class:`FeatureStore` replaces those five
-private access patterns with one contract:
+layer-wise inference, the serving server and the single-machine trainer —
+historically reached into a materialized dense ``(N, F)`` matrix with its own
+ad-hoc indexing.  :class:`FeatureStore` replaces those four private access
+patterns with one contract:
 
 * :meth:`gather` — rows by global node id (the only read primitive),
 * :attr:`num_rows` / :attr:`dim` / :attr:`dtype` — the logical matrix shape,
@@ -101,9 +101,8 @@ class FeatureStore(abc.ABC):
         """Release externally held resources (published rows, caches).
 
         A no-op for resident backends; :class:`~repro.store.
-        PartitionedKVStore` unpublishes its rows.  Long-lived owners (the
-        distributed serving backend) call this on shutdown so stores can be
-        torn down uniformly without backend checks.
+        PartitionedKVStore` unpublishes its rows.  A shard server's store
+        lives as long as its worker's communicator and is not released.
         """
 
     # -- telemetry -------------------------------------------------------- #

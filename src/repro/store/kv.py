@@ -13,8 +13,8 @@ node id from *any* worker:
   owner per call,
 * and before anything touches the wire, each remote row is probed in a
   **byte-bounded LRU cache** (:class:`~repro.utils.rowcache.RowCache`) of hot
-  remote rows — on skewed access patterns (Zipf request mixes, repeated halo
-  sources across mini-batches) most remote rows are served locally and the
+  remote rows — on skewed access patterns (Zipf request mixes, frontier rows
+  repeated across bursts) most remote rows are served locally and the
   fetch shrinks to the cold tail.
 
 The cache holds one table per owner rank, addressed by the owner's local
@@ -28,14 +28,6 @@ the store's own counters (:meth:`stats`) and in the communicator's
 :class:`~repro.distributed.comm.CommStats` (``cache_hit_rows`` /
 ``cache_miss_rows`` / ``cache_hit_bytes``), so the epoch cost model and the
 benchmarks see them next to the fetch volumes they reduce.
-
-The distributed halo path plugs in through :meth:`covers` +
-:meth:`fetch_rows`: when a SAR aggregation's published payload *is* the
-static feature matrix (layer 0 of every epoch), the
-:class:`~repro.core.seq_agg.SequentialAggregationEngine` routes the block's
-``required_src_local`` rows through :meth:`fetch_rows` instead of a raw
-``comm.fetch`` — so repeated frontier sources across batches hit the cache
-and halo traffic stops being proportional to frontier size.
 """
 
 from __future__ import annotations
@@ -101,11 +93,12 @@ class PartitionedKVStore(FeatureStore):
         self._cache: Optional[RowCache] = (
             None if cache_bytes is None else RowCache(int(cache_bytes))
         )
-        # Guards cache probes/inserts: the engine's prefetch thread and the
-        # consuming thread (loader feature prefetch, trainer) may fetch
-        # concurrently.  comm.fetch runs outside the lock; a concurrent
-        # double-fetch of the same row is benign (the second insert only
-        # refreshes it).
+        # Guards cache probes/inserts and the counters: one store may be read
+        # from several threads at once — a sampled loader's prefetch workers
+        # gathering batch inputs, or Server.stats() on a client thread beside
+        # the serve thread's gathers.  comm.fetch runs outside the lock; a
+        # concurrent double-fetch of the same row is benign (the second
+        # insert only refreshes it).
         self._cache_lock = threading.Lock()
         self.cache_hits = 0
         self.cache_misses = 0
@@ -137,22 +130,6 @@ class PartitionedKVStore(FeatureStore):
     def version(self) -> int:
         return self._version
 
-    @property
-    def local_matrix(self) -> np.ndarray:
-        """This worker's resident rows (local-id order)."""
-        return self._local
-
-    def covers(self, payload: np.ndarray) -> bool:
-        """Whether ``payload`` *is* this worker's resident feature matrix.
-
-        The halo-routing hook: the engine only substitutes the store for the
-        raw fetch when the aggregation's published payload is identical (by
-        object) to the store's matrix — by replicated control flow every
-        worker then publishes its own store rows, so peer fetches through
-        :meth:`fetch_rows` read exactly what a raw fetch would have.
-        """
-        return payload is self._local
-
     def gather(self, node_ids: Optional[np.ndarray]) -> np.ndarray:
         """Rows for global ``node_ids`` (``None`` = all rows, ascending id)."""
         if node_ids is None:
@@ -168,7 +145,7 @@ class PartitionedKVStore(FeatureStore):
             out[sel] = self.fetch_rows(int(q), local[sel])
         return out
 
-    # -- remote row access (also the halo-path entry point) --------------- #
+    # -- remote row access ------------------------------------------------ #
     def fetch_rows(self, owner_rank: int, local_rows: np.ndarray) -> np.ndarray:
         """Rows of ``owner_rank``'s partition addressed by *local* row ids.
 

@@ -108,19 +108,19 @@ class TrainingConfig:
     #: forward, which already holds one remote halo block at a time.
     eval_inference: str = "full"
     #: Destination nodes per single-machine layer-wise inference batch
-    #: (``eval_inference="layerwise"``); distributed workers ignore it.
+    #: (``eval_inference="layerwise"``, at least 1); distributed workers
+    #: ignore it.
     eval_batch_size: int = 1024
     #: Feature backend.  Single-machine: a :class:`~repro.store.FeatureStore`
     #: instance (or a plain matrix) replacing ``dataset.features`` — a
     #: read-only store is gathered per batch, a *trainable* store
     #: (:class:`~repro.store.SparseEmbeddingStore`) is gathered through
     #: autograd and updated by a sparse optimizer stepping alongside the
-    #: model's (featureless-graph training).  Distributed: the string
-    #: ``"kv"`` makes every worker wrap its shard's rows in a
-    #: :class:`~repro.store.PartitionedKVStore` and attach it to the graph
-    #: handle, so layer-0 halo fetches route through the hot-row cache.
-    #: Mutually exclusive with :attr:`label_augmentation` (which rewrites the
-    #: feature matrix every epoch).
+    #: model's (featureless-graph training).  Single-machine only: a
+    #: distributed worker's layer-0 halo is one ``comm.fetch`` per remote
+    #: block, like every other layer's.  Mutually exclusive with
+    #: :attr:`label_augmentation` (which rewrites the feature matrix every
+    #: epoch).
     feature_store: Optional[Any] = None
     #: Learning rate for the trainable store's
     #: :class:`~repro.tensor.optim.SparseAdam` (``None`` = :attr:`lr`).
@@ -167,6 +167,8 @@ class TrainingConfig:
             raise ValueError(
                 f"eval_inference must be 'full' or 'layerwise', got {self.eval_inference!r}"
             )
+        if self.eval_batch_size < 1:
+            raise ValueError(f"eval_batch_size must be >= 1, got {self.eval_batch_size}")
         if self.sampler is not None:
             if model_num_layers is None:
                 raise ValueError("sampler needs a model exposing num_layers (one fanout per layer)")
@@ -188,16 +190,15 @@ class TrainingConfig:
         store = self.feature_store
         if store is None:
             return
-        if distributed and not (isinstance(store, str) and store == "kv"):
+        if isinstance(store, str):
             raise ValueError(
-                "distributed training takes feature_store='kv' (each worker "
-                f"wraps its shard's rows) or None, got {store!r}"
+                "feature_store takes a FeatureStore instance or a feature matrix, "
+                f"not the string {store!r}"
             )
-        if not distributed and isinstance(store, str):
+        if distributed:
             raise ValueError(
-                "string feature_store modes (e.g. 'kv') are distributed-"
-                "only; single-machine training takes a FeatureStore "
-                "instance (or a feature matrix)"
+                "feature_store is single-machine only: a distributed worker "
+                f"reads its shard's own rows, got {type(store).__name__}"
             )
         if self.label_augmentation:
             raise ValueError(
@@ -554,15 +555,6 @@ class _DistributedWorker(_EpochLoop):
             # batches in order, hence one sampling thread at most.
             scfg = dataclasses.replace(scfg, num_workers=min(scfg.num_workers, 1))
             self.loader = scfg.loader(sampler, np.sort(np.concatenate(train_ids)))
-        self.kv_store = None
-        if config.feature_store is not None:
-            # Every worker constructs (and publishes) its store here — same
-            # program point on every rank, the collective setup discipline the
-            # store requires.  Attaching it routes layer-0 halo fetches through
-            # the hot-row cache (the published payload is the shard's feature
-            # matrix, which the store covers()).
-            self.kv_store = shard.feature_store(comm)
-            self.graph.attach_feature_store(self.kv_store)
         if hasattr(model, "set_comm"):
             model.set_comm(comm)
         broadcast_parameters(model.parameters(), comm)
@@ -639,14 +631,9 @@ def distributed_train_worker(rank: int, comm: Communicator, shard, *,
         "global_node_ids": worker.graph.global_node_ids,
     }
     # The evaluation collectives above are barriers: every peer has finished
-    # sampling and fetching, so the last frontier payload and the published
-    # store rows are provably consumed everywhere.
+    # sampling, so the last frontier payload is provably consumed everywhere.
     if worker.loader is not None:
         worker.loader.sampler.release()
-    if worker.kv_store is not None:
-        result["feature_store_stats"] = worker.kv_store.stats()
-        worker.graph.attach_feature_store(None)
-        worker.kv_store.release()
     return result
 
 

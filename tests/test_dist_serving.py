@@ -214,29 +214,38 @@ def test_store_replace_folds_into_every_shard(dataset):
 # --------------------------------------------------------------------------- #
 # feature delivery forms
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("form", ["global-kv", "per-worker-kv", "global-dense"])
+@pytest.mark.parametrize("form", ["global-kv", "global-dense"])
 def test_feature_forms_serve_identical_rows(dataset, form):
+    """The two feature forms: the global matrix (one PartitionedKVStore per
+    worker) and one shared FeatureStore (here a DenseStore), bit for bit."""
     model = _make_model(dataset)
     reference = _reference_logits(model, dataset.graph, dataset.features)
     ids = [7, 42, 100, 150]
     shards = _make_shards(dataset, 2)
-    book = shards[0].book
-    if form == "per-worker-kv":
-        features = [dataset.features[book.nodes_of(p)] for p in range(2)]
-    else:
-        features = dataset.features
-    store_kind = "dense" if form == "global-dense" else "kv"
-    config = ServingConfig(
-        backend="distributed", window_ms=0.0, feature_store=store_kind
-    )
+    features = DenseStore(dataset.features) if form == "global-dense" else dataset.features
+    config = ServingConfig(backend="distributed", window_ms=0.0)
     with create_server(model, shards, features, config) as server:
         np.testing.assert_array_equal(server.predict(ids), reference[ids])
         stats = server.stats()
-    if store_kind == "kv":
+    if form == "global-kv":
         # PartitionedKVStore telemetry surfaces per worker and aggregated.
         for worker in stats["workers"]:
             assert worker["feature_store"]
         assert stats["feature_store"]
+    else:
+        assert stats["feature_store"] is None
+
+
+@pytest.mark.parametrize("backend", ["distributed", "mp"])
+def test_shard_backends_reject_per_worker_feature_lists(dataset, backend):
+    model = _make_model(dataset)
+    shards = _make_shards(dataset, 2)
+    book = shards[0].book
+    owned = [dataset.features[book.nodes_of(p)] for p in range(2)]
+    config = ServingConfig(backend=backend)
+    for features in (owned, [DenseStore(dataset.features)] * 2):
+        with pytest.raises(ValueError, match="global .* feature matrix or one FeatureStore"):
+            create_server(model, shards, features, config)
 
 
 # --------------------------------------------------------------------------- #
@@ -294,8 +303,6 @@ def test_serving_config_validates():
         ServingConfig(window_ms=-1.0)
     with pytest.raises(ValueError, match="byte_budget"):
         ServingConfig(byte_budget=0)
-    with pytest.raises(ValueError, match="feature_store"):
-        ServingConfig(feature_store="mmap")
 
 
 def test_serving_config_rejects_invalid_cross_field_combinations():

@@ -367,7 +367,7 @@ class TestDistributedSARParity:
                 # again, and only that one.
                 again = dist_graph.aggregate_neighbors(z, op="sum").data
                 np.testing.assert_array_equal(again, first)
-                with pytest.raises(RuntimeError, match="covers 1 conv layers"):
+                with pytest.raises(RuntimeError, match="restriction has 1 conv layers"):
                     dist_graph.aggregate_neighbors(z, op="sum")
             # Outside every scope nothing is restricted: no layer budget.
             dist_graph.aggregate_neighbors(z, op="sum")

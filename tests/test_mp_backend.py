@@ -221,7 +221,7 @@ def _sage_training_worker(rank, comm, shard, *, config, sar_config, feature_dim,
         config=config,
         sar_config=sar_config,
     )
-    return [r.loss for r in out["records"]], out.get("feature_store_stats")
+    return [r.loss for r in out["records"]]
 
 
 def _failing_worker(rank, comm):
@@ -448,7 +448,7 @@ class TestMultiprocessBackend:
         shards = create_shards(dataset.graph, PartitionBook(
             partition_graph(dataset.graph, world_size, seed=0), world_size))
         threads, processes = self._sage_both_backends(config, SARConfig(mode), shards)
-        for (losses, _), (mp_losses, _) in zip(threads.results, processes.results):
+        for losses, mp_losses in zip(threads.results, processes.results):
             np.testing.assert_allclose(mp_losses, losses, rtol=0, atol=1e-6)
         for stats, mp_stats in zip(threads.comm_stats, processes.comm_stats):
             assert mp_stats.received_by_tag == stats.received_by_tag
@@ -471,23 +471,6 @@ class TestMultiprocessBackend:
                 error_rows * SAGE_CLASSES * itemsize
             assert "backward_refetch" not in stats.received_by_tag
 
-    def test_sar_sage_layer0_halo_routes_through_kv_cache(self):
-        # Layer 0 aggregates the feature matrix itself, so an attached
-        # PartitionedKVStore covers the payload and the evaluation forward
-        # is served from its hot-row cache — on both backends.
-        dataset = _parity_dataset()
-        config = TrainingConfig(num_epochs=1, lr=0.05, eval_every=0, seed=0,
-                                feature_store="kv")
-        shards = create_shards(dataset.graph, PartitionBook(
-            partition_graph(dataset.graph, 2, seed=0), 2))
-        threads, processes = self._sage_both_backends(config, SARConfig("sar"), shards)
-        for (losses, store), (mp_losses, mp_store) in zip(threads.results, processes.results):
-            np.testing.assert_allclose(mp_losses, losses, rtol=0, atol=1e-6)
-            assert store["cache_hits"] > 0
-            assert mp_store["cache_hits"] == store["cache_hits"]
-        for stats, mp_stats in zip(threads.comm_stats, processes.comm_stats):
-            assert mp_stats.received_by_tag == stats.received_by_tag
-
     @pytest.mark.parametrize("mode", ["sar", "dp"])
     def test_full_fanout_training_matches_thread_backend(self, mode):
         # Paper Appendix B's restricted epoch as one unshuffled fan-out -1
@@ -503,7 +486,7 @@ class TestMultiprocessBackend:
         shards = create_shards(dataset.graph, PartitionBook(
             partition_graph(dataset.graph, 2, seed=0), 2))
         threads, processes = self._sage_both_backends(config, SARConfig(mode), shards)
-        for (losses, _), (mp_losses, _) in zip(threads.results, processes.results):
+        for losses, mp_losses in zip(threads.results, processes.results):
             np.testing.assert_allclose(mp_losses, losses, rtol=0, atol=1e-6)
         for stats, mp_stats in zip(threads.comm_stats, processes.comm_stats):
             assert mp_stats.received_by_tag == stats.received_by_tag
@@ -521,8 +504,7 @@ class TestMultiprocessBackend:
                       num_classes=SAGE_CLASSES, dropout=0.5)
         first, second = (run_distributed(_sage_training_worker, 2, worker_args=shards, **kwargs)
                          for _ in range(2))
-        assert [losses for losses, _ in second.results] == \
-            [losses for losses, _ in first.results]
+        assert second.results == first.results
 
     @pytest.mark.parametrize("mode", ["sar", "dp"])
     def test_dropout_training_matches_thread_backend(self, mode):
@@ -534,7 +516,7 @@ class TestMultiprocessBackend:
             partition_graph(dataset.graph, 2, seed=0), 2))
         threads, processes = self._sage_both_backends(config, SARConfig(mode), shards,
                                                       dropout=0.5)
-        for (losses, _), (mp_losses, _) in zip(threads.results, processes.results):
+        for losses, mp_losses in zip(threads.results, processes.results):
             np.testing.assert_allclose(mp_losses, losses, rtol=0, atol=1e-6)
 
     @staticmethod

@@ -222,29 +222,23 @@ def test_mp_store_replace_propagates_to_forked_workers(dataset):
     _assert_no_leaked_children()
 
 
-@pytest.mark.parametrize("form", ["per-worker-kv", "global-dense"])
+@pytest.mark.parametrize("form", ["global-kv", "global-dense"])
 def test_mp_feature_forms_serve_identical_rows(dataset, form):
     model = _make_model(dataset)
     reference = _reference_logits(model, dataset.graph, dataset.features)
     ids = [7, 42, 100, 110]
     shards = _make_shards(dataset, 2)
-    book = shards[0].book
-    if form == "per-worker-kv":
-        features = [dataset.features[book.nodes_of(p)] for p in range(2)]
-        store_kind = "kv"
-    else:
-        features = dataset.features
-        store_kind = "dense"
-    config = ServingConfig(
-        backend="mp", window_ms=0.0, feature_store=store_kind
-    )
+    features = DenseStore(dataset.features) if form == "global-dense" else dataset.features
+    config = ServingConfig(backend="mp", window_ms=0.0)
     with create_server(model, shards, features, config) as server:
         np.testing.assert_array_equal(server.predict(ids), reference[ids])
         stats = server.stats()
-    if store_kind == "kv":
+    if form == "global-kv":
         for worker in stats["workers"]:
             assert worker["feature_store"]
         assert stats["feature_store"]
+    else:
+        assert stats["feature_store"] is None
     _assert_no_leaked_children()
 
 
@@ -306,7 +300,7 @@ def test_mp_arena_exhaustion_fails_start_naming_the_rank(dataset, monkeypatch):
     monkeypatch.setattr(mp_backend, "_arena_capacity", lambda world_size: 1024)
     model = _make_model(dataset)
     shards = _make_shards(dataset, 2)
-    config = ServingConfig(backend="mp", window_ms=0.0, feature_store="kv")
+    config = ServingConfig(backend="mp", window_ms=0.0)
     server = create_server(model, shards, dataset.features, config)
     start = time.monotonic()
     with pytest.raises(WorkerFailedError, match=r"rank \d: MemoryError\(.rank \d: cannot publish"):

@@ -9,7 +9,7 @@ relational one —
   under SAR and DP trains what one machine trains, each
   worker's restricted forward running over ``{relation: grid}`` layers;
   the runs are pinned bit for bit and equal on threads and processes;
-* a feature store changes no bit, on one machine and distributed;
+* a feature store changes no bit on one machine;
 * every serving backend serves R-GCN rows bit-identical to the full-graph
   forward;
 * a layer that aggregates over the relation ``None`` (SAGE, GAT) on a
@@ -189,21 +189,6 @@ def test_relational_dense_store_equals_the_matrix():
     matrix, store = train(), train(feature_store=DenseStore(dataset.features))
     assert store.losses() == matrix.losses()
     assert store.final_accuracies == matrix.final_accuracies
-
-
-def test_relational_kv_store_equals_no_store():
-    dataset = _mag()
-
-    def run(**extra):
-        trainer = DistributedTrainer(dataset, _rgcn_factory, num_workers=2,
-                                     config=_config("sampled", **extra))
-        result = trainer.run()
-        return result, trainer.assemble_global_predictions(result)
-
-    (plain, plain_logits), (kv, kv_logits) = run(), run(feature_store="kv")
-    assert kv.training.losses() == plain.training.losses()
-    np.testing.assert_array_equal(kv_logits, plain_logits)
-    assert all(r["feature_store_stats"]["cache_hits"] > 0 for r in kv.cluster.results)
 
 
 # --------------------------------------------------------------------------- #

@@ -9,6 +9,7 @@ from repro import nn
 from repro.core import SARConfig
 from repro.datasets import make_sbm_dataset, ogbn_mag_mini
 from repro.sample import NeighborSamplingConfig
+from repro.store import DenseStore
 from repro.training import DistributedTrainer, FullBatchTrainer, TrainingConfig
 from repro.utils.seed import set_seed
 
@@ -96,9 +97,10 @@ BAD_DISTRIBUTED_CONFIGS = {
     "feature_store_lr": (dict(feature_store_lr=-0.1), "feature_store_lr"),
     "eval_every": (dict(eval_every=-1), "eval_every"),
     "fanout_depth": (dict(sampler=NeighborSamplingConfig(fanouts=(2, 2, 2))), "conv layers"),
-    "kv_x_augmentation": (dict(feature_store="kv", label_augmentation=True),
-                          "label_augmentation"),
-    "store_mode": (dict(feature_store="dense"), "feature_store='kv'"),
+    "eval_batch_size": (dict(eval_batch_size=0), "eval_batch_size"),
+    "store_mode": (dict(feature_store="kv"), "not the string 'kv'"),
+    "feature_store": (dict(feature_store=DenseStore(np.zeros((4, 2), dtype=np.float32))),
+                      "single-machine only"),
     **BAD_SAMPLERS,
 }
 
@@ -113,6 +115,14 @@ class TestConfigValidatedAtConstruction:
         with pytest.raises(ValueError, match="eval_inference"):
             FullBatchTrainer(model, learnable_dataset,
                              TrainingConfig(eval_inference="bogus"))
+
+    def test_full_batch_trainer_rejects_eval_batch_size_before_training(self, learnable_dataset):
+        model = nn.GraphSageNet(learnable_dataset.feature_dim, 8,
+                                learnable_dataset.num_classes)
+        with pytest.raises(ValueError, match="eval_batch_size"):
+            FullBatchTrainer(model, learnable_dataset,
+                             TrainingConfig(num_epochs=3, eval_inference="layerwise",
+                                            eval_batch_size=0))
 
     @pytest.mark.parametrize("case", sorted(BAD_SAMPLERS))
     def test_full_batch_trainer_rejects_bad_sampler(self, learnable_dataset, case):
