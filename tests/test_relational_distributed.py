@@ -9,7 +9,8 @@ relational one —
   under SAR and DP trains what one machine trains, each
   worker's restricted forward running over ``{relation: grid}`` layers;
   the runs are pinned bit for bit and equal on threads and processes;
-* a feature store changes no bit on one machine;
+* a feature store changes no bit on one machine, and relational shards
+  serve rows from one shared DenseStore;
 * every serving backend serves R-GCN rows bit-identical to the full-graph
   forward;
 * a layer that aggregates over the relation ``None`` (SAGE, GAT) on a
@@ -216,6 +217,32 @@ def test_relational_serving_is_bit_identical(backend, world_size, byte_budget):
         for _ in ("cold", "warm"):
             for ids in streams:
                 np.testing.assert_array_equal(server.predict(ids), reference[ids])
+
+
+@pytest.mark.parametrize("backend", ["distributed", "mp"])
+def test_relational_shards_serve_one_dense_store(backend):
+    """One DenseStore is the second feature form on relational shards: every
+    worker reads it as-is (no per-worker KV store, so no store telemetry),
+    and a replace() in the parent is what the next batch serves."""
+    dataset = _mag()
+    set_seed(0)
+    model = _rgcn(dataset.feature_dim, dropout=0.5, use_batch_norm=True).eval()
+    fresh = np.ascontiguousarray(dataset.features[::-1])
+
+    def reference(features):
+        with no_grad():
+            return model(dataset.graph, Tensor(features)).data
+
+    shards = create_shards(dataset.graph, PartitionBook(
+        partition_graph(dataset.graph, 2, seed=0), 2))
+    store = DenseStore(dataset.features)
+    ids = [0, 5, 17, 399]
+    config = ServingConfig(backend=backend, window_ms=0.0, byte_budget=1 << 20)
+    with create_server(model, shards, store, config) as server:
+        np.testing.assert_array_equal(server.predict(ids), reference(dataset.features)[ids])
+        assert server.stats()["feature_store"] is None
+        store.replace(fresh)
+        np.testing.assert_array_equal(server.predict(ids), reference(fresh)[ids])
 
 
 # --------------------------------------------------------------------------- #
