@@ -209,13 +209,19 @@ class Communicator(abc.ABC):
         """Return once every rank has called it."""
 
     # -- point-to-point ------------------------------------------------- #
-    def publish(self, key: str, array: np.ndarray) -> None:
+    def publish(self, key: str, array: np.ndarray) -> np.ndarray:
         """Make ``array`` readable by other workers under ``key``.
 
-        Publishing is free (the data already lives on this worker); only
-        fetches are accounted as communication.
+        Returns the array peers read: ``array`` itself on threads, a
+        read-only view of the published copy on processes.  An owner that
+        keeps the returned array rather than its own holds one copy of the
+        rows, not two; it must drop it once it unpublishes the key (the
+        block may then hold the next publish).  Publishing is free (the data
+        already lives on this worker); only fetches are accounted as
+        communication.
         """
         self._publish({key: np.asarray(array)})
+        return self._read(self.rank, key, block=False)
 
     def fetch(
         self, owner_rank: int, key: str, rows: Optional[np.ndarray] = None, tag: str = "halo"

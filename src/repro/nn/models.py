@@ -13,31 +13,34 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.graph.mfg import MFGPipeline
-from repro.nn.dropout import Dropout
 from repro.nn.gat import GATConv
 from repro.nn.gat_fused import FusedGATConv
 from repro.nn.module import Module, ModuleList
-from repro.nn.norm import DistributedBatchNorm
+from repro.nn.norm import DistributedBatchNorm, layer_epilogue
 from repro.nn.rgcn import RelGraphConv
 from repro.nn.sage import SageConv
-from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_positive_int, check_probability
 
 
 class _DeepGNN(Module):
-    """Shared skeleton: conv layers with (BatchNorm → activation → Dropout) in between."""
+    """Shared skeleton: conv layers with (BatchNorm → activation → Dropout) in between.
+
+    That inter-layer chain is one :func:`~repro.nn.norm.layer_epilogue` node
+    per layer boundary: ``activation`` is ``"relu"`` or ``"elu"``, and
+    ``dropout`` the probability it applies in training mode.
+    """
 
     def __init__(self, convs: List[Module], norm_dims: List[int], dropout: float,
-                 use_batch_norm: bool, activation):
+                 use_batch_norm: bool, activation: str):
         super().__init__()
         self.convs = ModuleList(convs)
         self.use_batch_norm = use_batch_norm
         self.norms = ModuleList(
             [DistributedBatchNorm(dim) for dim in norm_dims] if use_batch_norm else []
         )
-        self.dropout = Dropout(dropout)
-        self._activation = activation
+        self.dropout = check_probability(dropout, "dropout probability")
+        self.activation = activation
 
     def set_comm(self, comm) -> None:
         """Attach a communicator to every distributed BatchNorm layer."""
@@ -84,10 +87,9 @@ class _DeepGNN(Module):
             )
         x = self.convs[index](graph, x)
         if index < len(self.convs) - 1:
-            if self.use_batch_norm:
-                x = self.norms[index](x)
-            x = self._activation(x)
-            x = self.dropout(x)
+            norm = self.norms[index] if self.use_batch_norm else None
+            x = layer_epilogue(x, norm, self.activation,
+                               self.dropout if self.training else 0.0)
         return x
 
     def forward(self, graph, x: Tensor) -> Tensor:
@@ -129,7 +131,7 @@ class GraphSageNet(_DeepGNN):
             SageConv(dims[i], dims[i + 1], aggregator=aggregator)
             for i in range(num_layers)
         ]
-        super().__init__(convs, dims[1:num_layers], dropout, use_batch_norm, F.relu)
+        super().__init__(convs, dims[1:num_layers], dropout, use_batch_norm, "relu")
         self.in_features = in_features
         self.hidden_features = hidden_features
         self.num_classes = num_classes
@@ -161,7 +163,7 @@ class GATNet(_DeepGNN):
                 convs.append(conv_cls(layer_in, hidden_per_head, num_heads=num_heads,
                                       negative_slope=negative_slope))
                 norm_dims.append(width)
-        super().__init__(convs, norm_dims, dropout, use_batch_norm, F.elu)
+        super().__init__(convs, norm_dims, dropout, use_batch_norm, "elu")
         self.in_features = in_features
         self.hidden_per_head = hidden_per_head
         self.num_heads = num_heads
@@ -182,7 +184,7 @@ class RGCNNet(_DeepGNN):
             RelGraphConv(dims[i], dims[i + 1], relation_names, num_bases=num_bases)
             for i in range(num_layers)
         ]
-        super().__init__(convs, dims[1:num_layers], dropout, use_batch_norm, F.relu)
+        super().__init__(convs, dims[1:num_layers], dropout, use_batch_norm, "relu")
         self.in_features = in_features
         self.hidden_features = hidden_features
         self.num_classes = num_classes

@@ -28,7 +28,6 @@ from typing import Callable, Optional
 
 from repro.nn.linear import Linear
 from repro.nn.module import Module
-from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
 from repro.utils.validation import check_positive_int
 
@@ -97,6 +96,3 @@ class SageConv(Module):
             f"aggregator={self.aggregator!r})"
         )
 
-
-# Re-export the functional activation most GraphSage stacks use.
-relu = F.relu

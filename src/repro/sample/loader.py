@@ -10,10 +10,12 @@ any moment (default 2 — the batch being consumed plus one in flight); the
 high-water mark is surfaced as
 :attr:`MiniBatchDataLoader.peak_resident_batches`.
 
-Feature fetching is opt-in: :meth:`MiniBatchDataLoader.set_features` hands
-the loader the feature matrix, after which every yielded batch arrives with
-:attr:`MiniBatch.inputs` already gathered by the prefetch job instead of on
-the training thread.
+The trainers gather each batch's layer-0 rows themselves, when they take the
+batch (:meth:`MiniBatch.gather_inputs`), so only the batch being trained has
+its rows in memory.  Pre-gathering is opt-in:
+:meth:`MiniBatchDataLoader.set_features` hands the loader the feature
+matrix, after which every yielded batch arrives with :attr:`MiniBatch.inputs`
+already gathered by the prefetch job.
 
 Determinism is inherited from the sampler (see
 :mod:`repro.sample.neighbor`): every batch's content depends only on
@@ -136,7 +138,7 @@ class MiniBatch:
     pipeline: Any
     #: layer-0 input features, pre-gathered by the loader's prefetch job
     #: when :meth:`MiniBatchDataLoader.set_features` was called;
-    #: ``None`` otherwise.
+    #: ``None`` otherwise (the trainers' batches: they gather at use).
     inputs: Optional[np.ndarray] = None
 
     @property
@@ -211,6 +213,10 @@ class MiniBatchDataLoader:
 
     def set_features(self, features) -> None:
         """Enable (or with ``None`` disable) the prefetched feature fetch.
+
+        The trainers do not enable it: they gather each batch's rows when
+        they take the batch, so the next batch's rows are not held through
+        the current batch's step (one batch's rows alive, not two).
 
         ``features`` may be a full-graph ``(num_nodes, F)`` matrix (wrapped
         in a zero-copy :class:`~repro.store.DenseStore`) or any

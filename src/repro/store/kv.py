@@ -60,7 +60,10 @@ class PartitionedKVStore(FeatureStore):
         The partition book mapping global ids to ``(owner, local row)``.
     local_rows:
         ``(num_local_nodes, dim)`` — the rows this worker owns, in local-id
-        order (``book.nodes_of(comm.rank)`` order).  Held by reference.
+        order (``book.nodes_of(comm.rank)`` order).  The store keeps the
+        published array as its resident rows (``local_rows`` itself on
+        threads, the read-only shared-memory copy on processes), so a forked
+        worker holds its rows once.
     name:
         Namespace for the published key; two stores on the same communicator
         need distinct names.
@@ -87,7 +90,6 @@ class PartitionedKVStore(FeatureStore):
         self.comm = comm
         self.book = book
         self.name = name
-        self._local = local_rows
         self._version = 1
         # One cache space per owner rank, keyed by the owner's local row.
         self._cache: Optional[RowCache] = (
@@ -106,7 +108,7 @@ class PartitionedKVStore(FeatureStore):
         self.bytes_saved = 0
         self.fetch_calls = 0
         self.gather_calls = 0
-        comm.publish(self._key(), local_rows)
+        self._local = comm.publish(self._key(), local_rows)
 
     def _key(self) -> str:
         # Versioned stream key: survives clear_published, and a replace()
@@ -201,16 +203,20 @@ class PartitionedKVStore(FeatureStore):
             )
         self.comm.unpublish(self._key())
         self._version += 1
-        self._local = local_rows
         if self._cache is not None:
             with self._cache_lock:
                 self._cache.clear()
-        self.comm.publish(self._key(), local_rows)
+        self._local = self.comm.publish(self._key(), local_rows)
         return self._version
 
     def release(self) -> None:
-        """Unpublish the local rows (end of the store's life)."""
+        """Unpublish the local rows (end of the store's life).
+
+        The resident rows go too: on processes they are a view of the
+        published block, which the next publish may reuse.
+        """
         self.comm.unpublish(self._key())
+        self._local = self._local[:0].copy()
 
     # -- telemetry -------------------------------------------------------- #
     def stats(self) -> Dict[str, int]:

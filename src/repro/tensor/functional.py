@@ -1,9 +1,11 @@
 """Neural-network functional operations (activations, dropout, the loss).
 
-These complement the primitive ops in :mod:`repro.tensor.ops` with the fused
-operations the models need: the ReLU and ELU activations of GraphSage, GAT
-and R-GCN, dropout with an explicit training flag, and a numerically stable
-softmax cross-entropy.
+These complement the primitive ops in :mod:`repro.tensor.ops`: ReLU and ELU,
+dropout with an explicit training flag, and a numerically stable softmax
+cross-entropy.  The models run their activations and dropout inside one
+:func:`~repro.nn.norm.layer_epilogue` node per layer boundary; the ops here
+are that chain unfused, one node each — the oracle the epilogue is tested
+against.
 """
 
 from __future__ import annotations

@@ -269,6 +269,9 @@ class Tensor:
                     grads[key] = grads[key] + pgrad
                 else:
                     grads[key] = pgrad
+            # A gradient summed into another is garbage now; unbound here, it
+            # is freed before the next node's backward rather than after it.
+            parent_grads = pgrad = None
             if free_graph:
                 node.release()
 
@@ -377,8 +380,8 @@ class Function:
 
     :attr:`needs_input_grad` holds one bool per tensor parent, set by
     :meth:`run` before :meth:`forward` (PyTorch's ``ctx.needs_input_grad``).
-    A module that needs the node itself after the forward —
-    :class:`~repro.nn.norm.DistributedBatchNorm` reads its batch statistics —
+    A caller that needs the node itself after the forward —
+    :func:`~repro.nn.norm.layer_epilogue` reads its batch statistics —
     creates it and calls :meth:`run` instead of :meth:`apply`.
     """
 

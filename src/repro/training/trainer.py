@@ -356,6 +356,9 @@ class _EpochLoop:
         loss_sum, count = 0.0, 0
         for graph, inputs, labels, mask in batches:
             loss = _local_loss(self.model(graph, inputs), labels, mask)
+            # No backward reads a batch's input rows (a trainable store's
+            # gather node keeps what its own backward needs): let them go.
+            del inputs
             batch_count = int(mask.sum())
             self._step(loss, batch_count)
             loss_sum += float(loss.data)
@@ -475,25 +478,25 @@ class FullBatchTrainer(_EpochLoop):
         return self._fit()[0]
 
     def _batches(self, epoch: int, features, predict_mask: np.ndarray) -> Iterator[Batch]:
+        # A trainable store is gathered through autograd (backward scatters
+        # per-row gradients into it); anything else yields a leaf tensor.
+        # The inputs are built inside each ``yield`` and bound to no name
+        # here, so once the loop drops them this frame holds them no longer.
         labels, store = self.labels, self.feature_store
-        if self.sample_loader is not None:
-            # Hand the epoch's features (matrix or store) to the loader so its
-            # prefetch jobs pre-gather each batch's input rows off the
-            # training thread.  Trainable stores are exempt from prefetch (the
-            # loader skips them): their gather must record autograd state on
-            # the training thread, right here.
-            self.sample_loader.set_features(features)
-            for batch in self.sample_loader.iter_epoch(epoch):
-                if store is not None and store.trainable:
-                    x = store.gather_tensor(batch.pipeline.input_nodes)
-                else:
-                    x = Tensor(batch.input_features(features))
-                yield batch.pipeline, x, labels[batch.seeds], predict_mask[batch.seeds]
-        else:
-            # A trainable store is gathered through autograd (backward scatters
-            # per-row gradients into it); anything else yields a leaf tensor.
-            x = Tensor(features) if store is None else store.gather_tensor(None)
-            yield self.graph, x, labels, predict_mask
+        trainable = store is not None and store.trainable
+        if self.sample_loader is None:
+            yield (self.graph, Tensor(features) if store is None else store.gather_tensor(None),
+                   labels, predict_mask)
+            return
+
+        # The loader's prefetch samples and compacts batch b + 1 while batch b
+        # trains; each batch's layer-0 rows are gathered here, when it is
+        # taken, so only the one batch's rows are ever alive.
+        for batch in self.sample_loader.iter_epoch(epoch):
+            yield (batch.pipeline,
+                   store.gather_tensor(batch.input_nodes) if trainable
+                   else Tensor(batch.gather_inputs(features)),
+                   labels[batch.seeds], predict_mask[batch.seeds])
 
     def _eval_logits(self, features: np.ndarray) -> np.ndarray:
         """One full-graph forward, or the cached layer-wise engine.

@@ -10,6 +10,10 @@ run on them.  :class:`ReferenceRowCache` is the row-at-a-time twin of
 :class:`~repro.utils.rowcache.RowCache`, on an
 :class:`~repro.utils.lru.LRUDict`.  :func:`relabel_block_np` is the
 order-preserving relabel :func:`~repro.graph.mfg.compact_block` replaced.
+:func:`unfused_epilogue` is the inter-layer chain
+:func:`~repro.nn.norm.layer_epilogue` runs as one node — BatchNorm, then
+``F.relu`` / ``F.elu``, then ``F.dropout``, each its own node — and
+:func:`unfused` makes a model run it.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from typing import Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from repro.tensor import functional as F
 from repro.tensor.tensor import Function, Tensor
 from repro.utils.lru import LRUDict
 
@@ -295,3 +300,97 @@ def relabel_block_np(edges, dst_nodes: np.ndarray, src_nodes=None):
     relabelled = {name: (np.searchsorted(src_nodes, src), np.asarray(dst, dtype=np.int64))
                   for name, (src, dst) in edges.items()}
     return src_nodes, relabelled, np.searchsorted(src_nodes, dst_nodes)
+
+
+# --------------------------------------------------------------------------- #
+# the unfused inter-layer chain
+# --------------------------------------------------------------------------- #
+class BatchNormReference(Function):
+    """(Optionally distributed) batch norm as a node of its own.
+
+    The forward reduces ``Σx`` and ``Σx²`` in float64 and writes
+    ``x · scale + shift``; the backward reduces ``Σg`` and ``Σg·x`` and
+    writes ``dx = g · a + x · b + c``.  Both pairs of reductions are
+    all-reduced when ``comm`` is given.
+    """
+
+    def forward(self, x: Tensor, gamma: Tensor, beta: Tensor, comm, eps: float) -> np.ndarray:
+        data = x.data
+        num_features = data.shape[1]
+        local_sum = np.einsum("ij->j", data, dtype=np.float64)
+        local_sumsq = np.einsum("ij,ij->j", data, data, dtype=np.float64)
+        stats = np.concatenate([[np.float64(data.shape[0])], local_sum, local_sumsq])
+        if comm is not None:
+            stats = comm.allreduce(stats, op="sum", tag="batchnorm")
+        total_count = max(stats[0], 1.0)
+        mean = stats[1:1 + num_features] / total_count
+        var = np.maximum(stats[1 + num_features:] / total_count - mean ** 2, 0.0)
+        inv_std = 1.0 / np.sqrt(var + eps)
+        scale = gamma.data * inv_std
+        out = data * scale.astype(data.dtype)
+        out += (beta.data - mean * scale).astype(data.dtype)
+        self.save_for_backward(data, gamma.data, mean, inv_std, total_count, comm)
+        self.batch_mean = mean.astype(data.dtype)
+        self.batch_var = var.astype(data.dtype)
+        return out
+
+    def backward(self, grad_out):
+        data, gamma, mean, inv_std, total_count, comm = self.saved
+        num_features = data.shape[1]
+        sum_g = np.einsum("ij->j", grad_out, dtype=np.float64)
+        sum_gx = np.einsum("ij,ij->j", grad_out, data, dtype=np.float64)
+        dgamma = inv_std * (sum_gx - mean * sum_g)
+        dbeta = sum_g
+        terms = np.concatenate([sum_g, sum_gx])
+        if comm is not None:
+            terms = comm.allreduce(terms, op="sum", tag="batchnorm_grad")
+        total_g, total_gx = terms[:num_features], terms[num_features:]
+        a = gamma * inv_std
+        b = -a * inv_std ** 2 * (total_gx - mean * total_g) / total_count
+        c = -a * total_g / total_count - mean * b
+        dx = grad_out * a.astype(data.dtype)
+        dx += c.astype(data.dtype)
+        dx += data * b.astype(data.dtype)
+        return (dx, dgamma.astype(gamma.dtype, copy=False),
+                dbeta.astype(gamma.dtype, copy=False))
+
+
+def unfused_epilogue(x: Tensor, norm=None, activation=None, p: float = 0.0) -> Tensor:
+    """:func:`~repro.nn.norm.layer_epilogue`'s chain, one node per step.
+
+    A training-mode ``norm`` runs :class:`BatchNormReference` and updates its
+    running buffers; an eval-mode one is ``x * scale + shift`` in tensor
+    arithmetic.
+    """
+    if norm is not None:
+        if norm.training:
+            fn = BatchNormReference()
+            x = fn.run(x, norm.gamma, norm.beta, norm.comm, norm.eps)
+            m = norm.momentum
+            norm.set_buffer("running_mean", (1 - m) * norm.running_mean + m * fn.batch_mean)
+            norm.set_buffer("running_var", (1 - m) * norm.running_var + m * fn.batch_var)
+        else:
+            inv_std = 1.0 / np.sqrt(norm.running_var + norm.eps)
+            scale = Tensor((norm.gamma.data * inv_std).astype(x.dtype))
+            shift = Tensor((norm.beta.data - norm.gamma.data * norm.running_mean * inv_std)
+                           .astype(x.dtype))
+            x = x * scale + shift
+    if activation == "relu":
+        x = F.relu(x)
+    elif activation == "elu":
+        x = F.elu(x)
+    return F.dropout(x, p, training=True)
+
+
+def unfused(model):
+    """``model``, made to run :func:`unfused_epilogue` between its conv layers."""
+    def forward_layer(index, graph, x):
+        x = model.convs[index](graph, x)
+        if index < len(model.convs) - 1:
+            norm = model.norms[index] if model.use_batch_norm else None
+            x = unfused_epilogue(x, norm, model.activation,
+                                 model.dropout if model.training else 0.0)
+        return x
+
+    model.forward_layer = forward_layer
+    return model

@@ -327,9 +327,11 @@ class TestGATBackwardPeak:
     #: tracked peak per rank.  The two ``Mul`` + ``Sum`` score pairs kept
     #: their ``(N, H, D)`` products alive for the backward; the score op
     #: keeps none (568 388 / 567 732 bytes before it).  Since parent edges
-    #: stopped holding input tensors and saved arrays count, it reads
-    #: 394 928 on both ranks (441 668 / 441 012 before).
-    TRACKER_PEAKS = [394_928, 394_928]
+    #: stopped holding input tensors and saved arrays count, it read
+    #: 394 928 on both ranks (441 668 / 441 012 before); since the layer
+    #: epilogue is one node, no BatchNorm output tensor and no ELU branch is
+    #: alive beside its input, and it reads 281 268 / 280 948.
+    TRACKER_PEAKS = [281_268, 280_948]
     #: the larger rank's ``tracemalloc`` peak before the cut (packed payload,
     #: out-of-place attention backward, 2 MiB SDDMM chunks), and the saving
     #: measured after it (its peak read 1 548 463 bytes, to ±0.5 kB)
@@ -350,12 +352,15 @@ class TestSARStepPeaks:
     forward moves on; the tracker counts the arrays nodes save."""
 
     #: tracked peak per rank (the partition splits the nodes evenly, and the
-    #: peak falls where no halo block is resident)
+    #: peak falls where no halo block is resident).  Before the layer
+    #: epilogue was one node — BatchNorm's output tensor and ReLU's mask or
+    #: ELU's branch alive beside its input — they read 121 360 and 65 680
+    #: (SAGE), 394 928 and 203 888 (GAT) on every rank.
     TRACKER_PEAKS = {
-        ("sage", 2): [121_360] * 2,
-        ("sage", 4): [65_680] * 4,
-        ("gat", 2): [394_928] * 2,
-        ("gat", 4): [203_888] * 4,
+        ("sage", 2): [112_656] * 2,
+        ("sage", 4): [60_816] * 4,
+        ("gat", 2): [281_268, 280_948],
+        ("gat", 4): [146_628, 146_468, 146_588, 146_308],
     }
     #: the larger rank's ``tracemalloc`` peak while parent edges held every
     #: input tensor, and the saving measured since (to ±1 kB)

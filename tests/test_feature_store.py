@@ -16,6 +16,7 @@ import pytest
 from repro import nn
 from repro.datasets import make_sbm_dataset
 from repro.distributed import run_distributed
+from repro.distributed.mp_backend import run_multiprocess
 from repro.partition import PartitionBook
 from repro.sample.inference import LayerWiseInference
 from repro.sample.loader import MiniBatchDataLoader, NeighborSamplingConfig
@@ -289,7 +290,43 @@ class TestSparseOptimizers:
 # --------------------------------------------------------------------------- #
 # partitioned KV store (2-worker thread cluster)
 # --------------------------------------------------------------------------- #
+def _resident_rows_worker(rank, comm, *, matrix, book):
+    """A KV store's resident rows against the block its rank published."""
+    own = np.asarray(book.nodes_of(rank))
+    store = PartitionedKVStore(comm, book, matrix[own], cache_bytes=None)
+    published = comm._read(rank, store._key())
+    shared = bool(np.shares_memory(store._local, published))
+    comm.barrier()
+    ids = np.array([0, 7, 3, 58, 3, 21, 40])
+    rows = store.gather(ids), store.gather(None), store.fetch_rows(rank, np.arange(5)[::-1])
+    comm.barrier()
+    store.replace(matrix[own] * 2.0)
+    replaced = bool(np.shares_memory(store._local, comm._read(rank, store._key())))
+    comm.barrier()
+    rows += (store.gather(ids),)
+    comm.barrier()
+    store.release()
+    return shared, replaced, store._local.size, rows
+
+
 class TestPartitionedKVStore:
+    @pytest.mark.parametrize("run", [run_distributed, run_multiprocess],
+                             ids=["threads", "processes"])
+    def test_resident_rows_are_the_published_block(self, matrix_and_book, run):
+        # A forked shard holds its rows once: the store keeps the arena's
+        # view, not a private copy beside it, and reads the same rows.
+        matrix, book = matrix_and_book
+        results = run(_resident_rows_worker, 2, timeout_s=120, matrix=matrix, book=book)
+        ids = np.array([0, 7, 3, 58, 3, 21, 40])
+        for rank, (shared, replaced, released, rows) in enumerate(results.results):
+            assert shared and replaced
+            assert released == 0  # release() lets the view go with the block
+            own = np.asarray(book.nodes_of(rank))
+            expected = (matrix[ids], matrix, matrix[own[np.arange(5)[::-1]]],
+                        matrix[ids] * 2.0)
+            for got, want in zip(rows, expected):
+                np.testing.assert_array_equal(got, want)
+
     @pytest.fixture(scope="class")
     def matrix_and_book(self):
         rng = np.random.default_rng(0)

@@ -16,8 +16,10 @@ from repro.tensor import MemoryTracker, Tensor, track_memory
 from repro.tensor import functional as F
 from repro.tensor.tensor import Function
 
-#: ops that save none of their input's buffer
-UNSAVING = {"sage": {"Add", "ReLU", "Dropout"}, "gat": {"Add", "ELU", "Dropout"}}
+#: ops that keep no reference to their non-leaf input tensor: a bias ``Add``
+#: saves nothing of it, the layer epilogue (BatchNorm → activation → dropout)
+#: saves only its array, as BatchNorm did
+UNSAVING = {"sage": {"Add", "Epilogue"}, "gat": {"Add", "Epilogue"}}
 
 
 def _model(kind, dataset, dropout):
@@ -59,15 +61,16 @@ def unsaving_inputs(monkeypatch):
     """``(tensor ref, buffer ref, op)`` of each non-leaf input an op in
     ``UNSAVING`` receives while the fixture is active."""
     records = []
-    apply = Function.apply.__func__
+    run = Function.run
 
-    def recording_apply(cls, *args, **kwargs):
-        if any(cls.__name__ in ops for ops in UNSAVING.values()):
-            records.extend((weakref.ref(a), weakref.ref(_base(a.data)), cls.__name__)
+    def recording_run(node, *args, **kwargs):
+        name = type(node).__name__
+        if any(name in ops for ops in UNSAVING.values()):
+            records.extend((weakref.ref(a), weakref.ref(_base(a.data)), name)
                            for a in args if isinstance(a, Tensor) and a._ctx is not None)
-        return apply(cls, *args, **kwargs)
+        return run(node, *args, **kwargs)
 
-    monkeypatch.setattr(Function, "apply", classmethod(recording_apply))
+    monkeypatch.setattr(Function, "run", recording_run)
     return records
 
 
@@ -82,8 +85,8 @@ def test_unsaved_intermediates_are_collected(unsaving_inputs, small_dataset, kin
     for tensor_ref, buffer_ref, op in unsaving_inputs:
         assert tensor_ref() is None, f"the graph keeps {op}'s input tensor alive"
         buffer = buffer_ref()
-        # At dropout 0 the Dropout output is its input's array, which the
-        # next layer's MatMul saves.
+        # The epilogue saves its input's array to normalize it again in the
+        # backward.
         assert buffer is None or any(np.shares_memory(buffer, s) for s in saved), (
             f"{op}'s input buffer outlived the forward, saved by no node"
         )

@@ -1,6 +1,8 @@
 """Tests for the single-machine and distributed full-batch trainers."""
 
 import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +23,30 @@ def learnable_dataset():
         p_in=0.12, p_out=0.01, noise=1.5, train_frac=0.5, val_frac=0.2,
         test_frac=0.3, seed=2,
     )
+
+
+class _SpyStore(DenseStore):
+    """A :class:`DenseStore` counting how many row blocks its gathers returned
+    are alive, now and at most."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self._lock = threading.Lock()
+        self.alive = self.peak_alive = self.gathers = 0
+
+    def gather(self, node_ids):
+        rows = super().gather(node_ids)
+        if node_ids is not None:  # gather(None) is the backing matrix itself
+            with self._lock:
+                self.gathers += 1
+                self.alive += 1
+                self.peak_alive = max(self.peak_alive, self.alive)
+            weakref.finalize(rows, self._dropped)
+        return rows
+
+    def _dropped(self):
+        with self._lock:
+            self.alive -= 1
 
 
 def _sage_factory(num_classes):
@@ -63,6 +89,29 @@ class TestFullBatchTrainer:
         result = FullBatchTrainer(model, learnable_dataset, config).train()
         assert result.cs_accuracies is not None
         assert "test" in result.cs_accuracies
+
+    def test_one_batch_of_input_rows_and_none_through_the_backward(self, learnable_dataset,
+                                                                   monkeypatch):
+        store = _SpyStore(learnable_dataset.features)
+        sampler = NeighborSamplingConfig(fanouts=(3, 3), batch_size=16, num_workers=1)
+        config = TrainingConfig(num_epochs=2, eval_every=0, feature_store=store,
+                                sampler=sampler)
+        model = nn.GraphSageNet(learnable_dataset.feature_dim, 16,
+                                learnable_dataset.num_classes, num_layers=2)
+        trainer = FullBatchTrainer(model, learnable_dataset, config)
+        alive_at_backward = []
+        step = trainer._step
+
+        def spied_step(loss, count):
+            alive_at_backward.append(store.alive)
+            step(loss, count)
+
+        monkeypatch.setattr(trainer, "_step", spied_step)
+        trainer.train()
+        batches = 2 * len(trainer.sample_loader)
+        assert store.gathers == len(alive_at_backward) == batches
+        assert store.peak_alive == 1
+        assert alive_at_backward == [0] * batches
 
     def test_invalid_schedule_raises(self, learnable_dataset):
         model = nn.GraphSageNet(learnable_dataset.feature_dim, 8,
