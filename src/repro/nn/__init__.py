@@ -2,7 +2,6 @@
 
 from repro.nn.module import Module, Parameter, ModuleList
 from repro.nn.linear import Linear
-from repro.nn.dropout import Dropout
 from repro.nn.norm import DistributedBatchNorm
 from repro.nn.sage import SageConv
 from repro.nn.gat import GATConv
@@ -15,7 +14,6 @@ __all__ = [
     "Parameter",
     "ModuleList",
     "Linear",
-    "Dropout",
     "DistributedBatchNorm",
     "SageConv",
     "GATConv",

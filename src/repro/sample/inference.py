@@ -118,9 +118,9 @@ class LayerWiseInference:
             ``(num_nodes, in_features)`` input feature matrix, or any
             :class:`~repro.store.FeatureStore` covering the graph's nodes —
             layer 0's batch rows are gathered through the store (so a
-            partitioned KV backend fetches only each batch's input rows, and
-            an embedding store serves its table); later layers always read
-            the dense matrix the previous layer produced.
+            partitioned KV backend fetches only each batch's input rows);
+            later layers always read the dense matrix the previous layer
+            produced.
 
         Returns
         -------

@@ -146,19 +146,16 @@ class MiniBatch:
         """Global ids whose input features the batch's layer 0 consumes."""
         return self.pipeline.input_nodes
 
-    def gather_inputs(self, features) -> np.ndarray:
-        """Layer-0 input rows from a matrix or a :class:`FeatureStore`."""
-        if isinstance(features, FeatureStore):
-            return features.gather(self.pipeline.input_nodes)
+    def gather_inputs(self, features: np.ndarray) -> np.ndarray:
+        """Layer-0 input rows of the full-graph feature matrix."""
         return self.pipeline.gather_inputs(features)
 
-    def input_features(self, features) -> np.ndarray:
+    def input_features(self, features: np.ndarray) -> np.ndarray:
         """The batch's layer-0 input rows — prefetched if available.
 
         Returns :attr:`inputs` when the loader's prefetch job already gathered
         them (overlapping the previous batch's compute), else gathers from
-        ``features`` (a matrix or a :class:`FeatureStore`) on the calling
-        thread.
+        the full-graph matrix ``features`` on the calling thread.
         """
         if self.inputs is not None:
             return self.inputs
@@ -227,12 +224,9 @@ class MiniBatchDataLoader:
 
         Once set, every yielded :class:`MiniBatch` carries its layer-0 input
         rows in :attr:`MiniBatch.inputs`, gathered by the prefetch job so the
-        copy overlaps the consumer's compute.  (Trainable stores are the
-        exception: their gathers must record autograd state on the consuming
-        thread, so prefetch is skipped and consumers gather at use time.)
-        The rows are read, never written; the caller may swap the features
-        between epochs (the trainers do) but must not mutate them while an
-        epoch is being iterated.
+        copy overlaps the consumer's compute.  The rows are read, never
+        written; the caller may swap the features between epochs but must not
+        mutate them while an epoch is being iterated.
         """
         if features is None:
             self._features = None
@@ -270,7 +264,7 @@ class MiniBatchDataLoader:
         pipeline = self.sampler.sample(ids, epoch=epoch, batch_index=index)
         batch = MiniBatch(epoch=epoch, index=index, seeds=np.unique(ids), pipeline=pipeline)
         store = self._features
-        if store is not None and not store.trainable:
+        if store is not None:
             batch.inputs = store.gather(batch.input_nodes)
         return batch
 

@@ -1,28 +1,24 @@
 """The :class:`FeatureStore` protocol: one interface between compute and bytes.
 
-Every feature consumer in the stack — the mini-batch loader's feature prefetch,
-layer-wise inference, the serving server and the single-machine trainer —
-historically reached into a materialized dense ``(N, F)`` matrix with its own
-ad-hoc indexing.  :class:`FeatureStore` replaces those four private access
-patterns with one contract:
+The feature consumers outside training — the mini-batch loader's feature
+prefetch, layer-wise inference and the serving server — read node features
+through one contract instead of each indexing a dense ``(N, F)`` matrix its
+own way:
 
 * :meth:`gather` — rows by global node id (the only read primitive),
 * :attr:`num_rows` / :attr:`dim` / :attr:`dtype` — the logical matrix shape,
 * :attr:`version` — a monotonically increasing stamp advanced by *any*
   mutation of the stored values, so downstream caches (the serving
   :class:`~repro.serving.cache.EmbeddingCache`, the KV store's hot-row
-  cache) can compose their own invalidation with the store's,
-* :meth:`gather_tensor` — the autograd entry point; trainable backends
-  (:class:`~repro.store.sparse.SparseEmbeddingStore`) override it so the
-  backward pass produces *per-row sparse* updates instead of dense
-  gradients,
-* :meth:`scatter_grad` — accumulate per-row gradients (trainable backends
-  only; read-only backends raise).
+  cache) can compose their own invalidation with the store's.
+
+Training reads the dataset's feature matrix itself: one machine indexes each
+batch's rows out of it, and a SAR worker reads its shard's rows and fetches
+every layer's halo through the communicator.
 
 Backends are interchangeable by construction: the bit-parity matrix in
-``tests/test_feature_store.py`` asserts that sampled training, layer-wise
-inference, and serving produce identical logits whichever backend feeds
-them.
+``tests/test_feature_store.py`` asserts that layer-wise inference and
+serving produce identical logits whichever backend feeds them.
 """
 
 from __future__ import annotations
@@ -32,14 +28,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor
-
 
 class FeatureStore(abc.ABC):
     """Abstract row store addressed by global node id."""
-
-    #: whether :meth:`scatter_grad` accepts gradients (learnable backend)
-    trainable: bool = False
 
     # -- logical shape --------------------------------------------------- #
     @property
@@ -76,33 +67,6 @@ class FeatureStore(abc.ABC):
         version; whether it aliases internal storage is backend-defined
         (:class:`~repro.store.dense.DenseStore` returns views for the
         zero-copy fast path), so callers must not write into it.
-        """
-
-    def gather_tensor(self, node_ids: Optional[np.ndarray]) -> Tensor:
-        """Rows wrapped for autograd.
-
-        Read-only backends return a plain leaf tensor; trainable backends
-        override this so the backward pass accumulates per-row sparse
-        gradients into the store (see
-        :class:`~repro.store.sparse.SparseEmbeddingStore`).
-        """
-        return Tensor(self.gather(node_ids))
-
-    # -- writes (trainable backends only) --------------------------------- #
-    def scatter_grad(self, node_ids: np.ndarray, grads: np.ndarray) -> None:
-        """Accumulate per-row gradients for a later sparse optimizer step."""
-        raise NotImplementedError(
-            f"{type(self).__name__} is a read-only feature store; only "
-            "trainable backends (SparseEmbeddingStore) accept gradients"
-        )
-
-    # -- lifecycle --------------------------------------------------------- #
-    def release(self) -> None:
-        """Release externally held resources (published rows, caches).
-
-        A no-op for resident backends; :class:`~repro.store.
-        PartitionedKVStore` unpublishes its rows.  A shard server's store
-        lives as long as its worker's communicator and is not released.
         """
 
     # -- telemetry -------------------------------------------------------- #

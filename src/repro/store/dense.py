@@ -3,9 +3,9 @@
 :class:`DenseStore` is the identity backend — it holds the ``(N, F)`` matrix
 the stack always had and serves :meth:`gather` by NumPy indexing.  Its value
 is the *interface*: consumers written against :class:`~repro.store.base.
-FeatureStore` run unchanged over the partitioned KV store or learnable sparse
-embeddings, and the dense backend keeps the fast path exactly as fast as
-direct indexing was (``gather(None)`` returns the matrix itself, no copy).
+FeatureStore` run unchanged over the partitioned KV store, and the dense
+backend keeps the fast path exactly as fast as direct indexing was
+(``gather(None)`` returns the matrix itself, no copy).
 """
 
 from __future__ import annotations

@@ -209,15 +209,6 @@ class PartitionedKVStore(FeatureStore):
         self._local = self.comm.publish(self._key(), local_rows)
         return self._version
 
-    def release(self) -> None:
-        """Unpublish the local rows (end of the store's life).
-
-        The resident rows go too: on processes they are a view of the
-        published block, which the next publish may reuse.
-        """
-        self.comm.unpublish(self._key())
-        self._local = self._local[:0].copy()
-
     # -- telemetry -------------------------------------------------------- #
     def stats(self) -> Dict[str, int]:
         out = {

@@ -48,10 +48,9 @@ from repro.sample.inference import (
 )
 from repro.sample.loader import MiniBatchDataLoader, NeighborSamplingConfig
 from repro.sample.neighbor import NeighborSampler, check_fanout
-from repro.store import FeatureStore, as_feature_store
 from repro.tensor import functional as F
 from repro.tensor import no_grad
-from repro.tensor.optim import Adam, CosineDecay, SparseAdam
+from repro.tensor.optim import Adam, CosineDecay
 from repro.tensor.tensor import Tensor
 from repro.training.correct_and_smooth import CorrectAndSmooth
 from repro.training.label_augmentation import LabelAugmenter, NoLabelAugmenter
@@ -111,20 +110,6 @@ class TrainingConfig:
     #: (``eval_inference="layerwise"``, at least 1); distributed workers
     #: ignore it.
     eval_batch_size: int = 1024
-    #: Feature backend.  Single-machine: a :class:`~repro.store.FeatureStore`
-    #: instance (or a plain matrix) replacing ``dataset.features`` — a
-    #: read-only store is gathered per batch, a *trainable* store
-    #: (:class:`~repro.store.SparseEmbeddingStore`) is gathered through
-    #: autograd and updated by a sparse optimizer stepping alongside the
-    #: model's (featureless-graph training).  Single-machine only: a
-    #: distributed worker's layer-0 halo is one ``comm.fetch`` per remote
-    #: block, like every other layer's.  Mutually exclusive with
-    #: :attr:`label_augmentation` (which rewrites the feature matrix every
-    #: epoch).
-    feature_store: Optional[Any] = None
-    #: Learning rate for the trainable store's
-    #: :class:`~repro.tensor.optim.SparseAdam` (``None`` = :attr:`lr`).
-    feature_store_lr: Optional[float] = None
 
     def resolved_sampler_seed(self) -> int:
         """The seed the neighbour sampler actually draws under."""
@@ -137,15 +122,14 @@ class TrainingConfig:
             return CosineDecay(optimizer, total_epochs=self.num_epochs)
         return None
 
-    def validate(self, model_num_layers: Optional[int], distributed: bool) -> None:
+    def validate(self, model_num_layers: Optional[int]) -> None:
         """Raise ``ValueError`` for any setting no trainer can run.
 
         Every cross-field rule lives here and both trainers call it before
         doing any work — nothing is partitioned, no cluster is spawned and no
         epoch runs under a config that would only fail later.
         ``model_num_layers`` is the model's ``num_layers`` (``None`` when it
-        exposes none) and ``distributed`` tells :class:`DistributedTrainer`
-        (and its workers) from :class:`FullBatchTrainer`.
+        exposes none).
         """
         if self.num_epochs < 1:
             raise ValueError(f"num_epochs must be >= 1, got {self.num_epochs}")
@@ -153,10 +137,6 @@ class TrainingConfig:
             raise ValueError(f"lr must be > 0, got {self.lr}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.feature_store_lr is not None and self.feature_store_lr <= 0:
-            raise ValueError(
-                f"feature_store_lr must be > 0 (or None), got {self.feature_store_lr}"
-            )
         if self.eval_every < 0:
             raise ValueError(
                 f"eval_every must be >= 0 (0 = only after the final epoch), got {self.eval_every}"
@@ -187,24 +167,6 @@ class TrainingConfig:
                 value = getattr(self.sampler, name)
                 if value < low:
                     raise ValueError(f"sampler.{name} must be >= {low}, got {value}")
-        store = self.feature_store
-        if store is None:
-            return
-        if isinstance(store, str):
-            raise ValueError(
-                "feature_store takes a FeatureStore instance or a feature matrix, "
-                f"not the string {store!r}"
-            )
-        if distributed:
-            raise ValueError(
-                "feature_store is single-machine only: a distributed worker "
-                f"reads its shard's own rows, got {type(store).__name__}"
-            )
-        if self.label_augmentation:
-            raise ValueError(
-                "feature_store and label_augmentation are mutually exclusive "
-                "(augmentation rewrites the feature matrix every epoch)"
-            )
 
 
 @dataclass
@@ -297,9 +259,6 @@ class _EpochLoop:
 
     comm: Optional[Communicator] = None  # None = single machine
     timer_cls = Timer
-    #: a trainable feature store's optimizer / scheduler (single machine only)
-    sparse_optimizer = None
-    sparse_scheduler: Optional[CosineDecay] = None
 
     def _batches(self, epoch: int, features, predict_mask: np.ndarray) -> Iterator[Batch]:
         """The epoch's batches over this epoch's (augmented) features.
@@ -333,8 +292,6 @@ class _EpochLoop:
             with closing(self._batches(epoch, features, predict_mask)) as batches:
                 loss = self._run_epoch(batches)
             lr = self.scheduler.step() if self.scheduler else self.optimizer.lr
-            if self.sparse_scheduler is not None:
-                self.sparse_scheduler.step()
             record = EpochRecord(epoch=epoch, loss=loss, lr=lr, train_time_s=timer.stop())
             if config.eval_every and (epoch % config.eval_every == 0 or epoch == config.num_epochs):
                 accs, _ = self.evaluate()
@@ -356,8 +313,7 @@ class _EpochLoop:
         loss_sum, count = 0.0, 0
         for graph, inputs, labels, mask in batches:
             loss = _local_loss(self.model(graph, inputs), labels, mask)
-            # No backward reads a batch's input rows (a trainable store's
-            # gather node keeps what its own backward needs): let them go.
+            # No backward reads a batch's input rows: let them go.
             del inputs
             batch_count = int(mask.sum())
             self._step(loss, batch_count)
@@ -375,8 +331,6 @@ class _EpochLoop:
         applies ``1 / global count``.
         """
         self.model.zero_grad()
-        if self.sparse_optimizer is not None:
-            self.sparse_optimizer.zero_grad()
         loss.backward()
         if self.comm is None:
             count = max(count, 1)
@@ -388,8 +342,6 @@ class _EpochLoop:
             sync_gradients(self.model.parameters(), self.comm,
                            scale=1.0 / max(global_count, 1.0))
         self.optimizer.step()
-        if self.sparse_optimizer is not None:
-            self.sparse_optimizer.step(grad_scale=1.0 / count)
 
     def evaluate(self) -> Tuple[Dict[str, float], np.ndarray]:
         """Accuracies on train/val/test plus the raw logits of every (local) row.
@@ -409,11 +361,6 @@ class _EpochLoop:
             features = self.augmenter.inference_batch(
                 self.features, self.labels, self.masks["train"]
             )
-            if isinstance(features, FeatureStore):
-                # A trainable store's gather(None) is its current table; a
-                # read-only store's is the backing matrix — either way the
-                # store *is* the feature source at evaluation time too.
-                features = features.gather(None)
             logits = self._eval_logits(features)
         report = evaluation_report(logits, self.labels, self.masks, self.comm)
         self.model.train()
@@ -437,7 +384,7 @@ class FullBatchTrainer(_EpochLoop):
         self.dataset = dataset
         self.config = config = config or TrainingConfig()
         self.graph = graph = dataset.graph if graph is None else graph
-        config.validate(getattr(model, "num_layers", None), distributed=False)
+        config.validate(getattr(model, "num_layers", None))
         self._smoothing_graph = dataset.graph
         self.labels = dataset.labels
         self.masks = {"train": dataset.train_mask, "val": dataset.val_mask,
@@ -446,24 +393,7 @@ class FullBatchTrainer(_EpochLoop):
         self.optimizer = Adam(model.parameters(), lr=config.lr,
                               weight_decay=config.weight_decay)
         self.scheduler = config.build_scheduler(self.optimizer)
-        #: the feature source: the dataset's matrix, or the configured store
-        #: replacing it outright (label augmentation is rejected alongside a
-        #: store, so the augmenter passes it through untouched).
-        self.features: Any = dataset.features
-        self.feature_store: Optional[FeatureStore] = None
-        if config.feature_store is not None:
-            store = as_feature_store(config.feature_store)
-            if store.num_rows != graph.num_nodes:
-                raise ValueError(
-                    f"feature_store has {store.num_rows} rows but the graph "
-                    f"has {graph.num_nodes} nodes"
-                )
-            self.features = self.feature_store = store
-            if store.trainable:
-                lr = config.feature_store_lr if config.feature_store_lr is not None \
-                    else config.lr
-                self.sparse_optimizer = SparseAdam(store, lr=lr)
-                self.sparse_scheduler = config.build_scheduler(self.sparse_optimizer)
+        self.features = dataset.features
         self._rng = np.random.default_rng(config.seed)
         self._inference_engine: Optional[LayerWiseInference] = None
         self.sample_loader: Optional[MiniBatchDataLoader] = None
@@ -478,24 +408,18 @@ class FullBatchTrainer(_EpochLoop):
         return self._fit()[0]
 
     def _batches(self, epoch: int, features, predict_mask: np.ndarray) -> Iterator[Batch]:
-        # A trainable store is gathered through autograd (backward scatters
-        # per-row gradients into it); anything else yields a leaf tensor.
         # The inputs are built inside each ``yield`` and bound to no name
         # here, so once the loop drops them this frame holds them no longer.
-        labels, store = self.labels, self.feature_store
-        trainable = store is not None and store.trainable
+        labels = self.labels
         if self.sample_loader is None:
-            yield (self.graph, Tensor(features) if store is None else store.gather_tensor(None),
-                   labels, predict_mask)
+            yield self.graph, Tensor(features), labels, predict_mask
             return
 
         # The loader's prefetch samples and compacts batch b + 1 while batch b
         # trains; each batch's layer-0 rows are gathered here, when it is
         # taken, so only the one batch's rows are ever alive.
         for batch in self.sample_loader.iter_epoch(epoch):
-            yield (batch.pipeline,
-                   store.gather_tensor(batch.input_nodes) if trainable
-                   else Tensor(batch.gather_inputs(features)),
+            yield (batch.pipeline, Tensor(batch.gather_inputs(features)),
                    labels[batch.seeds], predict_mask[batch.seeds])
 
     def _eval_logits(self, features: np.ndarray) -> np.ndarray:
@@ -541,7 +465,7 @@ class _DistributedWorker(_EpochLoop):
         # DistributedTrainer validated against a probed replica; a direct
         # caller's config is checked here, against this one.  Every rank
         # raises at the same point, so none is left waiting in a setup exchange.
-        config.validate(getattr(model, "num_layers", None), distributed=True)
+        config.validate(getattr(model, "num_layers", None))
         self.graph = DistributedGraph(shard, comm, sar_config)
         self._smoothing_graph = self.graph
         #: the sampled epochs' loader — the single machine's, over this
@@ -664,7 +588,7 @@ class DistributedTrainer:
         self._num_layers: Optional[int] = None
         if config.sampler is not None:
             self._num_layers = self._probe_num_layers()
-        config.validate(self._num_layers, distributed=True)
+        config.validate(self._num_layers)
         dataset.attach_to_graph()
         self.book, self.shards = self._prepare_shards()
 

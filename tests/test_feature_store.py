@@ -1,10 +1,8 @@
 """Tests for the pluggable feature-store layer (:mod:`repro.store`).
 
 Covers the LRUDict byte-budget edge cases, the store backends (dense,
-partitioned KV, learnable sparse embeddings), the sparse optimizers, and
-the store-vs-dense bit-parity matrix
-across models (sage/gat) and execution paths (sampled training / layer-wise
-inference / serving).
+partitioned KV), and the store-vs-dense bit-parity matrix across models
+(sage/gat) and the store consumers (layer-wise inference / serving).
 """
 
 import sys
@@ -22,14 +20,7 @@ from repro.sample.inference import LayerWiseInference
 from repro.sample.loader import MiniBatchDataLoader, NeighborSamplingConfig
 from repro.sample.neighbor import NeighborSampler
 from repro.serving import ServingConfig, create_server
-from repro.store import (
-    DenseStore,
-    PartitionedKVStore,
-    SparseEmbeddingStore,
-    as_feature_store,
-)
-from repro.tensor import Tensor
-from repro.tensor.optim import Adam, SparseAdam
+from repro.store import DenseStore, PartitionedKVStore, as_feature_store
 from repro.training import FullBatchTrainer, TrainingConfig
 from repro.utils.lru import LRUDict
 from repro.utils.seed import set_seed
@@ -115,7 +106,7 @@ class TestLRUDictEdgeCases:
 
 
 # --------------------------------------------------------------------------- #
-# backends: dispatch, dense, sparse embeddings
+# backends: dispatch, dense
 # --------------------------------------------------------------------------- #
 class TestStoreDispatch:
     def test_as_feature_store_passthrough_and_wrap(self):
@@ -136,9 +127,6 @@ class TestStoreDispatch:
                               matrix[[3, 0, 3]])
         with pytest.raises(IndexError):
             store.gather(np.array([6]))
-        with pytest.raises(NotImplementedError):
-            store.scatter_grad(np.array([0]), np.zeros((1, 2), dtype=np.float32))
-        assert not store.trainable
 
     def test_dense_store_replace_bumps_version(self):
         store = DenseStore(np.zeros((3, 2), dtype=np.float32))
@@ -146,145 +134,6 @@ class TestStoreDispatch:
         store.replace(np.ones((3, 2), dtype=np.float32))
         assert store.version == v0 + 1
         assert float(store.gather(None)[0, 0]) == 1.0
-
-
-class TestSparseEmbeddingStore:
-    def test_backward_scatters_without_dense_gradient(self):
-        store = SparseEmbeddingStore(100, 4, seed=0)
-        ids = np.array([7, 3, 7])
-        out = store.gather_tensor(ids)
-        assert out.requires_grad
-        (out * 2.0).sum().backward()
-        unique, summed = store.pending_gradients()
-        assert unique.tolist() == [3, 7]
-        # Row 7 appears twice in the gather: its gradient accumulates.
-        assert np.allclose(summed[unique.tolist().index(7)], 4.0)
-        assert np.allclose(summed[unique.tolist().index(3)], 2.0)
-        # One backward is one scatter, still pending; the rows have not moved.
-        assert store.stats() == {"version": store.version, "scatter_calls": 1,
-                                 "pending_scatters": 1}
-
-    def test_apply_row_update_bumps_version_and_touches_only_rows(self):
-        store = SparseEmbeddingStore(50, 4, seed=1)
-        before = store.weight.copy()
-        v0 = store.version
-        store.apply_row_update(np.array([5]), np.ones((1, 4), dtype=np.float32))
-        assert store.version == v0 + 1
-        untouched = np.ones(50, dtype=bool)
-        untouched[5] = False
-        assert np.array_equal(store.weight[untouched], before[untouched])
-
-    def test_state_dict_roundtrip_and_validation(self):
-        store = SparseEmbeddingStore(10, 3, seed=2)
-        state = store.state_dict()
-        other = SparseEmbeddingStore(10, 3, seed=99)
-        other.load_state_dict(state)
-        assert np.array_equal(other.weight, store.weight)
-        with pytest.raises(ValueError):
-            store.scatter_grad(np.array([0]), np.zeros((2, 3), dtype=np.float32))
-        with pytest.raises(ValueError):
-            SparseEmbeddingStore(0, 3)
-
-    def test_seeded_init_is_deterministic(self):
-        a = SparseEmbeddingStore(20, 4, seed=5)
-        b = SparseEmbeddingStore(20, 4, seed=5)
-        c = SparseEmbeddingStore(20, 4, seed=6)
-        assert np.array_equal(a.weight, b.weight)
-        assert not np.array_equal(a.weight, c.weight)
-
-
-# --------------------------------------------------------------------------- #
-# the sparse optimizer
-# --------------------------------------------------------------------------- #
-class TestSparseOptimizers:
-    def test_only_touched_rows_move(self):
-        store = SparseEmbeddingStore(40, 3, seed=0)
-        before = store.weight.copy()
-        opt = SparseAdam(store, lr=0.1)
-        store.scatter_grad(np.array([4, 9]), np.ones((2, 3), dtype=np.float32))
-        touched = opt.step()
-        assert touched == 2
-        mask = np.zeros(40, dtype=bool)
-        mask[[4, 9]] = True
-        assert np.array_equal(store.weight[~mask], before[~mask])
-        assert not np.array_equal(store.weight[mask], before[mask])
-
-    def test_adam_per_row_step_counts_match_dense_adam(self):
-        # One row updated twice must match a dense Adam updating a 1-row
-        # parameter twice (per-row bias correction, no decay while absent).
-        grads = [np.array([[0.5, -1.0]], dtype=np.float32),
-                 np.array([[0.25, 0.75]], dtype=np.float32)]
-        store = SparseEmbeddingStore(10, 2, weight=np.zeros((10, 2)))
-        sparse = SparseAdam(store, lr=0.05)
-        param = Tensor(np.zeros((1, 2), dtype=np.float32), requires_grad=True)
-        dense = Adam([param], lr=0.05)
-        for g in grads:
-            store.scatter_grad(np.array([6]), g)
-            sparse.step()
-            param.grad = g.copy()
-            dense.step()
-        assert np.allclose(store.weight[6], param.data[0], atol=1e-7)
-        assert sparse._t[6] == 2 and sparse._t[0] == 0
-
-    def test_grad_scale_matches_prescaled_gradients(self):
-        # Adam's first update barely depends on the gradient's size, so a
-        # second, unscaled step shows whether the first one was scaled.
-        g = np.array([[2.0, -4.0]], dtype=np.float32)
-        h = np.array([[1.0, 1.0]], dtype=np.float32)
-        weights = []
-        for first, scale in ((g, 0.5), (g * 0.5, 1.0), (g, 1.0)):
-            store = SparseEmbeddingStore(4, 2, weight=np.zeros((4, 2)))
-            opt = SparseAdam(store, lr=0.1)
-            store.scatter_grad(np.array([1]), first)
-            opt.step(grad_scale=scale)
-            store.scatter_grad(np.array([1]), h)
-            opt.step()
-            weights.append(store.weight)
-        assert np.array_equal(weights[0], weights[1])
-        assert not np.array_equal(weights[0], weights[2])
-
-    def test_adam_moments_frozen_while_row_absent(self):
-        # Row 2 skips a step; it must then match a dense Adam that never
-        # saw that step at all.
-        g = np.array([[1.0, -2.0]], dtype=np.float32)
-        store = SparseEmbeddingStore(5, 2, weight=np.zeros((5, 2)))
-        opt = SparseAdam(store, lr=0.1)
-        store.scatter_grad(np.array([2]), g)
-        opt.step()
-        m, v = opt._m[2].copy(), opt._v[2].copy()
-        store.scatter_grad(np.array([4]), g)
-        opt.step()
-        assert np.array_equal(opt._m[2], m) and np.array_equal(opt._v[2], v)
-        store.scatter_grad(np.array([2]), g)
-        opt.step()
-        param = Tensor(np.zeros((1, 2), dtype=np.float32), requires_grad=True)
-        dense = Adam([param], lr=0.1)
-        for _ in range(2):
-            param.grad = g.copy()
-            dense.step()
-        assert np.allclose(store.weight[2], param.data[0], atol=1e-7)
-
-    def test_zero_grad_drops_pending_gradients(self):
-        store = SparseEmbeddingStore(6, 2, seed=0)
-        before = store.weight.copy()
-        opt = SparseAdam(store, lr=0.1)
-        store.scatter_grad(np.array([1, 3]), np.ones((2, 2), dtype=np.float32))
-        opt.zero_grad()
-        assert opt.step() == 0
-        assert np.array_equal(store.weight, before)
-        assert opt.steps_taken == 0 and opt.rows_updated == 0
-
-    def test_invalid_hyperparameters_raise(self):
-        store = SparseEmbeddingStore(3, 2, seed=0)
-        with pytest.raises(ValueError):
-            SparseAdam(store, lr=0.0)
-        with pytest.raises(ValueError):
-            SparseAdam(store, betas=(0.9, 1.0))
-
-    def test_rejects_non_trainable_store(self):
-        dense = DenseStore(np.zeros((3, 2), dtype=np.float32))
-        with pytest.raises(TypeError):
-            SparseAdam(dense, lr=0.1)
 
 
 # --------------------------------------------------------------------------- #
@@ -305,8 +154,7 @@ def _resident_rows_worker(rank, comm, *, matrix, book):
     comm.barrier()
     rows += (store.gather(ids),)
     comm.barrier()
-    store.release()
-    return shared, replaced, store._local.size, rows
+    return shared, replaced, rows
 
 
 class TestPartitionedKVStore:
@@ -318,9 +166,8 @@ class TestPartitionedKVStore:
         matrix, book = matrix_and_book
         results = run(_resident_rows_worker, 2, timeout_s=120, matrix=matrix, book=book)
         ids = np.array([0, 7, 3, 58, 3, 21, 40])
-        for rank, (shared, replaced, released, rows) in enumerate(results.results):
+        for rank, (shared, replaced, rows) in enumerate(results.results):
             assert shared and replaced
-            assert released == 0  # release() lets the view go with the block
             own = np.asarray(book.nodes_of(rank))
             expected = (matrix[ids], matrix, matrix[own[np.arange(5)[::-1]]],
                         matrix[ids] * 2.0)
@@ -353,7 +200,6 @@ class TestPartitionedKVStore:
             stats = store.stats()
             comm_stats = comm.stats.snapshot()
             local = store.gather(book.nodes_of(rank))  # own rows: no fetch
-            store.release()
             return first, again, stats, comm_stats, local
 
         result = run_distributed(worker, 2, timeout_s=120)
@@ -385,7 +231,6 @@ class TestPartitionedKVStore:
             store.gather(np.asarray(remote_ids))
             comm.barrier()
             stats = store.stats()
-            store.release()
             return stats
 
         result = run_distributed(worker, 2, timeout_s=120)
@@ -406,7 +251,6 @@ class TestPartitionedKVStore:
             store.gather(np.asarray(ids))
             comm.barrier()
             stats = store.stats()
-            store.release()
             return stats
 
         result = run_distributed(worker, 2, timeout_s=120)
@@ -430,7 +274,6 @@ class TestPartitionedKVStore:
             new = store.gather(ids)
             comm.barrier()
             version = store.version
-            store.release()
             return old, new, version
 
         result = run_distributed(worker, 2, timeout_s=120)
@@ -496,7 +339,6 @@ class TestPartitionedKVStore:
                 alive = [thread.is_alive() for thread in threads]
                 out = alive, failures, sum(probed), store.stats()
             comm.barrier()
-            store.release()
             return out
 
         alive, failures, probed, stats = run_distributed(worker, 2, timeout_s=120).results[0]
@@ -541,30 +383,25 @@ class TestLoaderSetFeaturesValidation:
 # --------------------------------------------------------------------------- #
 class TestStoreParityMatrix:
     """DenseStore runs must be bit-identical to raw matrix runs across
-    models and execution paths."""
+    models and the store consumers."""
 
     @pytest.mark.parametrize("sampled", [True, False], ids=["sampled", "full_batch"])
     @pytest.mark.parametrize("kind", ["sage", "gat"])
     def test_single_machine_sampled_and_layerwise(self, dataset, kind, sampled):
-        cfg = dict(num_epochs=2, lr=0.01, seed=1, eval_every=0,
-                   eval_inference="layerwise", eval_batch_size=48,
-                   sampler=NeighborSamplingConfig(fanouts=(3, 3), batch_size=32)
-                   if sampled else None)
+        # Training reads the dataset's matrix; layer-wise inference of the
+        # trained model through a store gives the trainer's own logits.
         set_seed(3)
         model = _make_model(kind, dataset.feature_dim, dataset.num_classes)
-        plain = FullBatchTrainer(model, dataset, TrainingConfig(**cfg))
-        plain_result = plain.train()
-        _, plain_logits = plain.evaluate()
+        trainer = FullBatchTrainer(model, dataset, TrainingConfig(
+            num_epochs=2, lr=0.01, seed=1, eval_every=0,
+            eval_inference="layerwise", eval_batch_size=48,
+            sampler=NeighborSamplingConfig(fanouts=(3, 3), batch_size=32)
+            if sampled else None))
+        trainer.train()
+        _, logits = trainer.evaluate()
 
-        set_seed(3)
-        model = _make_model(kind, dataset.feature_dim, dataset.num_classes)
-        stored = FullBatchTrainer(model, dataset, TrainingConfig(
-            feature_store=DenseStore(dataset.features), **cfg))
-        stored_result = stored.train()
-        _, stored_logits = stored.evaluate()
-
-        assert plain_result.losses() == stored_result.losses()
-        assert np.array_equal(plain_logits, stored_logits)
+        engine = LayerWiseInference(model, dataset.graph, batch_size=48)
+        assert np.array_equal(engine.run(DenseStore(dataset.features)), logits)
 
     @pytest.mark.parametrize("kind", ["sage", "gat"])
     def test_serving_store_parity(self, dataset, kind):
@@ -587,43 +424,6 @@ class TestStoreParityMatrix:
         direct = engine.run(dataset.features)
         stored = engine.run(DenseStore(dataset.features))
         assert np.array_equal(direct, stored)
-
-
-# --------------------------------------------------------------------------- #
-# trainer integration: trainable store + config validation
-# --------------------------------------------------------------------------- #
-class TestTrainerFeatureStore:
-    def test_sparse_embedding_training_learns(self, dataset):
-        emb = SparseEmbeddingStore(dataset.graph.num_nodes, 8, seed=3)
-        before = emb.weight.copy()
-        set_seed(5)
-        model = _make_model("sage", 8, dataset.num_classes)
-        trainer = FullBatchTrainer(model, dataset, TrainingConfig(
-            feature_store=emb, feature_store_lr=0.05, num_epochs=6, lr=0.01,
-            seed=1, eval_every=0,
-            sampler=NeighborSamplingConfig(fanouts=(4, 4), batch_size=32)))
-        result = trainer.train()
-        losses = result.losses()
-        assert losses[-1] < losses[0]
-        assert trainer.sparse_optimizer.steps_taken > 0
-        assert not np.array_equal(emb.weight, before)
-        # Evaluation reads the learned table (full coverage, no crash).
-        accs, logits = trainer.evaluate()
-        assert logits.shape == (dataset.graph.num_nodes, dataset.num_classes)
-
-    def test_config_validation(self, dataset):
-        model = _make_model("sage", dataset.feature_dim, dataset.num_classes)
-        with pytest.raises(ValueError, match="not the string 'kv'"):
-            FullBatchTrainer(model, dataset,
-                             TrainingConfig(feature_store="kv"))
-        with pytest.raises(ValueError, match="label_augmentation"):
-            FullBatchTrainer(model, dataset, TrainingConfig(
-                feature_store=DenseStore(dataset.features),
-                label_augmentation=True))
-        with pytest.raises(ValueError, match="rows"):
-            FullBatchTrainer(model, dataset, TrainingConfig(
-                feature_store=DenseStore(
-                    np.zeros((3, 8), dtype=np.float32))))
 
 
 # --------------------------------------------------------------------------- #

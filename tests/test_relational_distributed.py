@@ -9,8 +9,7 @@ relational one —
   under SAR and DP trains what one machine trains, each
   worker's restricted forward running over ``{relation: grid}`` layers;
   the runs are pinned bit for bit and equal on threads and processes;
-* a feature store changes no bit on one machine, and relational shards
-  serve rows from one shared DenseStore;
+* relational shards serve rows from one shared DenseStore;
 * every serving backend serves R-GCN rows bit-identical to the full-graph
   forward;
 * a layer that aggregates over the relation ``None`` (SAGE, GAT) on a
@@ -175,21 +174,6 @@ def test_relational_sampled_training_thread_equals_mp():
     for stats, mp_stats in zip(threads.comm_stats, processes.comm_stats):
         assert mp_stats.received_by_tag == stats.received_by_tag
     assert threads.total_received_by_tag()["sample_frontier"] > 0
-
-
-# --------------------------------------------------------------------------- #
-# feature stores on a relational graph
-# --------------------------------------------------------------------------- #
-def test_relational_dense_store_equals_the_matrix():
-    dataset = _mag()
-
-    def train(**extra):
-        return FullBatchTrainer(_rgcn_factory(dataset.feature_dim), dataset,
-                                _config("sampled", **extra)).train()
-
-    matrix, store = train(), train(feature_store=DenseStore(dataset.features))
-    assert store.losses() == matrix.losses()
-    assert store.final_accuracies == matrix.final_accuracies
 
 
 # --------------------------------------------------------------------------- #

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.store import SparseEmbeddingStore
 from repro.tensor import Tensor, init
-from repro.tensor.optim import Adam, CosineDecay, SparseAdam
+from repro.tensor.optim import Adam, CosineDecay
 from repro.utils.seed import set_seed
 
 
@@ -129,12 +128,6 @@ class TestSchedulers:
         lrs = [sched.step() for _ in range(6)]
         assert all(a > b for a, b in zip(lrs[:3], lrs[1:3]))
         np.testing.assert_allclose(lrs[2:], 0.05)
-
-    def test_cosine_decay_drives_sparse_adam(self):
-        opt = SparseAdam(SparseEmbeddingStore(4, 2, seed=0), lr=0.4)
-        sched = CosineDecay(opt, total_epochs=2)
-        assert np.isclose(sched.step(), 0.2)
-        assert np.isclose(opt.lr, 0.2) and opt.initial_lr == 0.4
 
     def test_invalid_scheduler_args(self):
         opt = self._optimizer()

@@ -10,6 +10,7 @@ import pytest
 from repro import nn
 from repro.core import SARConfig
 from repro.datasets import make_sbm_dataset, ogbn_mag_mini
+from repro.graph.mfg import MFGPipeline
 from repro.sample import NeighborSamplingConfig
 from repro.store import DenseStore
 from repro.training import DistributedTrainer, FullBatchTrainer, TrainingConfig
@@ -25,24 +26,30 @@ def learnable_dataset():
     )
 
 
-class _SpyStore(DenseStore):
-    """A :class:`DenseStore` counting how many row blocks its gathers returned
-    are alive, now and at most."""
+class _RowSpy:
+    """Counts the layer-0 row blocks gathered for sampled batches, and how
+    many of them are alive, now and at most.  It watches both routes rows
+    can take: ``MFGPipeline.gather_inputs`` (the trainer gathering at use)
+    and ``DenseStore.gather`` (a loader pre-gathering after
+    ``set_features``)."""
 
-    def __init__(self, matrix):
-        super().__init__(matrix)
+    def __init__(self, monkeypatch):
         self._lock = threading.Lock()
         self.alive = self.peak_alive = self.gathers = 0
+        for cls, name in ((MFGPipeline, "gather_inputs"), (DenseStore, "gather")):
+            monkeypatch.setattr(cls, name, self._spying(getattr(cls, name)))
 
-    def gather(self, node_ids):
-        rows = super().gather(node_ids)
-        if node_ids is not None:  # gather(None) is the backing matrix itself
-            with self._lock:
-                self.gathers += 1
-                self.alive += 1
-                self.peak_alive = max(self.peak_alive, self.alive)
-            weakref.finalize(rows, self._dropped)
-        return rows
+    def _spying(self, gather):
+        def spied(owner, arg):
+            rows = gather(owner, arg)
+            if arg is not None:  # DenseStore.gather(None) is the matrix itself
+                with self._lock:
+                    self.gathers += 1
+                    self.alive += 1
+                    self.peak_alive = max(self.peak_alive, self.alive)
+                weakref.finalize(rows, self._dropped)
+            return rows
+        return spied
 
     def _dropped(self):
         with self._lock:
@@ -92,10 +99,9 @@ class TestFullBatchTrainer:
 
     def test_one_batch_of_input_rows_and_none_through_the_backward(self, learnable_dataset,
                                                                    monkeypatch):
-        store = _SpyStore(learnable_dataset.features)
+        spy = _RowSpy(monkeypatch)
         sampler = NeighborSamplingConfig(fanouts=(3, 3), batch_size=16, num_workers=1)
-        config = TrainingConfig(num_epochs=2, eval_every=0, feature_store=store,
-                                sampler=sampler)
+        config = TrainingConfig(num_epochs=2, eval_every=0, sampler=sampler)
         model = nn.GraphSageNet(learnable_dataset.feature_dim, 16,
                                 learnable_dataset.num_classes, num_layers=2)
         trainer = FullBatchTrainer(model, learnable_dataset, config)
@@ -103,14 +109,14 @@ class TestFullBatchTrainer:
         step = trainer._step
 
         def spied_step(loss, count):
-            alive_at_backward.append(store.alive)
+            alive_at_backward.append(spy.alive)
             step(loss, count)
 
         monkeypatch.setattr(trainer, "_step", spied_step)
         trainer.train()
         batches = 2 * len(trainer.sample_loader)
-        assert store.gathers == len(alive_at_backward) == batches
-        assert store.peak_alive == 1
+        assert spy.gathers == len(alive_at_backward) == batches
+        assert spy.peak_alive == 1
         assert alive_at_backward == [0] * batches
 
     def test_invalid_schedule_raises(self, learnable_dataset):
@@ -143,13 +149,9 @@ BAD_DISTRIBUTED_CONFIGS = {
     "num_epochs": (dict(num_epochs=0), "num_epochs"),
     "lr": (dict(lr=0.0), "lr must be > 0"),
     "weight_decay": (dict(weight_decay=-1.0), "weight_decay"),
-    "feature_store_lr": (dict(feature_store_lr=-0.1), "feature_store_lr"),
     "eval_every": (dict(eval_every=-1), "eval_every"),
     "fanout_depth": (dict(sampler=NeighborSamplingConfig(fanouts=(2, 2, 2))), "conv layers"),
     "eval_batch_size": (dict(eval_batch_size=0), "eval_batch_size"),
-    "store_mode": (dict(feature_store="kv"), "not the string 'kv'"),
-    "feature_store": (dict(feature_store=DenseStore(np.zeros((4, 2), dtype=np.float32))),
-                      "single-machine only"),
     **BAD_SAMPLERS,
 }
 
