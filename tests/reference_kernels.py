@@ -8,7 +8,9 @@ planned path against an independent oracle.  :class:`ReferenceGraph` puts
 them behind the aggregation protocol, so an unmodified layer or model can
 run on them.  :class:`ReferenceRowCache` is the row-at-a-time twin of
 :class:`~repro.utils.rowcache.RowCache`, on an
-:class:`~repro.utils.lru.LRUDict`.  :func:`relabel_block_np` is the
+:class:`~repro.utils.lru.LRUDict`.  :class:`ReferenceStore` is a
+:class:`~repro.store.FeatureStore` built from the abstract protocol alone.
+:func:`relabel_block_np` is the
 order-preserving relabel :func:`~repro.graph.mfg.compact_block` replaced.
 :func:`unfused_epilogue` is the inter-layer chain
 :func:`~repro.nn.norm.layer_epilogue` runs as one node — BatchNorm, then
@@ -18,11 +20,13 @@ order-preserving relabel :func:`~repro.graph.mfg.compact_block` replaced.
 
 from __future__ import annotations
 
+import threading
 from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro.store import FeatureStore
 from repro.tensor import functional as F
 from repro.tensor.tensor import Function, Tensor
 from repro.utils.lru import LRUDict
@@ -288,6 +292,44 @@ class ReferenceRowCache:
 
     def clear(self) -> None:
         self.rows.clear()
+
+
+class ReferenceStore(FeatureStore):
+    """A feature store with nothing beyond the abstract protocol.
+
+    Every :meth:`gather`, ``gather(None)`` included, returns a fresh copy,
+    never a view of the backing matrix, and the store has no ``replace``: a
+    consumer that gives bit-identical results over it relies on nothing
+    :class:`~repro.store.DenseStore` adds.  :attr:`gathers` counts the reads.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        self._matrix = np.array(matrix, copy=True)
+        self._lock = threading.Lock()
+        self.gathers = 0
+
+    @property
+    def num_rows(self) -> int:
+        return int(self._matrix.shape[0])
+
+    @property
+    def dim(self) -> int:
+        return int(self._matrix.shape[1])
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self._matrix.dtype
+
+    @property
+    def version(self) -> int:
+        return 1
+
+    def gather(self, node_ids):
+        with self._lock:
+            self.gathers += 1
+        if node_ids is None:
+            return self._matrix.copy()
+        return self._matrix[self._check_ids(node_ids)]
 
 
 def relabel_block_np(edges, dst_nodes: np.ndarray, src_nodes=None):

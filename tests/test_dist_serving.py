@@ -248,6 +248,21 @@ def test_shard_backends_reject_per_worker_feature_lists(dataset, backend):
             create_server(model, shards, features, config)
 
 
+@pytest.mark.parametrize("backend", ["local", "distributed", "mp"])
+def test_backends_reject_features_missing_a_row(dataset, backend):
+    """A matrix or a store one row short is refused by ``create_server``,
+    before any worker exists."""
+    model = _make_model(dataset)
+    graph = dataset.graph if backend == "local" else _make_shards(dataset, 2)
+    short = dataset.features[:-1]
+    messages = ({"matrix": "cover the graph's", "store": "cover the graph's"}
+                if backend == "local" else
+                {"matrix": r"must be \(num_nodes=", "store": "must cover all"})
+    for form, features in (("matrix", short), ("store", DenseStore(short))):
+        with pytest.raises(ValueError, match=messages[form]):
+            create_server(model, graph, features, ServingConfig(backend=backend))
+
+
 # --------------------------------------------------------------------------- #
 # the redesigned API surface
 # --------------------------------------------------------------------------- #

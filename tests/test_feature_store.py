@@ -1,8 +1,9 @@
 """Tests for the pluggable feature-store layer (:mod:`repro.store`).
 
 Covers the LRUDict byte-budget edge cases, the store backends (dense,
-partitioned KV), and the store-vs-dense bit-parity matrix across models
-(sage/gat) and the store consumers (layer-wise inference / serving).
+partitioned KV, and the protocol-only ``ReferenceStore``), and the
+store-vs-dense bit-parity matrix across models (sage/gat) and the store
+consumers (layer-wise inference / serving).
 """
 
 import sys
@@ -20,10 +21,11 @@ from repro.sample.inference import LayerWiseInference
 from repro.sample.loader import MiniBatchDataLoader, NeighborSamplingConfig
 from repro.sample.neighbor import NeighborSampler
 from repro.serving import ServingConfig, create_server
-from repro.store import DenseStore, PartitionedKVStore, as_feature_store
+from repro.store import DenseStore, FeatureStore, PartitionedKVStore, as_feature_store
 from repro.training import FullBatchTrainer, TrainingConfig
 from repro.utils.lru import LRUDict
 from repro.utils.seed import set_seed
+from reference_kernels import ReferenceStore
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +136,50 @@ class TestStoreDispatch:
         store.replace(np.ones((3, 2), dtype=np.float32))
         assert store.version == v0 + 1
         assert float(store.gather(None)[0, 0]) == 1.0
+
+    def test_dense_store_rejects_a_non_2d_matrix(self):
+        with pytest.raises(ValueError, match="2-D matrix"):
+            DenseStore(np.zeros(4, dtype=np.float32))
+
+    def test_dense_store_replace_rejects_another_width(self):
+        store = DenseStore(np.zeros((3, 2), dtype=np.float32))
+        with pytest.raises(ValueError, match="2 columns"):
+            store.replace(np.zeros((3, 5), dtype=np.float32))
+        assert store.version == 1  # a refused replace is no mutation
+
+    def test_reads_keep_the_version_and_bump_advances_it(self):
+        matrix = np.zeros((3, 2), dtype=np.float32)
+        store = DenseStore(matrix)
+        store.gather(None), store.gather(np.array([2, 0]))
+        assert store.version == 1
+        matrix[1] = 7.0  # in-place mutation, announced by the caller
+        assert store.bump_version() == store.version == 2
+        assert float(store.gather(np.array([1]))[0, 0]) == 7.0
+
+    @pytest.mark.parametrize("backend", [DenseStore, ReferenceStore],
+                             ids=["dense", "reference"])
+    def test_gather_validates_ids(self, backend):
+        store = backend(np.arange(12, dtype=np.float32).reshape(6, 2))
+        assert store.gather(np.array([], dtype=np.int64)).shape == (0, 2)
+        with pytest.raises(ValueError, match="1-D"):
+            store.gather(np.zeros((2, 2), dtype=np.int64))
+        with pytest.raises(IndexError, match=r"\[0, 6\)"):
+            store.gather(np.array([1, -1]))
+        with pytest.raises(IndexError, match=r"\[0, 6\)"):
+            store.gather(np.array([6]))
+
+    def test_the_protocol_alone_makes_a_store(self):
+        with pytest.raises(TypeError):
+            FeatureStore()  # abstract
+        matrix = np.arange(6, dtype=np.float32).reshape(3, 2)
+        store = ReferenceStore(matrix)
+        assert as_feature_store(store) is store
+        assert (store.num_rows, store.dim, store.dtype) == (3, 2, np.float32)
+        assert store.stats() == {}
+        assert repr(store) == ("ReferenceStore(num_rows=3, dim=2, dtype=float32, "
+                               "version=1)")
+        assert np.array_equal(store.gather(None), matrix)
+        assert not np.shares_memory(store.gather(None), store.gather(None))
 
 
 # --------------------------------------------------------------------------- #
@@ -377,6 +423,22 @@ class TestLoaderSetFeaturesValidation:
         loader.set_features(store)
         loader.set_features(None)
 
+    @pytest.mark.parametrize("backend", [DenseStore, ReferenceStore],
+                             ids=["dense", "reference"])
+    def test_prefetched_inputs_are_the_store_rows(self, dataset, backend):
+        sampler = NeighborSampler(dataset.graph, (3, 3), seed=0)
+        loader = MiniBatchDataLoader(sampler, dataset.train_indices(),
+                                     batch_size=16, num_workers=2)
+        store = backend(dataset.features)
+        loader.set_features(store)
+        batches = list(loader.iter_epoch(0))
+        assert len(batches) == len(loader) > 1
+        for batch in batches:
+            np.testing.assert_array_equal(
+                batch.inputs, dataset.features[batch.input_nodes])
+        if backend is ReferenceStore:
+            assert store.gathers == len(batches)
+
 
 # --------------------------------------------------------------------------- #
 # store-vs-dense bit-parity matrix
@@ -416,6 +478,25 @@ class TestStoreParityMatrix:
                            ServingConfig(window_ms=0.0, byte_budget=1 << 20)) as stored:
             via_store = stored.predict(seeds)
         assert np.array_equal(raw, via_store)
+
+    @pytest.mark.parametrize("kind", ["sage", "gat"])
+    def test_reference_store_parity(self, dataset, kind):
+        """A store with nothing beyond the protocol (every read a fresh
+        copy) serves both consumers the matrix's bits."""
+        set_seed(5)
+        model = _make_model(kind, dataset.feature_dim, dataset.num_classes)
+        engine = LayerWiseInference(model, dataset.graph, batch_size=40)
+        assert np.array_equal(engine.run(ReferenceStore(dataset.features)),
+                              engine.run(dataset.features))
+        model.eval()
+        seeds = [2, 9, 2, 150]
+        with create_server(model, dataset.graph, dataset.features,
+                           ServingConfig(window_ms=0.0)) as plain:
+            raw = plain.predict(seeds)
+        with create_server(model, dataset.graph, ReferenceStore(dataset.features),
+                           ServingConfig(window_ms=0.0, byte_budget=1 << 20)) as stored:
+            assert np.array_equal(stored.predict(seeds), raw)
+            assert np.array_equal(stored.predict(seeds), raw)  # from the cache
 
     def test_layerwise_inference_accepts_store(self, dataset):
         set_seed(6)

@@ -47,6 +47,7 @@ from repro.training.trainer import DistributedTrainer, FullBatchTrainer, Trainin
 from repro.utils.lru import LRUDict
 from repro.utils.seed import set_seed, temp_seed
 from mfg_helpers import distributed_mfg_grids
+from reference_kernels import ReferenceStore
 
 
 def _full_logits(model, graph, features) -> np.ndarray:
@@ -117,6 +118,8 @@ def _run_through_store(engine, features, store_kind):
     num_nodes, dim = features.shape
     if store_kind == "dense":
         return engine.run(features)
+    if store_kind == "reference":
+        return engine.run(ReferenceStore(features))
     # kv: two thread workers own alternate rows; rank 0 sweeps the whole graph
     # (half of every gather crosses the communicator), rank 1 only serves.
     book = PartitionBook(np.arange(num_nodes) % 2, 2)
@@ -151,7 +154,7 @@ def test_layerwise_any_batch_size(dataset, batch_size):
     _assert_layerwise_parity("sage_mean", dataset, batch_size=batch_size)
 
 
-@pytest.mark.parametrize("store_kind", ["dense", "kv"])
+@pytest.mark.parametrize("store_kind", ["dense", "kv", "reference"])
 @pytest.mark.parametrize("sizing", list(SIZINGS))
 @pytest.mark.parametrize("kind", sorted(MODEL_FACTORIES))
 def test_layerwise_parity_matrix(dataset, hetero_dataset, kind, sizing, store_kind):

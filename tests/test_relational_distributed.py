@@ -9,7 +9,9 @@ relational one —
   under SAR and DP trains what one machine trains, each
   worker's restricted forward running over ``{relation: grid}`` layers;
   the runs are pinned bit for bit and equal on threads and processes;
-* relational shards serve rows from one shared DenseStore;
+* layer-wise inference on a relational graph reads a feature store as it
+  reads the matrix, and relational shards serve rows from one shared
+  DenseStore;
 * every serving backend serves R-GCN rows bit-identical to the full-graph
   forward;
 * a layer that aggregates over the relation ``None`` (SAGE, GAT) on a
@@ -34,6 +36,7 @@ from repro.distributed.mp_backend import run_multiprocess
 from repro.nn.models import GATNet, GraphSageNet, RGCNNet
 from repro.partition import PartitionBook, create_shards, partition_graph
 from repro.sample import NeighborSamplingConfig
+from repro.sample.inference import LayerWiseInference
 from repro.serving import ServingConfig, create_server
 from repro.store import DenseStore
 from repro.tensor import Tensor, no_grad
@@ -44,6 +47,7 @@ from repro.training.trainer import (
     distributed_train_worker,
 )
 from repro.utils.seed import set_seed, temp_seed
+from reference_kernels import ReferenceStore
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,6 +178,23 @@ def test_relational_sampled_training_thread_equals_mp():
     for stats, mp_stats in zip(threads.comm_stats, processes.comm_stats):
         assert mp_stats.received_by_tag == stats.received_by_tag
     assert threads.total_received_by_tag()["sample_frontier"] > 0
+
+
+# --------------------------------------------------------------------------- #
+# feature stores on a relational graph
+# --------------------------------------------------------------------------- #
+def test_relational_dense_store_equals_the_matrix():
+    """The trainer evaluates layer-wise over the dataset's matrix; the same
+    engine over a DenseStore or a protocol-only store gives those logits."""
+    dataset = _mag()
+    trainer = FullBatchTrainer(_rgcn_factory(dataset.feature_dim), dataset,
+                               _config("sampled", eval_inference="layerwise",
+                                       eval_batch_size=64))
+    trainer.train()
+    _, logits = trainer.evaluate()
+    engine = LayerWiseInference(trainer.model, dataset.graph, batch_size=64)
+    for store in (DenseStore(dataset.features), ReferenceStore(dataset.features)):
+        np.testing.assert_array_equal(engine.run(store), logits)
 
 
 # --------------------------------------------------------------------------- #

@@ -160,20 +160,20 @@ class TestConfigValidatedAtConstruction:
     """A config that cannot run is a plain ``ValueError`` from the constructor:
     no epoch is trained, nothing is partitioned, no cluster is spawned."""
 
-    def test_full_batch_trainer_rejects_unknown_eval_inference(self, learnable_dataset):
+    @pytest.mark.parametrize("case", sorted(set(BAD_DISTRIBUTED_CONFIGS) - set(BAD_SAMPLERS)))
+    def test_full_batch_trainer_rejects_bad_config(self, learnable_dataset, case):
+        overrides, message = BAD_DISTRIBUTED_CONFIGS[case]
         model = nn.GraphSageNet(learnable_dataset.feature_dim, 8,
-                                learnable_dataset.num_classes)
-        with pytest.raises(ValueError, match="eval_inference"):
-            FullBatchTrainer(model, learnable_dataset,
-                             TrainingConfig(eval_inference="bogus"))
+                                learnable_dataset.num_classes, num_layers=2)
+        with pytest.raises(ValueError, match=message):
+            FullBatchTrainer(model, learnable_dataset, TrainingConfig(**overrides))
 
-    def test_full_batch_trainer_rejects_eval_batch_size_before_training(self, learnable_dataset):
-        model = nn.GraphSageNet(learnable_dataset.feature_dim, 8,
-                                learnable_dataset.num_classes)
-        with pytest.raises(ValueError, match="eval_batch_size"):
-            FullBatchTrainer(model, learnable_dataset,
-                             TrainingConfig(num_epochs=3, eval_inference="layerwise",
-                                            eval_batch_size=0))
+    def test_full_batch_trainer_rejects_sampler_without_model_depth(self, learnable_dataset):
+        """A model exposing no ``num_layers`` gives the sampler no fan-out count."""
+        model = nn.Linear(learnable_dataset.feature_dim, learnable_dataset.num_classes)
+        sampler = NeighborSamplingConfig(fanouts=(2, 2))
+        with pytest.raises(ValueError, match="model exposing num_layers"):
+            FullBatchTrainer(model, learnable_dataset, TrainingConfig(sampler=sampler))
 
     @pytest.mark.parametrize("case", sorted(BAD_SAMPLERS))
     def test_full_batch_trainer_rejects_bad_sampler(self, learnable_dataset, case):
