@@ -1,6 +1,18 @@
-"""Benchmark fixtures: session-scoped datasets shared across figures."""
+"""Benchmark fixtures: session-scoped datasets shared across figures.
+
+The figure modules time their kernels on one BLAS/OpenMP thread, as
+``benchmarks/e2e`` does (``harness.pin_threads``), so a timed forward does not
+spread over the host's cores and take in whatever else runs there.  The pools
+read these variables once, when numpy loads; a standalone ``pytest
+benchmarks`` imports this file first.
+"""
 
 from __future__ import annotations
+
+import os
+
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
 
 import pytest
 

@@ -13,13 +13,18 @@ deduplicated seed set becomes logit rows*, to an :class:`Executor`:
   :class:`repro.serving.ShardWorker` each, on worker threads
   (``backend="distributed"``) or forked processes (``backend="mp"``).
 
-**Micro-batching.**  Requests land on a bounded queue consumed by one serve
-thread.  It takes the first request, then keeps draining the queue until
-``window_ms`` elapses or ``max_batch_seeds`` requested seeds have
-accumulated; the coalesced requests are deduplicated into one ascending seed
-set, computed once by the executor, and the per-seed logit rows are
-scattered back to each request's future.  ``window_ms=0`` disables
-coalescing (strictly one request per execution).
+**Micro-batching.**  Requests land in a bounded inbox consumed by one serve
+thread: a deque under one lock that also counts the accepted requests
+(``stats()["requests"]``, counted at admission) and the queued seeds.  The
+serve thread wakes for the first request of a batch and then sleeps until the
+batch can close — ``max_batch_seeds`` requested seeds are queued, an update or
+stop is queued behind them, or ``window_ms`` has passed — so a burst wakes it
+once per batch, not once per request.  It drains the whole batch in one lock
+hold (the request that reaches ``max_batch_seeds`` included); the coalesced
+requests are deduplicated into one ascending seed set, computed once by the
+executor, and the batch's rows are gathered once and handed to each
+request's future as its slice.  ``window_ms=0`` disables coalescing
+(strictly one request per execution).
 
 **Updates are barriers.**  :meth:`Server.update` enqueues the mutation
 behind the requests already queued; the serve thread closes the batch it is
@@ -34,11 +39,11 @@ Construct servers through :class:`~repro.serving.ServingConfig` and
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
-from typing import Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Protocol, Tuple, Union
 
 import numpy as np
 
@@ -46,7 +51,7 @@ from repro.serving.config import ServingConfig
 from repro.tensor.edge_plan import shared_plan_cache
 from repro.utils.validation import check_1d_int_array
 
-#: queue sentinel shutting the serve thread down after all earlier items.
+#: inbox sentinel shutting the serve thread down after all earlier items.
 _STOP = object()
 
 
@@ -109,6 +114,116 @@ class _Update:
         self.future: "Future[int]" = Future()
 
 
+class _Inbox:
+    """The bounded queue between client threads and the serve thread.
+
+    One lock guards a deque of ``_Predict`` / ``_Update`` items (and the stop
+    sentinel), the seeds of the queued requests and of the batch being
+    coalesced, the queued barriers (updates and the sentinel) and the count
+    of accepted requests.  Clients wait on ``_space`` only while
+    ``max_pending`` items are queued.  The serve thread waits on ``_ready``,
+    and a client notifies it only when its item makes the awaited condition
+    true: the first item of an idle inbox, a barrier, the seed that lets the
+    open batch close by size, or the item that fills the inbox.
+    """
+
+    def __init__(self, max_pending: int, window_s: float, max_batch_seeds: int):
+        self.max_pending = max_pending
+        self.window_s = window_s
+        self.max_batch_seeds = max_batch_seeds
+        self._items: Deque[object] = deque()
+        self._lock = threading.Lock()
+        self._ready = threading.Condition(self._lock)
+        self._space = threading.Condition(self._lock)
+        self._seeds = 0
+        self._barriers = 0
+        self._batch_open = False
+        self._closed = False
+        #: requests accepted so far (``stats()["requests"]``).
+        self.accepted = 0
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def put(self, item, timeout: Optional[float]) -> bool:
+        """Queue ``item``, waiting up to ``timeout`` s for room; ``False`` once closed.
+
+        The stop sentinel never waits for room.  Raises ``RuntimeError`` when
+        the inbox is still full after ``timeout``.
+        """
+        with self._lock:
+            if item is not _STOP and len(self._items) >= self.max_pending:
+                if not self._space.wait_for(self._has_room, timeout):
+                    raise RuntimeError(f"request queue full ({self.max_pending} pending)")
+            if self._closed:
+                return False
+            self._items.append(item)
+            if isinstance(item, _Predict):
+                self.accepted += 1
+                self._seeds += len(item.ids)
+                if (
+                    (self._batch_open or len(self._items) > 1)
+                    and self._seeds < self.max_batch_seeds
+                    and len(self._items) < self.max_pending
+                ):
+                    return True  # the serve thread is busy, or its batch stays open
+            else:
+                self._barriers += 1
+            self._ready.notify()
+            return True
+
+    def _has_room(self) -> bool:
+        return self._closed or len(self._items) < self.max_pending
+
+    def take(self) -> Union[List[_Predict], _Update, object]:
+        """The serve thread's next work: a batch of requests, an ``_Update`` or ``_STOP``.
+
+        Sleeps until something is queued.  A request opens a batch, which
+        takes the queued requests in order up to and including the one that
+        reaches ``max_batch_seeds``, never past a barrier.  With a window, a
+        batch still short of seeds sleeps until more arrive, a barrier is
+        queued or the window passes; every wake-up drains in one lock hold.
+        Without a window a batch is exactly one request.
+        """
+        with self._lock:
+            while not self._items:
+                self._ready.wait()
+            items = self._items
+            if not isinstance(items[0], _Predict):
+                self._barriers -= 1
+                self._space.notify()
+                return items.popleft()
+            limit = self.max_batch_seeds if self.window_s > 0 else 1
+            deadline = time.monotonic() + self.window_s
+            batch: List[_Predict] = []
+            seeds = 0
+            self._batch_open = True
+            while True:
+                taken = len(batch)
+                while seeds < limit and items and isinstance(items[0], _Predict):
+                    item = items.popleft()
+                    batch.append(item)
+                    seeds += len(item.ids)
+                self._space.notify(len(batch) - taken)
+                remaining = deadline - time.monotonic()
+                if seeds >= limit or self._barriers or remaining <= 0:
+                    break
+                self._ready.wait(remaining)
+            self._batch_open = False
+            self._seeds -= seeds
+            return batch
+
+    def close(self) -> list:
+        """Refuse every later :meth:`put` and hand back what is still queued."""
+        with self._lock:
+            self._closed = True
+            leftovers = list(self._items)
+            self._items.clear()
+            self._seeds = self._barriers = 0
+            self._space.notify_all()
+        return leftovers
+
+
 class Server:
     """Serve ``predict(node_ids)`` with micro-batching over an :class:`Executor`.
 
@@ -149,18 +264,14 @@ class Server:
         self.window_s = float(self.config.window_ms) / 1e3
         self.max_batch_seeds = self.config.max_batch_seeds
         self._num_nodes = int(executor.num_nodes)
-        self._queue: "queue.Queue" = queue.Queue(maxsize=self.config.max_pending)
+        self._inbox = _Inbox(self.config.max_pending, self.window_s, self.max_batch_seeds)
         self._thread: Optional[threading.Thread] = None
         self._accepting = False
         self._started = False
         self._stopped = False
-        #: set by the serve thread just before its final queue sweep; an
-        #: enqueue that lands after it sweeps the queue itself.
-        self._loop_exited = False
         self._version = 1
         self._store_version_seen = executor.store_version
         self._stats_lock = threading.Lock()
-        self._requests = 0
         self._served_requests = 0
         self._batches = 0
         self._seeds_executed = 0
@@ -196,7 +307,7 @@ class Server:
         if timeout is None:
             timeout = self.config.stop_timeout_s
         self._accepting = False
-        self._queue.put(_STOP)
+        self._inbox.put(_STOP, None)
         self._thread.join(timeout)
         self.executor.stop()
         self._stopped = True
@@ -228,14 +339,10 @@ class Server:
     # client API
     # ------------------------------------------------------------------ #
     def _enqueue(self, item, timeout: Optional[float]) -> None:
-        try:
-            self._queue.put(item, timeout=timeout)
-        except queue.Full:
-            raise RuntimeError(f"request queue full ({self._queue.maxsize} pending)") from None
-        if self._loop_exited:
-            # stop() won the race: the serve thread is gone and would never
-            # see this item.
-            self._fail_leftovers()
+        if not self._inbox.put(item, timeout):
+            # The serve thread has exited (stop() won the race): nothing would
+            # ever see this item.
+            raise self._not_running()
 
     def predict_async(self, node_ids, timeout: Optional[float] = None) -> "Future[np.ndarray]":
         """Enqueue a request; the future resolves to its ``(len(ids), C)`` logits.
@@ -245,15 +352,15 @@ class Server:
         ``timeout`` seconds, then raises ``RuntimeError``.
         """
         ids = check_1d_int_array(node_ids, "node_ids", max_value=self._num_nodes)
-        if not self.running:
+        # A serve thread that has exited closed the inbox, so _enqueue
+        # refuses the request; checking _accepting alone is enough here.
+        if not self._accepting:
             raise self._not_running()
         item = _Predict(ids)
         if ids.size == 0:
             item.future.set_result(np.empty((0, 0), dtype=self.executor.output_dtype))
             return item.future
         self._enqueue(item, timeout)
-        with self._stats_lock:
-            self._requests += 1
         return item.future
 
     def predict(self, node_ids, timeout: Optional[float] = None) -> np.ndarray:
@@ -288,7 +395,7 @@ class Server:
             snapshot = {
                 "backend": self.backend,
                 "running": self.running,
-                "requests": self._requests,
+                "requests": self._inbox.accepted,
                 "served_requests": self._served_requests,
                 "batches": self._batches,
                 "seeds_executed": self._seeds_executed,
@@ -296,7 +403,7 @@ class Server:
                 "fast_path_batches": self._fast_path_batches,
                 "updates": self._updates,
                 "frontier_layers": dict(sorted(self._frontier_counts.items())),
-                "queue_depth": self._queue.qsize(),
+                "queue_depth": len(self._inbox),
                 "version": self._version,
             }
         snapshot.update(self.executor.stats())
@@ -308,62 +415,21 @@ class Server:
     # ------------------------------------------------------------------ #
     def _serve_loop(self) -> None:
         try:
-            self._serve_until_stopped()
+            while True:
+                work = self._inbox.take()
+                if work is _STOP:
+                    break
+                if isinstance(work, _Update):
+                    self._apply(work)
+                else:
+                    self._execute(work)
         finally:
-            self._loop_exited = True
-            self._fail_leftovers()
-
-    def _serve_until_stopped(self) -> None:
-        stop = False
-        carried: Optional[_Update] = None
-        while not stop:
-            if carried is not None:
-                item, carried = carried, None
-            else:
-                item = self._queue.get()
-            if item is _STOP:
-                break
-            if isinstance(item, _Update):
-                self._apply(item)
-                continue
-            batch: List[_Predict] = [item]
-            if self.window_s > 0:
-                deadline = time.perf_counter() + self.window_s
-                seeds = len(item.ids)
-                while seeds < self.max_batch_seeds:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    try:
-                        nxt = self._queue.get(timeout=remaining)
-                    except queue.Empty:
-                        break
-                    if nxt is _STOP:
-                        stop = True
-                        break
-                    if isinstance(nxt, _Update):
-                        # Updates are barriers: close the batch, run it on the
-                        # old version, then apply the update next iteration.
-                        carried = nxt
-                        break
-                    batch.append(nxt)
-                    seeds += len(nxt.ids)
-            self._execute(batch)
-
-    def _fail_leftovers(self) -> None:
-        """Fail every request still queued once the serve thread is gone.
-
-        ``predict_async`` / ``update`` can pass their running check and then
-        enqueue behind the stop sentinel; nothing would ever resolve those
-        futures, so the client would block for its full timeout.
-        """
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            if item is not _STOP:
-                item.future.set_exception(self._not_running())
+            # predict_async / update can pass their running check and then
+            # enqueue behind the stop sentinel; fail those at once rather
+            # than leave the client blocked for its full timeout.
+            for item in self._inbox.close():
+                if item is not _STOP:
+                    item.future.set_exception(self._not_running())
 
     def _apply(self, item: _Update) -> None:
         try:
@@ -382,10 +448,11 @@ class Server:
             )
             seeds, inverse = np.unique(all_ids, return_inverse=True)
             logits, input_layer = self.executor.compute(seeds)
+            rows = logits[inverse]
             offset = 0
             for item in batch:
                 n = len(item.ids)
-                item.future.set_result(logits[inverse[offset : offset + n]])
+                item.future.set_result(rows[offset : offset + n])
                 offset += n
             store_version = self.executor.store_version
             with self._stats_lock:
