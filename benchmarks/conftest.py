@@ -1,18 +1,30 @@
 """Benchmark fixtures: session-scoped datasets shared across figures.
 
 The figure modules time their kernels on one BLAS/OpenMP thread, as
-``benchmarks/e2e`` does (``harness.pin_threads``), so a timed forward does not
-spread over the host's cores and take in whatever else runs there.  The pools
-read these variables once, when numpy loads; a standalone ``pytest
-benchmarks`` imports this file first.
+``benchmarks/e2e`` does, so a timed forward does not spread over the host's
+cores and take in whatever else runs there.  The pools read the thread
+variables once, when numpy loads; a standalone ``pytest benchmarks`` imports
+this file first.  A session that loaded numpy earlier (say, one that also
+collects ``tests/``) keeps its pools, and gets a warning saying so.
 """
 
 from __future__ import annotations
 
-import os
+import sys
+import warnings
+from pathlib import Path
 
-for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_name] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
+
+import harness  # noqa: E402  (imports neither numpy nor repro)
+
+if "numpy" in sys.modules:
+    warnings.warn(
+        "numpy was loaded before benchmarks/conftest.py; its BLAS/OpenMP pools keep "
+        "their thread counts, so the figures' CPU times may exceed their wall times",
+        stacklevel=1,
+    )
+harness.pin_threads()
 
 import pytest
 

@@ -34,10 +34,6 @@ from repro.utils.seed import get_rng
 from repro.utils.validation import check_positive_int
 
 
-#: bytes of ``x`` whose ``x · b`` term the BatchNorm backward adds at a time.
-_BACKWARD_BLOCK_BYTES = 512 << 10
-
-
 def _affine(data: np.ndarray, scale: Optional[np.ndarray],
             shift: Optional[np.ndarray]) -> np.ndarray:
     """``data · scale + shift`` in a fresh array; ``data`` itself without a norm."""
@@ -181,11 +177,7 @@ class Epilogue(Function):
         c = -a * total_g / total_count - mean * b
         dx = np.multiply(g, a.astype(data.dtype), out=None if g is grad_out else g)
         dx += c.astype(data.dtype)
-        # x · b in row blocks: the same bits without an N × F temporary.
-        b = b.astype(data.dtype)
-        step = max(1, _BACKWARD_BLOCK_BYTES // max(1, data.shape[1] * data.itemsize))
-        for start in range(0, data.shape[0], step):
-            dx[start:start + step] += data[start:start + step] * b
+        dx += data * b.astype(data.dtype)
         return (dx, dgamma.astype(gamma.dtype, copy=False),
                 dbeta.astype(gamma.dtype, copy=False))
 

@@ -22,9 +22,9 @@ stop is queued behind them, or ``window_ms`` has passed — so a burst wakes it
 once per batch, not once per request.  It drains the whole batch in one lock
 hold (the request that reaches ``max_batch_seeds`` included); the coalesced
 requests are deduplicated into one ascending seed set, computed once by the
-executor, and the batch's rows are gathered once and handed to each
-request's future as its slice.  ``window_ms=0`` disables coalescing
-(strictly one request per execution).
+executor, and the batch's rows are gathered once and each request's future
+gets a copy of its slice.  ``window_ms=0`` disables coalescing (strictly one
+request per execution).
 
 **Updates are barriers.**  :meth:`Server.update` enqueues the mutation
 behind the requests already queued; the serve thread closes the batch it is
@@ -119,11 +119,10 @@ class _Inbox:
 
     One lock guards a deque of ``_Predict`` / ``_Update`` items (and the stop
     sentinel), the seeds of the queued requests and of the batch being
-    coalesced, the queued barriers (updates and the sentinel) and the count
-    of accepted requests.  Clients wait on ``_space`` only while
-    ``max_pending`` items are queued.  The serve thread waits on ``_ready``,
-    and a client notifies it only when its item makes the awaited condition
-    true: the first item of an idle inbox, a barrier, the seed that lets the
+    coalesced, and the count of accepted requests.  Clients wait on
+    ``_space`` only while ``max_pending`` items are queued.  The serve thread
+    waits on ``_ready``, and a client notifies it only when its item makes
+    the awaited condition true: the first item of an idle inbox, a barrier, the seed that lets the
     open batch close by size, or the item that fills the inbox.
     """
 
@@ -136,7 +135,6 @@ class _Inbox:
         self._ready = threading.Condition(self._lock)
         self._space = threading.Condition(self._lock)
         self._seeds = 0
-        self._barriers = 0
         self._batch_open = False
         self._closed = False
         #: requests accepted so far (``stats()["requests"]``).
@@ -167,8 +165,6 @@ class _Inbox:
                     and len(self._items) < self.max_pending
                 ):
                     return True  # the serve thread is busy, or its batch stays open
-            else:
-                self._barriers += 1
             self._ready.notify()
             return True
 
@@ -190,7 +186,6 @@ class _Inbox:
                 self._ready.wait()
             items = self._items
             if not isinstance(items[0], _Predict):
-                self._barriers -= 1
                 self._space.notify()
                 return items.popleft()
             limit = self.max_batch_seeds if self.window_s > 0 else 1
@@ -206,7 +201,8 @@ class _Inbox:
                     seeds += len(item.ids)
                 self._space.notify(len(batch) - taken)
                 remaining = deadline - time.monotonic()
-                if seeds >= limit or self._barriers or remaining <= 0:
+                # Short of the limit, a non-empty deque starts with a barrier.
+                if seeds >= limit or items or remaining <= 0:
                     break
                 self._ready.wait(remaining)
             self._batch_open = False
@@ -219,7 +215,7 @@ class _Inbox:
             self._closed = True
             leftovers = list(self._items)
             self._items.clear()
-            self._seeds = self._barriers = 0
+            self._seeds = 0
             self._space.notify_all()
         return leftovers
 
@@ -452,7 +448,9 @@ class Server:
             offset = 0
             for item in batch:
                 n = len(item.ids)
-                item.future.set_result(rows[offset : offset + n])
+                # Each result owns its rows, so a kept result does not keep
+                # the whole batch's array alive.
+                item.future.set_result(rows if n == len(rows) else rows[offset : offset + n].copy())
                 offset += n
             store_version = self.executor.store_version
             with self._stats_lock:

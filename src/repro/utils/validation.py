@@ -41,22 +41,14 @@ def check_1d_int_array(arr, name: str, max_value: int | None = None) -> np.ndarr
     out = np.asarray(arr)
     if out.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {out.shape}")
-    if out.size == 1 and out.dtype.kind in "iu":
-        # One id (a single-node request): the same checks without the
-        # dtype-hierarchy walk and two reductions.
-        out = out.astype(np.int64, copy=False)
-        if max_value is not None:
-            value = int(out[0])
-            if not 0 <= value < max_value:
-                raise ValueError(
-                    f"{name} entries must be in [0, {max_value}), found range [{value}, {value}]"
-                )
-        return out
-    if out.size and not np.issubdtype(out.dtype, np.integer):
+    if out.size and out.dtype.kind not in "iu":
         raise TypeError(f"{name} must be an integer array, got dtype {out.dtype}")
     out = out.astype(np.int64, copy=False)
     if max_value is not None and out.size:
-        lo, hi = int(out.min()), int(out.max())
+        if out.size == 1:  # one id (a single-node request) needs no reductions
+            lo = hi = int(out[0])
+        else:
+            lo, hi = int(out.min()), int(out.max())
         if lo < 0 or hi >= max_value:
             raise ValueError(
                 f"{name} entries must be in [0, {max_value}), found range [{lo}, {hi}]"

@@ -22,7 +22,6 @@ from repro.core.dist_graph import DistributedGraph
 from repro.datasets import make_hetero_sbm_dataset
 from repro.distributed.cluster import run_distributed
 from repro.nn.models import GATNet, GraphSageNet, RGCNNet
-from repro.nn import norm as norm_module
 from repro.nn.norm import DistributedBatchNorm, Epilogue, layer_epilogue
 from repro.tensor import Tensor, no_grad
 from repro.training.trainer import DistributedTrainer
@@ -80,18 +79,6 @@ def _op_pass(epilogue, x_data, norm, activation, p, upstream):
 @pytest.mark.parametrize("activation", [None, "relu", "elu"])
 @pytest.mark.parametrize("norm", [None, "train", "eval"])
 def test_op_matches_the_unfused_chain(norm, activation, p):
-    _check_op_against_the_unfused_chain(norm, activation, p)
-
-
-@pytest.mark.parametrize("activation", [None, "relu", "elu"])
-def test_backward_in_row_blocks_matches_the_unfused_chain(monkeypatch, activation):
-    # 64 bytes of six float32 columns: the x · b term goes in blocks of two
-    # rows and a short last block, where the 37 rows are otherwise one block.
-    monkeypatch.setattr(norm_module, "_BACKWARD_BLOCK_BYTES", 64)
-    _check_op_against_the_unfused_chain("train", activation, 0.0)
-
-
-def _check_op_against_the_unfused_chain(norm, activation, p):
     x = _adversarial(37, 6)
     upstream = np.random.default_rng(1).standard_normal(x.shape).astype(np.float32)
     upstream[::3] = 0.0

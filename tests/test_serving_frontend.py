@@ -82,6 +82,8 @@ def test_window_dedups_one_batch_and_scatters_rows_in_request_order():
     assert executor.batches == [[0], [3, 5, 9]]  # deduplicated, ascending
     assert rows[1][:, 0].tolist() == [5, 3, 5]  # request order, duplicates kept
     assert rows[2][:, 0].tolist() == [3, 9]
+    # each result is its own array, not a view pinning the batch's rows
+    assert all(row.flags.owndata for row in rows)
     stats = server.stats()
     assert stats["batches"] == 2 and stats["served_requests"] == 3
     assert stats["seeds_executed"] == 4 and stats["max_requests_in_batch"] == 2
@@ -107,6 +109,23 @@ def test_update_is_a_barrier_between_batches():
     assert executor.batches == [[0], [1], [2]]
     assert seen == [2] and server.version == 2 and server.stats()["updates"] == 1
     assert server.update() == 3  # no function: a pure version bump
+    server.stop()
+
+
+def test_an_update_closes_an_open_batch_at_once():
+    # The batch of [1] sleeps for more seeds until its 5 s timer; an update
+    # queued behind it wakes the serve thread, which runs the batch on the
+    # old weights at once and then applies the update.
+    executor = FakeExecutor()
+    server = Server(executor, ServingConfig(window_ms=5000.0)).start()
+    start = time.monotonic()
+    first = server.predict_async([1])
+    while server.stats()["queue_depth"]:  # the serve thread holds [1] in its open batch
+        time.sleep(0.001)
+    assert server.update() == 2
+    assert first.result(10)[0].tolist() == [1, 0]
+    assert time.monotonic() - start < 2.0
+    assert executor.batches == [[1]]
     server.stop()
 
 

@@ -1,8 +1,9 @@
-"""``check_1d_int_array``: the one-element path behaves as the general one.
+"""``check_1d_int_array``: a one-element input behaves as a longer one.
 
-A single-node request takes a shortcut past the dtype-hierarchy walk and the
-two reductions.  A one-element input must still raise exactly what the
-general path raises (type and message), and come back as ``int64``.
+A single-node request reads its one id instead of taking the two range
+reductions, and the dtype test reads the dtype's kind.  A one-element input
+must still raise exactly what a longer input of the same values raises (type
+and message), and come back as ``int64``.
 """
 
 from __future__ import annotations
