@@ -122,8 +122,9 @@ class _Inbox:
     coalesced, and the count of accepted requests.  Clients wait on
     ``_space`` only while ``max_pending`` items are queued.  The serve thread
     waits on ``_ready``, and a client notifies it only when its item makes
-    the awaited condition true: the first item of an idle inbox, a barrier, the seed that lets the
-    open batch close by size, or the item that fills the inbox.
+    the awaited condition true: the first item of an idle inbox, a barrier,
+    the seed that lets the open batch close by size, or the item that fills
+    the inbox.
     """
 
     def __init__(self, max_pending: int, window_s: float, max_batch_seeds: int):
