@@ -131,8 +131,8 @@ class BlockKernel:
     def __init__(self) -> None:
         #: fetched remote blocks, one tensor per payload part
         self._saved_halos: Dict[Tuple[int, int], Union[Tensor, Tuple[Tensor, ...]]] = {}
-        #: set by the engine before the forward sweep; the same arrays back
-        #: the publish, so holding them adds no memory.
+        #: set by the engine before the forward sweep: the kernel's own arrays
+        #: the publish copied; the backward reads the local rows from them.
         self._payload: Optional[Payload] = None
 
     # -- interface implemented by concrete kernels ----------------------- #

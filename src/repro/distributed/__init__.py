@@ -1,15 +1,14 @@
-"""Distributed runtime: the communicator, its thread backend, the job helper, the cost model.
+"""Distributed runtime: the communicator, its data plane, the job helper, the cost model.
 
-The forked-process backend lives in :mod:`repro.distributed.mp_backend`
-(imported on demand: it needs the ``fork`` start method).
+Both cluster drivers run their ranks over one shared-memory data plane
+(:mod:`repro.distributed.plane`); the thread driver backs
+:func:`run_distributed`, and the forked-process driver lives in
+:mod:`repro.distributed.mp_backend` (imported on demand: it needs the
+``fork`` start method).
 """
 
 from repro.distributed.comm import Communicator, CommStats
-from repro.distributed.thread_backend import (
-    ThreadCommunicator,
-    SharedStore,
-    ClusterAborted,
-)
+from repro.distributed.plane import ArenaCommunicator, WorkerFailedError
 from repro.distributed.cluster import ClusterRunResult, run_distributed
 from repro.distributed.cost_model import (
     ClusterSpec,
@@ -24,9 +23,8 @@ from repro.distributed.cost_model import (
 __all__ = [
     "Communicator",
     "CommStats",
-    "ThreadCommunicator",
-    "SharedStore",
-    "ClusterAborted",
+    "ArenaCommunicator",
+    "WorkerFailedError",
     "ClusterRunResult",
     "run_distributed",
     "ClusterSpec",

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.distributed.comm import Communicator, CommStats
-from repro.distributed.thread_backend import ClusterAborted, ThreadServiceCluster
+from repro.distributed.plane import WorkerFailedError
+from repro.distributed.thread_backend import ThreadServiceCluster
 from repro.tensor.memory import MemoryTracker, track_memory
 from repro.utils.timing import WorkerTimer
 
@@ -52,9 +53,8 @@ class ClusterRunResult:
     def max_compute_time(self) -> float:
         return max(self.compute_times) if self.compute_times else 0.0
 
-    # Cluster totals are taken on the receiving side, the one every backend
-    # records: across processes a fetch cannot reach the owner's send
-    # counters.  Where it can (threads), sent and received totals are equal.
+    # Cluster totals are taken on the receiving side: a fetch is booked by
+    # the rank that reads, on either driver, never on the owner's counters.
     @property
     def total_bytes_communicated(self) -> int:
         return sum(s.bytes_received for s in self.comm_stats)
@@ -104,7 +104,7 @@ def run_job(
             try:
                 with track_memory(tracker), timer:
                     result = worker_fn(rank, comm, *args, **common_kwargs)
-            except ClusterAborted:  # a survivor's follow-on, not a cause
+            except WorkerFailedError:  # a survivor's follow-on, not a cause
                 raise
             except Exception as exc:
                 raise RuntimeError(f"Worker {rank} failed: {exc!r}") from exc

@@ -15,10 +15,11 @@ operations, which :class:`Communicator` provides:
 * ``allreduce`` / ``allgather`` / ``barrier`` — parameter-gradient
   synchronization, distributed batch norm statistics, and global metrics.
 
-All of them are written here, once, over five primitives a backend supplies
-(see :class:`Communicator`); the thread and the process backend differ in
-where a published array lives, nothing else.  Every byte moved is recorded
-in :class:`CommStats`; the epoch-time cost model
+All of them are written here, once, over five primitives that
+:class:`~repro.distributed.plane.ArenaCommunicator` implements over the
+shared-memory data plane both cluster drivers map (threads of one process
+and forked processes alike).  Every byte moved is recorded in
+:class:`CommStats`; the epoch-time cost model
 (:mod:`repro.distributed.cost_model`) converts volumes into modeled transfer
 times.
 """
@@ -52,12 +53,14 @@ SERVE_FRONTIER_TAG = "serve_frontier"
 class CommStats:
     """Per-worker communication counters (bytes and message counts).
 
-    Counters may be updated from another worker's thread (on the thread
-    backend the fetching side records the owner's send), so updates are
+    Counters are updated from a worker's side threads (SAR prefetch,
+    background sampler) as well as its main thread, so updates are
     lock-protected.  Byte volumes are broken down per direction by a
     caller-supplied tag (e.g. "forward_halo", "backward_refetch",
     "backward_error", "grad_sync") in :attr:`sent_by_tag` /
-    :attr:`received_by_tag`.
+    :attr:`received_by_tag`.  A fetch is booked by the worker that reads,
+    as received, never on the owner's counters; the collectives book each
+    side.
     """
 
     bytes_sent: int = 0
@@ -114,9 +117,9 @@ class CommStats:
         return sent, received
 
     def snapshot(self) -> Dict[str, int]:
-        # Counters are written from other workers' threads (and the prefetch
-        # thread), so a consistent snapshot must hold the same lock as the
-        # writers.
+        # Counters are written from the worker's side threads (the prefetch
+        # thread, a background sampler), so a consistent snapshot must hold
+        # the same lock as the writers.
         with self._lock:
             out = {
                 "bytes_sent": self.bytes_sent,
@@ -212,13 +215,13 @@ class Communicator(abc.ABC):
     def publish(self, key: str, array: np.ndarray) -> np.ndarray:
         """Make ``array`` readable by other workers under ``key``.
 
-        Returns the array peers read: ``array`` itself on threads, a
-        read-only view of the published copy on processes.  An owner that
-        keeps the returned array rather than its own holds one copy of the
-        rows, not two; it must drop it once it unpublishes the key (the
-        block may then hold the next publish).  Publishing is free (the data
-        already lives on this worker); only fetches are accounted as
-        communication.
+        The rows are copied once into this worker's arena: the publish is a
+        snapshot, and later writes to ``array`` are invisible to peers.
+        Returns the array peers read, a read-only view of that copy.  An
+        owner that keeps the returned array rather than its own holds one
+        copy of the rows, not two; it must drop it once it unpublishes the
+        key (the block may then hold the next publish).  The copy is local,
+        not communication: only fetches are accounted.
         """
         self._publish({key: np.asarray(array)})
         return self._read(self.rank, key, block=False)

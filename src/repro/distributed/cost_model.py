@@ -12,8 +12,9 @@ epoch time:
 
 where ``compute_time`` is the worker's thread-CPU time and the transfer
 terms come from the exact per-worker byte counts recorded by the
-communicator.  The defaults below mimic the relative balance of the paper's
-hardware; benchmarks that need the communication-bound regime of
+communicator, the same on both drivers (a fetch is booked by its reader).
+The defaults below mimic the relative balance of the paper's hardware;
+benchmarks that need the communication-bound regime of
 ogbn-papers100M at 128 machines (Fig. 6) scale ``bandwidth_mbps`` down in
 a named :class:`ClusterSpec` of their own (``benchmarks/bench_fig6_papers_gat.py``).
 

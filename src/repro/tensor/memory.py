@@ -28,7 +28,8 @@ array, a window into shared memory) stays untracked, as before.
 
 Each worker installs its own tracker (the active tracker is thread-local), so
 a worker's peak only reflects buffers allocated by that worker — exactly the
-per-machine quantity the paper reports.
+per-machine quantity the paper reports.  A published array lives in its
+owner's shared-memory arena: only the rows a fetch copies out count, to the reader.
 """
 
 from __future__ import annotations
@@ -173,9 +174,7 @@ def track_memory(tracker: MemoryTracker) -> Iterator[MemoryTracker]:
 def no_tracking() -> Iterator[None]:
     """Temporarily disable memory tracking on the calling thread.
 
-    Used for bookkeeping buffers (e.g. the communicator's staging copies on
-    the *receiving* side are counted, but the sender's published buffer is
-    attributed to the sender, not to whoever reads it).
+    Used for bookkeeping buffers that belong to no worker's working set.
     """
     stack = _tracker_stack()
     saved = list(stack)

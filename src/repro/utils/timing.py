@@ -7,10 +7,11 @@ Two clocks are used throughout the library:
 * :class:`WorkerTimer` measures per-thread CPU time (``time.thread_time``).
   ``cluster.run_job`` runs every worker under one, on a
   ``ThreadServiceCluster`` (threads of this process) or a
-  ``MultiprocessServiceCluster`` (forked processes of this host).  A
-  worker's wall-clock time includes time spent blocked on the communicator
-  and time taken by the other workers sharing the host's cores.  Thread CPU
-  time excludes both, which is what the epoch-time cost model needs.
+  ``MultiprocessServiceCluster`` (forked processes of this host), whose
+  workers make the same copies through the same data plane.  A worker's
+  wall-clock time includes time spent blocked on the communicator and time
+  taken by the other workers sharing the host's cores.  Thread CPU time
+  excludes both, which is what the epoch-time cost model needs.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Tests for the simulated cluster runtime: communicator, collectives, cost model."""
 
+import gc
+import os
 import pickle
 import threading
 import time
@@ -13,7 +15,8 @@ from repro.distributed import (
     run_distributed,
 )
 from repro.distributed.comm import CommStats
-from repro.distributed.thread_backend import ClusterAborted, ThreadServiceCluster
+from repro.distributed.plane import ArenaCommunicator, SharedPlane, WorkerFailedError
+from repro.distributed.thread_backend import ThreadServiceCluster
 from repro.tensor import Tensor
 from repro.tensor.memory import MemoryTracker
 
@@ -74,11 +77,13 @@ class TestPointToPoint:
 
         result = run_distributed(worker, 2)
         for stats in result.comm_stats:
+            # A fetch is booked by the rank that reads, never on the owner's
+            # send counters (which a process could not reach either).
             assert stats.bytes_received == payload_bytes
-            assert stats.bytes_sent == payload_bytes
             assert stats.received_by_tag["halo"] == payload_bytes
-            assert stats.sent_by_tag["halo"] == payload_bytes
-            assert stats.bytes_for_tags(["halo"]) == (payload_bytes, payload_bytes)
+            assert stats.bytes_sent == 0 and stats.sent_by_tag == {}
+            assert stats.bytes_for_tags(["halo"]) == (0, payload_bytes)
+        assert result.total_bytes_communicated == 2 * payload_bytes
 
     def test_unpublish_and_clear(self):
         def worker(rank, comm):
@@ -261,7 +266,7 @@ class TestFailureHandling:
             return True
 
         # The failing rank is named and its own exception (type, traceback)
-        # is the cause — not rank 0's follow-on ClusterAborted.
+        # is the cause — not rank 0's follow-on WorkerFailedError.
         with pytest.raises(RuntimeError, match=r"Worker 1 failed: ValueError\('boom'\)") as excinfo:
             run_distributed(worker, 3, timeout_s=20)
         cause = excinfo.value.__cause__
@@ -396,8 +401,8 @@ class TestCostModel:
             assert b.comm_time_s == a.comm_time_s
 
 
-class TestSharedStoreFixes:
-    """Regression tests for the thread-backend aliasing and waiting fixes."""
+class TestBlockingReads:
+    """Reads of the thread ranks' data plane: copies, wake-ups, timeouts, aborts."""
 
     def test_self_fetch_whole_array_is_a_copy(self):
         """Mutating a self-fetched array must not corrupt what peers fetch."""
@@ -425,51 +430,136 @@ class TestSharedStoreFixes:
         result = run_distributed(worker, 2)
         assert result.results == [0.0, 0.0]
 
-    def test_wait_get_blocks_until_publish_and_times_out(self):
-        import threading
-        import time
+    @staticmethod
+    def _ranks(timeout_s):
+        """Two ranks over one plane, as the thread driver maps it."""
+        plane = SharedPlane(threading, 2)
+        return plane, [ArenaCommunicator(r, 2, plane, timeout_s) for r in range(2)]
 
-        from repro.distributed.thread_backend import SharedStore
+    def test_blocked_fetch_wakes_on_publish_and_times_out_naming_rank_and_key(self):
+        _, (reader, _) = self._ranks(timeout_s=0.2)
+        start = time.monotonic()
+        timed_out = r"rank 0 timed out waiting for rank 1 key 'missing'"
+        with pytest.raises(TimeoutError, match=timed_out):
+            reader.fetch(1, "missing")
+        assert time.monotonic() - start < 5.0
 
-        store = SharedStore(world_size=2, timeout_s=0.2)
-        with pytest.raises(TimeoutError):
-            store.wait_get(0, "missing")
-
-        store = SharedStore(world_size=2, timeout_s=30.0)
+        _, (reader, owner) = self._ranks(timeout_s=30.0)
         payload = np.arange(3, dtype=np.float32)
 
         def publish_later():
             time.sleep(0.05)
-            store.put(1, "late", payload)
+            owner.publish("late", payload)
 
         thread = threading.Thread(target=publish_later)
         start = time.monotonic()
         thread.start()
-        got = store.wait_get(1, "late")
+        got = reader.fetch(1, "late")
         elapsed = time.monotonic() - start
         thread.join()
         np.testing.assert_array_equal(got, payload)
-        assert elapsed < 5.0  # woke on the event, not the full timeout
+        assert elapsed < 5.0  # woke on the doorbell, not the full timeout
 
-    def test_wait_get_sees_republished_key(self):
-        import threading
-        import time
+    def test_blocked_fetch_sees_a_republished_key(self):
+        _, (reader, owner) = self._ranks(timeout_s=30.0)
+        owner.publish("k", np.zeros(1, dtype=np.float32))
+        owner.unpublish("k")
 
-        from repro.distributed.thread_backend import SharedStore
-
-        store = SharedStore(world_size=2, timeout_s=30.0)
-        store.put(0, "k", np.zeros(1, dtype=np.float32))
-        store.remove(0, "k")
-
-        def republished():
+        def republish():
             time.sleep(0.05)
-            store.put(0, "k", np.ones(1, dtype=np.float32))
+            owner.publish("k", np.ones(1, dtype=np.float32))
 
-        thread = threading.Thread(target=republished)
+        thread = threading.Thread(target=republish)
         thread.start()
-        got = store.wait_get(0, "k")
+        got = reader.fetch(1, "k")
         thread.join()
         np.testing.assert_array_equal(got, np.ones(1, dtype=np.float32))
+
+    def test_abort_wakes_a_blocked_fetch_promptly(self):
+        plane, (reader, owner) = self._ranks(timeout_s=30.0)
+        outcome = {}
+
+        def read():
+            try:
+                reader.fetch(1, "k")
+            except WorkerFailedError as exc:
+                outcome["error"], outcome["at"] = str(exc), time.monotonic()
+
+        thread = threading.Thread(target=read)
+        thread.start()
+        time.sleep(0.05)  # the reader is parked on its doorbell
+        owner.unpublish("k")  # withdrawing an absent key rings nobody
+        start = time.monotonic()
+        plane.abort("boom")
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert outcome["error"] == "rank 0: cluster aborted: boom"
+        assert outcome["at"] - start < 2.0  # woke promptly, not at the timeout
+
+    def test_a_peer_that_raises_unblocks_a_rank_blocked_in_fetch(self):
+        follow_ons = []
+
+        def worker(rank, comm):
+            if rank == 1:
+                time.sleep(0.05)  # rank 0 is parked in its fetch by now
+                raise ValueError("boom")
+            try:
+                comm.fetch(1, "never")
+            except WorkerFailedError as exc:
+                follow_ons.append(str(exc))
+                raise
+
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"Worker 1 failed: ValueError\('boom'\)"):
+            run_distributed(worker, 2, timeout_s=60)
+        assert time.monotonic() - start < 5.0
+        assert len(follow_ons) == 1 and "cluster aborted" in follow_ons[0]
+
+
+def _shared_anonymous_mappings():
+    """This process's shared anonymous mappings: data-plane arenas and control regions."""
+    with open("/proc/self/maps") as maps:
+        return [line.split()[0] for line in maps if " rw-s " in line and "/dev/zero" in line]
+
+
+class TestPlaneLifetime:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+    def test_start_stop_cycles_leak_no_mapping_and_kept_views_stay_readable(self):
+        # stop() drops the plane instead of unmapping it (an arena cannot be
+        # unmapped under a live view): the mappings go with their last
+        # reference — at once when the caller keeps nothing, later when it
+        # keeps a publish() result, which stays readable until then.
+        def factory(rank, comm):
+            def handler(kind, payload):
+                mine = comm.publish("rows", np.full((4, 2), float(rank)))
+                theirs = comm.fetch(1 - rank, "rows")
+                comm.barrier()
+                return (mine, theirs) if kind == "keep" else float(theirs.sum())
+
+            return handler
+
+        def cycle(kind):
+            cluster = ThreadServiceCluster(factory, 2, timeout_s=30).start()
+            try:
+                return cluster.request(kind)
+            finally:
+                cluster.stop()
+
+        assert cycle("drop") == [8.0, 0.0]  # settles lazy imports and the allocator
+        gc.collect()  # planes an earlier test left in reference cycles (a kept traceback)
+        before = _shared_anonymous_mappings()
+        for _ in range(10):
+            cycle("drop")
+        assert _shared_anonymous_mappings() == before
+
+        kept = cycle("keep")
+        assert len(_shared_anonymous_mappings()) == len(before) + 2  # one arena per kept view
+        for rank, (mine, theirs) in enumerate(kept):
+            assert not mine.flags.writeable  # the published rows in place, not a copy
+            np.testing.assert_array_equal(mine, np.full((4, 2), float(rank)))
+            np.testing.assert_array_equal(theirs, np.full((4, 2), float(1 - rank)))
+        del kept, mine, theirs
+        assert _shared_anonymous_mappings() == before
 
 
 class TestCommStatsSnapshot:
@@ -519,28 +609,3 @@ class TestCommStatsSnapshot:
         tracker_copy.acquire(np.zeros(1, np.uint8))
         assert stats_copy.sent_by_tag == {"a": 6} and stats.sent_by_tag == {"a": 5}
         assert tracker_copy.peak_bytes == 10 and tracker_copy.current_bytes == 7
-
-    def test_abort_wakes_reader_even_after_event_discarded(self):
-        import threading
-        import time
-
-        from repro.distributed.thread_backend import ClusterAborted, SharedStore
-
-        store = SharedStore(world_size=2, timeout_s=30.0)
-        outcome = {}
-
-        def reader():
-            try:
-                store.wait_get(0, "k")
-            except ClusterAborted:
-                outcome["aborted_at"] = time.monotonic()
-
-        thread = threading.Thread(target=reader)
-        thread.start()
-        time.sleep(0.05)  # reader is parked on its registered event
-        store.remove(0, "k")  # discards the event the reader may hold
-        start = time.monotonic()
-        store.abort("boom")
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-        assert outcome["aborted_at"] - start < 2.0  # woke promptly, not at timeout

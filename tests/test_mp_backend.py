@@ -17,7 +17,7 @@ import pytest
 
 from repro.core import SARConfig
 from repro.datasets import make_hetero_sbm_dataset, make_sbm_dataset
-from repro.distributed import mp_backend
+from repro.distributed import plane
 from repro.distributed.cluster import run_distributed
 from repro.distributed.comm import STREAM_KEY_PREFIX
 from repro.distributed.mp_backend import (
@@ -625,7 +625,7 @@ class TestMultiprocessBackend:
         if fault == "publish_exceeds_arena":
             # the capacity rule is derived from the machine; shrinking it is
             # a test seam, not a setting
-            monkeypatch.setattr(mp_backend, "_arena_capacity", lambda world: _TINY_ARENA_BYTES)
+            monkeypatch.setattr(plane, "_arena_capacity", lambda world: _TINY_ARENA_BYTES)
 
         def factory(rank, comm):
             jobs = {"healthy": _collective_worker, "fault": worker}
@@ -650,7 +650,7 @@ class TestMultiprocessBackend:
         # The arenas are anonymous mappings: no name, no /dev/shm entry, no
         # descriptor.  Twenty clusters — healthy, crashed holding a lock,
         # out of arena — leave the parent exactly as they found it.
-        monkeypatch.setattr(mp_backend, "_arena_capacity", lambda world: _TINY_ARENA_BYTES)
+        monkeypatch.setattr(plane, "_arena_capacity", lambda world: _TINY_ARENA_BYTES)
 
         def shm_entries():
             return sorted(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else []

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import make_sbm_dataset
-from repro.distributed import mp_backend
+from repro.distributed import plane
 from repro.distributed.mp_backend import (
     MultiprocessServiceCluster,
     WorkerFailedError,
@@ -297,7 +297,7 @@ def test_mp_arena_exhaustion_fails_start_naming_the_rank(dataset, monkeypatch):
     """A shard that cannot publish its feature rows fails start(), cleanly."""
     # the capacity rule is derived from the machine; shrinking it is a test
     # seam, not a setting
-    monkeypatch.setattr(mp_backend, "_arena_capacity", lambda world_size: 1024)
+    monkeypatch.setattr(plane, "_arena_capacity", lambda world_size: 1024)
     model = _make_model(dataset)
     shards = _make_shards(dataset, 2)
     config = ServingConfig(backend="mp", window_ms=0.0)

@@ -12,11 +12,12 @@ The two load-bearing contracts:
 from __future__ import annotations
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
 
-from repro.distributed.thread_backend import SharedStore, ThreadCommunicator
+from repro.distributed.plane import ArenaCommunicator, SharedPlane
 from repro.graph import Graph, build_mfg_pipeline
 from repro.nn.models import GATNet, GraphSageNet, RGCNNet
 from repro.partition import PartitionBook, create_shards
@@ -281,7 +282,7 @@ def _fanout_entry_points():
     hetero = Graph.from_relations(graph.num_nodes, {"a": (graph.src, graph.dst),
                                                     "b": (graph.dst, graph.src)})
     (shard,) = create_shards(graph, PartitionBook(np.zeros(graph.num_nodes, dtype=np.int64), 1))
-    comm = ThreadCommunicator(0, SharedStore(1))
+    comm = ArenaCommunicator(0, 1, SharedPlane(threading, 1), timeout_s=1.0)
     return {
         "graph": lambda spec: NeighborSampler(graph, [spec, 2]).fanouts[0],
         "hetero": lambda spec: NeighborSampler(hetero, [spec, 2]).fanouts[0]["a"],

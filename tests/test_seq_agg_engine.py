@@ -384,8 +384,14 @@ class TestPoolingSageTrainsEndToEnd:
 # communication accounting and the cost model's overlap term
 # --------------------------------------------------------------------------- #
 class TestCommAccounting:
-    def test_per_tag_totals_are_symmetric(self, sbm_graph, rng):
-        """Cluster-wide, bytes sent under a tag equal bytes received under it."""
+    def test_per_tag_totals_are_booked_by_the_receiver(self, sbm_graph, rng):
+        """A halo fetch is booked by its reader alone, as the rows it moved.
+
+        The forward fetches each remote row of ``z`` and of the source
+        scores once per worker, and case 2's backward re-fetches exactly the
+        same rows; the collectives (the error exchange, setup) book their
+        bytes on both sides.
+        """
         heads, dim = 2, 2
         n = sbm_graph.num_nodes
         z_full = rng.standard_normal((n, heads, dim)).astype(np.float32)
@@ -408,10 +414,13 @@ class TestCommAccounting:
             for tag, nbytes in stats.sent_by_tag.items():
                 sent[tag] = sent.get(tag, 0) + nbytes
         received = result.total_received_by_tag()
-        assert set(sent) == set(received)
+        halo_bytes = sum(shard.halo_size for shard in shards) * (heads * dim + heads) * 4
+        assert received["forward_halo"] == received["backward_refetch"] == halo_bytes > 0
+        assert not {"forward_halo", "backward_refetch"} & set(sent)
+        # collectives book each side: what one rank sends, its peers receive
+        assert "backward_error" in sent
         for tag in sent:
-            assert sent[tag] == received[tag], tag
-        assert {"forward_halo", "backward_refetch", "backward_error"} <= set(sent)
+            assert sent[tag] == received[tag] > 0, tag
 
     def test_overlap_tags_hide_comm_behind_compute(self):
         def worker(rank, comm):
