@@ -30,6 +30,7 @@ import scipy.sparse as sp
 
 from repro import nn
 from repro.tensor import MemoryTracker, Tensor, track_memory
+from repro.tensor.sparse import NEGATIVE_SLOPE
 from repro.utils.seed import set_seed
 
 HEAD_COUNTS = (2, 4, 8)
@@ -76,7 +77,7 @@ def dgl_style_forward(layer, csr, x: np.ndarray) -> np.ndarray:
     score_dst = (z * layer.attn_l.data).sum(-1)
     score_src = (z * layer.attn_r.data).sum(-1)
     raw = score_dst[dst] + score_src[src]
-    logits = np.where(raw > 0, raw, layer.negative_slope * raw)
+    logits = np.where(raw > 0, raw, NEGATIVE_SLOPE * raw)
     starts = indptr[:-1][np.diff(indptr) > 0]
     maxes = np.zeros((num_nodes, heads), dtype=logits.dtype)
     maxes[dst[starts]] = np.maximum.reduceat(logits, starts, axis=0)

@@ -9,8 +9,8 @@ abstraction:
   backward re-fetch for case-2 aggregators, and the all-to-all error
   exchange.
 * :class:`~repro.core.seq_agg.BlockKernel` — the per-aggregator plug-in
-  protocol.  Concrete kernels: :class:`~repro.core.sage_dist.SumMeanKernel`
-  (case 1), :class:`~repro.core.sage_dist.PoolingKernel` (max/min pooling,
+  protocol.  Concrete kernels: :class:`~repro.core.sage_dist.MeanKernel`
+  (case 1), :class:`~repro.core.sage_dist.PoolingKernel` (max pooling,
   case 2), :class:`~repro.core.gat_dist.GATKernel` (attention, case 2), and
   :class:`~repro.core.rgcn_dist.RGCNKernel` (relational, case 2, one engine
   pass per relation).
@@ -35,7 +35,7 @@ from repro.core.seq_agg import (
 )
 from repro.core.stable_softmax import RunningSoftmaxAccumulator
 from repro.core.grad_sync import sync_gradients, broadcast_parameters, parameters_in_sync
-from repro.core.sage_dist import PoolingKernel, SumMeanKernel, make_neighbor_kernel
+from repro.core.sage_dist import MeanKernel, PoolingKernel, make_neighbor_kernel
 from repro.core.gat_dist import GATKernel
 from repro.core.rgcn_dist import RGCNKernel
 
@@ -57,7 +57,7 @@ __all__ = [
     "broadcast_parameters",
     "parameters_in_sync",
     "make_neighbor_kernel",
-    "SumMeanKernel",
+    "MeanKernel",
     "PoolingKernel",
     "GATKernel",
     "RGCNKernel",

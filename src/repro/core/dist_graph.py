@@ -16,7 +16,7 @@ Each handle owns:
 * the communicator,
 * the :class:`~repro.core.config.SARConfig` execution mode,
 * a shared :class:`~repro.core.seq_agg.SequentialAggregationEngine` that all
-  of the handle's aggregation ops (SAGE sum/mean/max/min, GAT, R-GCN) run
+  of the handle's aggregation ops (SAGE mean/max, GAT, R-GCN) run
   through,
 * the one-time halo routing information, one
   :class:`~repro.core.halo.HaloExchange` per relation, and
@@ -214,20 +214,20 @@ class DistributedGraph:
     def aggregate_neighbors(self, z: Tensor, op: str = "mean") -> Tensor:
         """Neighbour aggregation over the full (distributed) neighbourhood.
 
-        ``op`` is ``"sum"``/``"mean"`` (linear, SAR case 1) or ``"max"``/
-        ``"min"`` (pooling, SAR case 2: the backward pass re-fetches remote
-        features to locate the extremal sources).
+        ``op`` is ``"mean"`` (linear, SAR case 1) or ``"max"`` (pooling, SAR
+        case 2: the backward pass re-fetches remote features to locate the
+        maximal sources).
         """
         shard, halos = self._layer_context("sage")
         kernel = make_neighbor_kernel(z, shard, relation_entry(halos, None), op)
         return self.engine.aggregate(kernel, self._next_key("sage"), z)
 
     def gat_aggregate(self, z: Tensor, score_dst: Tensor, score_src: Tensor,
-                      negative_slope: float = 0.2, fused: bool = False) -> Tensor:
+                      fused: bool = False) -> Tensor:
         """Attention aggregation over the full (distributed) neighbourhood (case 2)."""
         shard, halos = self._layer_context("gat")
         kernel = GATKernel(z, score_dst, score_src, shard, relation_entry(halos, None),
-                           self.config, negative_slope, fused)
+                           self.config, fused)
         return self.engine.aggregate(kernel, self._next_key("gat"),
                                      z, score_dst, score_src)
 

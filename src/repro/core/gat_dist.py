@@ -67,7 +67,7 @@ class GATKernel(BlockKernel):
 
     def __init__(self, z: Tensor, score_dst: Tensor, score_src: Tensor,
                  shard: ShardedGraph, halo: HaloExchange, config: SARConfig,
-                 negative_slope: float, fused: bool):
+                 fused: bool):
         super().__init__()
         z_data = z.data
         if z_data.ndim != 3:
@@ -80,7 +80,6 @@ class GATKernel(BlockKernel):
         self.ss = score_src.data
         self.shard = shard
         self.config = config
-        self.negative_slope = negative_slope
         self.fused = fused
         self._passes = [KernelPass(name="", blocks=shard.blocks, halo=halo)]
         #: per-edge attention tensors (in the block plan's sorted edge space)
@@ -107,7 +106,7 @@ class GATKernel(BlockKernel):
         # no-grad forward records no graph to keep them in); otherwise the
         # logits overwrite the raw scores.
         save = self.config.is_domain_parallel and grad_enabled()
-        logits = leaky_relu_np(raw, self.negative_slope, out=None if save else raw)
+        logits = leaky_relu_np(raw, out=None if save else raw)
         if save:
             self._saved_logits[q] = Tensor(raw if self.fused else np.stack([raw, logits]))
         self._accumulator.add_block_sorted(logits, z_q, plan)
@@ -141,10 +140,10 @@ class GATKernel(BlockKernel):
         if saved is None:
             alpha = gat_raw_sorted(plan, self.sd, ss_q)
             positive = alpha > 0
-            leaky_relu_np(alpha, self.negative_slope, out=alpha)
+            leaky_relu_np(alpha, out=alpha)
         elif self.fused:
             positive = saved.data > 0
-            alpha = leaky_relu_np(saved.data, self.negative_slope)
+            alpha = leaky_relu_np(saved.data)
         else:
             positive = saved.data[0] > 0
             alpha = saved.data[1].copy()
@@ -152,8 +151,7 @@ class GATKernel(BlockKernel):
         np.exp(alpha, out=alpha)
         np.divide(alpha, plan.expand_dst(self.denominator), out=alpha)
         grad_z_q, grad_sd, grad_ss_q = gat_backward_sorted(
-            plan, z_q, self._grad_out, alpha, positive, self.negative_slope,
-            weighted_sum=self._weighted_sum,
+            plan, z_q, self._grad_out, alpha, positive, weighted_sum=self._weighted_sum,
         )
         self._grad_sd += grad_sd
         return pack_features(grad_z_q, grad_ss_q)

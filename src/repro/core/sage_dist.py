@@ -2,7 +2,7 @@
 
 Two kernels over the shared :class:`~repro.core.seq_agg.SequentialAggregationEngine`:
 
-* :class:`SumMeanKernel` — SAR "case 1": the aggregation is linear, so the
+* :class:`MeanKernel` — SAR "case 1": the aggregation is linear, so the
   gradient of the output w.r.t. the inputs does not depend on the input
   values and SAR needs **no** re-fetch of remote features during the backward
   pass; the error for remote features is computed locally and sent straight
@@ -14,11 +14,11 @@ Two kernels over the shared :class:`~repro.core.seq_agg.SequentialAggregationEng
   ``min(in_features, out_features)`` wide.  A first layer that aggregates
   first publishes the feature matrix itself, which needs no gradient: the
   engine's backward never runs for it and no error is exchanged.
-* :class:`PoolingKernel` — element-wise max/min pooling (the GraphSage
-  pooling aggregators).  Which source attains the extremum is only known
-  given the neighbour *values*, so backpropagation needs them: this is a
-  genuine SAR "case 2" workload and the backward pass re-fetches remote
-  features, exactly like attention.
+* :class:`PoolingKernel` — element-wise max pooling (the GraphSage pooling
+  aggregator).  Which source attains the maximum is only known given the
+  neighbour *values*, so backpropagation needs them: this is a genuine SAR
+  "case 2" workload and the backward pass re-fetches remote features,
+  exactly like attention.
 """
 
 from __future__ import annotations
@@ -32,25 +32,19 @@ from repro.core.seq_agg import BlockKernel, KernelPass
 from repro.partition.shard import EdgeBlock, ShardedGraph
 from repro.tensor.tensor import Tensor
 
-SUM_OPS = ("sum", "mean")
-POOL_OPS = ("max", "min")
 
-
-class SumMeanKernel(BlockKernel):
-    """``out[i] = Σ_{j ∈ N(i)} z_j`` (optionally divided by the global in-degree)."""
+class MeanKernel(BlockKernel):
+    """``out[i] = Σ_{j ∈ N(i)} z_j`` divided by the global in-degree."""
 
     grad_class = "linear"
 
-    def __init__(self, z: Tensor, shard: ShardedGraph, halo: HaloExchange, op: str):
+    def __init__(self, z: Tensor, shard: ShardedGraph, halo: HaloExchange):
         super().__init__()
-        if op not in SUM_OPS:
-            raise ValueError(f"op must be 'sum' or 'mean', got {op!r}")
         data = z.data
         if data.ndim != 2:
-            raise ValueError(f"Distributed sum aggregation expects 2-D features, got {data.shape}")
+            raise ValueError(f"Distributed mean aggregation expects 2-D features, got {data.shape}")
         self.data = data
         self.shard = shard
-        self.op = op
         self._passes = [KernelPass(name="", blocks=shard.blocks, halo=halo)]
 
     # -- engine interface ------------------------------------------------ #
@@ -72,14 +66,13 @@ class SumMeanKernel(BlockKernel):
         self.degrees = np.maximum(self.shard.local_in_degrees, 1).astype(self.data.dtype)
         out = self._acc
         del self._acc
-        if self.op == "mean":
-            out /= self.degrees[:, None]
+        out /= self.degrees[:, None]
         return out
 
     def backward_init(self, grad_out: np.ndarray) -> None:
         # Case 1: the error for a block's source rows is A_{p,q}^T · grad —
         # no remote values are needed, so nothing is re-fetched.
-        self._grad = grad_out / self.degrees[:, None] if self.op == "mean" else grad_out
+        self._grad = grad_out / self.degrees[:, None]
         self._grad_z = np.zeros(self.data.shape, dtype=grad_out.dtype)
 
     def backward_block(self, p: KernelPass, q: int, block: EdgeBlock,
@@ -94,10 +87,10 @@ class SumMeanKernel(BlockKernel):
 
 
 class PoolingKernel(BlockKernel):
-    """``out[i] = max_{j ∈ N(i)} z_j`` (element-wise; ``min`` symmetric).
+    """``out[i] = max_{j ∈ N(i)} z_j`` (element-wise).
 
     Nodes with no in-edges aggregate to ``0``.  The backward pass routes each
-    output gradient to every source whose value attains the extremum (the
+    output gradient to every source whose value attains the maximum (the
     subgradient convention shared with the single-machine
     :class:`~repro.tensor.sparse.PoolAggregation`), which requires the
     neighbour values — SAR case 2.
@@ -105,16 +98,13 @@ class PoolingKernel(BlockKernel):
 
     grad_class = "nonlinear"
 
-    def __init__(self, z: Tensor, shard: ShardedGraph, halo: HaloExchange, op: str):
+    def __init__(self, z: Tensor, shard: ShardedGraph, halo: HaloExchange):
         super().__init__()
-        if op not in POOL_OPS:
-            raise ValueError(f"op must be 'max' or 'min', got {op!r}")
         data = z.data
         if data.ndim != 2:
             raise ValueError(f"Distributed pooling expects 2-D features, got {data.shape}")
         self.data = data
         self.shard = shard
-        self.op = op
         self._passes = [KernelPass(name="", blocks=shard.blocks, halo=halo)]
 
     # -- engine interface ------------------------------------------------ #
@@ -125,17 +115,12 @@ class PoolingKernel(BlockKernel):
         return self._passes
 
     def forward_init(self) -> None:
-        fill = -np.inf if self.op == "max" else np.inf
-        self._acc = np.full((self.shard.num_local_nodes, self.data.shape[1]), fill,
+        self._acc = np.full((self.shard.num_local_nodes, self.data.shape[1]), -np.inf,
                             dtype=self.data.dtype)
 
     def forward_block(self, p: KernelPass, q: int, block: EdgeBlock,
                       feats: np.ndarray) -> None:
-        plan = block.plan()
-        if self.op == "max":
-            np.maximum(self._acc, plan.aggregate_max(feats), out=self._acc)
-        else:
-            np.minimum(self._acc, plan.aggregate_min(feats), out=self._acc)
+        np.maximum(self._acc, block.plan().aggregate_max(feats), out=self._acc)
 
     def forward_finalize(self) -> np.ndarray:
         acc = self._acc
@@ -163,9 +148,9 @@ class PoolingKernel(BlockKernel):
 
 def make_neighbor_kernel(z: Tensor, shard: ShardedGraph, halo: HaloExchange,
                          op: str) -> BlockKernel:
-    """Pick the kernel implementing aggregation ``op`` ("sum"/"mean"/"max"/"min")."""
-    if op in POOL_OPS:
-        return PoolingKernel(z, shard, halo, op)
-    if op in SUM_OPS:
-        return SumMeanKernel(z, shard, halo, op)
-    raise ValueError(f"op must be one of {SUM_OPS + POOL_OPS}, got {op!r}")
+    """Pick the kernel implementing aggregation ``op`` ("mean" or "max")."""
+    if op == "max":
+        return PoolingKernel(z, shard, halo)
+    if op == "mean":
+        return MeanKernel(z, shard, halo)
+    raise ValueError(f"op must be 'mean' or 'max', got {op!r}")

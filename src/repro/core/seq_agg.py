@@ -30,8 +30,8 @@ published payload, the per-block forward/backward math, the gradient class
 per-block state such as GAT's running stable-softmax accumulators.  The
 concrete kernels live next to their models:
 
-* :class:`repro.core.sage_dist.SumMeanKernel` — case 1 (linear),
-* :class:`repro.core.sage_dist.PoolingKernel` — max/min pooling, case 2,
+* :class:`repro.core.sage_dist.MeanKernel` — case 1 (linear),
+* :class:`repro.core.sage_dist.PoolingKernel` — max pooling, case 2,
 * :class:`repro.core.gat_dist.GATKernel` — attention, case 2,
 * :class:`repro.core.rgcn_dist.RGCNKernel` — relational, case 2, one engine
   pass per relation.

@@ -140,14 +140,14 @@ class CommStats:
 
         The fixed-key subset of :meth:`snapshot` the serving ``stats()``
         surface exposes per worker — halo-fetch volume (activation rows
-        fetched from the peers that own them), frontier
-        allgather volume from the cooperative receptive-field walk, and the
+        fetched from the peers that own them; a fetch is booked by its
+        reader alone, so there is no sent side), frontier allgather volume
+        from the cooperative receptive-field walk, and the
         feature-store hot-row cache counters.  Keys are always present so
         the shape is stable for dashboards and tests.
         """
         with self._lock:
             return {
-                "halo_bytes_sent": self.sent_by_tag.get(SERVE_HALO_TAG, 0),
                 "halo_bytes_received": self.received_by_tag.get(SERVE_HALO_TAG, 0),
                 "frontier_bytes_sent": self.sent_by_tag.get(SERVE_FRONTIER_TAG, 0),
                 "frontier_bytes_received": self.received_by_tag.get(SERVE_FRONTIER_TAG, 0),

@@ -201,8 +201,6 @@ class MultiprocessServiceCluster:
         timeout_s: float = _DEFAULT_TIMEOUT_S,
         name: str = "service",
     ):
-        if world_size < 1:
-            raise ValueError(f"world_size must be >= 1, got {world_size}")
         self.world_size = world_size
         self.name = name
         self._service_factory = service_factory

@@ -103,6 +103,8 @@ class SharedPlane:
     """
 
     def __init__(self, sync, world_size: int):
+        if world_size < 1:
+            raise ValueError(f"world_size must be >= 1, got {world_size}")
         self.capacity = _arena_capacity(world_size)
         self.arenas = [mmap.mmap(-1, _DIRECTORY_BYTES + self.capacity) for _ in range(world_size)]
         self.directory_locks = [sync.Lock() for _ in range(world_size)]

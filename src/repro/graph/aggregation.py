@@ -58,18 +58,20 @@ class NeighborAggregation:
         return relation_entry(self.relation_edges, relation)
 
     def aggregate_neighbors(self, z: Tensor, op: str = "mean") -> Tensor:
-        """Sum/mean (SpMM) or max/min (pooling) of ``z`` over in-neighbours."""
-        if op in ("max", "min"):
-            return pool_aggregate(z, self.plan(), op)
-        return neighbor_aggregate(z, self.plan(), op)
+        """Mean (SpMM) or max (pooling) of ``z`` over in-neighbours."""
+        if op == "max":
+            return pool_aggregate(z, self.plan())
+        if op == "mean":
+            return neighbor_aggregate(z, self.plan())
+        raise ValueError(f"op must be 'mean' or 'max', got {op!r}")
 
     def gat_aggregate(self, z: Tensor, score_dst: Tensor, score_src: Tensor,
-                      negative_slope: float = 0.2, fused: bool = False) -> Tensor:
+                      fused: bool = False) -> Tensor:
         """Attention aggregation; ``fused`` recomputes the per-edge
         coefficients in the backward pass instead of keeping them."""
         # Destination scores live in the destination row space.
         return GATAggregation.apply(z, self.gather_dst(score_dst), score_src, self.plan(),
-                                    negative_slope, fused)
+                                    fused)
 
     def rgcn_aggregate(self, x: Tensor, relation_weights: Tensor,
                        relation_names: Sequence[str], in_features: int,
@@ -79,6 +81,6 @@ class NeighborAggregation:
         out = None
         for index, relation in enumerate(relation_names):
             w_r = ops.slice_(relation_weights, index).reshape(in_features, out_features)
-            contribution = neighbor_aggregate(x @ w_r, self.relation_plan(relation), op="mean")
+            contribution = neighbor_aggregate(x @ w_r, self.relation_plan(relation))
             out = contribution if out is None else out + contribution
         return out

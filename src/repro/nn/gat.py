@@ -14,12 +14,16 @@ GAT layer (paper Eq. 3), evaluated per attention head:
 
 ``e_{j→i} = LeakyReLU(a_l · z_i + a_r · z_j)``
 ``α_{j→i} = softmax_j(e_{j→i})``
-``h_i = σ( Σ_j α_{j→i} · z_j )``
+``h_i = Σ_j α_{j→i} · z_j + b``
+
+The LeakyReLU's slope is :data:`~repro.tensor.sparse.NEGATIVE_SLOPE` (0.2,
+the GAT paper's), the bias is always on, and the output activation ``σ`` is
+the models' (:func:`~repro.nn.norm.layer_epilogue`), not the layer's.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -71,16 +75,11 @@ class GATConv(Module):
     #: the backward pass instead of keeping them.
     uses_fused_kernel = False
 
-    def __init__(self, in_features: int, out_features: int, num_heads: int = 1,
-                 negative_slope: float = 0.2,
-                 activation: Optional[Callable[[Tensor], Tensor]] = None,
-                 bias: bool = True):
+    def __init__(self, in_features: int, out_features: int, num_heads: int = 1):
         super().__init__()
         self.in_features = check_positive_int(in_features, "in_features")
         self.out_features = check_positive_int(out_features, "out_features")
         self.num_heads = check_positive_int(num_heads, "num_heads")
-        self.negative_slope = float(negative_slope)
-        self.activation = activation
         self.fc = Linear(in_features, out_features * num_heads, bias=False, name="gat.fc")
         self.attn_l = Parameter(
             init.xavier_uniform((num_heads, out_features)), name="gat.attn_l"
@@ -88,9 +87,7 @@ class GATConv(Module):
         self.attn_r = Parameter(
             init.xavier_uniform((num_heads, out_features)), name="gat.attn_r"
         )
-        self.bias: Optional[Parameter] = None
-        if bias:
-            self.bias = Parameter(init.zeros((num_heads * out_features,)), name="gat.bias")
+        self.bias = Parameter(init.zeros((num_heads * out_features,)), name="gat.bias")
 
     def project(self, x: Tensor) -> Tuple[Tensor, Tensor, Tensor]:
         """Compute ``z`` (N, H, D) and the per-node attention scores (N, H).
@@ -112,18 +109,10 @@ class GATConv(Module):
                 f"Feature matrix has {x.shape[0]} rows but graph has {graph.num_nodes} nodes"
             )
         z, score_dst, score_src = self.project(x)
-        aggregated = graph.gat_aggregate(
-            z, score_dst, score_src,
-            negative_slope=self.negative_slope,
-            fused=self.uses_fused_kernel,
-        )
-        # Flatten heads, add bias, apply the output activation.
+        aggregated = graph.gat_aggregate(z, score_dst, score_src, fused=self.uses_fused_kernel)
+        # Flatten heads and add the bias.
         out = aggregated.reshape(aggregated.shape[0], self.num_heads * self.out_features)
-        if self.bias is not None:
-            out = out + self.bias
-        if self.activation is not None:
-            out = self.activation(out)
-        return out
+        return out + self.bias
 
     def __repr__(self) -> str:
         return (

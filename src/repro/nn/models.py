@@ -117,9 +117,9 @@ class GraphSageNet(_DeepGNN):
     """Multi-layer GraphSage classifier (3 layers, hidden size 256 in the paper).
 
     ``aggregator`` selects the neighbour aggregation of every layer:
-    ``"mean"``/``"sum"`` (the paper's case-1 configuration) or ``"max"``/
-    ``"min"`` pooling (a case-2 configuration — distributed training
-    re-fetches remote features during the backward pass, like GAT/R-GCN).
+    ``"mean"`` (the paper's case-1 configuration) or ``"max"`` pooling (a
+    case-2 configuration — distributed training re-fetches remote features
+    during the backward pass, like GAT/R-GCN).
     """
 
     def __init__(self, in_features: int, hidden_features: int, num_classes: int,
@@ -147,8 +147,7 @@ class GATNet(_DeepGNN):
 
     def __init__(self, in_features: int, hidden_per_head: int, num_classes: int,
                  num_layers: int = 3, num_heads: int = 4, dropout: float = 0.5,
-                 use_batch_norm: bool = True, fused: bool = False,
-                 negative_slope: float = 0.2):
+                 use_batch_norm: bool = True, fused: bool = False):
         num_layers = check_positive_int(num_layers, "num_layers")
         conv_cls = FusedGATConv if fused else GATConv
         convs: List[Module] = []
@@ -157,11 +156,9 @@ class GATNet(_DeepGNN):
         for index in range(num_layers):
             layer_in = in_features if index == 0 else width
             if index == num_layers - 1:
-                convs.append(conv_cls(layer_in, num_classes, num_heads=1,
-                                      negative_slope=negative_slope))
+                convs.append(conv_cls(layer_in, num_classes, num_heads=1))
             else:
-                convs.append(conv_cls(layer_in, hidden_per_head, num_heads=num_heads,
-                                      negative_slope=negative_slope))
+                convs.append(conv_cls(layer_in, hidden_per_head, num_heads=num_heads))
                 norm_dims.append(width)
         super().__init__(convs, norm_dims, dropout, use_batch_norm, "elu")
         self.in_features = in_features

@@ -1,17 +1,19 @@
 """Relational graph convolution (R-GCN) layer — paper Appendix A, Eq. 4/5.
 
-``h_i^{l+1} = σ( Σ_r Σ_{j ∈ N_r(i)} (1/|N_r(i)|) W_r h_j  +  W_0 h_i )``
+``h_i^{l+1} = σ( Σ_r Σ_{j ∈ N_r(i)} (1/|N_r(i)|) W_r h_j  +  W_0 h_i + b )``
 
 with optional basis decomposition ``W_r = Σ_b a_{rb} V_b`` to share parameters
-across relations.  Because the aggregation has *learnable* parameters
-(``W_r``), backpropagating to them requires the values of the layer inputs —
-this is SAR's "case 2", so the distributed variant re-fetches remote features
-during the backward pass (just like GAT).
+across relations.  The bias ``b`` is always on; the activation ``σ`` is the
+models' (:func:`~repro.nn.norm.layer_epilogue`), not the layer's.  Because
+the aggregation has *learnable* parameters (``W_r``), backpropagating to them
+requires the values of the layer inputs — this is SAR's "case 2", so the
+distributed variant re-fetches remote features during the backward pass
+(just like GAT).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.nn.linear import Linear
 from repro.nn.module import Module, Parameter
@@ -24,8 +26,7 @@ class RelGraphConv(Module):
     """R-GCN layer over a heterogeneous graph with named relations."""
 
     def __init__(self, in_features: int, out_features: int, relation_names: Sequence[str],
-                 num_bases: Optional[int] = None, bias: bool = True,
-                 activation: Optional[Callable[[Tensor], Tensor]] = None):
+                 num_bases: Optional[int] = None):
         super().__init__()
         self.in_features = check_positive_int(in_features, "in_features")
         self.out_features = check_positive_int(out_features, "out_features")
@@ -40,7 +41,6 @@ class RelGraphConv(Module):
                     f"num_bases ({num_bases}) cannot exceed the number of relations ({num_relations})"
                 )
         self.num_bases = num_bases
-        self.activation = activation
 
         if num_bases is None:
             # One independent weight matrix per relation, stored flattened so a
@@ -62,9 +62,7 @@ class RelGraphConv(Module):
             self.weight = None
 
         self.self_linear = Linear(in_features, out_features, bias=False, name="rgcn.self")
-        self.bias: Optional[Parameter] = None
-        if bias:
-            self.bias = Parameter(init.zeros((out_features,)), name="rgcn.bias")
+        self.bias = Parameter(init.zeros((out_features,)), name="rgcn.bias")
 
     # ------------------------------------------------------------------ #
     def relation_weights(self) -> Tensor:
@@ -93,11 +91,7 @@ class RelGraphConv(Module):
             self.in_features, self.out_features,
         )
         out = out + self.self_linear(graph.gather_dst(x))
-        if self.bias is not None:
-            out = out + self.bias
-        if self.activation is not None:
-            out = self.activation(out)
-        return out
+        return out + self.bias
 
     def __repr__(self) -> str:
         return (

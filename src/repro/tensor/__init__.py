@@ -1,21 +1,19 @@
 """NumPy-backed tensor library with reverse-mode autodiff.
 
-This package is the repository's substitute for PyTorch: it provides the
-:class:`~repro.tensor.tensor.Tensor` type, differentiable operations,
-parameter initializers, optimizers, and the per-worker memory tracker the
-benchmarks use to reproduce the paper's peak-memory measurements.
+This package is the repository's substitute for PyTorch, scoped to what the
+models run: the :class:`~repro.tensor.tensor.Tensor` type, the dense ops its
+layers call (``+``, ``*``, ``**``, ``@``, ``sum``, ``reshape``, slices and row
+gathers), the sparse message-passing ops, the loss, parameter initializers,
+the optimizer, and the per-worker memory tracker the benchmarks use to
+reproduce the paper's peak-memory measurements.  It is not a general
+autograd library: an op no model runs is not kept.
 """
 
 from repro.tensor.tensor import (
     Tensor,
     Function,
     no_grad,
-    enable_grad,
     grad_enabled,
-    zeros,
-    ones,
-    zeros_like,
-    ones_like,
     DEFAULT_DTYPE,
 )
 from repro.tensor.memory import MemoryTracker, track_memory, active_tracker, no_tracking
@@ -32,12 +30,7 @@ __all__ = [
     "Tensor",
     "Function",
     "no_grad",
-    "enable_grad",
     "grad_enabled",
-    "zeros",
-    "ones",
-    "zeros_like",
-    "ones_like",
     "DEFAULT_DTYPE",
     "MemoryTracker",
     "track_memory",

@@ -20,7 +20,7 @@ edge set, sorts its edges **once**, destination-major, and caches:
   ``s·H + h``) plus the map that fills its data from ``(E, H)`` edge
   weights, so edge-weighted aggregation (the attention hot path) runs every
   head in one SpMM with one ``take`` and no sort, and
-* the ``reduceat`` bookkeeping (non-empty segment starts) for max/min.
+* the ``reduceat`` bookkeeping (non-empty segment starts) for the maxima.
 
 Every transpose kernel (``aggregate_sum_t``, ``u_mul_e_sum_t_sorted``,
 ``segment_sum_src_sorted``) multiplies by the CSC transpose of the
@@ -212,16 +212,16 @@ class EdgePlan:
             )
         return self._agg
 
-    def _reduce(self, ufunc, sorted_vals: np.ndarray, fill: float) -> np.ndarray:
-        """``ufunc``-reduce already-sorted per-edge rows into segments."""
+    def _segment_max(self, sorted_vals: np.ndarray) -> np.ndarray:
+        """Max-reduce already-sorted per-edge rows into segments (empty → ``-inf``)."""
         self._layout()
         out_shape = (self.num_dst,) + sorted_vals.shape[1:]
         if len(sorted_vals) == 0 or not len(self._starts):
-            return np.full(out_shape, fill, dtype=sorted_vals.dtype)
+            return np.full(out_shape, -np.inf, dtype=sorted_vals.dtype)
         if self._all_nonempty:
-            return ufunc.reduceat(sorted_vals, self._indptr[:-1], axis=0)
-        out = np.full(out_shape, fill, dtype=sorted_vals.dtype)
-        out[self._nonempty] = ufunc.reduceat(sorted_vals, self._starts, axis=0)
+            return np.maximum.reduceat(sorted_vals, self._indptr[:-1], axis=0)
+        out = np.full(out_shape, -np.inf, dtype=sorted_vals.dtype)
+        out[self._nonempty] = np.maximum.reduceat(sorted_vals, self._starts, axis=0)
         return out
 
     def _sorted_dst(self) -> np.ndarray:
@@ -265,13 +265,9 @@ class EdgePlan:
         through the CSC transpose of the aggregation matrix."""
         return _matvec(self._agg_matrix().T, grad)
 
-    def aggregate_max(self, x: np.ndarray, initial: float = -np.inf) -> np.ndarray:
-        """Element-wise max over in-neighbours (empty → ``initial``)."""
-        return self._reduce(np.maximum, self.gather_src(x), initial)
-
-    def aggregate_min(self, x: np.ndarray, initial: float = np.inf) -> np.ndarray:
-        """Element-wise min over in-neighbours (empty → ``initial``)."""
-        return self._reduce(np.minimum, self.gather_src(x), initial)
+    def aggregate_max(self, x: np.ndarray) -> np.ndarray:
+        """Element-wise max over in-neighbours (empty → ``-inf``)."""
+        return self._segment_max(self.gather_src(x))
 
     # -- destination-sorted edge space -------------------------------------- #
     # Every per-edge array lives in the plan's destination-sorted order: rows
@@ -313,12 +309,11 @@ class EdgePlan:
             )
         return _matvec(self._sorted_sel, sorted_values)
 
-    def segment_max_sorted(self, sorted_values: np.ndarray,
-                           initial: float = -np.inf) -> np.ndarray:
+    def segment_max_sorted(self, sorted_values: np.ndarray) -> np.ndarray:
         """Max-reduce sorted per-edge rows per destination (empty segments →
-        ``initial``)."""
+        ``-inf``)."""
         sorted_values = self._check_edge_rows(sorted_values, "sorted_values")
-        return self._reduce(np.maximum, sorted_values, initial)
+        return self._segment_max(sorted_values)
 
     def segment_sum_src_sorted(self, sorted_values: np.ndarray) -> np.ndarray:
         """Sum sorted per-edge rows into *source* buckets (the transpose

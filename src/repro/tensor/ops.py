@@ -40,7 +40,7 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------- #
-# elementwise binary ops
+# elementwise ops
 # --------------------------------------------------------------------------- #
 class Add(Function):
     def forward(self, a: Tensor, b: Tensor) -> np.ndarray:
@@ -50,16 +50,6 @@ class Add(Function):
     def backward(self, grad_out):
         a_shape, b_shape = self.saved
         return _unbroadcast(grad_out, a_shape), _unbroadcast(grad_out, b_shape)
-
-
-class Sub(Function):
-    def forward(self, a: Tensor, b: Tensor) -> np.ndarray:
-        self.save_for_backward(a.shape, b.shape)
-        return a.data - b.data
-
-    def backward(self, grad_out):
-        a_shape, b_shape = self.saved
-        return _unbroadcast(grad_out, a_shape), _unbroadcast(-grad_out, b_shape)
 
 
 class Mul(Function):
@@ -75,18 +65,6 @@ class Mul(Function):
         )
 
 
-class Div(Function):
-    def forward(self, a: Tensor, b: Tensor) -> np.ndarray:
-        self.save_for_backward(a.data, b.data)
-        return a.data / b.data
-
-    def backward(self, grad_out):
-        a_data, b_data = self.saved
-        grad_a = grad_out / b_data
-        grad_b = -grad_out * a_data / (b_data * b_data)
-        return _unbroadcast(grad_a, a_data.shape), _unbroadcast(grad_b, b_data.shape)
-
-
 class Pow(Function):
     def forward(self, a: Tensor, exponent: float) -> np.ndarray:
         out = a.data ** exponent
@@ -96,49 +74,6 @@ class Pow(Function):
     def backward(self, grad_out):
         a_data, exponent = self.saved
         return (grad_out * exponent * a_data ** (exponent - 1),)
-
-
-class Neg(Function):
-    def forward(self, a: Tensor) -> np.ndarray:
-        return -a.data
-
-    def backward(self, grad_out):
-        return (-grad_out,)
-
-
-# --------------------------------------------------------------------------- #
-# elementwise unary ops
-# --------------------------------------------------------------------------- #
-class Exp(Function):
-    def forward(self, a: Tensor) -> np.ndarray:
-        out = np.exp(a.data)
-        self.save_for_backward(out)
-        return out
-
-    def backward(self, grad_out):
-        (out,) = self.saved
-        return (grad_out * out,)
-
-
-class Log(Function):
-    def forward(self, a: Tensor) -> np.ndarray:
-        self.save_for_backward(a.data)
-        return np.log(a.data)
-
-    def backward(self, grad_out):
-        (a_data,) = self.saved
-        return (grad_out / a_data,)
-
-
-class Sqrt(Function):
-    def forward(self, a: Tensor) -> np.ndarray:
-        out = np.sqrt(a.data)
-        self.save_for_backward(out)
-        return out
-
-    def backward(self, grad_out):
-        (out,) = self.saved
-        return (grad_out * 0.5 / out,)
 
 
 # --------------------------------------------------------------------------- #
@@ -205,56 +140,6 @@ class Sum(Function):
         return (np.broadcast_to(grad, shape).astype(grad.dtype, copy=False).copy(),)
 
 
-class Mean(Function):
-    def forward(self, a: Tensor, axis=None, keepdims: bool = False) -> np.ndarray:
-        norm_axis = _normalize_axis(axis, a.ndim)
-        if norm_axis is None:
-            count = a.data.size
-        else:
-            count = int(np.prod([a.shape[ax] for ax in norm_axis]))
-        self.save_for_backward(a.shape, norm_axis, keepdims, count)
-        return a.data.mean(axis=axis, keepdims=keepdims)
-
-    def backward(self, grad_out):
-        shape, axis, keepdims, count = self.saved
-        grad = np.asarray(grad_out) / count
-        if axis is not None and not keepdims:
-            for ax in sorted(axis):
-                grad = np.expand_dims(grad, ax)
-        return (np.broadcast_to(grad, shape).astype(grad.dtype, copy=False).copy(),)
-
-
-class _MinMax(Function):
-    _np_fn = None  # set by subclasses
-
-    def forward(self, a: Tensor, axis=None, keepdims: bool = False) -> np.ndarray:
-        out = self._np_fn(a.data, axis=axis, keepdims=keepdims)
-        self.save_for_backward(a.data, out, _normalize_axis(axis, a.ndim), keepdims)
-        return out
-
-    def backward(self, grad_out):
-        a_data, out, axis, keepdims = self.saved
-        out_b = np.asarray(out)
-        grad = np.asarray(grad_out)
-        if axis is not None and not keepdims:
-            for ax in sorted(axis):
-                out_b = np.expand_dims(out_b, ax)
-                grad = np.expand_dims(grad, ax)
-        mask = (a_data == out_b)
-        # Split gradient equally between ties (matches PyTorch amax behaviour
-        # closely enough for our use cases).
-        counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-        return ((mask * grad) / counts,)
-
-
-class Max(_MinMax):
-    _np_fn = staticmethod(np.max)
-
-
-class Min(_MinMax):
-    _np_fn = staticmethod(np.min)
-
-
 # --------------------------------------------------------------------------- #
 # shape ops
 # --------------------------------------------------------------------------- #
@@ -266,30 +151,6 @@ class Reshape(Function):
     def backward(self, grad_out):
         (shape,) = self.saved
         return (grad_out.reshape(shape),)
-
-
-class Transpose(Function):
-    def forward(self, a: Tensor, axes=None) -> np.ndarray:
-        self.save_for_backward(axes, a.ndim)
-        return np.transpose(a.data, axes)
-
-    def backward(self, grad_out):
-        axes, ndim = self.saved
-        if axes is None:
-            return (np.transpose(grad_out),)
-        inverse = np.argsort(axes)
-        return (np.transpose(grad_out, inverse),)
-
-
-class Concat(Function):
-    def forward(self, *tensors: Tensor, axis: int = 0) -> np.ndarray:
-        self.save_for_backward(axis, [t.shape[axis] for t in tensors])
-        return np.concatenate([t.data for t in tensors], axis=axis)
-
-    def backward(self, grad_out):
-        axis, sizes = self.saved
-        splits = np.cumsum(sizes)[:-1]
-        return tuple(np.split(grad_out, splits, axis=axis))
 
 
 class Slice(Function):
@@ -341,39 +202,13 @@ def add(a: ArrayLike, b: ArrayLike) -> Tensor:
     return Add.apply(a, _wrap(b, a))
 
 
-def sub(a: ArrayLike, b: ArrayLike) -> Tensor:
-    a = _wrap(a)
-    return Sub.apply(a, _wrap(b, a))
-
-
 def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
     a = _wrap(a)
     return Mul.apply(a, _wrap(b, a))
 
 
-def div(a: ArrayLike, b: ArrayLike) -> Tensor:
-    a = _wrap(a)
-    return Div.apply(a, _wrap(b, a))
-
-
-def neg(a: Tensor) -> Tensor:
-    return Neg.apply(_wrap(a))
-
-
 def pow(a: Tensor, exponent: float) -> Tensor:  # noqa: A001 - mirrors torch.pow
     return Pow.apply(_wrap(a), float(exponent))
-
-
-def exp(a: Tensor) -> Tensor:
-    return Exp.apply(_wrap(a))
-
-
-def log(a: Tensor) -> Tensor:
-    return Log.apply(_wrap(a))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    return Sqrt.apply(_wrap(a))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -384,29 +219,8 @@ def sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
     return Sum.apply(_wrap(a), axis, keepdims)
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    return Mean.apply(_wrap(a), axis, keepdims)
-
-
-def max(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
-    return Max.apply(_wrap(a), axis, keepdims)
-
-
-def min(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
-    return Min.apply(_wrap(a), axis, keepdims)
-
-
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return Reshape.apply(_wrap(a), tuple(shape))
-
-
-def transpose(a: Tensor, axes=None) -> Tensor:
-    return Transpose.apply(_wrap(a), axes)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
-    return Concat.apply(*tensors, axis=axis)
 
 
 def slice_(a: Tensor, key) -> Tensor:

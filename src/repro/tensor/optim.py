@@ -8,7 +8,7 @@ trainer in :mod:`repro.training.trainer` combines :class:`Adam` with
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -41,11 +41,6 @@ class Adam:
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
-    def zero_grad(self) -> None:
-        """Clear all parameter gradients."""
-        for p in self.params:
-            p.grad = None
-
     def step(self) -> None:
         self._step_count += 1
         bias1 = 1.0 - self.beta1 ** self._step_count
@@ -63,20 +58,6 @@ class Adam:
             m_hat = m / bias1
             v_hat = v / bias2
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def state_dict(self) -> Dict:
-        return {
-            "lr": self.lr,
-            "step_count": self._step_count,
-            "m": [m.copy() for m in self._m],
-            "v": [v.copy() for v in self._v],
-        }
-
-    def load_state_dict(self, state: Dict) -> None:
-        self.lr = float(state["lr"])
-        self._step_count = int(state["step_count"])
-        self._m = [m.copy() for m in state["m"]]
-        self._v = [v.copy() for v in state["v"]]
 
 
 # --------------------------------------------------------------------------- #

@@ -11,9 +11,10 @@ Every op takes the :class:`~repro.tensor.edge_plan.EdgePlan` of its edge set
 sort/CSR structures, so no call re-derives sparsity.  Every per-edge array
 lives in the plan's destination-sorted edge space.
 
-There is one attention op, :class:`GATAggregation`; its ``fused`` flag means
-what it means for the distributed :class:`~repro.core.gat_dist.GATKernel`:
-what the forward keeps for the backward, never which math runs.  The plain
+There is one attention op, :class:`GATAggregation`, whose LeakyReLU slope is
+:data:`NEGATIVE_SLOPE`; its ``fused`` flag means what it means for the
+distributed :class:`~repro.core.gat_dist.GATKernel`: what the forward keeps
+for the backward, never which math runs.  The plain
 NumPy helpers (suffixed ``_np`` or ``_sorted``) are that math; SAR's
 sequential aggregation (Algorithm 1) runs them *outside* the autograd graph
 and rematerializes them block by block in the backward pass.
@@ -30,33 +31,29 @@ from repro.tensor.tensor import Function, Tensor
 
 _TINY = np.finfo(np.float32).tiny
 
+#: The attention logits' LeakyReLU slope (the GAT paper's 0.2), one constant
+#: for every attention kernel, single-machine and distributed.
+NEGATIVE_SLOPE = 0.2
+
 # --------------------------------------------------------------------------- #
 # non-differentiable NumPy helpers
 # --------------------------------------------------------------------------- #
 
 
-def leaky_relu_np(raw: np.ndarray, negative_slope: float,
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
+def leaky_relu_np(raw: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """LeakyReLU of a plain array, into ``out`` if given (``out=raw`` runs
-    in place).  For ``0 < slope ≤ 1`` it is ``max(raw, slope·raw)`` — one
-    pass, no mask, same bits as the select (slope 0 is left to the select:
-    ``0·inf`` is NaN, which ``max`` keeps)."""
-    if 0.0 < negative_slope <= 1.0:
-        return np.maximum(raw, negative_slope * raw, out=out)
-    selected = np.where(raw > 0, raw, negative_slope * raw)
-    if out is None:
-        return selected
-    out[...] = selected
-    return out
+    in place).  As ``0 < slope ≤ 1`` it is ``max(raw, slope·raw)`` — one
+    pass, no mask, same bits as the select."""
+    return np.maximum(raw, NEGATIVE_SLOPE * raw, out=out)
 
 
-def leaky_relu_grad_np(grad: np.ndarray, positive: np.ndarray, negative_slope: float,
+def leaky_relu_grad_np(grad: np.ndarray, positive: np.ndarray,
                        out: Optional[np.ndarray] = None) -> np.ndarray:
     """``grad`` where ``positive``, ``slope·grad`` elsewhere, into ``out`` if
     given (``out=grad`` runs in place): one multiply by a factor taken from
     ``(slope, 1)`` through the mask, with no per-element branch on its
-    random signs — the select's bits for every slope, as ``x·1 == x``."""
-    factors = np.array([negative_slope, 1], dtype=grad.dtype)
+    random signs — the select's bits, as ``x·1 == x``."""
+    factors = np.array([NEGATIVE_SLOPE, 1], dtype=grad.dtype)
     return np.multiply(grad, factors.take(positive.view(np.uint8)), out=out)
 
 
@@ -72,7 +69,7 @@ def gat_raw_sorted(plan: EdgePlan, score_dst: np.ndarray,
 
 
 def gat_backward_sorted(plan: EdgePlan, x_src: np.ndarray, grad_out: np.ndarray,
-                        alpha: np.ndarray, positive: np.ndarray, negative_slope: float,
+                        alpha: np.ndarray, positive: np.ndarray,
                         weighted_sum: Optional[np.ndarray] = None
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward of ``out[d] = Σ_e α_e · x_src[s_e]`` through the edge softmax
@@ -92,20 +89,19 @@ def gat_backward_sorted(plan: EdgePlan, x_src: np.ndarray, grad_out: np.ndarray,
         weighted_sum = plan.segment_sum_sorted(alpha * grad)
     np.subtract(grad, plan.expand_dst(weighted_sum), out=grad)
     np.multiply(alpha, grad, out=grad)
-    leaky_relu_grad_np(grad, positive, negative_slope, out=grad)
+    leaky_relu_grad_np(grad, positive, out=grad)
     return (grad_x_src, plan.segment_sum_sorted(grad),
             plan.segment_sum_src_sorted(grad))
 
 
-def _softmax_terms_sorted(plan: EdgePlan, score_dst: np.ndarray, score_src: np.ndarray,
-                          negative_slope: float):
+def _softmax_terms_sorted(plan: EdgePlan, score_dst: np.ndarray, score_src: np.ndarray):
     """``(raw > 0, exp(logits − max), Σ exp)`` of the whole edge set, per-edge
     arrays in ``plan``'s destination-sorted edge space — the one-block case
     of the SAR attention kernel (:class:`repro.core.gat_dist.GATKernel`).
     The raw logits, the logits and the weights share one buffer."""
     weights = gat_raw_sorted(plan, score_dst, score_src)
     positive = weights > 0
-    leaky_relu_np(weights, negative_slope, out=weights)
+    leaky_relu_np(weights, out=weights)
     maxes = plan.segment_max_sorted(weights)
     maxes = np.where(np.isfinite(maxes), maxes, 0.0)
     np.subtract(weights, plan.expand_dst(maxes), out=weights)
@@ -131,51 +127,40 @@ def check_scores(name: str, scores: np.ndarray, rows: int, heads: int) -> None:
 
 
 class NeighborAggregate(Function):
-    """Plan-backed sum/mean aggregation of source features into destinations.
+    """Plan-backed in-degree mean of source features into destinations.
 
-    The SpMM with the unweighted (``"sum"``) or in-degree-normalized
-    (``"mean"``) adjacency: forward aggregates over the plan's cached CSR,
-    backward scatters through the cached transpose — zero sparse
-    constructions either way.
+    The SpMM with the in-degree-normalized adjacency: forward aggregates over
+    the plan's cached CSR, backward scatters through the cached transpose —
+    zero sparse constructions either way.
     """
 
-    def forward(self, x: Tensor, plan: EdgePlan, op: str) -> np.ndarray:
-        if op not in ("sum", "mean"):
-            raise ValueError(f"op must be 'sum' or 'mean', got {op!r}")
-        if x.shape[0] != plan.num_src:
-            raise ValueError(
-                f"x has {x.shape[0]} rows but plan expects {plan.num_src} sources"
-            )
-        out = plan.aggregate_mean(x.data) if op == "mean" else plan.aggregate_sum(x.data)
-        self.save_for_backward(plan, op, x.data.ndim)
-        return out
+    def forward(self, x: Tensor, plan: EdgePlan) -> np.ndarray:
+        _check_rows(x, plan.num_src, "x", "sources")
+        self.save_for_backward(plan, x.data.ndim)
+        return plan.aggregate_mean(x.data)
 
     def backward(self, grad_out):
-        plan, op, ndim = self.saved
-        grad = grad_out
-        if op == "mean":
-            counts = plan.clamped_in_degrees(grad_out.dtype)
-            grad = grad_out / counts.reshape((plan.num_dst,) + (1,) * (ndim - 1))
+        plan, ndim = self.saved
+        counts = plan.clamped_in_degrees(grad_out.dtype)
+        grad = grad_out / counts.reshape((plan.num_dst,) + (1,) * (ndim - 1))
         return (plan.aggregate_sum_t(grad),)
 
 
 class PoolAggregation(Function):
-    """Element-wise max/min pooling over incoming edges.
+    """Element-wise max pooling over incoming edges.
 
-    ``out[d] = op_{e:(s→d)} x[s]`` per feature dimension; destinations with
+    ``out[d] = max_{e:(s→d)} x[s]`` per feature dimension; destinations with
     no incoming edges yield ``0``.  The backward pass routes each output
-    gradient to *every* source value attaining the extremum (the same
+    gradient to *every* source value attaining the maximum (the same
     subgradient convention as the distributed
     :class:`~repro.core.sage_dist.PoolingKernel`, so single-machine and SAR
     training stay bit-for-bit comparable).
     """
 
-    def forward(self, x: Tensor, plan: EdgePlan, op: str) -> np.ndarray:
-        if op not in ("max", "min"):
-            raise ValueError(f"op must be 'max' or 'min', got {op!r}")
+    def forward(self, x: Tensor, plan: EdgePlan) -> np.ndarray:
         _check_rows(x, plan.num_src, "x", "sources")
         data = x.data
-        reduced = plan.aggregate_max(data) if op == "max" else plan.aggregate_min(data)
+        reduced = plan.aggregate_max(data)
         out = np.where(np.isfinite(reduced), reduced, 0.0).astype(data.dtype, copy=False)
         self.save_for_backward(data, out, plan)
         return out
@@ -204,7 +189,7 @@ class GATAggregation(Function):
     """
 
     def forward(self, z: Tensor, score_dst: Tensor, score_src: Tensor, plan: EdgePlan,
-                negative_slope: float, fused: bool) -> np.ndarray:
+                fused: bool) -> np.ndarray:
         if z.data.ndim != 3:
             raise ValueError(f"Expected z of shape (N, heads, dim), got {z.shape}")
         _check_rows(z, plan.num_src, "z", "sources")
@@ -212,28 +197,24 @@ class GATAggregation(Function):
         _check_rows(score_dst, plan.num_dst, "score_dst", "destinations")
         check_scores("score_src", score_src.data, plan.num_src, z.shape[1])
         check_scores("score_dst", score_dst.data, plan.num_dst, z.shape[1])
-        positive, weights, denom = _softmax_terms_sorted(plan, score_dst.data, score_src.data,
-                                                         negative_slope)
+        positive, weights, denom = _softmax_terms_sorted(plan, score_dst.data, score_src.data)
         out = plan.u_mul_e_sum_sorted(z.data, weights) / denom[:, :, None]
         kept = None
         if self.needs_grad and not fused:
             alpha = np.divide(weights, plan.expand_dst(denom), out=weights)
             kept = (Tensor(alpha, dtype=alpha.dtype), positive)
-        self.save_for_backward(z.data, score_dst.data, score_src.data, plan, negative_slope,
-                               kept)
+        self.save_for_backward(z.data, score_dst.data, score_src.data, plan, kept)
         return out
 
     def backward(self, grad_out):
-        z, score_dst, score_src, plan, negative_slope, kept = self.saved
+        z, score_dst, score_src, plan, kept = self.saved
         if kept is None:
-            positive, alpha, denom = _softmax_terms_sorted(plan, score_dst, score_src,
-                                                           negative_slope)
+            positive, alpha, denom = _softmax_terms_sorted(plan, score_dst, score_src)
             np.divide(alpha, plan.expand_dst(denom), out=alpha)
         else:
             alpha, positive = kept[0].data, kept[1]
         grad_z, grad_score_dst, grad_score_src = gat_backward_sorted(
-            plan, z, grad_out, alpha, positive, negative_slope
-        )
+            plan, z, grad_out, alpha, positive)
         return (grad_z, grad_score_dst.astype(score_dst.dtype),
                 grad_score_src.astype(score_src.dtype))
 
@@ -241,12 +222,12 @@ class GATAggregation(Function):
 # --------------------------------------------------------------------------- #
 # functional wrappers
 # --------------------------------------------------------------------------- #
-def neighbor_aggregate(x: Tensor, plan: EdgePlan, op: str = "sum") -> Tensor:
-    """Plan-backed sum/mean aggregation of source features into destinations."""
-    return NeighborAggregate.apply(x, plan, op)
+def neighbor_aggregate(x: Tensor, plan: EdgePlan) -> Tensor:
+    """Plan-backed in-degree mean of source features into destinations."""
+    return NeighborAggregate.apply(x, plan)
 
 
-def pool_aggregate(x: Tensor, plan: EdgePlan, op: str = "max") -> Tensor:
-    """Max/min pooling of source features into destination nodes."""
-    return PoolAggregation.apply(x, plan, op)
+def pool_aggregate(x: Tensor, plan: EdgePlan) -> Tensor:
+    """Max pooling of source features into destination nodes."""
+    return PoolAggregation.apply(x, plan)
 

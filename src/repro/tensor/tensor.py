@@ -58,28 +58,6 @@ def no_grad() -> Iterator[None]:
         _set_grad_enabled(prev)
 
 
-@contextmanager
-def enable_grad() -> Iterator[None]:
-    """Context manager that re-enables autograd recording inside ``no_grad``."""
-    prev = grad_enabled()
-    _set_grad_enabled(True)
-    try:
-        yield
-    finally:
-        _set_grad_enabled(prev)
-
-
-def _as_array(value: Any, dtype=None) -> np.ndarray:
-    if isinstance(value, Tensor):
-        return value.data
-    arr = np.asarray(value)
-    if dtype is not None:
-        arr = arr.astype(dtype, copy=False)
-    elif arr.dtype == np.float64:
-        arr = arr.astype(DEFAULT_DTYPE)
-    return arr
-
-
 class Tensor:
     """A dense array node in the autograd graph.
 
@@ -292,25 +270,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return self._ops().sub(self, other)
-
-    def __rsub__(self, other):
-        return self._ops().sub(other, self)
-
     def __mul__(self, other):
         return self._ops().mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._ops().div(self, other)
-
-    def __rtruediv__(self, other):
-        return self._ops().div(other, self)
-
-    def __neg__(self):
-        return self._ops().neg(self)
 
     def __pow__(self, exponent):
         return self._ops().pow(self, exponent)
@@ -328,35 +291,10 @@ class Tensor:
     def sum(self, axis=None, keepdims: bool = False):
         return self._ops().sum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        return self._ops().mean(self, axis=axis, keepdims=keepdims)
-
-    def max(self, axis=None, keepdims: bool = False):
-        return self._ops().max(self, axis=axis, keepdims=keepdims)
-
-    def min(self, axis=None, keepdims: bool = False):
-        return self._ops().min(self, axis=axis, keepdims=keepdims)
-
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return self._ops().reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return self._ops().transpose(self, axes)
-
-    @property
-    def T(self):
-        return self.transpose()
-
-    def exp(self):
-        return self._ops().exp(self)
-
-    def log(self):
-        return self._ops().log(self)
-
-    def sqrt(self):
-        return self._ops().sqrt(self)
 
 
 class Function:
@@ -517,22 +455,3 @@ def _topological_order(root: "Function") -> List[Union["Function", Tensor]]:
                 stack.append((parent, False))
     order.reverse()
     return order
-
-
-# --------------------------------------------------------------------------- #
-# convenience constructors
-# --------------------------------------------------------------------------- #
-def zeros(shape: Sequence[int] | int, requires_grad: bool = False, dtype=DEFAULT_DTYPE) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def ones(shape: Sequence[int] | int, requires_grad: bool = False, dtype=DEFAULT_DTYPE) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def zeros_like(t: Tensor, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros_like(t.data), requires_grad=requires_grad)
-
-
-def ones_like(t: Tensor, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones_like(t.data), requires_grad=requires_grad)

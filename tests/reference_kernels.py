@@ -14,8 +14,9 @@ run on them.  :class:`ReferenceRowCache` is the row-at-a-time twin of
 order-preserving relabel :func:`~repro.graph.mfg.compact_block` replaced.
 :func:`unfused_epilogue` is the inter-layer chain
 :func:`~repro.nn.norm.layer_epilogue` runs as one node — BatchNorm, then
-``F.relu`` / ``F.elu``, then ``F.dropout``, each its own node — and
-:func:`unfused` makes a model run it.
+:func:`relu` / :func:`elu`, then :func:`dropout`, each its own node — and
+:func:`unfused` makes a model run it.  :func:`mean` is the loss reduction
+the tests build from the ops the library keeps.
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.store import FeatureStore
-from repro.tensor import functional as F
 from repro.tensor.tensor import Function, Tensor
 from repro.utils.lru import LRUDict
+from repro.utils.seed import get_rng
 
 _TINY = np.finfo(np.float32).tiny
+#: GAT's LeakyReLU slope
+_SLOPE = 0.2
 
 
 def segment_sum_np(values: np.ndarray, segment_ids: np.ndarray,
@@ -70,16 +73,6 @@ def segment_max_np(values: np.ndarray, segment_ids: np.ndarray, num_segments: in
     return out
 
 
-def segment_min_np(values: np.ndarray, segment_ids: np.ndarray, num_segments: int,
-                   initial: float = np.inf) -> np.ndarray:
-    """Min-reduce ``values`` per segment (``initial`` fills empty segments and
-    clamps every result from above)."""
-    values = np.asarray(values)
-    out = np.full((num_segments,) + values.shape[1:], initial, dtype=values.dtype)
-    np.minimum.at(out, segment_ids, values)
-    return out
-
-
 def edge_softmax_np(scores: np.ndarray, dst: np.ndarray, num_dst: int) -> np.ndarray:
     """Numerically-stable softmax of per-edge scores grouped by destination."""
     maxes = segment_max_np(scores, dst, num_dst, initial=-np.inf)
@@ -105,11 +98,10 @@ def u_mul_e_sum_np(x: np.ndarray, w: np.ndarray, src: np.ndarray, dst: np.ndarra
 
 
 def fused_gat_forward_np(z: np.ndarray, score_dst: np.ndarray, score_src: np.ndarray,
-                         src: np.ndarray, dst: np.ndarray, num_nodes: int,
-                         negative_slope: float) -> np.ndarray:
+                         src: np.ndarray, dst: np.ndarray, num_nodes: int) -> np.ndarray:
     """Single-pass attention aggregation (no per-edge tensor survives the call)."""
     raw = score_dst[dst] + score_src[src]
-    logits = np.where(raw > 0, raw, negative_slope * raw)
+    logits = np.where(raw > 0, raw, _SLOPE * raw)
     maxes = segment_max_np(logits, dst, num_nodes)
     maxes = np.where(np.isfinite(maxes), maxes, 0.0)
     weights = np.exp(logits - maxes[dst])
@@ -119,11 +111,10 @@ def fused_gat_forward_np(z: np.ndarray, score_dst: np.ndarray, score_src: np.nda
 
 def fused_gat_backward_np(grad_out: np.ndarray, z: np.ndarray, score_dst: np.ndarray,
                           score_src: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                          num_nodes: int, negative_slope: float
-                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                          num_nodes: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Recompute attention coefficients and backpropagate through the aggregation."""
     raw = score_dst[dst] + score_src[src]
-    logits = np.where(raw > 0, raw, negative_slope * raw)
+    logits = np.where(raw > 0, raw, _SLOPE * raw)
     maxes = segment_max_np(logits, dst, num_nodes)
     maxes = np.where(np.isfinite(maxes), maxes, 0.0)
     weights = np.exp(logits - maxes[dst])
@@ -136,7 +127,7 @@ def fused_gat_backward_np(grad_out: np.ndarray, z: np.ndarray, score_dst: np.nda
     grad_alpha = np.einsum("ehd,ehd->eh", z[src], grad_out[dst])
     weighted = segment_sum_np(alpha * grad_alpha, dst, num_nodes)
     grad_logits = alpha * (grad_alpha - weighted[dst])
-    grad_raw = np.where(raw > 0, grad_logits, negative_slope * grad_logits)
+    grad_raw = np.where(raw > 0, grad_logits, _SLOPE * grad_logits)
     # Source rows are counted separately: on a compacted MFG block the
     # source row space is larger than the destination row space.
     grad_score_dst = segment_sum_np(grad_raw, dst, num_nodes).astype(score_dst.dtype)
@@ -165,16 +156,14 @@ def sage_reference_forward(graph, x, w_neigh, w_self, bias=None,
     """Plain-NumPy GraphSAGE layer (``x·W_self + AGG(x·W_neigh) + b``)."""
     x = x.data if isinstance(x, Tensor) else x
     z = x @ (w_neigh.data if isinstance(w_neigh, Tensor) else w_neigh)
-    if aggregator in ("max", "min"):
-        reduce = segment_max_np if aggregator == "max" else segment_min_np
-        agg = reduce(z[graph.src], graph.dst, graph.num_nodes)
+    if aggregator == "max":
+        agg = segment_max_np(z[graph.src], graph.dst, graph.num_nodes)
         agg = np.where(np.isfinite(agg), agg, 0.0).astype(z.dtype, copy=False)
     else:
         agg = np.zeros_like(z)
         np.add.at(agg, graph.dst, z[graph.src])
-        if aggregator == "mean":
-            deg = np.maximum(graph.in_degrees(), 1).astype(z.dtype)
-            agg = agg / deg[:, None]
+        deg = np.maximum(graph.in_degrees(), 1).astype(z.dtype)
+        agg = agg / deg[:, None]
     out = x @ (w_self.data if isinstance(w_self, Tensor) else w_self) + agg
     if bias is not None:
         out = out + (bias.data if isinstance(bias, Tensor) else bias)
@@ -185,27 +174,24 @@ def sage_reference_forward(graph, x, w_neigh, w_self, bias=None,
 # the aggregation protocol over the naive kernels
 # --------------------------------------------------------------------------- #
 class _NaiveAggregate(Function):
-    """Sum / mean / max / min over in-edges; the backward scatters with
-    ``np.add.at`` (pooling: to every source attaining the extremum)."""
+    """Mean / max over in-edges; the backward scatters with ``np.add.at``
+    (pooling: to every source attaining the maximum)."""
 
     def forward(self, z: Tensor, src, dst, num_dst: int, op: str) -> np.ndarray:
         data = z.data
-        if op in ("max", "min"):
-            reduce = segment_max_np if op == "max" else segment_min_np
-            out = reduce(data[src], dst, num_dst)
+        counts = None
+        if op == "max":
+            out = segment_max_np(data[src], dst, num_dst)
             out = np.where(np.isfinite(out), out, 0.0).astype(data.dtype, copy=False)
         else:
-            out = segment_sum_np(data[src], dst, num_dst)
-        counts = np.ones(num_dst, dtype=data.dtype)
-        if op == "mean":
             counts = np.maximum(np.bincount(dst, minlength=num_dst), 1).astype(data.dtype)
-            out = out / counts[:, None]
+            out = segment_sum_np(data[src], dst, num_dst) / counts[:, None]
         self.save_for_backward(data, src, dst, out, op, counts)
         return out
 
     def backward(self, grad_out):
         data, src, dst, out, op, counts = self.saved
-        if op in ("max", "min"):
+        if op == "max":
             contrib = np.where(data[src] == out[dst], grad_out[dst], 0.0)
         else:
             contrib = (grad_out / counts[:, None])[dst]
@@ -219,11 +205,10 @@ class _NaiveAttention(Function):
     :func:`fused_gat_backward_np`."""
 
     def forward(self, z: Tensor, score_dst: Tensor, score_src: Tensor, src, dst,
-                num_dst: int, negative_slope: float) -> np.ndarray:
-        self.save_for_backward(z.data, score_dst.data, score_src.data, src, dst,
-                               num_dst, negative_slope)
+                num_dst: int) -> np.ndarray:
+        self.save_for_backward(z.data, score_dst.data, score_src.data, src, dst, num_dst)
         return fused_gat_forward_np(z.data, score_dst.data, score_src.data, src, dst,
-                                    num_dst, negative_slope)
+                                    num_dst)
 
     def backward(self, grad_out):
         return fused_gat_backward_np(grad_out, *self.saved)
@@ -246,9 +231,9 @@ class ReferenceGraph:
         return _NaiveAggregate.apply(z, self.src, self.dst, self.num_dst, op)
 
     def gat_aggregate(self, z: Tensor, score_dst: Tensor, score_src: Tensor,
-                      negative_slope: float = 0.2, fused: bool = False) -> Tensor:
+                      fused: bool = False) -> Tensor:
         return _NaiveAttention.apply(z, self.gather_dst(score_dst), score_src,
-                                     self.src, self.dst, self.num_dst, negative_slope)
+                                     self.src, self.dst, self.num_dst)
 
 
 class ReferenceRowCache:
@@ -397,6 +382,78 @@ class BatchNormReference(Function):
                 dbeta.astype(gamma.dtype, copy=False))
 
 
+# --------------------------------------------------------------------------- #
+# ops the tensor library does not carry: the unfused epilogue chain's nodes
+# and the mean the tests build their losses with
+# --------------------------------------------------------------------------- #
+def mean(t: Tensor) -> Tensor:
+    """The mean of every entry, as ``Mul`` by ``1 / size`` then ``Sum``: its
+    gradient is ``1 / size`` everywhere, the bits a dedicated mean op gives."""
+    return (t * (1.0 / t.size)).sum()
+
+
+class ReLU(Function):
+    def forward(self, a: Tensor) -> np.ndarray:
+        mask = a.data > 0
+        self.save_for_backward(mask)
+        return a.data * mask
+
+    def backward(self, grad_out):
+        (mask,) = self.saved
+        return (grad_out * mask,)
+
+
+class ELU(Function):
+    """``x`` where ``x > 0``, ``eˣ − 1`` elsewhere (alpha 1, GAT's).
+
+    The negative branch ``neg`` is exactly ``+0`` wherever ``x > 0`` and
+    ``neg + 1`` exactly ``1`` there, so ``max(x, 0) + neg`` and
+    ``grad_out * (neg + 1)`` are the selects bit for bit.
+    """
+
+    def forward(self, a: Tensor) -> np.ndarray:
+        x = a.data
+        neg = np.exp(np.minimum(x, 0.0)) - 1.0
+        self.save_for_backward(neg)
+        return np.maximum(x, 0.0) + neg
+
+    def backward(self, grad_out):
+        (neg,) = self.saved
+        return (grad_out * (neg + 1.0),)
+
+
+class Dropout(Function):
+    """Training-mode inverted dropout: kept units scale by ``1 / (1 - p)``;
+    the keep mask is drawn from :func:`~repro.utils.seed.get_rng`."""
+
+    def forward(self, a: Tensor, p: float) -> np.ndarray:
+        if p == 0.0:
+            self.save_for_backward(None)
+            return a.data
+        keep = 1.0 - p
+        mask = (get_rng().random(a.shape) < keep).astype(a.data.dtype) / keep
+        self.save_for_backward(mask)
+        return a.data * mask
+
+    def backward(self, grad_out):
+        (mask,) = self.saved
+        if mask is None:
+            return (grad_out,)
+        return (grad_out * mask,)
+
+
+def relu(a: Tensor) -> Tensor:
+    return ReLU.apply(a)
+
+
+def elu(a: Tensor) -> Tensor:
+    return ELU.apply(a)
+
+
+def dropout(a: Tensor, p: float) -> Tensor:
+    return Dropout.apply(a, p)
+
+
 def unfused_epilogue(x: Tensor, norm=None, activation=None, p: float = 0.0) -> Tensor:
     """:func:`~repro.nn.norm.layer_epilogue`'s chain, one node per step.
 
@@ -418,10 +475,10 @@ def unfused_epilogue(x: Tensor, norm=None, activation=None, p: float = 0.0) -> T
                            .astype(x.dtype))
             x = x * scale + shift
     if activation == "relu":
-        x = F.relu(x)
+        x = relu(x)
     elif activation == "elu":
-        x = F.elu(x)
-    return F.dropout(x, p, training=True)
+        x = elu(x)
+    return dropout(x, p)
 
 
 def unfused(model):

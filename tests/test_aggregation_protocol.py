@@ -99,7 +99,7 @@ def test_rgcn_forms_the_relation_weights_once(sbm_graph, rng):
         out = None
         for index, relation in enumerate(layer.relation_names):
             w_r = ops.slice_(layer.coefficients @ layer.basis, index).reshape(6, 5)
-            term = neighbor_aggregate(x @ w_r, hetero.relation_plan(relation), op="mean")
+            term = neighbor_aggregate(x @ w_r, hetero.relation_plan(relation))
             out = term if out is None else out + term
         return out + layer.self_linear(x) + layer.bias
 

@@ -48,7 +48,7 @@ from repro.utils.seed import set_seed
 
 #: per-worker serving telemetry keys (CommStats.serving_snapshot()).
 _COMM_KEYS = {
-    "halo_bytes_sent", "halo_bytes_received",
+    "halo_bytes_received",
     "frontier_bytes_sent", "frontier_bytes_received",
     "cache_hit_rows", "cache_miss_rows", "cache_hit_bytes",
 }

@@ -15,6 +15,7 @@ from repro.distributed import (
     run_distributed,
 )
 from repro.distributed.comm import CommStats
+from repro.distributed.mp_backend import MultiprocessServiceCluster
 from repro.distributed.plane import ArenaCommunicator, SharedPlane, WorkerFailedError
 from repro.distributed.thread_backend import ThreadServiceCluster
 from repro.tensor import Tensor
@@ -271,6 +272,16 @@ class TestFailureHandling:
             run_distributed(worker, 3, timeout_s=20)
         cause = excinfo.value.__cause__
         assert isinstance(cause, ValueError) and cause.__traceback__ is not None
+
+    @pytest.mark.parametrize("cluster_cls", [ThreadServiceCluster, MultiprocessServiceCluster],
+                             ids=["threads", "processes"])
+    @pytest.mark.parametrize("world_size", [0, -1])
+    def test_a_cluster_without_ranks_does_not_start(self, cluster_cls, world_size):
+        """Both drivers map their data plane first, and the plane rejects a
+        world size below 1: nothing is forked or spawned."""
+        cluster = cluster_cls(lambda rank, comm: (lambda kind, payload: rank), world_size)
+        with pytest.raises(ValueError, match=f"world_size must be >= 1, got {world_size}"):
+            cluster.start()
 
     def test_service_request_raises_the_root_cause(self):
         """Rank 1 raises while rank 0 waits for it: the caller gets rank 1's

@@ -2,8 +2,8 @@
 
 :func:`~repro.nn.norm.layer_epilogue` runs BatchNorm → ReLU / ELU → dropout
 as one node.  The oracle is that chain as separate nodes
-(``tests/reference_kernels.py``: ``BatchNormReference``, ``F.relu`` /
-``F.elu``, ``F.dropout``).  Outputs, every parameter and input gradient and
+(``tests/reference_kernels.py``: ``BatchNormReference``, ``relu`` /
+``elu``, ``dropout``).  Outputs, every parameter and input gradient and
 the running statistics must match bit for bit, signed zeros included — on
 the op itself, on every model, in train and eval mode, on one machine and
 under SAR and domain parallelism at world 2 — at dropout 0 and 0.5 (the
@@ -21,9 +21,12 @@ from repro.core.config import DOMAIN_PARALLEL, SAR
 from repro.core.dist_graph import DistributedGraph
 from repro.datasets import make_hetero_sbm_dataset
 from repro.distributed.cluster import run_distributed
+from repro.graph import build_mfg_pipeline
 from repro.nn.models import GATNet, GraphSageNet, RGCNNet
 from repro.nn.norm import DistributedBatchNorm, Epilogue, layer_epilogue
-from repro.tensor import Tensor, no_grad
+from repro.tensor import Tensor, check_gradients, no_grad
+from repro.tensor import functional as F
+from repro.tensor.tensor import Function
 from repro.training.trainer import DistributedTrainer
 from repro.utils.seed import derive_rng, thread_rng
 
@@ -122,6 +125,139 @@ def test_relu_without_norm_keeps_only_its_sign_bits():
     assert [a.nbytes for a in arrays] == [x.data.size // 8]
 
 
+def test_elu_matches_the_select_bit_for_bit():
+    """The ELU epilogue's forward and backward equal ``np.where(x > 0, ...)``
+    exactly, signed zeros, infinities and subnormals included."""
+    rng = np.random.default_rng(0)
+    dtype = np.float32
+    info = np.finfo(dtype)
+    special = [0.0, -0.0, np.inf, -np.inf, info.smallest_subnormal,
+               -info.smallest_subnormal, info.tiny / 4, -info.tiny / 4, info.max, -info.max]
+    x_data = np.concatenate([special, rng.standard_normal(500)]).astype(dtype)
+    grad = np.concatenate([[1.0, -1.0, -0.0, 0.0, np.inf, -1.0, 2.0, -2.0, 1.0, -0.0],
+                           rng.standard_normal(500)]).astype(dtype)
+    x = Tensor(x_data, requires_grad=True, dtype=dtype)
+    out = layer_epilogue(x, None, "elu")
+    out.backward(grad)
+    mask = x_data > 0
+    neg = np.exp(np.minimum(x_data, 0.0)) - 1.0
+    for got, want in ((out.data, np.where(mask, x_data, neg)),
+                      (x.grad, np.where(mask, grad, grad * (neg + 1.0)))):
+        assert got.dtype == want.dtype == dtype
+        assert_bits(got, want)
+
+
+# --------------------------------------------------------------------------- #
+# what the op computes: activations, dropout and gradients
+# --------------------------------------------------------------------------- #
+def _away_from_zero(rows, cols, seed=0):
+    """Inputs no central difference straddles ReLU's or ELU's kink with."""
+    x = np.random.default_rng(seed).standard_normal((rows, cols)).astype(np.float32)
+    x[np.abs(x) < 0.05] = 0.3
+    return x
+
+
+def _norm(mode, num_features):
+    """``None``, or a BatchNorm in train / eval mode with non-trivial parameters."""
+    if mode is None:
+        return None
+    module = DistributedBatchNorm(num_features)
+    module.gamma.data[:] = np.linspace(0.5, 1.5, num_features, dtype=np.float32)
+    module.beta.data[:] = np.linspace(-0.3, 0.3, num_features, dtype=np.float32)
+    module.set_buffer("running_mean", np.linspace(-0.2, 0.3, num_features, dtype=np.float32))
+    module.set_buffer("running_var", np.linspace(0.5, 2.0, num_features, dtype=np.float32))
+    module.train(mode == "train")
+    return module
+
+
+def test_relu_is_the_positive_part():
+    x = Tensor(np.array([-1.0, 0.0, 2.0, -3.5, 0.25], dtype=np.float32))
+    np.testing.assert_array_equal(layer_epilogue(x, None, "relu").data,
+                                  [0.0, 0.0, 2.0, 0.0, 0.25])
+
+
+def test_relu_gradient_is_zero_at_and_below_zero():
+    x = Tensor(np.array([-2.0, -0.0, 0.0, 3.0], dtype=np.float32), requires_grad=True)
+    layer_epilogue(x, None, "relu").backward(np.ones(4, dtype=np.float32))
+    np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 1.0])
+
+
+def test_elu_is_continuous_at_zero():
+    out = layer_epilogue(Tensor(np.array([-1e-4, 1e-4], dtype=np.float32)), None, "elu").data
+    assert abs(out[0] - out[1]) < 1e-3
+
+
+def test_elu_saturates_at_minus_one():
+    out = layer_epilogue(Tensor(np.array([-50.0, -1.0], dtype=np.float32)), None, "elu").data
+    assert np.isclose(out[0], -1.0, atol=1e-6)
+    assert np.isclose(out[1], np.exp(-1.0) - 1.0, rtol=1e-6)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5])
+@pytest.mark.parametrize("activation", [None, "relu", "elu"])
+@pytest.mark.parametrize("norm", [None, "train", "eval"])
+def test_gradients_match_finite_differences(norm, activation, p):
+    """The op's own backward against central differences of its forward,
+    for the input and, under batch statistics, for ``gamma`` and ``beta``
+    (the dropout mask is redrawn from one seed on every evaluation)."""
+    x = Tensor(_away_from_zero(12, 4), requires_grad=True)
+    module = _norm(norm, 4)
+    weights = Tensor(np.random.default_rng(5).standard_normal((12, 4)).astype(np.float32))
+
+    def loss():
+        with thread_rng(np.random.default_rng(7)):
+            return (layer_epilogue(x, module, activation, p) * weights).sum()
+
+    wrt = [x] + ([module.gamma, module.beta] if norm == "train" else [])
+    check_gradients(loss, wrt)
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+def test_dropout_keeps_one_minus_p_and_scales_by_its_inverse(p):
+    x = Tensor(np.ones((2000, 10), dtype=np.float32))
+    with thread_rng(np.random.default_rng(0)):
+        out = layer_epilogue(x, None, None, p).data
+    kept = out[out != 0]
+    np.testing.assert_allclose(kept, np.float32(1.0) / np.float32(1.0 - p), rtol=1e-6)
+    assert abs((out != 0).mean() - (1.0 - p)) < 0.02
+
+
+@pytest.mark.parametrize("activation", [None, "relu", "elu"])
+def test_dropout_backward_uses_the_forward_mask(activation):
+    x = Tensor(np.ones((50, 4), dtype=np.float32), requires_grad=True)
+    with thread_rng(np.random.default_rng(3)):
+        out = layer_epilogue(x, None, activation, 0.5)
+    out.backward(np.ones_like(out.data))
+    np.testing.assert_array_equal(x.grad != 0, out.data != 0)
+    np.testing.assert_array_equal(x.grad[x.grad != 0], 2.0)
+
+
+def test_zero_probability_is_the_identity_and_draws_nothing():
+    x = Tensor(_adversarial(20, 5))
+    rng = np.random.default_rng(11)
+    state = rng.bit_generator.state
+    with thread_rng(rng):
+        out = layer_epilogue(x, None, None, 0.0)
+    assert_bits(out.data, x.data)
+    assert rng.bit_generator.state == state
+
+
+def test_dropout_mask_comes_from_the_thread_rng():
+    x = Tensor(np.ones((40, 6), dtype=np.float32))
+    outs = []
+    for seed in (1, 1, 2):
+        with thread_rng(np.random.default_rng(seed)):
+            outs.append(layer_epilogue(x, None, "relu", 0.5).data)
+    np.testing.assert_array_equal(outs[0], outs[1])
+    assert not np.array_equal(outs[0], outs[2])
+
+
+@pytest.mark.parametrize("dropout", [-0.1, 1.5])
+def test_models_reject_a_dropout_outside_the_unit_interval(small_dataset, dropout):
+    with pytest.raises(ValueError, match="dropout probability"):
+        _model("sage-mean", small_dataset, dropout)
+
+
 # --------------------------------------------------------------------------- #
 # every model, one machine
 # --------------------------------------------------------------------------- #
@@ -181,6 +317,73 @@ def test_models_match_the_unfused_chain(small_dataset, kind, dropout, use_batch_
         passes = [_model_pass(m, dataset.graph, features, np.random.default_rng(4), train)
                   for m in (model, reference)]
         assert_passes_equal(*passes)
+
+
+def _tag_nodes_by_layer(model, monkeypatch):
+    """Tag every autograd node with where the forward created it:
+    ``("conv", i)`` inside conv layer ``i``, ``("after", i)`` once it returned."""
+    where = [("before",)]
+    run = Function.run
+
+    def tagged_run(fn, *args, **kwargs):
+        fn.created_at = where[0]
+        return run(fn, *args, **kwargs)
+
+    monkeypatch.setattr(Function, "run", tagged_run)
+    for index, conv in enumerate(model.convs):
+        def forward(graph, x, index=index, inner=conv.forward):
+            where[0] = ("conv", index)
+            out = inner(graph, x)
+            where[0] = ("after", index)
+            return out
+        monkeypatch.setattr(conv, "forward", forward)
+
+
+def _graph_nodes(loss):
+    """Every ``Function`` of ``loss``'s autograd graph."""
+    nodes, stack = {}, [loss._ctx]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Function) and id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(parent for parent in node.parents if parent is not None)
+    return list(nodes.values())
+
+
+@pytest.mark.parametrize("on_mfg", [False, True], ids=["graph", "mfg"])
+@pytest.mark.parametrize("kind", ["sage-mean", "sage-max", "gat", "gat-fused"])
+def test_a_training_step_runs_one_epilogue_node_between_convs(small_dataset, monkeypatch,
+                                                              kind, on_mfg):
+    """In a training step's autograd graph, the only node between two conv
+    layers is one :class:`Epilogue`: its input is the earlier conv's output
+    and it is the only node of the earlier layers the next conv reads.  An
+    unfused chain (separate norm, activation or dropout nodes) fails this."""
+    dataset = small_dataset
+    model = _model(kind, dataset, dropout=0.5).train()
+    _tag_nodes_by_layer(model, monkeypatch)
+    seeds = dataset.train_indices()
+    graph = dataset.graph
+    features = dataset.features
+    if on_mfg:
+        graph = build_mfg_pipeline(graph, seeds, model.num_layers)
+        features = graph.gather_inputs(features)
+    with thread_rng(np.random.default_rng(0)):
+        logits = model(graph, Tensor(features))
+    if not on_mfg:
+        logits = logits[seeds]
+    loss = F.cross_entropy(logits, dataset.labels[seeds])
+    nodes = _graph_nodes(loss)
+    for index in range(model.num_layers - 1):
+        between = [node for node in nodes if node.created_at == ("after", index)]
+        assert [type(node) for node in between] == [Epilogue]
+        epilogue = between[0]
+        assert epilogue.parents[0].created_at == ("conv", index)
+        read = {id(parent) for node in nodes if node.created_at == ("conv", index + 1)
+                for parent in node.parents
+                if isinstance(parent, Function) and parent.created_at != ("conv", index + 1)}
+        assert read == {id(epilogue)}
+    loss.backward()
+    assert all(param.grad is not None for param in model.parameters())
 
 
 # --------------------------------------------------------------------------- #

@@ -3,16 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tensor import (
-    Tensor,
-    no_grad,
-    enable_grad,
-    grad_enabled,
-    zeros,
-    ones,
-    zeros_like,
-    ones_like,
-)
+from repro.tensor import Tensor, grad_enabled, no_grad
 from repro.tensor import functional as F
 
 
@@ -30,13 +21,14 @@ class TestGraphRecording:
         assert not out.requires_grad
         assert out._ctx is None
 
-    def test_enable_grad_inside_no_grad(self):
+    def test_nested_no_grad_restores_the_outer_state(self):
         a = Tensor(np.ones(3), requires_grad=True)
         with no_grad():
+            with no_grad():
+                assert not grad_enabled()
             assert not grad_enabled()
-            with enable_grad():
-                out = a * 2.0
-        assert out.requires_grad
+        assert grad_enabled()
+        assert (a * 2.0).requires_grad
 
     def test_detach_breaks_graph(self):
         a = Tensor(np.ones(3), requires_grad=True)
@@ -136,7 +128,7 @@ class TestBackward:
     def test_mixed_graph_with_functional_ops(self):
         x = Tensor(np.random.randn(4, 3).astype(np.float32), requires_grad=True)
         w = Tensor(np.random.randn(3, 2).astype(np.float32), requires_grad=True)
-        loss = F.cross_entropy(F.relu(x @ w), np.array([0, 1, 0, 1]))
+        loss = F.cross_entropy((x @ w) ** 2, np.array([0, 1, 0, 1]))
         loss.backward()
         assert x.grad is not None and w.grad is not None
         assert np.all(np.isfinite(x.grad)) and np.all(np.isfinite(w.grad))
@@ -150,13 +142,6 @@ class TestTensorBasics:
     def test_integer_data_preserved(self):
         t = Tensor(np.arange(3))
         assert np.issubdtype(t.dtype, np.integer)
-
-    def test_constructors(self):
-        assert zeros((2, 3)).shape == (2, 3)
-        assert ones(4).data.sum() == 4
-        base = Tensor(np.ones((2, 2)))
-        assert zeros_like(base).data.sum() == 0
-        assert ones_like(base).data.sum() == 4
 
     def test_zero_grad(self):
         x = Tensor(np.ones(3), requires_grad=True)

@@ -1,107 +1,14 @@
-"""Unit tests for activations, dropout and the cross-entropy loss."""
+"""Unit tests for the cross-entropy loss."""
 
 import numpy as np
 import pytest
 
 from repro.tensor import Tensor, check_gradients
 from repro.tensor import functional as F
-from repro.utils.seed import set_seed
 
 
 def _t(shape, rng, scale=1.0):
     return Tensor(scale * rng.standard_normal(shape).astype(np.float32), requires_grad=True)
-
-
-class TestActivations:
-    def test_relu_forward(self):
-        x = Tensor(np.array([-1.0, 0.0, 2.0], dtype=np.float32))
-        np.testing.assert_allclose(F.relu(x).data, [0.0, 0.0, 2.0])
-
-    def test_relu_gradients(self, rng):
-        x = _t((4, 3), rng)
-        check_gradients(lambda: (F.relu(x) ** 2).sum(), [x])
-
-    def test_elu_continuity_at_zero(self):
-        x = Tensor(np.array([-1e-4, 1e-4], dtype=np.float32))
-        out = F.elu(x).data
-        assert abs(out[0] - out[1]) < 1e-3
-
-    def test_elu_gradients(self, rng):
-        x = _t((8,), rng)
-        check_gradients(lambda: (F.elu(x) ** 2).sum(), [x])
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("alpha", [1.0, 0.5, 2.0])
-    def test_elu_matches_the_select_reference_bit_for_bit(self, rng, dtype, alpha):
-        """Forward and backward equal ``np.where(x > 0, ...)`` exactly,
-        signed zeros, infinities and subnormals included."""
-        info = np.finfo(dtype)
-        special = [0.0, -0.0, np.inf, -np.inf, info.smallest_subnormal,
-                   -info.smallest_subnormal, info.tiny / 4, -info.tiny / 4, info.max, -info.max]
-        x = np.concatenate([special, rng.standard_normal(500)]).astype(dtype)
-        grad = np.concatenate([[1.0, -1.0, -0.0, 0.0, np.inf, -1.0, 2.0, -2.0, 1.0, -0.0],
-                               rng.standard_normal(500)]).astype(dtype)
-        fn = F.ELU()
-        fn.needs_grad = True
-        out = fn.forward(Tensor(x, dtype=dtype), alpha)
-        (got_grad,) = fn.backward(grad)
-        mask = x > 0
-        neg = alpha * (np.exp(np.minimum(x, 0.0)) - 1.0)
-        for got, want in ((out, np.where(mask, x, neg)),
-                          (got_grad, np.where(mask, grad, grad * (neg + alpha)))):
-            assert got.dtype == want.dtype == dtype
-            np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-
-    @pytest.mark.parametrize("alpha", [0.5, 2.0])
-    def test_elu_gradients_any_alpha(self, rng, alpha):
-        x = _t((8,), rng)
-        check_gradients(lambda: (F.elu(x, alpha) ** 2).sum(), [x])
-
-    def test_relu_gradient_is_zero_at_and_below_zero(self):
-        x = Tensor(np.array([-2.0, -0.0, 0.0, 3.0], dtype=np.float32), requires_grad=True)
-        F.relu(x).sum().backward()
-        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 1.0])
-
-    @pytest.mark.parametrize("alpha", [1.0, 0.5])
-    def test_elu_saturates_at_minus_alpha(self, alpha):
-        x = Tensor(np.array([-50.0, -1.0], dtype=np.float32))
-        out = F.elu(x, alpha).data
-        assert np.isclose(out[0], -alpha, atol=1e-6)
-        assert np.isclose(out[1], alpha * (np.exp(-1.0) - 1.0), rtol=1e-6)
-
-
-class TestDropout:
-    def test_eval_mode_is_identity(self, rng):
-        x = _t((20, 10), rng)
-        out = F.dropout(x, 0.5, training=False)
-        np.testing.assert_array_equal(out.data, x.data)
-
-    def test_training_scales_kept_units(self):
-        set_seed(0)
-        x = Tensor(np.ones((2000, 10), dtype=np.float32))
-        out = F.dropout(x, 0.5, training=True).data
-        kept = out[out != 0]
-        np.testing.assert_allclose(kept, 2.0)
-        # roughly half are kept
-        assert 0.4 < (out != 0).mean() < 0.6
-
-    def test_zero_probability_is_identity(self, rng):
-        x = _t((4, 4), rng)
-        np.testing.assert_array_equal(F.dropout(x, 0.0, training=True).data, x.data)
-
-    def test_invalid_probability_raises(self, rng):
-        x = _t((2, 2), rng)
-        with pytest.raises(ValueError):
-            F.dropout(x, 1.5, training=True)
-
-    def test_gradient_uses_same_mask(self):
-        set_seed(3)
-        x = Tensor(np.ones((50, 4), dtype=np.float32), requires_grad=True)
-        out = F.dropout(x, 0.5, training=True)
-        mask = (out.data != 0)
-        out.sum().backward()
-        np.testing.assert_allclose((x.grad != 0), mask)
 
 
 class TestCrossEntropy:
