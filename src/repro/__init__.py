@@ -8,7 +8,7 @@ The package is organized as:
 * :mod:`repro.graph`        — graph data structures, generators, message-flow graphs
 * :mod:`repro.partition`    — balanced k-way partitioning, partition book, per-worker shards
 * :mod:`repro.distributed`  — thread and multiprocess cluster drivers (``cluster.run_job``),
-                              communicator, cost model
+                              communicator, per-tag byte accounting
 * :mod:`repro.nn`           — GNN layers (GraphSage, GAT, fused-attention GAT, R-GCN) and models
 * :mod:`repro.core`         — SAR itself: the sequential-aggregation engine with pluggable
                               block kernels, distributed graph handles, rematerialized

@@ -1,4 +1,4 @@
-"""Distributed runtime: the communicator, its data plane, the job helper, the cost model.
+"""Distributed runtime: the communicator, its data plane, the job helper.
 
 Both cluster drivers run their ranks over one shared-memory data plane
 (:mod:`repro.distributed.plane`); the thread driver backs
@@ -10,15 +10,6 @@ Both cluster drivers run their ranks over one shared-memory data plane
 from repro.distributed.comm import Communicator, CommStats
 from repro.distributed.plane import ArenaCommunicator, WorkerFailedError
 from repro.distributed.cluster import ClusterRunResult, run_distributed
-from repro.distributed.cost_model import (
-    ClusterSpec,
-    EpochCostReport,
-    WorkerCost,
-    epoch_cost,
-    PAPER_LIKE_SPEC,
-    COMM_BOUND_SPEC,
-    PREFETCH_OVERLAP_TAGS,
-)
 
 __all__ = [
     "Communicator",
@@ -27,11 +18,4 @@ __all__ = [
     "WorkerFailedError",
     "ClusterRunResult",
     "run_distributed",
-    "ClusterSpec",
-    "EpochCostReport",
-    "WorkerCost",
-    "epoch_cost",
-    "PAPER_LIKE_SPEC",
-    "COMM_BOUND_SPEC",
-    "PREFETCH_OVERLAP_TAGS",
 ]

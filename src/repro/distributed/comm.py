@@ -19,9 +19,8 @@ All of them are written here, once, over five primitives that
 :class:`~repro.distributed.plane.ArenaCommunicator` implements over the
 shared-memory data plane both cluster drivers map (threads of one process
 and forked processes alike).  Every byte moved is recorded in
-:class:`CommStats`; the epoch-time cost model
-(:mod:`repro.distributed.cost_model`) converts volumes into modeled transfer
-times.
+:class:`CommStats`, per direction and per tag, and a cluster run's
+:class:`~repro.distributed.cluster.ClusterRunResult` sums them over ranks.
 """
 
 from __future__ import annotations
@@ -108,13 +107,6 @@ class CommStats:
     @property
     def total_bytes(self) -> int:
         return self.bytes_sent + self.bytes_received
-
-    def bytes_for_tags(self, tags) -> tuple:
-        """``(sent, received)`` byte totals summed over ``tags``."""
-        with self._lock:
-            sent = sum(self.sent_by_tag.get(tag, 0) for tag in tags)
-            received = sum(self.received_by_tag.get(tag, 0) for tag in tags)
-        return sent, received
 
     def snapshot(self) -> Dict[str, int]:
         # Counters are written from the worker's side threads (the prefetch

@@ -40,6 +40,9 @@ class _DeepGNN(Module):
             [DistributedBatchNorm(dim) for dim in norm_dims] if use_batch_norm else []
         )
         self.dropout = check_probability(dropout, "dropout probability")
+        if self.dropout == 1.0:
+            # Inverted dropout scales the kept activations by 1 / (1 - p).
+            raise ValueError("dropout probability must be below 1: at 1 no activation is kept")
         self.activation = activation
 
     def set_comm(self, comm) -> None:

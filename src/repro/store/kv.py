@@ -26,8 +26,8 @@ scatter, and the rows take at most ``cache_bytes``, plus a use log of about
 Cache hits, misses, and the bytes they kept off the wire are recorded both in
 the store's own counters (:meth:`stats`) and in the communicator's
 :class:`~repro.distributed.comm.CommStats` (``cache_hit_rows`` /
-``cache_miss_rows`` / ``cache_hit_bytes``), so the epoch cost model and the
-benchmarks see them next to the fetch volumes they reduce.
+``cache_miss_rows`` / ``cache_hit_bytes``), so the benchmarks see them next
+to the fetch volumes they reduce.
 """
 
 from __future__ import annotations

@@ -510,7 +510,7 @@ class _DistributedWorker(_EpochLoop):
         # b+1's sampling — its keyed, barrier-free ``sample_frontier``
         # allgathers included — runs on the loader's prefetch thread while
         # batch b computes, so its wire time hides behind the forward/backward
-        # pass (the cost model accounts it under ``SAMPLING_OVERLAP_TAGS``).
+        # pass; its bytes are booked under the ``sample_frontier`` tag.
         # Preparing the restriction builds barrier-based halo exchanges, so it
         # stays on this thread.
         batch_mask = np.zeros(graph.num_total_nodes, dtype=bool)

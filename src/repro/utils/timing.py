@@ -11,7 +11,7 @@ Two clocks are used throughout the library:
   workers make the same copies through the same data plane.  A worker's
   wall-clock time includes time spent blocked on the communicator and time
   taken by the other workers sharing the host's cores.  Thread CPU time
-  excludes both, which is what the epoch-time cost model needs.
+  excludes both: it is a rank's own compute (``ClusterRunResult.compute_times``).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Tests for the simulated cluster runtime: communicator, collectives, cost model."""
+"""Tests for the simulated cluster runtime: communicator, collectives, accounting."""
 
 import gc
 import os
@@ -9,13 +9,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.distributed import (
-    ClusterSpec,
-    epoch_cost,
-    run_distributed,
-)
+from repro.distributed import run_distributed
 from repro.distributed.comm import CommStats
-from repro.distributed.mp_backend import MultiprocessServiceCluster
+from repro.distributed.mp_backend import MultiprocessServiceCluster, run_multiprocess
 from repro.distributed.plane import ArenaCommunicator, SharedPlane, WorkerFailedError
 from repro.distributed.thread_backend import ThreadServiceCluster
 from repro.tensor import Tensor
@@ -83,7 +79,6 @@ class TestPointToPoint:
             assert stats.bytes_received == payload_bytes
             assert stats.received_by_tag["halo"] == payload_bytes
             assert stats.bytes_sent == 0 and stats.sent_by_tag == {}
-            assert stats.bytes_for_tags(["halo"]) == (0, payload_bytes)
         assert result.total_bytes_communicated == 2 * payload_bytes
 
     def test_unpublish_and_clear(self):
@@ -234,28 +229,6 @@ class TestKeyedCollectives:
             assert main == [sum(r + step for r in range(2)) for step in range(6)]
             assert rounds == [[step, 100 + step] for step in range(6)]
 
-    def test_sample_frontier_time_hidden_by_overlap_tags(self):
-        from repro.distributed.cost_model import SAMPLING_OVERLAP_TAGS
-
-        def worker(rank, comm):
-            comm.allgather_keyed("f/0", np.ones(4096, dtype=np.int64),
-                                 tag="sample_frontier")
-            x = np.random.randn(150, 150)
-            for _ in range(8):
-                x = x @ x.T
-                x /= np.abs(x).max()
-            comm.barrier()
-            comm.release_keyed("f/0")
-            return None
-
-        result = run_distributed(worker, 2)
-        spec = ClusterSpec(bandwidth_mbps=1.0, latency_s=0.0)
-        serial = epoch_cost(result, spec)
-        overlapped = epoch_cost(result, spec, overlap_tags=SAMPLING_OVERLAP_TAGS)
-        assert serial.hidden_comm_time_s == 0.0
-        assert overlapped.hidden_comm_time_s > 0.0
-        assert overlapped.epoch_time_s < serial.epoch_time_s
-
 
 class TestFailureHandling:
     def test_worker_exception_propagates_without_deadlock(self):
@@ -360,56 +333,74 @@ class TestMemoryAndTiming:
                 "total_comm_mb"} <= set(summary)
 
 
-class TestCostModel:
-    def _result(self, world_size=2):
+class TestMeasuredCosts:
+    """What a scaling row reads off a run: wire bytes, the slowest rank's
+    thread-CPU seconds and per-worker peaks, all measured, none modelled."""
+
+    @pytest.mark.parametrize("world_size", [2, 3, 4])
+    def test_wire_bytes_are_booked_once_by_each_reader(self, world_size):
         def worker(rank, comm):
-            local = Tensor(np.ones(1000, dtype=np.float32))
-            comm.publish("x", local.data)
-            comm.fetch((rank + 1) % comm.world_size, "x")
+            comm.publish("x", np.ones(1000, dtype=np.float32))
+            comm.fetch(rank, "x", tag="forward_halo")  # local: no wire bytes
+            comm.fetch((rank + 1) % comm.world_size, "x", tag="forward_halo")
             comm.barrier()
             return None
 
-        return run_distributed(worker, world_size)
+        result = run_distributed(worker, world_size)
+        assert result.total_bytes_communicated == world_size * 4000
+        assert result.total_received_by_tag() == {"forward_halo": world_size * 4000}
+        assert result.summary()["total_comm_mb"] == world_size * 4000 / 2**20
 
-    def test_epoch_cost_includes_compute_and_comm(self):
-        report = epoch_cost(self._result(), ClusterSpec(bandwidth_mbps=1.0, latency_s=0.0))
-        assert report.epoch_time_s >= report.comm_time_s > 0
+    def test_cluster_tag_totals_sum_the_ranks(self):
+        def worker(rank, comm):
+            comm.publish("x", np.ones(10 * (rank + 1), dtype=np.float32))
+            comm.fetch((rank + 1) % 2, "x", tag="forward_halo")
+            comm.allgather_keyed("f/0", np.ones(rank + 1, dtype=np.int64),
+                                 tag="sample_frontier")
+            comm.barrier()
+            comm.release_keyed("f/0")
+            return None
 
-    def test_lower_bandwidth_increases_modeled_time(self):
-        result = self._result()
-        fast = epoch_cost(result, ClusterSpec(bandwidth_mbps=10_000.0))
-        slow = epoch_cost(result, ClusterSpec(bandwidth_mbps=1.0))
-        assert slow.epoch_time_s > fast.epoch_time_s
+        result = run_distributed(worker, 2)
+        # Rank 0 reads rank 1's 20 floats and 2 ids; rank 1 reads 10 and 1.
+        assert [s.received_by_tag for s in result.comm_stats] == [
+            {"forward_halo": 80, "sample_frontier": 16},
+            {"forward_halo": 40, "sample_frontier": 8},
+        ]
+        assert result.total_received_by_tag() == {"forward_halo": 120, "sample_frontier": 24}
+        assert result.total_bytes_communicated == 144
 
-    def test_oom_flag(self):
-        result = self._result()
-        spec = ClusterSpec(memory_budget_mb=1e-9)
-        assert epoch_cost(result, spec).any_oom
-        assert not epoch_cost(result, ClusterSpec(memory_budget_mb=1e6)).any_oom
+    @pytest.mark.parametrize("run", [run_distributed, run_multiprocess],
+                             ids=["threads", "processes"])
+    def test_compute_times_exclude_blocked_waits(self, run):
+        """Rank 1 waits at the barrier while rank 0 sleeps: the wait costs
+        wall time on both ranks and thread-CPU time on neither."""
+        def worker(rank, comm):
+            if rank == 0:
+                time.sleep(0.5)
+            comm.barrier()
+            return None
 
-    def test_num_epochs_scales_down(self):
-        result = self._result()
-        one = epoch_cost(result, num_epochs=1)
-        two = epoch_cost(result, num_epochs=2)
-        assert two.epoch_time_s < one.epoch_time_s
+        start = time.perf_counter()
+        result = run(worker, 2)
+        assert time.perf_counter() - start >= 0.5
+        assert max(result.compute_times) < 0.25
 
-    def test_invalid_epochs(self):
-        with pytest.raises(ValueError):
-            epoch_cost(self._result(), num_epochs=0)
+    def test_slowest_rank_sets_max_compute_time(self):
+        def worker(rank, comm):
+            if rank == 0:
+                x = np.random.default_rng(0).standard_normal((300, 300))
+                for _ in range(20):
+                    x = x @ x.T
+                    x /= np.abs(x).max()
+            comm.barrier()
+            return None
 
-    def test_transfer_time_is_bandwidth_plus_latency(self):
-        spec = ClusterSpec(bandwidth_mbps=2.0, latency_s=0.01)
-        assert np.isclose(spec.transfer_time(4 * 1024 * 1024), 2.0)
-        assert np.isclose(spec.transfer_time(0, messages=3), 0.03)
-        assert np.isclose(spec.transfer_time(1024 * 1024, messages=1), 0.51)
-
-    def test_compute_scale_scales_compute_only(self):
-        result = self._result()
-        base = epoch_cost(result, ClusterSpec(compute_scale=1.0))
-        fast = epoch_cost(result, ClusterSpec(compute_scale=0.5))
-        for a, b in zip(base.workers, fast.workers):
-            assert np.isclose(b.compute_time_s, 0.5 * a.compute_time_s)
-            assert b.comm_time_s == a.comm_time_s
+        result = run_distributed(worker, 2)
+        assert result.compute_times[0] > result.compute_times[1]
+        assert result.max_compute_time == result.compute_times[0]
+        assert result.summary()["max_compute_time_s"] == result.compute_times[0]
+        assert result.max_peak_memory_mb == max(result.peak_memory_mb)
 
 
 class TestBlockingReads:

@@ -258,6 +258,13 @@ def test_models_reject_a_dropout_outside_the_unit_interval(small_dataset, dropou
         _model("sage-mean", small_dataset, dropout)
 
 
+@pytest.mark.parametrize("kind", ["sage-mean", "gat", "rgcn"])
+def test_models_reject_a_dropout_of_one(kind):
+    with pytest.raises(ValueError, match="dropout probability must be below 1"):
+        _model(kind, _hetero(), 1.0)
+    assert _model(kind, _hetero(), 0.999).dropout == 0.999
+
+
 # --------------------------------------------------------------------------- #
 # every model, one machine
 # --------------------------------------------------------------------------- #

@@ -5,8 +5,7 @@ adds: SAR ↔ vanilla-DP parity (outputs, gradients, communication volumes) for
 every kernel under ``prefetch=False`` and ``prefetch=True``, the max pooling
 aggregator (a genuine case-2 workload), the resident-halo-block
 bound of the prefetch pipeline, end-to-end pooling-SAGE training, and the
-split sent/received per-tag communication accounting consumed by the cost
-model's overlap term.
+split sent/received per-tag communication accounting.
 """
 
 import time
@@ -26,12 +25,7 @@ from repro.core import (
 from repro.core.gat_dist import GATKernel
 from repro.core.halo import HaloExchange
 from repro.datasets import make_hetero_sbm_dataset
-from repro.distributed import (
-    ClusterSpec,
-    PREFETCH_OVERLAP_TAGS,
-    epoch_cost,
-    run_distributed,
-)
+from repro.distributed import run_distributed
 from repro.partition import (
     PartitionBook,
     create_shards,
@@ -377,7 +371,7 @@ class TestPoolingSageTrainsEndToEnd:
 
 
 # --------------------------------------------------------------------------- #
-# communication accounting and the cost model's overlap term
+# communication accounting
 # --------------------------------------------------------------------------- #
 class TestCommAccounting:
     def test_per_tag_totals_are_booked_by_the_receiver(self, sbm_graph, rng):
@@ -417,29 +411,6 @@ class TestCommAccounting:
         assert "backward_error" in sent
         for tag in sent:
             assert sent[tag] == received[tag] > 0, tag
-
-    def test_overlap_tags_hide_comm_behind_compute(self):
-        def worker(rank, comm):
-            comm.publish("x", np.ones((4000, 32), dtype=np.float32))
-            comm.fetch((rank + 1) % comm.world_size, "x", tag="forward_halo")
-            # Enough compute for a measurable thread-CPU time.
-            m = np.random.default_rng(rank).standard_normal((300, 300))
-            for _ in range(20):
-                m = m @ m.T
-                m /= np.abs(m).max()
-            comm.barrier()
-            return None
-
-        result = run_distributed(worker, 2)
-        spec = ClusterSpec(bandwidth_mbps=1.0, latency_s=0.0)
-        serial = epoch_cost(result, spec)
-        overlapped = epoch_cost(result, spec, overlap_tags=PREFETCH_OVERLAP_TAGS)
-        assert overlapped.hidden_comm_time_s > 0
-        assert overlapped.epoch_time_s < serial.epoch_time_s
-        # Hiding is capped by both compute time and total comm time.
-        for w in overlapped.workers:
-            assert w.hidden_comm_time_s <= w.compute_time_s + 1e-12
-            assert w.hidden_comm_time_s <= w.comm_time_s + 1e-12
 
 
 # --------------------------------------------------------------------------- #
